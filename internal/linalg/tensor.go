@@ -141,14 +141,28 @@ func Axpy(a float64, x, y []float64) {
 // gemmBlockK is the k-panel depth of the blocked kernels: 128 float64s of a
 // B row panel (1 KiB) stay resident in L1 while a C row accumulates.
 // Blocking only partitions the k loop — for any output element the
-// summation order over k stays ascending, so blocked and naive kernels
-// produce bitwise-identical results.
+// summation order over k stays ascending, so blocked, register-tiled
+// (gemm.go) and naive kernels produce bitwise-identical results.
 const gemmBlockK = 128
 
 // parallelFlopCutoff is the mul-add count above which a kernel fans out
-// across GOMAXPROCS goroutines, partitioned by output row. Below it the
-// fan-out overhead (~µs) exceeds the win. Row partitioning never splits the
+// across GOMAXPROCS goroutines, partitioned by output row; below it the
+// fan-out overhead exceeds the win. Row partitioning never splits the
 // per-element summation, so the parallel path is also bitwise-deterministic.
+//
+// Re-measured when the tiled kernels halved the cost of a mul-add: medians of
+// six alternating 24 s runs of benchmark/run.sh per value, 2-vCPU host,
+// uncontended-host time (host slowdown 1.4–1.9):
+//
+//	cutoff  learn_drift samples_per_s / peak_rss_mb  serve_read_hot train_p50_ms
+//	1<<16   654.5 k rows/s           / 69.3 MiB      0.4244
+//	1<<17   667.5 k (+2.0 %)         / 70.7          0.4341 (+2.3 %)
+//	1<<18   667.2 k (+1.9 %)         / 84.9 (+23 %)  0.4234 (−0.2 %)
+//
+// Throughput and latency gaps are inside the 2–4 % run-to-run spread (both
+// cores are already busy on learn_drift; serve_read_hot's batch-64 products
+// sit below every candidate) and 1<<18 costs 15 MiB of peak RSS (cause not
+// investigated), so neither larger value earns its place: 1<<16 stays.
 const parallelFlopCutoff = 1 << 16
 
 // parallelRows splits [0, rows) into roughly equal chunks and runs body on
@@ -180,150 +194,47 @@ func parallelRows(rows, flops int, body func(i0, i1 int)) {
 	wg.Wait()
 }
 
-func checkGemmShapes(op string, cRows, cCols, aRows, aCols, bRows, bCols int, c, a, b *Tensor) {
-	if a.Rows != aRows || a.Cols != aCols || b.Rows != bRows || b.Cols != bCols || c.Rows != cRows || c.Cols != cCols {
-		panic(fmt.Sprintf("linalg: %s shape mismatch C(%dx%d) A(%dx%d) B(%dx%d)",
-			op, c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if len(a.Data) != a.Rows*a.Cols || len(b.Data) != b.Rows*b.Cols || len(c.Data) != c.Rows*c.Cols {
-		panic(fmt.Sprintf("linalg: %s tensor data length inconsistent with shape", op))
-	}
+func (t *Tensor) dims() dims { return dims{t.Rows, t.Cols, len(t.Data)} }
+
+// gemm64 validates the operands of one kernel form and runs it on the f64
+// instantiation.
+func gemm64(form gemmForm, op string, c, a, b *Tensor, accumulate bool) {
+	m, k, n := gemmDims(form, op, c.dims(), a.dims(), b.dims())
+	gemm(form, c.Data, a.Data, b.Data, m, k, n, gemmBlockK, accumulate)
 }
 
-// Gemm computes C = A × B with the blocked kernel, parallel above the flop
-// cutoff. Shapes: A m×k, B k×n, C m×n; C must not alias A or B.
-func Gemm(c, a, b *Tensor) {
-	checkGemmShapes("Gemm", a.Rows, b.Cols, a.Rows, a.Cols, a.Cols, b.Cols, c, a, b)
-	parallelRows(c.Rows, a.Rows*a.Cols*b.Cols, func(i0, i1 int) {
-		gemmRange(c, a, b, i0, i1, false)
-	})
+// ref64 is gemm64 for the oracles.
+func ref64(form gemmForm, op string, c, a, b *Tensor) {
+	m, k, n := gemmDims(form, op, c.dims(), a.dims(), b.dims())
+	refGemm(form, c.Data, a.Data, b.Data, m, k, n)
 }
+
+// Gemm computes C = A × B with the blocked, register-tiled kernel (gemm.go),
+// parallel above the flop cutoff. Shapes: A m×k, B k×n, C m×n; C must not
+// alias A or B.
+func Gemm(c, a, b *Tensor) { gemm64(formNN, "Gemm", c, a, b, false) }
 
 // GemmAdd computes C += A × B (same shapes and kernel as Gemm). Seeding C
 // with a bias row before the call fuses the bias add into the product.
-func GemmAdd(c, a, b *Tensor) {
-	checkGemmShapes("GemmAdd", a.Rows, b.Cols, a.Rows, a.Cols, a.Cols, b.Cols, c, a, b)
-	parallelRows(c.Rows, a.Rows*a.Cols*b.Cols, func(i0, i1 int) {
-		gemmRange(c, a, b, i0, i1, true)
-	})
-}
-
-// gemmRange accumulates C[i0:i1] (+)= A[i0:i1] × B. The i–k–j loop order
-// streams B rows and keeps the current C row hot; k is additionally cut into
-// gemmBlockK panels so each B panel is reused across the row range while
-// still resident in cache. The axpy is inlined by hand: the gc inliner does
-// not inline functions containing loops, and a call per k-step dominates
-// skinny products.
-func gemmRange(c, a, b *Tensor, i0, i1 int, accumulate bool) {
-	if !accumulate {
-		for i := i0; i < i1; i++ {
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-	}
-	k := a.Cols
-	for k0 := 0; k0 < k; k0 += gemmBlockK {
-		k1 := k0 + gemmBlockK
-		if k1 > k {
-			k1 = k
-		}
-		for i := i0; i < i1; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for p := k0; p < k1; p++ {
-				av := arow[p]
-				brow := b.Row(p)
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	}
-}
+func GemmAdd(c, a, b *Tensor) { gemm64(formNN, "GemmAdd", c, a, b, true) }
 
 // GemmTA computes C = Aᵀ × B without materializing the transpose.
 // Shapes: A k×m, B k×n, C m×n; C must not alias A or B.
-func GemmTA(c, a, b *Tensor) {
-	checkGemmShapes("GemmTA", a.Cols, b.Cols, a.Rows, a.Cols, a.Rows, b.Cols, c, a, b)
-	parallelRows(c.Rows, a.Rows*a.Cols*b.Cols, func(i0, i1 int) {
-		gemmTARange(c, a, b, i0, i1, false)
-	})
-}
+func GemmTA(c, a, b *Tensor) { gemm64(formTA, "GemmTA", c, a, b, false) }
 
 // GemmTAAdd computes C += Aᵀ × B (same shapes as GemmTA). The backward
 // passes use it to accumulate weight gradients straight into Param.Grad.
-func GemmTAAdd(c, a, b *Tensor) {
-	checkGemmShapes("GemmTAAdd", a.Cols, b.Cols, a.Rows, a.Cols, a.Rows, b.Cols, c, a, b)
-	parallelRows(c.Rows, a.Rows*a.Cols*b.Cols, func(i0, i1 int) {
-		gemmTARange(c, a, b, i0, i1, true)
-	})
-}
-
-// gemmTARange accumulates C[i0:i1] (+)= (Aᵀ × B)[i0:i1]. The p-outer order
-// streams A and B rows contiguously; the written C rows [i0:i1) form the
-// reuse block.
-func gemmTARange(c, a, b *Tensor, i0, i1 int, accumulate bool) {
-	if !accumulate {
-		for i := i0; i < i1; i++ {
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-	}
-	for p := 0; p < a.Rows; p++ {
-		arow := a.Row(p)
-		brow := b.Row(p)
-		for i := i0; i < i1; i++ {
-			av := arow[i]
-			crow := c.Row(i)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
+func GemmTAAdd(c, a, b *Tensor) { gemm64(formTA, "GemmTAAdd", c, a, b, true) }
 
 // GemmTB computes C = A × Bᵀ without materializing the transpose.
 // Shapes: A m×k, B n×k, C m×n; C must not alias A or B. Each output element
 // is a dot product of two contiguous rows, so this is the cache-friendly
 // form when the shared dimension k is long.
-func GemmTB(c, a, b *Tensor) {
-	checkGemmShapes("GemmTB", a.Rows, b.Rows, a.Rows, a.Cols, b.Rows, a.Cols, c, a, b)
-	parallelRows(c.Rows, a.Rows*a.Cols*b.Rows, func(i0, i1 int) {
-		gemmTBRange(c, a, b, i0, i1, false)
-	})
-}
+func GemmTB(c, a, b *Tensor) { gemm64(formTB, "GemmTB", c, a, b, false) }
 
 // GemmTBAdd computes C += A × Bᵀ (same shapes as GemmTB). With transposed
 // operands it is the long-dot-product form of the weight-gradient update.
-func GemmTBAdd(c, a, b *Tensor) {
-	checkGemmShapes("GemmTBAdd", a.Rows, b.Rows, a.Rows, a.Cols, b.Rows, a.Cols, c, a, b)
-	parallelRows(c.Rows, a.Rows*a.Cols*b.Rows, func(i0, i1 int) {
-		gemmTBRange(c, a, b, i0, i1, true)
-	})
-}
-
-func gemmTBRange(c, a, b *Tensor, i0, i1 int, accumulate bool) {
-	for i := i0; i < i1; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float64
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			if accumulate {
-				crow[j] += s
-			} else {
-				crow[j] = s
-			}
-		}
-	}
-}
+func GemmTBAdd(c, a, b *Tensor) { gemm64(formTB, "GemmTBAdd", c, a, b, true) }
 
 // TransposeInto writes srcᵀ into dst, which must be pre-shaped to
 // src.Cols × src.Rows. The layers materialize small transposed weight or
@@ -333,69 +244,16 @@ func TransposeInto(dst, src *Tensor) {
 		panic(fmt.Sprintf("linalg: TransposeInto shape %dx%d, want %dx%d",
 			dst.Rows, dst.Cols, src.Cols, src.Rows))
 	}
-	for i := 0; i < src.Rows; i++ {
-		srow := src.Row(i)
-		for j, v := range srow {
-			dst.Data[j*dst.Cols+i] = v
-		}
-	}
+	transpose(dst.Data, src.Data, src.Rows, src.Cols)
 }
 
-// RefGemm is the unblocked, single-goroutine reference for C = A × B. It is
-// retained as the differential-test oracle for the optimized kernels and is
-// not used on any hot path.
-func RefGemm(c, a, b *Tensor) {
-	checkGemmShapes("RefGemm", a.Rows, b.Cols, a.Rows, a.Cols, a.Cols, b.Cols, c, a, b)
-	gemmRefRange(c, a, b)
-}
-
-func gemmRefRange(c, a, b *Tensor) {
-	for i := 0; i < c.Rows; i++ {
-		crow := c.Row(i)
-		for j := range crow {
-			crow[j] = 0
-		}
-		arow := a.Row(i)
-		for p := 0; p < a.Cols; p++ {
-			av := arow[p]
-			brow := b.Row(p)
-			for j := range crow {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
-}
+// RefGemm is the unblocked, untiled, single-goroutine reference for
+// C = A × B. It is retained as the differential-test oracle for the
+// optimized kernels and is not used on any hot path.
+func RefGemm(c, a, b *Tensor) { ref64(formNN, "RefGemm", c, a, b) }
 
 // RefGemmTA is the reference oracle for C = Aᵀ × B.
-func RefGemmTA(c, a, b *Tensor) {
-	checkGemmShapes("RefGemmTA", a.Cols, b.Cols, a.Rows, a.Cols, a.Rows, b.Cols, c, a, b)
-	c.Zero()
-	for p := 0; p < a.Rows; p++ {
-		arow := a.Row(p)
-		brow := b.Row(p)
-		for i := 0; i < c.Rows; i++ {
-			av := arow[i]
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
-}
+func RefGemmTA(c, a, b *Tensor) { ref64(formTA, "RefGemmTA", c, a, b) }
 
 // RefGemmTB is the reference oracle for C = A × Bᵀ.
-func RefGemmTB(c, a, b *Tensor) {
-	checkGemmShapes("RefGemmTB", a.Rows, b.Rows, a.Rows, a.Cols, b.Rows, a.Cols, c, a, b)
-	for i := 0; i < c.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float64
-			for p := range arow {
-				s += arow[p] * brow[p]
-			}
-			crow[j] = s
-		}
-	}
-}
+func RefGemmTB(c, a, b *Tensor) { ref64(formTB, "RefGemmTB", c, a, b) }

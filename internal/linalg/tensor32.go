@@ -1,17 +1,14 @@
 package linalg
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Tensor32 is the float32 sibling of Tensor: a dense, row-major 2-D tensor
 // over one flat float32 buffer. It is the storage type of the speed-tier
-// kernels — half the memory traffic of the f64 oracle tier and twice the
-// effective SIMD width for the compiler's auto-vectorizer. The f32 family
-// mirrors the f64 kernels loop-for-loop (same blocking, same ascending-k
-// summation order) so the two tiers differ only in precision, never in
-// evaluation order: the f64 kernels remain the bitwise differential oracle.
+// kernels — half the memory traffic of the f64 oracle tier. The f32 family
+// is the float32 instantiation of the same generic loop nests and
+// microkernels as the f64 family (gemm.go), so the two tiers differ only in
+// precision, never in evaluation order: the f64 kernels remain the bitwise
+// differential oracle.
 type Tensor32 struct {
 	Rows, Cols int
 	Data       []float32
@@ -95,237 +92,52 @@ func (t *Tensor32) FromRows64(rows [][]float64, cols int) {
 	}
 }
 
-// Rows32 returns the tensor as row headers aliasing the flat storage — no
-// copy, so mutating a returned row mutates the tensor.
-func (t *Tensor32) Rows32() [][]float32 {
-	out := make([][]float32, t.Rows)
-	for i := range out {
-		out[i] = t.Row(i)
-	}
-	return out
-}
-
-// Widen64Into writes the tensor's values into dst as float64, reshaping dst
-// as needed, and returns dst. The inverse staging copy of FromRows64.
-func (t *Tensor32) Widen64Into(dst *Tensor) *Tensor {
-	dst = EnsureTensor(dst, t.Rows, t.Cols)
-	for i, v := range t.Data {
-		dst.Data[i] = float64(v)
-	}
-	return dst
-}
-
-// Axpy32 computes y[i] += a*x[i]. It panics if the lengths differ.
-func Axpy32(a float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Axpy32 length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, xv := range x {
-		y[i] += a * xv
-	}
-}
-
-// Dot32 returns the dot product of two equal-length f32 slices, accumulated
-// in float32 in ascending index order (matching the kernel summation order).
-func Dot32(x, y []float32) float32 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Dot32 length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float32
-	for i, xv := range x {
-		s += xv * y[i]
-	}
-	return s
-}
-
 // gemmBlockK32 is the k-panel depth of the blocked f32 kernels: 256 float32s
 // of a B row panel (1 KiB, the same cache footprint as the f64 panel) stay
 // resident in L1 while a C row accumulates. As in the f64 family, blocking
-// only partitions the k loop — the per-element summation order stays
-// ascending, so blocked and naive f32 kernels agree bitwise with each other
-// (though not, of course, with the f64 tier).
+// and tiling only partition the k loop — the per-element summation order
+// stays ascending, so the f32 kernels agree bitwise with the naive f32
+// oracles (though not, of course, with the f64 tier).
 const gemmBlockK32 = 256
 
-func checkGemmShapes32(op string, cRows, cCols, aRows, aCols, bRows, bCols int, c, a, b *Tensor32) {
-	if a.Rows != aRows || a.Cols != aCols || b.Rows != bRows || b.Cols != bCols || c.Rows != cRows || c.Cols != cCols {
-		panic(fmt.Sprintf("linalg: %s shape mismatch C(%dx%d) A(%dx%d) B(%dx%d)",
-			op, c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if len(a.Data) != a.Rows*a.Cols || len(b.Data) != b.Rows*b.Cols || len(c.Data) != c.Rows*c.Cols {
-		panic(fmt.Sprintf("linalg: %s tensor data length inconsistent with shape", op))
-	}
+func (t *Tensor32) dims() dims { return dims{t.Rows, t.Cols, len(t.Data)} }
+
+// gemm32 validates the operands of one kernel form and runs it on the f32
+// instantiation.
+func gemm32(form gemmForm, op string, c, a, b *Tensor32, accumulate bool) {
+	m, k, n := gemmDims(form, op, c.dims(), a.dims(), b.dims())
+	gemm(form, c.Data, a.Data, b.Data, m, k, n, gemmBlockK32, accumulate)
 }
 
-// Gemm32 computes C = A × B with the blocked f32 kernel, parallel above the
-// flop cutoff. Shapes: A m×k, B k×n, C m×n; C must not alias A or B.
-func Gemm32(c, a, b *Tensor32) {
-	checkGemmShapes32("Gemm32", a.Rows, b.Cols, a.Rows, a.Cols, a.Cols, b.Cols, c, a, b)
-	flops := a.Rows * a.Cols * b.Cols
-	if flops < parallelFlopCutoff || runtime.GOMAXPROCS(0) <= 1 || c.Rows <= 1 {
-		// Serial fast path: skipping the fan-out helper keeps the warm
-		// small-batch call zero-alloc (no closure escapes to the heap).
-		gemmRange32(c, a, b, 0, c.Rows, false)
-		return
-	}
-	parallelRows(c.Rows, flops, func(i0, i1 int) {
-		gemmRange32(c, a, b, i0, i1, false)
-	})
+// ref32 is gemm32 for the oracles.
+func ref32(form gemmForm, op string, c, a, b *Tensor32) {
+	m, k, n := gemmDims(form, op, c.dims(), a.dims(), b.dims())
+	refGemm(form, c.Data, a.Data, b.Data, m, k, n)
 }
+
+// Gemm32 computes C = A × B with the f32 instantiation of the blocked,
+// register-tiled kernel (gemm.go), parallel above the flop cutoff.
+// Shapes: A m×k, B k×n, C m×n; C must not alias A or B.
+func Gemm32(c, a, b *Tensor32) { gemm32(formNN, "Gemm32", c, a, b, false) }
 
 // GemmAdd32 computes C += A × B (same shapes and kernel as Gemm32). Seeding
 // C with a bias row before the call fuses the bias add into the product.
-func GemmAdd32(c, a, b *Tensor32) {
-	checkGemmShapes32("GemmAdd32", a.Rows, b.Cols, a.Rows, a.Cols, a.Cols, b.Cols, c, a, b)
-	flops := a.Rows * a.Cols * b.Cols
-	if flops < parallelFlopCutoff || runtime.GOMAXPROCS(0) <= 1 || c.Rows <= 1 {
-		// Serial fast path: skipping the fan-out helper keeps the warm
-		// small-batch call zero-alloc (no closure escapes to the heap).
-		gemmRange32(c, a, b, 0, c.Rows, true)
-		return
-	}
-	parallelRows(c.Rows, flops, func(i0, i1 int) {
-		gemmRange32(c, a, b, i0, i1, true)
-	})
-}
-
-// gemmRange32 accumulates C[i0:i1] (+)= A[i0:i1] × B — the i–k–j order of
-// gemmRange with f32 operands. The inner j loop is a flat contiguous
-// multiply-add sweep over two f32 slices, the shape the gc compiler
-// vectorizes best.
-func gemmRange32(c, a, b *Tensor32, i0, i1 int, accumulate bool) {
-	if !accumulate {
-		for i := i0; i < i1; i++ {
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-	}
-	k := a.Cols
-	for k0 := 0; k0 < k; k0 += gemmBlockK32 {
-		k1 := k0 + gemmBlockK32
-		if k1 > k {
-			k1 = k
-		}
-		for i := i0; i < i1; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for p := k0; p < k1; p++ {
-				av := arow[p]
-				brow := b.Row(p)
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	}
-}
+func GemmAdd32(c, a, b *Tensor32) { gemm32(formNN, "GemmAdd32", c, a, b, true) }
 
 // GemmTA32 computes C = Aᵀ × B without materializing the transpose.
 // Shapes: A k×m, B k×n, C m×n; C must not alias A or B.
-func GemmTA32(c, a, b *Tensor32) {
-	checkGemmShapes32("GemmTA32", a.Cols, b.Cols, a.Rows, a.Cols, a.Rows, b.Cols, c, a, b)
-	flops := a.Rows * a.Cols * b.Cols
-	if flops < parallelFlopCutoff || runtime.GOMAXPROCS(0) <= 1 || c.Rows <= 1 {
-		// Serial fast path: skipping the fan-out helper keeps the warm
-		// small-batch call zero-alloc (no closure escapes to the heap).
-		gemmTARange32(c, a, b, 0, c.Rows, false)
-		return
-	}
-	parallelRows(c.Rows, flops, func(i0, i1 int) {
-		gemmTARange32(c, a, b, i0, i1, false)
-	})
-}
+func GemmTA32(c, a, b *Tensor32) { gemm32(formTA, "GemmTA32", c, a, b, false) }
 
 // GemmTAAdd32 computes C += Aᵀ × B (same shapes as GemmTA32).
-func GemmTAAdd32(c, a, b *Tensor32) {
-	checkGemmShapes32("GemmTAAdd32", a.Cols, b.Cols, a.Rows, a.Cols, a.Rows, b.Cols, c, a, b)
-	flops := a.Rows * a.Cols * b.Cols
-	if flops < parallelFlopCutoff || runtime.GOMAXPROCS(0) <= 1 || c.Rows <= 1 {
-		// Serial fast path: skipping the fan-out helper keeps the warm
-		// small-batch call zero-alloc (no closure escapes to the heap).
-		gemmTARange32(c, a, b, 0, c.Rows, true)
-		return
-	}
-	parallelRows(c.Rows, flops, func(i0, i1 int) {
-		gemmTARange32(c, a, b, i0, i1, true)
-	})
-}
-
-func gemmTARange32(c, a, b *Tensor32, i0, i1 int, accumulate bool) {
-	if !accumulate {
-		for i := i0; i < i1; i++ {
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-	}
-	for p := 0; p < a.Rows; p++ {
-		arow := a.Row(p)
-		brow := b.Row(p)
-		for i := i0; i < i1; i++ {
-			av := arow[i]
-			crow := c.Row(i)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
+func GemmTAAdd32(c, a, b *Tensor32) { gemm32(formTA, "GemmTAAdd32", c, a, b, true) }
 
 // GemmTB32 computes C = A × Bᵀ without materializing the transpose.
-// Shapes: A m×k, B n×k, C m×n; C must not alias A or B. Each output element
-// is a dot product of two contiguous f32 rows — the cache-friendly form when
-// the shared dimension k is long, and the form the inference engine's dense
-// layers use (weights pre-transposed once at compile time).
-func GemmTB32(c, a, b *Tensor32) {
-	checkGemmShapes32("GemmTB32", a.Rows, b.Rows, a.Rows, a.Cols, b.Rows, a.Cols, c, a, b)
-	flops := a.Rows * a.Cols * b.Rows
-	if flops < parallelFlopCutoff || runtime.GOMAXPROCS(0) <= 1 || c.Rows <= 1 {
-		// Serial fast path: skipping the fan-out helper keeps the warm
-		// small-batch call zero-alloc (no closure escapes to the heap).
-		gemmTBRange32(c, a, b, 0, c.Rows, false)
-		return
-	}
-	parallelRows(c.Rows, flops, func(i0, i1 int) {
-		gemmTBRange32(c, a, b, i0, i1, false)
-	})
-}
+// Shapes: A m×k, B n×k, C m×n; C must not alias A or B. This is the form the
+// inference engine's dense layers use (weights pre-transposed at compile time).
+func GemmTB32(c, a, b *Tensor32) { gemm32(formTB, "GemmTB32", c, a, b, false) }
 
 // GemmTBAdd32 computes C += A × Bᵀ (same shapes as GemmTB32).
-func GemmTBAdd32(c, a, b *Tensor32) {
-	checkGemmShapes32("GemmTBAdd32", a.Rows, b.Rows, a.Rows, a.Cols, b.Rows, a.Cols, c, a, b)
-	flops := a.Rows * a.Cols * b.Rows
-	if flops < parallelFlopCutoff || runtime.GOMAXPROCS(0) <= 1 || c.Rows <= 1 {
-		// Serial fast path: skipping the fan-out helper keeps the warm
-		// small-batch call zero-alloc (no closure escapes to the heap).
-		gemmTBRange32(c, a, b, 0, c.Rows, true)
-		return
-	}
-	parallelRows(c.Rows, flops, func(i0, i1 int) {
-		gemmTBRange32(c, a, b, i0, i1, true)
-	})
-}
-
-func gemmTBRange32(c, a, b *Tensor32, i0, i1 int, accumulate bool) {
-	for i := i0; i < i1; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			if accumulate {
-				crow[j] += s
-			} else {
-				crow[j] = s
-			}
-		}
-	}
-}
+func GemmTBAdd32(c, a, b *Tensor32) { gemm32(formTB, "GemmTBAdd32", c, a, b, true) }
 
 // TransposeInto32 writes srcᵀ into dst, which must be pre-shaped to
 // src.Cols × src.Rows.
@@ -334,65 +146,16 @@ func TransposeInto32(dst, src *Tensor32) {
 		panic(fmt.Sprintf("linalg: TransposeInto32 shape %dx%d, want %dx%d",
 			dst.Rows, dst.Cols, src.Cols, src.Rows))
 	}
-	for i := 0; i < src.Rows; i++ {
-		srow := src.Row(i)
-		for j, v := range srow {
-			dst.Data[j*dst.Cols+i] = v
-		}
-	}
+	transpose(dst.Data, src.Data, src.Rows, src.Cols)
 }
 
-// RefGemm32 is the unblocked, single-goroutine f32 reference for C = A × B,
-// the differential-test oracle for the blocked f32 kernel (bitwise: both sum
-// over k in ascending order).
-func RefGemm32(c, a, b *Tensor32) {
-	checkGemmShapes32("RefGemm32", a.Rows, b.Cols, a.Rows, a.Cols, a.Cols, b.Cols, c, a, b)
-	for i := 0; i < c.Rows; i++ {
-		crow := c.Row(i)
-		for j := range crow {
-			crow[j] = 0
-		}
-		arow := a.Row(i)
-		for p := 0; p < a.Cols; p++ {
-			av := arow[p]
-			brow := b.Row(p)
-			for j := range crow {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
-}
+// RefGemm32 is the unblocked, untiled, single-goroutine f32 reference for
+// C = A × B, the differential-test oracle for the f32 kernels (bitwise: both
+// sum over k in ascending order).
+func RefGemm32(c, a, b *Tensor32) { ref32(formNN, "RefGemm32", c, a, b) }
 
 // RefGemmTA32 is the f32 reference oracle for C = Aᵀ × B.
-func RefGemmTA32(c, a, b *Tensor32) {
-	checkGemmShapes32("RefGemmTA32", a.Cols, b.Cols, a.Rows, a.Cols, a.Rows, b.Cols, c, a, b)
-	c.Zero()
-	for p := 0; p < a.Rows; p++ {
-		arow := a.Row(p)
-		brow := b.Row(p)
-		for i := 0; i < c.Rows; i++ {
-			av := arow[i]
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
-}
+func RefGemmTA32(c, a, b *Tensor32) { ref32(formTA, "RefGemmTA32", c, a, b) }
 
 // RefGemmTB32 is the f32 reference oracle for C = A × Bᵀ.
-func RefGemmTB32(c, a, b *Tensor32) {
-	checkGemmShapes32("RefGemmTB32", a.Rows, b.Rows, a.Rows, a.Cols, b.Rows, a.Cols, c, a, b)
-	for i := 0; i < c.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float32
-			for p := range arow {
-				s += arow[p] * brow[p]
-			}
-			crow[j] = s
-		}
-	}
-}
+func RefGemmTB32(c, a, b *Tensor32) { ref32(formTB, "RefGemmTB32", c, a, b) }

@@ -1,21 +1,23 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// FuzzGemmShapes drives the blocked/parallel kernels over arbitrary shapes
-// and seeds and checks them against the naive references. The shape space is
-// folded into [1, 90] per dimension so the fuzzer regularly crosses both the
-// k-blocking boundary and the parallel cutoff.
+// FuzzGemmShapes drives all six kernels of both element types over arbitrary
+// shapes and seeds and requires bit equality with the naive oracles (the
+// exact-bits comparator of TestGemmMatchesReference). The shape space is
+// folded into [1, 90] per dimension so the fuzzer regularly crosses the
+// k-blocking boundary, the parallel cutoff and every tile tail.
 func FuzzGemmShapes(f *testing.F) {
 	f.Add(int8(1), int8(1), int8(1), int64(1))
 	f.Add(int8(1), int8(17), int8(1), int64(2))
 	f.Add(int8(9), int8(1), int8(13), int64(3))
 	f.Add(int8(64), int8(64), int8(64), int64(4))
 	f.Add(int8(-5), int8(0), int8(127), int64(5))
+	f.Add(int8(7), int8(3), int8(89), int64(6))
+	f.Add(int8(70), int8(34), int8(30), int64(7))
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw int8, seed int64) {
 		fold := func(v int8) int {
 			x := int(v)
@@ -25,40 +27,7 @@ func FuzzGemmShapes(f *testing.F) {
 			return x%90 + 1
 		}
 		m, k, n := fold(mRaw), fold(kRaw), fold(nRaw)
-		rng := rand.New(rand.NewSource(seed))
-		a := randFuzzTensor(rng, m, k)
-		b := randFuzzTensor(rng, k, n)
-		got := NewTensor(m, n)
-		want := NewTensor(m, n)
-		Gemm(got, a, b)
-		RefGemm(want, a, b)
-		compareFuzz(t, got, want, "Gemm")
-
-		at := randFuzzTensor(rng, k, m)
-		GemmTA(got, at, b)
-		RefGemmTA(want, at, b)
-		compareFuzz(t, got, want, "GemmTA")
-
-		bt := randFuzzTensor(rng, n, k)
-		GemmTB(got, a, bt)
-		RefGemmTB(want, a, bt)
-		compareFuzz(t, got, want, "GemmTB")
+		checkGemmBits(t, family64, rand.New(rand.NewSource(seed)), m, k, n)
+		checkGemmBits(t, family32, rand.New(rand.NewSource(seed)), m, k, n)
 	})
-}
-
-func randFuzzTensor(rng *rand.Rand, rows, cols int) *Tensor {
-	t := NewTensor(rows, cols)
-	for i := range t.Data {
-		t.Data[i] = rng.NormFloat64()
-	}
-	return t
-}
-
-func compareFuzz(t *testing.T, got, want *Tensor, label string) {
-	t.Helper()
-	for i := range want.Data {
-		if math.Abs(got.Data[i]-want.Data[i]) > 1e-9*(1+math.Abs(want.Data[i])) {
-			t.Fatalf("%s: element %d = %v, want %v", label, i, got.Data[i], want.Data[i])
-		}
-	}
 }

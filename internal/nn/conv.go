@@ -109,6 +109,35 @@ func (c *Conv1D) Forward(x *linalg.Tensor) *linalg.Tensor {
 // Backward accumulates kernel and bias gradients with transposed GEMMs over
 // the cached patch matrix and returns the input gradient via col2im.
 func (c *Conv1D) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
+	c.backwardParams(gradOut)
+	ol := c.outLen()
+	ick := c.InChannels * c.Kernel
+	n := gradOut.Rows
+
+	// ∂L/∂patches = Wᵀ × g2T, scattered back to the input layout: each patch
+	// row contributes one contiguous length-outLen axpy per sample.
+	c.gcolT = linalg.EnsureTensor(c.gcolT, ick, n*ol)
+	linalg.GemmTA(c.gcolT, linalg.TensorView(c.w.W, c.OutChannels, ick), c.g2T)
+	c.gradIn = linalg.EnsureTensor(c.gradIn, n, c.InChannels*c.Length)
+	c.gradIn.Zero()
+	for i := 0; i < n; i++ {
+		girow := c.gradIn.Row(i)
+		for ic := 0; ic < c.InChannels; ic++ {
+			for k := 0; k < c.Kernel; k++ {
+				src := c.gcolT.Row(ic*c.Kernel + k)[i*ol : (i+1)*ol]
+				dst := girow[ic*c.Length+k : ic*c.Length+k+ol]
+				for t, gv := range src {
+					dst[t] += gv
+				}
+			}
+		}
+	}
+	return c.gradIn
+}
+
+// backwardParams regathers gradOut into c.g2T (which Backward's input
+// gradient reuses) and accumulates the kernel and bias gradients.
+func (c *Conv1D) backwardParams(gradOut *linalg.Tensor) {
 	ol := c.outLen()
 	ick := c.InChannels * c.Kernel
 	n := gradOut.Rows
@@ -133,26 +162,6 @@ func (c *Conv1D) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
 		}
 		c.b.Grad[oc] += s
 	}
-
-	// ∂L/∂patches = Wᵀ × g2T, scattered back to the input layout: each patch
-	// row contributes one contiguous length-outLen axpy per sample.
-	c.gcolT = linalg.EnsureTensor(c.gcolT, ick, n*ol)
-	linalg.GemmTA(c.gcolT, linalg.TensorView(c.w.W, c.OutChannels, ick), c.g2T)
-	c.gradIn = linalg.EnsureTensor(c.gradIn, n, c.InChannels*c.Length)
-	c.gradIn.Zero()
-	for i := 0; i < n; i++ {
-		girow := c.gradIn.Row(i)
-		for ic := 0; ic < c.InChannels; ic++ {
-			for k := 0; k < c.Kernel; k++ {
-				src := c.gcolT.Row(ic*c.Kernel + k)[i*ol : (i+1)*ol]
-				dst := girow[ic*c.Length+k : ic*c.Length+k+ol]
-				for t, gv := range src {
-					dst[t] += gv
-				}
-			}
-		}
-	}
-	return c.gradIn
 }
 
 // Params returns the kernel and bias parameters.

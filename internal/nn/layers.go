@@ -31,6 +31,14 @@ type Layer interface {
 	clone() Layer
 }
 
+// paramBackwarder is implemented by layers whose Backward separates into
+// parameter gradients and a costly input gradient (a GEMM): Backward is
+// backwardParams followed by ∂L/∂x. Network calls backwardParams alone on its
+// first layer, where nobody consumes ∂L/∂x.
+type paramBackwarder interface {
+	backwardParams(gradOut *linalg.Tensor)
+}
+
 // Dense is a fully connected layer: y = xW + b, with W stored row-major as
 // [in][out] — exactly the In×Out tensor the GEMM kernels consume.
 //
@@ -100,6 +108,17 @@ func (d *Dense) Forward(x *linalg.Tensor) *linalg.Tensor {
 // Backward accumulates ∂L/∂W = XᵀG and ∂L/∂b, and returns ∂L/∂x = GWᵀ.
 // It relies on the Wᵀ scratch left by the matching Forward call.
 func (d *Dense) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
+	d.backwardParams(gradOut)
+	d.gradIn = linalg.EnsureTensor(d.gradIn, gradOut.Rows, d.In)
+	if d.useDot() {
+		linalg.Gemm(d.gradIn, gradOut, d.wT)
+	} else {
+		linalg.GemmTB(d.gradIn, gradOut, linalg.TensorView(d.w.W, d.In, d.Out))
+	}
+	return d.gradIn
+}
+
+func (d *Dense) backwardParams(gradOut *linalg.Tensor) {
 	n := gradOut.Rows
 	gw := linalg.TensorView(d.w.Grad, d.In, d.Out)
 	if d.In >= denseGradWDotFactor*d.Out && n > 1 {
@@ -119,13 +138,6 @@ func (d *Dense) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
 			d.b.Grad[j] += gv
 		}
 	}
-	d.gradIn = linalg.EnsureTensor(d.gradIn, n, d.In)
-	if d.useDot() {
-		linalg.Gemm(d.gradIn, gradOut, d.wT)
-	} else {
-		linalg.GemmTB(d.gradIn, gradOut, linalg.TensorView(d.w.W, d.In, d.Out))
-	}
-	return d.gradIn
 }
 
 // Params returns the weight and bias parameters.

@@ -18,6 +18,7 @@ import (
 // results.
 type Network struct {
 	layers     []Layer
+	params     []*Param // every layer's parameters, gathered once (layers never swap theirs)
 	inDim      int
 	numClasses int
 
@@ -45,7 +46,15 @@ func NewNetwork(inDim, numClasses int, layers ...Layer) (*Network, error) {
 	if dim != numClasses {
 		return nil, fmt.Errorf("nn: network output width %d, want %d classes", dim, numClasses)
 	}
-	return &Network{layers: layers, inDim: inDim, numClasses: numClasses}, nil
+	return newNetwork(layers, inDim, numClasses), nil
+}
+
+func newNetwork(layers []Layer, inDim, numClasses int) *Network {
+	n := &Network{layers: layers, inDim: inDim, numClasses: numClasses}
+	for _, l := range layers {
+		n.params = append(n.params, l.Params()...)
+	}
+	return n
 }
 
 // InDim returns the expected input width.
@@ -164,8 +173,15 @@ func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 		return 0, err
 	}
 	g := n.gradBuf
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	for i := len(n.layers) - 1; i > 0; i-- {
 		g = n.layers[i].Backward(g)
+	}
+	// The first layer's ∂L/∂x is the gradient with respect to the data: no
+	// layer below learns from it and no caller reads it, so it is not computed.
+	if l, ok := n.layers[0].(paramBackwarder); ok {
+		l.backwardParams(g)
+	} else {
+		n.layers[0].Backward(g)
 	}
 	return loss, nil
 }
@@ -183,14 +199,9 @@ func (n *Network) Loss(x [][]float64, y []int) (float64, error) {
 	return softmaxCrossEntropyT(logits, y, n.gradBuf)
 }
 
-// Params returns all learnable parameters, layer by layer.
-func (n *Network) Params() []*Param {
-	var out []*Param
-	for _, l := range n.layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
+// Params returns all learnable parameters, layer by layer. The slice is the
+// network's own, built once: callers iterate it and leave its elements alone.
+func (n *Network) Params() []*Param { return n.params }
 
 // ZeroGrad clears every parameter gradient.
 func (n *Network) ZeroGrad() {
@@ -231,7 +242,7 @@ func (n *Network) Clone() *Network {
 	for i, l := range n.layers {
 		layers[i] = l.clone()
 	}
-	return &Network{layers: layers, inDim: n.inDim, numClasses: n.numClasses}
+	return newNetwork(layers, n.inDim, n.numClasses)
 }
 
 // FlattenGrads copies all parameter gradients into one flat vector (the

@@ -328,6 +328,20 @@ func TestCloneIsIndependent(t *testing.T) {
 	if clone.NumParams() != net.NumParams() {
 		t.Error("clone has different parameter count")
 	}
+	// Params is gathered once per network: the clone lists its own tensors,
+	// in layer order, and a call costs nothing.
+	cp, np := clone.Params(), net.Params()
+	if len(cp) != 4 || len(np) != 4 {
+		t.Fatalf("Params lengths %d and %d, want 4", len(cp), len(np))
+	}
+	for i := range cp {
+		if cp[i] == np[i] {
+			t.Errorf("clone shares parameter tensor %d with the original", i)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = net.Params() }); n != 0 {
+		t.Errorf("Params allocates %.1f times per call, want 0", n)
+	}
 }
 
 func TestFlattenAndSetFlatGrads(t *testing.T) {

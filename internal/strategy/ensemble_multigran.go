@@ -263,13 +263,20 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 	// belong to the pre-divergence distribution).
 	tShort := tr.StageStart()
 	for _, g := range e.grans {
-		g.bufX = append(g.bufX, b.X...)
-		g.bufY = append(g.bufY, b.Y...)
+		// A batch that completes the schedule with nothing pending (every
+		// batch of the Every == 1 granularity) goes to Fit as it is; only a
+		// batch that must wait, or join waiting ones, is buffered.
 		g.pending++
-		if g.pending < g.Every {
-			continue
+		x, y := b.X, b.Y
+		if g.pending < g.Every || len(g.bufX) > 0 {
+			g.bufX = append(g.bufX, b.X...)
+			g.bufY = append(g.bufY, b.Y...)
+			if g.pending < g.Every {
+				continue
+			}
+			x, y = g.bufX, g.bufY
 		}
-		loss, err := g.Model.Fit(g.bufX, g.bufY)
+		loss, err := g.Model.Fit(x, y)
 		if err != nil {
 			return err
 		}
