@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check no-unsafe bench bench-serve bench-ingest bench-infer bench-kernels loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
+.PHONY: all build test vet race check no-unsafe loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
 
 all: check
 
@@ -16,8 +16,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The kernel tiers promise auto-vectorizable pure-Go loops: no unsafe may
-# enter the compute kernels or the quantizer.
+# The GEMM kernels are bounds-checked pure-Go loops whose bitwise contract is
+# tested against the oracle: no unsafe may enter the compute packages.
 no-unsafe:
 	@if grep -rn '"unsafe"' internal/linalg internal/nn --include='*.go'; then \
 		echo 'unsafe import found in kernel packages' >&2; exit 1; \
@@ -26,40 +26,6 @@ no-unsafe:
 
 # The full gate: everything CI runs.
 check: build vet no-unsafe test race
-
-# Runs the kernel + throughput benchmarks and refreshes BENCH_PR2.json,
-# then the concurrent-serving gate (BENCH_PR5.json).
-bench:
-	bash scripts/bench.sh
-
-# Concurrent-serving gate: session-manager shards=1 vs shards=8 at
-# GOMAXPROCS=8 plus a closed-loop loadgen run; refreshes BENCH_PR5.json and
-# fails if the striped map regresses against the single-lock baseline (or,
-# on a >= 4-CPU host, wins by less than 3x on the churn workload).
-bench-serve:
-	bash scripts/bench_serve.sh
-
-# Ingest gate: wire decode microbenchmarks (binary vs JSON, with the
-# zero-alloc warm-decode gate) plus three closed-loop loadgen runs (JSON,
-# per-request binary, coalesced binary); refreshes BENCH_PR7.json and fails
-# if a warm binary decode allocates or coalesced ingest misses its
-# host-adaptive throughput gate (>= 3x JSON on >= 4 CPUs, else >= 0.85x).
-bench-ingest:
-	bash scripts/bench_ingest.sh
-
-# Inference-plane gate: two closed-loop loadgen runs with a 90%-read mix
-# (label-less binary /infer frames), unfused vs cross-stream fused;
-# refreshes BENCH_PR9.json and fails if fused inference misses its
-# host-adaptive gate (>= 3x unfused on >= 4 CPUs, else >= 0.85x).
-bench-infer:
-	bash scripts/bench_infer.sh
-
-# Kernel-tier gate: single-core f64 vs f32 vs int8 microbenchmarks of the
-# GEMM kernels and the compiled inference engines; refreshes BENCH_PR10.json
-# and fails if the f32 tier misses its host-adaptive gate (>= 2x the f64
-# oracle on >= 4 CPUs, else >= 0.85x no-regression).
-bench-kernels:
-	bash scripts/bench_kernels.sh
 
 # Short closed-loop load smoke: boots freeway-serve, drives 2 streams for
 # ~2s, and fails on any request error.

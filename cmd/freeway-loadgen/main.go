@@ -1,7 +1,7 @@
 // Command freeway-loadgen drives a freeway-serve instance with concurrent
 // multi-stream training traffic and reports throughput and latency
-// quantiles. It is the closed-loop load harness behind `make bench-serve`
-// and the CI loadgen smoke:
+// quantiles. It is the load driver behind the CI loadgen and cluster
+// smokes:
 //
 //	freeway-loadgen -serve bin/freeway-serve -streams 8 -concurrency 8 -duration 10s
 //	freeway-loadgen -addr 127.0.0.1:8080 -mode open -rate 500 -duration 30s
@@ -22,14 +22,10 @@
 // round-robin over -streams synthetic streams (two separable Gaussian
 // classes per stream, shifted per stream so streams are not identical).
 // -proto binary switches the payload to the length-prefixed wire frame
-// (-dtype picks f64 or f32 features); -coalesce boots the server with batch
-// coalescing — to actually exercise fusion, run with -concurrency greater
-// than -streams so several workers hit the same stream at once (e.g.
-// -streams 4 -concurrency 16).
+// (-dtype picks f64 or f32 features).
 // Latency lands in an internal/obs histogram; the summary prints
 // throughput, error count, and p50/p95/p99, and -out writes the same as
-// JSON for scripts/bench_serve.sh to fold into BENCH_PR5.json. Exit status
-// is nonzero when any request errored.
+// JSON. Exit status is nonzero when any request errored.
 //
 // Cluster mode drives the distributed tier through a kill/restart schedule:
 //
@@ -87,11 +83,7 @@ func main() {
 		out       = flag.String("out", "", "write the JSON summary to this file ('-' for stdout)")
 		proto     = flag.String("proto", "json", "request encoding: json | binary (the length-prefixed wire frame)")
 		dtype     = flag.String("dtype", "f64", "binary proto feature payload: f64 | f32")
-		coalesce  = flag.Bool("coalesce", false, "boot the server with batch coalescing (ignored with -addr)")
 		inferFrac = flag.Float64("infer-frac", 0, "fraction of requests sent label-less to /infer (read/write mix; 0 = pure training load)")
-		coalWin   = flag.Duration("coalesce-window", 0, "booted server's coalescing gather window")
-		coalRows  = flag.Int("coalesce-max-rows", 0, "booted server's fused-pass row bound")
-		tier      = flag.String("kernel-tier", "", "booted server's inference kernel tier: f64 | f32 | int8-infer (empty keeps the server default; ignored with -addr)")
 
 		cluster      = flag.Int("cluster", 0, "boot a freeway-router plus this many workers and load the router (0 keeps single-server mode)")
 		routerBin    = flag.String("router", "bin/freeway-router", "freeway-router binary for -cluster mode")
@@ -105,9 +97,7 @@ func main() {
 		batch: *batch, dim: *dim, classes: *classes, model: *model,
 		duration: *duration, mode: *mode, rate: *rate, seed: *seed, out: *out,
 		proto: *proto, dtype: *dtype, inferFrac: *inferFrac,
-		coalesce: *coalesce, coalWindow: *coalWin, coalRows: *coalRows,
-		kernelTier: *tier,
-		cluster:    *cluster, routerBin: *routerBin,
+		cluster: *cluster, routerBin: *routerBin,
 		killAfter: *killAfter, restartAfter: *restartAfter, ckptEvery: *ckptEvery,
 	}
 	if err := run(cfg); err != nil {
@@ -127,10 +117,6 @@ type config struct {
 	proto, dtype string
 	wireDtype    byte
 	inferFrac    float64
-	coalesce     bool
-	coalWindow   time.Duration
-	coalRows     int
-	kernelTier   string
 
 	cluster                 int
 	routerBin               string
@@ -138,8 +124,7 @@ type config struct {
 	ckptEvery               int
 }
 
-// summary is the JSON report; field names are the contract bench_serve.sh
-// and the README performance table read.
+// summary is the JSON report (-out).
 type summary struct {
 	Mode          string  `json:"mode"`
 	Streams       int     `json:"streams"`
@@ -156,12 +141,8 @@ type summary struct {
 
 	// Ingest-path descriptors (omitted in the default JSON configuration, so
 	// the summary stays byte-compatible with earlier consumers).
-	Proto    string `json:"proto,omitempty"`
-	Dtype    string `json:"dtype,omitempty"`
-	Coalesce bool   `json:"coalesce,omitempty"`
-	// KernelTier is the booted server's inference kernel tier (omitted when
-	// the server default — the f64 oracle — was kept or -addr was used).
-	KernelTier string `json:"kernel_tier,omitempty"`
+	Proto string `json:"proto,omitempty"`
+	Dtype string `json:"dtype,omitempty"`
 
 	// Read/write-mix report: the configured label-less fraction and how
 	// many requests actually took the inference plane.
@@ -390,14 +371,12 @@ func run(cfg config) error {
 		P50Ms:         lat.Quantile(0.50) * 1e3,
 		P95Ms:         lat.Quantile(0.95) * 1e3,
 		P99Ms:         lat.Quantile(0.99) * 1e3,
-		Coalesce:      cfg.coalesce,
 		InferFrac:     cfg.inferFrac,
 		InferRequests: inferReqs.Load(),
 	}
 	if cfg.proto != "json" {
 		s.Proto, s.Dtype = cfg.proto, cfg.dtype
 	}
-	s.KernelTier = cfg.kernelTier
 	if s.Requests > 0 {
 		s.ErrorRate = float64(s.Errors) / float64(s.Requests)
 	}
@@ -631,26 +610,13 @@ func (p *proc) stop() {
 // bootServer starts freeway-serve on an ephemeral port and returns the
 // announced address plus a stop function that SIGTERMs and reaps it.
 func bootServer(cfg config) (string, func(), error) {
-	args := []string{
+	p, err := startProc(cfg.serveBin,
 		"-addr", "127.0.0.1:0",
 		"-dim", fmt.Sprint(cfg.dim),
 		"-classes", fmt.Sprint(cfg.classes),
 		"-model", cfg.model,
 		"-seed", fmt.Sprint(cfg.seed),
-	}
-	if cfg.kernelTier != "" {
-		args = append(args, "-kernel-tier", cfg.kernelTier)
-	}
-	if cfg.coalesce {
-		args = append(args, "-coalesce")
-		if cfg.coalWindow > 0 {
-			args = append(args, "-coalesce-window", cfg.coalWindow.String())
-		}
-		if cfg.coalRows > 0 {
-			args = append(args, "-coalesce-max-rows", fmt.Sprint(cfg.coalRows))
-		}
-	}
-	p, err := startProc(cfg.serveBin, args...)
+	)
 	if err != nil {
 		return "", nil, err
 	}

@@ -24,9 +24,7 @@
 // High-throughput ingest: POSTing with Content-Type
 // application/x-freeway-batch sends the length-prefixed binary frame format
 // (internal/wire) instead of JSON, and -binary opens a second listener for
-// persistent binary connections. -coalesce fuses concurrently arriving
-// batches per stream into single compute passes (-coalesce-window,
-// -coalesce-max-rows tune the gathering policy).
+// persistent binary connections.
 //
 // Observability: /v1/metrics serves Prometheus text exposition, /v1/trace
 // serves the per-batch decision trace as JSONL (ring capacity set by
@@ -66,25 +64,18 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-stream checkpoints (one <id>.ckpt per stream, restored on reappearance)")
 		ckptEvery = flag.Int("checkpoint-every", 64, "batches between periodic checkpoints")
 		maxSess   = flag.Int("max-sessions", 0, "resident stream bound; exceeding it evicts the least-recently-used (0 keeps the default of 64)")
-		shards    = flag.Int("shards", 0, "session-map lock-stripe count (0 sizes to GOMAXPROCS; 1 is the single-lock baseline)")
 		sessTTL   = flag.Duration("session-ttl", 0, "evict streams idle longer than this (0 disables TTL eviction)")
 		sharedKdg = flag.Bool("shared-knowledge", false, "back every stream with one process-wide knowledge store")
 		warmup    = flag.Int("warmup", 0, "override the shift detector's warmup points (0 keeps the default)")
 		traceCap  = flag.Int("trace-cap", 0, "decision-trace ring capacity for /v1/trace (0 keeps the default of 1024)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		binAddr   = flag.String("binary", "", "also listen for persistent binary-frame connections on this address (empty disables; port 0 picks an ephemeral port)")
-		coalesce  = flag.Bool("coalesce", false, "fuse concurrently arriving batches per stream into single compute passes")
-		coalWin   = flag.Duration("coalesce-window", 0, "extra gathering delay per fused pass (0 = pure group commit, no added idle latency)")
-		coalRows  = flag.Int("coalesce-max-rows", 0, "row bound per fused pass (0 = unbounded)")
-		tier      = flag.String("kernel-tier", "f64", "inference-plane kernel tier: f64 (bitwise oracle) | f32 | int8-infer; training always runs f64")
 	)
 	flag.Parse()
 	opts := serveOptions{
 		maxBody: *maxBody, ckptPath: *ckptPath, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 		maxSessions: *maxSess, sessionTTL: *sessTTL, sharedKnowledge: *sharedKdg,
-		shards: *shards, warmup: *warmup, traceCap: *traceCap, pprof: *pprofOn,
-		binAddr: *binAddr, coalesce: *coalesce, coalWindow: *coalWin, coalMaxRows: *coalRows,
-		kernelTier: *tier,
+		warmup: *warmup, traceCap: *traceCap, pprof: *pprofOn, binAddr: *binAddr,
 	}
 	if err := run(*addr, *dim, *classes, *family, *seed, *guardPol, opts); err != nil {
 		log.Fatal(err)
@@ -100,15 +91,10 @@ type serveOptions struct {
 	maxSessions     int
 	sessionTTL      time.Duration
 	sharedKnowledge bool
-	shards          int
 	warmup          int
 	traceCap        int
 	pprof           bool
 	binAddr         string
-	coalesce        bool
-	coalWindow      time.Duration
-	coalMaxRows     int
-	kernelTier      string
 }
 
 func run(addr string, dim, classes int, family string, seed int64, guardPol string, o serveOptions) error {
@@ -121,7 +107,6 @@ func run(addr string, dim, classes int, family string, seed int64, guardPol stri
 		return err
 	}
 	cfg.Guard = pol
-	cfg.KernelTier = o.kernelTier
 	if o.warmup > 0 {
 		cfg.Shift.WarmupPoints = o.warmup
 	}
@@ -130,7 +115,6 @@ func run(addr string, dim, classes int, family string, seed int64, guardPol stri
 		serve.WithMaxBodyBytes(o.maxBody),
 		serve.WithTraceCap(o.traceCap),
 		serve.WithSessionLimits(o.maxSessions, o.sessionTTL),
-		serve.WithShards(o.shards),
 	}
 	if o.pprof {
 		opts = append(opts, serve.WithPprof())
@@ -143,9 +127,6 @@ func run(addr string, dim, classes int, family string, seed int64, guardPol stri
 	}
 	if o.sharedKnowledge {
 		opts = append(opts, serve.WithSharedKnowledge())
-	}
-	if o.coalesce {
-		opts = append(opts, serve.WithCoalescing(o.coalWindow, o.coalMaxRows))
 	}
 	srv, err := serve.New(cfg, dim, classes, opts...)
 	if err != nil {

@@ -9,11 +9,9 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"freewayml/internal/guard"
 	"freewayml/internal/knowledge"
-	"freewayml/internal/linalg"
 	"freewayml/internal/model"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
@@ -103,12 +101,6 @@ type Config struct {
 	// Watchdog configures the divergence watchdog that rolls a model back
 	// to a last-healthy snapshot on NaN/Inf weights or a loss explosion.
 	Watchdog WatchdogConfig
-	// KernelTier selects the inference-plane kernel tier: "f64" (or empty,
-	// the bitwise-reproducible oracle default), "f32" (the float32 speed
-	// tier), or "int8-infer" (f32 plus int8-quantized dense weights).
-	// Training always runs the f64 oracle kernels regardless of tier, so
-	// checkpoints and the prequential protocol are tier-independent.
-	KernelTier string
 	// SharedKnowledge, when non-nil, makes the learner use this
 	// process-wide knowledge store instead of building its own, so
 	// reoccurring distributions learned on one stream can be reused by
@@ -183,9 +175,6 @@ func (c Config) Validate() error {
 		// bypassing the scaler; combining them would train on inconsistent
 		// views.
 		return errors.New("core: Standardize and Precompute are mutually exclusive")
-	}
-	if _, err := linalg.ParseKernelTier(c.KernelTier); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	if err := c.Watchdog.Validate(); err != nil {
 		return err

@@ -8,13 +8,12 @@ import (
 	"time"
 
 	"freewayml/internal/guard"
-	"freewayml/internal/linalg"
 	"freewayml/internal/pca"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
 )
 
-// InferResult is one group's inference-plane answer: predictions plus the
+// InferResult is one batch's inference-plane answer: predictions plus the
 // provenance of the snapshot that served them.
 type InferResult struct {
 	Pred  []int
@@ -49,170 +48,72 @@ func (l *Learner) publishSnapshot(pattern shift.Pattern) {
 	if l.det.Ready() {
 		proj = l.det.PCA()
 	}
-	members := l.ens.PublishSnapshot()
-	var quantMats int
-	var scaleMin, scaleMax float64
-	for _, m := range members {
-		if m.Engine == nil {
-			continue
-		}
-		quantMats += m.Engine.QuantMats()
-		mn, mx := m.Engine.ScaleStats()
-		if mn > 0 && (scaleMin == 0 || float64(mn) < scaleMin) {
-			scaleMin = float64(mn)
-		}
-		if float64(mx) > scaleMax {
-			scaleMax = float64(mx)
-		}
-	}
 	l.snapSeq++
 	l.snap.Store(&strategy.Snapshot{
-		ComputeMu:     &l.inferMu,
-		Members:       members,
-		Sigma:         l.cfg.Sigma,
-		Proj:          proj,
-		Knowledge:     l.kdg,
-		Experience:    l.exp.Len(),
-		Pattern:       pattern,
-		Batch:         l.batch,
-		Seq:           l.snapSeq,
-		PublishedAt:   time.Now(),
-		Dim:           l.dim,
-		Classes:       l.classes,
-		Tier:          l.tier,
-		QuantMats:     quantMats,
-		QuantScaleMin: scaleMin,
-		QuantScaleMax: scaleMax,
+		ComputeMu:   &l.inferMu,
+		Members:     l.ens.PublishSnapshot(),
+		Sigma:       l.cfg.Sigma,
+		Proj:        proj,
+		Knowledge:   l.kdg,
+		Experience:  l.exp.Len(),
+		Pattern:     pattern,
+		Batch:       l.batch,
+		Seq:         l.snapSeq,
+		PublishedAt: time.Now(),
+		Dim:         l.dim,
+		Classes:     l.classes,
 	})
-	l.obs.SnapshotPublished(l.tier, l.ens.QuantizedBuilt())
 }
 
-// Infer predicts one group of label-less rows from the published snapshot.
-// It never takes the learner's training-plane state: no detector, no
-// window, no prequential bookkeeping — see InferFused.
+// Infer predicts one batch of label-less rows from the published snapshot.
+// It is the lock-free read path: it loads the snapshot pointer atomically
+// and touches no mutable learner state — no detector, no window, no
+// prequential bookkeeping — so it runs concurrently with Process,
+// checkpointing, and Close. A closed learner still answers from its last
+// snapshot.
 func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error) {
-	rs, err := l.InferFused(ctx, [][][]float64{x})
-	if err != nil {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
 		return InferResult{}, err
 	}
-	return rs[0], nil
-}
-
-// InferFused predicts many groups of rows in one fused pass against the
-// published snapshot (one batched forward per ensemble member over all
-// groups' rows). It is the lock-free read path: it loads the snapshot
-// pointer atomically and touches no mutable learner state, so it runs
-// concurrently with Process, checkpointing, and Close. A closed learner
-// still answers from its last snapshot. Results are bitwise-identical to
-// inferring each group separately (the GEMM kernels accumulate each output
-// row independently of the total row count).
-func (l *Learner) InferFused(ctx context.Context, groups [][][]float64) ([]InferResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if len(x) == 0 {
+		return InferResult{}, errors.New("core: infer: empty batch")
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, g := range groups {
-		if len(g) == 0 {
-			return nil, errors.New("core: infer: empty batch")
+	for _, row := range x {
+		if len(row) != l.dim {
+			return InferResult{}, fmt.Errorf("core: infer: row has %d features, want %d", len(row), l.dim)
 		}
-		for _, row := range g {
-			if len(row) != l.dim {
-				return nil, fmt.Errorf("core: infer: row has %d features, want %d", len(row), l.dim)
-			}
-			// The training plane's guard repairs or rejects non-finite
-			// features statefully (running feature means, health counters);
-			// the read path must stay pure, so it only rejects.
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
-				}
+		// The training plane's guard repairs or rejects non-finite features
+		// statefully (running feature means, health counters); the read path
+		// must stay pure, so it only rejects.
+		for _, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return InferResult{}, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
 			}
 		}
-		total += len(g)
-	}
-	if total == 0 {
-		return nil, errors.New("core: infer: no rows")
 	}
 	start := time.Now()
 	snap := l.snap.Load()
-	outs, err := snap.InferFused(groups)
+	out, err := snap.InferBatch(x)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return InferResult{}, fmt.Errorf("core: %w", err)
 	}
 	elapsed := time.Since(start)
-	return l.inferResults(snap, outs, elapsed), nil
-}
-
-// InferFused32 is InferFused for natively narrow rows: float32 wire frames
-// reach the snapshot's f32/int8 engines without an f64 up-convert. Members
-// without a compiled engine (tier f64, or an engine-incompatible model) fall
-// back to a single lazily widened copy inside the snapshot. Validation
-// mirrors InferFused: non-finite features are rejected, never repaired —
-// the read path stays pure.
-func (l *Learner) InferFused32(ctx context.Context, groups [][][]float32) ([]InferResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, g := range groups {
-		if len(g) == 0 {
-			return nil, errors.New("core: infer: empty batch")
-		}
-		for _, row := range g {
-			if len(row) != l.dim {
-				return nil, fmt.Errorf("core: infer: row has %d features, want %d", len(row), l.dim)
-			}
-			for _, v := range row {
-				if v != v || math.IsInf(float64(v), 0) {
-					return nil, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
-				}
-			}
-		}
-		total += len(g)
-	}
-	if total == 0 {
-		return nil, errors.New("core: infer: no rows")
-	}
-	start := time.Now()
-	snap := l.snap.Load()
-	outs, err := snap.InferFused32(groups)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	elapsed := time.Since(start)
-	return l.inferResults(snap, outs, elapsed), nil
-}
-
-// inferResults maps snapshot outputs to InferResults and feeds the
-// observability layer (per-group throughput, plus the dequantization
-// histogram when the snapshot serves through the int8 tier).
-func (l *Learner) inferResults(snap *strategy.Snapshot, outs []strategy.InferOutput, elapsed time.Duration) []InferResult {
 	age := snap.Age()
-	results := make([]InferResult, len(outs))
-	for i, out := range outs {
-		st := StrategyEnsemble
-		if out.Warmup {
-			st = StrategyWarmup
-		}
-		results[i] = InferResult{
-			Pred:          out.Pred,
-			Proba:         out.Proba,
-			Strategy:      st,
-			SnapshotBatch: snap.Batch,
-			SnapshotSeq:   snap.Seq,
-			SnapshotAge:   age,
-			KnowledgeDist: out.KnowledgeDist,
-		}
-		l.obs.InferObserved(len(out.Pred), elapsed, age, snap.Batch, out.Warmup)
+	st := StrategyEnsemble
+	if out.Warmup {
+		st = StrategyWarmup
 	}
-	if snap.Tier == linalg.TierInt8 {
-		l.obs.DequantObserved(elapsed)
-	}
-	return results
+	l.obs.InferObserved(len(out.Pred), elapsed, age, snap.Batch, out.Warmup)
+	return InferResult{
+		Pred:          out.Pred,
+		Proba:         out.Proba,
+		Strategy:      st,
+		SnapshotBatch: snap.Batch,
+		SnapshotSeq:   snap.Seq,
+		SnapshotAge:   age,
+		KnowledgeDist: out.KnowledgeDist,
+	}, nil
 }

@@ -5,78 +5,20 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"freewayml/internal/guard"
 	"freewayml/internal/stream"
 )
 
-// inferGroups draws label-less row groups of varying sizes.
-func inferGroups(rng *rand.Rand, sizes []int) [][][]float64 {
-	groups := make([][][]float64, len(sizes))
-	for g, n := range sizes {
-		rows := make([][]float64, n)
-		for i := range rows {
-			c := rng.Intn(2)
-			rows[i] = []float64{float64(c)*2 + rng.NormFloat64()*0.3, rng.NormFloat64() * 0.3, 0}
-		}
-		groups[g] = rows
+// inferRows draws n label-less rows.
+func inferRows(rng *rand.Rand, n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		c := rng.Intn(2)
+		rows[i] = []float64{float64(c)*2 + rng.NormFloat64()*0.3, rng.NormFloat64() * 0.3, 0}
 	}
-	return groups
-}
-
-// TestInferFusedBitwiseMatchesSequential is the fusion oracle at the core
-// layer: one fused pass over many groups must produce bitwise-identical
-// probabilities and predictions to inferring each group alone against the
-// same snapshot. Checked both during warmup (short model only) and after
-// the ensemble is live.
-func TestInferFusedBitwiseMatchesSequential(t *testing.T) {
-	for _, phase := range []struct {
-		name    string
-		batches int
-	}{
-		{"warmup", 1},
-		{"ensemble", 12},
-	} {
-		t.Run(phase.name, func(t *testing.T) {
-			l, err := NewLearner(testConfig(), 3, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			rng := rand.New(rand.NewSource(7))
-			for s := 0; s < phase.batches; s++ {
-				if _, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone)); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			groups := inferGroups(rng, []int{1, 7, 16, 3, 32})
-			fused, err := l.InferFused(context.Background(), groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fused) != len(groups) {
-				t.Fatalf("fused results = %d, want %d", len(fused), len(groups))
-			}
-			for g, rows := range groups {
-				solo, err := l.Infer(context.Background(), rows)
-				if err != nil {
-					t.Fatalf("group %d solo: %v", g, err)
-				}
-				if !reflect.DeepEqual(solo.Pred, fused[g].Pred) {
-					t.Errorf("group %d: predictions diverge:\nsolo:  %v\nfused: %v", g, solo.Pred, fused[g].Pred)
-				}
-				if !reflect.DeepEqual(solo.Proba, fused[g].Proba) {
-					t.Errorf("group %d: probabilities diverge (not bitwise-identical)", g)
-				}
-				if solo.Strategy != fused[g].Strategy || solo.SnapshotBatch != fused[g].SnapshotBatch {
-					t.Errorf("group %d: metadata diverges: solo=%+v fused=%+v", g, solo, fused[g])
-				}
-			}
-		})
-	}
+	return rows
 }
 
 // TestInferRejectsBadInput: the pure read path refuses what it cannot
@@ -120,7 +62,7 @@ func TestInferDoesNotAdvanceTraining(t *testing.T) {
 	before := l.ModelSnapshot()
 	batches := l.Metrics().Batches()
 	for i := 0; i < 10; i++ {
-		if _, err := l.Infer(context.Background(), inferGroups(rng, []int{8})[0]); err != nil {
+		if _, err := l.Infer(context.Background(), inferRows(rng, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -69,10 +69,6 @@ type Learner struct {
 	kdg       *knowledge.Store
 	sharedKdg bool // kdg is process-shared: checkpoints skip it
 
-	// tier is the inference-plane kernel tier (parsed from cfg.KernelTier).
-	// The training plane ignores it entirely.
-	tier linalg.KernelTier
-
 	adjuster *stream.RateAdjuster
 
 	guard *guard.Guard
@@ -195,15 +191,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 		return nil, err
 	}
 
-	tier, err := linalg.ParseKernelTier(cfg.KernelTier)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if tier == linalg.TierInt8 {
-		// The int8 tier also arms the knowledge store's quantized centroid
-		// match index (idempotent on a shared store).
-		kdg.SetQuantizedMatch(true)
-	}
 	l := &Learner{
 		cfg:       cfg,
 		det:       det,
@@ -212,7 +199,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 		exp:       exp,
 		kdg:       kdg,
 		sharedKdg: sharedKdg,
-		tier:      tier,
 		guard:     guard.New(cfg.Guard, dim),
 	}
 	var longWd *strategy.Watchdog
@@ -240,7 +226,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 			LongChunk:  cfg.LongChunk,
 			LongRebase: cfg.LongRebase,
 			Async:      cfg.Async,
-			Tier:       tier,
 		},
 		grans, long, longWd, asw, pre, longOpt,
 		strategy.EnsembleDeps{
@@ -282,10 +267,6 @@ func (l *Learner) KnowledgeStore() *knowledge.Store { return l.kdg }
 // SharedKnowledge reports whether the knowledge store is process-shared
 // (checkpoints then exclude it).
 func (l *Learner) SharedKnowledge() bool { return l.sharedKdg }
-
-// KernelTier returns the inference-plane kernel tier the learner was built
-// with (TierF64 unless configured otherwise).
-func (l *Learner) KernelTier() linalg.KernelTier { return l.tier }
 
 // Detector exposes the shift detector (for shift-graph export).
 func (l *Learner) Detector() *shift.Detector { return l.det }
@@ -333,7 +314,7 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 		return Result{}, err
 	}
 	bo := l.obs.begin(l)
-	bo.trace(b.TraceID, b.FusedTraces)
+	bo.trace(b.TraceID)
 	// Input guardrails: scan for NaN/Inf features before the detector or
 	// any model sees the batch. A rejected batch leaves every piece of
 	// learner state untouched.

@@ -6,7 +6,6 @@ import (
 
 	"freewayml/internal/cluster"
 	"freewayml/internal/knowledge"
-	"freewayml/internal/linalg"
 	"freewayml/internal/obs"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
@@ -60,14 +59,6 @@ type Observer struct {
 	gSnapAge    *obs.Gauge
 	gSnapBatch  *obs.Gauge
 
-	// Kernel-tier series: the published tier as a numeric gauge (0 f64,
-	// 1 f32, 2 int8-infer), the cumulative int8 weight matrices built at
-	// snapshot publication, and the latency of int8-tier inference calls
-	// (quantize + int32 dot + dequantize, in microseconds).
-	gKernelTier   *obs.Gauge
-	quantTotal    *obs.Counter
-	dequantMicros *obs.Histogram
-
 	gWinBatches *obs.Gauge
 	gWinItems   *obs.Gauge
 	gDisorder   *obs.Gauge
@@ -79,12 +70,10 @@ type Observer struct {
 	gWeight     map[string]*obs.Gauge // member: short, long, knowledge
 
 	// Delta baselines for counters mirrored from mechanism packages. Only
-	// the Process goroutine touches them (finish runs there; the quantize
-	// baseline is advanced by SnapshotPublished, also on that goroutine).
+	// the Process goroutine touches them (finish runs there).
 	lastK         knowledge.Counters
 	lastEvictions int
 	lastDropped   int64
-	lastQuantized uint64
 }
 
 // patternLabel maps a shift pattern to its metric label (the short paper
@@ -137,9 +126,6 @@ func NewObserverLabeled(reg *obs.Registry, traceCap int, baseLabels ...string) *
 	o.inferSec = reg.Histogram("freeway_infer_seconds", "Inference-plane request latency (snapshot load to fused prediction).", nil, o.lbl()...)
 	o.gSnapAge = reg.Gauge("freeway_snapshot_age_seconds", "Age of the published model snapshot at the last inference.", o.lbl()...)
 	o.gSnapBatch = reg.Gauge("freeway_snapshot_batch", "Training batch counter of the published model snapshot.", o.lbl()...)
-	o.gKernelTier = reg.Gauge("freeway_kernel_tier", "Inference-plane kernel tier (0 f64 oracle, 1 f32, 2 int8-infer).", o.lbl()...)
-	o.quantTotal = reg.Counter("freeway_quantize_total", "Int8 weight matrices quantized at snapshot publication.", o.lbl()...)
-	o.dequantMicros = reg.Histogram("freeway_dequant_micros", "Latency of int8-tier inference calls (quantize, int8 dot, dequantize).", nil, o.lbl()...)
 
 	o.winCloses = reg.Counter("freeway_window_closes_total", "Adaptive-window closes (long-model update triggers).", o.lbl()...)
 	o.winEvictions = reg.Counter("freeway_window_evictions_total", "Window batches evicted by decay-weight expiry.", o.lbl()...)
@@ -218,31 +204,6 @@ func (o *Observer) InferObserved(rows int, d, snapAge time.Duration, snapBatch i
 	o.gSnapBatch.Set(float64(snapBatch))
 }
 
-// SnapshotPublished records a snapshot publication: the active kernel tier
-// and the delta of int8 weight matrices built since the last publication.
-// Called on the training goroutine (publishSnapshot); a nil observer
-// disables it.
-func (o *Observer) SnapshotPublished(tier linalg.KernelTier, quantBuilt uint64) {
-	if o == nil {
-		return
-	}
-	o.gKernelTier.Set(float64(tier))
-	if quantBuilt > o.lastQuantized {
-		o.quantTotal.Add(int64(quantBuilt - o.lastQuantized))
-		o.lastQuantized = quantBuilt
-	}
-}
-
-// DequantObserved records the latency of one int8-tier inference call in the
-// dequantization histogram. Called concurrently from reader goroutines; the
-// histogram is atomic. A nil observer disables it.
-func (o *Observer) DequantObserved(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.dequantMicros.Observe(float64(d) / float64(time.Microsecond))
-}
-
 func (o *Observer) recordDivergence(rolledBack bool) {
 	if o == nil {
 		return
@@ -311,12 +272,11 @@ func (bo *batchObs) StageDone(name string, t0 time.Time) {
 
 // trace joins the batch's request-scoped trace context to the event, so
 // one trace id links router span → worker span → this decision record.
-func (bo *batchObs) trace(id string, fused []string) {
+func (bo *batchObs) trace(id string) {
 	if bo == nil {
 		return
 	}
 	bo.ev.TraceID = id
-	bo.ev.FusedTraces = fused
 }
 
 // sanitized records repaired feature values.
@@ -417,17 +377,6 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	bo.ev.WindowBatches = l.ens.WindowLen()
 	bo.ev.WindowItems = l.ens.WindowItems()
 	bo.ev.Accuracy = res.Accuracy
-	if l.tier != linalg.TierF64 {
-		// Record what the read plane is serving with: the tier and the int8
-		// scale spread of the currently published snapshot (the one that
-		// answered reads while this batch trained).
-		bo.ev.KernelTier = l.tier.String()
-		if snap := l.snap.Load(); snap != nil {
-			bo.ev.QuantMats = snap.QuantMats
-			bo.ev.QuantScaleMin = snap.QuantScaleMin
-			bo.ev.QuantScaleMax = snap.QuantScaleMax
-		}
-	}
 
 	l.health.mu.Lock()
 	bo.ev.Divergences = l.health.divergences - bo.divergences0

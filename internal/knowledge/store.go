@@ -63,19 +63,8 @@ type matchEntry struct {
 
 // matchIndex is an immutable snapshot of the store's matchable state,
 // published wholesale on every mutation and read lock-free.
-//
-// When the int8 match index is enabled (SetQuantizedMatch) and every
-// distribution shares one dimensionality, q8 holds the per-entry absmax
-// int8 quantization of the distributions (flat, row i at [i*dim, (i+1)*dim))
-// with the per-entry scales in qScales. The match scan then runs over int8
-// dot products to pick the candidate and recomputes the winner's distance
-// exactly in float64 — the returned distance is always exact; only the
-// argmin is approximate (ε-bounded by the differential test).
 type matchIndex struct {
 	entries []matchEntry
-	q8      []int8
-	qScales []float64
-	qDim    int
 }
 
 // Store is the KdgBuffer. It is safe for concurrent use: the training path
@@ -101,10 +90,6 @@ type Store struct {
 	// Atomic so the lock-free match path can record load failures.
 	spillFailures atomic.Int64
 	loadFailures  atomic.Int64
-
-	// quantMatch enables the int8 centroid match index (rebuilt on the next
-	// publication after being flipped).
-	quantMatch atomic.Bool
 
 	// Usage counters for observability (see Counters).
 	preserves    atomic.Int64
@@ -161,69 +146,7 @@ func (s *Store) publishLocked() {
 			ents[i].snap = e.Snapshot
 		}
 	}
-	idx := &matchIndex{entries: ents}
-	if s.quantMatch.Load() {
-		s.quantizeIndex(idx)
-	}
-	s.idx.Store(idx)
-}
-
-// SetQuantizedMatch enables or disables the int8 centroid match index. The
-// index is (re)built on the next mutation's publication; flipping it on an
-// idle store also republishes immediately so reads pick it up.
-func (s *Store) SetQuantizedMatch(on bool) {
-	s.quantMatch.Store(on)
-	s.mu.Lock()
-	s.publishLocked()
-	s.mu.Unlock()
-}
-
-// QuantizedMatch reports whether the int8 centroid match index is enabled.
-func (s *Store) QuantizedMatch() bool { return s.quantMatch.Load() }
-
-// quantizeIndex builds the int8 view of the index's distributions. Mixed
-// dimensionalities or non-finite centroids leave the index unquantized (the
-// exact scan still works); an all-or-nothing build keeps the scan branchless.
-func (s *Store) quantizeIndex(idx *matchIndex) {
-	n := len(idx.entries)
-	if n == 0 {
-		return
-	}
-	dim := len(idx.entries[0].dist)
-	for i := range idx.entries {
-		if len(idx.entries[i].dist) != dim {
-			return
-		}
-	}
-	q8 := make([]int8, n*dim)
-	scales := make([]float64, n)
-	for i := range idx.entries {
-		sc, err := linalg.QuantizeVec64(q8[i*dim:(i+1)*dim], idx.entries[i].dist)
-		if err != nil {
-			return
-		}
-		scales[i] = sc
-	}
-	idx.q8, idx.qScales, idx.qDim = q8, scales, dim
-}
-
-// quantArgmin scans the int8 index for the entry minimizing the approximate
-// score |d_i|² - 2·y·d_i, skipping demoted entries. qy/qscale are the
-// quantized query. Returns -1 when everything is skipped.
-func (idx *matchIndex) quantArgmin(qy []int8, qscale float64, skipped []bool) int {
-	best := -1
-	bestScore := math.Inf(1)
-	for i := range idx.entries {
-		if skipped != nil && skipped[i] {
-			continue
-		}
-		dot := float64(linalg.Dot8(qy, idx.q8[i*idx.qDim:(i+1)*idx.qDim]))
-		score := idx.entries[i].sqnorm - 2*qscale*idx.qScales[i]*dot
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
+	s.idx.Store(&matchIndex{entries: ents})
 }
 
 // Preserve stores a knowledge pair. When the in-memory count reaches
@@ -393,37 +316,18 @@ func (s *Store) Match(y linalg.Vector) (snapshot []byte, dist float64, ok bool, 
 		return nil, 0, false, nil
 	}
 	ysq := y.Dot(y)
-	var qy []int8
-	var qscale float64
-	if idx.q8 != nil && idx.qDim == len(y) {
-		qy = make([]int8, len(y))
-		if sc, err := linalg.QuantizeVec64(qy, y); err == nil {
-			qscale = sc
-		} else {
-			qy = nil // non-finite query: exact scan handles it
-		}
-	}
 	var skipped []bool // allocated only after the first demotion
 	for {
 		best := -1
 		bestScore := math.Inf(1)
-		if qy != nil {
-			// int8 scan picks the candidate; its exact score is recomputed
-			// below so the returned distance carries no quantization error.
-			if best = idx.quantArgmin(qy, qscale, skipped); best >= 0 {
-				e := &idx.entries[best]
-				bestScore = e.sqnorm - 2*y.Dot(e.dist)
+		for i := range idx.entries {
+			if skipped != nil && skipped[i] {
+				continue
 			}
-		} else {
-			for i := range idx.entries {
-				if skipped != nil && skipped[i] {
-					continue
-				}
-				e := &idx.entries[i]
-				// score = |d_i|² - 2·y·d_i; |y - d_i|² = |y|² + score.
-				if score := e.sqnorm - 2*y.Dot(e.dist); score < bestScore {
-					best, bestScore = i, score
-				}
+			e := &idx.entries[i]
+			// score = |d_i|² - 2·y·d_i; |y - d_i|² = |y|² + score.
+			if score := e.sqnorm - 2*y.Dot(e.dist); score < bestScore {
+				best, bestScore = i, score
 			}
 		}
 		if best < 0 {
@@ -463,20 +367,6 @@ func (s *Store) NearestDistance(y linalg.Vector) float64 {
 	}
 	ysq := y.Dot(y)
 	bestScore := math.Inf(1)
-	if idx.q8 != nil && idx.qDim == len(y) {
-		qy := make([]int8, len(y))
-		if sc, err := linalg.QuantizeVec64(qy, y); err == nil {
-			if best := idx.quantArgmin(qy, sc, nil); best >= 0 {
-				e := &idx.entries[best]
-				bestScore = e.sqnorm - 2*y.Dot(e.dist)
-			}
-			d2 := ysq + bestScore
-			if d2 < 0 {
-				d2 = 0
-			}
-			return math.Sqrt(d2)
-		}
-	}
 	for i := range idx.entries {
 		e := &idx.entries[i]
 		if score := e.sqnorm - 2*y.Dot(e.dist); score < bestScore {

@@ -5,11 +5,6 @@ import (
 	"runtime"
 )
 
-// float is the element set the GEMM kernels are instantiated over. float32
-// and float64 have distinct GC shapes, so each instantiation compiles to its
-// own specialized scalar code: Tensor and Tensor32 share source, not loops.
-type float interface{ float32 | float64 }
-
 // The register-tiled microkernels (DESIGN.md, "Memory layout and kernels").
 //
 // Invariant that makes tiling bitwise-safe: every output element is built by
@@ -32,7 +27,7 @@ type float interface{ float32 | float64 }
 
 // axpyPair advances rows i and i+1 of C (n columns) by depth ∈ [1,4] k-steps:
 // c_r[j] += a_r[0]·B[p][j], then a_r[1]·B[p+1][j], … in that order.
-func axpyPair[T float](c, b []T, n, i, p, depth int, a0, a1 *[4]T) {
+func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
 	c0 := c[i*n : (i+1)*n]
 	c1 := c[(i+1)*n : (i+2)*n][:len(c0)]
 	b0 := b[p*n : (p+1)*n][:len(c0)]
@@ -97,7 +92,7 @@ func axpyPair[T float](c, b []T, n, i, p, depth int, a0, a1 *[4]T) {
 // axpyRow advances the single row i of C (the odd last row of a range, or a
 // one-row batch) by the k-steps p, p+1, … with coefficients a0, one pass over
 // the row per step.
-func axpyRow[T float](c, b []T, n, i, p int, a0 []T) {
+func axpyRow(c, b []float64, n, i, p int, a0 []float64) {
 	c0 := c[i*n : (i+1)*n]
 	for q, av := range a0 {
 		bq := b[(p+q)*n : (p+q+1)*n][:len(c0)]
@@ -108,7 +103,7 @@ func axpyRow[T float](c, b []T, n, i, p int, a0 []T) {
 }
 
 // put stores one finished dot product: C = s, or C += s for the Add forms.
-func put[T float](dst *T, s T, accumulate bool) {
+func put(dst *float64, s float64, accumulate bool) {
 	if accumulate {
 		*dst += s
 	} else {
@@ -118,14 +113,14 @@ func put[T float](dst *T, s T, accumulate bool) {
 
 // dot4x2 computes the 4×2 tile C[i..i+3][j..j+1] of A × Bᵀ (A rows and B rows
 // of length k): eight independent ascending-p dot products.
-func dot4x2[T float](c, a, b []T, k, n, i, j int, accumulate bool) {
+func dot4x2(c, a, b []float64, k, n, i, j int, accumulate bool) {
 	b0 := b[j*k : (j+1)*k]
 	b1 := b[(j+1)*k : (j+2)*k][:len(b0)]
 	a0 := a[i*k : (i+1)*k][:len(b0)]
 	a1 := a[(i+1)*k : (i+2)*k][:len(b0)]
 	a2 := a[(i+2)*k : (i+3)*k][:len(b0)]
 	a3 := a[(i+3)*k : (i+4)*k][:len(b0)]
-	var s00, s01, s10, s11, s20, s21, s30, s31 T
+	var s00, s01, s10, s11, s20, s21, s30, s31 float64
 	for p, u0 := range b0 {
 		u1 := b1[p]
 		x0, x1, x2, x3 := a0[p], a1[p], a2[p], a3[p]
@@ -149,13 +144,13 @@ func dot4x2[T float](c, a, b []T, k, n, i, j int, accumulate bool) {
 }
 
 // dot4x1 is the odd last column of a 4-row band.
-func dot4x1[T float](c, a, b []T, k, n, i, j int, accumulate bool) {
+func dot4x1(c, a, b []float64, k, n, i, j int, accumulate bool) {
 	b0 := b[j*k : (j+1)*k]
 	a0 := a[i*k : (i+1)*k][:len(b0)]
 	a1 := a[(i+1)*k : (i+2)*k][:len(b0)]
 	a2 := a[(i+2)*k : (i+3)*k][:len(b0)]
 	a3 := a[(i+3)*k : (i+4)*k][:len(b0)]
-	var s0, s1, s2, s3 T
+	var s0, s1, s2, s3 float64
 	for p, u0 := range b0 {
 		s0 += a0[p] * u0
 		s1 += a1[p] * u0
@@ -170,11 +165,11 @@ func dot4x1[T float](c, a, b []T, k, n, i, j int, accumulate bool) {
 
 // dotRow computes row i of A × Bᵀ, one dot product per element — the
 // m mod 4 leftover rows of a range.
-func dotRow[T float](c, a, b []T, k, n, i int, accumulate bool) {
+func dotRow(c, a, b []float64, k, n, i int, accumulate bool) {
 	a0 := a[i*k : (i+1)*k]
 	for j := 0; j < n; j++ {
 		b0 := b[j*k : (j+1)*k][:len(a0)]
-		var s T
+		var s float64
 		for p, x0 := range a0 {
 			s += x0 * b0[p]
 		}
@@ -191,27 +186,24 @@ const (
 	formTB                 // C = A × Bᵀ: A m×k, B n×k
 )
 
-// dims is an operand's shape and storage length.
-type dims struct{ rows, cols, size int }
-
 // gemmDims holds the shape rules of the three forms in one place: it returns
 // the product's (m, k, n) and panics unless C is m×n, the shared dimension
 // agrees, and every operand's storage matches its shape.
-func gemmDims(form gemmForm, op string, c, a, b dims) (m, k, n int) {
+func gemmDims(form gemmForm, op string, c, a, b *Tensor) (m, k, n int) {
 	var kb int // the shared dimension as B sees it
 	switch form {
 	case formNN:
-		m, k, n, kb = a.rows, a.cols, b.cols, b.rows
+		m, k, n, kb = a.Rows, a.Cols, b.Cols, b.Rows
 	case formTA:
-		m, k, n, kb = a.cols, a.rows, b.cols, b.rows
+		m, k, n, kb = a.Cols, a.Rows, b.Cols, b.Rows
 	case formTB:
-		m, k, n, kb = a.rows, a.cols, b.rows, b.cols
+		m, k, n, kb = a.Rows, a.Cols, b.Rows, b.Cols
 	}
-	if kb != k || c.rows != m || c.cols != n {
+	if kb != k || c.Rows != m || c.Cols != n {
 		panic(fmt.Sprintf("linalg: %s shape mismatch C(%dx%d) A(%dx%d) B(%dx%d)",
-			op, c.rows, c.cols, a.rows, a.cols, b.rows, b.cols))
+			op, c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	if a.size != a.rows*a.cols || b.size != b.rows*b.cols || c.size != c.rows*c.cols {
+	if len(a.Data) != a.Rows*a.Cols || len(b.Data) != b.Rows*b.Cols || len(c.Data) != c.Rows*c.Cols {
 		panic(fmt.Sprintf("linalg: %s tensor data length inconsistent with shape", op))
 	}
 	return m, k, n
@@ -219,21 +211,21 @@ func gemmDims(form gemmForm, op string, c, a, b dims) (m, k, n int) {
 
 // gemm computes the m×n product C (+)= op(A) × op(B) over flat row-major
 // storage, fanning out by output row above the flop cutoff.
-func gemm[T float](form gemmForm, c, a, b []T, m, k, n, blockK int, accumulate bool) {
+func gemm(form gemmForm, c, a, b []float64, m, k, n int, accumulate bool) {
 	flops := m * k * n
 	if flops < parallelFlopCutoff || m <= 1 || runtime.GOMAXPROCS(0) <= 1 {
 		// Serial fast path: the fan-out closure below is never built, so a
 		// warm small-batch call allocates nothing.
-		gemmRows(form, c, a, b, m, k, n, blockK, 0, m, accumulate)
+		gemmRows(form, c, a, b, m, k, n, 0, m, accumulate)
 		return
 	}
 	parallelRows(m, flops, func(i0, i1 int) {
-		gemmRows(form, c, a, b, m, k, n, blockK, i0, i1, accumulate)
+		gemmRows(form, c, a, b, m, k, n, i0, i1, accumulate)
 	})
 }
 
 // gemmRows computes output rows [i0, i1) of one product.
-func gemmRows[T float](form gemmForm, c, a, b []T, m, k, n, blockK, i0, i1 int, accumulate bool) {
+func gemmRows(form gemmForm, c, a, b []float64, m, k, n, i0, i1 int, accumulate bool) {
 	if form == formTB {
 		gemmTBRows(c, a, b, k, n, i0, i1, accumulate)
 		return
@@ -244,18 +236,18 @@ func gemmRows[T float](form gemmForm, c, a, b []T, m, k, n, blockK, i0, i1 int, 
 	if form == formTA {
 		gemmTARows(c, a, b, m, k, n, i0, i1)
 	} else {
-		gemmNNRows(c, a, b, k, n, blockK, i0, i1)
+		gemmNNRows(c, a, b, k, n, i0, i1)
 	}
 }
 
 // gemmNNRows accumulates C[i0:i1] += A[i0:i1] × B. Loop order: k-panel, row
-// pair, 4-deep k step, j. k is cut into blockK panels so a B panel is reused
-// across the row range while still resident in cache; the panel walk is
-// ascending, so it only partitions each element's sum.
-func gemmNNRows[T float](c, a, b []T, k, n, blockK, i0, i1 int) {
-	var a0, a1 [4]T
-	for k0 := 0; k0 < k; k0 += blockK {
-		k1 := min(k0+blockK, k)
+// pair, 4-deep k step, j. k is cut into gemmBlockK panels so a B panel is
+// reused across the row range while still resident in cache; the panel walk
+// is ascending, so it only partitions each element's sum.
+func gemmNNRows(c, a, b []float64, k, n, i0, i1 int) {
+	var a0, a1 [4]float64
+	for k0 := 0; k0 < k; k0 += gemmBlockK {
+		k1 := min(k0+gemmBlockK, k)
 		i := i0
 		for ; i+2 <= i1; i += 2 {
 			r0, r1 := a[i*k:(i+1)*k], a[(i+1)*k:(i+2)*k]
@@ -277,8 +269,8 @@ func gemmNNRows[T float](c, a, b []T, k, n, blockK, i0, i1 int) {
 // the outer loop, so A and B stream through once while the written C rows
 // form the reuse block; the coefficients of a row pair are the adjacent
 // elements A[p..p+3][i], A[p..p+3][i+1].
-func gemmTARows[T float](c, a, b []T, m, k, n, i0, i1 int) {
-	var a0, a1 [4]T
+func gemmTARows(c, a, b []float64, m, k, n, i0, i1 int) {
+	var a0, a1 [4]float64
 	for p := 0; p < k; p += 4 {
 		d := min(4, k-p)
 		i := i0
@@ -299,7 +291,7 @@ func gemmTARows[T float](c, a, b []T, m, k, n, i0, i1 int) {
 
 // gemmTBRows computes C[i0:i1] (+)= (A × Bᵀ)[i0:i1] in 4×2 tiles of dot
 // products over two contiguous rows each.
-func gemmTBRows[T float](c, a, b []T, k, n, i0, i1 int, accumulate bool) {
+func gemmTBRows(c, a, b []float64, k, n, i0, i1 int, accumulate bool) {
 	i := i0
 	for ; i+4 <= i1; i += 4 {
 		j := 0
@@ -315,21 +307,11 @@ func gemmTBRows[T float](c, a, b []T, k, n, i0, i1 int, accumulate bool) {
 	}
 }
 
-// transpose writes the rows×cols matrix src into dst as cols×rows.
-func transpose[T float](dst, src []T, rows, cols int) {
-	for i := 0; i < rows; i++ {
-		for j, v := range src[i*cols : (i+1)*cols] {
-			dst[j*rows+i] = v
-		}
-	}
-}
-
-// refGemm is the oracle the kernels above are differentially tested against,
-// one instantiation per element type like them: C[i][j] = Σ_p op(A)[i][p] ·
-// op(B)[p][j], each element on its own, summed from zero in ascending p. It
-// states the per-element operation sequence in its plainest form and must
-// stay untiled, unblocked and single-goroutine.
-func refGemm[T float](form gemmForm, c, a, b []T, m, k, n int) {
+// refGemm is the oracle the kernels above are differentially tested against:
+// C[i][j] = Σ_p op(A)[i][p] · op(B)[p][j], each element on its own, summed
+// from zero in ascending p. It states the per-element operation sequence in
+// its plainest form and must stay untiled, unblocked and single-goroutine.
+func refGemm(form gemmForm, c, a, b []float64, m, k, n int) {
 	ai, ap, bp, bj := k, 1, n, 1 // strides of A[i][p] and B[p][j] for formNN
 	switch form {
 	case formTA:
@@ -339,7 +321,7 @@ func refGemm[T float](form gemmForm, c, a, b []T, m, k, n int) {
 	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			var s T
+			var s float64
 			for p := 0; p < k; p++ {
 				s += a[i*ai+p*ap] * b[p*bp+j*bj]
 			}

@@ -91,12 +91,10 @@ func (t *Tensor) FromRows(rows [][]float64, cols int) {
 // TensorPool forever (8 MiB of float64s).
 const maxPooledTensorElems = 1 << 20
 
-// TensorPool recycles tensor slabs across batches. It is the acquisition
-// point for fused-batch staging: Get returns a tensor reshaped to the
-// requested shape (contents unspecified), reusing a recycled slab when one
-// fits. Callers must not Put a tensor whose rows a consumer still retains —
-// the learner keeps labeled rows in its windows, so serve-side batch storage
-// is only poolable on paths that pack-copy rows out first (the coalescer).
+// TensorPool recycles tensor slabs across batches: Get returns a tensor
+// reshaped to the requested shape (contents unspecified), reusing a recycled
+// slab when one fits. Callers must not Put a tensor whose rows a consumer
+// still retains — the learner keeps labeled rows in its windows.
 type TensorPool struct {
 	pool sync.Pool
 }
@@ -194,47 +192,44 @@ func parallelRows(rows, flops int, body func(i0, i1 int)) {
 	wg.Wait()
 }
 
-func (t *Tensor) dims() dims { return dims{t.Rows, t.Cols, len(t.Data)} }
-
-// gemm64 validates the operands of one kernel form and runs it on the f64
-// instantiation.
-func gemm64(form gemmForm, op string, c, a, b *Tensor, accumulate bool) {
-	m, k, n := gemmDims(form, op, c.dims(), a.dims(), b.dims())
-	gemm(form, c.Data, a.Data, b.Data, m, k, n, gemmBlockK, accumulate)
+// gemmOp validates the operands of one kernel form and runs it.
+func gemmOp(form gemmForm, op string, c, a, b *Tensor, accumulate bool) {
+	m, k, n := gemmDims(form, op, c, a, b)
+	gemm(form, c.Data, a.Data, b.Data, m, k, n, accumulate)
 }
 
-// ref64 is gemm64 for the oracles.
-func ref64(form gemmForm, op string, c, a, b *Tensor) {
-	m, k, n := gemmDims(form, op, c.dims(), a.dims(), b.dims())
+// refOp is gemmOp for the oracles.
+func refOp(form gemmForm, op string, c, a, b *Tensor) {
+	m, k, n := gemmDims(form, op, c, a, b)
 	refGemm(form, c.Data, a.Data, b.Data, m, k, n)
 }
 
 // Gemm computes C = A × B with the blocked, register-tiled kernel (gemm.go),
 // parallel above the flop cutoff. Shapes: A m×k, B k×n, C m×n; C must not
 // alias A or B.
-func Gemm(c, a, b *Tensor) { gemm64(formNN, "Gemm", c, a, b, false) }
+func Gemm(c, a, b *Tensor) { gemmOp(formNN, "Gemm", c, a, b, false) }
 
 // GemmAdd computes C += A × B (same shapes and kernel as Gemm). Seeding C
 // with a bias row before the call fuses the bias add into the product.
-func GemmAdd(c, a, b *Tensor) { gemm64(formNN, "GemmAdd", c, a, b, true) }
+func GemmAdd(c, a, b *Tensor) { gemmOp(formNN, "GemmAdd", c, a, b, true) }
 
 // GemmTA computes C = Aᵀ × B without materializing the transpose.
 // Shapes: A k×m, B k×n, C m×n; C must not alias A or B.
-func GemmTA(c, a, b *Tensor) { gemm64(formTA, "GemmTA", c, a, b, false) }
+func GemmTA(c, a, b *Tensor) { gemmOp(formTA, "GemmTA", c, a, b, false) }
 
 // GemmTAAdd computes C += Aᵀ × B (same shapes as GemmTA). The backward
 // passes use it to accumulate weight gradients straight into Param.Grad.
-func GemmTAAdd(c, a, b *Tensor) { gemm64(formTA, "GemmTAAdd", c, a, b, true) }
+func GemmTAAdd(c, a, b *Tensor) { gemmOp(formTA, "GemmTAAdd", c, a, b, true) }
 
 // GemmTB computes C = A × Bᵀ without materializing the transpose.
 // Shapes: A m×k, B n×k, C m×n; C must not alias A or B. Each output element
 // is a dot product of two contiguous rows, so this is the cache-friendly
 // form when the shared dimension k is long.
-func GemmTB(c, a, b *Tensor) { gemm64(formTB, "GemmTB", c, a, b, false) }
+func GemmTB(c, a, b *Tensor) { gemmOp(formTB, "GemmTB", c, a, b, false) }
 
 // GemmTBAdd computes C += A × Bᵀ (same shapes as GemmTB). With transposed
 // operands it is the long-dot-product form of the weight-gradient update.
-func GemmTBAdd(c, a, b *Tensor) { gemm64(formTB, "GemmTBAdd", c, a, b, true) }
+func GemmTBAdd(c, a, b *Tensor) { gemmOp(formTB, "GemmTBAdd", c, a, b, true) }
 
 // TransposeInto writes srcᵀ into dst, which must be pre-shaped to
 // src.Cols × src.Rows. The layers materialize small transposed weight or
@@ -244,16 +239,20 @@ func TransposeInto(dst, src *Tensor) {
 		panic(fmt.Sprintf("linalg: TransposeInto shape %dx%d, want %dx%d",
 			dst.Rows, dst.Cols, src.Cols, src.Rows))
 	}
-	transpose(dst.Data, src.Data, src.Rows, src.Cols)
+	for i := 0; i < src.Rows; i++ {
+		for j, v := range src.Row(i) {
+			dst.Data[j*src.Rows+i] = v
+		}
+	}
 }
 
 // RefGemm is the unblocked, untiled, single-goroutine reference for
 // C = A × B. It is retained as the differential-test oracle for the
 // optimized kernels and is not used on any hot path.
-func RefGemm(c, a, b *Tensor) { ref64(formNN, "RefGemm", c, a, b) }
+func RefGemm(c, a, b *Tensor) { refOp(formNN, "RefGemm", c, a, b) }
 
 // RefGemmTA is the reference oracle for C = Aᵀ × B.
-func RefGemmTA(c, a, b *Tensor) { ref64(formTA, "RefGemmTA", c, a, b) }
+func RefGemmTA(c, a, b *Tensor) { refOp(formTA, "RefGemmTA", c, a, b) }
 
 // RefGemmTB is the reference oracle for C = A × Bᵀ.
-func RefGemmTB(c, a, b *Tensor) { ref64(formTB, "RefGemmTB", c, a, b) }
+func RefGemmTB(c, a, b *Tensor) { refOp(formTB, "RefGemmTB", c, a, b) }

@@ -28,11 +28,11 @@ func tensorsClose(t *testing.T, got, want *Tensor, tol float64, label string) {
 }
 
 // gemmShapes covers what the blocked, tiled and parallel paths must not
-// mishandle: degenerate 1×1 / 1×N / N×1 shapes, k straddling the f64 and f32
-// panel depths, every tile tail (m mod 4 ∈ {1,2,3} for the dot form's 4-row
-// bands, odd m for the axpy forms' row pairs, odd n for the dot form's column
-// pairs, k mod 4 ∈ {1,2,3} including k < 4), and shapes above
-// parallelFlopCutoff whose rows do not split evenly across workers.
+// mishandle: degenerate 1×1 / 1×N / N×1 shapes, k straddling the panel depth,
+// every tile tail (m mod 4 ∈ {1,2,3} for the dot form's 4-row bands, odd m for
+// the axpy forms' row pairs, odd n for the dot form's column pairs,
+// k mod 4 ∈ {1,2,3} including k < 4), and shapes above parallelFlopCutoff
+// whose rows do not split evenly across workers.
 var gemmShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 1},
@@ -48,9 +48,9 @@ var gemmShapes = []struct{ m, k, n int }{
 	{2, gemmBlockK, 2},
 	{3, gemmBlockK + 1, 3},
 	{7, 2*gemmBlockK - 1, 5},
-	{2, gemmBlockK32 + 44, 4},
-	{17, gemmBlockK32 + 1, 33},
-	{5, 2*gemmBlockK32 + 128, 3},
+	{2, 300, 4},
+	{17, 257, 33},
+	{5, 640, 3},
 	{64, 64, 64},  // above parallelFlopCutoff: exercises the goroutine path
 	{64, 48, 64},  // parallel, k a multiple of 4: no tail anywhere
 	{97, 131, 53}, // parallel + nothing divides evenly
@@ -63,136 +63,82 @@ var gemmShapes = []struct{ m, k, n int }{
 	{130, 64, 5},  // narrow-head forward: m mod 4 = 2, odd n
 }
 
-// mat is a shape plus flat storage: the one operand type the bitwise
-// harness speaks, so a single table drives the f64 and f32 families.
-type mat[T float] struct {
-	rows, cols int
-	data       []T
-}
-
-func newMat[T float](rows, cols int) mat[T] {
-	return mat[T]{rows, cols, make([]T, rows*cols)}
-}
-
-func randMat[T float](rng *rand.Rand, rows, cols int) mat[T] {
-	m := newMat[T](rows, cols)
-	for i := range m.data {
-		m.data[i] = T(rng.NormFloat64())
-	}
-	return m
-}
-
-func (m mat[T]) clone() mat[T] {
-	return mat[T]{m.rows, m.cols, append([]T(nil), m.data...)}
-}
-
-type gemmFunc[T float] func(c, a, b mat[T])
-
-// gemmFamily is one element type's public kernels and oracles.
-type gemmFamily[T float] struct {
-	nn, nnAdd, ta, taAdd, tb, tbAdd gemmFunc[T]
-	refNN, refTA, refTB             gemmFunc[T]
-	bits                            func(T) uint64
-}
-
-func wrap64(f func(c, a, b *Tensor)) gemmFunc[float64] {
-	return func(c, a, b mat[float64]) {
-		f(TensorView(c.data, c.rows, c.cols), TensorView(a.data, a.rows, a.cols), TensorView(b.data, b.rows, b.cols))
-	}
-}
-
-func wrap32(f func(c, a, b *Tensor32)) gemmFunc[float32] {
-	return func(c, a, b mat[float32]) {
-		f(Tensor32View(c.data, c.rows, c.cols), Tensor32View(a.data, a.rows, a.cols), Tensor32View(b.data, b.rows, b.cols))
-	}
-}
-
-var family64 = gemmFamily[float64]{
-	nn: wrap64(Gemm), nnAdd: wrap64(GemmAdd), ta: wrap64(GemmTA), taAdd: wrap64(GemmTAAdd),
-	tb: wrap64(GemmTB), tbAdd: wrap64(GemmTBAdd),
-	refNN: wrap64(RefGemm), refTA: wrap64(RefGemmTA), refTB: wrap64(RefGemmTB),
-	bits: math.Float64bits,
-}
-
-var family32 = gemmFamily[float32]{
-	nn: wrap32(Gemm32), nnAdd: wrap32(GemmAdd32), ta: wrap32(GemmTA32), taAdd: wrap32(GemmTAAdd32),
-	tb: wrap32(GemmTB32), tbAdd: wrap32(GemmTBAdd32),
-	refNN: wrap32(RefGemm32), refTA: wrap32(RefGemmTA32), refTB: wrap32(RefGemmTB32),
-	bits: func(v float32) uint64 { return uint64(math.Float32bits(v)) },
+func cloneTensor(t *Tensor) *Tensor {
+	c := new(Tensor)
+	c.CopyFrom(t)
+	return c
 }
 
 // refAxpyAdd is the accumulate-form oracle of the two axpy kernels, one
 // element at a time: c[i][j] = (((c[i][j] + a(i,0)·b[0][j]) + a(i,1)·b[1][j]) + …
 // in ascending p — the sequence GemmAdd / GemmTAAdd promise per element.
-func refAxpyAdd[T float](c mat[T], k int, aAt func(i, p int) T, b mat[T]) {
-	for i := 0; i < c.rows; i++ {
-		for j := 0; j < c.cols; j++ {
-			s := c.data[i*c.cols+j]
+func refAxpyAdd(c *Tensor, k int, aAt func(i, p int) float64, b *Tensor) {
+	for i := 0; i < c.Rows; i++ {
+		for j := 0; j < c.Cols; j++ {
+			s := c.At(i, j)
 			for p := 0; p < k; p++ {
-				s += aAt(i, p) * b.data[p*b.cols+j]
+				s += aAt(i, p) * b.At(p, j)
 			}
-			c.data[i*c.cols+j] = s
+			c.Set(i, j, s)
 		}
 	}
 }
 
-// checkGemmBits runs all six public kernels of one family at shape (m,k,n)
-// and requires bit equality with the oracles. tb is *testing.T or the fuzz
-// callback's T.
-func checkGemmBits[T float](t testing.TB, f gemmFamily[T], rng *rand.Rand, m, k, n int) {
+// checkGemmBits runs all six public kernels at shape (m,k,n) and requires
+// bit equality with the oracles. t is *testing.T or the fuzz callback's T.
+func checkGemmBits(t testing.TB, rng *rand.Rand, m, k, n int) {
 	t.Helper()
-	same := func(op string, got, want mat[T]) {
+	same := func(op string, got, want *Tensor) {
 		t.Helper()
-		for i := range want.data {
-			if f.bits(got.data[i]) != f.bits(want.data[i]) {
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%s %dx%dx%d: element %d = %v (%#x), want %v (%#x)", op, m, k, n,
-					i, got.data[i], f.bits(got.data[i]), want.data[i], f.bits(want.data[i]))
+					i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
 			}
 		}
 	}
-	a, at := randMat[T](rng, m, k), randMat[T](rng, k, m)
-	b, bt := randMat[T](rng, k, n), randMat[T](rng, n, k)
-	seed := randMat[T](rng, m, n)
+	a, at := randTensor(rng, m, k), randTensor(rng, k, m)
+	b, bt := randTensor(rng, k, n), randTensor(rng, n, k)
+	seed := randTensor(rng, m, n)
 	// The non-Add forms must overwrite whatever C held.
-	got, want := seed.clone(), newMat[T](m, n)
+	got, want := cloneTensor(seed), NewTensor(m, n)
 
-	f.nn(got, a, b)
-	f.refNN(want, a, b)
+	Gemm(got, a, b)
+	RefGemm(want, a, b)
 	same("Gemm", got, want)
-	f.ta(got, at, b)
-	f.refTA(want, at, b)
+	GemmTA(got, at, b)
+	RefGemmTA(want, at, b)
 	same("GemmTA", got, want)
-	f.tb(got, a, bt)
-	f.refTB(want, a, bt)
+	GemmTB(got, a, bt)
+	RefGemmTB(want, a, bt)
 	same("GemmTB", got, want)
 
 	// GemmTBAdd adds each finished dot product to C once.
-	for i := range want.data {
-		want.data[i] += seed.data[i]
+	for i := range want.Data {
+		want.Data[i] += seed.Data[i]
 	}
-	got = seed.clone()
-	f.tbAdd(got, a, bt)
+	got = cloneTensor(seed)
+	GemmTBAdd(got, a, bt)
 	same("GemmTBAdd", got, want)
 
-	got, want = seed.clone(), seed.clone()
-	f.nnAdd(got, a, b)
-	refAxpyAdd(want, k, func(i, p int) T { return a.data[i*k+p] }, b)
+	got, want = cloneTensor(seed), cloneTensor(seed)
+	GemmAdd(got, a, b)
+	refAxpyAdd(want, k, a.At, b)
 	same("GemmAdd", got, want)
 
-	got, want = seed.clone(), seed.clone()
-	f.taAdd(got, at, b)
-	refAxpyAdd(want, k, func(i, p int) T { return at.data[p*m+i] }, b)
+	got, want = cloneTensor(seed), cloneTensor(seed)
+	GemmTAAdd(got, at, b)
+	refAxpyAdd(want, k, func(i, p int) float64 { return at.At(p, i) }, b)
 	same("GemmTAAdd", got, want)
 }
 
 // TestGemmMatchesReference pins the documented contract: the blocked,
-// register-tiled, row-parallel kernels of both element types equal the naive
-// single-goroutine oracles bit for bit.
+// register-tiled, row-parallel kernels equal the naive single-goroutine
+// oracles bit for bit.
 func TestGemmMatchesReference(t *testing.T) {
 	for _, s := range gemmShapes {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
-			checkGemmBits(t, family64, rand.New(rand.NewSource(42)), s.m, s.k, s.n)
-			checkGemmBits(t, family32, rand.New(rand.NewSource(43)), s.m, s.k, s.n)
+			checkGemmBits(t, rand.New(rand.NewSource(42)), s.m, s.k, s.n)
 		})
 	}
 }
@@ -317,5 +263,18 @@ func TestParallelGemmRace(t *testing.T) {
 				t.Fatalf("concurrent Gemm: element %d = %v, want %v", i, got.Data[i], want.Data[i])
 			}
 		}
+	}
+}
+
+// BenchmarkGemmForward is the forward-pass shape of a 256-row batch through a
+// 256→256 dense layer, big enough to be memory-bound.
+func BenchmarkGemmForward(b *testing.B) {
+	const m, k, n = 256, 256, 256
+	rng := rand.New(rand.NewSource(1))
+	x, w, c := randTensor(rng, m, k), randTensor(rng, k, n), NewTensor(m, n)
+	b.SetBytes(int64((m*k + k*n + m*n) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Gemm(c, x, w)
 	}
 }

@@ -42,9 +42,9 @@ type Model interface {
 	Net() *nn.Network
 }
 
-// TensorPredictor is the optional fused-batch fast path: models backed by a
-// network can consume a pre-packed row-major tensor (the batch coalescer's
-// fused slab, or a binary frame's slab) directly, skipping per-row staging.
+// TensorPredictor is the optional flat-slab fast path: models backed by a
+// network can consume a pre-packed row-major tensor (e.g. a binary frame's
+// slab) directly, skipping per-row staging.
 // Callers type-assert and fall back to Predict when the model (e.g. the
 // gradient-free baselines) does not implement it.
 type TensorPredictor interface {

@@ -89,11 +89,9 @@ func (n *Network) Forward(x [][]float64) [][]float64 {
 }
 
 // ForwardTensor runs a pre-staged row-major batch through the network and
-// returns the logits. This is the fused-batch entry: the cross-stream
-// coalescer hands the whole packed slab here, so staging is one flat copy
-// into the network's scratch instead of a copy per row, and the batch goes
-// through the blocked GEMM kernels as a single pass. The returned tensor is
-// layer-owned scratch, valid until the next forward pass.
+// returns the logits. This is the flat-slab entry: staging is one flat copy
+// into the network's scratch instead of a copy per row. The returned tensor
+// is layer-owned scratch, valid until the next forward pass.
 func (n *Network) ForwardTensor(x *linalg.Tensor) (*linalg.Tensor, error) {
 	if x == nil || x.Rows == 0 {
 		return nil, fmt.Errorf("nn: empty batch")
@@ -107,7 +105,7 @@ func (n *Network) ForwardTensor(x *linalg.Tensor) (*linalg.Tensor, error) {
 }
 
 // PredictTensorInto writes the argmax class of each row of x into dst, which
-// must have exactly x.Rows elements. It is Predict for pre-fused batches:
+// must have exactly x.Rows elements. It is Predict for pre-packed batches:
 // no per-row staging, no result allocation.
 func (n *Network) PredictTensorInto(x *linalg.Tensor, dst []int) error {
 	logits, err := n.ForwardTensor(x)

@@ -66,7 +66,7 @@ var DefLatencyBuckets = []float64{
 
 // ExponentialBuckets returns n strictly ascending upper bounds starting at
 // start and multiplying by factor — the layout for quantities that span
-// orders of magnitude (coalesce batch sizes, queue depths). start must be
+// orders of magnitude (batch sizes, queue depths). start must be
 // positive, factor > 1, n >= 1; violations panic, as in NewHistogram.
 func ExponentialBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 || n < 1 {

@@ -145,7 +145,7 @@ func allZero(s string) bool {
 
 // Span is one hop's record of its part in a traced request. Router hops
 // fill the retry fields (Attempt/Owner/Breaker/BackoffMicros); worker hops
-// fill Stream/Rows/Fused. All fields are flat so a span JSON-encodes to one
+// fill Stream/Rows. All fields are flat so a span JSON-encodes to one
 // line for /v1/spans and /v1/cluster/trace.
 type Span struct {
 	TraceID string `json:"trace_id"`
@@ -176,9 +176,6 @@ type Span struct {
 	BackoffMicros float64 `json:"backoff_micros,omitempty"`
 	// Rows is the batch row count a worker span processed.
 	Rows int `json:"rows,omitempty"`
-	// Fused is the fused-group size when the coalescer merged this request
-	// with others (0 when the batch ran alone).
-	Fused int `json:"fused,omitempty"`
 	// Status is "ok" or "error"; Err carries the failure detail.
 	Status string `json:"status"`
 	Err    string `json:"err,omitempty"`

@@ -62,19 +62,9 @@ type TraceEvent struct {
 	Divergences    int  `json:"divergences,omitempty"`
 	// Accuracy is the batch's real-time accuracy (-1 when unlabeled).
 	Accuracy float64 `json:"accuracy"`
-	// Kernel-tier evidence (only set when the inference plane runs a speed
-	// tier): the tier name, the number of int8-quantized weight matrices in
-	// the published snapshot, and the spread of their nonzero row scales.
-	KernelTier    string  `json:"kernel_tier,omitempty"`
-	QuantMats     int     `json:"quant_mats,omitempty"`
-	QuantScaleMin float64 `json:"quant_scale_min,omitempty"`
-	QuantScaleMax float64 `json:"quant_scale_max,omitempty"`
 	// TraceID joins this event to the request-scoped trace that carried
 	// the batch (empty for untraced ingestion paths).
 	TraceID string `json:"trace_id,omitempty"`
-	// FusedTraces lists the trace ids of every request the coalescer fused
-	// into this compute pass (nil when the batch ran alone).
-	FusedTraces []string `json:"fused_traces,omitempty"`
 	// Stages are the per-stage wall times, pipeline order.
 	Stages []StageTiming `json:"stages"`
 }

@@ -30,9 +30,8 @@ const DefaultBinaryReadTimeout = 30 * time.Second
 
 // framePool recycles decoded-frame storage across requests: a warm frame
 // re-decodes a same-shaped batch with zero allocations. frameTensors backs
-// frames whose slab was detached (handed to the learner on the direct,
-// non-coalesced path) with pooled tensors, so even the detach path reuses
-// slabs returned by closed connections instead of allocating cold ones.
+// frames whose slab was detached (handed to the learner, which retains
+// labeled rows) with pooled tensors.
 var (
 	framePool    = sync.Pool{New: func() any { return new(wire.Frame) }}
 	frameTensors linalg.TensorPool
@@ -40,20 +39,10 @@ var (
 
 func getFrame() *wire.Frame {
 	f := framePool.Get().(*wire.Frame)
-	f.KeepF32 = false // pooled frames are shared across handlers; opt back in per use
 	if f.Tensor() == nil {
 		f.Arm(frameTensors.Get(0, 0))
 	}
 	return f
-}
-
-// frameRows returns the decoded row count regardless of which slab (f64 or
-// native f32) the frame filled.
-func frameRows(f *wire.Frame) int {
-	if f.X32 != nil {
-		return len(f.X32)
-	}
-	return len(f.X)
 }
 
 func putFrame(f *wire.Frame) { framePool.Put(f) }
@@ -80,7 +69,7 @@ func (s *Server) handleProcessBinary(w http.ResponseWriter, r *http.Request, id 
 	}
 	rec := s.beginSpan(id, "binary", r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
 	out, status, err := s.processDecodedFrame(r.Context(), id, rec.traceID(), f)
-	rec.finish(out.Fused, err)
+	rec.finish(err)
 	rec.setHeaders(w.Header())
 	if err != nil {
 		s.writeError(w, status, err.Error())
@@ -89,19 +78,14 @@ func (s *Server) handleProcessBinary(w http.ResponseWriter, r *http.Request, id 
 	s.writeJSON(w, out)
 }
 
-// processDecodedFrame validates and processes a decoded frame. On the
-// direct path the learner retains rows (windows, replay buffers), so the
-// frame's storage is detached — the frame re-arms from the tensor pool on
-// its next use. Under coalescing the submit packs the rows into group-owned
-// storage, so the frame keeps its slab and stays allocation-free.
+// processDecodedFrame validates and processes a decoded frame. The learner
+// retains rows (windows, replay buffers), so the frame's storage is
+// detached — the frame re-arms from the tensor pool on its next use.
 func (s *Server) processDecodedFrame(ctx context.Context, id, traceID string, f *wire.Frame) (ProcessResponse, int, error) {
 	if err := validateRows(f.X, f.Y, s.dim, s.classes); err != nil {
 		return ProcessResponse{}, http.StatusBadRequest, err
 	}
-	x, y := f.X, f.Y
-	if s.coal == nil {
-		x, y = f.Detach()
-	}
+	x, y := f.Detach()
 	return s.process(ctx, id, traceID, x, y)
 }
 
@@ -164,10 +148,6 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 
 	f := getFrame()
 	defer putFrame(f)
-	// Under a speed tier, unlabeled float32 frames decode natively — the
-	// read plane consumes them without ever widening to float64. Labeled
-	// frames always widen (the training plane is the f64 oracle).
-	f.KeepF32 = s.tier != linalg.TierF64
 	var scratch []byte
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
@@ -208,20 +188,16 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 			// state. (The HTTP /v1/process endpoint keeps its historical
 			// label-less-means-train-unsupervised contract; the split applies
 			// only here and on /infer, where the intent is unambiguous.)
-			rec := s.beginInferSpan(f.ID, "binary", "", f.Traceparent, frameRows(f))
-			var ir InferResponse
-			ir, status, perr = s.inferDecodedFrame(context.Background(), f.ID, rec.traceID(), f)
-			rec.finish(ir.Fused, perr)
-			out = ir
+			rec := s.beginInferSpan(f.ID, "binary", "", f.Traceparent, len(f.X))
+			out, status, perr = s.inferDecodedFrame(context.Background(), f.ID, f)
+			rec.finish(perr)
 		} else {
 			// No per-request context exists on a raw connection; the pass
 			// runs to completion (the deadline governs reads, not compute).
 			// Trace context, if any, rides inside the frame (version 2).
 			rec := s.beginSpan(f.ID, "binary", "", f.Traceparent, len(f.X))
-			var pr ProcessResponse
-			pr, status, perr = s.processDecodedFrame(context.Background(), f.ID, rec.traceID(), f)
-			rec.finish(pr.Fused, perr)
-			out = pr
+			out, status, perr = s.processDecodedFrame(context.Background(), f.ID, rec.traceID(), f)
+			rec.finish(perr)
 		}
 		if perr != nil {
 			if !s.writeBinaryError(bw, status, perr.Error()) {
@@ -275,6 +251,3 @@ func (s *Server) writeBinaryError(bw *bufio.Writer, status int, msg string) bool
 	_, err := bw.Write(buf.Bytes())
 	return err == nil
 }
-
-// coalescingEnabled reports whether this server fuses concurrent batches.
-func (s *Server) coalescingEnabled() bool { return s.coal != nil }

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -55,9 +54,6 @@ func TestBinaryProcessEndToEnd(t *testing.T) {
 		}
 		if len(out.Predictions) != 32 {
 			t.Fatalf("predictions = %d", len(out.Predictions))
-		}
-		if out.Fused != 0 {
-			t.Fatalf("fused field present without coalescing: %d", out.Fused)
 		}
 		last = out
 	}
@@ -180,7 +176,6 @@ func traceLines(t *testing.T, url string) []map[string]any {
 		}
 		delete(ev, "stages")
 		delete(ev, "trace_id")
-		delete(ev, "fused_traces")
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
@@ -359,69 +354,5 @@ func TestServeBinaryListener(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeBinary did not return after listener close")
-	}
-}
-
-// TestCoalescedServing: with coalescing enabled and a gathering window,
-// concurrent requests to one stream fuse into shared compute passes; every
-// caller still gets its own rows' predictions and its own accuracy, and the
-// response reports the fusion width.
-func TestCoalescedServing(t *testing.T) {
-	_, ts := testServerOpts(t, WithCoalescing(250*time.Millisecond, 0))
-	rng := rand.New(rand.NewSource(41))
-
-	const clients = 6
-	reqs := make([]ProcessRequest, clients)
-	for i := range reqs {
-		reqs[i] = batchReq(rng, 8, true)
-	}
-	outs := make([]ProcessResponse, clients)
-	codes := make([]int, clients)
-	var start, wg sync.WaitGroup
-	start.Add(1)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start.Wait()
-			resp, out := postProcess(t, ts.URL, reqs[i])
-			codes[i], outs[i] = resp.StatusCode, out
-		}(i)
-	}
-	start.Done()
-	wg.Wait()
-
-	maxFused := 0
-	for i := 0; i < clients; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("client %d: status %d", i, codes[i])
-		}
-		if len(outs[i].Predictions) != 8 {
-			t.Fatalf("client %d: %d predictions", i, len(outs[i].Predictions))
-		}
-		if outs[i].Fused < 1 {
-			t.Errorf("client %d: fused = %d, want >= 1", i, outs[i].Fused)
-		}
-		if outs[i].Accuracy < 0 || outs[i].Accuracy > 1 {
-			t.Errorf("client %d: accuracy = %v", i, outs[i].Accuracy)
-		}
-		if outs[i].Fused > maxFused {
-			maxFused = outs[i].Fused
-		}
-	}
-	if maxFused < 2 {
-		t.Errorf("no fusion observed across %d concurrent clients (max fused = %d)", clients, maxFused)
-	}
-
-	// The fused passes fed every row to the learner exactly once.
-	stats := getStats(t, ts.URL)
-	if stats.Samples != clients*8 {
-		t.Errorf("samples = %d, want %d", stats.Samples, clients*8)
-	}
-
-	// Binary ingest rides the same coalescer.
-	resp, out := postBinary(t, ts.URL, binFrame(t, "", wire.Float64, batchReq(rng, 8, true)))
-	if resp.StatusCode != http.StatusOK || out.Fused != 1 {
-		t.Errorf("binary under coalescing: status %d, fused %d", resp.StatusCode, out.Fused)
 	}
 }

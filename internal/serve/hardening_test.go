@@ -47,13 +47,28 @@ func getStats(t *testing.T, url string) StatsResponse {
 	return stats
 }
 
+// TestOversizeBodyRejected: every body-reading endpoint answers an over-cap
+// body with 413 and counts it in body_cap_hits.
 func TestOversizeBodyRejected(t *testing.T) {
-	_, ts := testServerOpts(t, WithMaxBodyBytes(1024))
+	_, ts := testServerOpts(t, WithMaxBodyBytes(1024), WithSharedKnowledge())
 	rng := rand.New(rand.NewSource(3))
 	// ~100 rows of 3 floats serializes well past 1 KiB.
-	resp, _ := postProcess(t, ts.URL, batchReq(rng, 100, true))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversize body: status %d, want 413", resp.StatusCode)
+	big, err := json.Marshal(batchReq(rng, 100, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, path := range []string{"/v1/process", "/v1/streams/s1/infer", "/v1/knowledge/merge"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversize body: status %d, want 413", path, resp.StatusCode)
+		}
+		if hits := getStats(t, ts.URL).BodyCapHits; hits != int64(i+1) {
+			t.Errorf("%s: body_cap_hits = %d, want %d", path, hits, i+1)
+		}
 	}
 	// A batch under the cap still works.
 	resp, out := postProcess(t, ts.URL, batchReq(rng, 4, true))

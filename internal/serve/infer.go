@@ -1,10 +1,7 @@
 // The inference plane of the server: /v1/streams/{id}/infer serves pure
 // predictions from each stream's atomically published model snapshot. The
 // read path never takes the session lock, so inference proceeds while the
-// same stream trains, checkpoints, or is evicted. When coalescing is on,
-// label-less rows from *many* streams pack into one cross-stream group and
-// run as a single fused forward pass per ensemble member — per-stream
-// results scatter back to their waiters through the group's segments.
+// same stream trains, checkpoints, or is evicted.
 
 package serve
 
@@ -18,10 +15,7 @@ import (
 	"net/http"
 	"strings"
 
-	"freewayml/internal/coalesce"
-	"freewayml/internal/core"
 	"freewayml/internal/guard"
-	"freewayml/internal/linalg"
 	"freewayml/internal/obs"
 	"freewayml/internal/shift"
 	"freewayml/internal/wire"
@@ -41,9 +35,6 @@ type InferResponse struct {
 	// KnowledgeDistance is the distance to the nearest preserved concept
 	// (-1 when no knowledge index applies).
 	KnowledgeDistance float64 `json:"knowledge_distance"`
-	// Fused is the number of requests (across all streams) whose rows
-	// shared this request's fused pass. Omitted when coalescing is off.
-	Fused int `json:"fused,omitempty"`
 }
 
 // GraphResponse is the /v1/streams/{id}/graph body: the stream's observed
@@ -61,20 +52,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, id string) 
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	body := getBuf()
-	defer putBuf(body)
-	if _, err := body.ReadFrom(r.Body); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.bodyCap.Add(1)
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
+	defer putBuf(body)
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, BinaryContentType) {
 		s.handleInferBinary(w, r, id, body.Bytes())
 		return
@@ -95,8 +77,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, id string) 
 		return
 	}
 	rec := s.beginInferSpan(id, "json", r.Header.Get(obs.TraceparentHeader), "", len(req.X))
-	out, status, err := s.infer(r.Context(), id, rec.traceID(), req.X)
-	rec.finish(out.Fused, err)
+	out, status, err := s.infer(r.Context(), id, req.X)
+	rec.finish(err)
 	rec.setHeaders(w.Header())
 	if err != nil {
 		s.writeError(w, status, err.Error())
@@ -111,8 +93,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, id string) 
 func (s *Server) handleInferBinary(w http.ResponseWriter, r *http.Request, id string, body []byte) {
 	f := getFrame()
 	defer putFrame(f)
-	// Speed tiers consume float32 inference frames natively (no f64 slab).
-	f.KeepF32 = s.tier != linalg.TierF64
 	if err := f.DecodeInto(body); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return
@@ -130,9 +110,9 @@ func (s *Server) handleInferBinary(w http.ResponseWriter, r *http.Request, id st
 		s.writeError(w, http.StatusBadRequest, "infer frames must be label-less: submit labeled frames to /process")
 		return
 	}
-	rec := s.beginInferSpan(id, "binary", r.Header.Get(obs.TraceparentHeader), f.Traceparent, frameRows(f))
-	out, status, err := s.inferDecodedFrame(r.Context(), id, rec.traceID(), f)
-	rec.finish(out.Fused, err)
+	rec := s.beginInferSpan(id, "binary", r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
+	out, status, err := s.inferDecodedFrame(r.Context(), id, f)
+	rec.finish(err)
 	rec.setHeaders(w.Header())
 	if err != nil {
 		s.writeError(w, status, err.Error())
@@ -143,70 +123,23 @@ func (s *Server) handleInferBinary(w http.ResponseWriter, r *http.Request, id st
 
 // inferDecodedFrame validates and infers a decoded label-less frame. The
 // inference plane never retains row references (member models copy rows
-// into their own staging during the forward pass, and the coalescer packs
-// them into group-owned storage), so the frame keeps its slab on both paths
-// and warm frames stay allocation-free — no Detach, unlike the process
-// plane's direct path.
-func (s *Server) inferDecodedFrame(ctx context.Context, id, traceID string, f *wire.Frame) (InferResponse, int, error) {
-	if f.X32 != nil {
-		if err := validateInferRows32(f.X32, s.dim, s.classes); err != nil {
-			return InferResponse{}, inferValidationStatus(err), err
-		}
-		return s.infer32(ctx, id, traceID, f.X32)
-	}
+// into their own staging during the forward pass), so the frame keeps its
+// slab and warm frames stay allocation-free — no Detach, unlike the process
+// plane.
+func (s *Server) inferDecodedFrame(ctx context.Context, id string, f *wire.Frame) (InferResponse, int, error) {
 	if err := validateInferRows(f.X, s.dim, s.classes); err != nil {
 		return InferResponse{}, inferValidationStatus(err), err
 	}
-	return s.infer(ctx, id, traceID, f.X)
+	return s.infer(ctx, id, f.X)
 }
 
-// infer routes one label-less batch to the stream's snapshot — directly, or
-// through the cross-stream inference coalescer when coalescing is enabled.
-func (s *Server) infer(ctx context.Context, id, traceID string, x [][]float64) (InferResponse, int, error) {
-	if s.inferCoal != nil {
-		sub, err := s.inferCoal.SubmitInfer(ctx, id, traceID, x)
-		if err != nil {
-			return InferResponse{}, s.errStatus(err), err
-		}
-		g := sub.Out.(*inferGroupOut)
-		if err := g.errs[sub.Member]; err != nil {
-			return InferResponse{}, s.errStatus(err), err
-		}
-		return s.buildInferResponse(id, g.results[sub.Member], sub.Members), http.StatusOK, nil
-	}
+// infer predicts one validated label-less batch from the stream's published
+// snapshot.
+func (s *Server) infer(ctx context.Context, id string, x [][]float64) (InferResponse, int, error) {
 	res, err := s.mgr.Infer(ctx, id, x)
 	if err != nil {
 		return InferResponse{}, s.errStatus(err), err
 	}
-	return s.buildInferResponse(id, res, 0), http.StatusOK, nil
-}
-
-// infer32 routes one natively narrow batch to the stream's snapshot —
-// directly, or through the f32 cross-stream inference coalescer. The rows
-// stay float32 end to end; members without a compiled engine widen once
-// inside the snapshot.
-func (s *Server) infer32(ctx context.Context, id, traceID string, x [][]float32) (InferResponse, int, error) {
-	if s.inferCoal != nil {
-		sub, err := s.inferCoal.SubmitInfer32(ctx, id, traceID, x)
-		if err != nil {
-			return InferResponse{}, s.errStatus(err), err
-		}
-		g := sub.Out.(*inferGroupOut)
-		if err := g.errs[sub.Member]; err != nil {
-			return InferResponse{}, s.errStatus(err), err
-		}
-		return s.buildInferResponse(id, g.results[sub.Member], sub.Members), http.StatusOK, nil
-	}
-	results, err := s.mgr.InferFused32(ctx, id, [][][]float32{x})
-	if err != nil {
-		return InferResponse{}, s.errStatus(err), err
-	}
-	return s.buildInferResponse(id, results[0], 0), http.StatusOK, nil
-}
-
-// buildInferResponse shapes an inference result into the wire response.
-// fused is 0 when coalescing is off (the field is then omitted).
-func (s *Server) buildInferResponse(id string, res core.InferResult, fused int) InferResponse {
 	return InferResponse{
 		Stream:            id,
 		Predictions:       res.Pred,
@@ -214,68 +147,7 @@ func (s *Server) buildInferResponse(id string, res core.InferResult, fused int) 
 		SnapshotBatch:     res.SnapshotBatch,
 		SnapshotAgeMS:     float64(res.SnapshotAge.Microseconds()) / 1000,
 		KnowledgeDistance: res.KnowledgeDist,
-		Fused:             fused,
-	}
-}
-
-// inferGroupOut is the shared result of one cross-stream fused pass. Errors
-// are per member: one stream's failure (bad id, closed manager) must not
-// fail the co-fused requests of other streams.
-type inferGroupOut struct {
-	results []core.InferResult
-	errs    []error
-}
-
-// runInferGroup executes one cross-stream inference group: members are
-// bucketed per stream (preserving submission order), and each stream runs
-// one fused pass over all its members' row ranges against its own
-// snapshot. Bitwise-identical to inferring every member alone — the GEMM
-// kernels accumulate each output row independently of the batch height.
-func (s *Server) runInferGroup(b coalesce.Batch) (any, error) {
-	out := &inferGroupOut{
-		results: make([]core.InferResult, len(b.Segs)),
-		errs:    make([]error, len(b.Segs)),
-	}
-	var order []string
-	byStream := make(map[string][]int, len(b.Segs))
-	for i, seg := range b.Segs {
-		if _, ok := byStream[seg.ID]; !ok {
-			order = append(order, seg.ID)
-		}
-		byStream[seg.ID] = append(byStream[seg.ID], i)
-	}
-	for _, id := range order {
-		idxs := byStream[id]
-		// The pass runs detached from any member's request context, like the
-		// process plane's fused passes.
-		var results []core.InferResult
-		var err error
-		if b.X32 != nil {
-			groups := make([][][]float32, len(idxs))
-			for j, i := range idxs {
-				seg := b.Segs[i]
-				groups[j] = b.X32[seg.Lo:seg.Hi]
-			}
-			results, err = s.mgr.InferFused32(context.Background(), id, groups)
-		} else {
-			groups := make([][][]float64, len(idxs))
-			for j, i := range idxs {
-				seg := b.Segs[i]
-				groups[j] = b.X[seg.Lo:seg.Hi]
-			}
-			results, err = s.mgr.InferFused(context.Background(), id, groups)
-		}
-		if err != nil {
-			for _, i := range idxs {
-				out.errs[i] = err
-			}
-			continue
-		}
-		for j, i := range idxs {
-			out.results[i] = results[j]
-		}
-	}
-	return out, nil
+	}, http.StatusOK, nil
 }
 
 // beginInferSpan opens a worker span for one inference call — the infer
@@ -314,24 +186,6 @@ func validateInferRows(x [][]float64, dim, classes int) error {
 	for _, row := range x {
 		for _, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("non-finite feature value: %w", guard.ErrRejected)
-			}
-		}
-	}
-	return nil
-}
-
-// validateInferRows32 is validateInferRows for natively narrow rows.
-func validateInferRows32(x [][]float32, dim, classes int) error {
-	if len(x) == 0 {
-		return errors.New("x must contain at least one row")
-	}
-	for i, row := range x {
-		if len(row) != dim {
-			return fmt.Errorf("row %d has %d features, want %d", i, len(row), dim)
-		}
-		for _, v := range row {
-			if v != v || math.IsInf(float64(v), 0) {
 				return fmt.Errorf("non-finite feature value: %w", guard.ErrRejected)
 			}
 		}

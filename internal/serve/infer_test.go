@@ -104,9 +104,6 @@ func TestInferEndpointEndToEnd(t *testing.T) {
 	if out.SnapshotAgeMS < 0 {
 		t.Errorf("snapshot_age_ms = %v", out.SnapshotAgeMS)
 	}
-	if out.Fused != 0 {
-		t.Errorf("fused = %d on an uncoalesced server", out.Fused)
-	}
 
 	// A fresh stream answers immediately from its warmup snapshot — the
 	// read path never waits for training.
@@ -197,110 +194,145 @@ func TestInferEndpointRejections(t *testing.T) {
 	}
 }
 
-// TestInferFusedDifferential is the cross-stream fusion oracle at the serve
-// layer: identical training on a direct server and a coalescing server,
-// then identical label-less queries — sequential on the direct server,
-// concurrent (so they fuse across streams) on the coalescing one. Responses
-// must match exactly once the fields that legitimately differ (fused count,
-// snapshot wall-clock age) are stripped. Exercised over JSON and binary
-// framing, f64 and f32 payloads.
-func TestInferFusedDifferential(t *testing.T) {
+// dialBinary serves the persistent binary listener on an ephemeral port and
+// dials it. stop closes the connection, then the listener, and requires
+// ServeBinary to return cleanly.
+func dialBinary(t *testing.T, s *Server) (conn net.Conn, br *bufio.Reader, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.ServeBinary(ln) }()
+	conn, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, bufio.NewReader(conn), func() {
+		conn.Close() // unblock the per-connection reader before stopping the listener
+		ln.Close()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("ServeBinary: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("ServeBinary did not return after listener close")
+		}
+	}
+}
+
+// TestInferFormatsDifferential pins that float32 is an input format, not a
+// compute tier: the same f32-representable queries sent to one server's
+// /infer as JSON, binary-f64 and binary-f32 — sequentially, then
+// concurrently — and as label-less f32 frames on the persistent listener
+// all get the identical InferResponse (snapshot wall-clock age stripped).
+func TestInferFormatsDifferential(t *testing.T) {
 	const (
 		streams = 3
 		trainN  = 12
 		queryN  = 9
 	)
+	srv, ts := testServer(t)
+	for s := 0; s < streams; s++ {
+		trainStream(t, ts.URL, fmt.Sprintf("st%d", s), rand.New(rand.NewSource(int64(60+s))), trainN, 32)
+	}
+
+	qrng := rand.New(rand.NewSource(77))
+	type query struct {
+		stream string
+		x      [][]float64
+	}
+	var queries []query
+	for round := 0; round < 3; round++ {
+		for s := 0; s < streams; s++ {
+			queries = append(queries, query{fmt.Sprintf("st%d", s), quantizeF32(batchReq(qrng, queryN, false)).X})
+		}
+	}
+
+	// The JSON answers are the reference every other format must reproduce.
+	want := make([]InferResponse, len(queries))
+	for i, qu := range queries {
+		resp, out := postInfer(t, ts.URL, qu.stream, qu.x)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reference query %d: status %d", i, resp.StatusCode)
+		}
+		out.SnapshotAgeMS = 0
+		want[i] = out
+	}
+	check := func(t *testing.T, how string, i int, got InferResponse) {
+		t.Helper()
+		got.SnapshotAgeMS = 0
+		if !reflect.DeepEqual(want[i], got) {
+			t.Errorf("%s query %d (%s): responses diverge:\nwant: %+v\ngot:  %+v", how, i, queries[i].stream, want[i], got)
+		}
+	}
+
 	for _, tc := range []struct {
-		name  string
-		proto string
-		dtype byte
+		name string
+		send func(t *testing.T, qu query) (*http.Response, InferResponse)
 	}{
-		{"json", "json", 0},
-		{"binary-f64", "binary", wire.Float64},
-		{"binary-f32", "binary", wire.Float32},
+		{"json", func(t *testing.T, qu query) (*http.Response, InferResponse) {
+			return postInfer(t, ts.URL, qu.stream, qu.x)
+		}},
+		{"binary-f64", func(t *testing.T, qu query) (*http.Response, InferResponse) {
+			return postInferBinary(t, ts.URL, qu.stream, wire.Float64, qu.x)
+		}},
+		{"binary-f32", func(t *testing.T, qu query) (*http.Response, InferResponse) {
+			return postInferBinary(t, ts.URL, qu.stream, wire.Float32, qu.x)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, direct := testServer(t)
-			_, fused := testServerOpts(t, WithCoalescing(20*time.Millisecond, 0))
-
-			// Identical training on both servers, stream by stream.
-			for s := 0; s < streams; s++ {
-				id := fmt.Sprintf("st%d", s)
-				trainStream(t, direct.URL, id, rand.New(rand.NewSource(int64(60+s))), trainN, 32)
-				trainStream(t, fused.URL, id, rand.New(rand.NewSource(int64(60+s))), trainN, 32)
-			}
-
-			// Identical query batches, one per stream per round.
-			qrng := rand.New(rand.NewSource(77))
-			type q struct {
-				stream string
-				x      [][]float64
-			}
-			var queries []q
-			for round := 0; round < 3; round++ {
-				for s := 0; s < streams; s++ {
-					req := batchReq(qrng, queryN, false)
-					if tc.dtype == wire.Float32 {
-						req = quantizeF32(req)
-					}
-					queries = append(queries, q{fmt.Sprintf("st%d", s), req.X})
-				}
-			}
-			send := func(url string, qu q) (*http.Response, InferResponse) {
-				if tc.proto == "binary" {
-					return postInferBinary(t, url, qu.stream, tc.dtype, qu.x)
-				}
-				return postInfer(t, url, qu.stream, qu.x)
-			}
-
-			want := make([]InferResponse, len(queries))
 			for i, qu := range queries {
-				resp, out := send(direct.URL, qu)
+				resp, out := tc.send(t, qu)
 				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("direct query %d: status %d", i, resp.StatusCode)
+					t.Fatalf("sequential query %d: status %d", i, resp.StatusCode)
 				}
-				want[i] = out
+				check(t, "sequential", i, out)
 			}
-
-			// Concurrent submission makes the cross-stream groups actually
-			// form; correctness must not depend on who shared a slab.
 			got := make([]InferResponse, len(queries))
-			sawFusion := false
-			var mu sync.Mutex
 			var wg sync.WaitGroup
 			for i, qu := range queries {
 				wg.Add(1)
-				go func(i int, qu q) {
+				go func(i int, qu query) {
 					defer wg.Done()
-					resp, out := send(fused.URL, qu)
+					resp, out := tc.send(t, qu)
 					if resp.StatusCode != http.StatusOK {
-						t.Errorf("fused query %d: status %d", i, resp.StatusCode)
+						t.Errorf("concurrent query %d: status %d", i, resp.StatusCode)
 						return
 					}
-					mu.Lock()
-					if out.Fused > 1 {
-						sawFusion = true
-					}
 					got[i] = out
-					mu.Unlock()
 				}(i, qu)
 			}
 			wg.Wait()
-
-			for i := range queries {
-				w, g := want[i], got[i]
-				w.Fused, g.Fused = 0, 0
-				w.SnapshotAgeMS, g.SnapshotAgeMS = 0, 0
-				if !reflect.DeepEqual(w, g) {
-					t.Errorf("query %d (%s): responses diverge:\ndirect: %+v\nfused:  %+v",
-						i, queries[i].stream, w, g)
-				}
+			if t.Failed() {
+				return
 			}
-			if !sawFusion {
-				t.Log("no cross-stream group formed this run (timing); results still verified equal")
+			for i := range queries {
+				check(t, "concurrent", i, got[i])
 			}
 		})
 	}
+
+	t.Run("listener-f32", func(t *testing.T) {
+		conn, br, stop := dialBinary(t, srv)
+		defer stop()
+		for i, qu := range queries {
+			frame, err := wire.AppendStreamFrame(nil, qu.stream, wire.Float32, qu.x, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			var out InferResponse
+			if err := json.Unmarshal(readPrefixed(t, br), &out); err != nil {
+				t.Fatal(err)
+			}
+			check(t, "listener", i, out)
+		}
+	})
 }
 
 func TestGraphEndpoint(t *testing.T) {
@@ -364,19 +396,8 @@ func TestGraphEndpoint(t *testing.T) {
 // the same connection keep training.
 func TestBinaryListenerRoutesLabellessToInferPlane(t *testing.T) {
 	s, _ := testServer(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeBinary(ln) }()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	conn, br, stop := dialBinary(t, s)
+	defer stop()
 	rng := rand.New(rand.NewSource(91))
 
 	// Train a few labeled frames.
@@ -447,16 +468,5 @@ func TestBinaryListenerRoutesLabellessToInferPlane(t *testing.T) {
 	}
 	if inf.SnapshotBatch != 7 {
 		t.Errorf("post-train snapshot_batch = %d, want 7", inf.SnapshotBatch)
-	}
-
-	conn.Close() // unblock the per-connection reader before stopping the listener
-	ln.Close()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("ServeBinary: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeBinary did not return after listener close")
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"freewayml/internal/coalesce"
 	"freewayml/internal/core"
 	"freewayml/internal/guard"
 	"freewayml/internal/knowledge"
@@ -90,10 +89,6 @@ type ProcessResponse struct {
 	ShiftDistance float64 `json:"shift_distance"`
 	Severity      float64 `json:"severity"`
 	Accuracy      float64 `json:"accuracy"` // -1 for unlabeled batches
-	// Fused is the number of requests whose rows shared this batch's fused
-	// compute pass. Present only when coalescing is enabled (omitted
-	// otherwise, keeping the response byte-identical to earlier releases).
-	Fused int `json:"fused,omitempty"`
 }
 
 // StatsResponse summarizes one stream's prequential metrics and its
@@ -227,17 +222,6 @@ func WithSessionLimits(max int, ttl time.Duration) Option {
 	}
 }
 
-// WithShards sets the session map's lock-stripe count (n <= 0 keeps the
-// automatic GOMAXPROCS-sized default; 1 degrades to a single-lock manager —
-// useful only as a benchmark baseline).
-func WithShards(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.scfg.Shards = n
-		}
-	}
-}
-
 // WithSharedKnowledge backs every stream with one process-wide knowledge
 // store, so reoccurring distributions learned on one stream can be reused
 // by another. Off by default: sharing trades stream isolation for
@@ -252,26 +236,6 @@ func WithTraceCap(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
 			s.scfg.TraceCap = n
-		}
-	}
-}
-
-// WithCoalescing fuses concurrently arriving batches for the same stream
-// into group-committed compute passes (see internal/coalesce): when a
-// stream is idle its batch runs immediately; under concurrent load, batches
-// that arrive while a pass is in flight pack into one fused tensor and run
-// as a single blocked-GEMM pass. window adds an optional extra gathering
-// delay (0 = pure group commit, no idle latency); maxRows bounds the fused
-// batch (0 = unbounded). Applies to both the JSON and binary ingest paths;
-// responses gain the "fused" field.
-func WithCoalescing(window time.Duration, maxRows int) Option {
-	return func(s *Server) {
-		s.coalesceOn = true
-		if window > 0 {
-			s.coalWindow = window
-		}
-		if maxRows > 0 {
-			s.coalMaxRows = maxRows
 		}
 	}
 }
@@ -304,21 +268,6 @@ type Server struct {
 	maxBody int64
 	scfg    session.Config
 	pprofOn bool
-
-	// tier is the inference-plane kernel tier (from the learner config).
-	// Under a speed tier the binary ingest path decodes float32 inference
-	// frames natively and routes them through the f32 read plane.
-	tier linalg.KernelTier
-
-	coalesceOn  bool
-	coalWindow  time.Duration
-	coalMaxRows int
-	coal        *coalesce.Coalescer
-	// inferCoal is the inference plane's cross-stream coalescer: label-less
-	// rows from many streams pack into one fused group. Separate from coal
-	// because training groups are per-stream and inference groups are not,
-	// and so the two planes never delay each other's windows.
-	inferCoal *coalesce.Coalescer
 
 	binTimeout time.Duration
 	binMu      sync.Mutex
@@ -366,11 +315,6 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	tier, err := linalg.ParseKernelTier(cfg.KernelTier)
-	if err != nil {
-		return nil, err
-	}
-	s.tier = tier
 	s.spans = obs.NewSpanRing(s.spanCap)
 	mgr, err := session.NewManager(s.scfg)
 	if err != nil {
@@ -381,59 +325,6 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 		mgr.Close()
 		return nil, err
 	}
-	if s.coalesceOn {
-		coal, err := coalesce.New(coalesce.Config{
-			Window:  s.coalWindow,
-			MaxRows: s.coalMaxRows,
-			Metrics: coalesce.NewMetrics(mgr.Registry()),
-			// The fused pass runs detached from any one member's request
-			// context: members that give up are answered 499, but their rows
-			// are already packed and the pass must complete for the rest.
-			Run: func(b coalesce.Batch) (any, error) {
-				sb := stream.Batch{X: b.X, Y: b.Y}
-				// The fused pass produces one TraceEvent; it carries the first
-				// member's trace id plus the full fused membership so every
-				// participating trace can find the shared decision record.
-				if len(b.TraceIDs) > 0 {
-					sb.TraceID = b.TraceIDs[0]
-					if b.Members > 1 {
-						sb.FusedTraces = b.TraceIDs
-					}
-				}
-				return s.mgr.ProcessBatch(context.Background(), b.ID, sb)
-			},
-		})
-		if err != nil {
-			mgr.Close()
-			return nil, err
-		}
-		s.coal = coal
-
-		// The inference plane gets its own coalescer (cross-stream groups,
-		// separate windows) and its own metric family so read-path fusion is
-		// observable apart from training-path fusion.
-		reg := mgr.Registry()
-		inferCoal, err := coalesce.New(coalesce.Config{
-			Window:  s.coalWindow,
-			MaxRows: s.coalMaxRows,
-			Metrics: &coalesce.Metrics{
-				Submits: reg.Counter("freeway_infer_coalesce_submits_total", "Inference batches submitted to the cross-stream coalescer."),
-				Passes:  reg.Counter("freeway_infer_coalesce_passes_total", "Cross-stream fused inference passes executed."),
-				Members: reg.Histogram("freeway_infer_coalesce_members", "Inference batches fused per pass.", obs.ExponentialBuckets(1, 2, 8)),
-				Rows:    reg.Histogram("freeway_infer_coalesce_rows", "Rows per fused inference pass.", obs.ExponentialBuckets(1, 2, 12)),
-				Wait:    reg.Histogram("freeway_infer_coalesce_wait_seconds", "Time from inference group open to fused pass start.", nil),
-				Fill:    reg.Histogram("freeway_infer_coalesce_fill_ratio", "Rows over MaxRows at inference pass start.", obs.LinearBuckets(0.1, 0.1, 10)),
-				Depth:   reg.Gauge("freeway_infer_coalesce_depth", "Inference groups gathering or queued."),
-			},
-			Run: s.runInferGroup,
-		})
-		if err != nil {
-			mgr.Close()
-			return nil, err
-		}
-		s.inferCoal = inferCoal
-	}
-
 	s.routeCounters = map[string]*obs.Counter{}
 	for _, route := range []string{
 		"/v1/process", "/v1/stats", "/v1/trace", "/v1/healthz", "/v1/health",
@@ -567,25 +458,37 @@ func (s *Server) LoadCheckpointFile(path string) error {
 	return sess.LoadCheckpointFile(path)
 }
 
-func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	body := getBuf()
-	defer putBuf(body)
-	if _, err := body.ReadFrom(r.Body); err != nil {
+// readBody slurps the request body, capped at maxBody, into a pooled buffer
+// the caller must putBuf. On failure it has already answered — 413 (counted
+// in BodyCapHits) for an over-cap body, 400 for a broken read — and returns
+// ok=false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body *bytes.Buffer, ok bool) {
+	body = getBuf()
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+		putBuf(body)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.bodyCap.Add(1)
 			s.writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
+		} else {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		}
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+		return nil, false
+	}
+	return body, true
+}
+
+func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request, id string) {
+	if r.Method != http.MethodPost {
+		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	defer putBuf(body)
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, BinaryContentType) {
 		s.handleProcessBinary(w, r, id, body.Bytes())
 		return
@@ -603,7 +506,7 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request, id string
 	}
 	rec := s.beginSpan(id, "json", r.Header.Get(obs.TraceparentHeader), "", len(req.X))
 	out, status, err := s.process(r.Context(), id, rec.traceID(), req.X, req.Y)
-	rec.finish(out.Fused, err)
+	rec.finish(err)
 	rec.setHeaders(w.Header())
 	if err != nil {
 		s.writeError(w, status, err.Error())
@@ -633,65 +536,27 @@ func (s *Server) errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// process runs one decoded batch through the stream's session — directly,
-// or through the coalescer when enabled — and maps failures via errStatus.
-// The rows are handed off without copying on the direct path (callers that
-// reuse decode storage must detach it first); the coalescer packs them into
-// group-owned storage before returning.
+// process runs one decoded batch through the stream's session and maps
+// failures via errStatus. The rows are handed off without copying (callers
+// that reuse decode storage must detach it first).
 func (s *Server) process(ctx context.Context, id, traceID string, x [][]float64, y []int) (ProcessResponse, int, error) {
-	if s.coal != nil {
-		return s.processCoalesced(ctx, id, traceID, x, y)
-	}
 	res, err := s.mgr.ProcessBatch(ctx, id, stream.Batch{X: x, Y: y, TraceID: traceID})
 	if err != nil {
 		return ProcessResponse{}, s.errStatus(err), err
 	}
-	return s.buildResponse(id, res, res.Pred, res.Accuracy, 0), http.StatusOK, nil
-}
-
-// processCoalesced submits the batch to the coalescer and scatters this
-// member's slice of the fused pass back out. The pattern, strategy, and
-// shift observation are group-level (one detector pass covered the fused
-// batch); predictions are this member's rows, and accuracy is recomputed
-// over them so each caller still sees its own batch scored.
-func (s *Server) processCoalesced(ctx context.Context, id, traceID string, x [][]float64, y []int) (ProcessResponse, int, error) {
-	sub, err := s.coal.SubmitTraced(ctx, id, traceID, x, y)
-	if err != nil {
-		return ProcessResponse{}, s.errStatus(err), err
-	}
-	res := sub.Out.(core.Result)
-	preds := res.Pred[sub.Lo:sub.Hi]
-	acc := -1.0
-	if y != nil {
-		correct := 0
-		for i, p := range preds {
-			if p == y[i] {
-				correct++
-			}
-		}
-		acc = float64(correct) / float64(len(preds))
-	}
-	return s.buildResponse(id, res, preds, acc, sub.Members), http.StatusOK, nil
-}
-
-// buildResponse shapes a learner result into the wire response. fused is 0
-// when coalescing is off (the field is then omitted from the JSON, keeping
-// the non-coalesced response byte-identical to earlier releases).
-func (s *Server) buildResponse(id string, res core.Result, preds []int, acc float64, fused int) ProcessResponse {
 	pattern := res.Pattern
 	if res.Pattern.IsSlight() {
 		pattern = res.SubPattern
 	}
 	return ProcessResponse{
 		Stream:        id,
-		Predictions:   preds,
+		Predictions:   res.Pred,
 		Pattern:       pattern.String(),
 		Strategy:      res.Strategy.String(),
 		ShiftDistance: res.Observation.Distance,
 		Severity:      res.Observation.Severity,
-		Accuracy:      acc,
-		Fused:         fused,
-	}
+		Accuracy:      res.Accuracy,
+	}, http.StatusOK, nil
 }
 
 // session resolves a stream id for the read-only endpoints: resident
@@ -938,9 +803,13 @@ func (s *Server) handleKnowledgeMerge(w http.ResponseWriter, r *http.Request) {
 		}
 		radius = v
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	defer putBuf(body)
 	var req KnowledgeResponse
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return
 	}

@@ -102,11 +102,9 @@ func (s *Server) beginSpan(streamID, proto, headerTP, frameTP string, rows int) 
 // traceID returns the trace id the batch should carry.
 func (r *spanRec) traceID() string { return r.span.TraceID }
 
-// finish closes the span and adds it to the ring. fused is the coalesced
-// group size (0 when the batch ran alone); err annotates failures.
-func (r *spanRec) finish(fused int, err error) {
+// finish closes the span and adds it to the ring; err annotates failures.
+func (r *spanRec) finish(err error) {
 	r.span.DurationMicros = obs.FormatDurationMicros(time.Since(r.start))
-	r.span.Fused = fused
 	if err != nil {
 		r.span.Status = "error"
 		r.span.Err = obs.SpanError(err)

@@ -92,12 +92,10 @@ func benchCkptDir(b *testing.B) string {
 //     lookups (Go's RWMutex prefers queued writers); with 8 stripes only
 //     the victim's shard stalls. Reported throughput counts hot ops only.
 //
-// scripts/bench_serve.sh runs this at GOMAXPROCS=8, records both baselines
-// in BENCH_PR5.json, and gates on the churn ratio. Note the contrast is
-// scheduling/blocking, not CPU parallelism: on a multi-core host the
-// stripes additionally let evictions overlap their checkpoint I/O, which is
-// where the headline multiplier comes from; a single-core host bounds the
-// achievable ratio (the gate adapts, see the script).
+// Note the contrast is scheduling/blocking, not CPU parallelism: on a
+// multi-core host the stripes additionally let evictions overlap their
+// checkpoint I/O, which is where the headline multiplier comes from; a
+// single-core host bounds the achievable ratio.
 func BenchmarkManagerParallelProcess(b *testing.B) {
 	for _, mode := range []string{"resident", "churn"} {
 		for _, shards := range []int{1, 8} {

@@ -488,9 +488,9 @@ func (m *Manager) Process(ctx context.Context, id string, x [][]float64, y []int
 // ProcessBatch routes one batch to the session for id, creating it on first
 // use. The batch is handed to the learner without copying its rows (Seq is
 // assigned by the session), which is what lets the binary ingest path pass
-// decoded tensor storage — and the coalescer its fused slab — straight
-// through to the compute core. Losing a race with an eviction retries
-// against a fresh session — callers never observe a closed-session error.
+// decoded tensor storage straight through to the compute core. Losing a
+// race with an eviction retries against a fresh session — callers never
+// observe a closed-session error.
 // Each retry re-checks residency through the read-locked fast path first,
 // so a stream that was already recreated (or was never evicted — e.g. the
 // victim was a different session) does not pay the shard write lock again.
@@ -535,33 +535,6 @@ func (m *Manager) Infer(ctx context.Context, id string, x [][]float64) (core.Inf
 		}
 	}
 	return s.Infer(ctx, x)
-}
-
-// InferFused routes many groups of rows to one fused inference pass on the
-// session for id (the cross-stream coalescer groups per stream and calls
-// this once per stream). Lock-free like Infer.
-func (m *Manager) InferFused(ctx context.Context, id string, groups [][][]float64) ([]core.InferResult, error) {
-	s, ok := m.lookup(id)
-	if !ok {
-		var err error
-		if s, err = m.Ensure(id); err != nil {
-			return nil, err
-		}
-	}
-	return s.InferFused(ctx, groups)
-}
-
-// InferFused32 routes natively narrow groups to the session for id — the
-// float32 twin of InferFused, used by the speed-tier binary ingest path.
-func (m *Manager) InferFused32(ctx context.Context, id string, groups [][][]float32) ([]core.InferResult, error) {
-	s, ok := m.lookup(id)
-	if !ok {
-		var err error
-		if s, err = m.Ensure(id); err != nil {
-			return nil, err
-		}
-	}
-	return s.InferFused32(ctx, groups)
 }
 
 // Get returns the resident session for id (ok=false when absent — Get never

@@ -70,8 +70,8 @@ func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 
 // process runs one batch through the session's learner, overwriting the
 // batch's Seq with the per-stream sequence number. The caller's batch is
-// handed to the learner as-is — no row copies — so the binary ingest and
-// coalescing paths can pass decoded or fused storage straight through.
+// handed to the learner as-is — no row copies — so the binary ingest path
+// can pass decoded storage straight through.
 // Returns errSessionClosed when the session was evicted before the lock was
 // acquired.
 func (s *Session) process(ctx context.Context, b stream.Batch) (core.Result, error) {
@@ -103,21 +103,6 @@ func (s *Session) process(ctx context.Context, b stream.Batch) (core.Result, err
 func (s *Session) Infer(ctx context.Context, x [][]float64) (core.InferResult, error) {
 	s.touch()
 	return s.learner.Infer(ctx, x)
-}
-
-// InferFused predicts many groups of rows in one fused pass against the
-// session's published snapshot (see core.Learner.InferFused). Lock-free
-// like Infer.
-func (s *Session) InferFused(ctx context.Context, groups [][][]float64) ([]core.InferResult, error) {
-	s.touch()
-	return s.learner.InferFused(ctx, groups)
-}
-
-// InferFused32 is InferFused for natively narrow rows (float32 wire frames
-// under a speed tier). Lock-free like Infer.
-func (s *Session) InferFused32(ctx context.Context, groups [][][]float32) ([]core.InferResult, error) {
-	s.touch()
-	return s.learner.InferFused32(ctx, groups)
 }
 
 // ModelSnapshot returns the session's currently published inference

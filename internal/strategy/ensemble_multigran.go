@@ -71,10 +71,6 @@ type EnsembleConfig struct {
 	LongChunk  int
 	LongRebase bool
 	Async      bool
-	// Tier selects the kernel tier snapshot members are compiled onto at
-	// publication (TierF64 publishes no engines). Training always runs the
-	// f64 oracle kernels regardless.
-	Tier linalg.KernelTier
 }
 
 // EnsembleDeps are the ensemble's callbacks into its host: health
@@ -130,9 +126,6 @@ type Ensemble struct {
 	pubMembers []SnapshotMember
 	pubVers    []uint64
 	pubLongVer uint64
-	// pubQuantized counts int8 weight matrices quantized across all
-	// publications (monotone; the observer exports the delta per publish).
-	pubQuantized uint64
 }
 
 // NewEnsemble assembles the mechanism from its pre-built parts. pre and
@@ -469,8 +462,7 @@ func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 			if g.centroid != nil {
 				c = g.centroid.Clone()
 			}
-			clone := g.Model.Clone()
-			e.pubMembers[i] = SnapshotMember{Model: clone, Centroid: c, Engine: e.compileEngine(clone)}
+			e.pubMembers[i] = SnapshotMember{Model: g.Model.Clone(), Centroid: c}
 			e.pubVers[i] = g.ver
 		}
 		members[i] = e.pubMembers[i]
@@ -481,47 +473,13 @@ func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 		if e.longCentroid != nil {
 			c = e.longCentroid.Clone()
 		}
-		clone := e.long.Clone()
-		e.pubMembers[n] = SnapshotMember{Model: clone, Centroid: c, Engine: e.compileEngine(clone)}
+		e.pubMembers[n] = SnapshotMember{Model: e.long.Clone(), Centroid: c}
 		e.pubLongVer = e.longVer
 	}
 	members[n] = e.pubMembers[n]
 	e.mu.RUnlock()
 	return members
 }
-
-// compileEngine lowers a freshly published member clone onto the configured
-// speed tier. Families without a network substrate (nb/ht/arf) and
-// compilation failures return nil — those members serve through the f64
-// model, so a mixed ensemble degrades gracefully instead of erroring.
-// Called under pubMu, so the quantization counter needs no atomics.
-func (e *Ensemble) compileEngine(m model.Model) *nn.InferEngine {
-	if e.cfg.Tier == linalg.TierF64 {
-		return nil
-	}
-	net := m.Net()
-	if net == nil {
-		return nil
-	}
-	eng, err := nn.CompileInfer(net, e.cfg.Tier)
-	if err != nil {
-		return nil
-	}
-	e.pubQuantized += uint64(eng.QuantMats())
-	return eng
-}
-
-// QuantizedBuilt returns the cumulative number of int8 weight matrices
-// quantized at publication time (monotone). Call from the publishing
-// goroutine.
-func (e *Ensemble) QuantizedBuilt() uint64 {
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
-	return e.pubQuantized
-}
-
-// Tier returns the configured snapshot kernel tier.
-func (e *Ensemble) Tier() linalg.KernelTier { return e.cfg.Tier }
 
 // DebugModels exposes the short and long granularity models for diagnostic
 // tooling and white-box tests.

@@ -11,7 +11,6 @@ import (
 	"freewayml/internal/knowledge"
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
-	"freewayml/internal/nn"
 	"freewayml/internal/pca"
 	"freewayml/internal/shift"
 )
@@ -23,31 +22,6 @@ import (
 type SnapshotMember struct {
 	Model    model.Model
 	Centroid linalg.Vector
-	// Engine is the member compiled onto the configured speed tier (nil on
-	// the f64 oracle tier, for model families without a network substrate,
-	// and when compilation fails — all of which fall back to Model). Like
-	// the model's forward scratch it is single-reader, serialized by the
-	// snapshot's ComputeMu. The f64 Model is always retained alongside the
-	// engine so the oracle stays available for differential checks.
-	Engine *nn.InferEngine
-}
-
-// proba runs one batched forward over rows through the member's speed-tier
-// engine when it has one, the f64 model otherwise.
-func (m SnapshotMember) proba(rows [][]float64) ([][]float64, error) {
-	if m.Engine != nil {
-		return m.Engine.PredictProba64(rows)
-	}
-	return m.Model.PredictProba(rows), nil
-}
-
-// proba32 is proba for natively narrow rows. Members without an engine widen
-// through the shared f64 staging rows the caller lazily materializes.
-func (m SnapshotMember) proba32(rows32 [][]float32, widen func() [][]float64) ([][]float64, error) {
-	if m.Engine != nil {
-		return m.Engine.PredictProba32(rows32)
-	}
-	return m.Model.PredictProba(widen()), nil
 }
 
 // Snapshot is the immutable inference view the training plane publishes
@@ -84,16 +58,6 @@ type Snapshot struct {
 	Dim         int
 	Classes     int
 
-	// Tier is the kernel tier the member engines were compiled for (TierF64
-	// when engines are absent). QuantMats counts int8-quantized weight
-	// matrices across members; QuantScaleMin/Max aggregate their nonzero
-	// absmax row scales (0 outside the int8 tier) — surfaced per batch in
-	// the decision trace so tier choices stay auditable.
-	Tier          linalg.KernelTier
-	QuantMats     int
-	QuantScaleMin float64
-	QuantScaleMax float64
-
 	// ComputeMu serializes forward passes across every snapshot of one
 	// learner. The member *parameters* are immutable, but a model's forward
 	// pass stages rows into model-owned scratch, and publication reuses an
@@ -105,7 +69,7 @@ type Snapshot struct {
 	ComputeMu *sync.Mutex
 }
 
-// InferOutput is the pure inference result for one group of rows.
+// InferOutput is the pure inference result for one batch of rows.
 type InferOutput struct {
 	Pred  []int
 	Proba [][]float64
@@ -122,230 +86,40 @@ type InferOutput struct {
 // Age returns how long ago the snapshot was published.
 func (s *Snapshot) Age() time.Duration { return time.Since(s.PublishedAt) }
 
-// InferBatch runs pure inference over one group of rows. It is exactly
-// InferFused with a single group — the fused path is bitwise-identical by
-// construction.
+// InferBatch runs pure inference over one batch of rows: one forward pass
+// per member, then the Gaussian-kernel fusion of Eq. 12-14 — each member
+// weighted by K(Dᵢ,σ)/ΣK, Dᵢ the distance from the batch's projected mean to
+// the member's training centroid. Until the projection exists the paper
+// trains and serves the short model alone.
 func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
-	outs, err := s.InferFused([][][]float64{x})
+	if s == nil {
+		return InferOutput{}, errors.New("strategy: nil snapshot")
+	}
+	if len(s.Members) == 0 {
+		return InferOutput{}, errors.New("strategy: snapshot has no members")
+	}
+	for _, row := range x {
+		if len(row) != s.Dim {
+			return InferOutput{}, fmt.Errorf("strategy: row has %d features, want %d", len(row), s.Dim)
+		}
+	}
+
+	if s.ComputeMu != nil {
+		s.ComputeMu.Lock()
+		defer s.ComputeMu.Unlock()
+	}
+
+	if s.Proj == nil {
+		proba := s.Members[0].Model.PredictProba(x)
+		return InferOutput{Pred: argmaxRows(proba), Proba: proba, Warmup: true, KnowledgeDist: -1}, nil
+	}
+
+	mean, err := meanOfRows(x)
 	if err != nil {
 		return InferOutput{}, err
 	}
-	return outs[0], nil
-}
-
-// InferFused runs one fused inference pass over many groups of rows (one
-// group per waiting request, possibly from different streams sharing this
-// snapshot — or, at the serve layer, per-stream groups each against their
-// own snapshot). All groups' rows are concatenated and each member model
-// runs a single batched forward pass; per-group fusion then slices the
-// shared probability output. Because the GEMM kernels accumulate each
-// output row independently of the total row count (see internal/linalg),
-// the fused pass is bitwise-identical to inferring every group separately.
-func (s *Snapshot) InferFused(groups [][][]float64) ([]InferOutput, error) {
-	if s == nil {
-		return nil, errors.New("strategy: nil snapshot")
-	}
-	if len(s.Members) == 0 {
-		return nil, errors.New("strategy: snapshot has no members")
-	}
-	total := 0
-	for _, g := range groups {
-		for _, row := range g {
-			if len(row) != s.Dim {
-				return nil, fmt.Errorf("strategy: row has %d features, want %d", len(row), s.Dim)
-			}
-		}
-		total += len(g)
-	}
-	all := make([][]float64, 0, total)
-	for _, g := range groups {
-		all = append(all, g...)
-	}
-	outs := make([]InferOutput, len(groups))
-
-	if s.ComputeMu != nil {
-		s.ComputeMu.Lock()
-		defer s.ComputeMu.Unlock()
-	}
-
-	if s.Proj == nil {
-		// Warm-up: the paper trains and serves the short model alone until
-		// the detector's PCA is fitted.
-		proba, err := s.Members[0].proba(all)
-		if err != nil {
-			return nil, err
-		}
-		lo := 0
-		for gi, g := range groups {
-			p := proba[lo : lo+len(g)]
-			outs[gi] = InferOutput{Pred: argmaxRows(p), Proba: p, Warmup: true, KnowledgeDist: -1}
-			lo += len(g)
-		}
-		return outs, nil
-	}
-
-	// One batched forward pass per member over every group's rows.
-	probas := make([][][]float64, len(s.Members))
-	for i, m := range s.Members {
-		p, err := m.proba(all)
-		if err != nil {
-			return nil, err
-		}
-		probas[i] = p
-	}
-
-	lo := 0
-	for gi, g := range groups {
-		hi := lo + len(g)
-		mean, err := meanOfRows(g)
-		if err != nil {
-			return nil, err
-		}
-		out, err := s.fuseGroup(probas, lo, hi, mean)
-		if err != nil {
-			return nil, err
-		}
-		outs[gi] = out
-		lo = hi
-	}
-	return outs, nil
-}
-
-// InferFused32 is InferFused for natively narrow rows: f32 wire frames flow
-// here through the coalescer without ever widening to f64 when the members
-// carry speed-tier engines. Members without an engine (non-network families,
-// or the f64 oracle tier) widen the concatenated rows once, lazily, shared
-// across all such members — the fallback pays the staging copy the native
-// path exists to avoid, but keeps mixed ensembles correct. Group means for
-// the Eq. 12-14 fusion are always accumulated in f64, so the fusion weights
-// differ from the f64 path only by the one-time f32 representation of the
-// inputs themselves.
-func (s *Snapshot) InferFused32(groups [][][]float32) ([]InferOutput, error) {
-	if s == nil {
-		return nil, errors.New("strategy: nil snapshot")
-	}
-	if len(s.Members) == 0 {
-		return nil, errors.New("strategy: snapshot has no members")
-	}
-	total := 0
-	for _, g := range groups {
-		for _, row := range g {
-			if len(row) != s.Dim {
-				return nil, fmt.Errorf("strategy: row has %d features, want %d", len(row), s.Dim)
-			}
-		}
-		total += len(g)
-	}
-	all := make([][]float32, 0, total)
-	for _, g := range groups {
-		all = append(all, g...)
-	}
-	var wide [][]float64
-	widen := func() [][]float64 {
-		if wide == nil {
-			flat := make([]float64, total*s.Dim)
-			wide = make([][]float64, total)
-			for i, r := range all {
-				w := flat[i*s.Dim : (i+1)*s.Dim : (i+1)*s.Dim]
-				for j, v := range r {
-					w[j] = float64(v)
-				}
-				wide[i] = w
-			}
-		}
-		return wide
-	}
-	outs := make([]InferOutput, len(groups))
-
-	if s.ComputeMu != nil {
-		s.ComputeMu.Lock()
-		defer s.ComputeMu.Unlock()
-	}
-
-	if s.Proj == nil {
-		proba, err := s.Members[0].proba32(all, widen)
-		if err != nil {
-			return nil, err
-		}
-		lo := 0
-		for gi, g := range groups {
-			p := proba[lo : lo+len(g)]
-			outs[gi] = InferOutput{Pred: argmaxRows(p), Proba: p, Warmup: true, KnowledgeDist: -1}
-			lo += len(g)
-		}
-		return outs, nil
-	}
-
-	probas := make([][][]float64, len(s.Members))
-	for i, m := range s.Members {
-		p, err := m.proba32(all, widen)
-		if err != nil {
-			return nil, err
-		}
-		probas[i] = p
-	}
-
-	lo := 0
-	for gi, g := range groups {
-		hi := lo + len(g)
-		mean, err := meanOfRows32(g)
-		if err != nil {
-			return nil, err
-		}
-		out, err := s.fuseGroup(probas, lo, hi, mean)
-		if err != nil {
-			return nil, err
-		}
-		outs[gi] = out
-		lo = hi
-	}
-	return outs, nil
-}
-
-// meanOfRows returns the column mean of the group (nil for an empty group).
-func meanOfRows(rows [][]float64) (linalg.Vector, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	points := make([]linalg.Vector, len(rows))
-	for i, r := range rows {
-		points[i] = r
-	}
-	mean, err := linalg.Mean(points)
-	if err != nil {
-		return nil, fmt.Errorf("strategy: infer mean: %w", err)
-	}
-	return mean, nil
-}
-
-// meanOfRows32 accumulates the column mean of narrow rows in float64, so the
-// shift-space projection sees the same arithmetic as the f64 path up to the
-// f32 representation of the inputs.
-func meanOfRows32(rows [][]float32) (linalg.Vector, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	mean := make(linalg.Vector, len(rows[0]))
-	for _, r := range rows {
-		for j, v := range r {
-			mean[j] += float64(v)
-		}
-	}
-	n := float64(len(rows))
-	for j := range mean {
-		mean[j] /= n
-	}
-	return mean, nil
-}
-
-// fuseGroup projects the group's pre-computed column mean into shift space,
-// weights each member by the Gaussian kernel of its centroid distance
-// (Eq. 12-14), and fuses the members' probability slices for the group's row
-// range. mean is nil for an empty group.
-func (s *Snapshot) fuseGroup(probas [][][]float64, lo, hi int, mean linalg.Vector) (InferOutput, error) {
-	var ybar linalg.Vector
+	var ybar linalg.Vector // nil for an empty batch
 	if mean != nil {
-		var err error
 		ybar, err = s.Proj.ProjectMean(mean)
 		if err != nil {
 			return InferOutput{}, fmt.Errorf("strategy: infer projection: %w", err)
@@ -354,7 +128,7 @@ func (s *Snapshot) fuseGroup(probas [][][]float64, lo, hi int, mean linalg.Vecto
 	members := make([]ensemble.Member, len(s.Members))
 	for i, m := range s.Members {
 		members[i] = ensemble.Member{
-			Proba:    probas[i][lo:hi],
+			Proba:    m.Model.PredictProba(x),
 			Distance: centroidDistance(ybar, m.Centroid),
 		}
 	}
@@ -383,4 +157,20 @@ func (s *Snapshot) fuseGroup(probas [][][]float64, lo, hi int, mean linalg.Vecto
 		Weights:       weights,
 		KnowledgeDist: kdist,
 	}, nil
+}
+
+// meanOfRows returns the column mean of the batch (nil for an empty batch).
+func meanOfRows(rows [][]float64) (linalg.Vector, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	points := make([]linalg.Vector, len(rows))
+	for i, r := range rows {
+		points[i] = r
+	}
+	mean, err := linalg.Mean(points)
+	if err != nil {
+		return nil, fmt.Errorf("strategy: infer mean: %w", err)
+	}
+	return mean, nil
 }

@@ -1,0 +1,181 @@
+package strategy
+
+import (
+	"math"
+	"testing"
+
+	"freewayml/internal/knowledge"
+	"freewayml/internal/linalg"
+	"freewayml/internal/model"
+	"freewayml/internal/pca"
+)
+
+// stubModel answers PredictProba from a fixed table (row i of the batch gets
+// rows[i]) and counts its calls; every other Model method is unimplemented.
+type stubModel struct {
+	model.Model
+	rows  [][]float64
+	calls int
+}
+
+func (m *stubModel) PredictProba(x [][]float64) [][]float64 {
+	m.calls++
+	out := make([][]float64, len(x))
+	for i := range out {
+		out[i] = append([]float64(nil), m.rows[i]...)
+	}
+	return out
+}
+
+// snapshotFixture builds a two-member snapshot over a fitted 3→2 projection
+// and a two-row query batch, and returns ȳ, the projection of the batch mean
+// (Eq. 6) — centroids are placed relative to it so every model shift
+// distance Dᵢ (Eq. 12/13) is known by construction.
+func snapshotFixture(t *testing.T) (s *Snapshot, short, long *stubModel, x [][]float64, ybar linalg.Vector) {
+	t.Helper()
+	proj, err := pca.Fit([]linalg.Vector{
+		{1, 0, 0}, {-1, 0, 0}, {0, 2, 0}, {0, -2, 0}, {0, 0, 0.5}, {0, 0, -0.5},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x = [][]float64{{0.5, 1, 0}, {1.5, 3, 0}}
+	ybar, err = proj.ProjectMean(linalg.Vector{1, 2, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short = &stubModel{rows: [][]float64{{0.9, 0.1}, {0.6, 0.4}}}
+	long = &stubModel{rows: [][]float64{{0.2, 0.8}, {0.3, 0.7}}}
+	s = &Snapshot{
+		Members: []SnapshotMember{{Model: short}, {Model: long}},
+		Sigma:   0.8,
+		Proj:    proj,
+		Dim:     3,
+		Classes: 2,
+	}
+	return s, short, long, x, ybar
+}
+
+func offset(v linalg.Vector, d0, d1 float64) linalg.Vector {
+	return linalg.Vector{v[0] + d0, v[1] + d1}
+}
+
+func closeTo(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
+
+// TestInferBatchFusesPerEq12To14: member i's weight is K(Dᵢ,σ)/ΣK with
+// K(D,σ) = exp(−D²/(2σ²)) (Eq. 14) and Dᵢ the distance from ȳ to the
+// member's training centroid (Eq. 12/13), rescaled by the members' mean
+// distance so σ is scale-free; the answer is the weighted sum of the
+// members' probability rows.
+func TestInferBatchFusesPerEq12To14(t *testing.T) {
+	s, short, long, x, ybar := snapshotFixture(t)
+	s.Members[0].Centroid = offset(ybar, 1, 0) // D_short = 1
+	s.Members[1].Centroid = offset(ybar, 0, 3) // D_long  = 3
+	store, err := knowledge.NewStore(4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Preserve(offset(ybar, 0, -2), []byte("concept"), "test", 1); err != nil {
+		t.Fatal(err)
+	}
+	s.Knowledge = store
+
+	out, err := s.InferBatch(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Mean distance 2 → normalized D = (0.5, 1.5); σ = 0.8.
+	k0 := math.Exp(-(0.5 * 0.5) / (2 * 0.8 * 0.8))
+	k1 := math.Exp(-(1.5 * 1.5) / (2 * 0.8 * 0.8))
+	w0, w1 := k0/(k0+k1), k1/(k0+k1)
+	if len(out.Weights) != 2 || !closeTo(out.Weights[0], w0) || !closeTo(out.Weights[1], w1) {
+		t.Fatalf("weights = %v, want [%v %v]", out.Weights, w0, w1)
+	}
+	for i := range x {
+		for c := 0; c < 2; c++ {
+			want := w0*short.rows[i][c] + w1*long.rows[i][c]
+			if !closeTo(out.Proba[i][c], want) {
+				t.Errorf("fused[%d][%d] = %v, want %v", i, c, out.Proba[i][c], want)
+			}
+		}
+	}
+	// w0 ≈ 0.827: row 0 fuses to class 0 (0.78 / 0.22), row 1 too (0.55 / 0.45).
+	if out.Pred[0] != 0 || out.Pred[1] != 0 {
+		t.Errorf("pred = %v, want [0 0]", out.Pred)
+	}
+	if out.Warmup {
+		t.Error("Warmup set with a projection present")
+	}
+	if !closeTo(out.KnowledgeDist, 2) {
+		t.Errorf("KnowledgeDist = %v, want 2", out.KnowledgeDist)
+	}
+	if short.calls != 1 || long.calls != 1 {
+		t.Errorf("forward passes = %d, %d; want one per member", short.calls, long.calls)
+	}
+}
+
+// TestInferBatchWarmup: until the detector's projection exists the short
+// model (member 0) answers alone.
+func TestInferBatchWarmup(t *testing.T) {
+	s, short, long, x, _ := snapshotFixture(t)
+	s.Proj = nil
+	out, err := s.InferBatch(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Warmup || out.Weights != nil || out.KnowledgeDist != -1 {
+		t.Errorf("warm-up output = %+v", out)
+	}
+	for i := range x {
+		for c := 0; c < 2; c++ {
+			if out.Proba[i][c] != short.rows[i][c] {
+				t.Errorf("proba[%d][%d] = %v, want the short model's %v", i, c, out.Proba[i][c], short.rows[i][c])
+			}
+		}
+	}
+	if out.Pred[0] != 0 || out.Pred[1] != 0 {
+		t.Errorf("pred = %v, want [0 0]", out.Pred)
+	}
+	if short.calls != 1 || long.calls != 0 {
+		t.Errorf("forward passes = %d, %d; want 1, 0", short.calls, long.calls)
+	}
+}
+
+// TestInferBatchUniformFallback: when every kernel weight underflows to zero
+// the fusion averages the members instead of dividing by zero.
+func TestInferBatchUniformFallback(t *testing.T) {
+	s, short, long, x, ybar := snapshotFixture(t)
+	s.Members[0].Centroid = offset(ybar, 1, 0)
+	s.Members[1].Centroid = offset(ybar, 0, 1)
+	s.Sigma = 1e-3 // normalized D = (1, 1): K = exp(−5·10⁵) = 0
+	out, err := s.InferBatch(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Weights) != 2 || out.Weights[0] != 0.5 || out.Weights[1] != 0.5 {
+		t.Fatalf("weights = %v, want [0.5 0.5]", out.Weights)
+	}
+	for i := range x {
+		for c := 0; c < 2; c++ {
+			want := (short.rows[i][c] + long.rows[i][c]) / 2
+			if !closeTo(out.Proba[i][c], want) {
+				t.Errorf("fused[%d][%d] = %v, want %v", i, c, out.Proba[i][c], want)
+			}
+		}
+	}
+	// Row 0 averages to (0.55, 0.45), row 1 to (0.45, 0.55).
+	if out.Pred[0] != 0 || out.Pred[1] != 1 {
+		t.Errorf("pred = %v, want [0 1]", out.Pred)
+	}
+}
+
+func TestInferBatchRejectsDimMismatch(t *testing.T) {
+	s, short, long, _, _ := snapshotFixture(t)
+	if _, err := s.InferBatch([][]float64{{1, 2, 3}, {1, 2}}); err == nil {
+		t.Fatal("row of 2 features accepted by a 3-feature snapshot")
+	}
+	if short.calls != 0 || long.calls != 0 {
+		t.Errorf("forward passes ran on a rejected batch: %d, %d", short.calls, long.calls)
+	}
+}

@@ -101,7 +101,7 @@ func ensureTrace(tr Trace) Trace {
 // cannot serve this batch (no experience yet, no confident knowledge match)
 // and the dispatcher falls back per the paper's Fig. 8 chain.
 //
-// Note the distinction from Snapshot.InferFused: a Strategy's Infer runs on
+// Note the distinction from Snapshot.InferBatch: a Strategy's Infer runs on
 // the training plane (under the session lock, interleaved with Train and
 // free to consult mutable detector state), while Snapshot carries the
 // immutable published view the lock-free inference plane reads.

@@ -52,11 +52,8 @@ type Batch struct {
 	Y     []int
 	Truth DriftKind
 	// TraceID joins the batch to the request-scoped trace that carried it
-	// ("" for untraced paths); FusedTraces lists every member trace when
-	// the coalescer merged several requests into this batch (nil when the
-	// batch ran alone). Both flow into the per-batch TraceEvent.
-	TraceID     string
-	FusedTraces []string
+	// ("" for untraced paths); it flows into the per-batch TraceEvent.
+	TraceID string
 }
 
 // Labeled reports whether the batch carries labels.

@@ -102,23 +102,13 @@ type Frame struct {
 	// Traceparent is the embedded trace context ("" when the frame carries
 	// none) — the binary-path equivalent of the traceparent HTTP header.
 	Traceparent string
-	// Dtype is the feature payload's on-wire precision. By default features
-	// are widened to float64 in X (the training core is float64); with
-	// KeepF32 set, an unlabeled float32 frame decodes natively into X32
-	// instead and never touches a float64 slab.
+	// Dtype is the feature payload's on-wire precision; features are always
+	// widened to float64 in X (the compute core is float64).
 	Dtype byte
-	// KeepF32 routes unlabeled float32 frames to the native path: X32/
-	// Tensor32 are filled and X stays nil. Labeled frames always widen —
-	// the training plane runs the f64 oracle kernels regardless of tier.
-	KeepF32 bool
 	// X holds the feature rows; each row is a view into the tensor slab, and
 	// consecutive rows are adjacent, so the whole batch stays cache-friendly
-	// and Tensor() exposes it as one row-major block for fused inference.
-	// nil when the frame took the native float32 path.
+	// and Tensor() exposes it as one row-major block.
 	X [][]float64
-	// X32 holds the feature rows of a natively decoded float32 frame (nil
-	// otherwise); each row views the float32 slab, like X does for float64.
-	X32 [][]float32
 	// Y holds one label per row, or nil for inference-only frames.
 	Y []int
 	// Grew reports whether the last DecodeInto had to allocate (cold frame or
@@ -126,20 +116,14 @@ type Frame struct {
 	// serve metrics count.
 	Grew bool
 
-	t   *linalg.Tensor   // slab behind X
-	t32 *linalg.Tensor32 // slab behind X32 (native float32 path)
-	y   []int            // label storage (Y aliases it when labeled)
+	t *linalg.Tensor // slab behind X
+	y []int          // label storage (Y aliases it when labeled)
 }
 
 // Tensor returns the row-major slab behind X (nil before the first decode or
 // after Detach). The tensor is frame-owned; it is valid until the next
 // DecodeInto.
 func (f *Frame) Tensor() *linalg.Tensor { return f.t }
-
-// Tensor32 returns the row-major float32 slab behind X32 (nil unless the
-// last decode took the native float32 path). Frame-owned, valid until the
-// next DecodeInto.
-func (f *Frame) Tensor32() *linalg.Tensor32 { return f.t32 }
 
 // Detach hands off the decoded storage — the row views, labels, and slab —
 // and clears the frame's references to them, so a consumer that retains the
@@ -148,7 +132,6 @@ func (f *Frame) Tensor32() *linalg.Tensor32 { return f.t32 }
 func (f *Frame) Detach() (x [][]float64, y []int) {
 	x, y = f.X, f.Y
 	f.X, f.Y, f.t, f.y = nil, nil, nil, nil
-	f.X32, f.t32 = nil, nil
 	return x, y
 }
 
@@ -227,7 +210,6 @@ func (f *Frame) DecodeInto(buf []byte) error {
 		return fmt.Errorf("%w: %d bytes, layout needs %d", ErrMalformed, len(buf), want)
 	}
 	rows, cols := int(rows64), int(cols64)
-	native32 := f.KeepF32 && dtype == Float32 && !labeled
 
 	idBytes := buf[HeaderSize : HeaderSize+idLen]
 	// string(bytes) == string compares without allocating; the conversion
@@ -241,33 +223,6 @@ func (f *Frame) DecodeInto(buf []byte) error {
 		f.Traceparent = string(traceBytes)
 	}
 	f.Dtype = dtype
-
-	payload32 := buf[HeaderSize+idLen+traceLen:]
-	if native32 {
-		// Native float32 path: decode straight into the f32 slab — no f64
-		// slab is touched, so the speed-tier read path never pays the
-		// up-convert (or its memory traffic) the f64 path would.
-		if f.t32 == nil || cap(f.t32.Data) < rows*cols {
-			f.Grew = true
-		}
-		f.t32 = linalg.EnsureTensor32(f.t32, rows, cols)
-		d32 := f.t32.Data
-		for i := range d32 {
-			d32[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload32[i*4:]))
-		}
-		if cap(f.X32) < rows {
-			f.X32 = make([][]float32, rows)
-			f.Grew = true
-		}
-		f.X32 = f.X32[:rows]
-		for i := range f.X32 {
-			f.X32[i] = d32[i*cols : (i+1)*cols : (i+1)*cols]
-		}
-		f.X = nil
-		f.Y = nil
-		return nil
-	}
-	f.X32 = nil
 
 	if f.t == nil {
 		f.Grew = true

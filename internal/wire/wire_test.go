@@ -86,7 +86,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRowsAliasTensor pins the layout contract fused inference depends on:
+// TestRowsAliasTensor pins the layout contract Tensor() promises:
 // decoded rows are adjacent views of one row-major slab.
 func TestRowsAliasTensor(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -311,7 +311,7 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkDecodeJSONBaseline is the same batch through encoding/json — the
-// per-request cost the binary path removes (bench_ingest.sh reports both).
+// per-request cost the binary path removes.
 func BenchmarkDecodeJSONBaseline(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	const rows, cols = 32, 6
@@ -329,61 +329,4 @@ func BenchmarkDecodeJSONBaseline(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-}
-
-// TestDecodeNativeF32 is the speed-tier regression guard: with KeepF32 set,
-// an unlabeled float32 frame decodes natively — bit-exact f32 values in X32,
-// no float64 slab ever allocated, and zero allocations per warm frame. A
-// labeled f32 frame must still widen (the training plane is float64).
-func TestDecodeNativeF32(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x, _ := randBatch(rng, 16, 5, false)
-	buf, err := AppendFrame(nil, "native", Float32, x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := Frame{KeepF32: true}
-	if err := f.DecodeInto(buf); err != nil {
-		t.Fatal(err)
-	}
-	if f.X != nil || f.Tensor() != nil {
-		t.Fatal("native f32 decode materialized a float64 slab")
-	}
-	if f.Tensor32() == nil || len(f.X32) != 16 {
-		t.Fatalf("native f32 decode: tensor32 %v, %d rows", f.Tensor32(), len(f.X32))
-	}
-	for i, row := range f.X32 {
-		for j, v := range row {
-			if want := float32(x[i][j]); v != want {
-				t.Fatalf("row %d col %d: %g, want %g", i, j, v, want)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := f.DecodeInto(buf); err != nil {
-			t.Fatal(err)
-		}
-		if f.X != nil || f.t != nil {
-			t.Fatal("warm native decode touched the float64 slab")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm native f32 decode allocates %.1f per frame, want 0", allocs)
-	}
-	if f.Grew {
-		t.Fatal("warm native f32 decode reported growth")
-	}
-
-	// Labeled f32 frames bypass the native path even with KeepF32 set.
-	xl, yl := randBatch(rng, 4, 5, true)
-	lbuf, err := AppendFrame(nil, "native", Float32, xl, yl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.DecodeInto(lbuf); err != nil {
-		t.Fatal(err)
-	}
-	if f.X == nil || f.X32 != nil {
-		t.Fatal("labeled f32 frame took the native path")
-	}
 }
