@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check no-unsafe loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
+.PHONY: all build test vet fmt golden race check no-unsafe loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
 
 all: check
 
@@ -12,6 +12,18 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt prints the files it would change; any name is a failure.
+# (.bench_build/ holds the benchmark's private GOPATH and build cache.)
+fmt:
+	@out="$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l)"; \
+	if [ -n "$$out" ]; then echo 'gofmt -l lists:' >&2; echo "$$out" >&2; exit 1; fi
+	@echo "fmt: gofmt -l clean"
+
+# The golden decision-bits test at three GOMAXPROCS values: the GEMM fan-out
+# partition depends on it and must never change a bit.
+golden:
+	$(GO) test -cpu 1,2,4 -run Golden ./internal/core
 
 race:
 	$(GO) test -race ./...
@@ -25,7 +37,7 @@ no-unsafe:
 	@echo "no-unsafe: kernel packages clean"
 
 # The full gate: everything CI runs.
-check: build vet no-unsafe test race
+check: build vet fmt no-unsafe test golden race
 
 # Short closed-loop load smoke: boots freeway-serve, drives 2 streams for
 # ~2s, and fails on any request error.

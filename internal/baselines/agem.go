@@ -103,7 +103,7 @@ func (a *AGEM) Train(b stream.Batch) error {
 	}
 
 	net.SetFlatGrads(g)
-	a.opt.Step(net.Params())
+	net.Step(a.opt)
 	a.updateMemory(b)
 	return nil
 }

@@ -57,6 +57,7 @@ func (a *Alink) Train(b stream.Batch) error {
 			p.W[i] = softThreshold(w, a.lambda)
 		}
 	}
+	a.m.Net().InvalidateForward()
 	return nil
 }
 

@@ -85,7 +85,7 @@ func (e *EWC) Train(b stream.Batch) error {
 			}
 		}
 	}
-	e.opt.Step(net.Params())
+	net.Step(e.opt)
 
 	e.batches++
 	if e.batches%e.consolidateEvery == 0 {

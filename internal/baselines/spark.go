@@ -78,6 +78,6 @@ func (s *SparkMLlib) Train(b stream.Batch) error {
 			p.Grad[i] *= scale
 		}
 	}
-	s.opt.Step(net.Params())
+	net.Step(s.opt)
 	return nil
 }

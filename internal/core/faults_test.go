@@ -149,6 +149,66 @@ func TestWatchdogRollsBackCorruptShortModel(t *testing.T) {
 	}
 }
 
+// TestWatchdogRollsBackToRestoredWeights: a checkpoint restore replaces the
+// models' parameters, so it must also become the watchdog's rollback target.
+// On a fresh process nothing else has been retained yet: without the
+// re-seed the first divergent update finds nothing to return to, the weights
+// stay NaN, and every later update is "non-finite weights" — the stream
+// never heals.
+func TestWatchdogRollsBackToRestoredWeights(t *testing.T) {
+	cfg := testConfig()
+	src, rng, seq := warmLearner(t, cfg, 20, 31)
+	defer src.Close()
+	var ckpt bytes.Buffer
+	if err := src.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	srcShort, _ := src.DebugModels()
+	restored := srcShort.Net().AppendFlatParams(nil)
+
+	l, err := NewLearner(cfg, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.LoadCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	// Poison the first update after the restore.
+	short, _ := l.DebugModels()
+	for _, p := range short.Net().Params() {
+		p.W[0] = math.NaN()
+	}
+	if _, err := l.Process(context.Background(), driftBatch(rng, seq, 64, 0, 0, stream.KindNone)); err != nil {
+		t.Fatal(err)
+	}
+	seq++
+	events := l.RecoveryEvents()
+	if len(events) != 1 || events[0].Model != "gran0" || !events[0].RolledBack {
+		t.Fatalf("events = %+v, want one rolled-back gran0 divergence", events)
+	}
+	got := short.Net().AppendFlatParams(nil)
+	for i := range restored {
+		if math.Float64bits(got[i]) != math.Float64bits(restored[i]) {
+			t.Fatalf("weight %d after rollback = %v, restored checkpoint had %v", i, got[i], restored[i])
+		}
+	}
+	// The stream keeps learning: no further divergence, accuracy intact.
+	for i := 0; i < 3; i++ {
+		res, err := l.Process(context.Background(), driftBatch(rng, seq, 64, 0, 0, stream.KindNone))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq++
+		if res.Accuracy < 0.85 {
+			t.Errorf("batch %d after rollback: accuracy %v", i, res.Accuracy)
+		}
+	}
+	if st := l.Stats(); st.Divergences != 1 || st.Recoveries != 1 {
+		t.Errorf("stats after healing = %+v, want exactly one divergence, recovered", st)
+	}
+}
+
 func TestWatchdogDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.Watchdog.Disabled = true

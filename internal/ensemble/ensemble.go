@@ -28,64 +28,76 @@ type Member struct {
 	Distance float64
 }
 
+// kernels returns K(Dᵢ,σ) for every distance and their sum. When every
+// kernel underflows to zero (all distances enormous) it falls back to uniform
+// weights rather than leaving a zero sum to divide by.
+func kernels(distances []float64, sigma float64) (k []float64, total float64) {
+	k = make([]float64, len(distances))
+	for i, d := range distances {
+		k[i] = Kernel(d, sigma)
+		total += k[i]
+	}
+	if total == 0 {
+		for i := range k {
+			k[i] = 1
+		}
+		total = float64(len(k))
+	}
+	return k, total
+}
+
 // Fuse combines the members' probability outputs per Eq. 14:
 // y = Σ K(Dᵢ,σ)·yᵢ / Σ K(Dᵢ,σ). All members must cover the same samples and
-// classes. When every kernel weight underflows to zero (all distances
-// enormous), the fusion falls back to uniform weights rather than dividing
-// by zero.
-func Fuse(members []Member, sigma float64) ([][]float64, error) {
+// classes. It also returns the normalized weight K(Dᵢ,σ)/ΣK each member
+// received (what Weights computes), so callers that report the weights do not
+// evaluate the kernels twice.
+func Fuse(members []Member, sigma float64) (fused [][]float64, weights []float64, err error) {
 	if len(members) == 0 {
-		return nil, errors.New("ensemble: no members")
+		return nil, nil, errors.New("ensemble: no members")
 	}
 	if sigma <= 0 {
-		return nil, errors.New("ensemble: sigma must be positive")
+		return nil, nil, errors.New("ensemble: sigma must be positive")
 	}
 	n := len(members[0].Proba)
 	for _, m := range members {
 		if len(m.Proba) != n {
-			return nil, errors.New("ensemble: member sample counts differ")
+			return nil, nil, errors.New("ensemble: member sample counts differ")
 		}
+	}
+	weights = make([]float64, len(members)) // the distances, until normalized below
+	for i, m := range members {
+		weights[i] = m.Distance
+	}
+	k, totalW := kernels(weights, sigma)
+	for i := range weights {
+		weights[i] = k[i] / totalW
 	}
 	if n == 0 {
-		return [][]float64{}, nil
+		return [][]float64{}, weights, nil
 	}
 	classes := len(members[0].Proba[0])
-
-	weights := make([]float64, len(members))
-	var totalW float64
-	for i, m := range members {
-		weights[i] = Kernel(m.Distance, sigma)
-		totalW += weights[i]
-	}
-	if totalW == 0 {
-		for i := range weights {
-			weights[i] = 1
-		}
-		totalW = float64(len(weights))
-	}
-
 	for _, m := range members {
 		for s := 0; s < n; s++ {
 			if len(m.Proba[s]) != classes {
-				return nil, errors.New("ensemble: member class counts differ")
+				return nil, nil, errors.New("ensemble: member class counts differ")
 			}
 		}
 	}
 	// One flat accumulator for the whole batch; each member contributes one
 	// scaled-add sweep per sample through the shared axpy kernel.
 	flat := make([]float64, n*classes)
-	out := make([][]float64, n)
+	fused = make([][]float64, n)
 	for s := 0; s < n; s++ {
 		row := flat[s*classes : (s+1)*classes : (s+1)*classes]
 		for i, m := range members {
-			linalg.Axpy(weights[i], m.Proba[s], row)
+			linalg.Axpy(k[i], m.Proba[s], row)
 		}
 		for c := range row {
 			row[c] /= totalW
 		}
-		out[s] = row
+		fused[s] = row
 	}
-	return out, nil
+	return fused, weights, nil
 }
 
 // Weights returns the normalized kernel weights the members would receive —
@@ -97,21 +109,9 @@ func Weights(distances []float64, sigma float64) ([]float64, error) {
 	if sigma <= 0 {
 		return nil, errors.New("ensemble: sigma must be positive")
 	}
-	out := make([]float64, len(distances))
-	var total float64
-	for i, d := range distances {
-		out[i] = Kernel(d, sigma)
-		total += out[i]
+	k, total := kernels(distances, sigma)
+	for i := range k {
+		k[i] /= total
 	}
-	if total == 0 {
-		u := 1 / float64(len(out))
-		for i := range out {
-			out[i] = u
-		}
-		return out, nil
-	}
-	for i := range out {
-		out[i] /= total
-	}
-	return out, nil
+	return k, nil
 }

@@ -33,19 +33,19 @@ func TestKernelPanicsOnBadSigma(t *testing.T) {
 }
 
 func TestFuseErrors(t *testing.T) {
-	if _, err := Fuse(nil, 1); err == nil {
+	if _, _, err := Fuse(nil, 1); err == nil {
 		t.Error("no members should error")
 	}
 	m := Member{Proba: [][]float64{{0.5, 0.5}}, Distance: 0}
-	if _, err := Fuse([]Member{m}, 0); err == nil {
+	if _, _, err := Fuse([]Member{m}, 0); err == nil {
 		t.Error("sigma 0 should error")
 	}
 	bad := Member{Proba: [][]float64{{1, 0}, {0, 1}}, Distance: 0}
-	if _, err := Fuse([]Member{m, bad}, 1); err == nil {
+	if _, _, err := Fuse([]Member{m, bad}, 1); err == nil {
 		t.Error("sample count mismatch should error")
 	}
 	badClasses := Member{Proba: [][]float64{{1, 0, 0}}, Distance: 0}
-	if _, err := Fuse([]Member{m, badClasses}, 1); err == nil {
+	if _, _, err := Fuse([]Member{m, badClasses}, 1); err == nil {
 		t.Error("class count mismatch should error")
 	}
 }
@@ -53,7 +53,7 @@ func TestFuseErrors(t *testing.T) {
 func TestFuseEqualDistancesAverages(t *testing.T) {
 	a := Member{Proba: [][]float64{{1, 0}}, Distance: 1}
 	b := Member{Proba: [][]float64{{0, 1}}, Distance: 1}
-	out, err := Fuse([]Member{a, b}, 1)
+	out, _, err := Fuse([]Member{a, b}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFuseEqualDistancesAverages(t *testing.T) {
 func TestFuseCloserModelDominates(t *testing.T) {
 	near := Member{Proba: [][]float64{{1, 0}}, Distance: 0.1}
 	far := Member{Proba: [][]float64{{0, 1}}, Distance: 5}
-	out, err := Fuse([]Member{near, far}, 1)
+	out, _, err := Fuse([]Member{near, far}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFuseCloserModelDominates(t *testing.T) {
 func TestFuseAllWeightsUnderflowFallsBackUniform(t *testing.T) {
 	a := Member{Proba: [][]float64{{1, 0}}, Distance: 1e9}
 	b := Member{Proba: [][]float64{{0, 1}}, Distance: 1e9}
-	out, err := Fuse([]Member{a, b}, 1)
+	out, _, err := Fuse([]Member{a, b}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFuseAllWeightsUnderflowFallsBackUniform(t *testing.T) {
 
 func TestFuseEmptyBatch(t *testing.T) {
 	m := Member{Proba: [][]float64{}, Distance: 0}
-	out, err := Fuse([]Member{m}, 1)
+	out, _, err := Fuse([]Member{m}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFusePreservesDistributionProperty(t *testing.T) {
 		}
 		a := Member{Proba: [][]float64{norm(p1raw)}, Distance: clampD(d1raw)}
 		b := Member{Proba: [][]float64{norm(p2raw)}, Distance: clampD(d2raw)}
-		out, err := Fuse([]Member{a, b}, 1)
+		out, _, err := Fuse([]Member{a, b}, 1)
 		if err != nil {
 			return false
 		}

@@ -23,7 +23,10 @@ import (
 //   - dot form (GemmTB): 4 rows of A × 2 rows of B, eight independent add
 //     chains fed by 6 loads per k step; 4×1 takes an odd last column.
 //
-// Leftover rows (an odd last row, m mod 4) run the plain one-chain loops.
+// Leftover rows: the odd last row of an axpy range keeps the 4-deep k step
+// (axpyRow), the m mod 4 rows of the dot form run the plain one-chain loop;
+// parallelRows cuts ranges at multiples of 4 rows, so only the true end of
+// the matrix ever has a leftover.
 
 // axpyPair advances rows i and i+1 of C (n columns) by depth ∈ [1,4] k-steps:
 // c_r[j] += a_r[0]·B[p][j], then a_r[1]·B[p+1][j], … in that order.
@@ -90,11 +93,28 @@ func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
 }
 
 // axpyRow advances the single row i of C (the odd last row of a range, or a
-// one-row batch) by the k-steps p, p+1, … with coefficients a0, one pass over
-// the row per step.
+// one-row batch) by the k-steps p, p+1, … with coefficients a0: 4 steps per
+// pass over the row, as axpyPair does, then one pass per remaining step. An
+// element still receives a0[0]·B[p][j], a0[1]·B[p+1][j], … in that order.
 func axpyRow(c, b []float64, n, i, p int, a0 []float64) {
 	c0 := c[i*n : (i+1)*n]
-	for q, av := range a0 {
+	q := 0
+	for ; q+4 <= len(a0); q += 4 {
+		b0 := b[(p+q)*n : (p+q+1)*n][:len(c0)]
+		b1 := b[(p+q+1)*n : (p+q+2)*n][:len(c0)]
+		b2 := b[(p+q+2)*n : (p+q+3)*n][:len(c0)]
+		b3 := b[(p+q+3)*n : (p+q+4)*n][:len(c0)]
+		a00, a01, a02, a03 := a0[q], a0[q+1], a0[q+2], a0[q+3]
+		for j, s := range c0 {
+			s += a00 * b0[j]
+			s += a01 * b1[j]
+			s += a02 * b2[j]
+			s += a03 * b3[j]
+			c0[j] = s
+		}
+	}
+	for ; q < len(a0); q++ {
+		av := a0[q]
 		bq := b[(p+q)*n : (p+q+1)*n][:len(c0)]
 		for j, v := range bq {
 			c0[j] += av * v

@@ -87,32 +87,6 @@ func (t *Tensor) FromRows(rows [][]float64, cols int) {
 	}
 }
 
-// maxPooledTensorElems keeps one-off giant batches from pinning memory in a
-// TensorPool forever (8 MiB of float64s).
-const maxPooledTensorElems = 1 << 20
-
-// TensorPool recycles tensor slabs across batches: Get returns a tensor
-// reshaped to the requested shape (contents unspecified), reusing a recycled
-// slab when one fits. Callers must not Put a tensor whose rows a consumer
-// still retains — the learner keeps labeled rows in its windows.
-type TensorPool struct {
-	pool sync.Pool
-}
-
-// Get returns a rows×cols tensor with unspecified contents.
-func (p *TensorPool) Get(rows, cols int) *Tensor {
-	t, _ := p.pool.Get().(*Tensor)
-	return EnsureTensor(t, rows, cols)
-}
-
-// Put recycles t for a later Get. Nil and oversized tensors are dropped.
-func (p *TensorPool) Put(t *Tensor) {
-	if t == nil || cap(t.Data) > maxPooledTensorElems {
-		return
-	}
-	p.pool.Put(t)
-}
-
 // ToRows returns the tensor as fresh [][]float64 rows. The row headers share
 // one backing allocation, so the conversion costs two allocations regardless
 // of batch size.
@@ -163,10 +137,11 @@ const gemmBlockK = 128
 // investigated), so neither larger value earns its place: 1<<16 stays.
 const parallelFlopCutoff = 1 << 16
 
-// parallelRows splits [0, rows) into roughly equal chunks and runs body on
-// each chunk, in parallel when flops crosses the cutoff. The fan-out mirrors
-// internal/parallel's WaitGroup pattern; it lives here because linalg sits
-// below that package in the dependency order.
+// parallelRows splits [0, rows) into roughly equal chunks of a multiple of 4
+// rows (54 → 28 + 26, not 27 + 27) and runs body on each chunk, in parallel
+// when flops crosses the cutoff. The fan-out mirrors internal/parallel's
+// WaitGroup pattern; it lives here because linalg sits below that package in
+// the dependency order.
 func parallelRows(rows, flops int, body func(i0, i1 int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if flops < parallelFlopCutoff || workers <= 1 || rows <= 1 {
@@ -177,6 +152,12 @@ func parallelRows(rows, flops int, body func(i0, i1 int)) {
 		workers = rows
 	}
 	chunk := (rows + workers - 1) / workers
+	if chunk >= 4 {
+		// Cut at whole 4-row bands (and so whole row pairs): a cut elsewhere
+		// hands every worker leftover rows the tiles cannot take. Matrices of
+		// a few very long rows keep the even split instead.
+		chunk = (chunk + 3) &^ 3
+	}
 	var wg sync.WaitGroup
 	for i0 := 0; i0 < rows; i0 += chunk {
 		i1 := i0 + chunk

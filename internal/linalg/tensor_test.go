@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -51,16 +54,21 @@ var gemmShapes = []struct{ m, k, n int }{
 	{2, 300, 4},
 	{17, 257, 33},
 	{5, 640, 3},
-	{64, 64, 64},  // above parallelFlopCutoff: exercises the goroutine path
-	{64, 48, 64},  // parallel, k a multiple of 4: no tail anywhere
-	{97, 131, 53}, // parallel + nothing divides evenly
-	{67, 33, 31},  // parallel, 2 workers get 34 + 33 rows
-	{256, 5, 64},  // input gradient of a 64→5 head: one 4-deep step + a 1-deep tail
-	{256, 2, 64},  // … of a 64→2 head: a lone 2-deep tile
-	{32, 3, 2560}, // Conv1D forward, InChannels·Kernel = 3: a lone 3-deep tile
-	{3, 32, 2560}, // Conv1D patch gradient: m odd, long n
-	{64, 256, 7},  // narrow-head weight gradient in the dot form: odd n
-	{130, 64, 5},  // narrow-head forward: m mod 4 = 2, odd n
+	{64, 64, 64},             // above parallelFlopCutoff: exercises the goroutine path
+	{64, 48, 64},             // parallel, k a multiple of 4: no tail anywhere
+	{97, 131, 53},            // parallel + nothing divides evenly
+	{67, 33, 31},             // parallel, 2 workers get 34 + 33 rows
+	{256, 5, 64},             // input gradient of a 64→5 head: one 4-deep step + a 1-deep tail
+	{256, 2, 64},             // … of a 64→2 head: a lone 2-deep tile
+	{32, 3, 2560},            // Conv1D forward, InChannels·Kernel = 3: a lone 3-deep tile
+	{3, 32, 2560},            // Conv1D patch gradient: m odd, long n
+	{64, 256, 7},             // narrow-head weight gradient in the dot form: odd n
+	{130, 64, 5},             // narrow-head forward: m mod 4 = 2, odd n
+	{1, 9, 6},                // single-row path: two 4-deep passes + a 1-deep remainder
+	{3, 11, 7},               // odd m, k = 2·4 + 3: row pair, then 4-deep single row + 3 remainder steps
+	{5, 14, 64},              // odd m (the ∂Wᵀ of a 5-class head in the TA form), remainder 2
+	{7, 2*gemmBlockK + 9, 3}, // odd m across k panels: 4-deep single row inside every panel
+	{54, 256, 64},            // Covertype's ∂W: fans out as 28 + 26 rows, no leftover row in either chunk
 }
 
 func cloneTensor(t *Tensor) *Tensor {
@@ -263,6 +271,52 @@ func TestParallelGemmRace(t *testing.T) {
 				t.Fatalf("concurrent Gemm: element %d = %v, want %v", i, got.Data[i], want.Data[i])
 			}
 		}
+	}
+}
+
+// TestParallelRowsCutsAtBands pins the fan-out partition: chunks are whole
+// 4-row bands once a worker's share reaches one band, so no worker but the
+// last can end on a leftover row, and the chunks tile [0, rows) exactly.
+func TestParallelRowsCutsAtBands(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range []struct {
+		rows int
+		want [][2]int
+	}{
+		{54, [][2]int{{0, 28}, {28, 54}}},
+		{256, [][2]int{{0, 128}, {128, 256}}},
+		{9, [][2]int{{0, 8}, {8, 9}}},
+		{3, [][2]int{{0, 2}, {2, 3}}}, // a few long rows keep the even split
+	} {
+		var mu sync.Mutex
+		var got [][2]int
+		parallelRows(tc.rows, parallelFlopCutoff, func(i0, i1 int) {
+			mu.Lock()
+			got = append(got, [2]int{i0, i1})
+			mu.Unlock()
+		})
+		sort.Slice(got, func(a, b int) bool { return got[a][0] < got[b][0] })
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("rows %d: chunks %v, want %v", tc.rows, got, tc.want)
+		}
+	}
+}
+
+// TestFromRowsWarmAllocs pins that restaging a batch of the same shape into a
+// reused tensor is allocation-free — the property the binary ingest path's
+// zero-alloc guarantee rests on.
+func TestFromRowsWarmAllocs(t *testing.T) {
+	const rows, cols = 16, 8
+	flat := make([]float64, rows*cols)
+	views := make([][]float64, rows)
+	for i := range views {
+		views[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	var dst Tensor
+	dst.FromRows(views, cols)
+	allocs := testing.AllocsPerRun(100, func() { dst.FromRows(views, cols) })
+	if allocs != 0 {
+		t.Fatalf("warm FromRows allocates %.1f, want 0", allocs)
 	}
 }
 

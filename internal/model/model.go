@@ -53,6 +53,35 @@ type TensorPredictor interface {
 	PredictTensorInto(x *linalg.Tensor, dst []int) error
 }
 
+// ForwardTrainer is the optional test-then-train fast path. The stream
+// protocol predicts every batch and then learns from it, so the forward pass
+// a Fit starts with repeats the one the prediction just ran; a model that
+// keeps its forward caches can skip it. Network models implement it; the
+// Standardized wrapper (whose Fit moves the scaler before it trains) and the
+// gradient-free families do not, and callers type-assert and fall back to
+// Fit.
+type ForwardTrainer interface {
+	// Forwarded names the forward pass the model ran last (its most recent
+	// Predict or PredictProba).
+	Forwarded() nn.ForwardToken
+	// FitForwarded is Fit on the batch that pass predicted, with y its
+	// labels: the same loss, the same update, bit for bit, minus the forward.
+	// ok = false means tok is outdated — another forward, a Restore or any
+	// parameter write came in between — and nothing was done: call Fit.
+	FitForwarded(tok nn.ForwardToken, y []int) (loss float64, ok bool, err error)
+}
+
+// ParamCopier is the optional allocation-free alternative to Snapshot and
+// Restore for a caller that keeps a single reused copy of a network model's
+// parameters (the divergence watchdog).
+type ParamCopier interface {
+	// AppendParams appends every parameter value to dst.
+	AppendParams(dst []float64) []float64
+	// RestoreParams is Restore from such a copy: the parameters come back
+	// and the optimizer state is reset.
+	RestoreParams(flat []float64)
+}
+
 // Hyper collects the SGD hyperparameters shared by all model families.
 type Hyper struct {
 	LR          float64
@@ -103,6 +132,19 @@ func (m *netModel) PredictTensorInto(x *linalg.Tensor, dst []int) error {
 
 func (m *netModel) Fit(x [][]float64, y []int) (float64, error) {
 	return m.net.TrainBatch(x, y, m.opt)
+}
+
+func (m *netModel) Forwarded() nn.ForwardToken { return m.net.LastForward() }
+
+func (m *netModel) FitForwarded(tok nn.ForwardToken, y []int) (float64, bool, error) {
+	return m.net.TrainForwarded(tok, y, m.opt)
+}
+
+func (m *netModel) AppendParams(dst []float64) []float64 { return m.net.AppendFlatParams(dst) }
+
+func (m *netModel) RestoreParams(flat []float64) {
+	m.net.SetFlatParams(flat)
+	m.opt.Reset()
 }
 
 func (m *netModel) Snapshot() ([]byte, error) { return m.net.Snapshot() }

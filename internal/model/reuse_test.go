@@ -1,0 +1,140 @@
+package model
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+func flatBits(t *testing.T, what string, a, b Model) {
+	t.Helper()
+	wa, wb := a.Net().AppendFlatParams(nil), b.Net().AppendFlatParams(nil)
+	if len(wa) != len(wb) {
+		t.Fatalf("%s: %d vs %d weights", what, len(wa), len(wb))
+	}
+	for i := range wa {
+		if math.Float64bits(wa[i]) != math.Float64bits(wb[i]) {
+			t.Fatalf("%s: weight %d: %v vs %v", what, i, wa[i], wb[i])
+		}
+	}
+}
+
+// TestFitForwardedMatchesFit drives every network family through the model
+// surface the ensemble uses: PredictProba then FitForwarded on one twin,
+// PredictProba then Fit on the other. Loss and weights agree bit for bit over
+// consecutive steps — which, with momentum on, pins the optimizer state too.
+func TestFitForwardedMatchesFit(t *testing.T) {
+	const dim, classes = 12, 5
+	for _, family := range []string{"lr", "mlp", "cnn3", "cnn5"} {
+		t.Run(family, func(t *testing.T) {
+			factory, err := FactoryFor(family, DefaultHyper())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, _ := factory(dim, classes)
+			reuse, _ := factory(dim, classes)
+			ft, ok := reuse.(ForwardTrainer)
+			if !ok {
+				t.Fatalf("%s does not implement ForwardTrainer", family)
+			}
+			rng := rand.New(rand.NewSource(21))
+			for step := 0; step < 4; step++ {
+				x, y := separableBatch(rng, 33, dim, classes)
+				plain.PredictProba(x)
+				lossPlain, err := plain.Fit(x, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reuse.PredictProba(x)
+				lossReuse, ok, err := ft.FitForwarded(ft.Forwarded(), y)
+				if err != nil || !ok {
+					t.Fatalf("step %d: FitForwarded ok=%v err=%v", step, ok, err)
+				}
+				if math.Float64bits(lossPlain) != math.Float64bits(lossReuse) {
+					t.Fatalf("step %d: loss %v vs %v", step, lossPlain, lossReuse)
+				}
+				flatBits(t, "after update", plain, reuse)
+			}
+			// Restore outdates the token of a forward that ran before it.
+			x, y := separableBatch(rng, 33, dim, classes)
+			reuse.PredictProba(x)
+			tok := ft.Forwarded()
+			snap, err := plain.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reuse.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, _ := ft.FitForwarded(tok, y); ok {
+				t.Fatal("FitForwarded ran across a Restore")
+			}
+		})
+	}
+}
+
+// TestForwardTrainerIsNetworkModelsOnly: the wrapper whose Fit moves the
+// scaler before training, and the gradient-free families, must not offer the
+// fast path — callers then fall back to Fit.
+func TestForwardTrainerIsNetworkModelsOnly(t *testing.T) {
+	for _, family := range []string{"nb", "ht", "arf"} {
+		factory, err := FactoryFor(family, DefaultHyper())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := factory(4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.(ForwardTrainer); ok {
+			t.Errorf("%s implements ForwardTrainer", family)
+		}
+		if _, ok := m.(ParamCopier); ok {
+			t.Errorf("%s implements ParamCopier", family)
+		}
+	}
+	mlp, _ := NewStreamingMLP(4, 2, DefaultHyper())
+	std, err := NewStandardized(mlp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := Model(std).(ForwardTrainer); ok {
+		t.Error("Standardized implements ForwardTrainer")
+	}
+	if _, ok := Model(std).(ParamCopier); ok {
+		t.Error("Standardized implements ParamCopier: its scaler would not roll back")
+	}
+}
+
+// TestRestoreParamsMatchesRestore: the flat copy round-trips exactly what
+// Snapshot/Restore does — weights back, momentum gone.
+func TestRestoreParamsMatchesRestore(t *testing.T) {
+	const dim, classes = 6, 3
+	rng := rand.New(rand.NewSource(22))
+	a, _ := NewStreamingMLP(dim, classes, DefaultHyper())
+	b, _ := NewStreamingMLP(dim, classes, DefaultHyper())
+	step := func() {
+		x, y := separableBatch(rng, 20, dim, classes)
+		for _, m := range []Model{a, b} {
+			if _, err := m.Fit(x, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step()
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := b.(ParamCopier)
+	flat := pc.AppendParams(nil)
+	step()
+	step()
+	if err := a.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	pc.RestoreParams(flat)
+	flatBits(t, "after rollback", a, b)
+	step() // momentum was reset on both sides, or the weights part here
+	flatBits(t, "one step after rollback", a, b)
+}

@@ -31,3 +31,6 @@ func FirstLayerInputGrad(n *Network) *linalg.Tensor {
 	}
 	return nil
 }
+
+// Velocity returns opt's momentum buffer for p (nil before the first step).
+func Velocity(opt *SGD, p *Param) []float64 { return opt.velocity[p] }

@@ -14,11 +14,25 @@ import (
 // respect to its output and returns the gradient with respect to its input,
 // accumulating parameter gradients along the way.
 //
-// Buffer ownership: the tensor a layer returns from Forward (or Backward) is
-// layer-owned scratch, valid only until that layer's next Forward (or
-// Backward) call. Backward may read the input tensor passed to the preceding
-// Forward — the network guarantees it is not overwritten in between. Callers
-// who need a result to outlive the next pass must copy it.
+// Buffer ownership. A layer returns from Forward (Backward) either its own
+// scratch, valid until its next Forward (Backward), or — the activations ReLU
+// and Sigmoid — the very tensor it was handed, overwritten in place. So:
+//
+//   - Whatever a layer hands on may be overwritten by its neighbour: no layer
+//     reads the tensor it returned from Forward, or from Backward, again.
+//     Dense and Conv1D read their Forward input (lastX, the im2col patches)
+//     and gradOut in Backward; MaxPool1D its argmax cache; Dropout its mask.
+//   - Backward may read the tensor passed to the preceding Forward, as it
+//     stood when Forward returned or as an in-place activation directly above
+//     left it (which is the value the layer consumed in the first place). The
+//     network does not touch it in between.
+//   - An activation is the exception to the first rule: it gates Backward by
+//     its own output, so nothing may overwrite that. NewNetwork therefore
+//     rejects an activation stacked on an activation.
+//   - The network's staging copy of the batch is network-owned: an activation
+//     in first position overwrites that copy, never the caller's rows.
+//
+// Callers who need a result to outlive the next pass must copy it.
 type Layer interface {
 	Forward(x *linalg.Tensor) *linalg.Tensor
 	Backward(gradOut *linalg.Tensor) *linalg.Tensor
@@ -55,16 +69,16 @@ type Dense struct {
 	lastX       *linalg.Tensor // alias of the forward input, read by Backward
 	out, gradIn *linalg.Tensor // layer-owned scratch, reused across batches
 	wT          *linalg.Tensor // Wᵀ, refreshed by Forward when useDot
-	xT, gT      *linalg.Tensor // transposed X and gradOut for the ∂W dot kernel
+	gwT         *linalg.Tensor // this batch's ∂Wᵀ (Out × In) of a narrow head
 }
 
 // useDot reports whether the dot-form kernels (inner loops over In) beat the
 // axpy-form kernels (inner loops over Out) for this layer's shape.
 func (d *Dense) useDot() bool { return d.In > d.Out }
 
-// denseGradWDotFactor: when In ≥ this multiple of Out, ∂W is computed from
-// transposed operands as In·Out long dot products instead of per-sample
-// length-Out axpys, which degenerate for narrow heads.
+// denseGradWDotFactor: when In ≥ this multiple of Out, ∂W is computed
+// transposed, with inner loops over In, instead of per-sample length-Out
+// axpys, which degenerate for narrow heads.
 const denseGradWDotFactor = 4
 
 // NewDense returns a Dense layer with He-normal initialized weights.
@@ -120,17 +134,20 @@ func (d *Dense) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
 
 func (d *Dense) backwardParams(gradOut *linalg.Tensor) {
 	n := gradOut.Rows
-	gw := linalg.TensorView(d.w.Grad, d.In, d.Out)
 	if d.In >= denseGradWDotFactor*d.Out && n > 1 {
-		// Narrow head: In·Out dot products of length n beat n·In axpys of
-		// length Out. Both sum over samples in ascending order.
-		d.xT = linalg.EnsureTensor(d.xT, d.In, n)
-		linalg.TransposeInto(d.xT, d.lastX)
-		d.gT = linalg.EnsureTensor(d.gT, d.Out, n)
-		linalg.TransposeInto(d.gT, gradOut)
-		linalg.GemmTBAdd(gw, d.xT, d.gT)
+		// Narrow head: ∂Wᵀ = GᵀX (Out × In) has the long inner loop over In
+		// and needs neither operand transposed. Each element is summed from
+		// zero over ascending samples, then added into Grad once; the
+		// transposed add touches In·Out values, not rows·(In+Out).
+		d.gwT = linalg.EnsureTensor(d.gwT, d.Out, d.In)
+		linalg.GemmTA(d.gwT, gradOut, d.lastX)
+		for j := 0; j < d.Out; j++ {
+			for i, v := range d.gwT.Row(j) {
+				d.w.Grad[i*d.Out+j] += v
+			}
+		}
 	} else {
-		linalg.GemmTAAdd(gw, d.lastX, gradOut)
+		linalg.GemmTAAdd(linalg.TensorView(d.w.Grad, d.In, d.Out), d.lastX, gradOut)
 	}
 	for i := 0; i < n; i++ {
 		grow := gradOut.Row(i)
@@ -158,43 +175,42 @@ func (d *Dense) clone() Layer {
 	return c
 }
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies max(0, x) element-wise, in place.
 type ReLU struct {
-	lastX       *linalg.Tensor
-	out, gradIn *linalg.Tensor
+	y *linalg.Tensor // the forward tensor, now holding the output; gates Backward
 }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies the rectifier over the flat buffer.
+// Forward rectifies x in place and returns it.
 func (r *ReLU) Forward(x *linalg.Tensor) *linalg.Tensor {
-	r.lastX = x
-	r.out = linalg.EnsureTensor(r.out, x.Rows, x.Cols)
+	r.y = x
 	// The builtin max compiles to a branchless select; the naive if/else is
 	// ~5× slower here because activation signs are data-dependent and the
 	// branch predictor loses every other guess.
 	for i, v := range x.Data {
-		r.out.Data[i] = max(v, 0)
+		x.Data[i] = max(v, 0)
 	}
-	return r.out
+	return x
 }
 
-// Backward gates the incoming gradient by the sign of the forward input.
-// The gate is computed from the float's bit pattern ("nonzero and sign bit
-// clear") rather than a compare-and-branch: activation signs are random, so
-// the branchy form pays a misprediction per element and runs ~4× slower.
-// For finite inputs the mask is identical to x > 0 (NaN activations, already
-// fatal to training, pass the gradient instead of zeroing it).
+// Backward gates the incoming gradient, in place, by the sign of the forward
+// output: max(x, 0) is positive exactly where x is, so the output gates as
+// the input did. The gate is computed from the float's bit pattern ("nonzero
+// and sign bit clear") rather than a compare-and-branch: activation signs
+// are random, so the branchy form pays a misprediction per element and runs
+// ~4× slower. For finite inputs the mask is identical to x > 0 (NaN
+// activations, already fatal to training, pass the gradient instead of
+// zeroing it).
 func (r *ReLU) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
-	r.gradIn = linalg.EnsureTensor(r.gradIn, gradOut.Rows, gradOut.Cols)
-	xs := r.lastX.Data
+	ys := r.y.Data
 	for i, g := range gradOut.Data {
-		bits := math.Float64bits(xs[i])
+		bits := math.Float64bits(ys[i])
 		pass := ((bits | -bits) >> 63) & (^bits >> 63)
-		r.gradIn.Data[i] = g * float64(pass)
+		gradOut.Data[i] = g * float64(pass)
 	}
-	return r.gradIn
+	return gradOut
 }
 
 // Params returns nil: ReLU has no learnable parameters.
@@ -205,32 +221,30 @@ func (r *ReLU) OutDim(inDim int) (int, error) { return inDim, nil }
 
 func (r *ReLU) clone() Layer { return &ReLU{} }
 
-// Sigmoid applies 1/(1+e^(−x)) element-wise.
+// Sigmoid applies 1/(1+e^(−x)) element-wise, in place.
 type Sigmoid struct {
-	lastY  *linalg.Tensor
-	gradIn *linalg.Tensor
+	y *linalg.Tensor // the forward tensor, now holding the output
 }
 
 // NewSigmoid returns a sigmoid activation layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
-// Forward applies the logistic function.
+// Forward applies the logistic function to x in place and returns it.
 func (s *Sigmoid) Forward(x *linalg.Tensor) *linalg.Tensor {
-	s.lastY = linalg.EnsureTensor(s.lastY, x.Rows, x.Cols)
+	s.y = x
 	for i, v := range x.Data {
-		s.lastY.Data[i] = 1 / (1 + math.Exp(-v))
+		x.Data[i] = 1 / (1 + math.Exp(-v))
 	}
-	return s.lastY
+	return x
 }
 
-// Backward multiplies by y(1−y).
+// Backward multiplies the incoming gradient by y(1−y), in place.
 func (s *Sigmoid) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
-	s.gradIn = linalg.EnsureTensor(s.gradIn, gradOut.Rows, gradOut.Cols)
 	for i, g := range gradOut.Data {
-		y := s.lastY.Data[i]
-		s.gradIn.Data[i] = g * y * (1 - y)
+		y := s.y.Data[i]
+		gradOut.Data[i] = g * y * (1 - y)
 	}
-	return s.gradIn
+	return gradOut
 }
 
 // Params returns nil: Sigmoid has no learnable parameters.

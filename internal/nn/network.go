@@ -24,7 +24,18 @@ type Network struct {
 
 	xBuf    *linalg.Tensor // staging copy of the caller's batch
 	gradBuf *linalg.Tensor // loss-head gradient scratch
+
+	// Forward reuse (TrainForwarded): logits is the last forward's output,
+	// fwdSeq numbers the forward passes, and fwd is the number of the pass
+	// whose layer caches (lastX, Wᵀ, patches, argmax, logits) still describe
+	// both that batch and the current weights — 0 when none does.
+	logits      *linalg.Tensor
+	fwdSeq, fwd uint64
 }
+
+// ForwardToken names one forward pass of one network; the zero value names
+// none. See LastForward and TrainForwarded.
+type ForwardToken struct{ id uint64 }
 
 // NewNetwork assembles a sequential network. It validates that the layer
 // widths chain from inDim to numClasses and returns an error otherwise.
@@ -36,12 +47,23 @@ func NewNetwork(inDim, numClasses int, layers ...Layer) (*Network, error) {
 		return nil, fmt.Errorf("nn: network needs at least one layer")
 	}
 	dim := inDim
+	gated := false // the tensor entering layer i gates an activation's Backward
 	for i, l := range layers {
 		next, err := l.OutDim(dim)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
 		}
 		dim = next
+		switch l.(type) {
+		case *ReLU, *Sigmoid:
+			if gated {
+				return nil, fmt.Errorf("nn: layer %d: an activation cannot follow an activation (it would overwrite the output that gates the first one's Backward)", i)
+			}
+			gated = true
+		case *Dropout: // hands its input on untouched outside training
+		default:
+			gated = false
+		}
 	}
 	if dim != numClasses {
 		return nil, fmt.Errorf("nn: network output width %d, want %d classes", dim, numClasses)
@@ -80,8 +102,20 @@ func (n *Network) forwardT(x *linalg.Tensor) *linalg.Tensor {
 	for _, l := range n.layers {
 		h = l.Forward(h)
 	}
+	n.fwdSeq++
+	n.logits, n.fwd = h, n.fwdSeq
 	return h
 }
+
+// LastForward returns the token of the most recent forward pass (Predict,
+// PredictProba, Forward, …), or the zero token when a parameter write has
+// already outdated it.
+func (n *Network) LastForward() ForwardToken { return ForwardToken{n.fwd} }
+
+// InvalidateForward drops the layer caches of the last forward pass. Every
+// parameter write does it: Step, Restore and SetFlatParams themselves, and a
+// caller that writes Param.W directly must call it.
+func (n *Network) InvalidateForward() { n.fwd = 0 }
 
 // Forward runs the batch through all layers and returns the logits.
 func (n *Network) Forward(x [][]float64) [][]float64 {
@@ -152,8 +186,38 @@ func (n *Network) TrainBatch(x [][]float64, y []int, opt *SGD) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	opt.Step(n.Params())
+	n.Step(opt)
 	return loss, nil
+}
+
+// TrainForwarded is TrainBatch for the batch whose forward pass tok names,
+// without forwarding it again — the test-then-train order predicts every
+// batch moments before learning from it. It runs (ok = true) only while tok
+// is still the network's latest forward and no parameter has been written
+// since: the layers then hold exactly the caches and logits TrainBatch would
+// recompute, so loss, gradients and weights come out bit for bit the same.
+// Any later forward, backward, Step, Restore or declared parameter write
+// outdates tok; ok = false then means nothing was done and the caller trains
+// with TrainBatch. (A Dropout layer in training mode keeps the mask its
+// forward drew, where TrainBatch would draw a fresh one.)
+func (n *Network) TrainForwarded(tok ForwardToken, y []int, opt *SGD) (loss float64, ok bool, err error) {
+	if tok.id == 0 || tok.id != n.fwd {
+		return 0, false, nil
+	}
+	loss, err = n.backward(n.logits, y)
+	if err != nil {
+		return 0, true, err
+	}
+	n.Step(opt)
+	return loss, true, nil
+}
+
+// Step applies one optimizer step to the network's parameters and zeroes the
+// gradients. It is the way to step a network: the forward caches belong to
+// the weights that produced them and go with them.
+func (n *Network) Step(opt *SGD) {
+	opt.Step(n.params)
+	n.InvalidateForward()
 }
 
 // AccumulateGradients runs forward/backward and adds this batch's gradients
@@ -164,7 +228,14 @@ func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 	if len(x) == 0 {
 		return 0, fmt.Errorf("nn: empty batch")
 	}
-	logits := n.forwardT(n.stage(x))
+	return n.backward(n.forwardT(n.stage(x)), y)
+}
+
+// backward runs the loss head and the backward pass over the layer caches
+// the forward that produced logits left behind. A forward serves one
+// backward: the pass consumes its token.
+func (n *Network) backward(logits *linalg.Tensor, y []int) (float64, error) {
+	n.InvalidateForward()
 	n.gradBuf = linalg.EnsureTensor(n.gradBuf, logits.Rows, logits.Cols)
 	loss, err := softmaxCrossEntropyT(logits, y, n.gradBuf)
 	if err != nil {
@@ -199,6 +270,7 @@ func (n *Network) Loss(x [][]float64, y []int) (float64, error) {
 
 // Params returns all learnable parameters, layer by layer. The slice is the
 // network's own, built once: callers iterate it and leave its elements alone.
+// A caller that writes a Param.W follows up with InvalidateForward.
 func (n *Network) Params() []*Param { return n.params }
 
 // ZeroGrad clears every parameter gradient.
@@ -269,6 +341,32 @@ func (n *Network) SetFlatGrads(flat []float64) {
 	}
 }
 
+// AppendFlatParams appends every parameter value, in Params order, to dst and
+// returns the extended slice — the allocation-free counterpart of Snapshot
+// for a caller that keeps one reused copy (the divergence watchdog).
+func (n *Network) AppendFlatParams(dst []float64) []float64 {
+	for _, p := range n.params {
+		dst = append(dst, p.W...)
+	}
+	return dst
+}
+
+// SetFlatParams writes a flat copy made by AppendFlatParams back into the
+// parameters. It panics if the length does not match.
+func (n *Network) SetFlatParams(flat []float64) {
+	idx := 0
+	for _, p := range n.params {
+		if idx+len(p.W) > len(flat) {
+			panic("nn: SetFlatParams length mismatch")
+		}
+		idx += copy(p.W, flat[idx:idx+len(p.W)])
+	}
+	if idx != len(flat) {
+		panic("nn: SetFlatParams length mismatch")
+	}
+	n.InvalidateForward()
+}
+
 // Snapshot serializes all parameter values (not gradients) into a byte
 // slice. The historical-knowledge store keeps these snapshots and restores
 // them when a distribution reoccurs; their length is also the Table IV
@@ -299,6 +397,7 @@ func (n *Network) Restore(snapshot []byte) error {
 	if len(weights) != len(params) {
 		return fmt.Errorf("nn: restore: %d tensors, network has %d", len(weights), len(params))
 	}
+	n.InvalidateForward()
 	for i, p := range params {
 		if len(weights[i]) != len(p.W) {
 			return fmt.Errorf("nn: restore: tensor %d has %d values, want %d", i, len(weights[i]), len(p.W))

@@ -64,37 +64,6 @@ var DefLatencyBuckets = []float64{
 	1e-1, 2.5e-1, 5e-1, 1, 2.5, 5, 10,
 }
 
-// ExponentialBuckets returns n strictly ascending upper bounds starting at
-// start and multiplying by factor — the layout for quantities that span
-// orders of magnitude (batch sizes, queue depths). start must be
-// positive, factor > 1, n >= 1; violations panic, as in NewHistogram.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExponentialBuckets requires start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n strictly ascending upper bounds starting at start
-// with the given positive step — the layout for bounded quantities like
-// fill ratios. step must be positive, n >= 1; violations panic.
-func LinearBuckets(start, step float64, n int) []float64 {
-	if step <= 0 || n < 1 {
-		panic("obs: LinearBuckets requires step > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += step
-	}
-	return out
-}
-
 // NewHistogram builds a standalone (unregistered) histogram over the given
 // ascending upper bounds; nil selects DefLatencyBuckets. Non-ascending
 // bounds panic: bucket layout is a programming decision, not input.

@@ -143,36 +143,3 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 		t.Errorf("histogram sum = %v", s)
 	}
 }
-
-func TestBucketHelpers(t *testing.T) {
-	exp := ExponentialBuckets(1, 2, 5)
-	want := []float64{1, 2, 4, 8, 16}
-	for i := range want {
-		if exp[i] != want[i] {
-			t.Fatalf("ExponentialBuckets[%d] = %v, want %v", i, exp[i], want[i])
-		}
-	}
-	lin := LinearBuckets(0.1, 0.1, 10)
-	if len(lin) != 10 || lin[0] != 0.1 || math.Abs(lin[9]-1.0) > 1e-12 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
-	// Both layouts must satisfy NewHistogram's ascending contract.
-	NewHistogram(exp)
-	NewHistogram(lin)
-	for _, fn := range []func(){
-		func() { ExponentialBuckets(0, 2, 3) },
-		func() { ExponentialBuckets(1, 1, 3) },
-		func() { ExponentialBuckets(1, 2, 0) },
-		func() { LinearBuckets(0, 0, 3) },
-		func() { LinearBuckets(0, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid bucket spec did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"freewayml/internal/linalg"
 	"freewayml/internal/obs"
 	"freewayml/internal/wire"
 )
@@ -29,21 +28,12 @@ const BinaryContentType = "application/x-freeway-batch"
 const DefaultBinaryReadTimeout = 30 * time.Second
 
 // framePool recycles decoded-frame storage across requests: a warm frame
-// re-decodes a same-shaped batch with zero allocations. frameTensors backs
-// frames whose slab was detached (handed to the learner, which retains
-// labeled rows) with pooled tensors.
-var (
-	framePool    = sync.Pool{New: func() any { return new(wire.Frame) }}
-	frameTensors linalg.TensorPool
-)
+// re-decodes a same-shaped batch with zero allocations. A frame whose slab
+// was detached (handed to the learner, which retains labeled rows) allocates
+// a fresh one on its next decode.
+var framePool = sync.Pool{New: func() any { return new(wire.Frame) }}
 
-func getFrame() *wire.Frame {
-	f := framePool.Get().(*wire.Frame)
-	if f.Tensor() == nil {
-		f.Arm(frameTensors.Get(0, 0))
-	}
-	return f
-}
+func getFrame() *wire.Frame { return framePool.Get().(*wire.Frame) }
 
 func putFrame(f *wire.Frame) { framePool.Put(f) }
 
@@ -80,7 +70,7 @@ func (s *Server) handleProcessBinary(w http.ResponseWriter, r *http.Request, id 
 
 // processDecodedFrame validates and processes a decoded frame. The learner
 // retains rows (windows, replay buffers), so the frame's storage is
-// detached — the frame re-arms from the tensor pool on its next use.
+// detached — the frame allocates a fresh slab on its next decode.
 func (s *Server) processDecodedFrame(ctx context.Context, id, traceID string, f *wire.Frame) (ProcessResponse, int, error) {
 	if err := validateRows(f.X, f.Y, s.dim, s.classes); err != nil {
 		return ProcessResponse{}, http.StatusBadRequest, err

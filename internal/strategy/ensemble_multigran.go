@@ -29,12 +29,38 @@ type Granularity struct {
 	centroid linalg.Vector // distribution of the last training data
 	wd       *Watchdog     // nil when the watchdog is disabled
 	ver      uint64        // bumped on every parameter/centroid mutation
+
+	// fwd names the forward pass predict ran on the batch being processed,
+	// until Train takes it. The network, not this field, decides whether it
+	// is still good: any later forward or parameter write outdates it.
+	fwd nn.ForwardToken
 }
 
 // NewGranularity wraps a model as a fixed-frequency ensemble member. wd may
 // be nil to disable divergence monitoring.
 func NewGranularity(m model.Model, every int, wd *Watchdog) *Granularity {
 	return &Granularity{Model: m, Every: every, wd: wd}
+}
+
+// predict returns the member's class distributions for the batch being
+// processed and keeps the forward pass for this batch's Train.
+func (g *Granularity) predict(x [][]float64) [][]float64 {
+	proba := g.Model.PredictProba(x)
+	if ft, ok := g.Model.(model.ForwardTrainer); ok {
+		g.fwd = ft.Forwarded()
+	}
+	return proba
+}
+
+// fit is Model.Fit, minus the forward pass when fwd still names the model's
+// latest forward — the prediction of these very rows (test-then-train).
+func (g *Granularity) fit(fwd nn.ForwardToken, x [][]float64, y []int) (float64, error) {
+	if ft, ok := g.Model.(model.ForwardTrainer); ok {
+		if loss, reused, err := ft.FitForwarded(fwd, y); reused {
+			return loss, err
+		}
+	}
+	return g.Model.Fit(x, y)
 }
 
 // BuildGranularities builds the fixed-frequency members: model i updates
@@ -162,11 +188,15 @@ func (e *Ensemble) ShortModel() model.Model { return e.grans[0].Model }
 // AdoptShort replaces the short model's parameters and training centroid —
 // the knowledge-reuse adoption path (SC3).
 func (e *Ensemble) AdoptShort(snap []byte, centroid linalg.Vector) error {
-	if err := e.grans[0].Model.Restore(snap); err != nil {
+	g := e.grans[0]
+	if err := g.Model.Restore(snap); err != nil {
 		return err
 	}
-	e.grans[0].centroid = centroid.Clone()
-	e.grans[0].ver++
+	g.centroid = centroid.Clone()
+	g.ver++
+	// The adopted parameters are the state to return to: a rollback must not
+	// undo the adoption.
+	g.wd.Retain(g.Model)
 	return nil
 }
 
@@ -192,18 +222,19 @@ func (e *Ensemble) Wait() { e.wg.Wait() }
 // InferWarmup predicts with the short model alone — the strategy while the
 // detector has no projected centroid yet.
 func (e *Ensemble) InferWarmup(b stream.Batch) Prediction {
-	proba := e.grans[0].Model.PredictProba(b.X)
+	proba := e.grans[0].predict(b.X)
 	return Prediction{Pred: argmaxRows(proba), Proba: proba}
 }
 
-// GranMembers returns the fixed-frequency members with their distances to
-// the live distribution — the knowledge-reuse fusion deliberately excludes
-// the long model.
+// GranMembers returns the fixed-frequency members' predictions for the batch
+// being processed (x is that batch: the forward passes are kept for its
+// Train) with their distances to the live distribution — the knowledge-reuse
+// fusion deliberately excludes the long model.
 func (e *Ensemble) GranMembers(yBar linalg.Vector, x [][]float64) []ensemble.Member {
 	members := make([]ensemble.Member, 0, len(e.grans))
 	for _, g := range e.grans {
 		members = append(members, ensemble.Member{
-			Proba:    g.Model.PredictProba(x),
+			Proba:    g.predict(x),
 			Distance: centroidDistance(yBar, g.centroid),
 		})
 	}
@@ -229,17 +260,17 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 	// scale-free: the projected space's units vary per dataset, and Eq. 14
 	// only cares about the models' relative match to the live data.
 	normalizeDistances(members)
-	recordWeights(tr, members, e.cfg.Sigma)
 
 	// Insight A emerges from the distances themselves: under a directional
 	// shift (A1) the previous batch — the short model's distribution — is
 	// the nearest thing to the live data, while under localized fluctuation
 	// (A2) the window's weighted centroid sits at the center of the noise
 	// and the long model wins the kernel weighting.
-	fused, err := ensemble.Fuse(members, e.cfg.Sigma)
+	fused, weights, err := ensemble.Fuse(members, e.cfg.Sigma)
 	if err != nil {
 		return Prediction{}, false, fmt.Errorf("strategy: ensemble: %w", err)
 	}
+	tr.Weights(weights)
 	return Prediction{Pred: argmaxRows(fused), Proba: fused}, true, nil
 }
 
@@ -261,6 +292,8 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 		// batch that must wait, or join waiting ones, is buffered.
 		g.pending++
 		x, y := b.X, b.Y
+		fwd := g.fwd // this call's prediction of b.X, when the member made one
+		g.fwd = nn.ForwardToken{}
 		if g.pending < g.Every || len(g.bufX) > 0 {
 			g.bufX = append(g.bufX, b.X...)
 			g.bufY = append(g.bufY, b.Y...)
@@ -268,8 +301,9 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 				continue
 			}
 			x, y = g.bufX, g.bufY
+			fwd = nn.ForwardToken{} // trains more rows than it predicted
 		}
-		loss, err := g.Model.Fit(x, y)
+		loss, err := g.fit(fwd, x, y)
 		if err != nil {
 			return err
 		}
@@ -536,7 +570,8 @@ func (e *Ensemble) ExportState() (EnsembleState, error) {
 	return st, nil
 }
 
-// ImportState restores every member from a checkpoint, clears the pending
+// ImportState restores every member from a checkpoint, makes the restored
+// parameters each watchdog's rollback target, clears the pending
 // fixed-frequency buffers, and restarts the window (its contents are
 // intentionally not serialized).
 func (e *Ensemble) ImportState(st EnsembleState) error {
@@ -553,10 +588,12 @@ func (e *Ensemble) ImportState(st EnsembleState) error {
 		g.centroid = st.GranCentroids[i]
 		g.ver++
 		g.bufX, g.bufY, g.pending = nil, nil, 0
+		g.wd.Retain(g.Model)
 	}
 	if err := e.long.Restore(st.LongSnapshot); err != nil {
 		return fmt.Errorf("strategy: restore long model: %w", err)
 	}
+	e.longWd.Retain(e.long)
 	e.longCentroid = st.LongCentroid
 	e.longVer++
 	e.asw.Reset()
@@ -577,6 +614,7 @@ func emaParams(dst, src model.Model, decay float64) {
 			dw[j] = decay*dw[j] + (1-decay)*sw[j]
 		}
 	}
+	dst.Net().InvalidateForward()
 }
 
 // argmaxRows maps per-sample class distributions to hard labels.

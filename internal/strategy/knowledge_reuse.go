@@ -75,11 +75,11 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 	members := append([]ensemble.Member{{Proba: k.reuse.PredictProba(b.X), Distance: dist}},
 		k.ens.GranMembers(obs.YBar, b.X)...)
 	normalizeDistances(members)
-	recordWeights(tr, members, k.sigma)
-	fused, err := ensemble.Fuse(members, k.sigma)
+	fused, weights, err := ensemble.Fuse(members, k.sigma)
 	if err != nil {
 		return Prediction{}, false, fmt.Errorf("strategy: knowledge fuse: %w", err)
 	}
+	tr.Weights(weights)
 	pred := Prediction{Pred: argmaxRows(fused), Proba: fused}
 
 	// Reuse means not relearning (SC3): on a confident match the preserved

@@ -104,13 +104,8 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 		}
 	}
 
-	if s.ComputeMu != nil {
-		s.ComputeMu.Lock()
-		defer s.ComputeMu.Unlock()
-	}
-
 	if s.Proj == nil {
-		proba := s.Members[0].Model.PredictProba(x)
+		proba := s.forward(s.Members[:1], x)[0].Proba
 		return InferOutput{Pred: argmaxRows(proba), Proba: proba, Warmup: true, KnowledgeDist: -1}, nil
 	}
 
@@ -125,23 +120,12 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 			return InferOutput{}, fmt.Errorf("strategy: infer projection: %w", err)
 		}
 	}
-	members := make([]ensemble.Member, len(s.Members))
+	members := s.forward(s.Members, x)
 	for i, m := range s.Members {
-		members[i] = ensemble.Member{
-			Proba:    m.Model.PredictProba(x),
-			Distance: centroidDistance(ybar, m.Centroid),
-		}
+		members[i].Distance = centroidDistance(ybar, m.Centroid)
 	}
 	normalizeDistances(members)
-	ds := make([]float64, len(members))
-	for i := range members {
-		ds[i] = members[i].Distance
-	}
-	weights, err := ensemble.Weights(ds, s.Sigma)
-	if err != nil {
-		weights = nil
-	}
-	fused, err := ensemble.Fuse(members, s.Sigma)
+	fused, weights, err := ensemble.Fuse(members, s.Sigma)
 	if err != nil {
 		return InferOutput{}, fmt.Errorf("strategy: infer fusion: %w", err)
 	}
@@ -157,6 +141,22 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 		Weights:       weights,
 		KnowledgeDist: kdist,
 	}, nil
+}
+
+// forward runs x through the given members under ComputeMu. Only these
+// forward passes touch model-owned scratch, so the lock covers nothing else:
+// the batch mean, its projection, the fusion and the knowledge distance run
+// outside it.
+func (s *Snapshot) forward(ms []SnapshotMember, x [][]float64) []ensemble.Member {
+	if s.ComputeMu != nil {
+		s.ComputeMu.Lock()
+		defer s.ComputeMu.Unlock()
+	}
+	out := make([]ensemble.Member, len(ms))
+	for i, m := range ms {
+		out[i].Proba = m.Model.PredictProba(x)
+	}
+	return out
 }
 
 // meanOfRows returns the column mean of the batch (nil for an empty batch).

@@ -155,15 +155,3 @@ func centroidDistance(y, centroid linalg.Vector) float64 {
 	}
 	return y.Distance(centroid)
 }
-
-// recordWeights feeds the fusion weights the members will receive to the
-// batch trace.
-func recordWeights(tr Trace, members []ensemble.Member, sigma float64) {
-	ds := make([]float64, len(members))
-	for i := range members {
-		ds[i] = members[i].Distance
-	}
-	if ws, err := ensemble.Weights(ds, sigma); err == nil {
-		tr.Weights(ws)
-	}
-}

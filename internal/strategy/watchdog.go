@@ -17,9 +17,9 @@ type RecoveryEvent struct {
 	// Reason is what tripped the watchdog: "non-finite loss",
 	// "non-finite weights", or "loss explosion".
 	Reason string
-	// RolledBack reports whether a last-healthy snapshot was restored. It
-	// is false only when the model diverged before any healthy update was
-	// retained (nothing to roll back to).
+	// RolledBack reports whether the last-healthy parameters were restored.
+	// It is false only when the model diverged before any healthy update
+	// was retained (nothing to roll back to).
 	RolledBack bool
 }
 
@@ -28,9 +28,6 @@ type RecoveryEvent struct {
 type WatchdogConfig struct {
 	// Disabled turns divergence monitoring and rollback off entirely.
 	Disabled bool
-	// Ring is how many last-healthy snapshots each model retains
-	// (default 3).
-	Ring int
 	// LossFactor flags a loss explosion when a batch's loss exceeds this
 	// multiple of the running healthy-loss mean (default 50).
 	LossFactor float64
@@ -43,8 +40,6 @@ type WatchdogConfig struct {
 // Validate reports the first invalid watchdog knob.
 func (w WatchdogConfig) Validate() error {
 	switch {
-	case w.Ring < 0:
-		return errors.New("core: Watchdog.Ring must be >= 0")
 	case w.LossFactor < 0:
 		return errors.New("core: Watchdog.LossFactor must be >= 0")
 	case w.LossFactor > 0 && w.LossFactor <= 1:
@@ -57,16 +52,19 @@ func (w WatchdogConfig) Validate() error {
 
 // Watchdog guards one model against divergence. After every update it
 // checks the update's loss and the model's weights; while they stay
-// healthy it retains a small ring of parameter snapshots, and on NaN/Inf
-// weights or a loss explosion it rolls the model back to the newest
-// retained snapshot. The paper's stability claim (SI, Eq. 16) assumes the
-// learner's weights stay in a sane region; the watchdog enforces that
-// assumption against faults SGD cannot recover from on its own.
+// healthy it keeps one copy of the last healthy parameters, and on NaN/Inf
+// weights or a loss explosion it rolls the model back to that copy. The
+// paper's stability claim (SI, Eq. 16) assumes the learner's weights stay in
+// a sane region; the watchdog enforces that assumption against faults SGD
+// cannot recover from on its own.
 type Watchdog struct {
 	name string
-	ring [][]byte // last-healthy snapshots, newest at (next-1+len)%len
-	next int
-	held int
+	// The last healthy parameters: flat, in a buffer reused across updates,
+	// for a model that can copy them (model.ParamCopier — the network
+	// families); its Snapshot bytes otherwise. Both nil until the first
+	// Retain.
+	flat []float64
+	snap []byte
 
 	meanLoss   float64 // EMA of healthy batch losses
 	updates    int
@@ -76,7 +74,6 @@ type Watchdog struct {
 
 // Watchdog runtime defaults, applied when the config leaves a knob zero.
 const (
-	defaultWatchdogRing       = 3
 	defaultWatchdogLossFactor = 50.0
 	defaultWatchdogMinUpdates = 8
 	// watchdogLossEMA smooths the healthy-loss reference.
@@ -85,10 +82,6 @@ const (
 
 // NewWatchdog builds a watchdog for the named model.
 func NewWatchdog(name string, cfg WatchdogConfig) *Watchdog {
-	ring := cfg.Ring
-	if ring <= 0 {
-		ring = defaultWatchdogRing
-	}
 	factor := cfg.LossFactor
 	if factor <= 0 {
 		factor = defaultWatchdogLossFactor
@@ -97,12 +90,34 @@ func NewWatchdog(name string, cfg WatchdogConfig) *Watchdog {
 	if minUpdates <= 0 {
 		minUpdates = defaultWatchdogMinUpdates
 	}
-	return &Watchdog{
-		name:       name,
-		ring:       make([][]byte, ring),
-		lossFactor: factor,
-		minUpdates: minUpdates,
+	return &Watchdog{name: name, lossFactor: factor, minUpdates: minUpdates}
+}
+
+// Retain makes m's current parameters the rollback target. Check calls it
+// after every healthy update; the ensemble calls it whenever it replaces a
+// model's parameters wholesale (checkpoint restore, knowledge adoption), so a
+// later rollback returns to those and not to what they replaced — or, in a
+// fresh process, to nothing. A nil watchdog (monitoring disabled) retains
+// nothing.
+func (w *Watchdog) Retain(m model.Model) {
+	if w == nil {
+		return
 	}
+	if pc, ok := m.(model.ParamCopier); ok {
+		w.flat = pc.AppendParams(w.flat[:0])
+	} else if snap, err := m.Snapshot(); err == nil {
+		w.snap = snap
+	}
+}
+
+// rollback restores the retained parameters (and resets the optimizer, as
+// Restore does) and reports whether it could.
+func (w *Watchdog) rollback(m model.Model) bool {
+	if pc, ok := m.(model.ParamCopier); ok && w.flat != nil {
+		pc.RestoreParams(w.flat)
+		return true
+	}
+	return w.snap != nil && m.Restore(w.snap) == nil
 }
 
 // Check inspects the model right after an update. loss is the update's
@@ -129,35 +144,8 @@ func (w *Watchdog) Check(m model.Model, loss float64, batch int) *RecoveryEvent 
 				w.meanLoss = watchdogLossEMA*w.meanLoss + (1-watchdogLossEMA)*loss
 			}
 		}
-		if snap, err := m.Snapshot(); err == nil {
-			w.push(snap)
-		}
+		w.Retain(m)
 		return nil
 	}
-
-	ev := &RecoveryEvent{Batch: batch, Model: w.name, Reason: reason}
-	if snap := w.newest(); snap != nil {
-		if err := m.Restore(snap); err == nil {
-			ev.RolledBack = true
-		}
-	}
-	return ev
-}
-
-// push retains a healthy snapshot, evicting the oldest when the ring is
-// full.
-func (w *Watchdog) push(snap []byte) {
-	w.ring[w.next] = snap
-	w.next = (w.next + 1) % len(w.ring)
-	if w.held < len(w.ring) {
-		w.held++
-	}
-}
-
-// newest returns the most recently retained snapshot, or nil when none.
-func (w *Watchdog) newest() []byte {
-	if w.held == 0 {
-		return nil
-	}
-	return w.ring[(w.next-1+len(w.ring))%len(w.ring)]
+	return &RecoveryEvent{Batch: batch, Model: w.name, Reason: reason, RolledBack: w.rollback(m)}
 }

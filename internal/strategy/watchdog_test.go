@@ -1,0 +1,129 @@
+package strategy
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"freewayml/internal/linalg"
+	"freewayml/internal/model"
+)
+
+func trainedMLP(t *testing.T, seed int64, steps int) model.Model {
+	t.Helper()
+	m, err := model.NewStreamingMLP(reuseDim, reuseClasses, model.DefaultHyper())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < steps; i++ {
+		b, _ := reuseBatch(rng)
+		if _, err := m.Fit(b.X, b.Y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+func poison(m model.Model) {
+	for _, p := range m.Net().Params() {
+		p.W[len(p.W)/2] = math.Inf(1)
+	}
+}
+
+// TestWatchdogFlatCopy: for a network model the last-healthy state is one
+// flat copy in a reused buffer — a healthy Check allocates nothing once warm
+// — and a rollback restores exactly the retained bits.
+func TestWatchdogFlatCopy(t *testing.T) {
+	m := trainedMLP(t, 41, 3)
+	w := NewWatchdog("gran0", WatchdogConfig{})
+
+	// Nothing retained yet: the divergence is reported, not repaired.
+	poison(m)
+	if ev := w.Check(m, 0.5, 7); ev == nil || ev.RolledBack || ev.Reason != "non-finite weights" || ev.Batch != 7 {
+		t.Fatalf("event = %+v, want an unrepaired non-finite-weights divergence at batch 7", ev)
+	}
+
+	m = trainedMLP(t, 41, 3)
+	if ev := w.Check(m, 0.5, 8); ev != nil {
+		t.Fatalf("healthy update flagged: %+v", ev)
+	}
+	healthy := m.Net().AppendFlatParams(nil)
+	if allocs := testing.AllocsPerRun(20, func() { w.Check(m, 0.5, 9) }); allocs != 0 {
+		t.Errorf("a warm healthy Check allocates %.0f times, want 0", allocs)
+	}
+	poison(m)
+	if ev := w.Check(m, 0.5, 10); ev == nil || !ev.RolledBack {
+		t.Fatalf("event = %+v, want a rollback", ev)
+	}
+	got := m.Net().AppendFlatParams(nil)
+	for i := range healthy {
+		if math.Float64bits(got[i]) != math.Float64bits(healthy[i]) {
+			t.Fatalf("weight %d after rollback = %v, last healthy was %v", i, got[i], healthy[i])
+		}
+	}
+	// A non-finite loss rolls back too, finite weights or not.
+	if ev := w.Check(m, math.NaN(), 11); ev == nil || ev.Reason != "non-finite loss" || !ev.RolledBack {
+		t.Fatalf("event = %+v, want a non-finite-loss rollback", ev)
+	}
+
+	var off *Watchdog
+	off.Retain(m) // a disabled watchdog retains nothing and does not panic
+}
+
+// TestWatchdogSnapshotFallback: a model that cannot copy its parameters flat
+// (the gradient-free families, the Standardized wrapper) keeps the
+// Snapshot/Restore path.
+func TestWatchdogSnapshotFallback(t *testing.T) {
+	std, err := model.NewStandardized(trainedMLP(t, 42, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(43))
+	b, _ := reuseBatch(rng)
+	if _, err := std.Fit(b.X, b.Y); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWatchdog("gran0", WatchdogConfig{})
+	if ev := w.Check(std, 0.5, 1); ev != nil {
+		t.Fatalf("healthy update flagged: %+v", ev)
+	}
+	want := std.Predict(b.X)
+	b2, _ := reuseBatch(rng)
+	if _, err := std.Fit(b2.X, b2.Y); err != nil { // moves weights and scaler
+		t.Fatal(err)
+	}
+	poison(std)
+	if ev := w.Check(std, 0.5, 2); ev == nil || !ev.RolledBack {
+		t.Fatalf("event = %+v, want a rollback", ev)
+	}
+	for i, p := range std.Predict(b.X) {
+		if p != want[i] {
+			t.Fatal("rollback did not restore the wrapper's scaler and weights")
+		}
+	}
+}
+
+// TestAdoptShortBecomesRollbackTarget: knowledge adoption replaces the short
+// model's parameters; a divergence right after it must return to the adopted
+// parameters, not silently undo the adoption.
+func TestAdoptShortBecomesRollbackTarget(t *testing.T) {
+	e := reuseEnsemble(t, []int{1}, false, func(m model.Model) model.Model { return m })
+	g := e.grans[0]
+	if ev := g.wd.Check(g.Model, 0.5, 1); ev != nil { // retains the initial weights
+		t.Fatalf("healthy update flagged: %+v", ev)
+	}
+	preserved := trainedMLP(t, 44, 5)
+	snap, err := preserved.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AdoptShort(snap, linalg.Vector{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	poison(g.Model)
+	if ev := g.wd.Check(g.Model, 0.5, 2); ev == nil || !ev.RolledBack {
+		t.Fatalf("event = %+v, want a rollback", ev)
+	}
+	sameWeights(t, "short model after the rollback vs the adopted snapshot", g.Model, preserved)
+}

@@ -64,7 +64,7 @@ func (p *Precomputer) Finalize(opt *nn.SGD) error {
 			param.Grad[i] *= scale
 		}
 	}
-	opt.Step(p.net.Params())
+	p.net.Step(opt)
 	p.subsets = 0
 	p.samples = 0
 	return nil

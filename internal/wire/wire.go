@@ -135,14 +135,6 @@ func (f *Frame) Detach() (x [][]float64, y []int) {
 	return x, y
 }
 
-// Arm gives a detached frame its next slab from a pool (nil t keeps the
-// allocate-on-decode behaviour). The slab is resized by the next DecodeInto.
-func (f *Frame) Arm(t *linalg.Tensor) {
-	if f.t == nil {
-		f.t = t
-	}
-}
-
 // DecodeInto parses one complete frame (without the stream length prefix)
 // from buf into f, reusing f's storage. All errors wrap ErrMalformed.
 func (f *Frame) DecodeInto(buf []byte) error {
