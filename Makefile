@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt golden race check no-unsafe loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
+.PHONY: all build test vet fmt golden race fuzz check no-unsafe loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
 
 all: check
 
@@ -25,8 +25,17 @@ fmt:
 golden:
 	$(GO) test -cpu 1,2,4 -run Golden ./internal/core
 
+# internal/dist runs three times over: its connection pool is concurrent
+# code, and a flaky interleaving must show up here, not in cluster-smoke.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 ./internal/dist
+
+# Differential fuzzing, 20 s each: the GEMM kernels against their oracles
+# (exact bits) and the JSON batch parser against encoding/json.
+fuzz:
+	$(GO) test ./internal/linalg -run '^$$' -fuzz FuzzGemmShapes -fuzztime 20s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s
 
 # The GEMM kernels are bounds-checked pure-Go loops whose bitwise contract is
 # tested against the oracle: no unsafe may enter the compute packages.

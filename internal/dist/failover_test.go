@@ -221,7 +221,7 @@ func TestFailoverPartitionThenRejoin(t *testing.T) {
 	dir := t.TempDir()
 	a := newTestWorker(t, dir)
 	b := newTestWorker(t, dir)
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := failoverRouter(t, chaos, false, a, b)
 	rng := rand.New(rand.NewSource(11))
 
@@ -282,7 +282,7 @@ func TestAntiEntropyOnRejoin(t *testing.T) {
 	dir := t.TempDir()
 	a := newTestWorker(t, dir, serve.WithSharedKnowledge())
 	b := newTestWorker(t, dir, serve.WithSharedKnowledge())
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := failoverRouter(t, chaos, true, a, b)
 
 	// Eject b via failed probes.
@@ -330,7 +330,7 @@ func TestPeriodicAntiEntropySweep(t *testing.T) {
 	dir := t.TempDir()
 	a := newTestWorker(t, dir, serve.WithSharedKnowledge())
 	b := newTestWorker(t, dir, serve.WithSharedKnowledge())
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt, err := NewRouter(Config{
 		Workers:             []string{a.addr(), b.addr()},
 		FailThreshold:       2,

@@ -109,7 +109,7 @@ type Config struct {
 	// Registry receives the router's metrics (nil builds a private one).
 	Registry *obs.Registry
 	// Transport performs the actual round trips — the seam the chaos
-	// harness wraps (nil = http.DefaultTransport).
+	// harness wraps (nil = the router's own pooled hop transport, hop.go).
 	Transport http.RoundTripper
 }
 
@@ -177,6 +177,7 @@ type workerState struct {
 	cFailures  *obs.Counter
 	cProbeFail *obs.Counter
 	cForwards  *obs.Counter
+	cDials     *obs.Counter
 	hForward   *obs.Histogram
 }
 
@@ -238,13 +239,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = http.DefaultTransport
-	}
 	rt := &Router{
 		cfg:     cfg,
-		client:  &http.Client{Transport: transport},
+		client:  &http.Client{Transport: cfg.Transport},
 		reg:     reg,
 		mux:     http.NewServeMux(),
 		ring:    newRing(cfg.VNodes),
@@ -273,6 +270,10 @@ func NewRouter(cfg Config) (*Router, error) {
 		events:    obs.NewEventRing(cfg.EventCap),
 		exemplars: obs.NewExemplarRing(cfg.ExemplarK),
 	}
+	if cfg.Transport == nil {
+		// rt.workers is complete before the first request and never changes.
+		rt.client.Transport = newHopTransport(func(addr string) { rt.workers[addr].cDials.Inc() })
+	}
 	const proxyBytesHelp = "Request/response body bytes proxied through the router, by direction and wire proto."
 	for _, proto := range []string{protoJSON, protoBinary} {
 		rt.bytesIn[proto] = reg.Counter("freeway_router_proxy_bytes_total", proxyBytesHelp, "direction", "in", "proto", proto)
@@ -293,6 +294,7 @@ func NewRouter(cfg Config) (*Router, error) {
 			cFailures:  reg.Counter("freeway_router_worker_failures_total", "Failed forward attempts and probes, per worker.", "worker", addr),
 			cProbeFail: reg.Counter("freeway_router_probe_failures_total", "Failed health probes, per worker.", "worker", addr),
 			cForwards:  reg.Counter("freeway_router_worker_forwards_total", "Forward attempts sent, per worker.", "worker", addr),
+			cDials:     reg.Counter("freeway_router_hop_dials_total", "Connections the hop transport dialled, per worker (it reuses pooled ones).", "worker", addr),
 			hForward:   reg.Histogram("freeway_router_worker_request_seconds", "Per-attempt forward latency, per worker.", nil, "worker", addr),
 		}
 		rt.workers[addr].gHealthy.Set(1)
@@ -370,6 +372,7 @@ func (r *Router) Close() error {
 	}
 	close(r.stop)
 	r.bg.Wait()
+	r.client.CloseIdleConnections()
 	return nil
 }
 
@@ -378,16 +381,17 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.mux.ServeHTTP(w, req)
 }
 
-// ownerFor resolves the current owner of a stream id and records the
-// routing decision so a later ring change knows the stream lived there.
-func (r *Router) ownerFor(id string) (string, bool) {
+// route resolves the current owner of a stream id and its state record
+// under one lock acquisition, and records the routing decision so a later
+// ring change knows the stream lived there.
+func (r *Router) route(id string) (owner string, ws *workerState, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	owner, ok := r.ring.ownerOf(id)
+	owner, ok = r.ring.ownerOf(id)
 	if ok {
 		r.streams[id] = owner
 	}
-	return owner, ok
+	return owner, r.workers[owner], ok
 }
 
 // forward routes one request for stream id: resolve the owner, forward with
@@ -409,8 +413,16 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, id string) {
 	defer func() { r.hLatency.Observe(time.Since(start).Seconds()) }()
 	proto := protoOf(req.Header.Get("Content-Type"))
 
-	req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBody)
-	body, err := io.ReadAll(req.Body)
+	// A declared length within the cap sizes the buffer once; io.ReadAll
+	// starts at 512 bytes and regrows by copying.
+	var body []byte
+	var err error
+	if n := req.ContentLength; n >= 0 && n <= r.cfg.MaxBody {
+		body = make([]byte, n)
+		_, err = io.ReadFull(req.Body, body)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBody))
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -437,42 +449,36 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, id string) {
 				break
 			}
 		}
-		owner, ok := r.ownerFor(id)
+		owner, ws, ok := r.route(id)
 		if !ok {
 			lastErr = errors.New("no healthy workers in the ring")
 			continue
 		}
 		hop := tr.beginAttempt(req, owner, attempt, backoff)
-		ws := r.workerFor(owner)
-		if ws != nil {
-			ws.gInflight.Set(float64(ws.inflight.Add(1)))
-			ws.cForwards.Inc()
-		}
+		ws.gInflight.Set(float64(ws.inflight.Add(1)))
+		ws.cForwards.Inc()
 		attemptStart := time.Now()
-		resp, err := r.do(req.Context(), r.cfg.RequestTimeout, owner, req.Method,
+		resp, reply, err := r.do(req.Context(), r.cfg.RequestTimeout, owner, req.Method,
 			req.URL.RequestURI(), req.Header, body)
-		if ws != nil {
-			ws.gInflight.Set(float64(ws.inflight.Add(-1)))
-			ws.hForward.Observe(time.Since(attemptStart).Seconds())
+		ws.gInflight.Set(float64(ws.inflight.Add(-1)))
+		ws.hForward.Observe(time.Since(attemptStart).Seconds())
+		if err == nil && resp.StatusCode == http.StatusServiceUnavailable {
+			err = errors.New("status 503")
 		}
 		if err != nil {
 			lastErr = fmt.Errorf("worker %s: %w", owner, err)
-			r.noteFailure(owner, tr.id())
-			hop.finish(r.breakerState(owner), lastErr)
+			hop.finish(r.noteFailure(owner, tr.id()), lastErr)
 			continue
 		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			resp.Body.Close()
-			lastErr = fmt.Errorf("worker %s: status 503", owner)
-			r.noteFailure(owner, tr.id())
-			hop.finish(r.breakerState(owner), lastErr)
-			continue
-		}
-		r.noteSuccess(owner)
+		r.noteSuccess(ws)
 		hop.finish("closed", nil)
 		tr.setHeaders(w.Header(), resp.Header, start, attempts)
-		n := relay(w, resp)
-		r.bytesOut[proto].Add(n)
+		copyHeaders(w.Header(), resp.Header)
+		w.WriteHeader(resp.StatusCode)
+		if _, err := w.Write(reply); err != nil {
+			log.Printf("dist: relay body: %v", err)
+		}
+		r.bytesOut[proto].Add(int64(len(reply)))
 		tr.offerExemplar(r, owner, start, attempts)
 		return
 	}
@@ -483,29 +489,13 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, id string) {
 		fmt.Sprintf("stream %q: all %d attempts failed: %v", id, r.cfg.Retries+1, lastErr))
 }
 
-// workerFor returns the breaker state record for a worker address.
-func (r *Router) workerFor(addr string) *workerState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.workers[addr]
-}
-
-// breakerState reports a worker's breaker as "closed" (in the ring) or
-// "open" (ejected) — the per-attempt span annotation.
-func (r *Router) breakerState(addr string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ws, ok := r.workers[addr]; ok && ws.healthy {
-		return "closed"
-	}
-	return "open"
-}
-
 // hopByHop lists the RFC 9110 connection-scoped headers a proxy must not
 // forward; everything else passes through in both directions, so opaque
 // payloads (the binary batch format, future content types) route untouched.
+// Expect is among them because the router has already buffered the body: a
+// worker's "100 Continue" would be read as its final response.
 var hopByHop = map[string]struct{}{
-	"Connection": {}, "Keep-Alive": {}, "Proxy-Authenticate": {},
+	"Connection": {}, "Expect": {}, "Keep-Alive": {}, "Proxy-Authenticate": {},
 	"Proxy-Authorization": {}, "Te": {}, "Trailer": {},
 	"Transfer-Encoding": {}, "Upgrade": {},
 }
@@ -526,53 +516,26 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// do performs one HTTP round trip to a worker with its own deadline,
+// do performs one HTTP round trip to a worker under its own deadline,
 // forwarding hdr (nil for the router's own control calls) minus the
-// hop-by-hop set. The response body is the caller's to close.
-func (r *Router) do(parent context.Context, timeout time.Duration, worker, method, uri string, hdr http.Header, body []byte) (*http.Response, error) {
+// hop-by-hop set, and returns the response with its body read and closed.
+func (r *Router) do(parent context.Context, timeout time.Duration, worker, method, uri string, hdr http.Header, body []byte) (*http.Response, []byte, error) {
 	ctx, cancel := context.WithTimeout(parent, timeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, "http://"+worker+uri, bytes.NewReader(body))
 	if err != nil {
-		cancel()
-		return nil, err
+		return nil, nil, err
 	}
 	if hdr != nil {
 		copyHeaders(req.Header, hdr)
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		cancel()
-		return nil, err
+		return nil, nil, err
 	}
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-// cancelBody releases the attempt's context when the response body is
-// closed (the context must outlive the body read).
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b *cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
-}
-
-// relay copies a worker response to the client: status, every
-// non-hop-by-hop header, and the body byte-for-byte. Returns the body
-// bytes written toward the client (for the proxy-bytes counters).
-func relay(w http.ResponseWriter, resp *http.Response) int64 {
-	defer resp.Body.Close()
-	copyHeaders(w.Header(), resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	n, err := io.Copy(w, resp.Body)
-	if err != nil {
-		log.Printf("dist: relay body: %v", err)
-	}
-	return n
+	reply, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, reply, err
 }
 
 // backoff returns the delay before retry n (0-based): exponential from
@@ -604,9 +567,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // noteSuccess resets a worker's consecutive-failure count.
-func (r *Router) noteSuccess(addr string) {
+func (r *Router) noteSuccess(ws *workerState) {
 	r.mu.Lock()
-	if ws, ok := r.workers[addr]; ok && ws.healthy {
+	if ws.healthy {
 		ws.consecFails = 0
 	}
 	r.mu.Unlock()
@@ -619,19 +582,21 @@ func (r *Router) noteSuccess(addr string) {
 // the shared checkpoint directory instead). traceID, when non-empty, is the
 // trace of the request whose failure advanced the breaker; it annotates the
 // breaker_open timeline event so an operator can jump from the ejection to
-// the request that triggered it.
-func (r *Router) noteFailure(addr, traceID string) {
+// the request that triggered it. It returns the worker's breaker as the
+// failure left it — "closed" (in the ring) or "open" (ejected) — the
+// per-attempt span annotation.
+func (r *Router) noteFailure(addr, traceID string) string {
 	r.mu.Lock()
 	ws, ok := r.workers[addr]
 	if !ok || !ws.healthy {
 		r.mu.Unlock()
-		return
+		return "open"
 	}
 	ws.cFailures.Inc()
 	ws.consecFails++
 	if ws.consecFails < r.cfg.FailThreshold {
 		r.mu.Unlock()
-		return
+		return "closed"
 	}
 	ws.healthy = false
 	ws.ejectedAt = time.Now()
@@ -647,6 +612,7 @@ func (r *Router) noteFailure(addr, traceID string) {
 	})
 	log.Printf("dist: worker %s ejected after %d consecutive failures (%d streams to migrate)", addr, ws.consecFails, len(moved))
 	r.migrate(moved, traceID)
+	return "open"
 }
 
 // movedStream records one stream's migration: the worker it was last
@@ -740,14 +706,8 @@ func (r *Router) evictStream(addr, id string, checkpoint bool) bool {
 	if !checkpoint {
 		uri += "?checkpoint=false"
 	}
-	resp, err := r.do(context.Background(), r.cfg.ProbeTimeout, addr, http.MethodPost, uri, nil, nil)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	code := resp.StatusCode
-	resp.Body.Close()
-	return code == http.StatusOK
+	resp, _, err := r.do(context.Background(), r.cfg.ProbeTimeout, addr, http.MethodPost, uri, nil, nil)
+	return err == nil && resp.StatusCode == http.StatusOK
 }
 
 // ProbeOnce probes every worker's /v1/healthz once: failures advance the
@@ -765,15 +725,9 @@ func (r *Router) ProbeOnce() {
 	r.mu.Unlock()
 
 	for _, addr := range addrs {
-		resp, err := r.do(context.Background(), r.cfg.ProbeTimeout, addr,
+		resp, _, err := r.do(context.Background(), r.cfg.ProbeTimeout, addr,
 			http.MethodGet, "/v1/healthz", nil, nil)
-		healthy := false
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			healthy = resp.StatusCode == http.StatusOK
-			resp.Body.Close()
-		}
-		if !healthy {
+		if err != nil || resp.StatusCode != http.StatusOK {
 			r.mu.Lock()
 			if ws, ok := r.workers[addr]; ok {
 				ws.cProbeFail.Inc()
@@ -859,16 +813,13 @@ func (r *Router) antiEntropy(from, to string) {
 
 // exportKnowledge fetches a worker's shared knowledge store export.
 func (r *Router) exportKnowledge(from string) ([]byte, error) {
-	resp, err := r.do(context.Background(), r.cfg.RequestTimeout, from,
+	resp, body, err := r.do(context.Background(), r.cfg.RequestTimeout, from,
 		http.MethodGet, "/v1/knowledge", nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	body, err := io.ReadAll(resp.Body)
-	code := resp.StatusCode
-	resp.Body.Close()
-	if err != nil || code != http.StatusOK {
-		return nil, fmt.Errorf("status %d err %v", code, err)
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
 	return body, nil
 }
@@ -876,16 +827,13 @@ func (r *Router) exportKnowledge(from string) ([]byte, error) {
 // mergeKnowledge posts an exported knowledge store into a worker's shared
 // store.
 func (r *Router) mergeKnowledge(to string, body []byte) error {
-	resp, err := r.do(context.Background(), r.cfg.RequestTimeout, to,
+	resp, _, err := r.do(context.Background(), r.cfg.RequestTimeout, to,
 		http.MethodPost, "/v1/knowledge/merge", jsonHeader, body)
 	if err != nil {
 		return err
 	}
-	io.Copy(io.Discard, resp.Body)
-	code := resp.StatusCode
-	resp.Body.Close()
-	if code != http.StatusOK {
-		return fmt.Errorf("status %d", code)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d", resp.StatusCode)
 	}
 	return nil
 }
@@ -1030,7 +978,7 @@ func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
 		Workers  int               `json:"workers"`
 	}{Streams: []json.RawMessage{}, Sessions: map[string]int64{}}
 	for _, addr := range members {
-		resp, err := r.do(req.Context(), r.cfg.ProbeTimeout, addr,
+		_, body, err := r.do(req.Context(), r.cfg.ProbeTimeout, addr,
 			http.MethodGet, "/v1/streams", nil, nil)
 		if err != nil {
 			continue
@@ -1039,9 +987,7 @@ func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
 			Streams  []json.RawMessage `json:"streams"`
 			Sessions map[string]int64  `json:"sessions"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&one)
-		resp.Body.Close()
-		if err != nil {
+		if json.Unmarshal(body, &one) != nil {
 			continue
 		}
 		merged.Workers++

@@ -116,7 +116,7 @@ func counterValue(rt *Router, name string, labels ...string) int64 {
 
 func TestRouterRetriesTransientConnectionDrops(t *testing.T) {
 	fw := newFakeWorker(t)
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := testRouter(t, chaos, fw)
 
 	// Calls 0 and... drop the first request only: below the breaker
@@ -170,7 +170,7 @@ func TestRouterRelaysWorkerErrorsVerbatim(t *testing.T) {
 func TestRouterBreakerEjectsAndFailsOver(t *testing.T) {
 	w1 := newFakeWorker(t)
 	w2 := newFakeWorker(t)
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := testRouter(t, chaos, w1, w2)
 
 	// Establish which worker owns the stream, and that routing is sticky.
@@ -228,7 +228,7 @@ func TestRouterBreakerEjectsAndFailsOver(t *testing.T) {
 func TestRouterRejoinMigratesBackWithCleanEvict(t *testing.T) {
 	w1 := newFakeWorker(t)
 	w2 := newFakeWorker(t)
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := testRouter(t, chaos, w1, w2)
 
 	rec := routerProcess(t, rt, "orders")
@@ -276,7 +276,7 @@ func TestRouterRejoinMigratesBackWithCleanEvict(t *testing.T) {
 
 func TestRouterExhaustedReturns502AndNotReady(t *testing.T) {
 	fw := newFakeWorker(t)
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := testRouter(t, chaos, fw)
 
 	chaos.Partition(fw.addr())
@@ -303,7 +303,7 @@ func TestRouterExhaustedReturns502AndNotReady(t *testing.T) {
 func TestRouterProbeEjectsWithoutTraffic(t *testing.T) {
 	w1 := newFakeWorker(t)
 	w2 := newFakeWorker(t)
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := testRouter(t, chaos, w1, w2)
 
 	chaos.Partition(w1.addr())
@@ -326,7 +326,7 @@ func TestRouterConcurrentForwardsDuringChurn(t *testing.T) {
 	// just "no client-visible failure".
 	w1 := newFakeWorker(t)
 	w2 := newFakeWorker(t)
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := testRouter(t, chaos, w1, w2)
 
 	var wg sync.WaitGroup

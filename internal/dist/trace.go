@@ -7,7 +7,6 @@ package dist
 
 import (
 	"encoding/json"
-	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -283,14 +282,8 @@ func (r *Router) ringMembers() []string {
 // timeout, returning the body text; ok is false on any transport or
 // non-200 failure.
 func (r *Router) scrapeWorker(req *http.Request, addr, uri string) (string, bool) {
-	resp, err := r.do(req.Context(), r.cfg.ProbeTimeout, addr, http.MethodGet, uri, nil, nil)
-	if err != nil {
-		return "", false
-	}
-	body, err := io.ReadAll(resp.Body)
-	code := resp.StatusCode
-	resp.Body.Close()
-	if err != nil || code != http.StatusOK {
+	resp, body, err := r.do(req.Context(), r.cfg.ProbeTimeout, addr, http.MethodGet, uri, nil, nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
 		return "", false
 	}
 	return string(body), true

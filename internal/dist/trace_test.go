@@ -65,7 +65,7 @@ func TestTraceContinuityAcrossFailover(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w1 := newTestWorker(t, dir)
 	w2 := newTestWorker(t, dir)
-	chaos := faults.NewChaosTransport(nil)
+	chaos := faults.NewChaosTransport(newHopTransport(nil))
 	rt := failoverRouter(t, chaos, false, w1, w2)
 
 	const stream = "trace-failover"

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"net"
@@ -14,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"freewayml/internal/obs"
 	"freewayml/internal/wire"
 )
 
@@ -36,37 +34,6 @@ var framePool = sync.Pool{New: func() any { return new(wire.Frame) }}
 func getFrame() *wire.Frame { return framePool.Get().(*wire.Frame) }
 
 func putFrame(f *wire.Frame) { framePool.Put(f) }
-
-// handleProcessBinary serves one binary frame POSTed over HTTP. The body is
-// already read (and capped) by handleProcess, so the binary path enforces
-// exactly the same body-size and read-timeout limits as JSON. Malformed
-// frames get the standard 400 JSON envelope.
-func (s *Server) handleProcessBinary(w http.ResponseWriter, r *http.Request, id string, body []byte) {
-	f := getFrame()
-	defer putFrame(f)
-	if err := f.DecodeInto(body); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	s.cBinFrames.Inc()
-	if f.Grew {
-		s.cBinGrew.Inc()
-	}
-	if f.ID != "" && f.ID != id {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("frame is addressed to stream %q, not %q", f.ID, id))
-		return
-	}
-	rec := s.beginSpan(id, "binary", r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
-	out, status, err := s.processDecodedFrame(r.Context(), id, rec.traceID(), f)
-	rec.finish(err)
-	rec.setHeaders(w.Header())
-	if err != nil {
-		s.writeError(w, status, err.Error())
-		return
-	}
-	s.writeJSON(w, out)
-}
 
 // processDecodedFrame validates and processes a decoded frame. The learner
 // retains rows (windows, replay buffers), so the frame's storage is

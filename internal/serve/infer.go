@@ -6,14 +6,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 
 	"freewayml/internal/guard"
 	"freewayml/internal/obs"
@@ -48,77 +45,25 @@ type GraphResponse struct {
 // ProcessRequest without y, or a label-less binary frame) predicted from
 // the stream's published snapshot.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, ok := s.readBody(w, r)
+	f, proto, ok := s.decodeBatch(w, r, id)
 	if !ok {
 		return
 	}
-	defer putBuf(body)
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, BinaryContentType) {
-		s.handleInferBinary(w, r, id, body.Bytes())
-		return
-	}
-	var req ProcessRequest
-	dec := json.NewDecoder(bytes.NewReader(body.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	if req.Y != nil {
+	defer putFrame(f)
+	if f.Y != nil {
 		s.writeError(w, http.StatusBadRequest, "infer is label-less: submit labeled batches to /process")
 		return
 	}
-	if err := validateInferRows(req.X, s.dim, s.classes); err != nil {
+	if err := validateInferRows(f.X, s.dim, s.classes); err != nil {
 		s.writeError(w, inferValidationStatus(err), err.Error())
 		return
 	}
-	rec := s.beginInferSpan(id, "json", r.Header.Get(obs.TraceparentHeader), "", len(req.X))
-	out, status, err := s.infer(r.Context(), id, req.X)
-	rec.finish(err)
-	rec.setHeaders(w.Header())
-	if err != nil {
-		s.writeError(w, status, err.Error())
-		return
-	}
-	s.writeJSON(w, out)
-}
-
-// handleInferBinary serves a binary frame POSTed to /infer. The frame must
-// be label-less — a labeled frame is a training submission and belongs to
-// /process.
-func (s *Server) handleInferBinary(w http.ResponseWriter, r *http.Request, id string, body []byte) {
-	f := getFrame()
-	defer putFrame(f)
-	if err := f.DecodeInto(body); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	s.cBinFrames.Inc()
-	if f.Grew {
-		s.cBinGrew.Inc()
-	}
-	if f.ID != "" && f.ID != id {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("frame is addressed to stream %q, not %q", f.ID, id))
-		return
-	}
-	if f.Y != nil {
-		s.writeError(w, http.StatusBadRequest, "infer frames must be label-less: submit labeled frames to /process")
-		return
-	}
-	rec := s.beginInferSpan(id, "binary", r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
-	out, status, err := s.inferDecodedFrame(r.Context(), id, f)
-	rec.finish(err)
-	rec.setHeaders(w.Header())
-	if err != nil {
-		s.writeError(w, status, err.Error())
-		return
-	}
-	s.writeJSON(w, out)
+	rec := s.beginInferSpan(id, proto, r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
+	// The inference plane never retains row references (member models copy
+	// rows into their own staging during the forward pass), so the frame
+	// keeps its slab and warm frames stay allocation-free — no Detach.
+	out, status, err := s.infer(r.Context(), id, f.X)
+	s.respond(w, rec, out, status, err)
 }
 
 // inferDecodedFrame validates and infers a decoded label-less frame. The

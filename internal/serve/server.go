@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -51,6 +52,7 @@ import (
 	"freewayml/internal/obs"
 	"freewayml/internal/session"
 	"freewayml/internal/stream"
+	"freewayml/internal/wire"
 )
 
 // StatusClientClosedRequest reports a request whose client went away (or
@@ -480,32 +482,82 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body *bytes.B
 }
 
 func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, ok := s.readBody(w, r)
+	f, proto, ok := s.decodeBatch(w, r, id)
 	if !ok {
 		return
 	}
-	defer putBuf(body)
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, BinaryContentType) {
-		s.handleProcessBinary(w, r, id, body.Bytes())
-		return
-	}
-	var req ProcessRequest
-	dec := json.NewDecoder(bytes.NewReader(body.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	if err := validateRows(req.X, req.Y, s.dim, s.classes); err != nil {
+	defer putFrame(f)
+	if err := validateRows(f.X, f.Y, s.dim, s.classes); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	rec := s.beginSpan(id, "json", r.Header.Get(obs.TraceparentHeader), "", len(req.X))
-	out, status, err := s.process(r.Context(), id, rec.traceID(), req.X, req.Y)
+	rec := s.beginSpan(id, proto, r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
+	// The learner retains rows (windows, replay buffers), so the frame's
+	// storage is detached — the frame allocates a fresh slab on its next decode.
+	x, y := f.Detach()
+	out, status, err := s.process(r.Context(), id, rec.traceID(), x, y)
+	s.respond(w, rec, out, status, err)
+}
+
+// decodeBatch is the one decode step of /process and /infer: it reads the
+// capped body and decodes it into a pooled frame the caller must putFrame —
+// a binary frame by DecodeInto, a JSON batch by DecodeJSON, and any JSON body
+// that declines by encoding/json, which owns both the verdict and the error
+// text and whose rows the frame then merely carries. proto labels the span.
+// On failure it has already answered (405, 413 or 400) and returns ok=false.
+func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, id string) (f *wire.Frame, proto string, ok bool) {
+	if r.Method != http.MethodPost {
+		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
+		return nil, "", false
+	}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return nil, "", false
+	}
+	defer putBuf(body)
+	f = getFrame()
+	switch {
+	case strings.HasPrefix(r.Header.Get("Content-Type"), BinaryContentType):
+		if err := f.DecodeInto(body.Bytes()); err != nil {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+			break
+		}
+		s.cBinFrames.Inc()
+		if f.Grew {
+			s.cBinGrew.Inc()
+		}
+		if f.ID != "" && f.ID != id {
+			s.writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("frame is addressed to stream %q, not %q", f.ID, id))
+			break
+		}
+		return f, "binary", true
+	case f.DecodeJSON(body.Bytes()):
+		return f, "json", true
+	default:
+		var req ProcessRequest
+		dec := json.NewDecoder(bytes.NewReader(body.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+			break
+		}
+		// Decode stops at the end of the first value; a second batch or
+		// stray bytes behind it must not be dropped silently.
+		if _, err := dec.Token(); err != io.EOF {
+			s.writeError(w, http.StatusBadRequest, "bad request: unexpected data after the JSON batch")
+			break
+		}
+		f.X, f.Y, f.ID, f.Traceparent = req.X, req.Y, "", ""
+		return f, "json", true
+	}
+	putFrame(f)
+	return nil, "", false
+}
+
+// respond closes the request's span, stamps its headers and writes the
+// session's answer or its error.
+func (s *Server) respond(w http.ResponseWriter, rec *spanRec, out any, status int, err error) {
 	rec.finish(err)
 	rec.setHeaders(w.Header())
 	if err != nil {

@@ -135,6 +135,35 @@ func (f *Frame) Detach() (x [][]float64, y []int) {
 	return x, y
 }
 
+// reserve sizes the slab and the row views for a rows×cols batch, reusing
+// what the frame holds and flagging Grew when it had to allocate. It returns
+// the slab's values, which the caller overwrites.
+func (f *Frame) reserve(rows, cols int) []float64 {
+	if f.t == nil || cap(f.t.Data) < rows*cols || cap(f.X) < rows {
+		f.Grew = true
+	}
+	f.t = linalg.EnsureTensor(f.t, rows, cols)
+	if cap(f.X) < rows {
+		f.X = make([][]float64, rows)
+	}
+	data, x := f.t.Data, f.X[:rows]
+	for i := range x {
+		x[i] = data[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	f.X = x
+	return data
+}
+
+// reserveLabels sizes the label storage for rows labels, like reserve.
+func (f *Frame) reserveLabels(rows int) []int {
+	if cap(f.y) < rows {
+		f.y = make([]int, rows)
+		f.Grew = true
+	}
+	f.y = f.y[:rows]
+	return f.y
+}
+
 // DecodeInto parses one complete frame (without the stream length prefix)
 // from buf into f, reusing f's storage. All errors wrap ErrMalformed.
 func (f *Frame) DecodeInto(buf []byte) error {
@@ -216,14 +245,8 @@ func (f *Frame) DecodeInto(buf []byte) error {
 	}
 	f.Dtype = dtype
 
-	if f.t == nil {
-		f.Grew = true
-	} else if cap(f.t.Data) < rows*cols {
-		f.Grew = true
-	}
-	f.t = linalg.EnsureTensor(f.t, rows, cols)
+	dst := f.reserve(rows, cols)
 	payload := buf[HeaderSize+idLen+traceLen:]
-	dst := f.t.Data
 	if dtype == Float64 {
 		for i := range dst {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
@@ -233,29 +256,13 @@ func (f *Frame) DecodeInto(buf []byte) error {
 			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:])))
 		}
 	}
-
-	if cap(f.X) < rows {
-		f.X = make([][]float64, rows)
-		f.Grew = true
-	}
-	f.X = f.X[:rows]
-	for i := range f.X {
-		f.X[i] = dst[i*cols : (i+1)*cols : (i+1)*cols]
-	}
-
+	f.Y = nil
 	if labeled {
-		if cap(f.y) < rows {
-			f.y = make([]int, rows)
-			f.Grew = true
+		y, lab := f.reserveLabels(rows), payload[int(elems*esz):]
+		for i := range y {
+			y[i] = int(int32(binary.LittleEndian.Uint32(lab[i*4:])))
 		}
-		f.y = f.y[:rows]
-		lab := payload[int(elems*esz):]
-		for i := range f.y {
-			f.y[i] = int(int32(binary.LittleEndian.Uint32(lab[i*4:])))
-		}
-		f.Y = f.y
-	} else {
-		f.Y = nil
+		f.Y = y
 	}
 	return nil
 }
