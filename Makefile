@@ -1,17 +1,28 @@
 GO ?= go
 
-.PHONY: all build test vet fmt golden race fuzz check no-unsafe loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
+.PHONY: all build test vet fmt golden race fuzz cross check no-unsafe loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# Twice: with the AVX2 bodies of internal/linalg where the CPU has them, and
+# under -tags purego, where the Go loops are the whole kernel (what a CPU
+# without AVX2, or another GOARCH, runs).
 test:
 	$(GO) test ./...
+	$(GO) test -tags purego ./...
 
+# vet's asmdecl pass checks the assembly's frame offsets against the Go
+# declarations.
 vet:
 	$(GO) vet ./...
+
+# The files a non-amd64 build uses must keep compiling (works offline).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/nn
 
 # gofmt prints the files it would change; any name is a failure.
 # (.bench_build/ holds the benchmark's private GOPATH and build cache.)
@@ -21,9 +32,11 @@ fmt:
 	@echo "fmt: gofmt -l clean"
 
 # The golden decision-bits test at three GOMAXPROCS values: the GEMM fan-out
-# partition depends on it and must never change a bit.
+# partition depends on it and must never change a bit — nor may the choice
+# between the assembly bodies and the Go loops.
 golden:
 	$(GO) test -cpu 1,2,4 -run Golden ./internal/core
+	$(GO) test -tags purego -cpu 1,2,4 -run Golden ./internal/core
 
 # internal/dist runs three times over: its connection pool is concurrent
 # code, and a flaky interleaving must show up here, not in cluster-smoke.
@@ -32,13 +45,16 @@ race:
 	$(GO) test -race -count=3 ./internal/dist
 
 # Differential fuzzing, 20 s each: the GEMM kernels against their oracles
-# (exact bits) and the JSON batch parser against encoding/json.
+# (exact bits, every shape through the Go loops and the assembly bodies) and
+# the JSON batch parser against encoding/json.
 fuzz:
 	$(GO) test ./internal/linalg -run '^$$' -fuzz FuzzGemmShapes -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s
 
-# The GEMM kernels are bounds-checked pure-Go loops whose bitwise contract is
-# tested against the oracle: no unsafe may enter the compute packages.
+# The GEMM kernels are bounds-checked Go wrappers around assembly bodies (and
+# the Go loops that are their tail and fallback) whose bitwise contract is
+# tested against the oracle: every pointer the assembly sees comes from a slice
+# expression, so no unsafe may enter the compute packages.
 no-unsafe:
 	@if grep -rn '"unsafe"' internal/linalg internal/nn --include='*.go'; then \
 		echo 'unsafe import found in kernel packages' >&2; exit 1; \
@@ -46,7 +62,7 @@ no-unsafe:
 	@echo "no-unsafe: kernel packages clean"
 
 # The full gate: everything CI runs.
-check: build vet fmt no-unsafe test golden race
+check: build vet fmt no-unsafe cross test golden race
 
 # Short closed-loop load smoke: boots freeway-serve, drives 2 streams for
 # ~2s, and fails on any request error.

@@ -23,22 +23,45 @@ import (
 //   - dot form (GemmTB): 4 rows of A × 2 rows of B, eight independent add
 //     chains fed by 6 loads per k step; 4×1 takes an odd last column.
 //
+// On amd64 with AVX2 each of these tiles has an assembly body (simd_amd64.s)
+// that runs four output elements per instruction — four columns of C in the
+// axpy forms, the four A rows of a dot tile — each lane doing exactly the
+// mul-then-add sequence of the loops below, which remain as the tail past the
+// last whole vector and as the whole kernel everywhere else.
+//
 // Leftover rows: the odd last row of an axpy range keeps the 4-deep k step
 // (axpyRow), the m mod 4 rows of the dot form run the plain one-chain loop;
 // parallelRows cuts ranges at multiples of 4 rows, so only the true end of
 // the matrix ever has a leftover.
 
+// simdCols is how many leading columns of an n-column row the assembly bodies
+// take, four to a vector; the Go loops below them start at that column, and
+// are the whole kernel without AVX2.
+func simdCols(n int) int {
+	if useAVX2 {
+		return n &^ 3
+	}
+	return 0
+}
+
 // axpyPair advances rows i and i+1 of C (n columns) by depth ∈ [1,4] k-steps:
 // c_r[j] += a_r[0]·B[p][j], then a_r[1]·B[p+1][j], … in that order.
 func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
-	c0 := c[i*n : (i+1)*n]
-	c1 := c[(i+1)*n : (i+2)*n][:len(c0)]
-	b0 := b[p*n : (p+1)*n][:len(c0)]
+	j := simdCols(n)
+	if j > 0 {
+		axpyPairAVX2(c[i*n:i*n+j], c[(i+1)*n:(i+1)*n+j], b[p*n:(p+depth)*n], n, depth, a0, a1)
+		if j == n {
+			return
+		}
+	}
+	c0 := c[i*n+j : (i+1)*n]
+	c1 := c[(i+1)*n+j : (i+2)*n][:len(c0)]
+	b0 := b[p*n+j : (p+1)*n][:len(c0)]
 	switch depth {
 	case 4:
-		b1 := b[(p+1)*n : (p+2)*n][:len(c0)]
-		b2 := b[(p+2)*n : (p+3)*n][:len(c0)]
-		b3 := b[(p+3)*n : (p+4)*n][:len(c0)]
+		b1 := b[(p+1)*n+j : (p+2)*n][:len(c0)]
+		b2 := b[(p+2)*n+j : (p+3)*n][:len(c0)]
+		b3 := b[(p+3)*n+j : (p+4)*n][:len(c0)]
 		a00, a01, a02, a03 := a0[0], a0[1], a0[2], a0[3]
 		a10, a11, a12, a13 := a1[0], a1[1], a1[2], a1[3]
 		for j, s0 := range c0 {
@@ -55,8 +78,8 @@ func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
 			c0[j], c1[j] = s0, s1
 		}
 	case 3:
-		b1 := b[(p+1)*n : (p+2)*n][:len(c0)]
-		b2 := b[(p+2)*n : (p+3)*n][:len(c0)]
+		b1 := b[(p+1)*n+j : (p+2)*n][:len(c0)]
+		b2 := b[(p+2)*n+j : (p+3)*n][:len(c0)]
 		a00, a01, a02 := a0[0], a0[1], a0[2]
 		a10, a11, a12 := a1[0], a1[1], a1[2]
 		for j, s0 := range c0 {
@@ -71,7 +94,7 @@ func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
 			c0[j], c1[j] = s0, s1
 		}
 	case 2:
-		b1 := b[(p+1)*n : (p+2)*n][:len(c0)]
+		b1 := b[(p+1)*n+j : (p+2)*n][:len(c0)]
 		a00, a01 := a0[0], a0[1]
 		a10, a11 := a1[0], a1[1]
 		for j, s0 := range c0 {
@@ -97,13 +120,20 @@ func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
 // pass over the row, as axpyPair does, then one pass per remaining step. An
 // element still receives a0[0]·B[p][j], a0[1]·B[p+1][j], … in that order.
 func axpyRow(c, b []float64, n, i, p int, a0 []float64) {
-	c0 := c[i*n : (i+1)*n]
+	j := simdCols(n)
+	if j > 0 {
+		axpyRowAVX2(c[i*n:i*n+j], b[p*n:(p+len(a0))*n], n, a0)
+		if j == n {
+			return
+		}
+	}
+	c0 := c[i*n+j : (i+1)*n]
 	q := 0
 	for ; q+4 <= len(a0); q += 4 {
-		b0 := b[(p+q)*n : (p+q+1)*n][:len(c0)]
-		b1 := b[(p+q+1)*n : (p+q+2)*n][:len(c0)]
-		b2 := b[(p+q+2)*n : (p+q+3)*n][:len(c0)]
-		b3 := b[(p+q+3)*n : (p+q+4)*n][:len(c0)]
+		b0 := b[(p+q)*n+j : (p+q+1)*n][:len(c0)]
+		b1 := b[(p+q+1)*n+j : (p+q+2)*n][:len(c0)]
+		b2 := b[(p+q+2)*n+j : (p+q+3)*n][:len(c0)]
+		b3 := b[(p+q+3)*n+j : (p+q+4)*n][:len(c0)]
 		a00, a01, a02, a03 := a0[q], a0[q+1], a0[q+2], a0[q+3]
 		for j, s := range c0 {
 			s += a00 * b0[j]
@@ -115,7 +145,7 @@ func axpyRow(c, b []float64, n, i, p int, a0 []float64) {
 	}
 	for ; q < len(a0); q++ {
 		av := a0[q]
-		bq := b[(p+q)*n : (p+q+1)*n][:len(c0)]
+		bq := b[(p+q)*n+j : (p+q+1)*n][:len(c0)]
 		for j, v := range bq {
 			c0[j] += av * v
 		}
@@ -134,13 +164,19 @@ func put(dst *float64, s float64, accumulate bool) {
 // dot4x2 computes the 4×2 tile C[i..i+3][j..j+1] of A × Bᵀ (A rows and B rows
 // of length k): eight independent ascending-p dot products.
 func dot4x2(c, a, b []float64, k, n, i, j int, accumulate bool) {
-	b0 := b[j*k : (j+1)*k]
-	b1 := b[(j+1)*k : (j+2)*k][:len(b0)]
-	a0 := a[i*k : (i+1)*k][:len(b0)]
-	a1 := a[(i+1)*k : (i+2)*k][:len(b0)]
-	a2 := a[(i+2)*k : (i+3)*k][:len(b0)]
-	a3 := a[(i+3)*k : (i+4)*k][:len(b0)]
 	var s00, s01, s10, s11, s20, s21, s30, s31 float64
+	p0 := simdCols(k)
+	if p0 > 0 {
+		var s [8]float64
+		dot4AVX2(&s, a[i*k:(i+4)*k], k, b[j*k:j*k+p0], b[(j+1)*k:(j+1)*k+p0])
+		s00, s10, s20, s30, s01, s11, s21, s31 = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	}
+	b0 := b[j*k+p0 : (j+1)*k]
+	b1 := b[(j+1)*k+p0 : (j+2)*k][:len(b0)]
+	a0 := a[i*k+p0 : (i+1)*k][:len(b0)]
+	a1 := a[(i+1)*k+p0 : (i+2)*k][:len(b0)]
+	a2 := a[(i+2)*k+p0 : (i+3)*k][:len(b0)]
+	a3 := a[(i+3)*k+p0 : (i+4)*k][:len(b0)]
 	for p, u0 := range b0 {
 		u1 := b1[p]
 		x0, x1, x2, x3 := a0[p], a1[p], a2[p], a3[p]
@@ -165,12 +201,18 @@ func dot4x2(c, a, b []float64, k, n, i, j int, accumulate bool) {
 
 // dot4x1 is the odd last column of a 4-row band.
 func dot4x1(c, a, b []float64, k, n, i, j int, accumulate bool) {
-	b0 := b[j*k : (j+1)*k]
-	a0 := a[i*k : (i+1)*k][:len(b0)]
-	a1 := a[(i+1)*k : (i+2)*k][:len(b0)]
-	a2 := a[(i+2)*k : (i+3)*k][:len(b0)]
-	a3 := a[(i+3)*k : (i+4)*k][:len(b0)]
 	var s0, s1, s2, s3 float64
+	p0 := simdCols(k)
+	if p0 > 0 {
+		var s [8]float64
+		dot4AVX2(&s, a[i*k:(i+4)*k], k, b[j*k:j*k+p0], nil)
+		s0, s1, s2, s3 = s[0], s[1], s[2], s[3]
+	}
+	b0 := b[j*k+p0 : (j+1)*k]
+	a0 := a[i*k+p0 : (i+1)*k][:len(b0)]
+	a1 := a[(i+1)*k+p0 : (i+2)*k][:len(b0)]
+	a2 := a[(i+2)*k+p0 : (i+3)*k][:len(b0)]
+	a3 := a[(i+3)*k+p0 : (i+4)*k][:len(b0)]
 	for p, u0 := range b0 {
 		s0 += a0[p] * u0
 		s1 += a1[p] * u0

@@ -122,19 +122,30 @@ const gemmBlockK = 128
 // fan-out overhead exceeds the win. Row partitioning never splits the
 // per-element summation, so the parallel path is also bitwise-deterministic.
 //
-// Re-measured when the tiled kernels halved the cost of a mul-add: medians of
-// six alternating 24 s runs of benchmark/run.sh per value, 2-vCPU host,
-// uncontended-host time (host slowdown 1.4–1.9):
+// Re-measured on the AVX2 kernels (a mul-add costs a third of what it did when
+// the value was chosen): medians of six 24 s runs of benchmark/run.sh per
+// value, order rotated per round, 2-vCPU host, uncontended-host time:
 //
 //	cutoff  learn_drift samples_per_s / peak_rss_mb  serve_read_hot train_p50_ms
-//	1<<16   654.5 k rows/s           / 69.3 MiB      0.4244
-//	1<<17   667.5 k (+2.0 %)         / 70.7          0.4341 (+2.3 %)
-//	1<<18   667.2 k (+1.9 %)         / 84.9 (+23 %)  0.4234 (−0.2 %)
+//	1<<16   1546.9 k rows/s          / 65.8 MiB      0.2828
+//	1<<18   1599.7 k (+3.4 %)        / 77.6 (+18 %)  0.2937 (+3.9 %)
+//	1<<20   1604.8 k (+3.7 %)        / 82.6 (+25 %)  0.2578 (−8.8 %)
 //
-// Throughput and latency gaps are inside the 2–4 % run-to-run spread (both
-// cores are already busy on learn_drift; serve_read_hot's batch-64 products
-// sit below every candidate) and 1<<18 costs 15 MiB of peak RSS (cause not
-// investigated), so neither larger value earns its place: 1<<16 stays.
+// The gains are inside the spread of the runs (quartile distance 4–17 % on
+// samples_per_s, 10–29 % on train_p50_ms: two of the six rounds were disturbed
+// by the host), and peak RSS rises past its 12 % bound, as it did in the
+// first study (+15 MiB at 1<<18). The cause, from GODEBUG=gctrace=1 on
+// learn_drift: with 2 Ps the GC's 25 % mark budget is a fractional worker,
+// which gets a P only when a goroutine parks or is preempted. A client that
+// fans out parks in wg.Wait thousands of times a second; one that does not
+// runs to the 10 ms preemption tick, longer than a whole mark phase. Per
+// cycle at 1<<20 the background workers get 2.0 ms of CPU instead of 3.9,
+// mutator assists do 1.9 ms instead of 0.24, the mark phase lasts 9.7 ms
+// instead of 7.4, and what is allocated meanwhile is born marked: live heap
+// +2 MB, goal +4 MB, heap at mark end +5 MB (p95 +6), and the mapped
+// high-water mark follows. The fan-out's parking is what paces the collector
+// here; less garbage per batch would lift the limit, a larger cutoff alone
+// does not earn its place: 1<<16 stays.
 const parallelFlopCutoff = 1 << 16
 
 // parallelRows splits [0, rows) into roughly equal chunks of a multiple of 4

@@ -7,9 +7,10 @@ import (
 
 // FuzzGemmShapes drives all six kernels over arbitrary shapes and seeds and
 // requires bit equality with the naive oracles (the exact-bits comparator of
-// TestGemmMatchesReference). The shape space is folded into [1, 90] per
-// dimension so the fuzzer regularly crosses the k-blocking boundary, the
-// parallel cutoff and every tile tail.
+// TestGemmMatchesReference), through the Go loops and through the assembly
+// bodies. The shape space is folded into [1, 90] per dimension so the fuzzer
+// regularly crosses the k-blocking boundary, the parallel cutoff and every
+// tile and lane tail.
 func FuzzGemmShapes(f *testing.F) {
 	f.Add(int8(1), int8(1), int8(1), int64(1))
 	f.Add(int8(1), int8(17), int8(1), int64(2))
@@ -27,6 +28,8 @@ func FuzzGemmShapes(f *testing.F) {
 			return x%90 + 1
 		}
 		m, k, n := fold(mRaw), fold(kRaw), fold(nRaw)
-		checkGemmBits(t, rand.New(rand.NewSource(seed)), m, k, n)
+		eachPath(func(string) {
+			checkGemmBits(t, rand.New(rand.NewSource(seed)), m, k, n)
+		})
 	})
 }

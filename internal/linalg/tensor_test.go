@@ -146,7 +146,9 @@ func checkGemmBits(t testing.TB, rng *rand.Rand, m, k, n int) {
 func TestGemmMatchesReference(t *testing.T) {
 	for _, s := range gemmShapes {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
-			checkGemmBits(t, rand.New(rand.NewSource(42)), s.m, s.k, s.n)
+			onBothPaths(t, func(t *testing.T) {
+				checkGemmBits(t, rand.New(rand.NewSource(42)), s.m, s.k, s.n)
+			})
 		})
 	}
 }

@@ -105,10 +105,7 @@ func (d *Dense) Forward(x *linalg.Tensor) *linalg.Tensor {
 		linalg.TransposeInto(d.wT, linalg.TensorView(d.w.W, d.In, d.Out))
 		linalg.GemmTB(d.out, x, d.wT)
 		for i := 0; i < x.Rows; i++ {
-			orow := d.out.Row(i)
-			for j, bv := range d.b.W {
-				orow[j] += bv
-			}
+			linalg.Vector(d.out.Row(i)).AddInPlace(d.b.W)
 		}
 	} else {
 		for i := 0; i < x.Rows; i++ {
@@ -150,10 +147,7 @@ func (d *Dense) backwardParams(gradOut *linalg.Tensor) {
 		linalg.GemmTAAdd(linalg.TensorView(d.w.Grad, d.In, d.Out), d.lastX, gradOut)
 	}
 	for i := 0; i < n; i++ {
-		grow := gradOut.Row(i)
-		for j, gv := range grow {
-			d.b.Grad[j] += gv
-		}
+		linalg.Vector(d.b.Grad).AddInPlace(gradOut.Row(i))
 	}
 }
 
@@ -186,30 +180,17 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward rectifies x in place and returns it.
 func (r *ReLU) Forward(x *linalg.Tensor) *linalg.Tensor {
 	r.y = x
-	// The builtin max compiles to a branchless select; the naive if/else is
-	// ~5× slower here because activation signs are data-dependent and the
-	// branch predictor loses every other guess.
-	for i, v := range x.Data {
-		x.Data[i] = max(v, 0)
-	}
+	linalg.ReLU(x.Data)
 	return x
 }
 
 // Backward gates the incoming gradient, in place, by the sign of the forward
 // output: max(x, 0) is positive exactly where x is, so the output gates as
-// the input did. The gate is computed from the float's bit pattern ("nonzero
-// and sign bit clear") rather than a compare-and-branch: activation signs
-// are random, so the branchy form pays a misprediction per element and runs
-// ~4× slower. For finite inputs the mask is identical to x > 0 (NaN
-// activations, already fatal to training, pass the gradient instead of
-// zeroing it).
+// the input did. The gate is "nonzero and sign bit clear" (linalg.ReLUGate):
+// for finite inputs the mask is identical to x > 0 (NaN activations, already
+// fatal to training, pass the gradient instead of zeroing it).
 func (r *ReLU) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
-	ys := r.y.Data
-	for i, g := range gradOut.Data {
-		bits := math.Float64bits(ys[i])
-		pass := ((bits | -bits) >> 63) & (^bits >> 63)
-		gradOut.Data[i] = g * float64(pass)
-	}
+	linalg.ReLUGate(gradOut.Data, r.y.Data)
 	return gradOut
 }
 

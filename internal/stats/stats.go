@@ -113,10 +113,19 @@ func RecencyWeights(k int, decay float64) []float64 {
 // Inversions implements the paper's Eq. 11 disorder measure: the number of
 // pairs (i, j) with i < j and τᵢ > τⱼ in the ranking τ. It runs in
 // O(n log n) via merge-sort counting so the ASW can evaluate disorder on
-// every incoming batch.
+// every incoming batch; a window's worth of ranks is counted pair by pair,
+// which allocates nothing.
 func Inversions(ranks []int) int {
-	if len(ranks) < 2 {
-		return 0
+	if len(ranks) <= 16 {
+		inv := 0
+		for i, a := range ranks {
+			for _, b := range ranks[i+1:] {
+				if a > b {
+					inv++
+				}
+			}
+		}
+		return inv
 	}
 	buf := make([]int, len(ranks))
 	work := make([]int, len(ranks))

@@ -11,7 +11,7 @@ package window
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"freewayml/internal/linalg"
 	"freewayml/internal/stats"
@@ -75,6 +75,16 @@ type ASW struct {
 	disorder   float64 // normalized disorder from the last Push
 	decayBoost float64 // rate-aware multiplier on the decay exponent
 	evictions  int     // cumulative batches evicted by weight decay
+
+	// Push's scratch, reused across pushes.
+	rs          []ranked
+	rankOf, tau []int
+}
+
+// ranked is one stored batch with its distance to the incoming batch.
+type ranked struct {
+	idx  int
+	dist float64
 }
 
 // New returns an empty window.
@@ -134,18 +144,26 @@ func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error)
 
 	if n := len(w.entries); n > 0 {
 		// Rank stored batches by distance to the incoming batch.
-		type ranked struct {
-			idx  int
-			dist float64
-		}
-		rs := make([]ranked, n)
+		rs := w.rs[:0]
 		for i, e := range w.entries {
-			rs[i] = ranked{idx: i, dist: centroid.Distance(e.Centroid)}
+			rs = append(rs, ranked{idx: i, dist: centroid.Distance(e.Centroid)})
 		}
-		sort.Slice(rs, func(a, b int) bool { return rs[a].dist < rs[b].dist })
+		// slices.SortFunc is sort.Slice's pdqsort without the boxed slice and
+		// the reflect swapper sort.Slice allocates per call: given the same
+		// "less", it makes the same comparisons and swaps, so ties (and NaN
+		// distances) land where they always did.
+		slices.SortFunc(rs, func(a, b ranked) int {
+			switch {
+			case a.dist < b.dist:
+				return -1
+			case b.dist < a.dist:
+				return 1
+			}
+			return 0
+		})
 
 		// rankOf[i] is entry i's distance rank (0 = closest).
-		rankOf := make([]int, n)
+		rankOf := slices.Grow(w.rankOf[:0], n)[:n]
 		for r, v := range rs {
 			rankOf[v.idx] = r
 		}
@@ -155,11 +173,12 @@ func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error)
 		// recent batch is the closest (rank 0), the next most recent rank 1,
 		// and so on — an ascending sequence with zero inversions — while a
 		// localized stream scrambles the ranks (Fig. 7).
-		tau := make([]int, n)
+		tau := w.tau[:0]
 		for i := 0; i < n; i++ {
-			tau[i] = rankOf[n-1-i]
+			tau = append(tau, rankOf[n-1-i])
 		}
 		w.disorder = stats.NormalizedDisorder(tau)
+		w.rs, w.rankOf, w.tau = rs, rankOf, tau
 
 		// Decay every entry: closer (low rank) → less decay; higher
 		// disorder → more decay (localized data, update less urgent).
@@ -198,15 +217,16 @@ func (w *ASW) Entries() []Entry { return w.entries }
 // contribute proportionally less signal. Returns empty slices for an empty
 // window.
 func (w *ASW) TrainingSet() ([][]float64, []int) {
-	var xs [][]float64
-	var ys []int
+	take := func(e Entry) int { return min(int(math.Ceil(e.Weight*float64(len(e.X)))), len(e.X)) }
+	total := 0
 	for _, e := range w.entries {
-		take := int(math.Ceil(e.Weight * float64(len(e.X))))
-		if take > len(e.X) {
-			take = len(e.X)
-		}
-		xs = append(xs, e.X[:take]...)
-		ys = append(ys, e.Y[:take]...)
+		total += take(e)
+	}
+	xs, ys := make([][]float64, 0, total), make([]int, 0, total)
+	for _, e := range w.entries {
+		n := take(e)
+		xs = append(xs, e.X[:n]...)
+		ys = append(ys, e.Y[:n]...)
 	}
 	return xs, ys
 }

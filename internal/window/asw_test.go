@@ -355,3 +355,33 @@ func TestPrecomputerErrors(t *testing.T) {
 		t.Error("Finalize with no subsets should error")
 	}
 }
+
+// TestWarmPushAllocs pins the per-batch garbage of a window that has seen a
+// close: a push may allocate the centroid clone and, when the entry slice
+// grows, its new backing array — nothing for the ranking scratch.
+func TestWarmPushAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := [][]float64{{1, 2}, {3, 4}}, []int{0, 1}
+	c := linalg.Vector{0.5, -0.5}
+	push := func() {
+		full, err := w.Push(x, y, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full {
+			w.TrainingSet()
+			w.Reset()
+		}
+	}
+	for i := 0; i < 2*cfg.MaxBatches; i++ {
+		push()
+	}
+	// TrainingSet's two slices, once per MaxBatches pushes, round away.
+	if got := testing.AllocsPerRun(20*cfg.MaxBatches, push); got > 2 {
+		t.Errorf("warm Push allocates %.0f times per call, want <= 2", got)
+	}
+}
