@@ -39,10 +39,13 @@ golden:
 	$(GO) test -tags purego -cpu 1,2,4 -run Golden ./internal/core
 
 # internal/dist runs three times over: its connection pool is concurrent
-# code, and a flaky interleaving must show up here, not in cluster-smoke.
+# code, and a flaky interleaving must show up here, not in cluster-smoke. So do
+# internal/strategy and internal/core: readers of published snapshots share the
+# process-wide workspace pool with each other and run beside the trainer.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/dist
+	$(GO) test -race -count=3 ./internal/strategy ./internal/core
 
 # Differential fuzzing, 20 s each: the GEMM kernels against their oracles
 # (exact bits, every shape through the Go loops and the assembly bodies) and

@@ -237,6 +237,77 @@ func TestExpBufferExpiration(t *testing.T) {
 	}
 }
 
+// TestExpBufferEvictsInPlace replays a mixed schedule (small batches, batches
+// larger than the buffer, ticks past the expiration age) against a model of
+// the buffer — the newest capacity points no older than maxAge batches — and
+// then pins the point of evicting in place: a warm AddBatch at capacity
+// allocates nothing, and evicted rows are not pinned by stale headers.
+func TestExpBufferEvictsInPlace(t *testing.T) {
+	const capacity, maxAge = 8, 3
+	b, err := NewExpBuffer(capacity, maxAge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct{ v, birth int }
+	var model []point
+	now, next := 0, 0
+	expire := func() {
+		for len(model) > 0 && now-model[0].birth >= maxAge {
+			model = model[1:]
+		}
+		if over := len(model) - capacity; over > 0 {
+			model = model[over:]
+		}
+	}
+	for step, n := range []int{3, 3, 3, 0, 20, 1, 0, 0, 0, 2, 8, 9, 5} {
+		now++
+		if n == 0 {
+			b.Tick()
+		} else {
+			x, y := make([][]float64, n), make([]int, n)
+			for i := range x {
+				x[i], y[i] = []float64{float64(next)}, next%3
+				model = append(model, point{next, now})
+				next++
+			}
+			if err := b.AddBatch(x, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expire()
+		bx, by := b.Experience()
+		if len(bx) != len(model) || len(by) != len(model) || b.Len() != len(model) {
+			t.Fatalf("step %d: %d points, want %d", step, len(bx), len(model))
+		}
+		for i, p := range model {
+			if bx[i][0] != float64(p.v) || by[i] != p.v%3 {
+				t.Fatalf("step %d: point %d = (%v, %d), want (%d, %d)", step, i, bx[i], by[i], p.v, p.v%3)
+			}
+		}
+		if st := b.Export(); len(st.Birth) != len(model) || (len(model) > 0 && st.Birth[0] != model[0].birth) || st.Now != now {
+			t.Fatalf("step %d: exported births %v at %d, want first %v at %d", step, st.Birth, st.Now, model, now)
+		}
+		for _, row := range bx[len(bx):cap(bx)] {
+			if row != nil {
+				t.Fatalf("step %d: an evicted row is still referenced behind the buffer's length", step)
+			}
+		}
+	}
+
+	x, y := [][]float64{{1}, {2}, {3}}, []int{0, 1, 2}
+	add := func() {
+		if err := b.AddBatch(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*capacity; i++ {
+		add()
+	}
+	if allocs := testing.AllocsPerRun(100, add); allocs != 0 {
+		t.Errorf("a warm AddBatch at capacity allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestExpBufferValidation(t *testing.T) {
 	if _, err := NewExpBuffer(0, 0); err == nil {
 		t.Error("capacity 0 should error")

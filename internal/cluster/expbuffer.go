@@ -35,16 +35,24 @@ func (b *ExpBuffer) AddBatch(x [][]float64, y []int) error {
 		return errors.New("cluster: ExpBuffer batch size mismatch")
 	}
 	b.now++
-	for i := range x {
-		b.x = append(b.x, x[i])
-		b.y = append(b.y, y[i])
+	// Of a batch larger than the buffer only the newest capacity rows outlive
+	// the eviction below: the others are not appended in the first place.
+	if over := len(x) - b.capacity; over > 0 {
+		x, y = x[over:], y[over:]
+	}
+	b.x = append(b.x, x...)
+	b.y = append(b.y, y...)
+	for range x {
 		b.birth = append(b.birth, b.now)
 	}
 	b.evict()
 	return nil
 }
 
-// evict drops expired points, then trims from the front to capacity.
+// evict drops expired points, then trims from the front to capacity. The
+// survivors are copied down in place — a warm buffer at capacity allocates
+// nothing — and the vacated row headers are cleared so evicted rows are not
+// pinned.
 func (b *ExpBuffer) evict() {
 	start := 0
 	if b.maxAge > 0 {
@@ -57,9 +65,11 @@ func (b *ExpBuffer) evict() {
 		start += over
 	}
 	if start > 0 {
-		b.x = append([][]float64(nil), b.x[start:]...)
-		b.y = append([]int(nil), b.y[start:]...)
-		b.birth = append([]int(nil), b.birth[start:]...)
+		n := copy(b.x, b.x[start:])
+		clear(b.x[n:])
+		b.x = b.x[:n]
+		b.y = b.y[:copy(b.y, b.y[start:])]
+		b.birth = b.birth[:copy(b.birth, b.birth[start:])]
 	}
 }
 
@@ -67,7 +77,8 @@ func (b *ExpBuffer) evict() {
 func (b *ExpBuffer) Len() int { return len(b.x) }
 
 // Experience returns the stored labeled points, oldest first. The slices
-// are shared; callers must not mutate them.
+// are the buffer's own: callers must not mutate them, and they are valid only
+// until the next AddBatch or Tick, which moves the survivors down in place.
 func (b *ExpBuffer) Experience() ([][]float64, []int) { return b.x, b.y }
 
 // Tick advances the buffer clock without adding points (an unlabeled batch

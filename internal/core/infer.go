@@ -50,7 +50,6 @@ func (l *Learner) publishSnapshot(pattern shift.Pattern) {
 	}
 	l.snapSeq++
 	l.snap.Store(&strategy.Snapshot{
-		ComputeMu:   &l.inferMu,
 		Members:     l.ens.PublishSnapshot(),
 		Sigma:       l.cfg.Sigma,
 		Proj:        proj,
@@ -69,8 +68,10 @@ func (l *Learner) publishSnapshot(pattern shift.Pattern) {
 // It is the lock-free read path: it loads the snapshot pointer atomically
 // and touches no mutable learner state — no detector, no window, no
 // prequential bookkeeping — so it runs concurrently with Process,
-// checkpointing, and Close. A closed learner still answers from its last
-// snapshot.
+// checkpointing, and Close, and with any number of other Infer calls: the
+// snapshot's members are frozen parameter copies and every forward pass
+// writes only a workspace the call takes from the process-wide pool. A closed
+// learner still answers from its last snapshot.
 func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

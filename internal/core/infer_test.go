@@ -5,9 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"freewayml/internal/guard"
+	"freewayml/internal/strategy"
 	"freewayml/internal/stream"
 )
 
@@ -115,5 +119,92 @@ func TestSnapshotAdvancesWithTraining(t *testing.T) {
 		if snap.Batch != s+1 {
 			t.Errorf("batch %d: snapshot batch = %d", s, snap.Batch)
 		}
+	}
+}
+
+// TestInferDuringAsyncCloseAndShutdown: with the window close on its own
+// goroutine three things overlap — Process on the caller's, the long model's
+// update in the background, Infer from any number of readers — and Close
+// joins in at the end. Readers take no lock and share no scratch, so under
+// -race this must be silent, and every answer whose snapshot can be pinned
+// (the same one published before and after the call) must equal, bit for
+// bit, a serial InferBatch on that snapshot once everything has stopped.
+func TestInferDuringAsyncCloseAndShutdown(t *testing.T) {
+	cfg := testConfig()
+	cfg.Async = true
+	l, err := NewLearner(cfg, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		snap *strategy.Snapshot
+		x    [][]float64
+		res  InferResult
+	}
+	const readers = 4
+	answers := make([][]answer, readers)
+	var pinned atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(90 + r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				x := inferRows(rng, 1+rng.Intn(48))
+				before := l.ModelSnapshot()
+				res, err := l.Infer(context.Background(), x)
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if before == l.ModelSnapshot() && len(answers[r]) < 64 {
+					answers[r] = append(answers[r], answer{before, x, res})
+					pinned.Add(1)
+				}
+				runtime.Gosched()
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(91))
+	// Ten window closes at least, each an asynchronous long update, and on
+	// until the readers have been seen at work.
+	for s := 0; s < 40 || (pinned.Load() < 4*readers && s < 4000); s++ {
+		if _, err := l.Process(context.Background(), driftBatch(rng, s, 64, float64(s)*0.05, 0, stream.KindNone)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil { // waits for the update in flight while the readers go on
+		t.Fatal(err)
+	}
+	close(done)
+	wg.Wait()
+
+	for r := range answers {
+		for i, a := range answers[r] {
+			if a.res.SnapshotSeq != a.snap.Seq {
+				t.Fatalf("reader %d, read %d: answered from snapshot %d, pinned %d", r, i, a.res.SnapshotSeq, a.snap.Seq)
+			}
+			want, err := a.snap.InferBatch(a.x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range want.Proba {
+				for c, w := range want.Proba[s] {
+					if math.Float64bits(a.res.Proba[s][c]) != math.Float64bits(w) {
+						t.Fatalf("reader %d, read %d (snapshot %d): proba[%d][%d] = %v, serial %v", r, i, a.snap.Seq, s, c, a.res.Proba[s][c], w)
+					}
+				}
+			}
+		}
+	}
+	if pinned.Load() < 4*readers {
+		t.Errorf("%d reads could be pinned to their snapshot, want at least %d", pinned.Load(), 4*readers)
 	}
 }

@@ -86,11 +86,6 @@ type Learner struct {
 	// and never touch any other learner field — see infer.go.
 	snap    atomic.Pointer[strategy.Snapshot]
 	snapSeq uint64
-	// inferMu is the read plane's compute lock, shared by every published
-	// snapshot via Snapshot.ComputeMu (member models stage rows into
-	// model-owned scratch, and unchanged member clones are reused across
-	// publications). Never taken by the training path.
-	inferMu sync.Mutex
 
 	// vecScratch is the reusable vector-header view of the current batch,
 	// handed to the shift detector. Safe to reuse because Process is

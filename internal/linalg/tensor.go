@@ -26,10 +26,12 @@ func NewTensor(rows, cols int) *Tensor {
 
 // TensorView wraps existing flat storage in a tensor header without copying.
 // It panics if len(data) != rows*cols. Parameter matrices (stored flat in
-// nn.Param) enter the kernels this way.
+// nn.Param) enter the kernels this way. It is small enough to inline (hence
+// the constant message), so a header handed straight to a kernel stays on the
+// caller's stack.
 func TensorView(data []float64, rows, cols int) *Tensor {
 	if len(data) != rows*cols {
-		panic(fmt.Sprintf("linalg: TensorView len %d != %d×%d", len(data), rows, cols))
+		panic("linalg: TensorView: len(data) != rows×cols")
 	}
 	return &Tensor{Rows: rows, Cols: cols, Data: data}
 }
@@ -120,33 +122,36 @@ const gemmBlockK = 128
 // parallelFlopCutoff is the mul-add count above which a kernel fans out
 // across GOMAXPROCS goroutines, partitioned by output row; below it the
 // fan-out overhead exceeds the win. Row partitioning never splits the
-// per-element summation, so the parallel path is also bitwise-deterministic.
+// per-element summation, so the parallel path is also bitwise-deterministic,
+// whatever the value. (A variable only so that this package's tests can keep
+// the fan-out under test at the shapes they were written for; nothing else
+// writes it.)
 //
-// Re-measured on the AVX2 kernels (a mul-add costs a third of what it did when
-// the value was chosen): medians of six 24 s runs of benchmark/run.sh per
-// value, order rotated per round, 2-vCPU host, uncontended-host time:
+// 1<<16 until PR 22. On the AVX2 kernels 1<<16 mul-adds are ~5 µs of work,
+// less than the futex wake-up that hands half of them to another P, and PR 21
+// measured that a larger value was faster — but the second study in a row saw
+// peak RSS rise 18–25 % with it: at 2 Ps the GC's fractional mark worker gets a
+// P only when a goroutine parks, and a loop that allocated 1.15 GB/s needed
+// the fan-out's wg.Wait for that. With the snapshot plane's garbage gone
+// (PR 22: 737 → ~200 B allocated per row) the study was repeated, medians of
+// six 24 s runs of benchmark/run.sh per value, order rotated per round,
+// 2-vCPU host, uncontended-host time:
 //
 //	cutoff  learn_drift samples_per_s / peak_rss_mb  serve_read_hot train_p50_ms
-//	1<<16   1546.9 k rows/s          / 65.8 MiB      0.2828
-//	1<<18   1599.7 k (+3.4 %)        / 77.6 (+18 %)  0.2937 (+3.9 %)
-//	1<<20   1604.8 k (+3.7 %)        / 82.6 (+25 %)  0.2578 (−8.8 %)
+//	1<<16   1737.3 k rows/s (IQR 1.1 %) / 64.5 MiB   0.2510
+//	1<<18   1816.1 k (+4.5 %, 5 of 6)   / 67.4 (+4.4 %) 0.2540
+//	1<<20   1814.1 k (+4.4 %, 6 of 6)   / 66.0 (+2.3 %) 0.2478
 //
-// The gains are inside the spread of the runs (quartile distance 4–17 % on
-// samples_per_s, 10–29 % on train_p50_ms: two of the six rounds were disturbed
-// by the host), and peak RSS rises past its 12 % bound, as it did in the
-// first study (+15 MiB at 1<<18). The cause, from GODEBUG=gctrace=1 on
-// learn_drift: with 2 Ps the GC's 25 % mark budget is a fractional worker,
-// which gets a P only when a goroutine parks or is preempted. A client that
-// fans out parks in wg.Wait thousands of times a second; one that does not
-// runs to the 10 ms preemption tick, longer than a whole mark phase. Per
-// cycle at 1<<20 the background workers get 2.0 ms of CPU instead of 3.9,
-// mutator assists do 1.9 ms instead of 0.24, the mark phase lasts 9.7 ms
-// instead of 7.4, and what is allocated meanwhile is born marked: live heap
-// +2 MB, goal +4 MB, heap at mark end +5 MB (p95 +6), and the mapped
-// high-water mark follows. The fan-out's parking is what paces the collector
-// here; less garbage per batch would lift the limit, a larger cutoff alone
-// does not earn its place: 1<<16 stays.
-const parallelFlopCutoff = 1 << 16
+// and, two rounds each, serve_ingest 457.0 k → 522.9 k rows/s (+14 %;
+// train_p50_ms 0.354 → 0.311, peak_rss_mb 39.6 → 39.4) and routed_json_mix
+// unchanged. A lone caller on an idle host gains most: traced probes at
+// 1<<16 → 1<<20 read linalg.gemm_gflops 10.0–10.4 → 13.6–17.2,
+// nn.mlp_forward_us 69–70 → 45, core.infer_us 162–167 → 97–100. 1<<20 clears
+// the bar that was set for it (throughput beyond the spread, peak RSS within
+// +3 %), 1<<18 does not (RSS). At 1<<20 no GEMM of the 64-wide MLPs on
+// batches ≤ 256 fans out (Covertype's first layer is 256·54·64 = 0.88 M);
+// the CNN families' convolutions still do.
+var parallelFlopCutoff = 1 << 20
 
 // parallelRows splits [0, rows) into roughly equal chunks of a multiple of 4
 // rows (54 → 28 + 26, not 27 + 27) and runs body on each chunk, in parallel

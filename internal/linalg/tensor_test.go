@@ -30,6 +30,12 @@ func tensorsClose(t *testing.T, got, want *Tensor, tol float64, label string) {
 	}
 }
 
+// The kernel tests keep the fan-out cutoff they were written against: the
+// shape table below, the fuzz target's [1, 90]³ and the race test all count on
+// shapes of a few hundred thousand mul-adds taking the goroutine path. The
+// value never changes a bit, only which goroutine computes which rows.
+func init() { parallelFlopCutoff = 1 << 16 }
+
 // gemmShapes covers what the blocked, tiled and parallel paths must not
 // mishandle: degenerate 1×1 / 1×N / N×1 shapes, k straddling the panel depth,
 // every tile tail (m mod 4 ∈ {1,2,3} for the dot form's 4-row bands, odd m for

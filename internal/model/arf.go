@@ -212,6 +212,9 @@ func (f *StreamingARF) Restore(snapshot []byte) error {
 	return nil
 }
 
+// Freeze freezes the model as a deep copy.
+func (f *StreamingARF) Freeze() Frozen { return frozenClone{f.Clone()} }
+
 // Clone deep-copies the forest (fresh detectors, distinct bagging RNG).
 func (f *StreamingARF) Clone() Model {
 	fresh, _ := NewStreamingARF(f.dim, f.classes, len(f.members), f.treeCfg, f.rng.Int63())

@@ -406,6 +406,9 @@ func (t *StreamingHT) Restore(snapshot []byte) error {
 	return nil
 }
 
+// Freeze freezes the model as a deep copy.
+func (t *StreamingHT) Freeze() Frozen { return frozenClone{t.Clone()} }
+
 // Clone deep-copies the tree via its snapshot.
 func (t *StreamingHT) Clone() Model {
 	snap, err := t.Snapshot()

@@ -32,6 +32,9 @@ type Model interface {
 	// Clone returns an independent deep copy (same weights, fresh optimizer
 	// state).
 	Clone() Model
+	// Freeze returns the model's read-only view as of now: the member type of
+	// a published inference snapshot.
+	Freeze() Frozen
 	// InDim and NumClasses describe the model's shape.
 	InDim() int
 	NumClasses() int
@@ -42,15 +45,39 @@ type Model interface {
 	Net() *nn.Network
 }
 
-// TensorPredictor is the optional flat-slab fast path: models backed by a
-// network can consume a pre-packed row-major tensor (e.g. a binary frame's
-// slab) directly, skipping per-row staging.
-// Callers type-assert and fall back to Predict when the model (e.g. the
-// gradient-free baselines) does not implement it.
-type TensorPredictor interface {
-	// PredictTensorInto writes the argmax class of each row of x into dst,
-	// which must have exactly x.Rows elements.
-	PredictTensorInto(x *linalg.Tensor, dst []int) error
+// Frozen is what a model predicts at the instant it was frozen, and nothing
+// else. It is immutable: any number of goroutines may call it at once, each
+// with a workspace of its own, while the model it came from keeps training.
+type Frozen interface {
+	// ProbaInto returns the class distribution of every row of x (rows ×
+	// classes). x is only read; the result and all scratch are taken from ws,
+	// so the result is valid until ws is reset or released.
+	ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor
+}
+
+// frozenClone freezes a gradient-free model as a private deep copy: its
+// PredictProba reads the statistics and writes nothing.
+type frozenClone struct{ m Model }
+
+func (f frozenClone) ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor {
+	rows := make([][]float64, x.Rows)
+	for i := range rows {
+		rows[i] = x.Row(i)
+	}
+	out := ws.Tensor(x.Rows, f.m.NumClasses())
+	out.FromRows(f.m.PredictProba(rows), out.Cols)
+	return out
+}
+
+// ProbaInto is m.PredictProba(x) written into dst (reshaped to len(x) ×
+// classes) instead of a fresh result. dst is the caller's: it outlives the
+// model's later passes.
+func ProbaInto(dst *linalg.Tensor, m Model, x [][]float64) {
+	if nm, ok := m.(*netModel); ok {
+		nm.net.ProbaInto(dst, x)
+		return
+	}
+	dst.FromRows(m.PredictProba(x), m.NumClasses())
 }
 
 // ForwardTrainer is the optional test-then-train fast path. The stream
@@ -126,9 +153,7 @@ func (m *netModel) InDim() int                             { return m.net.InDim(
 func (m *netModel) NumClasses() int                        { return m.net.NumClasses() }
 func (m *netModel) Net() *nn.Network                       { return m.net }
 
-func (m *netModel) PredictTensorInto(x *linalg.Tensor, dst []int) error {
-	return m.net.PredictTensorInto(x, dst)
-}
+func (m *netModel) Freeze() Frozen { return m.net.Freeze() }
 
 func (m *netModel) Fit(x [][]float64, y []int) (float64, error) {
 	return m.net.TrainBatch(x, y, m.opt)

@@ -172,6 +172,9 @@ func (nb *StreamingNB) Restore(snapshot []byte) error {
 	return nil
 }
 
+// Freeze freezes the model as a deep copy.
+func (nb *StreamingNB) Freeze() Frozen { return frozenClone{nb.Clone()} }
+
 // Clone returns an independent deep copy.
 func (nb *StreamingNB) Clone() Model {
 	c := &StreamingNB{dim: nb.dim, classes: nb.classes, total: nb.total}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 
+	"freewayml/internal/linalg"
 	"freewayml/internal/nn"
 )
 
@@ -149,6 +150,40 @@ func (s *Standardized) Clone() Model {
 		m2:    append([]float64(nil), s.m2...),
 	}
 	return c
+}
+
+// frozenStd is a Standardized model's read-only view: the scaler as it stood,
+// as one (mean, scale) pair per feature, in front of the frozen inner model.
+type frozenStd struct {
+	inner       Frozen
+	mean, scale []float64 // nil while the scaler is the identity
+}
+
+// Freeze freezes the scaler beside the inner model.
+func (s *Standardized) Freeze() Frozen {
+	f := &frozenStd{inner: s.inner.Freeze()}
+	if s.count >= 2 {
+		f.mean = append([]float64(nil), s.mean...)
+		f.scale = make([]float64, s.dim)
+		for j := range f.scale {
+			f.scale[j] = math.Sqrt(s.m2[j]/s.count) + stdFloor
+		}
+	}
+	return f
+}
+
+func (f *frozenStd) ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor {
+	if f.mean == nil {
+		return f.inner.ProbaInto(ws, x)
+	}
+	z := ws.Tensor(x.Rows, x.Cols)
+	for i := 0; i < x.Rows; i++ {
+		zr := z.Row(i)
+		for j, v := range x.Row(i) {
+			zr[j] = (v - f.mean[j]) / f.scale[j]
+		}
+	}
+	return f.inner.ProbaInto(ws, z)
 }
 
 // StandardizedFactory wraps a factory so every built model is standardized.

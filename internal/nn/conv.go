@@ -27,10 +27,13 @@ type Conv1D struct {
 	w *Param // [out][in][k], i.e. an OutChannels × InChannels·K tensor
 	b *Param // [out]
 
-	// Scratch buffers, reused across batches:
-	colT   *linalg.Tensor // im2col patches, InChannels·K × batch·outLen
-	out2T  *linalg.Tensor // GEMM output, OutChannels × batch·outLen
-	out    *linalg.Tensor // channel-major output, batch × OutChannels·outLen
+	// Forward's scratch: the im2col patches (InChannels·K × batch·outLen), the
+	// GEMM output (OutChannels × batch·outLen) and the channel-major output
+	// (batch × OutChannels·outLen). Backward reads the patches through colT.
+	ws   Workspace
+	colT *linalg.Tensor
+
+	// Backward's scratch, reused across batches:
 	g2T    *linalg.Tensor // gradOut regathered as OutChannels × batch·outLen
 	gcolT  *linalg.Tensor // patch gradient, InChannels·K × batch·outLen
 	gradIn *linalg.Tensor // batch × InChannels·Length
@@ -62,48 +65,63 @@ func NewConv1D(inChannels, outChannels, kernel, length int, rng *rand.Rand) *Con
 // outLen returns the per-channel output length.
 func (c *Conv1D) outLen() int { return c.Length - c.Kernel + 1 }
 
-// im2col fills c.colT: row ic·K+k holds, for each sample i, the contiguous
-// input slice x[i][ic·Length+k : ic·Length+k+outLen] at columns
-// [i·outLen, (i+1)·outLen) — each (sample, row) pair is one copy.
-func (c *Conv1D) im2col(x *linalg.Tensor) {
+// im2col fills colT (InChannels·K × batch·outLen): row ic·K+k holds, for each
+// sample i, the contiguous input slice x[i][ic·Length+k : ic·Length+k+outLen]
+// at columns [i·outLen, (i+1)·outLen) — each (sample, row) pair is one copy.
+func (c *Conv1D) im2col(colT, x *linalg.Tensor) {
 	ol := c.outLen()
-	c.colT = linalg.EnsureTensor(c.colT, c.InChannels*c.Kernel, x.Rows*ol)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		for ic := 0; ic < c.InChannels; ic++ {
 			for k := 0; k < c.Kernel; k++ {
-				dst := c.colT.Row(ic*c.Kernel + k)[i*ol : (i+1)*ol]
+				dst := colT.Row(ic*c.Kernel + k)[i*ol : (i+1)*ol]
 				copy(dst, row[ic*c.Length+k:ic*c.Length+k+ol])
 			}
 		}
 	}
 }
 
-// Forward applies the convolution to the batch via im2col + one GEMM:
-// out2T = W × colT, then each (sample, channel) segment is copied out with
-// the bias added.
+// Forward applies the convolution to the batch in the layer's own workspace
+// and keeps the patch matrix for Backward.
 func (c *Conv1D) Forward(x *linalg.Tensor) *linalg.Tensor {
+	c.ws.Reset()
+	out, colT := c.forward(&c.ws, c.w.W, c.b.W, x)
+	c.colT = colT
+	return out
+}
+
+func (c *Conv1D) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
+	nw := c.OutChannels * c.InChannels * c.Kernel
+	out, _ := c.forward(ws, p[:nw], p[nw:nw+c.OutChannels], x)
+	return out, p[nw+c.OutChannels:]
+}
+
+// forward is the convolution for kernels w and bias b of the layer's shape,
+// via im2col + one GEMM: out2T = W × colT, then each (sample, channel) segment
+// is copied out with the bias added. It returns the patch matrix as well.
+func (c *Conv1D) forward(ws *Workspace, w, b []float64, x *linalg.Tensor) (out, colT *linalg.Tensor) {
 	if x.Cols != c.InChannels*c.Length {
 		panic(fmt.Sprintf("nn: Conv1D input width %d, want %d", x.Cols, c.InChannels*c.Length))
 	}
 	ol := c.outLen()
 	ick := c.InChannels * c.Kernel
-	c.im2col(x)
-	c.out2T = linalg.EnsureTensor(c.out2T, c.OutChannels, x.Rows*ol)
-	linalg.Gemm(c.out2T, linalg.TensorView(c.w.W, c.OutChannels, ick), c.colT)
-	c.out = linalg.EnsureTensor(c.out, x.Rows, c.OutChannels*ol)
+	colT = ws.Tensor(ick, x.Rows*ol)
+	c.im2col(colT, x)
+	out2T := ws.Tensor(c.OutChannels, x.Rows*ol)
+	linalg.Gemm(out2T, linalg.TensorView(w, c.OutChannels, ick), colT)
+	out = ws.Tensor(x.Rows, c.OutChannels*ol)
 	for i := 0; i < x.Rows; i++ {
-		orow := c.out.Row(i)
+		orow := out.Row(i)
 		for oc := 0; oc < c.OutChannels; oc++ {
-			src := c.out2T.Row(oc)[i*ol : (i+1)*ol]
+			src := out2T.Row(oc)[i*ol : (i+1)*ol]
 			dst := orow[oc*ol : (oc+1)*ol]
-			bias := c.b.W[oc]
+			bias := b[oc]
 			for t, v := range src {
 				dst[t] = v + bias
 			}
 		}
 	}
-	return c.out
+	return out, colT
 }
 
 // Backward accumulates kernel and bias gradients with transposed GEMMs over
@@ -195,8 +213,9 @@ func (c *Conv1D) clone() Layer {
 type MaxPool1D struct {
 	Channels, Length, Window int
 
-	lastArg     []int // flat argmax indices, batch × Channels·outLen
-	out, gradIn *linalg.Tensor
+	ws      Workspace      // Forward's scratch: the pooled output
+	lastArg []int          // flat argmax indices, batch × Channels·outLen
+	gradIn  *linalg.Tensor // Backward's scratch
 }
 
 // NewMaxPool1D returns a max-pooling layer for flat (channels × length)
@@ -216,21 +235,31 @@ func (p *MaxPool1D) outLen() int { return (p.Length + p.Window - 1) / p.Window }
 
 // Forward pools each window, caching argmax positions for Backward.
 func (p *MaxPool1D) Forward(x *linalg.Tensor) *linalg.Tensor {
+	p.ws.Reset()
+	if n := x.Rows * p.Channels * p.outLen(); cap(p.lastArg) < n {
+		p.lastArg = make([]int, n)
+	} else {
+		p.lastArg = p.lastArg[:n]
+	}
+	return p.forward(&p.ws, x, p.lastArg)
+}
+
+func (p *MaxPool1D) infer(ws *Workspace, pr []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
+	return p.forward(ws, x, nil), pr
+}
+
+// forward pools each window and, unless arg is nil, records every window's
+// argmax position in it.
+func (p *MaxPool1D) forward(ws *Workspace, x *linalg.Tensor, arg []int) *linalg.Tensor {
 	if x.Cols != p.Channels*p.Length {
 		panic(fmt.Sprintf("nn: MaxPool1D input width %d, want %d", x.Cols, p.Channels*p.Length))
 	}
 	ol := p.outLen()
 	ow := p.Channels * ol
-	p.out = linalg.EnsureTensor(p.out, x.Rows, ow)
-	if cap(p.lastArg) < x.Rows*ow {
-		p.lastArg = make([]int, x.Rows*ow)
-	} else {
-		p.lastArg = p.lastArg[:x.Rows*ow]
-	}
+	out := ws.Tensor(x.Rows, ow)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
-		orow := p.out.Row(i)
-		arg := p.lastArg[i*ow : (i+1)*ow]
+		orow := out.Row(i)
 		for c := 0; c < p.Channels; c++ {
 			base := c * p.Length
 			for t := 0; t < ol; t++ {
@@ -248,11 +277,13 @@ func (p *MaxPool1D) Forward(x *linalg.Tensor) *linalg.Tensor {
 					}
 				}
 				orow[c*ol+t] = best
-				arg[c*ol+t] = bestIdx
+				if arg != nil {
+					arg[i*ow+c*ol+t] = bestIdx
+				}
 			}
 		}
 	}
-	return p.out
+	return out
 }
 
 // Backward routes each output gradient to the argmax input position.

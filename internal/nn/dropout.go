@@ -55,6 +55,11 @@ func (d *Dropout) Forward(x *linalg.Tensor) *linalg.Tensor {
 	return d.out
 }
 
+// infer is the inference pass whatever the mode: a reader never masks.
+func (d *Dropout) infer(_ *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
+	return x, p
+}
+
 // Backward applies the cached mask to the incoming gradient.
 func (d *Dropout) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
 	if !d.masked {

@@ -37,6 +37,14 @@ type Layer interface {
 	Forward(x *linalg.Tensor) *linalg.Tensor
 	Backward(gradOut *linalg.Tensor) *linalg.Tensor
 	Params() []*Param
+	// infer is Forward for a reader of frozen parameters (Frozen): the same
+	// arithmetic on the parameter values at the front of p (the layer's own,
+	// laid out as Params lists them; the rest of p is returned), with every
+	// tensor it writes taken from ws. It reads the layer's shape and writes
+	// nothing of the layer's, so any number of readers may share the layer
+	// with each other and with the network that trains it. Like Forward, an
+	// activation overwrites x.
+	infer(ws *Workspace, p []float64, x *linalg.Tensor) (out *linalg.Tensor, rest []float64)
 	// OutDim returns the per-sample output width given the input width, or
 	// an error if the layer cannot accept that width.
 	OutDim(inDim int) (int, error)
@@ -66,10 +74,10 @@ type Dense struct {
 	In, Out int
 	w, b    *Param
 
-	lastX       *linalg.Tensor // alias of the forward input, read by Backward
-	out, gradIn *linalg.Tensor // layer-owned scratch, reused across batches
-	wT          *linalg.Tensor // Wᵀ, refreshed by Forward when useDot
-	gwT         *linalg.Tensor // this batch's ∂Wᵀ (Out × In) of a narrow head
+	ws        Workspace      // Forward's scratch: the output, and Wᵀ when useDot
+	lastX, wT *linalg.Tensor // the forward input and that Wᵀ, read by Backward
+	gradIn    *linalg.Tensor // layer-owned scratch, reused across batches
+	gwT       *linalg.Tensor // this batch's ∂Wᵀ (Out × In) of a narrow head
 }
 
 // useDot reports whether the dot-form kernels (inner loops over In) beat the
@@ -91,29 +99,45 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward computes xW + b for the whole batch with one GEMM. In the axpy
-// form the output is seeded with the bias rows and the product accumulates
-// on top; in the dot form the bias is added after the product.
+// Forward computes xW + b for the whole batch with one GEMM, in the layer's
+// own workspace, and keeps what Backward reads.
 func (d *Dense) Forward(x *linalg.Tensor) *linalg.Tensor {
+	d.ws.Reset()
+	d.lastX = x
+	out, wT := d.forward(&d.ws, d.w.W, d.b.W, x)
+	d.wT = wT
+	return out
+}
+
+func (d *Dense) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
+	nw := d.In * d.Out
+	out, _ := d.forward(ws, p[:nw], p[nw:nw+d.Out], x)
+	return out, p[nw+d.Out:]
+}
+
+// forward is xW + b for weights w and bias b of the layer's shape. In the
+// axpy form the output is seeded with the bias rows and the product
+// accumulates on top; in the dot form the bias is added after the product,
+// and the Wᵀ it multiplied by is returned too.
+func (d *Dense) forward(ws *Workspace, w, b []float64, x *linalg.Tensor) (out, wT *linalg.Tensor) {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense input width %d, want %d", x.Cols, d.In))
 	}
-	d.lastX = x
-	d.out = linalg.EnsureTensor(d.out, x.Rows, d.Out)
+	out = ws.Tensor(x.Rows, d.Out)
 	if d.useDot() {
-		d.wT = linalg.EnsureTensor(d.wT, d.Out, d.In)
-		linalg.TransposeInto(d.wT, linalg.TensorView(d.w.W, d.In, d.Out))
-		linalg.GemmTB(d.out, x, d.wT)
+		wT = ws.Tensor(d.Out, d.In)
+		linalg.TransposeInto(wT, linalg.TensorView(w, d.In, d.Out))
+		linalg.GemmTB(out, x, wT)
 		for i := 0; i < x.Rows; i++ {
-			linalg.Vector(d.out.Row(i)).AddInPlace(d.b.W)
+			linalg.Vector(out.Row(i)).AddInPlace(b)
 		}
 	} else {
 		for i := 0; i < x.Rows; i++ {
-			copy(d.out.Row(i), d.b.W)
+			copy(out.Row(i), b)
 		}
-		linalg.GemmAdd(d.out, x, linalg.TensorView(d.w.W, d.In, d.Out))
+		linalg.GemmAdd(out, x, linalg.TensorView(w, d.In, d.Out))
 	}
-	return d.out
+	return out, wT
 }
 
 // Backward accumulates ∂L/∂W = XᵀG and ∂L/∂b, and returns ∂L/∂x = GWᵀ.
@@ -184,6 +208,11 @@ func (r *ReLU) Forward(x *linalg.Tensor) *linalg.Tensor {
 	return x
 }
 
+func (r *ReLU) infer(_ *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
+	linalg.ReLU(x.Data)
+	return x, p
+}
+
 // Backward gates the incoming gradient, in place, by the sign of the forward
 // output: max(x, 0) is positive exactly where x is, so the output gates as
 // the input did. The gate is "nonzero and sign bit clear" (linalg.ReLUGate):
@@ -213,6 +242,14 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 // Forward applies the logistic function to x in place and returns it.
 func (s *Sigmoid) Forward(x *linalg.Tensor) *linalg.Tensor {
 	s.y = x
+	return logistic(x)
+}
+
+func (s *Sigmoid) infer(_ *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
+	return logistic(x), p
+}
+
+func logistic(x *linalg.Tensor) *linalg.Tensor {
 	for i, v := range x.Data {
 		x.Data[i] = 1 / (1 + math.Exp(-v))
 	}

@@ -138,23 +138,6 @@ func (n *Network) ForwardTensor(x *linalg.Tensor) (*linalg.Tensor, error) {
 	return n.forwardT(n.xBuf), nil
 }
 
-// PredictTensorInto writes the argmax class of each row of x into dst, which
-// must have exactly x.Rows elements. It is Predict for pre-packed batches:
-// no per-row staging, no result allocation.
-func (n *Network) PredictTensorInto(x *linalg.Tensor, dst []int) error {
-	logits, err := n.ForwardTensor(x)
-	if err != nil {
-		return err
-	}
-	if len(dst) != logits.Rows {
-		return fmt.Errorf("nn: dst has %d slots for %d rows", len(dst), logits.Rows)
-	}
-	for i := range dst {
-		dst[i] = Argmax(logits.Row(i))
-	}
-	return nil
-}
-
 // Predict returns the argmax class for each sample.
 func (n *Network) Predict(x [][]float64) []int {
 	logits := n.forwardT(n.stage(x))
@@ -168,15 +151,24 @@ func (n *Network) Predict(x [][]float64) []int {
 // PredictProba returns the softmax distribution for each sample. The row
 // headers share one backing allocation.
 func (n *Network) PredictProba(x [][]float64) [][]float64 {
-	logits := n.forwardT(n.stage(x))
-	flat := make([]float64, logits.Rows*logits.Cols)
-	out := make([][]float64, logits.Rows)
+	var p linalg.Tensor
+	n.ProbaInto(&p, x)
+	out := make([][]float64, p.Rows)
 	for i := range out {
-		row := flat[i*logits.Cols : (i+1)*logits.Cols : (i+1)*logits.Cols]
-		softmaxInto(row, logits.Row(i))
-		out[i] = row
+		out[i] = p.Data[i*p.Cols : (i+1)*p.Cols : (i+1)*p.Cols]
 	}
 	return out
+}
+
+// ProbaInto is PredictProba into dst, reshaped to len(x) × NumClasses (its
+// buffer is reused when large enough). dst is the caller's: unlike the logits
+// it is softmaxed from, it outlives the network's later passes.
+func (n *Network) ProbaInto(dst *linalg.Tensor, x [][]float64) {
+	logits := n.forwardT(n.stage(x))
+	linalg.EnsureTensor(dst, logits.Rows, logits.Cols)
+	for i := 0; i < logits.Rows; i++ {
+		softmaxInto(dst.Row(i), logits.Row(i))
+	}
 }
 
 // TrainBatch performs one forward/backward pass and one optimizer step on

@@ -424,8 +424,13 @@ func TestSGDMomentumAccelerates(t *testing.T) {
 		t.Errorf("momentum %v not ahead of plain %v", mom.W[0], plain.W[0])
 	}
 	optM.Reset()
-	if len(optM.velocity) != 0 {
-		t.Error("Reset did not clear velocity")
+	if v := optM.velocity[mom]; len(v) != 1 || v[0] != 0 {
+		t.Errorf("Reset left velocity %v, want [0]", v)
+	}
+	// Reset zeroes the buffers in place: the step after it allocates nothing.
+	params := []*Param{mom}
+	if allocs := testing.AllocsPerRun(10, func() { optM.Reset(); optM.Step(params) }); allocs != 0 {
+		t.Errorf("Reset + Step allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -50,5 +50,12 @@ func (s *SGD) Step(params []*Param) {
 }
 
 // Reset clears all momentum state (used when a model is restored from a
-// historical snapshot: stale velocity must not leak into the new regime).
-func (s *SGD) Reset() { s.velocity = make(map[*Param][]float64) }
+// historical snapshot: stale velocity must not leak into the new regime). The
+// buffers are zeroed in place — to the next Step a zeroed slice and a fresh
+// one are the same operand, and a rollback-heavy stream resets every few
+// batches.
+func (s *SGD) Reset() {
+	for _, v := range s.velocity {
+		clear(v)
+	}
+}

@@ -1,15 +1,33 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"freewayml/internal/linalg"
 )
 
-// TestTensorEntryMatchesRows pins that the fused-batch entry (ForwardTensor /
-// PredictTensorInto) is bitwise identical to the row-slice API on the same
-// values — the property the JSON-vs-binary differential test inherits.
+// tensorEntryBatch returns the same random batch as rows and as a flat tensor.
+func tensorEntryBatch(rng *rand.Rand, rows, cols int) ([][]float64, *linalg.Tensor) {
+	x := make([][]float64, rows)
+	fused := linalg.NewTensor(rows, cols)
+	for i := range x {
+		x[i] = make([]float64, cols)
+		for j := range x[i] {
+			v := rng.NormFloat64()
+			x[i][j] = v
+			fused.Set(i, j, v)
+		}
+	}
+	return x, fused
+}
+
+// TestTensorEntryMatchesRows pins that the two flat-tensor entries —
+// ForwardTensor on the network, ProbaInto on its frozen parameters — are
+// bitwise identical to the row-slice API on the same values, the property the
+// JSON-vs-binary differential test inherits, and that the frozen pass leaves
+// the caller's tensor alone.
 func TestTensorEntryMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	net, err := NewNetwork(4, 3, NewDense(4, 8, rng), NewReLU(), NewDense(8, 3, rng))
@@ -17,16 +35,7 @@ func TestTensorEntryMatchesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rows = 9
-	x := make([][]float64, rows)
-	fused := linalg.NewTensor(rows, 4)
-	for i := range x {
-		x[i] = make([]float64, 4)
-		for j := range x[i] {
-			v := rng.NormFloat64()
-			x[i][j] = v
-			fused.Set(i, j, v)
-		}
-	}
+	x, fused := tensorEntryBatch(rng, rows, 4)
 
 	wantLogits := net.Forward(x)
 	gotLogits, err := net.ForwardTensor(fused)
@@ -44,14 +53,58 @@ func TestTensorEntryMatchesRows(t *testing.T) {
 		}
 	}
 
-	wantPred := net.Predict(x)
-	gotPred := make([]int, rows)
-	if err := net.PredictTensorInto(fused, gotPred); err != nil {
+	wantProba := net.PredictProba(x)
+	before := append([]float64(nil), fused.Data...)
+	var ws Workspace
+	gotProba := net.Freeze().ProbaInto(&ws, fused)
+	if gotProba.Rows != rows || gotProba.Cols != 3 {
+		t.Fatalf("frozen proba shape %dx%d", gotProba.Rows, gotProba.Cols)
+	}
+	for i := range wantProba {
+		for j, w := range wantProba[i] {
+			if math.Float64bits(gotProba.At(i, j)) != math.Float64bits(w) {
+				t.Fatalf("proba[%d][%d] = %v, want %v", i, j, gotProba.At(i, j), w)
+			}
+		}
+	}
+	for i, v := range before {
+		if fused.Data[i] != v {
+			t.Fatalf("the frozen pass wrote the caller's batch at %d", i)
+		}
+	}
+}
+
+// TestFrozenIsACopy: training the network on after Freeze moves no frozen
+// answer, and a first-position activation (which rectifies in place) gets a
+// workspace copy of the batch, never the caller's tensor.
+func TestFrozenIsACopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	net, err := NewNetwork(4, 3, NewReLU(), NewDense(4, 3, rng))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range wantPred {
-		if gotPred[i] != wantPred[i] {
-			t.Fatalf("pred[%d] = %d, want %d", i, gotPred[i], wantPred[i])
+	x, fused := tensorEntryBatch(rng, 7, 4)
+	before := append([]float64(nil), fused.Data...)
+	want := net.PredictProba(x)
+	frozen := net.Freeze()
+	opt := NewSGD(0.5, 0.9, 0)
+	for k := 0; k < 3; k++ {
+		if _, err := net.TrainBatch(x, []int{0, 1, 2, 0, 1, 2, 0}, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ws Workspace
+	got := frozen.ProbaInto(&ws, fused)
+	for i := range want {
+		for j, w := range want[i] {
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(w) {
+				t.Fatalf("proba[%d][%d] = %v after the network trained on, want %v", i, j, got.At(i, j), w)
+			}
+		}
+	}
+	for i, v := range before {
+		if fused.Data[i] != v {
+			t.Fatalf("a first-position ReLU rectified the caller's batch at %d", i)
 		}
 	}
 }
@@ -71,41 +124,35 @@ func TestTensorEntryRejects(t *testing.T) {
 	if _, err := net.ForwardTensor(linalg.NewTensor(2, 5)); err == nil {
 		t.Fatal("wrong width accepted")
 	}
-	if err := net.PredictTensorInto(linalg.NewTensor(2, 3), make([]int, 1)); err == nil {
-		t.Fatal("short dst accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a frozen pass accepted a batch of the wrong width")
+		}
+	}()
+	net.Freeze().ProbaInto(new(Workspace), linalg.NewTensor(2, 5))
 }
 
-// TestPredictTensorIntoWarmAllocs: the fused entry adds no staging or result
-// allocations of its own — warm, it allocates strictly less than the
-// row-slice Predict (which pays per-row staging plus the result slice). The
-// residual allocations both share come from layer-internal view headers.
+// TestPredictTensorIntoWarmAllocs: predicting from a flat tensor over frozen
+// parameters allocates nothing once the workspace is warm — no staging, no
+// result, no per-layer scratch — where the row-slice Predict pays for its
+// result.
 func TestPredictTensorIntoWarmAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	net, err := NewNetwork(6, 2, NewDense(6, 8, rng), NewReLU(), NewDense(8, 2, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := linalg.NewTensor(16, 6)
-	rows := make([][]float64, 16)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range rows {
-		rows[i] = x.Row(i)
-	}
-	dst := make([]int, 16)
-	if err := net.PredictTensorInto(x, dst); err != nil {
-		t.Fatal(err)
-	}
+	rows, x := tensorEntryBatch(rng, 16, 6)
+	frozen := net.Freeze()
+	var ws Workspace
+	frozen.ProbaInto(&ws, x)
 	net.Predict(rows)
 	fused := testing.AllocsPerRun(50, func() {
-		if err := net.PredictTensorInto(x, dst); err != nil {
-			t.Fatal(err)
-		}
+		ws.Reset()
+		frozen.ProbaInto(&ws, x)
 	})
 	rowAPI := testing.AllocsPerRun(50, func() { net.Predict(rows) })
-	if fused >= rowAPI {
-		t.Fatalf("fused predict allocates %.1f, row API %.1f — fused must be cheaper", fused, rowAPI)
+	if fused != 0 || fused >= rowAPI {
+		t.Fatalf("a warm frozen pass allocates %.1f, want 0 (row API: %.1f)", fused, rowAPI)
 	}
 }

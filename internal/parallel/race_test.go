@@ -27,7 +27,7 @@ func TestGroupAndParallelGemmRace(t *testing.T) {
 	}
 	defer g.Close()
 
-	const dim = 96 // 96³ mul-adds per GEMM, well above the parallel cutoff
+	const dim = 128 // 128³ = 2 M mul-adds per GEMM, above the parallel cutoff (1 M)
 	a := linalg.NewTensor(dim, dim)
 	b := linalg.NewTensor(dim, dim)
 	rng := rand.New(rand.NewSource(11))

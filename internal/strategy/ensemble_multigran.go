@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"freewayml/internal/ensemble"
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
 	"freewayml/internal/nn"
@@ -34,6 +33,9 @@ type Granularity struct {
 	// until Train takes it. The network, not this field, decides whether it
 	// is still good: any later forward or parameter write outdates it.
 	fwd nn.ForwardToken
+	// proba holds that prediction's class distributions until the next
+	// predict: the member's own buffer, which no forward or update writes.
+	proba linalg.Tensor
 }
 
 // NewGranularity wraps a model as a fixed-frequency ensemble member. wd may
@@ -43,13 +45,14 @@ func NewGranularity(m model.Model, every int, wd *Watchdog) *Granularity {
 }
 
 // predict returns the member's class distributions for the batch being
-// processed and keeps the forward pass for this batch's Train.
-func (g *Granularity) predict(x [][]float64) [][]float64 {
-	proba := g.Model.PredictProba(x)
+// processed (valid until its next predict) and keeps the forward pass for
+// this batch's Train.
+func (g *Granularity) predict(x [][]float64) *linalg.Tensor {
+	model.ProbaInto(&g.proba, g.Model, x)
 	if ft, ok := g.Model.(model.ForwardTrainer); ok {
 		g.fwd = ft.Forwarded()
 	}
-	return proba
+	return &g.proba
 }
 
 // fit is Model.Fit, minus the forward pass when fwd still names the model's
@@ -145,9 +148,16 @@ type Ensemble struct {
 	wg      sync.WaitGroup
 	longVer uint64 // bumped on every long-model mutation (under mu)
 
-	// Snapshot-publication cache: clones are re-made only for members whose
+	// Infer's scratch (training goroutine only): the member list, and the long
+	// model's class distributions — the ensemble's buffer, not the network's,
+	// so the fusion reads it after e.mu is released while an asynchronous
+	// close trains the long model.
+	members   []member
+	longProba linalg.Tensor
+
+	// Snapshot-publication cache: a member is frozen again only when its
 	// version moved since the last publication. Guarded by pubMu (one
-	// publisher at a time); the cached clones themselves are immutable.
+	// publisher at a time); the cached views themselves are immutable.
 	pubMu      sync.Mutex
 	pubMembers []SnapshotMember
 	pubVers    []uint64
@@ -222,23 +232,19 @@ func (e *Ensemble) Wait() { e.wg.Wait() }
 // InferWarmup predicts with the short model alone — the strategy while the
 // detector has no projected centroid yet.
 func (e *Ensemble) InferWarmup(b stream.Batch) Prediction {
-	proba := e.grans[0].predict(b.X)
+	proba := e.grans[0].predict(b.X).ToRows()
 	return Prediction{Pred: argmaxRows(proba), Proba: proba}
 }
 
-// GranMembers returns the fixed-frequency members' predictions for the batch
-// being processed (x is that batch: the forward passes are kept for its
+// granMembers appends to dst the fixed-frequency members' predictions for the
+// batch being processed (x is that batch: the forward passes are kept for its
 // Train) with their distances to the live distribution — the knowledge-reuse
 // fusion deliberately excludes the long model.
-func (e *Ensemble) GranMembers(yBar linalg.Vector, x [][]float64) []ensemble.Member {
-	members := make([]ensemble.Member, 0, len(e.grans))
+func (e *Ensemble) granMembers(dst []member, yBar linalg.Vector, x [][]float64) []member {
 	for _, g := range e.grans {
-		members = append(members, ensemble.Member{
-			Proba:    g.predict(x),
-			Distance: centroidDistance(yBar, g.centroid),
-		})
+		dst = append(dst, member{proba: g.predict(x), distance: centroidDistance(yBar, g.centroid)})
 	}
-	return members
+	return dst
 }
 
 // Infer fuses all granularity models with the Gaussian-kernel distance
@@ -248,13 +254,12 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 	// Short and mid-granularity models: distance to their last training
 	// distribution (D_short of Eq. 12 equals obs.Distance for the per-batch
 	// model, since its centroid is the previous batch's ȳ).
-	members := e.GranMembers(obs.YBar, b.X)
+	members := e.granMembers(e.members[:0], obs.YBar, b.X)
 	e.mu.RLock()
-	members = append(members, ensemble.Member{
-		Proba:    e.long.PredictProba(b.X),
-		Distance: centroidDistance(obs.YBar, e.longCentroid),
-	})
+	model.ProbaInto(&e.longProba, e.long, b.X)
+	members = append(members, member{proba: &e.longProba, distance: centroidDistance(obs.YBar, e.longCentroid)})
 	e.mu.RUnlock()
+	e.members = members
 
 	// Normalize distances by their mean so the kernel width Sigma is
 	// scale-free: the projected space's units vary per dataset, and Eq. 14
@@ -266,7 +271,7 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 	// the nearest thing to the live data, while under localized fluctuation
 	// (A2) the window's weighted centroid sits at the center of the noise
 	// and the long model wins the kernel weighting.
-	fused, weights, err := ensemble.Fuse(members, e.cfg.Sigma)
+	fused, weights, err := fuse(members, e.cfg.Sigma)
 	if err != nil {
 		return Prediction{}, false, fmt.Errorf("strategy: ensemble: %w", err)
 	}
@@ -476,11 +481,11 @@ func (e *Ensemble) updateLong(obs shift.Observation, tr Trace) error {
 // PublishSnapshot builds the immutable member view for the inference plane:
 // every granularity model in order, the long model last. Members whose
 // version counter has not moved since the previous publication reuse the
-// cached clone, so steady-state publication cost is one deep copy of the
-// models that actually trained this batch (usually just the short model).
-// Must be called from the training goroutine — it reads the granularity
-// models without e.mu; the long model is cloned under e.mu so an in-flight
-// asynchronous update cannot tear it.
+// cached view, so steady-state publication cost is one copy of the parameter
+// values of the models that actually trained this batch (usually just the
+// short model). Must be called from the training goroutine — it reads the
+// granularity models without e.mu; the long model is frozen under e.mu so an
+// in-flight asynchronous update cannot tear it.
 func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 	e.pubMu.Lock()
 	defer e.pubMu.Unlock()
@@ -496,7 +501,7 @@ func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 			if g.centroid != nil {
 				c = g.centroid.Clone()
 			}
-			e.pubMembers[i] = SnapshotMember{Model: g.Model.Clone(), Centroid: c}
+			e.pubMembers[i] = SnapshotMember{Model: g.Model.Freeze(), Centroid: c}
 			e.pubVers[i] = g.ver
 		}
 		members[i] = e.pubMembers[i]
@@ -507,7 +512,7 @@ func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 		if e.longCentroid != nil {
 			c = e.longCentroid.Clone()
 		}
-		e.pubMembers[n] = SnapshotMember{Model: e.long.Clone(), Centroid: c}
+		e.pubMembers[n] = SnapshotMember{Model: e.long.Freeze(), Centroid: c}
 		e.pubLongVer = e.longVer
 	}
 	members[n] = e.pubMembers[n]

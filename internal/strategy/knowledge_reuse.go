@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"freewayml/internal/ensemble"
 	"freewayml/internal/knowledge"
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
@@ -21,6 +20,10 @@ type KnowledgeReuse struct {
 	store *knowledge.Store
 	reuse model.Model // scratch model for restores
 	ens   *Ensemble   // live members for the fusion + adoption target
+
+	// Infer's scratch: the member list and the reuse model's distributions.
+	members []member
+	proba   linalg.Tensor
 
 	sigma        float64 // Gaussian-kernel width of the fusion
 	beta         float64 // disorder threshold of the preservation policy
@@ -72,10 +75,10 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 	// but if the live models are still competitive the fusion keeps their
 	// signal. The long model deliberately stays out: it smooths over the
 	// departed regime.
-	members := append([]ensemble.Member{{Proba: k.reuse.PredictProba(b.X), Distance: dist}},
-		k.ens.GranMembers(obs.YBar, b.X)...)
-	normalizeDistances(members)
-	fused, weights, err := ensemble.Fuse(members, k.sigma)
+	model.ProbaInto(&k.proba, k.reuse, b.X)
+	k.members = k.ens.granMembers(append(k.members[:0], member{proba: &k.proba, distance: dist}), obs.YBar, b.X)
+	normalizeDistances(k.members)
+	fused, weights, err := fuse(k.members, k.sigma)
 	if err != nil {
 		return Prediction{}, false, fmt.Errorf("strategy: knowledge fuse: %w", err)
 	}

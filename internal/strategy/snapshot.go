@@ -4,23 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
-	"freewayml/internal/ensemble"
 	"freewayml/internal/knowledge"
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
+	"freewayml/internal/nn"
 	"freewayml/internal/pca"
 	"freewayml/internal/shift"
 )
 
-// SnapshotMember is one ensemble member frozen at publication time: a deep
-// model clone plus the centroid of its training distribution in shift space.
-// Neither is mutated after the snapshot is built — the training plane clones
-// before publishing, so readers share the structs freely.
+// SnapshotMember is one ensemble member frozen at publication time: the
+// model's read-only view (a copy of its parameter values; no scratch, no
+// optimizer) plus the centroid of its training distribution in shift space.
+// Neither is written after the snapshot is built, and a forward pass over the
+// member writes only the reader's own workspace, so any number of readers of
+// any snapshot generations share the structs freely.
 type SnapshotMember struct {
-	Model    model.Model
+	Model    model.Frozen
 	Centroid linalg.Vector
 }
 
@@ -57,16 +58,6 @@ type Snapshot struct {
 	PublishedAt time.Time
 	Dim         int
 	Classes     int
-
-	// ComputeMu serializes forward passes across every snapshot of one
-	// learner. The member *parameters* are immutable, but a model's forward
-	// pass stages rows into model-owned scratch, and publication reuses an
-	// unchanged member's clone across consecutive snapshots — so two
-	// concurrent readers (even of different snapshot generations) would race
-	// on that scratch without it. The mutex belongs to the read plane alone:
-	// the training path never takes it, so a reader waits only behind other
-	// readers, never behind training, checkpointing, or eviction.
-	ComputeMu *sync.Mutex
 }
 
 // InferOutput is the pure inference result for one batch of rows.
@@ -104,28 +95,38 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 		}
 	}
 
+	// Every byte of forward scratch is the reader's: one pooled workspace
+	// holds the staged batch and each member's activations and probabilities
+	// for the duration of this call. Nothing returned may alias it — the fused
+	// rows are fresh, the warm-up answer is copied out.
+	ws := nn.GetWorkspace()
+	defer ws.Release()
+	xs := ws.Tensor(len(x), s.Dim)
+	xs.FromRows(x, s.Dim)
+
 	if s.Proj == nil {
-		proba := s.forward(s.Members[:1], x)[0].Proba
+		proba := s.Members[0].Model.ProbaInto(ws, xs).ToRows()
 		return InferOutput{Pred: argmaxRows(proba), Proba: proba, Warmup: true, KnowledgeDist: -1}, nil
 	}
 
-	mean, err := meanOfRows(x)
-	if err != nil {
-		return InferOutput{}, err
-	}
 	var ybar linalg.Vector // nil for an empty batch
-	if mean != nil {
+	if mean := meanOfRows(ws, xs); mean != nil {
+		var err error
 		ybar, err = s.Proj.ProjectMean(mean)
 		if err != nil {
 			return InferOutput{}, fmt.Errorf("strategy: infer projection: %w", err)
 		}
 	}
-	members := s.forward(s.Members, x)
-	for i, m := range s.Members {
-		members[i].Distance = centroidDistance(ybar, m.Centroid)
+	var buf [4]member // the usual member count, on the stack
+	members := buf[:0]
+	for _, m := range s.Members {
+		members = append(members, member{
+			proba:    m.Model.ProbaInto(ws, xs),
+			distance: centroidDistance(ybar, m.Centroid),
+		})
 	}
 	normalizeDistances(members)
-	fused, weights, err := ensemble.Fuse(members, s.Sigma)
+	fused, weights, err := fuse(members, s.Sigma)
 	if err != nil {
 		return InferOutput{}, fmt.Errorf("strategy: infer fusion: %w", err)
 	}
@@ -143,34 +144,18 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 	}, nil
 }
 
-// forward runs x through the given members under ComputeMu. Only these
-// forward passes touch model-owned scratch, so the lock covers nothing else:
-// the batch mean, its projection, the fusion and the knowledge distance run
-// outside it.
-func (s *Snapshot) forward(ms []SnapshotMember, x [][]float64) []ensemble.Member {
-	if s.ComputeMu != nil {
-		s.ComputeMu.Lock()
-		defer s.ComputeMu.Unlock()
+// meanOfRows returns the column mean of the staged batch (nil for an empty
+// batch) in a vector taken from ws: the rows summed from zero in order, then
+// scaled once — linalg.Mean's sum.
+func meanOfRows(ws *nn.Workspace, x *linalg.Tensor) linalg.Vector {
+	if x.Rows == 0 {
+		return nil
 	}
-	out := make([]ensemble.Member, len(ms))
-	for i, m := range ms {
-		out[i].Proba = m.Model.PredictProba(x)
+	mean := linalg.Vector(ws.Tensor(1, x.Cols).Data)
+	clear(mean)
+	for i := 0; i < x.Rows; i++ {
+		mean.AddInPlace(x.Row(i))
 	}
-	return out
-}
-
-// meanOfRows returns the column mean of the batch (nil for an empty batch).
-func meanOfRows(rows [][]float64) (linalg.Vector, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	points := make([]linalg.Vector, len(rows))
-	for i, r := range rows {
-		points[i] = r
-	}
-	mean, err := linalg.Mean(points)
-	if err != nil {
-		return nil, fmt.Errorf("strategy: infer mean: %w", err)
-	}
-	return mean, nil
+	mean.ScaleInPlace(1 / float64(x.Rows))
+	return mean
 }

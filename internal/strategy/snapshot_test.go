@@ -1,29 +1,32 @@
 package strategy
 
 import (
+	"context"
 	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"freewayml/internal/knowledge"
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
+	"freewayml/internal/nn"
 	"freewayml/internal/pca"
 )
 
-// stubModel answers PredictProba from a fixed table (row i of the batch gets
-// rows[i]) and counts its calls; every other Model method is unimplemented.
+// stubModel is a frozen member that answers from a fixed table (row i of the
+// batch gets rows[i]) and counts its calls.
 type stubModel struct {
-	model.Model
 	rows  [][]float64
 	calls int
 }
 
-func (m *stubModel) PredictProba(x [][]float64) [][]float64 {
+func (m *stubModel) ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor {
 	m.calls++
-	out := make([][]float64, len(x))
-	for i := range out {
-		out[i] = append([]float64(nil), m.rows[i]...)
-	}
+	out := ws.Tensor(x.Rows, len(m.rows[0]))
+	out.FromRows(m.rows[:x.Rows], out.Cols)
 	return out
 }
 
@@ -177,5 +180,116 @@ func TestInferBatchRejectsDimMismatch(t *testing.T) {
 	}
 	if short.calls != 0 || long.calls != 0 {
 		t.Errorf("forward passes ran on a rejected batch: %d, %d", short.calls, long.calls)
+	}
+}
+
+// TestInferBatchConcurrentReadersMatchSerial: a published snapshot is
+// immutable and every byte of forward scratch is the reader's. Six readers
+// call InferBatch on whatever generation is current — so on the same snapshot
+// and on consecutive ones, whose long member is one shared frozen view — while
+// a trainer keeps training and republishing (it holds each generation until
+// two reads of it have finished, so every generation is read). Every answer
+// must equal, bit for bit, a later serial InferBatch on the snapshot it was
+// read from. Run under -race (make race does, three times over).
+func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
+	ctx := context.Background()
+	e := reuseEnsemble(t, []int{1, 2}, false, func(m model.Model) model.Model { return m })
+	proj, err := pca.Fit([]linalg.Vector{
+		{1, 0, 0, 0, 0, 0}, {-1, 0, 0, 0, 0, 0}, {0, 2, 0, 0, 0, 0}, {0, -2, 0, 0, 0, 0}, {0, 0, 0.5, 0, 0, 0}, {0, 0, -0.5, 0, 0, 0},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, generations = 6, 12
+	var current atomic.Pointer[Snapshot]
+	var readsOf [generations]atomic.Int64 // finished reads per generation
+	publish := func(seq int) {
+		current.Store(&Snapshot{Members: e.PublishSnapshot(), Sigma: 1, Proj: proj, Dim: reuseDim, Classes: reuseClasses, Seq: uint64(seq)})
+	}
+	publish(0)
+
+	type answer struct {
+		snap *Snapshot
+		x    [][]float64
+		out  InferOutput
+	}
+	answers := make([][]answer, readers)
+	trained := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // trainer
+		defer wg.Done()
+		defer close(trained)
+		rng := rand.New(rand.NewSource(71))
+		for k := 1; k < generations; k++ {
+			b, obs := reuseBatch(rng)
+			if _, _, err := e.Infer(ctx, b, obs, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := e.Train(ctx, b, obs, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			for readsOf[k-1].Load() < 2 {
+				if t.Failed() {
+					return
+				}
+				runtime.Gosched()
+			}
+			publish(k)
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(72 + r)))
+			for {
+				select {
+				case <-trained:
+					return
+				default:
+				}
+				b, _ := reuseBatch(rng)
+				x := b.X[:1+rng.Intn(len(b.X))] // batch sizes differ: the pooled workspaces get reshaped
+				snap := current.Load()
+				out, err := snap.InferBatch(x)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				answers[r] = append(answers[r], answer{snap, x, out})
+				readsOf[snap.Seq].Add(1)
+				runtime.Gosched() // one P must reach the trainer too
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	seen := map[uint64]bool{}
+	for r := range answers {
+		for i, a := range answers[r] {
+			seen[a.snap.Seq] = true
+			want, err := a.snap.InferBatch(a.x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range want.Proba {
+				for c, w := range want.Proba[s] {
+					if math.Float64bits(a.out.Proba[s][c]) != math.Float64bits(w) {
+						t.Fatalf("reader %d, read %d (snapshot %d): proba[%d][%d] = %v, serial %v", r, i, a.snap.Seq, s, c, a.out.Proba[s][c], w)
+					}
+				}
+			}
+			for j, w := range want.Weights {
+				if math.Float64bits(a.out.Weights[j]) != math.Float64bits(w) {
+					t.Fatalf("reader %d, read %d: weight %d = %v, serial %v", r, i, j, a.out.Weights[j], w)
+				}
+			}
+		}
+	}
+	if !t.Failed() && len(seen) < generations-1 {
+		t.Errorf("the reads cover %d snapshot generations, want every one before the last (%d)", len(seen), generations-1)
 	}
 }

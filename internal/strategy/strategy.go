@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"freewayml/internal/cluster"
-	"freewayml/internal/ensemble"
 	"freewayml/internal/linalg"
 	"freewayml/internal/shift"
 	"freewayml/internal/stream"
@@ -127,12 +126,12 @@ type Strategy interface {
 // normalizeDistances rescales the members' finite distances by their mean,
 // leaving infinite distances (untrained models) untouched. Degenerate cases
 // (no finite distances, zero mean) are left as-is.
-func normalizeDistances(members []ensemble.Member) {
+func normalizeDistances(members []member) {
 	var sum float64
 	n := 0
 	for _, m := range members {
-		if !math.IsInf(m.Distance, 0) {
-			sum += m.Distance
+		if !math.IsInf(m.distance, 0) {
+			sum += m.distance
 			n++
 		}
 	}
@@ -141,8 +140,8 @@ func normalizeDistances(members []ensemble.Member) {
 	}
 	mean := sum / float64(n)
 	for i := range members {
-		if !math.IsInf(members[i].Distance, 0) {
-			members[i].Distance /= mean
+		if !math.IsInf(members[i].distance, 0) {
+			members[i].distance /= mean
 		}
 	}
 }

@@ -4,34 +4,33 @@ import (
 	"math"
 	"testing"
 
-	"freewayml/internal/ensemble"
 	"freewayml/internal/linalg"
 )
 
 func TestNormalizeDistances(t *testing.T) {
 	inf := math.Inf(1)
-	members := []ensemble.Member{
-		{Distance: 1}, {Distance: 3}, {Distance: inf},
+	members := []member{
+		{distance: 1}, {distance: 3}, {distance: inf},
 	}
 	normalizeDistances(members)
 	// Finite distances are rescaled by their mean (2); the untrained
 	// member's +Inf must survive so its kernel weight vanishes.
-	if members[0].Distance != 0.5 || members[1].Distance != 1.5 {
-		t.Errorf("normalized = %v, %v; want 0.5, 1.5", members[0].Distance, members[1].Distance)
+	if members[0].distance != 0.5 || members[1].distance != 1.5 {
+		t.Errorf("normalized = %v, %v; want 0.5, 1.5", members[0].distance, members[1].distance)
 	}
-	if !math.IsInf(members[2].Distance, 1) {
-		t.Errorf("infinite distance rescaled to %v", members[2].Distance)
+	if !math.IsInf(members[2].distance, 1) {
+		t.Errorf("infinite distance rescaled to %v", members[2].distance)
 	}
 
 	// Degenerate inputs are left untouched.
-	all := []ensemble.Member{{Distance: inf}, {Distance: inf}}
+	all := []member{{distance: inf}, {distance: inf}}
 	normalizeDistances(all)
-	if !math.IsInf(all[0].Distance, 1) || !math.IsInf(all[1].Distance, 1) {
+	if !math.IsInf(all[0].distance, 1) || !math.IsInf(all[1].distance, 1) {
 		t.Error("all-infinite members were rescaled")
 	}
-	zero := []ensemble.Member{{Distance: 0}, {Distance: 0}}
+	zero := []member{{distance: 0}, {distance: 0}}
 	normalizeDistances(zero)
-	if zero[0].Distance != 0 || zero[1].Distance != 0 {
+	if zero[0].distance != 0 || zero[1].distance != 0 {
 		t.Error("zero-mean members were rescaled")
 	}
 }
