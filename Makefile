@@ -31,12 +31,14 @@ fmt:
 	if [ -n "$$out" ]; then echo 'gofmt -l lists:' >&2; echo "$$out" >&2; exit 1; fi
 	@echo "fmt: gofmt -l clean"
 
-# The golden decision-bits test at three GOMAXPROCS values: the GEMM fan-out
-# partition depends on it and must never change a bit — nor may the choice
-# between the assembly bodies and the Go loops.
+# The golden decision-bits test and the kernels' differential tests at three
+# GOMAXPROCS values: the GEMM fan-out partition depends on it and must never
+# change a bit — nor may the choice between the assembly bodies and the Go
+# loops.
 golden:
 	$(GO) test -cpu 1,2,4 -run Golden ./internal/core
 	$(GO) test -tags purego -cpu 1,2,4 -run Golden ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'Gemm|Kernel' ./internal/linalg
 
 # internal/dist runs three times over: its connection pool is concurrent
 # code, and a flaky interleaving must show up here, not in cluster-smoke. So do
@@ -48,8 +50,8 @@ race:
 	$(GO) test -race -count=3 ./internal/strategy ./internal/core
 
 # Differential fuzzing, 20 s each: the GEMM kernels against their oracles
-# (exact bits, every shape through the Go loops and the assembly bodies) and
-# the JSON batch parser against encoding/json.
+# (exact bits, m, n ≤ 90 and k ≤ 260, every shape through the Go loops and the
+# assembly bodies) and the JSON batch parser against encoding/json.
 fuzz:
 	$(GO) test ./internal/linalg -run '^$$' -fuzz FuzzGemmShapes -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s

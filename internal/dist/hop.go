@@ -19,6 +19,12 @@ import (
 // above it dials, and the surplus is closed when it comes back.
 const hopMaxIdlePerWorker = 64
 
+// hopMaxIdleAge is how long a connection may sit in the pool. The workers'
+// http.Server closes a connection idle for two minutes (IdleTimeout in
+// cmd/freeway-serve), and a request written to one it has closed costs the
+// replay on a fresh dial; the pool gives connections up before the worker does.
+const hopMaxIdleAge = 90 * time.Second
+
 // hopWriteBuffer holds a whole routed batch request (a 32×12 JSON batch is
 // 4.5 KB plus headers), so it leaves in one write: against bufio's 4 KB
 // default the worker's p50 round trip read 187 µs instead of 197.
@@ -40,8 +46,9 @@ type hopTransport struct {
 // hopConn is one persistent connection with its buffers.
 type hopConn struct {
 	net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	br        *bufio.Reader
+	bw        *bufio.Writer
+	idleSince time.Time // when put pooled it
 }
 
 func newHopTransport(onDial func(addr string)) *hopTransport {
@@ -153,7 +160,7 @@ func (t *hopTransport) exchange(addr string, c *hopConn, req *http.Request) (res
 func (t *hopTransport) get(addr string) *hopConn {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pool := t.idle[addr]
+	pool := t.dropStale(addr)
 	if len(pool) == 0 {
 		return nil
 	}
@@ -163,8 +170,9 @@ func (t *hopTransport) get(addr string) *hopConn {
 }
 
 func (t *hopTransport) put(addr string, c *hopConn) {
+	c.idleSince = time.Now()
 	t.mu.Lock()
-	pool := t.idle[addr]
+	pool := t.dropStale(addr)
 	full := len(pool) >= hopMaxIdlePerWorker
 	if !full {
 		t.idle[addr] = append(pool, c)
@@ -173,6 +181,23 @@ func (t *hopTransport) put(addr string, c *hopConn) {
 	if full {
 		c.Close()
 	}
+}
+
+// dropStale closes the connections idle longer than hopMaxIdleAge, takes them
+// out of addr's pool and returns what is left. put appends and get takes from
+// the end, so a pool is ordered oldest first. The caller holds t.mu.
+func (t *hopTransport) dropStale(addr string) []*hopConn {
+	pool := t.idle[addr]
+	n := 0
+	for ; n < len(pool) && time.Since(pool[n].idleSince) > hopMaxIdleAge; n++ {
+		pool[n].Close()
+	}
+	if n > 0 {
+		pool = pool[:copy(pool, pool[n:])]
+		clear(pool[len(pool):][:n]) // the closed connections, for the collector
+		t.idle[addr] = pool
+	}
+	return pool
 }
 
 // CloseIdleConnections closes the connections idle right now; http.Client

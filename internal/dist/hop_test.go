@@ -164,6 +164,62 @@ func TestHopReplaysOnceWhenWorkerClosedIdleConnection(t *testing.T) {
 	}
 }
 
+// TestHopAgesOutIdleConnections: against a worker that closes connections
+// idle for 20 ms, a pooled connection younger than hopMaxIdleAge is still
+// tried and costs the replay (the body is fetched again); once it is older the
+// pool closes and drops it on the next touch, and the request goes out once,
+// on a fresh dial.
+func TestHopAgesOutIdleConnections(t *testing.T) {
+	closed := make(chan struct{}, 8) // one token per connection the worker closed; 3 connections at most
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(echo))
+	ts.Config.IdleTimeout = 20 * time.Millisecond
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateClosed {
+			closed <- struct{}{}
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	var dials, bodies int
+	tr := newHopTransport(func(string) { dials++ })
+	defer tr.CloseIdleConnections()
+	post := func(body string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/p", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		getBody := req.GetBody
+		req.GetBody = func() (io.ReadCloser, error) { bodies++; return getBody() }
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := io.ReadAll(resp.Body); resp.StatusCode != 200 || string(got) != "/p "+body {
+			t.Fatalf("%d %q, want 200 and the body echoed", resp.StatusCode, got)
+		}
+	}
+
+	post("one")
+	<-closed // the worker's idle timeout fired on the pooled connection
+	post("two")
+	if dials != 2 || bodies != 1 {
+		t.Fatalf("young stale connection: dials %d, bodies re-fetched %d, want 2 and 1 (the replay)", dials, bodies)
+	}
+	<-closed
+	tr.mu.Lock()
+	if len(tr.idle[addr]) != 1 {
+		t.Fatalf("idle = %d, want the second connection pooled", len(tr.idle[addr]))
+	}
+	tr.idle[addr][0].idleSince = time.Now().Add(-hopMaxIdleAge - time.Second)
+	tr.mu.Unlock()
+	post("three")
+	if dials != 3 || bodies != 1 {
+		t.Fatalf("aged-out connection: dials %d, bodies re-fetched %d, want 3 and 1 (no replay)", dials, bodies)
+	}
+}
+
 func TestHopDoesNotReplayOtherFailures(t *testing.T) {
 	bg := context.Background()
 	t.Run("after the first response byte on a reused connection", func(t *testing.T) {

@@ -15,24 +15,16 @@ import (
 // splits, reorders or re-associates one element's sum, and elements do not
 // feed each other, so tiling changes the schedule, not a single rounding.
 //
-//   - axpy forms (Gemm, GemmTA): 2 rows of C × up to 4 steps of k. Both C
-//     elements stay in registers across the k steps and share the 4 B loads:
-//     8 memory operations per 8 mul-adds instead of 24. Depths 1–3 are spelled
-//     out, so k = 3 (Conv1D, InChannels·Kernel = 3) and k = C (input gradient
-//     of a 64→C head) are one tiled pass.
-//   - dot form (GemmTB): 4 rows of A × 2 rows of B, eight independent add
-//     chains fed by 6 loads per k step; 4×1 takes an odd last column.
-//
-// On amd64 with AVX2 each of these tiles has an assembly body (simd_amd64.s)
-// that runs four output elements per instruction — four columns of C in the
-// axpy forms, the four A rows of a dot tile — each lane doing exactly the
-// mul-then-add sequence of the loops below, which remain as the tail past the
-// last whole vector and as the whole kernel everywhere else.
-//
-// Leftover rows: the odd last row of an axpy range keeps the 4-deep k step
-// (axpyRow), the m mod 4 rows of the dot form run the plain one-chain loop;
-// parallelRows cuts ranges at multiples of 4 rows, so only the true end of
-// the matrix ever has a leftover.
+// On amd64 with AVX2 a product is one assembly call per row range
+// (simd_amd64.s), four output elements to an instruction, each lane doing the
+// mul-then-add sequence above. axpyPanelAVX2 (Gemm, GemmTA) keeps a 4-row ×
+// 8-column tile of C in registers across all of k; dotPanelAVX2 (GemmTB) runs
+// 4 rows of A × 2 rows of B, a lane per A row. The Go loops below are their
+// n mod 4 tail columns and m mod 4 leftover rows, the whole kernel under
+// -tags purego and off amd64, and the readable twin the assembly is tested
+// against: 2 rows of C × 4, 2 or 1 steps of k for the axpy forms (both C
+// elements stay in registers across the steps and share the B loads), 4×2 and
+// 4×1 tiles of independent add chains for the dot form.
 
 // simdCols is how many leading columns of an n-column row the assembly bodies
 // take, four to a vector; the Go loops below them start at that column, and
@@ -44,16 +36,10 @@ func simdCols(n int) int {
 	return 0
 }
 
-// axpyPair advances rows i and i+1 of C (n columns) by depth ∈ [1,4] k-steps:
-// c_r[j] += a_r[0]·B[p][j], then a_r[1]·B[p+1][j], … in that order.
-func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
-	j := simdCols(n)
-	if j > 0 {
-		axpyPairAVX2(c[i*n:i*n+j], c[(i+1)*n:(i+1)*n+j], b[p*n:(p+depth)*n], n, depth, a0, a1)
-		if j == n {
-			return
-		}
-	}
+// axpyPair advances columns j and up of rows i and i+1 of C (n columns) by
+// depth ∈ {1,2,4} k-steps: c_r[j] += a_r[0]·B[p][j], then a_r[1]·B[p+1][j], …
+// in that order.
+func axpyPair(c, b []float64, n, j, i, p, depth int, a0, a1 *[4]float64) {
 	c0 := c[i*n+j : (i+1)*n]
 	c1 := c[(i+1)*n+j : (i+2)*n][:len(c0)]
 	b0 := b[p*n+j : (p+1)*n][:len(c0)]
@@ -75,22 +61,6 @@ func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
 			s1 += a12 * v2
 			s0 += a03 * v3
 			s1 += a13 * v3
-			c0[j], c1[j] = s0, s1
-		}
-	case 3:
-		b1 := b[(p+1)*n+j : (p+2)*n][:len(c0)]
-		b2 := b[(p+2)*n+j : (p+3)*n][:len(c0)]
-		a00, a01, a02 := a0[0], a0[1], a0[2]
-		a10, a11, a12 := a1[0], a1[1], a1[2]
-		for j, s0 := range c0 {
-			s1 := c1[j]
-			v0, v1, v2 := b0[j], b1[j], b2[j]
-			s0 += a00 * v0
-			s1 += a10 * v0
-			s0 += a01 * v1
-			s1 += a11 * v1
-			s0 += a02 * v2
-			s1 += a12 * v2
 			c0[j], c1[j] = s0, s1
 		}
 	case 2:
@@ -115,36 +85,12 @@ func axpyPair(c, b []float64, n, i, p, depth int, a0, a1 *[4]float64) {
 	}
 }
 
-// axpyRow advances the single row i of C (the odd last row of a range, or a
-// one-row batch) by the k-steps p, p+1, … with coefficients a0: 4 steps per
-// pass over the row, as axpyPair does, then one pass per remaining step. An
-// element still receives a0[0]·B[p][j], a0[1]·B[p+1][j], … in that order.
-func axpyRow(c, b []float64, n, i, p int, a0 []float64) {
-	j := simdCols(n)
-	if j > 0 {
-		axpyRowAVX2(c[i*n:i*n+j], b[p*n:(p+len(a0))*n], n, a0)
-		if j == n {
-			return
-		}
-	}
+// axpyRow advances columns j and up of the single row i of C (the odd last
+// row of a range, or a one-row batch) by the k-steps p, p+1, … with
+// coefficients a0, one pass over the row per step.
+func axpyRow(c, b []float64, n, j, i, p int, a0 []float64) {
 	c0 := c[i*n+j : (i+1)*n]
-	q := 0
-	for ; q+4 <= len(a0); q += 4 {
-		b0 := b[(p+q)*n+j : (p+q+1)*n][:len(c0)]
-		b1 := b[(p+q+1)*n+j : (p+q+2)*n][:len(c0)]
-		b2 := b[(p+q+2)*n+j : (p+q+3)*n][:len(c0)]
-		b3 := b[(p+q+3)*n+j : (p+q+4)*n][:len(c0)]
-		a00, a01, a02, a03 := a0[q], a0[q+1], a0[q+2], a0[q+3]
-		for j, s := range c0 {
-			s += a00 * b0[j]
-			s += a01 * b1[j]
-			s += a02 * b2[j]
-			s += a03 * b3[j]
-			c0[j] = s
-		}
-	}
-	for ; q < len(a0); q++ {
-		av := a0[q]
+	for q, av := range a0 {
 		bq := b[(p+q)*n+j : (p+q+1)*n][:len(c0)]
 		for j, v := range bq {
 			c0[j] += av * v
@@ -165,18 +111,12 @@ func put(dst *float64, s float64, accumulate bool) {
 // of length k): eight independent ascending-p dot products.
 func dot4x2(c, a, b []float64, k, n, i, j int, accumulate bool) {
 	var s00, s01, s10, s11, s20, s21, s30, s31 float64
-	p0 := simdCols(k)
-	if p0 > 0 {
-		var s [8]float64
-		dot4AVX2(&s, a[i*k:(i+4)*k], k, b[j*k:j*k+p0], b[(j+1)*k:(j+1)*k+p0])
-		s00, s10, s20, s30, s01, s11, s21, s31 = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
-	}
-	b0 := b[j*k+p0 : (j+1)*k]
-	b1 := b[(j+1)*k+p0 : (j+2)*k][:len(b0)]
-	a0 := a[i*k+p0 : (i+1)*k][:len(b0)]
-	a1 := a[(i+1)*k+p0 : (i+2)*k][:len(b0)]
-	a2 := a[(i+2)*k+p0 : (i+3)*k][:len(b0)]
-	a3 := a[(i+3)*k+p0 : (i+4)*k][:len(b0)]
+	b0 := b[j*k : (j+1)*k]
+	b1 := b[(j+1)*k : (j+2)*k][:len(b0)]
+	a0 := a[i*k : (i+1)*k][:len(b0)]
+	a1 := a[(i+1)*k : (i+2)*k][:len(b0)]
+	a2 := a[(i+2)*k : (i+3)*k][:len(b0)]
+	a3 := a[(i+3)*k : (i+4)*k][:len(b0)]
 	for p, u0 := range b0 {
 		u1 := b1[p]
 		x0, x1, x2, x3 := a0[p], a1[p], a2[p], a3[p]
@@ -202,17 +142,11 @@ func dot4x2(c, a, b []float64, k, n, i, j int, accumulate bool) {
 // dot4x1 is the odd last column of a 4-row band.
 func dot4x1(c, a, b []float64, k, n, i, j int, accumulate bool) {
 	var s0, s1, s2, s3 float64
-	p0 := simdCols(k)
-	if p0 > 0 {
-		var s [8]float64
-		dot4AVX2(&s, a[i*k:(i+4)*k], k, b[j*k:j*k+p0], nil)
-		s0, s1, s2, s3 = s[0], s[1], s[2], s[3]
-	}
-	b0 := b[j*k+p0 : (j+1)*k]
-	a0 := a[i*k+p0 : (i+1)*k][:len(b0)]
-	a1 := a[(i+1)*k+p0 : (i+2)*k][:len(b0)]
-	a2 := a[(i+2)*k+p0 : (i+3)*k][:len(b0)]
-	a3 := a[(i+3)*k+p0 : (i+4)*k][:len(b0)]
+	b0 := b[j*k : (j+1)*k]
+	a0 := a[i*k : (i+1)*k][:len(b0)]
+	a1 := a[(i+1)*k : (i+2)*k][:len(b0)]
+	a2 := a[(i+2)*k : (i+3)*k][:len(b0)]
+	a3 := a[(i+3)*k : (i+4)*k][:len(b0)]
 	for p, u0 := range b0 {
 		s0 += a0[p] * u0
 		s1 += a1[p] * u0
@@ -272,89 +206,116 @@ func gemmDims(form gemmForm, op string, c, a, b *Tensor) (m, k, n int) {
 }
 
 // gemm computes the m×n product C (+)= op(A) × op(B) over flat row-major
-// storage, fanning out by output row above the flop cutoff.
-func gemm(form gemmForm, c, a, b []float64, m, k, n int, accumulate bool) {
+// storage, fanning out by output row above the flop cutoff. With a bias (axpy
+// forms only) every row of C starts from it instead.
+func gemm(form gemmForm, c, a, b, bias []float64, m, k, n int, accumulate bool) {
 	flops := m * k * n
 	if flops < parallelFlopCutoff || m <= 1 || runtime.GOMAXPROCS(0) <= 1 {
 		// Serial fast path: the fan-out closure below is never built, so a
 		// warm small-batch call allocates nothing.
-		gemmRows(form, c, a, b, m, k, n, 0, m, accumulate)
+		gemmRows(form, c, a, b, bias, m, k, n, 0, m, accumulate)
 		return
 	}
 	parallelRows(m, flops, func(i0, i1 int) {
-		gemmRows(form, c, a, b, m, k, n, i0, i1, accumulate)
+		gemmRows(form, c, a, b, bias, m, k, n, i0, i1, accumulate)
 	})
 }
 
-// gemmRows computes output rows [i0, i1) of one product.
-func gemmRows(form gemmForm, c, a, b []float64, m, k, n, i0, i1 int, accumulate bool) {
-	if form == formTB {
+// gemmRows computes output rows [i0, i1) of one product. It slices every
+// operand to its full extent first, so a buffer shorter than its shape panics
+// here, in Go, before an element of C has moved and before the assembly sees a
+// pointer.
+func gemmRows(form gemmForm, c, a, b, bias []float64, m, k, n, i0, i1 int, accumulate bool) {
+	c, a, b = c[:m*n], a[:m*k], b[:k*n]
+	switch form {
+	case formTB:
 		gemmTBRows(c, a, b, k, n, i0, i1, accumulate)
+	case formTA:
+		gemmAxpyRows(c, a, b, bias, k, n, i0, i1, 1, m, accumulate)
+	default:
+		gemmAxpyRows(c, a, b, bias, k, n, i0, i1, k, 1, accumulate)
+	}
+}
+
+// zeroSeed starts every tile of a panel that overwrites C.
+var zeroSeed [8]float64
+
+// fillRows sets every len(v)-long row of dst to v.
+func fillRows(dst, v []float64) {
+	for len(dst) > 0 {
+		dst = dst[copy(dst, v):]
+	}
+}
+
+// gemmAxpyRows computes C[i0:i1] (+)= op(A)[i0:i1] × B, where element (r, p)
+// of op(A) is a[r·rowStride + p·stepStride]: strides (k, 1) for A, (1, m) for
+// Aᵀ. With AVX2 the panel takes the leading 4·⌊n/4⌋ columns of the whole range
+// in one call — a range need not be whole 4-row bands, but parallelRows cuts
+// at multiples of 4 rows so that only the true end of the matrix pays for a
+// partial band — and the Go loops (row pair, 4-deep k step, j) take the
+// columns past them. A panel that takes every column starts its tiles from
+// the seed (the bias row, or zeros) in registers; otherwise the seed is
+// written to C first and everybody accumulates.
+func gemmAxpyRows(c, a, b, bias []float64, k, n, i0, i1, rowStride, stepStride int, accumulate bool) {
+	if i0 >= i1 {
 		return
 	}
-	if !accumulate {
+	j := simdCols(n)
+	inPanel := j == n && k > 0
+	var seed []float64
+	seedStep := 0
+	switch {
+	case bias != nil && inPanel:
+		seed, seedStep = bias[:n], 1
+	case bias != nil:
+		fillRows(c[i0*n:i1*n], bias[:n])
+	case !accumulate && inPanel:
+		seed = zeroSeed[:]
+	case !accumulate:
 		clear(c[i0*n : i1*n])
 	}
-	if form == formTA {
-		gemmTARows(c, a, b, m, k, n, i0, i1)
-	} else {
-		gemmNNRows(c, a, b, k, n, i0, i1)
+	if k == 0 {
+		return
 	}
-}
-
-// gemmNNRows accumulates C[i0:i1] += A[i0:i1] × B. Loop order: k-panel, row
-// pair, 4-deep k step, j. k is cut into gemmBlockK panels so a B panel is
-// reused across the row range while still resident in cache; the panel walk
-// is ascending, so it only partitions each element's sum.
-func gemmNNRows(c, a, b []float64, k, n, i0, i1 int) {
+	if j > 0 {
+		rows := i1 - i0
+		last := (rows-1)*rowStride + (k-1)*stepStride
+		axpyPanelAVX2(c[i0*n:i1*n], a[i0*rowStride:][:last+1], b, seed, rows, k, n, j, rowStride, stepStride, seedStep)
+		if j == n {
+			return
+		}
+	}
 	var a0, a1 [4]float64
-	for k0 := 0; k0 < k; k0 += gemmBlockK {
-		k1 := min(k0+gemmBlockK, k)
-		i := i0
-		for ; i+2 <= i1; i += 2 {
-			r0, r1 := a[i*k:(i+1)*k], a[(i+1)*k:(i+2)*k]
-			for p := k0; p < k1; p += 4 {
-				d := min(4, k1-p)
-				for q := 0; q < d; q++ {
-					a0[q], a1[q] = r0[p+q], r1[p+q]
+	for i := i0; i < i1; i += 2 {
+		pair := i+1 < i1
+		for p, d := 0, 0; p < k; p += d {
+			if d = min(4, k-p); d == 3 {
+				d = 2 // the pair tile comes 4, 2 and 1 steps deep
+			}
+			for q := 0; q < d; q++ {
+				a0[q] = a[i*rowStride+(p+q)*stepStride]
+				if pair {
+					a1[q] = a[(i+1)*rowStride+(p+q)*stepStride]
 				}
-				axpyPair(c, b, n, i, p, d, &a0, &a1)
 			}
-		}
-		if i < i1 {
-			axpyRow(c, b, n, i, k0, a[i*k+k0:i*k+k1])
-		}
-	}
-}
-
-// gemmTARows accumulates C[i0:i1] += (Aᵀ × B)[i0:i1]. The 4-deep k step is
-// the outer loop, so A and B stream through once while the written C rows
-// form the reuse block; the coefficients of a row pair are the adjacent
-// elements A[p..p+3][i], A[p..p+3][i+1].
-func gemmTARows(c, a, b []float64, m, k, n, i0, i1 int) {
-	var a0, a1 [4]float64
-	for p := 0; p < k; p += 4 {
-		d := min(4, k-p)
-		i := i0
-		for ; i+2 <= i1; i += 2 {
-			for q := 0; q < d; q++ {
-				a0[q], a1[q] = a[(p+q)*m+i], a[(p+q)*m+i+1]
+			if pair {
+				axpyPair(c, b, n, j, i, p, d, &a0, &a1)
+			} else {
+				axpyRow(c, b, n, j, i, p, a0[:d])
 			}
-			axpyPair(c, b, n, i, p, d, &a0, &a1)
-		}
-		if i < i1 {
-			for q := 0; q < d; q++ {
-				a0[q] = a[(p+q)*m+i]
-			}
-			axpyRow(c, b, n, i, p, a0[:d])
 		}
 	}
 }
 
 // gemmTBRows computes C[i0:i1] (+)= (A × Bᵀ)[i0:i1] in 4×2 tiles of dot
-// products over two contiguous rows each.
+// products over two contiguous rows each: the whole 4-row bands in one
+// assembly call with AVX2, in the Go tiles without.
 func gemmTBRows(c, a, b []float64, k, n, i0, i1 int, accumulate bool) {
 	i := i0
+	if rows := (i1 - i0) &^ 3; useAVX2 && rows > 0 && k > 0 && n > 0 {
+		i += rows
+		dotPanelAVX2(c[i0*n:i*n], a[i0*k:i*k], b, rows, k, n, accumulate)
+	}
 	for ; i+4 <= i1; i += 4 {
 		j := 0
 		for ; j+2 <= n; j += 2 {

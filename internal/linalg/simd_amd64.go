@@ -10,16 +10,13 @@ var useAVX2 = hasAVX2()
 func hasAVX2() bool
 
 //go:noescape
-func axpyPairAVX2(c0, c1, b []float64, n, depth int, a0, a1 *[4]float64)
+func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int)
 
 //go:noescape
-func axpyRowAVX2(c0, b []float64, n int, a []float64)
+func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool)
 
 //go:noescape
-func dot4AVX2(s *[8]float64, a []float64, k int, b0, b1 []float64)
-
-//go:noescape
-func addAVX2(dst, src []float64)
+func addRowsAVX2(dst, src []float64, rows, cols, dstStride, srcStride int)
 
 //go:noescape
 func reluAVX2(x []float64)

@@ -3,12 +3,13 @@
 #include "textflag.h"
 
 // AVX2 bodies of the f64 kernels (DESIGN.md, "Memory layout and kernels").
-// A lane is an output column. Each lane runs the Go loop's own operation
+// A lane is an output element. Each lane runs the Go loop's own operation
 // sequence: one VMULPD, then one VADDPD, each rounded on its own, k ascending.
 // Never the fused multiply-add: it rounds once and changes the bits.
 // The Go wrappers slice every operand to its full extent before the call and
-// hand over a column count that is a positive multiple of 4; every kernel
-// ends in VZEROUPPER.
+// decide every edge case (no rows, k = 0, fewer than 4 columns) themselves:
+// the counted loops below would run 2⁶⁴ times from zero. Every kernel ends in
+// VZEROUPPER.
 
 DATA signbit<>+0(SB)/8, $0x8000000000000000
 GLOBL signbit<>(SB), RODATA|NOPTR, $8
@@ -42,127 +43,190 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 no:
 	RET
 
-// One k-step of a row pair: Y8, Y9 (the C lanes of rows i, i+1) advance by
-// ca0·B, ca1·B for the 4 columns at byte offset AX of the B row at bptr.
-#define PAIR_STEP(bptr, ca0, ca1) \
-	VMOVUPD (bptr)(AX*1), Y10; \
-	VMULPD  Y10, ca0, Y11;     \
-	VMULPD  Y10, ca1, Y12;     \
-	VADDPD  Y8, Y11, Y8;       \
-	VADDPD  Y9, Y12, Y9;
+// One k-step of the panel for one row of a tile, 4 or 8 columns wide: the
+// coefficient broadcast in Y10 times the B lanes in Y8 (Y9), rounded, then
+// added to the row's C lanes.
+#define AXPY4(lo, hi) \
+	VMULPD Y8, Y10, Y11; \
+	VADDPD Y11, lo, lo;
+#define AXPY8(lo, hi) \
+	AXPY4(lo, hi)        \
+	VMULPD Y9, Y10, Y12; \
+	VADDPD Y12, hi, hi;
 
-#define PAIR_LOOP(label, steps) \
-label:                       \
-	VMOVUPD (DI)(AX*1), Y8;  \
-	VMOVUPD (SI)(AX*1), Y9;  \
-	steps                    \
-	VMOVUPD Y8, (DI)(AX*1);  \
-	VMOVUPD Y9, (SI)(AX*1);  \
-	ADDQ    $32, AX;         \
-	CMPQ    AX, CX;          \
-	JLT     label;           \
-	VZEROUPPER;              \
-	RET
+// The rows of one k-step, for tiles of 1, 2 and 4 rows.
+#define ROWS1(AXPY) \
+	VBROADCASTSD (SI), Y10; \
+	AXPY(Y0, Y1)
+#define ROWS2(AXPY) \
+	ROWS1(AXPY)                   \
+	VBROADCASTSD (SI)(R8*1), Y10; \
+	AXPY(Y2, Y3)
+#define ROWS4(AXPY) \
+	ROWS2(AXPY)                    \
+	VBROADCASTSD (SI)(R9*1), Y10;  \
+	AXPY(Y4, Y5)                   \
+	VBROADCASTSD (SI)(R10*1), Y10; \
+	AXPY(Y6, Y7)
 
-// func axpyPairAVX2(c0, c1, b []float64, n, depth int, a0, a1 *[4]float64)
-// c0, c1: the leading 4·⌊n/4⌋ columns of two C rows; b: depth rows of B, n apart.
-TEXT ·axpyPairAVX2(SB), NOSPLIT, $0-104
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ c1_base+24(FP), SI
+// All of k for one tile: the B lanes of the step (HI loads the upper four of
+// eight), its rows, the next step.
+#define NOHI
+#define HI8 VMOVUPD 32(BX), Y9;
+#define STEPS(label, ROWS, AXPY, HI) \
+label:                \
+	VMOVUPD (BX), Y8; \
+	HI                \
+	ROWS(AXPY)        \
+	ADDQ    DX, BX;   \
+	ADDQ    R11, SI;  \
+	DECQ    CX;       \
+	JNZ     label;
+
+// The k-steps of a tile by the rows of its band, which the caller has compared
+// with 2: 4 (and 3, see below), 2 or 1.
+#define TILE(l1, l2, l4, done, AXPY, HI) \
+	JGT  l4;                    \
+	JEQ  l2;                    \
+	STEPS(l1, ROWS1, AXPY, HI)  \
+	JMP  done;                  \
+	STEPS(l2, ROWS2, AXPY, HI)  \
+	JMP  done;                  \
+	STEPS(l4, ROWS4, AXPY, HI)  \
+done:
+
+// A tile's lower and upper four columns between C and Y0–Y7 (rows descending
+// on the way back, see below), and the same lanes seeded from the one row at AX.
+#define LOAD4 \
+	VMOVUPD (DI), Y0;        \
+	VMOVUPD (DI)(R12*1), Y2; \
+	VMOVUPD (DI)(R13*1), Y4; \
+	VMOVUPD (DI)(R14*1), Y6;
+#define LOADHI \
+	VMOVUPD 32(DI), Y1;        \
+	VMOVUPD 32(DI)(R12*1), Y3; \
+	VMOVUPD 32(DI)(R13*1), Y5; \
+	VMOVUPD 32(DI)(R14*1), Y7;
+#define STORE4 \
+	VMOVUPD Y6, (DI)(R14*1); \
+	VMOVUPD Y4, (DI)(R13*1); \
+	VMOVUPD Y2, (DI)(R12*1); \
+	VMOVUPD Y0, (DI);
+#define STOREHI \
+	VMOVUPD Y7, 32(DI)(R14*1); \
+	VMOVUPD Y5, 32(DI)(R13*1); \
+	VMOVUPD Y3, 32(DI)(R12*1); \
+	VMOVUPD Y1, 32(DI);
+#define SEED4 \
+	VMOVUPD (AX), Y0; \
+	VMOVAPD Y0, Y2;   \
+	VMOVAPD Y0, Y4;   \
+	VMOVAPD Y0, Y6;
+#define SEEDHI \
+	VMOVUPD 32(AX), Y1; \
+	VMOVAPD Y1, Y3;     \
+	VMOVAPD Y1, Y5;     \
+	VMOVAPD Y1, Y7;
+
+// func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int)
+// C[r][j] = s + Σ_p a[r·rowStride + p·stepStride]·B[p][j] for r < rows, j < cols,
+// each element advanced over p ascending from its seed s: what C[r][j] held
+// (len(seed) = 0), or seed[j·seedStep] — seedStep 1 starts every row from one
+// bias row, seedStep 0 every tile from the same eight values (zeros). c: rows
+// rows of C, n apart; b: k rows of B, n apart; rows, k ≥ 1; cols a positive
+// multiple of 4.
+//
+// Loop order: 4-row band, block of 8 columns (then one of 4), all of k. The
+// tile's C lanes live in Y0–Y7 (row r in Y2r, Y2r+1) from one load to one
+// store; a k-step loads 8 B columns once (Y8, Y9) and broadcasts one
+// coefficient per row (Y10). Tile row r sits R8/R9/R10 bytes past row 0 in A
+// and R12/R13/R14 in C. A last band of 3, 2 or 1 rows points the missing rows
+// at its own last row: their lanes are loaded like any other, advance only in
+// the 3-row band (which runs the 4-row steps and computes its last row twice,
+// from the same loads), and are stored BEFORE the rows above them, so that the
+// last store to an address is the real row's.
+TEXT ·axpyPanelAVX2(SB), NOSPLIT, $0-152
+	MOVQ n+112(FP), DX
+	MOVQ stepStride+136(FP), R11
+	SHLQ $3, DX
+	SHLQ $3, R11
+	SHLQ $3, rowStride+128(FP)
+	SHLQ $3, cols+120(FP)
+	NEGQ seedStep+144(FP) // now the mask of a tile's column offset within seed
+band:
+	MOVQ    rows+96(FP), AX // the band's last row: min(rows left, 4) - 1
+	DECQ    AX
+	MOVQ    $3, CX
+	CMPQ    AX, CX
+	CMOVQGT CX, AX
+	MOVQ    $1, R8 // tile rows 1, 2, 3 are rows min(1, AX), min(2, AX), AX of the band
+	CMPQ    AX, R8
+	CMOVQLT AX, R8
+	MOVQ    $2, R9
+	CMPQ    AX, R9
+	CMOVQLT AX, R9
+	MOVQ    R8, R12
+	MOVQ    R9, R13
+	MOVQ    AX, R14
+	MOVQ    AX, R10
+	IMULQ   rowStride+128(FP), R8
+	IMULQ   rowStride+128(FP), R9
+	IMULQ   rowStride+128(FP), R10
+	IMULQ   DX, R12
+	IMULQ   DX, R13
+	IMULQ   DX, R14
+	XORQ    R15, R15 // byte offset of the tile's first column in a row of B and C
+tile:
+	MOVQ c_base+0(FP), DI
 	MOVQ b_base+48(FP), BX
-	MOVQ n+72(FP), DX
-	MOVQ depth+80(FP), R11
-	MOVQ a0+88(FP), R12
-	MOVQ a1+96(FP), R13
-	SHLQ $3, CX
-	SHLQ $3, DX
-	LEAQ (BX)(DX*1), R8
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	XORQ AX, AX
-	VBROADCASTSD 0(R12), Y0
-	VBROADCASTSD 8(R12), Y1
-	VBROADCASTSD 16(R12), Y2
-	VBROADCASTSD 24(R12), Y3
-	VBROADCASTSD 0(R13), Y4
-	VBROADCASTSD 8(R13), Y5
-	VBROADCASTSD 16(R13), Y6
-	VBROADCASTSD 24(R13), Y7
-	CMPQ R11, $4
-	JEQ  pair4
-	CMPQ R11, $3
-	JEQ  pair3
-	CMPQ R11, $2
-	JEQ  pair2
-	CMPQ R11, $1
-	JEQ  pair1
-	VZEROUPPER
-	RET
-	PAIR_LOOP(pair4, PAIR_STEP(BX, Y0, Y4) PAIR_STEP(R8, Y1, Y5) PAIR_STEP(R9, Y2, Y6) PAIR_STEP(R10, Y3, Y7))
-	PAIR_LOOP(pair3, PAIR_STEP(BX, Y0, Y4) PAIR_STEP(R8, Y1, Y5) PAIR_STEP(R9, Y2, Y6))
-	PAIR_LOOP(pair2, PAIR_STEP(BX, Y0, Y4) PAIR_STEP(R8, Y1, Y5))
-	PAIR_LOOP(pair1, PAIR_STEP(BX, Y0, Y4))
-
-// One k-step of a single row: Y8 advances by ca·B.
-#define ROW_STEP(bptr, ca) \
-	VMULPD (bptr)(AX*1), ca, Y11; \
-	VADDPD Y8, Y11, Y8
-
-// func axpyRowAVX2(c0, b []float64, n int, a []float64)
-// c0: the leading 4·⌊n/4⌋ columns of one C row; b: len(a) rows of B, n apart.
-// Four k-steps per pass over the row while four remain, then one per pass.
-TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-80
-	MOVQ c0_base+0(FP), DI
-	MOVQ c0_len+8(FP), CX
-	MOVQ b_base+24(FP), BX
-	MOVQ n+48(FP), DX
-	MOVQ a_base+56(FP), R12
-	MOVQ a_len+64(FP), R11
-	SHLQ $3, CX
-	SHLQ $3, DX
-row4:
-	CMPQ R11, $4
-	JLT  row1
-	VBROADCASTSD 0(R12), Y0
-	VBROADCASTSD 8(R12), Y1
-	VBROADCASTSD 16(R12), Y2
-	VBROADCASTSD 24(R12), Y3
-	LEAQ (BX)(DX*1), R8
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	XORQ AX, AX
-row4loop:
-	VMOVUPD (DI)(AX*1), Y8
-	ROW_STEP(BX, Y0)
-	ROW_STEP(R8, Y1)
-	ROW_STEP(R9, Y2)
-	ROW_STEP(R10, Y3)
-	VMOVUPD Y8, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     row4loop
-	LEAQ    (R10)(DX*1), BX
-	ADDQ    $32, R12
-	SUBQ    $4, R11
-	JMP     row4
-row1:
-	TESTQ R11, R11
-	JZ    rowdone
-	VBROADCASTSD 0(R12), Y0
-	XORQ  AX, AX
-row1loop:
-	VMOVUPD (DI)(AX*1), Y8
-	ROW_STEP(BX, Y0)
-	VMOVUPD Y8, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     row1loop
-	ADDQ    DX, BX
-	ADDQ    $8, R12
-	DECQ    R11
-	JMP     row1
-rowdone:
+	MOVQ a_base+24(FP), SI
+	ADDQ R15, DI
+	ADDQ R15, BX
+	MOVQ seedStep+144(FP), AX
+	ANDQ R15, AX
+	ADDQ seed_base+72(FP), AX
+	MOVQ cols+120(FP), CX
+	SUBQ R15, CX
+	CMPQ CX, $64
+	JLT  tile4
+	CMPQ seed_len+80(FP), $0
+	JEQ  load8
+	SEED4
+	SEEDHI
+	JMP  steps8
+load8:
+	LOAD4
+	LOADHI
+steps8:
+	MOVQ k+104(FP), CX
+	CMPQ rows+96(FP), $2
+	TILE(r1w8, r2w8, r4w8, store8, AXPY8, HI8)
+	STOREHI
+	STORE4
+	ADDQ $64, R15
+	JMP  tile
+tile4:
+	CMPQ CX, $32
+	JLT  nextband
+	CMPQ seed_len+80(FP), $0
+	JEQ  load4
+	SEED4
+	JMP  steps4
+load4:
+	LOAD4
+steps4:
+	MOVQ k+104(FP), CX
+	CMPQ rows+96(FP), $2
+	TILE(r1w4, r2w4, r4w4, store4, AXPY4, NOHI)
+	STORE4
+nextband:
+	MOVQ rowStride+128(FP), AX
+	SHLQ $2, AX
+	ADDQ AX, a_base+24(FP)
+	LEAQ (DX*4), AX
+	ADDQ AX, c_base+0(FP)
+	SUBQ $4, rows+96(FP)
+	JGT  band
 	VZEROUPPER
 	RET
 
@@ -178,77 +242,147 @@ rowdone:
 	VMULPD       Y10, at, Y11;       \
 	VADDPD       Y11, Y9, Y9;
 
-// Four k-steps: load A[i..i+3][p..p+3], transpose the 4×4 block in registers
-// so that a register holds one p of all four rows, then step p ascending.
-#define DOT_LOOP(label, STEP) \
-label:                            \
-	VMOVUPD    (R8)(AX*1), Y0;    \
-	VMOVUPD    (R9)(AX*1), Y1;    \
-	VMOVUPD    (R10)(AX*1), Y2;   \
-	VMOVUPD    (R11)(AX*1), Y3;   \
-	VUNPCKLPD  Y1, Y0, Y4;        \
-	VUNPCKHPD  Y1, Y0, Y5;        \
-	VUNPCKLPD  Y3, Y2, Y6;        \
-	VUNPCKHPD  Y3, Y2, Y7;        \
-	VPERM2F128 $0x20, Y6, Y4, Y0; \
-	VPERM2F128 $0x20, Y7, Y5, Y1; \
-	VPERM2F128 $0x31, Y6, Y4, Y2; \
-	VPERM2F128 $0x31, Y7, Y5, Y3; \
-	STEP(Y0, 0)                   \
-	STEP(Y1, 8)                   \
-	STEP(Y2, 16)                  \
-	STEP(Y3, 24)                  \
-	ADDQ       $32, AX;           \
-	CMPQ       AX, CX;            \
-	JLT        label;             \
-	JMP        dotdone
+// All of k for one tile of the dot form, from zero. Four steps at a time while
+// four remain: load A[i..i+3][p..p+3], transpose the 4×4 block in registers so
+// that a register holds one p of all four rows, then step p ascending. The
+// last k mod 4 steps gather their four A elements one by one.
+#define DOT_TILE(vec, tail, done, STEP) \
+	VXORPD     Y8, Y8, Y8;            \
+	VXORPD     Y9, Y9, Y9;            \
+	XORQ       AX, AX;                \
+	CMPQ       AX, CX;                \
+	JGE        tail;                  \
+vec:                                  \
+	VMOVUPD    (R8)(AX*1), Y0;        \
+	VMOVUPD    (R9)(AX*1), Y1;        \
+	VMOVUPD    (R10)(AX*1), Y2;       \
+	VMOVUPD    (R11)(AX*1), Y3;       \
+	VUNPCKLPD  Y1, Y0, Y4;            \
+	VUNPCKHPD  Y1, Y0, Y5;            \
+	VUNPCKLPD  Y3, Y2, Y6;            \
+	VUNPCKHPD  Y3, Y2, Y7;            \
+	VPERM2F128 $0x20, Y6, Y4, Y0;     \
+	VPERM2F128 $0x20, Y7, Y5, Y1;     \
+	VPERM2F128 $0x31, Y6, Y4, Y2;     \
+	VPERM2F128 $0x31, Y7, Y5, Y3;     \
+	STEP(Y0, 0)                       \
+	STEP(Y1, 8)                       \
+	STEP(Y2, 16)                      \
+	STEP(Y3, 24)                      \
+	ADDQ       $32, AX;               \
+	CMPQ       AX, CX;                \
+	JLT        vec;                   \
+tail:                                 \
+	CMPQ       AX, R12;               \
+	JGE        done;                  \
+	VMOVSD     (R8)(AX*1), X0;        \
+	VMOVHPD    (R9)(AX*1), X0, X0;    \
+	VMOVSD     (R10)(AX*1), X1;       \
+	VMOVHPD    (R11)(AX*1), X1, X1;   \
+	VINSERTF128 $1, X1, Y0, Y0;       \
+	STEP(Y0, 0)                       \
+	ADDQ       $8, AX;                \
+	JMP        tail;                  \
+done:
 
-// func dot4AVX2(s *[8]float64, a []float64, k int, b0, b1 []float64)
-// a: rows i..i+3 of A, k apart; b0, b1: the leading 4·⌊k/4⌋ elements of one or
-// two rows of B (len(b1) = 0: one). A lane is a row of A: on return
-// s[r] = Σ_p a_r[p]·b0[p] and s[4+r] = Σ_p a_r[p]·b1[p], each summed from zero
-// over p ascending.
-TEXT ·dot4AVX2(SB), NOSPLIT, $0-88
-	MOVQ s+0(FP), DI
-	MOVQ a_base+8(FP), R8
-	MOVQ k+32(FP), R12
-	MOVQ b0_base+40(FP), BX
-	MOVQ b0_len+48(FP), CX
-	MOVQ b1_base+64(FP), DX
-	MOVQ b1_len+72(FP), R13
-	SHLQ $3, CX
+// The four finished dot products of one column (a lane is a row of the band)
+// go to C[i..i+3][j], off bytes past DI, R13 bytes apart, SI two rows below
+// DI: stored, or — where the mask Y14 is set — added to what C held.
+#define DOT_PUT(acc, accx, off) \
+	VMOVSD       off(DI), X10;             \
+	VMOVHPD      off(DI)(R13*1), X10, X10; \
+	VMOVSD       off(SI), X11;             \
+	VMOVHPD      off(SI)(R13*1), X11, X11; \
+	VINSERTF128  $1, X11, Y10, Y10;        \
+	VADDPD       acc, Y10, Y10;            \
+	VBLENDVPD    Y14, Y10, acc, acc;       \
+	VEXTRACTF128 $1, acc, X11;             \
+	VMOVLPD      accx, off(DI);            \
+	VMOVHPD      accx, off(DI)(R13*1);     \
+	VMOVLPD      X11, off(SI);             \
+	VMOVHPD      X11, off(SI)(R13*1)
+
+// func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool)
+// C[r][j] = Σ_p A[r][p]·B[j][p] (or C[r][j] += that sum) for r < rows, j < n,
+// each sum from zero over p ascending. c: rows rows of C, n apart; a: rows rows
+// of A, k apart; b: n rows of B, k apart; rows a positive multiple of 4; k, n ≥ 1.
+// Loop order: 4-row band, pair of columns (then an odd last one), all of k.
+TEXT ·dotPanelAVX2(SB), NOSPLIT, $0-97
+	MOVQ c_base+0(FP), DI
+	MOVQ a_base+24(FP), R8
+	MOVQ k+80(FP), R12
+	MOVQ n+88(FP), R13
 	SHLQ $3, R12
+	SHLQ $3, R13
+	MOVQ R12, CX // bytes of a row's leading 4·⌊k/4⌋ elements
+	ANDQ $-32, CX
+	VPXOR   Y14, Y14, Y14
+	MOVBQZX accumulate+96(FP), AX
+	TESTQ   AX, AX
+	JZ      dotband
+	VPCMPEQQ Y14, Y14, Y14
+dotband:
 	LEAQ (R8)(R12*1), R9
 	LEAQ (R9)(R12*1), R10
 	LEAQ (R10)(R12*1), R11
-	XORQ AX, AX
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	TESTQ R13, R13
-	JZ   dot1
-	DOT_LOOP(dot2, DOT_STEP2)
-	DOT_LOOP(dot1, DOT_STEP1)
-dotdone:
-	VMOVUPD Y8, 0(DI)
-	VMOVUPD Y9, 32(DI)
+	LEAQ (DI)(R13*2), SI
+	MOVQ b_base+48(FP), BX
+	MOVQ n+88(FP), R15 // columns left in this band
+dotpair:
+	CMPQ R15, $2
+	JLT  dotlast
+	LEAQ (BX)(R12*1), DX
+	DOT_TILE(pairvec, pairtail, pairdone, DOT_STEP2)
+	DOT_PUT(Y8, X8, 0)
+	DOT_PUT(Y9, X9, 8)
+	LEAQ (DX)(R12*1), BX
+	ADDQ $16, DI
+	ADDQ $16, SI
+	SUBQ $2, R15
+	JMP  dotpair
+dotlast:
+	TESTQ R15, R15
+	JZ    dotnext
+	DOT_TILE(lastvec, lasttail, lastdone, DOT_STEP1)
+	DOT_PUT(Y8, X8, 0)
+	ADDQ $8, DI
+dotnext:
+	LEAQ (DI)(R13*2), DI // DI is one row past where the band began: three more
+	ADDQ R13, DI
+	LEAQ (R11)(R12*1), R8
+	SUBQ $4, rows+72(FP)
+	JGT  dotband
 	VZEROUPPER
 	RET
 
-// func addAVX2(dst, src []float64)
-// dst[j] += src[j] over len(dst) = 4·k columns.
-TEXT ·addAVX2(SB), NOSPLIT, $0-48
+// func addRowsAVX2(dst, src []float64, rows, cols, dstStride, srcStride int)
+// dst[r·dstStride + j] += src[r·srcStride + j] for r = 0 … rows-1 in that
+// order and j < cols, a positive multiple of 4; rows ≥ 1. Stride 0 keeps one
+// row: a vector added to every row (srcStride 0) or every row added into a
+// vector (dstStride 0).
+TEXT ·addRowsAVX2(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
+	MOVQ rows+48(FP), BX
+	MOVQ cols+56(FP), CX
+	MOVQ dstStride+64(FP), DX
+	MOVQ srcStride+72(FP), R8
 	SHLQ $3, CX
+	SHLQ $3, DX
+	SHLQ $3, R8
+addrow:
 	XORQ AX, AX
-addloop:
+addcol:
 	VMOVUPD (DI)(AX*1), Y0
 	VADDPD  (SI)(AX*1), Y0, Y0
 	VMOVUPD Y0, (DI)(AX*1)
 	ADDQ    $32, AX
 	CMPQ    AX, CX
-	JLT     addloop
+	JLT     addcol
+	ADDQ DX, DI
+	ADDQ R8, SI
+	DECQ BX
+	JNZ  addrow
 	VZEROUPPER
 	RET
 

@@ -6,9 +6,12 @@ package linalg
 // bodies below are never reached.
 var useAVX2 = false
 
-func axpyPairAVX2(c0, c1, b []float64, n, depth int, a0, a1 *[4]float64) { panic("linalg: no AVX2") }
-func axpyRowAVX2(c0, b []float64, n int, a []float64)                    { panic("linalg: no AVX2") }
-func dot4AVX2(s *[8]float64, a []float64, k int, b0, b1 []float64)       { panic("linalg: no AVX2") }
-func addAVX2(dst, src []float64)                                         { panic("linalg: no AVX2") }
-func reluAVX2(x []float64)                                               { panic("linalg: no AVX2") }
-func reluGateAVX2(g, y []float64)                                        { panic("linalg: no AVX2") }
+func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int) {
+	panic("linalg: no AVX2")
+}
+func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool) { panic("linalg: no AVX2") }
+func addRowsAVX2(dst, src []float64, rows, cols, dstStride, srcStride int) {
+	panic("linalg: no AVX2")
+}
+func reluAVX2(x []float64)        { panic("linalg: no AVX2") }
+func reluGateAVX2(g, y []float64) { panic("linalg: no AVX2") }

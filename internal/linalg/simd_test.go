@@ -87,78 +87,89 @@ func offset(xs []float64, off int) []float64 {
 // NaN — one special value per output column (or per dot product) — and then
 // requires equal bits, payloads and signs included.
 
-// TestAxpyKernelsMatchGoLoops: axpyPair at every depth and axpyRow at every
-// step count 0–9, row lengths 0–33, operands at odd offsets; a special value
-// walks through C, every B row and every coefficient.
+// strides are the two addressings of op(A) the panel serves: A itself
+// (rowStride k, stepStride 1) and Aᵀ (rowStride 1, stepStride m).
+func strides(form gemmForm, m, k int) (rowStride, stepStride int) {
+	if form == formTA {
+		return 1, m
+	}
+	return k, 1
+}
+
+// TestAxpyKernelsMatchGoLoops: the panel body against the Go loops over every
+// row count 0–9 (so every partial last band, on its own and after whole ones),
+// k 0–9, row lengths 0–33, both stride pairs, every seeding, operands at odd
+// offsets; a special value walks through C, every B row and
+// the coefficients.
 func TestAxpyKernelsMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 0; n <= 33; n++ {
-		for depth := 0; depth <= 9; depth++ {
+		for k := 0; k <= 9; k++ {
+			m := (n + k) % 10
 			// Operand sets: plain, then one special per column in C or one
-			// B row, then one special coefficient.
+			// B row, then one special coefficient per row of op(A).
 			for variant := 0; variant < 3; variant++ {
-				c, b := normals(rng, 2*n), normals(rng, depth*n)
-				a0, a1 := normals(rng, depth), normals(rng, 4)
+				c, a, b := normals(rng, m*n), normals(rng, m*k), normals(rng, k*n)
+				form := gemmForm(rng.Intn(2)) // formNN or formTA
+				rowStride, stepStride := strides(form, m, k)
 				switch variant {
 				case 1:
-					for j := 0; j < n; j++ {
+					for j := 0; j < n && m > 0; j++ {
 						v := specials[rng.Intn(len(specials))]
-						if row := rng.Intn(depth + 2); row < 2 {
+						if row := rng.Intn(m + k); row < m {
 							c[row*n+j] = v
 						} else {
-							b[(row-2)*n+j] = v
+							b[(row-m)*n+j] = v
 						}
 					}
 				case 2:
-					if depth > 0 {
-						a0[rng.Intn(depth)] = specials[rng.Intn(len(specials))]
-						a1[rng.Intn(min(depth, 4))] = specials[rng.Intn(len(specials))]
+					for i := 0; i < m && k > 0; i++ {
+						a[i*rowStride+rng.Intn(k)*stepStride] = specials[rng.Intn(len(specials))]
 					}
 				}
-				b = offset(b, 3)
+				a, b = offset(a, 1), offset(b, 3)
 				fresh := func() []float64 { return offset(c, 1) }
-				what := fmt.Sprintf("n=%d depth=%d variant=%d", n, depth, variant)
-
-				want, got := goAndSIMD(fresh, func(c []float64) { axpyRow(c, b, n, 1, 0, a0) })
-				sameBits(t, "axpyRow "+what, got, want)
-				if depth >= 1 && depth <= 4 {
-					var p0, p1 [4]float64
-					copy(p0[:], a0)
-					copy(p1[:], a1)
-					want, got := goAndSIMD(fresh, func(c []float64) { axpyPair(c, b, n, 0, 0, depth, &p0, &p1) })
-					sameBits(t, "axpyPair "+what, got, want)
+				// Seeded from C, from zero, and from a bias row (C's first row).
+				for seeding, bias := range [][]float64{nil, nil, offset(c[:min(n, len(c))], 3)} {
+					what := fmt.Sprintf("m=%d k=%d n=%d form=%d variant=%d seeding=%d", m, k, n, form, variant, seeding)
+					want, got := goAndSIMD(fresh, func(c []float64) {
+						gemmAxpyRows(c, a, b, bias, k, n, 0, m, rowStride, stepStride, seeding == 0)
+					})
+					sameBits(t, "gemmAxpyRows "+what, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestDotKernelMatchesGoLoops: the 4×2 and 4×1 dot tiles over k = 0–33, with a
-// special value at one p of one A row or one B row.
+// TestDotKernelMatchesGoLoops: the dot panel against the Go tiles over
+// k = 0–33, one and two bands with and without leftover rows, 1–5 columns,
+// with a special value at one p of one A row or one B row.
 func TestDotKernelMatchesGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for k := 0; k <= 33; k++ {
 		for trial := 0; trial < 12; trial++ {
-			a, b := normals(rng, 4*k), normals(rng, 2*k)
+			m, n := 4+rng.Intn(7), 1+rng.Intn(5)
+			a, b := normals(rng, m*k), normals(rng, n*k)
 			if trial > 0 && k > 0 {
 				v := specials[rng.Intn(len(specials))]
 				if rng.Intn(2) == 0 {
 					a[rng.Intn(len(a))] = v
 				} else {
-					// The same p of both B rows: still one special per dot product.
+					// The same p of every B row: still one special per dot product.
 					p := rng.Intn(k)
-					b[p], b[k+p] = v, -v
+					for j := 0; j < n; j++ {
+						b[j*k+p] = v
+					}
 				}
 			}
 			a, b = offset(a, 1), offset(b, 3)
-			seed := normals(rng, 4*2)
+			seed := normals(rng, m*n)
 			fresh := func() []float64 { return offset(seed, 1) }
 			for _, accumulate := range []bool{false, true} {
-				what := fmt.Sprintf("k=%d trial=%d accumulate=%v", k, trial, accumulate)
-				want, got := goAndSIMD(fresh, func(c []float64) { dot4x2(c, a, b, k, 2, 0, 0, accumulate) })
-				sameBits(t, "dot4x2 "+what, got, want)
-				want, got = goAndSIMD(fresh, func(c []float64) { dot4x1(c, a, b, k, 2, 0, 1, accumulate) })
-				sameBits(t, "dot4x1 "+what, got, want)
+				what := fmt.Sprintf("m=%d k=%d n=%d trial=%d accumulate=%v", m, k, n, trial, accumulate)
+				want, got := goAndSIMD(fresh, func(c []float64) { gemmTBRows(c, a, b, k, n, 0, m, accumulate) })
+				sameBits(t, "gemmTBRows "+what, got, want)
 			}
 		}
 	}
@@ -202,27 +213,79 @@ func TestElementwiseKernelsMatchGoLoops(t *testing.T) {
 	}
 }
 
+// TestRowOpsMatchPerRowForm: AddToRows and SumRowsInto leave the bits the
+// per-row form they replaced leaves (Vector.AddInPlace row by row, rows
+// ascending), on both paths, over 0–9 rows of 0–33 columns at odd
+// offsets with special values in the tensor or in the vector, never in both at
+// one column.
+func TestRowOpsMatchPerRowForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for n := 0; n <= 33; n++ {
+		for rows := 0; rows <= 9; rows++ {
+			x, v := normals(rng, rows*n), normals(rng, n)
+			for j := 0; j < n; j++ {
+				if s := specials[rng.Intn(len(specials))]; rows == 0 || rng.Intn(2) == 0 {
+					v[j] = s
+				} else {
+					x[rng.Intn(rows)*n+j] = s
+				}
+			}
+			x = offset(x, 3)
+			// The per-row forms, through the Go loops: eachPath runs them first.
+			wantAdd, wantSum := offset(x, 1), offset(v, 1)
+			eachPath(func(path string) {
+				for i := 0; i < rows && path == "go"; i++ {
+					Vector(wantAdd[i*n : (i+1)*n]).AddInPlace(v)
+					Vector(wantSum).AddInPlace(x[i*n : (i+1)*n])
+				}
+				what := fmt.Sprintf("rows=%d n=%d path=%s", rows, n, path)
+				got := TensorView(offset(x, 1), rows, n)
+				got.AddToRows(v)
+				sameBits(t, "AddToRows "+what, got.Data, wantAdd)
+				sum := offset(v, 1)
+				TensorView(x, rows, n).SumRowsInto(sum)
+				sameBits(t, "SumRowsInto "+what, sum, wantSum)
+			})
+		}
+	}
+}
+
 // TestShortOperandsPanicInGo: an operand one element short of its shape
 // panics in the wrapper's slice expressions, on both paths, before a single
-// element of the output has moved — the assembly never sees it.
+// element of the output has moved — the assembly never sees it. Every form goes
+// through gemmRows, whose first statement is the check; the shapes keep the
+// panels, the tail columns and the leftover rows all busy.
 func TestShortOperandsPanicInGo(t *testing.T) {
-	const n, k = 8, 8
-	var a4 [4]float64
+	const m, k, n = 9, 6, 13
 	full := func(n int) []float64 { return normals(rand.New(rand.NewSource(1)), n) }
-	cases := []struct {
+	type tc struct {
 		name string
 		out  []float64
 		call func(out []float64)
-	}{
-		{"axpyPair short C", full(2*n - 1), func(c []float64) { axpyPair(c, full(4*n), n, 0, 0, 4, &a4, &a4) }},
-		{"axpyPair short B", full(2 * n), func(c []float64) { axpyPair(c, full(4*n-1), n, 0, 0, 4, &a4, &a4) }},
-		{"axpyRow short C", full(n - 1), func(c []float64) { axpyRow(c, full(4*n), n, 0, 0, a4[:]) }},
-		{"axpyRow short B", full(n), func(c []float64) { axpyRow(c, full(4*n-1), n, 0, 0, a4[:]) }},
-		{"dot4x2 short A", full(8), func(c []float64) { dot4x2(c, full(4*k-1), full(2*k), k, 2, 0, 0, false) }},
-		{"dot4x2 short B", full(8), func(c []float64) { dot4x2(c, full(4*k), full(2*k-1), k, 2, 0, 0, false) }},
-		{"dot4x1 short A", full(4), func(c []float64) { dot4x1(c, full(4*k-1), full(k), k, 1, 0, 0, false) }},
+	}
+	cases := []tc{
 		{"ReLUGate short y", full(n), func(g []float64) { ReLUGate(g, full(n-1)) }},
 		{"AddInPlace short w", full(n), func(v []float64) { Vector(v).AddInPlace(full(n - 1)) }},
+		{"GemmBias short bias", full(m * n), func(c []float64) {
+			GemmBias(TensorView(c, m, n), TensorView(full(m*k), m, k), TensorView(full(k*n), k, n), full(n-1))
+		}},
+		{"AddToRows short v", full(m * n), func(x []float64) { TensorView(x, m, n).AddToRows(full(n - 1)) }},
+		{"SumRowsInto short dst", full(n - 1), func(dst []float64) { TensorView(full(m*n), m, n).SumRowsInto(dst) }},
+	}
+	for form, name := range []string{"NN", "TA", "TB"} {
+		for _, accumulate := range []bool{false, true} {
+			for short, operand := range []string{"C", "A", "B"} {
+				lens := [3]int{m * n, m * k, k * n}
+				lens[short]--
+				cases = append(cases, tc{
+					fmt.Sprintf("gemmRows %s accumulate=%v short %s", name, accumulate, operand),
+					full(lens[0]),
+					func(c []float64) {
+						gemmRows(gemmForm(form), c, full(lens[1]), full(lens[2]), nil, m, k, n, 0, m, accumulate)
+					},
+				})
+			}
+		}
 	}
 	onBothPaths(t, func(t *testing.T) {
 		for _, tc := range cases {
@@ -236,6 +299,138 @@ func TestShortOperandsPanicInGo(t *testing.T) {
 				tc.call(tc.out)
 			}()
 			sameBits(t, tc.name+": output touched before the panic", tc.out, before)
+		}
+	})
+}
+
+// guarded returns xs framed by guard bands of one NaN pattern, and the whole
+// array for inspection: anything a kernel reads outside its operand poisons a
+// result, anything it writes there shows up in checkGuards.
+const guardBand = 16
+
+var guardNaN = math.Float64frombits(0x7ff8dead0000beef)
+
+func guarded(xs []float64) (operand, framed []float64) {
+	framed = make([]float64, len(xs)+2*guardBand)
+	for i := range framed {
+		framed[i] = guardNaN
+	}
+	operand = framed[guardBand : guardBand+len(xs) : guardBand+len(xs)]
+	copy(operand, xs)
+	return operand, framed
+}
+
+func checkGuards(t *testing.T, what string, framed []float64) {
+	t.Helper()
+	for i, v := range framed {
+		if inside := i >= guardBand && i < len(framed)-guardBand; !inside && math.Float64bits(v) != math.Float64bits(guardNaN) {
+			t.Fatalf("%s: guard element %d overwritten with %v", what, i-guardBand, v)
+		}
+	}
+}
+
+// TestKernelsStayInsideOperands frames C, A, B and the bias row with NaN guard
+// bands on both sides, runs all seven kernels over the panel grid on both
+// paths, and requires the oracle's bits (a guard read into any sum would make
+// it NaN) and untouched guards.
+func TestKernelsStayInsideOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	onBothPaths(t, func(t *testing.T) {
+		for _, s := range panelShapes() {
+			if s.k > 64 {
+				continue
+			}
+			for form := formNN; form <= formTB; form++ {
+				// Overwrite, accumulate, and (formNN only) start from a bias row.
+				for seeding := 0; seeding < 3 && (seeding < 2 || form == formNN); seeding++ {
+					what := fmt.Sprintf("form %d %dx%dx%d seeding=%d", form, s.m, s.k, s.n, seeding)
+					accumulate := seeding > 0
+					seed := normals(rng, s.m*s.n)
+					a, aFrame := guarded(normals(rng, s.m*s.k))
+					b, bFrame := guarded(normals(rng, s.k*s.n))
+					c, cFrame := guarded(seed)
+					var bias, biasFrame []float64
+					if seeding == 2 {
+						bias, biasFrame = guarded(normals(rng, s.n))
+						fillRows(seed, bias)
+					}
+					gemm(form, c, a, b, bias, s.m, s.k, s.n, accumulate)
+
+					want := make([]float64, s.m*s.n)
+					refGemm(form, want, a, b, s.m, s.k, s.n)
+					if accumulate && form == formTB {
+						for i := range want {
+							want[i] += seed[i]
+						}
+					} else if accumulate {
+						copy(want, seed)
+						rowStride, stepStride := strides(form, s.m, s.k)
+						refAxpyAdd(TensorView(want, s.m, s.n), s.k,
+							func(i, p int) float64 { return a[i*rowStride+p*stepStride] }, TensorView(b, s.k, s.n))
+					}
+					sameBits(t, what, c, want)
+					checkGuards(t, what+" C", cFrame)
+					checkGuards(t, what+" A", aFrame)
+					checkGuards(t, what+" B", bFrame)
+					checkGuards(t, what+" bias", biasFrame)
+				}
+			}
+		}
+	})
+}
+
+// TestNaNAndInfPropagateAsInTheOracle: one NaN with a payload (quiet or
+// signalling, either sign) somewhere in A, B or the seed of C, or a handful of
+// infinities of both signs (which breed the default NaN from ∞·0 and ∞−∞, the
+// same bits whichever operand it arrives in), come out of every kernel with
+// the oracle's payloads and signs.
+func TestNaNAndInfPropagateAsInTheOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	nans := specials[4:8]
+	shapes := []struct{ m, k, n int }{{4, 1, 8}, {5, 3, 12}, {7, 5, 9}, {8, 9, 20}, {13, 64, 7}, {6, 129, 16}, {3, 2, 4}}
+	onBothPaths(t, func(t *testing.T) {
+		for _, s := range shapes {
+			for trial := 0; trial < 24; trial++ {
+				a, at := randTensor(rng, s.m, s.k), randTensor(rng, s.k, s.m)
+				b, bt := randTensor(rng, s.k, s.n), randTensor(rng, s.n, s.k)
+				seed := randTensor(rng, s.m, s.n)
+				operands := []*Tensor{a, at, b, bt, seed}
+				if trial%2 == 0 {
+					// One NaN in one operand; A and Aᵀ (B and Bᵀ) never meet in a product.
+					x := operands[rng.Intn(len(operands))]
+					x.Data[rng.Intn(len(x.Data))] = nans[rng.Intn(len(nans))]
+				} else {
+					for _, x := range operands {
+						x.Data[rng.Intn(len(x.Data))] = math.Inf(1 - 2*rng.Intn(2))
+						x.Data[rng.Intn(len(x.Data))] = 0
+					}
+				}
+				checkGemmOperands(t, a, at, b, bt, seed)
+			}
+		}
+	})
+}
+
+// TestWarmKernelsDoNotAllocate: below the fan-out cutoff every form, with and
+// without accumulation, and the two row operations run without a single
+// allocation, on both paths.
+func TestWarmKernelsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const m, k, n = 37, 13, 21
+	a, at := randTensor(rng, m, k), randTensor(rng, k, m)
+	b, bt := randTensor(rng, k, n), randTensor(rng, n, k)
+	c, v := NewTensor(m, n), normals(rng, n)
+	onBothPaths(t, func(t *testing.T) {
+		for name, f := range map[string]func(){
+			"Gemm": func() { Gemm(c, a, b) }, "GemmAdd": func() { GemmAdd(c, a, b) },
+			"GemmTA": func() { GemmTA(c, at, b) }, "GemmTAAdd": func() { GemmTAAdd(c, at, b) },
+			"GemmTB": func() { GemmTB(c, a, bt) }, "GemmTBAdd": func() { GemmTBAdd(c, a, bt) },
+			"GemmBias": func() { GemmBias(c, a, b, v) }, "AddToRows": func() { c.AddToRows(v) },
+			"SumRowsInto": func() { c.SumRowsInto(v) },
+		} {
+			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+				t.Errorf("warm %s allocates %.1f times, want 0", name, allocs)
+			}
 		}
 	})
 }

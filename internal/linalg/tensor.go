@@ -102,6 +102,47 @@ func (t *Tensor) ToRows() [][]float64 {
 	return out
 }
 
+// addRows is the one loop behind Vector.AddInPlace, AddToRows and
+// SumRowsInto: dst[r·dstStride + j] += src[r·srcStride + j] for j < cols, rows
+// ascending, so an element that takes several rows takes them first to last.
+func addRows(dst, src []float64, rows, cols, dstStride, srcStride int) {
+	if rows == 0 {
+		return
+	}
+	dst, src = dst[:(rows-1)*dstStride+cols], src[:(rows-1)*srcStride+cols]
+	j := simdCols(cols)
+	if j > 0 {
+		addRowsAVX2(dst, src, rows, j, dstStride, srcStride)
+	}
+	for r := 0; r < rows && j < cols; r++ {
+		d := dst[r*dstStride+j : r*dstStride+cols]
+		for i, v := range src[r*srcStride+j : r*srcStride+cols] {
+			d[i] += v
+		}
+	}
+}
+
+// AddToRows adds v to every row of t, t[i][j] += v[j], in one call per tensor.
+// It panics unless len(v) == t.Cols.
+func (t *Tensor) AddToRows(v []float64) {
+	t.mustBeRow(v, "AddToRows")
+	addRows(t.Data, v, t.Rows, t.Cols, t.Cols, 0)
+}
+
+// SumRowsInto adds the rows of t into dst, first row first:
+// dst[j] = (…((dst[j] + t[0][j]) + t[1][j]) + …). It panics unless
+// len(dst) == t.Cols.
+func (t *Tensor) SumRowsInto(dst []float64) {
+	t.mustBeRow(dst, "SumRowsInto")
+	addRows(dst, t.Data, t.Rows, t.Cols, 0, t.Cols)
+}
+
+func (t *Tensor) mustBeRow(v []float64, op string) {
+	if len(v) != t.Cols {
+		panic(fmt.Sprintf("linalg: %s vector length %d, tensor has %d columns", op, len(v), t.Cols))
+	}
+}
+
 // Axpy computes y[i] += a*x[i]. It panics if the lengths differ.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -111,13 +152,6 @@ func Axpy(a float64, x, y []float64) {
 		y[i] += a * xv
 	}
 }
-
-// gemmBlockK is the k-panel depth of the blocked kernels: 128 float64s of a
-// B row panel (1 KiB) stay resident in L1 while a C row accumulates.
-// Blocking only partitions the k loop — for any output element the
-// summation order over k stays ascending, so blocked, register-tiled
-// (gemm.go) and naive kernels produce bitwise-identical results.
-const gemmBlockK = 128
 
 // parallelFlopCutoff is the mul-add count above which a kernel fans out
 // across GOMAXPROCS goroutines, partitioned by output row; below it the
@@ -149,7 +183,8 @@ const gemmBlockK = 128
 // nn.mlp_forward_us 69–70 → 45, core.infer_us 162–167 → 97–100. 1<<20 clears
 // the bar that was set for it (throughput beyond the spread, peak RSS within
 // +3 %), 1<<18 does not (RSS). At 1<<20 no GEMM of the 64-wide MLPs on
-// batches ≤ 256 fans out (Covertype's first layer is 256·54·64 = 0.88 M);
+// batches ≤ 256 fans out (the widest input, 12 features, makes the first
+// layer 256·12·64 = 0.20 M, and Covertype's generator has 10: 0.16 M);
 // the CNN families' convolutions still do.
 var parallelFlopCutoff = 1 << 20
 
@@ -170,8 +205,9 @@ func parallelRows(rows, flops int, body func(i0, i1 int)) {
 	chunk := (rows + workers - 1) / workers
 	if chunk >= 4 {
 		// Cut at whole 4-row bands (and so whole row pairs): a cut elsewhere
-		// hands every worker leftover rows the tiles cannot take. Matrices of
-		// a few very long rows keep the even split instead.
+		// ends every worker's range in a partial band, which costs the axpy
+		// panel up to a whole band's time and the dot form a scalar loop.
+		// Matrices of a few very long rows keep the even split instead.
 		chunk = (chunk + 3) &^ 3
 	}
 	var wg sync.WaitGroup
@@ -192,7 +228,7 @@ func parallelRows(rows, flops int, body func(i0, i1 int)) {
 // gemmOp validates the operands of one kernel form and runs it.
 func gemmOp(form gemmForm, op string, c, a, b *Tensor, accumulate bool) {
 	m, k, n := gemmDims(form, op, c, a, b)
-	gemm(form, c.Data, a.Data, b.Data, m, k, n, accumulate)
+	gemm(form, c.Data, a.Data, b.Data, nil, m, k, n, accumulate)
 }
 
 // refOp is gemmOp for the oracles.
@@ -201,14 +237,22 @@ func refOp(form gemmForm, op string, c, a, b *Tensor) {
 	refGemm(form, c.Data, a.Data, b.Data, m, k, n)
 }
 
-// Gemm computes C = A × B with the blocked, register-tiled kernel (gemm.go),
+// Gemm computes C = A × B with the register-tiled kernel (gemm.go),
 // parallel above the flop cutoff. Shapes: A m×k, B k×n, C m×n; C must not
 // alias A or B.
 func Gemm(c, a, b *Tensor) { gemmOp(formNN, "Gemm", c, a, b, false) }
 
-// GemmAdd computes C += A × B (same shapes and kernel as Gemm). Seeding C
-// with a bias row before the call fuses the bias add into the product.
+// GemmAdd computes C += A × B (same shapes and kernel as Gemm).
 func GemmAdd(c, a, b *Tensor) { gemmOp(formNN, "GemmAdd", c, a, b, true) }
+
+// GemmBias computes C = bias + A × B, every row of C starting from the bias
+// row: the bits of copying bias into each row and calling GemmAdd, without the
+// pass over C. It panics unless len(bias) == C.Cols.
+func GemmBias(c, a, b *Tensor, bias []float64) {
+	m, k, n := gemmDims(formNN, "GemmBias", c, a, b)
+	c.mustBeRow(bias, "GemmBias")
+	gemm(formNN, c.Data, a.Data, b.Data, bias, m, k, n, true)
+}
 
 // GemmTA computes C = Aᵀ × B without materializing the transpose.
 // Shapes: A k×m, B k×n, C m×n; C must not alias A or B.

@@ -5,29 +5,33 @@ import (
 	"testing"
 )
 
-// FuzzGemmShapes drives all six kernels over arbitrary shapes and seeds and
+// FuzzGemmShapes drives all seven kernels over arbitrary shapes and seeds and
 // requires bit equality with the naive oracles (the exact-bits comparator of
 // TestGemmMatchesReference), through the Go loops and through the assembly
-// bodies. The shape space is folded into [1, 90] per dimension so the fuzzer
-// regularly crosses the k-blocking boundary, the parallel cutoff and every
-// tile and lane tail.
+// bodies. m and n are folded into [1, 90] and k into [1, 260], so the fuzzer
+// regularly crosses the parallel cutoff, every row count of a last band, the
+// 8- and 4-column blocks with and without tail columns, and k from a single
+// step to the 256-row batches' long walks.
 func FuzzGemmShapes(f *testing.F) {
-	f.Add(int8(1), int8(1), int8(1), int64(1))
-	f.Add(int8(1), int8(17), int8(1), int64(2))
-	f.Add(int8(9), int8(1), int8(13), int64(3))
-	f.Add(int8(64), int8(64), int8(64), int64(4))
-	f.Add(int8(-5), int8(0), int8(127), int64(5))
-	f.Add(int8(7), int8(3), int8(89), int64(6))
-	f.Add(int8(70), int8(34), int8(30), int64(7))
-	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw int8, seed int64) {
-		fold := func(v int8) int {
+	f.Add(int16(1), int16(1), int16(1), int64(1))
+	f.Add(int16(1), int16(17), int16(1), int64(2))
+	f.Add(int16(9), int16(1), int16(13), int64(3))
+	f.Add(int16(64), int16(64), int16(64), int64(4))
+	f.Add(int16(-5), int16(0), int16(127), int64(5))
+	f.Add(int16(7), int16(3), int16(89), int64(6))
+	f.Add(int16(70), int16(34), int16(30), int64(7))
+	f.Add(int16(6), int16(256), int16(64), int64(8))
+	f.Add(int16(13), int16(129), int16(20), int64(9))
+	f.Add(int16(87), int16(5), int16(12), int64(10))
+	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw int16, seed int64) {
+		fold := func(v int16, limit int) int {
 			x := int(v)
 			if x < 0 {
 				x = -x
 			}
-			return x%90 + 1
+			return x%limit + 1
 		}
-		m, k, n := fold(mRaw), fold(kRaw), fold(nRaw)
+		m, k, n := fold(mRaw, 90), fold(kRaw, 260), fold(nRaw, 90)
 		eachPath(func(string) {
 			checkGemmBits(t, rand.New(rand.NewSource(seed)), m, k, n)
 		})

@@ -36,12 +36,12 @@ func tensorsClose(t *testing.T, got, want *Tensor, tol float64, label string) {
 // value never changes a bit, only which goroutine computes which rows.
 func init() { parallelFlopCutoff = 1 << 16 }
 
-// gemmShapes covers what the blocked, tiled and parallel paths must not
-// mishandle: degenerate 1×1 / 1×N / N×1 shapes, k straddling the panel depth,
-// every tile tail (m mod 4 ∈ {1,2,3} for the dot form's 4-row bands, odd m for
-// the axpy forms' row pairs, odd n for the dot form's column pairs,
-// k mod 4 ∈ {1,2,3} including k < 4), and shapes above parallelFlopCutoff
-// whose rows do not split evenly across workers.
+// gemmShapes covers what the tiled and parallel paths must not mishandle:
+// degenerate 1×1 / 1×N / N×1 shapes, long k, every tile tail of the Go loops
+// (m mod 4 ∈ {1,2,3} for the dot form's 4-row bands, odd m for the axpy forms'
+// row pairs, odd n for the dot form's column pairs, k mod 4 ∈ {1,2,3} including
+// k < 4), and shapes above parallelFlopCutoff whose rows do not split evenly
+// across workers. panelShapes adds the assembly panels' own grid.
 var gemmShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 1},
@@ -54,27 +54,47 @@ var gemmShapes = []struct{ m, k, n int }{
 	{2, 7, 1},
 	{4, 6, 2},
 	{8, 6, 2},
-	{2, gemmBlockK, 2},
-	{3, gemmBlockK + 1, 3},
-	{7, 2*gemmBlockK - 1, 5},
+	{2, 128, 2},
+	{3, 129, 3},
+	{7, 255, 5},
 	{2, 300, 4},
 	{17, 257, 33},
 	{5, 640, 3},
-	{64, 64, 64},             // above parallelFlopCutoff: exercises the goroutine path
-	{64, 48, 64},             // parallel, k a multiple of 4: no tail anywhere
-	{97, 131, 53},            // parallel + nothing divides evenly
-	{67, 33, 31},             // parallel, 2 workers get 34 + 33 rows
-	{256, 5, 64},             // input gradient of a 64→5 head: one 4-deep step + a 1-deep tail
-	{256, 2, 64},             // … of a 64→2 head: a lone 2-deep tile
-	{32, 3, 2560},            // Conv1D forward, InChannels·Kernel = 3: a lone 3-deep tile
-	{3, 32, 2560},            // Conv1D patch gradient: m odd, long n
-	{64, 256, 7},             // narrow-head weight gradient in the dot form: odd n
-	{130, 64, 5},             // narrow-head forward: m mod 4 = 2, odd n
-	{1, 9, 6},                // single-row path: two 4-deep passes + a 1-deep remainder
-	{3, 11, 7},               // odd m, k = 2·4 + 3: row pair, then 4-deep single row + 3 remainder steps
-	{5, 14, 64},              // odd m (the ∂Wᵀ of a 5-class head in the TA form), remainder 2
-	{7, 2*gemmBlockK + 9, 3}, // odd m across k panels: 4-deep single row inside every panel
-	{54, 256, 64},            // Covertype's ∂W: fans out as 28 + 26 rows, no leftover row in either chunk
+	{64, 64, 64},  // above parallelFlopCutoff: exercises the goroutine path
+	{64, 48, 64},  // parallel, k a multiple of 4: no tail anywhere
+	{97, 131, 53}, // parallel + nothing divides evenly
+	{67, 33, 31},  // parallel, 2 workers get 36 + 31 rows: a partial last band
+	{256, 5, 64},  // input gradient of a 64→5 head
+	{256, 2, 64},  // … of a 64→2 head
+	{32, 3, 2560}, // Conv1D forward, InChannels·Kernel = 3
+	{3, 32, 2560}, // Conv1D patch gradient: one partial band, long n
+	{64, 256, 7},  // narrow-head weight gradient in the dot form: odd n
+	{130, 64, 5},  // narrow-head forward: m mod 4 = 2, odd n
+	{1, 9, 6},     // single-row batch
+	{3, 11, 7},    // odd m, k = 2·4 + 3: row pair, then 4-deep single row + 3 remainder steps
+	{5, 14, 64},   // the ∂Wᵀ of a 5-class head in the TA form: a band and a one-row band
+	{7, 265, 3},   // n < 4: the Go loops alone on either path
+	{54, 256, 64}, // fans out as 28 + 26 rows: a partial band ends the second chunk only
+	{65, 129, 12}, // parallel at -cpu 2 and 4, every chunk but the last whole bands
+	{131, 64, 13}, // parallel, a 4-column block plus one tail column
+	{256, 12, 64}, // the NSL-KDD MLP's first layer
+	{12, 256, 64}, // … and its ∂W
+}
+
+// panelShapes is the grid the assembly panels are held to: rows mod 4 over
+// {0,1,2,3} below and above one band, n over whole 8-column blocks, a 4-column
+// last block and tail columns, k over 1, 2, 3, 5 and the long walks. Every
+// shape runs all six kernels, so both stride pairs and both C seedings.
+func panelShapes() []struct{ m, k, n int } {
+	var shapes []struct{ m, k, n int }
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13} {
+		for _, n := range []int{4, 8, 12, 16, 20, 7, 9, 14, 19} {
+			for _, k := range []int{1, 2, 3, 5, 64, 129, 256} {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	return shapes
 }
 
 func cloneTensor(t *Tensor) *Tensor {
@@ -98,10 +118,20 @@ func refAxpyAdd(c *Tensor, k int, aAt func(i, p int) float64, b *Tensor) {
 	}
 }
 
-// checkGemmBits runs all six public kernels at shape (m,k,n) and requires
-// bit equality with the oracles. t is *testing.T or the fuzz callback's T.
+// checkGemmBits runs all seven public kernels at shape (m,k,n) on random
+// operands and requires bit equality with the oracles. t is *testing.T or the
+// fuzz callback's T.
 func checkGemmBits(t testing.TB, rng *rand.Rand, m, k, n int) {
 	t.Helper()
+	checkGemmOperands(t, randTensor(rng, m, k), randTensor(rng, k, m),
+		randTensor(rng, k, n), randTensor(rng, n, k), randTensor(rng, m, n))
+}
+
+// checkGemmOperands holds the seven kernels to the oracles on the given A (m×k),
+// Aᵀ-shaped at (k×m), B (k×n), Bᵀ-shaped bt (n×k) and the seed of C (m×n).
+func checkGemmOperands(t testing.TB, a, at, b, bt, seed *Tensor) {
+	t.Helper()
+	m, k, n := a.Rows, a.Cols, b.Cols
 	same := func(op string, got, want *Tensor) {
 		t.Helper()
 		for i := range want.Data {
@@ -111,9 +141,6 @@ func checkGemmBits(t testing.TB, rng *rand.Rand, m, k, n int) {
 			}
 		}
 	}
-	a, at := randTensor(rng, m, k), randTensor(rng, k, m)
-	b, bt := randTensor(rng, k, n), randTensor(rng, n, k)
-	seed := randTensor(rng, m, n)
 	// The non-Add forms must overwrite whatever C held.
 	got, want := cloneTensor(seed), NewTensor(m, n)
 
@@ -140,17 +167,25 @@ func checkGemmBits(t testing.TB, rng *rand.Rand, m, k, n int) {
 	refAxpyAdd(want, k, a.At, b)
 	same("GemmAdd", got, want)
 
+	// GemmBias starts every row from the bias: the seed's first row here.
+	bias := seed.Row(0)
+	got, want = cloneTensor(seed), NewTensor(m, n)
+	fillRows(want.Data, bias)
+	GemmBias(got, a, b, bias)
+	refAxpyAdd(want, k, a.At, b)
+	same("GemmBias", got, want)
+
 	got, want = cloneTensor(seed), cloneTensor(seed)
 	GemmTAAdd(got, at, b)
 	refAxpyAdd(want, k, func(i, p int) float64 { return at.At(p, i) }, b)
 	same("GemmTAAdd", got, want)
 }
 
-// TestGemmMatchesReference pins the documented contract: the blocked,
-// register-tiled, row-parallel kernels equal the naive single-goroutine
-// oracles bit for bit.
+// TestGemmMatchesReference pins the documented contract: the register-tiled,
+// row-parallel kernels equal the naive single-goroutine oracles bit for bit.
+// (make golden's sibling: run it at -cpu 1,2,4 to move the fan-out partition.)
 func TestGemmMatchesReference(t *testing.T) {
-	for _, s := range gemmShapes {
+	for _, s := range append(gemmShapes, panelShapes()...) {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
 			onBothPaths(t, func(t *testing.T) {
 				checkGemmBits(t, rand.New(rand.NewSource(42)), s.m, s.k, s.n)
@@ -328,15 +363,35 @@ func TestFromRowsWarmAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkGemmForward is the forward-pass shape of a 256-row batch through a
-// 256→256 dense layer, big enough to be memory-bound.
+// BenchmarkGemmForward times each kernel form at the shapes the streaming MLP
+// (dim→64→C on ≤ 256 rows) really multiplies — the benchmark generators' input
+// widths 6, 10, 12 and class counts 2, 5, 7 — and at the 256³ shape that is big
+// enough to be memory-bound. Names are FORM/m×k×n of the product; GFLOP/s
+// counts a mul-add as two.
 func BenchmarkGemmForward(b *testing.B) {
-	const m, k, n = 256, 256, 256
+	type shape struct {
+		form    gemmForm
+		m, k, n int
+	}
+	shapes := []shape{{formNN, 256, 256, 256}, {formNN, 128, 12, 64}}
+	for _, dim := range []int{6, 10, 12} {
+		shapes = append(shapes, shape{formNN, 256, dim, 64}, shape{formTA, dim, 256, 64})
+	}
+	for _, classes := range []int{2, 5, 7} {
+		shapes = append(shapes, shape{formNN, 256, classes, 64}, shape{formTA, classes, 256, 64}, shape{formTB, 256, 64, classes})
+	}
 	rng := rand.New(rand.NewSource(1))
-	x, w, c := randTensor(rng, m, k), randTensor(rng, k, n), NewTensor(m, n)
-	b.SetBytes(int64((m*k + k*n + m*n) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Gemm(c, x, w)
+	for _, s := range shapes {
+		name := [...]string{"NN", "TA", "TB"}[s.form]
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", name, s.m, s.k, s.n), func(b *testing.B) {
+			// Storage sizes are the same in every form; only the strides differ.
+			x, w, c := normals(rng, s.m*s.k), normals(rng, s.k*s.n), make([]float64, s.m*s.n)
+			b.SetBytes(int64((s.m*s.k + s.k*s.n + s.m*s.n) * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemm(s.form, c, x, w, nil, s.m, s.k, s.n, false)
+			}
+			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

@@ -53,14 +53,7 @@ func (v Vector) Sub(w Vector) Vector {
 // AddInPlace adds w into v element-wise.
 func (v Vector) AddInPlace(w Vector) {
 	mustSameLen(v, w)
-	j := simdCols(len(v))
-	if j > 0 {
-		addAVX2(v[:j], w[:j])
-	}
-	v, w = v[j:], w[j:]
-	for i := range v {
-		v[i] += w[i]
-	}
+	addRows(v, w, 1, len(v), 0, 0)
 }
 
 // Scale returns c*v.

@@ -116,7 +116,7 @@ func (d *Dense) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Ten
 }
 
 // forward is xW + b for weights w and bias b of the layer's shape. In the
-// axpy form the output is seeded with the bias rows and the product
+// axpy form every output row starts from the bias and the product
 // accumulates on top; in the dot form the bias is added after the product,
 // and the Wᵀ it multiplied by is returned too.
 func (d *Dense) forward(ws *Workspace, w, b []float64, x *linalg.Tensor) (out, wT *linalg.Tensor) {
@@ -128,14 +128,9 @@ func (d *Dense) forward(ws *Workspace, w, b []float64, x *linalg.Tensor) (out, w
 		wT = ws.Tensor(d.Out, d.In)
 		linalg.TransposeInto(wT, linalg.TensorView(w, d.In, d.Out))
 		linalg.GemmTB(out, x, wT)
-		for i := 0; i < x.Rows; i++ {
-			linalg.Vector(out.Row(i)).AddInPlace(b)
-		}
+		out.AddToRows(b)
 	} else {
-		for i := 0; i < x.Rows; i++ {
-			copy(out.Row(i), b)
-		}
-		linalg.GemmAdd(out, x, linalg.TensorView(w, d.In, d.Out))
+		linalg.GemmBias(out, x, linalg.TensorView(w, d.In, d.Out), b)
 	}
 	return out, wT
 }
@@ -170,9 +165,7 @@ func (d *Dense) backwardParams(gradOut *linalg.Tensor) {
 	} else {
 		linalg.GemmTAAdd(linalg.TensorView(d.w.Grad, d.In, d.Out), d.lastX, gradOut)
 	}
-	for i := 0; i < n; i++ {
-		linalg.Vector(d.b.Grad).AddInPlace(gradOut.Row(i))
-	}
+	gradOut.SumRowsInto(d.b.Grad)
 }
 
 // Params returns the weight and bias parameters.

@@ -153,9 +153,7 @@ func meanOfRows(ws *nn.Workspace, x *linalg.Tensor) linalg.Vector {
 	}
 	mean := linalg.Vector(ws.Tensor(1, x.Cols).Data)
 	clear(mean)
-	for i := 0; i < x.Rows; i++ {
-		mean.AddInPlace(x.Row(i))
-	}
+	x.SumRowsInto(mean)
 	mean.ScaleInPlace(1 / float64(x.Rows))
 	return mean
 }
