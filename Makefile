@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt golden race fuzz cross check no-unsafe loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
+.PHONY: all build test vet fmt golden race fuzz cross check no-unsafe clean
 
 all: check
 
@@ -40,10 +40,11 @@ golden:
 	$(GO) test -tags purego -cpu 1,2,4 -run Golden ./internal/core
 	$(GO) test -cpu 1,2,4 -run 'Gemm|Kernel' ./internal/linalg
 
-# internal/dist runs three times over: its connection pool is concurrent
-# code, and a flaky interleaving must show up here, not in cluster-smoke. So do
-# internal/strategy and internal/core: readers of published snapshots share the
-# process-wide workspace pool with each other and run beside the trainer.
+# internal/dist runs three times over: its connection pool and the
+# kill-and-restart-under-load test are concurrent code, and a flaky
+# interleaving must show up here. So do internal/strategy and internal/core:
+# readers of published snapshots share the process-wide workspace pool with
+# each other and run beside the trainer.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/dist
@@ -68,41 +69,6 @@ no-unsafe:
 
 # The full gate: everything CI runs.
 check: build vet fmt no-unsafe cross test golden race
-
-# Short closed-loop load smoke: boots freeway-serve, drives 2 streams for
-# ~2s, and fails on any request error.
-loadgen-smoke:
-	$(GO) build -o bin/freeway-serve ./cmd/freeway-serve
-	$(GO) run ./cmd/freeway-loadgen -serve bin/freeway-serve \
-		-streams 2 -concurrency 2 -batch 16 -duration 2s
-
-# Distributed failover smoke: boots a router + 2 workers sharing a
-# checkpoint directory, drives load through the router, SIGKILLs one worker
-# 3s in and restarts it at 6s. The loadgen exits nonzero on ANY
-# client-visible error — the router's retry/backoff budget must absorb the
-# entire eject → failover → rejoin cycle.
-cluster-smoke:
-	$(GO) build -o bin/freeway-serve ./cmd/freeway-serve
-	$(GO) build -o bin/freeway-router ./cmd/freeway-router
-	$(GO) run ./cmd/freeway-loadgen -cluster 2 -streams 6 -concurrency 4 \
-		-batch 16 -duration 9s -kill-after 3s -restart-after 6s -out -
-
-# Cluster observability smoke: boots a router + 2 workers, drives JSON and
-# binary batches with client-minted trace contexts, and asserts trace-id
-# continuity across the router and worker spans (/v1/cluster/trace), a
-# non-empty federated scrape labeling both workers (/v1/cluster/metrics),
-# and well-shaped timeline/exemplar endpoints.
-cluster-obs-smoke:
-	$(GO) build -o bin/freeway-serve ./cmd/freeway-serve
-	$(GO) build -o bin/freeway-router ./cmd/freeway-router
-	$(GO) run ./cmd/cluster-obs-smoke -serve bin/freeway-serve -router bin/freeway-router
-
-# End-to-end observability check: boots freeway-serve, streams a synthetic
-# drifting stream, and asserts /v1/metrics and /v1/trace saw all three shift
-# patterns (A, B, C).
-obs-smoke:
-	$(GO) build -o bin/freeway-serve ./cmd/freeway-serve
-	$(GO) run ./cmd/obs-smoke -serve bin/freeway-serve
 
 clean:
 	$(GO) clean ./...

@@ -72,9 +72,6 @@ func (a *AGEM) Train(b stream.Batch) error {
 		return errors.New("baselines: Train requires labels")
 	}
 	net := a.m.Net()
-	if net == nil {
-		return errors.New("baselines: A-GEM requires a gradient-based model")
-	}
 
 	net.ZeroGrad()
 	if _, err := net.AccumulateGradients(b.X, b.Y); err != nil {

@@ -49,7 +49,7 @@ func (a *Alink) Train(b stream.Batch) error {
 	if _, err := a.m.Fit(b.X, b.Y); err != nil {
 		return err
 	}
-	if a.lambda == 0 || a.m.Net() == nil {
+	if a.lambda == 0 {
 		return nil
 	}
 	for _, p := range a.m.Net().Params() {

@@ -40,9 +40,6 @@ func NewEWC(factory model.Factory, dim, classes int, lambda float64, consolidate
 	if err != nil {
 		return nil, err
 	}
-	if m.Net() == nil {
-		return nil, errors.New("baselines: EWC requires a gradient-based model")
-	}
 	h := model.DefaultHyper()
 	return &EWC{
 		m:                m,

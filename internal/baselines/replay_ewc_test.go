@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"freewayml/internal/model"
 	"freewayml/internal/stream"
 )
 
@@ -131,13 +130,6 @@ func TestEWCValidation(t *testing.T) {
 	}
 	if _, err := NewEWC(f, 4, 2, 1, 0); err == nil {
 		t.Error("consolidateEvery 0 should error")
-	}
-	nbFactory, err := model.FactoryFor("nb", model.DefaultHyper())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewEWC(nbFactory, 4, 2, 1, 4); err == nil {
-		t.Error("gradient-free model should be rejected")
 	}
 }
 

@@ -50,9 +50,6 @@ func (s *SparkMLlib) Train(b stream.Batch) error {
 		return errors.New("baselines: Train requires labels")
 	}
 	net := s.m.Net()
-	if net == nil {
-		return errors.New("baselines: Spark MLlib emulation requires a gradient-based model")
-	}
 	net.ZeroGrad()
 	n := len(b.X)
 	parts := s.partitions

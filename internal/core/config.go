@@ -64,12 +64,6 @@ type Config struct {
 	// weighted training set, in chunks of LongChunk samples.
 	LongEpochs int
 	LongChunk  int
-	// LongEMA applies a per-batch exponential moving average of the short
-	// model's weights into the long model. Disabled (0) by default: the
-	// ablation benches showed weight-space averaging of momentum-SGD
-	// iterates degrades nonlinear models; it is kept as an option for
-	// linear ones.
-	LongEMA float64
 	// LongLRScale scales the long model's learning rate relative to
 	// Hyper.LR, refining the decision boundary with smaller steps over more
 	// data — the stability role Insight A assigns to the long-granularity
@@ -133,7 +127,6 @@ func DefaultConfig() Config {
 		Precompute:       false,
 		LongEpochs:       3,
 		LongChunk:        128,
-		LongEMA:          0,
 		LongLRScale:      0.5,
 		LongRebase:       false,
 		CECSeverityRatio: 5.0,
@@ -164,8 +157,6 @@ func (c Config) Validate() error {
 		return errors.New("core: LongEpochs must be >= 1")
 	case c.LongChunk < 1:
 		return errors.New("core: LongChunk must be >= 1")
-	case c.LongEMA < 0 || c.LongEMA >= 1:
-		return errors.New("core: LongEMA must be in [0, 1)")
 	case c.LongLRScale <= 0 || c.LongLRScale > 1:
 		return errors.New("core: LongLRScale must be in (0, 1]")
 	case c.CECSeverityRatio < 0:

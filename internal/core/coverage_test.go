@@ -3,36 +3,13 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"freewayml/internal/datasets"
 	"freewayml/internal/shift"
 	"freewayml/internal/stream"
 )
-
-func TestLongEMAPathRuns(t *testing.T) {
-	cfg := testConfig()
-	cfg.LongEMA = 0.9
-	l, err := NewLearner(cfg, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	rng := rand.New(rand.NewSource(41))
-	var last Result
-	for s := 0; s < 40; s++ {
-		res, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone))
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = res
-	}
-	// EMA weight averaging degrades nonlinear models somewhat but the
-	// learner must remain functional and above chance.
-	if last.Accuracy < 0.7 {
-		t.Errorf("EMA-path accuracy = %v", last.Accuracy)
-	}
-}
 
 func TestLongRebasePathRuns(t *testing.T) {
 	cfg := testConfig()
@@ -137,11 +114,6 @@ func TestModelNumValidationBounds(t *testing.T) {
 		t.Error("LongChunk 0 should fail validation")
 	}
 	cfg = testConfig()
-	cfg.LongEMA = 1
-	if err := cfg.Validate(); err == nil {
-		t.Error("LongEMA 1 should fail validation")
-	}
-	cfg = testConfig()
 	cfg.LongLRScale = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("LongLRScale 0 should fail validation")
@@ -174,34 +146,15 @@ func TestPrecomputeWithAsyncRunsInline(t *testing.T) {
 	}
 }
 
-func TestNaiveBayesFamilyEndToEnd(t *testing.T) {
-	cfg := testConfig()
-	cfg.ModelFamily = "nb"
-	l, err := NewLearner(cfg, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	rng := rand.New(rand.NewSource(51))
-	var last Result
-	for s := 0; s < 40; s++ {
-		res, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone))
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = res
-	}
-	if last.Accuracy < 0.9 {
-		t.Errorf("NB-family accuracy = %v", last.Accuracy)
-	}
-}
-
+// TestPrecomputeRejectsGradientFreeFamily: the gradient-free families are
+// gone, so a learner asked for one refuses it as an unknown family before
+// Precompute (which needs a network to take gradients of) is considered.
 func TestPrecomputeRejectsGradientFreeFamily(t *testing.T) {
 	cfg := testConfig()
 	cfg.ModelFamily = "nb"
 	cfg.Precompute = true
-	if _, err := NewLearner(cfg, 3, 2); err == nil {
-		t.Error("Precompute with NB should error")
+	if _, err := NewLearner(cfg, 3, 2); err == nil || !strings.Contains(err.Error(), "unknown family nb") {
+		t.Errorf("NewLearner with family nb: error %v, want the unknown-family error", err)
 	}
 }
 

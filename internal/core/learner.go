@@ -203,9 +203,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	var pre *window.Precomputer
 	var longOpt *nn.SGD
 	if cfg.Precompute {
-		if long.Net() == nil {
-			return nil, errors.New("core: Precompute requires a gradient-based model family")
-		}
 		pre = window.NewPrecomputer(long.Net())
 		pre.Start()
 		// The precompute path applies one aggregated step per window close,
@@ -216,7 +213,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	l.ens = strategy.NewEnsemble(
 		strategy.EnsembleConfig{
 			Sigma:      cfg.Sigma,
-			LongEMA:    cfg.LongEMA,
 			LongEpochs: cfg.LongEpochs,
 			LongChunk:  cfg.LongChunk,
 			LongRebase: cfg.LongRebase,

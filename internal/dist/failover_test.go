@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,20 +21,34 @@ import (
 // testWorker is a real freeway-serve worker behind an httptest listener —
 // the unit the failover tests kill, partition, and rejoin.
 type testWorker struct {
-	srv *serve.Server
-	ts  *httptest.Server
+	srv  *serve.Server
+	ts   *httptest.Server
+	dead atomic.Bool
 }
 
 func (w *testWorker) addr() string { return strings.TrimPrefix(w.ts.URL, "http://") }
 
-// kill closes the listener without shutting the server down — from the
-// cluster's point of view this is an unclean death: no final checkpoints,
-// in-flight connections reset.
-func (w *testWorker) kill() { w.ts.Close() }
+// kill closes the listener and the idle connections without shutting the
+// server down — from the cluster's point of view this is an unclean death: no
+// final checkpoints, pooled connections reset. A request the worker reads
+// after its death is aborted unprocessed, as a dead process would leave it
+// (closing an idle connection races with a request arriving on it); requests
+// already being processed finish.
+func (w *testWorker) kill() {
+	w.dead.Store(true)
+	w.ts.Close()
+}
 
 // newTestWorker boots a worker persisting every batch's checkpoint into the
 // shared dir, so failover loses nothing.
 func newTestWorker(t *testing.T, dir string, opts ...serve.Option) *testWorker {
+	t.Helper()
+	return startTestWorker(t, dir, nil, opts...)
+}
+
+// startTestWorker is newTestWorker on the given listener (nil picks a free
+// loopback port).
+func startTestWorker(t *testing.T, dir string, ln net.Listener, opts ...serve.Option) *testWorker {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Shift.WarmupPoints = 64
@@ -41,12 +57,23 @@ func newTestWorker(t *testing.T, dir string, opts ...serve.Option) *testWorker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	w := &testWorker{srv: srv}
+	w.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if w.dead.Load() {
+			panic(http.ErrAbortHandler)
+		}
+		srv.ServeHTTP(rw, r)
+	}))
+	if ln != nil {
+		w.ts.Listener.Close()
+		w.ts.Listener = ln
+	}
+	w.ts.Start()
 	t.Cleanup(func() {
-		ts.Close()
+		w.ts.Close()
 		srv.Close()
 	})
-	return &testWorker{srv: srv, ts: ts}
+	return w
 }
 
 func failoverRouter(t *testing.T, chaos *faults.ChaosTransport, antiEntropy bool, workers ...*testWorker) *Router {

@@ -195,6 +195,10 @@ type Router struct {
 	ring    *ring
 	workers map[string]*workerState
 	streams map[string]string // stream id → worker it was last routed to
+	// migrating holds the streams a rejoin is moving back, until the move
+	// lands: their requests wait on the channel instead of reaching the new
+	// owner before the old one has checkpointed and let go.
+	migrating map[string]chan struct{}
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -240,15 +244,16 @@ func NewRouter(cfg Config) (*Router, error) {
 		reg = obs.NewRegistry()
 	}
 	rt := &Router{
-		cfg:     cfg,
-		client:  &http.Client{Transport: cfg.Transport},
-		reg:     reg,
-		mux:     http.NewServeMux(),
-		ring:    newRing(cfg.VNodes),
-		workers: map[string]*workerState{},
-		streams: map[string]string{},
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		stop:    make(chan struct{}),
+		cfg:       cfg,
+		client:    &http.Client{Transport: cfg.Transport},
+		reg:       reg,
+		mux:       http.NewServeMux(),
+		ring:      newRing(cfg.VNodes),
+		workers:   map[string]*workerState{},
+		streams:   map[string]string{},
+		migrating: map[string]chan struct{}{},
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		stop:      make(chan struct{}),
 
 		cRequests:   reg.Counter("freeway_router_requests_total", "Requests accepted by the router."),
 		cRetries:    reg.Counter("freeway_router_retries_total", "Forward attempts retried after a failure."),
@@ -383,10 +388,20 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 
 // route resolves the current owner of a stream id and its state record
 // under one lock acquisition, and records the routing decision so a later
-// ring change knows the stream lived there.
+// ring change knows the stream lived there. A stream a rejoin is moving back
+// waits for the move to land first.
 func (r *Router) route(id string) (owner string, ws *workerState, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for {
+		done, moving := r.migrating[id]
+		if !moving {
+			break
+		}
+		r.mu.Unlock()
+		<-done
+		r.mu.Lock()
+	}
 	owner, ok = r.ring.ownerOf(id)
 	if ok {
 		r.streams[id] = owner
@@ -435,7 +450,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, id string) {
 	}
 	r.bytesIn[proto].Add(int64(len(body)))
 
-	tr := r.beginTrace(req, id, proto)
+	tr := r.beginTrace(req, body, id, proto)
 	var lastErr error
 	attempts := 0
 	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
@@ -764,6 +779,14 @@ func (r *Router) noteProbeOK(addr string) {
 	r.ring.add(addr)
 	r.cRejoins.Inc()
 	moved := r.movedStreamsLocked()
+	// The old owners are reachable and still serving these streams: hold
+	// their requests until each has been checkpointed and evicted there, or
+	// the rejoined worker would restore a checkpoint that the old owner's
+	// evict then overwrites with older state.
+	done := make(chan struct{})
+	for id := range moved {
+		r.migrating[id] = done
+	}
 	peer := ""
 	for _, other := range r.ring.members() {
 		if other != addr {
@@ -779,6 +802,12 @@ func (r *Router) noteProbeOK(addr string) {
 	})
 	log.Printf("dist: worker %s rejoined the ring (%d streams to migrate back)", addr, len(moved))
 	r.migrate(moved, "")
+	r.mu.Lock()
+	for id := range moved {
+		delete(r.migrating, id)
+	}
+	r.mu.Unlock()
+	close(done)
 	if r.cfg.AntiEntropy && peer != "" {
 		r.antiEntropy(peer, addr)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"freewayml/internal/obs"
+	"freewayml/internal/wire"
 )
 
 // Wire protos distinguished by the proxy-bytes counters and span records.
@@ -65,14 +66,19 @@ type routerTrace struct {
 }
 
 // beginTrace resolves the request's trace context: the client's traceparent
-// header when present and well-formed, else a freshly minted root. Returns
-// nil when tracing is disabled.
-func (r *Router) beginTrace(req *http.Request, stream, proto string) *routerTrace {
+// header when present and well-formed, else the one a binary body embeds
+// (a version-2 frame), else a freshly minted root. Returns nil when tracing
+// is disabled.
+func (r *Router) beginTrace(req *http.Request, body []byte, stream, proto string) *routerTrace {
 	if r.cfg.DisableTracing {
 		return nil
 	}
 	tr := &routerTrace{r: r, stream: stream, proto: proto}
-	if in, ok := obs.ParseTraceparent(req.Header.Get(obs.TraceparentHeader)); ok {
+	tp := req.Header.Get(obs.TraceparentHeader)
+	if tp == "" && proto == protoBinary {
+		tp = wire.FrameTraceparent(body)
+	}
+	if in, ok := obs.ParseTraceparent(tp); ok {
 		tr.ctx = in
 	} else {
 		tr.ctx = obs.TraceContext{TraceID: obs.NewTraceID()}

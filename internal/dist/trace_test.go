@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 
 	"freewayml/internal/faults"
 	"freewayml/internal/obs"
+	"freewayml/internal/serve"
+	"freewayml/internal/wire"
 )
 
 // tracedProcessVia POSTs one labeled batch through the router with a
@@ -173,6 +176,59 @@ func TestTraceContinuityAcrossFailover(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("failover request missing from exemplar ring")
+	}
+}
+
+// TestFrameTraceContinuityThroughRouter: a version-2 binary frame carries its
+// trace context in-band, with no traceparent header. The router joins that
+// trace — the response echoes its id — and /v1/cluster/trace assembles the
+// router's attempt span, parented to the client's span, and the worker's
+// process span, parented to that attempt.
+func TestFrameTraceContinuityThroughRouter(t *testing.T) {
+	dir := t.TempDir()
+	rt := failoverRouter(t, nil, false, newTestWorker(t, dir), newTestWorker(t, dir))
+	rng := rand.New(rand.NewSource(13))
+	var x [][]float64
+	var y []int
+	for i := 0; i < 16; i++ {
+		c := rng.Intn(2)
+		x = append(x, []float64{float64(c)*2 + rng.NormFloat64()*0.3, rng.NormFloat64() * 0.3, 0})
+		y = append(y, c)
+	}
+	tc := obs.NewTraceContext()
+	frame, err := wire.AppendFrameTrace(nil, "", tc.Traceparent(), wire.Float64, x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	hr := httptest.NewRequest(http.MethodPost, "/v1/streams/frame-traced/process", bytes.NewReader(frame))
+	hr.Header.Set("Content-Type", serve.BinaryContentType)
+	rt.ServeHTTP(rec, hr)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get(obs.TraceIDHeader); got != tc.TraceID {
+		t.Fatalf("response trace id = %q, want the frame-embedded %q", got, tc.TraceID)
+	}
+
+	var router, worker *obs.Span
+	spans := clusterTrace(t, rt, tc.TraceID)
+	for i, s := range spans {
+		switch s.Name {
+		case routerForwardSpan:
+			router = &spans[i]
+		case "worker.process":
+			worker = &spans[i]
+		}
+	}
+	if router == nil || worker == nil {
+		t.Fatalf("trace %s: router span %v, worker span %v; want both hops in %+v", tc.TraceID, router != nil, worker != nil, spans)
+	}
+	if router.Parent != tc.SpanID {
+		t.Errorf("router span parent = %q, want the frame's span %q", router.Parent, tc.SpanID)
+	}
+	if worker.Parent != router.SpanID || worker.Proto != "binary" {
+		t.Errorf("worker span parent %q proto %q, want the router attempt %q over binary", worker.Parent, worker.Proto, router.SpanID)
 	}
 }
 

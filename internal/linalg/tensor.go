@@ -190,9 +190,8 @@ var parallelFlopCutoff = 1 << 20
 
 // parallelRows splits [0, rows) into roughly equal chunks of a multiple of 4
 // rows (54 → 28 + 26, not 27 + 27) and runs body on each chunk, in parallel
-// when flops crosses the cutoff. The fan-out mirrors internal/parallel's
-// WaitGroup pattern; it lives here because linalg sits below that package in
-// the dependency order.
+// when flops crosses the cutoff: one goroutine per chunk, joined by a
+// WaitGroup.
 func parallelRows(rows, flops int, body func(i0, i1 int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if flops < parallelFlopCutoff || workers <= 1 || rows <= 1 {

@@ -30,9 +30,6 @@ func benchFamily(b *testing.B, family string) {
 
 func BenchmarkStreamingLRStep(b *testing.B)  { benchFamily(b, "lr") }
 func BenchmarkStreamingMLPStep(b *testing.B) { benchFamily(b, "mlp") }
-func BenchmarkStreamingNBStep(b *testing.B)  { benchFamily(b, "nb") }
-func BenchmarkStreamingHTStep(b *testing.B)  { benchFamily(b, "ht") }
-func BenchmarkStreamingARFStep(b *testing.B) { benchFamily(b, "arf") }
 
 func BenchmarkSnapshotMLP(b *testing.B) {
 	f, _ := FactoryFor("mlp", DefaultHyper())

@@ -12,11 +12,11 @@ import (
 const frozenDim, frozenClasses = 12, 3
 
 // frozenFamilies builds one trained model of every family FactoryFor knows,
-// plus a Standardized network and a Standardized gradient-free model.
+// plus two of them behind the Standardized wrapper.
 func frozenFamilies(t *testing.T) map[string]Model {
 	t.Helper()
 	models := map[string]Model{}
-	for _, family := range []string{"nb", "ht", "arf", "lr", "mlp", "cnn3", "cnn5", "std+mlp", "std+nb"} {
+	for _, family := range []string{"lr", "mlp", "cnn3", "cnn5", "std+mlp", "std+lr"} {
 		inner := family
 		if len(family) > 4 && family[:4] == "std+" {
 			inner = family[4:]
@@ -104,21 +104,21 @@ func sameProba(t *testing.T, what string, got *linalg.Tensor, want [][]float64) 
 	}
 }
 
-// TestFrozenMatchesClone: for every family, what Freeze returns predicts
-// exactly what a Clone taken at the same instant predicts — on signed zeros,
+// TestFrozenMatchesLiveModel: for every family, what Freeze returns predicts
+// exactly what the model itself predicted at that instant — on signed zeros,
 // infinities and subnormals too — and keeps doing so after the model it came
 // from has trained on.
-func TestFrozenMatchesClone(t *testing.T) {
+func TestFrozenMatchesLiveModel(t *testing.T) {
 	rows := edgeRows()
 	for family, m := range frozenFamilies(t) {
-		frozen, clone := m.Freeze(), m.Clone()
+		frozen, want := m.Freeze(), m.PredictProba(rows)
 		rng := rand.New(rand.NewSource(7))
 		fitFrozenBatch(t, m, rng)
 		fitFrozenBatch(t, m, rng)
 		x := stageRows(rows)
 		before := append([]float64(nil), x.Data...)
 		var ws nn.Workspace
-		sameProba(t, family, frozen.ProbaInto(&ws, x), clone.PredictProba(rows))
+		sameProba(t, family, frozen.ProbaInto(&ws, x), want)
 		for i, v := range before {
 			if math.Float64bits(x.Data[i]) != math.Float64bits(v) {
 				t.Fatalf("%s: the frozen pass wrote the staged batch at %d", family, i)

@@ -29,9 +29,13 @@ type Model interface {
 	// Snapshot serializes the parameters; Restore loads them back.
 	Snapshot() ([]byte, error)
 	Restore(snapshot []byte) error
-	// Clone returns an independent deep copy (same weights, fresh optimizer
-	// state).
-	Clone() Model
+	// AppendParams appends every value Restore would bring back to dst: the
+	// allocation-free alternative to Snapshot for a caller that keeps one
+	// reused copy (the divergence watchdog).
+	AppendParams(dst []float64) []float64
+	// RestoreParams is Restore from such a copy: the values come back and the
+	// optimizer state is reset.
+	RestoreParams(flat []float64)
 	// Freeze returns the model's read-only view as of now: the member type of
 	// a published inference snapshot.
 	Freeze() Frozen
@@ -39,9 +43,8 @@ type Model interface {
 	InDim() int
 	NumClasses() int
 	// Net exposes the underlying network for mechanisms that need direct
-	// gradient access (A-GEM, the pre-computing window). Gradient-free
-	// models (StreamingNB) return nil; callers needing gradients must
-	// check.
+	// gradient access (A-GEM, EWC, the pre-computing window). It is never
+	// nil: every family is a network trained by SGD.
 	Net() *nn.Network
 }
 
@@ -53,20 +56,6 @@ type Frozen interface {
 	// classes). x is only read; the result and all scratch are taken from ws,
 	// so the result is valid until ws is reset or released.
 	ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor
-}
-
-// frozenClone freezes a gradient-free model as a private deep copy: its
-// PredictProba reads the statistics and writes nothing.
-type frozenClone struct{ m Model }
-
-func (f frozenClone) ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor {
-	rows := make([][]float64, x.Rows)
-	for i := range rows {
-		rows[i] = x.Row(i)
-	}
-	out := ws.Tensor(x.Rows, f.m.NumClasses())
-	out.FromRows(f.m.PredictProba(rows), out.Cols)
-	return out
 }
 
 // ProbaInto is m.PredictProba(x) written into dst (reshaped to len(x) ×
@@ -84,9 +73,9 @@ func ProbaInto(dst *linalg.Tensor, m Model, x [][]float64) {
 // protocol predicts every batch and then learns from it, so the forward pass
 // a Fit starts with repeats the one the prediction just ran; a model that
 // keeps its forward caches can skip it. Network models implement it; the
-// Standardized wrapper (whose Fit moves the scaler before it trains) and the
-// gradient-free families do not, and callers type-assert and fall back to
-// Fit.
+// Standardized wrapper does not — its Fit moves the scaler before it trains,
+// so the prediction's forward never matches the training one — and callers
+// type-assert and fall back to Fit.
 type ForwardTrainer interface {
 	// Forwarded names the forward pass the model ran last (its most recent
 	// Predict or PredictProba).
@@ -96,17 +85,6 @@ type ForwardTrainer interface {
 	// ok = false means tok is outdated — another forward, a Restore or any
 	// parameter write came in between — and nothing was done: call Fit.
 	FitForwarded(tok nn.ForwardToken, y []int) (loss float64, ok bool, err error)
-}
-
-// ParamCopier is the optional allocation-free alternative to Snapshot and
-// Restore for a caller that keeps a single reused copy of a network model's
-// parameters (the divergence watchdog).
-type ParamCopier interface {
-	// AppendParams appends every parameter value to dst.
-	AppendParams(dst []float64) []float64
-	// RestoreParams is Restore from such a copy: the parameters come back
-	// and the optimizer state is reset.
-	RestoreParams(flat []float64)
 }
 
 // Hyper collects the SGD hyperparameters shared by all model families.
@@ -143,7 +121,6 @@ type netModel struct {
 	name string
 	net  *nn.Network
 	opt  *nn.SGD
-	h    Hyper
 }
 
 func (m *netModel) Name() string                           { return m.name }
@@ -184,15 +161,6 @@ func (m *netModel) Restore(snapshot []byte) error {
 	return nil
 }
 
-func (m *netModel) Clone() Model {
-	return &netModel{
-		name: m.name,
-		net:  m.net.Clone(),
-		opt:  nn.NewSGD(m.h.LR, m.h.Momentum, m.h.WeightDecay),
-		h:    m.h,
-	}
-}
-
 // NewStreamingLR builds a streaming softmax (multinomial logistic)
 // regression: a single dense layer trained with mini-batch SGD.
 func NewStreamingLR(inDim, numClasses int, h Hyper) (Model, error) {
@@ -204,7 +172,7 @@ func NewStreamingLR(inDim, numClasses int, h Hyper) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &netModel{name: "StreamingLR", net: net, opt: nn.NewSGD(h.LR, h.Momentum, h.WeightDecay), h: h}, nil
+	return &netModel{name: "StreamingLR", net: net, opt: nn.NewSGD(h.LR, h.Momentum, h.WeightDecay)}, nil
 }
 
 // NewStreamingMLP builds the paper's streaming multi-layer perceptron: one
@@ -222,7 +190,7 @@ func NewStreamingMLP(inDim, numClasses int, h Hyper) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &netModel{name: "StreamingMLP", net: net, opt: nn.NewSGD(h.LR, h.Momentum, h.WeightDecay), h: h}, nil
+	return &netModel{name: "StreamingMLP", net: net, opt: nn.NewSGD(h.LR, h.Momentum, h.WeightDecay)}, nil
 }
 
 // NewStreamingCNN3 builds the appendix's three-layer CNN for tabular
@@ -249,7 +217,7 @@ func NewStreamingCNN3(inDim, numClasses int, h Hyper) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &netModel{name: "StreamingCNN3", net: net, opt: nn.NewSGD(h.LR, h.Momentum, h.WeightDecay), h: h}, nil
+	return &netModel{name: "StreamingCNN3", net: net, opt: nn.NewSGD(h.LR, h.Momentum, h.WeightDecay)}, nil
 }
 
 // NewStreamingCNN5 builds the appendix's five-layer CNN for image-feature
@@ -281,7 +249,7 @@ func NewStreamingCNN5(inDim, numClasses int, h Hyper) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &netModel{name: "StreamingCNN5", net: net, opt: nn.NewSGD(h.LR, h.Momentum, h.WeightDecay), h: h}, nil
+	return &netModel{name: "StreamingCNN5", net: net, opt: nn.NewSGD(h.LR, h.Momentum, h.WeightDecay)}, nil
 }
 
 // Factory builds a fresh model of a given family; the baselines and the
@@ -290,18 +258,9 @@ func NewStreamingCNN5(inDim, numClasses int, h Hyper) (Model, error) {
 type Factory func(inDim, numClasses int) (Model, error)
 
 // FactoryFor returns a Factory for the named family ("lr", "mlp", "cnn3",
-// "cnn5", "nb") with the given hyperparameters ("nb" is gradient-free and
-// ignores them).
+// "cnn5") with the given hyperparameters.
 func FactoryFor(family string, h Hyper) (Factory, error) {
 	switch family {
-	case "nb":
-		return func(in, classes int) (Model, error) { return NewStreamingNB(in, classes) }, nil
-	case "ht":
-		return func(in, classes int) (Model, error) { return NewStreamingHT(in, classes, DefaultHTConfig()) }, nil
-	case "arf":
-		return func(in, classes int) (Model, error) {
-			return NewStreamingARF(in, classes, 5, DefaultHTConfig(), h.Seed)
-		}, nil
 	case "lr":
 		return func(in, classes int) (Model, error) { return NewStreamingLR(in, classes, h) }, nil
 	case "mlp":

@@ -162,29 +162,6 @@ func TestSnapshotRestoreAcrossClones(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	h := DefaultHyper()
-	m, _ := NewStreamingLR(4, 2, h)
-	rng := rand.New(rand.NewSource(3))
-	x, y := separableBatch(rng, 64, 4, 2)
-	c := m.Clone()
-	if c.Name() != m.Name() {
-		t.Errorf("clone name %q != %q", c.Name(), m.Name())
-	}
-	before := c.Predict(x)
-	for i := 0; i < 30; i++ {
-		if _, err := m.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := c.Predict(x)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("training original mutated clone")
-		}
-	}
-}
-
 func TestFactoryFor(t *testing.T) {
 	h := DefaultHyper()
 	for _, family := range []string{"lr", "mlp", "cnn3", "cnn5"} {
@@ -202,6 +179,17 @@ func TestFactoryFor(t *testing.T) {
 	}
 	if _, err := FactoryFor("nope", h); err == nil {
 		t.Error("unknown family should error")
+	}
+}
+
+// TestFactoryForNB: the gradient-free families (naive Bayes, Hoeffding tree,
+// adaptive random forest) are gone — the paper's learners are SGD-trained
+// networks — so their names are unknown like any other.
+func TestFactoryForNB(t *testing.T) {
+	for _, family := range []string{"nb", "ht", "arf"} {
+		if _, err := FactoryFor(family, DefaultHyper()); err == nil || err.Error() != "model: unknown family "+family {
+			t.Errorf("FactoryFor(%q) error = %v, want the unknown-family error", family, err)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 func flatBits(t *testing.T, what string, a, b Model) {
 	t.Helper()
-	wa, wb := a.Net().AppendFlatParams(nil), b.Net().AppendFlatParams(nil)
+	wa, wb := a.AppendParams(nil), b.AppendParams(nil)
 	if len(wa) != len(wb) {
 		t.Fatalf("%s: %d vs %d weights", what, len(wa), len(wb))
 	}
@@ -74,25 +74,9 @@ func TestFitForwardedMatchesFit(t *testing.T) {
 }
 
 // TestForwardTrainerIsNetworkModelsOnly: the wrapper whose Fit moves the
-// scaler before training, and the gradient-free families, must not offer the
-// fast path — callers then fall back to Fit.
+// scaler before training must not offer the fast path — callers then fall
+// back to Fit.
 func TestForwardTrainerIsNetworkModelsOnly(t *testing.T) {
-	for _, family := range []string{"nb", "ht", "arf"} {
-		factory, err := FactoryFor(family, DefaultHyper())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := factory(4, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := m.(ForwardTrainer); ok {
-			t.Errorf("%s implements ForwardTrainer", family)
-		}
-		if _, ok := m.(ParamCopier); ok {
-			t.Errorf("%s implements ParamCopier", family)
-		}
-	}
 	mlp, _ := NewStreamingMLP(4, 2, DefaultHyper())
 	std, err := NewStandardized(mlp)
 	if err != nil {
@@ -101,40 +85,45 @@ func TestForwardTrainerIsNetworkModelsOnly(t *testing.T) {
 	if _, ok := Model(std).(ForwardTrainer); ok {
 		t.Error("Standardized implements ForwardTrainer")
 	}
-	if _, ok := Model(std).(ParamCopier); ok {
-		t.Error("Standardized implements ParamCopier: its scaler would not roll back")
-	}
 }
 
 // TestRestoreParamsMatchesRestore: the flat copy round-trips exactly what
-// Snapshot/Restore does — weights back, momentum gone.
+// Snapshot/Restore does — weights back, momentum gone, and for the
+// Standardized wrapper the scaler's count, means and squared deviations too.
 func TestRestoreParamsMatchesRestore(t *testing.T) {
 	const dim, classes = 6, 3
-	rng := rand.New(rand.NewSource(22))
-	a, _ := NewStreamingMLP(dim, classes, DefaultHyper())
-	b, _ := NewStreamingMLP(dim, classes, DefaultHyper())
-	step := func() {
-		x, y := separableBatch(rng, 20, dim, classes)
-		for _, m := range []Model{a, b} {
-			if _, err := m.Fit(x, y); err != nil {
-				t.Fatal(err)
+	for _, standardized := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(22))
+		build := func() Model {
+			m, _ := NewStreamingMLP(dim, classes, DefaultHyper())
+			if standardized {
+				m, _ = NewStandardized(m)
+			}
+			return m
+		}
+		a, b := build(), build()
+		step := func() {
+			x, y := separableBatch(rng, 20, dim, classes)
+			for _, m := range []Model{a, b} {
+				if _, err := m.Fit(x, y); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		step()
+		snap, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := b.AppendParams(nil)
+		step()
+		step()
+		if err := a.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		b.RestoreParams(flat)
+		flatBits(t, "after rollback", a, b)
+		step() // momentum (and the scaler) were reset on both sides, or the weights part here
+		flatBits(t, "one step after rollback", a, b)
 	}
-	step()
-	snap, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := b.(ParamCopier)
-	flat := pc.AppendParams(nil)
-	step()
-	step()
-	if err := a.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	pc.RestoreParams(flat)
-	flatBits(t, "after rollback", a, b)
-	step() // momentum was reset on both sides, or the weights part here
-	flatBits(t, "one step after rollback", a, b)
 }

@@ -140,16 +140,22 @@ func (s *Standardized) Restore(snapshot []byte) error {
 	return nil
 }
 
-// Clone returns an independent deep copy.
-func (s *Standardized) Clone() Model {
-	c := &Standardized{
-		inner: s.inner.Clone(),
-		dim:   s.dim,
-		count: s.count,
-		mean:  append([]float64(nil), s.mean...),
-		m2:    append([]float64(nil), s.m2...),
-	}
-	return c
+// AppendParams appends the scaler (count, then mean and m2 per feature)
+// followed by the inner model's parameters: everything Restore brings back.
+func (s *Standardized) AppendParams(dst []float64) []float64 {
+	dst = append(dst, s.count)
+	dst = append(dst, s.mean...)
+	dst = append(dst, s.m2...)
+	return s.inner.AppendParams(dst)
+}
+
+// RestoreParams loads a copy AppendParams made: the scaler as it stood, then
+// the inner model's parameters (resetting its optimizer).
+func (s *Standardized) RestoreParams(flat []float64) {
+	s.count = flat[0]
+	copy(s.mean, flat[1:1+s.dim])
+	copy(s.m2, flat[1+s.dim:1+2*s.dim])
+	s.inner.RestoreParams(flat[1+2*s.dim:])
 }
 
 // frozenStd is a Standardized model's read-only view: the scaler as it stood,

@@ -145,16 +145,12 @@ func TestDropoutValidation(t *testing.T) {
 	NewDropout(1, 1)
 }
 
-func TestDropoutClone(t *testing.T) {
+func TestDropoutShape(t *testing.T) {
 	d := NewDropout(0.3, 1)
-	c := d.clone().(*Dropout)
-	if c.Rate != 0.3 {
-		t.Errorf("clone rate = %v", c.Rate)
-	}
-	if dim, err := c.OutDim(7); err != nil || dim != 7 {
+	if dim, err := d.OutDim(7); err != nil || dim != 7 {
 		t.Errorf("OutDim = %d, %v", dim, err)
 	}
-	if c.Params() != nil {
+	if d.Params() != nil {
 		t.Error("dropout should have no params")
 	}
 }

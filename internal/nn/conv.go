@@ -193,20 +193,6 @@ func (c *Conv1D) OutDim(inDim int) (int, error) {
 	return c.OutChannels * c.outLen(), nil
 }
 
-func (c *Conv1D) clone() Layer {
-	cp := &Conv1D{
-		InChannels:  c.InChannels,
-		OutChannels: c.OutChannels,
-		Kernel:      c.Kernel,
-		Length:      c.Length,
-		w:           newParam(len(c.w.W)),
-		b:           newParam(len(c.b.W)),
-	}
-	copy(cp.w.W, c.w.W)
-	copy(cp.b.W, c.b.W)
-	return cp
-}
-
 // MaxPool1D downsamples each channel of a flat (Channels × Length) input by
 // taking the max over non-overlapping windows of the given size. A trailing
 // partial window is pooled too.
@@ -311,8 +297,4 @@ func (p *MaxPool1D) OutDim(inDim int) (int, error) {
 		return 0, fmt.Errorf("nn: MaxPool1D expects input width %d, got %d", p.Channels*p.Length, inDim)
 	}
 	return p.Channels * p.outLen(), nil
-}
-
-func (p *MaxPool1D) clone() Layer {
-	return &MaxPool1D{Channels: p.Channels, Length: p.Length, Window: p.Window}
 }

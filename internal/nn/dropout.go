@@ -77,7 +77,3 @@ func (d *Dropout) Params() []*Param { return nil }
 
 // OutDim returns inDim unchanged.
 func (d *Dropout) OutDim(inDim int) (int, error) { return inDim, nil }
-
-func (d *Dropout) clone() Layer {
-	return &Dropout{Rate: d.Rate, training: d.training, rng: rand.New(rand.NewSource(d.rng.Int63()))}
-}

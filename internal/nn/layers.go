@@ -48,9 +48,6 @@ type Layer interface {
 	// OutDim returns the per-sample output width given the input width, or
 	// an error if the layer cannot accept that width.
 	OutDim(inDim int) (int, error)
-	// clone returns a deep copy with independent parameter storage (scratch
-	// buffers are not copied; they reallocate lazily).
-	clone() Layer
 }
 
 // paramBackwarder is implemented by layers whose Backward separates into
@@ -179,13 +176,6 @@ func (d *Dense) OutDim(inDim int) (int, error) {
 	return d.Out, nil
 }
 
-func (d *Dense) clone() Layer {
-	c := &Dense{In: d.In, Out: d.Out, w: newParam(d.In * d.Out), b: newParam(d.Out)}
-	copy(c.w.W, d.w.W)
-	copy(c.b.W, d.b.W)
-	return c
-}
-
 // ReLU applies max(0, x) element-wise, in place.
 type ReLU struct {
 	y *linalg.Tensor // the forward tensor, now holding the output; gates Backward
@@ -221,8 +211,6 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // OutDim returns inDim unchanged.
 func (r *ReLU) OutDim(inDim int) (int, error) { return inDim, nil }
-
-func (r *ReLU) clone() Layer { return &ReLU{} }
 
 // Sigmoid applies 1/(1+e^(−x)) element-wise, in place.
 type Sigmoid struct {
@@ -263,5 +251,3 @@ func (s *Sigmoid) Params() []*Param { return nil }
 
 // OutDim returns inDim unchanged.
 func (s *Sigmoid) OutDim(inDim int) (int, error) { return inDim, nil }
-
-func (s *Sigmoid) clone() Layer { return &Sigmoid{} }

@@ -68,15 +68,11 @@ func NewNetwork(inDim, numClasses int, layers ...Layer) (*Network, error) {
 	if dim != numClasses {
 		return nil, fmt.Errorf("nn: network output width %d, want %d classes", dim, numClasses)
 	}
-	return newNetwork(layers, inDim, numClasses), nil
-}
-
-func newNetwork(layers []Layer, inDim, numClasses int) *Network {
 	n := &Network{layers: layers, inDim: inDim, numClasses: numClasses}
 	for _, l := range layers {
 		n.params = append(n.params, l.Params()...)
 	}
-	return n
+	return n, nil
 }
 
 // InDim returns the expected input width.
@@ -295,16 +291,6 @@ func (n *Network) NumParams() int {
 		total += len(p.W)
 	}
 	return total
-}
-
-// Clone returns a deep copy of the network with independent parameters.
-// Scratch buffers are not copied; the clone allocates its own lazily.
-func (n *Network) Clone() *Network {
-	layers := make([]Layer, len(n.layers))
-	for i, l := range n.layers {
-		layers[i] = l.clone()
-	}
-	return newNetwork(layers, n.inDim, n.numClasses)
 }
 
 // FlattenGrads copies all parameter gradients into one flat vector (the

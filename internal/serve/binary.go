@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -115,7 +114,10 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 		var err error
 		scratch, err = wire.ReadFrame(br, f, scratch, int(s.maxBody))
 		if err != nil {
-			if err == io.EOF || s.closing.Load() {
+			// Only a started frame is the client's error. Between frames an
+			// EOF, a reset or the read deadline of an idle connection just
+			// ends it: nothing to answer, nothing to count.
+			if !errors.Is(err, wire.ErrMalformed) && !errors.Is(err, wire.ErrTooLarge) || s.closing.Load() {
 				return
 			}
 			status := http.StatusBadRequest

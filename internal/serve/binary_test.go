@@ -356,3 +356,51 @@ func TestServeBinaryListener(t *testing.T) {
 		t.Fatal("ServeBinary did not return after listener close")
 	}
 }
+
+// TestBinaryIdleConnectionClosesSilently: a read deadline that expires
+// between frames is an idle client, not a malformed frame — the connection
+// closes with no error frame and nothing is counted as a reject.
+func TestBinaryIdleConnectionClosesSilently(t *testing.T) {
+	s, ts := testServerOpts(t, WithBinaryReadTimeout(50*time.Millisecond))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.ServeBinary(ln) }()
+	defer func() {
+		ln.Close()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	req := batchReq(rand.New(rand.NewSource(32)), 8, true)
+	frame, err := wire.AppendStreamFrame(nil, "idle-stream", wire.Float64, req.X, req.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var out ProcessResponse
+	if err := json.Unmarshal(readPrefixed(t, br), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Predictions) != 8 {
+		t.Fatalf("response %+v", out)
+	}
+
+	time.Sleep(150 * time.Millisecond) // three read deadlines' worth of idling
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if b, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("idle connection: read %q, %v; want EOF with no error frame", b, err)
+	}
+	if n := getStats(t, ts.URL).HTTPRejects; n != 0 {
+		t.Errorf("http_rejects = %d after an idle close, want 0", n)
+	}
+}

@@ -224,3 +224,138 @@ func TestPprofOptIn(t *testing.T) {
 		t.Errorf("pprof with opt-in: status %d, want 200", rec.Code)
 	}
 }
+
+// obsDriftBatch is two separable Gaussian classes centred at (cx, cy) in a
+// 3-feature space: the core tests' drifting stream.
+func obsDriftBatch(rng *rand.Rand, n int, cx, cy float64) ProcessRequest {
+	req := ProcessRequest{X: make([][]float64, n), Y: make([]int, n)}
+	for i := range req.X {
+		c := rng.Intn(2)
+		req.X[i] = []float64{cx + float64(c)*2 + rng.NormFloat64()*0.3, cy + rng.NormFloat64()*0.3, rng.NormFloat64() * 0.3}
+		req.Y[i] = c
+	}
+	return req
+}
+
+// TestDriftScheduleObservability drives a schedule built to hit every shift
+// pattern — 30 home batches (slight A1/A2, window closes that preserve
+// knowledge), one half-blended batch and 12 far-away ones (sudden B), one
+// return home (reoccurring C) — into the default stream, then 6 batches into
+// stream "alt", and requires the metrics and the decision trace to have seen
+// exactly that: every pattern family counted, per-stream batch counts, both
+// sessions live, and one traced decision per default-stream batch.
+func TestDriftScheduleObservability(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Shift.WarmupPoints = 128
+	s, err := New(cfg, 3, 2, WithTraceCap(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	send := func(path string, req ProcessRequest) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, msg)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 30; i++ {
+		send("/v1/process", obsDriftBatch(rng, 64, 0, 0))
+	}
+	blended, away := obsDriftBatch(rng, 64, 0, 0), obsDriftBatch(rng, 64, 50, 40)
+	copy(blended.X[44:], away.X[44:])
+	copy(blended.Y[44:], away.Y[44:])
+	send("/v1/process", blended)
+	for i := 0; i < 12; i++ {
+		send("/v1/process", obsDriftBatch(rng, 64, 50, 40))
+	}
+	send("/v1/process", obsDriftBatch(rng, 64, 0, 0))
+	for i := 0; i < 6; i++ {
+		send("/v1/streams/alt/process", obsDriftBatch(rng, 64, 0, 0))
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]string{}
+	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			series[name] = value
+		}
+	}
+	pattern := func(p string) string { return series[`freeway_pattern_total{pattern="`+p+`",stream="default"}`] }
+	for _, p := range [][]string{{"A1", "A2"}, {"B"}, {"C"}} {
+		counted := false
+		for _, sub := range p {
+			if v := pattern(sub); v != "" && v != "0" {
+				counted = true
+			}
+		}
+		if !counted {
+			t.Errorf("no %v pattern counted for the default stream", p)
+		}
+	}
+	t.Logf("patterns counted: A1 %s, A2 %s, B %s, C %s", pattern("A1"), pattern("A2"), pattern("B"), pattern("C"))
+	for name, want := range map[string]string{
+		`freeway_batches_total{stream="default"}`: "44",
+		`freeway_batches_total{stream="alt"}`:     "6",
+		"freeway_sessions_active":                 "2",
+	} {
+		if got := series[name]; got != want {
+			t.Errorf("%s = %q, want %s", name, got, want)
+		}
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	families := map[string]bool{}
+	events := 0
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev obs.TraceEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line %d: %v", events+1, err)
+		}
+		if ev.Strategy == "" || len(ev.Stages) == 0 {
+			t.Fatalf("trace event %d has no strategy or no stage timings: %s", ev.Batch, sc.Text())
+		}
+		families[ev.Pattern[:1]] = true
+		events++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if events != 44 {
+		t.Errorf("trace has %d events, want 44", events)
+	}
+	for _, f := range []string{"A", "B", "C"} {
+		if !families[f] {
+			t.Errorf("trace never shows a %s-family pattern (saw %v)", f, families)
+		}
+	}
+}

@@ -95,7 +95,6 @@ type Preserver interface {
 // subset of core.Config; see there for semantics).
 type EnsembleConfig struct {
 	Sigma      float64
-	LongEMA    float64
 	LongEpochs int
 	LongChunk  int
 	LongRebase bool
@@ -327,22 +326,6 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 	}
 	tr.StageDone(StageShortUpdate, tShort)
 
-	// Long-model weight averaging: fold the freshly updated short model
-	// into the long model's EMA and advance its centroid the same way.
-	if e.cfg.LongEMA > 0 && obs.YBar != nil && e.long.Net() != nil {
-		e.mu.Lock()
-		emaParams(e.long, e.grans[0].Model, e.cfg.LongEMA)
-		if e.longCentroid == nil {
-			e.longCentroid = obs.YBar.Clone()
-		} else if len(e.longCentroid) == len(obs.YBar) {
-			for j := range e.longCentroid {
-				e.longCentroid[j] = e.cfg.LongEMA*e.longCentroid[j] + (1-e.cfg.LongEMA)*obs.YBar[j]
-			}
-		}
-		e.longVer++
-		e.mu.Unlock()
-	}
-
 	// Long model via the adaptive streaming window. During detector warm-up
 	// there is no projected centroid yet, so the window starts afterward.
 	if obs.YBar == nil {
@@ -417,7 +400,7 @@ func (e *Ensemble) updateLong(obs shift.Observation, tr Trace) error {
 			}
 			e.pre.Start()
 		} else if len(trainX) > 0 {
-			if e.cfg.LongRebase && e.cfg.LongEMA == 0 {
+			if e.cfg.LongRebase {
 				if err := e.long.Restore(shortSnap); err != nil {
 					return err
 				}
@@ -443,9 +426,7 @@ func (e *Ensemble) updateLong(obs shift.Observation, tr Trace) error {
 				e.deps.OnRecovery(*ev)
 			}
 		}
-		// With EMA averaging the centroid is maintained per batch and is
-		// fresher than the window distribution.
-		if distribution != nil && e.cfg.LongEMA == 0 {
+		if distribution != nil {
 			e.longCentroid = distribution
 		}
 		if e.preserver == nil {
@@ -606,20 +587,6 @@ func (e *Ensemble) ImportState(st EnsembleState) error {
 		e.pre.Start()
 	}
 	return nil
-}
-
-// emaParams folds src's weights into dst: dst = decay·dst + (1−decay)·src.
-// Both models must share an architecture. Callers hold e.mu.
-func emaParams(dst, src model.Model, decay float64) {
-	dp := dst.Net().Params()
-	sp := src.Net().Params()
-	for i := range dp {
-		dw, sw := dp[i].W, sp[i].W
-		for j := range dw {
-			dw[j] = decay*dw[j] + (1-decay)*sw[j]
-		}
-	}
-	dst.Net().InvalidateForward()
 }
 
 // argmaxRows maps per-sample class distributions to hard labels.

@@ -142,8 +142,12 @@ func TestEnsembleForwardReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"external EMA write": func(t *testing.T, e *Ensemble) {
-			emaParams(e.ShortModel(), e.long, 0.9)
+		"external parameter write": func(t *testing.T, e *Ensemble) {
+			net := e.ShortModel().Net() // what the Alink baseline's shrinkage does
+			for _, p := range net.Params() {
+				p.W[0] *= 0.5
+			}
+			net.InvalidateForward()
 		},
 	}
 	for name, disturb := range disturbances {

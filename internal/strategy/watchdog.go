@@ -59,12 +59,9 @@ func (w WatchdogConfig) Validate() error {
 // cannot recover from on its own.
 type Watchdog struct {
 	name string
-	// The last healthy parameters: flat, in a buffer reused across updates,
-	// for a model that can copy them (model.ParamCopier — the network
-	// families); its Snapshot bytes otherwise. Both nil until the first
-	// Retain.
+	// The last healthy parameters (model.AppendParams), in a buffer reused
+	// across updates; nil until the first Retain.
 	flat []float64
-	snap []byte
 
 	meanLoss   float64 // EMA of healthy batch losses
 	updates    int
@@ -103,21 +100,17 @@ func (w *Watchdog) Retain(m model.Model) {
 	if w == nil {
 		return
 	}
-	if pc, ok := m.(model.ParamCopier); ok {
-		w.flat = pc.AppendParams(w.flat[:0])
-	} else if snap, err := m.Snapshot(); err == nil {
-		w.snap = snap
-	}
+	w.flat = m.AppendParams(w.flat[:0])
 }
 
 // rollback restores the retained parameters (and resets the optimizer, as
 // Restore does) and reports whether it could.
 func (w *Watchdog) rollback(m model.Model) bool {
-	if pc, ok := m.(model.ParamCopier); ok && w.flat != nil {
-		pc.RestoreParams(w.flat)
-		return true
+	if w.flat == nil {
+		return false
 	}
-	return w.snap != nil && m.Restore(w.snap) == nil
+	m.RestoreParams(w.flat)
+	return true
 }
 
 // Check inspects the model right after an update. loss is the update's
@@ -130,7 +123,7 @@ func (w *Watchdog) Check(m model.Model, loss float64, batch int) *RecoveryEvent 
 	switch {
 	case math.IsNaN(loss) || math.IsInf(loss, 0):
 		reason = "non-finite loss"
-	case m.Net() != nil && !m.Net().ParamsFinite():
+	case !m.Net().ParamsFinite():
 		reason = "non-finite weights"
 	case loss >= 0 && w.updates >= w.minUpdates && loss > w.lossFactor*(w.meanLoss+1e-6):
 		reason = "loss explosion"

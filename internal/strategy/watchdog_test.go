@@ -71,10 +71,11 @@ func TestWatchdogFlatCopy(t *testing.T) {
 	off.Retain(m) // a disabled watchdog retains nothing and does not panic
 }
 
-// TestWatchdogSnapshotFallback: a model that cannot copy its parameters flat
-// (the gradient-free families, the Standardized wrapper) keeps the
-// Snapshot/Restore path.
-func TestWatchdogSnapshotFallback(t *testing.T) {
+// TestWatchdogStandardizedFlatCopy: the Standardized wrapper's flat copy
+// carries its scaler, so it rolls back through the same allocation-free path
+// as a bare network, and the rollback restores the scaler's count, means and
+// squared deviations and the inner weights bit for bit.
+func TestWatchdogStandardizedFlatCopy(t *testing.T) {
 	std, err := model.NewStandardized(trainedMLP(t, 42, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -88,18 +89,31 @@ func TestWatchdogSnapshotFallback(t *testing.T) {
 	if ev := w.Check(std, 0.5, 1); ev != nil {
 		t.Fatalf("healthy update flagged: %+v", ev)
 	}
+	healthy := std.AppendParams(nil)
 	want := std.Predict(b.X)
+	if allocs := testing.AllocsPerRun(20, func() { w.Check(std, 0.5, 2) }); allocs != 0 {
+		t.Errorf("a warm healthy Check allocates %.0f times, want 0", allocs)
+	}
 	b2, _ := reuseBatch(rng)
 	if _, err := std.Fit(b2.X, b2.Y); err != nil { // moves weights and scaler
 		t.Fatal(err)
 	}
+	if moved := std.AppendParams(nil); moved[0] == healthy[0] {
+		t.Fatal("the second Fit did not move the scaler: the test is vacuous")
+	}
 	poison(std)
-	if ev := w.Check(std, 0.5, 2); ev == nil || !ev.RolledBack {
+	if ev := w.Check(std, 0.5, 3); ev == nil || !ev.RolledBack {
 		t.Fatalf("event = %+v, want a rollback", ev)
+	}
+	got := std.AppendParams(nil)
+	for i := range healthy {
+		if math.Float64bits(got[i]) != math.Float64bits(healthy[i]) {
+			t.Fatalf("value %d after rollback = %v, last healthy was %v (scaler first, then weights)", i, got[i], healthy[i])
+		}
 	}
 	for i, p := range std.Predict(b.X) {
 		if p != want[i] {
-			t.Fatal("rollback did not restore the wrapper's scaler and weights")
+			t.Fatal("rollback did not restore the wrapper's predictions")
 		}
 	}
 }

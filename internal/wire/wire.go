@@ -267,6 +267,22 @@ func (f *Frame) DecodeInto(buf []byte) error {
 	return nil
 }
 
+// FrameTraceparent returns the trace context a frame embeds ("" when it
+// carries none or its header does not parse) without decoding the payload —
+// what a proxy reads to join the trace of a request traced in-band.
+func FrameTraceparent(buf []byte) string {
+	if len(buf) < HeaderSize || [4]byte(buf[0:4]) != magic || buf[4] != VersionTrace ||
+		binary.LittleEndian.Uint16(buf[6:8])&FlagTrace == 0 {
+		return ""
+	}
+	start := HeaderSize + int(binary.LittleEndian.Uint16(buf[8:10]))
+	end := start + int(binary.LittleEndian.Uint16(buf[10:12]))
+	if end-start > MaxTraceLen || end > len(buf) {
+		return ""
+	}
+	return string(buf[start:end])
+}
+
 // EncodedSize returns the frame byte length (without the stream length
 // prefix) for the given shape.
 func EncodedSize(idLen, rows, cols int, dtype byte, labeled bool) int {
@@ -387,14 +403,16 @@ func AppendStreamFrameTrace(dst []byte, id, traceparent string, dtype byte, x []
 
 // ReadFrame reads one length-prefixed frame from r into f, using scratch as
 // the reusable frame buffer (returned possibly grown — pass it back in).
-// A clean EOF before the first prefix byte returns io.EOF; a frame longer
-// than maxFrame returns an error wrapping ErrTooLarge without consuming the
-// payload, so the caller can answer and close.
+// A read error before the first prefix byte is returned as it came — io.EOF
+// at a clean end, a read deadline's timeout on an idle connection: no frame
+// was started, so nothing is malformed. A frame longer than maxFrame returns
+// an error wrapping ErrTooLarge without consuming the payload, so the caller
+// can answer and close.
 func ReadFrame(r io.Reader, f *Frame, scratch []byte, maxFrame int) ([]byte, error) {
 	var pfx [4]byte
-	if _, err := io.ReadFull(r, pfx[:]); err != nil {
-		if err == io.EOF {
-			return scratch, io.EOF
+	if n, err := io.ReadFull(r, pfx[:]); err != nil {
+		if n == 0 {
+			return scratch, err
 		}
 		return scratch, fmt.Errorf("%w: short length prefix: %v", ErrMalformed, err)
 	}

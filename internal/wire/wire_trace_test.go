@@ -178,3 +178,33 @@ func TestWarmTraceDecodeAllocs(t *testing.T) {
 		t.Fatalf("warm traced decode allocates %v times, want 0", allocs)
 	}
 }
+
+// TestFrameTraceparentPeeksHeader: the header peek returns exactly what a
+// full decode puts in Frame.Traceparent, and "" for an untraced frame or a
+// header that does not parse.
+func TestFrameTraceparentPeeksHeader(t *testing.T) {
+	x, y := [][]float64{{1, 2, 3}}, []int{1}
+	traced, err := AppendFrameTrace(nil, "orders", testTraceparent, Float32, x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := AppendFrame(nil, "orders", Float64, x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want string
+	}{
+		{"traced", traced, testTraceparent},
+		{"version 1", plain, ""},
+		{"cut inside the trace context", traced[:HeaderSize+len("orders")+10], ""},
+		{"shorter than a header", traced[:HeaderSize-1], ""},
+		{"not a frame", []byte(`{"x":[[1,2,3]],"y":[1]}`), ""},
+	} {
+		if got := FrameTraceparent(tc.buf); got != tc.want {
+			t.Errorf("%s: FrameTraceparent = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
