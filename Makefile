@@ -34,11 +34,15 @@ fmt:
 # The golden decision-bits test and the kernels' differential tests at three
 # GOMAXPROCS values: the GEMM fan-out partition depends on it and must never
 # change a bit — nor may the choice between the assembly bodies and the Go
-# loops.
+# loops. Then ExpInto, LogInto and the softmax against math with math.Exp's
+# FMA body switched off: on an FMA machine that is the only way to check that
+# the probe then rejects the FMA replica and ExpInto is math.Exp's own loop.
+# (Not the golden hashes: their constants are an FMA host's.)
 golden:
 	$(GO) test -cpu 1,2,4 -run Golden ./internal/core
 	$(GO) test -tags purego -cpu 1,2,4 -run Golden ./internal/core
 	$(GO) test -cpu 1,2,4 -run 'Gemm|Kernel' ./internal/linalg
+	GODEBUG=cpu.fma=off $(GO) test -run 'Exp|Log|Softmax' ./internal/linalg ./internal/nn
 
 # internal/dist runs three times over: its connection pool and the
 # kill-and-restart-under-load test are concurrent code, and a flaky

@@ -1,0 +1,107 @@
+package linalg
+
+import "math"
+
+// The class head's element-wise kernels: Exp and Log over a whole slab, and
+// the divisions that normalize it (DESIGN.md, "The class head").
+
+// ExpInto sets dst[i] = math.Exp(src[i]), bit for bit, for every i. dst and
+// src have the same length and are the same slice or do not overlap. With AVX2
+// and FMA, and where math.Exp runs its FMA body, four lanes at a time run a
+// replica of that body; a group of four in which a lane would
+// take one of math.Exp's branches (an argument that is not finite or is above
+// Overflow, a result outside the normal range) goes through math.Exp, and so
+// does every element past the last whole group.
+func ExpInto(dst, src []float64) { byGroups(dst, src, expBody, math.Exp) }
+
+// LogInto sets dst[i] = math.Log(src[i]), bit for bit, for every i, on the
+// terms of ExpInto: four lanes of math.Log's amd64 body, and math.Log itself
+// for a group with a lane that is ≤ 0, infinite or NaN, and for the tail.
+func LogInto(dst, src []float64) { byGroups(dst, src, logBody, math.Log) }
+
+// byGroups runs the kernel body over the leading 4·⌊n/4⌋ elements and f over
+// the groups it stops in front of and the elements past them. A nil body (no
+// AVX2, or no replica that agrees with math here) leaves everything to f.
+func byGroups(dst, src []float64, body groupKernel, f func(float64) float64) {
+	mustSameLen(dst, src)
+	n := 0
+	if body != nil {
+		n = simdCols(len(src))
+	}
+	for i := 0; i < n; {
+		i += body(dst[i:n], src[i:n])
+		for end := min(i+4, n); i < end; i++ {
+			dst[i] = f(src[i])
+		}
+	}
+	for i := n; i < len(src); i++ {
+		dst[i] = f(src[i])
+	}
+}
+
+// DivScalar divides every element of dst by s.
+func DivScalar(dst []float64, s float64) {
+	j := simdCols(len(dst))
+	if j > 0 {
+		divScalarAVX2(dst[:j], s)
+	}
+	for i := j; i < len(dst); i++ {
+		dst[i] /= s
+	}
+}
+
+// groupKernel is an assembly body of ExpInto or LogInto: it writes dst from
+// src four lanes at a time and returns how many elements it wrote — all of
+// them, or up to the first group of four that needs math.
+type groupKernel func(dst, src []float64) int
+
+// The bodies ExpInto and LogInto run, or nil for math's own loop. They are
+// chosen by asking math, not the CPU: math.Exp has an FMA body and a plain
+// one and picks between them from its own view of the CPU, which
+// GODEBUG=cpu.fma=off overrides where CPUID does not. Only the FMA body is
+// replicated, and it is kept only if it gives math's bits on every probe
+// argument; the probe separates it from the plain body
+// (TestExpLogBodiesChosen), so where math.Exp runs the plain one the probe
+// rejects the replica and ExpInto is math.Exp's loop.
+var (
+	expBody = pickBody(math.Exp, expProbe(), expFMA, useAVX2 && hasFMA())
+	logBody = pickBody(math.Log, logProbe(), logAVX2, useAVX2)
+)
+
+// pickBody returns body if this CPU can run it and it gives f's bits for
+// every element of probe, or nil.
+func pickBody(f func(float64) float64, probe []float64, body groupKernel, canRun bool) groupKernel {
+	if !canRun {
+		return nil
+	}
+	got := make([]float64, len(probe))
+	if body(got, probe) != len(probe) {
+		return nil
+	}
+	for i, x := range probe {
+		if math.Float64bits(got[i]) != math.Float64bits(f(x)) {
+			return nil
+		}
+	}
+	return body
+}
+
+// expProbe is 64 arguments from −66 to 21, the range a softmax feeds Exp,
+// every one on the straight-line path of math.Exp's two bodies.
+func expProbe() []float64 {
+	xs := make([]float64, 64)
+	for i := range xs {
+		xs[i] = float64(i-48)*1.37 + 0.1234567
+	}
+	return xs
+}
+
+// logProbe is 64 positive normal arguments from about 1e-12, the loss's
+// floor, to about 350, on both sides of √2/2 within their binades.
+func logProbe() []float64 {
+	xs := make([]float64, 64)
+	for i := range xs {
+		xs[i] = math.Pow(1.7, float64(i-52)) * 1.0123
+	}
+	return xs
+}

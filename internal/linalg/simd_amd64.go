@@ -23,3 +23,19 @@ func reluAVX2(x []float64)
 
 //go:noescape
 func reluGateAVX2(g, y []float64)
+
+// hasFMA reports CPUID's FMA bit: whether expFMA can run here at all, not
+// whether it matches math.Exp (elementwise.go asks math that).
+func hasFMA() bool
+
+// The Exp and Log kernels (explog_amd64.s) return how many elements they
+// wrote: all of them, or up to the first group of four that needs math.
+
+//go:noescape
+func expFMA(dst, src []float64) int
+
+//go:noescape
+func logAVX2(dst, src []float64) int
+
+//go:noescape
+func divScalarAVX2(dst []float64, s float64)

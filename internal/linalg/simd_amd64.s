@@ -433,3 +433,24 @@ gateloop:
 	JLT      gateloop
 	VZEROUPPER
 	RET
+
+// func divScalarAVX2(dst []float64, s float64)
+// dst[j] /= s for j < len(dst), a multiple of 4. VDIVPD is IEEE division,
+// the scalar DIVSD four times over.
+TEXT ·divScalarAVX2(SB), NOSPLIT, $0-32
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	VBROADCASTSD s+24(FP), Y1
+	SHLQ         $3, CX
+	XORQ         AX, AX
+divsloop:
+	CMPQ    AX, CX
+	JGE     divsdone
+	VMOVUPD (DI)(AX*1), Y0
+	VDIVPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     divsloop
+divsdone:
+	VZEROUPPER
+	RET

@@ -412,14 +412,14 @@ func TestNaNAndInfPropagateAsInTheOracle(t *testing.T) {
 }
 
 // TestWarmKernelsDoNotAllocate: below the fan-out cutoff every form, with and
-// without accumulation, and the two row operations run without a single
-// allocation, on both paths.
+// without accumulation, the two row operations and the class head's
+// element-wise kernels run without a single allocation, on both paths.
 func TestWarmKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const m, k, n = 37, 13, 21
 	a, at := randTensor(rng, m, k), randTensor(rng, k, m)
 	b, bt := randTensor(rng, k, n), randTensor(rng, n, k)
-	c, v := NewTensor(m, n), normals(rng, n)
+	c, v, x := NewTensor(m, n), normals(rng, n), normals(rng, m*n)
 	onBothPaths(t, func(t *testing.T) {
 		for name, f := range map[string]func(){
 			"Gemm": func() { Gemm(c, a, b) }, "GemmAdd": func() { GemmAdd(c, a, b) },
@@ -427,6 +427,9 @@ func TestWarmKernelsDoNotAllocate(t *testing.T) {
 			"GemmTB": func() { GemmTB(c, a, bt) }, "GemmTBAdd": func() { GemmTBAdd(c, a, bt) },
 			"GemmBias": func() { GemmBias(c, a, b, v) }, "AddToRows": func() { c.AddToRows(v) },
 			"SumRowsInto": func() { c.SumRowsInto(v) },
+			"ExpInto":     func() { ExpInto(c.Data, x) },
+			"LogInto":     func() { LogInto(c.Data, c.Data) },
+			"DivScalar":   func() { DivScalar(c.Data, 3) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 				t.Errorf("warm %s allocates %.1f times, want 0", name, allocs)

@@ -95,9 +95,15 @@ func (t *Tensor) FromRows(rows [][]float64, cols int) {
 func (t *Tensor) ToRows() [][]float64 {
 	flat := make([]float64, len(t.Data))
 	copy(flat, t.Data)
+	return TensorView(flat, t.Rows, t.Cols).RowViews()
+}
+
+// RowViews returns the rows of t as slices of its own storage, each capped at
+// its end so an append cannot run into the next: one allocation, the headers.
+func (t *Tensor) RowViews() [][]float64 {
 	out := make([][]float64, t.Rows)
 	for i := range out {
-		out[i] = flat[i*t.Cols : (i+1)*t.Cols : (i+1)*t.Cols]
+		out[i] = t.Data[i*t.Cols : (i+1)*t.Cols : (i+1)*t.Cols]
 	}
 	return out
 }
@@ -143,14 +149,15 @@ func (t *Tensor) mustBeRow(v []float64, op string) {
 	}
 }
 
-// Axpy computes y[i] += a*x[i]. It panics if the lengths differ.
+// Axpy computes y[i] += a*x[i], the product rounded before the sum. It
+// panics if the lengths differ. It is GemmAdd of the 1×1 matrix a and the
+// row x into the row y, through the same kernels.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("linalg: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
-	for i, xv := range x {
-		y[i] += a * xv
-	}
+	coef := [1]float64{a}
+	gemmAxpyRows(y, coef[:], x, nil, 1, len(y), 0, 1, 1, 1, true)
 }
 
 // parallelFlopCutoff is the mul-add count above which a kernel fans out

@@ -273,14 +273,37 @@ func TestTensorRowsRoundtrip(t *testing.T) {
 	}
 }
 
+// TestAxpy: y[i] += a·x[i] with the product rounded, over lengths 0–33 on
+// both paths, a special value in one of y, x or a per element.
 func TestAxpy(t *testing.T) {
 	y := []float64{1, 2, 3}
 	Axpy(2, []float64{10, 20, 30}, y)
-	want := []float64{21, 42, 63}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("Axpy = %v, want %v", y, want)
+	if want := []float64{21, 42, 63}; y[0] != want[0] || y[1] != want[1] || y[2] != want[2] {
+		t.Fatalf("Axpy = %v, want %v", y, want)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for n := 0; n <= 33; n++ {
+		x, y := normals(rng, n), normals(rng, n)
+		a := rng.NormFloat64()
+		if n%3 == 2 {
+			a = specials[n%len(specials)]
 		}
+		for i := 0; i < n && n%3 != 2; i++ {
+			if s := specials[(i+n)%len(specials)]; i%2 == 0 {
+				x[i] = s
+			} else {
+				y[i] = s
+			}
+		}
+		want := append([]float64(nil), y...)
+		for i := range want {
+			want[i] += float64(a * x[i])
+		}
+		eachPath(func(path string) {
+			got := offset(y, 1)
+			Axpy(a, offset(x, 3), got)
+			sameBits(t, fmt.Sprintf("Axpy n=%d path=%s", n, path), got, want)
+		})
 	}
 }
 

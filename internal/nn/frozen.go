@@ -51,8 +51,6 @@ func (f *Frozen) ProbaInto(ws *Workspace, x *linalg.Tensor) *linalg.Tensor {
 		h, p = l.infer(ws, p, h)
 	}
 	// The logits are workspace scratch nobody trains on: softmax in place.
-	for i := 0; i < h.Rows; i++ {
-		softmaxInto(h.Row(i), h.Row(i))
-	}
+	softmaxRows(h, h)
 	return h
 }

@@ -7,104 +7,88 @@ import (
 	"freewayml/internal/linalg"
 )
 
-// Softmax converts logits into a probability distribution, numerically
-// stabilized by subtracting the row max.
-func Softmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	softmaxInto(out, logits)
-	return out
-}
-
 // crossEntropyEps floors probabilities inside the log so a confident wrong
 // prediction yields a large but finite loss.
 const crossEntropyEps = 1e-12
 
-// SoftmaxCrossEntropy returns the mean cross-entropy loss of the logits
-// against integer labels, plus the gradient of that loss with respect to the
-// logits — the combined softmax+CE backward, (p − onehot)/n. Labels outside
-// [0, numClasses) are an error.
-func SoftmaxCrossEntropy(logits [][]float64, labels []int) (float64, [][]float64, error) {
-	if len(logits) != len(labels) {
-		return 0, nil, fmt.Errorf("nn: %d logit rows vs %d labels", len(logits), len(labels))
-	}
-	if len(logits) == 0 {
-		return 0, nil, fmt.Errorf("nn: empty batch")
-	}
-	n := float64(len(logits))
-	grads := make([][]float64, len(logits))
-	var loss float64
-	for i, row := range logits {
-		y := labels[i]
-		if y < 0 || y >= len(row) {
-			return 0, nil, fmt.Errorf("nn: label %d outside [0,%d)", y, len(row))
+// softmaxRows writes the softmax of every row of logits into dst, which has
+// logits' shape and may be logits itself: each row's maximum subtracted from
+// it, one ExpInto over the whole rows×classes slab, then each row summed in
+// ascending order and divided by its sum. Element for element that is the
+// per-row softmax's own sequence of operations, so the bits are its bits. A
+// row whose exponentials sum to zero — every logit −Inf — comes out uniform.
+func softmaxRows(dst, logits *linalg.Tensor) {
+	c := logits.Cols
+	z := dst.Data
+	for r := 0; r < logits.Rows; r++ {
+		row := logits.Data[r*c : (r+1)*c]
+		maxv := math.Inf(-1)
+		for _, v := range row {
+			if v > maxv {
+				maxv = v
+			}
 		}
-		p := Softmax(row)
-		loss += -math.Log(math.Max(p[y], crossEntropyEps))
-		g := make([]float64, len(row))
+		if maxv == math.Inf(-1) {
+			maxv = 0 // every logit −Inf (or NaN): −Inf − −Inf would be NaN, −Inf − 0 is −Inf
+		}
+		for j, v := range row {
+			z[r*c+j] = v - maxv
+		}
+	}
+	linalg.ExpInto(z, z)
+	for r := 0; r < logits.Rows; r++ {
+		row := z[r*c : (r+1)*c]
+		var sum float64
+		for _, e := range row {
+			sum += e
+		}
+		if sum == 0 {
+			u := 1 / float64(c)
+			for j := range row {
+				row[j] = u
+			}
+			continue
+		}
 		for j := range row {
-			g[j] = p[j] / n
+			row[j] /= sum
 		}
-		g[y] -= 1 / n
-		grads[i] = g
-	}
-	return loss / n, grads, nil
-}
-
-// softmaxInto writes the softmax of logits into out (same length),
-// numerically stabilized by subtracting the row max. It is the
-// allocation-free core shared by Softmax and the tensor loss.
-func softmaxInto(out, logits []float64) {
-	maxv := math.Inf(-1)
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for i, v := range logits {
-		e := math.Exp(v - maxv)
-		out[i] = e
-		sum += e
-	}
-	if sum == 0 {
-		// Degenerate logits (all -Inf); fall back to uniform.
-		u := 1 / float64(len(out))
-		for i := range out {
-			out[i] = u
-		}
-		return
-	}
-	for i := range out {
-		out[i] /= sum
 	}
 }
 
-// softmaxCrossEntropyT is the tensor/core form of SoftmaxCrossEntropy: it
-// returns the mean loss and writes the logit gradient (p − onehot)/n into
-// grad, which must be pre-shaped to match logits. Softmax probabilities are
-// computed directly into the grad rows, so the whole loss head allocates
-// nothing.
-func softmaxCrossEntropyT(logits *linalg.Tensor, labels []int, grad *linalg.Tensor) (float64, error) {
+// softmaxCrossEntropyT returns the mean softmax cross-entropy of the logits
+// against integer labels and writes its gradient with respect to the logits,
+// (p − onehot)/n, into grad, which must be pre-shaped to match logits. The
+// probabilities are computed directly into grad (softmaxRows); the labels'
+// floored probabilities are gathered one per row into logp, which holds at
+// least one float per row, and go through one LogInto, and the gradient is
+// divided by n in one packed pass. Labels outside [0, classes) are an error.
+func softmaxCrossEntropyT(logits *linalg.Tensor, labels []int, grad *linalg.Tensor, logp []float64) (float64, error) {
 	if logits.Rows != len(labels) {
 		return 0, fmt.Errorf("nn: %d logit rows vs %d labels", logits.Rows, len(labels))
 	}
 	if logits.Rows == 0 {
 		return 0, fmt.Errorf("nn: empty batch")
 	}
-	n := float64(logits.Rows)
+	c := logits.Cols
+	for _, y := range labels {
+		if y < 0 || y >= c {
+			return 0, fmt.Errorf("nn: label %d outside [0,%d)", y, c)
+		}
+	}
+	softmaxRows(grad, logits)
+	logp = logp[:len(labels)]
+	for i, y := range labels {
+		logp[i] = math.Max(grad.Data[i*c+y], crossEntropyEps)
+	}
+	linalg.LogInto(logp, logp)
 	var loss float64
-	for i := 0; i < logits.Rows; i++ {
-		y := labels[i]
-		if y < 0 || y >= logits.Cols {
-			return 0, fmt.Errorf("nn: label %d outside [0,%d)", y, logits.Cols)
-		}
-		g := grad.Row(i)
-		softmaxInto(g, logits.Row(i))
-		loss += -math.Log(math.Max(g[y], crossEntropyEps))
-		for j := range g {
-			g[j] /= n
-		}
-		g[y] -= 1 / n
+	for _, l := range logp {
+		loss += -l
+	}
+	n := float64(logits.Rows)
+	linalg.DivScalar(grad.Data, n)
+	for i, y := range labels {
+		grad.Data[i*c+y] -= 1 / n
 	}
 	return loss / n, nil
 }

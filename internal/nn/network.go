@@ -24,6 +24,7 @@ type Network struct {
 
 	xBuf    *linalg.Tensor // staging copy of the caller's batch
 	gradBuf *linalg.Tensor // loss-head gradient scratch
+	logpBuf *linalg.Tensor // loss-head scratch: the labels' logs, one per row
 
 	// Forward reuse (TrainForwarded): logits is the last forward's output,
 	// fwdSeq numbers the forward passes, and fwd is the number of the pass
@@ -149,11 +150,7 @@ func (n *Network) Predict(x [][]float64) []int {
 func (n *Network) PredictProba(x [][]float64) [][]float64 {
 	var p linalg.Tensor
 	n.ProbaInto(&p, x)
-	out := make([][]float64, p.Rows)
-	for i := range out {
-		out[i] = p.Data[i*p.Cols : (i+1)*p.Cols : (i+1)*p.Cols]
-	}
-	return out
+	return p.RowViews()
 }
 
 // ProbaInto is PredictProba into dst, reshaped to len(x) × NumClasses (its
@@ -162,9 +159,13 @@ func (n *Network) PredictProba(x [][]float64) [][]float64 {
 func (n *Network) ProbaInto(dst *linalg.Tensor, x [][]float64) {
 	logits := n.forwardT(n.stage(x))
 	linalg.EnsureTensor(dst, logits.Rows, logits.Cols)
-	for i := 0; i < logits.Rows; i++ {
-		softmaxInto(dst.Row(i), logits.Row(i))
-	}
+	softmaxRows(dst, logits)
+}
+
+// logpScratch returns the loss head's scratch, one float per row of logits.
+func (n *Network) logpScratch(logits *linalg.Tensor) []float64 {
+	n.logpBuf = linalg.EnsureTensor(n.logpBuf, logits.Rows, 1)
+	return n.logpBuf.Data
 }
 
 // TrainBatch performs one forward/backward pass and one optimizer step on
@@ -225,7 +226,7 @@ func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 func (n *Network) backward(logits *linalg.Tensor, y []int) (float64, error) {
 	n.InvalidateForward()
 	n.gradBuf = linalg.EnsureTensor(n.gradBuf, logits.Rows, logits.Cols)
-	loss, err := softmaxCrossEntropyT(logits, y, n.gradBuf)
+	loss, err := softmaxCrossEntropyT(logits, y, n.gradBuf, n.logpScratch(logits))
 	if err != nil {
 		return 0, err
 	}
@@ -253,7 +254,7 @@ func (n *Network) Loss(x [][]float64, y []int) (float64, error) {
 	// The gradient write is wasted work here, but it reuses the same scratch
 	// and keeps one loss implementation.
 	n.gradBuf = linalg.EnsureTensor(n.gradBuf, logits.Rows, logits.Cols)
-	return softmaxCrossEntropyT(logits, y, n.gradBuf)
+	return softmaxCrossEntropyT(logits, y, n.gradBuf, n.logpScratch(logits))
 }
 
 // Params returns all learnable parameters, layer by layer. The slice is the

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -198,6 +199,119 @@ func TestTrainingConvergesOnSeparableData(t *testing.T) {
 	}
 }
 
+// softmaxOf runs the slab softmax over literal rows of equal width.
+func softmaxOf(rows ...[]float64) *linalg.Tensor {
+	logits := tensorOf(rows...)
+	p := linalg.NewTensor(logits.Rows, logits.Cols)
+	softmaxRows(p, logits)
+	return p
+}
+
+// softmaxRowRef is the per-row softmax the slab form replaced, kept as its
+// oracle: the row's maximum subtracted, math.Exp and the sum element by
+// element, then each element divided by the sum.
+func softmaxRowRef(out, logits []float64) {
+	maxv := math.Inf(-1)
+	for _, v := range logits {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	if maxv == math.Inf(-1) {
+		maxv = 0
+	}
+	var sum float64
+	for i, v := range logits {
+		e := math.Exp(v - maxv)
+		out[i] = e
+		sum += e
+	}
+	if sum == 0 {
+		for i := range out {
+			out[i] = 1 / float64(len(out))
+		}
+		return
+	}
+	for i := range out {
+		out[i] /= sum
+	}
+}
+
+// crossEntropyRef is the per-row loss head the slab form replaced: the mean
+// of −log max(p[y], ε) and the gradient (p − onehot)/n, row by row.
+func crossEntropyRef(logits *linalg.Tensor, labels []int) (float64, []float64) {
+	n := float64(logits.Rows)
+	grad := make([]float64, len(logits.Data))
+	var loss float64
+	for i, y := range labels {
+		g := grad[i*logits.Cols : (i+1)*logits.Cols]
+		softmaxRowRef(g, logits.Row(i))
+		loss += -math.Log(math.Max(g[y], crossEntropyEps))
+		for j := range g {
+			g[j] /= n
+		}
+		g[y] -= 1 / n
+	}
+	return loss / n, grad
+}
+
+// TestSoftmaxSlabMatchesPerRow: the slab softmax and loss head leave the
+// per-row forms' bits — probabilities, loss and gradient — over 1–9 rows of
+// 1–9 classes, logits from ordinary to overflowing, with −Inf, NaN and huge
+// values in some rows, in place and not.
+func TestSoftmaxSlabMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	specials := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 1e300, -1e300, 800, -800, 0}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d = %v, per-row form %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for rows := 1; rows <= 9; rows++ {
+		for c := 1; c <= 9; c++ {
+			for trial := 0; trial < 8; trial++ {
+				logits := linalg.NewTensor(rows, c)
+				scale := []float64{1, 10, 300, 1e5}[trial%4]
+				for i := range logits.Data {
+					logits.Data[i] = rng.NormFloat64() * scale
+				}
+				if trial >= 4 {
+					logits.Data[rng.Intn(len(logits.Data))] = specials[rng.Intn(len(specials))]
+				}
+				labels := make([]int, rows)
+				for i := range labels {
+					labels[i] = rng.Intn(c)
+				}
+				what := fmt.Sprintf("%d×%d trial %d", rows, c, trial)
+
+				want := make([]float64, len(logits.Data))
+				for i := 0; i < rows; i++ {
+					softmaxRowRef(want[i*c:(i+1)*c], logits.Row(i))
+				}
+				p := linalg.NewTensor(rows, c)
+				softmaxRows(p, logits)
+				same("softmax "+what, p.Data, want)
+				inPlace := linalg.NewTensor(rows, c)
+				inPlace.CopyFrom(logits)
+				softmaxRows(inPlace, inPlace)
+				same("softmax in place "+what, inPlace.Data, want)
+
+				wantLoss, wantGrad := crossEntropyRef(logits, labels)
+				grad := linalg.NewTensor(rows, c)
+				loss, err := softmaxCrossEntropyT(logits, labels, grad, make([]float64, rows))
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("loss "+what, []float64{loss}, []float64{wantLoss})
+				same("gradient "+what, grad.Data, wantGrad)
+			}
+		}
+	}
+}
+
 func TestSoftmaxProperties(t *testing.T) {
 	f := func(raw [5]float64) bool {
 		logits := make([]float64, 5)
@@ -207,7 +321,7 @@ func TestSoftmaxProperties(t *testing.T) {
 			}
 			logits[i] = math.Mod(v, 50)
 		}
-		p := Softmax(logits)
+		p := softmaxOf(make([]float64, 5), logits).Row(1) // a row after the first
 		var sum float64
 		for _, v := range p {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -223,15 +337,15 @@ func TestSoftmaxProperties(t *testing.T) {
 }
 
 func TestSoftmaxStabilityWithHugeLogits(t *testing.T) {
-	p := Softmax([]float64{1000, 1001, 999})
+	p := softmaxOf([]float64{1000, 1001, 999}).Row(0)
 	if math.IsNaN(p[0]) || p[1] < p[0] || p[1] < p[2] {
 		t.Errorf("unstable softmax: %v", p)
 	}
 }
 
 func TestSoftmaxShiftInvariance(t *testing.T) {
-	a := Softmax([]float64{1, 2, 3})
-	b := Softmax([]float64{101, 102, 103})
+	p := softmaxOf([]float64{1, 2, 3}, []float64{101, 102, 103})
+	a, b := p.Row(0), p.Row(1)
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("softmax not shift-invariant: %v vs %v", a, b)
@@ -239,15 +353,34 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 	}
 }
 
+// TestSoftmaxAllNegInfIsUniform: a row with no finite logit has no maximum to
+// shift by and exponentials that sum to zero; it comes out uniform, and the
+// rows around it are untouched by it.
+func TestSoftmaxAllNegInfIsUniform(t *testing.T) {
+	inf := math.Inf(-1)
+	p := softmaxOf([]float64{0, 0, 0, 0}, []float64{inf, inf, inf, inf}, []float64{1, 1, 1, 1})
+	for r := 0; r < 3; r++ {
+		for _, v := range p.Row(r) {
+			if v != 0.25 {
+				t.Fatalf("row %d = %v, want uniform", r, p.Row(r))
+			}
+		}
+	}
+}
+
 func TestCrossEntropyErrors(t *testing.T) {
-	if _, _, err := SoftmaxCrossEntropy([][]float64{{1, 2}}, []int{0, 1}); err == nil {
+	grad := linalg.NewTensor(1, 2)
+	logp := make([]float64, 2)
+	if _, err := softmaxCrossEntropyT(tensorOf([]float64{1, 2}), []int{0, 1}, grad, logp); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, _, err := SoftmaxCrossEntropy(nil, nil); err == nil {
+	if _, err := softmaxCrossEntropyT(linalg.NewTensor(0, 2), nil, linalg.NewTensor(0, 2), nil); err == nil {
 		t.Error("empty batch should error")
 	}
-	if _, _, err := SoftmaxCrossEntropy([][]float64{{1, 2}}, []int{5}); err == nil {
-		t.Error("out-of-range label should error")
+	for _, y := range []int{5, 2, -1} {
+		if _, err := softmaxCrossEntropyT(tensorOf([]float64{1, 2}), []int{y}, grad, logp); err == nil {
+			t.Errorf("label %d of 2 classes should error", y)
+		}
 	}
 }
 

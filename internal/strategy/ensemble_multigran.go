@@ -231,8 +231,8 @@ func (e *Ensemble) Wait() { e.wg.Wait() }
 // InferWarmup predicts with the short model alone — the strategy while the
 // detector has no projected centroid yet.
 func (e *Ensemble) InferWarmup(b stream.Batch) Prediction {
-	proba := e.grans[0].predict(b.X).ToRows()
-	return Prediction{Pred: argmaxRows(proba), Proba: proba}
+	proba := e.grans[0].predict(b.X)
+	return Prediction{Pred: argmaxRows(proba), Proba: proba.ToRows()}
 }
 
 // granMembers appends to dst the fixed-frequency members' predictions for the
@@ -275,7 +275,7 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 		return Prediction{}, false, fmt.Errorf("strategy: ensemble: %w", err)
 	}
 	tr.Weights(weights)
-	return Prediction{Pred: argmaxRows(fused), Proba: fused}, true, nil
+	return Prediction{Pred: argmaxRows(&fused), Proba: fused.RowViews()}, true, nil
 }
 
 // Train updates every granularity model per its schedule, maintains the
@@ -587,13 +587,4 @@ func (e *Ensemble) ImportState(st EnsembleState) error {
 		e.pre.Start()
 	}
 	return nil
-}
-
-// argmaxRows maps per-sample class distributions to hard labels.
-func argmaxRows(proba [][]float64) []int {
-	out := make([]int, len(proba))
-	for i, row := range proba {
-		out[i] = nn.Argmax(row)
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"freewayml/internal/linalg"
+	"freewayml/internal/nn"
 )
 
 // The distance-based adaptive ensemble of paper Eq. 12-14: each member's
@@ -34,24 +35,25 @@ type member struct {
 
 // fuse combines the members' probability outputs per Eq. 14:
 // y = Σ K(Dᵢ,σ)·yᵢ / Σ K(Dᵢ,σ). All members must cover the same samples and
-// classes. The fused rows are freshly allocated (one backing slab) and alias
-// no member. It also returns the normalized weight K(Dᵢ,σ)/ΣK each member
-// received. When every kernel underflows to zero (all distances enormous) the
-// weights fall back to uniform rather than leaving a zero sum to divide by.
-func fuse(members []member, sigma float64) (fused [][]float64, weights []float64, err error) {
+// classes. The fused distributions are one fresh samples × classes slab that
+// aliases no member. It also returns the normalized weight K(Dᵢ,σ)/ΣK each
+// member received. When every kernel underflows to zero (all distances
+// enormous) the weights fall back to uniform rather than leaving a zero sum to
+// divide by.
+func fuse(members []member, sigma float64) (fused linalg.Tensor, weights []float64, err error) {
 	if len(members) == 0 {
-		return nil, nil, errors.New("strategy: fuse: no members")
+		return linalg.Tensor{}, nil, errors.New("strategy: fuse: no members")
 	}
 	if sigma <= 0 {
-		return nil, nil, errors.New("strategy: fuse: sigma must be positive")
+		return linalg.Tensor{}, nil, errors.New("strategy: fuse: sigma must be positive")
 	}
 	n, classes := members[0].proba.Rows, members[0].proba.Cols
 	for _, m := range members {
 		if m.proba.Rows != n {
-			return nil, nil, errors.New("strategy: fuse: member sample counts differ")
+			return linalg.Tensor{}, nil, errors.New("strategy: fuse: member sample counts differ")
 		}
 		if m.proba.Cols != classes {
-			return nil, nil, errors.New("strategy: fuse: member class counts differ")
+			return linalg.Tensor{}, nil, errors.New("strategy: fuse: member class counts differ")
 		}
 	}
 	weights = make([]float64, len(members)) // K(Dᵢ,σ), until normalized below
@@ -66,22 +68,24 @@ func fuse(members []member, sigma float64) (fused [][]float64, weights []float64
 		}
 		totalW = float64(len(weights))
 	}
-	// One flat accumulator for the whole batch; each member contributes one
-	// scaled-add sweep per sample through the shared axpy kernel.
-	flat := make([]float64, n*classes)
-	fused = make([][]float64, n)
-	for s := 0; s < n; s++ {
-		row := flat[s*classes : (s+1)*classes : (s+1)*classes]
-		for i, m := range members {
-			linalg.Axpy(weights[i], m.proba.Row(s), row)
-		}
-		for c := range row {
-			row[c] /= totalW
-		}
-		fused[s] = row
+	// One scaled-add sweep per member over the whole slab, members in order,
+	// then one division pass: per element, the sum of Eq. 14 term by term.
+	fused = linalg.Tensor{Rows: n, Cols: classes, Data: make([]float64, n*classes)}
+	for i, m := range members {
+		linalg.Axpy(weights[i], m.proba.Data, fused.Data)
 	}
+	linalg.DivScalar(fused.Data, totalW)
 	for i := range weights {
 		weights[i] /= totalW
 	}
 	return fused, weights, nil
+}
+
+// argmaxRows maps per-sample class distributions to hard labels.
+func argmaxRows(proba *linalg.Tensor) []int {
+	out := make([]int, proba.Rows)
+	for i := range out {
+		out[i] = nn.Argmax(proba.Data[i*proba.Cols : (i+1)*proba.Cols])
+	}
+	return out
 }

@@ -71,8 +71,8 @@ func TestFuseEqualDistancesAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(out[0][0]-0.5) > 1e-12 || math.Abs(out[0][1]-0.5) > 1e-12 {
-		t.Errorf("equal-distance fuse = %v, want [0.5 0.5]", out[0])
+	if math.Abs(out.At(0, 0)-0.5) > 1e-12 || math.Abs(out.At(0, 1)-0.5) > 1e-12 {
+		t.Errorf("equal-distance fuse = %v, want [0.5 0.5]", out.Row(0))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestFuseCloserModelDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0][0] < 0.99 {
-		t.Errorf("near model weight too low: %v", out[0])
+	if out.At(0, 0) < 0.99 {
+		t.Errorf("near model weight too low: %v", out.Row(0))
 	}
 	k0, k1 := math.Exp(-0.1*0.1/2), math.Exp(-5.0*5.0/2)
 	if ws[0] != k0/(k0+k1) || ws[1] != k1/(k0+k1) || math.Abs(ws[0]+ws[1]-1) > 1e-12 {
@@ -104,8 +104,8 @@ func TestFuseAllWeightsUnderflowFallsBackUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(out[0][0]-0.5) > 1e-12 {
-		t.Errorf("underflow fallback = %v, want uniform", out[0])
+	if math.Abs(out.At(0, 0)-0.5) > 1e-12 {
+		t.Errorf("underflow fallback = %v, want uniform", out.Row(0))
 	}
 	if ws[0] != 0.5 || ws[1] != 0.5 {
 		t.Errorf("underflow weights = %v, want uniform", ws)
@@ -118,8 +118,8 @@ func TestFuseEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 0 {
-		t.Errorf("len = %d", len(out))
+	if out.Rows != 0 || len(out.Data) != 0 {
+		t.Errorf("fused %d rows, %d values", out.Rows, len(out.Data))
 	}
 }
 
@@ -155,7 +155,7 @@ func TestFusePreservesDistributionProperty(t *testing.T) {
 			return false
 		}
 		var sum float64
-		for _, v := range out[0] {
+		for _, v := range out.Row(0) {
 			if v < -1e-12 || v > 1+1e-12 {
 				return false
 			}

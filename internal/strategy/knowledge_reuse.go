@@ -83,7 +83,7 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 		return Prediction{}, false, fmt.Errorf("strategy: knowledge fuse: %w", err)
 	}
 	tr.Weights(weights)
-	pred := Prediction{Pred: argmaxRows(fused), Proba: fused}
+	pred := Prediction{Pred: argmaxRows(&fused), Proba: fused.RowViews()}
 
 	// Reuse means not relearning (SC3): on a confident match the preserved
 	// parameters also become the working short model, so subsequent batches

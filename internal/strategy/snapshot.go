@@ -105,8 +105,8 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 	xs.FromRows(x, s.Dim)
 
 	if s.Proj == nil {
-		proba := s.Members[0].Model.ProbaInto(ws, xs).ToRows()
-		return InferOutput{Pred: argmaxRows(proba), Proba: proba, Warmup: true, KnowledgeDist: -1}, nil
+		proba := s.Members[0].Model.ProbaInto(ws, xs)
+		return InferOutput{Pred: argmaxRows(proba), Proba: proba.ToRows(), Warmup: true, KnowledgeDist: -1}, nil
 	}
 
 	var ybar linalg.Vector // nil for an empty batch
@@ -137,8 +137,8 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 		}
 	}
 	return InferOutput{
-		Pred:          argmaxRows(fused),
-		Proba:         fused,
+		Pred:          argmaxRows(&fused),
+		Proba:         fused.RowViews(),
 		Weights:       weights,
 		KnowledgeDist: kdist,
 	}, nil
