@@ -56,10 +56,13 @@ race:
 
 # Differential fuzzing, 20 s each: the GEMM kernels against their oracles
 # (exact bits, m, n ≤ 90 and k ≤ 260, every shape through the Go loops and the
-# assembly bodies) and the JSON batch parser against encoding/json.
+# assembly bodies), the JSON batch parser against encoding/json, and its
+# number scanner against strconv (ParseFloat's bits and Atoi's labels,
+# accept/reject verdicts included).
 fuzz:
 	$(GO) test ./internal/linalg -run '^$$' -fuzz FuzzGemmShapes -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 
 # The GEMM kernels are bounds-checked Go wrappers around assembly bodies (and
 # the Go loops that are their tail and fallback) whose bitwise contract is

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -112,46 +114,194 @@ func (c *jsonCursor) key() byte {
 	return k
 }
 
-// number consumes one number of the JSON grammar and returns its text; with
-// integer set, a fraction or an exponent is left standing for the separator
+// scan consumes one number of the JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, after optional whitespace,
+// accumulating its digits as it checks them; its text starts at start. The
+// value is ±man × 10^exp10 when exact holds: at most 19 significant digits,
+// so man is below 10^19 < 2^64, and an exponent below 10000 in magnitude
+// (strconv caps larger ones, so those literals stay strconv's to read).
+// integer says there is neither a fraction nor an exponent. A leading zero
+// ends the integer part, so in 01 the 1 is left standing for the separator
 // check that follows to trip over.
-func (c *jsonCursor) number(integer bool) []byte {
+func (c *jsonCursor) scan() (start int, man uint64, exp10 int, neg, exact, integer bool) {
 	c.skipSpace()
-	buf, j, ok := c.buf, c.i, true
+	buf, j := c.buf, c.i
+	start = j
+	if c.bad {
+		return
+	}
 	if j < len(buf) && buf[j] == '-' {
+		neg = true
 		j++
 	}
+	nd := 0 // significant digits: those from the first non-zero one on
 	if j < len(buf) && buf[j] == '0' {
 		j++
 	} else {
-		j, ok = digits(buf, j)
+		k := j
+		j, man = accumulate(buf, j, 0)
+		if nd = j - k; nd == 0 {
+			c.bad = true
+			return
+		}
 	}
-	if ok && !integer && j < len(buf) && buf[j] == '.' {
-		j, ok = digits(buf, j+1)
+	integer = true
+	if j < len(buf) && buf[j] == '.' {
+		k := j + 1
+		z := k
+		for nd == 0 && z < len(buf) && buf[z] == '0' {
+			z++
+		}
+		j, man = accumulate(buf, z, man)
+		nd += j - z
+		exp10, integer = k-j, false
+		if j == k {
+			c.bad = true
+			return
+		}
 	}
-	if ok && !integer && j < len(buf) && (buf[j] == 'e' || buf[j] == 'E') {
+	e := 0 // the explicit exponent
+	if j < len(buf) && buf[j]|0x20 == 'e' {
+		integer = false
 		j++
-		if j < len(buf) && (buf[j] == '+' || buf[j] == '-') {
+		eneg := j < len(buf) && buf[j] == '-'
+		if j < len(buf) && (eneg || buf[j] == '+') {
 			j++
 		}
-		j, ok = digits(buf, j)
+		k := j
+		for ; j < len(buf) && buf[j]-'0' <= 9; j++ {
+			if e < 10000 {
+				e = e*10 + int(buf[j]-'0')
+			}
+		}
+		if j == k {
+			c.bad = true
+			return
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
 	}
-	if !ok || c.bad {
-		c.bad = true
-		return nil
-	}
-	lit := buf[c.i:j]
+	exact = nd <= 19 && -10000 < e && e < 10000
 	c.i = j
-	return lit
+	return
 }
 
-// digits skips the run of decimal digits at j; ok is false when there is none.
-func digits(buf []byte, j int) (end int, ok bool) {
-	end = j
-	for end < len(buf) && buf[end] >= '0' && buf[end] <= '9' {
-		end++
+// accumulate reads the run of decimal digits at j into man; past 19
+// significant digits man has wrapped.
+func accumulate(buf []byte, j int, man uint64) (int, uint64) {
+	for ; j < len(buf); j++ {
+		d := buf[j] - '0'
+		if d > 9 {
+			break
+		}
+		man = man*10 + uint64(d)
 	}
-	return end, end > j
+	return j, man
+}
+
+// float consumes one number of the JSON grammar and returns the float64
+// nearest its value, ties to even: strconv.ParseFloat's bits, which are what
+// encoding/json stores. Literals exactFloat does not cover go to
+// strconv.ParseFloat itself; one out of float64's range sets bad, since
+// encoding/json words that error.
+func (c *jsonCursor) float() float64 {
+	start, man, exp10, neg, exact, _ := c.scan()
+	if c.bad {
+		return 0
+	}
+	if !exact || exp10 < -27 || exp10 > 27 {
+		v, err := strconv.ParseFloat(string(c.buf[start:c.i]), 64)
+		if err != nil {
+			c.bad = true
+		}
+		return v
+	}
+	v := 0.0
+	if man != 0 {
+		v = exactFloat(man, exp10)
+	}
+	if neg {
+		v = -v // -0 included
+	}
+	return v
+}
+
+// integer consumes one label: an integer literal in int's range, which is
+// what strconv.Atoi accepts and encoding/json checks (-0 is 0). A fraction
+// or an exponent, as in 1.0 or 1e0, sets bad: such a label is
+// encoding/json's to judge.
+func (c *jsonCursor) integer() int {
+	_, man, _, neg, exact, integer := c.scan()
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	if !integer || !exact || man > limit {
+		c.bad = true
+		return 0
+	}
+	if neg {
+		return -int(man)
+	}
+	return int(man)
+}
+
+// pow5 holds 5^0 … 5^27, each below 2^63.
+var pow5 = func() (p [28]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 5
+	}
+	return p
+}()
+
+// exactFloat returns man × 10^exp10, for 0 < man < 2^64 and |exp10| ≤ 27,
+// rounded once to the nearest float64, ties to even. Writing 10^e = 5^e·2^e
+// turns the decimal scaling into integer arithmetic and a shift of the binary
+// exponent: for e ≥ 0 the 128-bit product man·5^e is exact; for e < 0 the
+// quotient of man·2^k by 5^−e keeps at least 63 bits and its remainder says
+// whether anything is left below them. Rounding that integer to 53 bits is the
+// one rounding of the exact value, which is the correctly rounded result
+// strconv.ParseFloat returns. The range holds neither a subnormal nor an
+// overflow: 10^−27 ≤ value < 10^46.
+func exactFloat(man uint64, exp10 int) float64 {
+	// value = (hi·2^64 + lo + a fraction that is non-zero iff sticky) · 2^exp2
+	var hi, lo uint64
+	sticky, exp2 := false, exp10
+	if exp10 >= 0 {
+		hi, lo = bits.Mul64(man, pow5[exp10])
+		if hi == 0 {
+			hi, lo, exp2 = lo, 0, exp2-64
+		}
+	} else {
+		d := pow5[-exp10]
+		// man·2^k is bits.Len64(d)+63 bits long, so its high word is below d,
+		// as Div64 needs, and the quotient lies in [2^62, 2^64).
+		k := 63 + bits.Len64(d) - bits.Len64(man)
+		var nhi, nlo, rem uint64
+		if k < 64 {
+			nhi, nlo = man>>(64-k), man<<k
+		} else {
+			nhi = man << (k - 64)
+		}
+		hi, rem = bits.Div64(nhi, nlo, d)
+		sticky, exp2 = rem != 0, exp2-k-64
+	}
+	s := bits.LeadingZeros64(hi)
+	hi, lo, exp2 = hi<<s|lo>>(64-s), lo<<s, exp2-s
+	// hi now holds the 53 result bits, the rounding bit and 10 bits below it.
+	mant := hi >> 11
+	if hi&(1<<10) != 0 && (hi&(1<<10-1) != 0 || lo != 0 || sticky || mant&1 != 0) {
+		mant++
+		if mant == 1<<53 {
+			mant, exp2 = mant>>1, exp2+1
+		}
+	}
+	// value = mant · 2^(exp2+75) with 2^52 ≤ mant < 2^53: the biased
+	// exponent is exp2+75+52+1023.
+	return math.Float64frombits(uint64(exp2+1150)<<52 | mant&(1<<52-1))
 }
 
 // matrix consumes x, a list of exactly rows equally wide lists of numbers,
@@ -175,11 +325,7 @@ func (c *jsonCursor) matrix(f *Frame, rows int) {
 	for r := 0; r < rows && !c.bad; r++ {
 		c.expect('[')
 		for k := 0; k < cols && !c.bad; k++ {
-			v, err := strconv.ParseFloat(string(c.number(false)), 64)
-			if err != nil {
-				c.bad = true // out of float64's range: encoding/json words that error
-			}
-			data[r*cols+k] = v
+			data[r*cols+k] = c.float()
 			if k < cols-1 {
 				c.expect(',')
 			}
@@ -196,12 +342,7 @@ func (c *jsonCursor) matrix(f *Frame, rows int) {
 func (c *jsonCursor) labels(y []int) {
 	c.expect('[')
 	for k := 0; k < len(y) && !c.bad; k++ {
-		// Atoi has int's range, which is the range encoding/json checks.
-		n, err := strconv.Atoi(string(c.number(true)))
-		if err != nil {
-			c.bad = true
-		}
-		y[k] = n
+		y[k] = c.integer()
 		if k < len(y)-1 {
 			c.expect(',')
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -200,10 +201,20 @@ func TestDecodeJSONFillsLikeDecodeInto(t *testing.T) {
 	}
 }
 
+var benchSink float64
+
+// BenchmarkDecodeJSON decodes the routed workload's request shape, 32 × 12
+// N(0,1) values with labels, and reports ns per x value. Its number
+// sub-benchmarks convert the same 384 literals alone: the batch parser's
+// one-pass scan against strconv.ParseFloat on the already-cut text.
 func BenchmarkDecodeJSON(b *testing.B) {
+	const rows, cols = 32, 12
 	rng := rand.New(rand.NewSource(6))
-	x, y := randBatch(rng, 32, 12, true)
+	x, y := randBatch(rng, rows, cols, true)
 	body, _ := jsonEncode(x, y)
+	perValue := func(b *testing.B, values int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*values), "ns/value")
+	}
 	b.Run("frame", func(b *testing.B) {
 		var f Frame
 		b.ReportAllocs()
@@ -213,6 +224,7 @@ func BenchmarkDecodeJSON(b *testing.B) {
 				b.Fatal("declined")
 			}
 		}
+		perValue(b, rows*cols)
 	})
 	b.Run("encoding-json", func(b *testing.B) {
 		b.ReportAllocs()
@@ -222,5 +234,32 @@ func BenchmarkDecodeJSON(b *testing.B) {
 				b.Fatal("refused")
 			}
 		}
+		perValue(b, rows*cols)
+	})
+	var lits [][]byte
+	var strs []string
+	for _, row := range x {
+		enc, _ := json.Marshal(row)
+		for _, lit := range bytes.Split(enc[1:len(enc)-1], []byte{','}) {
+			lits, strs = append(lits, lit), append(strs, string(lit))
+		}
+	}
+	b.Run("number/scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, lit := range lits {
+				c := jsonCursor{buf: lit}
+				benchSink += c.float()
+			}
+		}
+		perValue(b, len(lits))
+	})
+	b.Run("number/strconv", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, s := range strs {
+				v, _ := strconv.ParseFloat(s, 64)
+				benchSink += v
+			}
+		}
+		perValue(b, len(strs))
 	})
 }
