@@ -37,10 +37,14 @@ fmt:
 # loops. Then ExpInto, LogInto and the softmax against math with math.Exp's
 # FMA body switched off: on an FMA machine that is the only way to check that
 # the probe then rejects the FMA replica and ExpInto is math.Exp's own loop.
-# (Not the golden hashes: their constants are an FMA host's.)
+# (Not the golden hashes: their constants are an FMA host's.) The public
+# facade's Example tests print G_acc and SI; their Output blocks are pinned
+# the same way.
 golden:
 	$(GO) test -cpu 1,2,4 -run Golden ./internal/core
 	$(GO) test -tags purego -cpu 1,2,4 -run Golden ./internal/core
+	$(GO) test -cpu 1,2,4 -run Example .
+	$(GO) test -tags purego -cpu 1,2,4 -run Example .
 	$(GO) test -cpu 1,2,4 -run 'Gemm|Kernel' ./internal/linalg
 	GODEBUG=cpu.fma=off $(GO) test -run 'Exp|Log|Softmax' ./internal/linalg ./internal/nn
 

@@ -117,10 +117,8 @@ func run(src stream.Source, system, family string, batch, maxBatches int, seed i
 			}
 			strategies[res.Strategy.String()]++
 			if traceW != nil {
-				if ev, ok := observer.Trace().Newest(); ok {
-					if err := obs.EncodeJSONL(traceW, ev); err != nil {
-						return nil, fmt.Errorf("trace: %w", err)
-					}
+				if err := obs.WriteJSONL(traceW, observer.Trace().Last(1)); err != nil {
+					return nil, fmt.Errorf("trace: %w", err)
 				}
 			}
 			if verbose {

@@ -18,7 +18,7 @@ type River struct {
 	dim     int
 	classes int
 	m       model.Model
-	det     *drift.Counted
+	det     drift.Detector
 	resets  int
 }
 
@@ -34,7 +34,7 @@ func NewRiver(factory model.Factory, dim, classes int, det drift.Detector) (*Riv
 		// suffice for the Hoeffding test.
 		det = drift.NewADWIN(0.002, 200)
 	}
-	return &River{factory: factory, dim: dim, classes: classes, m: m, det: drift.NewCounted(det)}, nil
+	return &River{factory: factory, dim: dim, classes: classes, m: m, det: det}, nil
 }
 
 // Name returns "River".
@@ -42,10 +42,6 @@ func (r *River) Name() string { return "River" }
 
 // Resets returns how many drift-triggered model replacements occurred.
 func (r *River) Resets() int { return r.resets }
-
-// Detector returns the counted drift detector, exposing cumulative
-// observation/detection totals for observability.
-func (r *River) Detector() *drift.Counted { return r.det }
 
 // Infer predicts with the current model.
 func (r *River) Infer(b stream.Batch) ([]int, error) {

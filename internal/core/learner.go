@@ -59,8 +59,8 @@ type Learner struct {
 	det          *shift.Detector
 	dim, classes int
 
-	// The three mechanisms behind the strategy.Strategy interface. ens is
-	// also the dispatcher's fallback when cec/knw decline a batch.
+	// The three mechanisms of package strategy. ens is also the dispatcher's
+	// fallback when cec/knw decline a batch.
 	ens *strategy.Ensemble
 	cec *strategy.CEC
 	knw *strategy.KnowledgeReuse

@@ -23,7 +23,7 @@ import (
 // id.
 type Observer struct {
 	reg  *obs.Registry
-	ring *obs.TraceRing
+	ring *obs.Ring[obs.TraceEvent]
 	base []string // base label key/value pairs appended to every series
 
 	batches    *obs.Counter
@@ -98,7 +98,7 @@ func NewObserverLabeled(reg *obs.Registry, traceCap int, baseLabels ...string) *
 	}
 	o := &Observer{
 		reg:  reg,
-		ring: obs.NewTraceRing(traceCap),
+		ring: obs.NewRing[obs.TraceEvent](traceCap),
 		base: baseLabels,
 	}
 	o.batches = reg.Counter("freeway_batches_total", "Batches processed by the learner.", o.lbl()...)
@@ -171,7 +171,7 @@ func (o *Observer) lbl(kv ...string) []string {
 func (o *Observer) Registry() *obs.Registry { return o.reg }
 
 // Trace returns the bounded decision-trace ring.
-func (o *Observer) Trace() *obs.TraceRing { return o.ring }
+func (o *Observer) Trace() *obs.Ring[obs.TraceEvent] { return o.ring }
 
 // ObserveStage records a stage duration into its histogram. Safe from any
 // goroutine (the async long-update path uses it) and on a nil receiver.

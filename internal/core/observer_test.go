@@ -56,10 +56,7 @@ func TestObserverTraceAndMetrics(t *testing.T) {
 	if ring.Len() != processed {
 		t.Fatalf("trace ring holds %d events, processed %d", ring.Len(), processed)
 	}
-	ev, ok := ring.Newest()
-	if !ok {
-		t.Fatal("empty ring")
-	}
+	ev := ring.Last(1)[0]
 	if ev.Pattern != "C(reoccurring)" || ev.Strategy != "knowledge-reuse" {
 		t.Errorf("newest event pattern=%q strategy=%q", ev.Pattern, ev.Strategy)
 	}
@@ -157,9 +154,9 @@ func TestObserverRejectedBatch(t *testing.T) {
 	if _, err := l.Process(context.Background(), b); err == nil {
 		t.Fatal("NaN batch accepted under reject policy")
 	}
-	ev, ok := o.Trace().Newest()
-	if !ok || !ev.GuardRejected || ev.Pattern != "rejected" {
-		t.Fatalf("rejection not traced: ok=%v ev=%+v", ok, ev)
+	last := o.Trace().Last(1)
+	if len(last) != 1 || !last[0].GuardRejected || last[0].Pattern != "rejected" {
+		t.Fatalf("rejection not traced: %+v", last)
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

@@ -227,8 +227,8 @@ type Router struct {
 	bytesIn  map[string]*obs.Counter
 	bytesOut map[string]*obs.Counter
 
-	spans     *obs.SpanRing
-	events    *obs.EventRing
+	spans     *obs.Ring[obs.Span]
+	events    *obs.Ring[obs.ClusterEvent]
 	exemplars *obs.ExemplarRing
 }
 
@@ -271,8 +271,8 @@ func NewRouter(cfg Config) (*Router, error) {
 
 		bytesIn:   map[string]*obs.Counter{},
 		bytesOut:  map[string]*obs.Counter{},
-		spans:     obs.NewSpanRing(cfg.SpanCap),
-		events:    obs.NewEventRing(cfg.EventCap),
+		spans:     obs.NewRing[obs.Span](cfg.SpanCap),
+		events:    obs.NewRing[obs.ClusterEvent](cfg.EventCap),
 		exemplars: obs.NewExemplarRing(cfg.ExemplarK),
 	}
 	if cfg.Transport == nil {

@@ -39,10 +39,10 @@ func protoOf(contentType string) string {
 }
 
 // Spans exposes the router's per-attempt span ring.
-func (r *Router) Spans() *obs.SpanRing { return r.spans }
+func (r *Router) Spans() *obs.Ring[obs.Span] { return r.spans }
 
 // Events exposes the cluster timeline ring.
-func (r *Router) Events() *obs.EventRing { return r.events }
+func (r *Router) Events() *obs.Ring[obs.ClusterEvent] { return r.events }
 
 // Exemplars exposes the slow-request top-K ring.
 func (r *Router) Exemplars() *obs.ExemplarRing { return r.exemplars }
@@ -224,7 +224,7 @@ func (r *Router) handleClusterTrace(w http.ResponseWriter, req *http.Request) {
 		r.writeError(w, http.StatusBadRequest, "id query parameter is required")
 		return
 	}
-	spans := r.spans.ByTrace(id)
+	spans := obs.SpansOfTrace(r.spans.Last(0), id)
 	for _, addr := range r.ringMembers() {
 		text, ok := r.scrapeWorker(req, addr, "/v1/spans?id="+url.QueryEscape(id))
 		if !ok {
@@ -252,17 +252,13 @@ func (r *Router) handleClusterEvents(w http.ResponseWriter, req *http.Request) {
 		r.writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	n := 0
-	if q := req.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			r.writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
-			return
-		}
-		n = v
+	n, err := obs.ParseLastN(req.URL.Query().Get("n"))
+	if err != nil {
+		r.writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := r.events.WriteJSONL(w, n); err != nil {
+	if err := obs.WriteJSONL(w, r.events.Last(n)); err != nil {
 		log.Printf("dist: cluster events write failed: %v", err)
 	}
 }

@@ -333,3 +333,59 @@ func TestForwardUntracedWhenDisabled(t *testing.T) {
 		t.Fatalf("spans=%d exemplars=%d recorded with tracing disabled", rt.Spans().Len(), rt.Exemplars().Len())
 	}
 }
+
+// TestRingEndpointsRejectBadN: the three ring endpoints (a worker's /v1/trace
+// and /v1/spans, the router's /v1/cluster/events) read ?n= through one
+// parser. A negative or non-numeric n is a 400 with the JSON error envelope,
+// and a worker counts the reject in http_rejects (the router keeps no reject
+// counter); a valid n is served.
+func TestRingEndpointsRejectBadN(t *testing.T) {
+	w := newTestWorker(t, t.TempDir())
+	rt := failoverRouter(t, nil, false, w)
+	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	workerRejects := func() int64 {
+		var st serve.StatsResponse
+		if err := json.Unmarshal(get(w.srv, "/v1/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.HTTPRejects
+	}
+	for _, tc := range []struct {
+		name, path string
+		h          http.Handler
+		counted    bool
+	}{
+		{"worker trace", "/v1/trace", w.srv, true},
+		{"worker spans", "/v1/spans", w.srv, true},
+		{"router events", "/v1/cluster/events", rt, false},
+	} {
+		for _, n := range []string{"-1", "x", "1.5"} {
+			before := workerRejects()
+			rec := get(tc.h, tc.path+"?n="+n)
+			var env struct {
+				Error struct {
+					Code    int    `json:"code"`
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
+				env.Error.Code != http.StatusBadRequest || env.Error.Message != "n must be a non-negative integer" {
+				t.Errorf("%s n=%s: status %d body %q, want the 400 envelope", tc.name, n, rec.Code, rec.Body.String())
+			}
+			if tc.counted {
+				if got := workerRejects() - before; got != 1 {
+					t.Errorf("%s n=%s: http_rejects moved by %d, want 1", tc.name, n, got)
+				}
+			}
+		}
+		for _, n := range []string{"", "0", "3"} {
+			if rec := get(tc.h, tc.path+"?n="+n); rec.Code != http.StatusOK {
+				t.Errorf("%s n=%q: status %d: %s", tc.name, n, rec.Code, rec.Body.String())
+			}
+		}
+	}
+}

@@ -1,8 +1,7 @@
-// Package drift implements the classical concept-drift detectors the
-// baseline frameworks rely on: ADWIN (adaptive windowing), DDM (drift
-// detection method), and Page-Hinkley. The River baseline pairs one of
-// these with a model reset, which is the "drift detector + model
-// integrator" behaviour the paper compares against.
+// Package drift implements ADWIN (adaptive windowing), the classical
+// concept-drift detector of the River baseline: River pairs it with a model
+// reset, which is the "drift detector + model integrator" behaviour the paper
+// compares against.
 package drift
 
 // Detector consumes a per-sample or per-batch error signal (0 = correct,

@@ -77,87 +77,6 @@ func TestADWINWindowBounded(t *testing.T) {
 	}
 }
 
-func TestDDMStableNoDetection(t *testing.T) {
-	// A perfectly stationary error rate (alternating 0/1 → p = 0.5 with
-	// monotonically shrinking s) must never trigger.
-	d := NewDDM()
-	if feed(d, 500, func(i int) float64 { return float64(i % 2) }) {
-		t.Error("DDM detected drift on a stationary stream")
-	}
-}
-
-func TestDDMDetectsErrorRateJump(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := NewDDM()
-	feed(d, 300, func(int) float64 {
-		if rng.Float64() < 0.1 {
-			return 1
-		}
-		return 0
-	})
-	if !feed(d, 300, func(int) float64 {
-		if rng.Float64() < 0.7 {
-			return 1
-		}
-		return 0
-	}) {
-		t.Error("DDM missed a 0.1→0.7 error-rate jump")
-	}
-}
-
-func TestDDMWarningPrecedesDrift(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := NewDDM()
-	feed(d, 300, func(int) float64 {
-		if rng.Float64() < 0.1 {
-			return 1
-		}
-		return 0
-	})
-	warned := false
-	for i := 0; i < 300; i++ {
-		var e float64
-		if rng.Float64() < 0.5 {
-			e = 1
-		}
-		if d.Warning() {
-			warned = true
-		}
-		if d.Add(e) {
-			break
-		}
-	}
-	if !warned {
-		t.Error("no warning before drift")
-	}
-}
-
-func TestPageHinkleyDetectsLevelShift(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	p := NewPageHinkley(0.005, 20)
-	feed(p, 300, func(int) float64 { return rng.NormFloat64() * 0.1 })
-	if !feed(p, 300, func(int) float64 { return 2 + rng.NormFloat64()*0.1 }) {
-		t.Error("Page-Hinkley missed a level shift")
-	}
-}
-
-func TestPageHinkleyStableNoDetection(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := NewPageHinkley(0.005, 50)
-	if feed(p, 1000, func(int) float64 { return rng.NormFloat64() * 0.1 }) {
-		t.Error("Page-Hinkley fired on a stationary stream")
-	}
-}
-
-func TestPageHinkleyDefaults(t *testing.T) {
-	p := NewPageHinkley(0, 0)
-	if p.Delta != 0.005 || p.Lambda != 50 {
-		t.Errorf("defaults not applied: %+v", p)
-	}
-}
-
 func TestDetectorInterfaceCompliance(t *testing.T) {
 	var _ Detector = NewADWIN(0, 0)
-	var _ Detector = NewDDM()
-	var _ Detector = NewPageHinkley(0, 0)
 }

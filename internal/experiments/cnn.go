@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"freewayml/internal/datasets"
-	"freewayml/internal/metrics"
 )
 
 // Table5Row is one dataset's StreamingCNN-vs-FreewayML comparison.
@@ -167,36 +165,4 @@ func (r *Table6Result) String() string {
 			row.PlainUpdateMicros, row.FreewayUpdateMicros)
 	}
 	return sb.String()
-}
-
-// quickThroughput is a helper used by benches: samples/s of one system on
-// one dataset at one batch size.
-func quickThroughput(name, family, dataset string, batchSize, batches int, seed int64) (float64, error) {
-	opt := Options{BatchSize: batchSize, MaxBatches: batches, Seed: seed}
-	src, err := datasets.Build(dataset, batchSize, seed)
-	if err != nil {
-		return 0, err
-	}
-	sys, err := buildSystem(name, family, src.Dim(), src.Classes(), opt)
-	if err != nil {
-		return 0, err
-	}
-	items := 0
-	start := time.Now()
-	for n := 0; n < batches; n++ {
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := sys.Step(b); err != nil {
-			return 0, err
-		}
-		items += len(b.X)
-	}
-	if c, ok := sys.(interface{ Close() error }); ok {
-		if err := c.Close(); err != nil {
-			return 0, err
-		}
-	}
-	return metrics.Throughput(items, time.Since(start)), nil
 }

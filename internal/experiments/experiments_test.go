@@ -308,16 +308,6 @@ func TestRowOrderFreewayLast(t *testing.T) {
 	}
 }
 
-func TestQuickThroughput(t *testing.T) {
-	tput, err := quickThroughput("Plain", "mlp", "SEA", 32, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tput <= 0 {
-		t.Errorf("throughput = %v", tput)
-	}
-}
-
 func TestExtendedSmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extended grid is slow")

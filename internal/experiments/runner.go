@@ -8,11 +8,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"freewayml/internal/baselines"
 	"freewayml/internal/core"
-	"freewayml/internal/datasets"
 	"freewayml/internal/metrics"
 	"freewayml/internal/model"
 	"freewayml/internal/stream"
@@ -24,11 +22,6 @@ type Options struct {
 	BatchSize  int
 	MaxBatches int // 0 = drain the stream
 	Seed       int64
-}
-
-// DefaultOptions returns the fast defaults used by tests and benches.
-func DefaultOptions() Options {
-	return Options{BatchSize: 128, MaxBatches: 0, Seed: 1}
 }
 
 // System is anything that can run the prequential protocol: predict a batch
@@ -140,20 +133,4 @@ func RunPrequential(sys System, src stream.Source, maxBatches int) (*metrics.Pre
 		}
 	}
 	return &preq, nil
-}
-
-// runOnDataset builds the dataset and runs the system over it.
-func runOnDataset(sys System, dataset string, opt Options) (*metrics.Prequential, error) {
-	src, err := datasets.Build(dataset, opt.BatchSize, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return RunPrequential(sys, src, opt.MaxBatches)
-}
-
-// timedStep measures one Step call.
-func timedStep(sys System, b stream.Batch) (time.Duration, error) {
-	start := time.Now()
-	_, err := sys.Step(b)
-	return time.Since(start), err
 }

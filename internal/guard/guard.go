@@ -87,14 +87,13 @@ func (r Report) Total() int { return r.NaNs + r.Infs }
 // concurrent use; the learner serializes batches anyway.
 type Guard struct {
 	policy Policy
-	limit  float64
 	count  []float64 // finite observations per feature
 	mean   []float64 // running mean per feature over finite values
 }
 
 // New builds a Guard for the given policy over dim-dimensional features.
 func New(policy Policy, dim int) *Guard {
-	g := &Guard{policy: policy, limit: DefaultClampLimit}
+	g := &Guard{policy: policy}
 	if dim > 0 {
 		g.count = make([]float64, dim)
 		g.mean = make([]float64, dim)
@@ -104,13 +103,6 @@ func New(policy Policy, dim int) *Guard {
 
 // Policy returns the guard's configured policy.
 func (g *Guard) Policy() Policy { return g.policy }
-
-// SetClampLimit overrides the ±Inf substitute magnitude (default 1e6).
-func (g *Guard) SetClampLimit(limit float64) {
-	if limit > 0 && !math.IsInf(limit, 0) && !math.IsNaN(limit) {
-		g.limit = limit
-	}
-}
 
 // FeatureMeans exposes the running per-feature means (diagnostics/tests).
 func (g *Guard) FeatureMeans() []float64 {
@@ -175,10 +167,10 @@ func (g *Guard) repair(v float64, j int) float64 {
 	switch g.policy {
 	case Clamp:
 		if math.IsInf(v, 1) {
-			return g.limit
+			return DefaultClampLimit
 		}
 		if math.IsInf(v, -1) {
-			return -g.limit
+			return -DefaultClampLimit
 		}
 		return 0 // NaN
 	case Impute:

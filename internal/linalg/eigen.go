@@ -7,7 +7,7 @@ import (
 )
 
 // EigenResult holds the eigendecomposition of a symmetric matrix:
-// Values[i] is the i-th eigenvalue (descending) and Vectors.Col(i) the
+// Values[i] is the i-th eigenvalue (descending) and column i of Vectors the
 // corresponding unit eigenvector.
 type EigenResult struct {
 	Values  Vector

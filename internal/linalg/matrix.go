@@ -19,23 +19,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFromRows builds a matrix whose rows are copies of the given
-// vectors. All rows must have the same length.
-func NewMatrixFromRows(rows []Vector) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	d := len(rows[0])
-	m := NewMatrix(len(rows), d)
-	for i, r := range rows {
-		if len(r) != d {
-			return nil, ErrDimensionMismatch
-		}
-		copy(m.Row(i), r)
-	}
-	return m, nil
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -54,56 +37,10 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	out := NewVector(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m × b via the blocked Gemm kernel (Matrix and Tensor share the
-// row-major flat layout, so the views are free). It panics if the inner
-// dimensions differ.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch (%dx%d)×(%dx%d)", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	Gemm(TensorView(out.Data, out.Rows, out.Cols),
-		TensorView(m.Data, m.Rows, m.Cols),
-		TensorView(b.Data, b.Rows, b.Cols))
-	return out
-}
-
-// MulVec returns m × v. It panics if len(v) != m.Cols.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch (%dx%d)×%d", m.Rows, m.Cols, len(v)))
-	}
-	out := NewVector(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Vector(m.Row(i)).Dot(v)
-	}
 	return out
 }
 

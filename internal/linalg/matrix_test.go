@@ -16,89 +16,74 @@ func TestMatrixBasics(t *testing.T) {
 	if got := m.Row(1); got[2] != 5 {
 		t.Errorf("Row = %v", got)
 	}
-	if got := m.Col(2); got[1] != 5 || got[0] != 0 {
-		t.Errorf("Col = %v", got)
-	}
 }
 
-func TestNewMatrixFromRows(t *testing.T) {
-	m, err := NewMatrixFromRows([]Vector{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
+// matrixOf builds a matrix from literal rows of equal length.
+func matrixOf(rows ...Vector) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
 	}
-	if m.At(1, 0) != 3 {
-		t.Errorf("At(1,0) = %v", m.At(1, 0))
-	}
-	if _, err := NewMatrixFromRows([]Vector{{1}, {1, 2}}); err == nil {
-		t.Error("ragged rows should error")
-	}
-	empty, err := NewMatrixFromRows(nil)
-	if err != nil || empty.Rows != 0 {
-		t.Errorf("empty rows: %v, %v", empty, err)
-	}
+	return m
 }
 
-func TestMatrixMul(t *testing.T) {
-	a, _ := NewMatrixFromRows([]Vector{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([]Vector{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := range want {
-		for j := range want[i] {
-			if math.Abs(c.At(i, j)-want[i][j]) > 1e-12 {
-				t.Errorf("c[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
+// col returns a copy of column j of m.
+func col(m *Matrix, j int) Vector {
+	out := NewVector(m.Rows)
+	for i := range out {
+		out[i] = m.At(i, j)
 	}
+	return out
 }
 
-func TestMatrixMulVecAndTMulVec(t *testing.T) {
-	a, _ := NewMatrixFromRows([]Vector{{1, 2}, {3, 4}, {5, 6}})
-	v := a.MulVec(Vector{1, 1})
-	if !v.Equal(Vector{3, 7, 11}, 1e-12) {
-		t.Errorf("MulVec = %v", v)
-	}
+func TestMatrixTMulVec(t *testing.T) {
+	a := matrixOf(Vector{1, 2}, Vector{3, 4}, Vector{5, 6})
 	w := a.TMulVec(Vector{1, 1, 1})
-	if !w.Equal(Vector{9, 12}, 1e-12) {
+	if !equalWithin(w, Vector{9, 12}, 1e-12) {
 		t.Errorf("TMulVec = %v", w)
 	}
-	// TMulVec must match T().MulVec.
-	w2 := a.T().MulVec(Vector{1, 1, 1})
-	if !w.Equal(w2, 1e-12) {
-		t.Errorf("TMulVec %v != T().MulVec %v", w, w2)
+	// A zero weight skips its row.
+	if w := a.TMulVec(Vector{0, 1, 0}); !equalWithin(w, Vector{3, 4}, 0) {
+		t.Errorf("TMulVec with zeros = %v", w)
 	}
 }
 
-func TestMatrixMulPanicsOnShape(t *testing.T) {
+func TestMatrixTMulVecPanicsOnShape(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
+	NewMatrix(2, 3).TMulVec(Vector{1, 2, 3})
 }
 
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := NewMatrix(4, 7)
+	m := NewTensor(4, 7)
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
-	tt := m.T().T()
+	mt, tt := NewTensor(7, 4), NewTensor(4, 7)
+	TransposeInto(mt, m)
+	TransposeInto(tt, mt)
+	if mt.At(6, 3) != m.At(3, 6) {
+		t.Fatal("TransposeInto misplaced an element")
+	}
 	for i := range m.Data {
 		if m.Data[i] != tt.Data[i] {
-			t.Fatal("T().T() != original")
+			t.Fatal("transposing twice != original")
 		}
 	}
 }
 
 func TestIdentityMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := NewMatrix(5, 5)
+	m := NewTensor(5, 5)
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
-	p := Identity(5).Mul(m)
+	id, p := Identity(5), NewTensor(5, 5)
+	Gemm(p, TensorView(id.Data, 5, 5), m)
 	for i := range m.Data {
 		if math.Abs(p.Data[i]-m.Data[i]) > 1e-12 {
 			t.Fatal("I×M != M")
@@ -108,7 +93,7 @@ func TestIdentityMul(t *testing.T) {
 
 func TestSymmetricEigenKnownMatrix(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	m, _ := NewMatrixFromRows([]Vector{{2, 1}, {1, 2}})
+	m := matrixOf(Vector{2, 1}, Vector{1, 2})
 	res, err := SymmetricEigen(m)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +102,7 @@ func TestSymmetricEigenKnownMatrix(t *testing.T) {
 		t.Errorf("eigenvalues = %v", res.Values)
 	}
 	// Eigenvector for λ=3 should be parallel to (1,1)/√2.
-	v0 := res.Vectors.Col(0)
+	v0 := col(res.Vectors, 0)
 	if math.Abs(math.Abs(v0[0])-math.Abs(v0[1])) > 1e-9 {
 		t.Errorf("first eigenvector = %v", v0)
 	}
@@ -132,17 +117,18 @@ func TestSymmetricEigenReconstruction(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = rng.NormFloat64()
 		}
-		a := b.T().Mul(b)
+		a := NewMatrix(n, n)
+		GemmTA(TensorView(a.Data, n, n), TensorView(b.Data, n, n), TensorView(b.Data, n, n))
 		res, err := SymmetricEigen(a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Check A·v = λ·v for each eigenpair, and λ ≥ 0 (PSD input).
 		for k := 0; k < n; k++ {
-			v := res.Vectors.Col(k)
-			av := a.MulVec(v)
+			v := col(res.Vectors, k)
+			av := a.TMulVec(v) // A is symmetric: Aᵀv = Av
 			lv := v.Scale(res.Values[k])
-			if !av.Equal(lv, 1e-6*(1+math.Abs(res.Values[k]))) {
+			if !equalWithin(av, lv, 1e-6*(1+math.Abs(res.Values[k]))) {
 				t.Fatalf("trial %d: A·v != λ·v for k=%d (λ=%v)", trial, k, res.Values[k])
 			}
 			if res.Values[k] < -1e-8 {
@@ -158,7 +144,7 @@ func TestSymmetricEigenReconstruction(t *testing.T) {
 		// Eigenvectors orthonormal.
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
-				d := res.Vectors.Col(i).Dot(res.Vectors.Col(j))
+				d := col(res.Vectors, i).Dot(col(res.Vectors, j))
 				want := 0.0
 				if i == j {
 					want = 1.0
@@ -175,15 +161,13 @@ func TestSymmetricEigenErrors(t *testing.T) {
 	if _, err := SymmetricEigen(NewMatrix(2, 3)); err == nil {
 		t.Error("non-square should error")
 	}
-	m, _ := NewMatrixFromRows([]Vector{{1, 2}, {3, 4}})
-	if _, err := SymmetricEigen(m); err == nil {
+	if _, err := SymmetricEigen(matrixOf(Vector{1, 2}, Vector{3, 4})); err == nil {
 		t.Error("asymmetric should error")
 	}
 }
 
 func TestIsSymmetric(t *testing.T) {
-	m, _ := NewMatrixFromRows([]Vector{{1, 2}, {2, 1}})
-	if !m.IsSymmetric(1e-12) {
+	if !matrixOf(Vector{1, 2}, Vector{2, 1}).IsSymmetric(1e-12) {
 		t.Error("symmetric matrix reported asymmetric")
 	}
 	if NewMatrix(2, 3).IsSymmetric(1e-12) {

@@ -194,22 +194,6 @@ func TestGemmMatchesReference(t *testing.T) {
 	}
 }
 
-func TestGemmAgainstMatrixMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	am := NewMatrix(6, 5)
-	bm := NewMatrix(5, 4)
-	for i := range am.Data {
-		am.Data[i] = rng.NormFloat64()
-	}
-	for i := range bm.Data {
-		bm.Data[i] = rng.NormFloat64()
-	}
-	cm := am.Mul(bm)
-	got := NewTensor(6, 4)
-	Gemm(got, TensorView(am.Data, 6, 5), TensorView(bm.Data, 5, 4))
-	tensorsClose(t, got, TensorView(cm.Data, 6, 4), 1e-12, "Matrix.Mul vs Gemm")
-}
-
 func TestGemmShapePanics(t *testing.T) {
 	cases := []func(){
 		func() { Gemm(NewTensor(2, 2), NewTensor(2, 3), NewTensor(4, 2)) },

@@ -96,29 +96,6 @@ func (v Vector) Distance(w Vector) float64 {
 	return math.Sqrt(s)
 }
 
-// Normalize scales v to unit norm in place. Zero vectors are left unchanged.
-func (v Vector) Normalize() {
-	n := v.Norm()
-	if n == 0 {
-		return
-	}
-	v.ScaleInPlace(1 / n)
-}
-
-// Equal reports whether v and w have the same length and all elements are
-// within tol of each other.
-func (v Vector) Equal(w Vector, tol float64) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if math.Abs(v[i]-w[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 func mustSameLen(v, w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("linalg: vector length mismatch %d vs %d", len(v), len(w)))

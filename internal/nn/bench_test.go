@@ -28,7 +28,7 @@ func BenchmarkMLPForward(b *testing.B) {
 	net, x, _ := benchNet(b, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x)
+		net.Predict(x)
 	}
 }
 
@@ -60,7 +60,7 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x)
+		net.Predict(x)
 	}
 }
 

@@ -18,32 +18,17 @@ func (n *Network) Freeze() *Frozen {
 	return &Frozen{layers: n.layers, w: n.AppendFlatParams(make([]float64, 0, n.NumParams()))}
 }
 
-// overwritesInput reports whether a reader's pass would write the batch it
-// was handed: an in-place activation reaches it before any layer with an
-// output of its own does (Dropout hands its input on untouched).
-func overwritesInput(layers []Layer) bool {
-	for _, l := range layers {
-		switch l.(type) {
-		case *Dropout:
-		case *ReLU, *Sigmoid:
-			return true
-		default:
-			return false
-		}
-	}
-	return true // pass-through layers only: the closing softmax would write it
-}
-
 // ProbaInto returns the class distribution of every row of x (rows ×
 // NumClasses), bit for bit what PredictProba returned on the network when it
-// was frozen — a Dropout layer apart: a reader runs the inference pass
-// whatever the layer's mode. x is only read. Every tensor written, the result
-// included, is taken from ws: it is valid until ws is reset or released, and
-// whatever ws held before is overwritten, never read. A batch of the wrong
-// width panics in the first layer that has one, as it does in Forward.
+// was frozen. x is only read. Every tensor written, the result included, is
+// taken from ws: it is valid until ws is reset or released, and whatever ws
+// held before is overwritten, never read. A batch of the wrong width panics
+// in the first layer that has one, as it does in the network's own pass.
 func (f *Frozen) ProbaInto(ws *Workspace, x *linalg.Tensor) *linalg.Tensor {
 	h, p := x, f.w
-	if overwritesInput(f.layers) {
+	// An in-place activation in first position would rectify the caller's batch.
+	switch f.layers[0].(type) {
+	case *ReLU, *Sigmoid:
 		h = ws.Tensor(x.Rows, x.Cols)
 		copy(h.Data, x.Data)
 	}

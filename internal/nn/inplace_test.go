@@ -118,27 +118,21 @@ func TestNetworkForwardLeavesCallerRowsAlone(t *testing.T) {
 }
 
 // TestNewNetworkRejectsStackedActivations: an activation gates its Backward
-// by its own output, which a second in-place activation directly above (or
-// behind a pass-through Dropout) would overwrite.
+// by its own output, which a second in-place activation directly above would
+// overwrite.
 func TestNewNetworkRejectsStackedActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	drop := NewDropout(0.5, 1)
 	for name, layers := range map[string][]Layer{
-		"relu→sigmoid":         {NewDense(3, 4, rng), NewReLU(), NewSigmoid(), NewDense(4, 2, rng)},
-		"sigmoid→sigmoid":      {NewDense(3, 4, rng), NewSigmoid(), NewSigmoid(), NewDense(4, 2, rng)},
-		"relu→dropout→sigmoid": {NewDense(3, 4, rng), NewReLU(), drop, NewSigmoid(), NewDense(4, 2, rng)},
+		"relu→sigmoid":    {NewDense(3, 4, rng), NewReLU(), NewSigmoid(), NewDense(4, 2, rng)},
+		"sigmoid→sigmoid": {NewDense(3, 4, rng), NewSigmoid(), NewSigmoid(), NewDense(4, 2, rng)},
 	} {
 		if _, err := NewNetwork(3, 2, layers...); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// Separated by a layer with its own output they are fine, as is Dropout
-	// on either side of a single activation.
+	// Separated by a layer with its own output they are fine.
 	if _, err := NewNetwork(3, 2, NewDense(3, 4, rng), NewReLU(), NewDense(4, 4, rng), NewSigmoid(), NewDense(4, 2, rng)); err != nil {
 		t.Errorf("activations separated by Dense: %v", err)
-	}
-	if _, err := NewNetwork(3, 2, NewDense(3, 4, rng), drop, NewReLU(), NewDropout(0.2, 2), NewDense(4, 2, rng)); err != nil {
-		t.Errorf("dropout around one activation: %v", err)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //   - Whatever a layer hands on may be overwritten by its neighbour: no layer
 //     reads the tensor it returned from Forward, or from Backward, again.
 //     Dense and Conv1D read their Forward input (lastX, the im2col patches)
-//     and gradOut in Backward; MaxPool1D its argmax cache; Dropout its mask.
+//     and gradOut in Backward; MaxPool1D its argmax cache.
 //   - Backward may read the tensor passed to the preceding Forward, as it
 //     stood when Forward returned or as an in-place activation directly above
 //     left it (which is the value the layer consumed in the first place). The

@@ -61,7 +61,6 @@ func NewNetwork(inDim, numClasses int, layers ...Layer) (*Network, error) {
 				return nil, fmt.Errorf("nn: layer %d: an activation cannot follow an activation (it would overwrite the output that gates the first one's Backward)", i)
 			}
 			gated = true
-		case *Dropout: // hands its input on untouched outside training
 		default:
 			gated = false
 		}
@@ -105,19 +104,14 @@ func (n *Network) forwardT(x *linalg.Tensor) *linalg.Tensor {
 }
 
 // LastForward returns the token of the most recent forward pass (Predict,
-// PredictProba, Forward, …), or the zero token when a parameter write has
-// already outdated it.
+// PredictProba, ForwardTensor, …), or the zero token when a parameter write
+// has already outdated it.
 func (n *Network) LastForward() ForwardToken { return ForwardToken{n.fwd} }
 
 // InvalidateForward drops the layer caches of the last forward pass. Every
 // parameter write does it: Step, Restore and SetFlatParams themselves, and a
 // caller that writes Param.W directly must call it.
 func (n *Network) InvalidateForward() { n.fwd = 0 }
-
-// Forward runs the batch through all layers and returns the logits.
-func (n *Network) Forward(x [][]float64) [][]float64 {
-	return n.forwardT(n.stage(x)).ToRows()
-}
 
 // ForwardTensor runs a pre-staged row-major batch through the network and
 // returns the logits. This is the flat-slab entry: staging is one flat copy
@@ -162,12 +156,6 @@ func (n *Network) ProbaInto(dst *linalg.Tensor, x [][]float64) {
 	softmaxRows(dst, logits)
 }
 
-// logpScratch returns the loss head's scratch, one float per row of logits.
-func (n *Network) logpScratch(logits *linalg.Tensor) []float64 {
-	n.logpBuf = linalg.EnsureTensor(n.logpBuf, logits.Rows, 1)
-	return n.logpBuf.Data
-}
-
 // TrainBatch performs one forward/backward pass and one optimizer step on
 // the mini-batch, returning the pre-update mean loss.
 func (n *Network) TrainBatch(x [][]float64, y []int, opt *SGD) (float64, error) {
@@ -187,8 +175,7 @@ func (n *Network) TrainBatch(x [][]float64, y []int, opt *SGD) (float64, error) 
 // recompute, so loss, gradients and weights come out bit for bit the same.
 // Any later forward, backward, Step, Restore or declared parameter write
 // outdates tok; ok = false then means nothing was done and the caller trains
-// with TrainBatch. (A Dropout layer in training mode keeps the mask its
-// forward drew, where TrainBatch would draw a fresh one.)
+// with TrainBatch.
 func (n *Network) TrainForwarded(tok ForwardToken, y []int, opt *SGD) (loss float64, ok bool, err error) {
 	if tok.id == 0 || tok.id != n.fwd {
 		return 0, false, nil
@@ -226,7 +213,8 @@ func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 func (n *Network) backward(logits *linalg.Tensor, y []int) (float64, error) {
 	n.InvalidateForward()
 	n.gradBuf = linalg.EnsureTensor(n.gradBuf, logits.Rows, logits.Cols)
-	loss, err := softmaxCrossEntropyT(logits, y, n.gradBuf, n.logpScratch(logits))
+	n.logpBuf = linalg.EnsureTensor(n.logpBuf, logits.Rows, 1)
+	loss, err := softmaxCrossEntropyT(logits, y, n.gradBuf, n.logpBuf.Data)
 	if err != nil {
 		return 0, err
 	}
@@ -242,19 +230,6 @@ func (n *Network) backward(logits *linalg.Tensor, y []int) (float64, error) {
 		n.layers[0].Backward(g)
 	}
 	return loss, nil
-}
-
-// Loss returns the mean softmax cross-entropy of the batch without touching
-// gradients or parameters.
-func (n *Network) Loss(x [][]float64, y []int) (float64, error) {
-	if len(x) == 0 {
-		return 0, fmt.Errorf("nn: empty batch")
-	}
-	logits := n.forwardT(n.stage(x))
-	// The gradient write is wasted work here, but it reuses the same scratch
-	// and keeps one loss implementation.
-	n.gradBuf = linalg.EnsureTensor(n.gradBuf, logits.Rows, logits.Cols)
-	return softmaxCrossEntropyT(logits, y, n.gradBuf, n.logpScratch(logits))
 }
 
 // Params returns all learnable parameters, layer by layer. The slice is the

@@ -10,6 +10,24 @@ import (
 	"freewayml/internal/linalg"
 )
 
+// forwardRows runs the batch through the network and returns a copy of the
+// logits.
+func forwardRows(net *Network, x [][]float64) [][]float64 {
+	return net.forwardT(net.stage(x)).ToRows()
+}
+
+// lossOf is the batch's mean softmax cross-entropy, with no gradient or
+// parameter written.
+func lossOf(t *testing.T, net *Network, x [][]float64, y []int) float64 {
+	t.Helper()
+	logits := net.forwardT(net.stage(x))
+	loss, err := softmaxCrossEntropyT(logits, y, linalg.NewTensor(logits.Rows, logits.Cols), make([]float64, logits.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loss
+}
+
 // numericalGrad estimates dLoss/dw by central differences for every
 // parameter of the network on a fixed batch.
 func numericalGrad(t *testing.T, net *Network, x [][]float64, y []int) [][]float64 {
@@ -22,15 +40,9 @@ func numericalGrad(t *testing.T, net *Network, x [][]float64, y []int) [][]float
 		for i := range p.W {
 			orig := p.W[i]
 			p.W[i] = orig + eps
-			lp, err := net.Loss(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
+			lp := lossOf(t, net, x, y)
 			p.W[i] = orig - eps
-			lm, err := net.Loss(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
+			lm := lossOf(t, net, x, y)
 			p.W[i] = orig
 			out[pi][i] = (lp - lm) / (2 * eps)
 		}

@@ -46,15 +46,3 @@ func heInit(w []float64, fanIn int, rng *rand.Rand) {
 		w[i] = rng.NormFloat64() * std
 	}
 }
-
-// xavierInit fills w with Xavier/Glorot-normal initialization, used ahead of
-// linear or sigmoid outputs.
-func xavierInit(w []float64, fanIn, fanOut int, rng *rand.Rand) {
-	std := 1.0
-	if fanIn+fanOut > 0 {
-		std = math.Sqrt(2.0 / float64(fanIn+fanOut))
-	}
-	for i := range w {
-		w[i] = rng.NormFloat64() * std
-	}
-}

@@ -37,7 +37,7 @@ func TestTensorEntryMatchesRows(t *testing.T) {
 	const rows = 9
 	x, fused := tensorEntryBatch(rng, rows, 4)
 
-	wantLogits := net.Forward(x)
+	wantLogits := forwardRows(net, x)
 	gotLogits, err := net.ForwardTensor(fused)
 	if err != nil {
 		t.Fatal(err)

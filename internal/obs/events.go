@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
-
 // Cluster timeline event types recorded by the router. Kept as plain
 // strings (not an enum) so workers or future components can add their own
 // types without touching this package.
@@ -33,82 +27,4 @@ type ClusterEvent struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Detail is a human-readable elaboration.
 	Detail string `json:"detail,omitempty"`
-}
-
-// EventRing is a bounded ring of cluster timeline events, mirroring
-// TraceRing. Safe for concurrent writers and readers.
-type EventRing struct {
-	mu      sync.Mutex
-	buf     []ClusterEvent
-	next    int
-	n       int
-	dropped int64
-}
-
-// NewEventRing returns a ring holding at most capacity events
-// (capacity < 1 is raised to 1).
-func NewEventRing(capacity int) *EventRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventRing{buf: make([]ClusterEvent, capacity)}
-}
-
-// Add appends an event, evicting the oldest when full.
-func (r *EventRing) Add(ev ClusterEvent) {
-	r.mu.Lock()
-	if r.n == len(r.buf) {
-		r.dropped++
-	} else {
-		r.n++
-	}
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	r.mu.Unlock()
-}
-
-// Len returns the number of retained events.
-func (r *EventRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Dropped returns how many events have been evicted.
-func (r *EventRing) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Last returns up to n retained events in chronological order (oldest
-// first). n <= 0 returns every retained event.
-func (r *EventRing) Last(n int) []ClusterEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n <= 0 || n > r.n {
-		n = r.n
-	}
-	out := make([]ClusterEvent, n)
-	start := r.next - n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(start+i)%len(r.buf)]
-	}
-	return out
-}
-
-// WriteJSONL encodes up to n events (oldest first) as one JSON object per
-// line — the /v1/cluster/events format.
-func (r *EventRing) WriteJSONL(w io.Writer, n int) error {
-	enc := json.NewEncoder(w)
-	var firstErr error
-	for _, ev := range r.Last(n) {
-		if err := enc.Encode(ev); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

@@ -23,9 +23,10 @@ type Exemplar struct {
 // under the lock) for the common fast request, so it can sit on the
 // per-request path of a router.
 type ExemplarRing struct {
-	mu  sync.Mutex
-	buf []Exemplar // unordered; min tracked by minIdx
-	k   int
+	mu     sync.Mutex
+	buf    []Exemplar // unordered
+	minIdx int        // the fastest retained exemplar (the first, among ties)
+	k      int
 }
 
 // NewExemplarRing returns a ring keeping the k slowest requests
@@ -43,16 +44,20 @@ func (r *ExemplarRing) Offer(e Exemplar) {
 	defer r.mu.Unlock()
 	if len(r.buf) < r.k {
 		r.buf = append(r.buf, e)
+		if e.DurationMicros < r.buf[r.minIdx].DurationMicros {
+			r.minIdx = len(r.buf) - 1
+		}
 		return
 	}
-	min := 0
-	for i := 1; i < len(r.buf); i++ {
-		if r.buf[i].DurationMicros < r.buf[min].DurationMicros {
-			min = i
-		}
+	if e.DurationMicros <= r.buf[r.minIdx].DurationMicros {
+		return
 	}
-	if e.DurationMicros > r.buf[min].DurationMicros {
-		r.buf[min] = e
+	r.buf[r.minIdx] = e
+	r.minIdx = 0
+	for i := 1; i < len(r.buf); i++ {
+		if r.buf[i].DurationMicros < r.buf[r.minIdx].DurationMicros {
+			r.minIdx = i
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package obs is FreewayML's dependency-free observability core: atomic
 // counters and gauges, fixed-bucket latency histograms with quantile
 // estimation, a process-wide named registry with Prometheus text
-// exposition, and a bounded ring buffer of per-batch decision traces.
+// exposition and its cluster-wide merge, W3C-style trace context, and the
+// records a node keeps of its recent past — per-batch decision traces,
+// request spans and cluster events, each in one generic bounded ring
+// (Ring), plus the top-K slowest requests (ExemplarRing).
 //
 // The package uses only the standard library and is safe for concurrent
 // use: the hot path (Counter.Inc, Gauge.Set, Histogram.Observe) is a
@@ -105,9 +108,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bounds returns the bucket upper bounds (excluding the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // snapshot returns per-bucket counts (len(bounds)+1 entries, last = +Inf
 // overflow) and the total, read bucket-by-bucket without a global lock —

@@ -181,84 +181,12 @@ type Span struct {
 	Err    string `json:"err,omitempty"`
 }
 
-// SpanRing is a bounded ring of span records, mirroring TraceRing. Safe for
-// concurrent writers and readers; the oldest span is overwritten once full.
-type SpanRing struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	n       int
-	dropped int64
-}
-
-// NewSpanRing returns a ring holding at most capacity spans
-// (capacity < 1 is raised to 1).
-func NewSpanRing(capacity int) *SpanRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanRing{buf: make([]Span, capacity)}
-}
-
-// Add appends a span, evicting the oldest when full.
-func (r *SpanRing) Add(s Span) {
-	r.mu.Lock()
-	if r.n == len(r.buf) {
-		r.dropped++
-	} else {
-		r.n++
-	}
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % len(r.buf)
-	r.mu.Unlock()
-}
-
-// Len returns the number of retained spans.
-func (r *SpanRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Dropped returns how many spans have been evicted.
-func (r *SpanRing) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Last returns up to n retained spans in insertion order (oldest first).
-// n <= 0 returns every retained span.
-func (r *SpanRing) Last(n int) []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n <= 0 || n > r.n {
-		n = r.n
-	}
-	out := make([]Span, n)
-	start := r.next - n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(start+i)%len(r.buf)]
-	}
-	return out
-}
-
-// ByTrace returns every retained span with the given trace id, insertion
-// order. The ring is bounded (typically a few thousand entries), so the
-// linear scan is cheap relative to the HTTP round trip that triggers it.
-func (r *SpanRing) ByTrace(traceID string) []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// SpansOfTrace returns the spans with the given trace id, in the order given
+// — over a ring's Last(0), insertion order. A ring holds a few thousand
+// spans, so the scan is cheap next to the HTTP round trip that asks for it.
+func SpansOfTrace(spans []Span, traceID string) []Span {
 	var out []Span
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.n; i++ {
-		s := r.buf[(start+i)%len(r.buf)]
+	for _, s := range spans {
 		if s.TraceID == traceID {
 			out = append(out, s)
 		}

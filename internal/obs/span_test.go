@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -57,8 +59,10 @@ func TestNewIDsUnique(t *testing.T) {
 	}
 }
 
-func TestSpanRingByTraceAndEviction(t *testing.T) {
-	r := NewSpanRing(4)
+// TestSpansOfTrace: the /v1/spans?id= and /v1/cluster/trace filter keeps a
+// trace's retained spans in insertion order; evicted ones are gone.
+func TestSpansOfTrace(t *testing.T) {
+	r := NewRing[Span](4)
 	for i := 0; i < 6; i++ {
 		id := "t1"
 		if i%2 == 1 {
@@ -66,37 +70,12 @@ func TestSpanRingByTraceAndEviction(t *testing.T) {
 		}
 		r.Add(Span{TraceID: id, Attempt: i})
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", r.Dropped())
-	}
-	got := r.ByTrace("t1")
+	got := SpansOfTrace(r.Last(0), "t1")
 	if len(got) != 2 || got[0].Attempt != 2 || got[1].Attempt != 4 {
-		t.Fatalf("ByTrace(t1) = %+v", got)
+		t.Fatalf("SpansOfTrace(t1) = %+v", got)
 	}
-	if n := len(r.Last(0)); n != 4 {
-		t.Fatalf("Last(0) returned %d spans, want 4", n)
-	}
-}
-
-func TestSpanRingConcurrent(t *testing.T) {
-	r := NewSpanRing(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				r.Add(Span{TraceID: NewTraceID()})
-				r.ByTrace("none")
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Len() != 64 {
-		t.Fatalf("Len = %d, want 64", r.Len())
+	if got := SpansOfTrace(r.Last(0), "none"); got != nil {
+		t.Fatalf("SpansOfTrace(none) = %+v, want nil", got)
 	}
 }
 
@@ -117,23 +96,31 @@ func TestExemplarRingTopK(t *testing.T) {
 	}
 }
 
-func TestEventRingJSONL(t *testing.T) {
-	r := NewEventRing(2)
-	r.Add(ClusterEvent{Type: EventBreakerOpen, Worker: "w1"})
-	r.Add(ClusterEvent{Type: EventMigration, Worker: "w2", Stream: "s"})
-	r.Add(ClusterEvent{Type: EventBreakerClose, Worker: "w1"})
-	if r.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1", r.Dropped())
-	}
-	var sb strings.Builder
-	if err := r.WriteJSONL(&sb, 0); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("JSONL lines = %d, want 2: %q", len(lines), sb.String())
-	}
-	if !strings.Contains(lines[0], EventMigration) || !strings.Contains(lines[1], EventBreakerClose) {
-		t.Fatalf("unexpected JSONL order: %q", sb.String())
+// TestExemplarRingTopKMatchesBruteForce offers random durations with many
+// ties: whatever the offer order, TopK holds exactly the K largest durations
+// offered, slowest first.
+func TestExemplarRingTopKMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, k := range []int{1, 2, 5, 32} { // 32: the router's default K
+		for trial := 0; trial < 20; trial++ {
+			r := NewExemplarRing(k)
+			var all []float64
+			for i, n := 0, rng.Intn(4*k+10); i < n; i++ {
+				d := float64(rng.Intn(12)) // few distinct values: ties everywhere
+				all = append(all, d)
+				r.Offer(Exemplar{TraceID: strconv.Itoa(i), DurationMicros: d})
+			}
+			sort.Sort(sort.Reverse(sort.Float64Slice(all)))
+			want := all[:min(k, len(all))]
+			top := r.TopK()
+			if len(top) != len(want) || r.Len() != len(want) {
+				t.Fatalf("k=%d: TopK holds %d (Len %d), want %d", k, len(top), r.Len(), len(want))
+			}
+			for i, e := range top {
+				if e.DurationMicros != want[i] {
+					t.Fatalf("k=%d trial %d: TopK[%d] = %v, want %v (brute force %v)", k, trial, i, e.DurationMicros, want[i], want)
+				}
+			}
+		}
 	}
 }

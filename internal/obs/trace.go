@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
-
 // StageTiming is one pipeline stage's wall time within a batch.
 type StageTiming struct {
 	Stage  string  `json:"stage"`
@@ -67,106 +61,4 @@ type TraceEvent struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Stages are the per-stage wall times, pipeline order.
 	Stages []StageTiming `json:"stages"`
-}
-
-// TraceRing is a bounded ring buffer of decision events. Memory is bounded
-// by the capacity fixed at construction: the ring never grows, and the
-// oldest event is overwritten (and counted as dropped) once full. Safe for
-// concurrent writers and readers.
-type TraceRing struct {
-	mu      sync.Mutex
-	buf     []TraceEvent
-	next    int // index the next Add writes to
-	n       int // events currently held
-	dropped int64
-}
-
-// NewTraceRing returns a ring holding at most capacity events
-// (capacity < 1 is raised to 1).
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceRing{buf: make([]TraceEvent, capacity)}
-}
-
-// Add appends an event, evicting the oldest when full.
-func (t *TraceRing) Add(ev TraceEvent) {
-	t.mu.Lock()
-	if t.n == len(t.buf) {
-		t.dropped++
-	} else {
-		t.n++
-	}
-	t.buf[t.next] = ev
-	t.next = (t.next + 1) % len(t.buf)
-	t.mu.Unlock()
-}
-
-// Len returns the number of retained events.
-func (t *TraceRing) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Cap returns the ring's fixed capacity.
-func (t *TraceRing) Cap() int { return len(t.buf) }
-
-// Dropped returns how many events have been evicted.
-func (t *TraceRing) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Last returns up to n retained events in chronological order (oldest
-// first, newest last). n <= 0 returns every retained event.
-func (t *TraceRing) Last(n int) []TraceEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n <= 0 || n > t.n {
-		n = t.n
-	}
-	out := make([]TraceEvent, n)
-	start := t.next - n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = t.buf[(start+i)%len(t.buf)]
-	}
-	return out
-}
-
-// Newest returns the most recently added event, ok=false when empty.
-func (t *TraceRing) Newest() (TraceEvent, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n == 0 {
-		return TraceEvent{}, false
-	}
-	i := t.next - 1
-	if i < 0 {
-		i += len(t.buf)
-	}
-	return t.buf[i], true
-}
-
-// WriteJSONL encodes up to n events (oldest first) as one JSON object per
-// line — the /v1/trace and `freeway -trace` format.
-func (t *TraceRing) WriteJSONL(w io.Writer, n int) error {
-	enc := json.NewEncoder(w)
-	var firstErr error
-	for _, ev := range t.Last(n) {
-		if err := enc.Encode(ev); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// EncodeJSONL writes one event as a single JSONL line.
-func EncodeJSONL(w io.Writer, ev TraceEvent) error {
-	return json.NewEncoder(w).Encode(ev)
 }

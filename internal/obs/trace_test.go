@@ -4,97 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
-func TestTraceRingEvictionOrder(t *testing.T) {
-	r := NewTraceRing(4)
-	if r.Cap() != 4 || r.Len() != 0 {
-		t.Fatalf("fresh ring: cap=%d len=%d", r.Cap(), r.Len())
-	}
-	if _, ok := r.Newest(); ok {
-		t.Error("empty ring should have no newest")
-	}
-	for i := 0; i < 10; i++ {
-		r.Add(TraceEvent{Batch: i})
-	}
-	if r.Len() != 4 {
-		t.Errorf("len = %d, want 4", r.Len())
-	}
-	if r.Dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", r.Dropped())
-	}
-	got := r.Last(0)
-	for i, ev := range got {
-		if want := 6 + i; ev.Batch != want {
-			t.Errorf("Last[%d].Batch = %d, want %d (oldest-first order)", i, ev.Batch, want)
-		}
-	}
-	if last2 := r.Last(2); len(last2) != 2 || last2[0].Batch != 8 || last2[1].Batch != 9 {
-		t.Errorf("Last(2) = %+v", last2)
-	}
-	if newest, ok := r.Newest(); !ok || newest.Batch != 9 {
-		t.Errorf("Newest = %+v ok=%v", newest, ok)
-	}
-	// Asking for more than retained returns only what exists.
-	if over := r.Last(100); len(over) != 4 {
-		t.Errorf("Last(100) = %d events", len(over))
-	}
-}
-
-// TestTraceRingBoundedUnderConcurrentWriters proves the ring never grows
-// past capacity and accounts for every event, with writers racing (run
-// under -race via make check).
-func TestTraceRingBoundedUnderConcurrentWriters(t *testing.T) {
-	const capacity, workers, per = 64, 8, 500
-	r := NewTraceRing(capacity)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				r.Add(TraceEvent{Batch: w*per + i, Strategy: "multi-granularity"})
-				if l := r.Len(); l > capacity {
-					t.Errorf("ring grew past capacity: %d", l)
-					return
-				}
-			}
-		}(w)
-	}
-	// Concurrent readers while writing.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			for _, ev := range r.Last(16) {
-				_ = ev.Batch
-			}
-			r.Newest()
-		}
-	}()
-	wg.Wait()
-	<-done
-	if r.Len() != capacity {
-		t.Errorf("len = %d, want %d", r.Len(), capacity)
-	}
-	if got := r.Dropped() + int64(r.Len()); got != workers*per {
-		t.Errorf("dropped+len = %d, want %d (every Add accounted)", got, workers*per)
-	}
-	// Retained events are unique (no slot double-counted).
-	seen := map[int]bool{}
-	for _, ev := range r.Last(0) {
-		if seen[ev.Batch] {
-			t.Errorf("duplicate event %d", ev.Batch)
-		}
-		seen[ev.Batch] = true
-	}
-}
-
 func TestTraceJSONLRoundTrip(t *testing.T) {
-	r := NewTraceRing(8)
-	r.Add(TraceEvent{
+	in := []TraceEvent{{
 		Batch: 3, Pattern: "B(sudden)", Strategy: "coherent-experience-clustering",
 		ShiftDistance: 4.2, Severity: 9.9, NearestHistory: -1,
 		EnsembleWeights: []float64{0.7, 0.3},
@@ -103,11 +17,10 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 			{Stage: "cluster", Micros: 800},
 		},
 		Accuracy: 0.5,
-	})
-	r.Add(TraceEvent{Batch: 4, Pattern: "A1(directional)", Strategy: "multi-granularity", Accuracy: -1})
+	}, {Batch: 4, Pattern: "A1(directional)", Strategy: "multi-granularity", Accuracy: -1}}
 
 	var sb strings.Builder
-	if err := r.WriteJSONL(&sb, 0); err != nil {
+	if err := WriteJSONL(&sb, in); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(strings.NewReader(sb.String()))

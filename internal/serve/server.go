@@ -277,8 +277,7 @@ type Server struct {
 	binConns   map[net.Conn]struct{}
 
 	workerID atomic.Value // string; span Service name
-	spanCap  int
-	spans    *obs.SpanRing
+	spans    *obs.Ring[obs.Span]
 
 	reqs       atomic.Int64
 	rejects    atomic.Int64
@@ -307,7 +306,7 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 		mux:        http.NewServeMux(),
 		maxBody:    DefaultMaxBodyBytes,
 		binTimeout: DefaultBinaryReadTimeout,
-		spanCap:    DefaultSpanCap,
+		spans:      obs.NewRing[obs.Span](DefaultSpanCap),
 		scfg: session.Config{
 			Learner: cfg,
 			Dim:     dim,
@@ -317,7 +316,6 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.spans = obs.NewSpanRing(s.spanCap)
 	mgr, err := session.NewManager(s.scfg)
 	if err != nil {
 		return nil, err
@@ -905,14 +903,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, id string) 
 	if q := r.URL.Query().Get("stream"); q != "" {
 		id = q
 	}
-	n := 0
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			s.writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
-			return
-		}
-		n = v
+	n, err := obs.ParseLastN(r.URL.Query().Get("n"))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	sess, status, err := s.session(id)
 	if err != nil {
@@ -920,7 +914,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, id string) 
 		return
 	}
 	w.Header().Set("Content-Type", TraceContentType)
-	if err := sess.Observer().Trace().WriteJSONL(w, n); err != nil {
+	if err := obs.WriteJSONL(w, sess.Observer().Trace().Last(n)); err != nil {
 		log.Printf("serve: trace write failed: %v", err)
 	}
 }

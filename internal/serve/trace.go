@@ -31,16 +31,6 @@ const WorkerMicrosHeader = obs.WorkerMicrosHeader
 // DefaultSpanCap bounds the worker span ring.
 const DefaultSpanCap = 2048
 
-// WithSpanCap sets the worker's span ring capacity (n <= 0 keeps
-// DefaultSpanCap).
-func WithSpanCap(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.spanCap = n
-		}
-	}
-}
-
 // SetWorkerID names this worker in its span records (conventionally the
 // bound listen address). Call before serving; the default is "worker".
 func (s *Server) SetWorkerID(id string) {
@@ -57,7 +47,7 @@ func (s *Server) workerIDString() string {
 }
 
 // Spans exposes the worker's span ring (tests, embedding servers).
-func (s *Server) Spans() *obs.SpanRing { return s.spans }
+func (s *Server) Spans() *obs.Ring[obs.Span] { return s.spans }
 
 // spanRec accumulates one worker span from request arrival to response.
 type spanRec struct {
@@ -131,16 +121,12 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	}
 	var spans []obs.Span
 	if id := r.URL.Query().Get("id"); id != "" {
-		spans = s.spans.ByTrace(id)
+		spans = obs.SpansOfTrace(s.spans.Last(0), id)
 	} else {
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				s.writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
-				return
-			}
-			n = v
+		n, err := obs.ParseLastN(r.URL.Query().Get("n"))
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err.Error())
+			return
 		}
 		spans = s.spans.Last(n)
 	}

@@ -262,9 +262,6 @@ func (m *Manager) Registry() *obs.Registry { return m.reg }
 // sessions keep per-stream stores.
 func (m *Manager) SharedStore() *knowledge.Store { return m.shared }
 
-// NumShards returns the resolved lock-stripe count.
-func (m *Manager) NumShards() int { return len(m.shards) }
-
 // MaxSessions returns the resolved resident-session bound.
 func (m *Manager) MaxSessions() int { return m.cfg.MaxSessions }
 

@@ -61,10 +61,6 @@ func (s *Session) Observer() *core.Observer { return s.observer }
 // creation.
 func (s *Session) Restored() bool { return s.restored }
 
-// LastUsed returns the time of the session's last Process call (creation
-// time before the first one).
-func (s *Session) LastUsed() time.Time { return time.Unix(0, s.lastUsed.Load()) }
-
 // touch advances the idle clock.
 func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 

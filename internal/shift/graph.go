@@ -45,9 +45,6 @@ func (g *Graph) Add(obs Observation, accuracy float64) {
 	})
 }
 
-// Points returns the accumulated trajectory in chronological order.
-func (g *Graph) Points() []GraphPoint { return g.points }
-
 // Len returns the number of recorded points.
 func (g *Graph) Len() int { return len(g.points) }
 

@@ -2,7 +2,7 @@
 // and adaptive streaming window rely on: weighted means and standard
 // deviations over recent shift distances (Eq. 8-10 of the paper), the
 // inversion-count "disorder" of a distance ranking (Eq. 11), z-scores, and a
-// small set of streaming accumulators.
+// fixed-capacity sliding window.
 package stats
 
 import (
@@ -12,33 +12,6 @@ import (
 
 // ErrEmpty is returned by aggregate functions given no observations.
 var ErrEmpty = errors.New("stats: empty input")
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs (1/n normalization,
-// matching the paper's Eq. 9).
-func StdDev(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs))), nil
-}
 
 // WeightedMean implements Eq. 8: μ_d = Σ wᵢ·dᵢ / Σ wᵢ. The two slices must
 // have equal nonzero length and the weights must have a positive sum.
@@ -174,39 +147,3 @@ func NormalizedDisorder(ranks []int) float64 {
 	maxInv := n * (n - 1) / 2
 	return float64(Inversions(ranks)) / float64(maxInv)
 }
-
-// Running accumulates a mean and variance incrementally (Welford's
-// algorithm). The zero value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (r *Running) Add(x float64) {
-	r.n++
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean (0 before any observation).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the running population variance (0 with fewer than 2 points).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Var()) }
-
-// Reset clears the accumulator.
-func (r *Running) Reset() { *r = Running{} }

@@ -8,24 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil || m != 5 {
-		t.Fatalf("Mean = %v, %v", m, err)
-	}
-	s, err := StdDev(xs)
-	if err != nil || math.Abs(s-2) > 1e-12 {
-		t.Fatalf("StdDev = %v, %v", s, err)
-	}
-	if _, err := Mean(nil); err != ErrEmpty {
-		t.Errorf("Mean(nil) err = %v", err)
-	}
-	if _, err := StdDev(nil); err != ErrEmpty {
-		t.Errorf("StdDev(nil) err = %v", err)
-	}
-}
-
 func TestWeightedMean(t *testing.T) {
 	m, err := WeightedMean([]float64{1, 3}, []float64{3, 1})
 	if err != nil || math.Abs(m-1.5) > 1e-12 {
@@ -46,9 +28,8 @@ func TestWeightedMeanUniformEqualsMean(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ws := []float64{1, 1, 1, 1}
 	wm, _ := WeightedMean(xs, ws)
-	m, _ := Mean(xs)
-	if math.Abs(wm-m) > 1e-12 {
-		t.Errorf("uniform WeightedMean %v != Mean %v", wm, m)
+	if m := 2.5; math.Abs(wm-m) > 1e-12 {
+		t.Errorf("uniform WeightedMean %v != mean %v", wm, m)
 	}
 }
 
@@ -168,42 +149,6 @@ func TestNormalizedDisorderBounds(t *testing.T) {
 		if d < 0 || d > 1 {
 			t.Fatalf("disorder %v out of [0,1] for %v", d, ranks)
 		}
-	}
-}
-
-func TestRunningMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := make([]float64, 100)
-	var r Running
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 10
-		r.Add(xs[i])
-	}
-	m, _ := Mean(xs)
-	s, _ := StdDev(xs)
-	if math.Abs(r.Mean()-m) > 1e-9 {
-		t.Errorf("Running.Mean %v != %v", r.Mean(), m)
-	}
-	if math.Abs(r.StdDev()-s) > 1e-9 {
-		t.Errorf("Running.StdDev %v != %v", r.StdDev(), s)
-	}
-	if r.N() != 100 {
-		t.Errorf("N = %d", r.N())
-	}
-	r.Reset()
-	if r.N() != 0 || r.Mean() != 0 || r.Var() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestRunningFewPoints(t *testing.T) {
-	var r Running
-	if r.Var() != 0 || r.StdDev() != 0 {
-		t.Error("empty Running should have zero variance")
-	}
-	r.Add(5)
-	if r.Mean() != 5 || r.Var() != 0 {
-		t.Errorf("single point: mean=%v var=%v", r.Mean(), r.Var())
 	}
 }
 

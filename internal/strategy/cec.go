@@ -33,9 +33,6 @@ func NewCEC(exp *cluster.ExpBuffer, ens *Ensemble, seed int64, batchNum func() i
 	return &CEC{exp: exp, ens: ens, seed: seed, batchNum: batchNum}
 }
 
-// Name identifies the mechanism.
-func (c *CEC) Name() string { return "coherent-experience-clustering" }
-
 // Experience exposes the underlying buffer (checkpointing).
 func (c *CEC) Experience() *cluster.ExpBuffer { return c.exp }
 

@@ -183,9 +183,6 @@ func NewEnsemble(cfg EnsembleConfig, grans []*Granularity, long model.Model, lon
 // first Train; nil disables preservation).
 func (e *Ensemble) SetPreserver(p Preserver) { e.preserver = p }
 
-// Name identifies the mechanism.
-func (e *Ensemble) Name() string { return "multi-granularity" }
-
 // Granularities exposes the fixed-frequency members (checkpointing and
 // white-box tests).
 func (e *Ensemble) Granularities() []*Granularity { return e.grans }

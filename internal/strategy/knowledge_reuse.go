@@ -36,9 +36,6 @@ func NewKnowledgeReuse(store *knowledge.Store, reuse model.Model, ens *Ensemble,
 	return &KnowledgeReuse{store: store, reuse: reuse, ens: ens, sigma: sigma, beta: beta, reoccurRatio: reoccurRatio}
 }
 
-// Name identifies the mechanism.
-func (k *KnowledgeReuse) Name() string { return "knowledge-reuse" }
-
 // Store exposes the underlying knowledge store.
 func (k *KnowledgeReuse) Store() *knowledge.Store { return k.store }
 
@@ -95,12 +92,6 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 		}
 	}
 	return pred, true, nil
-}
-
-// Train is a no-op: the store is fed by PreserveAtWindowClose, not by
-// per-batch training.
-func (k *KnowledgeReuse) Train(ctx context.Context, b stream.Batch, obs shift.Observation, tr Trace) error {
-	return nil
 }
 
 // PreserveAtWindowClose applies the disorder-threshold policy of Sec. IV-D1.

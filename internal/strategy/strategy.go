@@ -1,22 +1,18 @@
-// Package strategy implements the three adaptive mechanisms of FreewayML as
-// interchangeable strategies behind one interface (paper Sec. IV): the
-// multi-time-granularity ensemble for slight shifts (Pattern A), coherent
-// experience clustering for sudden shifts (Pattern B), and historical
-// knowledge reuse for reoccurring shifts (Pattern C). The core learner
-// shrinks to detection → dispatch → bookkeeping; everything mechanism-
-// specific — the models, the adaptive window, the experience buffer, the
-// store match — lives here.
+// Package strategy implements the three adaptive mechanisms of FreewayML
+// (paper Sec. IV): the multi-time-granularity ensemble for slight shifts
+// (Pattern A), coherent experience clustering for sudden shifts (Pattern B),
+// and historical knowledge reuse for reoccurring shifts (Pattern C). The core
+// learner shrinks to detection → dispatch → bookkeeping; everything
+// mechanism-specific — the models, the adaptive window, the experience
+// buffer, the store match — lives here.
 package strategy
 
 import (
-	"context"
 	"math"
 	"time"
 
 	"freewayml/internal/cluster"
 	"freewayml/internal/linalg"
-	"freewayml/internal/shift"
-	"freewayml/internal/stream"
 )
 
 // Stage names used in the freeway_stage_seconds{stage=...} histograms and
@@ -92,35 +88,6 @@ func ensureTrace(tr Trace) Trace {
 		return nopTrace{}
 	}
 	return tr
-}
-
-// Inferrer is the read side of a strategy: it produces predictions for a
-// batch under the detector's observation without mutating strategy state
-// that concurrent readers could see torn. ok=false means the mechanism
-// cannot serve this batch (no experience yet, no confident knowledge match)
-// and the dispatcher falls back per the paper's Fig. 8 chain.
-//
-// Note the distinction from Snapshot.InferBatch: a Strategy's Infer runs on
-// the training plane (under the session lock, interleaved with Train and
-// free to consult mutable detector state), while Snapshot carries the
-// immutable published view the lock-free inference plane reads.
-type Inferrer interface {
-	Name() string
-	Infer(ctx context.Context, b stream.Batch, obs shift.Observation, tr Trace) (Prediction, bool, error)
-}
-
-// Trainer is the write side: it folds the labeled batch into the
-// mechanism's state. Implementations honour ctx cancellation between (not
-// within) model updates.
-type Trainer interface {
-	Train(ctx context.Context, b stream.Batch, obs shift.Observation, tr Trace) error
-}
-
-// Strategy is one adaptive mechanism: the composition of its pure-read
-// Inferrer contract and its stateful Trainer contract.
-type Strategy interface {
-	Inferrer
-	Trainer
 }
 
 // normalizeDistances rescales the members' finite distances by their mean,
