@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"freewayml/internal/guard"
@@ -88,9 +87,10 @@ func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error)
 		}
 		// The training plane's guard repairs or rejects non-finite features
 		// statefully (running feature means, health counters); the read path
-		// must stay pure, so it only rejects.
+		// must stay pure, so it only rejects. A NaN or an Inf is the only value
+		// for which v-v != 0.
 		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+			if v-v != 0 {
 				return InferResult{}, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
 			}
 		}

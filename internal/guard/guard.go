@@ -82,13 +82,14 @@ type Report struct {
 // Total returns the number of non-finite values detected.
 func (r Report) Total() int { return r.NaNs + r.Infs }
 
-// Guard applies one policy to a stream of batches, maintaining the running
-// per-feature means the Impute policy draws from. It is not safe for
-// concurrent use; the learner serializes batches anyway.
+// Guard applies one policy to a stream of batches, maintaining — under
+// Impute, the one policy that reads them — the running per-feature means it
+// draws from. It is not safe for concurrent use; the learner serializes
+// batches anyway.
 type Guard struct {
 	policy Policy
-	count  []float64 // finite observations per feature
-	mean   []float64 // running mean per feature over finite values
+	count  []float64 // finite observations per feature (Impute only)
+	mean   []float64 // running mean per feature over finite values (Impute only)
 }
 
 // New builds a Guard for the given policy over dim-dimensional features.
@@ -104,7 +105,8 @@ func New(policy Policy, dim int) *Guard {
 // Policy returns the guard's configured policy.
 func (g *Guard) Policy() Policy { return g.policy }
 
-// FeatureMeans exposes the running per-feature means (diagnostics/tests).
+// FeatureMeans exposes the running per-feature means (diagnostics/tests):
+// zeros under every policy but Impute, which alone keeps them.
 func (g *Guard) FeatureMeans() []float64 {
 	out := make([]float64, len(g.mean))
 	copy(out, g.mean)
@@ -127,13 +129,15 @@ func (g *Guard) Sanitize(x [][]float64) ([][]float64, Report, error) {
 		var clean []float64 // private copy of row, allocated on first repair
 		faults := 0
 		for j, v := range row {
-			switch {
-			case math.IsNaN(v):
-				rep.NaNs++
-			case math.IsInf(v, 0):
-				rep.Infs++
-			default:
+			// A non-finite float is the only value for which v-v != 0: one
+			// test per value, NaN and Inf told apart only once one is found.
+			if v-v == 0 {
 				continue
+			}
+			if v != v {
+				rep.NaNs++
+			} else {
+				rep.Infs++
 			}
 			faults++
 			if g.policy == Reject {
@@ -158,7 +162,9 @@ func (g *Guard) Sanitize(x [][]float64) ([][]float64, Report, error) {
 		return x, rep, fmt.Errorf("%w: %d NaN, %d Inf values in %d rows",
 			ErrRejected, rep.NaNs, rep.Infs, rep.Rows)
 	}
-	g.updateMeans(x)
+	if g.policy == Impute {
+		g.updateMeans(x)
+	}
 	return out, rep, nil
 }
 
@@ -199,7 +205,7 @@ func (g *Guard) updateMeans(x [][]float64) {
 	}
 	for _, row := range x {
 		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+			if v-v != 0 {
 				continue
 			}
 			g.count[j]++

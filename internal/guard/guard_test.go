@@ -116,6 +116,25 @@ func TestImputeBeforeAnyFiniteValueFallsBackToZero(t *testing.T) {
 	}
 }
 
+// TestMeansOnlyUnderImpute: Reject and Clamp never read the running means,
+// so they do not keep them — FeatureMeans stays zero however many clean
+// batches pass — while Impute's have moved.
+func TestMeansOnlyUnderImpute(t *testing.T) {
+	clean := [][]float64{{1, 10}, {3, 10}}
+	for _, p := range []Policy{Reject, Clamp, Impute} {
+		g := New(p, 2)
+		for i := 0; i < 3; i++ {
+			if _, _, err := g.Sanitize(clean); err != nil {
+				t.Fatal(err)
+			}
+		}
+		means := g.FeatureMeans()
+		if moved := means[0] != 0 || means[1] != 0; moved != (p == Impute) {
+			t.Errorf("%v: FeatureMeans %v after clean batches", p, means)
+		}
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	cases := map[string]Policy{"": Reject, "reject": Reject, "clamp": Clamp, "impute": Impute, "off": Off}
 	for s, want := range cases {

@@ -1,6 +1,9 @@
 package linalg
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // The class head's element-wise kernels: Exp and Log over a whole slab, and
 // the divisions that normalize it (DESIGN.md, "The class head").
@@ -104,4 +107,94 @@ func logProbe() []float64 {
 		xs[i] = math.Pow(1.7, float64(i-52)) * 1.0123
 	}
 	return xs
+}
+
+// The class-major slab: a classes × samples tensor, a column of it one
+// sample's classes. The column passes below run four samples to a vector with
+// AVX2, each lane doing the scalar column loop's operations in its order, and
+// the scalar loop itself for the samples past the last whole four.
+
+// SoftmaxCols writes the softmax of every column of the classes × samples slab
+// src into dst, which has src's shape and may be src itself. Per sample: the
+// first-greatest logit (if v > m, from m = −Inf: a NaN never becomes the
+// maximum), taken as 0 when it stays −Inf, is subtracted from the column; one
+// ExpInto runs over the whole slab; the column is summed over the classes in
+// ascending order from +0 and divided by the sum, or set to 1/classes where
+// the sum is 0 (every logit −Inf).
+func SoftmaxCols(dst, src *Tensor) {
+	if dst.Rows != src.Rows || dst.Cols != src.Cols {
+		panic(fmt.Sprintf("linalg: SoftmaxCols shape %dx%d, source %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))
+	}
+	classes, ld := src.Rows, src.Cols
+	if classes == 0 || ld == 0 {
+		return
+	}
+	d, s := dst.Data[:classes*ld], src.Data[:classes*ld]
+	j := simdCols(ld)
+	if j > 0 {
+		softmaxShiftAVX2(d[:(classes-1)*ld+j], s[:(classes-1)*ld+j], ld, j, classes)
+	}
+	for r := j; r < ld; r++ {
+		maxv := math.Inf(-1)
+		for c := r; c < len(s); c += ld {
+			if v := s[c]; v > maxv {
+				maxv = v
+			}
+		}
+		if maxv == math.Inf(-1) {
+			maxv = 0 // every logit −Inf (or NaN): −Inf − −Inf would be NaN, −Inf − 0 is −Inf
+		}
+		for c := r; c < len(s); c += ld {
+			d[c] = s[c] - maxv
+		}
+	}
+	ExpInto(d, d)
+	u := 1 / float64(classes)
+	if j > 0 {
+		softmaxNormAVX2(d[:(classes-1)*ld+j], ld, j, classes, u)
+	}
+	for r := j; r < ld; r++ {
+		var sum float64
+		for c := r; c < len(d); c += ld {
+			sum += d[c]
+		}
+		for c := r; c < len(d); c += ld {
+			if sum == 0 {
+				d[c] = u
+			} else {
+				d[c] /= sum
+			}
+		}
+	}
+}
+
+// ArgmaxCols sets dst[r] to the class of the largest value in column r of the
+// classes × samples slab x: the first on ties, the best moving only to a
+// value greater than it (so a NaN in class 0 stays the best), -1 when there
+// are no classes. It panics unless len(dst) == x.Cols.
+func ArgmaxCols(dst []int, x *Tensor) {
+	classes, ld := x.Rows, x.Cols
+	if len(dst) != ld {
+		panic(fmt.Sprintf("linalg: ArgmaxCols %d labels for %d columns", len(dst), ld))
+	}
+	if classes == 0 {
+		for r := range dst {
+			dst[r] = -1
+		}
+		return
+	}
+	v := x.Data[:classes*ld]
+	j := simdCols(ld)
+	if j > 0 {
+		argmaxColsAVX2(dst[:j], v[:(classes-1)*ld+j], ld, j, classes)
+	}
+	for r := j; r < ld; r++ {
+		best := 0
+		for c := 1; c < classes; c++ {
+			if v[c*ld+r] > v[best*ld+r] {
+				best = c
+			}
+		}
+		dst[r] = best
+	}
 }

@@ -353,3 +353,116 @@ func TestDivScalarMatchesGoLoop(t *testing.T) {
 		}
 	}
 }
+
+// headShapes are the class-major slabs the head tests sweep: sample counts
+// around one and several groups of four and the 256-row batch, class counts
+// 1–9 and 17.
+var headRows, headClasses = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129, 256}, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17}
+
+// headSlab is a classes × rows slab of logits at one of four scales and, from
+// trial 4 on, in about every other column one of the values a head must get
+// right: ±0, ±Inf, NaN, ±1e300, a column that is all −Inf, or a tie for the
+// maximum.
+func headSlab(rng *rand.Rand, classes, rows, trial int) *Tensor {
+	x := NewTensor(classes, rows)
+	scale := []float64{1, 10, 300, 1e5}[trial%4]
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64() * scale
+	}
+	awkward := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300}
+	for r := 0; r < rows && trial >= 4; r++ {
+		switch rng.Intn(6) {
+		case 0, 1:
+			x.Data[rng.Intn(classes)*rows+r] = awkward[rng.Intn(len(awkward))]
+		case 2:
+			for c := 0; c < classes; c++ {
+				x.Data[c*rows+r] = math.Inf(-1)
+			}
+		case 3:
+			v := 4 * scale
+			x.Data[rng.Intn(classes)*rows+r] = v
+			x.Data[rng.Intn(classes)*rows+r] = v
+		}
+	}
+	return x
+}
+
+// softmaxColRef and argmaxColRef are the per-sample loops the column kernels
+// replace, one sample's classes at a time: the first-greatest logit (−Inf
+// taken as 0) subtracted, math.Exp and the sum element by element, each
+// element divided by the sum or uniform for a zero sum; the first index of
+// the largest value.
+func softmaxColRef(out, logits []float64) {
+	maxv := math.Inf(-1)
+	for _, v := range logits {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	if maxv == math.Inf(-1) {
+		maxv = 0
+	}
+	var sum float64
+	for i, v := range logits {
+		e := math.Exp(v - maxv)
+		out[i] = e
+		sum += e
+	}
+	for i := range out {
+		if sum == 0 {
+			out[i] = 1 / float64(len(out))
+		} else {
+			out[i] /= sum
+		}
+	}
+}
+
+func argmaxColRef(xs []float64) int {
+	best := 0
+	for i := 1; i < len(xs); i++ {
+		if xs[i] > xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// column returns column r of a classes × rows slab.
+func column(x *Tensor, r int) []float64 {
+	col := make([]float64, x.Rows)
+	for c := range col {
+		col[c] = x.At(c, r)
+	}
+	return col
+}
+
+// TestSoftmaxColsMatchPerSampleLoops: SoftmaxCols (out of place and in place)
+// and ArgmaxCols against the per-sample loops, bit for bit, on both paths,
+// over headRows × headClasses slabs with the awkward values of headSlab.
+func TestSoftmaxColsMatchPerSampleLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	onBothPaths(t, func(t *testing.T) {
+		for _, rows := range headRows {
+			for _, classes := range headClasses {
+				for trial := 0; trial < 8; trial++ {
+					x := headSlab(rng, classes, rows, trial)
+					p, inPlace := NewTensor(classes, rows), cloneTensor(x)
+					SoftmaxCols(p, x)
+					SoftmaxCols(inPlace, inPlace)
+					labels := make([]int, rows)
+					ArgmaxCols(labels, x)
+					want := make([]float64, classes)
+					for r := 0; r < rows; r++ {
+						what := fmt.Sprintf("%d classes × %d rows, trial %d, sample %d", classes, rows, trial, r)
+						softmaxColRef(want, column(x, r))
+						sameBits(t, "SoftmaxCols "+what, column(p, r), want)
+						sameBits(t, "SoftmaxCols in place "+what, column(inPlace, r), want)
+						if l := argmaxColRef(column(x, r)); labels[r] != l {
+							t.Fatalf("ArgmaxCols %s: %d, want %d", what, labels[r], l)
+						}
+					}
+				}
+			}
+		}
+	})
+}

@@ -18,13 +18,21 @@ import (
 // On amd64 with AVX2 a product is one assembly call per row range
 // (simd_amd64.s), four output elements to an instruction, each lane doing the
 // mul-then-add sequence above. axpyPanelAVX2 (Gemm, GemmTA) keeps a 4-row ×
-// 8-column tile of C in registers across all of k; dotPanelAVX2 (GemmTB) runs
+// 8-column tile of C in registers across all of k; dotPanelAVX2 (GemmTBAdd) runs
 // 4 rows of A × 2 rows of B, a lane per A row. The Go loops below are their
 // n mod 4 tail columns and m mod 4 leftover rows, the whole kernel under
 // -tags purego and off amd64, and the readable twin the assembly is tested
 // against: 2 rows of C × 4, 2 or 1 steps of k for the axpy forms (both C
 // elements stay in registers across the steps and share the B loads), 4×2 and
 // 4×1 tiles of independent add chains for the dot form.
+//
+// Two things ride on the store of a finished element and leave its sum alone.
+// An Epilogue (the axpy forms) adds a bias to the finished sum, rectifies or
+// gates it: element-wise steps on one value each, so doing them in the
+// register before the store gives the bits of storing and then making the
+// same passes over C. And the class-major form (GemmTC, tcPanelAVX2) stores
+// the dot panel's four row lanes of one column as one vector into a row of Cᵀ
+// instead of scattering them down a column of C.
 
 // simdCols is how many leading columns of an n-column row the assembly bodies
 // take, four to a vector; the Go loops below them start at that column, and
@@ -205,19 +213,72 @@ func gemmDims(form gemmForm, op string, c, a, b *Tensor) (m, k, n int) {
 	return m, k, n
 }
 
+// Epilogue is what an axpy-form product does to each element of C at its
+// store, after the last k-step (GemmWith, GemmTAWith; DESIGN.md, "Memory
+// layout and kernels"). The steps run in the order of the fields below, each
+// rounded on its own.
+type Epilogue struct {
+	// Bias, one value per column of C, goes into every row: as the first term
+	// of each sum, which then starts from it, or — BiasLast — added to the
+	// finished sum. The two orders round differently; each is some layer's
+	// contract (nn.Dense).
+	Bias     []float64
+	BiasLast bool
+	// ReLU stores max(v, 0), the builtin's answers for −0 and NaN included
+	// (ReLU).
+	ReLU bool
+	// Gate, C's shape, multiplies each element by 1 where Gate's element is
+	// non-zero with the sign bit clear and by 0 elsewhere (ReLUGate).
+	Gate []float64
+}
+
+// check panics unless the epilogue fits an m×n product.
+func (e Epilogue) check(op string, m, n int) {
+	if e.Bias != nil && len(e.Bias) != n || e.BiasLast && e.Bias == nil {
+		panic(fmt.Sprintf("linalg: %s bias length %d, product has %d columns", op, len(e.Bias), n))
+	}
+	if e.Gate != nil && len(e.Gate) != m*n {
+		panic(fmt.Sprintf("linalg: %s gate length %d, product has %d elements", op, len(e.Gate), m*n))
+	}
+}
+
+// store runs the epilogue's store steps over columns [j, n) of rows [i0, i1)
+// of C in Go: the columns the panel does not take, or all of them.
+func (e Epilogue) store(c []float64, n, i0, i1, j int) {
+	if !e.BiasLast && !e.ReLU && e.Gate == nil {
+		return
+	}
+	for i := i0; i < i1 && j < n; i++ {
+		row := c[i*n+j : (i+1)*n]
+		if e.BiasLast {
+			for q, v := range e.Bias[j:n] {
+				row[q] += v
+			}
+		}
+		if e.ReLU {
+			for q, v := range row {
+				row[q] = max(v, 0)
+			}
+		}
+		if e.Gate != nil {
+			gateRow(row, e.Gate[i*n+j:(i+1)*n])
+		}
+	}
+}
+
 // gemm computes the m×n product C (+)= op(A) × op(B) over flat row-major
-// storage, fanning out by output row above the flop cutoff. With a bias (axpy
-// forms only) every row of C starts from it instead.
-func gemm(form gemmForm, c, a, b, bias []float64, m, k, n int, accumulate bool) {
+// storage, fanning out by output row above the flop cutoff, with the epilogue
+// e at the store (axpy forms only).
+func gemm(form gemmForm, c, a, b []float64, e Epilogue, m, k, n int, accumulate bool) {
 	flops := m * k * n
 	if flops < parallelFlopCutoff || m <= 1 || runtime.GOMAXPROCS(0) <= 1 {
 		// Serial fast path: the fan-out closure below is never built, so a
 		// warm small-batch call allocates nothing.
-		gemmRows(form, c, a, b, bias, m, k, n, 0, m, accumulate)
+		gemmRows(form, c, a, b, e, m, k, n, 0, m, accumulate)
 		return
 	}
 	parallelRows(m, flops, func(i0, i1 int) {
-		gemmRows(form, c, a, b, bias, m, k, n, i0, i1, accumulate)
+		gemmRows(form, c, a, b, e, m, k, n, i0, i1, accumulate)
 	})
 }
 
@@ -225,15 +286,15 @@ func gemm(form gemmForm, c, a, b, bias []float64, m, k, n int, accumulate bool) 
 // operand to its full extent first, so a buffer shorter than its shape panics
 // here, in Go, before an element of C has moved and before the assembly sees a
 // pointer.
-func gemmRows(form gemmForm, c, a, b, bias []float64, m, k, n, i0, i1 int, accumulate bool) {
+func gemmRows(form gemmForm, c, a, b []float64, e Epilogue, m, k, n, i0, i1 int, accumulate bool) {
 	c, a, b = c[:m*n], a[:m*k], b[:k*n]
 	switch form {
 	case formTB:
 		gemmTBRows(c, a, b, k, n, i0, i1, accumulate)
 	case formTA:
-		gemmAxpyRows(c, a, b, bias, k, n, i0, i1, 1, m, accumulate)
+		gemmAxpyRows(c, a, b, e, k, n, i0, i1, 1, m, accumulate)
 	default:
-		gemmAxpyRows(c, a, b, bias, k, n, i0, i1, k, 1, accumulate)
+		gemmAxpyRows(c, a, b, e, k, n, i0, i1, k, 1, accumulate)
 	}
 }
 
@@ -255,32 +316,43 @@ func fillRows(dst, v []float64) {
 // partial band — and the Go loops (row pair, 4-deep k step, j) take the
 // columns past them. A panel that takes every column starts its tiles from
 // the seed (the bias row, or zeros) in registers; otherwise the seed is
-// written to C first and everybody accumulates.
-func gemmAxpyRows(c, a, b, bias []float64, k, n, i0, i1, rowStride, stepStride int, accumulate bool) {
+// written to C first and everybody accumulates. The epilogue's store steps
+// run in the panel's store for its columns and in Go after the loops for the
+// rest; with a seeding bias C is overwritten whatever accumulate says.
+func gemmAxpyRows(c, a, b []float64, e Epilogue, k, n, i0, i1, rowStride, stepStride int, accumulate bool) {
 	if i0 >= i1 {
 		return
 	}
+	var bias, post, gate []float64
+	if e.BiasLast {
+		post = e.Bias[:n]
+	} else if e.Bias != nil {
+		bias = e.Bias[:n]
+	}
+	if e.Gate != nil {
+		gate = e.Gate[i0*n : i1*n]
+	}
 	j := simdCols(n)
-	inPanel := j == n && k > 0
+	if k == 0 {
+		j = 0
+	}
+	inPanel := j == n
 	var seed []float64
 	seedStep := 0
 	switch {
 	case bias != nil && inPanel:
-		seed, seedStep = bias[:n], 1
+		seed, seedStep = bias, 1
 	case bias != nil:
-		fillRows(c[i0*n:i1*n], bias[:n])
+		fillRows(c[i0*n:i1*n], bias)
 	case !accumulate && inPanel:
 		seed = zeroSeed[:]
 	case !accumulate:
 		clear(c[i0*n : i1*n])
 	}
-	if k == 0 {
-		return
-	}
 	if j > 0 {
 		rows := i1 - i0
 		last := (rows-1)*rowStride + (k-1)*stepStride
-		axpyPanelAVX2(c[i0*n:i1*n], a[i0*rowStride:][:last+1], b, seed, rows, k, n, j, rowStride, stepStride, seedStep)
+		axpyPanelAVX2(c[i0*n:i1*n], a[i0*rowStride:][:last+1], b, seed, rows, k, n, j, rowStride, stepStride, seedStep, post, gate, e.ReLU)
 		if j == n {
 			return
 		}
@@ -305,6 +377,7 @@ func gemmAxpyRows(c, a, b, bias []float64, k, n, i0, i1, rowStride, stepStride i
 			}
 		}
 	}
+	e.store(c, n, i0, i1, j)
 }
 
 // gemmTBRows computes C[i0:i1] (+)= (A × Bᵀ)[i0:i1] in 4×2 tiles of dot
@@ -327,6 +400,56 @@ func gemmTBRows(c, a, b []float64, k, n, i0, i1 int, accumulate bool) {
 	}
 	for ; i < i1; i++ {
 		dotRow(c, a, b, k, n, i, accumulate)
+	}
+}
+
+// gemmTC computes Cᵀ = (A × B)ᵀ for A m×k and B k×n into ct (n rows, m
+// apart), fanning out by rows of A above the flop cutoff: element (j, i) is
+// s + Σ_p A[i][p]·B[p][j] over p ascending from s = seed[j] (zero without a
+// seed), then + post[j] when there is a post.
+func gemmTC(ct, a, b, seed, post []float64, m, k, n int) {
+	flops := m * k * n
+	if flops < parallelFlopCutoff || m <= 1 || runtime.GOMAXPROCS(0) <= 1 {
+		gemmTCRows(ct, a, b, seed, post, m, k, n, 0, m)
+		return
+	}
+	parallelRows(m, flops, func(i0, i1 int) {
+		gemmTCRows(ct, a, b, seed, post, m, k, n, i0, i1)
+	})
+}
+
+// gemmTCRows computes columns [i0, i1) of Cᵀ: with AVX2 the whole 4-row bands
+// of A in one assembly call, a lane per row of A, the rest here one element
+// at a time. B is read where it lies, column j every n-th element from b[j].
+// Like gemmRows it slices every operand to its full extent first.
+func gemmTCRows(ct, a, b, seed, post []float64, m, k, n, i0, i1 int) {
+	ct, a, b = ct[:n*m], a[:m*k], b[:k*n]
+	if seed != nil {
+		seed = seed[:n]
+	}
+	if post != nil {
+		post = post[:n]
+	}
+	i := i0
+	if rows := (i1 - i0) &^ 3; useAVX2 && rows > 0 && k > 0 && n > 0 {
+		i += rows
+		tcPanelAVX2(ct[i0:(n-1)*m+i], a[i0*k:i*k], b, seed, post, rows, k, n, m)
+	}
+	for ; i < i1; i++ {
+		ar := a[i*k : (i+1)*k]
+		for j := 0; j < n; j++ {
+			var s float64
+			if seed != nil {
+				s = seed[j]
+			}
+			for p, x := range ar {
+				s += x * b[p*n+j]
+			}
+			if post != nil {
+				s += post[j]
+			}
+			ct[j*m+i] = s
+		}
 	}
 }
 

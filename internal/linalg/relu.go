@@ -29,7 +29,12 @@ func ReLUGate(g, y []float64) {
 	if j > 0 {
 		reluGateAVX2(g[:j], y[:j])
 	}
-	g, y = g[j:], y[j:]
+	gateRow(g[j:], y[j:])
+}
+
+// gateRow is ReLUGate's Go loop, and the Go side of the gate epilogue.
+func gateRow(g, y []float64) {
+	y = y[:len(g)]
 	for i, gv := range g {
 		bits := math.Float64bits(y[i])
 		pass := ((bits | -bits) >> 63) & (^bits >> 63)

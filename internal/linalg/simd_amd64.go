@@ -10,10 +10,13 @@ var useAVX2 = hasAVX2()
 func hasAVX2() bool
 
 //go:noescape
-func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int)
+func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int, post, gate []float64, relu bool)
 
 //go:noescape
 func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool)
+
+//go:noescape
+func tcPanelAVX2(ct, a, b, seed, post []float64, rows, k, n, ldc int)
 
 //go:noescape
 func addRowsAVX2(dst, src []float64, rows, cols, dstStride, srcStride int)
@@ -39,3 +42,12 @@ func logAVX2(dst, src []float64) int
 
 //go:noescape
 func divScalarAVX2(dst []float64, s float64)
+
+//go:noescape
+func softmaxShiftAVX2(dst, src []float64, ld, cols, classes int)
+
+//go:noescape
+func softmaxNormAVX2(x []float64, ld, cols, classes int, u float64)
+
+//go:noescape
+func argmaxColsAVX2(dst []int, x []float64, ld, cols, classes int)

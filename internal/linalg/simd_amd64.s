@@ -15,6 +15,10 @@ DATA signbit<>+0(SB)/8, $0x8000000000000000
 GLOBL signbit<>(SB), RODATA|NOPTR, $8
 DATA one<>+0(SB)/8, $0x3ff0000000000000
 GLOBL one<>(SB), RODATA|NOPTR, $8
+DATA neginf<>+0(SB)/8, $0xfff0000000000000
+GLOBL neginf<>(SB), RODATA|NOPTR, $8
+DATA oneq<>+0(SB)/8, $1
+GLOBL oneq<>(SB), RODATA|NOPTR, $8
 
 // func hasAVX2() bool
 // CPUID.1:ECX OSXSAVE+AVX, XCR0 XMM+YMM state enabled by the OS, CPUID.7:EBX AVX2.
@@ -128,13 +132,58 @@ done:
 	VMOVAPD Y1, Y5;     \
 	VMOVAPD Y1, Y7;
 
-// func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int)
+// The store epilogues, element-wise on the tile's finished lanes, lower four
+// columns (…4) and upper four (…HI). POST adds the bias row at AX to every
+// row: sum first, bias second, as a separate pass would. RELU is reluAVX2's
+// sequence with Y13 holding the sign bit (Y14, Y15 scratch). GATE multiplies a
+// lane by 1.0 where the gate's lane (AX, rows at the C offsets) is > 0 as a
+// signed 64-bit integer and by 0.0 elsewhere — reluGateAVX2's test, with Y11
+// holding 1.0 and Y12 zero.
+#define POST4 \
+	VMOVUPD (AX), Y8;   \
+	VADDPD  Y8, Y0, Y0; \
+	VADDPD  Y8, Y2, Y2; \
+	VADDPD  Y8, Y4, Y4; \
+	VADDPD  Y8, Y6, Y6;
+#define POSTHI \
+	VMOVUPD 32(AX), Y9; \
+	VADDPD  Y9, Y1, Y1; \
+	VADDPD  Y9, Y3, Y3; \
+	VADDPD  Y9, Y5, Y5; \
+	VADDPD  Y9, Y7, Y7;
+#define RELU(y) \
+	VXORPD Y13, y, y;     \
+	VMINPD Y13, y, Y14;   \
+	VMINPD y, Y14, Y15;   \
+	VORPD  Y14, Y15, Y15; \
+	VXORPD Y13, Y15, y;
+#define RELU4 RELU(Y0) RELU(Y2) RELU(Y4) RELU(Y6)
+#define RELUHI RELU(Y1) RELU(Y3) RELU(Y5) RELU(Y7)
+#define GATE(at, y) \
+	VMOVDQU  at, Y8;      \
+	VPCMPGTQ Y12, Y8, Y8; \
+	VPAND    Y11, Y8, Y8; \
+	VMULPD   Y8, y, y;
+#define GATE4 \
+	GATE((AX), Y0)         \
+	GATE((AX)(R12*1), Y2)  \
+	GATE((AX)(R13*1), Y4)  \
+	GATE((AX)(R14*1), Y6)
+#define GATEHI \
+	GATE(32(AX), Y1)        \
+	GATE(32(AX)(R12*1), Y3) \
+	GATE(32(AX)(R13*1), Y5) \
+	GATE(32(AX)(R14*1), Y7)
+
+// func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int, post, gate []float64, relu bool)
 // C[r][j] = s + Σ_p a[r·rowStride + p·stepStride]·B[p][j] for r < rows, j < cols,
 // each element advanced over p ascending from its seed s: what C[r][j] held
 // (len(seed) = 0), or seed[j·seedStep] — seedStep 1 starts every row from one
 // bias row, seedStep 0 every tile from the same eight values (zeros). c: rows
 // rows of C, n apart; b: k rows of B, n apart; rows, k ≥ 1; cols a positive
-// multiple of 4.
+// multiple of 4. Before its store each finished element gets, in this order,
+// + post[j] (len(post) = n; none when empty), max(·, 0) (relu), and the gate
+// of gate[r·n + j] (gate: rows rows of n, like c; none when empty).
 //
 // Loop order: 4-row band, block of 8 columns (then one of 4), all of k. The
 // tile's C lanes live in Y0–Y7 (row r in Y2r, Y2r+1) from one load to one
@@ -145,7 +194,7 @@ done:
 // the 3-row band (which runs the 4-row steps and computes its last row twice,
 // from the same loads), and are stored BEFORE the rows above them, so that the
 // last store to an address is the real row's.
-TEXT ·axpyPanelAVX2(SB), NOSPLIT, $0-152
+TEXT ·axpyPanelAVX2(SB), NOSPLIT, $0-201
 	MOVQ n+112(FP), DX
 	MOVQ stepStride+136(FP), R11
 	SHLQ $3, DX
@@ -201,6 +250,30 @@ steps8:
 	MOVQ k+104(FP), CX
 	CMPQ rows+96(FP), $2
 	TILE(r1w8, r2w8, r4w8, store8, AXPY8, HI8)
+	MOVQ post_len+160(FP), AX
+	TESTQ AX, AX
+	JZ   relu8
+	MOVQ post_base+152(FP), AX
+	ADDQ R15, AX
+	POST4
+	POSTHI
+relu8:
+	CMPB relu+200(FP), $0
+	JEQ  gate8
+	VBROADCASTSD signbit<>(SB), Y13
+	RELU4
+	RELUHI
+gate8:
+	MOVQ gate_len+184(FP), AX
+	TESTQ AX, AX
+	JZ   write8
+	MOVQ gate_base+176(FP), AX
+	ADDQ R15, AX
+	VBROADCASTSD one<>(SB), Y11
+	VPXOR        Y12, Y12, Y12
+	GATE4
+	GATEHI
+write8:
 	STOREHI
 	STORE4
 	ADDQ $64, R15
@@ -218,6 +291,27 @@ steps4:
 	MOVQ k+104(FP), CX
 	CMPQ rows+96(FP), $2
 	TILE(r1w4, r2w4, r4w4, store4, AXPY4, NOHI)
+	MOVQ post_len+160(FP), AX
+	TESTQ AX, AX
+	JZ   relu4
+	MOVQ post_base+152(FP), AX
+	ADDQ R15, AX
+	POST4
+relu4:
+	CMPB relu+200(FP), $0
+	JEQ  gate4
+	VBROADCASTSD signbit<>(SB), Y13
+	RELU4
+gate4:
+	MOVQ gate_len+184(FP), AX
+	TESTQ AX, AX
+	JZ   write4
+	MOVQ gate_base+176(FP), AX
+	ADDQ R15, AX
+	VBROADCASTSD one<>(SB), Y11
+	VPXOR        Y12, Y12, Y12
+	GATE4
+write4:
 	STORE4
 nextband:
 	MOVQ rowStride+128(FP), AX
@@ -225,6 +319,7 @@ nextband:
 	ADDQ AX, a_base+24(FP)
 	LEAQ (DX*4), AX
 	ADDQ AX, c_base+0(FP)
+	ADDQ AX, gate_base+176(FP)
 	SUBQ $4, rows+96(FP)
 	JGT  band
 	VZEROUPPER
@@ -242,13 +337,12 @@ nextband:
 	VMULPD       Y10, at, Y11;       \
 	VADDPD       Y11, Y9, Y9;
 
-// All of k for one tile of the dot form, from zero. Four steps at a time while
-// four remain: load A[i..i+3][p..p+3], transpose the 4×4 block in registers so
-// that a register holds one p of all four rows, then step p ascending. The
-// last k mod 4 steps gather their four A elements one by one.
+// All of k for one tile of the dot form, from the accumulators' seeds. Four
+// steps at a time while four remain: load A[i..i+3][p..p+3], transpose the 4×4
+// block in registers so that a register holds one p of all four rows, then
+// step p ascending. The last k mod 4 steps gather their four A elements one by
+// one.
 #define DOT_TILE(vec, tail, done, STEP) \
-	VXORPD     Y8, Y8, Y8;            \
-	VXORPD     Y9, Y9, Y9;            \
 	XORQ       AX, AX;                \
 	CMPQ       AX, CX;                \
 	JGE        tail;                  \
@@ -332,6 +426,8 @@ dotpair:
 	CMPQ R15, $2
 	JLT  dotlast
 	LEAQ (BX)(R12*1), DX
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
 	DOT_TILE(pairvec, pairtail, pairdone, DOT_STEP2)
 	DOT_PUT(Y8, X8, 0)
 	DOT_PUT(Y9, X9, 8)
@@ -343,6 +439,7 @@ dotpair:
 dotlast:
 	TESTQ R15, R15
 	JZ    dotnext
+	VXORPD Y8, Y8, Y8
 	DOT_TILE(lastvec, lasttail, lastdone, DOT_STEP1)
 	DOT_PUT(Y8, X8, 0)
 	ADDQ $8, DI
@@ -352,6 +449,112 @@ dotnext:
 	LEAQ (R11)(R12*1), R8
 	SUBQ $4, rows+72(FP)
 	JGT  dotband
+	VZEROUPPER
+	RET
+
+// One k-step of the class-major form: the row-lane accumulators Y8 (and Y9)
+// advance by at·B[p][j] (and at·B[p][j+1]), BX pointing at B[p][j]; then BX
+// moves down to row p+1 of B, R14 bytes on.
+#define TC_STEP1(at, off) \
+	VBROADCASTSD (BX), Y10; \
+	VMULPD       Y10, at, Y11; \
+	VADDPD       Y11, Y8, Y8;
+#define TC_STEP2(at, off) \
+	TC_STEP1(at, off)        \
+	VBROADCASTSD 8(BX), Y10; \
+	VMULPD       Y10, at, Y11; \
+	VADDPD       Y11, Y9, Y9;
+#define TC_NEXT1(at, off) TC_STEP1(at, off) ADDQ R14, BX;
+#define TC_NEXT2(at, off) TC_STEP2(at, off) ADDQ R14, BX;
+
+// func tcPanelAVX2(ct, a, b, seed, post []float64, rows, k, n, ldc int)
+// Cᵀ[j][r] = s + Σ_p A[r][p]·B[p][j] (+ post[j]) for r < rows, j < n: the
+// product A × B stored transposed, a lane per row of A, so that the four lanes
+// of a column j are one vector store into row j of Cᵀ. Each sum runs over p
+// ascending from s = seed[j] (or zero when seed is empty) and then, when post
+// is not empty, adds post[j]. ct: n rows of Cᵀ, ldc apart, starting at the
+// band's first column; a: rows rows of A, k apart; b: k rows of B, n apart, read
+// where they lie (column j of B is every n-th element from b[j]); rows a
+// positive multiple of 4; k, n ≥ 1. Loop order: 4-row band of A, pair of
+// columns of B (then an odd last one), all of k — the dot panel's order, with
+// the same register transpose of A.
+TEXT ·tcPanelAVX2(SB), NOSPLIT, $0-152
+	MOVQ a_base+24(FP), R8
+	MOVQ k+128(FP), R12
+	MOVQ n+136(FP), R14
+	MOVQ ldc+144(FP), R13
+	SHLQ $3, R12
+	SHLQ $3, R14
+	SHLQ $3, R13
+	MOVQ R12, CX // bytes of a row's leading 4·⌊k/4⌋ elements
+	ANDQ $-32, CX
+tcband:
+	LEAQ (R8)(R12*1), R9
+	LEAQ (R9)(R12*1), R10
+	LEAQ (R10)(R12*1), R11
+	MOVQ ct_base+0(FP), DI
+	XORQ SI, SI        // byte offset of column j in a row of B, seed and post
+	MOVQ n+136(FP), R15 // columns left in this band
+tcpair:
+	CMPQ R15, $2
+	JLT  tclast
+	MOVQ seed_len+80(FP), AX
+	TESTQ AX, AX
+	JZ   tczero2
+	MOVQ seed_base+72(FP), AX
+	VBROADCASTSD (AX)(SI*1), Y8
+	VBROADCASTSD 8(AX)(SI*1), Y9
+	JMP  tcsteps2
+tczero2:
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+tcsteps2:
+	MOVQ b_base+48(FP), BX
+	ADDQ SI, BX
+	DOT_TILE(tcpairvec, tcpairtail, tcpairdone, TC_NEXT2)
+	MOVQ post_len+104(FP), AX
+	TESTQ AX, AX
+	JZ   tcput2
+	MOVQ post_base+96(FP), AX
+	VBROADCASTSD (AX)(SI*1), Y10
+	VADDPD       Y10, Y8, Y8
+	VBROADCASTSD 8(AX)(SI*1), Y10
+	VADDPD       Y10, Y9, Y9
+tcput2:
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, (DI)(R13*1)
+	LEAQ    (DI)(R13*2), DI
+	ADDQ    $16, SI
+	SUBQ    $2, R15
+	JMP     tcpair
+tclast:
+	TESTQ R15, R15
+	JZ    tcnext
+	MOVQ  seed_len+80(FP), AX
+	TESTQ AX, AX
+	JZ    tczero1
+	MOVQ  seed_base+72(FP), AX
+	VBROADCASTSD (AX)(SI*1), Y8
+	JMP   tcsteps1
+tczero1:
+	VXORPD Y8, Y8, Y8
+tcsteps1:
+	MOVQ b_base+48(FP), BX
+	ADDQ SI, BX
+	DOT_TILE(tclastvec, tclasttail, tclastdone, TC_NEXT1)
+	MOVQ post_len+104(FP), AX
+	TESTQ AX, AX
+	JZ   tcput1
+	MOVQ post_base+96(FP), AX
+	VBROADCASTSD (AX)(SI*1), Y10
+	VADDPD       Y10, Y8, Y8
+tcput1:
+	VMOVUPD Y8, (DI)
+tcnext:
+	ADDQ $32, ct_base+0(FP)
+	LEAQ (R11)(R12*1), R8
+	SUBQ $4, rows+120(FP)
+	JGT  tcband
 	VZEROUPPER
 	RET
 
@@ -452,5 +655,132 @@ divsloop:
 	ADDQ    $32, AX
 	JMP     divsloop
 divsdone:
+	VZEROUPPER
+	RET
+
+// The class-major column kernels (DESIGN.md, "The class head"). x is a
+// classes × ld slab, a column of it one sample's classes; cols, a positive
+// multiple of 4, is how many leading columns the kernel takes, four to a
+// vector; classes ≥ 1. Each lane runs the scalar column loop's own
+// operations in its order.
+
+// func softmaxShiftAVX2(dst, src []float64, ld, cols, classes int)
+// For every column r < cols: m = −Inf, then for each class c ascending
+// m = src[c·ld + r] if that is greater (VCMPPD GT_OQ, false for a NaN, then
+// VBLENDVPD: Go's if v > m); an m still −Inf becomes +0; then
+// dst[c·ld + r] = src[c·ld + r] − m. dst may be src.
+TEXT ·softmaxShiftAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ ld+48(FP), DX
+	MOVQ cols+56(FP), R8
+	MOVQ classes+64(FP), R9
+	SHLQ $3, DX
+	VBROADCASTSD neginf<>(SB), Y15
+shiftgroup:
+	VMOVAPD Y15, Y0
+	MOVQ    SI, AX
+	MOVQ    R9, CX
+shiftmax:
+	VMOVUPD   (AX), Y1
+	VCMPPD    $0x1e, Y0, Y1, Y2
+	VBLENDVPD Y2, Y1, Y0, Y0
+	ADDQ      DX, AX
+	DECQ      CX
+	JNZ       shiftmax
+	VCMPPD  $0x00, Y15, Y0, Y2
+	VANDNPD Y0, Y2, Y0
+	MOVQ    SI, AX
+	MOVQ    DI, BX
+	MOVQ    R9, CX
+shiftsub:
+	VMOVUPD (AX), Y1
+	VSUBPD  Y0, Y1, Y1
+	VMOVUPD Y1, (BX)
+	ADDQ    DX, AX
+	ADDQ    DX, BX
+	DECQ    CX
+	JNZ     shiftsub
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, R8
+	JGT  shiftgroup
+	VZEROUPPER
+	RET
+
+// func softmaxNormAVX2(x []float64, ld, cols, classes int, u float64)
+// For every column r < cols: s = +0, then s = s + x[c·ld + r] for each class c
+// ascending; then x[c·ld + r] = u where s == 0 and x[c·ld + r] / s elsewhere
+// (VDIVPD, the IEEE division; the quotients of a zero sum are blended away).
+TEXT ·softmaxNormAVX2(SB), NOSPLIT, $0-56
+	MOVQ         x_base+0(FP), SI
+	MOVQ         ld+24(FP), DX
+	MOVQ         cols+32(FP), R8
+	MOVQ         classes+40(FP), R9
+	VBROADCASTSD u+48(FP), Y15
+	SHLQ         $3, DX
+	VXORPD       Y14, Y14, Y14
+normgroup:
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   R9, CX
+normsum:
+	VADDPD (AX), Y0, Y0
+	ADDQ   DX, AX
+	DECQ   CX
+	JNZ    normsum
+	VCMPPD $0x00, Y14, Y0, Y2
+	MOVQ   SI, AX
+	MOVQ   R9, CX
+normdiv:
+	VMOVUPD   (AX), Y1
+	VDIVPD    Y0, Y1, Y1
+	VBLENDVPD Y2, Y15, Y1, Y1
+	VMOVUPD   Y1, (AX)
+	ADDQ      DX, AX
+	DECQ      CX
+	JNZ       normdiv
+	ADDQ $32, SI
+	SUBQ $4, R8
+	JGT  normgroup
+	VZEROUPPER
+	RET
+
+// func argmaxColsAVX2(dst []int, x []float64, ld, cols, classes int)
+// For every column r < cols: dst[r] = the first class whose x[c·ld + r] is
+// greater than every earlier one's — the best value starts at class 0's and
+// moves only on VCMPPD GT_OQ (so never to or from a NaN by itself: Go's
+// if v > best), the index with it.
+TEXT ·argmaxColsAVX2(SB), NOSPLIT, $0-72
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         ld+48(FP), DX
+	MOVQ         cols+56(FP), R8
+	MOVQ         classes+64(FP), R9
+	SHLQ         $3, DX
+	VPBROADCASTQ oneq<>(SB), Y15
+argmaxgroup:
+	VMOVUPD (SI), Y0
+	VPXOR   Y1, Y1, Y1
+	VPXOR   Y3, Y3, Y3
+	MOVQ    SI, AX
+	MOVQ    R9, CX
+	DECQ    CX
+	JZ      argmaxstore
+argmaxclass:
+	ADDQ      DX, AX
+	VPADDQ    Y15, Y3, Y3
+	VMOVUPD   (AX), Y2
+	VCMPPD    $0x1e, Y0, Y2, Y4
+	VBLENDVPD Y4, Y2, Y0, Y0
+	VBLENDVPD Y4, Y3, Y1, Y1
+	DECQ      CX
+	JNZ       argmaxclass
+argmaxstore:
+	VMOVDQU Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, R8
+	JGT     argmaxgroup
 	VZEROUPPER
 	RET

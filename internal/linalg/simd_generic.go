@@ -6,10 +6,11 @@ package linalg
 // bodies below are never reached.
 var useAVX2 = false
 
-func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int) {
+func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int, post, gate []float64, relu bool) {
 	panic("linalg: no AVX2")
 }
 func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool) { panic("linalg: no AVX2") }
+func tcPanelAVX2(ct, a, b, seed, post []float64, rows, k, n, ldc int) { panic("linalg: no AVX2") }
 func addRowsAVX2(dst, src []float64, rows, cols, dstStride, srcStride int) {
 	panic("linalg: no AVX2")
 }
@@ -19,3 +20,10 @@ func hasFMA() bool                           { return false }
 func expFMA(dst, src []float64) int          { panic("linalg: no AVX2") }
 func logAVX2(dst, src []float64) int         { panic("linalg: no AVX2") }
 func divScalarAVX2(dst []float64, s float64) { panic("linalg: no AVX2") }
+func softmaxShiftAVX2(dst, src []float64, ld, cols, classes int) {
+	panic("linalg: no AVX2")
+}
+func softmaxNormAVX2(x []float64, ld, cols, classes int, u float64) { panic("linalg: no AVX2") }
+func argmaxColsAVX2(dst []int, x []float64, ld, cols, classes int) {
+	panic("linalg: no AVX2")
+}

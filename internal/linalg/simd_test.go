@@ -98,9 +98,9 @@ func strides(form gemmForm, m, k int) (rowStride, stepStride int) {
 
 // TestAxpyKernelsMatchGoLoops: the panel body against the Go loops over every
 // row count 0–9 (so every partial last band, on its own and after whole ones),
-// k 0–9, row lengths 0–33, both stride pairs, every seeding, operands at odd
-// offsets; a special value walks through C, every B row and
-// the coefficients.
+// k 0–9, row lengths 0–33, both stride pairs, every seeding and store mode,
+// operands at odd offsets; a special value walks through C, every B row and
+// the coefficients, and one sits in every column of the gate.
 func TestAxpyKernelsMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 0; n <= 33; n++ {
@@ -129,11 +129,19 @@ func TestAxpyKernelsMatchGoLoops(t *testing.T) {
 				}
 				a, b = offset(a, 1), offset(b, 3)
 				fresh := func() []float64 { return offset(c, 1) }
-				// Seeded from C, from zero, and from a bias row (C's first row).
-				for seeding, bias := range [][]float64{nil, nil, offset(c[:min(n, len(c))], 3)} {
+				gate := normals(rng, m*n)
+				for i := range gate {
+					if i%n == i/n%max(n, 1) {
+						gate[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+				// Seeded from C, then from zero and a bias row (C's first row) in
+				// every store mode.
+				modes := append([]Epilogue{{}}, storeModes(offset(c[:min(n, len(c))], 3), offset(gate, 2))...)
+				for seeding, e := range modes {
 					what := fmt.Sprintf("m=%d k=%d n=%d form=%d variant=%d seeding=%d", m, k, n, form, variant, seeding)
 					want, got := goAndSIMD(fresh, func(c []float64) {
-						gemmAxpyRows(c, a, b, bias, k, n, 0, m, rowStride, stepStride, seeding == 0)
+						gemmAxpyRows(c, a, b, e, k, n, 0, m, rowStride, stepStride, seeding == 0)
 					})
 					sameBits(t, "gemmAxpyRows "+what, got, want)
 				}
@@ -175,6 +183,128 @@ func TestDotKernelMatchesGoLoops(t *testing.T) {
 	}
 }
 
+// TestTCKernelMatchesGoLoops: the class-major panel against the Go loop over
+// k = 0–33, one and two bands with and without leftover rows, 1–5 columns,
+// seeded from zero or a bias and with or without a bias added last, a special
+// value at one p of one A row or one B column, or in the bias.
+func TestTCKernelMatchesGoLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for k := 0; k <= 33; k++ {
+		for trial := 0; trial < 12; trial++ {
+			m, n := 4+rng.Intn(7), 1+rng.Intn(5)
+			a, b, bias := normals(rng, m*k), normals(rng, k*n), normals(rng, n)
+			if v := specials[rng.Intn(len(specials))]; trial > 0 {
+				switch {
+				case k > 0 && trial%3 == 0:
+					a[rng.Intn(len(a))] = v
+				case k > 0 && trial%3 == 1:
+					// The same p of every column of B: one special per sum.
+					p := rng.Intn(k)
+					for j := 0; j < n; j++ {
+						b[p*n+j] = v
+					}
+				default:
+					bias[rng.Intn(n)] = v
+				}
+			}
+			a, b, bias = offset(a, 1), offset(b, 3), offset(bias, 2)
+			fresh := func() []float64 { return offset(normals(rng, n*m), 1) }
+			for mode := 0; mode < 3; mode++ {
+				var seed, post []float64
+				switch mode {
+				case 1:
+					seed = bias
+				case 2:
+					post = bias
+				}
+				what := fmt.Sprintf("m=%d k=%d n=%d trial=%d mode=%d", m, k, n, trial, mode)
+				want, got := goAndSIMD(fresh, func(ct []float64) { gemmTCRows(ct, a, b, seed, post, m, k, n, 0, m) })
+				sameBits(t, "gemmTCRows "+what, got, want)
+			}
+		}
+	}
+}
+
+// epilogueOperands returns A (m×k, or k×m for Aᵀ), B (k×n), a bias row and a
+// gate of C's shape for TestGemmEpiloguesMatchSeparatePasses. Row 0 of op(A)
+// is −0 and B is positive, so that row 0 of the product is −0 before its
+// bias and the bias itself after it; the bias and the gate cycle through the
+// special values. The input of the ReLU step then holds −0, both infinities,
+// NaNs of both signs and subnormals, and the gate every kind of value.
+func epilogueOperands(rng *rand.Rand, form gemmForm, m, k, n int) (a, b, bias, gate []float64) {
+	a, b, bias, gate = normals(rng, m*k), normals(rng, k*n), make([]float64, n), normals(rng, m*n)
+	_, stepStride := strides(form, m, k)
+	for p := 0; p < k; p++ {
+		a[p*stepStride] = math.Copysign(0, -1)
+	}
+	for i, v := range b {
+		b[i] = math.Abs(v)
+	}
+	for j := range bias {
+		bias[j] = specials[j%len(specials)]
+	}
+	for i := range gate {
+		if i%3 == 0 {
+			gate[i] = specials[(i/3)%len(specials)]
+		}
+	}
+	return a, b, bias, gate
+}
+
+// TestGemmEpiloguesMatchSeparatePasses: a product with its epilogue at the
+// store equals the product stored and the same steps run as passes over C
+// afterwards — bias-seeded + ReLU as GemmWith{Bias} then ReLU, bias-last as
+// the sum then a row add, the gated input gradient as the ungated one then
+// ReLUGate — in both axpy forms, on both paths, over gemmShapes plus bands of
+// 1–3 rows.
+func TestGemmEpiloguesMatchSeparatePasses(t *testing.T) {
+	shapes := append([]struct{ m, k, n int }(nil), gemmShapes...)
+	for m := 1; m <= 3; m++ {
+		for _, n := range []int{4, 8, 13, 20} {
+			shapes = append(shapes, struct{ m, k, n int }{m, 7, n}, struct{ m, k, n int }{4 + m, 64, n})
+		}
+	}
+	rng := rand.New(rand.NewSource(16))
+	onBothPaths(t, func(t *testing.T) {
+		for _, s := range shapes {
+			for form := formNN; form <= formTA; form++ {
+				a, b, bias, gate := epilogueOperands(rng, form, s.m, s.k, s.n)
+				product := func(e Epilogue) []float64 {
+					c := TensorView(make([]float64, s.m*s.n), s.m, s.n)
+					if form == formTA {
+						GemmTAWith(c, TensorView(a, s.k, s.m), TensorView(b, s.k, s.n), e)
+					} else {
+						GemmWith(c, TensorView(a, s.m, s.k), TensorView(b, s.k, s.n), e)
+					}
+					return c.Data
+				}
+				for mode, e := range storeModes(bias, gate)[1:] {
+					got := product(e)
+					// The product stored plainly (from the bias, if e seeds
+					// one), then e's steps as passes over C.
+					var plain Epilogue
+					if !e.BiasLast {
+						plain.Bias = e.Bias
+					}
+					want := product(plain)
+					if e.BiasLast {
+						for i := range want {
+							want[i] += e.Bias[i%s.n]
+						}
+					}
+					if e.ReLU {
+						ReLU(want)
+					}
+					if e.Gate != nil {
+						ReLUGate(want, e.Gate)
+					}
+					sameBits(t, fmt.Sprintf("form %d %dx%dx%d mode %d", form, s.m, s.k, s.n, mode+1), got, want)
+				}
+			}
+		}
+	})
+}
+
 // TestElementwiseKernelsMatchGoLoops: ReLU, ReLUGate and AddInPlace over
 // lengths 0–33 at odd offsets, every special value in every lane. ReLU is
 // also held to the builtin max directly.
@@ -213,11 +343,10 @@ func TestElementwiseKernelsMatchGoLoops(t *testing.T) {
 	}
 }
 
-// TestRowOpsMatchPerRowForm: AddToRows and SumRowsInto leave the bits the
-// per-row form they replaced leaves (Vector.AddInPlace row by row, rows
-// ascending), on both paths, over 0–9 rows of 0–33 columns at odd
-// offsets with special values in the tensor or in the vector, never in both at
-// one column.
+// TestRowOpsMatchPerRowForm: SumRowsInto leaves the bits the per-row form it
+// replaced leaves (Vector.AddInPlace row by row, rows ascending), on both
+// paths, over 0–9 rows of 0–33 columns at odd offsets with special values in
+// the tensor or in the vector, never in both at one column.
 func TestRowOpsMatchPerRowForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for n := 0; n <= 33; n++ {
@@ -231,17 +360,13 @@ func TestRowOpsMatchPerRowForm(t *testing.T) {
 				}
 			}
 			x = offset(x, 3)
-			// The per-row forms, through the Go loops: eachPath runs them first.
-			wantAdd, wantSum := offset(x, 1), offset(v, 1)
+			// The per-row form, through the Go loops: eachPath runs it first.
+			wantSum := offset(v, 1)
 			eachPath(func(path string) {
 				for i := 0; i < rows && path == "go"; i++ {
-					Vector(wantAdd[i*n : (i+1)*n]).AddInPlace(v)
 					Vector(wantSum).AddInPlace(x[i*n : (i+1)*n])
 				}
 				what := fmt.Sprintf("rows=%d n=%d path=%s", rows, n, path)
-				got := TensorView(offset(x, 1), rows, n)
-				got.AddToRows(v)
-				sameBits(t, "AddToRows "+what, got.Data, wantAdd)
 				sum := offset(v, 1)
 				TensorView(x, rows, n).SumRowsInto(sum)
 				sameBits(t, "SumRowsInto "+what, sum, wantSum)
@@ -266,10 +391,15 @@ func TestShortOperandsPanicInGo(t *testing.T) {
 	cases := []tc{
 		{"ReLUGate short y", full(n), func(g []float64) { ReLUGate(g, full(n-1)) }},
 		{"AddInPlace short w", full(n), func(v []float64) { Vector(v).AddInPlace(full(n - 1)) }},
-		{"GemmBias short bias", full(m * n), func(c []float64) {
-			GemmBias(TensorView(c, m, n), TensorView(full(m*k), m, k), TensorView(full(k*n), k, n), full(n-1))
+		{"GemmWith short bias", full(m * n), func(c []float64) {
+			GemmWith(TensorView(c, m, n), TensorView(full(m*k), m, k), TensorView(full(k*n), k, n), Epilogue{Bias: full(n - 1)})
 		}},
-		{"AddToRows short v", full(m * n), func(x []float64) { TensorView(x, m, n).AddToRows(full(n - 1)) }},
+		{"GemmWith short gate", full(m * n), func(c []float64) {
+			GemmWith(TensorView(c, m, n), TensorView(full(m*k), m, k), TensorView(full(k*n), k, n), Epilogue{Gate: full(m*n - 1)})
+		}},
+		{"GemmTC short bias", full(m * n), func(ct []float64) {
+			GemmTC(TensorView(ct, n, m), TensorView(full(m*k), m, k), TensorView(full(k*n), k, n), Epilogue{Bias: full(n - 1)})
+		}},
 		{"SumRowsInto short dst", full(n - 1), func(dst []float64) { TensorView(full(m*n), m, n).SumRowsInto(dst) }},
 	}
 	for form, name := range []string{"NN", "TA", "TB"} {
@@ -281,11 +411,20 @@ func TestShortOperandsPanicInGo(t *testing.T) {
 					fmt.Sprintf("gemmRows %s accumulate=%v short %s", name, accumulate, operand),
 					full(lens[0]),
 					func(c []float64) {
-						gemmRows(gemmForm(form), c, full(lens[1]), full(lens[2]), nil, m, k, n, 0, m, accumulate)
+						gemmRows(gemmForm(form), c, full(lens[1]), full(lens[2]), Epilogue{}, m, k, n, 0, m, accumulate)
 					},
 				})
 			}
 		}
+	}
+	for short, operand := range []string{"Cᵀ", "A", "B"} {
+		lens := [3]int{n * m, m * k, k * n}
+		lens[short]--
+		cases = append(cases, tc{
+			"gemmTCRows short " + operand,
+			full(lens[0]),
+			func(ct []float64) { gemmTCRows(ct, full(lens[1]), full(lens[2]), nil, nil, m, k, n, 0, m) },
+		})
 	}
 	onBothPaths(t, func(t *testing.T) {
 		for _, tc := range cases {
@@ -329,10 +468,10 @@ func checkGuards(t *testing.T, what string, framed []float64) {
 	}
 }
 
-// TestKernelsStayInsideOperands frames C, A, B and the bias row with NaN guard
-// bands on both sides, runs all seven kernels over the panel grid on both
-// paths, and requires the oracle's bits (a guard read into any sum would make
-// it NaN) and untouched guards.
+// TestKernelsStayInsideOperands frames C, A, B, the bias row and the gate
+// with NaN guard bands on both sides, runs every kernel over the panel grid on
+// both paths, and requires the oracle's bits (a guard read into any sum would
+// make it NaN) and untouched guards.
 func TestKernelsStayInsideOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	onBothPaths(t, func(t *testing.T) {
@@ -354,7 +493,7 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 						bias, biasFrame = guarded(normals(rng, s.n))
 						fillRows(seed, bias)
 					}
-					gemm(form, c, a, b, bias, s.m, s.k, s.n, accumulate)
+					gemm(form, c, a, b, Epilogue{Bias: bias}, s.m, s.k, s.n, accumulate)
 
 					want := make([]float64, s.m*s.n)
 					refGemm(form, want, a, b, s.m, s.k, s.n)
@@ -375,6 +514,31 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 					checkGuards(t, what+" bias", biasFrame)
 				}
 			}
+			// The store modes of the axpy panel and the class-major panel.
+			a, aFrame := guarded(normals(rng, s.m*s.k))
+			b, bFrame := guarded(normals(rng, s.k*s.n))
+			bias, biasFrame := guarded(normals(rng, s.n))
+			gate, gateFrame := guarded(normals(rng, s.m*s.n))
+			for mode, e := range storeModes(bias, gate) {
+				what := fmt.Sprintf("%dx%dx%d store mode %d", s.m, s.k, s.n, mode)
+				c, cFrame := guarded(normals(rng, s.m*s.n))
+				GemmWith(TensorView(c, s.m, s.n), TensorView(a, s.m, s.k), TensorView(b, s.k, s.n), e)
+				sameBits(t, what, c, refStore(e, s.m, s.k, TensorView(a, s.m, s.k).At, TensorView(b, s.k, s.n)).Data)
+				checkGuards(t, what+" C", cFrame)
+				if e.ReLU || e.Gate != nil {
+					continue
+				}
+				ct, ctFrame := guarded(normals(rng, s.m*s.n))
+				GemmTC(TensorView(ct, s.n, s.m), TensorView(a, s.m, s.k), TensorView(b, s.k, s.n), e)
+				want := NewTensor(s.n, s.m)
+				TransposeInto(want, refStore(e, s.m, s.k, TensorView(a, s.m, s.k).At, TensorView(b, s.k, s.n)))
+				sameBits(t, what+" class-major", ct, want.Data)
+				checkGuards(t, what+" Cᵀ", ctFrame)
+			}
+			checkGuards(t, "store modes A", aFrame)
+			checkGuards(t, "store modes B", bFrame)
+			checkGuards(t, "store modes bias", biasFrame)
+			checkGuards(t, "store modes gate", gateFrame)
 		}
 	})
 }
@@ -412,24 +576,30 @@ func TestNaNAndInfPropagateAsInTheOracle(t *testing.T) {
 }
 
 // TestWarmKernelsDoNotAllocate: below the fan-out cutoff every form, with and
-// without accumulation, the two row operations and the class head's
-// element-wise kernels run without a single allocation, on both paths.
+// without accumulation and in every store mode, the row operation and the
+// class head's element-wise and column kernels run without a single
+// allocation, on both paths.
 func TestWarmKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const m, k, n = 37, 13, 21
 	a, at := randTensor(rng, m, k), randTensor(rng, k, m)
 	b, bt := randTensor(rng, k, n), randTensor(rng, n, k)
-	c, v, x := NewTensor(m, n), normals(rng, n), normals(rng, m*n)
+	c, ct, v, x := NewTensor(m, n), NewTensor(n, m), normals(rng, n), normals(rng, m*n)
+	labels := make([]int, m)
 	onBothPaths(t, func(t *testing.T) {
 		for name, f := range map[string]func(){
 			"Gemm": func() { Gemm(c, a, b) }, "GemmAdd": func() { GemmAdd(c, a, b) },
 			"GemmTA": func() { GemmTA(c, at, b) }, "GemmTAAdd": func() { GemmTAAdd(c, at, b) },
-			"GemmTB": func() { GemmTB(c, a, bt) }, "GemmTBAdd": func() { GemmTBAdd(c, a, bt) },
-			"GemmBias": func() { GemmBias(c, a, b, v) }, "AddToRows": func() { c.AddToRows(v) },
+			"GemmTBAdd":   func() { GemmTBAdd(c, a, bt) },
+			"GemmWith":    func() { GemmWith(c, a, b, Epilogue{Bias: v, BiasLast: true, ReLU: true}) },
+			"GemmTAWith":  func() { GemmTAWith(c, at, b, Epilogue{Gate: x}) },
+			"GemmTC":      func() { GemmTC(ct, a, b, Epilogue{Bias: v}) },
 			"SumRowsInto": func() { c.SumRowsInto(v) },
 			"ExpInto":     func() { ExpInto(c.Data, x) },
 			"LogInto":     func() { LogInto(c.Data, c.Data) },
 			"DivScalar":   func() { DivScalar(c.Data, 3) },
+			"SoftmaxCols": func() { SoftmaxCols(ct, ct) },
+			"ArgmaxCols":  func() { ArgmaxCols(labels, ct) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 				t.Errorf("warm %s allocates %.1f times, want 0", name, allocs)

@@ -89,13 +89,13 @@ func (t *Tensor) FromRows(rows [][]float64, cols int) {
 	}
 }
 
-// ToRows returns the tensor as fresh [][]float64 rows. The row headers share
-// one backing allocation, so the conversion costs two allocations regardless
-// of batch size.
-func (t *Tensor) ToRows() [][]float64 {
-	flat := make([]float64, len(t.Data))
-	copy(flat, t.Data)
-	return TensorView(flat, t.Rows, t.Cols).RowViews()
+// TransposeToRows returns the columns of t as fresh rows: one t.Cols × t.Rows
+// slab, transposed from t, and its row views — two allocations whatever the
+// shape. It is how a class-major slab leaves the compute core.
+func (t *Tensor) TransposeToRows() [][]float64 {
+	rows := &Tensor{Rows: t.Cols, Cols: t.Rows, Data: make([]float64, len(t.Data))}
+	TransposeInto(rows, t)
+	return rows.RowViews()
 }
 
 // RowViews returns the rows of t as slices of its own storage, each capped at
@@ -108,9 +108,9 @@ func (t *Tensor) RowViews() [][]float64 {
 	return out
 }
 
-// addRows is the one loop behind Vector.AddInPlace, AddToRows and
-// SumRowsInto: dst[r·dstStride + j] += src[r·srcStride + j] for j < cols, rows
-// ascending, so an element that takes several rows takes them first to last.
+// addRows is the one loop behind Vector.AddInPlace and SumRowsInto:
+// dst[r·dstStride + j] += src[r·srcStride + j] for j < cols, rows ascending,
+// so an element that takes several rows takes them first to last.
 func addRows(dst, src []float64, rows, cols, dstStride, srcStride int) {
 	if rows == 0 {
 		return
@@ -126,13 +126,6 @@ func addRows(dst, src []float64, rows, cols, dstStride, srcStride int) {
 			d[i] += v
 		}
 	}
-}
-
-// AddToRows adds v to every row of t, t[i][j] += v[j], in one call per tensor.
-// It panics unless len(v) == t.Cols.
-func (t *Tensor) AddToRows(v []float64) {
-	t.mustBeRow(v, "AddToRows")
-	addRows(t.Data, v, t.Rows, t.Cols, t.Cols, 0)
 }
 
 // SumRowsInto adds the rows of t into dst, first row first:
@@ -157,7 +150,7 @@ func Axpy(a float64, x, y []float64) {
 		panic(fmt.Sprintf("linalg: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	coef := [1]float64{a}
-	gemmAxpyRows(y, coef[:], x, nil, 1, len(y), 0, 1, 1, 1, true)
+	gemmAxpyRows(y, coef[:], x, Epilogue{}, 1, len(y), 0, 1, 1, 1, true)
 }
 
 // parallelFlopCutoff is the mul-add count above which a kernel fans out
@@ -232,9 +225,10 @@ func parallelRows(rows, flops int, body func(i0, i1 int)) {
 }
 
 // gemmOp validates the operands of one kernel form and runs it.
-func gemmOp(form gemmForm, op string, c, a, b *Tensor, accumulate bool) {
+func gemmOp(form gemmForm, op string, c, a, b *Tensor, e Epilogue, accumulate bool) {
 	m, k, n := gemmDims(form, op, c, a, b)
-	gemm(form, c.Data, a.Data, b.Data, nil, m, k, n, accumulate)
+	e.check(op, m, n)
+	gemm(form, c.Data, a.Data, b.Data, e, m, k, n, accumulate)
 }
 
 // refOp is gemmOp for the oracles.
@@ -246,41 +240,59 @@ func refOp(form gemmForm, op string, c, a, b *Tensor) {
 // Gemm computes C = A × B with the register-tiled kernel (gemm.go),
 // parallel above the flop cutoff. Shapes: A m×k, B k×n, C m×n; C must not
 // alias A or B.
-func Gemm(c, a, b *Tensor) { gemmOp(formNN, "Gemm", c, a, b, false) }
+func Gemm(c, a, b *Tensor) { gemmOp(formNN, "Gemm", c, a, b, Epilogue{}, false) }
 
 // GemmAdd computes C += A × B (same shapes and kernel as Gemm).
-func GemmAdd(c, a, b *Tensor) { gemmOp(formNN, "GemmAdd", c, a, b, true) }
+func GemmAdd(c, a, b *Tensor) { gemmOp(formNN, "GemmAdd", c, a, b, Epilogue{}, true) }
 
-// GemmBias computes C = bias + A × B, every row of C starting from the bias
-// row: the bits of copying bias into each row and calling GemmAdd, without the
-// pass over C. It panics unless len(bias) == C.Cols.
-func GemmBias(c, a, b *Tensor, bias []float64) {
-	m, k, n := gemmDims(formNN, "GemmBias", c, a, b)
-	c.mustBeRow(bias, "GemmBias")
-	gemm(formNN, c.Data, a.Data, b.Data, bias, m, k, n, true)
-}
+// GemmWith computes C = e(A × B): Gemm with the epilogue e at the store of
+// every element. A seeding Bias gives the bits of copying it into each row
+// and calling GemmAdd; BiasLast, ReLU and Gate those of Gemm followed by the
+// same passes over C — without the passes. It panics unless the epilogue fits
+// C (len(Bias) = C.Cols, len(Gate) = len(C.Data)).
+func GemmWith(c, a, b *Tensor, e Epilogue) { gemmOp(formNN, "GemmWith", c, a, b, e, false) }
 
 // GemmTA computes C = Aᵀ × B without materializing the transpose.
 // Shapes: A k×m, B k×n, C m×n; C must not alias A or B.
-func GemmTA(c, a, b *Tensor) { gemmOp(formTA, "GemmTA", c, a, b, false) }
+func GemmTA(c, a, b *Tensor) { gemmOp(formTA, "GemmTA", c, a, b, Epilogue{}, false) }
 
 // GemmTAAdd computes C += Aᵀ × B (same shapes as GemmTA). The backward
 // passes use it to accumulate weight gradients straight into Param.Grad.
-func GemmTAAdd(c, a, b *Tensor) { gemmOp(formTA, "GemmTAAdd", c, a, b, true) }
+func GemmTAAdd(c, a, b *Tensor) { gemmOp(formTA, "GemmTAAdd", c, a, b, Epilogue{}, true) }
 
-// GemmTB computes C = A × Bᵀ without materializing the transpose.
+// GemmTAWith computes C = e(Aᵀ × B), GemmTA with the epilogue e (as GemmWith).
+func GemmTAWith(c, a, b *Tensor, e Epilogue) { gemmOp(formTA, "GemmTAWith", c, a, b, e, false) }
+
+// GemmTBAdd computes C += A × Bᵀ without materializing the transpose.
 // Shapes: A m×k, B n×k, C m×n; C must not alias A or B. Each output element
-// is a dot product of two contiguous rows, so this is the cache-friendly
-// form when the shared dimension k is long.
-func GemmTB(c, a, b *Tensor) { gemmOp(formTB, "GemmTB", c, a, b, false) }
+// is a dot product of two contiguous rows, summed from zero and added to C
+// once: the long-dot-product form of a weight-gradient update.
+func GemmTBAdd(c, a, b *Tensor) { gemmOp(formTB, "GemmTBAdd", c, a, b, Epilogue{}, true) }
 
-// GemmTBAdd computes C += A × Bᵀ (same shapes as GemmTB). With transposed
-// operands it is the long-dot-product form of the weight-gradient update.
-func GemmTBAdd(c, a, b *Tensor) { gemmOp(formTB, "GemmTBAdd", c, a, b, true) }
+// GemmTC computes Cᵀ = (A × B)ᵀ into ct, the product stored class-major:
+// A m×k, B k×n (read where it lies), ct n×m; ct must not alias A or B. The
+// bias of e (its Bias and BiasLast; ReLU and Gate are not offered) goes in
+// as GemmWith puts it: every sum starts from Bias[j], or Bias[j] is added to
+// the finished sum. Each element is GemmWith's, bit for bit, at the
+// transposed place.
+func GemmTC(ct, a, b *Tensor, e Epilogue) {
+	m, k, n := gemmDims(formNN, "GemmTC", &Tensor{Rows: ct.Cols, Cols: ct.Rows, Data: ct.Data}, a, b)
+	e.check("GemmTC", m, n)
+	if e.ReLU || e.Gate != nil {
+		panic("linalg: GemmTC has no ReLU or gate")
+	}
+	var seed, post []float64
+	if e.BiasLast {
+		post = e.Bias
+	} else {
+		seed = e.Bias
+	}
+	gemmTC(ct.Data, a.Data, b.Data, seed, post, m, k, n)
+}
 
 // TransposeInto writes srcᵀ into dst, which must be pre-shaped to
-// src.Cols × src.Rows. The layers materialize small transposed weight or
-// gradient panels with it so every GEMM runs in its long-inner-loop form.
+// src.Cols × src.Rows: a layer's Out × In weight panel for its input
+// gradient, and a class-major slab turned back into rows at the boundary.
 func TransposeInto(dst, src *Tensor) {
 	if dst.Rows != src.Cols || dst.Cols != src.Rows {
 		panic(fmt.Sprintf("linalg: TransposeInto shape %dx%d, want %dx%d",

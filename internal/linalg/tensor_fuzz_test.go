@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzGemmShapes drives all seven kernels over arbitrary shapes and seeds and
-// requires bit equality with the naive oracles (the exact-bits comparator of
+// FuzzGemmShapes drives every kernel, in every store mode and the
+// class-major form, over arbitrary shapes and seeds and requires bit equality
+// with the naive oracles (checkGemmBits, the comparator of
 // TestGemmMatchesReference), through the Go loops and through the assembly
 // bodies. m and n are folded into [1, 90] and k into [1, 260], so the fuzzer
 // regularly crosses the parallel cutoff, every row count of a last band, the

@@ -68,7 +68,7 @@ var gemmShapes = []struct{ m, k, n int }{
 	{256, 2, 64},  // … of a 64→2 head
 	{32, 3, 2560}, // Conv1D forward, InChannels·Kernel = 3
 	{3, 32, 2560}, // Conv1D patch gradient: one partial band, long n
-	{64, 256, 7},  // narrow-head weight gradient in the dot form: odd n
+	{64, 256, 7},  // a long k and an odd n < 8
 	{130, 64, 5},  // narrow-head forward: m mod 4 = 2, odd n
 	{1, 9, 6},     // single-row batch
 	{3, 11, 7},    // odd m, k = 2·4 + 3: row pair, then 4-deep single row + 3 remainder steps
@@ -84,7 +84,8 @@ var gemmShapes = []struct{ m, k, n int }{
 // panelShapes is the grid the assembly panels are held to: rows mod 4 over
 // {0,1,2,3} below and above one band, n over whole 8-column blocks, a 4-column
 // last block and tail columns, k over 1, 2, 3, 5 and the long walks. Every
-// shape runs all six kernels, so both stride pairs and both C seedings.
+// shape runs every kernel, so both stride pairs, every C seeding and every
+// store mode.
 func panelShapes() []struct{ m, k, n int } {
 	var shapes []struct{ m, k, n int }
 	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13} {
@@ -118,17 +119,57 @@ func refAxpyAdd(c *Tensor, k int, aAt func(i, p int) float64, b *Tensor) {
 	}
 }
 
-// checkGemmBits runs all seven public kernels at shape (m,k,n) on random
-// operands and requires bit equality with the oracles. t is *testing.T or the
-// fuzz callback's T.
+// refStore is the oracle of a product with an epilogue: every element summed
+// on its own as refAxpyAdd sums it, from the seeding bias or from zero, then
+// the epilogue's steps one at a time — a pass over C each, in effect.
+func refStore(e Epilogue, m, k int, aAt func(i, p int) float64, b *Tensor) *Tensor {
+	want := NewTensor(m, b.Cols)
+	if e.Bias != nil && !e.BiasLast {
+		fillRows(want.Data, e.Bias)
+	}
+	refAxpyAdd(want, k, aAt, b)
+	for i := range want.Data {
+		v := want.Data[i]
+		if e.BiasLast {
+			v += e.Bias[i%b.Cols]
+		}
+		if e.ReLU {
+			v = max(v, 0)
+		}
+		if e.Gate != nil {
+			pass := 0.0
+			if int64(math.Float64bits(e.Gate[i])) > 0 {
+				pass = 1
+			}
+			v *= pass
+		}
+		want.Data[i] = v
+	}
+	return want
+}
+
+// storeModes are the epilogues the layers use, over a bias row and a gate of
+// C's shape: the bias seeding the sum or added to it, each with and without
+// ReLU, the gate, and nothing.
+func storeModes(bias, gate []float64) []Epilogue {
+	return []Epilogue{
+		{}, {Bias: bias}, {Bias: bias, BiasLast: true}, {Bias: bias, ReLU: true},
+		{Bias: bias, BiasLast: true, ReLU: true}, {Gate: gate},
+	}
+}
+
+// checkGemmBits runs every public kernel at shape (m,k,n) on random operands,
+// in every store mode, and requires bit equality with the oracles. t is
+// *testing.T or the fuzz callback's T.
 func checkGemmBits(t testing.TB, rng *rand.Rand, m, k, n int) {
 	t.Helper()
 	checkGemmOperands(t, randTensor(rng, m, k), randTensor(rng, k, m),
 		randTensor(rng, k, n), randTensor(rng, n, k), randTensor(rng, m, n))
 }
 
-// checkGemmOperands holds the seven kernels to the oracles on the given A (m×k),
-// Aᵀ-shaped at (k×m), B (k×n), Bᵀ-shaped bt (n×k) and the seed of C (m×n).
+// checkGemmOperands holds the kernels to the oracles on the given A (m×k),
+// Aᵀ-shaped at (k×m), B (k×n), Bᵀ-shaped bt (n×k) and the seed of C (m×n),
+// which also gives the bias (its first row) and the gate of the store modes.
 func checkGemmOperands(t testing.TB, a, at, b, bt, seed *Tensor) {
 	t.Helper()
 	m, k, n := a.Rows, a.Cols, b.Cols
@@ -150,11 +191,9 @@ func checkGemmOperands(t testing.TB, a, at, b, bt, seed *Tensor) {
 	GemmTA(got, at, b)
 	RefGemmTA(want, at, b)
 	same("GemmTA", got, want)
-	GemmTB(got, a, bt)
-	RefGemmTB(want, a, bt)
-	same("GemmTB", got, want)
 
 	// GemmTBAdd adds each finished dot product to C once.
+	RefGemmTB(want, a, bt)
 	for i := range want.Data {
 		want.Data[i] += seed.Data[i]
 	}
@@ -167,18 +206,32 @@ func checkGemmOperands(t testing.TB, a, at, b, bt, seed *Tensor) {
 	refAxpyAdd(want, k, a.At, b)
 	same("GemmAdd", got, want)
 
-	// GemmBias starts every row from the bias: the seed's first row here.
-	bias := seed.Row(0)
-	got, want = cloneTensor(seed), NewTensor(m, n)
-	fillRows(want.Data, bias)
-	GemmBias(got, a, b, bias)
-	refAxpyAdd(want, k, a.At, b)
-	same("GemmBias", got, want)
-
 	got, want = cloneTensor(seed), cloneTensor(seed)
 	GemmTAAdd(got, at, b)
 	refAxpyAdd(want, k, func(i, p int) float64 { return at.At(p, i) }, b)
 	same("GemmTAAdd", got, want)
+
+	// The store modes, in both axpy forms and — bias only — class-major. The
+	// bias is the seed's first row, the gate the seed itself.
+	ct, wantT := NewTensor(n, m), NewTensor(n, m)
+	for mode, e := range storeModes(seed.Row(0), seed.Data) {
+		want := refStore(e, m, k, a.At, b)
+		got := cloneTensor(seed)
+		GemmWith(got, a, b, e)
+		same(fmt.Sprintf("GemmWith mode %d", mode), got, want)
+		got = cloneTensor(seed)
+		GemmTAWith(got, at, b, e)
+		same(fmt.Sprintf("GemmTAWith mode %d", mode), got, refStore(e, m, k, func(i, p int) float64 { return at.At(p, i) }, b))
+		if e.ReLU || e.Gate != nil {
+			continue
+		}
+		for i := range ct.Data {
+			ct.Data[i] = math.NaN() // whatever ct held is overwritten
+		}
+		GemmTC(ct, a, b, e)
+		TransposeInto(wantT, want)
+		same(fmt.Sprintf("GemmTC mode %d", mode), ct, wantT)
+	}
 }
 
 // TestGemmMatchesReference pins the documented contract: the register-tiled,
@@ -199,7 +252,12 @@ func TestGemmShapePanics(t *testing.T) {
 		func() { Gemm(NewTensor(2, 2), NewTensor(2, 3), NewTensor(4, 2)) },
 		func() { Gemm(NewTensor(3, 2), NewTensor(2, 3), NewTensor(3, 2)) },
 		func() { GemmTA(NewTensor(3, 2), NewTensor(2, 3), NewTensor(3, 2)) },
-		func() { GemmTB(NewTensor(2, 2), NewTensor(2, 3), NewTensor(2, 4)) },
+		func() { GemmTBAdd(NewTensor(2, 2), NewTensor(2, 3), NewTensor(2, 4)) },
+		func() { GemmTC(NewTensor(2, 2), NewTensor(2, 3), NewTensor(3, 3), Epilogue{}) },
+		func() { GemmTC(NewTensor(3, 2), NewTensor(2, 3), NewTensor(3, 3), Epilogue{ReLU: true}) },
+		func() {
+			GemmWith(NewTensor(2, 3), NewTensor(2, 3), NewTensor(3, 3), Epilogue{Gate: make([]float64, 5)})
+		},
 		func() { TensorView(make([]float64, 5), 2, 3) },
 	}
 	for i, f := range cases {
@@ -233,11 +291,16 @@ func TestEnsureTensorReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestTensorRowsRoundtrip: rows staged with FromRows, laid out class-major
+// with TransposeInto, come back as the same rows from TransposeToRows, which
+// copies.
 func TestTensorRowsRoundtrip(t *testing.T) {
 	rows := [][]float64{{1, 2, 3}, {4, 5, 6}}
 	var tt Tensor
 	tt.FromRows(rows, 3)
-	back := tt.ToRows()
+	ct := NewTensor(3, 2)
+	TransposeInto(ct, &tt)
+	back := ct.TransposeToRows()
 	for i := range rows {
 		for j := range rows[i] {
 			if back[i][j] != rows[i][j] {
@@ -245,10 +308,10 @@ func TestTensorRowsRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	// ToRows must copy: mutating the result leaves the tensor intact.
+	// TransposeToRows must copy: mutating the result leaves the tensor intact.
 	back[0][0] = 99
-	if tt.At(0, 0) != 1 {
-		t.Fatal("ToRows aliases tensor storage")
+	if ct.At(0, 0) != 1 {
+		t.Fatal("TransposeToRows aliases tensor storage")
 	}
 	// Empty batch keeps its width.
 	tt.FromRows(nil, 5)
@@ -308,7 +371,8 @@ func TestParallelGemmRace(t *testing.T) {
 			for iter := 0; iter < 10; iter++ {
 				Gemm(c, a, b)
 				GemmTA(c, a, b)
-				GemmTB(c, a, b)
+				GemmTBAdd(c, a, b)
+				GemmTC(c, a, b, Epilogue{})
 				Gemm(c, a, b)
 			}
 			done <- c
@@ -373,9 +437,10 @@ func TestFromRowsWarmAllocs(t *testing.T) {
 // BenchmarkGemmForward times each kernel form at the shapes the streaming MLP
 // (dim→64→C on ≤ 256 rows) really multiplies — the benchmark generators' input
 // widths 6, 10, 12 and class counts 2, 5, 7 — and at the 256³ shape that is big
-// enough to be memory-bound. Names are FORM/m×k×n of the product; GFLOP/s
-// counts a mul-add as two.
+// enough to be memory-bound. Names are FORM/m×k×n of the product (TC: the
+// class head's forward, stored class-major); GFLOP/s counts a mul-add as two.
 func BenchmarkGemmForward(b *testing.B) {
+	const formTC = formTB + 1
 	type shape struct {
 		form    gemmForm
 		m, k, n int
@@ -385,18 +450,22 @@ func BenchmarkGemmForward(b *testing.B) {
 		shapes = append(shapes, shape{formNN, 256, dim, 64}, shape{formTA, dim, 256, 64})
 	}
 	for _, classes := range []int{2, 5, 7} {
-		shapes = append(shapes, shape{formNN, 256, classes, 64}, shape{formTA, classes, 256, 64}, shape{formTB, 256, 64, classes})
+		shapes = append(shapes, shape{formNN, 256, classes, 64}, shape{formTA, classes, 256, 64}, shape{formTC, 256, 64, classes})
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range shapes {
-		name := [...]string{"NN", "TA", "TB"}[s.form]
+		name := [...]string{"NN", "TA", "TB", "TC"}[s.form]
 		b.Run(fmt.Sprintf("%s/%dx%dx%d", name, s.m, s.k, s.n), func(b *testing.B) {
 			// Storage sizes are the same in every form; only the strides differ.
 			x, w, c := normals(rng, s.m*s.k), normals(rng, s.k*s.n), make([]float64, s.m*s.n)
 			b.SetBytes(int64((s.m*s.k + s.k*s.n + s.m*s.n) * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gemm(s.form, c, x, w, nil, s.m, s.k, s.n, false)
+				if s.form == formTC {
+					gemmTC(c, x, w, nil, nil, s.m, s.k, s.n)
+					continue
+				}
+				gemm(s.form, c, x, w, Epilogue{}, s.m, s.k, s.n, false)
 			}
 			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

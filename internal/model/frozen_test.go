@@ -88,15 +88,16 @@ func stageRows(rows [][]float64) *linalg.Tensor {
 	return t
 }
 
-// sameProba compares bit for bit, any NaN matching any NaN.
+// sameProba compares the class-major got with the rows of want bit for bit,
+// any NaN matching any NaN.
 func sameProba(t *testing.T, what string, got *linalg.Tensor, want [][]float64) {
 	t.Helper()
-	if got.Rows != len(want) || got.Cols != frozenClasses {
-		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, len(want), frozenClasses)
+	if got.Rows != frozenClasses || got.Cols != len(want) {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, frozenClasses, len(want))
 	}
 	for i := range want {
 		for c, w := range want[i] {
-			g := got.At(i, c)
+			g := got.At(c, i)
 			if math.Float64bits(g) != math.Float64bits(w) && !(g != g && w != w) {
 				t.Fatalf("%s: proba[%d][%d] = %v, want %v", what, i, c, g, w)
 			}
@@ -160,6 +161,6 @@ func TestFrozenIgnoresStaleWorkspace(t *testing.T) {
 			}
 		}
 		poison()
-		sameProba(t, family, frozen.ProbaInto(&stale, x), want.ToRows())
+		sameProba(t, family, frozen.ProbaInto(&stale, x), want.TransposeToRows())
 	}
 }

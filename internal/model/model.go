@@ -52,21 +52,23 @@ type Model interface {
 // else. It is immutable: any number of goroutines may call it at once, each
 // with a workspace of its own, while the model it came from keeps training.
 type Frozen interface {
-	// ProbaInto returns the class distribution of every row of x (rows ×
-	// classes). x is only read; the result and all scratch are taken from ws,
-	// so the result is valid until ws is reset or released.
+	// ProbaInto returns the class distribution of every row of x, class-major
+	// (classes × rows, column i row i's). x is only read; the result and all
+	// scratch are taken from ws, so the result is valid until ws is reset or
+	// released.
 	ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor
 }
 
-// ProbaInto is m.PredictProba(x) written into dst (reshaped to len(x) ×
-// classes) instead of a fresh result. dst is the caller's: it outlives the
-// model's later passes.
+// ProbaInto is m.PredictProba(x) written class-major into dst (reshaped to
+// classes × len(x)) instead of a fresh result: the same bits, in the layout
+// the fusion reads. dst is the caller's: it outlives the model's later
+// passes.
 func ProbaInto(dst *linalg.Tensor, m Model, x [][]float64) {
-	if nm, ok := m.(*netModel); ok {
-		nm.net.ProbaInto(dst, x)
+	if s, ok := m.(*Standardized); ok {
+		ProbaInto(dst, s.inner, s.transform(x))
 		return
 	}
-	dst.FromRows(m.PredictProba(x), m.NumClasses())
+	m.Net().ProbaInto(dst, x)
 }
 
 // ForwardTrainer is the optional test-then-train fast path. The stream

@@ -27,6 +27,8 @@ type Conv1D struct {
 	w *Param // [out][in][k], i.e. an OutChannels × InChannels·K tensor
 	b *Param // [out]
 
+	relu bool // a ReLU is wired directly above: rectify while adding the bias
+
 	// Forward's scratch: the im2col patches (InChannels·K × batch·outLen), the
 	// GEMM output (OutChannels × batch·outLen) and the channel-major output
 	// (batch × OutChannels·outLen). Backward reads the patches through colT.
@@ -98,7 +100,8 @@ func (c *Conv1D) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Te
 
 // forward is the convolution for kernels w and bias b of the layer's shape,
 // via im2col + one GEMM: out2T = W × colT, then each (sample, channel) segment
-// is copied out with the bias added. It returns the patch matrix as well.
+// is copied out with the bias added (and rectified, max(v + b, 0), when a
+// ReLU is wired above). It returns the patch matrix as well.
 func (c *Conv1D) forward(ws *Workspace, w, b []float64, x *linalg.Tensor) (out, colT *linalg.Tensor) {
 	if x.Cols != c.InChannels*c.Length {
 		panic(fmt.Sprintf("nn: Conv1D input width %d, want %d", x.Cols, c.InChannels*c.Length))
@@ -116,8 +119,14 @@ func (c *Conv1D) forward(ws *Workspace, w, b []float64, x *linalg.Tensor) (out, 
 			src := out2T.Row(oc)[i*ol : (i+1)*ol]
 			dst := orow[oc*ol : (oc+1)*ol]
 			bias := b[oc]
-			for t, v := range src {
-				dst[t] = v + bias
+			if c.relu {
+				for t, v := range src {
+					dst[t] = max(v+bias, 0)
+				}
+			} else {
+				for t, v := range src {
+					dst[t] = v + bias
+				}
 			}
 		}
 	}

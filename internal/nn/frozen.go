@@ -18,12 +18,13 @@ func (n *Network) Freeze() *Frozen {
 	return &Frozen{layers: n.layers, w: n.AppendFlatParams(make([]float64, 0, n.NumParams()))}
 }
 
-// ProbaInto returns the class distribution of every row of x (rows ×
-// NumClasses), bit for bit what PredictProba returned on the network when it
-// was frozen. x is only read. Every tensor written, the result included, is
-// taken from ws: it is valid until ws is reset or released, and whatever ws
-// held before is overwritten, never read. A batch of the wrong width panics
-// in the first layer that has one, as it does in the network's own pass.
+// ProbaInto returns the class distribution of every row of x, class-major
+// (NumClasses × rows, column i row i's), bit for bit what PredictProba
+// returned on the network when it was frozen. x is only read. Every tensor
+// written, the result included, is taken from ws: it is valid until ws is
+// reset or released, and whatever ws held before is overwritten, never read.
+// A batch of the wrong width panics in the first layer that has one, as it
+// does in the network's own pass.
 func (f *Frozen) ProbaInto(ws *Workspace, x *linalg.Tensor) *linalg.Tensor {
 	h, p := x, f.w
 	// An in-place activation in first position would rectify the caller's batch.
@@ -36,6 +37,6 @@ func (f *Frozen) ProbaInto(ws *Workspace, x *linalg.Tensor) *linalg.Tensor {
 		h, p = l.infer(ws, p, h)
 	}
 	// The logits are workspace scratch nobody trains on: softmax in place.
-	softmaxRows(h, h)
+	linalg.SoftmaxCols(h, h)
 	return h
 }

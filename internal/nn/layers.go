@@ -14,6 +14,10 @@ import (
 // respect to its output and returns the gradient with respect to its input,
 // accumulating parameter gradients along the way.
 //
+// The network's last layer, a Dense, is the class head: its Forward returns
+// class-major logits (classes × rows, a column per sample) and its Backward
+// takes the loss gradient in that layout. Every other layer speaks rows.
+//
 // Buffer ownership. A layer returns from Forward (Backward) either its own
 // scratch, valid until its next Forward (Backward), or — the activations ReLU
 // and Sigmoid — the very tensor it was handed, overwritten in place. So:
@@ -59,27 +63,37 @@ type paramBackwarder interface {
 }
 
 // Dense is a fully connected layer: y = xW + b, with W stored row-major as
-// [in][out] — exactly the In×Out tensor the GEMM kernels consume.
+// [in][out] — exactly the In×Out tensor the GEMM kernels consume, which the
+// forward pass and the weight gradient read where it lies.
 //
-// Both passes pick between the axpy-form and dot-form GEMM kernels by shape:
-// the inner loop of the axpy form runs over Out and the dot form over In, so
-// a wide-in / narrow-out head (e.g. a 1984→2 classifier) uses the dot form
-// while a fan-out layer uses the axpy form. Both forms sum over the shared
-// dimension in the same ascending order, so the choice never changes results
-// beyond the bias-addition rounding.
+// The bias goes in by one of two rounding orders, fixed by the shape: a layer
+// with In ≤ Out starts every sum from b, one with In > Out adds b to the
+// finished sum (biasLast). These are the bits of the axpy-form and dot-form
+// kernels the layer once chose between by shape; both sum over In in the same
+// ascending order.
+//
+// NewNetwork wires the layer into its chain. The network's last layer is the
+// class head: its output is class-major, Out × rows with a column per sample
+// (the slab the loss, the softmax and the readers take), and Backward takes
+// its gradient in that layout. A ReLU directly above is applied at the store
+// of the output (relu), and the gate of a ReLU directly below at the store of
+// the input gradient (gated): the gate is the input itself, which is that
+// ReLU's output.
 type Dense struct {
 	In, Out int
 	w, b    *Param
 
-	ws        Workspace      // Forward's scratch: the output, and Wᵀ when useDot
-	lastX, wT *linalg.Tensor // the forward input and that Wᵀ, read by Backward
-	gradIn    *linalg.Tensor // layer-owned scratch, reused across batches
-	gwT       *linalg.Tensor // this batch's ∂Wᵀ (Out × In) of a narrow head
+	head, relu, gated bool // NewNetwork's wiring, see above
+
+	ws     Workspace      // Forward's scratch: the output
+	lastX  *linalg.Tensor // the forward input, read by Backward
+	gradIn *linalg.Tensor // layer-owned scratch, reused across batches
+	outIn  *linalg.Tensor // Backward's Out × In scratch: ∂Wᵀ, then Wᵀ for ∂L/∂x
 }
 
-// useDot reports whether the dot-form kernels (inner loops over In) beat the
-// axpy-form kernels (inner loops over Out) for this layer's shape.
-func (d *Dense) useDot() bool { return d.In > d.Out }
+// biasLast reports whether the bias is added to the finished sum rather than
+// starting it (see Dense).
+func (d *Dense) biasLast() bool { return d.In > d.Out }
 
 // denseGradWDotFactor: when In ≥ this multiple of Out, ∂W is computed
 // transposed, with inner loops over In, instead of per-sample length-Out
@@ -101,68 +115,103 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 func (d *Dense) Forward(x *linalg.Tensor) *linalg.Tensor {
 	d.ws.Reset()
 	d.lastX = x
-	out, wT := d.forward(&d.ws, d.w.W, d.b.W, x)
-	d.wT = wT
-	return out
+	return d.forward(&d.ws, d.w.W, d.b.W, x)
 }
 
 func (d *Dense) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
 	nw := d.In * d.Out
-	out, _ := d.forward(ws, p[:nw], p[nw:nw+d.Out], x)
-	return out, p[nw+d.Out:]
+	return d.forward(ws, p[:nw], p[nw:nw+d.Out], x), p[nw+d.Out:]
 }
 
-// forward is xW + b for weights w and bias b of the layer's shape. In the
-// axpy form every output row starts from the bias and the product
-// accumulates on top; in the dot form the bias is added after the product,
-// and the Wᵀ it multiplied by is returned too.
-func (d *Dense) forward(ws *Workspace, w, b []float64, x *linalg.Tensor) (out, wT *linalg.Tensor) {
+// forward is xW + b for weights w and bias b of the layer's shape: rows × Out,
+// rectified when a ReLU is wired above, or class-major for the head.
+func (d *Dense) forward(ws *Workspace, w, b []float64, x *linalg.Tensor) *linalg.Tensor {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense input width %d, want %d", x.Cols, d.In))
 	}
-	out = ws.Tensor(x.Rows, d.Out)
-	if d.useDot() {
-		wT = ws.Tensor(d.Out, d.In)
-		linalg.TransposeInto(wT, linalg.TensorView(w, d.In, d.Out))
-		linalg.GemmTB(out, x, wT)
-		out.AddToRows(b)
-	} else {
-		linalg.GemmBias(out, x, linalg.TensorView(w, d.In, d.Out), b)
+	e := linalg.Epilogue{Bias: b, BiasLast: d.biasLast()}
+	if d.head {
+		out := ws.Tensor(d.Out, x.Rows)
+		linalg.GemmTC(out, x, linalg.TensorView(w, d.In, d.Out), e)
+		return out
 	}
-	return out, wT
+	e.ReLU = d.relu
+	out := ws.Tensor(x.Rows, d.Out)
+	linalg.GemmWith(out, x, linalg.TensorView(w, d.In, d.Out), e)
+	return out
 }
 
-// Backward accumulates ∂L/∂W = XᵀG and ∂L/∂b, and returns ∂L/∂x = GWᵀ.
-// It relies on the Wᵀ scratch left by the matching Forward call.
+// Backward accumulates ∂L/∂W = XᵀG and ∂L/∂b, and returns ∂L/∂x = GWᵀ: per
+// element a sum over the outputs in ascending order from zero, in the axpy
+// form over Wᵀ (transposed here, once per backward), read from the
+// class-major Gᵀ for the head, and gated at the store when a ReLU is wired
+// below.
 func (d *Dense) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
 	d.backwardParams(gradOut)
-	d.gradIn = linalg.EnsureTensor(d.gradIn, gradOut.Rows, d.In)
-	if d.useDot() {
-		linalg.Gemm(d.gradIn, gradOut, d.wT)
+	linalg.TransposeInto(d.outIn, linalg.TensorView(d.w.W, d.In, d.Out))
+	var e linalg.Epilogue
+	if d.gated {
+		e.Gate = d.lastX.Data
+	}
+	d.gradIn = linalg.EnsureTensor(d.gradIn, d.lastX.Rows, d.In)
+	if d.head {
+		linalg.GemmTAWith(d.gradIn, gradOut, d.outIn, e)
 	} else {
-		linalg.GemmTB(d.gradIn, gradOut, linalg.TensorView(d.w.W, d.In, d.Out))
+		linalg.GemmWith(d.gradIn, gradOut, d.outIn, e)
 	}
 	return d.gradIn
 }
 
+// backwardParams accumulates ∂W and ∂b. Per element of ∂W that is a sum over
+// the samples in ascending order: from zero and then added into Grad once for
+// a narrow layer (In ≥ 4·Out) on more than one row, whose ∂Wᵀ (Out × In) has
+// the long inner loop over In; otherwise accumulated into Grad itself. ∂b
+// takes the samples first to last.
 func (d *Dense) backwardParams(gradOut *linalg.Tensor) {
 	n := gradOut.Rows
-	if d.In >= denseGradWDotFactor*d.Out && n > 1 {
-		// Narrow head: ∂Wᵀ = GᵀX (Out × In) has the long inner loop over In
-		// and needs neither operand transposed. Each element is summed from
-		// zero over ascending samples, then added into Grad once; the
-		// transposed add touches In·Out values, not rows·(In+Out).
-		d.gwT = linalg.EnsureTensor(d.gwT, d.Out, d.In)
-		linalg.GemmTA(d.gwT, gradOut, d.lastX)
-		for j := 0; j < d.Out; j++ {
-			for i, v := range d.gwT.Row(j) {
-				d.w.Grad[i*d.Out+j] += v
-			}
-		}
-	} else {
-		linalg.GemmTAAdd(linalg.TensorView(d.w.Grad, d.In, d.Out), d.lastX, gradOut)
+	if d.head {
+		n = gradOut.Cols
 	}
-	gradOut.SumRowsInto(d.b.Grad)
+	narrow := d.In >= denseGradWDotFactor*d.Out && n > 1
+	grad := linalg.TensorView(d.w.Grad, d.In, d.Out)
+	d.outIn = linalg.EnsureTensor(d.outIn, d.Out, d.In)
+	switch {
+	case d.head:
+		// Gᵀ is Out × rows: ∂Wᵀ = Gᵀ·X is the plain product. The in-place
+		// accumulation runs on Gradᵀ and is transposed back.
+		if narrow {
+			linalg.Gemm(d.outIn, gradOut, d.lastX)
+			d.addTransposed()
+		} else {
+			linalg.TransposeInto(d.outIn, grad)
+			linalg.GemmAdd(d.outIn, gradOut, d.lastX)
+			linalg.TransposeInto(grad, d.outIn)
+		}
+		for j := 0; j < d.Out; j++ {
+			s := d.b.Grad[j]
+			for _, g := range gradOut.Row(j) {
+				s += g
+			}
+			d.b.Grad[j] = s
+		}
+	case narrow:
+		linalg.GemmTA(d.outIn, gradOut, d.lastX)
+		d.addTransposed()
+		gradOut.SumRowsInto(d.b.Grad)
+	default:
+		linalg.GemmTAAdd(grad, d.lastX, gradOut)
+		gradOut.SumRowsInto(d.b.Grad)
+	}
+}
+
+// addTransposed adds the ∂Wᵀ in outIn into Grad: In·Out values, not
+// rows·(In+Out).
+func (d *Dense) addTransposed() {
+	for j := 0; j < d.Out; j++ {
+		for i, v := range d.outIn.Row(j) {
+			d.w.Grad[i*d.Out+j] += v
+		}
+	}
 }
 
 // Params returns the weight and bias parameters.
@@ -176,33 +225,50 @@ func (d *Dense) OutDim(inDim int) (int, error) {
 	return d.Out, nil
 }
 
-// ReLU applies max(0, x) element-wise, in place.
+// ReLU applies max(0, x) element-wise, in place. NewNetwork moves its two
+// passes into its neighbours where it can: a Dense or Conv1D directly below
+// rectifies its own output as it stores it (rectified), and a Dense directly
+// above gates its input gradient as it stores it (gated). What is left here
+// is the tensor that gates, and the passes no neighbour took: the forward one
+// when the ReLU is the first layer, the gate below a layer that is not a
+// Dense.
 type ReLU struct {
 	y *linalg.Tensor // the forward tensor, now holding the output; gates Backward
+
+	rectified, gated bool // NewNetwork's wiring, see above
 }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward rectifies x in place and returns it.
+// Forward rectifies x in place, unless the layer below already did, and
+// returns it.
 func (r *ReLU) Forward(x *linalg.Tensor) *linalg.Tensor {
 	r.y = x
-	linalg.ReLU(x.Data)
-	return x
+	return r.rectify(x)
 }
 
 func (r *ReLU) infer(_ *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
-	linalg.ReLU(x.Data)
-	return x, p
+	return r.rectify(x), p
+}
+
+func (r *ReLU) rectify(x *linalg.Tensor) *linalg.Tensor {
+	if !r.rectified {
+		linalg.ReLU(x.Data)
+	}
+	return x
 }
 
 // Backward gates the incoming gradient, in place, by the sign of the forward
-// output: max(x, 0) is positive exactly where x is, so the output gates as
-// the input did. The gate is "nonzero and sign bit clear" (linalg.ReLUGate):
-// for finite inputs the mask is identical to x > 0 (NaN activations, already
-// fatal to training, pass the gradient instead of zeroing it).
+// output, unless the Dense above already did: max(x, 0) is positive exactly
+// where x is, so the output gates as the input did. The gate is "nonzero and
+// sign bit clear" (linalg.ReLUGate): for finite inputs the mask is identical
+// to x > 0 (NaN activations, already fatal to training, pass the gradient
+// instead of zeroing it).
 func (r *ReLU) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
-	linalg.ReLUGate(gradOut.Data, r.y.Data)
+	if !r.gated {
+		linalg.ReLUGate(gradOut.Data, r.y.Data)
+	}
 	return gradOut
 }
 

@@ -8,14 +8,16 @@ import (
 	"freewayml/internal/linalg"
 )
 
-// Network is a sequential stack of layers ending in logits over NumClasses
-// classes, trained with softmax cross-entropy.
+// Network is a sequential stack of layers ending in a Dense class head whose
+// logits over NumClasses classes are trained with softmax cross-entropy.
 //
 // The exported API speaks [][]float64 so callers (core, baselines, window,
 // knowledge) are representation-agnostic; internally every pass runs on flat
-// row-major tensors with network- and layer-owned scratch buffers reused
-// across batches, so the steady-state hot path allocates only the returned
-// results.
+// tensors with network- and layer-owned scratch buffers reused across batches,
+// so the steady-state hot path allocates only the returned results. The hidden
+// layers' tensors are row-major; from the head's logits to the loss gradient
+// the head hands back everything is class-major, NumClasses × rows (DESIGN.md,
+// "The class head").
 type Network struct {
 	layers     []Layer
 	params     []*Param // every layer's parameters, gathered once (layers never swap theirs)
@@ -23,7 +25,7 @@ type Network struct {
 	numClasses int
 
 	xBuf    *linalg.Tensor // staging copy of the caller's batch
-	gradBuf *linalg.Tensor // loss-head gradient scratch
+	gradBuf *linalg.Tensor // class head scratch: PredictProba's probabilities, the loss gradient
 	logpBuf *linalg.Tensor // loss-head scratch: the labels' logs, one per row
 
 	// Forward reuse (TrainForwarded): logits is the last forward's output,
@@ -39,13 +41,20 @@ type Network struct {
 type ForwardToken struct{ id uint64 }
 
 // NewNetwork assembles a sequential network. It validates that the layer
-// widths chain from inDim to numClasses and returns an error otherwise.
+// widths chain from inDim to numClasses, through a last layer that is a Dense
+// (the class head), and returns an error otherwise. It then wires each ReLU
+// into its neighbours: the Dense or Conv1D below rectifies as it stores its
+// output, the Dense above gates its input gradient as it stores it.
 func NewNetwork(inDim, numClasses int, layers ...Layer) (*Network, error) {
 	if inDim <= 0 || numClasses <= 0 {
 		return nil, fmt.Errorf("nn: invalid network dims in=%d classes=%d", inDim, numClasses)
 	}
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("nn: network needs at least one layer")
+	}
+	head, ok := layers[len(layers)-1].(*Dense)
+	if !ok {
+		return nil, fmt.Errorf("nn: the last layer must be a Dense (the class head), got %T", layers[len(layers)-1])
 	}
 	dim := inDim
 	gated := false // the tensor entering layer i gates an activation's Backward
@@ -67,6 +76,24 @@ func NewNetwork(inDim, numClasses int, layers ...Layer) (*Network, error) {
 	}
 	if dim != numClasses {
 		return nil, fmt.Errorf("nn: network output width %d, want %d classes", dim, numClasses)
+	}
+	head.head = true
+	for i, l := range layers {
+		r, ok := l.(*ReLU)
+		if !ok {
+			continue
+		}
+		if i > 0 {
+			switch below := layers[i-1].(type) {
+			case *Dense:
+				below.relu, r.rectified = true, true
+			case *Conv1D:
+				below.relu, r.rectified = true, true
+			}
+		}
+		if above, ok := layers[i+1].(*Dense); ok { // a ReLU is never last
+			above.gated, r.gated = true, true
+		}
 	}
 	n := &Network{layers: layers, inDim: inDim, numClasses: numClasses}
 	for _, l := range layers {
@@ -91,8 +118,9 @@ func (n *Network) stage(x [][]float64) *linalg.Tensor {
 	return n.xBuf
 }
 
-// forwardT runs the staged batch through all layers. The returned tensor is
-// owned by the last layer and valid until its next Forward call.
+// forwardT runs the staged batch through all layers and returns the
+// class-major logits, owned by the head and valid until its next Forward
+// call.
 func (n *Network) forwardT(x *linalg.Tensor) *linalg.Tensor {
 	h := x
 	for _, l := range n.layers {
@@ -114,9 +142,10 @@ func (n *Network) LastForward() ForwardToken { return ForwardToken{n.fwd} }
 func (n *Network) InvalidateForward() { n.fwd = 0 }
 
 // ForwardTensor runs a pre-staged row-major batch through the network and
-// returns the logits. This is the flat-slab entry: staging is one flat copy
-// into the network's scratch instead of a copy per row. The returned tensor
-// is layer-owned scratch, valid until the next forward pass.
+// returns the logits, class-major: NumClasses × rows, column i sample i's.
+// This is the flat-slab entry: staging is one flat copy into the network's
+// scratch instead of a copy per row. The returned tensor is layer-owned
+// scratch, valid until the next forward pass.
 func (n *Network) ForwardTensor(x *linalg.Tensor) (*linalg.Tensor, error) {
 	if x == nil || x.Rows == 0 {
 		return nil, fmt.Errorf("nn: empty batch")
@@ -129,31 +158,33 @@ func (n *Network) ForwardTensor(x *linalg.Tensor) (*linalg.Tensor, error) {
 	return n.forwardT(n.xBuf), nil
 }
 
-// Predict returns the argmax class for each sample.
+// Predict returns the argmax class for each sample (the first on ties).
 func (n *Network) Predict(x [][]float64) []int {
 	logits := n.forwardT(n.stage(x))
-	out := make([]int, logits.Rows)
-	for i := range out {
-		out[i] = Argmax(logits.Row(i))
-	}
+	out := make([]int, logits.Cols)
+	linalg.ArgmaxCols(out, logits)
 	return out
 }
 
-// PredictProba returns the softmax distribution for each sample. The row
-// headers share one backing allocation.
+// PredictProba returns the softmax distribution for each sample: the rows of
+// one fresh len(x) × NumClasses slab, transposed from the class-major
+// probabilities.
 func (n *Network) PredictProba(x [][]float64) [][]float64 {
-	var p linalg.Tensor
-	n.ProbaInto(&p, x)
-	return p.RowViews()
+	if n.gradBuf == nil {
+		n.gradBuf = new(linalg.Tensor)
+	}
+	n.ProbaInto(n.gradBuf, x)
+	return n.gradBuf.TransposeToRows()
 }
 
-// ProbaInto is PredictProba into dst, reshaped to len(x) × NumClasses (its
-// buffer is reused when large enough). dst is the caller's: unlike the logits
-// it is softmaxed from, it outlives the network's later passes.
+// ProbaInto is the softmax distribution of every sample written into dst,
+// reshaped to NumClasses × len(x), class-major (its buffer is reused when
+// large enough). dst is the caller's: unlike the logits it is softmaxed from,
+// it outlives the network's later passes.
 func (n *Network) ProbaInto(dst *linalg.Tensor, x [][]float64) {
 	logits := n.forwardT(n.stage(x))
 	linalg.EnsureTensor(dst, logits.Rows, logits.Cols)
-	softmaxRows(dst, logits)
+	linalg.SoftmaxCols(dst, logits)
 }
 
 // TrainBatch performs one forward/backward pass and one optimizer step on
@@ -213,7 +244,7 @@ func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 func (n *Network) backward(logits *linalg.Tensor, y []int) (float64, error) {
 	n.InvalidateForward()
 	n.gradBuf = linalg.EnsureTensor(n.gradBuf, logits.Rows, logits.Cols)
-	n.logpBuf = linalg.EnsureTensor(n.logpBuf, logits.Rows, 1)
+	n.logpBuf = linalg.EnsureTensor(n.logpBuf, logits.Cols, 1)
 	loss, err := softmaxCrossEntropyT(logits, y, n.gradBuf, n.logpBuf.Data)
 	if err != nil {
 		return 0, err

@@ -11,9 +11,9 @@ import (
 )
 
 // forwardRows runs the batch through the network and returns a copy of the
-// logits.
+// logits, one row per sample.
 func forwardRows(net *Network, x [][]float64) [][]float64 {
-	return net.forwardT(net.stage(x)).ToRows()
+	return net.forwardT(net.stage(x)).TransposeToRows()
 }
 
 // lossOf is the batch's mean softmax cross-entropy, with no gradient or
@@ -21,7 +21,7 @@ func forwardRows(net *Network, x [][]float64) [][]float64 {
 func lossOf(t *testing.T, net *Network, x [][]float64, y []int) float64 {
 	t.Helper()
 	logits := net.forwardT(net.stage(x))
-	loss, err := softmaxCrossEntropyT(logits, y, linalg.NewTensor(logits.Rows, logits.Cols), make([]float64, logits.Rows))
+	loss, err := softmaxCrossEntropyT(logits, y, linalg.NewTensor(logits.Rows, logits.Cols), make([]float64, logits.Cols))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,16 +211,24 @@ func TestTrainingConvergesOnSeparableData(t *testing.T) {
 	}
 }
 
-// softmaxOf runs the slab softmax over literal rows of equal width.
-func softmaxOf(rows ...[]float64) *linalg.Tensor {
-	logits := tensorOf(rows...)
-	p := linalg.NewTensor(logits.Rows, logits.Cols)
-	softmaxRows(p, logits)
-	return p
+// softmaxOf runs the class-major softmax over literal rows of equal width,
+// one row per sample, and returns the probabilities as rows.
+func softmaxOf(rows ...[]float64) [][]float64 {
+	logits := classMajor(tensorOf(rows...))
+	linalg.SoftmaxCols(logits, logits)
+	return logits.TransposeToRows()
 }
 
-// softmaxRowRef is the per-row softmax the slab form replaced, kept as its
-// oracle: the row's maximum subtracted, math.Exp and the sum element by
+// classMajor returns a copy of the rows × classes tensor x laid out classes ×
+// rows.
+func classMajor(x *linalg.Tensor) *linalg.Tensor {
+	t := linalg.NewTensor(x.Cols, x.Rows)
+	linalg.TransposeInto(t, x)
+	return t
+}
+
+// softmaxRowRef is the per-row softmax the class-major head replaced, kept as
+// its oracle: the row's maximum subtracted, math.Exp and the sum element by
 // element, then each element divided by the sum.
 func softmaxRowRef(out, logits []float64) {
 	maxv := math.Inf(-1)
@@ -249,8 +257,8 @@ func softmaxRowRef(out, logits []float64) {
 	}
 }
 
-// crossEntropyRef is the per-row loss head the slab form replaced: the mean
-// of −log max(p[y], ε) and the gradient (p − onehot)/n, row by row.
+// crossEntropyRef is the per-row loss head the class-major form replaced: the
+// mean of −log max(p[y], ε) and the gradient (p − onehot)/n, row by row.
 func crossEntropyRef(logits *linalg.Tensor, labels []int) (float64, []float64) {
 	n := float64(logits.Rows)
 	grad := make([]float64, len(logits.Data))
@@ -267,13 +275,27 @@ func crossEntropyRef(logits *linalg.Tensor, labels []int) (float64, []float64) {
 	return loss / n, grad
 }
 
-// TestSoftmaxSlabMatchesPerRow: the slab softmax and loss head leave the
-// per-row forms' bits — probabilities, loss and gradient — over 1–9 rows of
-// 1–9 classes, logits from ordinary to overflowing, with −Inf, NaN and huge
-// values in some rows, in place and not.
+// argmaxRef is the per-row argmax the class-major head replaced: the first
+// index of the largest element.
+func argmaxRef(xs []float64) int {
+	best := 0
+	for i := 1; i < len(xs); i++ {
+		if xs[i] > xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestSoftmaxSlabMatchesPerRow: the class-major head leaves the per-row forms'
+// bits — probabilities (out of place and in place), loss, gradient and the
+// labels of both logits and probabilities — over 1–9, 63–65, 127–129 and 256
+// rows of 1–9 and 17 classes, logits from ordinary to overflowing, with ±0,
+// ±Inf, NaN, ±1e300, rows of −Inf and ties in some rows. -tags purego runs it
+// on the Go loops alone.
 func TestSoftmaxSlabMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	specials := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 1e300, -1e300, 800, -800, 0}
+	awkward := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300}
 	same := func(what string, got, want []float64) {
 		t.Helper()
 		for i := range want {
@@ -282,16 +304,26 @@ func TestSoftmaxSlabMatchesPerRow(t *testing.T) {
 			}
 		}
 	}
-	for rows := 1; rows <= 9; rows++ {
-		for c := 1; c <= 9; c++ {
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129, 256} {
+		for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17} {
 			for trial := 0; trial < 8; trial++ {
 				logits := linalg.NewTensor(rows, c)
 				scale := []float64{1, 10, 300, 1e5}[trial%4]
 				for i := range logits.Data {
 					logits.Data[i] = rng.NormFloat64() * scale
 				}
-				if trial >= 4 {
-					logits.Data[rng.Intn(len(logits.Data))] = specials[rng.Intn(len(specials))]
+				for i := 0; i < rows && trial >= 4; i++ {
+					row := logits.Row(i)
+					switch rng.Intn(6) {
+					case 0, 1:
+						row[rng.Intn(c)] = awkward[rng.Intn(len(awkward))]
+					case 2:
+						for j := range row {
+							row[j] = math.Inf(-1)
+						}
+					case 3: // a tie for the maximum
+						row[rng.Intn(c)], row[rng.Intn(c)] = 4*scale, 4*scale
+					}
 				}
 				labels := make([]int, rows)
 				for i := range labels {
@@ -300,25 +332,41 @@ func TestSoftmaxSlabMatchesPerRow(t *testing.T) {
 				what := fmt.Sprintf("%d×%d trial %d", rows, c, trial)
 
 				want := make([]float64, len(logits.Data))
+				wantLabels, wantPLabels := make([]int, rows), make([]int, rows)
 				for i := 0; i < rows; i++ {
 					softmaxRowRef(want[i*c:(i+1)*c], logits.Row(i))
+					wantLabels[i] = argmaxRef(logits.Row(i))
+					wantPLabels[i] = argmaxRef(want[i*c : (i+1)*c])
 				}
-				p := linalg.NewTensor(rows, c)
-				softmaxRows(p, logits)
-				same("softmax "+what, p.Data, want)
-				inPlace := linalg.NewTensor(rows, c)
-				inPlace.CopyFrom(logits)
-				softmaxRows(inPlace, inPlace)
-				same("softmax in place "+what, inPlace.Data, want)
+				lt := classMajor(logits)
+				p := linalg.NewTensor(c, rows)
+				linalg.SoftmaxCols(p, lt)
+				same("softmax "+what, classMajor(p).Data, want)
+				inPlace := classMajor(logits)
+				linalg.SoftmaxCols(inPlace, inPlace)
+				same("softmax in place "+what, classMajor(inPlace).Data, want)
+				got := make([]int, rows)
+				for _, l := range []struct {
+					of         string
+					slab       *linalg.Tensor
+					wantLabels []int
+				}{{"logits", lt, wantLabels}, {"probabilities", p, wantPLabels}} {
+					linalg.ArgmaxCols(got, l.slab)
+					for i := range got {
+						if got[i] != l.wantLabels[i] {
+							t.Fatalf("argmax of the %s, %s, row %d: %d, per-row form %d", l.of, what, i, got[i], l.wantLabels[i])
+						}
+					}
+				}
 
 				wantLoss, wantGrad := crossEntropyRef(logits, labels)
-				grad := linalg.NewTensor(rows, c)
-				loss, err := softmaxCrossEntropyT(logits, labels, grad, make([]float64, rows))
+				grad := linalg.NewTensor(c, rows)
+				loss, err := softmaxCrossEntropyT(lt, labels, grad, make([]float64, rows))
 				if err != nil {
 					t.Fatal(err)
 				}
 				same("loss "+what, []float64{loss}, []float64{wantLoss})
-				same("gradient "+what, grad.Data, wantGrad)
+				same("gradient "+what, classMajor(grad).Data, wantGrad)
 			}
 		}
 	}
@@ -333,7 +381,7 @@ func TestSoftmaxProperties(t *testing.T) {
 			}
 			logits[i] = math.Mod(v, 50)
 		}
-		p := softmaxOf(make([]float64, 5), logits).Row(1) // a row after the first
+		p := softmaxOf(make([]float64, 5), logits)[1] // a row after the first
 		var sum float64
 		for _, v := range p {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -349,7 +397,7 @@ func TestSoftmaxProperties(t *testing.T) {
 }
 
 func TestSoftmaxStabilityWithHugeLogits(t *testing.T) {
-	p := softmaxOf([]float64{1000, 1001, 999}).Row(0)
+	p := softmaxOf([]float64{1000, 1001, 999})[0]
 	if math.IsNaN(p[0]) || p[1] < p[0] || p[1] < p[2] {
 		t.Errorf("unstable softmax: %v", p)
 	}
@@ -357,7 +405,7 @@ func TestSoftmaxStabilityWithHugeLogits(t *testing.T) {
 
 func TestSoftmaxShiftInvariance(t *testing.T) {
 	p := softmaxOf([]float64{1, 2, 3}, []float64{101, 102, 103})
-	a, b := p.Row(0), p.Row(1)
+	a, b := p[0], p[1]
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("softmax not shift-invariant: %v vs %v", a, b)
@@ -372,39 +420,45 @@ func TestSoftmaxAllNegInfIsUniform(t *testing.T) {
 	inf := math.Inf(-1)
 	p := softmaxOf([]float64{0, 0, 0, 0}, []float64{inf, inf, inf, inf}, []float64{1, 1, 1, 1})
 	for r := 0; r < 3; r++ {
-		for _, v := range p.Row(r) {
+		for _, v := range p[r] {
 			if v != 0.25 {
-				t.Fatalf("row %d = %v, want uniform", r, p.Row(r))
+				t.Fatalf("row %d = %v, want uniform", r, p[r])
 			}
 		}
 	}
 }
 
 func TestCrossEntropyErrors(t *testing.T) {
-	grad := linalg.NewTensor(1, 2)
-	logp := make([]float64, 2)
-	if _, err := softmaxCrossEntropyT(tensorOf([]float64{1, 2}), []int{0, 1}, grad, logp); err == nil {
+	// Class-major: two classes of one sample.
+	logits, grad, logp := tensorOf([]float64{1}, []float64{2}), linalg.NewTensor(2, 1), make([]float64, 2)
+	if _, err := softmaxCrossEntropyT(logits, []int{0, 1}, grad, logp); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := softmaxCrossEntropyT(linalg.NewTensor(0, 2), nil, linalg.NewTensor(0, 2), nil); err == nil {
+	if _, err := softmaxCrossEntropyT(linalg.NewTensor(2, 0), nil, linalg.NewTensor(2, 0), nil); err == nil {
 		t.Error("empty batch should error")
 	}
 	for _, y := range []int{5, 2, -1} {
-		if _, err := softmaxCrossEntropyT(tensorOf([]float64{1, 2}), []int{y}, grad, logp); err == nil {
+		if _, err := softmaxCrossEntropyT(logits, []int{y}, grad, logp); err == nil {
 			t.Errorf("label %d of 2 classes should error", y)
 		}
 	}
 }
 
+// TestArgmax: a sample's label is the first index of its largest class score,
+// read down its column of the class-major slab; no classes give -1.
 func TestArgmax(t *testing.T) {
-	if Argmax(nil) != -1 {
-		t.Error("empty Argmax should be -1")
+	labels := make([]int, 2)
+	linalg.ArgmaxCols(labels, linalg.NewTensor(0, 2))
+	if labels[0] != -1 || labels[1] != -1 {
+		t.Errorf("no classes: %v, want -1s", labels)
 	}
-	if Argmax([]float64{1, 3, 2}) != 1 {
-		t.Error("Argmax wrong")
+	// Samples (1, 3, 2) and (2, 2, 1).
+	linalg.ArgmaxCols(labels, tensorOf([]float64{1, 2}, []float64{3, 2}, []float64{2, 1}))
+	if labels[0] != 1 {
+		t.Errorf("argmax of (1, 3, 2) = %d, want 1", labels[0])
 	}
-	if Argmax([]float64{2, 2}) != 0 {
-		t.Error("Argmax tie should pick first")
+	if labels[1] != 0 {
+		t.Errorf("argmax of the tie (2, 2, 1) = %d, want the first, 0", labels[1])
 	}
 }
 

@@ -24,10 +24,10 @@ func tensorEntryBatch(rng *rand.Rand, rows, cols int) ([][]float64, *linalg.Tens
 }
 
 // TestTensorEntryMatchesRows pins that the two flat-tensor entries —
-// ForwardTensor on the network, ProbaInto on its frozen parameters — are
-// bitwise identical to the row-slice API on the same values, the property the
-// JSON-vs-binary differential test inherits, and that the frozen pass leaves
-// the caller's tensor alone.
+// ForwardTensor on the network, ProbaInto on its frozen parameters, both
+// class-major — are bitwise identical to the row-slice API on the same values,
+// the property the JSON-vs-binary differential test inherits, and that the
+// frozen pass leaves the caller's tensor alone.
 func TestTensorEntryMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	net, err := NewNetwork(4, 3, NewDense(4, 8, rng), NewReLU(), NewDense(8, 3, rng))
@@ -42,13 +42,13 @@ func TestTensorEntryMatchesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLogits.Rows != rows || gotLogits.Cols != 3 {
-		t.Fatalf("fused logits shape %dx%d", gotLogits.Rows, gotLogits.Cols)
+	if gotLogits.Rows != 3 || gotLogits.Cols != rows {
+		t.Fatalf("fused logits shape %dx%d, want class-major 3x%d", gotLogits.Rows, gotLogits.Cols, rows)
 	}
 	for i := range wantLogits {
 		for j, w := range wantLogits[i] {
-			if gotLogits.At(i, j) != w {
-				t.Fatalf("logits[%d][%d] = %v, want %v", i, j, gotLogits.At(i, j), w)
+			if gotLogits.At(j, i) != w {
+				t.Fatalf("logits[%d][%d] = %v, want %v", i, j, gotLogits.At(j, i), w)
 			}
 		}
 	}
@@ -57,13 +57,13 @@ func TestTensorEntryMatchesRows(t *testing.T) {
 	before := append([]float64(nil), fused.Data...)
 	var ws Workspace
 	gotProba := net.Freeze().ProbaInto(&ws, fused)
-	if gotProba.Rows != rows || gotProba.Cols != 3 {
-		t.Fatalf("frozen proba shape %dx%d", gotProba.Rows, gotProba.Cols)
+	if gotProba.Rows != 3 || gotProba.Cols != rows {
+		t.Fatalf("frozen proba shape %dx%d, want class-major 3x%d", gotProba.Rows, gotProba.Cols, rows)
 	}
 	for i := range wantProba {
 		for j, w := range wantProba[i] {
-			if math.Float64bits(gotProba.At(i, j)) != math.Float64bits(w) {
-				t.Fatalf("proba[%d][%d] = %v, want %v", i, j, gotProba.At(i, j), w)
+			if math.Float64bits(gotProba.At(j, i)) != math.Float64bits(w) {
+				t.Fatalf("proba[%d][%d] = %v, want %v", i, j, gotProba.At(j, i), w)
 			}
 		}
 	}
@@ -97,8 +97,8 @@ func TestFrozenIsACopy(t *testing.T) {
 	got := frozen.ProbaInto(&ws, fused)
 	for i := range want {
 		for j, w := range want[i] {
-			if math.Float64bits(got.At(i, j)) != math.Float64bits(w) {
-				t.Fatalf("proba[%d][%d] = %v after the network trained on, want %v", i, j, got.At(i, j), w)
+			if math.Float64bits(got.At(j, i)) != math.Float64bits(w) {
+				t.Fatalf("proba[%d][%d] = %v after the network trained on, want %v", i, j, got.At(j, i), w)
 			}
 		}
 	}

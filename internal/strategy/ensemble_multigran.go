@@ -33,8 +33,9 @@ type Granularity struct {
 	// until Train takes it. The network, not this field, decides whether it
 	// is still good: any later forward or parameter write outdates it.
 	fwd nn.ForwardToken
-	// proba holds that prediction's class distributions until the next
-	// predict: the member's own buffer, which no forward or update writes.
+	// proba holds that prediction's class distributions (class-major) until
+	// the next predict: the member's own buffer, which no forward or update
+	// writes.
 	proba linalg.Tensor
 }
 
@@ -147,12 +148,12 @@ type Ensemble struct {
 	wg      sync.WaitGroup
 	longVer uint64 // bumped on every long-model mutation (under mu)
 
-	// Infer's scratch (training goroutine only): the member list, and the long
+	// Infer's scratch (training goroutine only): the member list, the long
 	// model's class distributions — the ensemble's buffer, not the network's,
 	// so the fusion reads it after e.mu is released while an asynchronous
-	// close trains the long model.
-	members   []member
-	longProba linalg.Tensor
+	// close trains the long model — and the fused ones.
+	members          []member
+	longProba, fused linalg.Tensor
 
 	// Snapshot-publication cache: a member is frozen again only when its
 	// version moved since the last publication. Guarded by pubMu (one
@@ -228,8 +229,7 @@ func (e *Ensemble) Wait() { e.wg.Wait() }
 // InferWarmup predicts with the short model alone — the strategy while the
 // detector has no projected centroid yet.
 func (e *Ensemble) InferWarmup(b stream.Batch) Prediction {
-	proba := e.grans[0].predict(b.X)
-	return Prediction{Pred: argmaxRows(proba), Proba: proba.ToRows()}
+	return prediction(e.grans[0].predict(b.X))
 }
 
 // granMembers appends to dst the fixed-frequency members' predictions for the
@@ -267,12 +267,12 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 	// the nearest thing to the live data, while under localized fluctuation
 	// (A2) the window's weighted centroid sits at the center of the noise
 	// and the long model wins the kernel weighting.
-	fused, weights, err := fuse(members, e.cfg.Sigma)
+	weights, err := fuse(&e.fused, members, e.cfg.Sigma)
 	if err != nil {
 		return Prediction{}, false, fmt.Errorf("strategy: ensemble: %w", err)
 	}
 	tr.Weights(weights)
-	return Prediction{Pred: argmaxRows(&fused), Proba: fused.RowViews()}, true, nil
+	return prediction(&e.fused), true, nil
 }
 
 // Train updates every granularity model per its schedule, maintains the

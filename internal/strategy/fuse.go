@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"freewayml/internal/linalg"
-	"freewayml/internal/nn"
 )
 
 // The distance-based adaptive ensemble of paper Eq. 12-14: each member's
@@ -24,36 +23,32 @@ func kernel(d, sigma float64) float64 {
 }
 
 // member is one model's contribution to the fusion: its per-sample class
-// probabilities (samples × classes) and its model shift distance D
-// (Eq. 12/13). The probabilities are scratch — the model's, its owner's or a
-// reader's workspace's — that fuse only reads: whoever builds a member keeps
-// that scratch still until fuse has returned.
+// probabilities, class-major (classes × samples), and its model shift
+// distance D (Eq. 12/13). The probabilities are scratch — the model's, its
+// owner's or a reader's workspace's — that fuse only reads: whoever builds a
+// member keeps that scratch still until fuse has returned.
 type member struct {
 	proba    *linalg.Tensor
 	distance float64
 }
 
 // fuse combines the members' probability outputs per Eq. 14:
-// y = Σ K(Dᵢ,σ)·yᵢ / Σ K(Dᵢ,σ). All members must cover the same samples and
-// classes. The fused distributions are one fresh samples × classes slab that
-// aliases no member. It also returns the normalized weight K(Dᵢ,σ)/ΣK each
-// member received. When every kernel underflows to zero (all distances
-// enormous) the weights fall back to uniform rather than leaving a zero sum to
-// divide by.
-func fuse(members []member, sigma float64) (fused linalg.Tensor, weights []float64, err error) {
+// y = Σ K(Dᵢ,σ)·yᵢ / Σ K(Dᵢ,σ), element by element over the members' common
+// shape, into dst (the caller's scratch, reshaped to that shape; it aliases no
+// member). It returns the normalized weight K(Dᵢ,σ)/ΣK each member received.
+// When every kernel underflows to zero (all distances enormous) the weights
+// fall back to uniform rather than leaving a zero sum to divide by.
+func fuse(dst *linalg.Tensor, members []member, sigma float64) (weights []float64, err error) {
 	if len(members) == 0 {
-		return linalg.Tensor{}, nil, errors.New("strategy: fuse: no members")
+		return nil, errors.New("strategy: fuse: no members")
 	}
 	if sigma <= 0 {
-		return linalg.Tensor{}, nil, errors.New("strategy: fuse: sigma must be positive")
+		return nil, errors.New("strategy: fuse: sigma must be positive")
 	}
-	n, classes := members[0].proba.Rows, members[0].proba.Cols
+	rows, cols := members[0].proba.Rows, members[0].proba.Cols
 	for _, m := range members {
-		if m.proba.Rows != n {
-			return linalg.Tensor{}, nil, errors.New("strategy: fuse: member sample counts differ")
-		}
-		if m.proba.Cols != classes {
-			return linalg.Tensor{}, nil, errors.New("strategy: fuse: member class counts differ")
+		if m.proba.Rows != rows || m.proba.Cols != cols {
+			return nil, errors.New("strategy: fuse: member shapes differ")
 		}
 	}
 	weights = make([]float64, len(members)) // K(Dᵢ,σ), until normalized below
@@ -70,22 +65,23 @@ func fuse(members []member, sigma float64) (fused linalg.Tensor, weights []float
 	}
 	// One scaled-add sweep per member over the whole slab, members in order,
 	// then one division pass: per element, the sum of Eq. 14 term by term.
-	fused = linalg.Tensor{Rows: n, Cols: classes, Data: make([]float64, n*classes)}
+	linalg.EnsureTensor(dst, rows, cols)
+	clear(dst.Data)
 	for i, m := range members {
-		linalg.Axpy(weights[i], m.proba.Data, fused.Data)
+		linalg.Axpy(weights[i], m.proba.Data, dst.Data)
 	}
-	linalg.DivScalar(fused.Data, totalW)
+	linalg.DivScalar(dst.Data, totalW)
 	for i := range weights {
 		weights[i] /= totalW
 	}
-	return fused, weights, nil
+	return weights, nil
 }
 
-// argmaxRows maps per-sample class distributions to hard labels.
-func argmaxRows(proba *linalg.Tensor) []int {
-	out := make([]int, proba.Rows)
-	for i := range out {
-		out[i] = nn.Argmax(proba.Data[i*proba.Cols : (i+1)*proba.Cols])
-	}
-	return out
+// prediction turns class-major distributions (classes × samples) into what a
+// strategy returns: the labels by a first-max down each sample's column, and
+// the rows of one fresh samples × classes copy.
+func prediction(p *linalg.Tensor) Prediction {
+	pred := make([]int, p.Cols)
+	linalg.ArgmaxCols(pred, p)
+	return Prediction{Pred: pred, Proba: p.TransposeToRows()}
 }

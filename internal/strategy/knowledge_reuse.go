@@ -21,9 +21,10 @@ type KnowledgeReuse struct {
 	reuse model.Model // scratch model for restores
 	ens   *Ensemble   // live members for the fusion + adoption target
 
-	// Infer's scratch: the member list and the reuse model's distributions.
-	members []member
-	proba   linalg.Tensor
+	// Infer's scratch: the member list, the reuse model's distributions and
+	// the fused ones.
+	members      []member
+	proba, fused linalg.Tensor
 
 	sigma        float64 // Gaussian-kernel width of the fusion
 	beta         float64 // disorder threshold of the preservation policy
@@ -75,12 +76,12 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 	model.ProbaInto(&k.proba, k.reuse, b.X)
 	k.members = k.ens.granMembers(append(k.members[:0], member{proba: &k.proba, distance: dist}), obs.YBar, b.X)
 	normalizeDistances(k.members)
-	fused, weights, err := fuse(k.members, k.sigma)
+	weights, err := fuse(&k.fused, k.members, k.sigma)
 	if err != nil {
 		return Prediction{}, false, fmt.Errorf("strategy: knowledge fuse: %w", err)
 	}
 	tr.Weights(weights)
-	pred := Prediction{Pred: argmaxRows(&fused), Proba: fused.RowViews()}
+	pred := prediction(&k.fused)
 
 	// Reuse means not relearning (SC3): on a confident match the preserved
 	// parameters also become the working short model, so subsequent batches

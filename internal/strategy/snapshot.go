@@ -96,17 +96,18 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 	}
 
 	// Every byte of forward scratch is the reader's: one pooled workspace
-	// holds the staged batch and each member's activations and probabilities
-	// for the duration of this call. Nothing returned may alias it — the fused
-	// rows are fresh, the warm-up answer is copied out.
+	// holds the staged batch and each member's activations and class-major
+	// probabilities, fused ones included, for the duration of this call.
+	// Nothing returned may alias it: the rows handed out are a fresh
+	// transposed copy.
 	ws := nn.GetWorkspace()
 	defer ws.Release()
 	xs := ws.Tensor(len(x), s.Dim)
 	xs.FromRows(x, s.Dim)
 
 	if s.Proj == nil {
-		proba := s.Members[0].Model.ProbaInto(ws, xs)
-		return InferOutput{Pred: argmaxRows(proba), Proba: proba.ToRows(), Warmup: true, KnowledgeDist: -1}, nil
+		p := prediction(s.Members[0].Model.ProbaInto(ws, xs))
+		return InferOutput{Pred: p.Pred, Proba: p.Proba, Warmup: true, KnowledgeDist: -1}, nil
 	}
 
 	var ybar linalg.Vector // nil for an empty batch
@@ -126,7 +127,8 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 		})
 	}
 	normalizeDistances(members)
-	fused, weights, err := fuse(members, s.Sigma)
+	fused := ws.Tensor(0, 0)
+	weights, err := fuse(fused, members, s.Sigma)
 	if err != nil {
 		return InferOutput{}, fmt.Errorf("strategy: infer fusion: %w", err)
 	}
@@ -136,9 +138,10 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 			kdist = d
 		}
 	}
+	p := prediction(fused)
 	return InferOutput{
-		Pred:          argmaxRows(&fused),
-		Proba:         fused.RowViews(),
+		Pred:          p.Pred,
+		Proba:         p.Proba,
 		Weights:       weights,
 		KnowledgeDist: kdist,
 	}, nil

@@ -17,7 +17,8 @@ import (
 )
 
 // stubModel is a frozen member that answers from a fixed table (row i of the
-// batch gets rows[i]) and counts its calls.
+// batch gets rows[i], class-major as every member answers) and counts its
+// calls.
 type stubModel struct {
 	rows  [][]float64
 	calls int
@@ -25,8 +26,12 @@ type stubModel struct {
 
 func (m *stubModel) ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor {
 	m.calls++
-	out := ws.Tensor(x.Rows, len(m.rows[0]))
-	out.FromRows(m.rows[:x.Rows], out.Cols)
+	out := ws.Tensor(len(m.rows[0]), x.Rows)
+	for i, row := range m.rows[:x.Rows] {
+		for c, v := range row {
+			out.Set(c, i, v)
+		}
+	}
 	return out
 }
 
