@@ -161,8 +161,7 @@ func benchAblation(b *testing.B, row int) {
 
 func BenchmarkAblationASWDecay(b *testing.B)        { benchAblation(b, 0) }
 func BenchmarkAblationEnsemble(b *testing.B)        { benchAblation(b, 1) }
-func BenchmarkAblationPrecompute(b *testing.B)      { benchAblation(b, 2) }
-func BenchmarkAblationKnowledgePolicy(b *testing.B) { benchAblation(b, 3) }
+func BenchmarkAblationKnowledgePolicy(b *testing.B) { benchAblation(b, 2) }
 
 // BenchmarkAblationCEC compares coherent experience clustering against a
 // nearest-centroid-only mapping on a sudden-shift-heavy stream via the

@@ -22,9 +22,8 @@
 // on restart.
 //
 // High-throughput ingest: POSTing with Content-Type
-// application/x-freeway-batch sends the length-prefixed binary frame format
-// (internal/wire) instead of JSON, and -binary opens a second listener for
-// persistent binary connections.
+// application/x-freeway-batch to the process and infer endpoints sends the
+// binary frame format (internal/wire) instead of JSON.
 //
 // Observability: /v1/metrics serves Prometheus text exposition, /v1/trace
 // serves the per-batch decision trace as JSONL (ring capacity set by
@@ -69,13 +68,12 @@ func main() {
 		warmup    = flag.Int("warmup", 0, "override the shift detector's warmup points (0 keeps the default)")
 		traceCap  = flag.Int("trace-cap", 0, "decision-trace ring capacity for /v1/trace (0 keeps the default of 1024)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		binAddr   = flag.String("binary", "", "also listen for persistent binary-frame connections on this address (empty disables; port 0 picks an ephemeral port)")
 	)
 	flag.Parse()
 	opts := serveOptions{
 		maxBody: *maxBody, ckptPath: *ckptPath, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 		maxSessions: *maxSess, sessionTTL: *sessTTL, sharedKnowledge: *sharedKdg,
-		warmup: *warmup, traceCap: *traceCap, pprof: *pprofOn, binAddr: *binAddr,
+		warmup: *warmup, traceCap: *traceCap, pprof: *pprofOn,
 	}
 	if err := run(*addr, *dim, *classes, *family, *seed, *guardPol, opts); err != nil {
 		log.Fatal(err)
@@ -94,7 +92,6 @@ type serveOptions struct {
 	warmup          int
 	traceCap        int
 	pprof           bool
-	binAddr         string
 }
 
 func run(addr string, dim, classes int, family string, seed int64, guardPol string, o serveOptions) error {
@@ -170,20 +167,6 @@ func run(addr string, dim, classes int, family string, seed int64, guardPol stri
 	defer stop()
 
 	errCh := make(chan error, 1)
-	if o.binAddr != "" {
-		binLn, err := net.Listen("tcp", o.binAddr)
-		if err != nil {
-			srv.Close()
-			ln.Close()
-			return err
-		}
-		go func() {
-			fmt.Printf("freeway-serve: binary listening on %s\n", binLn.Addr())
-			if err := srv.ServeBinary(binLn); err != nil {
-				errCh <- fmt.Errorf("binary listener: %w", err)
-			}
-		}()
-	}
 	go func() {
 		fmt.Printf("freeway-serve: %s model, %d features, %d classes, listening on %s\n",
 			family, dim, classes, ln.Addr())
@@ -203,6 +186,6 @@ func run(addr string, dim, classes int, family string, seed int64, guardPol stri
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("freeway-serve: shutdown: %v", err)
 	}
-	// Close drains async learner work and writes the final checkpoint.
+	// Close tears down every stream and writes the final checkpoints.
 	return srv.Close()
 }

@@ -60,8 +60,6 @@ type Config struct {
 	HiddenUnits  int
 	// Seed drives every stochastic component for reproducibility.
 	Seed int64
-	// Async runs long-granularity model updates on a background goroutine.
-	Async bool
 	// SpillDir, when set, receives knowledge snapshots spilled from memory.
 	SpillDir string
 	// Standardize wraps every model with an online per-feature z-score
@@ -107,7 +105,6 @@ func (c Config) toCore() (core.Config, error) {
 	cc.Hyper.Hidden = c.HiddenUnits
 	cc.Hyper.Seed = c.Seed
 	cc.Seed = c.Seed
-	cc.Async = c.Async
 	cc.SpillDir = c.SpillDir
 	cc.Standardize = c.Standardize
 	pol, err := guard.ParsePolicy(c.GuardPolicy)
@@ -209,18 +206,16 @@ type Stats struct {
 	// SanitizedValues counts NaN/Inf feature values repaired by the guard,
 	// RejectedBatches counts batches refused under the "reject" policy,
 	// Divergences counts watchdog-detected training divergences and
-	// Recoveries the rollbacks that fixed them, AsyncErrorsDropped counts
-	// background-update errors lost to overflow, KnowledgeSkipped counts
+	// Recoveries the rollbacks that fixed them, KnowledgeSkipped counts
 	// corrupt knowledge entries dropped during a restore, and SpillFailures
 	// counts knowledge-store disk operations that failed (degraded, never
 	// fatal).
-	SanitizedValues    int
-	RejectedBatches    int
-	Divergences        int
-	Recoveries         int
-	AsyncErrorsDropped int
-	KnowledgeSkipped   int
-	SpillFailures      int
+	SanitizedValues  int
+	RejectedBatches  int
+	Divergences      int
+	Recoveries       int
+	KnowledgeSkipped int
+	SpillFailures    int
 }
 
 // Stats returns the accumulated prequential metrics.
@@ -235,21 +230,21 @@ func (l *Learner) Stats() Stats {
 		KnowledgeEntries: l.inner.KnowledgeStore().Len(),
 		KnowledgeBytes:   l.inner.KnowledgeStore().MemoryBytes(),
 
-		SanitizedValues:    h.SanitizedValues,
-		RejectedBatches:    h.RejectedBatches,
-		Divergences:        h.Divergences,
-		Recoveries:         h.Recoveries,
-		AsyncErrorsDropped: h.AsyncErrorsDropped,
-		KnowledgeSkipped:   h.KnowledgeSkipped,
-		SpillFailures:      h.SpillFailures + h.SpillLoadFailures,
+		SanitizedValues:  h.SanitizedValues,
+		RejectedBatches:  h.RejectedBatches,
+		Divergences:      h.Divergences,
+		Recoveries:       h.Recoveries,
+		KnowledgeSkipped: h.KnowledgeSkipped,
+		SpillFailures:    h.SpillFailures + h.SpillLoadFailures,
 	}
 }
 
 // AccuracySeries returns the per-batch real-time accuracies recorded so far.
 func (l *Learner) AccuracySeries() []float64 { return l.inner.Metrics().Series() }
 
-// Close flushes any in-flight asynchronous update and returns the first
-// background error, if any.
+// Close ends the stream: later ProcessBatch calls fail. Every update ran
+// inside the ProcessBatch call that triggered it, so there is nothing to
+// flush and Close returns nil. Calling it again is harmless.
 func (l *Learner) Close() error { return l.inner.Close() }
 
 // Save writes the learner's durable state — model parameters, the shift

@@ -110,11 +110,10 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// SaveCheckpoint serializes the learner's durable state. Any in-flight
-// asynchronous long-model update is waited out first so the snapshot is
-// consistent. A learner on a process-shared knowledge store does not
-// serialize it: the store outlives any single stream and is the session
-// layer's to manage.
+// SaveCheckpoint serializes the learner's durable state. Call it between
+// Process calls, never concurrently with one. A learner on a process-shared
+// knowledge store does not serialize it: the store outlives any single
+// stream and is the session layer's to manage.
 func (l *Learner) SaveCheckpoint(w io.Writer) error {
 	st, err := l.ens.ExportState()
 	if err != nil {

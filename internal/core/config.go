@@ -50,37 +50,12 @@ type Config struct {
 	SpillDir string
 	// Seed drives every stochastic component (clustering, model init).
 	Seed int64
-	// Async trains the long-granularity model on a background goroutine so
-	// inference is never blocked by a window update (paper Sec. V-A1).
-	Async bool
-	// Precompute enables the pre-computing window gradients of Sec. V-B:
-	// per-batch gradients are folded in at arrival and the window close
-	// applies one aggregated step. This minimizes update latency at the
-	// cost of the chunked-epoch training below (the ablation benches
-	// quantify the trade-off).
-	Precompute bool
-	// LongEpochs and LongChunk shape the long-model update when Precompute
-	// is off: LongEpochs passes of mini-batch SGD over the window's
-	// weighted training set, in chunks of LongChunk samples.
+	// LongEpochs and LongChunk shape the long-model update at every window
+	// close: LongEpochs passes of mini-batch SGD over the window's weighted
+	// training set, in chunks of LongChunk samples, on the caller's
+	// goroutine.
 	LongEpochs int
 	LongChunk  int
-	// LongLRScale scales the long model's learning rate relative to
-	// Hyper.LR, refining the decision boundary with smaller steps over more
-	// data — the stability role Insight A assigns to the long-granularity
-	// model.
-	LongLRScale float64
-	// LongRebase, when true, resets the long model to the short model's
-	// weights at every window close before window training. Re-basing
-	// eliminates staleness but reinjects the short model's per-batch
-	// fluctuation; a persistent long model (false) is an independent
-	// smoother.
-	LongRebase bool
-	// CECSeverityRatio gates coherent experience clustering: CEC replaces
-	// the deployed models only when the shift distance exceeds this
-	// multiple of the recent mean shift distance — i.e. when the models are
-	// genuinely "no longer suitable". Moderate sudden shifts stay with the
-	// ensemble, which adapts within a batch or two.
-	CECSeverityRatio float64
 	// Standardize wraps every granularity model with an online per-feature
 	// z-score scaler, making the SGD families robust to large or shifting
 	// feature offsets. Off by default to match the paper's raw-feature
@@ -112,27 +87,35 @@ type WatchdogConfig = strategy.WatchdogConfig
 // (ModelNum=2, α=1.96, KdgBuffer=20, ExpBuffer=10-batch experience).
 func DefaultConfig() Config {
 	return Config{
-		ModelFamily:      "mlp",
-		Hyper:            model.DefaultHyper(),
-		ModelNum:         2,
-		KdgBuffer:        20,
-		ExpBufferPoints:  256,
-		ExpBufferAge:     20,
-		Alpha:            1.96,
-		Beta:             0.35,
-		Sigma:            0.5,
-		Shift:            shift.DefaultConfig(),
-		Window:           window.DefaultConfig(),
-		Seed:             1,
-		Precompute:       false,
-		LongEpochs:       3,
-		LongChunk:        128,
-		LongLRScale:      0.5,
-		LongRebase:       false,
-		CECSeverityRatio: 5.0,
-		Guard:            guard.Reject,
+		ModelFamily:     "mlp",
+		Hyper:           model.DefaultHyper(),
+		ModelNum:        2,
+		KdgBuffer:       20,
+		ExpBufferPoints: 256,
+		ExpBufferAge:    20,
+		Alpha:           1.96,
+		Beta:            0.35,
+		Sigma:           0.5,
+		Shift:           shift.DefaultConfig(),
+		Window:          window.DefaultConfig(),
+		Seed:            1,
+		LongEpochs:      3,
+		LongChunk:       128,
+		Guard:           guard.Reject,
 	}
 }
+
+// longLRScale scales the long model's learning rate relative to Hyper.LR,
+// refining the decision boundary with smaller steps over more data — the
+// stability role Insight A assigns to the long-granularity model.
+const longLRScale = 0.5
+
+// cecSeverityRatio gates coherent experience clustering: CEC replaces the
+// deployed models only when the shift distance exceeds this multiple of the
+// recent mean shift distance — i.e. when the models are genuinely "no longer
+// suitable". Moderate sudden shifts stay with the ensemble, which adapts
+// within a batch or two.
+const cecSeverityRatio = 5.0
 
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
@@ -157,15 +140,6 @@ func (c Config) Validate() error {
 		return errors.New("core: LongEpochs must be >= 1")
 	case c.LongChunk < 1:
 		return errors.New("core: LongChunk must be >= 1")
-	case c.LongLRScale <= 0 || c.LongLRScale > 1:
-		return errors.New("core: LongLRScale must be in (0, 1]")
-	case c.CECSeverityRatio < 0:
-		return errors.New("core: CECSeverityRatio must be >= 0")
-	case c.Standardize && c.Precompute:
-		// The precomputer feeds raw batches straight into the network,
-		// bypassing the scaler; combining them would train on inconsistent
-		// views.
-		return errors.New("core: Standardize and Precompute are mutually exclusive")
 	}
 	if err := c.Watchdog.Validate(); err != nil {
 		return err

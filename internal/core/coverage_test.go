@@ -3,35 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"freewayml/internal/datasets"
 	"freewayml/internal/shift"
 	"freewayml/internal/stream"
 )
-
-func TestLongRebasePathRuns(t *testing.T) {
-	cfg := testConfig()
-	cfg.LongRebase = true
-	l, err := NewLearner(cfg, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	rng := rand.New(rand.NewSource(42))
-	var last Result
-	for s := 0; s < 40; s++ {
-		res, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone))
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = res
-	}
-	if last.Accuracy < 0.85 {
-		t.Errorf("rebase-path accuracy = %v", last.Accuracy)
-	}
-}
 
 func TestDetectorAccessor(t *testing.T) {
 	l, err := NewLearner(testConfig(), 3, 2)
@@ -113,49 +90,6 @@ func TestModelNumValidationBounds(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("LongChunk 0 should fail validation")
 	}
-	cfg = testConfig()
-	cfg.LongLRScale = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("LongLRScale 0 should fail validation")
-	}
-	cfg = testConfig()
-	cfg.CECSeverityRatio = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative CECSeverityRatio should fail validation")
-	}
-}
-
-func TestPrecomputeWithAsyncRunsInline(t *testing.T) {
-	// Async + Precompute must serialize the close inline (no goroutine), so
-	// Close always returns cleanly with no pending error.
-	cfg := testConfig()
-	cfg.Async = true
-	cfg.Precompute = true
-	l, err := NewLearner(cfg, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(45))
-	for s := 0; s < 30; s++ {
-		if _, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPrecomputeRejectsGradientFreeFamily: the gradient-free families are
-// gone, so a learner asked for one refuses it as an unknown family before
-// Precompute (which needs a network to take gradients of) is considered.
-func TestPrecomputeRejectsGradientFreeFamily(t *testing.T) {
-	cfg := testConfig()
-	cfg.ModelFamily = "nb"
-	cfg.Precompute = true
-	if _, err := NewLearner(cfg, 3, 2); err == nil || !strings.Contains(err.Error(), "unknown family nb") {
-		t.Errorf("NewLearner with family nb: error %v, want the unknown-family error", err)
-	}
 }
 
 func TestStandardizedLearnerHandlesOffsetRegimes(t *testing.T) {
@@ -178,15 +112,6 @@ func TestStandardizedLearnerHandlesOffsetRegimes(t *testing.T) {
 	}
 	if last.Accuracy < 0.9 {
 		t.Errorf("standardized learner accuracy at offset 40 = %v", last.Accuracy)
-	}
-}
-
-func TestStandardizePrecomputeMutuallyExclusive(t *testing.T) {
-	cfg := testConfig()
-	cfg.Standardize = true
-	cfg.Precompute = true
-	if err := cfg.Validate(); err == nil {
-		t.Error("Standardize+Precompute should fail validation")
 	}
 }
 

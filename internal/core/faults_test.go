@@ -243,32 +243,6 @@ func TestRaggedBatchRejectedCleanly(t *testing.T) {
 	}
 }
 
-func TestAsyncErrorsSurfaceOnNextProcess(t *testing.T) {
-	cfg := testConfig()
-	l, rng, seq := warmLearner(t, cfg, 3, 29)
-	defer l.Close()
-
-	injected := errors.New("boom")
-	l.noteAsyncErr(injected)
-	if _, err := l.Process(context.Background(), driftBatch(rng, seq, 16, 0, 0, stream.KindNone)); !errors.Is(err, injected) {
-		t.Fatalf("pending async error not surfaced: %v", err)
-	}
-	// Surfaced errors are drained: the next call proceeds.
-	if _, err := l.Process(context.Background(), driftBatch(rng, seq+1, 16, 0, 0, stream.KindNone)); err != nil {
-		t.Fatal(err)
-	}
-	// Overflow beyond the bounded queue is counted, not lost silently.
-	for i := 0; i < maxPendingAsyncErrs+5; i++ {
-		l.noteAsyncErr(errors.New("flood"))
-	}
-	if st := l.Stats(); st.AsyncErrorsDropped != 5 {
-		t.Errorf("AsyncErrorsDropped = %d, want 5", st.AsyncErrorsDropped)
-	}
-	if err := l.takeAsyncErrs(); err == nil {
-		t.Error("queued errors lost")
-	}
-}
-
 // corruptions builds the checkpoint-corruption cases of the fault model:
 // a crash mid-write (truncation), bit rot (one flipped payload bit), and a
 // foreign/old format (wrong envelope version).

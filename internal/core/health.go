@@ -1,40 +1,7 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
-
-// noteAsyncErr records a background-update error for the next Process call
-// to surface. The queue is bounded; overflow is dropped and counted.
-func (l *Learner) noteAsyncErr(err error) {
-	l.asyncMu.Lock()
-	if len(l.asyncErrs) < maxPendingAsyncErrs {
-		l.asyncErrs = append(l.asyncErrs, err)
-		l.asyncMu.Unlock()
-		return
-	}
-	l.asyncMu.Unlock()
-	l.health.mu.Lock()
-	l.health.asyncDropped++
-	l.health.mu.Unlock()
-}
-
-// takeAsyncErrs drains and joins every pending background error (nil when
-// none are pending).
-func (l *Learner) takeAsyncErrs() error {
-	l.asyncMu.Lock()
-	defer l.asyncMu.Unlock()
-	if len(l.asyncErrs) == 0 {
-		return nil
-	}
-	err := errors.Join(l.asyncErrs...)
-	l.asyncErrs = nil
-	return fmt.Errorf("core: async long-model update failed: %w", err)
-}
-
 // recordRecovery folds one watchdog event into the health counters and the
-// bounded event log. Safe from the async update goroutine.
+// bounded event log.
 func (l *Learner) recordRecovery(ev RecoveryEvent) {
 	l.obs.recordDivergence(ev.RolledBack)
 	l.health.mu.Lock()
@@ -64,9 +31,6 @@ type Stats struct {
 	// explosions); Recoveries counts the rollbacks that followed.
 	Divergences int
 	Recoveries  int
-	// AsyncErrorsDropped counts background-update errors lost to the
-	// bounded pending queue.
-	AsyncErrorsDropped int
 	// KnowledgeSkipped counts corrupt knowledge entries skipped during a
 	// degraded checkpoint restore.
 	KnowledgeSkipped int
@@ -81,13 +45,12 @@ type Stats struct {
 func (l *Learner) Stats() Stats {
 	l.health.mu.Lock()
 	s := Stats{
-		SanitizedValues:    l.health.sanitizedValues,
-		SanitizedBatches:   l.health.sanitizedBatches,
-		RejectedBatches:    l.health.rejectedBatches,
-		Divergences:        l.health.divergences,
-		Recoveries:         l.health.recoveries,
-		AsyncErrorsDropped: l.health.asyncDropped,
-		KnowledgeSkipped:   l.health.knowledgeSkipped,
+		SanitizedValues:  l.health.sanitizedValues,
+		SanitizedBatches: l.health.sanitizedBatches,
+		RejectedBatches:  l.health.rejectedBatches,
+		Divergences:      l.health.divergences,
+		Recoveries:       l.health.recoveries,
+		KnowledgeSkipped: l.health.knowledgeSkipped,
 	}
 	l.health.mu.Unlock()
 	s.SpillFailures = l.kdg.SpillFailures()

@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"freewayml/internal/guard"
+	"freewayml/internal/linalg"
+	"freewayml/internal/model"
+	"freewayml/internal/nn"
 	"freewayml/internal/strategy"
 	"freewayml/internal/stream"
 )
@@ -122,17 +125,18 @@ func TestSnapshotAdvancesWithTraining(t *testing.T) {
 	}
 }
 
-// TestInferDuringAsyncCloseAndShutdown: with the window close on its own
-// goroutine three things overlap — Process on the caller's, the long model's
-// update in the background, Infer from any number of readers — and Close
-// joins in at the end. Readers take no lock and share no scratch, so under
-// -race this must be silent, and every answer whose snapshot can be pinned
-// (the same one published before and after the call) must equal, bit for
-// bit, a serial InferBatch on that snapshot once everything has stopped.
-func TestInferDuringAsyncCloseAndShutdown(t *testing.T) {
-	cfg := testConfig()
-	cfg.Async = true
-	l, err := NewLearner(cfg, 3, 2)
+// TestInferDuringCloseAndShutdown: Process runs on the caller's goroutine,
+// closing the window inline every few batches, while any number of readers
+// Infer and Close joins in at the end. Readers take no lock and share no
+// scratch, so under -race this must be silent, and every answer whose
+// snapshot can be pinned (the same one published before and after the call)
+// must equal, bit for bit, a serial InferBatch on that snapshot once
+// everything has stopped. Because the close finishes inside Process, the
+// snapshot published after every Process already holds the long model that
+// close produced: its last member answers a probe batch bit for bit like the
+// live long model.
+func TestInferDuringCloseAndShutdown(t *testing.T) {
+	l, err := NewLearner(testConfig(), 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +177,31 @@ func TestInferDuringAsyncCloseAndShutdown(t *testing.T) {
 		}(r)
 	}
 	rng := rand.New(rand.NewSource(91))
-	// Ten window closes at least, each an asynchronous long update, and on
-	// until the readers have been seen at work.
+	probe := inferRows(rand.New(rand.NewSource(92)), 16)
+	var probeT, live linalg.Tensor
+	probeT.FromRows(probe, 3)
+	var ws nn.Workspace
+	// Ten window closes at least, and on until the readers have been seen at
+	// work.
 	for s := 0; s < 40 || (pinned.Load() < 4*readers && s < 4000); s++ {
 		if _, err := l.Process(context.Background(), driftBatch(rng, s, 64, float64(s)*0.05, 0, stream.KindNone)); err != nil {
 			t.Fatal(err)
 		}
+		members := l.ModelSnapshot().Members
+		_, long := l.DebugModels()
+		model.ProbaInto(&live, long, probe)
+		ws.Reset()
+		published := members[len(members)-1].Model.ProbaInto(&ws, &probeT)
+		if published.Rows != live.Rows || published.Cols != live.Cols {
+			t.Fatalf("batch %d: published long member answers %dx%d, live %dx%d", s, published.Rows, published.Cols, live.Rows, live.Cols)
+		}
+		for i, w := range live.Data {
+			if math.Float64bits(published.Data[i]) != math.Float64bits(w) {
+				t.Fatalf("batch %d: the published long member answers %v at %d, the live long model %v", s, published.Data[i], i, w)
+			}
+		}
 	}
-	if err := l.Close(); err != nil { // waits for the update in flight while the readers go on
+	if err := l.Close(); err != nil { // the readers go on meanwhile
 		t.Fatal(err)
 	}
 	close(done)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"freewayml/internal/cluster"
 	"freewayml/internal/guard"
@@ -14,7 +13,6 @@ import (
 	"freewayml/internal/linalg"
 	"freewayml/internal/metrics"
 	"freewayml/internal/model"
-	"freewayml/internal/nn"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
 	"freewayml/internal/stream"
@@ -52,8 +50,8 @@ const maxRecoveryEvents = 32
 // shift pattern, dispatches exactly one of the three strategy mechanisms
 // (internal/strategy) for inference, trains them, and keeps the
 // bookkeeping — prequential metrics, health counters, checkpoints. One
-// goroutine may call Process at a time; with Async enabled, long-model
-// updates overlap with subsequent Process calls.
+// goroutine may call Process at a time, and every model update, the window
+// close included, runs on it.
 type Learner struct {
 	cfg          Config
 	det          *shift.Detector
@@ -93,14 +91,8 @@ type Learner struct {
 	// retains (warm-up accumulation) rather than the slice itself.
 	vecScratch []linalg.Vector
 
-	// Pending errors from asynchronous long-model updates, surfaced on the
-	// next Process call (and at Close). Bounded; overflow is counted.
-	asyncMu   sync.Mutex
-	asyncErrs []error
-
 	// health holds the fault-tolerance counters behind their own mutex:
-	// the async update path records divergences while Process or an HTTP
-	// stats handler reads them.
+	// Process records while a stats handler may read them.
 	health struct {
 		mu               sync.Mutex
 		sanitizedValues  int
@@ -108,22 +100,9 @@ type Learner struct {
 		rejectedBatches  int
 		divergences      int
 		recoveries       int
-		asyncDropped     int
 		knowledgeSkipped int
 		events           []RecoveryEvent
 	}
-}
-
-// maxPendingAsyncErrs bounds the async error queue; further errors are
-// dropped and counted in Stats.
-const maxPendingAsyncErrs = 16
-
-// learnerStages adapts the learner's (late-bound, nil-safe) observer to the
-// strategy package's stage sink.
-type learnerStages struct{ l *Learner }
-
-func (s learnerStages) ObserveStage(stage string, d time.Duration) {
-	s.l.obs.ObserveStage(stage, d)
 }
 
 // NewLearner builds a FreewayML learner for streams of the given feature
@@ -169,7 +148,7 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 		return nil, err
 	}
 	longHyper := cfg.Hyper
-	longHyper.LR *= cfg.LongLRScale
+	longHyper.LR *= longLRScale
 	longFactory, err := model.FactoryFor(cfg.ModelFamily, longHyper)
 	if err != nil {
 		return nil, err
@@ -200,29 +179,15 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	if !cfg.Watchdog.Disabled {
 		longWd = strategy.NewWatchdog("long", cfg.Watchdog)
 	}
-	var pre *window.Precomputer
-	var longOpt *nn.SGD
-	if cfg.Precompute {
-		pre = window.NewPrecomputer(long.Net())
-		pre.Start()
-		// The precompute path applies one aggregated step per window close,
-		// so it uses the full learning rate; LongLRScale only applies to
-		// the many-step chunked training of the non-precompute path.
-		longOpt = nn.NewSGD(cfg.Hyper.LR, cfg.Hyper.Momentum, cfg.Hyper.WeightDecay)
-	}
 	l.ens = strategy.NewEnsemble(
 		strategy.EnsembleConfig{
 			Sigma:      cfg.Sigma,
 			LongEpochs: cfg.LongEpochs,
 			LongChunk:  cfg.LongChunk,
-			LongRebase: cfg.LongRebase,
-			Async:      cfg.Async,
 		},
-		grans, long, longWd, asw, pre, longOpt,
+		grans, long, longWd, asw,
 		strategy.EnsembleDeps{
-			Stages:     learnerStages{l},
 			OnRecovery: l.recordRecovery,
-			OnAsyncErr: l.noteAsyncErr,
 			BatchNum:   func() int { return l.batch },
 			// Same-regime radius for knowledge replacement: distributions
 			// within the stream's typical batch-to-batch wander are the
@@ -269,14 +234,11 @@ func (l *Learner) Ensemble() *strategy.Ensemble { return l.ens }
 // ErrClosed is returned by Process after Close.
 var ErrClosed = errors.New("core: learner closed")
 
-// Close waits for any in-flight asynchronous long-model update and surfaces
-// any pending background errors. Idempotent: a second Close returns nil.
+// Close marks the learner closed: later Process calls return ErrClosed, while
+// Infer keeps answering from the last published snapshot. Idempotent.
 func (l *Learner) Close() error {
-	if !l.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	l.ens.Wait()
-	return l.takeAsyncErrs()
+	l.closed.Store(true)
+	return nil
 }
 
 // Process runs the full pipeline on one batch: detect the shift pattern,
@@ -292,13 +254,6 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	// A background long-model update that failed since the last call is
-	// surfaced here rather than silently at Close: the caller must learn
-	// that the long model stopped advancing while the stream is still
-	// actionable.
-	if err := l.takeAsyncErrs(); err != nil {
 		return Result{}, err
 	}
 	if err := b.ValidateShape(l.dim, l.classes); err != nil {
@@ -396,7 +351,7 @@ func (l *Learner) infer(ctx context.Context, b stream.Batch, obs shift.Observati
 		// CEC replaces the models only when the shift dwarfs the stream's
 		// recent movement; a moderately sudden shift is handled by the
 		// ensemble, which re-adapts within a couple of batches.
-		if obs.HistoryMean > 0 && obs.Distance < l.cfg.CECSeverityRatio*obs.HistoryMean {
+		if obs.HistoryMean > 0 && obs.Distance < cecSeverityRatio*obs.HistoryMean {
 			return l.inferEnsemble(ctx, b, obs, res, bo)
 		}
 		p, ok, err := l.cec.Infer(ctx, b, obs, bo)

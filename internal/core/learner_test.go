@@ -223,59 +223,6 @@ func TestReoccurringShiftUsesKnowledge(t *testing.T) {
 	}
 }
 
-func TestAsyncMatchesSyncEventually(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.Async = async
-		cfg.Precompute = false
-		l, err := NewLearner(cfg, 3, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(5))
-		var last Result
-		for s := 0; s < 40; s++ {
-			res, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone))
-			if err != nil {
-				t.Fatalf("async=%v: %v", async, err)
-			}
-			last = res
-		}
-		if err := l.Close(); err != nil {
-			t.Fatalf("async=%v close: %v", async, err)
-		}
-		if last.Accuracy < 0.85 {
-			t.Errorf("async=%v accuracy = %v", async, last.Accuracy)
-		}
-	}
-}
-
-func TestPrecomputeOnAndOffBothLearn(t *testing.T) {
-	for _, pre := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.Precompute = pre
-		l, err := NewLearner(cfg, 3, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(6))
-		var last Result
-		for s := 0; s < 40; s++ {
-			res, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone))
-			if err != nil {
-				t.Fatalf("precompute=%v: %v", pre, err)
-			}
-			last = res
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if last.Accuracy < 0.85 {
-			t.Errorf("precompute=%v accuracy = %v", pre, last.Accuracy)
-		}
-	}
-}
-
 func TestModelNumThreeGranularities(t *testing.T) {
 	cfg := testConfig()
 	cfg.ModelNum = 3

@@ -173,19 +173,6 @@ func (o *Observer) Registry() *obs.Registry { return o.reg }
 // Trace returns the bounded decision-trace ring.
 func (o *Observer) Trace() *obs.Ring[obs.TraceEvent] { return o.ring }
 
-// ObserveStage records a stage duration into its histogram. Safe from any
-// goroutine (the async long-update path uses it) and on a nil receiver.
-func (o *Observer) ObserveStage(name string, d time.Duration) {
-	if o == nil {
-		return
-	}
-	if h := o.stage[name]; h != nil {
-		h.Observe(d.Seconds())
-	}
-}
-
-// recordDivergence counts one watchdog event. Safe from the async update
-// goroutine and on a nil receiver.
 // InferObserved records one inference-plane request: the rows served, the
 // request latency, and the age/batch of the snapshot that answered. Called
 // concurrently from many reader goroutines; every series op is atomic. A
@@ -204,6 +191,7 @@ func (o *Observer) InferObserved(rows int, d, snapAge time.Duration, snapBatch i
 	o.gSnapBatch.Set(float64(snapBatch))
 }
 
+// recordDivergence counts one watchdog event. Safe on a nil receiver.
 func (o *Observer) recordDivergence(rolledBack bool) {
 	if o == nil {
 		return
@@ -267,7 +255,9 @@ func (bo *batchObs) StageDone(name string, t0 time.Time) {
 	}
 	d := time.Since(t0)
 	bo.ev.Stages = append(bo.ev.Stages, obs.StageTiming{Stage: name, Micros: float64(d) / float64(time.Microsecond)})
-	bo.o.ObserveStage(name, d)
+	if h := bo.o.stage[name]; h != nil {
+		h.Observe(d.Seconds())
+	}
 }
 
 // trace joins the batch's request-scoped trace context to the event, so
@@ -412,8 +402,7 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	}
 
 	// Mirror mechanism-package lifetime counters as deltas so they stay
-	// proper monotone counters. Preservation may run on the async update
-	// goroutine; its delta is then attributed to a later batch.
+	// proper monotone counters.
 	kc := l.kdg.Counters()
 	if d := kc.Preserves - o.lastK.Preserves; d > 0 {
 		o.kPreserves.Add(int64(d))

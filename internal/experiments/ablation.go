@@ -19,8 +19,8 @@ type AblationRow struct {
 }
 
 // AblationResult collects the design-choice ablations DESIGN.md calls out:
-// disorder-modulated ASW decay, Gaussian-kernel distance ensemble, CEC,
-// the disorder-threshold knowledge policy, and pre-computed gradients.
+// disorder-modulated ASW decay, the Gaussian-kernel distance ensemble and
+// the disorder-threshold knowledge policy.
 type AblationResult struct {
 	Dataset string
 	Rows    []AblationRow
@@ -61,11 +61,6 @@ func Ablations(dataset string, opt Options) (*AblationResult, error) {
 			on:   nil,
 			// A huge sigma makes every kernel weight ~1: uniform averaging.
 			off: func(c *core.Config) { c.Sigma = 1e9 },
-		},
-		{
-			name: "pre-computed window gradients",
-			on:   func(c *core.Config) { c.Precompute = true },
-			off:  func(c *core.Config) { c.Precompute = false },
 		},
 		{
 			name: "disorder-threshold knowledge policy",

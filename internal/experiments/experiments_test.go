@@ -258,7 +258,7 @@ func TestAblationsSmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
+	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	if !strings.Contains(res.String(), "Ablations") {

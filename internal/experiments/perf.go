@@ -23,13 +23,9 @@ func perfSystems(family string) []string {
 }
 
 // buildSystem constructs either a baseline or FreewayML for a perf run.
-// FreewayML runs with asynchronous long-model updates here, as the paper's
-// performance evaluation does (Sec. V-A1: non-blocking inference).
 func buildSystem(name, family string, dim, classes int, opt Options) (System, error) {
 	if name == "FreewayML" {
-		cfg := experimentCoreConfig(family, opt)
-		cfg.Async = true
-		l, err := core.NewLearner(cfg, dim, classes)
+		l, err := core.NewLearner(experimentCoreConfig(family, opt), dim, classes)
 		if err != nil {
 			return nil, err
 		}

@@ -66,7 +66,7 @@ func (s freewaySystem) Step(b stream.Batch) ([]int, error) {
 	return res.Pred, nil
 }
 
-// Close flushes async updates.
+// Close closes the learner.
 func (s freewaySystem) Close() error { return s.l.Close() }
 
 // newFreewaySystem builds a FreewayML learner sized for experiment streams.

@@ -71,12 +71,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// CopyFrom makes t an exact copy of src, reusing t's buffer when possible.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	*t = *EnsureTensor(t, src.Rows, src.Cols)
-	copy(t.Data, src.Data)
-}
-
 // FromRows reshapes t to len(rows)×cols and copies the rows in. All rows must
 // have length cols. cols disambiguates the width of an empty batch.
 func (t *Tensor) FromRows(rows [][]float64, cols int) {

@@ -99,9 +99,7 @@ func panelShapes() []struct{ m, k, n int } {
 }
 
 func cloneTensor(t *Tensor) *Tensor {
-	c := new(Tensor)
-	c.CopyFrom(t)
-	return c
+	return &Tensor{Rows: t.Rows, Cols: t.Cols, Data: append([]float64(nil), t.Data...)}
 }
 
 // refAxpyAdd is the accumulate-form oracle of the two axpy kernels, one

@@ -43,7 +43,7 @@ type Model interface {
 	InDim() int
 	NumClasses() int
 	// Net exposes the underlying network for mechanisms that need direct
-	// gradient access (A-GEM, EWC, the pre-computing window). It is never
+	// gradient access (the A-GEM and EWC baselines). It is never
 	// nil: every family is a network trained by SGD.
 	Net() *nn.Network
 }

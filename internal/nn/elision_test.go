@@ -78,7 +78,7 @@ func TestFirstLayerElisionIsBitwiseNeutral(t *testing.T) {
 				for step := 0; step < 4; step++ {
 					x, y := elisionBatch(rng, rows, dim, classes)
 
-					// Gradients alone, as window.Precomputer and A-GEM take them.
+					// Gradients alone, as the A-GEM and EWC baselines take them.
 					le, err := elided.Net().AccumulateGradients(x, y)
 					if err != nil {
 						t.Fatal(err)

@@ -99,7 +99,8 @@ func TestInPlaceActivationsMatchOutOfPlace(t *testing.T) {
 }
 
 // TestNetworkForwardLeavesCallerRowsAlone: an activation in first position
-// overwrites the network's staging copy, never the caller's batch.
+// overwrites the network's staging copy (row API) or a workspace copy (frozen
+// tensor entry), never the caller's batch.
 func TestNetworkForwardLeavesCallerRowsAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net, err := NewNetwork(3, 2, NewReLU(), NewDense(3, 2, rng))
@@ -109,9 +110,7 @@ func TestNetworkForwardLeavesCallerRowsAlone(t *testing.T) {
 	x := [][]float64{{-1, 2, -3}, {4, -5, 6}}
 	flat := linalg.TensorView([]float64{-1, 2, -3, 4, -5, 6}, 2, 3)
 	net.PredictProba(x)
-	if _, err := net.ForwardTensor(flat); err != nil {
-		t.Fatal(err)
-	}
+	net.Freeze().ProbaInto(new(Workspace), flat)
 	if x[0][0] != -1 || x[1][1] != -5 || flat.Data[0] != -1 || flat.Data[4] != -5 {
 		t.Fatalf("forward pass rectified the caller's data: %v %v", x, flat.Data)
 	}

@@ -132,7 +132,7 @@ func (n *Network) forwardT(x *linalg.Tensor) *linalg.Tensor {
 }
 
 // LastForward returns the token of the most recent forward pass (Predict,
-// PredictProba, ForwardTensor, …), or the zero token when a parameter write
+// PredictProba, ProbaInto, …), or the zero token when a parameter write
 // has already outdated it.
 func (n *Network) LastForward() ForwardToken { return ForwardToken{n.fwd} }
 
@@ -140,23 +140,6 @@ func (n *Network) LastForward() ForwardToken { return ForwardToken{n.fwd} }
 // parameter write does it: Step, Restore and SetFlatParams themselves, and a
 // caller that writes Param.W directly must call it.
 func (n *Network) InvalidateForward() { n.fwd = 0 }
-
-// ForwardTensor runs a pre-staged row-major batch through the network and
-// returns the logits, class-major: NumClasses × rows, column i sample i's.
-// This is the flat-slab entry: staging is one flat copy into the network's
-// scratch instead of a copy per row. The returned tensor is layer-owned
-// scratch, valid until the next forward pass.
-func (n *Network) ForwardTensor(x *linalg.Tensor) (*linalg.Tensor, error) {
-	if x == nil || x.Rows == 0 {
-		return nil, fmt.Errorf("nn: empty batch")
-	}
-	if x.Cols != n.inDim {
-		return nil, fmt.Errorf("nn: batch width %d, network expects %d", x.Cols, n.inDim)
-	}
-	n.xBuf = linalg.EnsureTensor(n.xBuf, x.Rows, x.Cols)
-	n.xBuf.CopyFrom(x)
-	return n.forwardT(n.xBuf), nil
-}
 
 // Predict returns the argmax class for each sample (the first on ties).
 func (n *Network) Predict(x [][]float64) []int {
@@ -228,9 +211,8 @@ func (n *Network) Step(opt *SGD) {
 }
 
 // AccumulateGradients runs forward/backward and adds this batch's gradients
-// into the parameter accumulators without stepping. The pre-computing window
-// mechanism (paper Sec. V-B) and the A-GEM baseline both need gradients
-// decoupled from updates.
+// into the parameter accumulators without stepping. The A-GEM, EWC and
+// Spark-style baselines need gradients decoupled from updates.
 func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 	if len(x) == 0 {
 		return 0, fmt.Errorf("nn: empty batch")

@@ -7,11 +7,9 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"reflect"
 	"testing"
-	"time"
 
 	"freewayml/internal/wire"
 )
@@ -237,170 +235,5 @@ func TestJSONBinaryDifferential(t *testing.T) {
 				t.Errorf("decision traces diverge (%d vs %d events)", len(jTrace), len(bTrace))
 			}
 		})
-	}
-}
-
-// readPrefixed reads one uint32-length-prefixed JSON body off a binary
-// connection.
-func readPrefixed(t *testing.T, br *bufio.Reader) []byte {
-	t.Helper()
-	var pfx [4]byte
-	if _, err := io.ReadFull(br, pfx[:]); err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, binary.LittleEndian.Uint32(pfx[:]))
-	if _, err := io.ReadFull(br, body); err != nil {
-		t.Fatal(err)
-	}
-	return body
-}
-
-// TestServeBinaryListener drives the persistent-connection tier: a sequence
-// of length-prefixed frames down one TCP connection, a length-prefixed JSON
-// response per frame, application errors answered without dropping the
-// connection, framing errors answered and then the connection closed.
-func TestServeBinaryListener(t *testing.T) {
-	s, _ := testServer(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeBinary(ln) }()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	rng := rand.New(rand.NewSource(31))
-
-	// Several frames over one connection, all answered in order.
-	for i := 0; i < 5; i++ {
-		req := batchReq(rng, 8, true)
-		frame, err := wire.AppendStreamFrame(nil, "tcp-stream", wire.Float64, req.X, req.Y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		var out ProcessResponse
-		if err := json.Unmarshal(readPrefixed(t, br), &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Stream != "tcp-stream" || len(out.Predictions) != 8 {
-			t.Fatalf("frame %d: response %+v", i, out)
-		}
-	}
-
-	// A frame without an embedded id is an application error: answered with
-	// the envelope, connection stays usable.
-	req := batchReq(rng, 4, true)
-	frame, err := wire.AppendStreamFrame(nil, "", wire.Float64, req.X, req.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var env errorEnvelope
-	if err := json.Unmarshal(readPrefixed(t, br), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != http.StatusBadRequest {
-		t.Fatalf("missing id: envelope %+v", env)
-	}
-	frame, err = wire.AppendStreamFrame(nil, "tcp-stream", wire.Float64, req.X, req.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var out ProcessResponse
-	if err := json.Unmarshal(readPrefixed(t, br), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Predictions) != 4 {
-		t.Fatalf("post-error frame: %+v", out)
-	}
-
-	// A framing error (corrupted magic inside the prefixed payload) is
-	// answered and then the connection closes: the byte stream cannot be
-	// resynchronized.
-	bad := append([]byte(nil), frame...)
-	bad[4] = 'X' // first magic byte, after the 4-byte length prefix
-	if _, err := conn.Write(bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(readPrefixed(t, br), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != http.StatusBadRequest {
-		t.Fatalf("bad magic: envelope %+v", env)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		t.Fatalf("connection still open after framing error: %v", err)
-	}
-
-	// Closing the listener shuts ServeBinary down cleanly.
-	ln.Close()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("ServeBinary: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeBinary did not return after listener close")
-	}
-}
-
-// TestBinaryIdleConnectionClosesSilently: a read deadline that expires
-// between frames is an idle client, not a malformed frame — the connection
-// closes with no error frame and nothing is counted as a reject.
-func TestBinaryIdleConnectionClosesSilently(t *testing.T) {
-	s, ts := testServerOpts(t, WithBinaryReadTimeout(50*time.Millisecond))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeBinary(ln) }()
-	defer func() {
-		ln.Close()
-		<-done
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	req := batchReq(rand.New(rand.NewSource(32)), 8, true)
-	frame, err := wire.AppendStreamFrame(nil, "idle-stream", wire.Float64, req.X, req.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var out ProcessResponse
-	if err := json.Unmarshal(readPrefixed(t, br), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Predictions) != 8 {
-		t.Fatalf("response %+v", out)
-	}
-
-	time.Sleep(150 * time.Millisecond) // three read deadlines' worth of idling
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if b, err := br.ReadByte(); err != io.EOF {
-		t.Fatalf("idle connection: read %q, %v; want EOF with no error frame", b, err)
-	}
-	if n := getStats(t, ts.URL).HTTPRejects; n != 0 {
-		t.Errorf("http_rejects = %d after an idle close, want 0", n)
 	}
 }

@@ -14,8 +14,6 @@ import (
 
 	"freewayml/internal/guard"
 	"freewayml/internal/obs"
-	"freewayml/internal/shift"
-	"freewayml/internal/wire"
 )
 
 // InferResponse reports the inference plane's answer for one request.
@@ -32,13 +30,6 @@ type InferResponse struct {
 	// KnowledgeDistance is the distance to the nearest preserved concept
 	// (-1 when no knowledge index applies).
 	KnowledgeDistance float64 `json:"knowledge_distance"`
-}
-
-// GraphResponse is the /v1/streams/{id}/graph body: the stream's observed
-// pattern-transition graph.
-type GraphResponse struct {
-	Stream string `json:"stream"`
-	shift.TransitionSnapshot
 }
 
 // handleInfer serves POST /v1/streams/{id}/infer: a label-less batch (JSON
@@ -66,18 +57,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, id string) 
 	s.respond(w, rec, out, status, err)
 }
 
-// inferDecodedFrame validates and infers a decoded label-less frame. The
-// inference plane never retains row references (member models copy rows
-// into their own staging during the forward pass), so the frame keeps its
-// slab and warm frames stay allocation-free — no Detach, unlike the process
-// plane.
-func (s *Server) inferDecodedFrame(ctx context.Context, id string, f *wire.Frame) (InferResponse, int, error) {
-	if err := validateInferRows(f.X, s.dim, s.classes); err != nil {
-		return InferResponse{}, inferValidationStatus(err), err
-	}
-	return s.infer(ctx, id, f.X)
-}
-
 // infer predicts one validated label-less batch from the stream's published
 // snapshot.
 func (s *Server) infer(ctx context.Context, id string, x [][]float64) (InferResponse, int, error) {
@@ -102,22 +81,6 @@ func (s *Server) beginInferSpan(streamID, proto, headerTP, frameTP string, rows 
 	rec := s.beginSpan(streamID, proto, headerTP, frameTP, rows)
 	rec.span.Name = "worker.infer"
 	return rec
-}
-
-// handleGraph serves GET /v1/streams/{id}/graph: the stream's observed
-// pattern-transition graph (nodes, directed edge counts, last pattern).
-// Like the other read-only endpoints it never creates sessions.
-func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	sess, status, err := s.session(id)
-	if err != nil {
-		s.writeError(w, status, err.Error())
-		return
-	}
-	s.writeJSON(w, GraphResponse{Stream: id, TransitionSnapshot: sess.TransitionGraph()})
 }
 
 // validateInferRows applies the shared shape contract plus the inference

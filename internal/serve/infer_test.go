@@ -1,18 +1,15 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"freewayml/internal/wire"
 )
@@ -194,47 +191,18 @@ func TestInferEndpointRejections(t *testing.T) {
 	}
 }
 
-// dialBinary serves the persistent binary listener on an ephemeral port and
-// dials it. stop closes the connection, then the listener, and requires
-// ServeBinary to return cleanly.
-func dialBinary(t *testing.T, s *Server) (conn net.Conn, br *bufio.Reader, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeBinary(ln) }()
-	conn, err = net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return conn, bufio.NewReader(conn), func() {
-		conn.Close() // unblock the per-connection reader before stopping the listener
-		ln.Close()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("ServeBinary: %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("ServeBinary did not return after listener close")
-		}
-	}
-}
-
 // TestInferFormatsDifferential pins that float32 is an input format, not a
 // compute tier: the same f32-representable queries sent to one server's
 // /infer as JSON, binary-f64 and binary-f32 — sequentially, then
-// concurrently — and as label-less f32 frames on the persistent listener
-// all get the identical InferResponse (snapshot wall-clock age stripped).
+// concurrently — all get the identical InferResponse (snapshot wall-clock age
+// stripped).
 func TestInferFormatsDifferential(t *testing.T) {
 	const (
 		streams = 3
 		trainN  = 12
 		queryN  = 9
 	)
-	srv, ts := testServer(t)
+	_, ts := testServer(t)
 	for s := 0; s < streams; s++ {
 		trainStream(t, ts.URL, fmt.Sprintf("st%d", s), rand.New(rand.NewSource(int64(60+s))), trainN, 32)
 	}
@@ -313,160 +281,5 @@ func TestInferFormatsDifferential(t *testing.T) {
 				check(t, "concurrent", i, got[i])
 			}
 		})
-	}
-
-	t.Run("listener-f32", func(t *testing.T) {
-		conn, br, stop := dialBinary(t, srv)
-		defer stop()
-		for i, qu := range queries {
-			frame, err := wire.AppendStreamFrame(nil, qu.stream, wire.Float32, qu.x, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := conn.Write(frame); err != nil {
-				t.Fatal(err)
-			}
-			var out InferResponse
-			if err := json.Unmarshal(readPrefixed(t, br), &out); err != nil {
-				t.Fatal(err)
-			}
-			check(t, "listener", i, out)
-		}
-	})
-}
-
-func TestGraphEndpoint(t *testing.T) {
-	_, ts := testServer(t)
-	rng := rand.New(rand.NewSource(81))
-	trainStream(t, ts.URL, "g1", rng, 10, 32)
-
-	resp, err := http.Get(ts.URL + "/v1/streams/g1/graph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("graph status %d", resp.StatusCode)
-	}
-	var out GraphResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Stream != "g1" {
-		t.Errorf("stream = %q", out.Stream)
-	}
-	if out.Batches != 10 {
-		t.Errorf("batches = %d, want 10", out.Batches)
-	}
-	if len(out.Nodes) == 0 || out.Last == "" {
-		t.Errorf("degenerate graph: %+v", out)
-	}
-	total := 0
-	for _, e := range out.Edges {
-		total += e.Count
-	}
-	if total != 9 {
-		t.Errorf("edge counts sum to %d, want 9", total)
-	}
-
-	// Unknown stream: 404, and the GET must not create a session.
-	resp404, err := http.Get(ts.URL + "/v1/streams/nope/graph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp404.Body.Close()
-	if resp404.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown stream graph: status %d, want 404", resp404.StatusCode)
-	}
-
-	// POST: 405.
-	respPost, err := http.Post(ts.URL+"/v1/streams/g1/graph", "application/json", bytes.NewReader([]byte("{}")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	respPost.Body.Close()
-	if respPost.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST graph: status %d, want 405", respPost.StatusCode)
-	}
-}
-
-// TestBinaryListenerRoutesLabellessToInferPlane: on the persistent binary
-// listener, a label-less frame is an inference request — it answers with an
-// InferResponse and advances no training state — while labeled frames on
-// the same connection keep training.
-func TestBinaryListenerRoutesLabellessToInferPlane(t *testing.T) {
-	s, _ := testServer(t)
-	conn, br, stop := dialBinary(t, s)
-	defer stop()
-	rng := rand.New(rand.NewSource(91))
-
-	// Train a few labeled frames.
-	for i := 0; i < 6; i++ {
-		req := batchReq(rng, 16, true)
-		frame, err := wire.AppendStreamFrame(nil, "bl", wire.Float64, req.X, req.Y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		var out ProcessResponse
-		if err := json.Unmarshal(readPrefixed(t, br), &out); err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Predictions) != 16 {
-			t.Fatalf("train frame %d: %+v", i, out)
-		}
-	}
-
-	// A label-less frame on the same connection routes to the infer plane.
-	q := batchReq(rng, 8, false)
-	frame, err := wire.AppendStreamFrame(nil, "bl", wire.Float64, q.X, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var inf InferResponse
-	if err := json.Unmarshal(readPrefixed(t, br), &inf); err != nil {
-		t.Fatal(err)
-	}
-	if inf.Stream != "bl" || len(inf.Predictions) != 8 {
-		t.Fatalf("infer frame: %+v", inf)
-	}
-	if inf.SnapshotBatch != 6 {
-		t.Errorf("snapshot_batch = %d, want 6", inf.SnapshotBatch)
-	}
-
-	// The infer frame advanced no training state: the next labeled frame is
-	// batch 7, and the snapshot catches up to it.
-	req := batchReq(rng, 16, true)
-	frame, err = wire.AppendStreamFrame(nil, "bl", wire.Float64, req.X, req.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var out ProcessResponse
-	if err := json.Unmarshal(readPrefixed(t, br), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Predictions) != 16 {
-		t.Fatalf("post-infer train frame: %+v", out)
-	}
-	frame, err = wire.AppendStreamFrame(nil, "bl", wire.Float64, q.X, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(readPrefixed(t, br), &inf); err != nil {
-		t.Fatal(err)
-	}
-	if inf.SnapshotBatch != 7 {
-		t.Errorf("post-train snapshot_batch = %d, want 7", inf.SnapshotBatch)
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -107,15 +106,14 @@ type StatsResponse struct {
 	Restored         bool    `json:"restored"`
 
 	// Robustness counters (the fault-tolerance layer).
-	SanitizedValues    int   `json:"sanitized_values"`
-	RejectedBatches    int   `json:"rejected_batches"`
-	Divergences        int   `json:"divergences"`
-	Recoveries         int   `json:"recoveries"`
-	AsyncErrorsDropped int   `json:"async_errors_dropped"`
-	KnowledgeSkipped   int   `json:"knowledge_skipped"`
-	SpillFailures      int   `json:"spill_failures"`
-	CheckpointSaves    int64 `json:"checkpoint_saves"`
-	CheckpointErrors   int64 `json:"checkpoint_errors"`
+	SanitizedValues  int   `json:"sanitized_values"`
+	RejectedBatches  int   `json:"rejected_batches"`
+	Divergences      int   `json:"divergences"`
+	Recoveries       int   `json:"recoveries"`
+	KnowledgeSkipped int   `json:"knowledge_skipped"`
+	SpillFailures    int   `json:"spill_failures"`
+	CheckpointSaves  int64 `json:"checkpoint_saves"`
+	CheckpointErrors int64 `json:"checkpoint_errors"`
 
 	// CheckpointErrorsTotal is the process-wide failed-checkpoint count
 	// (every stream, resident or evicted) — the spill path is best-effort,
@@ -242,17 +240,6 @@ func WithTraceCap(n int) Option {
 	}
 }
 
-// WithBinaryReadTimeout sets the per-frame read deadline of persistent
-// binary connections (d <= 0 keeps the 30s default) — the binary
-// equivalent of the HTTP server's ReadTimeout.
-func WithBinaryReadTimeout(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.binTimeout = d
-		}
-	}
-}
-
 // WithPprof mounts the net/http/pprof handlers under /debug/pprof/ —
 // opt-in because profiling endpoints expose internals and cost CPU when
 // scraped, so they have no place on an unaudited listener by default.
@@ -270,11 +257,6 @@ type Server struct {
 	maxBody int64
 	scfg    session.Config
 	pprofOn bool
-
-	binTimeout time.Duration
-	binMu      sync.Mutex
-	binLns     map[net.Listener]struct{}
-	binConns   map[net.Conn]struct{}
 
 	workerID atomic.Value // string; span Service name
 	spans    *obs.Ring[obs.Span]
@@ -301,12 +283,11 @@ type Server struct {
 // legacy single-stream clients and scrapers see its series immediately.
 func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	s := &Server{
-		dim:        dim,
-		classes:    classes,
-		mux:        http.NewServeMux(),
-		maxBody:    DefaultMaxBodyBytes,
-		binTimeout: DefaultBinaryReadTimeout,
-		spans:      obs.NewRing[obs.Span](DefaultSpanCap),
+		dim:     dim,
+		classes: classes,
+		mux:     http.NewServeMux(),
+		maxBody: DefaultMaxBodyBytes,
+		spans:   obs.NewRing[obs.Span](DefaultSpanCap),
 		scfg: session.Config{
 			Learner: cfg,
 			Dim:     dim,
@@ -330,8 +311,8 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 		"/v1/process", "/v1/stats", "/v1/trace", "/v1/healthz", "/v1/health",
 		"/v1/readyz", "/v1/metrics", "/v1/streams", "/v1/knowledge", "/v1/knowledge/merge",
 		"/v1/streams/:id/process", "/v1/streams/:id/stats", "/v1/streams/:id/trace",
-		"/v1/streams/:id/evict", "/v1/streams/:id/infer", "/v1/streams/:id/graph",
-		"/v1/streams/:id/other", "/v1/spans", "binary",
+		"/v1/streams/:id/evict", "/v1/streams/:id/infer", "/v1/streams/:id/other",
+		"/v1/spans",
 	} {
 		s.routeCounters[route] = mgr.Registry().Counter("freeway_http_requests_total", "HTTP requests by route.", "path", route)
 	}
@@ -374,7 +355,7 @@ func (s *Server) handle(path string, h http.HandlerFunc) {
 	})
 }
 
-// handleStreamRoute dispatches /v1/streams/:id/{process|stats|trace|evict|infer|graph}.
+// handleStreamRoute dispatches /v1/streams/:id/{process|stats|trace|evict|infer}.
 // Anything else under the prefix gets the JSON 404 envelope (the mux's
 // plain-text NotFound would break clients expecting the envelope contract).
 func (s *Server) handleStreamRoute(w http.ResponseWriter, r *http.Request) {
@@ -403,10 +384,6 @@ func (s *Server) handleStreamRoute(w http.ResponseWriter, r *http.Request) {
 			s.routeCounters["/v1/streams/:id/infer"].Inc()
 			s.handleInfer(w, r, id)
 			return
-		case "graph":
-			s.routeCounters["/v1/streams/:id/graph"].Inc()
-			s.handleGraph(w, r, id)
-			return
 		}
 	}
 	s.routeCounters["/v1/streams/:id/other"].Inc()
@@ -416,22 +393,11 @@ func (s *Server) handleStreamRoute(w http.ResponseWriter, r *http.Request) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close tears down every stream — flushing asynchronous learner work and
-// writing final checkpoints where persistence is configured — and stops the
-// session sweeper. Idempotent: the second and later calls return nil.
+// Close tears down every stream — writing final checkpoints where
+// persistence is configured — and stops the session sweeper. Idempotent: the
+// second and later calls return nil.
 func (s *Server) Close() error {
 	s.closing.Store(true) // readiness goes false before teardown starts
-	// Stop the binary tier first: closing the listeners unblocks ServeBinary,
-	// and closing live connections unblocks their per-frame reads, so no
-	// frame is half-processed against a closing manager.
-	s.binMu.Lock()
-	for ln := range s.binLns {
-		ln.Close()
-	}
-	for c := range s.binConns {
-		c.Close()
-	}
-	s.binMu.Unlock()
 	s.closeOnce.Do(func() { s.closeErr = s.mgr.Close() })
 	err := s.closeErr
 	s.closeErr = nil
@@ -642,15 +608,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, id string) 
 		SharedKnowledge:  st.SharedKnowledge,
 		Restored:         st.Restored,
 
-		SanitizedValues:    st.Health.SanitizedValues,
-		RejectedBatches:    st.Health.RejectedBatches,
-		Divergences:        st.Health.Divergences,
-		Recoveries:         st.Health.Recoveries,
-		AsyncErrorsDropped: st.Health.AsyncErrorsDropped,
-		KnowledgeSkipped:   st.Health.KnowledgeSkipped,
-		SpillFailures:      st.Health.SpillFailures + st.Health.SpillLoadFailures,
-		CheckpointSaves:    st.CheckpointSaves,
-		CheckpointErrors:   st.CheckpointErrors,
+		SanitizedValues:  st.Health.SanitizedValues,
+		RejectedBatches:  st.Health.RejectedBatches,
+		Divergences:      st.Health.Divergences,
+		Recoveries:       st.Health.Recoveries,
+		KnowledgeSkipped: st.Health.KnowledgeSkipped,
+		SpillFailures:    st.Health.SpillFailures + st.Health.SpillLoadFailures,
+		CheckpointSaves:  st.CheckpointSaves,
+		CheckpointErrors: st.CheckpointErrors,
 
 		CheckpointErrorsTotal: s.mgr.Aggregate().CheckpointErrors,
 

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"freewayml/internal/core"
@@ -168,6 +171,51 @@ func TestMethodsEnforced(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/stats: %d", resp.StatusCode)
+	}
+}
+
+// TestStreamRouteUnknownEndpoint404: anything under /v1/streams/ that names
+// no stream action — a removed one, a made-up one, or none at all — gets the
+// JSON 404 envelope, counts under the catch-all route, and never creates a
+// session for the id it names.
+func TestStreamRouteUnknownEndpoint404(t *testing.T) {
+	s, ts := testServer(t)
+	const series = `freeway_http_requests_total{path="/v1/streams/:id/other"} `
+	other := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, series); ok {
+				return v
+			}
+		}
+		t.Fatalf("exposition has no %s series", series)
+		return ""
+	}
+	for i, path := range []string{"/v1/streams/s/graph", "/v1/streams/s/bogus", "/v1/streams/s"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
+		assertErrorEnvelope(t, resp, http.StatusNotFound)
+		resp.Body.Close()
+		if got, want := other(), strconv.Itoa(i+1); got != want {
+			t.Errorf("after GET %s: %s= %s, want %s", path, series, got, want)
+		}
+		if _, ok := s.Sessions().Get("s"); ok {
+			t.Fatalf("GET %s created a session for stream s", path)
+		}
 	}
 }
 

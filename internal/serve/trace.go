@@ -1,12 +1,11 @@
-// Request tracing for the worker: every process call (JSON, HTTP-binary,
-// or a raw binary-connection frame) records one "worker.process" span into
-// a bounded ring served at /v1/spans, and threads its trace id into the
-// batch so the learner's TraceEvent joins the same trace. Trace context
-// arrives in the W3C traceparent header (the router path) or embedded in a
-// version-2 wire frame (the raw binary path); the header wins when both are
-// present, because it carries the router hop's parentage. A request with
-// neither gets a freshly minted root context, so single-node deployments
-// still produce joinable trace ids.
+// Request tracing for the worker: every process call (JSON or binary frame)
+// records one "worker.process" span into a bounded ring served at
+// /v1/spans, and threads its trace id into the batch so the learner's
+// TraceEvent joins the same trace. Trace context arrives in the W3C
+// traceparent header (the router path) or embedded in a version-2 wire
+// frame; the header wins when both are present, because it carries the
+// router hop's parentage. A request with neither gets a freshly minted root
+// context, so single-node deployments still produce joinable trace ids.
 
 package serve
 

@@ -124,43 +124,3 @@ func TestInferIgnoresSessionMutex(t *testing.T) {
 		t.Fatal("Infer blocked on Session.mu — the read path must not take it")
 	}
 }
-
-// TestSessionGraphRecordsTransitions: processing batches populates the
-// stream's pattern-transition graph, and the snapshot is stable data (nodes
-// present, batch count matches).
-func TestSessionGraphRecordsTransitions(t *testing.T) {
-	m := testManager(t, nil)
-	rng := rand.New(rand.NewSource(44))
-	const id = "graphed"
-	const n = 10
-	for b := 0; b < n; b++ {
-		x, y := batchXY(rng, 64, 0)
-		if _, err := m.Process(context.Background(), id, x, y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sess, ok := m.Get(id)
-	if !ok {
-		t.Fatal("session vanished")
-	}
-	g := sess.TransitionGraph()
-	if g.Batches != n {
-		t.Errorf("graph batches = %d, want %d", g.Batches, n)
-	}
-	if len(g.Nodes) == 0 {
-		t.Error("no nodes recorded")
-	}
-	if g.Last == "" {
-		t.Error("no last pattern recorded")
-	}
-	total := 0
-	for _, e := range g.Edges {
-		if e.Count <= 0 {
-			t.Errorf("edge %s->%s has count %d", e.From, e.To, e.Count)
-		}
-		total += e.Count
-	}
-	if total != n-1 {
-		t.Errorf("edge counts sum to %d, want %d (batches-1)", total, n-1)
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"freewayml/internal/core"
-	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
 	"freewayml/internal/stream"
 )
@@ -39,9 +38,6 @@ type Session struct {
 	seq      int
 	closed   bool
 	restored bool
-
-	// graph records the stream's pattern-to-pattern transitions (under mu).
-	graph shift.TransitionGraph
 
 	// lastUsed is the idle clock (unix nanoseconds), read by the TTL
 	// sweeper and the LRU spill without taking mu.
@@ -80,11 +76,6 @@ func (s *Session) process(ctx context.Context, b stream.Batch) (core.Result, err
 	b.Seq = s.seq
 	s.seq++
 	res, err := s.learner.Process(ctx, b)
-	if err == nil {
-		// SubPattern refines slight shifts into A1/A2 and equals Pattern
-		// otherwise, so it is the finest label available for the graph.
-		s.graph.Record(res.SubPattern)
-	}
 	if err == nil && s.mgr.ckptEvery > 0 && s.mgr.ckptPath(s.id) != "" && s.seq%s.mgr.ckptEvery == 0 {
 		s.checkpointLocked()
 	}
@@ -107,13 +98,6 @@ func (s *Session) Infer(ctx context.Context, x [][]float64) (core.InferResult, e
 func (s *Session) ModelSnapshot() *strategy.Snapshot {
 	s.touch()
 	return s.learner.ModelSnapshot()
-}
-
-// TransitionGraph returns a copy of the stream's pattern-transition graph.
-func (s *Session) TransitionGraph() shift.TransitionSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.graph.Snapshot()
 }
 
 // checkpointLocked snapshots the learner to the session's checkpoint path.

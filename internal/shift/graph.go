@@ -58,98 +58,6 @@ func (g *Graph) TotalPathLength() float64 {
 	return s
 }
 
-// TransitionGraph counts pattern-to-pattern transitions across a stream's
-// batches — the groundwork for a probabilistic concept repository: the
-// normalized outgoing edge counts of a node are the empirical transition
-// probabilities between shift regimes. Not safe for concurrent use; the
-// session layer records under its own lock.
-type TransitionGraph struct {
-	counts  map[Pattern]map[Pattern]int
-	last    Pattern
-	started bool
-	total   int
-}
-
-// Record appends one batch's pattern to the trajectory, counting the edge
-// from the previous batch's pattern. The first recorded batch only sets the
-// starting node.
-func (g *TransitionGraph) Record(p Pattern) {
-	g.total++
-	if g.started {
-		if g.counts == nil {
-			g.counts = make(map[Pattern]map[Pattern]int)
-		}
-		row := g.counts[g.last]
-		if row == nil {
-			row = make(map[Pattern]int)
-			g.counts[g.last] = row
-		}
-		row[p]++
-	}
-	g.last = p
-	g.started = true
-}
-
-// Transition is one directed edge of the pattern-transition graph.
-type Transition struct {
-	From  string `json:"from"`
-	To    string `json:"to"`
-	Count int    `json:"count"`
-}
-
-// TransitionSnapshot is a point-in-time copy of the transition graph,
-// ordered deterministically (edges sorted by from, then to, in pattern
-// declaration order).
-type TransitionSnapshot struct {
-	Nodes   []string     `json:"nodes"`
-	Edges   []Transition `json:"edges"`
-	Last    string       `json:"last,omitempty"`
-	Batches int          `json:"batches"`
-}
-
-// patternOrder fixes the deterministic node/edge ordering.
-var patternOrder = []Pattern{PatternWarmup, PatternA, PatternA1, PatternA2, PatternB, PatternC}
-
-// Snapshot copies the graph into a serializable form.
-func (g *TransitionGraph) Snapshot() TransitionSnapshot {
-	snap := TransitionSnapshot{Batches: g.total}
-	if g.started {
-		snap.Last = g.last.Label()
-	}
-	seen := make(map[Pattern]bool)
-	note := func(p Pattern) {
-		if !seen[p] {
-			seen[p] = true
-		}
-	}
-	if g.started {
-		note(g.last)
-	}
-	for from, row := range g.counts {
-		note(from)
-		for to := range row {
-			note(to)
-		}
-	}
-	for _, p := range patternOrder {
-		if seen[p] {
-			snap.Nodes = append(snap.Nodes, p.Label())
-		}
-	}
-	for _, from := range patternOrder {
-		row := g.counts[from]
-		if row == nil {
-			continue
-		}
-		for _, to := range patternOrder {
-			if n := row[to]; n > 0 {
-				snap.Edges = append(snap.Edges, Transition{From: from.Label(), To: to.Label(), Count: n})
-			}
-		}
-	}
-	return snap
-}
-
 // WriteCSV emits the graph as CSV with one row per batch:
 // batch,y0,y1,...,distance,severity,pattern,accuracy. It is what
 // cmd/shiftgraph prints so the Fig. 2 plots can be regenerated with any

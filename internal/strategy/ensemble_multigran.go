@@ -3,8 +3,6 @@ package strategy
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
@@ -86,8 +84,7 @@ func BuildGranularities(factory model.Factory, dim, classes, n int, wcfg Watchdo
 }
 
 // Preserver receives the window-close knowledge-preservation hook. The
-// knowledge-reuse strategy implements it; callers hold the ensemble's long-
-// model lock, so longSnap may be invoked directly.
+// knowledge-reuse strategy implements it.
 type Preserver interface {
 	PreserveAtWindowClose(disorder float64, distribution linalg.Vector, longSnap func() ([]byte, error), shortSnap []byte, replaceRadius float64, obs shift.Observation) error
 }
@@ -98,37 +95,27 @@ type EnsembleConfig struct {
 	Sigma      float64
 	LongEpochs int
 	LongChunk  int
-	LongRebase bool
-	Async      bool
 }
 
 // EnsembleDeps are the ensemble's callbacks into its host: health
-// bookkeeping, the current batch index, the same-regime replacement radius
-// (computed from the detector on the caller's goroutine), and the optional
-// knowledge preserver.
+// bookkeeping, the current batch index and the same-regime replacement
+// radius. All of them run on the caller's goroutine.
 type EnsembleDeps struct {
-	// Stages receives long-update durations measured off the request path
-	// (the asynchronous window close). Required; wrap a nil observer.
-	Stages StageObserver
 	// OnRecovery folds one watchdog event into the host's health counters.
-	// Must be safe from the async update goroutine.
 	OnRecovery func(RecoveryEvent)
-	// OnAsyncErr records a background-update error for the host to surface.
-	OnAsyncErr func(error)
-	// BatchNum returns the host's current batch index (caller goroutine
-	// only; async paths capture it synchronously).
+	// BatchNum returns the host's current batch index.
 	BatchNum func() int
-	// ReplaceRadius returns the same-regime knowledge-replacement radius.
-	// Called synchronously at window close (the detector is not safe to
-	// touch from an async update).
+	// ReplaceRadius returns the same-regime knowledge-replacement radius,
+	// read at window close.
 	ReplaceRadius func() float64
 }
 
 // Ensemble is the Pattern-A mechanism (and the dispatcher's fallback): the
 // short/mid fixed-frequency models plus the ASW-driven long-granularity
 // model, fused with the Gaussian-kernel distance weighting of Eq. 12-14.
-// It owns the adaptive streaming window and the long model's asynchronous
-// update lifecycle.
+// It owns the adaptive streaming window and closes it inline: the long
+// model trains on the caller's goroutine, inside the Train call whose batch
+// filled the window. Every method runs on the training goroutine.
 type Ensemble struct {
 	cfg  EnsembleConfig
 	deps EnsembleDeps
@@ -137,46 +124,36 @@ type Ensemble struct {
 	long  model.Model    // ASW-driven long-granularity model
 
 	asw          *window.ASW
-	pre          *window.Precomputer
-	longOpt      *nn.SGD
 	longCentroid linalg.Vector
 	longWd       *Watchdog // nil when the watchdog is disabled
 
 	preserver Preserver // set after construction (nil disables preservation)
 
-	mu      sync.RWMutex // guards long model + longCentroid + longVer during async updates
-	wg      sync.WaitGroup
-	longVer uint64 // bumped on every long-model mutation (under mu)
+	longVer uint64 // bumped on every long-model mutation
 
-	// Infer's scratch (training goroutine only): the member list, the long
-	// model's class distributions — the ensemble's buffer, not the network's,
-	// so the fusion reads it after e.mu is released while an asynchronous
-	// close trains the long model — and the fused ones.
+	// Infer's scratch: the member list, the long model's class distributions
+	// (the ensemble's buffer, not the network's) and the fused ones.
 	members          []member
 	longProba, fused linalg.Tensor
 
 	// Snapshot-publication cache: a member is frozen again only when its
-	// version moved since the last publication. Guarded by pubMu (one
-	// publisher at a time); the cached views themselves are immutable.
-	pubMu      sync.Mutex
+	// version moved since the last publication; the cached views themselves
+	// are immutable.
 	pubMembers []SnapshotMember
 	pubVers    []uint64
 	pubLongVer uint64
 }
 
-// NewEnsemble assembles the mechanism from its pre-built parts. pre and
-// longOpt are non-nil only under the pre-computing window; longWd may be
-// nil to disable long-model divergence monitoring.
-func NewEnsemble(cfg EnsembleConfig, grans []*Granularity, long model.Model, longWd *Watchdog, asw *window.ASW, pre *window.Precomputer, longOpt *nn.SGD, deps EnsembleDeps) *Ensemble {
+// NewEnsemble assembles the mechanism from its pre-built parts. longWd may
+// be nil to disable long-model divergence monitoring.
+func NewEnsemble(cfg EnsembleConfig, grans []*Granularity, long model.Model, longWd *Watchdog, asw *window.ASW, deps EnsembleDeps) *Ensemble {
 	return &Ensemble{
-		cfg:     cfg,
-		deps:    deps,
-		grans:   grans,
-		long:    long,
-		asw:     asw,
-		pre:     pre,
-		longOpt: longOpt,
-		longWd:  longWd,
+		cfg:    cfg,
+		deps:   deps,
+		grans:  grans,
+		long:   long,
+		asw:    asw,
+		longWd: longWd,
 	}
 }
 
@@ -223,9 +200,6 @@ func (e *Ensemble) WindowItems() int { return e.asw.Items() }
 // WindowEvictions returns the window's lifetime decay-eviction count.
 func (e *Ensemble) WindowEvictions() int { return e.asw.Evictions() }
 
-// Wait blocks until any in-flight asynchronous long-model update finishes.
-func (e *Ensemble) Wait() { e.wg.Wait() }
-
 // InferWarmup predicts with the short model alone — the strategy while the
 // detector has no projected centroid yet.
 func (e *Ensemble) InferWarmup(b stream.Batch) Prediction {
@@ -251,10 +225,8 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 	// distribution (D_short of Eq. 12 equals obs.Distance for the per-batch
 	// model, since its centroid is the previous batch's ȳ).
 	members := e.granMembers(e.members[:0], obs.YBar, b.X)
-	e.mu.RLock()
 	model.ProbaInto(&e.longProba, e.long, b.X)
 	members = append(members, member{proba: &e.longProba, distance: centroidDistance(obs.YBar, e.longCentroid)})
-	e.mu.RUnlock()
 	e.members = members
 
 	// Normalize distances by their mean so the kernel width Sigma is
@@ -333,127 +305,63 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 	if err != nil {
 		return err
 	}
-	if e.pre != nil {
-		// Pre-computing window (Sec. V-B): fold this batch's gradient in
-		// now, so the update at window close is a single cheap step. This
-		// trades the decay weighting of TrainingSet for latency — the
-		// gradients were computed at arrival weight.
-		e.mu.Lock()
-		err := e.pre.AddSubset(b.X, b.Y)
-		e.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
 	tr.StageDone(StageWindowPush, tWin)
 	if !full {
 		return nil
 	}
 	tr.WindowClosed()
-	return e.updateLong(obs, tr)
+	tLong := tr.StageStart()
+	err = e.updateLong(obs)
+	tr.StageDone(StageLongUpdate, tLong)
+	return err
 }
 
-// updateLong trains the long-granularity model from the closed window,
-// preserves knowledge per the β policy, and resets the window.
-func (e *Ensemble) updateLong(obs shift.Observation, tr Trace) error {
+// updateLong closes the window: it trains the long-granularity model on the
+// window's weighted training set, checks it, preserves knowledge per the β
+// policy, and resets the window.
+func (e *Ensemble) updateLong(obs shift.Observation) error {
 	disorder := e.asw.Disorder()
 	distribution := e.asw.Distribution()
-	var trainX [][]float64
-	var trainY []int
-	if e.pre == nil {
-		trainX, trainY = e.asw.TrainingSet()
-	}
+	trainX, trainY := e.asw.TrainingSet()
 	e.asw.Reset()
 
-	// The short model keeps training on the caller's goroutine, so its
-	// snapshot must be captured now, not inside an async update. It serves
-	// two purposes: the β-policy preservation below, and re-basing the long
-	// model — the long-granularity model is the current model smoothed over
-	// the whole window, so each close starts from the freshest parameters
-	// and then trains across the window's weighted data. Without re-basing
-	// the long model accumulates staleness that no distance weighting can
-	// detect (distance measures data match, not parameter quality).
+	// The β-policy preservation below may store the short model instead of
+	// the long one, so its parameters are captured before the long model
+	// trains.
 	shortSnap, err := e.grans[0].Model.Snapshot()
 	if err != nil {
 		return err
 	}
-	// Same-regime radius for knowledge replacement: computed here, on the
-	// caller's goroutine — the detector is not safe to touch from an async
-	// update.
 	replaceRadius := e.deps.ReplaceRadius()
-	batchNum := e.deps.BatchNum()
 
-	apply := func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		e.longVer++
-		// lastLoss feeds the long model's watchdog; negative means the
-		// update path produced no loss signal (precompute), where only the
-		// weight checks apply.
-		lastLoss := -1.0
-		if e.pre != nil {
-			if err := e.pre.Finalize(e.longOpt); err != nil {
+	e.longVer++
+	// lastLoss feeds the long model's watchdog; negative means no training
+	// rows, where only the weight checks apply.
+	lastLoss := -1.0
+	// Chunked mini-batch epochs over the weighted window, matching how a
+	// DataLoader-driven PyTorch update iterates window data.
+	for epoch := 0; epoch < e.cfg.LongEpochs; epoch++ {
+		for start := 0; start < len(trainX); start += e.cfg.LongChunk {
+			end := min(start+e.cfg.LongChunk, len(trainX))
+			loss, err := e.long.Fit(trainX[start:end], trainY[start:end])
+			if err != nil {
 				return err
 			}
-			e.pre.Start()
-		} else if len(trainX) > 0 {
-			if e.cfg.LongRebase {
-				if err := e.long.Restore(shortSnap); err != nil {
-					return err
-				}
-			}
-			// Chunked mini-batch epochs over the weighted window, matching
-			// how a DataLoader-driven PyTorch update iterates window data.
-			for epoch := 0; epoch < e.cfg.LongEpochs; epoch++ {
-				for start := 0; start < len(trainX); start += e.cfg.LongChunk {
-					end := start + e.cfg.LongChunk
-					if end > len(trainX) {
-						end = len(trainX)
-					}
-					loss, err := e.long.Fit(trainX[start:end], trainY[start:end])
-					if err != nil {
-						return err
-					}
-					lastLoss = loss
-				}
-			}
+			lastLoss = loss
 		}
-		if e.longWd != nil {
-			if ev := e.longWd.Check(e.long, lastLoss, batchNum); ev != nil {
-				e.deps.OnRecovery(*ev)
-			}
-		}
-		if distribution != nil {
-			e.longCentroid = distribution
-		}
-		if e.preserver == nil {
-			return nil
-		}
-		return e.preserver.PreserveAtWindowClose(disorder, distribution, e.long.Snapshot, shortSnap, replaceRadius, obs)
 	}
-
-	// With pre-computed gradients the closing step is a single optimizer
-	// application — running it inline is cheaper than a goroutine and avoids
-	// interleaving the next window's AddSubset with this window's Finalize.
-	if e.cfg.Async && e.pre == nil {
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			// The batch's trace event may already be emitted when this
-			// finishes, so the async path feeds the stage histogram only.
-			start := time.Now()
-			err := apply()
-			e.deps.Stages.ObserveStage(StageLongUpdate, time.Since(start))
-			if err != nil {
-				e.deps.OnAsyncErr(err)
-			}
-		}()
+	if e.longWd != nil {
+		if ev := e.longWd.Check(e.long, lastLoss, e.deps.BatchNum()); ev != nil {
+			e.deps.OnRecovery(*ev)
+		}
+	}
+	if distribution != nil {
+		e.longCentroid = distribution
+	}
+	if e.preserver == nil {
 		return nil
 	}
-	tLong := tr.StageStart()
-	err = apply()
-	tr.StageDone(StageLongUpdate, tLong)
-	return err
+	return e.preserver.PreserveAtWindowClose(disorder, distribution, e.long.Snapshot, shortSnap, replaceRadius, obs)
 }
 
 // PublishSnapshot builds the immutable member view for the inference plane:
@@ -461,12 +369,9 @@ func (e *Ensemble) updateLong(obs shift.Observation, tr Trace) error {
 // version counter has not moved since the previous publication reuse the
 // cached view, so steady-state publication cost is one copy of the parameter
 // values of the models that actually trained this batch (usually just the
-// short model). Must be called from the training goroutine — it reads the
-// granularity models without e.mu; the long model is frozen under e.mu so an
-// in-flight asynchronous update cannot tear it.
+// short model). Must be called from the training goroutine, between Train
+// calls.
 func (e *Ensemble) PublishSnapshot() []SnapshotMember {
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
 	n := len(e.grans)
 	if e.pubMembers == nil {
 		e.pubMembers = make([]SnapshotMember, n+1)
@@ -484,7 +389,6 @@ func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 		}
 		members[i] = e.pubMembers[i]
 	}
-	e.mu.RLock()
 	if e.pubMembers[n].Model == nil || e.pubLongVer != e.longVer {
 		var c linalg.Vector
 		if e.longCentroid != nil {
@@ -494,23 +398,18 @@ func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 		e.pubLongVer = e.longVer
 	}
 	members[n] = e.pubMembers[n]
-	e.mu.RUnlock()
 	return members
 }
 
 // DebugModels exposes the short and long granularity models for diagnostic
 // tooling and white-box tests.
 func (e *Ensemble) DebugModels() (short, long model.Model) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	return e.grans[0].Model, e.long
 }
 
 // DebugDistances recomputes the short/long model shift distances for an
 // observation's centroid (diagnostics only).
 func (e *Ensemble) DebugDistances(yBar linalg.Vector) (dShort, dLong float64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	return centroidDistance(yBar, e.grans[0].centroid),
 		centroidDistance(yBar, e.longCentroid)
 }
@@ -523,12 +422,8 @@ type EnsembleState struct {
 	LongCentroid  linalg.Vector
 }
 
-// ExportState snapshots every member. Any in-flight asynchronous long-model
-// update is waited out first so the state is consistent.
+// ExportState snapshots every member.
 func (e *Ensemble) ExportState() (EnsembleState, error) {
-	e.wg.Wait()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var st EnsembleState
 	for _, g := range e.grans {
 		snap, err := g.Model.Snapshot()
@@ -561,9 +456,6 @@ func (e *Ensemble) ImportState(st EnsembleState) error {
 	if len(st.GranSnapshots) != len(e.grans) {
 		return fmt.Errorf("strategy: granularity count mismatch: state has %d, ensemble has %d", len(st.GranSnapshots), len(e.grans))
 	}
-	e.wg.Wait()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for i, g := range e.grans {
 		if err := g.Model.Restore(st.GranSnapshots[i]); err != nil {
 			return fmt.Errorf("strategy: restore granularity %d: %w", i, err)
@@ -580,8 +472,5 @@ func (e *Ensemble) ImportState(st EnsembleState) error {
 	e.longCentroid = st.LongCentroid
 	e.longVer++
 	e.asw.Reset()
-	if e.pre != nil {
-		e.pre.Start()
-	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
@@ -43,13 +42,9 @@ func (c *countedModel) FitForwarded(tok nn.ForwardToken, y []int) (float64, bool
 	return loss, ok, err
 }
 
-type nopStages struct{}
-
-func (nopStages) ObserveStage(string, time.Duration) {}
-
 const reuseDim, reuseClasses = 6, 3
 
-// reuseEnsemble builds a synchronous ensemble of mlp members, one per entry
+// reuseEnsemble builds an ensemble of mlp members, one per entry
 // of every (its update period), each passed through wrap.
 func reuseEnsemble(t *testing.T, every []int, standardize bool, wrap func(model.Model) model.Model) *Ensemble {
 	t.Helper()
@@ -76,11 +71,9 @@ func reuseEnsemble(t *testing.T, every []int, standardize bool, wrap func(model.
 		t.Fatal(err)
 	}
 	batch := 0
-	return NewEnsemble(EnsembleConfig{Sigma: 1, LongEpochs: 1, LongChunk: 64, LongRebase: true},
-		grans, build(), nil, asw, nil, nil, EnsembleDeps{
-			Stages:        nopStages{},
+	return NewEnsemble(EnsembleConfig{Sigma: 1, LongEpochs: 1, LongChunk: 64},
+		grans, build(), nil, asw, EnsembleDeps{
 			OnRecovery:    func(RecoveryEvent) {},
-			OnAsyncErr:    func(err error) { t.Errorf("async error: %v", err) },
 			BatchNum:      func() int { batch++; return batch },
 			ReplaceRadius: func() float64 { return 0 },
 		})

@@ -36,7 +36,7 @@ type SnapshotMember struct {
 // A Snapshot must never be mutated after publication. The infer plane loads
 // the current pointer atomically and may keep using a superseded snapshot
 // for the duration of one request; the staleness bound is one training
-// batch (plus one asynchronous long-model update, see DESIGN.md).
+// batch (see DESIGN.md).
 type Snapshot struct {
 	Members []SnapshotMember // granularities in order, long-term model last
 	Sigma   float64

@@ -18,9 +18,7 @@ import (
 // Stage names used in the freeway_stage_seconds{stage=...} histograms and
 // the per-event stage timings. "predict" wraps the whole strategy dispatch,
 // so it contains "cluster" and "knowledge_lookup" when those mechanisms run.
-// "long_update" covers the window-close training; when Async is on it is
-// measured on the background goroutine and lands in the histogram only (the
-// batch's trace event has already been emitted by then).
+// "long_update" covers the window close, on the batches that close it.
 const (
 	StageGuard           = "guard"
 	StageShiftDetect     = "shift_detect"
@@ -63,13 +61,6 @@ type Trace interface {
 	Knowledge(hit bool, dist float64)
 	// WindowClosed marks that this batch's push closed the window.
 	WindowClosed()
-}
-
-// StageObserver feeds stage durations measured off the request path (the
-// asynchronous long-model update) into the stage histograms. The core
-// observer implements it; a nil-Observer-backed implementation is a no-op.
-type StageObserver interface {
-	ObserveStage(stage string, d time.Duration)
 }
 
 // nopTrace backs a nil Trace so strategies can call hooks unconditionally.

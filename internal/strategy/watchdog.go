@@ -114,8 +114,8 @@ func (w *Watchdog) rollback(m model.Model) bool {
 }
 
 // Check inspects the model right after an update. loss is the update's
-// batch loss, or negative when the update path produces none (the
-// pre-computing window); weight checks still apply then. A nil return
+// batch loss, or negative when the update produced none (a window close
+// with no training rows); weight checks still apply then. A nil return
 // means healthy; otherwise the returned event describes the divergence and
 // whether the model was rolled back.
 func (w *Watchdog) Check(m model.Model, loss float64, batch int) *RecoveryEvent {

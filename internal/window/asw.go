@@ -4,8 +4,7 @@
 // when a new batch arrives, existing batches are decayed according to their
 // shift-distance rank (closer distributions decay less) modulated by the
 // window's disorder (Eq. 11), so the window tracks the live distribution at
-// minimal cost. The package also provides the pre-computing gradient
-// mechanism of Sec. V-B.
+// minimal cost.
 package window
 
 import (

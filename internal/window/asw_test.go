@@ -1,12 +1,10 @@
 package window
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"freewayml/internal/linalg"
-	"freewayml/internal/nn"
 )
 
 func mkBatch(n int, label int, val float64) ([][]float64, []int) {
@@ -284,75 +282,6 @@ func TestDistributionWeightedCentroid(t *testing.T) {
 	// Newest has weight 1, older < 1, so the mean must lean toward 10.
 	if d[0] <= 5 || d[0] >= 10 {
 		t.Errorf("distribution[0] = %v, want in (5, 10)", d[0])
-	}
-}
-
-func TestPrecomputerMatchesDirectTraining(t *testing.T) {
-	// Accumulating two half-batches then Finalize must equal one TrainBatch
-	// on the concatenation (both average per-subset then across subsets of
-	// equal size == overall mean gradient).
-	rng := rand.New(rand.NewSource(1))
-	mkNet := func() *nn.Network {
-		r := rand.New(rand.NewSource(7))
-		n, err := nn.NewNetwork(3, 2, nn.NewDense(3, 2, r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	netA := mkNet()
-	netB := mkNet()
-
-	x := make([][]float64, 8)
-	y := make([]int, 8)
-	for i := range x {
-		x[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		y[i] = rng.Intn(2)
-	}
-
-	// A: direct train on full batch.
-	optA := nn.NewSGD(0.1, 0, 0)
-	if _, err := netA.TrainBatch(x, y, optA); err != nil {
-		t.Fatal(err)
-	}
-
-	// B: precompute over two equal subsets.
-	p := NewPrecomputer(netB)
-	p.Start()
-	if err := p.AddSubset(x[:4], y[:4]); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddSubset(x[4:], y[4:]); err != nil {
-		t.Fatal(err)
-	}
-	if p.Subsets() != 2 {
-		t.Fatalf("Subsets = %d", p.Subsets())
-	}
-	optB := nn.NewSGD(0.1, 0, 0)
-	if err := p.Finalize(optB); err != nil {
-		t.Fatal(err)
-	}
-
-	pa, pb := netA.Params(), netB.Params()
-	for i := range pa {
-		for j := range pa[i].W {
-			if math.Abs(pa[i].W[j]-pb[i].W[j]) > 1e-9 {
-				t.Fatalf("param %d[%d]: %v vs %v", i, j, pa[i].W[j], pb[i].W[j])
-			}
-		}
-	}
-}
-
-func TestPrecomputerErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net, _ := nn.NewNetwork(2, 2, nn.NewDense(2, 2, rng))
-	p := NewPrecomputer(net)
-	p.Start()
-	if err := p.AddSubset(nil, nil); err == nil {
-		t.Error("empty subset should error")
-	}
-	if err := p.Finalize(nn.NewSGD(0.1, 0, 0)); err == nil {
-		t.Error("Finalize with no subsets should error")
 	}
 }
 

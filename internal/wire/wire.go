@@ -1,4 +1,4 @@
-// Package wire implements FreewayML's length-prefixed binary batch frame —
+// Package wire implements FreewayML's binary batch frame —
 // the zero-copy ingest format the serve tier accepts alongside JSON. A frame
 // carries one mini-batch for one stream: a fixed header (magic, version,
 // dtype, flags, stream id, row/col counts), the feature matrix as row-major
@@ -27,9 +27,8 @@
 // version byte, and encoders emit version 1 whenever no trace context is
 // attached, so untraced traffic stays bitwise-identical to PR7 frames.
 //
-// On the stream transport each frame is preceded by a uint32 byte length
-// (ReadFrame); over HTTP the body is exactly one frame and Content-Length
-// plays that role (DecodeInto).
+// Over HTTP the body is exactly one frame and Content-Length delimits it
+// (DecodeInto).
 //
 // Decoding is allocation-free at steady state: DecodeInto reuses the Frame's
 // tensor slab, row headers, and label slice, so a warm stream (same shape,
@@ -43,7 +42,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"freewayml/internal/linalg"
@@ -89,13 +87,9 @@ var magic = [4]byte{'F', 'W', 'B', '1'}
 // tier maps it to a 400.
 var ErrMalformed = errors.New("wire: malformed frame")
 
-// ErrTooLarge is wrapped when a length-prefixed frame announces a size over
-// the reader's cap — the binary equivalent of the HTTP body cap (413).
-var ErrTooLarge = errors.New("wire: frame exceeds size cap")
-
 // Frame is one decoded batch plus the reusable storage behind it. The zero
-// value is ready to use; keep reusing one Frame per connection (or per pooled
-// handler slot) so warm decodes allocate nothing.
+// value is ready to use; keep reusing one Frame per pooled handler slot so
+// warm decodes allocate nothing.
 type Frame struct {
 	// ID is the embedded stream id ("" when the frame is path-addressed).
 	ID string
@@ -234,8 +228,8 @@ func (f *Frame) DecodeInto(buf []byte) error {
 
 	idBytes := buf[HeaderSize : HeaderSize+idLen]
 	// string(bytes) == string compares without allocating; the conversion
-	// below runs only when the id actually changes, so a persistent
-	// connection carrying one stream re-decodes its id for free.
+	// below runs only when the id actually changes, so a pooled frame that
+	// keeps decoding one stream's batches re-decodes its id for free.
 	if f.ID != string(idBytes) {
 		f.ID = string(idBytes)
 	}
@@ -283,8 +277,8 @@ func FrameTraceparent(buf []byte) string {
 	return string(buf[start:end])
 }
 
-// EncodedSize returns the frame byte length (without the stream length
-// prefix) for the given shape.
+// EncodedSize returns the frame byte length for the given shape (without a
+// trace context).
 func EncodedSize(idLen, rows, cols int, dtype byte, labeled bool) int {
 	esz := 8
 	if dtype == Float32 {
@@ -297,8 +291,8 @@ func EncodedSize(idLen, rows, cols int, dtype byte, labeled bool) int {
 	return n
 }
 
-// AppendFrame appends one encoded version-1 frame (without the stream
-// length prefix) to dst and returns the extended slice. Rows must be
+// AppendFrame appends one encoded version-1 frame to dst and returns the
+// extended slice. Rows must be
 // rectangular; float32 frames narrow each value (the lossy half of the
 // differential test: the client narrows, both paths widen identically).
 // y may be nil.
@@ -380,55 +374,4 @@ func AppendFrameTrace(dst []byte, id, traceparent string, dtype byte, x [][]floa
 		p = p[4:]
 	}
 	return dst, nil
-}
-
-// AppendStreamFrame appends the uint32 length prefix plus the frame — the
-// unit the persistent-connection transport reads with ReadFrame.
-func AppendStreamFrame(dst []byte, id string, dtype byte, x [][]float64, y []int) ([]byte, error) {
-	return AppendStreamFrameTrace(dst, id, "", dtype, x, y)
-}
-
-// AppendStreamFrameTrace is AppendStreamFrame with a trace context (empty
-// keeps the version-1 encoding).
-func AppendStreamFrameTrace(dst []byte, id, traceparent string, dtype byte, x [][]float64, y []int) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	out, err := AppendFrameTrace(dst, id, traceparent, dtype, x, y)
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-	return out, nil
-}
-
-// ReadFrame reads one length-prefixed frame from r into f, using scratch as
-// the reusable frame buffer (returned possibly grown — pass it back in).
-// A read error before the first prefix byte is returned as it came — io.EOF
-// at a clean end, a read deadline's timeout on an idle connection: no frame
-// was started, so nothing is malformed. A frame longer than maxFrame returns
-// an error wrapping ErrTooLarge without consuming the payload, so the caller
-// can answer and close.
-func ReadFrame(r io.Reader, f *Frame, scratch []byte, maxFrame int) ([]byte, error) {
-	var pfx [4]byte
-	if n, err := io.ReadFull(r, pfx[:]); err != nil {
-		if n == 0 {
-			return scratch, err
-		}
-		return scratch, fmt.Errorf("%w: short length prefix: %v", ErrMalformed, err)
-	}
-	n := binary.LittleEndian.Uint32(pfx[:])
-	if maxFrame > 0 && n > uint32(maxFrame) {
-		return scratch, fmt.Errorf("%w: %d bytes over cap %d", ErrTooLarge, n, maxFrame)
-	}
-	if n < HeaderSize {
-		return scratch, fmt.Errorf("%w: %d-byte frame, header needs %d", ErrMalformed, n, HeaderSize)
-	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(r, scratch); err != nil {
-		return scratch, fmt.Errorf("%w: truncated frame: %v", ErrMalformed, err)
-	}
-	return scratch, f.DecodeInto(scratch)
 }

@@ -1,11 +1,8 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,44 +207,6 @@ func TestAppendFrameRejects(t *testing.T) {
 	}
 	if _, err := AppendFrame(nil, "a", 9, [][]float64{{1}}, nil); err == nil {
 		t.Fatal("unknown dtype encoded")
-	}
-}
-
-func TestReadFrame(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x, y := randBatch(rng, 4, 3, true)
-	var streamBuf []byte
-	var err error
-	for i := 0; i < 3; i++ {
-		streamBuf, err = AppendStreamFrame(streamBuf, fmt.Sprintf("s%d", i), Float64, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := bytes.NewReader(streamBuf)
-	var f Frame
-	var scratch []byte
-	for i := 0; i < 3; i++ {
-		scratch, err = ReadFrame(r, &f, scratch, 1<<20)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if want := fmt.Sprintf("s%d", i); f.ID != want {
-			t.Fatalf("frame %d id %q, want %q", i, f.ID, want)
-		}
-	}
-	if _, err = ReadFrame(r, &f, scratch, 1<<20); err != io.EOF {
-		t.Fatalf("end of stream: %v, want io.EOF", err)
-	}
-
-	// A frame announcing a size over the cap must refuse before reading it.
-	over := binary.LittleEndian.AppendUint32(nil, 1<<30)
-	if _, err = ReadFrame(bytes.NewReader(over), &f, scratch, 1<<20); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized frame: %v, want ErrTooLarge", err)
-	}
-	// A prefix cut mid-way is malformed, not EOF.
-	if _, err = ReadFrame(bytes.NewReader([]byte{1, 2}), &f, scratch, 1<<20); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("short prefix: %v, want ErrMalformed", err)
 	}
 }
 

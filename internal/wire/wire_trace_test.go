@@ -58,17 +58,6 @@ func TestAppendFrameTraceEmptyIsBitwiseV1(t *testing.T) {
 		if !bytes.Equal(v1, v1b) {
 			t.Fatalf("AppendFrameTrace(\"\") diverged from AppendFrame\n v1: %x\n got: %x", v1, v1b)
 		}
-		s1, err := AppendStreamFrame(nil, "s", Float32, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := AppendStreamFrameTrace(nil, "s", "", Float32, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(s1, s2) {
-			t.Fatal("AppendStreamFrameTrace(\"\") diverged from AppendStreamFrame")
-		}
 	}
 }
 
@@ -140,20 +129,6 @@ func TestDecodeTraceVersion2Untraced(t *testing.T) {
 	}
 	if f.Traceparent != "" || f.ID != "s" {
 		t.Fatalf("decoded id=%q trace=%q", f.ID, f.Traceparent)
-	}
-}
-
-func TestReadFrameCarriesTrace(t *testing.T) {
-	buf, err := AppendStreamFrameTrace(nil, "s", testTraceparent, Float64, [][]float64{{1, 2}}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f Frame
-	if _, err := ReadFrame(bytes.NewReader(buf), &f, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if f.Traceparent != testTraceparent {
-		t.Fatalf("Traceparent = %q", f.Traceparent)
 	}
 }
 
