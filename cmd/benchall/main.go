@@ -83,7 +83,6 @@ func run() int {
 		{"fig12", func() (fmt.Stringer, error) { return experiments.Figure12(opt) }},
 		{"table6", func() (fmt.Stringer, error) { return experiments.Table6(opt) }},
 		{"ablation", func() (fmt.Stringer, error) { return experiments.Ablations(*ablationDS, opt) }},
-		{"extended", func() (fmt.Stringer, error) { return experiments.Extended(opt) }},
 	}
 
 	ran := false

@@ -34,7 +34,7 @@ func main() {
 		csvDim     = flag.Int("csv-dim", 0, "feature column count of the CSV")
 		csvClasses = flag.Int("csv-classes", 0, "label count of the CSV")
 		csvHeader  = flag.Bool("csv-header", true, "CSV has a header row")
-		system     = flag.String("system", "FreewayML", "FreewayML | Flink ML | Spark MLlib | Alink | River | Camel | A-GEM | Replay | EWC | SEED | Plain")
+		system     = flag.String("system", "FreewayML", "FreewayML | Flink ML | Spark MLlib | Alink | River | Camel | A-GEM | Plain")
 		family     = flag.String("model", "mlp", "model family: lr | mlp | cnn3 | cnn5")
 		batch      = flag.Int("batch", 256, "mini-batch size")
 		maxBatches = flag.Int("max", 0, "cap on batches (0 = full stream)")

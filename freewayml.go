@@ -62,9 +62,6 @@ type Config struct {
 	Seed int64
 	// SpillDir, when set, receives knowledge snapshots spilled from memory.
 	SpillDir string
-	// Standardize wraps every model with an online per-feature z-score
-	// scaler, making training robust to large or shifting feature offsets.
-	Standardize bool
 	// GuardPolicy picks what happens to NaN/Inf feature values: "off",
 	// "reject" (refuse the batch, the default), "clamp" (replace with finite
 	// bounds), or "impute" (replace with running per-feature means).
@@ -106,7 +103,6 @@ func (c Config) toCore() (core.Config, error) {
 	cc.Hyper.Seed = c.Seed
 	cc.Seed = c.Seed
 	cc.SpillDir = c.SpillDir
-	cc.Standardize = c.Standardize
 	pol, err := guard.ParsePolicy(c.GuardPolicy)
 	if err != nil {
 		return core.Config{}, err

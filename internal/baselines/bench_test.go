@@ -39,6 +39,3 @@ func BenchmarkAlinkStep(b *testing.B)   { benchFramework(b, "Alink") }
 func BenchmarkRiverStep(b *testing.B)   { benchFramework(b, "River") }
 func BenchmarkCamelStep(b *testing.B)   { benchFramework(b, "Camel") }
 func BenchmarkAGEMStep(b *testing.B)    { benchFramework(b, "A-GEM") }
-func BenchmarkReplayStep(b *testing.B)  { benchFramework(b, "Replay") }
-func BenchmarkEWCStep(b *testing.B)     { benchFramework(b, "EWC") }
-func BenchmarkSEEDStep(b *testing.B)    { benchFramework(b, "SEED") }

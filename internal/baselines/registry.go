@@ -23,12 +23,6 @@ func Build(name string, factory model.Factory, dim, classes int) (Framework, err
 		return NewCamel(factory, dim, classes, 0.6, 2048)
 	case "A-GEM":
 		return NewAGEM(factory, dim, classes, 2048, 256, 1)
-	case "Replay":
-		return NewReplay(factory, dim, classes, 2048, 128, 1)
-	case "EWC":
-		return NewEWC(factory, dim, classes, 0.4, 8)
-	case "SEED":
-		return NewSEED(factory, dim, classes, 8, 3.0)
 	case "Plain":
 		return NewPlain(factory, dim, classes)
 	default:
@@ -41,10 +35,3 @@ func LRBaselines() []string { return []string{"Flink ML", "Spark MLlib", "Alink"
 
 // MLPBaselines lists the frameworks compared for StreamingMLP in Table I.
 func MLPBaselines() []string { return []string{"River", "Camel", "A-GEM"} }
-
-// ExtendedBaselines lists every implemented adaptation family, beyond the
-// paper's Table I set: the related-work methods (Replay, EWC, SEED) join
-// the comparison in the repository's extended experiment.
-func ExtendedBaselines() []string {
-	return []string{"River", "Camel", "A-GEM", "Replay", "EWC", "SEED"}
-}

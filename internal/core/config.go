@@ -56,11 +56,6 @@ type Config struct {
 	// goroutine.
 	LongEpochs int
 	LongChunk  int
-	// Standardize wraps every granularity model with an online per-feature
-	// z-score scaler, making the SGD families robust to large or shifting
-	// feature offsets. Off by default to match the paper's raw-feature
-	// setup.
-	Standardize bool
 	// Guard selects the input-sanitization policy applied to every batch's
 	// features before they reach the detector or any model: guard.Reject
 	// (the default) refuses batches carrying NaN/Inf values, guard.Clamp
@@ -78,9 +73,8 @@ type Config struct {
 	SharedKnowledge *knowledge.Store
 }
 
-// WatchdogConfig tunes the divergence watchdog (see
-// strategy.WatchdogConfig). Zero values select the built-in defaults, so a
-// zero WatchdogConfig means "on, defaults".
+// WatchdogConfig configures the divergence watchdog (see
+// strategy.WatchdogConfig); the zero value means "on".
 type WatchdogConfig = strategy.WatchdogConfig
 
 // DefaultConfig mirrors the paper's published defaults
@@ -140,9 +134,6 @@ func (c Config) Validate() error {
 		return errors.New("core: LongEpochs must be >= 1")
 	case c.LongChunk < 1:
 		return errors.New("core: LongChunk must be >= 1")
-	}
-	if err := c.Watchdog.Validate(); err != nil {
-		return err
 	}
 	if err := c.Hyper.Validate(); err != nil {
 		return err

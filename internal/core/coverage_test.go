@@ -92,29 +92,6 @@ func TestModelNumValidationBounds(t *testing.T) {
 	}
 }
 
-func TestStandardizedLearnerHandlesOffsetRegimes(t *testing.T) {
-	cfg := testConfig()
-	cfg.Standardize = true
-	l, err := NewLearner(cfg, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	rng := rand.New(rand.NewSource(71))
-	// A regime far from the origin, unlearnable without scaling.
-	var last Result
-	for s := 0; s < 40; s++ {
-		res, err := l.Process(context.Background(), driftBatch(rng, s, 64, 40, 40, stream.KindNone))
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = res
-	}
-	if last.Accuracy < 0.9 {
-		t.Errorf("standardized learner accuracy at offset 40 = %v", last.Accuracy)
-	}
-}
-
 // TestOneStrategyPerBatchContract drives a full drifting dataset and checks
 // the Fig. 8 contract: every batch reports exactly one strategy, and that
 // strategy is consistent with the detected pattern (warmup → warmup

@@ -12,7 +12,6 @@ import (
 
 	"freewayml/internal/guard"
 	"freewayml/internal/linalg"
-	"freewayml/internal/model"
 	"freewayml/internal/nn"
 	"freewayml/internal/strategy"
 	"freewayml/internal/stream"
@@ -189,7 +188,7 @@ func TestInferDuringCloseAndShutdown(t *testing.T) {
 		}
 		members := l.ModelSnapshot().Members
 		_, long := l.DebugModels()
-		model.ProbaInto(&live, long, probe)
+		long.Net().ProbaInto(&live, probe)
 		ws.Reset()
 		published := members[len(members)-1].Model.ProbaInto(&ws, &probeT)
 		if published.Rows != live.Rows || published.Cols != live.Cols {

@@ -67,8 +67,6 @@ type Learner struct {
 	kdg       *knowledge.Store
 	sharedKdg bool // kdg is process-shared: checkpoints skip it
 
-	adjuster *stream.RateAdjuster
-
 	guard *guard.Guard
 
 	// obs is the optional observability layer (nil disables all
@@ -115,9 +113,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Standardize {
-		factory = model.StandardizedFactory(factory)
-	}
 	sc := cfg.Shift
 	sc.Alpha = cfg.Alpha
 	det, err := shift.NewDetector(sc)
@@ -153,9 +148,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Standardize {
-		longFactory = model.StandardizedFactory(longFactory)
-	}
 	long, err := longFactory(dim, classes)
 	if err != nil {
 		return nil, err
@@ -177,7 +169,7 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	}
 	var longWd *strategy.Watchdog
 	if !cfg.Watchdog.Disabled {
-		longWd = strategy.NewWatchdog("long", cfg.Watchdog)
+		longWd = strategy.NewWatchdog("long")
 	}
 	l.ens = strategy.NewEnsemble(
 		strategy.EnsembleConfig{
@@ -201,10 +193,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	l.publishSnapshot(shift.PatternWarmup)
 	return l, nil
 }
-
-// SetRateAdjuster attaches the rate-aware adjuster (paper Sec. V-B); its
-// DecayBoost is applied to the ASW on every Process call.
-func (l *Learner) SetRateAdjuster(r *stream.RateAdjuster) { l.adjuster = r }
 
 // SetObserver attaches the observability layer (nil disables it). Attach
 // before the first Process call; the observer is read without locking.
@@ -281,11 +269,6 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 		l.health.sanitizedBatches++
 		l.health.mu.Unlock()
 		bo.sanitized(rep.Total())
-	}
-	if l.adjuster != nil {
-		boost := l.adjuster.DecayBoost()
-		l.ens.SetDecayBoost(boost)
-		bo.decayBoost(boost)
 	}
 	tDet := bo.StageStart()
 	obs, err := l.det.Observe(l.toVectorsReuse(b.X))

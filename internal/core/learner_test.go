@@ -347,23 +347,3 @@ func TestFullPipelineOnDataset(t *testing.T) {
 		t.Errorf("G_acc = %v", l.Metrics().GAcc())
 	}
 }
-
-func TestRateAdjusterIntegration(t *testing.T) {
-	l, err := NewLearner(testConfig(), 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	adj, err := stream.NewRateAdjuster(100, 1000, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetRateAdjuster(adj)
-	adj.Report(5000, 10) // overload → decay boost
-	rng := rand.New(rand.NewSource(10))
-	for s := 0; s < 20; s++ {
-		if _, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

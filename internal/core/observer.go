@@ -62,7 +62,6 @@ type Observer struct {
 	gWinBatches *obs.Gauge
 	gWinItems   *obs.Gauge
 	gDisorder   *obs.Gauge
-	gDecayBoost *obs.Gauge
 	gKEntries   *obs.Gauge
 	gKBytes     *obs.Gauge
 	gKSpilled   *obs.Gauge
@@ -134,7 +133,6 @@ func NewObserverLabeled(reg *obs.Registry, traceCap int, baseLabels ...string) *
 	o.gWinBatches = reg.Gauge("freeway_window_batches", "Batches currently held by the adaptive streaming window.", o.lbl()...)
 	o.gWinItems = reg.Gauge("freeway_window_items", "Samples currently held by the adaptive streaming window.", o.lbl()...)
 	o.gDisorder = reg.Gauge("freeway_window_disorder", "Normalized window disorder (A1/A2 and β-policy evidence).", o.lbl()...)
-	o.gDecayBoost = reg.Gauge("freeway_window_decay_boost", "Rate-adjuster decay boost applied to the window.", o.lbl()...)
 	o.gKEntries = reg.Gauge("freeway_knowledge_entries", "Entries in the historical knowledge store.", o.lbl()...)
 	o.gKBytes = reg.Gauge("freeway_knowledge_bytes", "In-memory bytes held by the knowledge store.", o.lbl()...)
 	o.gKSpilled = reg.Gauge("freeway_knowledge_spilled", "Knowledge entries spilled to disk.", o.lbl()...)
@@ -166,9 +164,6 @@ func (o *Observer) lbl(kv ...string) []string {
 	out = append(out, kv...)
 	return append(out, o.base...)
 }
-
-// Registry returns the registry the observer writes to.
-func (o *Observer) Registry() *obs.Registry { return o.reg }
 
 // Trace returns the bounded decision-trace ring.
 func (o *Observer) Trace() *obs.Ring[obs.TraceEvent] { return o.ring }
@@ -275,14 +270,6 @@ func (bo *batchObs) sanitized(n int) {
 		return
 	}
 	bo.ev.GuardSanitized = n
-}
-
-// decayBoost records the rate-adjuster boost applied this batch.
-func (bo *batchObs) decayBoost(v float64) {
-	if bo == nil {
-		return
-	}
-	bo.ev.DecayBoost = v
 }
 
 // Weights records the fusion weights (first member = knowledge-restored
@@ -420,7 +407,6 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	o.gWinBatches.Set(float64(bo.ev.WindowBatches))
 	o.gWinItems.Set(float64(bo.ev.WindowItems))
 	o.gDisorder.Set(bo.ev.Disorder)
-	o.gDecayBoost.Set(bo.ev.DecayBoost)
 	o.gKEntries.Set(float64(l.kdg.Len()))
 	o.gKBytes.Set(float64(l.kdg.MemoryBytes()))
 	o.gKSpilled.Set(float64(l.kdg.SpilledCount()))

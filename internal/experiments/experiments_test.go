@@ -307,29 +307,3 @@ func TestRowOrderFreewayLast(t *testing.T) {
 		t.Errorf("order = %v", order)
 	}
 }
-
-func TestExtendedSmallRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("extended grid is slow")
-	}
-	opt := fastOpt()
-	opt.MaxBatches = 30
-	res, err := Extended(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Systems) != 7 {
-		t.Fatalf("systems = %v", res.Systems)
-	}
-	for _, sys := range res.Systems {
-		for _, ds := range res.Datasets {
-			c := res.Cells[sys][ds]
-			if c.GAcc <= 0 || c.GAcc > 1 {
-				t.Errorf("%s/%s G_acc = %v", sys, ds, c.GAcc)
-			}
-		}
-	}
-	if !strings.Contains(res.String(), "SEED") {
-		t.Error("String() missing systems")
-	}
-}

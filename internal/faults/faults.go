@@ -127,9 +127,6 @@ func NewFailingFS(inner knowledge.FS) *FailingFS {
 // Writes returns how many WriteFile calls were attempted.
 func (f *FailingFS) Writes() int { f.mu.Lock(); defer f.mu.Unlock(); return f.writes }
 
-// Reads returns how many ReadFile calls were attempted.
-func (f *FailingFS) Reads() int { f.mu.Lock(); defer f.mu.Unlock(); return f.reads }
-
 // MkdirAll never fails (directory creation happens at construction time,
 // before any scheduled fault is interesting).
 func (f *FailingFS) MkdirAll(path string, perm os.FileMode) error {

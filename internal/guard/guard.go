@@ -102,9 +102,6 @@ func New(policy Policy, dim int) *Guard {
 	return g
 }
 
-// Policy returns the guard's configured policy.
-func (g *Guard) Policy() Policy { return g.policy }
-
 // FeatureMeans exposes the running per-feature means (diagnostics/tests):
 // zeros under every policy but Impute, which alone keeps them.
 func (g *Guard) FeatureMeans() []float64 {

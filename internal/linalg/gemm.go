@@ -452,26 +452,3 @@ func gemmTCRows(ct, a, b, seed, post []float64, m, k, n, i0, i1 int) {
 		}
 	}
 }
-
-// refGemm is the oracle the kernels above are differentially tested against:
-// C[i][j] = Σ_p op(A)[i][p] · op(B)[p][j], each element on its own, summed
-// from zero in ascending p. It states the per-element operation sequence in
-// its plainest form and must stay untiled, unblocked and single-goroutine.
-func refGemm(form gemmForm, c, a, b []float64, m, k, n int) {
-	ai, ap, bp, bj := k, 1, n, 1 // strides of A[i][p] and B[p][j] for formNN
-	switch form {
-	case formTA:
-		ai, ap = 1, m
-	case formTB:
-		bp, bj = 1, k
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for p := 0; p < k; p++ {
-				s += a[i*ai+p*ap] * b[p*bp+j*bj]
-			}
-			c[i*n+j] = s
-		}
-	}
-}

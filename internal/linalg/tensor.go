@@ -225,12 +225,6 @@ func gemmOp(form gemmForm, op string, c, a, b *Tensor, e Epilogue, accumulate bo
 	gemm(form, c.Data, a.Data, b.Data, e, m, k, n, accumulate)
 }
 
-// refOp is gemmOp for the oracles.
-func refOp(form gemmForm, op string, c, a, b *Tensor) {
-	m, k, n := gemmDims(form, op, c, a, b)
-	refGemm(form, c.Data, a.Data, b.Data, m, k, n)
-}
-
 // Gemm computes C = A × B with the register-tiled kernel (gemm.go),
 // parallel above the flop cutoff. Shapes: A m×k, B k×n, C m×n; C must not
 // alias A or B.
@@ -298,14 +292,3 @@ func TransposeInto(dst, src *Tensor) {
 		}
 	}
 }
-
-// RefGemm is the unblocked, untiled, single-goroutine reference for
-// C = A × B. It is retained as the differential-test oracle for the
-// optimized kernels and is not used on any hot path.
-func RefGemm(c, a, b *Tensor) { refOp(formNN, "RefGemm", c, a, b) }
-
-// RefGemmTA is the reference oracle for C = Aᵀ × B.
-func RefGemmTA(c, a, b *Tensor) { refOp(formTA, "RefGemmTA", c, a, b) }
-
-// RefGemmTB is the reference oracle for C = A × Bᵀ.
-func RefGemmTB(c, a, b *Tensor) { refOp(formTB, "RefGemmTB", c, a, b) }

@@ -18,18 +18,6 @@ func randTensor(rng *rand.Rand, rows, cols int) *Tensor {
 	return t
 }
 
-func tensorsClose(t *testing.T, got, want *Tensor, tol float64, label string) {
-	t.Helper()
-	if got.Rows != want.Rows || got.Cols != want.Cols {
-		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	for i := range want.Data {
-		if math.Abs(got.Data[i]-want.Data[i]) > tol*(1+math.Abs(want.Data[i])) {
-			t.Fatalf("%s: element %d = %v, want %v", label, i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 // The kernel tests keep the fan-out cutoff they were written against: the
 // shape table below, the fuzz target's [1, 90]³ and the race test all count on
 // shapes of a few hundred thousand mul-adds taking the goroutine path. The

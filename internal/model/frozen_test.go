@@ -11,22 +11,14 @@ import (
 
 const frozenDim, frozenClasses = 12, 3
 
-// frozenFamilies builds one trained model of every family FactoryFor knows,
-// plus two of them behind the Standardized wrapper.
+// frozenFamilies builds one trained model of every family FactoryFor knows.
 func frozenFamilies(t *testing.T) map[string]Model {
 	t.Helper()
 	models := map[string]Model{}
-	for _, family := range []string{"lr", "mlp", "cnn3", "cnn5", "std+mlp", "std+lr"} {
-		inner := family
-		if len(family) > 4 && family[:4] == "std+" {
-			inner = family[4:]
-		}
-		factory, err := FactoryFor(inner, DefaultHyper())
+	for _, family := range []string{"lr", "mlp", "cnn3", "cnn5"} {
+		factory, err := FactoryFor(family, DefaultHyper())
 		if err != nil {
 			t.Fatal(err)
-		}
-		if inner != family {
-			factory = StandardizedFactory(factory)
 		}
 		m, err := factory(frozenDim, frozenClasses)
 		if err != nil {
@@ -48,7 +40,7 @@ func fitFrozenBatch(t *testing.T, m Model, rng *rand.Rand) {
 		y[i] = rng.Intn(frozenClasses)
 		x[i] = make([]float64, frozenDim)
 		for j := range x[i] {
-			x[i][j] = 3 + 2*rng.NormFloat64() // off-centre, so a scaler has something to do
+			x[i][j] = 3 + 2*rng.NormFloat64()
 		}
 		x[i][y[i]] += 4
 	}

@@ -26,6 +26,15 @@ type Model interface {
 	// Fit performs one incremental mini-batch SGD update and returns the
 	// pre-update loss.
 	Fit(x [][]float64, y []int) (float64, error)
+	// Forwarded names the forward pass the model ran last (its most recent
+	// Predict or PredictProba).
+	Forwarded() nn.ForwardToken
+	// FitForwarded is the test-then-train fast path: Fit on the batch that
+	// pass predicted, with y its labels — the same loss, the same update, bit
+	// for bit, minus the forward the prediction already ran. ok = false means
+	// tok is outdated — another forward, a Restore or any parameter write
+	// came in between — and nothing was done: call Fit.
+	FitForwarded(tok nn.ForwardToken, y []int) (loss float64, ok bool, err error)
 	// Snapshot serializes the parameters; Restore loads them back.
 	Snapshot() ([]byte, error)
 	Restore(snapshot []byte) error
@@ -43,7 +52,7 @@ type Model interface {
 	InDim() int
 	NumClasses() int
 	// Net exposes the underlying network for mechanisms that need direct
-	// gradient access (the A-GEM and EWC baselines). It is never
+	// gradient access (the A-GEM and Spark baselines). It is never
 	// nil: every family is a network trained by SGD.
 	Net() *nn.Network
 }
@@ -57,36 +66,6 @@ type Frozen interface {
 	// scratch are taken from ws, so the result is valid until ws is reset or
 	// released.
 	ProbaInto(ws *nn.Workspace, x *linalg.Tensor) *linalg.Tensor
-}
-
-// ProbaInto is m.PredictProba(x) written class-major into dst (reshaped to
-// classes × len(x)) instead of a fresh result: the same bits, in the layout
-// the fusion reads. dst is the caller's: it outlives the model's later
-// passes.
-func ProbaInto(dst *linalg.Tensor, m Model, x [][]float64) {
-	if s, ok := m.(*Standardized); ok {
-		ProbaInto(dst, s.inner, s.transform(x))
-		return
-	}
-	m.Net().ProbaInto(dst, x)
-}
-
-// ForwardTrainer is the optional test-then-train fast path. The stream
-// protocol predicts every batch and then learns from it, so the forward pass
-// a Fit starts with repeats the one the prediction just ran; a model that
-// keeps its forward caches can skip it. Network models implement it; the
-// Standardized wrapper does not — its Fit moves the scaler before it trains,
-// so the prediction's forward never matches the training one — and callers
-// type-assert and fall back to Fit.
-type ForwardTrainer interface {
-	// Forwarded names the forward pass the model ran last (its most recent
-	// Predict or PredictProba).
-	Forwarded() nn.ForwardToken
-	// FitForwarded is Fit on the batch that pass predicted, with y its
-	// labels: the same loss, the same update, bit for bit, minus the forward.
-	// ok = false means tok is outdated — another forward, a Restore or any
-	// parameter write came in between — and nothing was done: call Fit.
-	FitForwarded(tok nn.ForwardToken, y []int) (loss float64, ok bool, err error)
 }
 
 // Hyper collects the SGD hyperparameters shared by all model families.

@@ -33,10 +33,6 @@ func TestFitForwardedMatchesFit(t *testing.T) {
 			}
 			plain, _ := factory(dim, classes)
 			reuse, _ := factory(dim, classes)
-			ft, ok := reuse.(ForwardTrainer)
-			if !ok {
-				t.Fatalf("%s does not implement ForwardTrainer", family)
-			}
 			rng := rand.New(rand.NewSource(21))
 			for step := 0; step < 4; step++ {
 				x, y := separableBatch(rng, 33, dim, classes)
@@ -46,7 +42,7 @@ func TestFitForwardedMatchesFit(t *testing.T) {
 					t.Fatal(err)
 				}
 				reuse.PredictProba(x)
-				lossReuse, ok, err := ft.FitForwarded(ft.Forwarded(), y)
+				lossReuse, ok, err := reuse.FitForwarded(reuse.Forwarded(), y)
 				if err != nil || !ok {
 					t.Fatalf("step %d: FitForwarded ok=%v err=%v", step, ok, err)
 				}
@@ -58,7 +54,7 @@ func TestFitForwardedMatchesFit(t *testing.T) {
 			// Restore outdates the token of a forward that ran before it.
 			x, y := separableBatch(rng, 33, dim, classes)
 			reuse.PredictProba(x)
-			tok := ft.Forwarded()
+			tok := reuse.Forwarded()
 			snap, err := plain.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -66,64 +62,41 @@ func TestFitForwardedMatchesFit(t *testing.T) {
 			if err := reuse.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok, _ := ft.FitForwarded(tok, y); ok {
+			if _, ok, _ := reuse.FitForwarded(tok, y); ok {
 				t.Fatal("FitForwarded ran across a Restore")
 			}
 		})
 	}
 }
 
-// TestForwardTrainerIsNetworkModelsOnly: the wrapper whose Fit moves the
-// scaler before training must not offer the fast path — callers then fall
-// back to Fit.
-func TestForwardTrainerIsNetworkModelsOnly(t *testing.T) {
-	mlp, _ := NewStreamingMLP(4, 2, DefaultHyper())
-	std, err := NewStandardized(mlp)
+// TestRestoreParamsMatchesRestore: the flat copy round-trips exactly what
+// Snapshot/Restore does — weights back, momentum gone.
+func TestRestoreParamsMatchesRestore(t *testing.T) {
+	const dim, classes = 6, 3
+	rng := rand.New(rand.NewSource(22))
+	a, _ := NewStreamingMLP(dim, classes, DefaultHyper())
+	b, _ := NewStreamingMLP(dim, classes, DefaultHyper())
+	step := func() {
+		x, y := separableBatch(rng, 20, dim, classes)
+		for _, m := range []Model{a, b} {
+			if _, err := m.Fit(x, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step()
+	snap, err := a.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Model(std).(ForwardTrainer); ok {
-		t.Error("Standardized implements ForwardTrainer")
+	flat := b.AppendParams(nil)
+	step()
+	step()
+	if err := a.Restore(snap); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestRestoreParamsMatchesRestore: the flat copy round-trips exactly what
-// Snapshot/Restore does — weights back, momentum gone, and for the
-// Standardized wrapper the scaler's count, means and squared deviations too.
-func TestRestoreParamsMatchesRestore(t *testing.T) {
-	const dim, classes = 6, 3
-	for _, standardized := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(22))
-		build := func() Model {
-			m, _ := NewStreamingMLP(dim, classes, DefaultHyper())
-			if standardized {
-				m, _ = NewStandardized(m)
-			}
-			return m
-		}
-		a, b := build(), build()
-		step := func() {
-			x, y := separableBatch(rng, 20, dim, classes)
-			for _, m := range []Model{a, b} {
-				if _, err := m.Fit(x, y); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		step()
-		snap, err := a.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat := b.AppendParams(nil)
-		step()
-		step()
-		if err := a.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-		b.RestoreParams(flat)
-		flatBits(t, "after rollback", a, b)
-		step() // momentum (and the scaler) were reset on both sides, or the weights part here
-		flatBits(t, "one step after rollback", a, b)
-	}
+	b.RestoreParams(flat)
+	flatBits(t, "after rollback", a, b)
+	step() // momentum was reset on both sides, or the weights part here
+	flatBits(t, "one step after rollback", a, b)
 }

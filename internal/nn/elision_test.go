@@ -43,81 +43,71 @@ func sameParamBits(t *testing.T, when string, a, b *nn.Network) {
 }
 
 // TestFirstLayerElisionIsBitwiseNeutral drives every network family of the
-// model zoo, bare and behind the StandardizedFactory wrapper, with and
-// without the first layer's input gradient: Param.Grad after
-// AccumulateGradients, the loss, and the weights after SGD steps (momentum
-// and weight decay on) must agree bit for bit.
+// model zoo with and without the first layer's input gradient: Param.Grad
+// after AccumulateGradients, the loss, and the weights after SGD steps
+// (momentum and weight decay on) must agree bit for bit.
 func TestFirstLayerElisionIsBitwiseNeutral(t *testing.T) {
 	const dim, classes, rows = 12, 5, 37
 	for _, family := range []string{"lr", "mlp", "cnn3", "cnn5"} {
-		for _, standardized := range []bool{false, true} {
-			name := family
-			if standardized {
-				name += "/standardized"
+		t.Run(family, func(t *testing.T) {
+			factory, err := model.FactoryFor(family, model.DefaultHyper())
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				factory, err := model.FactoryFor(family, model.DefaultHyper())
+			elided, err := factory(dim, classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := factory(dim, classes) // same seed: same initial weights
+			if err != nil {
+				t.Fatal(err)
+			}
+			nn.ComputeFirstLayerInputGrad(full.Net())
+			sameParamBits(t, "initial", elided.Net(), full.Net())
+
+			rng := rand.New(rand.NewSource(7))
+			for step := 0; step < 4; step++ {
+				x, y := elisionBatch(rng, rows, dim, classes)
+
+				// Gradients alone, as the A-GEM and Spark baselines take them.
+				le, err := elided.Net().AccumulateGradients(x, y)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if standardized {
-					factory = model.StandardizedFactory(factory)
-				}
-				elided, err := factory(dim, classes)
+				lf, err := full.Net().AccumulateGradients(x, y)
 				if err != nil {
 					t.Fatal(err)
 				}
-				full, err := factory(dim, classes) // same seed: same initial weights
+				if math.Float64bits(le) != math.Float64bits(lf) {
+					t.Fatalf("step %d: loss %v vs %v", step, le, lf)
+				}
+				sameParamBits(t, "after AccumulateGradients", elided.Net(), full.Net())
+				elided.Net().ZeroGrad()
+				full.Net().ZeroGrad()
+
+				// A whole update through the model surface.
+				le, err = elided.Fit(x, y)
 				if err != nil {
 					t.Fatal(err)
 				}
-				nn.ComputeFirstLayerInputGrad(full.Net())
-				sameParamBits(t, "initial", elided.Net(), full.Net())
-
-				rng := rand.New(rand.NewSource(7))
-				for step := 0; step < 4; step++ {
-					x, y := elisionBatch(rng, rows, dim, classes)
-
-					// Gradients alone, as the A-GEM and EWC baselines take them.
-					le, err := elided.Net().AccumulateGradients(x, y)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lf, err := full.Net().AccumulateGradients(x, y)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if math.Float64bits(le) != math.Float64bits(lf) {
-						t.Fatalf("step %d: loss %v vs %v", step, le, lf)
-					}
-					sameParamBits(t, "after AccumulateGradients", elided.Net(), full.Net())
-					elided.Net().ZeroGrad()
-					full.Net().ZeroGrad()
-
-					// A whole update through the model surface (scaler included).
-					le, err = elided.Fit(x, y)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lf, err = full.Fit(x, y)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if math.Float64bits(le) != math.Float64bits(lf) {
-						t.Fatalf("step %d: Fit loss %v vs %v", step, le, lf)
-					}
-					sameParamBits(t, "after Fit", elided.Net(), full.Net())
+				lf, err = full.Fit(x, y)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if math.Float64bits(le) != math.Float64bits(lf) {
+					t.Fatalf("step %d: Fit loss %v vs %v", step, le, lf)
+				}
+				sameParamBits(t, "after Fit", elided.Net(), full.Net())
+			}
 
-				// The comparison is not vacuous: only the reference side ever
-				// materialized ∂L/∂x.
-				if nn.FirstLayerInputGrad(full.Net()) == nil {
-					t.Fatal("reference network never computed its first layer's input gradient")
-				}
-				if nn.FirstLayerInputGrad(elided.Net()) != nil {
-					t.Fatal("first layer's input gradient was computed despite the elision")
-				}
-			})
-		}
+			// The comparison is not vacuous: only the reference side ever
+			// materialized ∂L/∂x.
+			if nn.FirstLayerInputGrad(full.Net()) == nil {
+				t.Fatal("reference network never computed its first layer's input gradient")
+			}
+			if nn.FirstLayerInputGrad(elided.Net()) != nil {
+				t.Fatal("first layer's input gradient was computed despite the elision")
+			}
+		})
 	}
 }

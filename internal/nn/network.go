@@ -211,7 +211,7 @@ func (n *Network) Step(opt *SGD) {
 }
 
 // AccumulateGradients runs forward/backward and adds this batch's gradients
-// into the parameter accumulators without stepping. The A-GEM, EWC and
+// into the parameter accumulators without stepping. The A-GEM and
 // Spark-style baselines need gradients decoupled from updates.
 func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 	if len(x) == 0 {

@@ -26,11 +26,10 @@ type TraceEvent struct {
 	Severity       float64 `json:"severity"`
 	HistoryMean    float64 `json:"history_mean"`
 	NearestHistory float64 `json:"nearest_history"`
-	// Window state: normalized disorder, the rate-adjuster's decay boost,
-	// stored batches/items after the push, and whether the push closed the
-	// window (triggering a long-model update + knowledge preservation).
+	// Window state: normalized disorder, stored batches/items after the
+	// push, and whether the push closed the window (triggering a long-model
+	// update + knowledge preservation).
 	Disorder      float64 `json:"disorder"`
-	DecayBoost    float64 `json:"decay_boost,omitempty"`
 	WindowBatches int     `json:"window_batches"`
 	WindowItems   int     `json:"window_items"`
 	WindowClosed  bool    `json:"window_closed,omitempty"`

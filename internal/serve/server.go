@@ -404,18 +404,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// SaveCheckpointFile atomically snapshots the "default" stream to path on
-// demand.
-func (s *Server) SaveCheckpointFile(path string) error {
-	sess, err := s.mgr.Ensure(DefaultStream)
-	if err != nil {
-		return err
-	}
-	return sess.SaveCheckpointFile(path)
-}
-
-// LoadCheckpointFile restores the "default" stream from a checkpoint
-// written by SaveCheckpointFile — the explicit resume path after a restart.
+// LoadCheckpointFile restores the "default" stream from a checkpoint file
+// (core.Learner.SaveCheckpointFile) — the explicit resume path after a
+// restart.
 func (s *Server) LoadCheckpointFile(path string) error {
 	sess, err := s.mgr.Ensure(DefaultStream)
 	if err != nil {

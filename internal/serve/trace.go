@@ -45,9 +45,6 @@ func (s *Server) workerIDString() string {
 	return "worker"
 }
 
-// Spans exposes the worker's span ring (tests, embedding servers).
-func (s *Server) Spans() *obs.Ring[obs.Span] { return s.spans }
-
 // spanRec accumulates one worker span from request arrival to response.
 type spanRec struct {
 	s     *Server

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"freewayml/internal/core"
-	"freewayml/internal/strategy"
 	"freewayml/internal/stream"
 )
 
@@ -31,7 +30,7 @@ type Session struct {
 	// Manager.mu (eviction holds both while waiting out an in-flight
 	// Process).
 	// learner is set at construction and never reassigned, so the lock-free
-	// inference plane (Infer/ModelSnapshot) reads it without mu.
+	// inference plane (Infer) reads it without mu.
 	mu       sync.Mutex
 	learner  *core.Learner
 	observer *core.Observer
@@ -46,9 +45,6 @@ type Session struct {
 	ckptSaves atomic.Int64
 	ckptErrs  atomic.Int64
 }
-
-// ID returns the stream id.
-func (s *Session) ID() string { return s.id }
 
 // Observer returns the session's labelled observability layer.
 func (s *Session) Observer() *core.Observer { return s.observer }
@@ -92,14 +88,6 @@ func (s *Session) Infer(ctx context.Context, x [][]float64) (core.InferResult, e
 	return s.learner.Infer(ctx, x)
 }
 
-// ModelSnapshot returns the session's currently published inference
-// snapshot without taking s.mu. (Snapshot() — the stats summary — predates
-// the inference plane and keeps its name.)
-func (s *Session) ModelSnapshot() *strategy.Snapshot {
-	s.touch()
-	return s.learner.ModelSnapshot()
-}
-
 // checkpointLocked snapshots the learner to the session's checkpoint path.
 // Failures are counted and logged, never fatal: a stream keeps serving with
 // a stale checkpoint rather than dying on a full disk. Callers hold s.mu.
@@ -134,16 +122,6 @@ func (s *Session) teardown(checkpoint bool) error {
 		s.checkpointLocked()
 	}
 	return s.learner.Close()
-}
-
-// SaveCheckpointFile snapshots the session's learner to path on demand.
-func (s *Session) SaveCheckpointFile(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errSessionClosed
-	}
-	return s.learner.SaveCheckpointFile(path)
 }
 
 // LoadCheckpointFile restores the session's learner from a checkpoint — the

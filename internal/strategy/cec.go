@@ -33,9 +33,6 @@ func NewCEC(exp *cluster.ExpBuffer, ens *Ensemble, seed int64, batchNum func() i
 	return &CEC{exp: exp, ens: ens, seed: seed, batchNum: batchNum}
 }
 
-// Experience exposes the underlying buffer (checkpointing).
-func (c *CEC) Experience() *cluster.ExpBuffer { return c.exp }
-
 // Infer runs coherent experience clustering; ok=false when no labeled
 // experience is available yet or CEC loses the arbitration against the
 // deployed model.

@@ -47,20 +47,16 @@ func NewGranularity(m model.Model, every int, wd *Watchdog) *Granularity {
 // processed (valid until its next predict) and keeps the forward pass for
 // this batch's Train.
 func (g *Granularity) predict(x [][]float64) *linalg.Tensor {
-	model.ProbaInto(&g.proba, g.Model, x)
-	if ft, ok := g.Model.(model.ForwardTrainer); ok {
-		g.fwd = ft.Forwarded()
-	}
+	g.Model.Net().ProbaInto(&g.proba, x)
+	g.fwd = g.Model.Forwarded()
 	return &g.proba
 }
 
 // fit is Model.Fit, minus the forward pass when fwd still names the model's
 // latest forward — the prediction of these very rows (test-then-train).
 func (g *Granularity) fit(fwd nn.ForwardToken, x [][]float64, y []int) (float64, error) {
-	if ft, ok := g.Model.(model.ForwardTrainer); ok {
-		if loss, reused, err := ft.FitForwarded(fwd, y); reused {
-			return loss, err
-		}
+	if loss, reused, err := g.Model.FitForwarded(fwd, y); reused {
+		return loss, err
 	}
 	return g.Model.Fit(x, y)
 }
@@ -76,7 +72,7 @@ func BuildGranularities(factory model.Factory, dim, classes, n int, wcfg Watchdo
 		}
 		var wd *Watchdog
 		if !wcfg.Disabled {
-			wd = NewWatchdog(fmt.Sprintf("gran%d", i), wcfg)
+			wd = NewWatchdog(fmt.Sprintf("gran%d", i))
 		}
 		grans = append(grans, NewGranularity(m, 1<<i, wd))
 	}
@@ -184,9 +180,6 @@ func (e *Ensemble) AdoptShort(snap []byte, centroid linalg.Vector) error {
 	return nil
 }
 
-// SetDecayBoost forwards the rate-adjuster boost to the window.
-func (e *Ensemble) SetDecayBoost(v float64) { e.asw.SetDecayBoost(v) }
-
 // Disorder returns the window's normalized disorder (A1/A2 and β-policy
 // evidence).
 func (e *Ensemble) Disorder() float64 { return e.asw.Disorder() }
@@ -225,7 +218,7 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 	// distribution (D_short of Eq. 12 equals obs.Distance for the per-batch
 	// model, since its centroid is the previous batch's ȳ).
 	members := e.granMembers(e.members[:0], obs.YBar, b.X)
-	model.ProbaInto(&e.longProba, e.long, b.X)
+	e.long.Net().ProbaInto(&e.longProba, b.X)
 	members = append(members, member{proba: &e.longProba, distance: centroidDistance(obs.YBar, e.longCentroid)})
 	e.members = members
 

@@ -37,9 +37,6 @@ func NewKnowledgeReuse(store *knowledge.Store, reuse model.Model, ens *Ensemble,
 	return &KnowledgeReuse{store: store, reuse: reuse, ens: ens, sigma: sigma, beta: beta, reoccurRatio: reoccurRatio}
 }
 
-// Store exposes the underlying knowledge store.
-func (k *KnowledgeReuse) Store() *knowledge.Store { return k.store }
-
 // Infer restores the nearest historical snapshot when it is closer to the
 // current distribution than the previous batch was (paper Sec. IV-D
 // knowledge match); ok=false when nothing qualifies.
@@ -73,7 +70,7 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 	// but if the live models are still competitive the fusion keeps their
 	// signal. The long model deliberately stays out: it smooths over the
 	// departed regime.
-	model.ProbaInto(&k.proba, k.reuse, b.X)
+	k.reuse.Net().ProbaInto(&k.proba, b.X)
 	k.members = k.ens.granMembers(append(k.members[:0], member{proba: &k.proba, distance: dist}), obs.YBar, b.X)
 	normalizeDistances(k.members)
 	weights, err := fuse(&k.fused, k.members, k.sigma)
@@ -96,9 +93,9 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 }
 
 // PreserveAtWindowClose applies the disorder-threshold policy of Sec. IV-D1.
-// Callers hold the ensemble's long-model lock; longSnap snapshots the long
-// model under that lock. shortSnap was captured synchronously at window
-// close.
+// The ensemble calls it on the training goroutine at the end of a window
+// close: longSnap snapshots the long model as that close left it, and
+// shortSnap holds the short model's parameters from before the long update.
 func (k *KnowledgeReuse) PreserveAtWindowClose(disorder float64, distribution linalg.Vector, longSnap func() ([]byte, error), shortSnap []byte, replaceRadius float64, obs shift.Observation) error {
 	if distribution == nil {
 		return nil

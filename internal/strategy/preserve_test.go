@@ -1,0 +1,104 @@
+package strategy
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"freewayml/internal/knowledge"
+	"freewayml/internal/linalg"
+	"freewayml/internal/model"
+	"freewayml/internal/shift"
+	"freewayml/internal/window"
+)
+
+// TestWindowCloseBetaPolicy drives one window close through an Ensemble whose
+// preserver is KnowledgeReuse, and checks the β policy of Sec. IV-D1: at a
+// window disorder ≥ β the store gains the long model alone; below β it gains
+// the long model (at the window's distribution) and the short model (at the
+// closing batch's). Each disorder is counted by hand, as in Eq. 11: the ranks
+// of the three stored batches by distance to the fourth, read newest-first.
+func TestWindowCloseBetaPolicy(t *testing.T) {
+	const beta = 1.0 / 3
+	cases := []struct {
+		name      string
+		centroids []float64 // ȳ of the four batches that fill the window
+		want      []string  // sources the store gains, in order
+	}{
+		// d = 0.5, 4.5, 9.5: newest-first ranks [2 1 0], 3 of 3 inversions.
+		{"disorder > beta", []float64{0, 5, 10, 0.5}, []string{"long"}},
+		// d = 4, 6, 3: newest-first ranks [0 2 1], 1 of 3 inversions.
+		{"disorder = beta", []float64{0, 10, 1, 4}, []string{"long"}},
+		// A directional drift, d = 3, 2, 1: newest-first ranks [0 1 2].
+		{"disorder < beta", []float64{0, 1, 2, 3}, []string{"long", "short"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			factory, err := model.FactoryFor("mlp", model.DefaultHyper())
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := func() model.Model {
+				m, err := factory(reuseDim, reuseClasses)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			wcfg := window.DefaultConfig()
+			wcfg.MaxBatches = len(c.centroids)
+			asw, err := window.New(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEnsemble(EnsembleConfig{Sigma: 1, LongEpochs: 1, LongChunk: 64},
+				[]*Granularity{NewGranularity(build(), 1, nil)}, build(), nil, asw, EnsembleDeps{
+					OnRecovery:    func(RecoveryEvent) {},
+					BatchNum:      func() int { return 0 },
+					ReplaceRadius: func() float64 { return 0 },
+				})
+			store, err := knowledge.NewStore(20, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetPreserver(NewKnowledgeReuse(store, build(), e, 1, beta, 0.5))
+
+			rng := rand.New(rand.NewSource(33))
+			for i, cen := range c.centroids {
+				if store.Len() != 0 {
+					t.Fatalf("batch %d: the store gained an entry before the window closed", i)
+				}
+				b, _ := reuseBatch(rng)
+				obs := shift.Observation{Pattern: shift.PatternA, YBar: linalg.Vector{cen}, Batch: i}
+				if err := e.Train(context.Background(), b, obs, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.WindowLen() != 0 {
+				t.Fatalf("window holds %d batches after its close", e.WindowLen())
+			}
+			entries, err := store.Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, en := range entries {
+				got = append(got, en.Source)
+			}
+			if len(got) != len(c.want) {
+				t.Fatalf("store gained %v, want %v", got, c.want)
+			}
+			for i := range got {
+				if got[i] != c.want[i] {
+					t.Fatalf("store gained %v, want %v", got, c.want)
+				}
+			}
+			if len(entries) == 2 {
+				last := c.centroids[len(c.centroids)-1]
+				if d := entries[1].Distribution; len(d) != 1 || d[0] != last {
+					t.Errorf("short entry stored at %v, want the closing batch's ȳ [%v]", d, last)
+				}
+			}
+		})
+	}
+}

@@ -14,12 +14,15 @@ import (
 	"freewayml/internal/window"
 )
 
-// plainModel hides a model's optional interfaces behind the bare Model method
-// set: an ensemble of these can only ever train through Fit.
+// plainModel declines the test-then-train fast path: an ensemble of these can
+// only ever train through Fit.
 type plainModel struct{ model.Model }
 
-// countedModel forwards the test-then-train fast path of a network model and
-// counts which way each update went.
+func (plainModel) FitForwarded(nn.ForwardToken, []int) (float64, bool, error) {
+	return 0, false, nil
+}
+
+// countedModel counts which way each update of a network model went.
 type countedModel struct {
 	model.Model
 	fits, reused int
@@ -30,12 +33,8 @@ func (c *countedModel) Fit(x [][]float64, y []int) (float64, error) {
 	return c.Model.Fit(x, y)
 }
 
-func (c *countedModel) Forwarded() nn.ForwardToken {
-	return c.Model.(model.ForwardTrainer).Forwarded()
-}
-
 func (c *countedModel) FitForwarded(tok nn.ForwardToken, y []int) (float64, bool, error) {
-	loss, ok, err := c.Model.(model.ForwardTrainer).FitForwarded(tok, y)
+	loss, ok, err := c.Model.FitForwarded(tok, y)
 	if ok {
 		c.reused++
 	}
@@ -46,14 +45,11 @@ const reuseDim, reuseClasses = 6, 3
 
 // reuseEnsemble builds an ensemble of mlp members, one per entry
 // of every (its update period), each passed through wrap.
-func reuseEnsemble(t *testing.T, every []int, standardize bool, wrap func(model.Model) model.Model) *Ensemble {
+func reuseEnsemble(t *testing.T, every []int, wrap func(model.Model) model.Model) *Ensemble {
 	t.Helper()
 	factory, err := model.FactoryFor("mlp", model.DefaultHyper())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if standardize {
-		factory = model.StandardizedFactory(factory)
 	}
 	build := func() model.Model {
 		m, err := factory(reuseDim, reuseClasses)
@@ -64,7 +60,7 @@ func reuseEnsemble(t *testing.T, every []int, standardize bool, wrap func(model.
 	}
 	var grans []*Granularity
 	for _, ev := range every {
-		grans = append(grans, NewGranularity(wrap(build()), ev, NewWatchdog("g", WatchdogConfig{})))
+		grans = append(grans, NewGranularity(wrap(build()), ev, NewWatchdog("g")))
 	}
 	asw, err := window.New(window.DefaultConfig())
 	if err != nil {
@@ -146,11 +142,11 @@ func TestEnsembleForwardReuse(t *testing.T) {
 	for name, disturb := range disturbances {
 		t.Run(name, func(t *testing.T) {
 			var counted *countedModel
-			reuse := reuseEnsemble(t, []int{1}, false, func(m model.Model) model.Model {
+			reuse := reuseEnsemble(t, []int{1}, func(m model.Model) model.Model {
 				counted = &countedModel{Model: m}
 				return counted
 			})
-			plain := reuseEnsemble(t, []int{1}, false, func(m model.Model) model.Model { return plainModel{m} })
+			plain := reuseEnsemble(t, []int{1}, func(m model.Model) model.Model { return plainModel{m} })
 			rng := rand.New(rand.NewSource(31))
 			const batches, disturbed = 10, 4 // long enough to close the window once
 			for k := 0; k < batches; k++ {
@@ -182,12 +178,11 @@ func TestEnsembleForwardReuse(t *testing.T) {
 }
 
 // TestEnsembleForwardReuseFallbacks: a member that buffers batches
-// (Every == 2) trains rows it did not predict together, and the Standardized
-// wrapper moves its scaler before training — neither may reuse a forward,
-// and both must still match the plain-Fit twin.
+// (Every == 2) trains rows it did not predict together, so it may not reuse a
+// forward, and it must still match the plain-Fit twin.
 func TestEnsembleForwardReuseFallbacks(t *testing.T) {
 	ctx := context.Background()
-	run := func(t *testing.T, reuse, plain *Ensemble, after func(k int)) {
+	run := func(t *testing.T, reuse, plain *Ensemble) {
 		rng := rand.New(rand.NewSource(32))
 		for k := 0; k < 6; k++ {
 			b, obs := reuseBatch(rng)
@@ -202,38 +197,23 @@ func TestEnsembleForwardReuseFallbacks(t *testing.T) {
 			for i := range reuse.grans {
 				sameWeights(t, "member", reuse.grans[i].Model, plain.grans[i].Model)
 			}
-			after(k)
 		}
 	}
 
 	t.Run("Every == 2", func(t *testing.T) {
 		var counted []*countedModel
-		reuse := reuseEnsemble(t, []int{1, 2}, false, func(m model.Model) model.Model {
+		reuse := reuseEnsemble(t, []int{1, 2}, func(m model.Model) model.Model {
 			c := &countedModel{Model: m}
 			counted = append(counted, c)
 			return c
 		})
-		plain := reuseEnsemble(t, []int{1, 2}, false, func(m model.Model) model.Model { return plainModel{m} })
-		run(t, reuse, plain, func(int) {})
+		plain := reuseEnsemble(t, []int{1, 2}, func(m model.Model) model.Model { return plainModel{m} })
+		run(t, reuse, plain)
 		if counted[0].reused != 6 || counted[0].fits != 0 {
 			t.Errorf("per-batch member: %d reused, %d Fit, want 6 and 0", counted[0].reused, counted[0].fits)
 		}
 		if counted[1].reused != 0 || counted[1].fits != 3 {
 			t.Errorf("buffered member: %d reused, %d Fit, want 0 and 3", counted[1].reused, counted[1].fits)
 		}
-	})
-
-	t.Run("Standardize", func(t *testing.T) {
-		keep := func(m model.Model) model.Model { return m }
-		reuse := reuseEnsemble(t, []int{1}, true, keep)
-		plain := reuseEnsemble(t, []int{1}, true, func(m model.Model) model.Model { return plainModel{m} })
-		if _, ok := reuse.ShortModel().(model.ForwardTrainer); ok {
-			t.Fatal("the Standardized wrapper offers the fast path")
-		}
-		run(t, reuse, plain, func(int) {
-			if reuse.grans[0].fwd != (nn.ForwardToken{}) {
-				t.Fatal("a forward token was kept for a Standardized member")
-			}
-		})
 	})
 }

@@ -198,7 +198,7 @@ func TestInferBatchRejectsDimMismatch(t *testing.T) {
 // read from. Run under -race (make race does, three times over).
 func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 	ctx := context.Background()
-	e := reuseEnsemble(t, []int{1, 2}, false, func(m model.Model) model.Model { return m })
+	e := reuseEnsemble(t, []int{1, 2}, func(m model.Model) model.Model { return m })
 	proj, err := pca.Fit([]linalg.Vector{
 		{1, 0, 0, 0, 0, 0}, {-1, 0, 0, 0, 0, 0}, {0, 2, 0, 0, 0, 0}, {0, -2, 0, 0, 0, 0}, {0, 0, 0.5, 0, 0, 0}, {0, 0, -0.5, 0, 0, 0},
 	}, 2)

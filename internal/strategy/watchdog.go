@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"errors"
 	"math"
 
 	"freewayml/internal/model"
@@ -23,31 +22,11 @@ type RecoveryEvent struct {
 	RolledBack bool
 }
 
-// WatchdogConfig tunes the divergence watchdog. Zero values select the
-// built-in defaults, so a zero WatchdogConfig means "on, defaults".
+// WatchdogConfig configures the divergence watchdog. The zero value means
+// "on".
 type WatchdogConfig struct {
 	// Disabled turns divergence monitoring and rollback off entirely.
 	Disabled bool
-	// LossFactor flags a loss explosion when a batch's loss exceeds this
-	// multiple of the running healthy-loss mean (default 50).
-	LossFactor float64
-	// MinUpdates is how many healthy updates must accumulate before
-	// loss-explosion checks apply — NaN/Inf checks always apply
-	// (default 8).
-	MinUpdates int
-}
-
-// Validate reports the first invalid watchdog knob.
-func (w WatchdogConfig) Validate() error {
-	switch {
-	case w.LossFactor < 0:
-		return errors.New("core: Watchdog.LossFactor must be >= 0")
-	case w.LossFactor > 0 && w.LossFactor <= 1:
-		return errors.New("core: Watchdog.LossFactor must be > 1")
-	case w.MinUpdates < 0:
-		return errors.New("core: Watchdog.MinUpdates must be >= 0")
-	}
-	return nil
 }
 
 // Watchdog guards one model against divergence. After every update it
@@ -63,32 +42,23 @@ type Watchdog struct {
 	// across updates; nil until the first Retain.
 	flat []float64
 
-	meanLoss   float64 // EMA of healthy batch losses
-	updates    int
-	lossFactor float64
-	minUpdates int
+	meanLoss float64 // EMA of healthy batch losses
+	updates  int
 }
 
-// Watchdog runtime defaults, applied when the config leaves a knob zero.
 const (
-	defaultWatchdogLossFactor = 50.0
-	defaultWatchdogMinUpdates = 8
+	// watchdogExplosionRatio flags a loss explosion when a batch's loss
+	// exceeds this multiple of the running healthy-loss mean.
+	watchdogExplosionRatio = 50.0
+	// watchdogWarmup is how many healthy updates must accumulate before
+	// loss-explosion checks apply; NaN/Inf checks always apply.
+	watchdogWarmup = 8
 	// watchdogLossEMA smooths the healthy-loss reference.
 	watchdogLossEMA = 0.9
 )
 
 // NewWatchdog builds a watchdog for the named model.
-func NewWatchdog(name string, cfg WatchdogConfig) *Watchdog {
-	factor := cfg.LossFactor
-	if factor <= 0 {
-		factor = defaultWatchdogLossFactor
-	}
-	minUpdates := cfg.MinUpdates
-	if minUpdates <= 0 {
-		minUpdates = defaultWatchdogMinUpdates
-	}
-	return &Watchdog{name: name, lossFactor: factor, minUpdates: minUpdates}
-}
+func NewWatchdog(name string) *Watchdog { return &Watchdog{name: name} }
 
 // Retain makes m's current parameters the rollback target. Check calls it
 // after every healthy update; the ensemble calls it whenever it replaces a
@@ -125,7 +95,7 @@ func (w *Watchdog) Check(m model.Model, loss float64, batch int) *RecoveryEvent 
 		reason = "non-finite loss"
 	case !m.Net().ParamsFinite():
 		reason = "non-finite weights"
-	case loss >= 0 && w.updates >= w.minUpdates && loss > w.lossFactor*(w.meanLoss+1e-6):
+	case loss >= 0 && w.updates >= watchdogWarmup && loss > watchdogExplosionRatio*(w.meanLoss+1e-6):
 		reason = "loss explosion"
 	}
 	if reason == "" {

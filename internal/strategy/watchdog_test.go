@@ -36,7 +36,7 @@ func poison(m model.Model) {
 // — and a rollback restores exactly the retained bits.
 func TestWatchdogFlatCopy(t *testing.T) {
 	m := trainedMLP(t, 41, 3)
-	w := NewWatchdog("gran0", WatchdogConfig{})
+	w := NewWatchdog("gran0")
 
 	// Nothing retained yet: the divergence is reported, not repaired.
 	poison(m)
@@ -71,58 +71,11 @@ func TestWatchdogFlatCopy(t *testing.T) {
 	off.Retain(m) // a disabled watchdog retains nothing and does not panic
 }
 
-// TestWatchdogStandardizedFlatCopy: the Standardized wrapper's flat copy
-// carries its scaler, so it rolls back through the same allocation-free path
-// as a bare network, and the rollback restores the scaler's count, means and
-// squared deviations and the inner weights bit for bit.
-func TestWatchdogStandardizedFlatCopy(t *testing.T) {
-	std, err := model.NewStandardized(trainedMLP(t, 42, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(43))
-	b, _ := reuseBatch(rng)
-	if _, err := std.Fit(b.X, b.Y); err != nil {
-		t.Fatal(err)
-	}
-	w := NewWatchdog("gran0", WatchdogConfig{})
-	if ev := w.Check(std, 0.5, 1); ev != nil {
-		t.Fatalf("healthy update flagged: %+v", ev)
-	}
-	healthy := std.AppendParams(nil)
-	want := std.Predict(b.X)
-	if allocs := testing.AllocsPerRun(20, func() { w.Check(std, 0.5, 2) }); allocs != 0 {
-		t.Errorf("a warm healthy Check allocates %.0f times, want 0", allocs)
-	}
-	b2, _ := reuseBatch(rng)
-	if _, err := std.Fit(b2.X, b2.Y); err != nil { // moves weights and scaler
-		t.Fatal(err)
-	}
-	if moved := std.AppendParams(nil); moved[0] == healthy[0] {
-		t.Fatal("the second Fit did not move the scaler: the test is vacuous")
-	}
-	poison(std)
-	if ev := w.Check(std, 0.5, 3); ev == nil || !ev.RolledBack {
-		t.Fatalf("event = %+v, want a rollback", ev)
-	}
-	got := std.AppendParams(nil)
-	for i := range healthy {
-		if math.Float64bits(got[i]) != math.Float64bits(healthy[i]) {
-			t.Fatalf("value %d after rollback = %v, last healthy was %v (scaler first, then weights)", i, got[i], healthy[i])
-		}
-	}
-	for i, p := range std.Predict(b.X) {
-		if p != want[i] {
-			t.Fatal("rollback did not restore the wrapper's predictions")
-		}
-	}
-}
-
 // TestAdoptShortBecomesRollbackTarget: knowledge adoption replaces the short
 // model's parameters; a divergence right after it must return to the adopted
 // parameters, not silently undo the adoption.
 func TestAdoptShortBecomesRollbackTarget(t *testing.T) {
-	e := reuseEnsemble(t, []int{1}, false, func(m model.Model) model.Model { return m })
+	e := reuseEnsemble(t, []int{1}, func(m model.Model) model.Model { return m })
 	g := e.grans[0]
 	if ev := g.wd.Check(g.Model, 0.5, 1); ev != nil { // retains the initial weights
 		t.Fatalf("healthy update flagged: %+v", ev)

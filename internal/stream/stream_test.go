@@ -88,49 +88,3 @@ func TestCollect(t *testing.T) {
 		t.Errorf("Collect beyond end = %d batches", len(got))
 	}
 }
-
-func TestRateAdjusterValidation(t *testing.T) {
-	if _, err := NewRateAdjuster(0, 10, 0); err == nil {
-		t.Error("LowRate 0 should error")
-	}
-	if _, err := NewRateAdjuster(10, 5, 0); err == nil {
-		t.Error("HighRate < LowRate should error")
-	}
-	if _, err := NewRateAdjuster(1, 10, -1); err == nil {
-		t.Error("negative PressureLimit should error")
-	}
-}
-
-func TestRateAdjusterBehaviour(t *testing.T) {
-	r, err := NewRateAdjuster(100, 1000, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Quiet stream, empty window: boost inference, no decay change.
-	r.Report(10, 0)
-	if !r.InferBoost() {
-		t.Error("quiet stream should boost inference")
-	}
-	if r.DecayBoost() != 1 {
-		t.Errorf("quiet DecayBoost = %v", r.DecayBoost())
-	}
-	// Quiet stream but pressured window: no inference boost.
-	r.Report(10, 100)
-	if r.InferBoost() {
-		t.Error("pressured window should not boost inference")
-	}
-	// Overloaded stream: decay boost grows, capped at 3.
-	r.Report(2000, 100)
-	if b := r.DecayBoost(); b <= 1 || b > 3 {
-		t.Errorf("overload DecayBoost = %v", b)
-	}
-	r.Report(1e9, 100)
-	if b := r.DecayBoost(); b != 3 {
-		t.Errorf("capped DecayBoost = %v, want 3", b)
-	}
-	// Negative measurements are clamped.
-	r.Report(-5, -5)
-	if !r.InferBoost() {
-		t.Error("clamped negative rate should behave as 0")
-	}
-}

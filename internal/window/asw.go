@@ -67,13 +67,12 @@ type Entry struct {
 
 // ASW is the adaptive streaming window. Not safe for concurrent use.
 type ASW struct {
-	cfg        Config
-	entries    []Entry
-	seq        int
-	items      int
-	disorder   float64 // normalized disorder from the last Push
-	decayBoost float64 // rate-aware multiplier on the decay exponent
-	evictions  int     // cumulative batches evicted by weight decay
+	cfg       Config
+	entries   []Entry
+	seq       int
+	items     int
+	disorder  float64 // normalized disorder from the last Push
+	evictions int     // cumulative batches evicted by weight decay
 
 	// Push's scratch, reused across pushes.
 	rs          []ranked
@@ -91,17 +90,7 @@ func New(cfg Config) (*ASW, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ASW{cfg: cfg, decayBoost: 1}, nil
-}
-
-// SetDecayBoost applies the rate-aware adjuster's output (paper Sec. V-B):
-// values above 1 accelerate decay so updates become less frequent under
-// high-rate streams. Values below 1 are clamped to 1.
-func (w *ASW) SetDecayBoost(boost float64) {
-	if boost < 1 {
-		boost = 1
-	}
-	w.decayBoost = boost
+	return &ASW{cfg: cfg}, nil
 }
 
 // Len returns the number of stored batches.
@@ -186,7 +175,7 @@ func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error)
 		for i := range w.entries {
 			e := w.entries[i]
 			rankFrac := float64(rankOf[i]) / float64(n)
-			exponent := (1 + rankFrac) * (1 + w.cfg.DisorderBoost*w.disorder) * w.decayBoost
+			exponent := (1 + rankFrac) * (1 + w.cfg.DisorderBoost*w.disorder)
 			e.Weight *= math.Pow(w.cfg.BaseDecay, exponent)
 			if e.Weight < w.cfg.MinWeight {
 				w.evictions++

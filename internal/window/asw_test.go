@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -143,6 +144,64 @@ func TestCloserBatchesDecayLess(t *testing.T) {
 	}
 	if nearW <= farW {
 		t.Errorf("near weight %v should exceed far weight %v", nearW, farW)
+	}
+}
+
+// TestPushDecayMatchesEq11 pins the decay step of Algorithm 1 (Eq. 11) bit for
+// bit: each push multiplies every stored batch's weight by
+// BaseDecay^((1+rank/n)(1+DisorderBoost·disorder)), where rank is the batch's
+// shift-distance rank among the n stored batches (0 = closest) and disorder
+// is the inversion count of those ranks read newest-first over its maximum
+// n(n-1)/2. The ranks and inversions below are counted by hand from the
+// centroids, not by the window.
+func TestPushDecayMatchesEq11(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxBatches = 100
+	cfg.MinWeight = 0 // nothing is evicted
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushes := []struct {
+		centroid float64
+		ranks    []int // distance rank of each stored batch, oldest first
+		inv      int   // inversions of ranks read newest-first
+	}{
+		{0, nil, 0},
+		{10, []int{0}, 0},      // d = 10
+		{1, []int{0, 1}, 1},    // d = 1, 9; newest-first [1 0]
+		{4, []int{1, 2, 0}, 1}, // d = 4, 6, 3; newest-first [0 2 1]
+	}
+	var want []float64
+	x, y := mkBatch(4, 0, 0)
+	for k, p := range pushes {
+		if _, err := w.Push(x, y, linalg.Vector{p.centroid}); err != nil {
+			t.Fatal(err)
+		}
+		n := len(p.ranks)
+		disorder := 0.0
+		if n > 1 {
+			disorder = float64(p.inv) / float64(n*(n-1)/2)
+		}
+		for i, r := range p.ranks {
+			rank, stored := float64(r), float64(n)
+			exponent := (1 + rank/stored) * (1 + cfg.DisorderBoost*disorder)
+			want[i] *= math.Pow(cfg.BaseDecay, exponent)
+		}
+		want = append(want, 1)
+
+		if math.Float64bits(w.Disorder()) != math.Float64bits(disorder) {
+			t.Fatalf("push %d: disorder %v, want %v", k, w.Disorder(), disorder)
+		}
+		entries := w.Entries()
+		if len(entries) != len(want) {
+			t.Fatalf("push %d: %d batches stored, want %d", k, len(entries), len(want))
+		}
+		for i, e := range entries {
+			if math.Float64bits(e.Weight) != math.Float64bits(want[i]) {
+				t.Fatalf("push %d: batch %d weight %v, want %v", k, i, e.Weight, want[i])
+			}
+		}
 	}
 }
 
