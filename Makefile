@@ -31,10 +31,11 @@ fmt:
 	if [ -n "$$out" ]; then echo 'gofmt -l lists:' >&2; echo "$$out" >&2; exit 1; fi
 	@echo "fmt: gofmt -l clean"
 
-# The golden decision-bits test and the kernels' differential tests at three
-# GOMAXPROCS values: the GEMM fan-out partition depends on it and must never
-# change a bit — nor may the choice between the assembly bodies and the Go
-# loops. Then ExpInto, LogInto and the softmax against math with math.Exp's
+# The golden decision-bits test and the kernels' differential tests (the GEMM
+# forms, the row sum and the SGD step) at three GOMAXPROCS values, with and
+# without the assembly bodies: the GEMM fan-out partition depends on it and
+# must never change a bit — nor may the choice between the assembly bodies and
+# the Go loops. Then ExpInto, LogInto and the softmax against math with math.Exp's
 # FMA body switched off: on an FMA machine that is the only way to check that
 # the probe then rejects the FMA replica and ExpInto is math.Exp's own loop.
 # (Not the golden hashes: their constants are an FMA host's.) The public
@@ -46,6 +47,7 @@ golden:
 	$(GO) test -cpu 1,2,4 -run Example .
 	$(GO) test -tags purego -cpu 1,2,4 -run Example .
 	$(GO) test -cpu 1,2,4 -run 'Gemm|Kernel' ./internal/linalg
+	$(GO) test -tags purego -cpu 1,2,4 -run 'Gemm|Kernel' ./internal/linalg
 	GODEBUG=cpu.fma=off $(GO) test -run 'Exp|Log|Softmax' ./internal/linalg ./internal/nn
 
 # internal/dist runs three times over: its connection pool and the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"freewayml/internal/datasets"
@@ -68,5 +69,38 @@ func TestWarmInferAllocs(t *testing.T) {
 	infer()
 	if allocs := testing.AllocsPerRun(100, infer); allocs > 6 {
 		t.Errorf("a warm Infer allocates %.0f times per call, want at most 6", allocs)
+	}
+}
+
+// TestWindowCloseAllocs pins the garbage of the window close: the warm Process
+// calls whose batch closes the window, each counted on its own, over eight
+// closes. The close gathers the window into the ensemble's reused slab, trains
+// on row views of it, and serializes the short model only when the β policy
+// keeps it. Before that change a closing Process allocated 111 times on
+// average (the window's row headers, a Scale per stored centroid, the entries'
+// array after every close, the short model's eager gob snapshot); this tree
+// measures 89, and the bound is that plus a tenth.
+func TestWindowCloseAllocs(t *testing.T) {
+	l, _, next := warmNSLKDD(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	var closes, allocs uint64
+	for i := 0; closes < 8 && i < 1000; i++ {
+		open := l.ens.WindowLen()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		next()
+		runtime.ReadMemStats(&ms)
+		if open > 0 && l.ens.WindowLen() == 0 {
+			closes++
+			allocs += ms.Mallocs - before
+		}
+	}
+	if closes < 8 {
+		t.Fatalf("only %d window closes in 1000 batches", closes)
+	}
+	t.Logf("a closing Process allocates %.1f times", float64(allocs)/float64(closes))
+	if perClose := float64(allocs) / float64(closes); perClose > 98 {
+		t.Errorf("a warm Process that closes the window allocates %.1f times, want at most 98 (before the slab close: 111)", perClose)
 	}
 }

@@ -19,7 +19,10 @@ func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool)
 func tcPanelAVX2(ct, a, b, seed, post []float64, rows, k, n, ldc int)
 
 //go:noescape
-func addRowsAVX2(dst, src []float64, rows, cols, dstStride, srcStride int)
+func sumRowsAVX2(dst, src []float64, rows, stride int)
+
+//go:noescape
+func momentumAVX2(w, grad, v []float64, lr, momentum, decay float64)
 
 //go:noescape
 func reluAVX2(x []float64)

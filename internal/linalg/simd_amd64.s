@@ -452,20 +452,87 @@ dotnext:
 	VZEROUPPER
 	RET
 
-// One k-step of the class-major form: the row-lane accumulators Y8 (and Y9)
-// advance by at·B[p][j] (and at·B[p][j+1]), BX pointing at B[p][j]; then BX
-// moves down to row p+1 of B, R14 bytes on.
-#define TC_STEP1(at, off) \
-	VBROADCASTSD (BX), Y10; \
+// One k-step of the class-major form over two 4-row bands of A: B[p][j] (and
+// B[p][j+1]), BX pointing at B[p][j], times the step's lanes of band 0 (at) and
+// of band 1 (bt), each product rounded, then added to its own chain: Y8 (Y9)
+// for band 0, Y12 (Y13) for band 1. Then BX moves down to row p+1 of B, R14
+// bytes on.
+#define TC_STEP1(at, bt) \
+	VBROADCASTSD (BX), Y10;    \
 	VMULPD       Y10, at, Y11; \
-	VADDPD       Y11, Y8, Y8;
-#define TC_STEP2(at, off) \
-	TC_STEP1(at, off)        \
-	VBROADCASTSD 8(BX), Y10; \
+	VADDPD       Y11, Y8, Y8;  \
+	VMULPD       Y10, bt, Y11; \
+	VADDPD       Y11, Y12, Y12;
+#define TC_STEP2(at, bt) \
+	TC_STEP1(at, bt)           \
+	VBROADCASTSD 8(BX), Y10;   \
 	VMULPD       Y10, at, Y11; \
-	VADDPD       Y11, Y9, Y9;
-#define TC_NEXT1(at, off) TC_STEP1(at, off) ADDQ R14, BX;
-#define TC_NEXT2(at, off) TC_STEP2(at, off) ADDQ R14, BX;
+	VADDPD       Y11, Y9, Y9;  \
+	VMULPD       Y10, bt, Y11; \
+	VADDPD       Y11, Y13, Y13;
+#define TC_NEXT1(at, bt) TC_STEP1(at, bt) ADDQ R14, BX;
+#define TC_NEXT2(at, bt) TC_STEP2(at, bt) ADDQ R14, BX;
+
+// DOT_TILE for two bands: band 0's rows at R8–R11 + AX, band 1's at the same
+// bases + DX, DX − AX fixed for the tile. Four steps at a time band 0 goes
+// through the dot panel's register transpose into Y0–Y3 (Y4–Y7 scratch) and
+// band 1 through the same transpose into Y4–Y7 (Y10, Y11, Y14, Y15 scratch);
+// the last k mod 4 steps gather their eight A elements one by one.
+#define TC_TILE(vec, tail, done, STEP) \
+	XORQ        AX, AX;                \
+	CMPQ        AX, CX;                \
+	JGE         tail;                  \
+vec:                                   \
+	VMOVUPD     (R8)(AX*1), Y0;        \
+	VMOVUPD     (R9)(AX*1), Y1;        \
+	VMOVUPD     (R10)(AX*1), Y2;       \
+	VMOVUPD     (R11)(AX*1), Y3;       \
+	VUNPCKLPD   Y1, Y0, Y4;            \
+	VUNPCKHPD   Y1, Y0, Y5;            \
+	VUNPCKLPD   Y3, Y2, Y6;            \
+	VUNPCKHPD   Y3, Y2, Y7;            \
+	VPERM2F128  $0x20, Y6, Y4, Y0;     \
+	VPERM2F128  $0x20, Y7, Y5, Y1;     \
+	VPERM2F128  $0x31, Y6, Y4, Y2;     \
+	VPERM2F128  $0x31, Y7, Y5, Y3;     \
+	VMOVUPD     (R8)(DX*1), Y4;        \
+	VMOVUPD     (R9)(DX*1), Y5;        \
+	VMOVUPD     (R10)(DX*1), Y6;       \
+	VMOVUPD     (R11)(DX*1), Y7;       \
+	VUNPCKLPD   Y5, Y4, Y10;           \
+	VUNPCKHPD   Y5, Y4, Y11;           \
+	VUNPCKLPD   Y7, Y6, Y14;           \
+	VUNPCKHPD   Y7, Y6, Y15;           \
+	VPERM2F128  $0x20, Y14, Y10, Y4;   \
+	VPERM2F128  $0x20, Y15, Y11, Y5;   \
+	VPERM2F128  $0x31, Y14, Y10, Y6;   \
+	VPERM2F128  $0x31, Y15, Y11, Y7;   \
+	STEP(Y0, Y4)                       \
+	STEP(Y1, Y5)                       \
+	STEP(Y2, Y6)                       \
+	STEP(Y3, Y7)                       \
+	ADDQ        $32, AX;               \
+	ADDQ        $32, DX;               \
+	CMPQ        AX, CX;                \
+	JLT         vec;                   \
+tail:                                  \
+	CMPQ        AX, R12;               \
+	JGE         done;                  \
+	VMOVSD      (R8)(AX*1), X0;        \
+	VMOVHPD     (R9)(AX*1), X0, X0;    \
+	VMOVSD      (R10)(AX*1), X1;       \
+	VMOVHPD     (R11)(AX*1), X1, X1;   \
+	VINSERTF128 $1, X1, Y0, Y0;        \
+	VMOVSD      (R8)(DX*1), X4;        \
+	VMOVHPD     (R9)(DX*1), X4, X4;    \
+	VMOVSD      (R10)(DX*1), X5;       \
+	VMOVHPD     (R11)(DX*1), X5, X5;   \
+	VINSERTF128 $1, X5, Y4, Y4;        \
+	STEP(Y0, Y4)                       \
+	ADDQ        $8, AX;                \
+	ADDQ        $8, DX;                \
+	JMP         tail;                  \
+done:
 
 // func tcPanelAVX2(ct, a, b, seed, post []float64, rows, k, n, ldc int)
 // Cᵀ[j][r] = s + Σ_p A[r][p]·B[p][j] (+ post[j]) for r < rows, j < n: the
@@ -473,12 +540,20 @@ dotnext:
 // of a column j are one vector store into row j of Cᵀ. Each sum runs over p
 // ascending from s = seed[j] (or zero when seed is empty) and then, when post
 // is not empty, adds post[j]. ct: n rows of Cᵀ, ldc apart, starting at the
-// band's first column; a: rows rows of A, k apart; b: k rows of B, n apart, read
-// where they lie (column j of B is every n-th element from b[j]); rows a
-// positive multiple of 4; k, n ≥ 1. Loop order: 4-row band of A, pair of
-// columns of B (then an odd last one), all of k — the dot panel's order, with
-// the same register transpose of A.
-TEXT ·tcPanelAVX2(SB), NOSPLIT, $0-152
+// range's first column; a: rows rows of A, k apart; b: k rows of B, n apart,
+// read where they lie (column j of B is every n-th element from b[j]); rows a
+// positive multiple of 4; k, n ≥ 1.
+//
+// Loop order: pair of 4-row bands of A, pair of columns of B (then an odd last
+// one), all of k. A tile is 8 rows × 2 columns, four add chains in flight
+// where one band has two and waits on their latency; each chain is still one
+// element's own sum. A last lone band runs as both bands of a pair: band 1 is
+// pointed at band 0, computes its lanes a second time from the same loads, and
+// is stored last, to the same place, so that what the lone band leaves is band
+// 1's lanes and a slip in their addressing shows in the result. The locals hold the pair's delta, the
+// byte distance from band 0's rows to band 1's (4·k·8, or 0 for a lone band),
+// and hi, band 1's byte offset in a row of Cᵀ (32, or 0).
+TEXT ·tcPanelAVX2(SB), NOSPLIT, $16-152
 	MOVQ a_base+24(FP), R8
 	MOVQ k+128(FP), R12
 	MOVQ n+136(FP), R14
@@ -489,41 +564,59 @@ TEXT ·tcPanelAVX2(SB), NOSPLIT, $0-152
 	MOVQ R12, CX // bytes of a row's leading 4·⌊k/4⌋ elements
 	ANDQ $-32, CX
 tcband:
-	LEAQ (R8)(R12*1), R9
-	LEAQ (R9)(R12*1), R10
-	LEAQ (R10)(R12*1), R11
-	MOVQ ct_base+0(FP), DI
-	XORQ SI, SI        // byte offset of column j in a row of B, seed and post
-	MOVQ n+136(FP), R15 // columns left in this band
+	LEAQ    (R8)(R12*1), R9
+	LEAQ    (R9)(R12*1), R10
+	LEAQ    (R10)(R12*1), R11
+	LEAQ    (R11)(R12*1), AX
+	SUBQ    R8, AX
+	MOVQ    $32, BX
+	XORQ    DX, DX
+	CMPQ    rows+120(FP), $8
+	CMOVQLT DX, AX
+	CMOVQLT DX, BX
+	MOVQ    AX, delta-8(SP)
+	MOVQ    BX, hi-16(SP)
+	MOVQ    ct_base+0(FP), DI
+	XORQ    SI, SI         // byte offset of column j in a row of B, seed and post
+	MOVQ    n+136(FP), R15 // columns left in this band pair
 tcpair:
-	CMPQ R15, $2
-	JLT  tclast
-	MOVQ seed_len+80(FP), AX
+	CMPQ  R15, $2
+	JLT   tclast
+	MOVQ  seed_len+80(FP), AX
 	TESTQ AX, AX
-	JZ   tczero2
-	MOVQ seed_base+72(FP), AX
+	JZ    tczero2
+	MOVQ  seed_base+72(FP), AX
 	VBROADCASTSD (AX)(SI*1), Y8
 	VBROADCASTSD 8(AX)(SI*1), Y9
-	JMP  tcsteps2
+	JMP   tcsteps2
 tczero2:
 	VXORPD Y8, Y8, Y8
 	VXORPD Y9, Y9, Y9
 tcsteps2:
-	MOVQ b_base+48(FP), BX
-	ADDQ SI, BX
-	DOT_TILE(tcpairvec, tcpairtail, tcpairdone, TC_NEXT2)
-	MOVQ post_len+104(FP), AX
+	VMOVAPD Y8, Y12
+	VMOVAPD Y9, Y13
+	MOVQ    b_base+48(FP), BX
+	ADDQ    SI, BX
+	MOVQ    delta-8(SP), DX
+	TC_TILE(tcpairvec, tcpairtail, tcpairdone, TC_NEXT2)
+	MOVQ  post_len+104(FP), AX
 	TESTQ AX, AX
-	JZ   tcput2
-	MOVQ post_base+96(FP), AX
+	JZ    tcput2
+	MOVQ  post_base+96(FP), AX
 	VBROADCASTSD (AX)(SI*1), Y10
 	VADDPD       Y10, Y8, Y8
+	VADDPD       Y10, Y12, Y12
 	VBROADCASTSD 8(AX)(SI*1), Y10
 	VADDPD       Y10, Y9, Y9
+	VADDPD       Y10, Y13, Y13
 tcput2:
+	MOVQ    hi-16(SP), AX
 	VMOVUPD Y8, (DI)
-	VMOVUPD Y9, (DI)(R13*1)
-	LEAQ    (DI)(R13*2), DI
+	VMOVUPD Y12, (DI)(AX*1)
+	ADDQ    R13, DI
+	VMOVUPD Y9, (DI)
+	VMOVUPD Y13, (DI)(AX*1)
+	ADDQ    R13, DI
 	ADDQ    $16, SI
 	SUBQ    $2, R15
 	JMP     tcpair
@@ -539,53 +632,134 @@ tclast:
 tczero1:
 	VXORPD Y8, Y8, Y8
 tcsteps1:
-	MOVQ b_base+48(FP), BX
-	ADDQ SI, BX
-	DOT_TILE(tclastvec, tclasttail, tclastdone, TC_NEXT1)
-	MOVQ post_len+104(FP), AX
+	VMOVAPD Y8, Y12
+	MOVQ    b_base+48(FP), BX
+	ADDQ    SI, BX
+	MOVQ    delta-8(SP), DX
+	TC_TILE(tclastvec, tclasttail, tclastdone, TC_NEXT1)
+	MOVQ  post_len+104(FP), AX
 	TESTQ AX, AX
-	JZ   tcput1
-	MOVQ post_base+96(FP), AX
+	JZ    tcput1
+	MOVQ  post_base+96(FP), AX
 	VBROADCASTSD (AX)(SI*1), Y10
 	VADDPD       Y10, Y8, Y8
+	VADDPD       Y10, Y12, Y12
 tcput1:
+	MOVQ    hi-16(SP), AX
 	VMOVUPD Y8, (DI)
+	VMOVUPD Y12, (DI)(AX*1)
 tcnext:
-	ADDQ $32, ct_base+0(FP)
+	MOVQ hi-16(SP), AX
+	ADDQ $32, AX
+	ADDQ AX, ct_base+0(FP)
 	LEAQ (R11)(R12*1), R8
-	SUBQ $4, rows+120(FP)
+	ADDQ delta-8(SP), R8
+	SUBQ $8, rows+120(FP)
 	JGT  tcband
 	VZEROUPPER
 	RET
 
-// func addRowsAVX2(dst, src []float64, rows, cols, dstStride, srcStride int)
-// dst[r·dstStride + j] += src[r·srcStride + j] for r = 0 … rows-1 in that
-// order and j < cols, a positive multiple of 4; rows ≥ 1. Stride 0 keeps one
-// row: a vector added to every row (srcStride 0) or every row added into a
-// vector (dstStride 0).
-TEXT ·addRowsAVX2(SB), NOSPLIT, $0-80
+// The blocks of sumRowsAVX2: 1, 2, 4 or 8 vectors of dst (R8 bytes in) loaded
+// into Y0–Y7, advanced by one row of src (at BX), stored back.
+#define SUM_LOAD1 VMOVUPD (DI)(R8*1), Y0;
+#define SUM_LOAD2 SUM_LOAD1 VMOVUPD 32(DI)(R8*1), Y1;
+#define SUM_LOAD4 SUM_LOAD2 VMOVUPD 64(DI)(R8*1), Y2; VMOVUPD 96(DI)(R8*1), Y3;
+#define SUM_LOAD8 SUM_LOAD4 VMOVUPD 128(DI)(R8*1), Y4; VMOVUPD 160(DI)(R8*1), Y5; VMOVUPD 192(DI)(R8*1), Y6; VMOVUPD 224(DI)(R8*1), Y7;
+#define SUM_ADD1 VADDPD (BX), Y0, Y0;
+#define SUM_ADD2 SUM_ADD1 VADDPD 32(BX), Y1, Y1;
+#define SUM_ADD4 SUM_ADD2 VADDPD 64(BX), Y2, Y2; VADDPD 96(BX), Y3, Y3;
+#define SUM_ADD8 SUM_ADD4 VADDPD 128(BX), Y4, Y4; VADDPD 160(BX), Y5, Y5; VADDPD 192(BX), Y6, Y6; VADDPD 224(BX), Y7, Y7;
+#define SUM_STORE1 VMOVUPD Y0, (DI)(R8*1);
+#define SUM_STORE2 SUM_STORE1 VMOVUPD Y1, 32(DI)(R8*1);
+#define SUM_STORE4 SUM_STORE2 VMOVUPD Y2, 64(DI)(R8*1); VMOVUPD Y3, 96(DI)(R8*1);
+#define SUM_STORE8 SUM_STORE4 VMOVUPD Y4, 128(DI)(R8*1); VMOVUPD Y5, 160(DI)(R8*1); VMOVUPD Y6, 192(DI)(R8*1); VMOVUPD Y7, 224(DI)(R8*1);
+
+// One block of columns down all the rows (R10 of them, DX bytes apart in src),
+// then R8 moves past it.
+#define SUM_BLOCK(label, LOAD, ADD, STORE, bytes) \
+	LOAD                 \
+	LEAQ (SI)(R8*1), BX; \
+	MOVQ R10, R9;        \
+label:                   \
+	ADD                  \
+	ADDQ DX, BX;         \
+	DECQ R9;             \
+	JNZ  label;          \
+	STORE                \
+	ADDQ $bytes, R8;
+
+// func sumRowsAVX2(dst, src []float64, rows, stride int)
+// dst[j] = (…((dst[j] + src[j]) + src[stride + j]) + …) + src[(rows−1)·stride + j]
+// for j < len(dst), a positive multiple of 4; rows ≥ 1. A block of columns is
+// loaded from dst once, advanced down all the rows in registers and stored
+// once: blocks of 32 columns (eight independent chains, enough to keep both
+// add ports busy through the add latency), then one each of 16, 8 and 4 as the
+// rest needs them.
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
-	MOVQ rows+48(FP), BX
-	MOVQ cols+56(FP), CX
-	MOVQ dstStride+64(FP), DX
-	MOVQ srcStride+72(FP), R8
+	MOVQ rows+48(FP), R10
+	MOVQ stride+56(FP), DX
 	SHLQ $3, CX
 	SHLQ $3, DX
-	SHLQ $3, R8
-addrow:
-	XORQ AX, AX
-addcol:
+	XORQ R8, R8 // byte offset of the block's first column
+sum32:
+	MOVQ CX, AX
+	SUBQ R8, AX // bytes left
+	CMPQ AX, $256
+	JLT  sum16
+	SUM_BLOCK(rows32, SUM_LOAD8, SUM_ADD8, SUM_STORE8, 256)
+	JMP  sum32
+sum16:
+	CMPQ AX, $128
+	JLT  sum8
+	SUM_BLOCK(rows16, SUM_LOAD4, SUM_ADD4, SUM_STORE4, 128)
+	SUBQ $128, AX
+sum8:
+	CMPQ AX, $64
+	JLT  sum4
+	SUM_BLOCK(rows8, SUM_LOAD2, SUM_ADD2, SUM_STORE2, 64)
+	SUBQ $64, AX
+sum4:
+	CMPQ AX, $32
+	JLT  sumdone
+	SUM_BLOCK(rows4, SUM_LOAD1, SUM_ADD1, SUM_STORE1, 32)
+sumdone:
+	VZEROUPPER
+	RET
+
+// func momentumAVX2(w, grad, v []float64, lr, momentum, decay float64)
+// For j < len(w), a positive multiple of 4: g = grad[j] + decay·w[j],
+// v[j] = momentum·v[j] − lr·g, w[j] = w[j] + v[j], grad[j] = 0 — MomentumStep's
+// Go statements, one VMULPD, VADDPD or VSUBPD per operator.
+TEXT ·momentumAVX2(SB), NOSPLIT, $0-96
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         grad_base+24(FP), SI
+	MOVQ         v_base+48(FP), DX
+	VBROADCASTSD lr+72(FP), Y13
+	VBROADCASTSD momentum+80(FP), Y14
+	VBROADCASTSD decay+88(FP), Y15
+	VXORPD       Y12, Y12, Y12
+	SHLQ         $3, CX
+	XORQ         AX, AX
+momloop:
 	VMOVUPD (DI)(AX*1), Y0
-	VADDPD  (SI)(AX*1), Y0, Y0
+	VMULPD  Y0, Y15, Y1 // decay·w
+	VMOVUPD (SI)(AX*1), Y2
+	VADDPD  Y1, Y2, Y2  // g = grad + decay·w
+	VMULPD  Y2, Y13, Y2 // lr·g
+	VMOVUPD (DX)(AX*1), Y3
+	VMULPD  Y3, Y14, Y3 // momentum·v
+	VSUBPD  Y2, Y3, Y3  // v = momentum·v − lr·g
+	VADDPD  Y3, Y0, Y0  // w + v
+	VMOVUPD Y3, (DX)(AX*1)
 	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y12, (SI)(AX*1)
 	ADDQ    $32, AX
 	CMPQ    AX, CX
-	JLT     addcol
-	ADDQ DX, DI
-	ADDQ R8, SI
-	DECQ BX
-	JNZ  addrow
+	JLT     momloop
 	VZEROUPPER
 	RET
 

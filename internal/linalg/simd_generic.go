@@ -11,7 +11,8 @@ func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStr
 }
 func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool) { panic("linalg: no AVX2") }
 func tcPanelAVX2(ct, a, b, seed, post []float64, rows, k, n, ldc int) { panic("linalg: no AVX2") }
-func addRowsAVX2(dst, src []float64, rows, cols, dstStride, srcStride int) {
+func sumRowsAVX2(dst, src []float64, rows, stride int)                { panic("linalg: no AVX2") }
+func momentumAVX2(w, grad, v []float64, lr, momentum, decay float64) {
 	panic("linalg: no AVX2")
 }
 func reluAVX2(x []float64)                   { panic("linalg: no AVX2") }

@@ -375,6 +375,69 @@ func TestRowOpsMatchPerRowForm(t *testing.T) {
 	}
 }
 
+// TestSumRowsKernelMatchesGoLoop: SumRowsInto's register body against its Go
+// loop over 1–70 columns (every mix of the 32-, 16-, 8- and 4-column blocks,
+// and every tail) and 1, 2, 7 and 64 rows at odd offsets: each special value
+// in every column, in the sum or in one row (one per column, so no add meets
+// two NaNs), then columns of signed zeros and subnormals alone.
+func TestSumRowsKernelMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tiny := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x800fffffffffffff)}
+	for n := 1; n <= 70; n++ {
+		for _, rows := range []int{1, 2, 7, 64} {
+			for shift := 0; shift <= len(specials); shift++ {
+				x, v := normals(rng, rows*n), normals(rng, n)
+				for j := 0; j < n; j++ {
+					if shift == len(specials) {
+						v[j] = tiny[rng.Intn(len(tiny))]
+						for r := 0; r < rows; r++ {
+							x[r*n+j] = tiny[rng.Intn(len(tiny))]
+						}
+					} else if s := specials[(j+shift)%len(specials)]; (j+shift)/len(specials)%2 == 0 {
+						v[j] = s
+					} else {
+						x[rng.Intn(rows)*n+j] = s
+					}
+				}
+				x = offset(x, 3)
+				want, got := goAndSIMD(func() []float64 { return offset(v, 1) }, func(dst []float64) {
+					TensorView(x, rows, n).SumRowsInto(dst)
+				})
+				sameBits(t, fmt.Sprintf("SumRowsInto rows=%d n=%d shift=%d", rows, n, shift), got, want)
+			}
+		}
+	}
+}
+
+// TestSGDKernelMatchesGoLoop: MomentumStep's packed body against its Go loop
+// over lengths 0–33 at odd offsets, each special value at every element in the
+// weights, the gradient or the velocity (one per element: no operation meets
+// two NaNs), with the models' hyperparameters and with no decay. w, v and the
+// zeroed gradient all have to match.
+func TestSGDKernelMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for n := 0; n <= 33; n++ {
+		for shift := 0; shift < 3*len(specials); shift++ {
+			wgv := normals(rng, 3*n)
+			for i := 0; i < n; i++ {
+				k := (i + shift) % (3 * len(specials))
+				wgv[(k%3)*n+i] = specials[k/3]
+			}
+			for _, h := range [][3]float64{{0.05, 0.9, 1e-4}, {0.025, 0.5, 0}} {
+				want, got := goAndSIMD(func() []float64 { return offset(wgv, 1) }, func(out []float64) {
+					MomentumStep(out[:n:n], out[n:2*n:2*n], out[2*n:], h[0], h[1], h[2])
+				})
+				sameBits(t, fmt.Sprintf("MomentumStep n=%d shift=%d hyper=%v", n, shift, h), got, want)
+				for i, g := range got[n : 2*n] {
+					if math.Float64bits(g) != 0 {
+						t.Fatalf("MomentumStep n=%d shift=%d: gradient %d left at %v", n, shift, i, g)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShortOperandsPanicInGo: an operand one element short of its shape
 // panics in the wrapper's slice expressions, on both paths, before a single
 // element of the output has moved — the assembly never sees it. Every form goes
@@ -401,6 +464,7 @@ func TestShortOperandsPanicInGo(t *testing.T) {
 			GemmTC(TensorView(ct, n, m), TensorView(full(m*k), m, k), TensorView(full(k*n), k, n), Epilogue{Bias: full(n - 1)})
 		}},
 		{"SumRowsInto short dst", full(n - 1), func(dst []float64) { TensorView(full(m*n), m, n).SumRowsInto(dst) }},
+		{"MomentumStep short v", full(n), func(w []float64) { MomentumStep(w, full(n), full(n-1), 0.05, 0.9, 1e-4) }},
 	}
 	for form, name := range []string{"NN", "TA", "TB"} {
 		for _, accumulate := range []bool{false, true} {
@@ -469,8 +533,8 @@ func checkGuards(t *testing.T, what string, framed []float64) {
 }
 
 // TestKernelsStayInsideOperands frames C, A, B, the bias row and the gate
-// with NaN guard bands on both sides, runs every kernel over the panel grid on
-// both paths, and requires the oracle's bits (a guard read into any sum would
+// with NaN guard bands on both sides, runs every kernel over the panel grid
+// (and GemmTC over its own, tcShapes) on both paths, and requires the oracle's bits (a guard read into any sum would
 // make it NaN) and untouched guards.
 func TestKernelsStayInsideOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -540,6 +604,23 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 			checkGuards(t, "store modes bias", biasFrame)
 			checkGuards(t, "store modes gate", gateFrame)
 		}
+		for _, s := range tcShapes() {
+			a, aFrame := guarded(normals(rng, s.m*s.k))
+			b, bFrame := guarded(normals(rng, s.k*s.n))
+			bias, biasFrame := guarded(normals(rng, s.n))
+			for mode, e := range []Epilogue{{}, {Bias: bias}, {Bias: bias, BiasLast: true}} {
+				what := fmt.Sprintf("%dx%dx%d class-major mode %d", s.m, s.k, s.n, mode)
+				ct, ctFrame := guarded(normals(rng, s.m*s.n))
+				GemmTC(TensorView(ct, s.n, s.m), TensorView(a, s.m, s.k), TensorView(b, s.k, s.n), e)
+				want := NewTensor(s.n, s.m)
+				TransposeInto(want, refStore(e, s.m, s.k, TensorView(a, s.m, s.k).At, TensorView(b, s.k, s.n)))
+				sameBits(t, what, ct, want.Data)
+				checkGuards(t, what+" Cᵀ", ctFrame)
+			}
+			checkGuards(t, "class-major A", aFrame)
+			checkGuards(t, "class-major B", bFrame)
+			checkGuards(t, "class-major bias", biasFrame)
+		}
 	})
 }
 
@@ -590,16 +671,17 @@ func TestWarmKernelsDoNotAllocate(t *testing.T) {
 		for name, f := range map[string]func(){
 			"Gemm": func() { Gemm(c, a, b) }, "GemmAdd": func() { GemmAdd(c, a, b) },
 			"GemmTA": func() { GemmTA(c, at, b) }, "GemmTAAdd": func() { GemmTAAdd(c, at, b) },
-			"GemmTBAdd":   func() { GemmTBAdd(c, a, bt) },
-			"GemmWith":    func() { GemmWith(c, a, b, Epilogue{Bias: v, BiasLast: true, ReLU: true}) },
-			"GemmTAWith":  func() { GemmTAWith(c, at, b, Epilogue{Gate: x}) },
-			"GemmTC":      func() { GemmTC(ct, a, b, Epilogue{Bias: v}) },
-			"SumRowsInto": func() { c.SumRowsInto(v) },
-			"ExpInto":     func() { ExpInto(c.Data, x) },
-			"LogInto":     func() { LogInto(c.Data, c.Data) },
-			"DivScalar":   func() { DivScalar(c.Data, 3) },
-			"SoftmaxCols": func() { SoftmaxCols(ct, ct) },
-			"ArgmaxCols":  func() { ArgmaxCols(labels, ct) },
+			"GemmTBAdd":    func() { GemmTBAdd(c, a, bt) },
+			"GemmWith":     func() { GemmWith(c, a, b, Epilogue{Bias: v, BiasLast: true, ReLU: true}) },
+			"GemmTAWith":   func() { GemmTAWith(c, at, b, Epilogue{Gate: x}) },
+			"GemmTC":       func() { GemmTC(ct, a, b, Epilogue{Bias: v}) },
+			"SumRowsInto":  func() { c.SumRowsInto(v) },
+			"MomentumStep": func() { MomentumStep(c.Data, ct.Data, x, 0.05, 0.9, 1e-4) },
+			"ExpInto":      func() { ExpInto(c.Data, x) },
+			"LogInto":      func() { LogInto(c.Data, c.Data) },
+			"DivScalar":    func() { DivScalar(c.Data, 3) },
+			"SoftmaxCols":  func() { SoftmaxCols(ct, ct) },
+			"ArgmaxCols":   func() { ArgmaxCols(labels, ct) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 				t.Errorf("warm %s allocates %.1f times, want 0", name, allocs)

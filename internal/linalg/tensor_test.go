@@ -86,6 +86,22 @@ func panelShapes() []struct{ m, k, n int } {
 	return shapes
 }
 
+// tcShapes is the class-major panel's grid: m = 1…17 is one band, a band
+// pair, a pair and a lone band, and every 1–3-row tail after each; n = 1…9 is
+// every head width in column pairs and an odd last column; k a lone tail step,
+// a 4-step block and a tail, and the hidden width.
+func tcShapes() []struct{ m, k, n int } {
+	var shapes []struct{ m, k, n int }
+	for m := 1; m <= 17; m++ {
+		for n := 1; n <= 9; n++ {
+			for _, k := range []int{1, 7, 64} {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	return shapes
+}
+
 func cloneTensor(t *Tensor) *Tensor {
 	return &Tensor{Rows: t.Rows, Cols: t.Cols, Data: append([]float64(nil), t.Data...)}
 }
@@ -224,7 +240,7 @@ func checkGemmOperands(t testing.TB, a, at, b, bt, seed *Tensor) {
 // row-parallel kernels equal the naive single-goroutine oracles bit for bit.
 // (make golden's sibling: run it at -cpu 1,2,4 to move the fan-out partition.)
 func TestGemmMatchesReference(t *testing.T) {
-	for _, s := range append(gemmShapes, panelShapes()...) {
+	for _, s := range append(append(gemmShapes, panelShapes()...), tcShapes()...) {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
 			onBothPaths(t, func(t *testing.T) {
 				checkGemmBits(t, rand.New(rand.NewSource(42)), s.m, s.k, s.n)

@@ -53,7 +53,7 @@ func (v Vector) Sub(w Vector) Vector {
 // AddInPlace adds w into v element-wise.
 func (v Vector) AddInPlace(w Vector) {
 	mustSameLen(v, w)
-	addRows(v, w, 1, len(v), 0, 0)
+	sumRows(v, w, 1, len(v), 0)
 }
 
 // Scale returns c*v.

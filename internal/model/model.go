@@ -23,8 +23,9 @@ type Model interface {
 	Predict(x [][]float64) []int
 	// PredictProba returns the class distribution per sample.
 	PredictProba(x [][]float64) [][]float64
-	// Fit performs one incremental mini-batch SGD update and returns the
-	// pre-update loss.
+	// FitTensor and Fit perform one incremental mini-batch SGD update, on a
+	// tensor's rows read where they lie or on rows, and return the pre-update loss.
+	FitTensor(x *linalg.Tensor, y []int) (float64, error)
 	Fit(x [][]float64, y []int) (float64, error)
 	// Forwarded names the forward pass the model ran last (its most recent
 	// Predict or PredictProba).
@@ -111,10 +112,10 @@ func (m *netModel) InDim() int                             { return m.net.InDim(
 func (m *netModel) NumClasses() int                        { return m.net.NumClasses() }
 func (m *netModel) Net() *nn.Network                       { return m.net }
 
-func (m *netModel) Freeze() Frozen { return m.net.Freeze() }
-
-func (m *netModel) Fit(x [][]float64, y []int) (float64, error) {
-	return m.net.TrainBatch(x, y, m.opt)
+func (m *netModel) Freeze() Frozen                              { return m.net.Freeze() }
+func (m *netModel) Fit(x [][]float64, y []int) (float64, error) { return m.net.TrainBatch(x, y, m.opt) }
+func (m *netModel) FitTensor(x *linalg.Tensor, y []int) (float64, error) {
+	return m.net.TrainTensor(x, y, m.opt)
 }
 
 func (m *netModel) Forwarded() nn.ForwardToken { return m.net.LastForward() }

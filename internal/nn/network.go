@@ -24,9 +24,9 @@ type Network struct {
 	inDim      int
 	numClasses int
 
-	xBuf    *linalg.Tensor // staging copy of the caller's batch
-	gradBuf *linalg.Tensor // class head scratch: PredictProba's probabilities, the loss gradient
-	logpBuf *linalg.Tensor // loss-head scratch: the labels' logs, one per row
+	xBuf    linalg.Tensor // staging copy of the caller's batch
+	gradBuf linalg.Tensor // class head scratch: PredictProba's probabilities, the loss gradient
+	logpBuf linalg.Tensor // loss-head scratch: the labels' logs, one per row
 
 	// Forward reuse (TrainForwarded): logits is the last forward's output,
 	// fwdSeq numbers the forward passes, and fwd is the number of the pass
@@ -111,11 +111,8 @@ func (n *Network) NumClasses() int { return n.numClasses }
 // stage copies the caller's batch into the network's staging tensor. Rows
 // must all have the expected input width.
 func (n *Network) stage(x [][]float64) *linalg.Tensor {
-	if n.xBuf == nil {
-		n.xBuf = linalg.NewTensor(0, n.inDim)
-	}
 	n.xBuf.FromRows(x, n.inDim)
-	return n.xBuf
+	return &n.xBuf
 }
 
 // forwardT runs the staged batch through all layers and returns the
@@ -153,10 +150,7 @@ func (n *Network) Predict(x [][]float64) []int {
 // one fresh len(x) × NumClasses slab, transposed from the class-major
 // probabilities.
 func (n *Network) PredictProba(x [][]float64) [][]float64 {
-	if n.gradBuf == nil {
-		n.gradBuf = new(linalg.Tensor)
-	}
-	n.ProbaInto(n.gradBuf, x)
+	n.ProbaInto(&n.gradBuf, x)
 	return n.gradBuf.TransposeToRows()
 }
 
@@ -173,7 +167,18 @@ func (n *Network) ProbaInto(dst *linalg.Tensor, x [][]float64) {
 // TrainBatch performs one forward/backward pass and one optimizer step on
 // the mini-batch, returning the pre-update mean loss.
 func (n *Network) TrainBatch(x [][]float64, y []int, opt *SGD) (float64, error) {
-	loss, err := n.AccumulateGradients(x, y)
+	return n.TrainTensor(n.stage(x), y, opt)
+}
+
+// TrainTensor is TrainBatch on a batch that is already a tensor (a row view of
+// the caller's slab, say), read where it lies and left as it was.
+func (n *Network) TrainTensor(x *linalg.Tensor, y []int, opt *SGD) (float64, error) {
+	switch n.layers[0].(type) {
+	case *ReLU, *Sigmoid: // it would rectify the caller's batch: stage a copy
+		copy(linalg.EnsureTensor(&n.xBuf, x.Rows, x.Cols).Data, x.Data)
+		x = &n.xBuf
+	}
+	loss, err := n.backward(n.forwardT(x), y) // an empty batch is the loss's error
 	if err != nil {
 		return 0, err
 	}
@@ -225,13 +230,13 @@ func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 // backward: the pass consumes its token.
 func (n *Network) backward(logits *linalg.Tensor, y []int) (float64, error) {
 	n.InvalidateForward()
-	n.gradBuf = linalg.EnsureTensor(n.gradBuf, logits.Rows, logits.Cols)
-	n.logpBuf = linalg.EnsureTensor(n.logpBuf, logits.Cols, 1)
-	loss, err := softmaxCrossEntropyT(logits, y, n.gradBuf, n.logpBuf.Data)
+	linalg.EnsureTensor(&n.gradBuf, logits.Rows, logits.Cols)
+	linalg.EnsureTensor(&n.logpBuf, logits.Cols, 1)
+	loss, err := softmaxCrossEntropyT(logits, y, &n.gradBuf, n.logpBuf.Data)
 	if err != nil {
 		return 0, err
 	}
-	g := n.gradBuf
+	g := &n.gradBuf
 	for i := len(n.layers) - 1; i > 0; i-- {
 		g = n.layers[i].Backward(g)
 	}

@@ -30,9 +30,7 @@ func newParam(n int) *Param {
 
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
-	}
+	clear(p.Grad)
 }
 
 // heInit fills w with He-normal initialization for a layer with the given

@@ -1,5 +1,7 @@
 package nn
 
+import "freewayml/internal/linalg"
+
 // SGD is mini-batch stochastic gradient descent with optional momentum and
 // L2 weight decay — the update rule all of the paper's streaming models
 // (and all re-implemented baselines) share.
@@ -25,27 +27,22 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: make(map[*Param][]float64)}
 }
 
-// Step applies one update to every parameter and zeroes the gradients.
+// Step applies one update to every parameter and zeroes the gradients: with
+// momentum one packed pass per parameter (linalg.MomentumStep).
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
-		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = make([]float64, len(p.W))
-				s.velocity[p] = v
-			}
-			for i := range p.W {
-				g := p.Grad[i] + s.WeightDecay*p.W[i]
-				v[i] = s.Momentum*v[i] - s.LR*g
-				p.W[i] += v[i]
-			}
-		} else {
+		if s.Momentum == 0 {
 			for i := range p.W {
 				g := p.Grad[i] + s.WeightDecay*p.W[i]
 				p.W[i] -= s.LR * g
 			}
+			p.ZeroGrad()
+			continue
 		}
-		p.ZeroGrad()
+		if s.velocity[p] == nil {
+			s.velocity[p] = make([]float64, len(p.W))
+		}
+		linalg.MomentumStep(p.W, p.Grad, s.velocity[p], s.LR, s.Momentum, s.WeightDecay)
 	}
 }
 

@@ -131,3 +131,67 @@ func TestPredictTensorIntoWarmAllocs(t *testing.T) {
 		t.Fatalf("a warm frozen pass allocates %.1f, want 0 (row API: %.1f)", fused, rowAPI)
 	}
 }
+
+// TestTrainTensorMatchesTrainBatch: training through the tensor entry, on a
+// row view in the middle of a larger slab, gives TrainBatch's losses and
+// weights bit for bit, step after step, and leaves the slab as it was — also
+// under a first-position ReLU, which rectifies the staging copy it gets
+// instead.
+func TestTrainTensorMatchesTrainBatch(t *testing.T) {
+	for name, layers := range map[string]func(rng *rand.Rand) []Layer{
+		"mlp": func(rng *rand.Rand) []Layer { return []Layer{NewDense(5, 8, rng), NewReLU(), NewDense(8, 3, rng)} },
+		"relu first": func(rng *rand.Rand) []Layer {
+			return []Layer{NewReLU(), NewDense(5, 8, rng), NewReLU(), NewDense(8, 3, rng)}
+		},
+		"cnn": func(rng *rand.Rand) []Layer {
+			return []Layer{NewConv1D(1, 4, 3, 5, rng), NewReLU(), NewMaxPool1D(4, 3, 2), NewDense(8, 3, rng)}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := func() *Network {
+				n, err := NewNetwork(5, 3, layers(rand.New(rand.NewSource(25)))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			rows, tensor := net(), net()
+			optRows, optTensor := NewSGD(0.05, 0.9, 1e-4), NewSGD(0.05, 0.9, 1e-4)
+			rng := rand.New(rand.NewSource(26))
+			x, slab := tensorEntryBatch(rng, 40, 5)
+			before := append([]float64(nil), slab.Data...)
+			y := make([]int, 40)
+			for i := range y {
+				y[i] = rng.Intn(3)
+			}
+			for _, c := range [][2]int{{3, 19}, {0, 40}, {19, 20}, {7, 39}} {
+				view := linalg.TensorView(slab.Data[c[0]*5:c[1]*5], c[1]-c[0], 5)
+				want, err := rows.TrainBatch(x[c[0]:c[1]], y[c[0]:c[1]], optRows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tensor.TrainTensor(view, y[c[0]:c[1]], optTensor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("rows %v: loss %v, TrainBatch %v", c, got, want)
+				}
+				wr, wt := rows.AppendFlatParams(nil), tensor.AppendFlatParams(nil)
+				for i := range wr {
+					if math.Float64bits(wt[i]) != math.Float64bits(wr[i]) {
+						t.Fatalf("rows %v: weight %d = %v, TrainBatch %v", c, i, wt[i], wr[i])
+					}
+				}
+			}
+			for i, v := range before {
+				if math.Float64bits(slab.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("training wrote the caller's slab at %d", i)
+				}
+			}
+			if _, err := tensor.TrainTensor(linalg.NewTensor(0, 5), nil, optTensor); err == nil {
+				t.Fatal("an empty batch trained")
+			}
+		})
+	}
+}

@@ -79,12 +79,6 @@ func BuildGranularities(factory model.Factory, dim, classes, n int, wcfg Watchdo
 	return grans, nil
 }
 
-// Preserver receives the window-close knowledge-preservation hook. The
-// knowledge-reuse strategy implements it.
-type Preserver interface {
-	PreserveAtWindowClose(disorder float64, distribution linalg.Vector, longSnap func() ([]byte, error), shortSnap []byte, replaceRadius float64, obs shift.Observation) error
-}
-
 // EnsembleConfig carries the knobs of the multi-granularity mechanism (a
 // subset of core.Config; see there for semantics).
 type EnsembleConfig struct {
@@ -123,7 +117,10 @@ type Ensemble struct {
 	longCentroid linalg.Vector
 	longWd       *Watchdog // nil when the watchdog is disabled
 
-	preserver Preserver // set after construction (nil disables preservation)
+	slab, chunk linalg.Tensor // the close's training set, gathered from the window, and a chunk's rows
+	slabY       []int         // the slab's labels
+
+	preserver *KnowledgeReuse // set after construction (nil disables preservation)
 
 	longVer uint64 // bumped on every long-model mutation
 
@@ -155,7 +152,7 @@ func NewEnsemble(cfg EnsembleConfig, grans []*Granularity, long model.Model, lon
 
 // SetPreserver attaches the knowledge-preservation hook (call before the
 // first Train; nil disables preservation).
-func (e *Ensemble) SetPreserver(p Preserver) { e.preserver = p }
+func (e *Ensemble) SetPreserver(p *KnowledgeReuse) { e.preserver = p }
 
 // Granularities exposes the fixed-frequency members (checkpointing and
 // white-box tests).
@@ -315,16 +312,8 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 func (e *Ensemble) updateLong(obs shift.Observation) error {
 	disorder := e.asw.Disorder()
 	distribution := e.asw.Distribution()
-	trainX, trainY := e.asw.TrainingSet()
+	e.slabY = e.asw.TrainingSet(&e.slab, e.slabY)
 	e.asw.Reset()
-
-	// The β-policy preservation below may store the short model instead of
-	// the long one, so its parameters are captured before the long model
-	// trains.
-	shortSnap, err := e.grans[0].Model.Snapshot()
-	if err != nil {
-		return err
-	}
 	replaceRadius := e.deps.ReplaceRadius()
 
 	e.longVer++
@@ -332,11 +321,14 @@ func (e *Ensemble) updateLong(obs shift.Observation) error {
 	// rows, where only the weight checks apply.
 	lastLoss := -1.0
 	// Chunked mini-batch epochs over the weighted window, matching how a
-	// DataLoader-driven PyTorch update iterates window data.
+	// DataLoader-driven PyTorch update iterates window data; a chunk is a row
+	// view of the slab.
+	n, cols := e.slab.Rows, e.slab.Cols
 	for epoch := 0; epoch < e.cfg.LongEpochs; epoch++ {
-		for start := 0; start < len(trainX); start += e.cfg.LongChunk {
-			end := min(start+e.cfg.LongChunk, len(trainX))
-			loss, err := e.long.Fit(trainX[start:end], trainY[start:end])
+		for start := 0; start < n; start += e.cfg.LongChunk {
+			end := min(start+e.cfg.LongChunk, n)
+			e.chunk = linalg.Tensor{Rows: end - start, Cols: cols, Data: e.slab.Data[start*cols : end*cols]}
+			loss, err := e.long.FitTensor(&e.chunk, e.slabY[start:end])
 			if err != nil {
 				return err
 			}
@@ -354,7 +346,7 @@ func (e *Ensemble) updateLong(obs shift.Observation) error {
 	if e.preserver == nil {
 		return nil
 	}
-	return e.preserver.PreserveAtWindowClose(disorder, distribution, e.long.Snapshot, shortSnap, replaceRadius, obs)
+	return e.preserver.PreserveAtWindowClose(disorder, distribution, e.long.Snapshot, e.grans[0].Model.Snapshot, replaceRadius, obs)
 }
 
 // PublishSnapshot builds the immutable member view for the inference plane:

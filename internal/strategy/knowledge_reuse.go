@@ -14,8 +14,8 @@ import (
 
 // KnowledgeReuse is the Pattern-C mechanism: when a distribution reoccurs,
 // the nearest preserved snapshot is restored and fused with the live
-// fixed-frequency models (paper Sec. IV-D). It also implements Preserver:
-// the ensemble's window close feeds it the β-policy preservation decision.
+// fixed-frequency models (paper Sec. IV-D). It is also the ensemble's
+// preserver: the window close feeds it the β-policy preservation decision.
 type KnowledgeReuse struct {
 	store *knowledge.Store
 	reuse model.Model // scratch model for restores
@@ -94,26 +94,27 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 
 // PreserveAtWindowClose applies the disorder-threshold policy of Sec. IV-D1.
 // The ensemble calls it on the training goroutine at the end of a window
-// close: longSnap snapshots the long model as that close left it, and
-// shortSnap holds the short model's parameters from before the long update.
-func (k *KnowledgeReuse) PreserveAtWindowClose(disorder float64, distribution linalg.Vector, longSnap func() ([]byte, error), shortSnap []byte, replaceRadius float64, obs shift.Observation) error {
+// close: longSnap snapshots the long model as that close left it, shortSnap
+// the short model, which the close does not train. Each is called only when
+// the policy keeps its model.
+func (k *KnowledgeReuse) PreserveAtWindowClose(disorder float64, distribution linalg.Vector, longSnap, shortSnap func() ([]byte, error), replaceRadius float64, obs shift.Observation) error {
 	if distribution == nil {
 		return nil
 	}
-	decision := knowledge.Policy{Beta: k.beta}.Decide(disorder)
-	if decision.SaveLong {
-		snap, err := longSnap()
+	preserve := func(at linalg.Vector, snapshot func() ([]byte, error), source string) error {
+		snap, err := snapshot()
 		if err != nil {
 			return err
 		}
-		if err := k.store.PreserveOrReplace(distribution, snap, "long", obs.Batch, replaceRadius); err != nil {
-			return err
-		}
+		return k.store.PreserveOrReplace(at, snap, source, obs.Batch, replaceRadius)
 	}
-	if decision.SaveShort && shortSnap != nil && obs.YBar != nil {
-		if err := k.store.PreserveOrReplace(obs.YBar, shortSnap, "short", obs.Batch, replaceRadius); err != nil {
-			return err
-		}
+	var err error
+	decision := knowledge.Policy{Beta: k.beta}.Decide(disorder)
+	if decision.SaveLong {
+		err = preserve(distribution, longSnap, "long")
 	}
-	return nil
+	if err == nil && decision.SaveShort && obs.YBar != nil {
+		err = preserve(obs.YBar, shortSnap, "short")
+	}
+	return err
 }

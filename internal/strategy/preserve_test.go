@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -12,12 +13,39 @@ import (
 	"freewayml/internal/window"
 )
 
+// snapCounted counts a model's Snapshot calls.
+type snapCounted struct {
+	model.Model
+	snaps int
+}
+
+func (m *snapCounted) Snapshot() ([]byte, error) {
+	m.snaps++
+	return m.Model.Snapshot()
+}
+
+// closeSpy runs before at the long model's first update of a window close.
+type closeSpy struct {
+	model.Model
+	before func()
+}
+
+func (m *closeSpy) FitTensor(x *linalg.Tensor, y []int) (float64, error) {
+	if m.before != nil {
+		m.before()
+		m.before = nil
+	}
+	return m.Model.FitTensor(x, y)
+}
+
 // TestWindowCloseBetaPolicy drives one window close through an Ensemble whose
 // preserver is KnowledgeReuse, and checks the β policy of Sec. IV-D1: at a
-// window disorder ≥ β the store gains the long model alone; below β it gains
-// the long model (at the window's distribution) and the short model (at the
-// closing batch's). Each disorder is counted by hand, as in Eq. 11: the ranks
-// of the three stored batches by distance to the fourth, read newest-first.
+// window disorder ≥ β the store gains the long model alone, and the short
+// model is never even serialized; below β it gains the long model (at the
+// window's distribution) and the short model (at the closing batch's), whose
+// bytes are those of a snapshot taken as the close began, before the long
+// model trained. Each disorder is counted by hand, as in Eq. 11: the ranks of
+// the three stored batches by distance to the fourth, read newest-first.
 func TestWindowCloseBetaPolicy(t *testing.T) {
 	const beta = 1.0 / 3
 	cases := []struct {
@@ -51,8 +79,17 @@ func TestWindowCloseBetaPolicy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			short := &snapCounted{Model: build()}
+			var shortAtClose []byte
+			long := &closeSpy{Model: build(), before: func() {
+				snap, err := short.Model.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				shortAtClose = snap
+			}}
 			e := NewEnsemble(EnsembleConfig{Sigma: 1, LongEpochs: 1, LongChunk: 64},
-				[]*Granularity{NewGranularity(build(), 1, nil)}, build(), nil, asw, EnsembleDeps{
+				[]*Granularity{NewGranularity(short, 1, nil)}, long, nil, asw, EnsembleDeps{
 					OnRecovery:    func(RecoveryEvent) {},
 					BatchNum:      func() int { return 0 },
 					ReplaceRadius: func() float64 { return 0 },
@@ -93,10 +130,19 @@ func TestWindowCloseBetaPolicy(t *testing.T) {
 					t.Fatalf("store gained %v, want %v", got, c.want)
 				}
 			}
+			if shortAtClose == nil {
+				t.Fatal("the long model never trained at the close")
+			}
+			if len(entries) == 1 && short.snaps != 0 {
+				t.Errorf("the short model was serialized %d times for a policy that keeps only the long one", short.snaps)
+			}
 			if len(entries) == 2 {
 				last := c.centroids[len(c.centroids)-1]
 				if d := entries[1].Distribution; len(d) != 1 || d[0] != last {
 					t.Errorf("short entry stored at %v, want the closing batch's ȳ [%v]", d, last)
+				}
+				if !bytes.Equal(entries[1].Snapshot, shortAtClose) {
+					t.Error("the stored short snapshot differs from the short model's as the close began")
 				}
 			}
 		})

@@ -200,23 +200,26 @@ func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error)
 // callers must not mutate it.
 func (w *ASW) Entries() []Entry { return w.entries }
 
-// TrainingSet flattens the window into one weighted training set: each batch
-// contributes its first ceil(weight·len) samples, so heavily decayed batches
-// contribute proportionally less signal. Returns empty slices for an empty
-// window.
-func (w *ASW) TrainingSet() ([][]float64, []int) {
+// TrainingSet gathers the window's weighted training set into x (samples ×
+// width, its buffer reused) and the labels into y[:0], which it returns: each
+// batch, oldest first, contributes its first ceil(weight·len) samples, so
+// heavily decayed batches contribute proportionally less signal.
+func (w *ASW) TrainingSet(x *linalg.Tensor, y []int) []int {
 	take := func(e Entry) int { return min(int(math.Ceil(e.Weight*float64(len(e.X)))), len(e.X)) }
-	total := 0
+	total, width := 0, x.Cols
 	for _, e := range w.entries {
-		total += take(e)
+		total, width = total+take(e), len(e.X[0])
 	}
-	xs, ys := make([][]float64, 0, total), make([]int, 0, total)
+	linalg.EnsureTensor(x, total, width)
+	y = y[:0]
 	for _, e := range w.entries {
 		n := take(e)
-		xs = append(xs, e.X[:n]...)
-		ys = append(ys, e.Y[:n]...)
+		for i, row := range e.X[:n] {
+			copy(x.Row(len(y)+i), row)
+		}
+		y = append(y, e.Y[:n]...)
 	}
-	return xs, ys
+	return y
 }
 
 // Distribution returns the weight-averaged centroid of the window — the d_i
@@ -226,11 +229,13 @@ func (w *ASW) Distribution() linalg.Vector {
 	if len(w.entries) == 0 {
 		return nil
 	}
-	dim := len(w.entries[0].Centroid)
-	sum := linalg.NewVector(dim)
+	sum := linalg.NewVector(len(w.entries[0].Centroid))
 	var total float64
 	for _, e := range w.entries {
-		sum.AddInPlace(e.Centroid.Scale(e.Weight))
+		// float64() keeps the product's own rounding: Scale then AddInPlace.
+		for j, c := range e.Centroid {
+			sum[j] += float64(c * e.Weight)
+		}
 		total += e.Weight
 	}
 	if total == 0 {
@@ -241,9 +246,10 @@ func (w *ASW) Distribution() linalg.Vector {
 }
 
 // Reset empties the window after a long-model update, preserving the
-// sequence counter.
+// sequence counter and the entries' array, cleared so that no batch outlives it.
 func (w *ASW) Reset() {
-	w.entries = nil
+	clear(w.entries[:cap(w.entries)])
+	w.entries = w.entries[:0]
 	w.items = 0
 	w.disorder = 0
 }

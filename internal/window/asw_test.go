@@ -3,6 +3,7 @@ package window
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"freewayml/internal/linalg"
@@ -287,12 +288,20 @@ func TestTrainingSetWeighting(t *testing.T) {
 	if _, err := w.Push(x1, y1, linalg.Vector{5, 0}); err != nil {
 		t.Fatal(err)
 	}
-	xs, ys := w.TrainingSet()
-	if len(xs) != len(ys) {
-		t.Fatalf("xs/ys mismatch %d vs %d", len(xs), len(ys))
+	var xs linalg.Tensor
+	ys := w.TrainingSet(&xs, []int{7, 7, 7})
+	if xs.Rows != len(ys) || xs.Cols != len(x0[0]) {
+		t.Fatalf("gathered %dx%d samples for %d labels", xs.Rows, xs.Cols, len(ys))
 	}
-	if len(xs) == 0 || len(xs) > 20 {
-		t.Fatalf("training set size %d", len(xs))
+	if xs.Rows == 0 || xs.Rows > 20 {
+		t.Fatalf("training set size %d", xs.Rows)
+	}
+	// Oldest batch first, each its leading rows, copied as they were.
+	n0 := xs.Rows - 10
+	for r := 0; r < xs.Rows; r++ {
+		if want := append(x0[:n0:n0], x1...)[r]; !slices.Equal(xs.Row(r), want) {
+			t.Fatalf("row %d is %v, want %v", r, xs.Row(r), want)
+		}
 	}
 	// The newer batch has weight 1 → contributes all 10; the older is
 	// decayed → contributes fewer or equal.
@@ -314,8 +323,8 @@ func TestTrainingSetWeighting(t *testing.T) {
 
 func TestTrainingSetEmptyWindow(t *testing.T) {
 	w, _ := New(DefaultConfig())
-	xs, ys := w.TrainingSet()
-	if len(xs) != 0 || len(ys) != 0 {
+	xs := linalg.NewTensor(3, 2)
+	if ys := w.TrainingSet(xs, []int{1}); xs.Rows != 0 || len(ys) != 0 {
 		t.Error("empty window should produce empty training set")
 	}
 	if w.Distribution() != nil {
@@ -345,8 +354,9 @@ func TestDistributionWeightedCentroid(t *testing.T) {
 }
 
 // TestWarmPushAllocs pins the per-batch garbage of a window that has seen a
-// close: a push may allocate the centroid clone and, when the entry slice
-// grows, its new backing array — nothing for the ranking scratch.
+// close: a push allocates the centroid clone and nothing else — not the
+// ranking scratch, not the entries (Reset keeps their array), and a close
+// gathers into the caller's tensor and labels.
 func TestWarmPushAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	w, err := New(cfg)
@@ -355,21 +365,85 @@ func TestWarmPushAllocs(t *testing.T) {
 	}
 	x, y := [][]float64{{1, 2}, {3, 4}}, []int{0, 1}
 	c := linalg.Vector{0.5, -0.5}
+	var slab linalg.Tensor
+	var labels []int
 	push := func() {
 		full, err := w.Push(x, y, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if full {
-			w.TrainingSet()
+			labels = w.TrainingSet(&slab, labels)
 			w.Reset()
 		}
 	}
 	for i := 0; i < 2*cfg.MaxBatches; i++ {
 		push()
 	}
-	// TrainingSet's two slices, once per MaxBatches pushes, round away.
-	if got := testing.AllocsPerRun(20*cfg.MaxBatches, push); got > 2 {
-		t.Errorf("warm Push allocates %.0f times per call, want <= 2", got)
+	if got := testing.AllocsPerRun(20*cfg.MaxBatches, push); got > 1 {
+		t.Errorf("warm Push allocates %.0f times per call, want 1", got)
+	}
+}
+
+// TestDistributionMatchesScaleAddForm pins Distribution bit for bit to the
+// form it replaced — each centroid scaled by its weight (Vector.Scale) and
+// added in (AddInPlace), oldest first, then the sum scaled by 1/Σweight — on
+// decayed windows of 1–12 batches: it keys the knowledge store and becomes the
+// long model's centroid.
+func TestDistributionMatchesScaleAddForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cfg := DefaultConfig()
+	cfg.MaxBatches = 100
+	for trial := 0; trial < 50; trial++ {
+		w, _ := New(cfg)
+		for i := 0; i <= rng.Intn(12); i++ {
+			c := make(linalg.Vector, 5)
+			for j := range c {
+				c[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			}
+			x, y := mkBatch(3, 0, 0)
+			if _, err := w.Push(x, y, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, total := linalg.NewVector(5), 0.0
+		for _, e := range w.Entries() {
+			want.AddInPlace(e.Centroid.Scale(e.Weight))
+			total += e.Weight
+		}
+		want.ScaleInPlace(1 / total)
+		got := w.Distribution()
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d: element %d = %v, Scale + AddInPlace give %v", trial, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestResetReleasesBatches: Reset keeps the entries' array for the next window
+// and leaves no batch in it, the decay-evicted ones past its length included.
+func TestResetReleasesBatches(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxBatches, cfg.MinWeight = 100, 0.9
+	w, _ := New(cfg)
+	for i := 0; i < 10; i++ {
+		x, y := mkBatch(2, 0, float64(i))
+		if _, err := w.Push(x, y, linalg.Vector{float64(i * i), 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Evictions() == 0 {
+		t.Fatal("no batch was evicted")
+	}
+	w.Reset()
+	all := w.entries[:cap(w.entries)]
+	if len(all) == 0 || w.Len() != 0 {
+		t.Fatalf("after Reset: %d entries, array of %d", w.Len(), len(all))
+	}
+	for i, e := range all {
+		if e.X != nil || e.Y != nil || e.Centroid != nil {
+			t.Fatalf("entry %d still holds its batch after Reset", i)
+		}
 	}
 }

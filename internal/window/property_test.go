@@ -57,8 +57,8 @@ func TestWindowInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: TrainingSet never returns more samples than stored and keeps
-// X/Y aligned.
+// Property: TrainingSet never gathers more samples than stored and keeps
+// every row with its label.
 func TestTrainingSetBoundedProperty(t *testing.T) {
 	f := func(seed int64, nPushes uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -78,11 +78,17 @@ func TestTrainingSetBoundedProperty(t *testing.T) {
 				return false
 			}
 		}
-		xs, ys := w.TrainingSet()
-		if len(xs) != len(ys) {
+		var xs linalg.Tensor
+		ys := w.TrainingSet(&xs, nil)
+		if xs.Rows != len(ys) || xs.Rows > w.Items() {
 			return false
 		}
-		return len(xs) <= w.Items()
+		for r, yv := range ys {
+			if xs.At(r, 0) != float64(yv) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
