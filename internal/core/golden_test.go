@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"freewayml/internal/datasets"
+	"freewayml/internal/linalg"
+	"freewayml/internal/nn"
 	"freewayml/internal/stream"
 )
 
 // goldenDecisionHash drives one learn_drift stream (the benchmark's dataset,
 // batch 256, default config, Infer then Process per batch, full schedule)
-// and returns an FNV-1a hash over the bits of every probability and every
-// prediction either call returned.
+// and returns an FNV-1a hash over the bits of every prediction either call
+// returned and of every probability behind it.
 func goldenDecisionHash(t *testing.T, dataset string, seed int64, watchdog bool) uint64 {
 	t.Helper()
 	src, err := datasets.Build(dataset, 256, seed)
@@ -34,28 +36,42 @@ func goldenDecisionHash(t *testing.T, dataset string, seed int64, watchdog bool)
 		binary.LittleEndian.PutUint64(word[:], v)
 		h.Write(word[:])
 	}
-	fold := func(pred []int, proba [][]float64) {
+	// The probabilities are class-major views; the hash folds them row by row,
+	// as it was recorded.
+	fold := func(pred []int, proba *linalg.Tensor) {
 		for _, p := range pred {
 			put(uint64(p))
 		}
-		for _, row := range proba {
+		if proba == nil {
+			return
+		}
+		for _, row := range proba.TransposeToRows() {
 			for _, v := range row {
 				put(math.Float64bits(v))
 			}
 		}
 	}
 	ctx := context.Background()
+	var ws nn.Workspace
 	for _, b := range stream.Collect(src, 0) {
+		snap := l.ModelSnapshot()
 		inf, err := l.Infer(ctx, b.X)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fold(inf.Pred, inf.Proba)
+		// Infer answers with labels; the distributions behind them are its
+		// snapshot's, fused again into a workspace the test holds.
+		ws.Reset()
+		fused, err := snap.InferInto(&ws, b.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold(inf.Pred, fused.Proba)
 		res, err := l.Process(ctx, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fold(res.Pred, res.Proba)
+		fold(res.Pred, res.proba)
 	}
 	return h.Sum64()
 }

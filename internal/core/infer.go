@@ -15,8 +15,7 @@ import (
 // InferResult is one batch's inference-plane answer: predictions plus the
 // provenance of the snapshot that served them.
 type InferResult struct {
-	Pred  []int
-	Proba [][]float64
+	Pred []int
 	// Strategy is StrategyWarmup while the snapshot predates the detector's
 	// PCA fit, StrategyEnsemble afterwards (the read path never runs the
 	// reactive B/C mechanisms — they mutate detector and cluster state and
@@ -109,7 +108,6 @@ func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error)
 	l.obs.InferObserved(len(out.Pred), elapsed, age, snap.Batch, out.Warmup)
 	return InferResult{
 		Pred:          out.Pred,
-		Proba:         out.Proba,
 		Strategy:      st,
 		SnapshotBatch: snap.Batch,
 		SnapshotSeq:   snap.Seq,

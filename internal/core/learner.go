@@ -23,9 +23,9 @@ import (
 type Result struct {
 	// Pred holds the predicted class per sample.
 	Pred []int
-	// Proba holds the per-sample class distribution when the strategy
-	// produces one (nil for CEC, which outputs hard labels).
-	Proba [][]float64
+	// proba is the class-major view the strategy answered with (nil for
+	// CEC): its scratch, valid until the next Process.
+	proba *linalg.Tensor
 	// Pattern is the detected shift pattern; SubPattern refines slight
 	// shifts into A1/A2 using the window disorder.
 	Pattern    shift.Pattern
@@ -310,58 +310,32 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 //	B (severe) → CEC, falling back to the ensemble when it declines
 //	C          → knowledge reuse, falling back to the ensemble on a miss
 func (l *Learner) infer(ctx context.Context, b stream.Batch, obs shift.Observation, res *Result, bo *batchObs) error {
+	var (
+		p   strategy.Prediction
+		ok  bool
+		err error
+	)
 	switch {
 	case obs.Pattern == shift.PatternWarmup || obs.YBar == nil:
-		res.Strategy = StrategyWarmup
-		p := l.ens.InferWarmup(b)
-		res.Pred, res.Proba = p.Pred, p.Proba
-		return nil
-
+		res.Strategy, p, ok = StrategyWarmup, l.ens.InferWarmup(b), true
 	case obs.Pattern == shift.PatternC:
-		p, ok, err := l.knw.Infer(ctx, b, obs, bo)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		if ok {
-			res.Strategy = StrategyKnowledge
-			res.Pred, res.Proba = p.Pred, p.Proba
-			return nil
-		}
-		// No reusable knowledge close enough: fall through to the ensemble.
-		return l.inferEnsemble(ctx, b, obs, res, bo)
-
-	case obs.Pattern == shift.PatternB:
+		res.Strategy = StrategyKnowledge
+		p, ok, err = l.knw.Infer(ctx, b, obs, bo)
+	case obs.Pattern == shift.PatternB && !(obs.HistoryMean > 0 && obs.Distance < cecSeverityRatio*obs.HistoryMean):
 		// CEC replaces the models only when the shift dwarfs the stream's
 		// recent movement; a moderately sudden shift is handled by the
 		// ensemble, which re-adapts within a couple of batches.
-		if obs.HistoryMean > 0 && obs.Distance < cecSeverityRatio*obs.HistoryMean {
-			return l.inferEnsemble(ctx, b, obs, res, bo)
-		}
-		p, ok, err := l.cec.Infer(ctx, b, obs, bo)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		if ok {
-			res.Strategy = StrategyCEC
-			res.Pred, res.Proba = p.Pred, p.Proba
-			return nil
-		}
-		// No coherent experience yet: fall back to the ensemble.
-		return l.inferEnsemble(ctx, b, obs, res, bo)
-
-	default:
-		return l.inferEnsemble(ctx, b, obs, res, bo)
+		res.Strategy = StrategyCEC
+		p, ok, err = l.cec.Infer(ctx, b, obs, bo)
 	}
-}
-
-// inferEnsemble runs the fallback mechanism (always serves).
-func (l *Learner) inferEnsemble(ctx context.Context, b stream.Batch, obs shift.Observation, res *Result, bo *batchObs) error {
-	p, _, err := l.ens.Infer(ctx, b, obs, bo)
+	if !ok && err == nil { // the ensemble always serves
+		res.Strategy = StrategyEnsemble
+		p, _, err = l.ens.Infer(ctx, b, obs, bo)
+	}
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	res.Strategy = StrategyEnsemble
-	res.Pred, res.Proba = p.Pred, p.Proba
+	res.Pred, res.proba = p.Pred, p.Proba
 	return nil
 }
 

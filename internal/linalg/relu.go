@@ -3,7 +3,7 @@ package linalg
 import "math"
 
 // ReLU rectifies x in place: x[i] = max(x[i], 0), with the builtin's answers
-// for -0 (+0) and NaN (that NaN).
+// for -0 (+0) and NaN (that NaN with the sign bit cleared).
 func ReLU(x []float64) {
 	j := simdCols(len(x))
 	if j > 0 {

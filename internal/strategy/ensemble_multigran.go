@@ -125,7 +125,8 @@ type Ensemble struct {
 	longVer uint64 // bumped on every long-model mutation
 
 	// Infer's scratch: the member list, the long model's class distributions
-	// (the ensemble's buffer, not the network's) and the fused ones.
+	// (the ensemble's buffer, not the network's) and the fused ones, which
+	// Infer's Prediction views until the next Infer.
 	members          []member
 	longProba, fused linalg.Tensor
 
@@ -191,7 +192,8 @@ func (e *Ensemble) WindowItems() int { return e.asw.Items() }
 func (e *Ensemble) WindowEvictions() int { return e.asw.Evictions() }
 
 // InferWarmup predicts with the short model alone — the strategy while the
-// detector has no projected centroid yet.
+// detector has no projected centroid yet. Its Proba is the member's buffer,
+// valid until the member's next prediction.
 func (e *Ensemble) InferWarmup(b stream.Batch) Prediction {
 	return prediction(e.grans[0].predict(b.X))
 }

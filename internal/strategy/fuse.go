@@ -79,9 +79,9 @@ func fuse(dst *linalg.Tensor, members []member, sigma float64) (weights []float6
 
 // prediction turns class-major distributions (classes × samples) into what a
 // strategy returns: the labels by a first-max down each sample's column, and
-// the rows of one fresh samples × classes copy.
+// p itself, a view of the mechanism's scratch (no copy).
 func prediction(p *linalg.Tensor) Prediction {
 	pred := make([]int, p.Cols)
 	linalg.ArgmaxCols(pred, p)
-	return Prediction{Pred: pred, Proba: p.TransposeToRows()}
+	return Prediction{Pred: pred, Proba: p}
 }

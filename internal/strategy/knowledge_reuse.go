@@ -22,7 +22,7 @@ type KnowledgeReuse struct {
 	ens   *Ensemble   // live members for the fusion + adoption target
 
 	// Infer's scratch: the member list, the reuse model's distributions and
-	// the fused ones.
+	// the fused ones, which Infer's Prediction views until the next Infer.
 	members      []member
 	proba, fused linalg.Tensor
 

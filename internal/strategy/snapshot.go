@@ -62,8 +62,10 @@ type Snapshot struct {
 
 // InferOutput is the pure inference result for one batch of rows.
 type InferOutput struct {
-	Pred  []int
-	Proba [][]float64
+	Pred []int
+	// Proba holds the fused class distributions, class-major (classes ×
+	// rows), in the workspace InferInto was given; InferBatch leaves it nil.
+	Proba *linalg.Tensor
 	// Warmup reports that only the short model answered (no projection yet).
 	Warmup bool
 	// Weights are the normalized fusion weights the members received
@@ -77,12 +79,24 @@ type InferOutput struct {
 // Age returns how long ago the snapshot was published.
 func (s *Snapshot) Age() time.Duration { return time.Since(s.PublishedAt) }
 
-// InferBatch runs pure inference over one batch of rows: one forward pass
+// InferBatch answers one batch of rows with labels: InferInto over a
+// workspace from the process-wide pool, released before it returns.
+func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
+	ws := nn.GetWorkspace()
+	defer ws.Release()
+	out, err := s.InferInto(ws, x)
+	out.Proba = nil // ws's, which the next reader overwrites
+	return out, err
+}
+
+// InferInto runs pure inference over one batch of rows: one forward pass
 // per member, then the Gaussian-kernel fusion of Eq. 12-14 — each member
 // weighted by K(Dᵢ,σ)/ΣK, Dᵢ the distance from the batch's projected mean to
 // the member's training centroid. Until the projection exists the paper
-// trains and serves the short model alone.
-func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
+// trains and serves the short model alone. Every byte of forward scratch, the
+// fused distributions included, is taken from ws, whose only user the caller
+// must be: Proba stays valid until ws is reset or released.
+func (s *Snapshot) InferInto(ws *nn.Workspace, x [][]float64) (InferOutput, error) {
 	if s == nil {
 		return InferOutput{}, errors.New("strategy: nil snapshot")
 	}
@@ -94,14 +108,6 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 			return InferOutput{}, fmt.Errorf("strategy: row has %d features, want %d", len(row), s.Dim)
 		}
 	}
-
-	// Every byte of forward scratch is the reader's: one pooled workspace
-	// holds the staged batch and each member's activations and class-major
-	// probabilities, fused ones included, for the duration of this call.
-	// Nothing returned may alias it: the rows handed out are a fresh
-	// transposed copy.
-	ws := nn.GetWorkspace()
-	defer ws.Release()
 	xs := ws.Tensor(len(x), s.Dim)
 	xs.FromRows(x, s.Dim)
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,7 +89,7 @@ func TestInferBatchFusesPerEq12To14(t *testing.T) {
 	}
 	s.Knowledge = store
 
-	out, err := s.InferBatch(x)
+	out, err := s.InferInto(new(nn.Workspace), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +104,8 @@ func TestInferBatchFusesPerEq12To14(t *testing.T) {
 	for i := range x {
 		for c := 0; c < 2; c++ {
 			want := w0*short.rows[i][c] + w1*long.rows[i][c]
-			if !closeTo(out.Proba[i][c], want) {
-				t.Errorf("fused[%d][%d] = %v, want %v", i, c, out.Proba[i][c], want)
+			if !closeTo(out.Proba.At(c, i), want) {
+				t.Errorf("fused[%d][%d] = %v, want %v", i, c, out.Proba.At(c, i), want)
 			}
 		}
 	}
@@ -121,6 +122,12 @@ func TestInferBatchFusesPerEq12To14(t *testing.T) {
 	if short.calls != 1 || long.calls != 1 {
 		t.Errorf("forward passes = %d, %d; want one per member", short.calls, long.calls)
 	}
+	// InferBatch answers with the same labels and hands out no probabilities:
+	// its workspace goes back to the pool.
+	labels, err := s.InferBatch(x)
+	if err != nil || labels.Proba != nil || !slices.Equal(labels.Pred, out.Pred) || !slices.Equal(labels.Weights, out.Weights) {
+		t.Errorf("InferBatch = %+v, %v; want InferInto's labels and weights and a nil Proba", labels, err)
+	}
 }
 
 // TestInferBatchWarmup: until the detector's projection exists the short
@@ -128,7 +135,7 @@ func TestInferBatchFusesPerEq12To14(t *testing.T) {
 func TestInferBatchWarmup(t *testing.T) {
 	s, short, long, x, _ := snapshotFixture(t)
 	s.Proj = nil
-	out, err := s.InferBatch(x)
+	out, err := s.InferInto(new(nn.Workspace), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +144,8 @@ func TestInferBatchWarmup(t *testing.T) {
 	}
 	for i := range x {
 		for c := 0; c < 2; c++ {
-			if out.Proba[i][c] != short.rows[i][c] {
-				t.Errorf("proba[%d][%d] = %v, want the short model's %v", i, c, out.Proba[i][c], short.rows[i][c])
+			if out.Proba.At(c, i) != short.rows[i][c] {
+				t.Errorf("proba[%d][%d] = %v, want the short model's %v", i, c, out.Proba.At(c, i), short.rows[i][c])
 			}
 		}
 	}
@@ -157,7 +164,7 @@ func TestInferBatchUniformFallback(t *testing.T) {
 	s.Members[0].Centroid = offset(ybar, 1, 0)
 	s.Members[1].Centroid = offset(ybar, 0, 1)
 	s.Sigma = 1e-3 // normalized D = (1, 1): K = exp(−5·10⁵) = 0
-	out, err := s.InferBatch(x)
+	out, err := s.InferInto(new(nn.Workspace), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +174,8 @@ func TestInferBatchUniformFallback(t *testing.T) {
 	for i := range x {
 		for c := 0; c < 2; c++ {
 			want := (short.rows[i][c] + long.rows[i][c]) / 2
-			if !closeTo(out.Proba[i][c], want) {
-				t.Errorf("fused[%d][%d] = %v, want %v", i, c, out.Proba[i][c], want)
+			if !closeTo(out.Proba.At(c, i), want) {
+				t.Errorf("fused[%d][%d] = %v, want %v", i, c, out.Proba.At(c, i), want)
 			}
 		}
 	}
@@ -190,12 +197,15 @@ func TestInferBatchRejectsDimMismatch(t *testing.T) {
 
 // TestInferBatchConcurrentReadersMatchSerial: a published snapshot is
 // immutable and every byte of forward scratch is the reader's. Six readers
-// call InferBatch on whatever generation is current — so on the same snapshot
+// call InferInto, each into a workspace from the process-wide pool, on
+// whatever generation is current — so on the same snapshot
 // and on consecutive ones, whose long member is one shared frozen view — while
 // a trainer keeps training and republishing (it holds each generation until
-// two reads of it have finished, so every generation is read). Every answer
-// must equal, bit for bit, a later serial InferBatch on the snapshot it was
-// read from. Run under -race (make race does, three times over).
+// two reads of it have finished, so every generation is read). Every answer —
+// labels, weights and the fused distributions, copied out before the
+// workspace goes back — must equal, bit for bit, a later serial InferInto on
+// the snapshot it was read from. Run under -race (make race does, three times
+// over).
 func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 	ctx := context.Background()
 	e := reuseEnsemble(t, []int{1, 2}, func(m model.Model) model.Model { return m })
@@ -214,9 +224,10 @@ func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 	publish(0)
 
 	type answer struct {
-		snap *Snapshot
-		x    [][]float64
-		out  InferOutput
+		snap  *Snapshot
+		x     [][]float64
+		out   InferOutput // Proba cleared: its workspace went back to the pool
+		proba []float64   // the fused distributions, class-major
 	}
 	answers := make([][]answer, readers)
 	trained := make(chan struct{})
@@ -259,12 +270,16 @@ func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 				b, _ := reuseBatch(rng)
 				x := b.X[:1+rng.Intn(len(b.X))] // batch sizes differ: the pooled workspaces get reshaped
 				snap := current.Load()
-				out, err := snap.InferBatch(x)
+				ws := nn.GetWorkspace()
+				out, err := snap.InferInto(ws, x)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				answers[r] = append(answers[r], answer{snap, x, out})
+				proba := append([]float64(nil), out.Proba.Data...)
+				ws.Release()
+				out.Proba = nil
+				answers[r] = append(answers[r], answer{snap, x, out, proba})
 				readsOf[snap.Seq].Add(1)
 				runtime.Gosched() // one P must reach the trainer too
 			}
@@ -273,18 +288,21 @@ func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 	wg.Wait()
 
 	seen := map[uint64]bool{}
+	var ws nn.Workspace
 	for r := range answers {
 		for i, a := range answers[r] {
 			seen[a.snap.Seq] = true
-			want, err := a.snap.InferBatch(a.x)
+			ws.Reset()
+			want, err := a.snap.InferInto(&ws, a.x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for s := range want.Proba {
-				for c, w := range want.Proba[s] {
-					if math.Float64bits(a.out.Proba[s][c]) != math.Float64bits(w) {
-						t.Fatalf("reader %d, read %d (snapshot %d): proba[%d][%d] = %v, serial %v", r, i, a.snap.Seq, s, c, a.out.Proba[s][c], w)
-					}
+			if !slices.Equal(a.out.Pred, want.Pred) {
+				t.Fatalf("reader %d, read %d (snapshot %d): pred %v, serial %v", r, i, a.snap.Seq, a.out.Pred, want.Pred)
+			}
+			for j, w := range want.Proba.Data {
+				if math.Float64bits(a.proba[j]) != math.Float64bits(w) {
+					t.Fatalf("reader %d, read %d (snapshot %d): proba[%d][%d] = %v, serial %v", r, i, a.snap.Seq, j%len(a.x), j/len(a.x), a.proba[j], w)
 				}
 			}
 			for j, w := range want.Weights {

@@ -37,11 +37,13 @@ var StageNames = []string{
 }
 
 // Prediction is what one strategy produced for a batch: hard labels always,
-// a per-sample class distribution when the mechanism yields one (nil for
-// CEC, which outputs hard labels).
+// and the class distributions behind them when the mechanism yields some (nil
+// for CEC, which outputs hard labels). Proba is class-major (classes ×
+// samples) and no copy: it is the mechanism's own scratch, valid until that
+// mechanism's next call.
 type Prediction struct {
 	Pred  []int
-	Proba [][]float64
+	Proba *linalg.Tensor
 }
 
 // Trace receives the per-batch decision evidence a strategy generates. The
