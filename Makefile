@@ -41,10 +41,15 @@ fmt:
 # the probe then rejects the FMA replica and ExpInto is math.Exp's own loop.
 # (Not the golden hashes: their constants are an FMA host's.) The public
 # facade's Example tests print G_acc and SI; their Output blocks are pinned
-# the same way.
+# the same way, and so are the model weights a stream ends with
+# (TestDeferredCloseLandsInlineModels). The window close, split across two
+# Train calls, is held bit for bit to the inline row close, chunk losses and
+# weights, by the strategy package's Close tests.
 golden:
-	$(GO) test -cpu 1,2,4 -run Golden ./internal/core
-	$(GO) test -tags purego -cpu 1,2,4 -run Golden ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline' ./internal/core
+	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline' ./internal/core
+	$(GO) test -cpu 1,2,4 -run Close ./internal/strategy
+	$(GO) test -tags purego -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -cpu 1,2,4 -run Example .
 	$(GO) test -tags purego -cpu 1,2,4 -run Example .
 	$(GO) test -cpu 1,2,4 -run 'Gemm|Kernel|NaN' ./internal/linalg

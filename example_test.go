@@ -67,7 +67,7 @@ func ExampleLearner() {
 	// batch 140  drift=slight      pattern=A1(directional)  strategy=multi-granularity              acc=0.891
 	//
 	// processed 145 batches (18560 samples)
-	// global accuracy (G_acc): 83.65%
+	// global accuracy (G_acc): 83.56%
 	// stability index (SI):    0.887
 	// knowledge entries:       6 (31442 bytes in memory)
 }
@@ -144,10 +144,10 @@ func ExampleLearner_Save() {
 	fmt.Printf("after resume: %d batches in all, G_acc %.2f%%, %d knowledge entries\n",
 		final.Batches, 100*final.GAcc, final.KnowledgeEntries)
 	// Output:
-	// before checkpoint: 60 batches, G_acc 87.23%, 3 knowledge entries
+	// before checkpoint: 60 batches, G_acc 87.19%, 3 knowledge entries
 	// checkpoint written: 84355 bytes
 	// resumed from checkpoint; continuing the stream
 	// batch  90: reoccurring regime served by pre-checkpoint knowledge (acc 65.6%)
 	// batch  91: reoccurring regime served by pre-checkpoint knowledge (acc 88.3%)
-	// after resume: 130 batches in all, G_acc 88.56%, 4 knowledge entries
+	// after resume: 130 batches in all, G_acc 88.55%, 4 knowledge entries
 }

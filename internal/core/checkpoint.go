@@ -23,10 +23,11 @@ import (
 // needed to stop a deployed stream and resume it later with identical
 // behaviour — model parameters, the shift detector (whose PCA space anchors
 // every stored distribution), the knowledge store, the coherent
-// experience, and the prequential metrics. The ASW contents and pending fixed-frequency buffers are
-// intentionally NOT serialized: they hold at most a few batches of
-// transient training data that the resumed stream replaces within one
-// window; a checkpoint stays small and the window restarts cleanly.
+// experience, and the prequential metrics. The ASW contents, pending
+// fixed-frequency buffers and a window close in flight are intentionally NOT
+// serialized: they hold at most a few batches of transient training data that
+// the resumed stream replaces within one window; a checkpoint stays small, the
+// long model is saved as it stands, and the window restarts cleanly.
 type checkpoint struct {
 	Version       int
 	ModelFamily   string

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -184,6 +185,92 @@ func TestCheckpointDuringWarmupRoundtrips(t *testing.T) {
 	for s := 1; s < 10; s++ {
 		if _, err := restored.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone)); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointMidCloseIsARead: a window close spans two Process calls, and a
+// checkpoint taken between them neither advances nor drops it. The checkpointed
+// learner and an un-checkpointed twin answer every later batch identically and
+// end with the same weights; the checkpoint holds the long model as it stood,
+// half-trained; and a learner restored from it mid-close of its own has no
+// close in flight: its next Process leaves the restored long model untouched.
+func TestCheckpointMidCloseIsARead(t *testing.T) {
+	cfg := testConfig()
+	rng := rand.New(rand.NewSource(71))
+	var batches []stream.Batch
+	for s := 0; s < 40; s++ {
+		batches = append(batches, driftBatch(rng, s, 64, float64(s)*0.05, 0, stream.KindNone))
+	}
+	build := func() *Learner {
+		l, err := NewLearner(cfg, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	process := func(l *Learner, b stream.Batch) Result {
+		t.Helper()
+		res, err := l.Process(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Drive three twins to the second window close; stop right after the call
+	// that closed it.
+	checkpointed, twin, restored := build(), build(), build()
+	k, closes := 0, 0
+	for ; closes < 2; k++ {
+		open := checkpointed.ens.WindowLen()
+		for _, l := range []*Learner{checkpointed, twin, restored} {
+			process(l, batches[k])
+		}
+		if open > 0 && checkpointed.ens.WindowLen() == 0 {
+			closes++
+		}
+	}
+	_, long := checkpointed.DebugModels()
+	halfTrained := long.Net().AppendFlatParams(nil)
+	var buf bytes.Buffer
+	if err := checkpointed.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	_, long = restored.DebugModels()
+	sameParams(t, "the checkpoint's long model", long.Net().AppendFlatParams(nil), halfTrained)
+	process(restored, batches[k])
+	sameParams(t, "the restored long model after one Process", long.Net().AppendFlatParams(nil), halfTrained)
+
+	for ; k < len(batches); k++ {
+		r1, r2 := process(checkpointed, batches[k]), process(twin, batches[k])
+		if r1.Pattern != r2.Pattern || r1.Strategy != r2.Strategy || r1.Accuracy != r2.Accuracy {
+			t.Fatalf("batch %d: checkpointed %v/%v/%v, twin %v/%v/%v", k, r1.Pattern, r1.Strategy, r1.Accuracy, r2.Pattern, r2.Strategy, r2.Accuracy)
+		}
+		for i := range r1.Pred {
+			if r1.Pred[i] != r2.Pred[i] {
+				t.Fatalf("batch %d: pred[%d] = %d checkpointed, %d twin", k, i, r1.Pred[i], r2.Pred[i])
+			}
+		}
+	}
+	s1, l1 := checkpointed.DebugModels()
+	s2, l2 := twin.DebugModels()
+	sameParams(t, "short model", s1.Net().AppendFlatParams(nil), s2.Net().AppendFlatParams(nil))
+	sameParams(t, "long model", l1.Net().AppendFlatParams(nil), l2.Net().AppendFlatParams(nil))
+}
+
+// sameParams fails unless got and want hold the same bits.
+func sameParams(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d parameters, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: parameter %d is %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }

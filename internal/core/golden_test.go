@@ -76,11 +76,12 @@ func goldenDecisionHash(t *testing.T, dataset string, seed int64, watchdog bool)
 	return h.Sum64()
 }
 
-// TestGoldenDecisionBits pins the f64 compute plane bit for bit. Every
-// constant but one was recorded at commit 47c30b5 — before forward reuse,
-// in-place activations, the transpose-free head gradient, the 4-deep
-// leftover-row kernel and the gob-free watchdog — and every later change to
-// linalg/nn/model/strategy must reproduce them. CI runs it at -cpu 1,2,4: the
+// TestGoldenDecisionBits pins the f64 compute plane bit for bit. Up to
+// 1435b93 every constant but one was 47c30b5's — recorded before forward
+// reuse, in-place activations, the transpose-free head gradient, the 4-deep
+// leftover-row kernel and the gob-free watchdog, and reproduced by each of
+// them; every change to linalg/nn/model/strategy that is not meant to change
+// what the learner answers must reproduce the constants below. CI runs it at -cpu 1,2,4: the
 // GEMM fan-out partition depends on GOMAXPROCS and must never change a bit.
 //
 // The exception is Hyperplane with the watchdog on. Its short model sits in a
@@ -91,6 +92,13 @@ func goldenDecisionHash(t *testing.T, dataset string, seed int64, watchdog bool)
 // watchdog returns to the adopted ones. That is an intended learning change,
 // so the stream carries the fixed tree's constant, and its parent constant
 // with the watchdog off stands in for the compute plane.
+//
+// Every constant moved once more, on purpose, when the window close was split
+// across two Process calls: the batch after each close is now answered with the
+// half-trained long model, where 1435b93 (the trailing comments) answered with
+// the fully trained one. What every model learns is unchanged:
+// TestDeferredCloseLandsInlineModels holds the end-of-stream weights to
+// 1435b93's.
 func TestGoldenDecisionBits(t *testing.T) {
 	// Stream i of benchmark seed 1 uses generator seed 1000·1 + i.
 	for _, tc := range []struct {
@@ -99,14 +107,65 @@ func TestGoldenDecisionBits(t *testing.T) {
 		watchdog bool
 		want     uint64
 	}{
-		{"Hyperplane", 0, true, 0x540b4246f89c4364}, // 47c30b5: 0xbc4d5df2f7716c60, see above
-		{"Hyperplane", 0, false, 0x5da401657ed9e9bb},
-		{"Covertype", 1, true, 0x817ab687cc72b484},
-		{"NSL-KDD", 2, true, 0x4e8efe557c14d67d},
-		{"Electricity", 3, true, 0x2390d1df59d44157},
+		{"Hyperplane", 0, true, 0x1022df05bf001919},  // 1435b93: 0x540b4246f89c4364; 47c30b5: 0xbc4d5df2f7716c60
+		{"Hyperplane", 0, false, 0x64e8088404a32c8a}, // 1435b93: 0x5da401657ed9e9bb
+		{"Covertype", 1, true, 0xfb4929e9de9a6544},   // 1435b93: 0x817ab687cc72b484
+		{"NSL-KDD", 2, true, 0x5d2dae931ec83125},     // 1435b93: 0x4e8efe557c14d67d
+		{"Electricity", 3, true, 0x4d15485e2882c85f}, // 1435b93: 0x2390d1df59d44157
 	} {
 		if got := goldenDecisionHash(t, tc.dataset, 1000+tc.stream, tc.watchdog); got != tc.want {
 			t.Errorf("%s (watchdog %v): decision hash %#016x, want %#016x", tc.dataset, tc.watchdog, got, tc.want)
 		}
+	}
+}
+
+// TestDeferredCloseLandsInlineModels: splitting each window close across two
+// Process calls changes what the batch after a close is answered with, but not
+// what any model learns. Process-only runs of the four learn_drift streams end
+// with short and long parameters whose FNV-1a hashes equal those of an
+// inline-close twin: the same runs at commit 1435b93, where every close
+// trained and landed inside its closing call. Like the golden constants, these
+// are an FMA host's.
+func TestDeferredCloseLandsInlineModels(t *testing.T) {
+	hash := func(w []float64) uint64 {
+		h := fnv.New64a()
+		var word [8]byte
+		for _, v := range w {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+		return h.Sum64()
+	}
+	for _, tc := range []struct {
+		dataset     string
+		stream      int64
+		short, long uint64
+	}{
+		{"Hyperplane", 0, 0xd4d97e711840ed1f, 0x45280b6ccfdce1c1},
+		{"Covertype", 1, 0x067cf60785995379, 0x0ff2a7ea6371cf98},
+		{"NSL-KDD", 2, 0x04474cdee5546a11, 0xbf13488d562868f0},
+		{"Electricity", 3, 0x0c4ce054167c8eb4, 0x9040f3c3e7c62927},
+	} {
+		src, err := datasets.Build(tc.dataset, 256, 1000+tc.stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := NewLearner(DefaultConfig(), src.Dim(), src.Classes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range stream.Collect(src, 0) {
+			if _, err := l.Process(context.Background(), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		short, long := l.DebugModels()
+		if got := hash(short.Net().AppendFlatParams(nil)); got != tc.short {
+			t.Errorf("%s: short model hash %#016x, the inline close's %#016x", tc.dataset, got, tc.short)
+		}
+		if got := hash(long.Net().AppendFlatParams(nil)); got != tc.long {
+			t.Errorf("%s: long model hash %#016x, the inline close's %#016x", tc.dataset, got, tc.long)
+		}
+		l.Close()
 	}
 }

@@ -38,8 +38,9 @@ func (l *Learner) ModelSnapshot() *strategy.Snapshot { return l.snap.Load() }
 // publishSnapshot rebuilds and atomically publishes the inference view.
 // Called on the training goroutine: at construction, after every
 // successful Process, and after a checkpoint restore. Every model update of
-// a batch, the window close included, finishes before its publish, so the
-// inference plane is at most one training batch behind: the batch in flight.
+// a batch, each half of a window close included, finishes before its publish,
+// so the inference plane is at most one training batch behind: the batch in
+// flight.
 func (l *Learner) publishSnapshot(pattern shift.Pattern) {
 	var proj *pca.Model
 	if l.det.Ready() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"freewayml/internal/knowledge"
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
 	"freewayml/internal/nn"
@@ -96,16 +97,18 @@ type EnsembleDeps struct {
 	// BatchNum returns the host's current batch index.
 	BatchNum func() int
 	// ReplaceRadius returns the same-regime knowledge-replacement radius,
-	// read at window close.
+	// read as a window close begins.
 	ReplaceRadius func() float64
 }
 
 // Ensemble is the Pattern-A mechanism (and the dispatcher's fallback): the
 // short/mid fixed-frequency models plus the ASW-driven long-granularity
 // model, fused with the Gaussian-kernel distance weighting of Eq. 12-14.
-// It owns the adaptive streaming window and closes it inline: the long
-// model trains on the caller's goroutine, inside the Train call whose batch
-// filled the window. Every method runs on the training goroutine.
+// It owns the adaptive streaming window and closes it over closeCalls Train
+// calls on the caller's goroutine: the call whose batch filled the window
+// trains the long model's first chunks, the next one the rest, and between
+// the two the half-trained long model serves. Every method runs on the
+// training goroutine.
 type Ensemble struct {
 	cfg  EnsembleConfig
 	deps EnsembleDeps
@@ -123,6 +126,8 @@ type Ensemble struct {
 	preserver *KnowledgeReuse // set after construction (nil disables preservation)
 
 	longVer uint64 // bumped on every long-model mutation
+
+	closing windowClose // the window close in flight, while closing.open
 
 	// Infer's scratch: the member list, the long model's class distributions
 	// (the ensemble's buffer, not the network's) and the fused ones, which
@@ -240,7 +245,8 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 }
 
 // Train updates every granularity model per its schedule, maintains the
-// window, and triggers the long-model update at window close.
+// window, lands the window close in flight, and begins one when this batch
+// fills the window.
 func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observation, tr Trace) error {
 	tr = ensureTrace(tr)
 	if err := ctx.Err(); err != nil {
@@ -287,6 +293,15 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 	}
 	tr.StageDone(StageShortUpdate, tShort)
 
+	if e.closing.open {
+		tLong := tr.StageStart()
+		err := e.advanceClose()
+		tr.StageDone(StageLongUpdate, tLong)
+		if err != nil {
+			return err
+		}
+	}
+
 	// Long model via the adaptive streaming window. During detector warm-up
 	// there is no projected centroid yet, so the window starts afterward.
 	if obs.YBar == nil {
@@ -303,53 +318,103 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 	}
 	tr.WindowClosed()
 	tLong := tr.StageStart()
-	err = e.updateLong(obs)
+	if err = e.beginClose(obs); err == nil {
+		err = e.advanceClose()
+	}
 	tr.StageDone(StageLongUpdate, tLong)
 	return err
 }
 
-// updateLong closes the window: it trains the long-granularity model on the
-// window's weighted training set, checks it, preserves knowledge per the β
-// policy, and resets the window.
-func (e *Ensemble) updateLong(obs shift.Observation) error {
+// closeCalls is how many Train calls a window close is spread over: the call
+// whose batch fills the window trains the first ⌈N/closeCalls⌉ of the close's
+// N chunks and the next call the rest, before its own batch can fill the
+// window again. DESIGN.md ("The deferred close") has the measurements behind
+// two.
+const closeCalls = 2
+
+// windowClose is the window close in flight: its training set is the
+// ensemble's slab, and what it preserves was decided as it began.
+type windowClose struct {
+	open          bool
+	next, chunks  int     // the next chunk to train and the close's chunk count
+	lastLoss      float64 // the last chunk's loss; negative before any
+	distribution  linalg.Vector
+	keep          knowledge.Decision
+	shortSnap     []byte // the short model as the close began, when keep.SaveShort
+	replaceRadius float64
+	obs           shift.Observation // the closing batch's
+}
+
+// beginClose starts a window close: it gathers the window's weighted training
+// set into the slab, resets the window, points the long model's centroid at
+// the window's distribution, and takes the β decision and the short model's
+// snapshot as they stand now — the close trains only the long model, so the
+// store gets the short model as the close began, whenever the close lands.
+func (e *Ensemble) beginClose(obs shift.Observation) error {
 	disorder := e.asw.Disorder()
-	distribution := e.asw.Distribution()
+	c := windowClose{open: true, lastLoss: -1, distribution: e.asw.Distribution(), obs: obs}
 	e.slabY = e.asw.TrainingSet(&e.slab, e.slabY)
 	e.asw.Reset()
-	replaceRadius := e.deps.ReplaceRadius()
-
-	e.longVer++
-	// lastLoss feeds the long model's watchdog; negative means no training
-	// rows, where only the weight checks apply.
-	lastLoss := -1.0
+	c.replaceRadius = e.deps.ReplaceRadius()
 	// Chunked mini-batch epochs over the weighted window, matching how a
-	// DataLoader-driven PyTorch update iterates window data; a chunk is a row
-	// view of the slab.
-	n, cols := e.slab.Rows, e.slab.Cols
-	for epoch := 0; epoch < e.cfg.LongEpochs; epoch++ {
-		for start := 0; start < n; start += e.cfg.LongChunk {
-			end := min(start+e.cfg.LongChunk, n)
-			e.chunk = linalg.Tensor{Rows: end - start, Cols: cols, Data: e.slab.Data[start*cols : end*cols]}
-			loss, err := e.long.FitTensor(&e.chunk, e.slabY[start:end])
+	// DataLoader-driven PyTorch update iterates window data.
+	c.chunks = e.cfg.LongEpochs * ceilDiv(e.slab.Rows, e.cfg.LongChunk)
+	if e.preserver != nil && c.distribution != nil {
+		c.keep = e.preserver.decide(disorder)
+		if c.keep.SaveShort && obs.YBar != nil {
+			snap, err := e.grans[0].Model.Snapshot()
 			if err != nil {
 				return err
 			}
-			lastLoss = loss
+			c.shortSnap = snap
 		}
 	}
+	if c.distribution != nil {
+		e.longCentroid = c.distribution
+	}
+	e.closing = c
+	return nil
+}
+
+// advanceClose trains the next ⌈N/closeCalls⌉ chunks of the close in flight,
+// each a row view of the slab, and lands the close after its last chunk: the
+// long watchdog checks the model and the store gains what the β policy kept.
+// A model whose weights went non-finite lands at once: the watchdog rolls it
+// back before any prediction or snapshot sees it, and the rest of the close is
+// dropped, which leaves the state the remaining chunks would have ended in.
+func (e *Ensemble) advanceClose() error {
+	c := &e.closing
+	n, cols := e.slab.Rows, e.slab.Cols
+	perEpoch := ceilDiv(n, e.cfg.LongChunk)
+	for stop := min(c.next+ceilDiv(c.chunks, closeCalls), c.chunks); c.next < stop; c.next++ {
+		start := c.next % perEpoch * e.cfg.LongChunk
+		end := min(start+e.cfg.LongChunk, n)
+		e.chunk = linalg.Tensor{Rows: end - start, Cols: cols, Data: e.slab.Data[start*cols : end*cols]}
+		loss, err := e.long.FitTensor(&e.chunk, e.slabY[start:end])
+		if err != nil {
+			c.open = false
+			return err
+		}
+		c.lastLoss = loss
+	}
+	e.longVer++
+	if c.next < c.chunks && e.long.Net().ParamsFinite() {
+		return nil
+	}
 	if e.longWd != nil {
-		if ev := e.longWd.Check(e.long, lastLoss, e.deps.BatchNum()); ev != nil {
+		if ev := e.longWd.Check(e.long, c.lastLoss, e.deps.BatchNum()); ev != nil {
 			e.deps.OnRecovery(*ev)
 		}
 	}
-	if distribution != nil {
-		e.longCentroid = distribution
-	}
+	c.open = false
 	if e.preserver == nil {
 		return nil
 	}
-	return e.preserver.PreserveAtWindowClose(disorder, distribution, e.long.Snapshot, e.grans[0].Model.Snapshot, replaceRadius, obs)
+	return e.preserver.PreserveAtWindowClose(c.keep, c.distribution, e.long.Snapshot, c.shortSnap, c.replaceRadius, c.obs)
 }
+
+// ceilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // PublishSnapshot builds the immutable member view for the inference plane:
 // every granularity model in order, the long model last. Members whose
@@ -459,5 +524,6 @@ func (e *Ensemble) ImportState(st EnsembleState) error {
 	e.longCentroid = st.LongCentroid
 	e.longVer++
 	e.asw.Reset()
+	e.closing.open = false
 	return nil
 }

@@ -92,29 +92,30 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 	return pred, true, nil
 }
 
-// PreserveAtWindowClose applies the disorder-threshold policy of Sec. IV-D1.
-// The ensemble calls it on the training goroutine at the end of a window
-// close: longSnap snapshots the long model as that close left it, shortSnap
-// the short model, which the close does not train. Each is called only when
-// the policy keeps its model.
-func (k *KnowledgeReuse) PreserveAtWindowClose(disorder float64, distribution linalg.Vector, longSnap, shortSnap func() ([]byte, error), replaceRadius float64, obs shift.Observation) error {
-	if distribution == nil {
-		return nil
-	}
-	preserve := func(at linalg.Vector, snapshot func() ([]byte, error), source string) error {
-		snap, err := snapshot()
+// decide applies the disorder-threshold policy of Sec. IV-D1 to the window a
+// close begins on.
+func (k *KnowledgeReuse) decide(disorder float64) knowledge.Decision {
+	return knowledge.Policy{Beta: k.beta}.Decide(disorder)
+}
+
+// PreserveAtWindowClose stores what decide kept when a window close began (the
+// zero Decision for a window without a distribution). The ensemble calls it on
+// the training goroutine as the close lands: longSnap
+// snapshots the long model as the close left it, stored at the window's
+// distribution; shortSnap is the short model as the close began (nil unless
+// keep.SaveShort), stored at the closing batch's centroid.
+func (k *KnowledgeReuse) PreserveAtWindowClose(keep knowledge.Decision, distribution linalg.Vector, longSnap func() ([]byte, error), shortSnap []byte, replaceRadius float64, obs shift.Observation) error {
+	if keep.SaveLong {
+		snap, err := longSnap()
 		if err != nil {
 			return err
 		}
-		return k.store.PreserveOrReplace(at, snap, source, obs.Batch, replaceRadius)
+		if err := k.store.PreserveOrReplace(distribution, snap, "long", obs.Batch, replaceRadius); err != nil {
+			return err
+		}
 	}
-	var err error
-	decision := knowledge.Policy{Beta: k.beta}.Decide(disorder)
-	if decision.SaveLong {
-		err = preserve(distribution, longSnap, "long")
+	if shortSnap != nil {
+		return k.store.PreserveOrReplace(obs.YBar, shortSnap, "short", obs.Batch, replaceRadius)
 	}
-	if err == nil && decision.SaveShort && obs.YBar != nil {
-		err = preserve(obs.YBar, shortSnap, "short")
-	}
-	return err
+	return nil
 }

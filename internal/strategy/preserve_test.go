@@ -44,8 +44,11 @@ func (m *closeSpy) FitTensor(x *linalg.Tensor, y []int) (float64, error) {
 // model is never even serialized; below β it gains the long model (at the
 // window's distribution) and the short model (at the closing batch's), whose
 // bytes are those of a snapshot taken as the close began, before the long
-// model trained. Each disorder is counted by hand, as in Eq. 11: the ranks of
-// the three stored batches by distance to the fourth, read newest-first.
+// model trained. The store gains nothing until the close lands, in the Train
+// call after the one whose batch filled the window; that call trains the
+// short model first, so a snapshot taken as the close lands would differ.
+// Each disorder is counted by hand, as in Eq. 11: the ranks of the three
+// stored batches by distance to the fourth, read newest-first.
 func TestWindowCloseBetaPolicy(t *testing.T) {
 	const beta = 1.0 / 3
 	cases := []struct {
@@ -113,6 +116,16 @@ func TestWindowCloseBetaPolicy(t *testing.T) {
 			}
 			if e.WindowLen() != 0 {
 				t.Fatalf("window holds %d batches after its close", e.WindowLen())
+			}
+			// The close lands in the next Train, after that call has trained
+			// the short model on its own batch.
+			if store.Len() != 0 {
+				t.Fatalf("the store gained %d entries before the close landed", store.Len())
+			}
+			b, _ := reuseBatch(rng)
+			obs := shift.Observation{Pattern: shift.PatternA, YBar: linalg.Vector{-7}, Batch: len(c.centroids)}
+			if err := e.Train(context.Background(), b, obs, nil); err != nil {
+				t.Fatal(err)
 			}
 			entries, err := store.Export()
 			if err != nil {

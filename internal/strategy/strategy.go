@@ -18,7 +18,7 @@ import (
 // Stage names used in the freeway_stage_seconds{stage=...} histograms and
 // the per-event stage timings. "predict" wraps the whole strategy dispatch,
 // so it contains "cluster" and "knowledge_lookup" when those mechanisms run.
-// "long_update" covers the window close, on the batches that close it.
+// "long_update" covers the window close, on the batches that begin and land it.
 const (
 	StageGuard           = "guard"
 	StageShiftDetect     = "shift_detect"
