@@ -42,12 +42,14 @@ fmt:
 # (Not the golden hashes: their constants are an FMA host's.) The public
 # facade's Example tests print G_acc and SI; their Output blocks are pinned
 # the same way, and so are the model weights a stream ends with
-# (TestDeferredCloseLandsInlineModels). The window close, split across two
+# (TestDeferredCloseLandsInlineModels), and the twin learners that hold a
+# Process fed an Infer's forwards to one that runs its own
+# (TestForwardHandoffTwins). The window close, split across two
 # Train calls, is held bit for bit to the inline row close, chunk losses and
 # weights, by the strategy package's Close tests.
 golden:
-	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline' ./internal/core
-	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline' ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins' ./internal/core
+	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins' ./internal/core
 	$(GO) test -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -tags purego -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -cpu 1,2,4 -run Example .
@@ -60,7 +62,8 @@ golden:
 # kill-and-restart-under-load test are concurrent code, and a flaky
 # interleaving must show up here. So do internal/strategy and internal/core:
 # readers of published snapshots share the process-wide workspace pool with
-# each other and run beside the trainer.
+# each other and run beside the trainer, and park their workspaces in the
+# learner's hand-off slot for it (TestForwardHandoffConcurrentReaders).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/dist

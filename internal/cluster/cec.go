@@ -85,47 +85,7 @@ func CECKWithStats(batch [][]float64, expX [][]float64, expY []int, k, numClasse
 		return nil, CECStats{}, err
 	}
 
-	// Vote: labeled members elect each cluster's label.
-	votes := make([][]int, k)
-	for i := range votes {
-		votes[i] = make([]int, numClasses)
-	}
-	for j, y := range expY {
-		c := res.Assignment[len(batch)+j]
-		votes[c][y]++
-	}
-	clusterLabel := make([]int, k)
-	for c := range clusterLabel {
-		clusterLabel[c] = -1
-		best := 0
-		for y, n := range votes[c] {
-			if n > best {
-				best = n
-				clusterLabel[c] = y
-			}
-		}
-	}
-
-	// Clusters with no labeled member: inherit from the nearest labeled
-	// cluster centroid.
-	for c := range clusterLabel {
-		if clusterLabel[c] >= 0 {
-			continue
-		}
-		bestD := math.Inf(1)
-		label := 0
-		for c2 := range clusterLabel {
-			if clusterLabel[c2] < 0 {
-				continue
-			}
-			if d := sqDist(res.Centroids[c], res.Centroids[c2]); d < bestD {
-				bestD = d
-				label = clusterLabel[c2]
-			}
-		}
-		clusterLabel[c] = label
-	}
-
+	clusterLabel := clusterLabels(res.Centroids, res.Assignment[len(batch):], expY, numClasses)
 	out := make([]int, len(batch))
 	for i := range batch {
 		out[i] = clusterLabel[res.Assignment[i]]
@@ -142,4 +102,50 @@ func CECKWithStats(batch [][]float64, expX [][]float64, expY []int, k, numClasse
 	agreement := float64(correct) / float64(len(expY))
 	st := CECStats{K: k, Iterations: res.Iterations, ExperiencePoints: len(expX), Agreement: agreement}
 	return out, st, nil
+}
+
+// clusterLabels maps every cluster to a label. The labeled members elect it:
+// expAssign[j] is the cluster of the experience point labeled expY[j], and a
+// cluster takes its most frequent label (the lowest on ties). A cluster with
+// no labeled member inherits the label of the nearest cluster centroid that
+// the vote labeled — never one that only inherited its own, so the order of
+// the clusters does not matter.
+func clusterLabels(centroids [][]float64, expAssign, expY []int, numClasses int) []int {
+	votes := make([][]int, len(centroids))
+	for i := range votes {
+		votes[i] = make([]int, numClasses)
+	}
+	for j, y := range expY {
+		votes[expAssign[j]][y]++
+	}
+	voted := make([]int, len(centroids))
+	for c := range voted {
+		voted[c] = -1
+		best := 0
+		for y, n := range votes[c] {
+			if n > best {
+				best = n
+				voted[c] = y
+			}
+		}
+	}
+	labels := make([]int, len(centroids))
+	for c := range labels {
+		labels[c] = voted[c]
+		if voted[c] >= 0 {
+			continue
+		}
+		bestD := math.Inf(1)
+		labels[c] = 0
+		for c2, y := range voted {
+			if y < 0 {
+				continue
+			}
+			if d := sqDist(centroids[c], centroids[c2]); d < bestD {
+				bestD = d
+				labels[c] = y
+			}
+		}
+	}
+	return labels
 }

@@ -320,3 +320,19 @@ func TestExpBufferValidation(t *testing.T) {
 		t.Error("size mismatch should error")
 	}
 }
+
+// TestClusterLabelsInheritFromVotedClusters: a cluster without a labeled
+// member inherits the nearest centroid the vote labeled. Clusters at −10
+// (voted 0) and +10 (voted 1), then unlabeled ones at −1 and +1 in that
+// order: +1 is nearer +10 than −10, so it gets 1 — not the 0 that −1 has
+// just inherited, though −1 is nearer still.
+func TestClusterLabelsInheritFromVotedClusters(t *testing.T) {
+	centroids := [][]float64{{-10}, {10}, {-1}, {1}}
+	got := clusterLabels(centroids, []int{0, 1, 0}, []int{0, 1, 0}, 2)
+	want := []int{0, 1, 0, 1}
+	for c := range want {
+		if got[c] != want[c] {
+			t.Fatalf("labels = %v, want %v", got, want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"freewayml/internal/guard"
+	"freewayml/internal/nn"
 	"freewayml/internal/pca"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
@@ -68,8 +69,10 @@ func (l *Learner) publishSnapshot(pattern shift.Pattern) {
 // prequential bookkeeping — so it runs concurrently with Process,
 // checkpointing, and Close, and with any number of other Infer calls: the
 // snapshot's members are frozen parameter copies and every forward pass
-// writes only a workspace the call takes from the process-wide pool. A closed
-// learner still answers from its last snapshot.
+// writes only a workspace the call takes from the process-wide pool. The call
+// then parks that workspace in the learner's hand-off slot (handoff.go),
+// displacing the one parked before. A closed learner still answers from its
+// last snapshot.
 func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -96,10 +99,15 @@ func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error)
 	}
 	start := time.Now()
 	snap := l.snap.Load()
-	out, err := snap.InferBatch(x)
+	ws := nn.GetWorkspace()
+	out, err := snap.InferInto(ws, x)
 	if err != nil {
+		ws.Release()
 		return InferResult{}, fmt.Errorf("core: %w", err)
 	}
+	// The forwards just run are the ones a Process of these rows on this
+	// snapshot would run: leave them for it.
+	l.park(ws, snap.Seq)
 	elapsed := time.Since(start)
 	age := snap.Age()
 	st := StrategyEnsemble

@@ -83,6 +83,11 @@ type Learner struct {
 	snap    atomic.Pointer[strategy.Snapshot]
 	snapSeq uint64
 
+	// parked is the hand-off slot: the workspace of the last Infer, with its
+	// member forwards, for the Process call that may follow with the same
+	// rows (handoff.go). Readers park, Process takes.
+	parked atomic.Pointer[handoff]
+
 	// vecScratch is the reusable vector-header view of the current batch,
 	// handed to the shift detector. Safe to reuse because Process is
 	// single-goroutine per learner and the detector copies the headers it
@@ -223,9 +228,11 @@ func (l *Learner) Ensemble() *strategy.Ensemble { return l.ens }
 var ErrClosed = errors.New("core: learner closed")
 
 // Close marks the learner closed: later Process calls return ErrClosed, while
-// Infer keeps answering from the last published snapshot. Idempotent.
+// Infer keeps answering from the last published snapshot. It releases the
+// hand-off slot. Idempotent.
 func (l *Learner) Close() error {
 	l.closed.Store(true)
+	l.parked.Swap(nil).release()
 	return nil
 }
 
@@ -282,7 +289,16 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 		res.SubPattern = shift.SubClassifyA(l.ens.Disorder(), l.cfg.Beta)
 	}
 
+	// One forward per member per batch: the members of the last publication
+	// forward the batch once, in ws — or already did, in the Infer that
+	// parked ws — and both the prediction and the short model's update read
+	// that pass.
 	tPred := bo.StageStart()
+	ws, hit := l.batchWorkspace(b.X)
+	defer ws.Release()
+	l.ens.BeginBatch(ws)
+	defer l.ens.EndBatch()
+	bo.handoff(hit)
 	if err := l.infer(ctx, b, obs, &res, bo); err != nil {
 		return Result{}, err
 	}

@@ -45,6 +45,9 @@ type Observer struct {
 	kPreserves    *obs.Counter
 	kReplacements *obs.Counter
 
+	handoffHit  *obs.Counter
+	handoffMiss *obs.Counter
+
 	winCloses    *obs.Counter
 	winEvictions *obs.Counter
 	traceDropped *obs.Counter
@@ -118,6 +121,9 @@ func NewObserverLabeled(reg *obs.Registry, traceCap int, baseLabels ...string) *
 	o.kMisses = reg.Counter("freeway_knowledge_lookups_total", "Knowledge-store lookups by outcome (hit = confident reuse).", o.lbl("result", "miss")...)
 	o.kPreserves = reg.Counter("freeway_knowledge_preserves_total", "Snapshots preserved into the knowledge store.", o.lbl()...)
 	o.kReplacements = reg.Counter("freeway_knowledge_replacements_total", "Same-regime snapshots replaced in place.", o.lbl()...)
+
+	o.handoffHit = reg.Counter("freeway_forward_handoff_total", "Process calls by whether they took an Infer's member forwards over the same rows and snapshot (hit) or ran their own (miss).", o.lbl("result", "hit")...)
+	o.handoffMiss = reg.Counter("freeway_forward_handoff_total", "Process calls by whether they took an Infer's member forwards over the same rows and snapshot (hit) or ran their own (miss).", o.lbl("result", "miss")...)
 
 	o.inferReqs = reg.Counter("freeway_infer_requests_total", "Inference-plane requests served from the published snapshot.", o.lbl()...)
 	o.inferRows = reg.Counter("freeway_infer_rows_total", "Rows predicted by the inference plane.", o.lbl()...)
@@ -264,6 +270,14 @@ func (bo *batchObs) trace(id string) {
 	bo.ev.TraceID = id
 }
 
+// handoff records whether the Process call took a parked Infer's forwards.
+func (bo *batchObs) handoff(hit bool) {
+	if bo == nil {
+		return
+	}
+	bo.ev.ForwardHandoff = hit
+}
+
 // sanitized records repaired feature values.
 func (bo *batchObs) sanitized(n int) {
 	if bo == nil {
@@ -386,6 +400,11 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	}
 	if bo.ev.WindowClosed {
 		o.winCloses.Inc()
+	}
+	if bo.ev.ForwardHandoff {
+		o.handoffHit.Inc()
+	} else {
+		o.handoffMiss.Inc()
 	}
 
 	// Mirror mechanism-package lifetime counters as deltas so they stay

@@ -619,13 +619,14 @@ func (r *Router) noteFailure(addr, traceID string) string {
 	r.ring.remove(addr)
 	r.cEjections.Inc()
 	moved := r.movedStreamsLocked()
+	fails := ws.consecFails // a probe may reset it once the lock is released
 	r.mu.Unlock()
 
 	r.recordEvent(obs.ClusterEvent{
 		Type: obs.EventBreakerOpen, Worker: addr, TraceID: traceID,
-		Detail: fmt.Sprintf("ejected after %d consecutive failures; %d streams to migrate", ws.consecFails, len(moved)),
+		Detail: fmt.Sprintf("ejected after %d consecutive failures; %d streams to migrate", fails, len(moved)),
 	})
-	log.Printf("dist: worker %s ejected after %d consecutive failures (%d streams to migrate)", addr, ws.consecFails, len(moved))
+	log.Printf("dist: worker %s ejected after %d consecutive failures (%d streams to migrate)", addr, fails, len(moved))
 	r.migrate(moved, traceID)
 	return "open"
 }

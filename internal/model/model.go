@@ -27,15 +27,13 @@ type Model interface {
 	// tensor's rows read where they lie or on rows, and return the pre-update loss.
 	FitTensor(x *linalg.Tensor, y []int) (float64, error)
 	Fit(x [][]float64, y []int) (float64, error)
-	// Forwarded names the forward pass the model ran last (its most recent
-	// Predict or PredictProba).
-	Forwarded() nn.ForwardToken
-	// FitForwarded is the test-then-train fast path: Fit on the batch that
-	// pass predicted, with y its labels — the same loss, the same update, bit
-	// for bit, minus the forward the prediction already ran. ok = false means
-	// tok is outdated — another forward, a Restore or any parameter write
-	// came in between — and nothing was done: call Fit.
-	FitForwarded(tok nn.ForwardToken, y []int) (loss float64, ok bool, err error)
+	// FitFrom is the test-then-train fast path: FitTensor on the batch a
+	// frozen forward of this model predicted, with y its labels — the same
+	// loss, the same update, bit for bit, minus the forward the prediction
+	// already ran (nn.Network.TrainFrom). ok = false means fw is not a forward
+	// of the parameters as they stand — a Restore or any other parameter write
+	// came after the Freeze — and nothing was done: call FitTensor.
+	FitFrom(fw *nn.Forward, y []int) (loss float64, ok bool, err error)
 	// Snapshot serializes the parameters; Restore loads them back.
 	Snapshot() ([]byte, error)
 	Restore(snapshot []byte) error
@@ -48,7 +46,7 @@ type Model interface {
 	RestoreParams(flat []float64)
 	// Freeze returns the model's read-only view as of now: the member type of
 	// a published inference snapshot.
-	Freeze() Frozen
+	Freeze() *nn.Frozen
 	// InDim and NumClasses describe the model's shape.
 	InDim() int
 	NumClasses() int
@@ -59,8 +57,9 @@ type Model interface {
 }
 
 // Frozen is what a model predicts at the instant it was frozen, and nothing
-// else. It is immutable: any number of goroutines may call it at once, each
-// with a workspace of its own, while the model it came from keeps training.
+// else (*nn.Frozen, or a test's fixed answers). It is immutable: any number
+// of goroutines may call it at once, each with a workspace of its own, while
+// the model it came from keeps training.
 type Frozen interface {
 	// ProbaInto returns the class distribution of every row of x, class-major
 	// (classes × rows, column i row i's). x is only read; the result and all
@@ -112,16 +111,14 @@ func (m *netModel) InDim() int                             { return m.net.InDim(
 func (m *netModel) NumClasses() int                        { return m.net.NumClasses() }
 func (m *netModel) Net() *nn.Network                       { return m.net }
 
-func (m *netModel) Freeze() Frozen                              { return m.net.Freeze() }
+func (m *netModel) Freeze() *nn.Frozen                          { return m.net.Freeze() }
 func (m *netModel) Fit(x [][]float64, y []int) (float64, error) { return m.net.TrainBatch(x, y, m.opt) }
 func (m *netModel) FitTensor(x *linalg.Tensor, y []int) (float64, error) {
 	return m.net.TrainTensor(x, y, m.opt)
 }
 
-func (m *netModel) Forwarded() nn.ForwardToken { return m.net.LastForward() }
-
-func (m *netModel) FitForwarded(tok nn.ForwardToken, y []int) (float64, bool, error) {
-	return m.net.TrainForwarded(tok, y, m.opt)
+func (m *netModel) FitFrom(fw *nn.Forward, y []int) (float64, bool, error) {
+	return m.net.TrainFrom(fw, y, m.opt)
 }
 
 func (m *netModel) AppendParams(dst []float64) []float64 { return m.net.AppendFlatParams(dst) }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"freewayml/internal/nn"
 )
 
 func flatBits(t *testing.T, what string, a, b Model) {
@@ -19,11 +21,11 @@ func flatBits(t *testing.T, what string, a, b Model) {
 	}
 }
 
-// TestFitForwardedMatchesFit drives every network family through the model
-// surface the ensemble uses: PredictProba then FitForwarded on one twin,
-// PredictProba then Fit on the other. Loss and weights agree bit for bit over
-// consecutive steps — which, with momentum on, pins the optimizer state too.
-func TestFitForwardedMatchesFit(t *testing.T) {
+// TestFitFromMatchesFit drives every network family through the model
+// surface the ensemble uses: a frozen forward then FitFrom on one twin, Fit
+// on the other. Loss and weights agree bit for bit over consecutive steps —
+// which, with momentum on, pins the optimizer state too.
+func TestFitFromMatchesFit(t *testing.T) {
 	const dim, classes = 12, 5
 	for _, family := range []string{"lr", "mlp", "cnn3", "cnn5"} {
 		t.Run(family, func(t *testing.T) {
@@ -34,27 +36,30 @@ func TestFitForwardedMatchesFit(t *testing.T) {
 			plain, _ := factory(dim, classes)
 			reuse, _ := factory(dim, classes)
 			rng := rand.New(rand.NewSource(21))
+			var ws nn.Workspace
+			forward := func(x [][]float64) *nn.Forward {
+				ws.Reset()
+				ws.Stage(x, dim)
+				return ws.Forward(reuse.Freeze())
+			}
 			for step := 0; step < 4; step++ {
 				x, y := separableBatch(rng, 33, dim, classes)
-				plain.PredictProba(x)
 				lossPlain, err := plain.Fit(x, y)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reuse.PredictProba(x)
-				lossReuse, ok, err := reuse.FitForwarded(reuse.Forwarded(), y)
+				lossReuse, ok, err := reuse.FitFrom(forward(x), y)
 				if err != nil || !ok {
-					t.Fatalf("step %d: FitForwarded ok=%v err=%v", step, ok, err)
+					t.Fatalf("step %d: FitFrom ok=%v err=%v", step, ok, err)
 				}
 				if math.Float64bits(lossPlain) != math.Float64bits(lossReuse) {
 					t.Fatalf("step %d: loss %v vs %v", step, lossPlain, lossReuse)
 				}
 				flatBits(t, "after update", plain, reuse)
 			}
-			// Restore outdates the token of a forward that ran before it.
+			// A Restore after the freeze leaves the forward of older parameters.
 			x, y := separableBatch(rng, 33, dim, classes)
-			reuse.PredictProba(x)
-			tok := reuse.Forwarded()
+			fw := forward(x)
 			snap, err := plain.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -62,8 +67,8 @@ func TestFitForwardedMatchesFit(t *testing.T) {
 			if err := reuse.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok, _ := reuse.FitForwarded(tok, y); ok {
-				t.Fatal("FitForwarded ran across a Restore")
+			if _, ok, _ := reuse.FitFrom(fw, y); ok {
+				t.Fatal("FitFrom ran across a Restore")
 			}
 		})
 	}

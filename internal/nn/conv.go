@@ -92,11 +92,13 @@ func (c *Conv1D) Forward(x *linalg.Tensor) *linalg.Tensor {
 	return out
 }
 
-func (c *Conv1D) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
+func (c *Conv1D) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, *linalg.Tensor, []float64) {
 	nw := c.OutChannels * c.InChannels * c.Kernel
-	out, _ := c.forward(ws, p[:nw], p[nw:nw+c.OutChannels], x)
-	return out, p[nw+c.OutChannels:]
+	out, colT := c.forward(ws, p[:nw], p[nw:nw+c.OutChannels], x)
+	return out, colT, p[nw+c.OutChannels:]
 }
+
+func (c *Conv1D) adopt(colT *linalg.Tensor) { c.colT = colT }
 
 // forward is the convolution for kernels w and bias b of the layer's shape,
 // via im2col + one GEMM: out2T = W × colT, then each (sample, channel) segment
@@ -208,9 +210,9 @@ func (c *Conv1D) OutDim(inDim int) (int, error) {
 type MaxPool1D struct {
 	Channels, Length, Window int
 
-	ws      Workspace      // Forward's scratch: the pooled output
-	lastArg []int          // flat argmax indices, batch × Channels·outLen
-	gradIn  *linalg.Tensor // Backward's scratch
+	ws     Workspace      // Forward's scratch: the pooled output
+	lastX  *linalg.Tensor // the forward input, whose window maxima Backward finds again
+	gradIn *linalg.Tensor // Backward's scratch
 }
 
 // NewMaxPool1D returns a max-pooling layer for flat (channels × length)
@@ -228,70 +230,64 @@ func NewMaxPool1D(channels, length, window int) *MaxPool1D {
 // outLen returns the per-channel pooled length (ceil division).
 func (p *MaxPool1D) outLen() int { return (p.Length + p.Window - 1) / p.Window }
 
-// Forward pools each window, caching argmax positions for Backward.
+// Forward pools each window and keeps the input for Backward.
 func (p *MaxPool1D) Forward(x *linalg.Tensor) *linalg.Tensor {
 	p.ws.Reset()
-	if n := x.Rows * p.Channels * p.outLen(); cap(p.lastArg) < n {
-		p.lastArg = make([]int, n)
-	} else {
-		p.lastArg = p.lastArg[:n]
-	}
-	return p.forward(&p.ws, x, p.lastArg)
+	p.lastX = x
+	return p.forward(&p.ws, x)
 }
 
-func (p *MaxPool1D) infer(ws *Workspace, pr []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
-	return p.forward(ws, x, nil), pr
+func (p *MaxPool1D) infer(ws *Workspace, pr []float64, x *linalg.Tensor) (*linalg.Tensor, *linalg.Tensor, []float64) {
+	return p.forward(ws, x), x, pr
 }
 
-// forward pools each window and, unless arg is nil, records every window's
-// argmax position in it.
-func (p *MaxPool1D) forward(ws *Workspace, x *linalg.Tensor, arg []int) *linalg.Tensor {
+func (p *MaxPool1D) adopt(x *linalg.Tensor) { p.lastX = x }
+
+// forward pools each window: its first maximum.
+func (p *MaxPool1D) forward(ws *Workspace, x *linalg.Tensor) *linalg.Tensor {
 	if x.Cols != p.Channels*p.Length {
 		panic(fmt.Sprintf("nn: MaxPool1D input width %d, want %d", x.Cols, p.Channels*p.Length))
 	}
 	ol := p.outLen()
-	ow := p.Channels * ol
-	out := ws.Tensor(x.Rows, ow)
+	out := ws.Tensor(x.Rows, p.Channels*ol)
 	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		orow := out.Row(i)
+		row, orow := x.Row(i), out.Row(i)
 		for c := 0; c < p.Channels; c++ {
-			base := c * p.Length
 			for t := 0; t < ol; t++ {
-				start := t * p.Window
-				end := start + p.Window
-				if end > p.Length {
-					end = p.Length
-				}
-				best := row[base+start]
-				bestIdx := base + start
-				for j := start + 1; j < end; j++ {
-					if row[base+j] > best {
-						best = row[base+j]
-						bestIdx = base + j
-					}
-				}
-				orow[c*ol+t] = best
-				if arg != nil {
-					arg[i*ow+c*ol+t] = bestIdx
-				}
+				orow[c*ol+t] = row[p.argmax(row, c, t)]
 			}
 		}
 	}
 	return out
 }
 
-// Backward routes each output gradient to the argmax input position.
+// argmax returns the index in row of the first maximum of channel c's window
+// t (a trailing partial window holds what is left of the channel).
+func (p *MaxPool1D) argmax(row []float64, c, t int) int {
+	start := c*p.Length + t*p.Window
+	end := min(start+p.Window, (c+1)*p.Length)
+	best := start
+	for j := start + 1; j < end; j++ {
+		if row[j] > row[best] {
+			best = j
+		}
+	}
+	return best
+}
+
+// Backward routes each output gradient to its window's maximum, found again
+// in the forward input: the same comparisons over the same values pick the
+// position Forward pooled.
 func (p *MaxPool1D) Backward(gradOut *linalg.Tensor) *linalg.Tensor {
-	ow := gradOut.Cols
+	ol := p.outLen()
 	p.gradIn = linalg.EnsureTensor(p.gradIn, gradOut.Rows, p.Channels*p.Length)
 	p.gradIn.Zero()
 	for i := 0; i < gradOut.Rows; i++ {
-		grow := gradOut.Row(i)
-		girow := p.gradIn.Row(i)
-		arg := p.lastArg[i*ow : (i+1)*ow]
-		for j, gv := range grow {
-			girow[arg[j]] += gv
+		row, grow, girow := p.lastX.Row(i), gradOut.Row(i), p.gradIn.Row(i)
+		for c := 0; c < p.Channels; c++ {
+			for t := 0; t < ol; t++ {
+				girow[p.argmax(row, c, t)] += grow[c*ol+t]
+			}
 		}
 	}
 	return p.gradIn

@@ -34,3 +34,10 @@ func FirstLayerInputGrad(n *Network) *linalg.Tensor {
 
 // Velocity returns opt's momentum buffer for p (nil before the first step).
 func Velocity(opt *SGD, p *Param) []float64 { return opt.velocity[p] }
+
+// AccumulateFrom is TrainFrom without its optimizer step: fw's batch's
+// gradients accumulated into n, nothing stepped (AccumulateGradients's
+// counterpart).
+func AccumulateFrom(n *Network, fw *Forward, y []int) (float64, bool, error) {
+	return n.backwardFrom(fw, y)
+}

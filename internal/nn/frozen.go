@@ -8,15 +8,23 @@ import "freewayml/internal/linalg"
 // once, each in a Workspace of its own, while the network it came from keeps
 // training.
 type Frozen struct {
+	net    *Network
 	layers []Layer   // the network's own: infer reads their shapes, nothing else
 	w      []float64 // every parameter value, in Params order
+	ver    uint64    // the network's parameter version at Freeze
 }
 
 // Freeze copies the parameter values (one allocation of NumParams floats) and
 // returns the network's forward pass over them.
 func (n *Network) Freeze() *Frozen {
-	return &Frozen{layers: n.layers, w: n.AppendFlatParams(make([]float64, 0, n.NumParams()))}
+	return &Frozen{net: n, layers: n.layers, w: n.AppendFlatParams(make([]float64, 0, n.NumParams())), ver: n.ver}
 }
+
+// Current reports whether no parameter of the network has been written since
+// f was frozen from it (see Network.InvalidateForward), so that f still
+// answers what the network would. It reads the network's version counter:
+// only the goroutine that trains the network may call it.
+func (f *Frozen) Current() bool { return f.ver == f.net.ver }
 
 // ProbaInto returns the class distribution of every row of x, class-major
 // (NumClasses × rows, column i row i's), bit for bit what PredictProba
@@ -26,6 +34,12 @@ func (n *Network) Freeze() *Frozen {
 // A batch of the wrong width panics in the first layer that has one, as it
 // does in the network's own pass.
 func (f *Frozen) ProbaInto(ws *Workspace, x *linalg.Tensor) *linalg.Tensor {
+	return f.forward(ws, x).proba
+}
+
+// forward runs the pass over x in ws and records it there.
+func (f *Frozen) forward(ws *Workspace, x *linalg.Tensor) *Forward {
+	fw := ws.record(f, x)
 	h, p := x, f.w
 	// An in-place activation in first position would rectify the caller's batch.
 	switch f.layers[0].(type) {
@@ -33,10 +47,27 @@ func (f *Frozen) ProbaInto(ws *Workspace, x *linalg.Tensor) *linalg.Tensor {
 		h = ws.Tensor(x.Rows, x.Cols)
 		copy(h.Data, x.Data)
 	}
-	for _, l := range f.layers {
-		h, p = l.infer(ws, p, h)
+	for i, l := range f.layers {
+		h, fw.caches[i], p = l.infer(ws, p, h)
 	}
 	// The logits are workspace scratch nobody trains on: softmax in place.
 	linalg.SoftmaxCols(h, h)
-	return h
+	fw.proba = h
+	return fw
 }
+
+// Forward is one frozen forward pass as it lies in a workspace: the Frozen
+// that ran it, the batch it ran over, what each layer's Backward reads of it
+// (a Dense, a pooling layer or an activation its input, a Conv1D its patch
+// matrix) and the class distributions it ended in. It is valid until its
+// workspace is reset or released.
+type Forward struct {
+	f      *Frozen
+	x      *linalg.Tensor
+	caches []*linalg.Tensor
+	proba  *linalg.Tensor
+}
+
+// Proba returns the pass's class distributions, class-major (NumClasses ×
+// rows).
+func (fw *Forward) Proba() *linalg.Tensor { return fw.proba }

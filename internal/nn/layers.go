@@ -24,8 +24,8 @@ import (
 //
 //   - Whatever a layer hands on may be overwritten by its neighbour: no layer
 //     reads the tensor it returned from Forward, or from Backward, again.
-//     Dense and Conv1D read their Forward input (lastX, the im2col patches)
-//     and gradOut in Backward; MaxPool1D its argmax cache.
+//     Dense and MaxPool1D read their Forward input in Backward, Conv1D its
+//     im2col patches, and each its gradOut.
 //   - Backward may read the tensor passed to the preceding Forward, as it
 //     stood when Forward returned or as an in-place activation directly above
 //     left it (which is the value the layer consumed in the first place). The
@@ -47,8 +47,12 @@ type Layer interface {
 	// tensor it writes taken from ws. It reads the layer's shape and writes
 	// nothing of the layer's, so any number of readers may share the layer
 	// with each other and with the network that trains it. Like Forward, an
-	// activation overwrites x.
-	infer(ws *Workspace, p []float64, x *linalg.Tensor) (out *linalg.Tensor, rest []float64)
+	// activation overwrites x. cache is what Backward would read of the pass,
+	// had Forward run it (see adopt).
+	infer(ws *Workspace, p []float64, x *linalg.Tensor) (out, cache *linalg.Tensor, rest []float64)
+	// adopt makes a cache infer returned the layer's own, as if Forward had
+	// run that pass: Network.TrainFrom backpropagates through a frozen forward.
+	adopt(cache *linalg.Tensor)
 	// OutDim returns the per-sample output width given the input width, or
 	// an error if the layer cannot accept that width.
 	OutDim(inDim int) (int, error)
@@ -118,10 +122,12 @@ func (d *Dense) Forward(x *linalg.Tensor) *linalg.Tensor {
 	return d.forward(&d.ws, d.w.W, d.b.W, x)
 }
 
-func (d *Dense) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
+func (d *Dense) infer(ws *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, *linalg.Tensor, []float64) {
 	nw := d.In * d.Out
-	return d.forward(ws, p[:nw], p[nw:nw+d.Out], x), p[nw+d.Out:]
+	return d.forward(ws, p[:nw], p[nw:nw+d.Out], x), x, p[nw+d.Out:]
 }
+
+func (d *Dense) adopt(x *linalg.Tensor) { d.lastX = x }
 
 // forward is xW + b for weights w and bias b of the layer's shape: rows × Out,
 // rectified when a ReLU is wired above, or class-major for the head.
@@ -248,9 +254,11 @@ func (r *ReLU) Forward(x *linalg.Tensor) *linalg.Tensor {
 	return r.rectify(x)
 }
 
-func (r *ReLU) infer(_ *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
-	return r.rectify(x), p
+func (r *ReLU) infer(_ *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, *linalg.Tensor, []float64) {
+	return r.rectify(x), x, p
 }
+
+func (r *ReLU) adopt(y *linalg.Tensor) { r.y = y }
 
 func (r *ReLU) rectify(x *linalg.Tensor) *linalg.Tensor {
 	if !r.rectified {
@@ -292,9 +300,11 @@ func (s *Sigmoid) Forward(x *linalg.Tensor) *linalg.Tensor {
 	return logistic(x)
 }
 
-func (s *Sigmoid) infer(_ *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, []float64) {
-	return logistic(x), p
+func (s *Sigmoid) infer(_ *Workspace, p []float64, x *linalg.Tensor) (*linalg.Tensor, *linalg.Tensor, []float64) {
+	return logistic(x), x, p
 }
+
+func (s *Sigmoid) adopt(y *linalg.Tensor) { s.y = y }
 
 func logistic(x *linalg.Tensor) *linalg.Tensor {
 	for i, v := range x.Data {

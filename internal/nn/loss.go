@@ -13,15 +13,24 @@ const crossEntropyEps = 1e-12
 
 // softmaxCrossEntropyT returns the mean softmax cross-entropy of the
 // class-major logits (classes × samples, a column per sample) against integer
-// labels and writes its gradient with respect to the logits, (p − onehot)/n,
-// into grad, which must be pre-shaped to match logits. The probabilities are
-// computed directly into grad (linalg.SoftmaxCols); the labels' floored
-// probabilities are gathered one per sample into logp, which holds at least
-// one float per sample, and go through one LogInto; the losses are added in
-// sample order; the gradient is divided by n in one packed pass and 1/n is
-// taken off at each label. Labels outside [0, classes) are an error.
+// labels and writes its gradient with respect to the logits into grad, which
+// must be pre-shaped to match logits: the probabilities are computed directly
+// into grad (linalg.SoftmaxCols), and crossEntropyT takes it from there.
 func softmaxCrossEntropyT(logits *linalg.Tensor, labels []int, grad *linalg.Tensor, logp []float64) (float64, error) {
-	rows, c := logits.Cols, logits.Rows
+	linalg.SoftmaxCols(grad, logits)
+	return crossEntropyT(grad, labels, logp)
+}
+
+// crossEntropyT returns the mean cross-entropy of the class-major
+// probabilities in p (classes × samples) against integer labels and turns p
+// into its gradient with respect to the logits, (p − onehot)/n, in place. The
+// labels' floored probabilities are gathered one per sample into logp, which
+// holds at least one float per sample, and go through one LogInto; the losses
+// are added in sample order; the gradient is divided by n in one packed pass
+// and 1/n is taken off at each label. Labels outside [0, classes) are an
+// error, and so is an empty batch.
+func crossEntropyT(p *linalg.Tensor, labels []int, logp []float64) (float64, error) {
+	rows, c := p.Cols, p.Rows
 	if rows != len(labels) {
 		return 0, fmt.Errorf("nn: %d logit columns vs %d labels", rows, len(labels))
 	}
@@ -33,10 +42,9 @@ func softmaxCrossEntropyT(logits *linalg.Tensor, labels []int, grad *linalg.Tens
 			return 0, fmt.Errorf("nn: label %d outside [0,%d)", y, c)
 		}
 	}
-	linalg.SoftmaxCols(grad, logits)
 	logp = logp[:rows]
 	for i, y := range labels {
-		logp[i] = math.Max(grad.Data[y*rows+i], crossEntropyEps)
+		logp[i] = math.Max(p.Data[y*rows+i], crossEntropyEps)
 	}
 	linalg.LogInto(logp, logp)
 	var loss float64
@@ -44,9 +52,9 @@ func softmaxCrossEntropyT(logits *linalg.Tensor, labels []int, grad *linalg.Tens
 		loss += -l
 	}
 	n := float64(rows)
-	linalg.DivScalar(grad.Data, n)
+	linalg.DivScalar(p.Data, n)
 	for i, y := range labels {
-		grad.Data[y*rows+i] -= 1 / n
+		p.Data[y*rows+i] -= 1 / n
 	}
 	return loss / n, nil
 }

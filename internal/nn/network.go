@@ -28,17 +28,11 @@ type Network struct {
 	gradBuf linalg.Tensor // class head scratch: PredictProba's probabilities, the loss gradient
 	logpBuf linalg.Tensor // loss-head scratch: the labels' logs, one per row
 
-	// Forward reuse (TrainForwarded): logits is the last forward's output,
-	// fwdSeq numbers the forward passes, and fwd is the number of the pass
-	// whose layer caches (lastX, Wᵀ, patches, argmax, logits) still describe
-	// both that batch and the current weights — 0 when none does.
-	logits      *linalg.Tensor
-	fwdSeq, fwd uint64
+	// ver is the parameter version: every parameter write bumps it (see
+	// InvalidateForward), and Freeze records it, so TrainFrom can tell a
+	// forward of the parameters as they stand from one of older values.
+	ver uint64
 }
-
-// ForwardToken names one forward pass of one network; the zero value names
-// none. See LastForward and TrainForwarded.
-type ForwardToken struct{ id uint64 }
 
 // NewNetwork assembles a sequential network. It validates that the layer
 // widths chain from inDim to numClasses, through a last layer that is a Dense
@@ -123,20 +117,14 @@ func (n *Network) forwardT(x *linalg.Tensor) *linalg.Tensor {
 	for _, l := range n.layers {
 		h = l.Forward(h)
 	}
-	n.fwdSeq++
-	n.logits, n.fwd = h, n.fwdSeq
 	return h
 }
 
-// LastForward returns the token of the most recent forward pass (Predict,
-// PredictProba, ProbaInto, …), or the zero token when a parameter write
-// has already outdated it.
-func (n *Network) LastForward() ForwardToken { return ForwardToken{n.fwd} }
-
-// InvalidateForward drops the layer caches of the last forward pass. Every
-// parameter write does it: Step, Restore and SetFlatParams themselves, and a
-// caller that writes Param.W directly must call it.
-func (n *Network) InvalidateForward() { n.fwd = 0 }
+// InvalidateForward declares a parameter write: it bumps the parameter
+// version, so no forward pass frozen before it can be trained from (see
+// TrainFrom). Step, Restore and SetFlatParams do it themselves; a caller that
+// writes Param.W directly must call it.
+func (n *Network) InvalidateForward() { n.ver++ }
 
 // Predict returns the argmax class for each sample (the first on ties).
 func (n *Network) Predict(x [][]float64) []int {
@@ -186,30 +174,40 @@ func (n *Network) TrainTensor(x *linalg.Tensor, y []int, opt *SGD) (float64, err
 	return loss, nil
 }
 
-// TrainForwarded is TrainBatch for the batch whose forward pass tok names,
-// without forwarding it again — the test-then-train order predicts every
-// batch moments before learning from it. It runs (ok = true) only while tok
-// is still the network's latest forward and no parameter has been written
-// since: the layers then hold exactly the caches and logits TrainBatch would
-// recompute, so loss, gradients and weights come out bit for bit the same.
-// Any later forward, backward, Step, Restore or declared parameter write
-// outdates tok; ok = false then means nothing was done and the caller trains
-// with TrainBatch.
-func (n *Network) TrainForwarded(tok ForwardToken, y []int, opt *SGD) (loss float64, ok bool, err error) {
-	if tok.id == 0 || tok.id != n.fwd {
+// TrainFrom is TrainTensor on the batch fw ran over, with y its labels, minus
+// the forward: the layers take fw's caches as their own (Layer.adopt) and the
+// loss starts from its class distributions. It runs (ok = true) only while
+// fw is a forward of this network's parameters as they stand — fw's Frozen
+// was frozen from n and no parameter has been written since (Step, Restore,
+// SetFlatParams, InvalidateForward). The frozen pass is then the layers'
+// own arithmetic over the same values, so loss, gradients and weights come
+// out bit for bit as TrainTensor's. ok = false means nothing was done and the
+// caller trains with TrainTensor. fw's workspace must stay held until
+// TrainFrom returns.
+func (n *Network) TrainFrom(fw *Forward, y []int, opt *SGD) (loss float64, ok bool, err error) {
+	if loss, ok, err = n.backwardFrom(fw, y); ok && err == nil {
+		n.Step(opt)
+	}
+	return loss, ok, err
+}
+
+// backwardFrom is TrainFrom up to the optimizer step: the gradients of fw's
+// batch accumulated, nothing stepped.
+func (n *Network) backwardFrom(fw *Forward, y []int) (float64, bool, error) {
+	if fw == nil || fw.f.net != n || fw.f.ver != n.ver {
 		return 0, false, nil
 	}
-	loss, err = n.backward(n.logits, y)
-	if err != nil {
-		return 0, true, err
+	for i, l := range n.layers {
+		l.adopt(fw.caches[i])
 	}
-	n.Step(opt)
-	return loss, true, nil
+	copy(linalg.EnsureTensor(&n.gradBuf, fw.proba.Rows, fw.proba.Cols).Data, fw.proba.Data)
+	loss, err := n.backprop(y)
+	return loss, true, err
 }
 
 // Step applies one optimizer step to the network's parameters and zeroes the
-// gradients. It is the way to step a network: the forward caches belong to
-// the weights that produced them and go with them.
+// gradients. It is the way to step a network: it moves the parameter version
+// with the weights.
 func (n *Network) Step(opt *SGD) {
 	opt.Step(n.params)
 	n.InvalidateForward()
@@ -226,13 +224,17 @@ func (n *Network) AccumulateGradients(x [][]float64, y []int) (float64, error) {
 }
 
 // backward runs the loss head and the backward pass over the layer caches
-// the forward that produced logits left behind. A forward serves one
-// backward: the pass consumes its token.
+// the forward that produced logits left behind.
 func (n *Network) backward(logits *linalg.Tensor, y []int) (float64, error) {
-	n.InvalidateForward()
-	linalg.EnsureTensor(&n.gradBuf, logits.Rows, logits.Cols)
-	linalg.EnsureTensor(&n.logpBuf, logits.Cols, 1)
-	loss, err := softmaxCrossEntropyT(logits, y, &n.gradBuf, n.logpBuf.Data)
+	linalg.SoftmaxCols(linalg.EnsureTensor(&n.gradBuf, logits.Rows, logits.Cols), logits)
+	return n.backprop(y)
+}
+
+// backprop turns the class distributions in gradBuf into the loss gradient
+// and runs the backward pass over the layers' caches.
+func (n *Network) backprop(y []int) (float64, error) {
+	linalg.EnsureTensor(&n.logpBuf, n.gradBuf.Cols, 1)
+	loss, err := crossEntropyT(&n.gradBuf, y, n.logpBuf.Data)
 	if err != nil {
 		return 0, err
 	}

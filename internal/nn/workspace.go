@@ -6,21 +6,28 @@ import (
 	"freewayml/internal/linalg"
 )
 
-// Workspace is the scratch of one forward pass: a bag of tensors handed out
-// by position and grown on demand, so it fits any architecture and any batch
-// size and a warm one allocates nothing. Tensors come back with unspecified
-// contents — whoever takes one overwrites all of it.
+// Workspace is the scratch of one batch's forward passes: a bag of tensors
+// handed out by position and grown on demand, so it fits any architecture and
+// any batch size and a warm one allocates nothing. Tensors come back with
+// unspecified contents — whoever takes one overwrites all of it.
 //
 // A layer's Forward runs over a workspace the layer owns; a reader of frozen
-// parameters (Frozen.ProbaInto) brings one from the pool. Everything handed
-// out stays valid until the next Reset.
+// parameters (Frozen.ProbaInto) brings one from the pool. Such a workspace
+// also holds the batch it was staged with (Stage) and a record of every
+// frozen forward run in it, which Forward looks up and Network.TrainFrom
+// trains from. Everything handed out stays valid until the next Reset.
 type Workspace struct {
 	t    []*linalg.Tensor
 	next int
+
+	x    *linalg.Tensor // the staged batch; nil until Stage
+	fwd  []*Forward     // the records of the frozen forwards, fwd[:nfwd] this use's
+	nfwd int
 }
 
-// Reset makes every tensor available again; their contents become scratch.
-func (w *Workspace) Reset() { w.next = 0 }
+// Reset makes every tensor available again; their contents become scratch,
+// and the staged batch and the forward records are gone.
+func (w *Workspace) Reset() { w.next, w.x, w.nfwd = 0, nil, 0 }
 
 // Tensor hands out the next tensor, shaped rows×cols.
 func (w *Workspace) Tensor(rows, cols int) *linalg.Tensor {
@@ -33,9 +40,50 @@ func (w *Workspace) Tensor(rows, cols int) *linalg.Tensor {
 	return t
 }
 
+// Stage copies the rows, each dim wide, into a tensor of the workspace and
+// keeps it as the batch: Staged returns it, and Forward runs over it.
+func (w *Workspace) Stage(x [][]float64, dim int) *linalg.Tensor {
+	w.x = w.Tensor(len(x), dim)
+	w.x.FromRows(x, dim)
+	return w.x
+}
+
+// Staged returns the batch Stage staged (nil before).
+func (w *Workspace) Staged() *linalg.Tensor { return w.x }
+
+// Forward returns f's forward pass over the staged batch: the one already run
+// in w, when there is one, else one run now. Either way f runs at most once
+// per batch and workspace.
+func (w *Workspace) Forward(f *Frozen) *Forward {
+	for _, fw := range w.fwd[:w.nfwd] {
+		if fw.f == f && fw.x == w.x {
+			return fw
+		}
+	}
+	return f.forward(w, w.x)
+}
+
+// record hands out the next forward record, set up for a pass of f over x.
+func (w *Workspace) record(f *Frozen, x *linalg.Tensor) *Forward {
+	if w.nfwd == len(w.fwd) {
+		w.fwd = append(w.fwd, new(Forward))
+	}
+	fw := w.fwd[w.nfwd]
+	w.nfwd++
+	fw.f, fw.x, fw.proba = f, x, nil
+	if cap(fw.caches) < len(f.layers) {
+		fw.caches = make([]*linalg.Tensor, len(f.layers))
+	}
+	fw.caches = fw.caches[:len(f.layers)]
+	return fw
+}
+
 // workspaces is the one pool of reader workspaces, shared by every snapshot
-// of every learner in the process: what bounds the number of warm workspaces
-// is how many reads run at once, not how many streams are resident.
+// of every learner in the process. Two things bound the number of warm
+// workspaces: how many reads run at once, and the one each resident learner
+// may keep parked between an Infer and the Process call that follows it (a
+// hand-off of the read's forwards to the training plane). The number of
+// streams alone does not.
 var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
 
 // GetWorkspace takes a reset workspace from the process-wide pool. The caller

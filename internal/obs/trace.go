@@ -53,6 +53,9 @@ type TraceEvent struct {
 	GuardSanitized int  `json:"guard_sanitized,omitempty"`
 	GuardRejected  bool `json:"guard_rejected,omitempty"`
 	Divergences    int  `json:"divergences,omitempty"`
+	// ForwardHandoff reports that Process took the member forwards of an
+	// Infer of the same rows on the same snapshot instead of running them.
+	ForwardHandoff bool `json:"forward_handoff,omitempty"`
 	// Accuracy is the batch's real-time accuracy (-1 when unlabeled).
 	Accuracy float64 `json:"accuracy"`
 	// TraceID joins this event to the request-scoped trace that carried

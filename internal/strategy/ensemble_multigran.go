@@ -27,39 +27,12 @@ type Granularity struct {
 	centroid linalg.Vector // distribution of the last training data
 	wd       *Watchdog     // nil when the watchdog is disabled
 	ver      uint64        // bumped on every parameter/centroid mutation
-
-	// fwd names the forward pass predict ran on the batch being processed,
-	// until Train takes it. The network, not this field, decides whether it
-	// is still good: any later forward or parameter write outdates it.
-	fwd nn.ForwardToken
-	// proba holds that prediction's class distributions (class-major) until
-	// the next predict: the member's own buffer, which no forward or update
-	// writes.
-	proba linalg.Tensor
 }
 
 // NewGranularity wraps a model as a fixed-frequency ensemble member. wd may
 // be nil to disable divergence monitoring.
 func NewGranularity(m model.Model, every int, wd *Watchdog) *Granularity {
 	return &Granularity{Model: m, Every: every, wd: wd}
-}
-
-// predict returns the member's class distributions for the batch being
-// processed (valid until its next predict) and keeps the forward pass for
-// this batch's Train.
-func (g *Granularity) predict(x [][]float64) *linalg.Tensor {
-	g.Model.Net().ProbaInto(&g.proba, x)
-	g.fwd = g.Model.Forwarded()
-	return &g.proba
-}
-
-// fit is Model.Fit, minus the forward pass when fwd still names the model's
-// latest forward — the prediction of these very rows (test-then-train).
-func (g *Granularity) fit(fwd nn.ForwardToken, x [][]float64, y []int) (float64, error) {
-	if loss, reused, err := g.Model.FitForwarded(fwd, y); reused {
-		return loss, err
-	}
-	return g.Model.Fit(x, y)
 }
 
 // BuildGranularities builds the fixed-frequency members: model i updates
@@ -129,18 +102,27 @@ type Ensemble struct {
 
 	closing windowClose // the window close in flight, while closing.open
 
-	// Infer's scratch: the member list, the long model's class distributions
-	// (the ensemble's buffer, not the network's) and the fused ones, which
+	// Infer's scratch: the member list and the fused distributions, which
 	// Infer's Prediction views until the next Infer.
-	members          []member
-	longProba, fused linalg.Tensor
+	members []member
+	fused   linalg.Tensor
 
-	// Snapshot-publication cache: a member is frozen again only when its
-	// version moved since the last publication; the cached views themselves
-	// are immutable.
-	pubMembers []SnapshotMember
-	pubVers    []uint64
-	pubLongVer uint64
+	// The batch in flight's workspace (BeginBatch), or nil; own stands in for
+	// it when the caller began none.
+	ws  *nn.Workspace
+	own nn.Workspace
+
+	// pub is the last publication, members in order, the long model last: a
+	// member is frozen again only when its version moved since; the frozen
+	// views themselves are immutable.
+	pub []publication
+}
+
+// publication is one member as the ensemble last published it.
+type publication struct {
+	frozen   *nn.Frozen
+	centroid linalg.Vector
+	ver      uint64 // the member's version (Granularity.ver, longVer) when frozen
 }
 
 // NewEnsemble assembles the mechanism from its pre-built parts. longWd may
@@ -153,6 +135,7 @@ func NewEnsemble(cfg EnsembleConfig, grans []*Granularity, long model.Model, lon
 		long:   long,
 		asw:    asw,
 		longWd: longWd,
+		pub:    make([]publication, len(grans)+1),
 	}
 }
 
@@ -196,20 +179,84 @@ func (e *Ensemble) WindowItems() int { return e.asw.Items() }
 // WindowEvictions returns the window's lifetime decay-eviction count.
 func (e *Ensemble) WindowEvictions() int { return e.asw.Evictions() }
 
+// BeginBatch hands the ensemble the workspace of the batch in flight: ws
+// holds that batch staged (nn.Workspace.Stage) and whatever forwards of the
+// published members already ran over it (an Infer's, handed to the Process
+// call that follows). Infer and InferWarmup forward the members there, each
+// at most once, and Train trains a member from its forward when the member's
+// parameters are still the forward's. ws stays the caller's: it is read until
+// EndBatch, and released by the caller after that. Without a begun batch,
+// Infer stages the batch in a workspace of the ensemble's own and Train runs
+// every forward it needs itself.
+func (e *Ensemble) BeginBatch(ws *nn.Workspace) { e.ws = ws }
+
+// EndBatch ends the batch BeginBatch began: the ensemble keeps nothing of ws.
+func (e *Ensemble) EndBatch() { e.ws = nil }
+
+// batchWorkspace returns the workspace of the batch in flight, b: the begun
+// one, or the ensemble's own with b staged afresh.
+func (e *Ensemble) batchWorkspace(b stream.Batch) *nn.Workspace {
+	if e.ws != nil {
+		return e.ws
+	}
+	e.own.Reset()
+	e.own.Stage(b.X, e.long.InDim())
+	return &e.own
+}
+
+// memberModel returns member i (the granularities in order, the long model at
+// len(grans)) with its version counter and training centroid.
+func (e *Ensemble) memberModel(i int) (model.Model, uint64, linalg.Vector) {
+	if i < len(e.grans) {
+		g := e.grans[i]
+		return g.Model, g.ver, g.centroid
+	}
+	return e.long, e.longVer, e.longCentroid
+}
+
+// publication returns member i as last published. A member never published,
+// or whose parameters were written since (nn.Frozen.Current), is frozen anew
+// first, so its forward answers what the live model would.
+func (e *Ensemble) publication(i int) *publication {
+	p := &e.pub[i]
+	if p.frozen == nil || !p.frozen.Current() {
+		e.freeze(i)
+	}
+	return p
+}
+
+// freeze publishes member i anew: its parameters frozen, its centroid copied.
+func (e *Ensemble) freeze(i int) {
+	m, ver, centroid := e.memberModel(i)
+	p := publication{frozen: m.Freeze(), ver: ver}
+	if centroid != nil {
+		p.centroid = centroid.Clone()
+	}
+	e.pub[i] = p
+}
+
+// memberProba returns member i's class distributions for the batch staged in
+// ws: the published member's forward pass over it.
+func (e *Ensemble) memberProba(ws *nn.Workspace, i int) *linalg.Tensor {
+	return ws.Forward(e.publication(i).frozen).Proba()
+}
+
 // InferWarmup predicts with the short model alone — the strategy while the
-// detector has no projected centroid yet. Its Proba is the member's buffer,
-// valid until the member's next prediction.
+// detector has no projected centroid yet. Its Proba is the ensemble's fused
+// scratch, a copy of the short model's distributions, valid until the next
+// Infer.
 func (e *Ensemble) InferWarmup(b stream.Batch) Prediction {
-	return prediction(e.grans[0].predict(b.X))
+	p := e.memberProba(e.batchWorkspace(b), 0)
+	copy(linalg.EnsureTensor(&e.fused, p.Rows, p.Cols).Data, p.Data)
+	return prediction(&e.fused)
 }
 
 // granMembers appends to dst the fixed-frequency members' predictions for the
-// batch being processed (x is that batch: the forward passes are kept for its
-// Train) with their distances to the live distribution — the knowledge-reuse
-// fusion deliberately excludes the long model.
-func (e *Ensemble) granMembers(dst []member, yBar linalg.Vector, x [][]float64) []member {
-	for _, g := range e.grans {
-		dst = append(dst, member{proba: g.predict(x), distance: centroidDistance(yBar, g.centroid)})
+// batch staged in ws with their distances to the live distribution — the
+// knowledge-reuse fusion deliberately excludes the long model.
+func (e *Ensemble) granMembers(dst []member, yBar linalg.Vector, ws *nn.Workspace) []member {
+	for i, g := range e.grans {
+		dst = append(dst, member{proba: e.memberProba(ws, i), distance: centroidDistance(yBar, g.centroid)})
 	}
 	return dst
 }
@@ -221,9 +268,9 @@ func (e *Ensemble) Infer(ctx context.Context, b stream.Batch, obs shift.Observat
 	// Short and mid-granularity models: distance to their last training
 	// distribution (D_short of Eq. 12 equals obs.Distance for the per-batch
 	// model, since its centroid is the previous batch's ȳ).
-	members := e.granMembers(e.members[:0], obs.YBar, b.X)
-	e.long.Net().ProbaInto(&e.longProba, b.X)
-	members = append(members, member{proba: &e.longProba, distance: centroidDistance(obs.YBar, e.longCentroid)})
+	ws := e.batchWorkspace(b)
+	members := e.granMembers(e.members[:0], obs.YBar, ws)
+	members = append(members, member{proba: e.memberProba(ws, len(e.grans)), distance: centroidDistance(obs.YBar, e.longCentroid)})
 	e.members = members
 
 	// Normalize distances by their mean so the kernel width Sigma is
@@ -257,24 +304,26 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 	// snapshot and keeps its previous centroid (the rolled-back parameters
 	// belong to the pre-divergence distribution).
 	tShort := tr.StageStart()
-	for _, g := range e.grans {
+	for i, g := range e.grans {
 		// A batch that completes the schedule with nothing pending (every
-		// batch of the Every == 1 granularity) goes to Fit as it is; only a
-		// batch that must wait, or join waiting ones, is buffered.
+		// batch of the Every == 1 granularity) trains as it is, from the
+		// member's forward when it can; only a batch that must wait, or join
+		// waiting ones, is buffered.
 		g.pending++
-		x, y := b.X, b.Y
-		fwd := g.fwd // this call's prediction of b.X, when the member made one
-		g.fwd = nn.ForwardToken{}
+		var (
+			loss float64
+			err  error
+		)
 		if g.pending < g.Every || len(g.bufX) > 0 {
 			g.bufX = append(g.bufX, b.X...)
 			g.bufY = append(g.bufY, b.Y...)
 			if g.pending < g.Every {
 				continue
 			}
-			x, y = g.bufX, g.bufY
-			fwd = nn.ForwardToken{} // trains more rows than it predicted
+			loss, err = g.Model.Fit(g.bufX, g.bufY)
+		} else {
+			loss, err = e.fitBatch(i, g.Model, b)
 		}
-		loss, err := g.fit(fwd, x, y)
 		if err != nil {
 			return err
 		}
@@ -323,6 +372,22 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 	}
 	tr.StageDone(StageLongUpdate, tLong)
 	return err
+}
+
+// fitBatch trains member i, m, on the batch in flight. In a begun batch that
+// is from the published member's forward over the staged rows (the one
+// Infer ran, or one run now) while m's parameters are still that forward's,
+// else FitTensor on the staged rows; without one, Fit on b.
+func (e *Ensemble) fitBatch(i int, m model.Model, b stream.Batch) (float64, error) {
+	if e.ws == nil {
+		return m.Fit(b.X, b.Y)
+	}
+	if f := e.pub[i].frozen; f != nil {
+		if loss, ok, err := m.FitFrom(e.ws.Forward(f), b.Y); ok {
+			return loss, err
+		}
+	}
+	return m.FitTensor(e.ws.Staged(), b.Y)
 }
 
 // closeCalls is how many Train calls a window close is spread over: the call
@@ -424,32 +489,13 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // short model). Must be called from the training goroutine, between Train
 // calls.
 func (e *Ensemble) PublishSnapshot() []SnapshotMember {
-	n := len(e.grans)
-	if e.pubMembers == nil {
-		e.pubMembers = make([]SnapshotMember, n+1)
-		e.pubVers = make([]uint64, n)
-	}
-	members := make([]SnapshotMember, n+1)
-	for i, g := range e.grans {
-		if e.pubMembers[i].Model == nil || e.pubVers[i] != g.ver {
-			var c linalg.Vector
-			if g.centroid != nil {
-				c = g.centroid.Clone()
-			}
-			e.pubMembers[i] = SnapshotMember{Model: g.Model.Freeze(), Centroid: c}
-			e.pubVers[i] = g.ver
+	members := make([]SnapshotMember, len(e.pub))
+	for i := range e.pub {
+		if _, ver, _ := e.memberModel(i); e.pub[i].frozen == nil || e.pub[i].ver != ver {
+			e.freeze(i)
 		}
-		members[i] = e.pubMembers[i]
+		members[i] = SnapshotMember{Model: e.pub[i].frozen, Centroid: e.pub[i].centroid}
 	}
-	if e.pubMembers[n].Model == nil || e.pubLongVer != e.longVer {
-		var c linalg.Vector
-		if e.longCentroid != nil {
-			c = e.longCentroid.Clone()
-		}
-		e.pubMembers[n] = SnapshotMember{Model: e.long.Freeze(), Centroid: c}
-		e.pubLongVer = e.longVer
-	}
-	members[n] = e.pubMembers[n]
 	return members
 }
 

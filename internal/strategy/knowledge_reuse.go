@@ -71,7 +71,7 @@ func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Ob
 	// signal. The long model deliberately stays out: it smooths over the
 	// departed regime.
 	k.reuse.Net().ProbaInto(&k.proba, b.X)
-	k.members = k.ens.granMembers(append(k.members[:0], member{proba: &k.proba, distance: dist}), obs.YBar, b.X)
+	k.members = k.ens.granMembers(append(k.members[:0], member{proba: &k.proba, distance: dist}), obs.YBar, k.ens.batchWorkspace(b))
 	normalizeDistances(k.members)
 	weights, err := fuse(&k.fused, k.members, k.sigma)
 	if err != nil {

@@ -15,10 +15,10 @@ import (
 )
 
 // plainModel declines the test-then-train fast path: an ensemble of these can
-// only ever train through Fit.
+// only ever train through a forward of its own.
 type plainModel struct{ model.Model }
 
-func (plainModel) FitForwarded(nn.ForwardToken, []int) (float64, bool, error) {
+func (plainModel) FitFrom(*nn.Forward, []int) (float64, bool, error) {
 	return 0, false, nil
 }
 
@@ -33,8 +33,13 @@ func (c *countedModel) Fit(x [][]float64, y []int) (float64, error) {
 	return c.Model.Fit(x, y)
 }
 
-func (c *countedModel) FitForwarded(tok nn.ForwardToken, y []int) (float64, bool, error) {
-	loss, ok, err := c.Model.FitForwarded(tok, y)
+func (c *countedModel) FitTensor(x *linalg.Tensor, y []int) (float64, error) {
+	c.fits++
+	return c.Model.FitTensor(x, y)
+}
+
+func (c *countedModel) FitFrom(fw *nn.Forward, y []int) (float64, bool, error) {
+	loss, ok, err := c.Model.FitFrom(fw, y)
 	if ok {
 		c.reused++
 	}
@@ -98,22 +103,47 @@ func sameWeights(t *testing.T, when string, a, b model.Model) {
 	}
 }
 
-// TestEnsembleForwardReuse drives twin ensembles — one whose members offer the
-// test-then-train fast path, one whose members only have Fit — through
-// identical Infer → (disturbance) → Train sequences. The weights must agree
-// bit for bit after every batch, the undisturbed batches must all have
-// trained on the reused forward, and each disturbance must have sent exactly
-// its batch back to plain Fit.
+// step runs one batch through e the way the learner does: the batch staged
+// in a workspace the ensemble is handed, Infer, the disturbance, Train, and
+// the publication that the next batch's forwards read.
+func step(t *testing.T, e *Ensemble, b stream.Batch, obs shift.Observation, disturb func(*testing.T, *Ensemble)) {
+	t.Helper()
+	ws := nn.GetWorkspace()
+	defer ws.Release()
+	ws.Stage(b.X, reuseDim)
+	e.BeginBatch(ws)
+	defer e.EndBatch()
+	if _, _, err := e.Infer(context.Background(), b, obs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if disturb != nil {
+		disturb(t, e)
+	}
+	if err := e.Train(context.Background(), b, obs, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.PublishSnapshot()
+}
+
+// TestEnsembleForwardReuse drives twin ensembles — one whose members train
+// from the published members' forwards, one whose members always run their
+// own — through identical Infer → (disturbance) → Train sequences. The weights
+// must agree bit for bit after every batch, and every undisturbed batch must
+// have trained from the forward Infer ran. A parameter write between the two
+// sends exactly its batch back to FitTensor; a live forward of other rows
+// (what CEC's arbitration runs) does not.
 func TestEnsembleForwardReuse(t *testing.T) {
-	ctx := context.Background()
 	other, _ := reuseBatch(rand.New(rand.NewSource(99)))
 
-	disturbances := map[string]func(t *testing.T, e *Ensemble){
-		"none": nil,
-		"another batch forwarded in between": func(t *testing.T, e *Ensemble) {
-			e.ShortModel().Predict(other.X) // what CEC's arbitration does
-		},
-		"Restore": func(t *testing.T, e *Ensemble) {
+	disturbances := map[string]struct {
+		disturb  func(t *testing.T, e *Ensemble)
+		declines bool
+	}{
+		"none": {},
+		"another batch forwarded in between": {func(t *testing.T, e *Ensemble) {
+			e.ShortModel().Predict(other.X)
+		}, false},
+		"Restore": {func(t *testing.T, e *Ensemble) {
 			snap, err := e.ShortModel().Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -121,8 +151,8 @@ func TestEnsembleForwardReuse(t *testing.T) {
 			if err := e.ShortModel().Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"AdoptShort": func(t *testing.T, e *Ensemble) {
+		}, true},
+		"AdoptShort": {func(t *testing.T, e *Ensemble) {
 			snap, err := e.long.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -130,16 +160,16 @@ func TestEnsembleForwardReuse(t *testing.T) {
 			if err := e.AdoptShort(snap, linalg.Vector{0, 0}); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"external parameter write": func(t *testing.T, e *Ensemble) {
+		}, true},
+		"external parameter write": {func(t *testing.T, e *Ensemble) {
 			net := e.ShortModel().Net() // what the Alink baseline's shrinkage does
 			for _, p := range net.Params() {
 				p.W[0] *= 0.5
 			}
 			net.InvalidateForward()
-		},
+		}, true},
 	}
-	for name, disturb := range disturbances {
+	for name, d := range disturbances {
 		t.Run(name, func(t *testing.T) {
 			var counted *countedModel
 			reuse := reuseEnsemble(t, []int{1}, func(m model.Model) model.Model {
@@ -152,25 +182,21 @@ func TestEnsembleForwardReuse(t *testing.T) {
 			for k := 0; k < batches; k++ {
 				b, obs := reuseBatch(rng)
 				for _, e := range []*Ensemble{reuse, plain} {
-					if _, _, err := e.Infer(ctx, b, obs, nil); err != nil {
-						t.Fatal(err)
+					var disturb func(*testing.T, *Ensemble)
+					if k == disturbed {
+						disturb = d.disturb
 					}
-					if k == disturbed && disturb != nil {
-						disturb(t, e)
-					}
-					if err := e.Train(ctx, b, obs, nil); err != nil {
-						t.Fatal(err)
-					}
+					step(t, e, b, obs, disturb)
 				}
 				sameWeights(t, "short model", reuse.ShortModel(), plain.ShortModel())
 				sameWeights(t, "long model", reuse.long, plain.long)
 			}
 			wantFits := 0
-			if disturb != nil {
+			if d.declines {
 				wantFits = 1
 			}
 			if counted.fits != wantFits || counted.reused != batches-wantFits {
-				t.Fatalf("%d updates reused the forward and %d fell back to Fit, want %d and %d",
+				t.Fatalf("%d updates reused the forward and %d ran their own, want %d and %d",
 					counted.reused, counted.fits, batches-wantFits, wantFits)
 			}
 		})
@@ -179,20 +205,14 @@ func TestEnsembleForwardReuse(t *testing.T) {
 
 // TestEnsembleForwardReuseFallbacks: a member that buffers batches
 // (Every == 2) trains rows it did not predict together, so it may not reuse a
-// forward, and it must still match the plain-Fit twin.
+// forward, and it must still match the twin that never reuses one.
 func TestEnsembleForwardReuseFallbacks(t *testing.T) {
-	ctx := context.Background()
 	run := func(t *testing.T, reuse, plain *Ensemble) {
 		rng := rand.New(rand.NewSource(32))
 		for k := 0; k < 6; k++ {
 			b, obs := reuseBatch(rng)
 			for _, e := range []*Ensemble{reuse, plain} {
-				if _, _, err := e.Infer(ctx, b, obs, nil); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.Train(ctx, b, obs, nil); err != nil {
-					t.Fatal(err)
-				}
+				step(t, e, b, obs, nil)
 			}
 			for i := range reuse.grans {
 				sameWeights(t, "member", reuse.grans[i].Model, plain.grans[i].Model)
@@ -210,10 +230,10 @@ func TestEnsembleForwardReuseFallbacks(t *testing.T) {
 		plain := reuseEnsemble(t, []int{1, 2}, func(m model.Model) model.Model { return plainModel{m} })
 		run(t, reuse, plain)
 		if counted[0].reused != 6 || counted[0].fits != 0 {
-			t.Errorf("per-batch member: %d reused, %d Fit, want 6 and 0", counted[0].reused, counted[0].fits)
+			t.Errorf("per-batch member: %d reused, %d ran their own, want 6 and 0", counted[0].reused, counted[0].fits)
 		}
 		if counted[1].reused != 0 || counted[1].fits != 3 {
-			t.Errorf("buffered member: %d reused, %d Fit, want 0 and 3", counted[1].reused, counted[1].fits)
+			t.Errorf("buffered member: %d reused, %d ran their own, want 0 and 3", counted[1].reused, counted[1].fits)
 		}
 	})
 }

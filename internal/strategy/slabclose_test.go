@@ -257,17 +257,22 @@ func TestDivergedHalfNeverServed(t *testing.T) {
 	if _, _, err := e.Infer(context.Background(), probe, obs, nil); err != nil {
 		t.Fatal(err)
 	}
+	inferred := e.memberProba(&e.own, len(e.grans)) // the long member Infer fused
+	live := long.Net().PredictProba(probe.X)
 	var x linalg.Tensor
 	x.FromRows(probe.X, reuseDim)
 	var ws nn.Workspace
 	members := e.PublishSnapshot()
 	published := members[len(members)-1].Model.ProbaInto(&ws, &x)
-	for i, v := range e.longProba.Data {
+	for i, v := range inferred.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("Infer's long member answered %v at %d", v, i)
 		}
+		if w := live[i%x.Rows][i/x.Rows]; math.Float64bits(w) != math.Float64bits(v) {
+			t.Fatalf("Infer's long member answers %v at %d, the rolled-back model %v", v, i, w)
+		}
 		if math.Float64bits(published.Data[i]) != math.Float64bits(v) {
-			t.Fatalf("the published long member answers %v at %d, the rolled-back model %v", published.Data[i], i, v)
+			t.Fatalf("the published long member answers %v at %d, Infer's %v", published.Data[i], i, v)
 		}
 	}
 

@@ -95,7 +95,9 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 // the member's training centroid. Until the projection exists the paper
 // trains and serves the short model alone. Every byte of forward scratch, the
 // fused distributions included, is taken from ws, whose only user the caller
-// must be: Proba stays valid until ws is reset or released.
+// must be: Proba stays valid until ws is reset or released. ws keeps the rows
+// staged (nn.Workspace.Staged) and each member's forward over them, which the
+// training plane may train from (see Ensemble.BeginBatch).
 func (s *Snapshot) InferInto(ws *nn.Workspace, x [][]float64) (InferOutput, error) {
 	if s == nil {
 		return InferOutput{}, errors.New("strategy: nil snapshot")
@@ -108,14 +110,21 @@ func (s *Snapshot) InferInto(ws *nn.Workspace, x [][]float64) (InferOutput, erro
 			return InferOutput{}, fmt.Errorf("strategy: row has %d features, want %d", len(row), s.Dim)
 		}
 	}
-	xs := ws.Tensor(len(x), s.Dim)
-	xs.FromRows(x, s.Dim)
+	xs := ws.Stage(x, s.Dim)
 
 	if s.Proj == nil {
 		p := prediction(s.Members[0].Model.ProbaInto(ws, xs))
 		return InferOutput{Pred: p.Pred, Proba: p.Proba, Warmup: true, KnowledgeDist: -1}, nil
 	}
 
+	// The forwards first: a Process call that takes ws over (Ensemble.BeginBatch)
+	// forwards its members in this order, so each pass finds the tensors of
+	// its own shapes where it left them.
+	var buf [4]member // the usual member count, on the stack
+	members := buf[:0]
+	for _, m := range s.Members {
+		members = append(members, member{proba: m.Model.ProbaInto(ws, xs)})
+	}
 	var ybar linalg.Vector // nil for an empty batch
 	if mean := meanOfRows(ws, xs); mean != nil {
 		var err error
@@ -124,13 +133,8 @@ func (s *Snapshot) InferInto(ws *nn.Workspace, x [][]float64) (InferOutput, erro
 			return InferOutput{}, fmt.Errorf("strategy: infer projection: %w", err)
 		}
 	}
-	var buf [4]member // the usual member count, on the stack
-	members := buf[:0]
-	for _, m := range s.Members {
-		members = append(members, member{
-			proba:    m.Model.ProbaInto(ws, xs),
-			distance: centroidDistance(ybar, m.Centroid),
-		})
+	for i, m := range s.Members {
+		members[i].distance = centroidDistance(ybar, m.Centroid)
 	}
 	normalizeDistances(members)
 	fused := ws.Tensor(0, 0)
