@@ -69,13 +69,15 @@ race:
 	$(GO) test -race -count=3 ./internal/dist
 	$(GO) test -race -count=3 ./internal/strategy ./internal/core
 
-# Differential fuzzing, 20 s each: the GEMM kernels against their oracles
-# (exact bits, m, n ≤ 90 and k ≤ 260, every shape through the Go loops and the
-# assembly bodies), the JSON batch parser against encoding/json, and its
-# number scanner against strconv (ParseFloat's bits and Atoi's labels,
-# accept/reject verdicts included).
+# Fuzzing, 20 s each: the GEMM kernels against their oracles (exact bits,
+# m, n ≤ 90 and k ≤ 260, every shape through the Go loops and the assembly
+# bodies), the binary frame decoder's total-safety contract (a clean
+# ErrMalformed or a consistent shape, never a panic), the JSON batch parser
+# against encoding/json, and its number scanner against strconv
+# (ParseFloat's bits and Atoi's labels, accept/reject verdicts included).
 fuzz:
 	$(GO) test ./internal/linalg -run '^$$' -fuzz FuzzGemmShapes -fuzztime 20s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeInto -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 

@@ -57,8 +57,6 @@ func main() {
 		retryBase     = flag.Duration("retry-base", dist.DefaultRetryBase, "initial retry backoff (doubles per retry, jittered)")
 		retryMax      = flag.Duration("retry-max", dist.DefaultRetryMax, "retry backoff cap")
 		maxBody       = flag.Int64("max-body", dist.DefaultMaxBodyBytes, "request body cap in bytes")
-		antiEntropy   = flag.Bool("anti-entropy", false, "sync a rejoining worker's shared knowledge store from a healthy peer")
-		aeInterval    = flag.Duration("anti-entropy-interval", 0, "periodic cluster-wide knowledge sweep period (0 disables; sweeps also cover divergence with no worker leaving the ring)")
 		seed          = flag.Int64("seed", 1, "retry-jitter seed")
 		spanCap       = flag.Int("span-cap", dist.DefaultSpanCap, "router span ring capacity (one span per forward attempt)")
 		eventCap      = flag.Int("event-cap", dist.DefaultEventCap, "cluster timeline ring capacity")
@@ -67,23 +65,21 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*addr, *workers, dist.Config{
-		VNodes:              *vnodes,
-		FailThreshold:       *failThreshold,
-		Cooldown:            *cooldown,
-		ProbeInterval:       *probeInterval,
-		ProbeTimeout:        *probeTimeout,
-		RequestTimeout:      *reqTimeout,
-		Retries:             *retries,
-		RetryBase:           *retryBase,
-		RetryMax:            *retryMax,
-		MaxBody:             *maxBody,
-		AntiEntropy:         *antiEntropy,
-		AntiEntropyInterval: *aeInterval,
-		Seed:                *seed,
-		SpanCap:             *spanCap,
-		EventCap:            *eventCap,
-		ExemplarK:           *exemplarK,
-		DisableTracing:      *noTracing,
+		VNodes:         *vnodes,
+		FailThreshold:  *failThreshold,
+		Cooldown:       *cooldown,
+		ProbeInterval:  *probeInterval,
+		ProbeTimeout:   *probeTimeout,
+		RequestTimeout: *reqTimeout,
+		Retries:        *retries,
+		RetryBase:      *retryBase,
+		RetryMax:       *retryMax,
+		MaxBody:        *maxBody,
+		Seed:           *seed,
+		SpanCap:        *spanCap,
+		EventCap:       *eventCap,
+		ExemplarK:      *exemplarK,
+		DisableTracing: *noTracing,
 	}); err != nil {
 		log.Fatal(err)
 	}

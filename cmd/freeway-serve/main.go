@@ -12,8 +12,7 @@
 // aliases for the stream named "default". Sessions are created on first
 // use, bounded by -max-sessions (LRU eviction), and expired by
 // -session-ttl; -checkpoint-dir persists one snapshot per stream, restored
-// when its id reappears; -shared-knowledge backs every stream with one
-// process-wide knowledge store.
+// when its id reappears.
 //
 // The server is hardened for long-lived deployments: request bodies are
 // capped, read/write timeouts bound slow clients, SIGINT/SIGTERM drain
@@ -64,7 +63,6 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 64, "batches between periodic checkpoints")
 		maxSess   = flag.Int("max-sessions", 0, "resident stream bound; exceeding it evicts the least-recently-used (0 keeps the default of 64)")
 		sessTTL   = flag.Duration("session-ttl", 0, "evict streams idle longer than this (0 disables TTL eviction)")
-		sharedKdg = flag.Bool("shared-knowledge", false, "back every stream with one process-wide knowledge store")
 		warmup    = flag.Int("warmup", 0, "override the shift detector's warmup points (0 keeps the default)")
 		traceCap  = flag.Int("trace-cap", 0, "decision-trace ring capacity for /v1/trace (0 keeps the default of 1024)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -72,7 +70,7 @@ func main() {
 	flag.Parse()
 	opts := serveOptions{
 		maxBody: *maxBody, ckptPath: *ckptPath, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-		maxSessions: *maxSess, sessionTTL: *sessTTL, sharedKnowledge: *sharedKdg,
+		maxSessions: *maxSess, sessionTTL: *sessTTL,
 		warmup: *warmup, traceCap: *traceCap, pprof: *pprofOn,
 	}
 	if err := run(*addr, *dim, *classes, *family, *seed, *guardPol, opts); err != nil {
@@ -82,16 +80,15 @@ func main() {
 
 // serveOptions bundles the serving knobs main parses from flags.
 type serveOptions struct {
-	maxBody         int64
-	ckptPath        string
-	ckptDir         string
-	ckptEvery       int
-	maxSessions     int
-	sessionTTL      time.Duration
-	sharedKnowledge bool
-	warmup          int
-	traceCap        int
-	pprof           bool
+	maxBody     int64
+	ckptPath    string
+	ckptDir     string
+	ckptEvery   int
+	maxSessions int
+	sessionTTL  time.Duration
+	warmup      int
+	traceCap    int
+	pprof       bool
 }
 
 func run(addr string, dim, classes int, family string, seed int64, guardPol string, o serveOptions) error {
@@ -121,9 +118,6 @@ func run(addr string, dim, classes int, family string, seed int64, guardPol stri
 	}
 	if o.ckptDir != "" {
 		opts = append(opts, serve.WithCheckpointDir(o.ckptDir, o.ckptEvery))
-	}
-	if o.sharedKnowledge {
-		opts = append(opts, serve.WithSharedKnowledge())
 	}
 	srv, err := serve.New(cfg, dim, classes, opts...)
 	if err != nil {

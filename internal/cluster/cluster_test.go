@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -321,18 +322,56 @@ func TestExpBufferValidation(t *testing.T) {
 	}
 }
 
-// TestClusterLabelsInheritFromVotedClusters: a cluster without a labeled
-// member inherits the nearest centroid the vote labeled. Clusters at −10
-// (voted 0) and +10 (voted 1), then unlabeled ones at −1 and +1 in that
-// order: +1 is nearer +10 than −10, so it gets 1 — not the 0 that −1 has
-// just inherited, though −1 is nearer still.
+// TestClusterLabelsInheritFromVotedClusters pins the majority-vote mapping
+// of CEC (paper Sec. IV-C): each cluster takes the most frequent label among
+// its labelled experience members, and a cluster with none inherits the
+// label of the nearest centroid the vote labelled. Ties break
+// deterministically, as clusterLabels' doc says: a tied vote goes to the
+// lowest label, a tied distance to the lowest cluster index.
 func TestClusterLabelsInheritFromVotedClusters(t *testing.T) {
-	centroids := [][]float64{{-10}, {10}, {-1}, {1}}
-	got := clusterLabels(centroids, []int{0, 1, 0}, []int{0, 1, 0}, 2)
-	want := []int{0, 1, 0, 1}
-	for c := range want {
-		if got[c] != want[c] {
-			t.Fatalf("labels = %v, want %v", got, want)
-		}
+	for _, tc := range []struct {
+		name       string
+		centroids  [][]float64
+		expAssign  []int
+		expY       []int
+		numClasses int
+		want       []int
+	}{{
+		// Clusters at −10 (voted 0) and +10 (voted 1), then unlabelled ones
+		// at −1 and +1 in that order: +1 is nearer +10 than −10, so it gets
+		// 1 — not the 0 that −1 has just inherited, though −1 is nearer
+		// still.
+		name:       "nearest voted centroid",
+		centroids:  [][]float64{{-10}, {10}, {-1}, {1}},
+		expAssign:  []int{0, 1, 0},
+		expY:       []int{0, 1, 0},
+		numClasses: 2,
+		want:       []int{0, 1, 0, 1},
+	}, {
+		// Cluster 0's labelled members split 2–2 between labels 2 and 1,
+		// label 2 seen first: the vote goes to 1, the lowest tied label.
+		name:       "tied vote takes the lowest label",
+		centroids:  [][]float64{{0}, {5}},
+		expAssign:  []int{0, 0, 0, 0, 1},
+		expY:       []int{2, 1, 2, 1, 0},
+		numClasses: 3,
+		want:       []int{1, 0},
+	}, {
+		// The unlabelled cluster at 0 is 3 from both −3 (voted 2) and +3
+		// (voted 1): it inherits from cluster 0, the lower index, even
+		// though that carries the higher label.
+		name:       "tied distance takes the lower cluster index",
+		centroids:  [][]float64{{-3}, {3}, {0}},
+		expAssign:  []int{0, 1},
+		expY:       []int{2, 1},
+		numClasses: 3,
+		want:       []int{2, 1, 2},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := clusterLabels(tc.centroids, tc.expAssign, tc.expY, tc.numClasses)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("labels = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -112,13 +112,15 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 }
 
 // SaveCheckpoint serializes the learner's durable state. Call it between
-// Process calls, never concurrently with one. A learner on a process-shared
-// knowledge store does not serialize it: the store outlives any single
-// stream and is the session layer's to manage.
+// Process calls, never concurrently with one.
 func (l *Learner) SaveCheckpoint(w io.Writer) error {
 	st, err := l.ens.ExportState()
 	if err != nil {
 		return fmt.Errorf("core: checkpoint ensemble: %w", err)
+	}
+	entries, err := l.kdg.Export()
+	if err != nil {
+		return fmt.Errorf("core: checkpoint knowledge: %w", err)
 	}
 	cp := checkpoint{
 		Version:       checkpointVersion,
@@ -131,15 +133,9 @@ func (l *Learner) SaveCheckpoint(w io.Writer) error {
 		LongSnapshot:  st.LongSnapshot,
 		LongCentroid:  st.LongCentroid,
 		Detector:      l.det.State(),
+		Knowledge:     entries,
 		Experience:    l.exp.Export(),
 		Metrics:       l.preq.Export(),
-	}
-	if !l.sharedKdg {
-		entries, err := l.kdg.Export()
-		if err != nil {
-			return fmt.Errorf("core: checkpoint knowledge: %w", err)
-		}
-		cp.Knowledge = entries
 	}
 
 	var payload bytes.Buffer
@@ -244,18 +240,14 @@ func (l *Learner) LoadCheckpoint(r io.Reader) error {
 	if err := l.det.RestoreState(cp.Detector); err != nil {
 		return fmt.Errorf("core: restore detector: %w", err)
 	}
-	// A shared knowledge store is never restored from a stream's checkpoint:
-	// it already holds the live process-wide state.
-	if !l.sharedKdg {
-		skipped, err := l.kdg.Import(cp.Knowledge)
-		if err != nil {
-			return fmt.Errorf("core: restore knowledge: %w", err)
-		}
-		if skipped > 0 {
-			l.health.mu.Lock()
-			l.health.knowledgeSkipped += skipped
-			l.health.mu.Unlock()
-		}
+	skipped, err := l.kdg.Import(cp.Knowledge)
+	if err != nil {
+		return fmt.Errorf("core: restore knowledge: %w", err)
+	}
+	if skipped > 0 {
+		l.health.mu.Lock()
+		l.health.knowledgeSkipped += skipped
+		l.health.mu.Unlock()
 	}
 	if err := l.exp.Import(cp.Experience); err != nil {
 		return fmt.Errorf("core: restore experience: %w", err)

@@ -11,7 +11,6 @@ import (
 	"errors"
 
 	"freewayml/internal/guard"
-	"freewayml/internal/knowledge"
 	"freewayml/internal/model"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
@@ -65,12 +64,6 @@ type Config struct {
 	// Watchdog configures the divergence watchdog that rolls a model back
 	// to a last-healthy snapshot on NaN/Inf weights or a loss explosion.
 	Watchdog WatchdogConfig
-	// SharedKnowledge, when non-nil, makes the learner use this
-	// process-wide knowledge store instead of building its own, so
-	// reoccurring distributions learned on one stream can be reused by
-	// another (session layer, config-gated). Checkpoints then neither
-	// export nor import the store: it outlives any single stream.
-	SharedKnowledge *knowledge.Store
 }
 
 // WatchdogConfig configures the divergence watchdog (see

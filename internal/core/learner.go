@@ -63,9 +63,8 @@ type Learner struct {
 	cec *strategy.CEC
 	knw *strategy.KnowledgeReuse
 
-	exp       *cluster.ExpBuffer
-	kdg       *knowledge.Store
-	sharedKdg bool // kdg is process-shared: checkpoints skip it
+	exp *cluster.ExpBuffer
+	kdg *knowledge.Store
 
 	guard *guard.Guard
 
@@ -132,13 +131,9 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	kdg := cfg.SharedKnowledge
-	sharedKdg := kdg != nil
-	if kdg == nil {
-		kdg, err = knowledge.NewStore(cfg.KdgBuffer, cfg.SpillDir)
-		if err != nil {
-			return nil, err
-		}
+	kdg, err := knowledge.NewStore(cfg.KdgBuffer, cfg.SpillDir)
+	if err != nil {
+		return nil, err
 	}
 
 	// Fixed-frequency models: model i updates every 2^i batches. The last
@@ -163,14 +158,13 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 	}
 
 	l := &Learner{
-		cfg:       cfg,
-		det:       det,
-		dim:       dim,
-		classes:   classes,
-		exp:       exp,
-		kdg:       kdg,
-		sharedKdg: sharedKdg,
-		guard:     guard.New(cfg.Guard, dim),
+		cfg:     cfg,
+		det:     det,
+		dim:     dim,
+		classes: classes,
+		exp:     exp,
+		kdg:     kdg,
+		guard:   guard.New(cfg.Guard, dim),
 	}
 	var longWd *strategy.Watchdog
 	if !cfg.Watchdog.Disabled {
@@ -212,10 +206,6 @@ func (l *Learner) Metrics() *metrics.Prequential { return &l.preq }
 // KnowledgeStore exposes the historical knowledge store (for the Table IV
 // space measurements).
 func (l *Learner) KnowledgeStore() *knowledge.Store { return l.kdg }
-
-// SharedKnowledge reports whether the knowledge store is process-shared
-// (checkpoints then exclude it).
-func (l *Learner) SharedKnowledge() bool { return l.sharedKdg }
 
 // Detector exposes the shift detector (for shift-graph export).
 func (l *Learner) Detector() *shift.Detector { return l.det }

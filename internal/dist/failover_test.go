@@ -14,7 +14,6 @@ import (
 
 	"freewayml/internal/core"
 	"freewayml/internal/faults"
-	"freewayml/internal/linalg"
 	"freewayml/internal/serve"
 )
 
@@ -76,7 +75,7 @@ func startTestWorker(t *testing.T, dir string, ln net.Listener, opts ...serve.Op
 	return w
 }
 
-func failoverRouter(t *testing.T, chaos *faults.ChaosTransport, antiEntropy bool, workers ...*testWorker) *Router {
+func failoverRouter(t *testing.T, chaos *faults.ChaosTransport, workers ...*testWorker) *Router {
 	t.Helper()
 	cfg := Config{
 		FailThreshold:  2,
@@ -86,7 +85,6 @@ func failoverRouter(t *testing.T, chaos *faults.ChaosTransport, antiEntropy bool
 		Retries:        6,
 		RetryBase:      time.Millisecond,
 		RetryMax:       8 * time.Millisecond,
-		AntiEntropy:    antiEntropy,
 	}
 	for _, w := range workers {
 		cfg.Workers = append(cfg.Workers, w.addr())
@@ -176,7 +174,7 @@ func TestFailoverAfterWorkerKill(t *testing.T) {
 		newTestWorker(t, dir),
 		newTestWorker(t, dir),
 	}
-	rt := failoverRouter(t, nil, false, workers...)
+	rt := failoverRouter(t, nil, workers...)
 	rng := rand.New(rand.NewSource(7))
 
 	const nStreams, nBatches = 8, 3
@@ -249,7 +247,7 @@ func TestFailoverPartitionThenRejoin(t *testing.T) {
 	a := newTestWorker(t, dir)
 	b := newTestWorker(t, dir)
 	chaos := faults.NewChaosTransport(newHopTransport(nil))
-	rt := failoverRouter(t, chaos, false, a, b)
+	rt := failoverRouter(t, chaos, a, b)
 	rng := rand.New(rand.NewSource(11))
 
 	const id = "pq"
@@ -300,130 +298,5 @@ func TestFailoverPartitionThenRejoin(t *testing.T) {
 	}
 	if got := counterValue(rt, "freeway_router_stale_flush_total", "result", "ok"); got < 1 {
 		t.Errorf("stale_flush ok = %d, want >= 1", got)
-	}
-}
-
-// TestAntiEntropyOnRejoin: knowledge preserved on the healthy peer while a
-// worker was out of the ring is copied onto the worker when it rejoins.
-func TestAntiEntropyOnRejoin(t *testing.T) {
-	dir := t.TempDir()
-	a := newTestWorker(t, dir, serve.WithSharedKnowledge())
-	b := newTestWorker(t, dir, serve.WithSharedKnowledge())
-	chaos := faults.NewChaosTransport(newHopTransport(nil))
-	rt := failoverRouter(t, chaos, true, a, b)
-
-	// Eject b via failed probes.
-	chaos.Partition(b.addr())
-	rt.ProbeOnce()
-	rt.ProbeOnce()
-	if got := counterValue(rt, "freeway_router_ejections_total"); got != 1 {
-		t.Fatalf("ejections_total = %d, want 1", got)
-	}
-
-	// While b is out, a learns a regime.
-	if err := a.srv.Sessions().SharedStore().Preserve(
-		linalg.Vector{0.25, 0.5, 0.25}, []byte("regime-snapshot"), "test", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	chaos.Heal(b.addr())
-	rt.ProbeOnce()
-	if got := counterValue(rt, "freeway_router_antientropy_total", "result", "ok"); got != 1 {
-		t.Fatalf("antientropy ok = %d, want 1", got)
-	}
-	if n := b.srv.Sessions().SharedStore().Len(); n != 1 {
-		t.Errorf("rejoined worker's shared store has %d entries, want 1 (synced from peer)", n)
-	}
-
-	// The sync is idempotent: a second rejoin cycle merges the same export
-	// and the entry count does not grow.
-	chaos.Partition(b.addr())
-	rt.ProbeOnce()
-	rt.ProbeOnce()
-	chaos.Heal(b.addr())
-	rt.ProbeOnce()
-	if n := b.srv.Sessions().SharedStore().Len(); n != 1 {
-		t.Errorf("after a second sync the store has %d entries, want still 1 (idempotent merge)", n)
-	}
-}
-
-// TestPeriodicAntiEntropySweep covers the divergence window rejoin-only sync
-// leaves open: both workers stay in the ring the whole time (no ejection, no
-// rejoin event), yet their shared knowledge stores drift apart. A partitioned
-// peer makes the sweep fail on that edge (best-effort, error counted), a
-// healed one converges in a single sweep, converged sweeps are idempotent,
-// and the interval ticker drives sweeps without any test intervention.
-func TestPeriodicAntiEntropySweep(t *testing.T) {
-	dir := t.TempDir()
-	a := newTestWorker(t, dir, serve.WithSharedKnowledge())
-	b := newTestWorker(t, dir, serve.WithSharedKnowledge())
-	chaos := faults.NewChaosTransport(newHopTransport(nil))
-	rt, err := NewRouter(Config{
-		Workers:             []string{a.addr(), b.addr()},
-		FailThreshold:       2,
-		ProbeInterval:       time.Hour, // keep the prober quiet; this test is about sweeps
-		ProbeTimeout:        2 * time.Second,
-		RequestTimeout:      2 * time.Second,
-		AntiEntropyInterval: 20 * time.Millisecond,
-		Transport:           chaos,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Close() })
-
-	// a learns a regime while both workers are healthy ring members — the
-	// rejoin hook never fires, so only a sweep can propagate it.
-	if err := a.srv.Sessions().SharedStore().Preserve(
-		linalg.Vector{0.25, 0.5, 0.25}, []byte("regime-a"), "test", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sweep against a partitioned peer: the a->b merge fails (counted), the
-	// b export fails (edge skipped), and b stays empty — but the sweep
-	// itself survives, best-effort per edge.
-	chaos.Partition(b.addr())
-	rt.AntiEntropySweep()
-	if got := counterValue(rt, "freeway_router_antientropy_total", "result", "error"); got != 1 {
-		t.Fatalf("antientropy error = %d after partitioned sweep, want 1", got)
-	}
-	if n := b.srv.Sessions().SharedStore().Len(); n != 0 {
-		t.Fatalf("partitioned worker's store has %d entries, want 0", n)
-	}
-
-	// Healed: one sweep converges the cluster (a->b and b->a both merge).
-	chaos.Heal(b.addr())
-	rt.AntiEntropySweep()
-	if got := counterValue(rt, "freeway_router_antientropy_total", "result", "ok"); got != 2 {
-		t.Fatalf("antientropy ok = %d after healed sweep, want 2", got)
-	}
-	if n := b.srv.Sessions().SharedStore().Len(); n != 1 {
-		t.Fatalf("peer store has %d entries after sweep, want 1", n)
-	}
-
-	// Idempotent: a converged cluster re-merges the same exports and the
-	// entry count does not grow.
-	rt.AntiEntropySweep()
-	if n := b.srv.Sessions().SharedStore().Len(); n != 1 {
-		t.Errorf("after a repeat sweep the store has %d entries, want still 1", n)
-	}
-	if n := a.srv.Sessions().SharedStore().Len(); n != 1 {
-		t.Errorf("origin store has %d entries, want still 1", n)
-	}
-
-	// Ticker path: new divergence on b propagates to a with no test-driven
-	// sweep — Start's interval goroutine finds it.
-	if err := b.srv.Sessions().SharedStore().Preserve(
-		linalg.Vector{0.9, 0.05, 0.05}, []byte("regime-b"), "test", 2); err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for a.srv.Sessions().SharedStore().Len() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("interval sweeps never propagated the new regime: origin store has %d entries, want 2",
-				a.srv.Sessions().SharedStore().Len())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

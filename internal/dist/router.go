@@ -78,18 +78,6 @@ type Config struct {
 	// MaxBody caps forwarded request bodies (<= 0 selects the default).
 	MaxBody int64
 
-	// AntiEntropy, when true, synchronizes the shared knowledge store of a
-	// rejoining worker from a healthy peer (GET /v1/knowledge on the peer,
-	// POST /v1/knowledge/merge on the rejoined worker) so knowledge
-	// preserved while the worker was out is not lost to it.
-	AntiEntropy bool
-	// AntiEntropyInterval, when > 0, additionally runs a periodic
-	// cluster-wide knowledge sweep (see AntiEntropySweep) on that period —
-	// reconciling divergence that accumulates *without* any worker leaving
-	// the ring, e.g. regimes preserved on one worker after a stream
-	// migrated. Zero disables the sweeps (rejoin sync alone, as before).
-	AntiEntropyInterval time.Duration
-
 	// SpanCap bounds the router's per-attempt span ring; EventCap the
 	// cluster timeline ring; ExemplarK the slow-request top-K ring
 	// (<= 0 selects the defaults).
@@ -218,8 +206,6 @@ type Router struct {
 	cEvictFail  *obs.Counter
 	cFlushOK    *obs.Counter
 	cFlushFail  *obs.Counter
-	cSyncOK     *obs.Counter
-	cSyncFail   *obs.Counter
 	hLatency    *obs.Histogram
 
 	// bytesIn/bytesOut count proxied request/response body bytes, keyed by
@@ -265,8 +251,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		cEvictFail:  reg.Counter("freeway_router_migrate_evicts_total", "Checkpoint-on-migrate evict calls, by result.", "result", "error"),
 		cFlushOK:    reg.Counter("freeway_router_stale_flush_total", "No-checkpoint discards of stale sessions on a stream's new owner, by result.", "result", "ok"),
 		cFlushFail:  reg.Counter("freeway_router_stale_flush_total", "No-checkpoint discards of stale sessions on a stream's new owner, by result.", "result", "error"),
-		cSyncOK:     reg.Counter("freeway_router_antientropy_total", "Shared-knowledge anti-entropy syncs on rejoin, by result.", "result", "ok"),
-		cSyncFail:   reg.Counter("freeway_router_antientropy_total", "Shared-knowledge anti-entropy syncs on rejoin, by result.", "result", "error"),
 		hLatency:    reg.Histogram("freeway_router_request_seconds", "End-to-end routed request latency.", nil),
 
 		bytesIn:   map[string]*obs.Counter{},
@@ -332,8 +316,7 @@ func NewRouter(cfg Config) (*Router, error) {
 // Registry returns the router's metrics registry.
 func (r *Router) Registry() *obs.Registry { return r.reg }
 
-// Start launches the background prober and, when configured, the periodic
-// anti-entropy sweeper. Close stops both.
+// Start launches the background prober. Close stops it.
 func (r *Router) Start() {
 	if !r.started.CompareAndSwap(false, true) {
 		return
@@ -352,22 +335,6 @@ func (r *Router) Start() {
 			}
 		}
 	}()
-	if r.cfg.AntiEntropyInterval > 0 {
-		r.bg.Add(1)
-		go func() {
-			defer r.bg.Done()
-			t := time.NewTicker(r.cfg.AntiEntropyInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-r.stop:
-					return
-				case <-t.C:
-					r.AntiEntropySweep()
-				}
-			}
-		}()
-	}
 }
 
 // Close stops the prober. Idempotent.
@@ -514,9 +481,6 @@ var hopByHop = map[string]struct{}{
 	"Proxy-Authorization": {}, "Te": {}, "Trailer": {},
 	"Transfer-Encoding": {}, "Upgrade": {},
 }
-
-// jsonHeader is the header set of the router's own JSON control calls.
-var jsonHeader = http.Header{"Content-Type": []string{"application/json"}}
 
 // copyHeaders copies every non-hop-by-hop header from src into dst,
 // preserving multi-valued headers.
@@ -788,13 +752,6 @@ func (r *Router) noteProbeOK(addr string) {
 	for id := range moved {
 		r.migrating[id] = done
 	}
-	peer := ""
-	for _, other := range r.ring.members() {
-		if other != addr {
-			peer = other
-			break
-		}
-	}
 	r.mu.Unlock()
 
 	r.recordEvent(obs.ClusterEvent{
@@ -809,112 +766,6 @@ func (r *Router) noteProbeOK(addr string) {
 	}
 	r.mu.Unlock()
 	close(done)
-	if r.cfg.AntiEntropy && peer != "" {
-		r.antiEntropy(peer, addr)
-	}
-}
-
-// antiEntropy copies the shared knowledge store of a healthy peer onto a
-// rejoined worker (export → merge), so regimes preserved while the worker
-// was out of the ring are matchable there too. Best-effort: a worker
-// without a shared store answers 409 and the sync is skipped.
-func (r *Router) antiEntropy(from, to string) {
-	fail := func(detail string) {
-		r.cSyncFail.Inc()
-		r.recordEvent(obs.ClusterEvent{Type: obs.EventAntiEntropy, Worker: to, Detail: detail})
-	}
-	body, err := r.exportKnowledge(from)
-	if err != nil {
-		fail(fmt.Sprintf("export from %s failed: %v", from, err))
-		log.Printf("dist: anti-entropy export from %s: %v", from, err)
-		return
-	}
-	if err := r.mergeKnowledge(to, body); err != nil {
-		fail(fmt.Sprintf("merge failed: %v", err))
-		log.Printf("dist: anti-entropy merge into %s: %v", to, err)
-		return
-	}
-	r.cSyncOK.Inc()
-	r.recordEvent(obs.ClusterEvent{
-		Type: obs.EventAntiEntropy, Worker: to,
-		Detail: "shared knowledge synced from " + from,
-	})
-}
-
-// exportKnowledge fetches a worker's shared knowledge store export.
-func (r *Router) exportKnowledge(from string) ([]byte, error) {
-	resp, body, err := r.do(context.Background(), r.cfg.RequestTimeout, from,
-		http.MethodGet, "/v1/knowledge", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return body, nil
-}
-
-// mergeKnowledge posts an exported knowledge store into a worker's shared
-// store.
-func (r *Router) mergeKnowledge(to string, body []byte) error {
-	resp, _, err := r.do(context.Background(), r.cfg.RequestTimeout, to,
-		http.MethodPost, "/v1/knowledge/merge", jsonHeader, body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// AntiEntropySweep runs one cluster-wide knowledge reconciliation pass:
-// every healthy ring member's shared store is exported once, then each
-// export is merged into every *other* member. Merge is monotone (regimes
-// are keyed and deduplicated worker-side), so one sweep converges the
-// cluster regardless of which member learned what — closing the divergence
-// window that rejoin-only sync leaves open when no worker ever left the
-// ring. Best-effort per edge: an unreachable member is skipped this round
-// and caught by the next tick. Exported so tests drive sweeps
-// deterministically; Start runs it on AntiEntropyInterval.
-func (r *Router) AntiEntropySweep() {
-	r.mu.Lock()
-	members := r.ring.members()
-	r.mu.Unlock()
-	if len(members) < 2 {
-		return
-	}
-	exports := make(map[string][]byte, len(members))
-	for _, addr := range members {
-		body, err := r.exportKnowledge(addr)
-		if err != nil {
-			log.Printf("dist: anti-entropy sweep export from %s: %v", addr, err)
-			continue
-		}
-		exports[addr] = body
-	}
-	merged, failed := 0, 0
-	for _, to := range members {
-		for _, from := range members {
-			if from == to || exports[from] == nil {
-				continue
-			}
-			if err := r.mergeKnowledge(to, exports[from]); err != nil {
-				failed++
-				r.cSyncFail.Inc()
-				log.Printf("dist: anti-entropy sweep merge %s -> %s: %v", from, to, err)
-				continue
-			}
-			merged++
-			r.cSyncOK.Inc()
-		}
-	}
-	if merged > 0 || failed > 0 {
-		r.recordEvent(obs.ClusterEvent{
-			Type:   obs.EventAntiEntropy,
-			Detail: fmt.Sprintf("periodic sweep: %d merges ok, %d failed across %d members", merged, failed, len(members)),
-		})
-	}
 }
 
 // ClusterWorker is one worker's row in the /v1/cluster topology report.

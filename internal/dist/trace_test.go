@@ -69,7 +69,7 @@ func TestTraceContinuityAcrossFailover(t *testing.T) {
 	w1 := newTestWorker(t, dir)
 	w2 := newTestWorker(t, dir)
 	chaos := faults.NewChaosTransport(newHopTransport(nil))
-	rt := failoverRouter(t, chaos, false, w1, w2)
+	rt := failoverRouter(t, chaos, w1, w2)
 
 	const stream = "trace-failover"
 	if rec := tracedProcessVia(t, rt, rng, stream, obs.TraceContext{}); rec.Code != http.StatusOK {
@@ -186,7 +186,7 @@ func TestTraceContinuityAcrossFailover(t *testing.T) {
 // process span, parented to that attempt.
 func TestFrameTraceContinuityThroughRouter(t *testing.T) {
 	dir := t.TempDir()
-	rt := failoverRouter(t, nil, false, newTestWorker(t, dir), newTestWorker(t, dir))
+	rt := failoverRouter(t, nil, newTestWorker(t, dir), newTestWorker(t, dir))
 	rng := rand.New(rand.NewSource(13))
 	var x [][]float64
 	var y []int
@@ -240,7 +240,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w1 := newTestWorker(t, dir)
 	w2 := newTestWorker(t, dir)
-	rt := failoverRouter(t, nil, false, w1, w2)
+	rt := failoverRouter(t, nil, w1, w2)
 
 	// A few requests across enough stream ids to touch both workers.
 	for i := 0; i < 8; i++ {
@@ -341,7 +341,7 @@ func TestForwardUntracedWhenDisabled(t *testing.T) {
 // counter); a valid n is served.
 func TestRingEndpointsRejectBadN(t *testing.T) {
 	w := newTestWorker(t, t.TempDir())
-	rt := failoverRouter(t, nil, false, w)
+	rt := failoverRouter(t, nil, w)
 	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))

@@ -6,12 +6,13 @@
 // storage and dropped from memory, with matching still covering spilled
 // entries through an in-memory index of their distributions.
 //
-// Concurrency: the store is a read-mostly index — many streams Match
-// against it while the training path occasionally Preserves. Mutations run
-// under a write lock and publish an immutable match index (an
-// atomic.Pointer swap); Match and NearestDistance read the published index
-// without taking any lock, so concurrent matchers never serialize, not
-// against each other and not against a preserve. Cached squared norms turn
+// Concurrency: each learner owns one store. It is a read-mostly index —
+// the learner's inference-plane snapshot readers Match against it while its
+// training path occasionally Preserves. Mutations run under a write lock
+// and publish an immutable match index (an atomic.Pointer swap); Match and
+// NearestDistance read the published index without taking any lock, so
+// concurrent readers never serialize, not against each other and not
+// against a preserve. Cached squared norms turn
 // each distance evaluation into one dot product instead of a full
 // subtract-square-sum pass, and spill-file reads (with their CRC
 // verification) happen outside every lock.
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -68,15 +70,17 @@ type matchIndex struct {
 }
 
 // Store is the KdgBuffer. It is safe for concurrent use: the training path
-// preserves knowledge while the inference path — possibly many streams at
-// once under a shared store — matches it lock-free against the published
-// index.
+// preserves knowledge while the inference path's readers match it lock-free
+// against the published index.
 type Store struct {
 	// mu serializes mutations (Preserve, Import, spilling) and guards
 	// entries, memBytes, and nextID. The read path never takes it.
 	mu       sync.RWMutex
 	capacity int
 	spillDir string // "" disables spilling (oldest entries are dropped instead)
+	// spillTag makes this store's spill file names unique among every
+	// store, in this process or another, that shares spillDir.
+	spillTag string
 	fs       FS
 	entries  []Entry
 	nextID   int
@@ -97,6 +101,9 @@ type Store struct {
 	matches      atomic.Int64
 	matchHits    atomic.Int64
 }
+
+// storeSeq numbers the stores of this process, for their spill tags.
+var storeSeq atomic.Uint64
 
 // NewStore returns a store holding at most capacity entries in memory.
 // spillDir, when non-empty, receives the older half of the buffer each time
@@ -120,7 +127,8 @@ func NewStoreFS(capacity int, spillDir string, fs FS) (*Store, error) {
 			return nil, fmt.Errorf("knowledge: create spill dir: %w", err)
 		}
 	}
-	s := &Store{capacity: capacity, spillDir: spillDir, fs: fs}
+	tag := fmt.Sprintf("%d-%d", os.Getpid(), storeSeq.Add(1))
+	s := &Store{capacity: capacity, spillDir: spillDir, spillTag: tag, fs: fs}
 	s.idx.Store(&matchIndex{})
 	return s, nil
 }
@@ -247,7 +255,7 @@ func (s *Store) spillHalfLocked() error {
 			s.memBytes -= len(e.Snapshot)
 			continue // dropped
 		}
-		path := filepath.Join(s.spillDir, fmt.Sprintf("kdg-%06d.bin", s.nextID))
+		path := filepath.Join(s.spillDir, fmt.Sprintf("kdg-%s-%06d.bin", s.spillTag, s.nextID))
 		s.nextID++
 		if err := writeFileAtomic(s.fs, path, frameSpill(e.Snapshot), 0o644); err != nil {
 			s.spillFailures.Add(1)
@@ -470,74 +478,6 @@ func (s *Store) Import(entries []EntrySnapshot) (skipped int, err error) {
 		s.memBytes += len(e.Snapshot)
 	}
 	return skipped, nil
-}
-
-// Merge folds exported entries from a peer store into this one — the
-// anti-entropy half of cross-worker knowledge replication: unlike Import it
-// never discards local state. An incoming entry whose distribution lies
-// within radius of an existing one is the same regime; the fresher snapshot
-// (higher Batch) wins, in place. Anything farther than radius from every
-// local entry is appended (spilling past capacity as usual). Invalid
-// entries are skipped and counted. Merge is idempotent: merging the same
-// export twice changes nothing on the second pass (radius >= 0 always
-// matches an entry against its own earlier copy at distance 0).
-func (s *Store) Merge(entries []EntrySnapshot, radius float64) (added, replaced, skipped int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.publishLocked()
-	for _, in := range entries {
-		if len(in.Distribution) == 0 || len(in.Snapshot) == 0 {
-			skipped++
-			continue
-		}
-		best := -1
-		bestD := radius
-		for i := range s.entries {
-			if len(s.entries[i].Distribution) != len(in.Distribution) {
-				continue
-			}
-			if d := in.Distribution.Distance(s.entries[i].Distribution); d <= bestD {
-				best, bestD = i, d
-			}
-		}
-		if best >= 0 {
-			e := &s.entries[best]
-			if in.Batch <= e.Batch {
-				skipped++ // ours is at least as fresh
-				continue
-			}
-			replaced++
-			s.replacements.Add(1)
-			if e.spilled {
-				_ = s.fs.Remove(e.path)
-				e.spilled = false
-				e.path = ""
-			} else {
-				s.memBytes -= len(e.Snapshot)
-			}
-			e.Distribution = in.Distribution.Clone()
-			e.Snapshot = append([]byte(nil), in.Snapshot...)
-			e.Source = in.Source
-			e.Batch = in.Batch
-			s.memBytes += len(in.Snapshot)
-			continue
-		}
-		added++
-		s.preserves.Add(1)
-		s.entries = append(s.entries, Entry{
-			Distribution: in.Distribution.Clone(),
-			Snapshot:     append([]byte(nil), in.Snapshot...),
-			Source:       in.Source,
-			Batch:        in.Batch,
-		})
-		s.memBytes += len(in.Snapshot)
-		if s.inMemoryCountLocked() >= s.capacity {
-			if serr := s.spillHalfLocked(); serr != nil && err == nil {
-				err = serr
-			}
-		}
-	}
-	return added, replaced, skipped, err
 }
 
 // Counters are the store's cumulative usage counts for observability.

@@ -1,6 +1,7 @@
 package knowledge
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -87,6 +88,52 @@ func TestSpillHalfToDisk(t *testing.T) {
 	// Memory accounting: only in-memory snapshots counted.
 	if s.MemoryBytes() != 2*4 {
 		t.Errorf("MemoryBytes = %d, want 8", s.MemoryBytes())
+	}
+}
+
+// TestStoresSharingASpillDirKeepTheirOwnSnapshots: every learner owns a
+// store, and a config template hands them all the same SpillDir. Each store
+// must still match and export only the snapshots it preserved itself, after
+// both have spilled into the directory.
+func TestStoresSharingASpillDirKeepTheirOwnSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	stores := map[string]*Store{}
+	for _, name := range []string{"A", "B"} {
+		s, err := NewStore(2, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			v := linalg.Vector{float64(i * 10), 0}
+			if err := s.Preserve(v, []byte(fmt.Sprintf("%s%d", name, i)), "long", i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.SpilledCount() != 1 {
+			t.Fatalf("store %s: SpilledCount = %d, want 1", name, s.SpilledCount())
+		}
+		stores[name] = s
+	}
+	for name, s := range stores {
+		snap, _, ok, err := s.Match(linalg.Vector{0, 0})
+		if err != nil || !ok {
+			t.Fatalf("store %s: Match: %v ok=%v", name, err, ok)
+		}
+		if want := name + "0"; string(snap) != want {
+			t.Errorf("store %s matched %q, want %q", name, snap, want)
+		}
+		entries, err := s.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 2 {
+			t.Fatalf("store %s exported %d entries, want 2", name, len(entries))
+		}
+		for i, e := range entries {
+			if want := fmt.Sprintf("%s%d", name, i); string(e.Snapshot) != want {
+				t.Errorf("store %s export[%d] = %q, want %q", name, i, e.Snapshot, want)
+			}
+		}
 	}
 }
 

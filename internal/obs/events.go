@@ -8,8 +8,7 @@ const (
 	EventBreakerClose = "breaker_close" // worker rejoined after a successful probe
 	EventMigration    = "migration"     // a stream's sessions moved between workers
 	EventRestore      = "checkpoint_restore"
-	EventAntiEntropy  = "anti_entropy" // knowledge merge on rejoin
-	EventStaleFlush   = "stale_flush"  // rejoining worker dropped stale sessions
+	EventStaleFlush   = "stale_flush" // rejoining worker dropped stale sessions
 )
 
 // ClusterEvent is one structured timeline entry: what happened, where, and

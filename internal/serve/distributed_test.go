@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"freewayml/internal/core"
-	"freewayml/internal/linalg"
 )
 
 func optServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
@@ -223,71 +222,5 @@ func TestEvictEndpoint(t *testing.T) {
 	}
 	if !stats.Restored || stats.Batches != 2 {
 		t.Errorf("post-evict stream: restored=%v batches=%d, want true/2", stats.Restored, stats.Batches)
-	}
-}
-
-func TestKnowledgeExportMergeRoundTrip(t *testing.T) {
-	a, tsA := optServer(t, WithSharedKnowledge())
-	b, tsB := optServer(t, WithSharedKnowledge())
-
-	if err := a.Sessions().SharedStore().Preserve(
-		linalg.Vector{0.1, 0.7, 0.2}, []byte("snapshot-a"), "srvA", 9); err != nil {
-		t.Fatal(err)
-	}
-
-	var exported KnowledgeResponse
-	if code := getJSON(t, tsA.URL+"/v1/knowledge", &exported); code != http.StatusOK {
-		t.Fatalf("export = %d", code)
-	}
-	if !exported.Shared || len(exported.Entries) != 1 {
-		t.Fatalf("export body: shared=%v entries=%d, want true/1", exported.Shared, len(exported.Entries))
-	}
-
-	payload, _ := json.Marshal(exported)
-	merge := func() KnowledgeMergeResponse {
-		t.Helper()
-		resp, err := http.Post(tsB.URL+"/v1/knowledge/merge", "application/json", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("merge = %d", resp.StatusCode)
-		}
-		var out KnowledgeMergeResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	if out := merge(); out.Added != 1 || out.Replaced != 0 {
-		t.Errorf("first merge = %+v, want added=1", out)
-	}
-	if n := b.Sessions().SharedStore().Len(); n != 1 {
-		t.Errorf("store len after merge = %d, want 1", n)
-	}
-	// Idempotent: the same export a second time changes nothing.
-	if out := merge(); out.Added != 0 || out.Replaced != 0 || out.Skipped != 1 {
-		t.Errorf("second merge = %+v, want skipped=1 only", out)
-	}
-	if n := b.Sessions().SharedStore().Len(); n != 1 {
-		t.Errorf("store len after re-merge = %d, want 1", n)
-	}
-}
-
-func TestKnowledgeEndpointsRequireSharedStore(t *testing.T) {
-	_, ts := optServer(t) // per-stream stores: no process-wide knowledge
-	if code := getJSON(t, ts.URL+"/v1/knowledge", nil); code != http.StatusConflict {
-		t.Errorf("export without shared store = %d, want 409", code)
-	}
-	resp, err := http.Post(ts.URL+"/v1/knowledge/merge", "application/json",
-		bytes.NewReader([]byte(`{"entries":[]}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("merge without shared store = %d, want 409", resp.StatusCode)
 	}
 }

@@ -50,14 +50,14 @@ func getStats(t *testing.T, url string) StatsResponse {
 // TestOversizeBodyRejected: every body-reading endpoint answers an over-cap
 // body with 413 and counts it in body_cap_hits.
 func TestOversizeBodyRejected(t *testing.T) {
-	_, ts := testServerOpts(t, WithMaxBodyBytes(1024), WithSharedKnowledge())
+	_, ts := testServerOpts(t, WithMaxBodyBytes(1024))
 	rng := rand.New(rand.NewSource(3))
 	// ~100 rows of 3 floats serializes well past 1 KiB.
 	big, err := json.Marshal(batchReq(rng, 100, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, path := range []string{"/v1/process", "/v1/streams/s1/infer", "/v1/knowledge/merge"} {
+	for i, path := range []string{"/v1/process", "/v1/streams/s1/infer"} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(big))
 		if err != nil {
 			t.Fatal(err)

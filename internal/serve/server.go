@@ -46,8 +46,6 @@ import (
 
 	"freewayml/internal/core"
 	"freewayml/internal/guard"
-	"freewayml/internal/knowledge"
-	"freewayml/internal/linalg"
 	"freewayml/internal/obs"
 	"freewayml/internal/session"
 	"freewayml/internal/stream"
@@ -102,7 +100,6 @@ type StatsResponse struct {
 	SI               float64 `json:"si"`
 	KnowledgeEntries int     `json:"knowledge_entries"`
 	KnowledgeBytes   int     `json:"knowledge_bytes"`
-	SharedKnowledge  bool    `json:"shared_knowledge"`
 	Restored         bool    `json:"restored"`
 
 	// Robustness counters (the fault-tolerance layer).
@@ -222,14 +219,6 @@ func WithSessionLimits(max int, ttl time.Duration) Option {
 	}
 }
 
-// WithSharedKnowledge backs every stream with one process-wide knowledge
-// store, so reoccurring distributions learned on one stream can be reused
-// by another. Off by default: sharing trades stream isolation for
-// cross-stream reuse.
-func WithSharedKnowledge() Option {
-	return func(s *Server) { s.scfg.SharedKnowledge = true }
-}
-
 // WithTraceCap sets each stream's decision-trace ring capacity (n <= 0
 // keeps the default of 1024 events).
 func WithTraceCap(n int) Option {
@@ -309,7 +298,7 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	s.routeCounters = map[string]*obs.Counter{}
 	for _, route := range []string{
 		"/v1/process", "/v1/stats", "/v1/trace", "/v1/healthz", "/v1/health",
-		"/v1/readyz", "/v1/metrics", "/v1/streams", "/v1/knowledge", "/v1/knowledge/merge",
+		"/v1/readyz", "/v1/metrics", "/v1/streams",
 		"/v1/streams/:id/process", "/v1/streams/:id/stats", "/v1/streams/:id/trace",
 		"/v1/streams/:id/evict", "/v1/streams/:id/infer", "/v1/streams/:id/other",
 		"/v1/spans",
@@ -328,8 +317,6 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	s.handle("/v1/readyz", s.handleReady)
 	s.handle("/v1/metrics", s.handleMetrics)
 	s.handle("/v1/streams", s.handleStreams)
-	s.handle("/v1/knowledge", s.handleKnowledgeExport)
-	s.handle("/v1/knowledge/merge", s.handleKnowledgeMerge)
 	s.handle("/v1/spans", s.handleSpans)
 	s.mux.HandleFunc("/v1/streams/", s.handleStreamRoute)
 	if s.pprofOn {
@@ -342,8 +329,8 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// Sessions exposes the session manager (stats, deterministic eviction in
-// tests, the shared knowledge store).
+// Sessions exposes the session manager (stats, and deterministic eviction
+// in tests).
 func (s *Server) Sessions() *session.Manager { return s.mgr }
 
 // handle registers h at an exact path with request counting.
@@ -596,7 +583,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, id string) 
 		SI:               st.SI,
 		KnowledgeEntries: st.KnowledgeEntries,
 		KnowledgeBytes:   st.KnowledgeBytes,
-		SharedKnowledge:  st.SharedKnowledge,
 		Restored:         st.Restored,
 
 		SanitizedValues:  st.Health.SanitizedValues,
@@ -724,113 +710,6 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request, id string) 
 		return
 	}
 	s.writeJSON(w, map[string]any{"stream": id, "evicted": evicted, "checkpoint": checkpoint})
-}
-
-// KnowledgeEntry is the wire form of one preserved knowledge pair
-// (Snapshot is base64 in JSON, per encoding/json []byte rules).
-type KnowledgeEntry struct {
-	Distribution []float64 `json:"distribution"`
-	Snapshot     []byte    `json:"snapshot"`
-	Source       string    `json:"source"`
-	Batch        int       `json:"batch"`
-}
-
-// KnowledgeResponse is the /v1/knowledge export body.
-type KnowledgeResponse struct {
-	Shared  bool             `json:"shared"`
-	Entries []KnowledgeEntry `json:"entries"`
-}
-
-// KnowledgeMergeResponse reports what a /v1/knowledge/merge applied.
-type KnowledgeMergeResponse struct {
-	Added    int `json:"added"`
-	Replaced int `json:"replaced"`
-	Skipped  int `json:"skipped"`
-}
-
-// sharedStore resolves the process-wide knowledge store, or an HTTP error
-// when this server keeps per-stream stores (409: the request is valid, the
-// configuration conflicts with it).
-func (s *Server) sharedStore() (*knowledge.Store, int, error) {
-	store := s.mgr.SharedStore()
-	if store == nil {
-		return nil, http.StatusConflict, errors.New("knowledge sharing is disabled (start with shared knowledge to use /v1/knowledge)")
-	}
-	return store, http.StatusOK, nil
-}
-
-// handleKnowledgeExport serves the shared store's full contents — the
-// export half of cross-worker anti-entropy, and a debugging view of what
-// regimes the cluster has preserved.
-func (s *Server) handleKnowledgeExport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	store, status, err := s.sharedStore()
-	if err != nil {
-		s.writeError(w, status, err.Error())
-		return
-	}
-	entries, err := store.Export()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("export knowledge: %v", err))
-		return
-	}
-	resp := KnowledgeResponse{Shared: true, Entries: make([]KnowledgeEntry, 0, len(entries))}
-	for _, e := range entries {
-		resp.Entries = append(resp.Entries, KnowledgeEntry{
-			Distribution: e.Distribution, Snapshot: e.Snapshot, Source: e.Source, Batch: e.Batch,
-		})
-	}
-	s.writeJSON(w, resp)
-}
-
-// handleKnowledgeMerge folds a peer's exported entries into the shared
-// store (the merge half of anti-entropy): same-regime entries keep the
-// fresher snapshot, new regimes are appended. ?radius=R overrides the
-// same-regime distance (default 0: only identical distributions merge).
-func (s *Server) handleKnowledgeMerge(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	store, status, err := s.sharedStore()
-	if err != nil {
-		s.writeError(w, status, err.Error())
-		return
-	}
-	radius := 0.0
-	if q := r.URL.Query().Get("radius"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil || v < 0 {
-			s.writeError(w, http.StatusBadRequest, "radius must be a non-negative number")
-			return
-		}
-		radius = v
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	defer putBuf(body)
-	var req KnowledgeResponse
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	entries := make([]knowledge.EntrySnapshot, 0, len(req.Entries))
-	for _, e := range req.Entries {
-		entries = append(entries, knowledge.EntrySnapshot{
-			Distribution: linalg.Vector(e.Distribution), Snapshot: e.Snapshot, Source: e.Source, Batch: e.Batch,
-		})
-	}
-	added, replaced, skipped, err := store.Merge(entries, radius)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("merge knowledge: %v", err))
-		return
-	}
-	s.writeJSON(w, KnowledgeMergeResponse{Added: added, Replaced: replaced, Skipped: skipped})
 }
 
 // handleMetrics serves the Prometheus text exposition of every stream's

@@ -1,10 +1,8 @@
 // Package session hosts many named FreewayML streams inside one process.
 // Each stream ("session") owns its own learner — and with it its own shift
 // detector, adaptive window, guard, watchdogs, and labelled observer — so
-// concurrent streams never contaminate each other's drift statistics, while
-// an optional process-wide knowledge store (config-gated, off by default)
-// lets reoccurring distributions learned on one stream be reused by
-// another.
+// concurrent streams never contaminate each other's drift statistics or
+// historical knowledge.
 //
 // Lifecycle: sessions are created on first use, evicted after an idle TTL,
 // and bounded by a max-session cap with least-recently-used spill. Eviction
@@ -38,7 +36,6 @@ import (
 	"time"
 
 	"freewayml/internal/core"
-	"freewayml/internal/knowledge"
 	"freewayml/internal/obs"
 	"freewayml/internal/stream"
 )
@@ -74,8 +71,6 @@ var ErrClosed = errors.New("session: manager closed")
 // Config configures a Manager.
 type Config struct {
 	// Learner is the template config every session's learner is built from.
-	// Its SharedKnowledge field is managed by the Manager (see
-	// SharedKnowledge below) and must be left nil.
 	Learner core.Config
 	// Dim and Classes fix the stream shape every session serves.
 	Dim, Classes int
@@ -107,12 +102,6 @@ type Config struct {
 	// pre-session server behaved.
 	DefaultCheckpointPath string
 
-	// SharedKnowledge, when true, backs every session with one process-wide
-	// knowledge store instead of per-stream stores. Off by default: sharing
-	// trades isolation (streams see each other's preserved regimes) for
-	// cross-stream reuse of reoccurring distributions.
-	SharedKnowledge bool
-
 	// Registry receives every session's metrics, each series labelled with
 	// stream=<id> (nil builds a private registry).
 	Registry *obs.Registry
@@ -133,9 +122,8 @@ type shard struct {
 // Manager hosts named sessions: create-on-first-use, TTL eviction, LRU
 // spill, and aggregate accounting. All methods are safe for concurrent use.
 type Manager struct {
-	cfg    Config
-	reg    *obs.Registry
-	shared *knowledge.Store // non-nil only under SharedKnowledge
+	cfg Config
+	reg *obs.Registry
 
 	shards []shard
 	mask   uint64       // len(shards)-1 (shard count is a power of two)
@@ -184,9 +172,6 @@ func shardCount(configured int) int {
 // NewManager validates the config and starts the TTL sweeper (when a TTL is
 // set). Callers own the returned manager and must Close it.
 func NewManager(cfg Config) (*Manager, error) {
-	if cfg.Learner.SharedKnowledge != nil {
-		return nil, errors.New("session: Config.Learner.SharedKnowledge must be nil (set Config.SharedKnowledge instead)")
-	}
 	if cfg.MaxSessions < 0 {
 		return nil, errors.New("session: MaxSessions must be >= 0")
 	}
@@ -236,13 +221,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	for i := range m.shards {
 		m.shards[i].sessions = make(map[string]*Session)
 	}
-	if cfg.SharedKnowledge {
-		store, err := knowledge.NewStore(cfg.Learner.KdgBuffer, cfg.Learner.SpillDir)
-		if err != nil {
-			return nil, fmt.Errorf("session: shared knowledge store: %w", err)
-		}
-		m.shared = store
-	}
 	if cfg.TTL > 0 {
 		interval := cfg.TTL / 4
 		if interval < 10*time.Millisecond {
@@ -257,10 +235,6 @@ func NewManager(cfg Config) (*Manager, error) {
 // Registry returns the registry carrying every session's labelled series
 // and the manager's aggregates.
 func (m *Manager) Registry() *obs.Registry { return m.reg }
-
-// SharedStore returns the process-wide knowledge store, or nil when
-// sessions keep per-stream stores.
-func (m *Manager) SharedStore() *knowledge.Store { return m.shared }
 
 // MaxSessions returns the resolved resident-session bound.
 func (m *Manager) MaxSessions() int { return m.cfg.MaxSessions }
@@ -357,9 +331,7 @@ func (m *Manager) Ensure(id string) (*Session, error) {
 // restore read atomic with respect to an eviction's checkpoint write on the
 // same shard.
 func (m *Manager) newSession(id string) (*Session, error) {
-	cfg := m.cfg.Learner
-	cfg.SharedKnowledge = m.shared
-	l, err := core.NewLearner(cfg, m.cfg.Dim, m.cfg.Classes)
+	l, err := core.NewLearner(m.cfg.Learner, m.cfg.Dim, m.cfg.Classes)
 	if err != nil {
 		return nil, fmt.Errorf("session %q: %w", id, err)
 	}

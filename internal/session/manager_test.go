@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"freewayml/internal/core"
-	"freewayml/internal/knowledge"
 )
 
 // testCfg returns a learner config tuned for small, fast test streams.
@@ -172,47 +171,6 @@ func TestLRUSpillAtMaxSessions(t *testing.T) {
 	}
 }
 
-func TestSharedKnowledgeStore(t *testing.T) {
-	m := testManager(t, func(c *Config) { c.SharedKnowledge = true })
-	if m.SharedStore() == nil {
-		t.Fatal("no shared store")
-	}
-	rng := rand.New(rand.NewSource(4))
-	feed(t, m, "a", rng, 6)
-	feed(t, m, "b", rng, 6)
-	sa, _ := m.Get("a")
-	sb, _ := m.Get("b")
-	if !sa.Snapshot().SharedKnowledge || !sb.Snapshot().SharedKnowledge {
-		t.Error("sessions not marked shared-knowledge")
-	}
-	if got, want := sa.Snapshot().KnowledgeEntries, m.SharedStore().Len(); got != want {
-		t.Errorf("session sees %d knowledge entries, store has %d", got, want)
-	}
-}
-
-func TestSharedKnowledgeSkippedInCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	m := testManager(t, func(c *Config) {
-		c.SharedKnowledge = true
-		c.CheckpointDir = dir
-	})
-	rng := rand.New(rand.NewSource(5))
-	feed(t, m, "s", rng, 12)
-	storeLen := m.SharedStore().Len()
-	if evicted, err := m.Evict("s"); !evicted || err != nil {
-		t.Fatalf("evict: %v/%v", evicted, err)
-	}
-	// Restore must NOT clobber the live shared store.
-	feed(t, m, "s", rng, 1)
-	if got := m.SharedStore().Len(); got < storeLen {
-		t.Errorf("shared store shrank across restore: %d -> %d", storeLen, got)
-	}
-	s, _ := m.Get("s")
-	if !s.Snapshot().Restored {
-		t.Error("session not restored")
-	}
-}
-
 func TestManagerCloseIdempotent(t *testing.T) {
 	m, err := NewManager(Config{Learner: testCfg(), Dim: 3, Classes: 2, TTL: time.Minute})
 	if err != nil {
@@ -241,15 +199,6 @@ func TestConfigValidation(t *testing.T) {
 		"negative ttl":   func(c *Config) { c.TTL = -time.Second },
 		"negative every": func(c *Config) { c.CheckpointEvery = -1 },
 		"bad learner":    func(c *Config) { c.Learner.ModelNum = 1 },
-		"shared set": func(c *Config) {
-			// The Manager owns the shared store; pre-wiring one into the
-			// learner template must be rejected.
-			st, err := knowledge.NewStore(c.Learner.KdgBuffer, c.Learner.SpillDir)
-			if err != nil {
-				panic(err)
-			}
-			c.Learner.SharedKnowledge = st
-		},
 	} {
 		cfg := base
 		mut(&cfg)
@@ -261,15 +210,13 @@ func TestConfigValidation(t *testing.T) {
 
 // TestConcurrentSessions hammers the manager from many goroutines across
 // more stream ids than the resident bound, with TTL sweeps and explicit
-// evictions racing in-flight Process calls, under a shared knowledge store
-// and per-stream checkpoints. Run with -race this is the session layer's
-// memory-safety proof.
+// evictions racing in-flight Process calls, with per-stream checkpoints.
+// Run with -race this is the session layer's memory-safety proof.
 func TestConcurrentSessions(t *testing.T) {
 	m := testManager(t, func(c *Config) {
 		c.MaxSessions = 8
 		c.TTL = 20 * time.Millisecond
 		c.CheckpointDir = t.TempDir()
-		c.SharedKnowledge = true
 	})
 	const workers = 8
 	const streams = 12

@@ -154,7 +154,6 @@ type Stats struct {
 	SI               float64 `json:"si"`
 	KnowledgeEntries int     `json:"knowledge_entries"`
 	KnowledgeBytes   int     `json:"knowledge_bytes"`
-	SharedKnowledge  bool    `json:"shared_knowledge"`
 
 	Health core.Stats `json:"health"`
 
@@ -180,7 +179,6 @@ func (s *Session) Snapshot() Stats {
 		SI:               m.SI(),
 		KnowledgeEntries: s.learner.KnowledgeStore().Len(),
 		KnowledgeBytes:   s.learner.KnowledgeStore().MemoryBytes(),
-		SharedKnowledge:  s.learner.SharedKnowledge(),
 
 		Health: s.learner.Stats(),
 

@@ -31,8 +31,8 @@ type KnowledgeReuse struct {
 	reoccurRatio float64 // confidence gate, shared with Pattern-C detection
 }
 
-// NewKnowledgeReuse builds the mechanism over the (possibly process-shared)
-// knowledge store. reuse is a scratch model of the stream's shape.
+// NewKnowledgeReuse builds the mechanism over the learner's own knowledge
+// store. reuse is a scratch model of the stream's shape.
 func NewKnowledgeReuse(store *knowledge.Store, reuse model.Model, ens *Ensemble, sigma, beta, reoccurRatio float64) *KnowledgeReuse {
 	return &KnowledgeReuse{store: store, reuse: reuse, ens: ens, sigma: sigma, beta: beta, reoccurRatio: reoccurRatio}
 }

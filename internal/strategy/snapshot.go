@@ -42,8 +42,9 @@ type Snapshot struct {
 	Sigma   float64
 	Proj    *pca.Model // nil until the detector finishes warm-up
 
-	// Knowledge is the shared match index; Match/NearestDistance are
-	// lock-free reads. Nil when the learner has no store.
+	// Knowledge is the learner's own store, shared between its trainer and
+	// the snapshot's readers; Match/NearestDistance are lock-free reads.
+	// Nil when the learner has no store.
 	Knowledge *knowledge.Store
 	// Experience is the CEC experience-buffer size at publication.
 	Experience int

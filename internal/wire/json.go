@@ -100,16 +100,16 @@ func (c *jsonCursor) more(closer byte) bool {
 	return false
 }
 
-// key consumes a one-byte object key and its colon, returning the byte.
+// key consumes a one-byte object key and its colon, returning the byte. The
+// key's closing quote follows that byte at once: "x " is another key.
 func (c *jsonCursor) key() byte {
 	c.expect('"')
-	if c.bad || c.i >= len(c.buf) {
+	if c.bad || c.i+1 >= len(c.buf) || c.buf[c.i+1] != '"' {
 		c.bad = true
 		return 0
 	}
 	k := c.buf[c.i]
-	c.i++
-	c.expect('"')
+	c.i += 2
 	c.expect(':')
 	return k
 }

@@ -61,6 +61,7 @@ var (
 	}
 	jsonDeclined = []string{
 		`{"x":[[1,2]],"z":1}`, `{"X":[[1,2]],"Y":[0]}`, `{"\u0078":[[1,2]]}`, // unknown, upper-case, escaped key
+		`{"x ":[[0,0]]}`, `{" x":[[0,0]]}`, `{"x":[[1,2]],"y ":[0]}`, // whitespace inside a key
 		`{"x":[[1,2]],"x":[[3,4]]}`, `{"x":[[1,2]],"y":[0],"y":[1]}`, // repeated key
 		`null`, `{"x":null}`, `{"x":[[1,2]],"y":null}`, `{"x":[[null,2]]}`, `{"x":[null]}`,
 		`{"x":[[1,2],[3]]}`, `{"x":[[1],[2,3]]}`, // ragged
