@@ -44,12 +44,14 @@ fmt:
 # the same way, and so are the model weights a stream ends with
 # (TestDeferredCloseLandsInlineModels), and the twin learners that hold a
 # Process fed an Infer's forwards to one that runs its own
-# (TestForwardHandoffTwins). The window close, split across two
+# (TestForwardHandoffTwins) — also under each guard policy, where the Process
+# takes the Infer's checked slab as its guard's scan and its detector's mean
+# (TestGuardedHandoffTwins). The window close, split across two
 # Train calls, is held bit for bit to the inline row close, chunk losses and
 # weights, by the strategy package's Close tests.
 golden:
-	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins' ./internal/core
-	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins' ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins' ./internal/core
+	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins' ./internal/core
 	$(GO) test -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -tags purego -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -cpu 1,2,4 -run Example .
@@ -63,7 +65,9 @@ golden:
 # interleaving must show up here. So do internal/strategy and internal/core:
 # readers of published snapshots share the process-wide workspace pool with
 # each other and run beside the trainer, and park their workspaces in the
-# learner's hand-off slot for it (TestForwardHandoffConcurrentReaders).
+# learner's hand-off slot for it, which Process swaps out before its guard
+# runs (TestForwardHandoffConcurrentReaders: a reader of non-finite rows is
+# refused there and parks nothing).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/dist

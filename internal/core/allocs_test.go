@@ -46,12 +46,15 @@ func warmNSLKDD(t *testing.T) (*Learner, []stream.Batch, func()) {
 // every update and the knowledge/fusion paths evaluated their kernels twice.
 // 0bf8ed4 measured 109: every publication deep-cloned the short model and the
 // members' probabilities were fresh slabs. 030f688 measured 41: the strategy
-// still copied the fused distributions out as rows. This tree measures 39;
-// the bound is that plus a tenth.
+// still copied the fused distributions out as rows. cc3fdbc measured 39: the
+// shift detector took a fresh batch mean and a fresh copy of its distance
+// history every batch. This tree measures 37; the bound is that plus a tenth.
 func TestWarmProcessAllocs(t *testing.T) {
 	_, _, next := warmNSLKDD(t)
-	if allocs := testing.AllocsPerRun(64, next); allocs > 42 {
-		t.Errorf("a warm Process allocates %.0f times per call, want at most 42 (0bf8ed4: 109)", allocs)
+	allocs := testing.AllocsPerRun(64, next)
+	t.Logf("a warm Process allocates %.2f times per call", allocs)
+	if allocs > 40 {
+		t.Errorf("a warm Process allocates %.0f times per call, want at most 40 (0bf8ed4: 109)", allocs)
 	}
 }
 
@@ -75,13 +78,16 @@ func TestWarmInferAllocs(t *testing.T) {
 }
 
 // TestWarmInferProcessBytes pins the bytes behind those counts: TotalAlloc over
-// 64 warm Infer+Process pairs, window closes included, at GOMAXPROCS 1. At
-// 030f688, where every Infer and every Process also copied the fused
-// distributions out as rows × classes, these pairs allocated 5,052,920 bytes.
-// This tree measures 2,906,592; the bound is that plus a tenth.
+// 64 warm Infer+Process pairs, window closes included, at GOMAXPROCS 1 — the
+// learner warmed at it too: a GOMAXPROCS change drops the workspace pool's
+// per-P caches, and a workspace regrown inside the count adds about 300 kB.
+// At 030f688, where every Infer and every Process also copied the fused
+// distributions out as rows × classes, these pairs allocated 5,052,920 bytes;
+// cc3fdbc, 2,818,000. This tree measures 2,801,800; the bound is that plus a
+// tenth.
 func TestWarmInferProcessBytes(t *testing.T) {
-	l, batches, next := warmNSLKDD(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l, batches, next := warmNSLKDD(t)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
@@ -92,8 +98,10 @@ func TestWarmInferProcessBytes(t *testing.T) {
 		next()
 	}
 	runtime.ReadMemStats(&ms)
-	if bytes := ms.TotalAlloc - before; bytes > 3_197_000 {
-		t.Errorf("64 warm Infer+Process pairs allocate %d bytes, want at most 3,197,000 (030f688: 5,052,920)", bytes)
+	bytes := ms.TotalAlloc - before
+	t.Logf("64 warm Infer+Process pairs allocate %d bytes", bytes)
+	if bytes > 3_082_000 {
+		t.Errorf("64 warm Infer+Process pairs allocate %d bytes, want at most 3,082,000 (030f688: 5,052,920)", bytes)
 	}
 }
 

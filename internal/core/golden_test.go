@@ -62,7 +62,8 @@ func goldenDecisionHash(t *testing.T, dataset string, seed int64, watchdog bool)
 		// Infer answers with labels; the distributions behind them are its
 		// snapshot's, fused again into a workspace the test holds.
 		ws.Reset()
-		fused, err := snap.InferInto(&ws, b.X)
+		ws.Stage(b.X, snap.Dim)
+		fused, err := snap.InferInto(&ws)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,10 +8,11 @@ import (
 )
 
 // handoff is an Infer's workspace left for the Process call that follows it:
-// the rows staged and each member's forward over them, from the publication
-// numbered seq. A Process of the same rows on the same publication trains
-// from those forwards instead of running them again (DESIGN.md, "One forward
-// per member per batch").
+// the rows staged — and found finite — and each member's forward over them,
+// from the publication numbered seq. A Process of the same rows on the same
+// publication takes that slab as checked and trains from those forwards
+// instead of running them again (DESIGN.md, "One read of the batch per
+// batch").
 type handoff struct {
 	ws  *nn.Workspace
 	seq uint64
@@ -42,11 +43,11 @@ func (h *handoff) release() {
 	handoffs.Put(h)
 }
 
-// batchWorkspace returns the workspace the Process call's member forwards run
-// in, with x — the guarded batch — staged. It takes whatever the slot holds:
-// a hit, when that Infer read the latest publication and staged exactly these
-// rows, is handed over with its forwards; anything else is released and a
-// fresh workspace comes from the pool.
+// batchWorkspace returns the workspace the Process call reads its batch x
+// from, with x staged. It takes whatever the slot holds: a hit, when that
+// Infer read the latest publication and staged exactly these rows — which it
+// found finite — is handed over with its forwards; anything else is released
+// and a fresh workspace comes from the pool.
 func (l *Learner) batchWorkspace(x [][]float64) (ws *nn.Workspace, hit bool) {
 	if h := l.parked.Swap(nil); h != nil {
 		if h.seq == l.snapSeq && sameRows(h.ws, x) {

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -97,7 +100,7 @@ func infer(t *testing.T, l *Learner, x [][]float64) {
 // learners: one calls Infer and then Process on every batch, as the benchmark
 // does, the other Process alone. After every batch both answered the same and
 // hold the same short and long weights, bit for bit; the first took the
-// Infer's forwards on every Process (DESIGN.md, "One forward per member per
+// Infer's forwards on every Process (DESIGN.md, "One read of the batch per
 // batch"), and its short model trained from them on every batch but those
 // whose knowledge adoption rewrote it after its forward.
 func TestForwardHandoffTwins(t *testing.T) {
@@ -243,9 +246,10 @@ func TestForwardHandoffMisses(t *testing.T) {
 // TestForwardHandoffConcurrentReaders: readers infer other rows while the
 // trainer infers and processes its batches on the same learner, so the slot
 // is parked and displaced from three goroutines and a Process call may find
-// its own Infer's forwards there or a reader's. Whatever it finds, every
-// Process answers, and leaves the weights, as a twin that runs alone. Run
-// under -race (make race).
+// its own Infer's forwards there or a reader's; a third reader's rows hold a
+// NaN and two infinities, and every one of its reads is refused. Whatever a
+// Process finds, it answers, and leaves the weights, as a twin that runs
+// alone. Run under -race (make race).
 func TestForwardHandoffConcurrentReaders(t *testing.T) {
 	const span, readers = 40, 2
 	src, err := datasets.Build("NSL-KDD", 128, 1002)
@@ -263,8 +267,9 @@ func TestForwardHandoffConcurrentReaders(t *testing.T) {
 	done := make(chan struct{})
 	stop := sync.OnceFunc(func() { close(done) })
 	defer stop()
-	errs := make(chan error, readers)
-	for r := 0; r < readers; r++ {
+	bad := faulty(rows[0]).X
+	errs := make(chan error, readers+1)
+	for r := 0; r <= readers; r++ {
 		go func(r int) {
 			for i := r; ; i++ {
 				select {
@@ -273,7 +278,12 @@ func TestForwardHandoffConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := a.Infer(context.Background(), rows[i%len(rows)].X); err != nil {
+				if r == readers {
+					if _, err := a.Infer(context.Background(), bad); !errors.Is(err, guard.ErrRejected) {
+						errs <- fmt.Errorf("Infer of non-finite rows = %v, want a rejection", err)
+						return
+					}
+				} else if _, err := a.Infer(context.Background(), rows[i%len(rows)].X); err != nil {
 					errs <- err
 					return
 				}
@@ -285,10 +295,207 @@ func TestForwardHandoffConcurrentReaders(t *testing.T) {
 		sameLearners(t, k, a, b, process(t, a, bt), process(t, b, bt))
 	}
 	stop()
-	for r := 0; r < readers; r++ {
+	for r := 0; r <= readers; r++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
 	t.Logf("%d hits, %d misses", a.obs.handoffHit.Value(), a.obs.handoffMiss.Value())
+}
+
+// sameObservations requires two detector verdicts to be equal, bit for bit:
+// the projected batch mean ȳ, the distances, the severity and the pattern.
+func sameObservations(t *testing.T, k int, a, b Result) {
+	t.Helper()
+	oa, ob := a.Observation, b.Observation
+	if a.Pattern != b.Pattern || a.SubPattern != b.SubPattern || a.Strategy != b.Strategy ||
+		oa.Batch != ob.Batch || oa.Pattern != ob.Pattern || oa.NearestHistoryIndex != ob.NearestHistoryIndex ||
+		len(oa.YBar) != len(ob.YBar) {
+		t.Fatalf("batch %d: %+v (%v, %v, %v), the twin %+v (%v, %v, %v)", k,
+			oa, a.Pattern, a.SubPattern, a.Strategy, ob, b.Pattern, b.SubPattern, b.Strategy)
+	}
+	bits := append([]float64{oa.Distance, oa.Severity, oa.HistoryMean, oa.NearestHistory}, oa.YBar...)
+	twin := append([]float64{ob.Distance, ob.Severity, ob.HistoryMean, ob.NearestHistory}, ob.YBar...)
+	for i := range bits {
+		if math.Float64bits(bits[i]) != math.Float64bits(twin[i]) {
+			t.Fatalf("batch %d: observation value %d is %v, the twin's %v", k, i, bits[i], twin[i])
+		}
+	}
+}
+
+// sameGuards requires both learners' guards to hold the same running feature
+// means, bit for bit, and both health records to agree.
+func sameGuards(t *testing.T, k int, a, b *Learner) {
+	t.Helper()
+	ma, mb := a.guard.FeatureMeans(), b.guard.FeatureMeans()
+	for j := range ma {
+		if math.Float64bits(ma[j]) != math.Float64bits(mb[j]) {
+			t.Fatalf("batch %d: feature %d's running mean is %v, the twin's %v", k, j, ma[j], mb[j])
+		}
+	}
+	if sa, sb := a.Stats(), b.Stats(); sa != sb {
+		t.Fatalf("batch %d: health %+v, the twin's %+v", k, sa, sb)
+	}
+}
+
+// faulty returns a copy of b with a NaN, a +Inf and a −Inf among its
+// features: three values in three rows.
+func faulty(b stream.Batch) stream.Batch {
+	x := make([][]float64, len(b.X))
+	for i, row := range b.X {
+		x[i] = append([]float64(nil), row...)
+	}
+	last := len(x) - 1
+	x[0][0], x[3][1], x[last][len(x[last])-1] = math.NaN(), math.Inf(1), math.Inf(-1)
+	return stream.Batch{Seq: b.Seq, X: x, Y: b.Y, Truth: b.Truth}
+}
+
+// TestGuardedHandoffTwins runs the four learn_drift schedules under each guard
+// policy through two learners: one calls Infer and then Process on every
+// batch, the other Process alone. A Process that takes the Infer's workspace
+// takes its slab as checked — the guard scans nothing, Impute only folds the
+// rows into its running means — and the detector averages that slab. After
+// every batch both twins answered the same labels at the same accuracy from
+// the same observation (ȳ included), hold the same weights and the same
+// running feature means, and count the same health events, bit for bit. Under
+// every policy but Off, every ninth batch carries a NaN and two infinities:
+// the Infer refuses it and parks nothing, and the Process that follows
+// rejects it under Reject and repairs it under Clamp and Impute, in both
+// twins alike.
+func TestGuardedHandoffTwins(t *testing.T) {
+	for _, policy := range []guard.Policy{guard.Off, guard.Reject, guard.Clamp, guard.Impute} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Guard = policy
+			for i, name := range []string{"Hyperplane", "Covertype", "NSL-KDD", "Electricity"} {
+				src, err := datasets.Build(name, 256, 1000+int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, b := handoffLearner(t, cfg, src), handoffLearner(t, cfg, src)
+				var clean, dirty int
+				for k, bt := range stream.Collect(src, 0) {
+					if policy == guard.Off || k%9 != 4 {
+						clean++
+						infer(t, a, bt.X)
+						ra, rb := process(t, a, bt), process(t, b, bt)
+						sameLearners(t, k, a, b, ra, rb)
+						sameObservations(t, k, ra, rb)
+						sameGuards(t, k, a, b)
+						continue
+					}
+					dirty++
+					bt = faulty(bt)
+					if _, err := a.Infer(context.Background(), bt.X); !errors.Is(err, guard.ErrRejected) {
+						t.Fatalf("%s batch %d: Infer of non-finite rows = %v, want a rejection", name, k, err)
+					}
+					if h := a.parked.Load(); h != nil {
+						t.Fatalf("%s batch %d: a rejected Infer parked its workspace", name, k)
+					}
+					ra, errA := a.Process(context.Background(), bt)
+					rb, errB := b.Process(context.Background(), bt)
+					if policy == guard.Reject {
+						if !errors.Is(errA, guard.ErrRejected) || !errors.Is(errB, guard.ErrRejected) {
+							t.Fatalf("%s batch %d: Process under Reject = %v and %v, want rejections", name, k, errA, errB)
+						}
+					} else {
+						if errA != nil || errB != nil {
+							t.Fatalf("%s batch %d: Process under %v = %v and %v", name, k, policy, errA, errB)
+						}
+						sameLearners(t, k, a, b, ra, rb)
+						sameObservations(t, k, ra, rb)
+					}
+					sameGuards(t, k, a, b)
+				}
+				want := Stats{}
+				switch policy {
+				case guard.Reject:
+					want.RejectedBatches = dirty
+				case guard.Clamp, guard.Impute:
+					want.SanitizedValues, want.SanitizedBatches = 3*dirty, dirty
+				}
+				if st := a.Stats(); st.SanitizedValues != want.SanitizedValues ||
+					st.SanitizedBatches != want.SanitizedBatches || st.RejectedBatches != want.RejectedBatches {
+					t.Errorf("%s: health %+v, want %d values in %d sanitized batches and %d rejected",
+						name, st, want.SanitizedValues, want.SanitizedBatches, want.RejectedBatches)
+				}
+				if hits := a.obs.handoffHit.Value(); hits != int64(clean) {
+					t.Errorf("%s: %d hand-off hits over %d clean batches", name, hits, clean)
+				}
+				means := a.guard.FeatureMeans()
+				if moved := slices.ContainsFunc(means, func(m float64) bool { return m != 0 }); moved != (policy == guard.Impute) {
+					t.Errorf("%s: running feature means %v under %v", name, means, policy)
+				}
+			}
+		})
+	}
+}
+
+// TestRejectedInferParksNothing: an Infer of a batch holding a NaN and two
+// infinities is refused with the guard's error and leaves the hand-off slot
+// as it found it — holding the workspace parked before, or empty. The Process
+// of that batch under Clamp then misses the hand-off, repairs the batch and
+// counts it as the guard always has: three values in one sanitized batch, none
+// rejected, three in the batch's trace event. It answers, and leaves the
+// weights, as a twin that never infers — and, the detector's verdict
+// included, as a third learner handed the batch already clamped: the
+// repaired rows, not the arriving ones, are what the detector averages and
+// the members forward.
+func TestRejectedInferParksNothing(t *testing.T) {
+	const at = 40
+	src, err := datasets.Build("NSL-KDD", 256, 1002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := stream.Collect(src, 0)[:at+2]
+	cfg := DefaultConfig()
+	cfg.Guard = guard.Clamp
+	a, b, c := handoffLearner(t, cfg, src), handoffLearner(t, cfg, src), handoffLearner(t, cfg, src)
+	for k := 0; k < at; k++ {
+		infer(t, a, batches[k].X)
+		sameLearners(t, k, a, b, process(t, a, batches[k]), process(t, b, batches[k]))
+		process(t, c, batches[k])
+	}
+	bad := faulty(batches[at])
+	clamped := faulty(batches[at])
+	last := len(clamped.X) - 1
+	clamped.X[0][0], clamped.X[3][1], clamped.X[last][len(clamped.X[last])-1] = 0, guard.DefaultClampLimit, -guard.DefaultClampLimit
+	rejected := func() {
+		t.Helper()
+		_, err := a.Infer(context.Background(), bad.X)
+		if !errors.Is(err, guard.ErrRejected) || err.Error() != "core: infer: non-finite feature: guard: batch rejected" {
+			t.Fatalf("Infer of non-finite rows = %v", err)
+		}
+	}
+	rejected()
+	if a.parked.Load() != nil {
+		t.Fatal("a rejected Infer parked its workspace in the empty slot")
+	}
+	infer(t, a, batches[at].X)
+	parked := a.parked.Load()
+	rejected()
+	if a.parked.Load() != parked {
+		t.Fatal("a rejected Infer displaced the parked workspace")
+	}
+
+	misses := a.obs.handoffMiss.Value()
+	ra, rb := process(t, a, bad), process(t, b, bad)
+	sameLearners(t, at, a, b, ra, rb)
+	sameObservations(t, at, ra, rb)
+	sameGuards(t, at, a, b)
+	rc := process(t, c, clamped)
+	sameLearners(t, at, a, c, ra, rc)
+	sameObservations(t, at, ra, rc)
+	if got := a.obs.handoffMiss.Value() - misses; got != 1 {
+		t.Errorf("the repaired batch missed the hand-off %d times, want 1", got)
+	}
+	if st := a.Stats(); st.SanitizedValues != 3 || st.SanitizedBatches != 1 || st.RejectedBatches != 0 {
+		t.Errorf("health after one repaired batch: %+v, want 3 values in 1 sanitized batch", st)
+	}
+	if ev := a.obs.Trace().Last(1)[0]; ev.GuardSanitized != 3 || ev.GuardRejected {
+		t.Errorf("the repaired batch's trace event counts %d sanitized values (rejected %v), want 3", ev.GuardSanitized, ev.GuardRejected)
+	}
+	infer(t, a, batches[at+1].X)
+	sameLearners(t, at+1, a, b, process(t, a, batches[at+1]), process(t, b, batches[at+1]))
+	sameGuards(t, at+1, a, b)
 }

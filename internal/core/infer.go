@@ -87,20 +87,19 @@ func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error)
 		if len(row) != l.dim {
 			return InferResult{}, fmt.Errorf("core: infer: row has %d features, want %d", len(row), l.dim)
 		}
-		// The training plane's guard repairs or rejects non-finite features
-		// statefully (running feature means, health counters); the read path
-		// must stay pure, so it only rejects. A NaN or an Inf is the only value
-		// for which v-v != 0.
-		for _, v := range row {
-			if v-v != 0 {
-				return InferResult{}, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
-			}
-		}
 	}
 	start := time.Now()
 	snap := l.snap.Load()
 	ws := nn.GetWorkspace()
-	out, err := snap.InferInto(ws, x)
+	// The training plane's guard repairs or rejects non-finite features
+	// statefully (running feature means, health counters); the read path must
+	// stay pure, so it only rejects — after one scan of the slab the rows are
+	// staged in, which a Process of the same rows then takes as checked.
+	if !guard.Finite(ws.Stage(x, l.dim).Data) {
+		ws.Release()
+		return InferResult{}, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
+	}
+	out, err := snap.InferInto(ws)
 	if err != nil {
 		ws.Release()
 		return InferResult{}, fmt.Errorf("core: %w", err)

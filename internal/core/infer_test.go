@@ -171,7 +171,8 @@ func TestInferDuringCloseAndShutdown(t *testing.T) {
 				}
 				if before == l.ModelSnapshot() && len(answers[r]) < 64 {
 					ws := nn.GetWorkspace()
-					fused, err := before.InferInto(ws, x)
+					ws.Stage(x, before.Dim)
+					fused, err := before.InferInto(ws)
 					if err != nil {
 						t.Errorf("reader %d: %v", r, err)
 						return
@@ -221,7 +222,8 @@ func TestInferDuringCloseAndShutdown(t *testing.T) {
 				t.Fatalf("reader %d, read %d: answered from snapshot %d, pinned %d", r, i, a.res.SnapshotSeq, a.snap.Seq)
 			}
 			ws.Reset()
-			want, err := a.snap.InferInto(&ws, a.x)
+			ws.Stage(a.x, a.snap.Dim)
+			want, err := a.snap.InferInto(&ws)
 			if err != nil {
 				t.Fatal(err)
 			}

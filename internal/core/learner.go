@@ -90,8 +90,10 @@ type Learner struct {
 	// vecScratch is the reusable vector-header view of the current batch,
 	// handed to the shift detector. Safe to reuse because Process is
 	// single-goroutine per learner and the detector copies the headers it
-	// retains (warm-up accumulation) rather than the slice itself.
+	// retains (warm-up accumulation) rather than the slice itself. mean is
+	// the batch mean handed with it, which the detector does not keep.
 	vecScratch []linalg.Vector
+	mean       linalg.Vector
 
 	// health holds the fault-tolerance counters behind their own mutex:
 	// Process records while a stats handler may read them.
@@ -165,6 +167,7 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 		exp:     exp,
 		kdg:     kdg,
 		guard:   guard.New(cfg.Guard, dim),
+		mean:    linalg.NewVector(dim),
 	}
 	var longWd *strategy.Watchdog
 	if !cfg.Watchdog.Disabled {
@@ -246,11 +249,19 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 	}
 	bo := l.obs.begin(l)
 	bo.trace(b.TraceID)
-	// Input guardrails: scan for NaN/Inf features before the detector or
-	// any model sees the batch. A rejected batch leaves every piece of
-	// learner state untouched.
+	// One read of the batch: its rows are staged once, in ws — or already
+	// were, by the Infer that parked ws after finding every value finite —
+	// and the guard checks that slab, the detector averages it and the
+	// members forward it (DESIGN.md, "One read of the batch per batch").
+	tPred := bo.StageStart()
+	ws, hit := l.batchWorkspace(b.X)
+	defer ws.Release()
+	// Input guardrails: no NaN or Inf feature reaches the detector or any
+	// model. A hit holds exactly the rows the Infer checked, so nothing is
+	// scanned again; a rejected batch leaves every piece of learner state
+	// untouched.
 	tGuard := bo.StageStart()
-	cleanX, rep, err := l.guard.Sanitize(b.X)
+	cleanX, rep, err := l.guard.SanitizeStaged(b.X, ws.Staged().Data, hit)
 	if err != nil {
 		l.health.mu.Lock()
 		l.health.rejectedBatches++
@@ -258,17 +269,20 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 		bo.finishRejected(l)
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
-	bo.StageDone(strategy.StageGuard, tGuard)
 	if rep.Total() > 0 {
 		b.X = cleanX
+		ws.Reset()
+		ws.Stage(b.X, l.dim)
 		l.health.mu.Lock()
 		l.health.sanitizedValues += rep.Total()
 		l.health.sanitizedBatches++
 		l.health.mu.Unlock()
 		bo.sanitized(rep.Total())
 	}
+	bo.StageDone(strategy.StageGuard, tGuard)
 	tDet := bo.StageStart()
-	obs, err := l.det.Observe(l.toVectorsReuse(b.X))
+	ws.Staged().MeanRowsInto(l.mean)
+	obs, err := l.det.ObserveMean(l.toVectorsReuse(b.X), l.mean)
 	if err != nil {
 		return Result{}, err
 	}
@@ -282,10 +296,10 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 	// One forward per member per batch: the members of the last publication
 	// forward the batch once, in ws — or already did, in the Infer that
 	// parked ws — and both the prediction and the short model's update read
-	// that pass.
-	tPred := bo.StageStart()
-	ws, hit := l.batchWorkspace(b.X)
-	defer ws.Release()
+	// that pass. The hand-off compare and a miss's staging above are
+	// prediction work too: their interval, taken before the guard, is added
+	// to this stage's.
+	tPred = bo.StageStart().Add(-tGuard.Sub(tPred))
 	l.ens.BeginBatch(ws)
 	defer l.ens.EndBatch()
 	bo.handoff(hit)

@@ -165,6 +165,38 @@ func (g *Guard) Sanitize(x [][]float64) ([][]float64, Report, error) {
 	return out, rep, nil
 }
 
+// Finite reports whether every value of xs is finite: no NaN, no ±Inf. One
+// test per value, as Sanitize's: a non-finite float is the only value for
+// which v-v != 0.
+func Finite(xs []float64) bool {
+	for _, v := range xs {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// SanitizeStaged is Sanitize for a batch the caller has also staged as one
+// slab, its rows back to back. finite reports that the slab is already known
+// to hold only finite values; otherwise one Finite scan of the slab decides.
+// A finite batch is not scanned again: it leaves what Sanitize would leave —
+// the batch itself, an all-zero report — and under Impute its values still
+// join the running feature means. Only a batch holding a non-finite value goes
+// through Sanitize, for its report, its repair or its rejection.
+func (g *Guard) SanitizeStaged(x [][]float64, slab []float64, finite bool) ([][]float64, Report, error) {
+	if g.policy == Off {
+		return x, Report{}, nil
+	}
+	if !finite && !Finite(slab) {
+		return g.Sanitize(x)
+	}
+	if g.policy == Impute {
+		g.updateMeans(x)
+	}
+	return x, Report{}, nil
+}
+
 // repair returns the substitute for one non-finite value of feature j.
 func (g *Guard) repair(v float64, j int) float64 {
 	switch g.policy {

@@ -2,6 +2,7 @@ package guard
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -145,5 +146,71 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Error("bogus policy accepted")
+	}
+}
+
+// TestFinite: every non-finite bit pattern fails the scan wherever it sits,
+// and every finite one passes, signed zeros and subnormals included.
+func TestFinite(t *testing.T) {
+	finite := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, 1}
+	if !Finite(finite) || !Finite(nil) {
+		t.Fatalf("Finite(%v) = false", finite)
+	}
+	for _, bad := range []float64{math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Inf(1), math.Inf(-1)} {
+		for at := range finite {
+			xs := append([]float64(nil), finite...)
+			xs[at] = bad
+			if Finite(xs) {
+				t.Errorf("Finite passes %v at %d", bad, at)
+			}
+		}
+	}
+}
+
+// TestSanitizeStagedIsSanitize: under every policy, SanitizeStaged over a
+// batch and its slab returns what Sanitize returns — the same rows, report and
+// error — and leaves the same running means, whether the batch is clean,
+// clean and already known finite, or dirty. A clean batch comes back as the
+// caller's own rows.
+func TestSanitizeStagedIsSanitize(t *testing.T) {
+	clean := [][]float64{{1, 10, -3}, {3, 10, 0.5}}
+	slab := func(x [][]float64) []float64 {
+		var s []float64
+		for _, row := range x {
+			s = append(s, row...)
+		}
+		return s
+	}
+	for _, p := range []Policy{Off, Reject, Clamp, Impute} {
+		for _, c := range []struct {
+			name   string
+			x      [][]float64
+			finite bool
+		}{{"clean", clean, false}, {"known finite", clean, true}, {"dirty", dirtyBatch(), false}} {
+			ref, g := New(p, 3), New(p, 3)
+			for i := 0; i < 2; i++ { // a second batch imputes from the first's means
+				want, wantRep, wantErr := ref.Sanitize(c.x)
+				got, rep, err := g.SanitizeStaged(c.x, slab(c.x), c.finite)
+				if rep != wantRep || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%v %s: report %+v, error %v; Sanitize %+v, %v", p, c.name, rep, err, wantRep, wantErr)
+				}
+				for r := range want {
+					for j := range want[r] {
+						if math.Float64bits(got[r][j]) != math.Float64bits(want[r][j]) {
+							t.Fatalf("%v %s: row %d feature %d is %v, Sanitize's %v", p, c.name, r, j, got[r][j], want[r][j])
+						}
+					}
+				}
+				if rep.Total() == 0 && &got[0][0] != &c.x[0][0] {
+					t.Errorf("%v %s: a clean batch was copied", p, c.name)
+				}
+				wm, gm := ref.FeatureMeans(), g.FeatureMeans()
+				for j := range wm {
+					if math.Float64bits(gm[j]) != math.Float64bits(wm[j]) {
+						t.Fatalf("%v %s: running mean %d is %v, Sanitize's %v", p, c.name, j, gm[j], wm[j])
+					}
+				}
+			}
+		}
 	}
 }

@@ -375,6 +375,46 @@ func TestRowOpsMatchPerRowForm(t *testing.T) {
 	}
 }
 
+// TestMeanRowsIntoMatchesMean pins the slab mean the learner hands its shift
+// detector to Mean over the same rows, bit for bit, on both paths: signed
+// zeros (a column of −0 alone, and −0 after +0), subnormals, the smallest
+// normal, and magnitudes 1e-300 to 1e300 in one column, whose sum rounds on
+// every row, over 1–9 rows of 1–45 columns.
+func TestMeanRowsIntoMatchesMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	negZero := math.Copysign(0, -1)
+	values := []float64{0, negZero, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+		1e-300, -1e-300, 1e300, -1e300, 1, 1 + 0x1p-52, 3, 1e16, -1e16, 0.1}
+	for rows := 1; rows <= 9; rows++ {
+		for n := 1; n <= 45; n += 4 {
+			x := make([]float64, rows*n)
+			for i := range x {
+				x[i] = values[rng.Intn(len(values))] * (1 + 0x1p-52*float64(rng.Intn(4)))
+			}
+			for i := 0; i < rows; i++ {
+				x[i*n] = negZero // a column of −0 must stay −0
+			}
+			if rows > 1 {
+				x[(n-1)%n] = 0 // then +0 first: +0 + −0 is +0
+				x[n+(n-1)%n] = negZero
+			}
+			vecs := make([]Vector, rows)
+			for i := range vecs {
+				vecs[i] = x[i*n : (i+1)*n]
+			}
+			eachPath(func(path string) {
+				want, err := Mean(vecs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := offset(normals(rng, n), 1) // stale contents: MeanRowsInto overwrites them
+				TensorView(offset(x, 3), rows, n).MeanRowsInto(got)
+				sameBits(t, fmt.Sprintf("MeanRowsInto rows=%d n=%d path=%s", rows, n, path), got, want)
+			})
+		}
+	}
+}
+
 // TestSumRowsKernelMatchesGoLoop: SumRowsInto's register body against its Go
 // loop over 1–70 columns (every mix of the 32-, 16-, 8- and 4-column blocks,
 // and every tail) and 1, 2, 7 and 64 rows at odd offsets: each special value

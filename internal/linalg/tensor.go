@@ -132,6 +132,17 @@ func (t *Tensor) SumRowsInto(dst []float64) {
 	sumRows(dst, t.Data, t.Rows, t.Cols, t.Cols)
 }
 
+// MeanRowsInto sets dst to the mean of t's rows: the rows summed from zero,
+// first row first (SumRowsInto), then scaled once by 1/Rows. That is Mean's
+// arithmetic, so the bits are Mean's over the same rows. It panics unless
+// len(dst) == t.Cols; with no rows dst is all NaN, as 0/0.
+func (t *Tensor) MeanRowsInto(dst []float64) {
+	t.mustBeRow(dst, "MeanRowsInto")
+	clear(dst)
+	sumRows(dst, t.Data, t.Rows, t.Cols, t.Cols)
+	Vector(dst).ScaleInPlace(1 / float64(t.Rows))
+}
+
 func (t *Tensor) mustBeRow(v []float64, op string) {
 	if len(v) != t.Cols {
 		panic(fmt.Sprintf("linalg: %s vector length %d, tensor has %d columns", op, len(v), t.Cols))

@@ -104,12 +104,20 @@ func mustSameLen(v, w Vector) {
 
 // Mean returns the element-wise mean of the rows. It returns an error if
 // rows is empty or rows have inconsistent lengths.
-func Mean(rows []Vector) (Vector, error) {
+func Mean(rows []Vector) (Vector, error) { return MeanInto(nil, rows) }
+
+// MeanInto is Mean in dst's storage when it is long enough: the mean it
+// returns is then a prefix of dst, else a fresh vector.
+func MeanInto(dst Vector, rows []Vector) (Vector, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("linalg: Mean of empty set")
 	}
 	d := len(rows[0])
-	mean := NewVector(d)
+	if cap(dst) < d {
+		dst = NewVector(d)
+	}
+	mean := dst[:d]
+	clear(mean)
 	for _, r := range rows {
 		if len(r) != d {
 			return nil, ErrDimensionMismatch

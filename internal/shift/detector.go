@@ -140,6 +140,11 @@ type Detector struct {
 
 	centroids []centroid // ring buffer of past ȳ, oldest first
 	batch     int
+
+	// Per-batch scratch: Observe's batch mean and the history of recent
+	// distances, newest first, that the severity statistics read.
+	mean linalg.Vector
+	hist []float64
 }
 
 type centroid struct {
@@ -167,14 +172,32 @@ func (d *Detector) Ready() bool { return d.model != nil }
 func (d *Detector) PCA() *pca.Model { return d.model }
 
 // Observe ingests the raw points of the next batch and returns the shift
-// observation for it. During warm-up it accumulates points and returns a
-// PatternWarmup observation.
+// observation for it: ObserveMean with the points' linalg.Mean, taken in the
+// detector's scratch.
 func (d *Detector) Observe(points []linalg.Vector) (Observation, error) {
+	// Empty or ragged points leave no mean (nil), which ObserveMean refuses.
+	mean, _ := linalg.MeanInto(d.mean, points)
+	if mean != nil {
+		d.mean = mean
+	}
+	return d.ObserveMean(points, mean)
+}
+
+// ObserveMean ingests the next batch — its raw points and their column mean,
+// which the caller has taken with linalg.Mean's bits (the learner sums its
+// staged slab: linalg.Tensor.MeanRowsInto) — and returns the shift
+// observation for it. During warm-up it accumulates the points, which the PCA
+// fit reads, and returns a PatternWarmup observation; once the projection
+// exists only the mean is read. The detector keeps neither argument.
+func (d *Detector) ObserveMean(points []linalg.Vector, mean linalg.Vector) (Observation, error) {
 	obs := Observation{Batch: d.batch, Pattern: PatternWarmup, NearestHistory: math.Inf(1), NearestHistoryIndex: -1}
 	defer func() { d.batch++ }()
 
 	if len(points) == 0 {
 		return obs, errors.New("shift: empty batch")
+	}
+	if len(mean) != len(points[0]) {
+		return obs, fmt.Errorf("shift: batch mean has %d features, rows %d: %w", len(mean), len(points[0]), linalg.ErrDimensionMismatch)
 	}
 	if d.model == nil {
 		d.warmup = append(d.warmup, points...)
@@ -194,10 +217,6 @@ func (d *Detector) Observe(points []linalg.Vector) (Observation, error) {
 		// The warm-up block itself becomes the first reference centroid.
 	}
 
-	mean, err := linalg.Mean(points)
-	if err != nil {
-		return obs, err
-	}
 	y, err := d.model.ProjectMean(mean)
 	if err != nil {
 		return obs, err
@@ -215,7 +234,8 @@ func (d *Detector) Observe(points []linalg.Vector) (Observation, error) {
 	dt := y.Distance(d.prev) // Eq. 7
 	obs.Distance = dt
 
-	hist := d.distances.NewestFirst()
+	d.hist = d.distances.AppendNewestFirst(d.hist[:0])
+	hist := d.hist
 	material := true
 	if len(hist) >= d.cfg.MinSeverityHistory {
 		mu, err := stats.WeightedMean(hist, d.weights[:len(hist)])

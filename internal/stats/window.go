@@ -38,11 +38,16 @@ func (w *SlidingWindow) Cap() int { return len(w.buf) }
 // NewestFirst returns the observations ordered newest to oldest, matching
 // the indexing of Eq. 8 (d_{t-1}, d_{t-2}, …).
 func (w *SlidingWindow) NewestFirst() []float64 {
-	out := make([]float64, w.count)
+	return w.AppendNewestFirst(make([]float64, 0, w.count))
+}
+
+// AppendNewestFirst appends the observations, newest to oldest, to dst and
+// returns the extended slice: NewestFirst into storage the caller reuses.
+func (w *SlidingWindow) AppendNewestFirst(dst []float64) []float64 {
 	for i := 0; i < w.count; i++ {
-		out[i] = w.buf[(w.head+w.count-1-i)%len(w.buf)]
+		dst = append(dst, w.buf[(w.head+w.count-1-i)%len(w.buf)])
 	}
-	return out
+	return dst
 }
 
 // OldestFirst returns the observations in arrival order.

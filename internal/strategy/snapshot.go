@@ -80,38 +80,58 @@ type InferOutput struct {
 // Age returns how long ago the snapshot was published.
 func (s *Snapshot) Age() time.Duration { return time.Since(s.PublishedAt) }
 
-// InferBatch answers one batch of rows with labels: InferInto over a
-// workspace from the process-wide pool, released before it returns.
+// InferBatch answers one batch of rows with labels: the rows staged in a
+// workspace from the process-wide pool, InferInto over it, and the workspace
+// released before it returns.
 func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
-	ws := nn.GetWorkspace()
-	defer ws.Release()
-	out, err := s.InferInto(ws, x)
-	out.Proba = nil // ws's, which the next reader overwrites
-	return out, err
-}
-
-// InferInto runs pure inference over one batch of rows: one forward pass
-// per member, then the Gaussian-kernel fusion of Eq. 12-14 — each member
-// weighted by K(Dᵢ,σ)/ΣK, Dᵢ the distance from the batch's projected mean to
-// the member's training centroid. Until the projection exists the paper
-// trains and serves the short model alone. Every byte of forward scratch, the
-// fused distributions included, is taken from ws, whose only user the caller
-// must be: Proba stays valid until ws is reset or released. ws keeps the rows
-// staged (nn.Workspace.Staged) and each member's forward over them, which the
-// training plane may train from (see Ensemble.BeginBatch).
-func (s *Snapshot) InferInto(ws *nn.Workspace, x [][]float64) (InferOutput, error) {
-	if s == nil {
-		return InferOutput{}, errors.New("strategy: nil snapshot")
-	}
-	if len(s.Members) == 0 {
-		return InferOutput{}, errors.New("strategy: snapshot has no members")
+	if err := s.usable(); err != nil {
+		return InferOutput{}, err
 	}
 	for _, row := range x {
 		if len(row) != s.Dim {
 			return InferOutput{}, fmt.Errorf("strategy: row has %d features, want %d", len(row), s.Dim)
 		}
 	}
-	xs := ws.Stage(x, s.Dim)
+	ws := nn.GetWorkspace()
+	defer ws.Release()
+	ws.Stage(x, s.Dim)
+	out, err := s.InferInto(ws)
+	out.Proba = nil // ws's, which the next reader overwrites
+	return out, err
+}
+
+// usable reports why s cannot answer, if it cannot.
+func (s *Snapshot) usable() error {
+	if s == nil {
+		return errors.New("strategy: nil snapshot")
+	}
+	if len(s.Members) == 0 {
+		return errors.New("strategy: snapshot has no members")
+	}
+	return nil
+}
+
+// InferInto runs pure inference over the batch staged in ws
+// (nn.Workspace.Stage, Dim wide): one forward pass per member, then the
+// Gaussian-kernel fusion of Eq. 12-14 — each member weighted by K(Dᵢ,σ)/ΣK,
+// Dᵢ the distance from the batch's projected mean to the member's training
+// centroid. Until the projection exists the paper trains and serves the
+// short model alone. Every byte of forward scratch, the fused distributions
+// included, is taken from ws, whose only user the caller must be: Proba stays
+// valid until ws is reset or released. ws keeps the rows staged and each
+// member's forward over them, which the training plane may train from (see
+// Ensemble.BeginBatch).
+func (s *Snapshot) InferInto(ws *nn.Workspace) (InferOutput, error) {
+	if err := s.usable(); err != nil {
+		return InferOutput{}, err
+	}
+	xs := ws.Staged()
+	if xs == nil {
+		return InferOutput{}, errors.New("strategy: no batch staged")
+	}
+	if xs.Cols != s.Dim {
+		return InferOutput{}, fmt.Errorf("strategy: staged rows have %d features, want %d", xs.Cols, s.Dim)
+	}
 
 	if s.Proj == nil {
 		p := prediction(s.Members[0].Model.ProbaInto(ws, xs))
@@ -159,15 +179,12 @@ func (s *Snapshot) InferInto(ws *nn.Workspace, x [][]float64) (InferOutput, erro
 }
 
 // meanOfRows returns the column mean of the staged batch (nil for an empty
-// batch) in a vector taken from ws: the rows summed from zero in order, then
-// scaled once — linalg.Mean's sum.
+// batch) in a vector taken from ws: linalg.Mean's bits (MeanRowsInto).
 func meanOfRows(ws *nn.Workspace, x *linalg.Tensor) linalg.Vector {
 	if x.Rows == 0 {
 		return nil
 	}
 	mean := linalg.Vector(ws.Tensor(1, x.Cols).Data)
-	clear(mean)
-	x.SumRowsInto(mean)
-	mean.ScaleInPlace(1 / float64(x.Rows))
+	x.MeanRowsInto(mean)
 	return mean
 }

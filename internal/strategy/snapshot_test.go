@@ -71,6 +71,13 @@ func offset(v linalg.Vector, d0, d1 float64) linalg.Vector {
 
 func closeTo(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
 
+// stage returns a fresh workspace with x staged, dim wide, for InferInto.
+func stage(x [][]float64, dim int) *nn.Workspace {
+	ws := new(nn.Workspace)
+	ws.Stage(x, dim)
+	return ws
+}
+
 // TestInferBatchFusesPerEq12To14: member i's weight is K(Dᵢ,σ)/ΣK with
 // K(D,σ) = exp(−D²/(2σ²)) (Eq. 14) and Dᵢ the distance from ȳ to the
 // member's training centroid (Eq. 12/13), rescaled by the members' mean
@@ -89,7 +96,7 @@ func TestInferBatchFusesPerEq12To14(t *testing.T) {
 	}
 	s.Knowledge = store
 
-	out, err := s.InferInto(new(nn.Workspace), x)
+	out, err := s.InferInto(stage(x, s.Dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +142,7 @@ func TestInferBatchFusesPerEq12To14(t *testing.T) {
 func TestInferBatchWarmup(t *testing.T) {
 	s, short, long, x, _ := snapshotFixture(t)
 	s.Proj = nil
-	out, err := s.InferInto(new(nn.Workspace), x)
+	out, err := s.InferInto(stage(x, s.Dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +171,7 @@ func TestInferBatchUniformFallback(t *testing.T) {
 	s.Members[0].Centroid = offset(ybar, 1, 0)
 	s.Members[1].Centroid = offset(ybar, 0, 1)
 	s.Sigma = 1e-3 // normalized D = (1, 1): K = exp(−5·10⁵) = 0
-	out, err := s.InferInto(new(nn.Workspace), x)
+	out, err := s.InferInto(stage(x, s.Dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +278,8 @@ func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 				x := b.X[:1+rng.Intn(len(b.X))] // batch sizes differ: the pooled workspaces get reshaped
 				snap := current.Load()
 				ws := nn.GetWorkspace()
-				out, err := snap.InferInto(ws, x)
+				ws.Stage(x, snap.Dim)
+				out, err := snap.InferInto(ws)
 				if err != nil {
 					t.Error(err)
 					return
@@ -293,7 +301,8 @@ func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 		for i, a := range answers[r] {
 			seen[a.snap.Seq] = true
 			ws.Reset()
-			want, err := a.snap.InferInto(&ws, a.x)
+			ws.Stage(a.x, a.snap.Dim)
+			want, err := a.snap.InferInto(&ws)
 			if err != nil {
 				t.Fatal(err)
 			}

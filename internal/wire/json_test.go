@@ -150,13 +150,11 @@ func sameBatch(t *testing.T, f *Frame, ref jsonBatch, body []byte) {
 }
 
 // FuzzDecodeJSON runs the differential contract on arbitrary bytes through
-// one reused frame, so state left by a declined body cannot leak either.
+// one reused frame, so state left by a declined body cannot leak either. Its
+// seeds are FuzzDecodeInto's (decoderSeeds), binary frames included.
 func FuzzDecodeJSON(f *testing.F) {
-	for _, body := range jsonAccepted {
-		f.Add([]byte(body))
-	}
-	for _, body := range jsonDeclined {
-		f.Add([]byte(body))
+	for _, seed := range decoderSeeds(f) {
+		f.Add(seed)
 	}
 	var frame Frame
 	f.Fuzz(func(t *testing.T, body []byte) { checkDecodeJSON(t, &frame, body) })
