@@ -46,12 +46,14 @@ fmt:
 # Process fed an Infer's forwards to one that runs its own
 # (TestForwardHandoffTwins) — also under each guard policy, where the Process
 # takes the Infer's checked slab as its guard's scan and its detector's mean
-# (TestGuardedHandoffTwins). The window close, split across two
-# Train calls, is held bit for bit to the inline row close, chunk losses and
-# weights, by the strategy package's Close tests.
+# (TestGuardedHandoffTwins) — and the twin learners that hold a caller reusing
+# one row and label buffer for every batch to one handing fresh rows
+# (TestReusedBufferTwins: what the learner keeps, it copies). The window close,
+# split across two Train calls, is held bit for bit to the inline row close,
+# chunk losses and weights, by the strategy package's Close tests.
 golden:
-	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins' ./internal/core
-	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins' ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|ReusedBufferTwins' ./internal/core
+	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|ReusedBufferTwins' ./internal/core
 	$(GO) test -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -tags purego -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -cpu 1,2,4 -run Example .

@@ -56,7 +56,7 @@ func main() {
 		classes   = flag.Int("classes", 2, "number of labels")
 		family    = flag.String("model", "mlp", "model family: lr | mlp | cnn3 | cnn5")
 		seed      = flag.Int64("seed", 1, "random seed")
-		guardPol  = flag.String("guard", "reject", "non-finite input policy: off | reject | clamp | impute")
+		guardPol  = flag.String("guard", "reject", "non-finite input policy: reject | clamp | impute")
 		maxBody   = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "request body cap in bytes")
 		ckptPath  = flag.String("checkpoint", "", "default-stream checkpoint file path (enables crash-safe snapshots)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-stream checkpoints (one <id>.ckpt per stream, restored on reappearance)")

@@ -62,9 +62,9 @@ type Config struct {
 	Seed int64
 	// SpillDir, when set, receives knowledge snapshots spilled from memory.
 	SpillDir string
-	// GuardPolicy picks what happens to NaN/Inf feature values: "off",
-	// "reject" (refuse the batch, the default), "clamp" (replace with finite
-	// bounds), or "impute" (replace with running per-feature means).
+	// GuardPolicy picks what happens to NaN/Inf feature values: "reject"
+	// (refuse the batch, the default), "clamp" (replace with finite bounds),
+	// or "impute" (replace with running per-feature means).
 	GuardPolicy string
 	// DisableWatchdog turns off the divergence watchdog that rolls a model
 	// back to its last healthy snapshot when training diverges.
@@ -157,7 +157,8 @@ func New(cfg Config, dim, classes int) (*Learner, error) {
 
 // ProcessBatch runs the prequential step on one mini-batch: predict first,
 // then (when y is non-nil) incrementally train. x is row-major samples; y,
-// when given, must have one label per row.
+// when given, must have one label per row. The learner copies what it keeps,
+// so x and y may be reused once ProcessBatch returns.
 func (l *Learner) ProcessBatch(x [][]float64, y []int) (Result, error) {
 	return l.ProcessBatchContext(context.Background(), x, y)
 }

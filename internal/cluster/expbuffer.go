@@ -1,6 +1,11 @@
 package cluster
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+
+	"freewayml/internal/linalg"
+)
 
 // ExpBuffer is the coherent-experience buffer of paper Sec. V-A2: it holds
 // the most recent labeled points for CEC, bounded by a capacity (the
@@ -10,7 +15,11 @@ type ExpBuffer struct {
 	capacity int
 	maxAge   int // in batches; 0 disables expiration
 
-	x     [][]float64
+	// slab is the buffer's own copy of the points, capacity rows as wide as
+	// the first point, oldest first; rows views its rows, of which the points
+	// held are the first len(y).
+	slab  linalg.Tensor
+	rows  [][]float64
 	y     []int
 	birth []int // batch index at which each point was added
 	now   int
@@ -28,64 +37,81 @@ func NewExpBuffer(capacity, maxAge int) (*ExpBuffer, error) {
 	return &ExpBuffer{capacity: capacity, maxAge: maxAge}, nil
 }
 
-// AddBatch appends a labeled batch (advancing the buffer clock by one
-// batch), evicting expired then oldest points to stay within capacity.
+// AddBatch copies a labeled batch in (advancing the buffer clock by one
+// batch), evicting expired then oldest points to stay within capacity. The
+// caller may reuse x and y once it returns.
 func (b *ExpBuffer) AddBatch(x [][]float64, y []int) error {
 	if len(x) != len(y) {
 		return errors.New("cluster: ExpBuffer batch size mismatch")
 	}
-	b.now++
-	// Of a batch larger than the buffer only the newest capacity rows outlive
-	// the eviction below: the others are not appended in the first place.
+	// Of a batch larger than the buffer only the newest capacity rows would
+	// outlive the eviction: the others are not copied in the first place.
 	if over := len(x) - b.capacity; over > 0 {
 		x, y = x[over:], y[over:]
 	}
-	b.x = append(b.x, x...)
-	b.y = append(b.y, y...)
-	for range x {
+	if err := b.reserve(x); err != nil {
+		return err
+	}
+	b.now++
+	b.evict(len(x))
+	for i, row := range x {
+		copy(b.rows[len(b.y)+i], row)
 		b.birth = append(b.birth, b.now)
 	}
-	b.evict()
+	b.y = append(b.y, y...)
 	return nil
 }
 
-// evict drops expired points, then trims from the front to capacity. The
-// survivors are copied down in place — a warm buffer at capacity allocates
-// nothing — and the vacated row headers are cleared so evicted rows are not
-// pinned.
-func (b *ExpBuffer) evict() {
+// reserve checks that every row of x is as wide as the slab's, which takes
+// the width of x while the buffer holds no point.
+func (b *ExpBuffer) reserve(x [][]float64) error {
+	if len(x) > 0 && len(b.y) == 0 && (b.rows == nil || len(x[0]) != b.slab.Cols) {
+		b.rows = linalg.EnsureTensor(&b.slab, b.capacity, len(x[0])).RowViews(b.rows)
+	}
+	for _, row := range x {
+		if len(row) != b.slab.Cols {
+			return fmt.Errorf("cluster: ExpBuffer row width %d, want %d", len(row), b.slab.Cols)
+		}
+	}
+	return nil
+}
+
+// evict makes room for incoming new points: it drops the expired points, then
+// the oldest until the rest and the incoming fit the capacity, and moves the
+// survivors down the slab in place — a warm buffer allocates nothing.
+func (b *ExpBuffer) evict(incoming int) {
 	start := 0
 	if b.maxAge > 0 {
 		// A point is valid for maxAge batches after the batch it arrived in.
-		for start < len(b.x) && b.now-b.birth[start] >= b.maxAge {
+		for start < len(b.y) && b.now-b.birth[start] >= b.maxAge {
 			start++
 		}
 	}
-	if over := len(b.x) - start - b.capacity; over > 0 {
+	if over := len(b.y) - start + incoming - b.capacity; over > 0 {
 		start += over
 	}
 	if start > 0 {
-		n := copy(b.x, b.x[start:])
-		clear(b.x[n:])
-		b.x = b.x[:n]
+		copy(b.slab.Data, b.slab.Data[start*b.slab.Cols:len(b.y)*b.slab.Cols])
 		b.y = b.y[:copy(b.y, b.y[start:])]
 		b.birth = b.birth[:copy(b.birth, b.birth[start:])]
 	}
 }
 
 // Len returns the number of stored points.
-func (b *ExpBuffer) Len() int { return len(b.x) }
+func (b *ExpBuffer) Len() int { return len(b.y) }
 
 // Experience returns the stored labeled points, oldest first. The slices
 // are the buffer's own: callers must not mutate them, and they are valid only
 // until the next AddBatch or Tick, which moves the survivors down in place.
-func (b *ExpBuffer) Experience() ([][]float64, []int) { return b.x, b.y }
+func (b *ExpBuffer) Experience() ([][]float64, []int) {
+	return b.rows[:len(b.y):len(b.y)], b.y
+}
 
 // Tick advances the buffer clock without adding points (an unlabeled batch
 // passed by), so expiration reflects stream time rather than label arrivals.
 func (b *ExpBuffer) Tick() {
 	b.now++
-	b.evict()
+	b.evict(0)
 }
 
 // ExpBufferState is the serializable form of an ExpBuffer.
@@ -99,8 +125,8 @@ type ExpBufferState struct {
 // Export returns the buffer contents for checkpointing.
 func (b *ExpBuffer) Export() ExpBufferState {
 	s := ExpBufferState{Now: b.now}
-	s.X = make([][]float64, len(b.x))
-	for i, row := range b.x {
+	s.X = make([][]float64, len(b.y))
+	for i, row := range b.rows[:len(b.y)] {
 		s.X[i] = append([]float64(nil), row...)
 	}
 	s.Y = append([]int(nil), b.y...)
@@ -108,18 +134,22 @@ func (b *ExpBuffer) Export() ExpBufferState {
 	return s
 }
 
-// Import replaces the buffer contents with an exported state.
+// Import replaces the buffer contents with an exported state. A state whose
+// rows differ in width is refused and leaves the buffer empty.
 func (b *ExpBuffer) Import(s ExpBufferState) error {
 	if len(s.X) != len(s.Y) || len(s.X) != len(s.Birth) {
 		return errors.New("cluster: ExpBuffer import length mismatch")
 	}
-	b.x = make([][]float64, len(s.X))
-	for i, row := range s.X {
-		b.x[i] = append([]float64(nil), row...)
+	x, over := s.X, max(len(s.X)-b.capacity, 0)
+	b.y, b.birth = b.y[:0], b.birth[:0]
+	if err := b.reserve(x[over:]); err != nil {
+		return err
 	}
-	b.y = append([]int(nil), s.Y...)
-	b.birth = append([]int(nil), s.Birth...)
+	for i, row := range x[over:] {
+		copy(b.rows[i], row)
+	}
+	b.y, b.birth = append(b.y, s.Y[over:]...), append(b.birth, s.Birth[over:]...)
 	b.now = s.Now
-	b.evict()
+	b.evict(0)
 	return nil
 }

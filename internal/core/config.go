@@ -58,8 +58,7 @@ type Config struct {
 	// Guard selects the input-sanitization policy applied to every batch's
 	// features before they reach the detector or any model: guard.Reject
 	// (the default) refuses batches carrying NaN/Inf values, guard.Clamp
-	// and guard.Impute repair them, guard.Off restores the unchecked
-	// pre-guard behaviour.
+	// and guard.Impute repair them.
 	Guard guard.Policy
 	// Watchdog configures the divergence watchdog that rolls a model back
 	// to a last-healthy snapshot on NaN/Inf weights or a loss explosion.

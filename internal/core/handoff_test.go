@@ -358,12 +358,12 @@ func faulty(b stream.Batch) stream.Batch {
 // every batch both twins answered the same labels at the same accuracy from
 // the same observation (ȳ included), hold the same weights and the same
 // running feature means, and count the same health events, bit for bit. Under
-// every policy but Off, every ninth batch carries a NaN and two infinities:
+// every policy, every ninth batch carries a NaN and two infinities:
 // the Infer refuses it and parks nothing, and the Process that follows
 // rejects it under Reject and repairs it under Clamp and Impute, in both
 // twins alike.
 func TestGuardedHandoffTwins(t *testing.T) {
-	for _, policy := range []guard.Policy{guard.Off, guard.Reject, guard.Clamp, guard.Impute} {
+	for _, policy := range []guard.Policy{guard.Reject, guard.Clamp, guard.Impute} {
 		t.Run(policy.String(), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Guard = policy
@@ -375,7 +375,7 @@ func TestGuardedHandoffTwins(t *testing.T) {
 				a, b := handoffLearner(t, cfg, src), handoffLearner(t, cfg, src)
 				var clean, dirty int
 				for k, bt := range stream.Collect(src, 0) {
-					if policy == guard.Off || k%9 != 4 {
+					if k%9 != 4 {
 						clean++
 						infer(t, a, bt.X)
 						ra, rb := process(t, a, bt), process(t, b, bt)

@@ -87,13 +87,12 @@ type Learner struct {
 	// rows (handoff.go). Readers park, Process takes.
 	parked atomic.Pointer[handoff]
 
-	// vecScratch is the reusable vector-header view of the current batch,
-	// handed to the shift detector. Safe to reuse because Process is
-	// single-goroutine per learner and the detector copies the headers it
-	// retains (warm-up accumulation) rather than the slice itself. mean is
-	// the batch mean handed with it, which the detector does not keep.
-	vecScratch []linalg.Vector
-	mean       linalg.Vector
+	// rows are the row headers over the staged slab of the batch in flight,
+	// the batch every mechanism reads, and mean is its column mean, handed
+	// to the shift detector. Both are scratch reused by every Process call;
+	// what a mechanism keeps of the batch it copies.
+	rows [][]float64
+	mean linalg.Vector
 
 	// health holds the fault-tolerance counters behind their own mutex:
 	// Process records while a stats handler may read them.
@@ -251,17 +250,21 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 	bo.trace(b.TraceID)
 	// One read of the batch: its rows are staged once, in ws — or already
 	// were, by the Infer that parked ws after finding every value finite —
-	// and the guard checks that slab, the detector averages it and the
-	// members forward it (DESIGN.md, "One read of the batch per batch").
+	// and from the guard on everything reads that slab, the learner's own
+	// copy: the guard checks (and may repair) it, the detector averages it,
+	// the members forward it, and the mechanisms read it through rows and
+	// copy what they keep. The caller's rows are never written or kept
+	// (DESIGN.md, "One read of the batch per batch").
 	tPred := bo.StageStart()
 	ws, hit := l.batchWorkspace(b.X)
 	defer ws.Release()
+	x := ws.Staged()
 	// Input guardrails: no NaN or Inf feature reaches the detector or any
 	// model. A hit holds exactly the rows the Infer checked, so nothing is
 	// scanned again; a rejected batch leaves every piece of learner state
 	// untouched.
 	tGuard := bo.StageStart()
-	cleanX, rep, err := l.guard.SanitizeStaged(b.X, ws.Staged().Data, hit)
+	rep, err := l.guard.Sanitize(x, hit)
 	if err != nil {
 		l.health.mu.Lock()
 		l.health.rejectedBatches++
@@ -270,19 +273,18 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
 	if rep.Total() > 0 {
-		b.X = cleanX
-		ws.Reset()
-		ws.Stage(b.X, l.dim)
 		l.health.mu.Lock()
 		l.health.sanitizedValues += rep.Total()
 		l.health.sanitizedBatches++
 		l.health.mu.Unlock()
 		bo.sanitized(rep.Total())
 	}
+	l.rows = x.RowViews(l.rows)
+	b.X = l.rows
 	bo.StageDone(strategy.StageGuard, tGuard)
 	tDet := bo.StageStart()
-	ws.Staged().MeanRowsInto(l.mean)
-	obs, err := l.det.ObserveMean(l.toVectorsReuse(b.X), l.mean)
+	x.MeanRowsInto(l.mean)
+	obs, err := l.det.ObserveMean(x, l.mean)
 	if err != nil {
 		return Result{}, err
 	}
@@ -379,20 +381,6 @@ func meanOf(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// toVectorsReuse views the batch rows as vectors through the learner-owned
-// scratch slice, valid until the next Process call. The headers alias the
-// batch rows (no copy).
-func (l *Learner) toVectorsReuse(x [][]float64) []linalg.Vector {
-	if cap(l.vecScratch) < len(x) {
-		l.vecScratch = make([]linalg.Vector, len(x))
-	}
-	out := l.vecScratch[:len(x)]
-	for i, row := range x {
-		out[i] = linalg.Vector(row)
-	}
-	return out
 }
 
 // DebugModels exposes the short and long granularity models for diagnostic

@@ -2,9 +2,10 @@ package guard
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
+
+	"freewayml/internal/linalg"
 )
 
 func dirtyBatch() [][]float64 {
@@ -15,44 +16,45 @@ func dirtyBatch() [][]float64 {
 	}
 }
 
-func TestOffPassesThrough(t *testing.T) {
-	g := New(Off, 3)
-	in := dirtyBatch()
-	out, rep, err := g.Sanitize(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Total() != 0 {
-		t.Errorf("off policy counted faults: %+v", rep)
-	}
-	if &out[1][0] != &in[1][0] {
-		t.Error("off policy copied data")
-	}
+// staged returns the rows as one slab, as the learner stages a batch.
+func staged(x [][]float64) *linalg.Tensor {
+	t := new(linalg.Tensor)
+	t.FromRows(x, len(x[0]))
+	return t
 }
 
 func TestRejectCountsAndRefuses(t *testing.T) {
 	g := New(Reject, 3)
-	_, rep, err := g.Sanitize(dirtyBatch())
+	x := staged(dirtyBatch())
+	rep, err := g.Sanitize(x, false)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
 	if rep.NaNs != 1 || rep.Infs != 2 || rep.Rows != 2 {
 		t.Errorf("report = %+v", rep)
 	}
-	// Clean batches pass and feed the running means.
-	out, rep, err := g.Sanitize([][]float64{{1, 2, 3}})
+	if !math.IsNaN(x.At(1, 0)) || !math.IsInf(x.At(1, 2), 1) || !math.IsInf(x.At(2, 1), -1) {
+		t.Error("a rejected batch was repaired")
+	}
+	// Clean batches pass untouched.
+	clean := staged([][]float64{{1, 2, 3}})
+	rep, err = g.Sanitize(clean, false)
 	if err != nil || rep.Total() != 0 {
 		t.Fatalf("clean batch: %v %+v", err, rep)
 	}
-	if len(out) != 1 {
+	if clean.Rows != 1 || clean.At(0, 0) != 1 || clean.At(0, 2) != 3 {
 		t.Fatal("clean batch mangled")
 	}
 }
 
+// TestClampRepairsWithoutMutatingInput: Clamp repairs the staged slab in
+// place and leaves the caller's rows, which were only copied into it, as they
+// arrived.
 func TestClampRepairsWithoutMutatingInput(t *testing.T) {
 	g := New(Clamp, 3)
 	in := dirtyBatch()
-	out, rep, err := g.Sanitize(in)
+	x := staged(in)
+	rep, err := g.Sanitize(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +64,19 @@ func TestClampRepairsWithoutMutatingInput(t *testing.T) {
 	if !math.IsNaN(in[1][0]) || !math.IsInf(in[1][2], 1) {
 		t.Error("caller's batch was mutated")
 	}
-	if out[1][0] != 0 {
-		t.Errorf("NaN clamped to %v, want 0", out[1][0])
+	if x.At(1, 0) != 0 {
+		t.Errorf("NaN clamped to %v, want 0", x.At(1, 0))
 	}
-	if out[1][2] != DefaultClampLimit || out[2][1] != -DefaultClampLimit {
-		t.Errorf("Inf clamped to %v / %v", out[1][2], out[2][1])
+	if x.At(1, 2) != DefaultClampLimit || x.At(2, 1) != -DefaultClampLimit {
+		t.Errorf("Inf clamped to %v / %v", x.At(1, 2), x.At(2, 1))
 	}
-	// Untouched rows are shared, repaired rows are private.
-	if &out[0][0] != &in[0][0] {
-		t.Error("clean row was copied")
+	if !Finite(x.Data) {
+		t.Fatal("non-finite value survived clamp")
 	}
-	for _, row := range out {
-		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatal("non-finite value survived clamp")
+	for i, row := range in {
+		for j, v := range row {
+			if v-v == 0 && x.At(i, j) != v {
+				t.Errorf("finite value (%d, %d) became %v", i, j, x.At(i, j))
 			}
 		}
 	}
@@ -85,19 +86,20 @@ func TestImputeUsesRunningMeans(t *testing.T) {
 	g := New(Impute, 2)
 	// Seed the means with two clean batches: feature 0 mean 2, feature 1 mean 10.
 	for i := 0; i < 2; i++ {
-		if _, _, err := g.Sanitize([][]float64{{1, 10}, {3, 10}}); err != nil {
+		if _, err := g.Sanitize(staged([][]float64{{1, 10}, {3, 10}}), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out, rep, err := g.Sanitize([][]float64{{math.NaN(), math.Inf(1)}})
+	x := staged([][]float64{{math.NaN(), math.Inf(1)}})
+	rep, err := g.Sanitize(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Total() != 2 {
 		t.Errorf("report = %+v", rep)
 	}
-	if out[0][0] != 2 || out[0][1] != 10 {
-		t.Errorf("imputed %v, want [2 10]", out[0])
+	if x.At(0, 0) != 2 || x.At(0, 1) != 10 {
+		t.Errorf("imputed %v, want [2 10]", x.Data)
 	}
 	// Imputed values must not drift the running means.
 	means := g.FeatureMeans()
@@ -106,14 +108,34 @@ func TestImputeUsesRunningMeans(t *testing.T) {
 	}
 }
 
-func TestImputeBeforeAnyFiniteValueFallsBackToZero(t *testing.T) {
-	g := New(Impute, 1)
-	out, _, err := g.Sanitize([][]float64{{math.NaN()}})
-	if err != nil {
+// TestImputeDrawsOnPriorMeans: a repair takes the means as they stood before
+// the batch, while the batch's own finite values — the ones that arrived
+// finite, not the repaired ones — move them afterwards.
+func TestImputeDrawsOnPriorMeans(t *testing.T) {
+	g := New(Impute, 2)
+	if _, err := g.Sanitize(staged([][]float64{{4, 1}}), false); err != nil {
 		t.Fatal(err)
 	}
-	if out[0][0] != 0 {
-		t.Errorf("cold impute = %v, want 0", out[0][0])
+	x := staged([][]float64{{8, math.NaN()}, {math.NaN(), 3}})
+	if _, err := g.Sanitize(x, false); err != nil {
+		t.Fatal(err)
+	}
+	if x.At(1, 0) != 4 || x.At(0, 1) != 1 {
+		t.Errorf("repaired %v, want the prior means 4 and 1", x.Data)
+	}
+	if means := g.FeatureMeans(); means[0] != 6 || means[1] != 2 {
+		t.Errorf("means %v, want [6 2]", means)
+	}
+}
+
+func TestImputeBeforeAnyFiniteValueFallsBackToZero(t *testing.T) {
+	g := New(Impute, 1)
+	x := staged([][]float64{{math.NaN()}})
+	if _, err := g.Sanitize(x, false); err != nil {
+		t.Fatal(err)
+	}
+	if x.At(0, 0) != 0 {
+		t.Errorf("cold impute = %v, want 0", x.At(0, 0))
 	}
 }
 
@@ -125,7 +147,7 @@ func TestMeansOnlyUnderImpute(t *testing.T) {
 	for _, p := range []Policy{Reject, Clamp, Impute} {
 		g := New(p, 2)
 		for i := 0; i < 3; i++ {
-			if _, _, err := g.Sanitize(clean); err != nil {
+			if _, err := g.Sanitize(staged(clean), false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -137,15 +159,17 @@ func TestMeansOnlyUnderImpute(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	cases := map[string]Policy{"": Reject, "reject": Reject, "clamp": Clamp, "impute": Impute, "off": Off}
+	cases := map[string]Policy{"": Reject, "reject": Reject, "clamp": Clamp, "impute": Impute}
 	for s, want := range cases {
 		got, err := ParsePolicy(s)
 		if err != nil || got != want {
 			t.Errorf("ParsePolicy(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("bogus policy accepted")
+	for _, bad := range []string{"bogus", "off"} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Errorf("policy %q accepted", bad)
+		}
 	}
 }
 
@@ -167,50 +191,35 @@ func TestFinite(t *testing.T) {
 	}
 }
 
-// TestSanitizeStagedIsSanitize: under every policy, SanitizeStaged over a
-// batch and its slab returns what Sanitize returns — the same rows, report and
-// error — and leaves the same running means, whether the batch is clean,
-// clean and already known finite, or dirty. A clean batch comes back as the
-// caller's own rows.
-func TestSanitizeStagedIsSanitize(t *testing.T) {
+// TestKnownFiniteIsNotScanned: a slab known finite — one the learner's Infer
+// already scanned — leaves what a scan of it leaves under every policy: the
+// slab as it was, an all-zero report and, under Impute, the same running
+// means. Told it is finite, Sanitize does not look: a non-finite value passes.
+func TestKnownFiniteIsNotScanned(t *testing.T) {
 	clean := [][]float64{{1, 10, -3}, {3, 10, 0.5}}
-	slab := func(x [][]float64) []float64 {
-		var s []float64
-		for _, row := range x {
-			s = append(s, row...)
-		}
-		return s
-	}
-	for _, p := range []Policy{Off, Reject, Clamp, Impute} {
-		for _, c := range []struct {
-			name   string
-			x      [][]float64
-			finite bool
-		}{{"clean", clean, false}, {"known finite", clean, true}, {"dirty", dirtyBatch(), false}} {
-			ref, g := New(p, 3), New(p, 3)
-			for i := 0; i < 2; i++ { // a second batch imputes from the first's means
-				want, wantRep, wantErr := ref.Sanitize(c.x)
-				got, rep, err := g.SanitizeStaged(c.x, slab(c.x), c.finite)
-				if rep != wantRep || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-					t.Fatalf("%v %s: report %+v, error %v; Sanitize %+v, %v", p, c.name, rep, err, wantRep, wantErr)
-				}
-				for r := range want {
-					for j := range want[r] {
-						if math.Float64bits(got[r][j]) != math.Float64bits(want[r][j]) {
-							t.Fatalf("%v %s: row %d feature %d is %v, Sanitize's %v", p, c.name, r, j, got[r][j], want[r][j])
-						}
-					}
-				}
-				if rep.Total() == 0 && &got[0][0] != &c.x[0][0] {
-					t.Errorf("%v %s: a clean batch was copied", p, c.name)
-				}
-				wm, gm := ref.FeatureMeans(), g.FeatureMeans()
-				for j := range wm {
-					if math.Float64bits(gm[j]) != math.Float64bits(wm[j]) {
-						t.Fatalf("%v %s: running mean %d is %v, Sanitize's %v", p, c.name, j, gm[j], wm[j])
-					}
+	for _, p := range []Policy{Reject, Clamp, Impute} {
+		scanned, known := New(p, 3), New(p, 3)
+		for i := 0; i < 2; i++ {
+			a, b := staged(clean), staged(clean)
+			repA, errA := scanned.Sanitize(a, false)
+			repB, errB := known.Sanitize(b, true)
+			if repA != repB || repB.Total() != 0 || errA != nil || errB != nil {
+				t.Fatalf("%v: reports %+v and %+v, errors %v and %v", p, repA, repB, errA, errB)
+			}
+			for j := range a.Data {
+				if math.Float64bits(a.Data[j]) != math.Float64bits(b.Data[j]) || a.Data[j] != staged(clean).Data[j] {
+					t.Fatalf("%v: value %d is %v and %v", p, j, a.Data[j], b.Data[j])
 				}
 			}
+			ma, mb := scanned.FeatureMeans(), known.FeatureMeans()
+			for j := range ma {
+				if math.Float64bits(ma[j]) != math.Float64bits(mb[j]) {
+					t.Fatalf("%v: running mean %d is %v and %v", p, j, ma[j], mb[j])
+				}
+			}
+		}
+		if rep, err := known.Sanitize(staged(dirtyBatch()), true); err != nil || rep.Total() != 0 {
+			t.Errorf("%v: a slab known finite was scanned: %+v, %v", p, rep, err)
 		}
 	}
 }

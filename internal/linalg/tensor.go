@@ -89,17 +89,21 @@ func (t *Tensor) FromRows(rows [][]float64, cols int) {
 func (t *Tensor) TransposeToRows() [][]float64 {
 	rows := &Tensor{Rows: t.Cols, Cols: t.Rows, Data: make([]float64, len(t.Data))}
 	TransposeInto(rows, t)
-	return rows.RowViews()
+	return rows.RowViews(nil)
 }
 
 // RowViews returns the rows of t as slices of its own storage, each capped at
-// its end so an append cannot run into the next: one allocation, the headers.
-func (t *Tensor) RowViews() [][]float64 {
-	out := make([][]float64, t.Rows)
-	for i := range out {
-		out[i] = t.Data[i*t.Cols : (i+1)*t.Cols : (i+1)*t.Cols]
+// its end so an append cannot run into the next. The headers go in dst's
+// buffer, which is allocated only when it is too short.
+func (t *Tensor) RowViews(dst [][]float64) [][]float64 {
+	if cap(dst) < t.Rows {
+		dst = make([][]float64, t.Rows)
 	}
-	return out
+	dst = dst[:t.Rows]
+	for i := range dst {
+		dst[i] = t.Data[i*t.Cols : (i+1)*t.Cols : (i+1)*t.Cols]
+	}
+	return dst
 }
 
 // sumRows is the one loop behind Vector.AddInPlace and SumRowsInto:

@@ -11,10 +11,9 @@ import (
 // compatibility path.
 const BinaryContentType = "application/x-freeway-batch"
 
-// framePool recycles decoded-frame storage across requests: a warm frame
-// re-decodes a same-shaped batch with zero allocations. A frame whose slab
-// was detached (handed to the learner, which retains labeled rows) allocates
-// a fresh one on its next decode.
+// framePool recycles decoded-frame storage across requests, train and infer
+// alike: a warm frame re-decodes a same-shaped batch with zero allocations.
+// The learner copies whatever rows it keeps, so a frame goes back whole.
 var framePool = sync.Pool{New: func() any { return new(wire.Frame) }}
 
 func getFrame() *wire.Frame { return framePool.Get().(*wire.Frame) }

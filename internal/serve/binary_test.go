@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"freewayml/internal/wire"
@@ -61,6 +62,36 @@ func TestBinaryProcessEndToEnd(t *testing.T) {
 	stats := getStats(t, ts.URL)
 	if stats.Batches != 20 || stats.Samples != 640 {
 		t.Errorf("stats = %+v", stats)
+	}
+}
+
+// TestWarmBinaryProcessDecodesInPlace: labelled binary /process requests of
+// one shape re-decode into the pooled frame they arrived in — the learner
+// copies what it keeps of a batch, so nothing takes the frame's slab away — and
+// freeway_binary_decode_allocs_total stays at its warm-up value. GOMAXPROCS 1
+// keeps every request on the one P whose pool slot holds the frame.
+func TestWarmBinaryProcessDecodesInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, ts := testServer(t)
+	rng := rand.New(rand.NewSource(13))
+	post := func() {
+		t.Helper()
+		if resp, _ := postBinary(t, ts.URL, binFrame(t, "", wire.Float64, batchReq(rng, 32, true))); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		post()
+	}
+	warm := s.cBinGrew.Value()
+	for i := 0; i < 32; i++ {
+		post()
+	}
+	if grew := s.cBinGrew.Value() - warm; grew != 0 {
+		t.Errorf("32 warm binary /process requests grew the decode storage %d times, want 0", grew)
 	}
 }
 

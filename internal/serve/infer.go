@@ -50,9 +50,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, id string) 
 		return
 	}
 	rec := s.beginInferSpan(id, proto, r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
-	// The inference plane never retains row references (member models copy
-	// rows into their own staging during the forward pass), so the frame
-	// keeps its slab and warm frames stay allocation-free — no Detach.
 	out, status, err := s.infer(r.Context(), id, f.X)
 	s.respond(w, rec, out, status, err)
 }

@@ -143,9 +143,8 @@ type errorEnvelope struct {
 
 // bufPool recycles the serialization scratch of the serve hot path: request
 // bodies are slurped into a pooled buffer before decoding, and responses
-// are encoded into one before the single Write. The pool owns only these
-// byte buffers — decoded batch data (req.X, req.Y) is handed to the learner,
-// which retains labeled rows in its windows, so it is never recycled.
+// are encoded into one before the single Write. Decoded batches live in
+// the pooled frames (framePool).
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBufBytes keeps pathological one-off giants (a max-size batch
@@ -434,10 +433,7 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request, id string
 		return
 	}
 	rec := s.beginSpan(id, proto, r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
-	// The learner retains rows (windows, replay buffers), so the frame's
-	// storage is detached — the frame allocates a fresh slab on its next decode.
-	x, y := f.Detach()
-	out, status, err := s.process(r.Context(), id, rec.traceID(), x, y)
+	out, status, err := s.process(r.Context(), id, rec.traceID(), f.X, f.Y)
 	s.respond(w, rec, out, status, err)
 }
 
@@ -531,8 +527,8 @@ func (s *Server) errStatus(err error) int {
 }
 
 // process runs one decoded batch through the stream's session and maps
-// failures via errStatus. The rows are handed off without copying (callers
-// that reuse decode storage must detach it first).
+// failures via errStatus. The learner copies what it keeps, so the frame's
+// storage goes back to the pool with it.
 func (s *Server) process(ctx context.Context, id, traceID string, x [][]float64, y []int) (ProcessResponse, int, error) {
 	res, err := s.mgr.ProcessBatch(ctx, id, stream.Batch{X: x, Y: y, TraceID: traceID})
 	if err != nil {

@@ -455,11 +455,10 @@ func (m *Manager) Process(ctx context.Context, id string, x [][]float64, y []int
 }
 
 // ProcessBatch routes one batch to the session for id, creating it on first
-// use. The batch is handed to the learner without copying its rows (Seq is
-// assigned by the session), which is what lets the binary ingest path pass
-// decoded tensor storage straight through to the compute core. Losing a
-// race with an eviction retries against a fresh session — callers never
-// observe a closed-session error.
+// use (Seq is assigned by the session). The learner copies whatever it keeps
+// of the batch, so the caller may reuse its rows and labels once
+// ProcessBatch returns. Losing a race with an eviction retries against a
+// fresh session — callers never observe a closed-session error.
 // Each retry re-checks residency through the read-locked fast path first,
 // so a stream that was already recreated (or was never evicted — e.g. the
 // victim was a different session) does not pay the shard write lock again.

@@ -132,7 +132,7 @@ type Observation struct {
 type Detector struct {
 	cfg Config
 
-	warmup    []linalg.Vector
+	warmup    linalg.Tensor // the warm-up batches' rows, the detector's own copy
 	model     *pca.Model
 	prev      linalg.Vector // ȳ_{t-1}
 	distances *stats.SlidingWindow
@@ -141,10 +141,12 @@ type Detector struct {
 	centroids []centroid // ring buffer of past ȳ, oldest first
 	batch     int
 
-	// Per-batch scratch: Observe's batch mean and the history of recent
-	// distances, newest first, that the severity statistics read.
-	mean linalg.Vector
-	hist []float64
+	// Per-batch scratch: Observe's batch mean and staged points, and the
+	// history of recent distances, newest first, that the severity
+	// statistics read.
+	mean   linalg.Vector
+	staged linalg.Tensor
+	hist   []float64
 }
 
 type centroid struct {
@@ -172,48 +174,59 @@ func (d *Detector) Ready() bool { return d.model != nil }
 func (d *Detector) PCA() *pca.Model { return d.model }
 
 // Observe ingests the raw points of the next batch and returns the shift
-// observation for it: ObserveMean with the points' linalg.Mean, taken in the
-// detector's scratch.
+// observation for it: ObserveMean over the points staged in the detector's
+// scratch, with their linalg.Mean.
 func (d *Detector) Observe(points []linalg.Vector) (Observation, error) {
-	// Empty or ragged points leave no mean (nil), which ObserveMean refuses.
 	mean, _ := linalg.MeanInto(d.mean, points)
-	if mean != nil {
-		d.mean = mean
+	if mean == nil { // empty or ragged points, which ObserveMean refuses
+		return d.ObserveMean(&linalg.Tensor{}, nil)
 	}
-	return d.ObserveMean(points, mean)
+	d.mean = mean
+	x := &d.staged
+	x.Rows, x.Cols, x.Data = len(points), len(mean), x.Data[:0]
+	for _, p := range points {
+		x.Data = append(x.Data, p...)
+	}
+	return d.ObserveMean(x, mean)
 }
 
-// ObserveMean ingests the next batch — its raw points and their column mean,
-// which the caller has taken with linalg.Mean's bits (the learner sums its
-// staged slab: linalg.Tensor.MeanRowsInto) — and returns the shift
-// observation for it. During warm-up it accumulates the points, which the PCA
-// fit reads, and returns a PatternWarmup observation; once the projection
-// exists only the mean is read. The detector keeps neither argument.
-func (d *Detector) ObserveMean(points []linalg.Vector, mean linalg.Vector) (Observation, error) {
+// ObserveMean ingests the next batch — x, its rows staged as one slab, and
+// their column mean, which the caller has taken with linalg.Mean's bits (the
+// learner: linalg.Tensor.MeanRowsInto) — and returns the shift observation
+// for it. During warm-up it copies the rows into its own warm-up set, which
+// the PCA fit reads, and returns a PatternWarmup observation; once the
+// projection exists only the mean is read. The detector keeps neither
+// argument.
+func (d *Detector) ObserveMean(x *linalg.Tensor, mean linalg.Vector) (Observation, error) {
 	obs := Observation{Batch: d.batch, Pattern: PatternWarmup, NearestHistory: math.Inf(1), NearestHistoryIndex: -1}
 	defer func() { d.batch++ }()
 
-	if len(points) == 0 {
+	if x.Rows == 0 {
 		return obs, errors.New("shift: empty batch")
 	}
-	if len(mean) != len(points[0]) {
-		return obs, fmt.Errorf("shift: batch mean has %d features, rows %d: %w", len(mean), len(points[0]), linalg.ErrDimensionMismatch)
+	if len(mean) != x.Cols {
+		return obs, fmt.Errorf("shift: batch mean has %d features, rows %d: %w", len(mean), x.Cols, linalg.ErrDimensionMismatch)
 	}
 	if d.model == nil {
-		d.warmup = append(d.warmup, points...)
-		if len(d.warmup) < d.cfg.WarmupPoints {
+		w := &d.warmup
+		if w.Data == nil {
+			w.Data = make([]float64, 0, max(d.cfg.WarmupPoints, x.Rows)*x.Cols)
+		}
+		w.Data = append(w.Data, x.Data...)
+		w.Rows, w.Cols = w.Rows+x.Rows, x.Cols
+		if w.Rows < d.cfg.WarmupPoints {
 			return obs, nil
 		}
-		dim := d.cfg.ProjectionDim
-		if inDim := len(d.warmup[0]); dim > inDim {
-			dim = inDim
+		points := make([]linalg.Vector, w.Rows)
+		for i := range points {
+			points[i] = w.Row(i)
 		}
-		m, err := pca.Fit(d.warmup, dim)
+		m, err := pca.Fit(points, min(d.cfg.ProjectionDim, w.Cols))
 		if err != nil {
 			return obs, fmt.Errorf("shift: PCA warm-up fit: %w", err)
 		}
 		d.model = m
-		d.warmup = nil
+		d.warmup = linalg.Tensor{}
 		// The warm-up block itself becomes the first reference centroid.
 	}
 

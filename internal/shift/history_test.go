@@ -29,10 +29,12 @@ func TestObservationCarriesHistoryMean(t *testing.T) {
 	}
 }
 
-// TestObserveMeanIsObserve: a detector handed each batch's slab mean
-// (linalg.Tensor.MeanRowsInto, as the learner hands it) reaches the verdicts
+// TestObserveMeanIsObserve: a detector handed each batch's slab and its mean
+// (linalg.Tensor.MeanRowsInto, as the learner hands them) reaches the verdicts
 // of one that averages the rows itself, bit for bit, through warm-up, drift
-// and a jump back. A mean of the wrong width is refused.
+// and a jump back — although every batch is staged in one slab, overwritten by
+// the next, as the learner's workspaces are: the warm-up keeps a copy. A mean
+// of the wrong width is refused.
 func TestObserveMeanIsObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	rows, slab := newDetector(t), newDetector(t)
@@ -41,9 +43,10 @@ func TestObserveMeanIsObserve(t *testing.T) {
 		centers = append(centers, linalg.Vector{float64(i / 8 * 7), float64(i%3) * 0.2, 0})
 	}
 	centers = append(centers, linalg.Vector{0, 0, 0})
+	x := new(linalg.Tensor)
 	for k, c := range centers {
 		pts := cloud(rng, 16+k%3, c, 0.4)
-		x := linalg.NewTensor(len(pts), len(c))
+		linalg.EnsureTensor(x, len(pts), len(c))
 		for i, p := range pts {
 			copy(x.Row(i), p)
 		}
@@ -53,7 +56,7 @@ func TestObserveMeanIsObserve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := slab.ObserveMean(pts, mean)
+		got, err := slab.ObserveMean(x, mean)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +64,7 @@ func TestObserveMeanIsObserve(t *testing.T) {
 			t.Fatalf("batch %d: ObserveMean %#v, Observe %#v", k, got, want)
 		}
 	}
-	if _, err := slab.ObserveMean(cloud(rng, 4, linalg.Vector{0, 0, 0}, 1), linalg.NewVector(2)); err == nil {
+	if _, err := slab.ObserveMean(linalg.NewTensor(4, 3), linalg.NewVector(2)); err == nil {
 		t.Error("a 2-wide mean of 3-wide rows was accepted")
 	}
 }

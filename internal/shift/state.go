@@ -56,7 +56,7 @@ func (d *Detector) RestoreState(s State) error {
 	if !s.Ready {
 		d.model = nil
 		d.prev = nil
-		d.warmup = nil
+		d.warmup = linalg.Tensor{}
 		d.distances.Reset()
 		d.centroids = nil
 		return nil
@@ -66,7 +66,7 @@ func (d *Detector) RestoreState(s State) error {
 		return err
 	}
 	d.model = m
-	d.warmup = nil
+	d.warmup = linalg.Tensor{}
 	if s.Prev != nil {
 		d.prev = s.Prev.Clone()
 	} else {

@@ -22,7 +22,7 @@ type Granularity struct {
 	Every int
 
 	pending  int
-	bufX     [][]float64
+	buf      linalg.Tensor // the batches waiting for the next update, copied back to back
 	bufY     []int
 	centroid linalg.Vector // distribution of the last training data
 	wd       *Watchdog     // nil when the watchdog is disabled
@@ -33,6 +33,11 @@ type Granularity struct {
 // be nil to disable divergence monitoring.
 func NewGranularity(m model.Model, every int, wd *Watchdog) *Granularity {
 	return &Granularity{Model: m, Every: every, wd: wd}
+}
+
+// clearBuffer empties the pending batches, keeping their storage.
+func (g *Granularity) clearBuffer() {
+	g.buf.Rows, g.buf.Data, g.bufY, g.pending = 0, g.buf.Data[:0], g.bufY[:0], 0
 }
 
 // BuildGranularities builds the fixed-frequency members: model i updates
@@ -314,13 +319,16 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 			loss float64
 			err  error
 		)
-		if g.pending < g.Every || len(g.bufX) > 0 {
-			g.bufX = append(g.bufX, b.X...)
+		if g.pending < g.Every || g.buf.Rows > 0 {
+			for _, row := range b.X {
+				g.buf.Data = append(g.buf.Data, row...)
+			}
+			g.buf.Rows, g.buf.Cols = g.buf.Rows+len(b.X), len(b.X[0])
 			g.bufY = append(g.bufY, b.Y...)
 			if g.pending < g.Every {
 				continue
 			}
-			loss, err = g.Model.Fit(g.bufX, g.bufY)
+			loss, err = g.Model.FitTensor(&g.buf, g.bufY)
 		} else {
 			loss, err = e.fitBatch(i, g.Model, b)
 		}
@@ -338,7 +346,7 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 			g.centroid = obs.YBar.Clone()
 		}
 		g.ver++ // Fit ran (or the watchdog rolled back): parameters moved
-		g.bufX, g.bufY, g.pending = nil, nil, 0
+		g.clearBuffer()
 	}
 	tr.StageDone(StageShortUpdate, tShort)
 
@@ -560,7 +568,7 @@ func (e *Ensemble) ImportState(st EnsembleState) error {
 		}
 		g.centroid = st.GranCentroids[i]
 		g.ver++
-		g.bufX, g.bufY, g.pending = nil, nil, 0
+		g.clearBuffer()
 		g.wd.Retain(g.Model)
 	}
 	if err := e.long.Restore(st.LongSnapshot); err != nil {

@@ -33,8 +33,10 @@ func rowsTrainingSet(w *window.ASW) ([][]float64, []int) {
 	var xs [][]float64
 	var ys []int
 	for _, e := range w.Entries() {
-		n := min(int(math.Ceil(e.Weight*float64(len(e.X)))), len(e.X))
-		xs = append(xs, e.X[:n]...)
+		n := min(int(math.Ceil(e.Weight*float64(e.X.Rows))), e.X.Rows)
+		for i := 0; i < n; i++ {
+			xs = append(xs, e.X.Row(i))
+		}
 		ys = append(ys, e.Y[:n]...)
 	}
 	return xs, ys

@@ -56,10 +56,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Entry is one batch held by the window.
+// Entry is one batch held by the window: its rows, labels and centroid are
+// the window's own copies.
 type Entry struct {
-	X        [][]float64
-	Y        []int
+	X        linalg.Tensor // the rows, back to back
+	Y        []int         // one label per row
 	Centroid linalg.Vector // the batch's distribution representation (ȳ)
 	Weight   float64       // decay weight in (0, 1]
 	Seq      int           // arrival sequence number
@@ -74,9 +75,11 @@ type ASW struct {
 	disorder  float64 // normalized disorder from the last Push
 	evictions int     // cumulative batches evicted by weight decay
 
-	// Push's scratch, reused across pushes.
+	// Push's scratch, reused across pushes, and the storage of the entries
+	// evicted or reset since, which the next pushes copy their batches into.
 	rs          []ranked
 	rankOf, tau []int
+	free        []Entry
 }
 
 // ranked is one stored batch with its distance to the incoming batch.
@@ -120,8 +123,9 @@ func (w *ASW) Full() bool {
 // Push ingests a batch with its distribution centroid, decaying existing
 // entries per Algorithm 1: rank the stored batches by shift distance to the
 // new batch, compute the ranking's disorder, then decay each batch by a
-// rate that grows with its distance rank and with the disorder. Returns
-// whether the window is full after the push.
+// rate that grows with its distance rank and with the disorder. The window
+// stores a copy of the batch, so the caller may reuse x, y and centroid once
+// Push returns. Returns whether the window is full after the push.
 func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return false, errors.New("window: batch must be non-empty with matching labels")
@@ -179,10 +183,11 @@ func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error)
 			e.Weight *= math.Pow(w.cfg.BaseDecay, exponent)
 			if e.Weight < w.cfg.MinWeight {
 				w.evictions++
+				w.free = append(w.free, e)
 				continue // evicted
 			}
 			kept = append(kept, e)
-			items += len(e.X)
+			items += e.X.Rows
 		}
 		w.entries = kept
 		w.items = items
@@ -190,7 +195,15 @@ func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error)
 		w.disorder = 0
 	}
 
-	w.entries = append(w.entries, Entry{X: x, Y: y, Centroid: centroid.Clone(), Weight: 1, Seq: w.seq})
+	var e Entry
+	if n := len(w.free); n > 0 {
+		e, w.free = w.free[n-1], w.free[:n-1]
+	}
+	e.X.FromRows(x, len(x[0]))
+	e.Y = append(e.Y[:0], y...)
+	e.Centroid = append(e.Centroid[:0], centroid...)
+	e.Weight, e.Seq = 1, w.seq
+	w.entries = append(w.entries, e)
 	w.seq++
 	w.items += len(x)
 	return w.Full(), nil
@@ -205,18 +218,16 @@ func (w *ASW) Entries() []Entry { return w.entries }
 // batch, oldest first, contributes its first ceil(weight·len) samples, so
 // heavily decayed batches contribute proportionally less signal.
 func (w *ASW) TrainingSet(x *linalg.Tensor, y []int) []int {
-	take := func(e Entry) int { return min(int(math.Ceil(e.Weight*float64(len(e.X)))), len(e.X)) }
+	take := func(e Entry) int { return min(int(math.Ceil(e.Weight*float64(e.X.Rows))), e.X.Rows) }
 	total, width := 0, x.Cols
 	for _, e := range w.entries {
-		total, width = total+take(e), len(e.X[0])
+		total, width = total+take(e), e.X.Cols
 	}
 	linalg.EnsureTensor(x, total, width)
 	y = y[:0]
 	for _, e := range w.entries {
 		n := take(e)
-		for i, row := range e.X[:n] {
-			copy(x.Row(len(y)+i), row)
-		}
+		copy(x.Data[len(y)*width:], e.X.Data[:n*width])
 		y = append(y, e.Y[:n]...)
 	}
 	return y
@@ -246,8 +257,10 @@ func (w *ASW) Distribution() linalg.Vector {
 }
 
 // Reset empties the window after a long-model update, preserving the
-// sequence counter and the entries' array, cleared so that no batch outlives it.
+// sequence counter and the entries' array, cleared; the entries' storage goes
+// to the next pushes.
 func (w *ASW) Reset() {
+	w.free = append(w.free, w.entries...)
 	clear(w.entries[:cap(w.entries)])
 	w.entries = w.entries[:0]
 	w.items = 0

@@ -269,7 +269,7 @@ func TestEvictionBelowMinWeight(t *testing.T) {
 	// Items counter must match surviving entries.
 	total := 0
 	for _, e := range w.Entries() {
-		total += len(e.X)
+		total += e.X.Rows
 	}
 	if total != w.Items() {
 		t.Errorf("Items()=%d, actual %d", w.Items(), total)
@@ -442,7 +442,7 @@ func TestResetReleasesBatches(t *testing.T) {
 		t.Fatalf("after Reset: %d entries, array of %d", w.Len(), len(all))
 	}
 	for i, e := range all {
-		if e.X != nil || e.Y != nil || e.Centroid != nil {
+		if e.X.Data != nil || e.Y != nil || e.Centroid != nil {
 			t.Fatalf("entry %d still holds its batch after Reset", i)
 		}
 	}

@@ -44,7 +44,7 @@ func TestWindowInvariantsProperty(t *testing.T) {
 				return false
 			}
 			prevSeq = e.Seq
-			items += len(e.X)
+			items += e.X.Rows
 		}
 		if items != w.Items() {
 			return false

@@ -162,7 +162,8 @@ func FuzzDecodeJSON(f *testing.F) {
 
 // TestDecodeJSONFillsLikeDecodeInto pins the frame layout: one exactly sized
 // slab with adjacent row views, a binary decode's ID and trace context
-// cleared, and zero allocations for a warm label-less decode.
+// cleared, zero allocations for a warm label-less decode, and growth reported
+// for a batch taller than any before it.
 func TestDecodeJSONFillsLikeDecodeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x, y := randBatch(rng, 32, 12, true)
@@ -194,9 +195,9 @@ func TestDecodeJSONFillsLikeDecodeInto(t *testing.T) {
 	if allocs != 0 || f.Grew || f.Y != nil {
 		t.Fatalf("warm label-less decode: %.1f allocs, grew %v, Y %v; want 0, false, nil", allocs, f.Grew, f.Y)
 	}
-	f.Detach()
-	if !f.DecodeJSON(labeled) || !f.Grew {
-		t.Fatal("a detached frame must report growth")
+	taller, _ := jsonEncode(append(x, x[0]), append(y, y[0]))
+	if !f.DecodeJSON(taller) || !f.Grew {
+		t.Fatal("a batch taller than any before it must report growth")
 	}
 }
 

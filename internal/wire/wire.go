@@ -33,9 +33,8 @@
 // Decoding is allocation-free at steady state: DecodeInto reuses the Frame's
 // tensor slab, row headers, and label slice, so a warm stream (same shape,
 // same id) decodes with zero allocations — the property the AllocsPerRun
-// guard in wire_test.go pins. Consumers that retain the decoded rows (the
-// learner keeps labeled rows in its windows) must call Detach first so the
-// next decode cannot overwrite retained memory.
+// guard in wire_test.go pins. The decoded rows are valid until the next
+// decode into the same Frame; the learner copies whatever it keeps.
 package wire
 
 import (
@@ -114,20 +113,9 @@ type Frame struct {
 	y []int          // label storage (Y aliases it when labeled)
 }
 
-// Tensor returns the row-major slab behind X (nil before the first decode or
-// after Detach). The tensor is frame-owned; it is valid until the next
-// DecodeInto.
+// Tensor returns the row-major slab behind X (nil before the first decode).
+// The tensor is frame-owned; it is valid until the next DecodeInto.
 func (f *Frame) Tensor() *linalg.Tensor { return f.t }
-
-// Detach hands off the decoded storage — the row views, labels, and slab —
-// and clears the frame's references to them, so a consumer that retains the
-// rows (the learner's windows do) keeps exclusive ownership while the frame
-// stays reusable. The next DecodeInto allocates a fresh slab.
-func (f *Frame) Detach() (x [][]float64, y []int) {
-	x, y = f.X, f.Y
-	f.X, f.Y, f.t, f.y = nil, nil, nil, nil
-	return x, y
-}
 
 // reserve sizes the slab and the row views for a rows×cols batch, reusing
 // what the frame holds and flagging Grew when it had to allocate. It returns

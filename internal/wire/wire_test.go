@@ -105,41 +105,6 @@ func TestRowsAliasTensor(t *testing.T) {
 	}
 }
 
-func TestDetach(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x, y := randBatch(rng, 3, 2, true)
-	buf, err := AppendFrame(nil, "a", Float64, x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f Frame
-	if err := f.DecodeInto(buf); err != nil {
-		t.Fatal(err)
-	}
-	keptX, keptY := f.Detach()
-	snapshot := append([]float64(nil), keptX[0]...)
-	labels := append([]int(nil), keptY...)
-	// A second decode of different content must not disturb detached rows.
-	x2, y2 := randBatch(rng, 3, 2, true)
-	buf2, err := AppendFrame(nil, "a", Float64, x2, y2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.DecodeInto(buf2); err != nil {
-		t.Fatal(err)
-	}
-	for j := range snapshot {
-		if keptX[0][j] != snapshot[j] {
-			t.Fatalf("detached row mutated at %d", j)
-		}
-	}
-	for i := range labels {
-		if keptY[i] != labels[i] {
-			t.Fatalf("detached labels mutated at %d", i)
-		}
-	}
-}
-
 // TestMalformed is the satellite fuzz table: every corruption must produce
 // an ErrMalformed, never a panic or a silent success.
 func TestMalformed(t *testing.T) {
