@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt golden race fuzz cross check no-unsafe clean
+.PHONY: all build test vet fmt golden race fuzz cross check no-unsafe size clean
 
 all: check
 
@@ -96,6 +96,13 @@ no-unsafe:
 		echo 'unsafe import found in kernel packages' >&2; exit 1; \
 	fi
 	@echo "no-unsafe: kernel packages clean"
+
+# Line counts: non-test Go (benchmark/ and cmd/ included), test Go, and amd64
+# assembly. .bench_build/ holds the benchmark's private GOPATH, not the repo's
+# code.
+size:
+	@lines() { find . -path ./.bench_build -prune -o -type f "$$@" -print | xargs cat | wc -l; }; \
+	echo "size: $$(lines -name '*.go' ! -name '*_test.go') non-test Go, $$(lines -name '*_test.go') test Go, $$(lines -name '*_amd64.s') amd64 assembly lines"
 
 # The full gate: everything CI runs.
 check: build vet fmt no-unsafe cross test golden race

@@ -15,16 +15,16 @@
 //
 // The router exposes /v1/healthz and /v1/readyz (ready = at least one
 // healthy worker), /v1/metrics with its own series (retries, ejections,
-// migrations, per-worker breaker state), /v1/cluster with the topology, and
-// a merged /v1/streams listing. Every stream route (/v1/streams/{id}/* and
-// the legacy single-stream aliases) is forwarded to the owning worker.
+// rejoins, migrations, per-worker breaker state and latency), /v1/cluster
+// with the topology, and a merged /v1/streams listing. Every stream route
+// (/v1/streams/{id}/* and the legacy single-stream aliases) is forwarded to
+// the owning worker.
 //
-// Cluster observability: every request carries a W3C traceparent (accepted
-// from the client or minted here) and each forward attempt records a span;
-// /v1/cluster/trace?id= assembles the full cross-node trace,
-// /v1/cluster/metrics federates every worker's /v1/metrics under
-// worker="<addr>" labels, /v1/cluster/events is the breaker/migration
-// timeline (JSONL), and /v1/cluster/exemplars lists the slowest requests.
+// Tracing: every request carries a W3C traceparent (accepted from the client
+// or minted here), each forward attempt records a span, and the response
+// names its trace in X-Freeway-Trace; /v1/cluster/trace?id= assembles that
+// trace across the router and every worker. Worker metrics are scraped from
+// each worker's own /v1/metrics.
 package main
 
 import (
@@ -58,10 +58,7 @@ func main() {
 		retryMax      = flag.Duration("retry-max", dist.DefaultRetryMax, "retry backoff cap")
 		maxBody       = flag.Int64("max-body", dist.DefaultMaxBodyBytes, "request body cap in bytes")
 		seed          = flag.Int64("seed", 1, "retry-jitter seed")
-		spanCap       = flag.Int("span-cap", dist.DefaultSpanCap, "router span ring capacity (one span per forward attempt)")
-		eventCap      = flag.Int("event-cap", dist.DefaultEventCap, "cluster timeline ring capacity")
-		exemplarK     = flag.Int("exemplar-k", dist.DefaultExemplarK, "slow-request exemplars kept (top-K by latency)")
-		noTracing     = flag.Bool("disable-tracing", false, "turn off trace spans, exemplars, and per-hop response headers")
+		noTracing     = flag.Bool("disable-tracing", false, "turn off trace spans and per-hop response headers")
 	)
 	flag.Parse()
 	if err := run(*addr, *workers, dist.Config{
@@ -76,12 +73,24 @@ func main() {
 		RetryMax:       *retryMax,
 		MaxBody:        *maxBody,
 		Seed:           *seed,
-		SpanCap:        *spanCap,
-		EventCap:       *eventCap,
-		ExemplarK:      *exemplarK,
 		DisableTracing: *noTracing,
 	}); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// newServer serves the router. The write deadline starts when a request's
+// headers have been read, so it covers the body read (ReadTimeout), a
+// forward that rides out its whole retry budget, and the reply: a shorter one
+// drops the connection before the client gets the 502 envelope.
+func newServer(router *dist.Router, cfg dist.Config) *http.Server {
+	const readTimeout, replyTimeout = 30 * time.Second, 5 * time.Second
+	return &http.Server{
+		Handler:           router,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      readTimeout + cfg.RetryBudget() + replyTimeout,
+		IdleTimeout:       2 * time.Minute,
 	}
 }
 
@@ -101,13 +110,7 @@ func run(addr, workers string, cfg dist.Config) error {
 	router.Start()
 	defer router.Close()
 
-	httpSrv := &http.Server{
-		Handler:           router,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second, // forwards may ride out a full retry budget
-		IdleTimeout:       2 * time.Minute,
-	}
+	httpSrv := newServer(router, cfg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

@@ -80,9 +80,9 @@ func TestRouterHopDoesNotRedialUnderConcurrency(t *testing.T) {
 		t.Errorf("hop_dials_total = %d, the listener accepted %d", got, accepts)
 	}
 	rec := httptest.NewRecorder()
-	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster/metrics", nil))
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
 	if want := fmt.Sprintf("freeway_router_hop_dials_total{worker=%q} %d", addr, accepts); !strings.Contains(rec.Body.String(), want) {
-		t.Errorf("/v1/cluster/metrics lacks %s", want)
+		t.Errorf("/v1/metrics lacks %s", want)
 	}
 }
 

@@ -36,15 +36,9 @@ const (
 	DefaultMaxBodyBytes   = 8 << 20
 )
 
-// Defaults for the observability rings. The span ring is sized for a few
-// seconds of peak traffic (one span per forward attempt); the event ring for
-// days of breaker/migration churn; the exemplar ring for a dashboard-sized
-// top-K.
-const (
-	DefaultSpanCap   = 4096
-	DefaultEventCap  = 1024
-	DefaultExemplarK = 32
-)
+// DefaultSpanCap bounds the router's span ring: a few seconds of peak
+// traffic at one span per forward attempt.
+const DefaultSpanCap = 4096
 
 // Config configures a Router.
 type Config struct {
@@ -78,17 +72,10 @@ type Config struct {
 	// MaxBody caps forwarded request bodies (<= 0 selects the default).
 	MaxBody int64
 
-	// SpanCap bounds the router's per-attempt span ring; EventCap the
-	// cluster timeline ring; ExemplarK the slow-request top-K ring
-	// (<= 0 selects the defaults).
-	SpanCap   int
-	EventCap  int
-	ExemplarK int
-
-	// DisableTracing turns off trace minting, span recording, exemplars,
-	// and the per-hop response headers on the forward path. The rings and
-	// /v1/cluster endpoints still exist (they just stay empty), so the flag
-	// is a pure data valve — used to measure tracing overhead.
+	// DisableTracing turns off trace minting, span recording and the
+	// per-hop response headers on the forward path. The span ring and
+	// /v1/cluster/trace still exist (they just stay empty), so the flag is
+	// a pure data valve — used to measure tracing overhead.
 	DisableTracing bool
 
 	// Seed makes the retry jitter deterministic (0 = 1).
@@ -133,19 +120,33 @@ func (c *Config) withDefaults() Config {
 	if out.MaxBody <= 0 {
 		out.MaxBody = DefaultMaxBodyBytes
 	}
-	if out.SpanCap <= 0 {
-		out.SpanCap = DefaultSpanCap
-	}
-	if out.EventCap <= 0 {
-		out.EventCap = DefaultEventCap
-	}
-	if out.ExemplarK <= 0 {
-		out.ExemplarK = DefaultExemplarK
-	}
 	if out.Seed == 0 {
 		out.Seed = 1
 	}
 	return out
+}
+
+// RetryBudget is the longest a forward spends on its attempts: each of the
+// Retries+1 attempts running to RequestTimeout, and the backoff schedule's
+// ceiling before every retry. The migration that an ejection starts runs on
+// the forward that caused it and is not included.
+func (c Config) RetryBudget() time.Duration {
+	c = c.withDefaults()
+	budget := time.Duration(c.Retries+1) * c.RequestTimeout
+	for n := 0; n < c.Retries; n++ {
+		budget += c.backoffCeiling(n)
+	}
+	return budget
+}
+
+// backoffCeiling is the delay before retry n (0-based) ahead of jitter:
+// exponential from RetryBase, capped at RetryMax.
+func (c *Config) backoffCeiling(n int) time.Duration {
+	d := c.RetryBase
+	for i := 0; i < n && d < c.RetryMax; i++ {
+		d *= 2
+	}
+	return min(d, c.RetryMax)
 }
 
 // workerState is one worker's view in the router: its breaker (healthy ↔
@@ -213,9 +214,7 @@ type Router struct {
 	bytesIn  map[string]*obs.Counter
 	bytesOut map[string]*obs.Counter
 
-	spans     *obs.Ring[obs.Span]
-	events    *obs.Ring[obs.ClusterEvent]
-	exemplars *obs.ExemplarRing
+	spans *obs.Ring[obs.Span]
 }
 
 // NewRouter builds a router over the given workers. The prober is not
@@ -253,11 +252,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		cFlushFail:  reg.Counter("freeway_router_stale_flush_total", "No-checkpoint discards of stale sessions on a stream's new owner, by result.", "result", "error"),
 		hLatency:    reg.Histogram("freeway_router_request_seconds", "End-to-end routed request latency.", nil),
 
-		bytesIn:   map[string]*obs.Counter{},
-		bytesOut:  map[string]*obs.Counter{},
-		spans:     obs.NewRing[obs.Span](cfg.SpanCap),
-		events:    obs.NewRing[obs.ClusterEvent](cfg.EventCap),
-		exemplars: obs.NewExemplarRing(cfg.ExemplarK),
+		bytesIn:  map[string]*obs.Counter{},
+		bytesOut: map[string]*obs.Counter{},
+		spans:    obs.NewRing[obs.Span](DefaultSpanCap),
 	}
 	if cfg.Transport == nil {
 		// rt.workers is complete before the first request and never changes.
@@ -294,10 +291,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/v1/readyz", rt.handleReadyz)
 	rt.mux.HandleFunc("/v1/metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("/v1/cluster", rt.handleCluster)
-	rt.mux.HandleFunc("/v1/cluster/metrics", rt.handleClusterMetrics)
 	rt.mux.HandleFunc("/v1/cluster/trace", rt.handleClusterTrace)
-	rt.mux.HandleFunc("/v1/cluster/events", rt.handleClusterEvents)
-	rt.mux.HandleFunc("/v1/cluster/exemplars", rt.handleClusterExemplars)
 	rt.mux.HandleFunc("/v1/streams", rt.handleStreams)
 	rt.mux.HandleFunc("/v1/streams/", func(w http.ResponseWriter, r *http.Request) {
 		rest := strings.TrimPrefix(r.URL.Path, "/v1/streams/")
@@ -449,7 +443,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, id string) {
 		}
 		if err != nil {
 			lastErr = fmt.Errorf("worker %s: %w", owner, err)
-			hop.finish(r.noteFailure(owner, tr.id()), lastErr)
+			hop.finish(r.noteFailure(owner), lastErr)
 			continue
 		}
 		r.noteSuccess(ws)
@@ -461,12 +455,10 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, id string) {
 			log.Printf("dist: relay body: %v", err)
 		}
 		r.bytesOut[proto].Add(int64(len(reply)))
-		tr.offerExemplar(r, owner, start, attempts)
 		return
 	}
 	r.cExhausted.Inc()
 	tr.setHeaders(w.Header(), nil, start, attempts)
-	tr.offerExemplar(r, "", start, attempts)
 	r.writeError(w, http.StatusBadGateway,
 		fmt.Sprintf("stream %q: all %d attempts failed: %v", id, r.cfg.Retries+1, lastErr))
 }
@@ -517,17 +509,11 @@ func (r *Router) do(parent context.Context, timeout time.Duration, worker, metho
 	return resp, reply, err
 }
 
-// backoff returns the delay before retry n (0-based): exponential from
-// RetryBase, capped at RetryMax, with jitter uniform over the upper half so
-// synchronized retries from concurrent clients spread out.
+// backoff returns the delay before retry n (0-based): its ceiling with
+// jitter uniform over the upper half, so synchronized retries from
+// concurrent clients spread out.
 func (r *Router) backoff(n int) time.Duration {
-	d := r.cfg.RetryBase
-	for i := 0; i < n && d < r.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > r.cfg.RetryMax {
-		d = r.cfg.RetryMax
-	}
+	d := r.cfg.backoffCeiling(n)
 	r.rngMu.Lock()
 	j := time.Duration(r.rng.Int63n(int64(d)/2 + 1))
 	r.rngMu.Unlock()
@@ -558,13 +544,10 @@ func (r *Router) noteSuccess(ws *workerState) {
 // breaker threshold, ejects it: the worker leaves the ring, and every
 // stream last routed to it is migrated (best-effort checkpoint-on-evict on
 // the old owner — it may be dead, in which case the new owner restores from
-// the shared checkpoint directory instead). traceID, when non-empty, is the
-// trace of the request whose failure advanced the breaker; it annotates the
-// breaker_open timeline event so an operator can jump from the ejection to
-// the request that triggered it. It returns the worker's breaker as the
-// failure left it — "closed" (in the ring) or "open" (ejected) — the
+// the shared checkpoint directory instead). It returns the worker's breaker
+// as the failure left it — "closed" (in the ring) or "open" (ejected) — the
 // per-attempt span annotation.
-func (r *Router) noteFailure(addr, traceID string) string {
+func (r *Router) noteFailure(addr string) string {
 	r.mu.Lock()
 	ws, ok := r.workers[addr]
 	if !ok || !ws.healthy {
@@ -586,12 +569,8 @@ func (r *Router) noteFailure(addr, traceID string) string {
 	fails := ws.consecFails // a probe may reset it once the lock is released
 	r.mu.Unlock()
 
-	r.recordEvent(obs.ClusterEvent{
-		Type: obs.EventBreakerOpen, Worker: addr, TraceID: traceID,
-		Detail: fmt.Sprintf("ejected after %d consecutive failures; %d streams to migrate", fails, len(moved)),
-	})
 	log.Printf("dist: worker %s ejected after %d consecutive failures (%d streams to migrate)", addr, fails, len(moved))
-	r.migrate(moved, traceID)
+	r.migrate(moved)
 	return "open"
 }
 
@@ -631,52 +610,25 @@ func (r *Router) movedStreamsLocked() map[string]movedStream {
 // creation, that stale session would otherwise resume silently — and a
 // checkpointing evict there would clobber the fresh envelope just written
 // by step one.
-func (r *Router) migrate(moved map[string]movedStream, traceID string) {
+func (r *Router) migrate(moved map[string]movedStream) {
 	for id, mv := range moved {
 		r.cMigrations.Inc()
-		evicted := r.evictStream(mv.prev, id, true)
-		if evicted {
+		if r.evictStream(mv.prev, id, true) {
 			r.cEvictOK.Inc()
 		} else {
 			r.cEvictFail.Inc()
 		}
-		r.recordEvent(obs.ClusterEvent{
-			Type: obs.EventMigration, Worker: mv.next, Stream: id, TraceID: traceID,
-			Detail: fmt.Sprintf("from %s (checkpoint evict %s)", mv.prev, okErr(evicted)),
-		})
+		// The new owner restores the stream at its next session creation:
+		// from the fresh evict checkpoint when the evict reached the old
+		// owner, else from the last periodic checkpoint.
 		if mv.next != "" && mv.next != mv.prev {
-			flushed := r.evictStream(mv.next, id, false)
-			if flushed {
+			if r.evictStream(mv.next, id, false) {
 				r.cFlushOK.Inc()
 			} else {
 				r.cFlushFail.Inc()
 			}
-			if flushed {
-				r.recordEvent(obs.ClusterEvent{
-					Type: obs.EventStaleFlush, Worker: mv.next, Stream: id, TraceID: traceID,
-					Detail: "stale resident session discarded on new owner",
-				})
-			}
-			// The new owner restores the stream at next session creation:
-			// from the fresh evict checkpoint when step one reached the old
-			// owner, else from the last periodic checkpoint.
-			source := "fresh evict checkpoint"
-			if !evicted {
-				source = "last periodic checkpoint (previous owner unreachable)"
-			}
-			r.recordEvent(obs.ClusterEvent{
-				Type: obs.EventRestore, Worker: mv.next, Stream: id, TraceID: traceID,
-				Detail: "next session restores from " + source,
-			})
 		}
 	}
-}
-
-func okErr(ok bool) string {
-	if ok {
-		return "ok"
-	}
-	return "failed"
 }
 
 // evictStream POSTs one evict call; checkpoint=false asks the worker to
@@ -713,7 +665,7 @@ func (r *Router) ProbeOnce() {
 				ws.cProbeFail.Inc()
 			}
 			r.mu.Unlock()
-			r.noteFailure(addr, "")
+			r.noteFailure(addr)
 			continue
 		}
 		r.noteProbeOK(addr)
@@ -754,12 +706,8 @@ func (r *Router) noteProbeOK(addr string) {
 	}
 	r.mu.Unlock()
 
-	r.recordEvent(obs.ClusterEvent{
-		Type: obs.EventBreakerClose, Worker: addr,
-		Detail: fmt.Sprintf("rejoined after cooldown; %d streams to migrate back", len(moved)),
-	})
 	log.Printf("dist: worker %s rejoined the ring (%d streams to migrate back)", addr, len(moved))
-	r.migrate(moved, "")
+	r.migrate(moved)
 	r.mu.Lock()
 	for id := range moved {
 		delete(r.migrating, id)
@@ -843,25 +791,22 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 
 // handleStreams merges every healthy worker's /v1/streams listing into one
 // cluster-wide view: concatenated stream summaries, summed lifecycle
-// aggregates. A worker that fails mid-scrape is skipped (its streams are
-// simply absent from this snapshot).
+// aggregates. A worker that fails the scrape, or answers anything but 200,
+// is skipped and not counted (its streams are simply absent from this
+// snapshot).
 func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		r.writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	r.mu.Lock()
-	members := r.ring.members()
-	r.mu.Unlock()
 	merged := struct {
 		Streams  []json.RawMessage `json:"streams"`
 		Sessions map[string]int64  `json:"sessions"`
 		Workers  int               `json:"workers"`
 	}{Streams: []json.RawMessage{}, Sessions: map[string]int64{}}
-	for _, addr := range members {
-		_, body, err := r.do(req.Context(), r.cfg.ProbeTimeout, addr,
-			http.MethodGet, "/v1/streams", nil, nil)
-		if err != nil {
+	for _, addr := range r.ringMembers() {
+		body, ok := r.scrapeWorker(req, addr, "/v1/streams")
+		if !ok {
 			continue
 		}
 		var one struct {

@@ -426,3 +426,78 @@ func TestRouterOpaqueBinaryPassThrough(t *testing.T) {
 		t.Error("hop-by-hop response header relayed to the client")
 	}
 }
+
+// TestStreamsListingSkipsFailingWorker: the router's merged /v1/streams counts
+// a worker only when it answers 200. A worker answering 500 with the JSON
+// error envelope adds no streams and is not counted as reporting.
+func TestStreamsListingSkipsFailingWorker(t *testing.T) {
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"streams":[{"id":"a"}],"sessions":{"resident":1}}`))
+	}))
+	defer healthy.Close()
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		w.Write([]byte(`{"error":{"code":500,"message":"listing failed"}}`))
+	}))
+	defer failing.Close()
+	rt, err := NewRouter(Config{Workers: []string{
+		strings.TrimPrefix(healthy.URL, "http://"), strings.TrimPrefix(failing.URL, "http://"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	rec := routerGet(t, rt, "/v1/streams")
+	var got struct {
+		Streams  []json.RawMessage `json:"streams"`
+		Sessions map[string]int64  `json:"sessions"`
+		Workers  int               `json:"workers"`
+	}
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &got) != nil {
+		t.Fatalf("status %d body %s", rec.Code, rec.Body)
+	}
+	if got.Workers != 1 || len(got.Streams) != 1 || got.Sessions["resident"] != 1 {
+		t.Fatalf("merged listing %s, want the healthy worker's alone (workers 1)", rec.Body)
+	}
+}
+
+// TestRetryBudgetBoundsBackoff: RetryBudget covers a forward whose every
+// attempt runs to its deadline and whose every backoff draws its slowest
+// jitter, for the defaults freeway-router starts with and for an edited
+// config.
+func TestRetryBudgetBoundsBackoff(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want time.Duration
+	}{
+		// Backoff ceilings 25, 50, 100 and 200 ms.
+		{Config{Retries: DefaultRetries}, 5*DefaultRequestTimeout + 375*time.Millisecond},
+		// Ceilings 0.1, 0.2, 0.4, 0.8, then capped at 1 s three times.
+		{Config{Retries: 7, RequestTimeout: 2 * time.Second, RetryBase: 100 * time.Millisecond, RetryMax: time.Second},
+			8*2*time.Second + 4500*time.Millisecond},
+	} {
+		budget := tc.cfg.RetryBudget()
+		if budget != tc.want {
+			t.Errorf("retries %d: budget %v, want %v", tc.cfg.Retries, budget, tc.want)
+		}
+		tc.cfg.Workers = []string{"127.0.0.1:1"}
+		rt, err := NewRouter(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := time.Duration(rt.cfg.Retries+1) * rt.cfg.RequestTimeout
+		for n := 0; n < rt.cfg.Retries; n++ {
+			var slowest time.Duration
+			for i := 0; i < 2000; i++ {
+				slowest = max(slowest, rt.backoff(n))
+			}
+			worst += slowest
+		}
+		rt.Close()
+		if worst > budget {
+			t.Errorf("retries %d: attempts and drawn backoffs take %v, beyond the budget %v", tc.cfg.Retries, worst, budget)
+		}
+	}
+}

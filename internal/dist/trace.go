@@ -1,7 +1,6 @@
-// Cluster-wide observability for the routing tier: per-attempt trace spans,
-// the slow-request exemplar ring, the cluster event timeline, and the
-// /v1/cluster/* endpoints that federate router-local data with per-worker
-// scrapes (/v1/metrics, /v1/spans) into one cluster view.
+// Tracing for the routing tier: one span per forward attempt, the per-hop
+// response headers, and /v1/cluster/trace, which joins the router's spans
+// with every worker's /v1/spans into one request's cross-node trace.
 
 package dist
 
@@ -41,25 +40,12 @@ func protoOf(contentType string) string {
 // Spans exposes the router's per-attempt span ring.
 func (r *Router) Spans() *obs.Ring[obs.Span] { return r.spans }
 
-// Events exposes the cluster timeline ring.
-func (r *Router) Events() *obs.Ring[obs.ClusterEvent] { return r.events }
-
-// Exemplars exposes the slow-request top-K ring.
-func (r *Router) Exemplars() *obs.ExemplarRing { return r.exemplars }
-
-// recordEvent appends one timeline entry, stamping the time.
-func (r *Router) recordEvent(ev obs.ClusterEvent) {
-	ev.UnixNano = time.Now().UnixNano()
-	r.events.Add(ev)
-}
-
 // routerTrace carries one request's trace context through the forward
 // attempt loop. A nil *routerTrace (DisableTracing) turns every method into
 // a no-op, so the forward path needs no flag checks.
 type routerTrace struct {
 	r      *Router
 	ctx    obs.TraceContext // the request-wide trace id + the client's span id
-	minted bool             // true when the router created the trace id
 	stream string
 	proto  string
 	hop    routerHop // per-attempt scratch; only one attempt is live at a time
@@ -82,17 +68,8 @@ func (r *Router) beginTrace(req *http.Request, body []byte, stream, proto string
 		tr.ctx = in
 	} else {
 		tr.ctx = obs.TraceContext{TraceID: obs.NewTraceID()}
-		tr.minted = true
 	}
 	return tr
-}
-
-// id returns the trace id ("" when tracing is disabled).
-func (t *routerTrace) id() string {
-	if t == nil {
-		return ""
-	}
-	return t.ctx.TraceID
 }
 
 // routerHop is one in-flight forward attempt's span.
@@ -165,52 +142,6 @@ func (t *routerTrace) setHeaders(h http.Header, workerHdr http.Header, start tim
 	h.Set(obs.AttemptsHeader, strconv.Itoa(attempts))
 }
 
-// offerExemplar records the finished request in the slow-request top-K ring.
-func (t *routerTrace) offerExemplar(r *Router, owner string, start time.Time, attempts int) {
-	if t == nil {
-		return
-	}
-	r.exemplars.Offer(obs.Exemplar{
-		TraceID:        t.ctx.TraceID,
-		Stream:         t.stream,
-		Owner:          owner,
-		Proto:          t.proto,
-		Attempts:       attempts,
-		StartUnixNano:  start.UnixNano(),
-		DurationMicros: obs.FormatDurationMicros(time.Since(start)),
-	})
-}
-
-// handleClusterMetrics federates metrics: the router's own registry plus a
-// /v1/metrics scrape of every in-ring worker, merged into one Prometheus
-// exposition in which each worker's series carry a worker="<addr>" label
-// (router-local series stay unlabeled; see obs.MergeExpositions for the
-// merge rules). A worker that fails mid-scrape is skipped — federation
-// degrades to the reachable subset rather than failing the whole scrape.
-func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	var local strings.Builder
-	if err := r.reg.WritePrometheus(&local); err != nil {
-		r.writeError(w, http.StatusInternalServerError, "metrics render failed")
-		return
-	}
-	parts := []obs.ExpositionPart{{Text: local.String()}}
-	for _, addr := range r.ringMembers() {
-		text, ok := r.scrapeWorker(req, addr, "/v1/metrics")
-		if !ok {
-			continue
-		}
-		parts = append(parts, obs.ExpositionPart{Worker: addr, Text: text})
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.MergeExpositions(w, parts); err != nil {
-		log.Printf("dist: cluster metrics write failed: %v", err)
-	}
-}
-
 // handleClusterTrace assembles every span of one trace: the router's
 // per-attempt spans plus each in-ring worker's /v1/spans?id= records,
 // sorted by start time — the cluster-wide view of one request's life.
@@ -226,12 +157,12 @@ func (r *Router) handleClusterTrace(w http.ResponseWriter, req *http.Request) {
 	}
 	spans := obs.SpansOfTrace(r.spans.Last(0), id)
 	for _, addr := range r.ringMembers() {
-		text, ok := r.scrapeWorker(req, addr, "/v1/spans?id="+url.QueryEscape(id))
+		body, ok := r.scrapeWorker(req, addr, "/v1/spans?id="+url.QueryEscape(id))
 		if !ok {
 			continue
 		}
 		var ws []obs.Span
-		if err := json.Unmarshal([]byte(text), &ws); err != nil {
+		if err := json.Unmarshal(body, &ws); err != nil {
 			continue
 		}
 		spans = append(spans, ws...)
@@ -245,34 +176,6 @@ func (r *Router) handleClusterTrace(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleClusterEvents serves the cluster timeline, one JSON event per line
-// (oldest first); ?n=K limits to the newest K events.
-func (r *Router) handleClusterEvents(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	n, err := obs.ParseLastN(req.URL.Query().Get("n"))
-	if err != nil {
-		r.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := obs.WriteJSONL(w, r.events.Last(n)); err != nil {
-		log.Printf("dist: cluster events write failed: %v", err)
-	}
-}
-
-// handleClusterExemplars serves the slowest requests seen so far (slowest
-// first), each carrying the trace id to follow via /v1/cluster/trace.
-func (r *Router) handleClusterExemplars(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, r.exemplars.TopK())
-}
-
 // ringMembers snapshots the healthy worker set.
 func (r *Router) ringMembers() []string {
 	r.mu.Lock()
@@ -280,13 +183,13 @@ func (r *Router) ringMembers() []string {
 	return r.ring.members()
 }
 
-// scrapeWorker GETs one observability URI from a worker under the probe
-// timeout, returning the body text; ok is false on any transport or
-// non-200 failure.
-func (r *Router) scrapeWorker(req *http.Request, addr, uri string) (string, bool) {
+// scrapeWorker GETs one read-only URI from a worker under the probe
+// timeout, returning the body; ok is false on any transport or non-200
+// failure.
+func (r *Router) scrapeWorker(req *http.Request, addr, uri string) ([]byte, bool) {
 	resp, body, err := r.do(req.Context(), r.cfg.ProbeTimeout, addr, http.MethodGet, uri, nil, nil)
 	if err != nil || resp.StatusCode != http.StatusOK {
-		return "", false
+		return nil, false
 	}
-	return string(body), true
+	return body, true
 }

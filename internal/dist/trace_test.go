@@ -62,7 +62,8 @@ func clusterTrace(t *testing.T, rt *Router, id string) []obs.Span {
 // under the SAME trace id, leaving one router span per attempt (the failed
 // ones annotated with the opened breaker) and the surviving worker's
 // process span parented to the successful attempt — all assembled by
-// /v1/cluster/trace.
+// /v1/cluster/trace. The ejection and the stream's move show in the
+// router's counters.
 func TestTraceContinuityAcrossFailover(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
@@ -80,6 +81,8 @@ func TestTraceContinuityAcrossFailover(t *testing.T) {
 		t.Fatal("no owner for stream")
 	}
 	chaos.Partition(owner)
+	ejections := counterValue(rt, "freeway_router_ejections_total")
+	migrations := counterValue(rt, "freeway_router_migrations_total")
 
 	tc := obs.NewTraceContext()
 	rec := tracedProcessVia(t, rt, rng, stream, tc)
@@ -151,31 +154,11 @@ func TestTraceContinuityAcrossFailover(t *testing.T) {
 		t.Fatalf("no worker span parents to the successful router attempt %s", okSpan.SpanID)
 	}
 
-	// The ejection must appear in the cluster timeline, annotated with the
-	// trace that triggered it.
-	events := rt.Events().Last(0)
-	sawOpen := false
-	for _, ev := range events {
-		if ev.Type == obs.EventBreakerOpen && ev.Worker == owner && ev.TraceID == tc.TraceID {
-			sawOpen = true
-		}
+	if got := counterValue(rt, "freeway_router_ejections_total") - ejections; got != 1 {
+		t.Errorf("ejections_total moved by %d, want 1 (the partitioned owner)", got)
 	}
-	if !sawOpen {
-		t.Fatalf("no breaker_open event for %s with trace %s in %v", owner, tc.TraceID, events)
-	}
-
-	// And the retried (slow) request must rank in the exemplar ring.
-	found := false
-	for _, ex := range rt.Exemplars().TopK() {
-		if ex.TraceID == tc.TraceID {
-			if ex.Attempts != attempts {
-				t.Fatalf("exemplar attempts = %d, header said %d", ex.Attempts, attempts)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("failover request missing from exemplar ring")
+	if got := counterValue(rt, "freeway_router_migrations_total") - migrations; got < 1 {
+		t.Errorf("migrations_total moved by %d, want >= 1 (the traced stream)", got)
 	}
 }
 
@@ -232,9 +215,9 @@ func TestFrameTraceContinuityThroughRouter(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsFederation pins the federation merge: the router's own
-// series appear unlabeled, every healthy worker's series appear under
-// worker="<addr>", and the events endpoint speaks JSONL.
+// TestClusterMetricsFederation pins where cluster metrics come from: the
+// router's /v1/metrics carries its own series, each worker's /v1/metrics its
+// own, and the router serves no merged copy of them.
 func TestClusterMetricsFederation(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(11))
@@ -248,64 +231,55 @@ func TestClusterMetricsFederation(t *testing.T) {
 			t.Fatalf("request %d: status %d", i, code)
 		}
 	}
-
-	rec := httptest.NewRecorder()
-	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster/metrics", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/cluster/metrics: status %d", rec.Code)
+	metrics := func(h http.Handler) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v1/metrics: status %d", rec.Code)
+		}
+		return rec.Body.String()
 	}
-	text := rec.Body.String()
+
+	text := metrics(rt)
 	if !strings.Contains(text, "freeway_router_requests_total 8") {
-		t.Fatalf("router-local series missing or labeled:\n%s", text)
+		t.Fatalf("router series missing or labeled:\n%s", text)
 	}
 	if !strings.Contains(text, `freeway_router_proxy_bytes_total{direction="in",proto="json"}`) {
 		t.Fatalf("proxy bytes counter missing:\n%s", text)
 	}
+
+	// Each worker counts the batches it served; together, every one routed.
+	const served = `freeway_http_requests_total{path="/v1/streams/:id/process"} `
+	total := 0
 	for _, w := range []*testWorker{w1, w2} {
-		if !strings.Contains(text, `worker="`+w.addr()+`"`) {
-			t.Fatalf("no federated series labeled for worker %s:\n%s", w.addr(), text)
+		own := metrics(w.srv)
+		i := strings.Index(own, served)
+		if i < 0 {
+			t.Fatalf("worker %s: no %s series:\n%s", w.addr(), served, own)
 		}
+		line, _, _ := strings.Cut(own[i+len(served):], "\n")
+		n, err := strconv.Atoi(line)
+		if err != nil {
+			t.Fatalf("worker %s: %s%q: %v", w.addr(), served, line, err)
+		}
+		total += n
 	}
-	// Known worker families must carry the injected label — including the
-	// histogram _sum line, so the bucket/_sum/_count triple stays consistent
-	// under the merge.
-	sawCounter, sawSum := false, false
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "freeway_http_requests_total{") && strings.Contains(line, `worker="`) {
-			sawCounter = true
-		}
-		if strings.HasPrefix(line, "freeway_process_seconds_sum{") && strings.Contains(line, `worker="`) {
-			sawSum = true
-		}
-	}
-	if !sawCounter || !sawSum {
-		t.Fatalf("worker-side series not labeled (counter=%v histogram_sum=%v):\n%s", sawCounter, sawSum, text)
+	if total != 8 {
+		t.Fatalf("workers served %d batches, want 8", total)
 	}
 
-	// Exemplars: every request competes; the ring must be non-empty and its
-	// trace ids resolvable.
-	exRec := httptest.NewRecorder()
-	rt.ServeHTTP(exRec, httptest.NewRequest(http.MethodGet, "/v1/cluster/exemplars", nil))
-	var exemplars []obs.Exemplar
-	if err := json.Unmarshal(exRec.Body.Bytes(), &exemplars); err != nil || len(exemplars) == 0 {
-		t.Fatalf("exemplars: err %v body %s", err, exRec.Body.String())
-	}
-	if spans := clusterTrace(t, rt, exemplars[0].TraceID); len(spans) == 0 {
-		t.Fatalf("exemplar trace %s resolves to no spans", exemplars[0].TraceID)
-	}
-
-	// Events endpoint: JSONL, possibly empty in a healthy cluster, but it
-	// must answer 200 with the NDJSON content type.
-	evRec := httptest.NewRecorder()
-	rt.ServeHTTP(evRec, httptest.NewRequest(http.MethodGet, "/v1/cluster/events?n=10", nil))
-	if evRec.Code != http.StatusOK || evRec.Header().Get("Content-Type") != "application/x-ndjson" {
-		t.Fatalf("/v1/cluster/events: status %d type %q", evRec.Code, evRec.Header().Get("Content-Type"))
+	for _, path := range []string{"/v1/cluster/metrics", "/v1/cluster/events", "/v1/cluster/exemplars"} {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, rec.Code)
+		}
 	}
 }
 
 // TestForwardUntracedWhenDisabled pins the overhead valve: with tracing
-// disabled the forward path emits no spans, no exemplars, and no trace
-// headers, but still routes.
+// disabled the forward path emits no spans and no trace headers, but still
+// routes.
 func TestForwardUntracedWhenDisabled(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"ok":true}`))
@@ -329,19 +303,17 @@ func TestForwardUntracedWhenDisabled(t *testing.T) {
 	if rec.Header().Get(obs.TraceIDHeader) != "" || rec.Header().Get(obs.RouterMicrosHeader) != "" {
 		t.Fatal("tracing headers present with tracing disabled")
 	}
-	if rt.Spans().Len() != 0 || rt.Exemplars().Len() != 0 {
-		t.Fatalf("spans=%d exemplars=%d recorded with tracing disabled", rt.Spans().Len(), rt.Exemplars().Len())
+	if rt.Spans().Len() != 0 {
+		t.Fatalf("spans=%d recorded with tracing disabled", rt.Spans().Len())
 	}
 }
 
-// TestRingEndpointsRejectBadN: the three ring endpoints (a worker's /v1/trace
-// and /v1/spans, the router's /v1/cluster/events) read ?n= through one
-// parser. A negative or non-numeric n is a 400 with the JSON error envelope,
-// and a worker counts the reject in http_rejects (the router keeps no reject
-// counter); a valid n is served.
+// TestRingEndpointsRejectBadN: the two ring endpoints (a worker's /v1/trace
+// and /v1/spans) read ?n= through one parser. A negative or non-numeric n is
+// a 400 with the JSON error envelope, counted in http_rejects; a valid n is
+// served.
 func TestRingEndpointsRejectBadN(t *testing.T) {
 	w := newTestWorker(t, t.TempDir())
-	rt := failoverRouter(t, nil, w)
 	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
@@ -354,18 +326,10 @@ func TestRingEndpointsRejectBadN(t *testing.T) {
 		}
 		return st.HTTPRejects
 	}
-	for _, tc := range []struct {
-		name, path string
-		h          http.Handler
-		counted    bool
-	}{
-		{"worker trace", "/v1/trace", w.srv, true},
-		{"worker spans", "/v1/spans", w.srv, true},
-		{"router events", "/v1/cluster/events", rt, false},
-	} {
+	for _, path := range []string{"/v1/trace", "/v1/spans"} {
 		for _, n := range []string{"-1", "x", "1.5"} {
 			before := workerRejects()
-			rec := get(tc.h, tc.path+"?n="+n)
+			rec := get(w.srv, path+"?n="+n)
 			var env struct {
 				Error struct {
 					Code    int    `json:"code"`
@@ -374,17 +338,15 @@ func TestRingEndpointsRejectBadN(t *testing.T) {
 			}
 			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
 				env.Error.Code != http.StatusBadRequest || env.Error.Message != "n must be a non-negative integer" {
-				t.Errorf("%s n=%s: status %d body %q, want the 400 envelope", tc.name, n, rec.Code, rec.Body.String())
+				t.Errorf("%s n=%s: status %d body %q, want the 400 envelope", path, n, rec.Code, rec.Body.String())
 			}
-			if tc.counted {
-				if got := workerRejects() - before; got != 1 {
-					t.Errorf("%s n=%s: http_rejects moved by %d, want 1", tc.name, n, got)
-				}
+			if got := workerRejects() - before; got != 1 {
+				t.Errorf("%s n=%s: http_rejects moved by %d, want 1", path, n, got)
 			}
 		}
 		for _, n := range []string{"", "0", "3"} {
-			if rec := get(tc.h, tc.path+"?n="+n); rec.Code != http.StatusOK {
-				t.Errorf("%s n=%q: status %d: %s", tc.name, n, rec.Code, rec.Body.String())
+			if rec := get(w.srv, path+"?n="+n); rec.Code != http.StatusOK {
+				t.Errorf("%s n=%q: status %d: %s", path, n, rec.Code, rec.Body.String())
 			}
 		}
 	}

@@ -1,10 +1,9 @@
 // Package obs is FreewayML's dependency-free observability core: atomic
 // counters and gauges, fixed-bucket latency histograms with quantile
 // estimation, a process-wide named registry with Prometheus text
-// exposition and its cluster-wide merge, W3C-style trace context, and the
-// records a node keeps of its recent past — per-batch decision traces,
-// request spans and cluster events, each in one generic bounded ring
-// (Ring), plus the top-K slowest requests (ExemplarRing).
+// exposition, W3C-style trace context, and the records a node keeps of its
+// recent past — per-batch decision traces and request spans, each in one
+// generic bounded ring (Ring).
 //
 // The package uses only the standard library and is safe for concurrent
 // use: the hot path (Counter.Inc, Gauge.Set, Histogram.Observe) is a

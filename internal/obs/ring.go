@@ -9,10 +9,10 @@ import (
 )
 
 // Ring is a bounded FIFO of the newest records: a learner's decision trace
-// (TraceEvent), a node's spans (Span), the router's cluster timeline
-// (ClusterEvent). Memory is fixed by the capacity given at construction: the
-// ring never grows, and once full each Add overwrites the oldest record and
-// counts it as dropped. Safe for concurrent writers and readers.
+// (TraceEvent) or a node's spans (Span). Memory is fixed by the capacity
+// given at construction: the ring never grows, and once full each Add
+// overwrites the oldest record and counts it as dropped. Safe for concurrent
+// writers and readers.
 type Ring[T any] struct {
 	mu      sync.Mutex
 	buf     []T
@@ -74,9 +74,9 @@ func (r *Ring[T]) Last(n int) []T {
 	return out
 }
 
-// WriteJSONL encodes vs as one JSON object per line — the /v1/trace,
-// /v1/cluster/events and `freeway -trace` format. A record that fails to
-// encode is skipped and the first such error returned.
+// WriteJSONL encodes vs as one JSON object per line — the /v1/trace and
+// `freeway -trace` format. A record that fails to encode is skipped and the
+// first such error returned.
 func WriteJSONL[T any](w io.Writer, vs []T) error {
 	enc := json.NewEncoder(w)
 	var firstErr error

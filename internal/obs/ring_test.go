@@ -131,13 +131,13 @@ func TestSpanRingConcurrent(t *testing.T) {
 	}
 }
 
-// TestEventRingJSONL: a full cluster-event ring drops its oldest event and
+// TestEventRingJSONL: a full decision-trace ring drops its oldest event and
 // writes the rest as JSONL, oldest first.
 func TestEventRingJSONL(t *testing.T) {
-	r := NewRing[ClusterEvent](2)
-	r.Add(ClusterEvent{Type: EventBreakerOpen, Worker: "w1"})
-	r.Add(ClusterEvent{Type: EventMigration, Worker: "w2", Stream: "s"})
-	r.Add(ClusterEvent{Type: EventBreakerClose, Worker: "w1"})
+	r := NewRing[TraceEvent](2)
+	r.Add(TraceEvent{Batch: 0, Pattern: "none"})
+	r.Add(TraceEvent{Batch: 1, Pattern: "slight"})
+	r.Add(TraceEvent{Batch: 2, Pattern: "sudden"})
 	if r.Dropped() != 1 {
 		t.Fatalf("Dropped = %d, want 1", r.Dropped())
 	}
@@ -149,7 +149,7 @@ func TestEventRingJSONL(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("JSONL lines = %d, want 2: %q", len(lines), sb.String())
 	}
-	if !strings.Contains(lines[0], EventMigration) || !strings.Contains(lines[1], EventBreakerClose) {
+	if !strings.Contains(lines[0], `"slight"`) || !strings.Contains(lines[1], `"sudden"`) {
 		t.Fatalf("unexpected JSONL order: %q", sb.String())
 	}
 }

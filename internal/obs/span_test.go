@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"math/rand"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -76,51 +73,5 @@ func TestSpansOfTrace(t *testing.T) {
 	}
 	if got := SpansOfTrace(r.Last(0), "none"); got != nil {
 		t.Fatalf("SpansOfTrace(none) = %+v, want nil", got)
-	}
-}
-
-func TestExemplarRingTopK(t *testing.T) {
-	r := NewExemplarRing(3)
-	for _, d := range []float64{5, 1, 9, 3, 7, 2} {
-		r.Offer(Exemplar{TraceID: "t", DurationMicros: d})
-	}
-	top := r.TopK()
-	if len(top) != 3 {
-		t.Fatalf("TopK len = %d, want 3", len(top))
-	}
-	want := []float64{9, 7, 5}
-	for i, e := range top {
-		if e.DurationMicros != want[i] {
-			t.Fatalf("TopK[%d] = %v, want %v", i, e.DurationMicros, want[i])
-		}
-	}
-}
-
-// TestExemplarRingTopKMatchesBruteForce offers random durations with many
-// ties: whatever the offer order, TopK holds exactly the K largest durations
-// offered, slowest first.
-func TestExemplarRingTopKMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, k := range []int{1, 2, 5, 32} { // 32: the router's default K
-		for trial := 0; trial < 20; trial++ {
-			r := NewExemplarRing(k)
-			var all []float64
-			for i, n := 0, rng.Intn(4*k+10); i < n; i++ {
-				d := float64(rng.Intn(12)) // few distinct values: ties everywhere
-				all = append(all, d)
-				r.Offer(Exemplar{TraceID: strconv.Itoa(i), DurationMicros: d})
-			}
-			sort.Sort(sort.Reverse(sort.Float64Slice(all)))
-			want := all[:min(k, len(all))]
-			top := r.TopK()
-			if len(top) != len(want) || r.Len() != len(want) {
-				t.Fatalf("k=%d: TopK holds %d (Len %d), want %d", k, len(top), r.Len(), len(want))
-			}
-			for i, e := range top {
-				if e.DurationMicros != want[i] {
-					t.Fatalf("k=%d trial %d: TopK[%d] = %v, want %v (brute force %v)", k, trial, i, e.DurationMicros, want[i], want)
-				}
-			}
-		}
 	}
 }
