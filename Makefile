@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt golden race fuzz cross check no-unsafe size clean
+.PHONY: all build test vet fmt golden race fuzz cross check no-unsafe no-gob size clean
 
 all: check
 
@@ -97,6 +97,15 @@ no-unsafe:
 	fi
 	@echo "no-unsafe: kernel packages clean"
 
+# A model's saved state is its parameter image (internal/nn), not gob: the
+# checkpoint's outer payload is the one gob left, until the checkpoint is
+# reshaped into flat sections too.
+no-gob:
+	@if grep -rln '"encoding/gob"' --include='*.go' . | grep -v '_test\.go$$' | grep -v '^\./\.bench_build/' | grep -vx './internal/core/checkpoint.go'; then \
+		echo 'encoding/gob imported outside internal/core/checkpoint.go' >&2; exit 1; \
+	fi
+	@echo "no-gob: only the checkpoint payload imports encoding/gob"
+
 # Line counts: non-test Go (benchmark/ and cmd/ included), test Go, and amd64
 # assembly. .bench_build/ holds the benchmark's private GOPATH, not the repo's
 # code.
@@ -105,7 +114,7 @@ size:
 	echo "size: $$(lines -name '*.go' ! -name '*_test.go') non-test Go, $$(lines -name '*_test.go') test Go, $$(lines -name '*_amd64.s') amd64 assembly lines"
 
 # The full gate: everything CI runs.
-check: build vet fmt no-unsafe cross test golden race
+check: build vet fmt no-unsafe no-gob cross test golden race
 
 clean:
 	$(GO) clean ./...

@@ -69,7 +69,7 @@ func ExampleLearner() {
 	// processed 145 batches (18560 samples)
 	// global accuracy (G_acc): 83.56%
 	// stability index (SI):    0.887
-	// knowledge entries:       6 (31442 bytes in memory)
+	// knowledge entries:       6 (27984 bytes in memory)
 }
 
 // Stop a deployed stream and resume it later. The learner's durable state —
@@ -145,7 +145,7 @@ func ExampleLearner_Save() {
 		final.Batches, 100*final.GAcc, final.KnowledgeEntries)
 	// Output:
 	// before checkpoint: 60 batches, G_acc 87.19%, 3 knowledge entries
-	// checkpoint written: 84355 bytes
+	// checkpoint written: 78664 bytes
 	// resumed from checkpoint; continuing the stream
 	// batch  90: reoccurring regime served by pre-checkpoint knowledge (acc 65.6%)
 	// batch  91: reoccurring regime served by pre-checkpoint knowledge (acc 88.3%)

@@ -320,6 +320,21 @@ func TestExpBufferValidation(t *testing.T) {
 	if err := b.AddBatch([][]float64{{1}}, []int{0, 1}); err == nil {
 		t.Error("size mismatch should error")
 	}
+	// A refused import leaves the buffer as it was.
+	if err := b.AddBatch([][]float64{{1}}, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []ExpBufferState{
+		{X: [][]float64{{2}}, Y: []int{0, 1}, Birth: []int{1}},
+		{X: [][]float64{{2}, {3, 4}}, Y: []int{0, 1}, Birth: []int{1, 1}},
+	} {
+		if err := b.Import(s); err == nil {
+			t.Errorf("import of %+v should error", s)
+		}
+		if x, y := b.Experience(); len(y) != 1 || y[0] != 1 || x[0][0] != 1 {
+			t.Fatalf("after a refused import the buffer holds %v %v, want [[1]] [1]", x, y)
+		}
+	}
 }
 
 // TestClusterLabelsInheritFromVotedClusters pins the majority-vote mapping

@@ -134,11 +134,24 @@ func (b *ExpBuffer) Export() ExpBufferState {
 	return s
 }
 
-// Import replaces the buffer contents with an exported state. A state whose
-// rows differ in width is refused and leaves the buffer empty.
-func (b *ExpBuffer) Import(s ExpBufferState) error {
+// Check reports why Import would refuse s, or nil.
+func (s ExpBufferState) Check() error {
 	if len(s.X) != len(s.Y) || len(s.X) != len(s.Birth) {
 		return errors.New("cluster: ExpBuffer import length mismatch")
+	}
+	for _, row := range s.X {
+		if len(row) != len(s.X[0]) {
+			return fmt.Errorf("cluster: ExpBuffer row width %d, want %d", len(row), len(s.X[0]))
+		}
+	}
+	return nil
+}
+
+// Import replaces the buffer contents with an exported state. It checks s
+// first (Check): a refused state leaves the buffer as it was.
+func (b *ExpBuffer) Import(s ExpBufferState) error {
+	if err := s.Check(); err != nil {
+		return err
 	}
 	x, over := s.X, max(len(s.X)-b.capacity, 0)
 	b.y, b.birth = b.y[:0], b.birth[:0]

@@ -10,10 +10,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"freewayml/internal/cluster"
 	"freewayml/internal/knowledge"
-	"freewayml/internal/linalg"
 	"freewayml/internal/metrics"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
@@ -29,22 +29,20 @@ import (
 // the resumed stream replaces within one window; a checkpoint stays small, the
 // long model is saved as it stands, and the window restarts cleanly.
 type checkpoint struct {
-	Version       int
-	ModelFamily   string
-	Dim, Classes  int
-	Batch         int
-	GranSnapshots [][]byte
-	GranCentroids []linalg.Vector
-	LongSnapshot  []byte
-	LongCentroid  linalg.Vector
-	Detector      shift.State
-	Knowledge     []knowledge.EntrySnapshot
-	Experience    cluster.ExpBufferState
-	Metrics       metrics.PrequentialState
+	Version      int
+	ModelFamily  string
+	Dim, Classes int
+	Batch        int
+	Models       strategy.EnsembleState
+	Detector     shift.State
+	Knowledge    []knowledge.EntrySnapshot
+	Experience   cluster.ExpBufferState
+	Metrics      metrics.PrequentialState
 }
 
-// checkpointVersion guards the on-disk format.
-const checkpointVersion = 1
+// checkpointVersion guards the on-disk format. Since version 2 each model
+// is its parameter image (nn.Network.AppendSnapshot).
+const checkpointVersion = 2
 
 // Checkpoint envelope: every checkpoint is framed as
 //
@@ -114,28 +112,21 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 // SaveCheckpoint serializes the learner's durable state. Call it between
 // Process calls, never concurrently with one.
 func (l *Learner) SaveCheckpoint(w io.Writer) error {
-	st, err := l.ens.ExportState()
-	if err != nil {
-		return fmt.Errorf("core: checkpoint ensemble: %w", err)
-	}
 	entries, err := l.kdg.Export()
 	if err != nil {
 		return fmt.Errorf("core: checkpoint knowledge: %w", err)
 	}
 	cp := checkpoint{
-		Version:       checkpointVersion,
-		ModelFamily:   l.cfg.ModelFamily,
-		Dim:           l.dim,
-		Classes:       l.classes,
-		Batch:         l.batch,
-		GranSnapshots: st.GranSnapshots,
-		GranCentroids: st.GranCentroids,
-		LongSnapshot:  st.LongSnapshot,
-		LongCentroid:  st.LongCentroid,
-		Detector:      l.det.State(),
-		Knowledge:     entries,
-		Experience:    l.exp.Export(),
-		Metrics:       l.preq.Export(),
+		Version:     checkpointVersion,
+		ModelFamily: l.cfg.ModelFamily,
+		Dim:         l.dim,
+		Classes:     l.classes,
+		Batch:       l.batch,
+		Models:      l.ens.ExportState(),
+		Detector:    l.det.State(),
+		Knowledge:   entries,
+		Experience:  l.exp.Export(),
+		Metrics:     l.preq.Export(),
 	}
 
 	var payload bytes.Buffer
@@ -225,26 +216,31 @@ func (l *Learner) LoadCheckpoint(r io.Reader) error {
 		return fmt.Errorf("core: checkpoint shape %dx%d, learner is %dx%d",
 			cp.Dim, cp.Classes, l.dim, l.classes)
 	}
-	if len(cp.GranSnapshots) != len(l.ens.Granularities()) {
-		return errors.New("core: checkpoint granularity count mismatch (different ModelNum?)")
-	}
 
-	if err := l.ens.ImportState(strategy.EnsembleState{
-		GranSnapshots: cp.GranSnapshots,
-		GranCentroids: cp.GranCentroids,
-		LongSnapshot:  cp.LongSnapshot,
-		LongCentroid:  cp.LongCentroid,
-	}); err != nil {
+	// Nothing is applied before every section has been checked, so a refused
+	// checkpoint leaves the learner as it was: the detector and the
+	// experience here, the model images by ImportState, which applies first.
+	if err := l.det.CheckState(cp.Detector); err != nil {
+		return fmt.Errorf("core: restore detector: %w", err)
+	}
+	if err := cp.Experience.Check(); err != nil {
+		return fmt.Errorf("core: restore experience: %w", err)
+	}
+	if err := l.ens.ImportState(cp.Models); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	// A knowledge entry whose image does not fit the model is skipped, as an
+	// empty one is: matched on a later batch, it could not be restored.
+	net, total := l.ens.ShortModel().Net(), len(cp.Knowledge)
+	entries := slices.DeleteFunc(cp.Knowledge, func(e knowledge.EntrySnapshot) bool { return net.CheckSnapshot(e.Snapshot) != nil })
 	if err := l.det.RestoreState(cp.Detector); err != nil {
 		return fmt.Errorf("core: restore detector: %w", err)
 	}
-	skipped, err := l.kdg.Import(cp.Knowledge)
+	skipped, err := l.kdg.Import(entries)
 	if err != nil {
 		return fmt.Errorf("core: restore knowledge: %w", err)
 	}
-	if skipped > 0 {
+	if skipped += total - len(entries); skipped > 0 {
 		l.health.mu.Lock()
 		l.health.knowledgeSkipped += skipped
 		l.health.mu.Unlock()

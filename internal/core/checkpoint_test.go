@@ -155,6 +155,59 @@ func TestLoadCheckpointRejectsMismatches(t *testing.T) {
 	if err := l.LoadCheckpoint(strings.NewReader("not a checkpoint")); err == nil {
 		t.Error("garbage should be rejected")
 	}
+
+	// A version 1 checkpoint (its models were gob) under a valid envelope.
+	v1 := reframe(t, buf.Bytes(), func(cp *checkpoint) { cp.Version = 1 })
+	if err := l.LoadCheckpoint(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version 1 checkpoint: err = %v, want the version error", err)
+	}
+}
+
+// TestRefusedCheckpointAppliesNothing: a CRC-valid checkpoint whose model
+// images fit but whose detector state does not — a distance history longer
+// than the learner's HistoryK — is refused before any section is applied.
+// The learner then answers and trains as an untouched twin does.
+func TestRefusedCheckpointAppliesNothing(t *testing.T) {
+	longCfg := testConfig()
+	longCfg.Shift.HistoryK = 30
+	src, _, _ := warmLearner(t, longCfg, 40, 61) // 38 batches past warm-up
+	defer src.Close()
+	var buf bytes.Buffer
+	if err := src.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := testConfig()
+	cfg.Shift.HistoryK = 20
+	l, rng, seq := warmLearner(t, cfg, 25, 62)
+	defer l.Close()
+	twin, _, _ := warmLearner(t, cfg, 25, 62)
+	defer twin.Close()
+
+	if err := l.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "HistoryK") {
+		t.Fatalf("a checkpoint with a longer distance history than HistoryK: err = %v, want the HistoryK error", err)
+	}
+	probe := driftBatch(rng, seq, 32, 0, 0, stream.KindNone)
+	ls, ll := l.DebugModels()
+	ts, tl := twin.DebugModels()
+	for name, pair := range map[string][2][]int{
+		"short": {ls.Predict(probe.X), ts.Predict(probe.X)},
+		"long":  {ll.Predict(probe.X), tl.Predict(probe.X)},
+	} {
+		for i := range pair[0] {
+			if pair[0][i] != pair[1][i] {
+				t.Fatalf("%s model: row %d predicted %d, the twin %d", name, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+	if l.batch != twin.batch || l.det.State().Batch != twin.det.State().Batch {
+		t.Fatalf("batch counts %d (detector %d), the twin's %d (%d)",
+			l.batch, l.det.State().Batch, twin.batch, twin.det.State().Batch)
+	}
+	next := driftBatch(rng, seq+1, 64, 0, 0, stream.KindNone)
+	ra, rb := process(t, l, next), process(t, twin, next)
+	sameObservations(t, seq+1, ra, rb)
+	sameLearners(t, seq+1, l, twin, ra, rb)
 }
 
 func TestCheckpointDuringWarmupRoundtrips(t *testing.T) {

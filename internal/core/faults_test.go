@@ -316,9 +316,38 @@ func TestLoadCheckpointSkipsCorruptKnowledgeEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Decode the payload, blank one knowledge snapshot (the degraded shape
-	// an older or partially-recovered writer could produce), re-frame.
-	payload, err := readEnvelope(bytes.NewReader(buf.Bytes()))
+	// Blank one knowledge image (the degraded shape an older or
+	// partially-recovered writer could produce) and cut another short (an
+	// image that does not fit the model: matched later, it could not be
+	// restored).
+	total := 0
+	framed := reframe(t, buf.Bytes(), func(cp *checkpoint) {
+		total = len(cp.Knowledge)
+		cp.Knowledge[0].Snapshot = nil
+		cp.Knowledge[1].Snapshot = cp.Knowledge[1].Snapshot[:len(cp.Knowledge[1].Snapshot)-8]
+	})
+
+	restored, err := NewLearner(cfg, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if err := restored.LoadCheckpoint(bytes.NewReader(framed)); err != nil {
+		t.Fatalf("degraded restore failed outright: %v", err)
+	}
+	if got := restored.KnowledgeStore().Len(); got != total-2 {
+		t.Errorf("restored %d entries, want %d", got, total-2)
+	}
+	if st := restored.Stats(); st.KnowledgeSkipped != 2 {
+		t.Errorf("KnowledgeSkipped = %d, want 2", st.KnowledgeSkipped)
+	}
+}
+
+// reframe decodes a checkpoint's payload, lets edit change it, and frames it
+// again with a valid envelope.
+func reframe(t *testing.T, data []byte, edit func(*checkpoint)) []byte {
+	t.Helper()
+	payload, err := readEnvelope(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,31 +355,15 @@ func TestLoadCheckpointSkipsCorruptKnowledgeEntries(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cp); err != nil {
 		t.Fatal(err)
 	}
-	total := len(cp.Knowledge)
-	cp.Knowledge[0].Snapshot = nil
-	var reenc bytes.Buffer
+	edit(&cp)
+	var reenc, framed bytes.Buffer
 	if err := gob.NewEncoder(&reenc).Encode(cp); err != nil {
 		t.Fatal(err)
 	}
-	var framed bytes.Buffer
 	if err := writeEnvelope(&framed, reenc.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-
-	restored, err := NewLearner(cfg, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if err := restored.LoadCheckpoint(bytes.NewReader(framed.Bytes())); err != nil {
-		t.Fatalf("degraded restore failed outright: %v", err)
-	}
-	if got := restored.KnowledgeStore().Len(); got != total-1 {
-		t.Errorf("restored %d entries, want %d", got, total-1)
-	}
-	if st := restored.Stats(); st.KnowledgeSkipped != 1 {
-		t.Errorf("KnowledgeSkipped = %d, want 1", st.KnowledgeSkipped)
-	}
+	return framed.Bytes()
 }
 
 func TestSaveCheckpointFileIsAtomicAndLoadable(t *testing.T) {

@@ -71,7 +71,7 @@ func sameLearners(t *testing.T, k int, a, b *Learner, ra, rb Result) {
 		name string
 		a, b model.Model
 	}{{"short", as, bs}, {"long", al, bl}} {
-		wa, wb := m.a.AppendParams(nil), m.b.AppendParams(nil)
+		wa, wb := m.a.Net().AppendFlatParams(nil), m.b.Net().AppendFlatParams(nil)
 		for i := range wa {
 			if math.Float64bits(wa[i]) != math.Float64bits(wb[i]) {
 				t.Fatalf("batch %d: %s weight %d is %v, the twin's %v", k, m.name, i, wa[i], wb[i])

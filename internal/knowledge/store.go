@@ -273,8 +273,8 @@ func (s *Store) spillHalfLocked() error {
 }
 
 // spillMagic heads every spill file, followed by a CRC32-IEEE of the
-// payload: gob happily mis-decodes flipped bits into silently wrong model
-// weights, so bit rot must be detected before a snapshot is ever restored.
+// payload: a flipped bit in a parameter image decodes into a silently wrong
+// model weight, so bit rot must be detected before a snapshot is ever restored.
 var spillMagic = [4]byte{'K', 'D', 'G', 'S'}
 
 // spillHeaderLen is the framed prefix: magic (4 bytes) + CRC32 (4 bytes).

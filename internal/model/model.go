@@ -34,16 +34,13 @@ type Model interface {
 	// of the parameters as they stand — a Restore or any other parameter write
 	// came after the Freeze — and nothing was done: call FitTensor.
 	FitFrom(fw *nn.Forward, y []int) (loss float64, ok bool, err error)
-	// Snapshot serializes the parameters; Restore loads them back.
+	// Snapshot returns the parameter image (nn.Network.AppendSnapshot) in a
+	// fresh slice; AppendSnapshot appends it to dst, for a caller that reuses
+	// one buffer (the divergence watchdog). Restore loads an image back, or
+	// refuses it whole, and resets the optimizer state.
 	Snapshot() ([]byte, error)
+	AppendSnapshot(dst []byte) []byte
 	Restore(snapshot []byte) error
-	// AppendParams appends every value Restore would bring back to dst: the
-	// allocation-free alternative to Snapshot for a caller that keeps one
-	// reused copy (the divergence watchdog).
-	AppendParams(dst []float64) []float64
-	// RestoreParams is Restore from such a copy: the values come back and the
-	// optimizer state is reset.
-	RestoreParams(flat []float64)
 	// Freeze returns the model's read-only view as of now: the member type of
 	// a published inference snapshot.
 	Freeze() *nn.Frozen
@@ -121,14 +118,8 @@ func (m *netModel) FitFrom(fw *nn.Forward, y []int) (float64, bool, error) {
 	return m.net.TrainFrom(fw, y, m.opt)
 }
 
-func (m *netModel) AppendParams(dst []float64) []float64 { return m.net.AppendFlatParams(dst) }
-
-func (m *netModel) RestoreParams(flat []float64) {
-	m.net.SetFlatParams(flat)
-	m.opt.Reset()
-}
-
-func (m *netModel) Snapshot() ([]byte, error) { return m.net.Snapshot() }
+func (m *netModel) Snapshot() ([]byte, error)        { return m.net.Snapshot() }
+func (m *netModel) AppendSnapshot(dst []byte) []byte { return m.net.AppendSnapshot(dst) }
 
 func (m *netModel) Restore(snapshot []byte) error {
 	if err := m.net.Restore(snapshot); err != nil {

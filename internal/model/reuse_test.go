@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func flatBits(t *testing.T, what string, a, b Model) {
 	t.Helper()
-	wa, wb := a.AppendParams(nil), b.AppendParams(nil)
+	wa, wb := a.Net().AppendFlatParams(nil), b.Net().AppendFlatParams(nil)
 	if len(wa) != len(wb) {
 		t.Fatalf("%s: %d vs %d weights", what, len(wa), len(wb))
 	}
@@ -74,9 +75,10 @@ func TestFitFromMatchesFit(t *testing.T) {
 	}
 }
 
-// TestRestoreParamsMatchesRestore: the flat copy round-trips exactly what
-// Snapshot/Restore does — weights back, momentum gone.
-func TestRestoreParamsMatchesRestore(t *testing.T) {
+// TestAppendSnapshotMatchesSnapshot: an image appended into a reused buffer
+// is Snapshot's, byte for byte, and restoring it does what restoring
+// Snapshot's does — weights back, momentum gone.
+func TestAppendSnapshotMatchesSnapshot(t *testing.T) {
 	const dim, classes = 6, 3
 	rng := rand.New(rand.NewSource(22))
 	a, _ := NewStreamingMLP(dim, classes, DefaultHyper())
@@ -94,13 +96,19 @@ func TestRestoreParamsMatchesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := b.AppendParams(nil)
+	stale := bytes.Repeat([]byte{0xAA}, 4096) // a reused buffer that held something else
+	img := b.AppendSnapshot(stale[:0])
+	if !bytes.Equal(img, snap) {
+		t.Fatal("AppendSnapshot differs from Snapshot")
+	}
 	step()
 	step()
 	if err := a.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	b.RestoreParams(flat)
+	if err := b.Restore(img); err != nil {
+		t.Fatal(err)
+	}
 	flatBits(t, "after rollback", a, b)
 	step() // momentum was reset on both sides, or the weights part here
 	flatBits(t, "one step after rollback", a, b)

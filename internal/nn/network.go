@@ -1,9 +1,10 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"freewayml/internal/linalg"
 )
@@ -122,8 +123,8 @@ func (n *Network) forwardT(x *linalg.Tensor) *linalg.Tensor {
 
 // InvalidateForward declares a parameter write: it bumps the parameter
 // version, so no forward pass frozen before it can be trained from (see
-// TrainFrom). Step, Restore and SetFlatParams do it themselves; a caller that
-// writes Param.W directly must call it.
+// TrainFrom). Step and Restore do it themselves; a caller that writes Param.W
+// directly must call it.
 func (n *Network) InvalidateForward() { n.ver++ }
 
 // Predict returns the argmax class for each sample (the first on ties).
@@ -179,11 +180,10 @@ func (n *Network) TrainTensor(x *linalg.Tensor, y []int, opt *SGD) (float64, err
 // loss starts from its class distributions. It runs (ok = true) only while
 // fw is a forward of this network's parameters as they stand — fw's Frozen
 // was frozen from n and no parameter has been written since (Step, Restore,
-// SetFlatParams, InvalidateForward). The frozen pass is then the layers'
-// own arithmetic over the same values, so loss, gradients and weights come
-// out bit for bit as TrainTensor's. ok = false means nothing was done and the
-// caller trains with TrainTensor. fw's workspace must stay held until
-// TrainFrom returns.
+// InvalidateForward). The frozen pass is then the layers' own arithmetic over
+// the same values, so loss, gradients and weights come out bit for bit as
+// TrainTensor's. ok = false means nothing was done and the caller trains with
+// TrainTensor. fw's workspace must stay held until TrainFrom returns.
 func (n *Network) TrainFrom(fw *Forward, y []int, opt *SGD) (loss float64, ok bool, err error) {
 	if loss, ok, err = n.backwardFrom(fw, y); ok && err == nil {
 		n.Step(opt)
@@ -316,8 +316,7 @@ func (n *Network) SetFlatGrads(flat []float64) {
 }
 
 // AppendFlatParams appends every parameter value, in Params order, to dst and
-// returns the extended slice — the allocation-free counterpart of Snapshot
-// for a caller that keeps one reused copy (the divergence watchdog).
+// returns the extended slice (what Freeze copies).
 func (n *Network) AppendFlatParams(dst []float64) []float64 {
 	for _, p := range n.params {
 		dst = append(dst, p.W...)
@@ -325,58 +324,61 @@ func (n *Network) AppendFlatParams(dst []float64) []float64 {
 	return dst
 }
 
-// SetFlatParams writes a flat copy made by AppendFlatParams back into the
-// parameters. It panics if the length does not match.
-func (n *Network) SetFlatParams(flat []float64) {
-	idx := 0
+// AppendSnapshot appends the network's parameter image, its one saved state,
+// to dst, allocating only when dst lacks the capacity. The image is the number
+// of parameter tensors, each tensor's length, then every value's float64 bits
+// in Params order, all little-endian 64-bit words; its length is the Table IV
+// space overhead of a knowledge entry.
+func (n *Network) AppendSnapshot(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(slices.Grow(dst, n.imageLen()), uint64(len(n.params)))
 	for _, p := range n.params {
-		if idx+len(p.W) > len(flat) {
-			panic("nn: SetFlatParams length mismatch")
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(p.W)))
+	}
+	for _, p := range n.params {
+		for _, w := range p.W {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
 		}
-		idx += copy(p.W, flat[idx:idx+len(p.W)])
 	}
-	if idx != len(flat) {
-		panic("nn: SetFlatParams length mismatch")
-	}
-	n.InvalidateForward()
+	return dst
 }
 
-// Snapshot serializes all parameter values (not gradients) into a byte
-// slice. The historical-knowledge store keeps these snapshots and restores
-// them when a distribution reoccurs; their length is also the Table IV
-// space-overhead measurement.
-func (n *Network) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	params := n.Params()
-	weights := make([][]float64, len(params))
-	for i, p := range params {
-		weights[i] = p.W
-	}
-	if err := enc.Encode(weights); err != nil {
-		return nil, fmt.Errorf("nn: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// Snapshot returns the network's parameter image in a fresh slice.
+func (n *Network) Snapshot() ([]byte, error) { return n.AppendSnapshot(nil), nil }
 
-// Restore loads parameter values from a Snapshot of a network with the same
-// architecture.
-func (n *Network) Restore(snapshot []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(snapshot))
-	var weights [][]float64
-	if err := dec.Decode(&weights); err != nil {
-		return fmt.Errorf("nn: restore: %w", err)
+// Restore loads a parameter image of a network with the same layout. It
+// checks the whole image before it writes a weight: an image that does not
+// fit returns an error with the network as it was.
+func (n *Network) Restore(img []byte) error {
+	if err := n.CheckSnapshot(img); err != nil {
+		return err
 	}
-	params := n.Params()
-	if len(weights) != len(params) {
-		return fmt.Errorf("nn: restore: %d tensors, network has %d", len(weights), len(params))
+	b := img[8*(1+len(n.params)):]
+	for _, p := range n.params {
+		for i := range p.W {
+			p.W[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			b = b[8:]
+		}
 	}
 	n.InvalidateForward()
-	for i, p := range params {
-		if len(weights[i]) != len(p.W) {
-			return fmt.Errorf("nn: restore: tensor %d has %d values, want %d", i, len(weights[i]), len(p.W))
+	return nil
+}
+
+// CheckSnapshot reports why Restore would refuse img, or nil when img is a
+// parameter image of this network's layout.
+func (n *Network) CheckSnapshot(img []byte) error {
+	if len(img) != n.imageLen() {
+		return fmt.Errorf("nn: restore: image of %d bytes, want %d", len(img), n.imageLen())
+	}
+	if t := binary.LittleEndian.Uint64(img); t != uint64(len(n.params)) {
+		return fmt.Errorf("nn: restore: %d tensors, network has %d", t, len(n.params))
+	}
+	for i, p := range n.params {
+		if l := binary.LittleEndian.Uint64(img[8*(1+i):]); l != uint64(len(p.W)) {
+			return fmt.Errorf("nn: restore: tensor %d has %d values, want %d", i, l, len(p.W))
 		}
-		copy(p.W, weights[i])
 	}
 	return nil
 }
+
+// imageLen is the length of the network's parameter image in bytes.
+func (n *Network) imageLen() int { return 8 * (1 + len(n.params) + n.NumParams()) }

@@ -2,8 +2,9 @@
 // FreewayML's streaming models. The paper implements its models on PyTorch;
 // Go has no mature NN-training stack, so this package provides the minimal
 // equivalent: dense and 1-D convolutional layers, mini-batch SGD with
-// momentum, a numerically stable softmax cross-entropy head, and parameter
-// snapshot/restore used by the historical-knowledge store.
+// momentum, a numerically stable softmax cross-entropy head, and the parameter
+// image (Network.AppendSnapshot, Restore) that the historical-knowledge store,
+// checkpoints and the divergence watchdog keep.
 //
 // Internally all layers operate on flat row-major linalg.Tensor batches (one
 // row per sample) with per-layer scratch buffers reused across batches; the

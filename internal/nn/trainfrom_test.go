@@ -142,7 +142,6 @@ func TestTrainFromDeclines(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"SetFlatParams":            func(n *nn.Network, _ *nn.SGD) { n.SetFlatParams(n.AppendFlatParams(nil)) },
 		"declared parameter write": func(n *nn.Network, _ *nn.SGD) { n.Params()[0].W[0] *= 0.5; n.InvalidateForward() },
 	}
 	for name, disturb := range cases {

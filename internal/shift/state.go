@@ -49,9 +49,25 @@ func (d *Detector) State() State {
 	return s
 }
 
+// CheckState reports why RestoreState would refuse s, or nil.
+func (d *Detector) CheckState(s State) error {
+	if !s.Ready {
+		return nil
+	}
+	if len(s.Distances) > d.distances.Cap() {
+		return errors.New("shift: state distance history exceeds configured HistoryK")
+	}
+	_, err := pca.FromState(s.PCA)
+	return err
+}
+
 // RestoreState loads a previously exported state into a detector built with
-// a compatible config.
+// a compatible config. It checks s first (CheckState): a refused state leaves
+// the detector as it was.
 func (d *Detector) RestoreState(s State) error {
+	if err := d.CheckState(s); err != nil {
+		return err
+	}
 	d.batch = s.Batch
 	if !s.Ready {
 		d.model = nil
@@ -71,9 +87,6 @@ func (d *Detector) RestoreState(s State) error {
 		d.prev = s.Prev.Clone()
 	} else {
 		d.prev = nil
-	}
-	if len(s.Distances) > d.distances.Cap() {
-		return errors.New("shift: state distance history exceeds configured HistoryK")
 	}
 	d.distances = stats.NewSlidingWindow(d.distances.Cap())
 	for _, dist := range s.Distances {

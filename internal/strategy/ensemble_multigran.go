@@ -375,9 +375,8 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 	}
 	tr.WindowClosed()
 	tLong := tr.StageStart()
-	if err = e.beginClose(obs); err == nil {
-		err = e.advanceClose()
-	}
+	e.beginClose(obs)
+	err = e.advanceClose()
 	tr.StageDone(StageLongUpdate, tLong)
 	return err
 }
@@ -423,7 +422,7 @@ type windowClose struct {
 // the window's distribution, and takes the β decision and the short model's
 // snapshot as they stand now — the close trains only the long model, so the
 // store gets the short model as the close began, whenever the close lands.
-func (e *Ensemble) beginClose(obs shift.Observation) error {
+func (e *Ensemble) beginClose(obs shift.Observation) {
 	disorder := e.asw.Disorder()
 	c := windowClose{open: true, lastLoss: -1, distribution: e.asw.Distribution(), obs: obs}
 	e.slabY = e.asw.TrainingSet(&e.slab, e.slabY)
@@ -435,18 +434,13 @@ func (e *Ensemble) beginClose(obs shift.Observation) error {
 	if e.preserver != nil && c.distribution != nil {
 		c.keep = e.preserver.decide(disorder)
 		if c.keep.SaveShort && obs.YBar != nil {
-			snap, err := e.grans[0].Model.Snapshot()
-			if err != nil {
-				return err
-			}
-			c.shortSnap = snap
+			c.shortSnap = e.grans[0].Model.AppendSnapshot(nil)
 		}
 	}
 	if c.distribution != nil {
 		e.longCentroid = c.distribution
 	}
 	e.closing = c
-	return nil
 }
 
 // advanceClose trains the next ⌈N/closeCalls⌉ chunks of the close in flight,
@@ -483,7 +477,7 @@ func (e *Ensemble) advanceClose() error {
 	if e.preserver == nil {
 		return nil
 	}
-	return e.preserver.PreserveAtWindowClose(c.keep, c.distribution, e.long.Snapshot, c.shortSnap, c.replaceRadius, c.obs)
+	return e.preserver.PreserveAtWindowClose(c.keep, c.distribution, e.long, c.shortSnap, c.replaceRadius, c.obs)
 }
 
 // ceilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.
@@ -529,38 +523,38 @@ type EnsembleState struct {
 }
 
 // ExportState snapshots every member.
-func (e *Ensemble) ExportState() (EnsembleState, error) {
-	var st EnsembleState
+func (e *Ensemble) ExportState() EnsembleState {
+	st := EnsembleState{LongSnapshot: e.long.AppendSnapshot(nil)}
 	for _, g := range e.grans {
-		snap, err := g.Model.Snapshot()
-		if err != nil {
-			return EnsembleState{}, fmt.Errorf("strategy: snapshot short model: %w", err)
-		}
-		st.GranSnapshots = append(st.GranSnapshots, snap)
+		st.GranSnapshots = append(st.GranSnapshots, g.Model.AppendSnapshot(nil))
 		var c linalg.Vector
 		if g.centroid != nil {
 			c = g.centroid.Clone()
 		}
 		st.GranCentroids = append(st.GranCentroids, c)
 	}
-	longSnap, err := e.long.Snapshot()
-	if err != nil {
-		return EnsembleState{}, fmt.Errorf("strategy: snapshot long model: %w", err)
-	}
-	st.LongSnapshot = longSnap
 	if e.longCentroid != nil {
 		st.LongCentroid = e.longCentroid.Clone()
 	}
-	return st, nil
+	return st
 }
 
 // ImportState restores every member from a checkpoint, makes the restored
 // parameters each watchdog's rollback target, clears the pending
 // fixed-frequency buffers, and restarts the window (its contents are
-// intentionally not serialized).
+// intentionally not serialized). It checks every model image before it
+// restores one: a refused state leaves the ensemble as it was.
 func (e *Ensemble) ImportState(st EnsembleState) error {
-	if len(st.GranSnapshots) != len(e.grans) {
+	if len(st.GranSnapshots) != len(e.grans) || len(st.GranCentroids) != len(e.grans) {
 		return fmt.Errorf("strategy: granularity count mismatch: state has %d, ensemble has %d", len(st.GranSnapshots), len(e.grans))
+	}
+	for i, g := range e.grans {
+		if err := g.Model.Net().CheckSnapshot(st.GranSnapshots[i]); err != nil {
+			return fmt.Errorf("strategy: restore granularity %d: %w", i, err)
+		}
+	}
+	if err := e.long.Net().CheckSnapshot(st.LongSnapshot); err != nil {
+		return fmt.Errorf("strategy: restore long model: %w", err)
 	}
 	for i, g := range e.grans {
 		if err := g.Model.Restore(st.GranSnapshots[i]); err != nil {

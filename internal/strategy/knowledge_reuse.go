@@ -100,17 +100,13 @@ func (k *KnowledgeReuse) decide(disorder float64) knowledge.Decision {
 
 // PreserveAtWindowClose stores what decide kept when a window close began (the
 // zero Decision for a window without a distribution). The ensemble calls it on
-// the training goroutine as the close lands: longSnap
-// snapshots the long model as the close left it, stored at the window's
-// distribution; shortSnap is the short model as the close began (nil unless
-// keep.SaveShort), stored at the closing batch's centroid.
-func (k *KnowledgeReuse) PreserveAtWindowClose(keep knowledge.Decision, distribution linalg.Vector, longSnap func() ([]byte, error), shortSnap []byte, replaceRadius float64, obs shift.Observation) error {
+// the training goroutine as the close lands: long is the long model as the
+// close left it, stored at the window's distribution; shortSnap is the short
+// model's image as the close began (nil unless keep.SaveShort), stored at the
+// closing batch's centroid.
+func (k *KnowledgeReuse) PreserveAtWindowClose(keep knowledge.Decision, distribution linalg.Vector, long model.Model, shortSnap []byte, replaceRadius float64, obs shift.Observation) error {
 	if keep.SaveLong {
-		snap, err := longSnap()
-		if err != nil {
-			return err
-		}
-		if err := k.store.PreserveOrReplace(distribution, snap, "long", obs.Batch, replaceRadius); err != nil {
+		if err := k.store.PreserveOrReplace(distribution, long.AppendSnapshot(nil), "long", obs.Batch, replaceRadius); err != nil {
 			return err
 		}
 	}

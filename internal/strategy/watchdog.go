@@ -38,9 +38,9 @@ type WatchdogConfig struct {
 // cannot recover from on its own.
 type Watchdog struct {
 	name string
-	// The last healthy parameters (model.AppendParams), in a buffer reused
-	// across updates; nil until the first Retain.
-	flat []float64
+	// The last healthy parameters as an image (model.AppendSnapshot), in a
+	// buffer reused across updates; nil until the first Retain.
+	img []byte
 
 	meanLoss float64 // EMA of healthy batch losses
 	updates  int
@@ -70,17 +70,13 @@ func (w *Watchdog) Retain(m model.Model) {
 	if w == nil {
 		return
 	}
-	w.flat = m.AppendParams(w.flat[:0])
+	w.img = m.AppendSnapshot(w.img[:0])
 }
 
-// rollback restores the retained parameters (and resets the optimizer, as
-// Restore does) and reports whether it could.
+// rollback restores the retained image (Restore resets the optimizer too) and
+// reports whether it could.
 func (w *Watchdog) rollback(m model.Model) bool {
-	if w.flat == nil {
-		return false
-	}
-	m.RestoreParams(w.flat)
-	return true
+	return w.img != nil && m.Restore(w.img) == nil
 }
 
 // Check inspects the model right after an update. loss is the update's
