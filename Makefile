@@ -31,15 +31,17 @@ fmt:
 	if [ -n "$$out" ]; then echo 'gofmt -l lists:' >&2; echo "$$out" >&2; exit 1; fi
 	@echo "fmt: gofmt -l clean"
 
-# The golden decision-bits test and the kernels' differential tests (the GEMM
-# forms, the row sum, the SGD step, and NaN signs and payloads through every
-# store epilogue) at three GOMAXPROCS values, with and without the assembly
+# The golden decision-bits test, the golden decision trace (every batch's
+# TraceEvent on the six Table I streams, byte for byte against
+# internal/core/testdata/decision_trace) and the kernels' differential tests
+# (the GEMM forms, the row sum, the SGD step, and NaN signs and payloads
+# through every store epilogue) at three GOMAXPROCS values, with and without the assembly
 # bodies: the GEMM fan-out partition depends on it and must never change a
 # bit — nor may the choice between the assembly bodies and the Go loops. Then
 # ExpInto, LogInto and the softmax against math with math.Exp's
 # FMA body switched off: on an FMA machine that is the only way to check that
 # the probe then rejects the FMA replica and ExpInto is math.Exp's own loop.
-# (Not the golden hashes: their constants are an FMA host's.) The public
+# (Not the golden hashes or the trace: they are an FMA host's.) The public
 # facade's Example tests print G_acc and SI; their Output blocks are pinned
 # the same way, and so are the model weights a stream ends with
 # (TestDeferredCloseLandsInlineModels), and the twin learners that hold a

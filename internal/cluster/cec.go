@@ -37,6 +37,10 @@ type CECStats struct {
 	ExperiencePoints int
 	// Agreement is the labeled-experience agreement (see CECKWithScore).
 	Agreement float64
+	// DeployedAgreement is the deployed model's agreement with the same
+	// labeled experience points: the other side of the CEC arbitration. The
+	// clustering leaves it zero; the caller that arbitrates fills it in.
+	DeployedAgreement float64
 }
 
 // CECKWithScore additionally reports the experience agreement: the fraction

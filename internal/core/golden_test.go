@@ -1,23 +1,29 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"freewayml/internal/datasets"
 	"freewayml/internal/linalg"
 	"freewayml/internal/nn"
+	"freewayml/internal/obs"
 	"freewayml/internal/stream"
 )
 
 // goldenDecisionHash drives one learn_drift stream (the benchmark's dataset,
 // batch 256, default config, Infer then Process per batch, full schedule)
 // and returns an FNV-1a hash over the bits of every prediction either call
-// returned and of every probability behind it.
-func goldenDecisionHash(t *testing.T, dataset string, seed int64, watchdog bool) uint64 {
+// returned and of every probability behind it. o, when not nil, observes the
+// learner.
+func goldenDecisionHash(t *testing.T, dataset string, seed int64, watchdog bool, o *Observer) uint64 {
 	t.Helper()
 	src, err := datasets.Build(dataset, 256, seed)
 	if err != nil {
@@ -30,6 +36,7 @@ func goldenDecisionHash(t *testing.T, dataset string, seed int64, watchdog bool)
 		t.Fatal(err)
 	}
 	defer l.Close()
+	l.SetObserver(o)
 	h := fnv.New64a()
 	var word [8]byte
 	put := func(v uint64) {
@@ -114,8 +121,58 @@ func TestGoldenDecisionBits(t *testing.T) {
 		{"NSL-KDD", 2, true, 0x5d2dae931ec83125},     // 1435b93: 0x4e8efe557c14d67d
 		{"Electricity", 3, true, 0x4d15485e2882c85f}, // 1435b93: 0x2390d1df59d44157
 	} {
-		if got := goldenDecisionHash(t, tc.dataset, 1000+tc.stream, tc.watchdog); got != tc.want {
+		if got := goldenDecisionHash(t, tc.dataset, 1000+tc.stream, tc.watchdog, nil); got != tc.want {
 			t.Errorf("%s (watchdog %v): decision hash %#016x, want %#016x", tc.dataset, tc.watchdog, got, tc.want)
+		}
+	}
+}
+
+// TestGoldenDecisionTrace pins what the learner decided, batch by batch. The
+// six Table I streams (generator seeds 1000–1005 in Table I's order, batch
+// 256, default config, Infer then Process per batch, as goldenDecisionHash
+// drives them) each record one TraceEvent per batch, written as one JSON line
+// with the wall times and the trace id cleared, and the lines must equal
+// testdata/decision_trace/<dataset>.jsonl byte for byte. Where a golden hash
+// says only that some bit moved, this names the first batch whose pattern,
+// strategy, fusion weights, CEC or knowledge evidence, window state or
+// watchdog verdict did. Like the golden constants, the files are an FMA
+// host's.
+func TestGoldenDecisionTrace(t *testing.T) {
+	for i, dataset := range datasets.Benchmark6() {
+		o := NewObserver(obs.NewRegistry(), 1<<12)
+		goldenDecisionHash(t, dataset, 1000+int64(i), true, o)
+		if n := o.Trace().Dropped(); n > 0 {
+			t.Fatalf("%s: the trace ring dropped %d events", dataset, n)
+		}
+		events := o.Trace().Last(0)
+		for j := range events {
+			events[j].Stages, events[j].TraceID = nil, ""
+		}
+		var got bytes.Buffer
+		if err := obs.WriteJSONL(&got, events); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "decision_trace", dataset+".jsonl")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got.Bytes(), want) {
+			continue
+		}
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for j := 0; ; j++ {
+			g, w := "(none)", "(none)"
+			if j < len(gotLines) {
+				g = gotLines[j]
+			}
+			if j < len(wantLines) {
+				w = wantLines[j]
+			}
+			if g != w {
+				t.Errorf("%s: batch %d differs from %s\n got: %s\nwant: %s", dataset, j, path, g, w)
+				break
+			}
 		}
 	}
 }

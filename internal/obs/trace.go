@@ -38,12 +38,14 @@ type TraceEvent struct {
 	// under knowledge reuse). Empty when no fusion ran.
 	EnsembleWeights []float64 `json:"ensemble_weights,omitempty"`
 	// CEC evidence (sudden-shift dispatches): effective cluster count,
-	// Lloyd iterations, coherent-experience points used, and the
-	// labeled-experience agreement behind the arbitration.
-	CECClusters   int     `json:"cec_clusters,omitempty"`
-	CECIterations int     `json:"cec_iterations,omitempty"`
-	CECExperience int     `json:"cec_experience,omitempty"`
-	CECAgreement  float64 `json:"cec_agreement,omitempty"`
+	// Lloyd iterations, coherent-experience points used, and the two sides
+	// of the arbitration: CEC's labeled-experience agreement and the
+	// deployed model's agreement with the same points.
+	CECClusters          int     `json:"cec_clusters,omitempty"`
+	CECIterations        int     `json:"cec_iterations,omitempty"`
+	CECExperience        int     `json:"cec_experience,omitempty"`
+	CECAgreement         float64 `json:"cec_agreement,omitempty"`
+	CECDeployedAgreement float64 `json:"cec_deployed_agreement,omitempty"`
 	// Knowledge-store evidence: whether a lookup ran, whether it matched,
 	// and the matched distribution's distance (-1 when no match).
 	KnowledgeChecked  bool    `json:"knowledge_checked,omitempty"`
