@@ -252,6 +252,6 @@ func (l *Learner) LoadCheckpoint(r io.Reader) error {
 	l.batch = cp.Batch
 	// The restored parameters must reach the inference plane too: republish
 	// so readers stop serving the pre-restore snapshot.
-	l.publishSnapshot(shift.PatternWarmup)
+	l.publishSnapshot()
 	return nil
 }

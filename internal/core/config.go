@@ -96,13 +96,6 @@ func DefaultConfig() Config {
 // stability role Insight A assigns to the long-granularity model.
 const longLRScale = 0.5
 
-// cecSeverityRatio gates coherent experience clustering: CEC replaces the
-// deployed models only when the shift distance exceeds this multiple of the
-// recent mean shift distance — i.e. when the models are genuinely "no longer
-// suitable". Moderate sudden shifts stay with the ensemble, which adapts
-// within a batch or two.
-const cecSeverityRatio = 5.0
-
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
 	switch {

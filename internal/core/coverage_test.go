@@ -31,19 +31,6 @@ func TestDebugAccessors(t *testing.T) {
 	if short == nil || long == nil {
 		t.Fatal("DebugModels returned nil")
 	}
-	rng := rand.New(rand.NewSource(43))
-	var res Result
-	for s := 0; s < 10; s++ {
-		r, err := l.Process(context.Background(), driftBatch(rng, s, 64, 0, 0, stream.KindNone))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res = r
-	}
-	ds, dl := l.DebugDistances(res)
-	if ds < 0 || dl < 0 {
-		t.Errorf("negative debug distances %v, %v", ds, dl)
-	}
 }
 
 func TestCECFallsBackWithoutExperience(t *testing.T) {

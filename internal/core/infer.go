@@ -9,7 +9,6 @@ import (
 	"freewayml/internal/guard"
 	"freewayml/internal/nn"
 	"freewayml/internal/pca"
-	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
 )
 
@@ -42,7 +41,7 @@ func (l *Learner) ModelSnapshot() *strategy.Snapshot { return l.snap.Load() }
 // a batch, each half of a window close included, finishes before its publish,
 // so the inference plane is at most one training batch behind: the batch in
 // flight.
-func (l *Learner) publishSnapshot(pattern shift.Pattern) {
+func (l *Learner) publishSnapshot() {
 	var proj *pca.Model
 	if l.det.Ready() {
 		proj = l.det.PCA()
@@ -53,8 +52,6 @@ func (l *Learner) publishSnapshot(pattern shift.Pattern) {
 		Sigma:       l.cfg.Sigma,
 		Proj:        proj,
 		Knowledge:   l.kdg,
-		Experience:  l.exp.Len(),
-		Pattern:     pattern,
 		Batch:       l.batch,
 		Seq:         l.snapSeq,
 		PublishedAt: time.Now(),

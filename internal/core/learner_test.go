@@ -231,7 +231,7 @@ func TestModelNumThreeGranularities(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	grans := l.Ensemble().Granularities()
+	grans := l.ens.Granularities()
 	if len(grans) != 2 {
 		t.Fatalf("grans = %d, want 2 fixed-frequency models", len(grans))
 	}

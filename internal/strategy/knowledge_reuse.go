@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -9,87 +8,63 @@ import (
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
 	"freewayml/internal/shift"
-	"freewayml/internal/stream"
 )
 
 // KnowledgeReuse is the Pattern-C mechanism: when a distribution reoccurs,
 // the nearest preserved snapshot is restored and fused with the live
-// fixed-frequency models (paper Sec. IV-D). It is also the ensemble's
-// preserver: the window close feeds it the β-policy preservation decision.
+// fixed-frequency models (paper Sec. IV-D). It returns evidence: whether the
+// match is reused or adopted is the dispatch table's (core), the fusion the
+// ensemble's. It is also the ensemble's preserver: the window close feeds it
+// the β-policy preservation decision.
 type KnowledgeReuse struct {
 	store *knowledge.Store
-	reuse model.Model // scratch model for restores
-	ens   *Ensemble   // live members for the fusion + adoption target
-
-	// Infer's scratch: the member list, the reuse model's distributions and
-	// the fused ones, which Infer's Prediction views until the next Infer.
-	members      []member
-	proba, fused linalg.Tensor
-
-	sigma        float64 // Gaussian-kernel width of the fusion
-	beta         float64 // disorder threshold of the preservation policy
-	reoccurRatio float64 // confidence gate, shared with Pattern-C detection
+	reuse model.Model   // scratch model for restores
+	proba linalg.Tensor // the restored model's distributions (Restore's scratch)
+	beta  float64       // disorder threshold of the preservation policy
 }
 
 // NewKnowledgeReuse builds the mechanism over the learner's own knowledge
 // store. reuse is a scratch model of the stream's shape.
-func NewKnowledgeReuse(store *knowledge.Store, reuse model.Model, ens *Ensemble, sigma, beta, reoccurRatio float64) *KnowledgeReuse {
-	return &KnowledgeReuse{store: store, reuse: reuse, ens: ens, sigma: sigma, beta: beta, reoccurRatio: reoccurRatio}
+func NewKnowledgeReuse(store *knowledge.Store, reuse model.Model, beta float64) *KnowledgeReuse {
+	return &KnowledgeReuse{store: store, reuse: reuse, beta: beta}
 }
 
-// Infer restores the nearest historical snapshot when it is closer to the
-// current distribution than the previous batch was (paper Sec. IV-D
-// knowledge match); ok=false when nothing qualifies.
-func (k *KnowledgeReuse) Infer(ctx context.Context, b stream.Batch, obs shift.Observation, tr Trace) (Prediction, bool, error) {
+// KnowledgeMatch is knowledge reuse's evidence for a batch: the nearest
+// preserved model's image and its distance to the live distribution (Snap
+// nil and Dist +Inf when the store holds no eligible entry). Once Restore
+// ran, Proba is the restored model's class-major distributions over the
+// batch: the mechanism's scratch, valid until the next Restore.
+type KnowledgeMatch struct {
+	Snap  []byte
+	Dist  float64
+	Proba *linalg.Tensor
+}
+
+// Match finds the preserved distribution nearest to the live one, yBar
+// (paper Sec. IV-D knowledge match).
+func (k *KnowledgeReuse) Match(yBar linalg.Vector, tr Trace) (KnowledgeMatch, error) {
 	tr = ensureTrace(tr)
 	tMatch := tr.StageStart()
-	snap, dist, ok, err := k.store.Match(obs.YBar)
+	snap, dist, ok, err := k.store.Match(yBar)
 	tr.StageDone(StageKnowledgeLookup, tMatch)
 	if err != nil {
-		return Prediction{}, false, fmt.Errorf("strategy: knowledge match: %w", err)
+		return KnowledgeMatch{}, fmt.Errorf("strategy: knowledge match: %w", err)
 	}
-	// Reuse only confident matches: the preserved distribution must be
-	// meaningfully closer than the batch we just shifted away from (same
-	// ratio as the Pattern C detection rule), else a marginal restore can
-	// displace a continuously-trained model that is already adequate.
-	if !ok || dist >= k.reoccurRatio*obs.Distance {
-		if !ok {
-			dist = math.Inf(1) // no eligible entry: trace it as -1
-		}
-		tr.Knowledge(false, dist)
-		return Prediction{}, false, nil
+	if !ok {
+		return KnowledgeMatch{Dist: math.Inf(1)}, nil
 	}
-	tr.Knowledge(true, dist)
-	if err := k.reuse.Restore(snap); err != nil {
-		return Prediction{}, false, fmt.Errorf("strategy: knowledge restore: %w", err)
-	}
+	return KnowledgeMatch{Snap: snap, Dist: dist}, nil
+}
 
-	// The restored model joins the distance ensemble rather than replacing
-	// it outright: its matched distance is far smaller than the current
-	// models' post-shift distances, so it dominates the kernel weighting —
-	// but if the live models are still competitive the fusion keeps their
-	// signal. The long model deliberately stays out: it smooths over the
-	// departed regime.
-	k.reuse.Net().ProbaInto(&k.proba, b.X)
-	k.members = k.ens.granMembers(append(k.members[:0], member{proba: &k.proba, distance: dist}), obs.YBar, k.ens.batchWorkspace(b))
-	normalizeDistances(k.members)
-	weights, err := fuse(&k.fused, k.members, k.sigma)
-	if err != nil {
-		return Prediction{}, false, fmt.Errorf("strategy: knowledge fuse: %w", err)
+// Restore loads m's model into the scratch model and sets m.Proba to its
+// distributions over the batch rows x.
+func (k *KnowledgeReuse) Restore(m *KnowledgeMatch, x [][]float64) error {
+	if err := k.reuse.Restore(m.Snap); err != nil {
+		return fmt.Errorf("strategy: knowledge restore: %w", err)
 	}
-	tr.Weights(weights)
-	pred := prediction(&k.fused)
-
-	// Reuse means not relearning (SC3): on a confident match the preserved
-	// parameters also become the working short model, so subsequent batches
-	// of the reoccurred regime start from them instead of re-adapting from
-	// the departed regime's.
-	if dist < 0.5*k.reoccurRatio*obs.Distance {
-		if err := k.ens.AdoptShort(snap, obs.YBar); err != nil {
-			return Prediction{}, false, fmt.Errorf("strategy: knowledge adopt: %w", err)
-		}
-	}
-	return pred, true, nil
+	k.reuse.Net().ProbaInto(&k.proba, x)
+	m.Proba = &k.proba
+	return nil
 }
 
 // decide applies the disorder-threshold policy of Sec. IV-D1 to the window a

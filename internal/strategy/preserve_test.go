@@ -91,17 +91,17 @@ func TestWindowCloseBetaPolicy(t *testing.T) {
 				}
 				shortAtClose = snap
 			}}
+			store, err := knowledge.NewStore(20, "")
+			if err != nil {
+				t.Fatal(err)
+			}
 			e := NewEnsemble(EnsembleConfig{Sigma: 1, LongEpochs: 1, LongChunk: 64},
 				[]*Granularity{NewGranularity(short, 1, nil)}, long, nil, asw, EnsembleDeps{
 					OnRecovery:    func(RecoveryEvent) {},
 					BatchNum:      func() int { return 0 },
 					ReplaceRadius: func() float64 { return 0 },
+					Preserver:     NewKnowledgeReuse(store, build(), beta),
 				})
-			store, err := knowledge.NewStore(20, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.SetPreserver(NewKnowledgeReuse(store, build(), e, 1, beta, 0.5))
 
 			rng := rand.New(rand.NewSource(33))
 			for i, cen := range c.centroids {
@@ -110,7 +110,10 @@ func TestWindowCloseBetaPolicy(t *testing.T) {
 				}
 				b, _ := reuseBatch(rng)
 				obs := shift.Observation{Pattern: shift.PatternA, YBar: linalg.Vector{cen}, Batch: i}
-				if err := e.Train(context.Background(), b, obs, nil); err != nil {
+				end := begin(e, b)
+				err := e.Train(context.Background(), b, obs, nil)
+				end()
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -124,7 +127,10 @@ func TestWindowCloseBetaPolicy(t *testing.T) {
 			}
 			b, _ := reuseBatch(rng)
 			obs := shift.Observation{Pattern: shift.PatternA, YBar: linalg.Vector{-7}, Batch: len(c.centroids)}
-			if err := e.Train(context.Background(), b, obs, nil); err != nil {
+			end := begin(e, b)
+			err = e.Train(context.Background(), b, obs, nil)
+			end()
+			if err != nil {
 				t.Fatal(err)
 			}
 			entries, err := store.Export()

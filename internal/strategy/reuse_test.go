@@ -103,17 +103,25 @@ func sameWeights(t *testing.T, when string, a, b model.Model) {
 	}
 }
 
-// step runs one batch through e the way the learner does: the batch staged
-// in a workspace the ensemble is handed, Infer, the disturbance, Train, and
-// the publication that the next batch's forwards read.
+// begin stages b in a pooled workspace and begins it on e, as the learner's
+// Process does. The returned func ends the batch and releases the workspace.
+func begin(e *Ensemble, b stream.Batch) (end func()) {
+	ws := nn.GetWorkspace()
+	ws.Stage(b.X, e.long.InDim())
+	e.BeginBatch(ws)
+	return func() {
+		e.EndBatch()
+		ws.Release()
+	}
+}
+
+// step runs one batch through e the way the learner does: the batch begun,
+// Infer, the disturbance, Train, and the publication that the next batch's
+// forwards read.
 func step(t *testing.T, e *Ensemble, b stream.Batch, obs shift.Observation, disturb func(*testing.T, *Ensemble)) {
 	t.Helper()
-	ws := nn.GetWorkspace()
-	defer ws.Release()
-	ws.Stage(b.X, reuseDim)
-	e.BeginBatch(ws)
-	defer e.EndBatch()
-	if _, _, err := e.Infer(context.Background(), b, obs, nil); err != nil {
+	defer begin(e, b)()
+	if _, err := e.Infer(obs.YBar, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if disturb != nil {

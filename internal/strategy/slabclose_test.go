@@ -112,7 +112,10 @@ func TestSlabCloseMatchesRowsClose(t *testing.T) {
 		}
 		obs := shift.Observation{Pattern: shift.PatternA, YBar: c, Batch: k}
 		wasOpen := e.closing.open
-		if err := e.Train(context.Background(), b, obs, nil); err != nil {
+		end := begin(e, b)
+		err := e.Train(context.Background(), b, obs, nil)
+		end()
+		if err != nil {
 			t.Fatal(err)
 		}
 
@@ -209,7 +212,10 @@ func TestDivergedHalfNeverServed(t *testing.T) {
 				row[j] *= scale
 			}
 		}
-		if err := e.Train(context.Background(), b, obs, nil); err != nil {
+		end := begin(e, b)
+		err := e.Train(context.Background(), b, obs, nil)
+		end()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,10 +262,11 @@ func TestDivergedHalfNeverServed(t *testing.T) {
 	sameBits("live long model", long.Net().AppendFlatParams(nil))
 
 	probe, obs := reuseBatch(rng)
-	if _, _, err := e.Infer(context.Background(), probe, obs, nil); err != nil {
+	end := begin(e, probe)
+	if _, err := e.Infer(obs.YBar, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	inferred := e.memberProba(&e.own, len(e.grans)) // the long member Infer fused
+	inferred := e.memberProba(len(e.grans)) // the long member Infer fused
 	live := long.Net().PredictProba(probe.X)
 	var x linalg.Tensor
 	x.FromRows(probe.X, reuseDim)
@@ -277,6 +284,7 @@ func TestDivergedHalfNeverServed(t *testing.T) {
 			t.Fatalf("the published long member answers %v at %d, Infer's %v", published.Data[i], i, v)
 		}
 	}
+	end()
 
 	long.losses = long.losses[:0]
 	train(1)

@@ -11,7 +11,6 @@ import (
 	"freewayml/internal/model"
 	"freewayml/internal/nn"
 	"freewayml/internal/pca"
-	"freewayml/internal/shift"
 )
 
 // SnapshotMember is one ensemble member frozen at publication time: the
@@ -29,9 +28,8 @@ type SnapshotMember struct {
 // after every batch. It carries everything the paper's Eq. 12-14 fusion
 // needs — the granularity models with their centroids (short first, long
 // last), the kernel bandwidth, and the PCA projection that maps a batch mean
-// into shift space — plus read-only observability context: the lock-free
-// knowledge-match index, the CEC experience size, and the pattern of the
-// batch that produced the snapshot.
+// into shift space — plus the lock-free knowledge-match index, read for
+// observability.
 //
 // A Snapshot must never be mutated after publication. The infer plane loads
 // the current pointer atomically and may keep using a superseded snapshot
@@ -46,11 +44,6 @@ type Snapshot struct {
 	// the snapshot's readers; Match/NearestDistance are lock-free reads.
 	// Nil when the learner has no store.
 	Knowledge *knowledge.Store
-	// Experience is the CEC experience-buffer size at publication.
-	Experience int
-	// Pattern is the shift pattern of the batch that produced this
-	// snapshot (PatternWarmup before the detector is ready).
-	Pattern shift.Pattern
 
 	// Batch is the training batch counter at publication; Seq increments
 	// once per publication (checkpoint restores also publish).

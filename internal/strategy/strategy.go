@@ -4,14 +4,15 @@
 // and historical knowledge reuse for reoccurring shifts (Pattern C). The core
 // learner shrinks to detection → dispatch → bookkeeping; everything
 // mechanism-specific — the models, the adaptive window, the experience
-// buffer, the store match — lives here.
+// buffer, the store match — lives here. The mechanisms decide nothing about
+// who serves a batch: CEC and knowledge reuse return their evidence, and
+// core's dispatch table chooses.
 package strategy
 
 import (
 	"math"
 	"time"
 
-	"freewayml/internal/cluster"
 	"freewayml/internal/linalg"
 )
 
@@ -46,8 +47,9 @@ type Prediction struct {
 	Proba *linalg.Tensor
 }
 
-// Trace receives the per-batch decision evidence a strategy generates. The
-// core observer implements it; every implementation must tolerate being
+// Trace receives what the mechanisms measure while they run: stage timings,
+// fusion weights, window closes (the evidence they return, core records).
+// The core observer implements it; every implementation must tolerate being
 // driven from the learner's hot path, and the learner passes a nil-safe
 // wrapper so strategies never guard their trace calls.
 type Trace interface {
@@ -57,10 +59,6 @@ type Trace interface {
 	StageDone(stage string, t0 time.Time)
 	// Weights records the fusion weights the ensemble members received.
 	Weights(ws []float64)
-	// CEC records the clustering evidence behind a CEC dispatch attempt.
-	CEC(st cluster.CECStats)
-	// Knowledge records a knowledge-store lookup outcome.
-	Knowledge(hit bool, dist float64)
 	// WindowClosed marks that this batch's push closed the window.
 	WindowClosed()
 }
@@ -71,8 +69,6 @@ type nopTrace struct{}
 func (nopTrace) StageStart() time.Time       { return time.Time{} }
 func (nopTrace) StageDone(string, time.Time) {}
 func (nopTrace) Weights([]float64)           {}
-func (nopTrace) CEC(cluster.CECStats)        {}
-func (nopTrace) Knowledge(bool, float64)     {}
 func (nopTrace) WindowClosed()               {}
 
 // ensureTrace substitutes the no-op trace for nil.

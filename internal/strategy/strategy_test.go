@@ -63,7 +63,6 @@ func TestEnsureTraceNilSafe(t *testing.T) {
 	t0 := tr.StageStart()
 	tr.StageDone(StagePredict, t0)
 	tr.Weights([]float64{0.5, 0.5})
-	tr.Knowledge(true, 0.1)
 	tr.WindowClosed()
 }
 
