@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt golden race fuzz cross check no-unsafe no-gob size clean
+.PHONY: all build test vet fmt golden race fuzz bench-smoke cross check no-unsafe no-gob size clean
 
 all: check
 
@@ -78,7 +78,7 @@ race:
 	$(GO) test -race -count=3 ./internal/strategy ./internal/core
 
 # Fuzzing, 20 s each: the GEMM kernels against their oracles (exact bits,
-# m, n ≤ 90 and k ≤ 260, every shape through the Go loops and the assembly
+# n ≤ 90 and m, k ≤ 260, every shape through the Go loops and the assembly
 # bodies), the binary frame decoder's total-safety contract (a clean
 # ErrMalformed or a consistent shape, never a panic), the JSON batch parser
 # against encoding/json, and its number scanner against strconv
@@ -88,6 +88,13 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeInto -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
+
+# Every benchmark body of the kernel and network packages, once: the
+# before/after tables of a kernel change are these benchmarks (BenchmarkGemmForward
+# runs the class head's products as the layers issue them), so a body that no
+# longer builds or panics fails here, not in the next change that needs it.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn
 
 # The GEMM kernels are bounds-checked Go wrappers around assembly bodies (and
 # the Go loops that are their tail and fallback) whose bitwise contract is
@@ -116,7 +123,7 @@ size:
 	echo "size: $$(lines -name '*.go' ! -name '*_test.go') non-test Go, $$(lines -name '*_test.go') test Go, $$(lines -name '*_amd64.s') amd64 assembly lines"
 
 # The full gate: everything CI runs.
-check: build vet fmt no-unsafe no-gob cross test golden race
+check: build vet fmt no-unsafe no-gob cross test golden race bench-smoke
 
 clean:
 	$(GO) clean ./...

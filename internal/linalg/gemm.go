@@ -18,8 +18,10 @@ import (
 // On amd64 with AVX2 a product is one assembly call per row range
 // (simd_amd64.s), four output elements to an instruction, each lane doing the
 // mul-then-add sequence above. axpyPanelAVX2 (Gemm, GemmTA) keeps a 4-row ×
-// 8-column tile of C in registers across all of k; dotPanelAVX2 (GemmTBAdd) runs
-// 4 rows of A × 2 rows of B, a lane per A row. The Go loops below are their
+// 8-column tile of C in registers across all of k (a lone last row, 32
+// columns); shortPanelAVX2 takes the products of at most shortSteps k-steps
+// from zero a row at a time down 32-column blocks; dotPanelAVX2 (GemmTBAdd)
+// runs 4 rows of A × 2 rows of B, a lane per A row. The Go loops below are their
 // n mod 4 tail columns and m mod 4 leftover rows, the whole kernel under
 // -tags purego and off amd64, and the readable twin the assembly is tested
 // against: 2 rows of C × 4, 2 or 1 steps of k for the axpy forms (both C
@@ -30,9 +32,10 @@ import (
 // An Epilogue (the axpy forms) adds a bias to the finished sum, rectifies or
 // gates it: element-wise steps on one value each, so doing them in the
 // register before the store gives the bits of storing and then making the
-// same passes over C. And the class-major form (GemmTC, tcPanelAVX2) stores
-// the dot panel's four row lanes of one column as one vector into a row of Cᵀ
-// instead of scattering them down a column of C.
+// same passes over C. And the class-major form (GemmTC, tcPanelAVX2) keeps a
+// lane per row of A, transposing each 4×4 block of A in registers once for all
+// the classes, and stores the four row lanes of one column as one vector into
+// a row of Cᵀ instead of scattering them down a column of C.
 
 // simdCols is how many leading columns of an n-column row the assembly bodies
 // take, four to a vector; the Go loops below them start at that column, and
@@ -298,6 +301,13 @@ func gemmRows(form gemmForm, c, a, b []float64, e Epilogue, m, k, n, i0, i1 int,
 	}
 }
 
+// shortSteps is the deepest k the short-k panel takes: a product summed from
+// zero with at most a gate at its store, over a handful of k-steps — the class
+// head's input gradient, k = classes. Up to here it outruns the axpy panel's
+// tiles, whose loads, seeding and store cost more than their few steps
+// (BenchmarkGemmForward's head/dH rows).
+const shortSteps = 8
+
 // zeroSeed starts every tile of a panel that overwrites C.
 var zeroSeed [8]float64
 
@@ -352,7 +362,11 @@ func gemmAxpyRows(c, a, b []float64, e Epilogue, k, n, i0, i1, rowStride, stepSt
 	if j > 0 {
 		rows := i1 - i0
 		last := (rows-1)*rowStride + (k-1)*stepStride
-		axpyPanelAVX2(c[i0*n:i1*n], a[i0*rowStride:][:last+1], b, seed, rows, k, n, j, rowStride, stepStride, seedStep, post, gate, e.ReLU)
+		if k <= shortSteps && !accumulate && bias == nil && post == nil && !e.ReLU {
+			shortPanelAVX2(c[i0*n:i1*n], a[i0*rowStride:][:last+1], b, gate, rows, k, n, j, rowStride, stepStride)
+		} else {
+			axpyPanelAVX2(c[i0*n:i1*n], a[i0*rowStride:][:last+1], b, seed, rows, k, n, j, rowStride, stepStride, seedStep, post, gate, e.ReLU)
+		}
 		if j == n {
 			return
 		}

@@ -13,6 +13,9 @@ func hasAVX2() bool
 func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int, post, gate []float64, relu bool)
 
 //go:noescape
+func shortPanelAVX2(c, a, b, gate []float64, rows, k, n, cols, rowStride, stepStride int)
+
+//go:noescape
 func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool)
 
 //go:noescape

@@ -9,6 +9,9 @@ var useAVX2 = false
 func axpyPanelAVX2(c, a, b, seed []float64, rows, k, n, cols, rowStride, stepStride, seedStep int, post, gate []float64, relu bool) {
 	panic("linalg: no AVX2")
 }
+func shortPanelAVX2(c, a, b, gate []float64, rows, k, n, cols, rowStride, stepStride int) {
+	panic("linalg: no AVX2")
+}
 func dotPanelAVX2(c, a, b []float64, rows, k, n int, accumulate bool) { panic("linalg: no AVX2") }
 func tcPanelAVX2(ct, a, b, seed, post []float64, rows, k, n, ldc int) { panic("linalg: no AVX2") }
 func sumRowsAVX2(dst, src []float64, rows, stride int)                { panic("linalg: no AVX2") }

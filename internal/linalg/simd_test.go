@@ -661,7 +661,157 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 			checkGuards(t, "class-major B", bFrame)
 			checkGuards(t, "class-major bias", biasFrame)
 		}
+		for _, s := range headShapes() {
+			for variant := 0; variant < 5; variant++ {
+				checkHeadKernels(t, rng, s.classes, s.rows, variant)
+			}
+		}
 	})
+}
+
+// headShapes is the class head's grid at hidden width 64: every class count
+// 1–8 over batches of 1–9 rows (a lone band, each partial band, a band and
+// each tail), 63–65, 128 and 256.
+func headShapes() []struct{ classes, rows int } {
+	var shapes []struct{ classes, rows int }
+	for classes := 1; classes <= 8; classes++ {
+		for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 128, 256} {
+			shapes = append(shapes, struct{ classes, rows int }{classes, rows})
+		}
+	}
+	return shapes
+}
+
+// checkHeadKernels runs the class head's products as nn.Dense issues them —
+// the class-major forward GemmTC with the bias added last (and seeding), the
+// gated input gradient GemmTAWith over W₂ᵀ (and ungated), the weight gradient
+// ∂W₂ᵀ = G·H by Gemm and GemmAdd, and the W₂ → W₂ᵀ and ∂W₂ᵀ → ∂W₂ moves — on
+// operands framed by guard bands, and requires the oracles' bits and untouched
+// guards. Variant 0 is plain; variant 1 scatters −0 and ±∞ over G, H, W₂ and
+// the bias (whose NaNs are all the default NaN, whichever operand breeds
+// them); variants 2–4 put one NaN with a payload in G, H or W₂ respectively.
+func checkHeadKernels(t *testing.T, rng *rand.Rand, classes, rows, variant int) {
+	t.Helper()
+	const hidden = 64
+	h, w, g, bias := normals(rng, rows*hidden), normals(rng, hidden*classes), normals(rng, classes*rows), normals(rng, classes)
+	operands := [][]float64{g, h, w}
+	switch variant {
+	case 1:
+		edge := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+		for _, x := range [][]float64{g, h, w, bias} {
+			for i := 0; i < 1+len(x)/16; i++ {
+				x[rng.Intn(len(x))] = edge[rng.Intn(len(edge))]
+			}
+		}
+	case 2, 3, 4:
+		x := operands[variant-2]
+		x[rng.Intn(len(x))] = specials[4+rng.Intn(4)]
+	}
+	H, hFrame := guarded(h)
+	W, wFrame := guarded(w)
+	G, gFrame := guarded(g)
+	B, bFrame := guarded(bias)
+	Wt, wtFrame := guarded(make([]float64, classes*hidden))
+	what := fmt.Sprintf("head classes=%d rows=%d variant=%d", classes, rows, variant)
+	wantWt := NewTensor(classes, hidden)
+	for i := 0; i < hidden; i++ {
+		for j := 0; j < classes; j++ {
+			wantWt.Data[j*hidden+i] = W[i*classes+j]
+		}
+	}
+	TransposeInto(TensorView(Wt, classes, hidden), TensorView(W, hidden, classes))
+	sameBits(t, what+" W₂ᵀ", Wt, wantWt.Data)
+
+	hT, wT, gT, wtT := TensorView(H, rows, hidden), TensorView(W, hidden, classes), TensorView(G, classes, rows), TensorView(Wt, classes, hidden)
+	for mode, e := range []Epilogue{{Bias: B, BiasLast: true}, {Bias: B}} {
+		ct, ctFrame := guarded(normals(rng, classes*rows))
+		GemmTC(TensorView(ct, classes, rows), hT, wT, e)
+		want := NewTensor(classes, rows)
+		TransposeInto(want, refStore(e, rows, hidden, hT.At, wT))
+		sameBits(t, fmt.Sprintf("%s forward mode %d", what, mode), ct, want.Data)
+		checkGuards(t, what+" forward Cᵀ", ctFrame)
+	}
+	for mode, e := range []Epilogue{{Gate: H}, {}} {
+		dh, dhFrame := guarded(normals(rng, rows*hidden))
+		GemmTAWith(TensorView(dh, rows, hidden), gT, wtT, e)
+		sameBits(t, fmt.Sprintf("%s ∂H mode %d", what, mode), dh,
+			refStore(e, rows, classes, func(i, p int) float64 { return gT.At(p, i) }, wtT).Data)
+		checkGuards(t, what+" ∂H", dhFrame)
+	}
+	seed := normals(rng, classes*hidden)
+	for _, accumulate := range []bool{false, true} {
+		dw, dwFrame := guarded(seed)
+		want := TensorView(append([]float64(nil), seed...), classes, hidden)
+		if accumulate {
+			GemmAdd(TensorView(dw, classes, hidden), gT, hT)
+			refAxpyAdd(want, rows, gT.At, hT)
+		} else {
+			Gemm(TensorView(dw, classes, hidden), gT, hT)
+			RefGemm(want, gT, hT)
+		}
+		sameBits(t, fmt.Sprintf("%s ∂W₂ᵀ accumulate=%v", what, accumulate), dw, want.Data)
+		checkGuards(t, what+" ∂W₂ᵀ", dwFrame)
+
+		grad, gradFrame := guarded(normals(rng, hidden*classes))
+		wantGrad := append([]float64(nil), grad...)
+		for j := 0; j < classes; j++ {
+			for i := 0; i < hidden; i++ {
+				wantGrad[i*classes+j] += dw[j*hidden+i]
+			}
+		}
+		AddTransposedInto(TensorView(grad, hidden, classes), TensorView(dw, classes, hidden))
+		sameBits(t, what+" ∂W₂ += ∂W₂ᵀᵀ", grad, wantGrad)
+		checkGuards(t, what+" ∂W₂", gradFrame)
+	}
+	for name, frame := range map[string][]float64{"H": hFrame, "W₂": wFrame, "G": gFrame, "bias": bFrame, "W₂ᵀ": wtFrame} {
+		checkGuards(t, what+" "+name, frame)
+	}
+}
+
+// TestTransposeKernelsMatchLoop: TransposeInto and AddTransposedInto against
+// the element-at-a-time loop over 0–9 and 63–65 rows and columns, every
+// special value somewhere in the source and (for the add) the destination.
+func TestTransposeKernelsMatchLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
+	for _, r := range sizes {
+		for _, c := range sizes {
+			src, dst := normals(rng, r*c), normals(rng, r*c)
+			for i := 0; i < len(src); i++ {
+				if i%5 == 0 {
+					src[i] = specials[(i/5)%len(specials)]
+				} else if i%5 == 2 {
+					dst[i] = specials[(i/5)%len(specials)]
+				}
+			}
+			want, wantAdd := make([]float64, r*c), append([]float64(nil), dst...)
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					want[j*r+i] = src[i*c+j]
+					wantAdd[j*r+i] += src[i*c+j]
+				}
+			}
+			got := normals(rng, r*c)
+			TransposeInto(TensorView(got, c, r), TensorView(offset(src, 1), r, c))
+			sameBits(t, fmt.Sprintf("TransposeInto %dx%d", r, c), got, want)
+			got = offset(dst, 3)
+			AddTransposedInto(TensorView(got, c, r), TensorView(src, r, c))
+			sameBits(t, fmt.Sprintf("AddTransposedInto %dx%d", r, c), got, wantAdd)
+		}
+	}
+	for _, f := range []func(){
+		func() { TransposeInto(NewTensor(2, 3), NewTensor(2, 3)) },
+		func() { AddTransposedInto(NewTensor(3, 3), NewTensor(2, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("mis-shaped transpose: no panic")
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 // TestNaNAndInfPropagateAsInTheOracle: one NaN with a payload (quiet or
@@ -707,9 +857,22 @@ func TestWarmKernelsDoNotAllocate(t *testing.T) {
 	b, bt := randTensor(rng, k, n), randTensor(rng, n, k)
 	c, ct, v, x := NewTensor(m, n), NewTensor(n, m), normals(rng, n), normals(rng, m*n)
 	labels := make([]int, m)
+	// The class head's shapes: 5 classes, hidden width 64 (the short-k panel,
+	// a band and a wide 1-row band, the class-major groups) and 2 classes (the
+	// band pairs).
+	const classes, hidden = 5, 64
+	h, w2, w2t, g := randTensor(rng, m, hidden), randTensor(rng, hidden, classes), randTensor(rng, classes, hidden), randTensor(rng, classes, m)
+	dh, dw, logits := NewTensor(m, hidden), NewTensor(classes, hidden), NewTensor(classes, m)
+	w22, logits2 := randTensor(rng, hidden, 2), NewTensor(2, m)
 	onBothPaths(t, func(t *testing.T) {
 		for name, f := range map[string]func(){
-			"Gemm": func() { Gemm(c, a, b) }, "GemmAdd": func() { GemmAdd(c, a, b) },
+			"head GemmTC":       func() { GemmTC(logits, h, w2, Epilogue{Bias: v[:classes], BiasLast: true}) },
+			"head GemmTC pair":  func() { GemmTC(logits2, h, w22, Epilogue{Bias: v[:2], BiasLast: true}) },
+			"head GemmTAWith":   func() { GemmTAWith(dh, g, w2t, Epilogue{Gate: h.Data}) },
+			"head Gemm":         func() { Gemm(dw, g, h) },
+			"TransposeInto":     func() { TransposeInto(w2t, w2) },
+			"AddTransposedInto": func() { AddTransposedInto(w2, dw) },
+			"Gemm":              func() { Gemm(c, a, b) }, "GemmAdd": func() { GemmAdd(c, a, b) },
 			"GemmTA": func() { GemmTA(c, at, b) }, "GemmTAAdd": func() { GemmTAAdd(c, at, b) },
 			"GemmTBAdd":    func() { GemmTBAdd(c, a, bt) },
 			"GemmWith":     func() { GemmWith(c, a, b, Epilogue{Bias: v, BiasLast: true, ReLU: true}) },

@@ -298,14 +298,47 @@ func GemmTC(ct, a, b *Tensor, e Epilogue) {
 // TransposeInto writes srcᵀ into dst, which must be pre-shaped to
 // src.Cols × src.Rows: a layer's Out × In weight panel for its input
 // gradient, and a class-major slab turned back into rows at the boundary.
+// Four rows of src go at a time, so that each column of theirs lands as four
+// neighbours in a row of dst.
 func TransposeInto(dst, src *Tensor) {
-	if dst.Rows != src.Cols || dst.Cols != src.Rows {
-		panic(fmt.Sprintf("linalg: TransposeInto shape %dx%d, want %dx%d",
-			dst.Rows, dst.Cols, src.Cols, src.Rows))
+	transposeInto(dst, src, "TransposeInto", false)
+}
+
+// AddTransposedInto adds srcᵀ into dst, one add per element: dst[j][i] =
+// dst[j][i] + src[i][j]. dst must be shaped src.Cols × src.Rows. It is how a
+// gradient computed transposed joins its parameter's.
+func AddTransposedInto(dst, src *Tensor) {
+	transposeInto(dst, src, "AddTransposedInto", true)
+}
+
+func transposeInto(dst, src *Tensor, op string, add bool) {
+	r, c := src.Rows, src.Cols
+	if dst.Rows != c || dst.Cols != r {
+		panic(fmt.Sprintf("linalg: %s shape %dx%d, want %dx%d", op, dst.Rows, dst.Cols, c, r))
 	}
-	for i := 0; i < src.Rows; i++ {
-		for j, v := range src.Row(i) {
-			dst.Data[j*src.Rows+i] = v
+	s, d := src.Data[:r*c], dst.Data[:r*c]
+	i := 0
+	for ; i+4 <= r; i += 4 {
+		s0 := s[i*c : (i+1)*c]
+		s1 := s[(i+1)*c : (i+2)*c][:len(s0)]
+		s2 := s[(i+2)*c : (i+3)*c][:len(s0)]
+		s3 := s[(i+3)*c : (i+4)*c][:len(s0)]
+		for j, v := range s0 {
+			o := d[j*r+i : j*r+i+4]
+			if add {
+				o[0], o[1], o[2], o[3] = o[0]+v, o[1]+s1[j], o[2]+s2[j], o[3]+s3[j]
+			} else {
+				o[0], o[1], o[2], o[3] = v, s1[j], s2[j], s3[j]
+			}
+		}
+	}
+	for ; i < r; i++ {
+		for j, v := range s[i*c : (i+1)*c] {
+			if add {
+				d[j*r+i] += v
+			} else {
+				d[j*r+i] = v
+			}
 		}
 	}
 }

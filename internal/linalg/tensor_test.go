@@ -439,37 +439,67 @@ func TestFromRowsWarmAllocs(t *testing.T) {
 // BenchmarkGemmForward times each kernel form at the shapes the streaming MLP
 // (dim→64→C on ≤ 256 rows) really multiplies — the benchmark generators' input
 // widths 6, 10, 12 and class counts 2, 5, 7 — and at the 256³ shape that is big
-// enough to be memory-bound. Names are FORM/m×k×n of the product (TC: the
-// class head's forward, stored class-major); GFLOP/s counts a mul-add as two.
+// enough to be memory-bound. Names are FORM/m×k×n of the product. The hidden
+// layer's forward and ∂W₁ run plain; the class head's three products run as
+// nn.Dense issues them, on batches of 64, 128 and 256 rows: head/fwd is the
+// class-major forward GemmTC with its bias added last, head/dH the input
+// gradient GemmTAWith gated by the hidden activations (m×C×64), head/dW the
+// weight gradient ∂W₂ᵀ = G·H (C×m×64) and head/wt the W₂ → W₂ᵀ transpose the
+// input gradient reads. GFLOP/s counts a mul-add as two (head/wt moves data
+// only and reports none).
 func BenchmarkGemmForward(b *testing.B) {
-	const formTC = formTB + 1
 	type shape struct {
+		name    string
 		form    gemmForm
 		m, k, n int
 	}
-	shapes := []shape{{formNN, 256, 256, 256}, {formNN, 128, 12, 64}}
+	shapes := []shape{{"NN", formNN, 256, 256, 256}, {"NN", formNN, 128, 12, 64}}
 	for _, dim := range []int{6, 10, 12} {
-		shapes = append(shapes, shape{formNN, 256, dim, 64}, shape{formTA, dim, 256, 64})
+		shapes = append(shapes, shape{"NN", formNN, 256, dim, 64}, shape{"TA", formTA, dim, 256, 64})
+	}
+	for _, rows := range []int{64, 128, 256} {
+		for _, classes := range []int{2, 5, 7} {
+			shapes = append(shapes, shape{"head/fwd", formNN, rows, 64, classes},
+				shape{"head/dH", formTA, rows, classes, 64}, shape{"head/dW", formNN, classes, rows, 64})
+		}
 	}
 	for _, classes := range []int{2, 5, 7} {
-		shapes = append(shapes, shape{formNN, 256, classes, 64}, shape{formTA, classes, 256, 64}, shape{formTC, 256, 64, classes})
+		shapes = append(shapes, shape{"head/wt", formNN, 64, 1, classes})
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range shapes {
-		name := [...]string{"NN", "TA", "TB", "TC"}[s.form]
-		b.Run(fmt.Sprintf("%s/%dx%dx%d", name, s.m, s.k, s.n), func(b *testing.B) {
+		name := fmt.Sprintf("%s/%dx%dx%d", s.name, s.m, s.k, s.n)
+		if s.name == "head/wt" {
+			name = fmt.Sprintf("%s/%dx%d", s.name, s.m, s.n)
+		}
+		b.Run(name, func(b *testing.B) {
 			// Storage sizes are the same in every form; only the strides differ.
 			x, w, c := normals(rng, s.m*s.k), normals(rng, s.k*s.n), make([]float64, s.m*s.n)
+			bias, gate := normals(rng, s.n), normals(rng, s.m*s.n)
+			var run func()
+			switch s.name {
+			case "head/fwd":
+				e := Epilogue{Bias: bias, BiasLast: true}
+				ct, h, wt := TensorView(c, s.n, s.m), TensorView(x, s.m, s.k), TensorView(w, s.k, s.n)
+				run = func() { GemmTC(ct, h, wt, e) }
+			case "head/dH":
+				e := Epilogue{Gate: gate}
+				dh, g, wt := TensorView(c, s.m, s.n), TensorView(x, s.k, s.m), TensorView(w, s.k, s.n)
+				run = func() { GemmTAWith(dh, g, wt, e) }
+			case "head/wt":
+				wt, w2 := TensorView(c, s.n, s.m), TensorView(gate, s.m, s.n)
+				run = func() { TransposeInto(wt, w2) }
+			default:
+				run = func() { gemm(s.form, c, x, w, Epilogue{}, s.m, s.k, s.n, false) }
+			}
 			b.SetBytes(int64((s.m*s.k + s.k*s.n + s.m*s.n) * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if s.form == formTC {
-					gemmTC(c, x, w, nil, nil, s.m, s.k, s.n)
-					continue
-				}
-				gemm(s.form, c, x, w, Epilogue{}, s.m, s.k, s.n, false)
+				run()
 			}
-			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			if s.name != "head/wt" {
+				b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			}
 		})
 	}
 }

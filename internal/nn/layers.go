@@ -187,22 +187,16 @@ func (d *Dense) backwardParams(gradOut *linalg.Tensor) {
 		// accumulation runs on Gradᵀ and is transposed back.
 		if narrow {
 			linalg.Gemm(d.outIn, gradOut, d.lastX)
-			d.addTransposed()
+			linalg.AddTransposedInto(grad, d.outIn)
 		} else {
 			linalg.TransposeInto(d.outIn, grad)
 			linalg.GemmAdd(d.outIn, gradOut, d.lastX)
 			linalg.TransposeInto(grad, d.outIn)
 		}
-		for j := 0; j < d.Out; j++ {
-			s := d.b.Grad[j]
-			for _, g := range gradOut.Row(j) {
-				s += g
-			}
-			d.b.Grad[j] = s
-		}
+		addRowSums(d.b.Grad, gradOut)
 	case narrow:
 		linalg.GemmTA(d.outIn, gradOut, d.lastX)
-		d.addTransposed()
+		linalg.AddTransposedInto(grad, d.outIn)
 		gradOut.SumRowsInto(d.b.Grad)
 	default:
 		linalg.GemmTAAdd(grad, d.lastX, gradOut)
@@ -210,13 +204,28 @@ func (d *Dense) backwardParams(gradOut *linalg.Tensor) {
 	}
 }
 
-// addTransposed adds the ∂Wᵀ in outIn into Grad: In·Out values, not
-// rows·(In+Out).
-func (d *Dense) addTransposed() {
-	for j := 0; j < d.Out; j++ {
-		for i, v := range d.outIn.Row(j) {
-			d.w.Grad[i*d.Out+j] += v
+// addRowSums adds each row of g into its element of dst, first column to
+// last: dst[j] = (…((dst[j] + g[j][0]) + g[j][1]) + …) — the head's ∂b from
+// the class-major Gᵀ. Rows go two at a time, so that two add chains are in
+// flight where one would wait on the other's latency.
+func addRowSums(dst []float64, g *linalg.Tensor) {
+	j := 0
+	for ; j+2 <= g.Rows; j += 2 {
+		s0, s1 := dst[j], dst[j+1]
+		g0 := g.Row(j)
+		g1 := g.Row(j + 1)[:len(g0)]
+		for i, v := range g0 {
+			s0 += v
+			s1 += g1[i]
 		}
+		dst[j], dst[j+1] = s0, s1
+	}
+	if j < g.Rows {
+		s := dst[j]
+		for _, v := range g.Row(j) {
+			s += v
+		}
+		dst[j] = s
 	}
 }
 
