@@ -54,8 +54,8 @@ fmt:
 # split across two Train calls, is held bit for bit to the inline row close,
 # chunk losses and weights, by the strategy package's Close tests.
 golden:
-	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|ReusedBufferTwins' ./internal/core
-	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|ReusedBufferTwins' ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|ReusedBufferTwins|SlabAndMeanHandoffTwins' ./internal/core
+	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|ReusedBufferTwins|SlabAndMeanHandoffTwins' ./internal/core
 	$(GO) test -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -tags purego -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -cpu 1,2,4 -run Example .
@@ -89,12 +89,15 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 
-# Every benchmark body of the kernel and network packages, once: the
+# Every benchmark body of the kernel, network, window, cluster and session
+# packages, once, and the learn_drift profile's (BenchmarkLearnDrift): the
 # before/after tables of a kernel change are these benchmarks (BenchmarkGemmForward
-# runs the class head's products as the layers issue them), so a body that no
-# longer builds or panics fails here, not in the next change that needs it.
+# runs the class head's products as the layers issue them), and the profile a
+# change to the training plane is sized on is BenchmarkLearnDrift's, so a body
+# that no longer builds or panics fails here, not in the next change that needs it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn ./internal/window ./internal/cluster ./internal/session
+	$(GO) test -run '^$$' -bench LearnDrift -benchtime 1x ./internal/core
 
 # The GEMM kernels are bounds-checked Go wrappers around assembly bodies (and
 # the Go loops that are their tail and fallback) whose bitwise contract is

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"math"
+
+	"freewayml/internal/linalg"
 )
 
 // CEC performs coherent experience clustering (paper Sec. IV-C): it clusters
@@ -12,17 +14,31 @@ import (
 // cluster centroid. It returns the predicted labels for the unlabeled batch.
 //
 // numClasses is c, the number of clusters (one per label, as in the paper).
-// seed makes the clustering deterministic.
-func CEC(batch [][]float64, expX [][]float64, expY []int, numClasses int, seed int64) ([]int, error) {
-	return CECK(batch, expX, expY, numClasses, numClasses, seed)
-}
-
-// CECK is CEC with an independent cluster count k ≥ numClasses:
-// over-clustering lets non-spherical or imbalanced classes occupy several
-// clusters each, with the majority-label vote still mapping every cluster to
-// one label.
-func CECK(batch [][]float64, expX [][]float64, expY []int, k, numClasses int, seed int64) ([]int, error) {
-	pred, _, err := CECKWithScore(batch, expX, expY, k, numClasses, seed)
+// seed makes the clustering deterministic. It is CECJoint with k =
+// numClasses for a batch held as loose rows: the rows and the experience are
+// staged into one joint slab first.
+func CEC(batch [][]float64, expX *linalg.Tensor, expY []int, numClasses int, seed int64) ([]int, error) {
+	if len(batch) == 0 {
+		return nil, errors.New("cluster: CEC empty batch")
+	}
+	if expX == nil || expX.Rows != len(expY) {
+		return nil, errors.New("cluster: CEC experience size mismatch")
+	}
+	cols := len(batch[0])
+	for _, row := range batch {
+		if len(row) != cols {
+			return nil, errors.New("cluster: ragged points")
+		}
+	}
+	if expX.Cols != cols && expX.Rows > 0 {
+		return nil, errors.New("cluster: ragged points")
+	}
+	joint := linalg.NewTensor(len(batch)+expX.Rows, cols)
+	for i, row := range batch {
+		copy(joint.Row(i), row)
+	}
+	copy(joint.Data[len(batch)*cols:], expX.Data)
+	pred, _, err := CECJoint(joint, len(batch), expY, numClasses, numClasses, seed)
 	return pred, err
 }
 
@@ -35,7 +51,7 @@ type CECStats struct {
 	Iterations int
 	// ExperiencePoints is the size of the coherent experience used.
 	ExperiencePoints int
-	// Agreement is the labeled-experience agreement (see CECKWithScore).
+	// Agreement is the labeled-experience agreement (see CECJoint).
 	Agreement float64
 	// DeployedAgreement is the deployed model's agreement with the same
 	// labeled experience points: the other side of the CEC arbitration. The
@@ -43,29 +59,27 @@ type CECStats struct {
 	DeployedAgreement float64
 }
 
-// CECKWithScore additionally reports the experience agreement: the fraction
-// of labeled experience points whose cluster-mapped label matches their true
-// label. Agreement near 1 means the clustering aligns with the class
-// structure; low agreement means clusters cut across classes and the CEC
-// output should not be trusted (the quality check behind the paper's
-// limitation discussion in Sec. VI-F).
-func CECKWithScore(batch [][]float64, expX [][]float64, expY []int, k, numClasses int, seed int64) ([]int, float64, error) {
-	pred, st, err := CECKWithStats(batch, expX, expY, k, numClasses, seed)
-	return pred, st.Agreement, err
-}
-
-// CECKWithStats is CECKWithScore returning the full clustering evidence.
-func CECKWithStats(batch [][]float64, expX [][]float64, expY []int, k, numClasses int, seed int64) ([]int, CECStats, error) {
+// CECJoint is CEC over one joint slab, the batch's batchRows rows first and
+// then the labeled experience's, one per label of expY, with an independent
+// cluster count k ≥ numClasses, returning the clustering evidence.
+// Over-clustering lets non-spherical or imbalanced classes occupy several
+// clusters each, with the majority-label vote still mapping every cluster to
+// one label. The evidence's Agreement is the fraction of labeled experience
+// points whose cluster-mapped label matches their true label: near 1 the
+// clustering aligns with the class structure; low, clusters cut across
+// classes and the CEC output should not be trusted (the quality check behind
+// the paper's limitation discussion in Sec. VI-F).
+func CECJoint(joint *linalg.Tensor, batchRows int, expY []int, k, numClasses int, seed int64) ([]int, CECStats, error) {
 	if k < numClasses {
 		return nil, CECStats{}, errors.New("cluster: CECK needs k >= numClasses")
 	}
-	if len(batch) == 0 {
+	if batchRows <= 0 {
 		return nil, CECStats{}, errors.New("cluster: CEC empty batch")
 	}
-	if len(expX) != len(expY) {
+	if joint.Rows-batchRows != len(expY) {
 		return nil, CECStats{}, errors.New("cluster: CEC experience size mismatch")
 	}
-	if len(expX) == 0 {
+	if len(expY) == 0 {
 		return nil, CECStats{}, errors.New("cluster: CEC requires labeled experience")
 	}
 	if numClasses < 1 {
@@ -78,20 +92,15 @@ func CECKWithStats(batch [][]float64, expX [][]float64, expY []int, k, numClasse
 	}
 
 	// Joint clustering of current batch + coherent experience.
-	joint := make([][]float64, 0, len(batch)+len(expX))
-	joint = append(joint, batch...)
-	joint = append(joint, expX...)
-	if k > len(joint) {
-		k = len(joint)
-	}
+	k = min(k, joint.Rows)
 	res, err := KMeans(joint, k, seed)
 	if err != nil {
 		return nil, CECStats{}, err
 	}
 
-	clusterLabel := clusterLabels(res.Centroids, res.Assignment[len(batch):], expY, numClasses)
-	out := make([]int, len(batch))
-	for i := range batch {
+	clusterLabel := clusterLabels(res.Centroids, res.Assignment[batchRows:], expY, numClasses)
+	out := make([]int, batchRows)
+	for i := range out {
 		out[i] = clusterLabel[res.Assignment[i]]
 	}
 
@@ -99,12 +108,12 @@ func CECKWithStats(batch [][]float64, expX [][]float64, expY []int, k, numClasse
 	// labels of the experience points.
 	correct := 0
 	for j, y := range expY {
-		if clusterLabel[res.Assignment[len(batch)+j]] == y {
+		if clusterLabel[res.Assignment[batchRows+j]] == y {
 			correct++
 		}
 	}
 	agreement := float64(correct) / float64(len(expY))
-	st := CECStats{K: k, Iterations: res.Iterations, ExperiencePoints: len(expX), Agreement: agreement}
+	st := CECStats{K: k, Iterations: res.Iterations, ExperiencePoints: len(expY), Agreement: agreement}
 	return out, st, nil
 }
 

@@ -10,7 +10,8 @@ func TestCECKWithScoreHighAgreementOnSeparableData(t *testing.T) {
 	centers := [][]float64{{0, 0}, {15, 15}}
 	expX, expY := blobs(rng, centers, 12, 0.5)
 	batch, _ := blobs(rng, centers, 30, 0.5)
-	_, agreement, err := CECKWithScore(batch, expX, expY, 4, 2, 5)
+	_, st, err := CECJoint(slab(append(batch, expX...)), len(batch), expY, 4, 2, 5)
+	agreement := st.Agreement
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,8 @@ func TestCECKWithScoreLowAgreementWhenClustersCutClasses(t *testing.T) {
 	}
 	expX, expY := mk(40)
 	batch, _ := mk(60)
-	_, agreement, err := CECKWithScore(batch, expX, expY, 2, 2, 5)
+	_, st, err := CECJoint(slab(append(batch, expX...)), len(batch), expY, 2, 2, 5)
+	agreement := st.Agreement
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestCECKWithScoreLowAgreementWhenClustersCutClasses(t *testing.T) {
 }
 
 func TestCECKRejectsKBelowClasses(t *testing.T) {
-	if _, err := CECK([][]float64{{1}}, [][]float64{{1}}, []int{0}, 1, 2, 1); err == nil {
+	if _, _, err := CECJoint(slab([][]float64{{1}, {1}}), 1, []int{0}, 1, 2, 1); err == nil {
 		t.Error("k < numClasses should error")
 	}
 }

@@ -5,7 +5,20 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"freewayml/internal/linalg"
 )
+
+// slab stages rows as one tensor (nil for no rows), the form the buffer's
+// experience and the flat clustering take.
+func slab(rows [][]float64) *linalg.Tensor {
+	if rows == nil {
+		return nil
+	}
+	var t linalg.Tensor
+	t.FromRows(rows, len(rows[0]))
+	return &t
+}
 
 // blobs generates n points around each of the given centers.
 func blobs(rng *rand.Rand, centers [][]float64, n int, spread float64) ([][]float64, []int) {
@@ -28,13 +41,13 @@ func TestKMeansErrors(t *testing.T) {
 	if _, err := KMeans(nil, 2, 1); err == nil {
 		t.Error("empty points should error")
 	}
-	if _, err := KMeans([][]float64{{1}}, 0, 1); err == nil {
+	if _, err := KMeans(slab([][]float64{{1}}), 0, 1); err == nil {
 		t.Error("k=0 should error")
 	}
-	if _, err := KMeans([][]float64{{1}}, 2, 1); err == nil {
+	if _, err := KMeans(slab([][]float64{{1}}), 2, 1); err == nil {
 		t.Error("fewer points than k should error")
 	}
-	if _, err := KMeans([][]float64{{1}, {1, 2}}, 1, 1); err == nil {
+	if _, err := CEC([][]float64{{1}, {1, 2}}, slab([][]float64{{1}}), []int{0}, 1, 1); err == nil {
 		t.Error("ragged points should error")
 	}
 }
@@ -43,7 +56,7 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	centers := [][]float64{{0, 0}, {10, 10}, {-10, 10}}
 	x, truth := blobs(rng, centers, 50, 0.5)
-	res, err := KMeans(x, 3, 42)
+	res, err := KMeans(slab(x), 3, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +81,11 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 func TestKMeansDeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x, _ := blobs(rng, [][]float64{{0, 0}, {5, 5}}, 30, 0.5)
-	a, err := KMeans(x, 2, 7)
+	a, err := KMeans(slab(x), 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(x, 2, 7)
+	b, err := KMeans(slab(x), 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +98,7 @@ func TestKMeansDeterministicForSeed(t *testing.T) {
 
 func TestKMeansKEqualsN(t *testing.T) {
 	x := [][]float64{{0, 0}, {10, 0}, {0, 10}}
-	res, err := KMeans(x, 3, 1)
+	res, err := KMeans(slab(x), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +109,18 @@ func TestKMeansKEqualsN(t *testing.T) {
 	if len(seen) != 3 {
 		t.Errorf("k=n should give singleton clusters, got %v", res.Assignment)
 	}
-	if in := res.Inertia(x); in > 1e-9 {
+	if in := res.Inertia(slab(x)); in > 1e-9 {
 		t.Errorf("inertia = %v, want 0", in)
 	}
 }
 
 func TestKMeansIdenticalPoints(t *testing.T) {
 	x := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	res, err := KMeans(x, 2, 1)
+	res, err := KMeans(slab(x), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in := res.Inertia(x); in > 1e-9 {
+	if in := res.Inertia(slab(x)); in > 1e-9 {
 		t.Errorf("inertia on identical points = %v", in)
 	}
 }
@@ -117,11 +130,11 @@ func TestInertiaDecreasesWithMoreClusters(t *testing.T) {
 	x, _ := blobs(rng, [][]float64{{0, 0}, {8, 8}, {-8, 8}, {8, -8}}, 40, 1.0)
 	var prev float64 = math.Inf(1)
 	for _, k := range []int{1, 2, 4} {
-		res, err := KMeans(x, k, 5)
+		res, err := KMeans(slab(x), k, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := res.Inertia(x)
+		in := res.Inertia(slab(x))
 		if in > prev+1e-9 {
 			t.Errorf("inertia increased at k=%d: %v > %v", k, in, prev)
 		}
@@ -136,7 +149,7 @@ func TestCECMapsClustersToLabels(t *testing.T) {
 	expX, expY := blobs(rng, centers, 10, 0.5)
 	// Unlabeled current batch.
 	batch, truth := blobs(rng, centers, 40, 0.5)
-	pred, err := CEC(batch, expX, expY, 3, 11)
+	pred, err := CEC(batch, slab(expX), expY, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,19 +166,19 @@ func TestCECMapsClustersToLabels(t *testing.T) {
 
 func TestCECErrors(t *testing.T) {
 	x := [][]float64{{1, 1}}
-	if _, err := CEC(nil, x, []int{0}, 2, 1); err == nil {
+	if _, err := CEC(nil, slab(x), []int{0}, 2, 1); err == nil {
 		t.Error("empty batch should error")
 	}
-	if _, err := CEC(x, x, []int{0, 1}, 2, 1); err == nil {
+	if _, err := CEC(x, slab(x), []int{0, 1}, 2, 1); err == nil {
 		t.Error("experience mismatch should error")
 	}
 	if _, err := CEC(x, nil, nil, 2, 1); err == nil {
 		t.Error("no experience should error")
 	}
-	if _, err := CEC(x, x, []int{5}, 2, 1); err == nil {
+	if _, err := CEC(x, slab(x), []int{5}, 2, 1); err == nil {
 		t.Error("out-of-range experience label should error")
 	}
-	if _, err := CEC(x, x, []int{0}, 0, 1); err == nil {
+	if _, err := CEC(x, slab(x), []int{0}, 0, 1); err == nil {
 		t.Error("numClasses 0 should error")
 	}
 }
@@ -175,7 +188,7 @@ func TestCECWithMissingClassInExperience(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	expX, expY := blobs(rng, [][]float64{{0, 0}}, 10, 0.5)
 	batch, _ := blobs(rng, [][]float64{{0, 0}, {12, 12}}, 20, 0.5)
-	pred, err := CEC(batch, expX, expY, 2, 3)
+	pred, err := CEC(batch, slab(expX), expY, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +204,7 @@ func TestCECMoreClassesThanPoints(t *testing.T) {
 	batch := [][]float64{{0, 0}}
 	expX := [][]float64{{0.1, 0}}
 	expY := []int{1}
-	pred, err := CEC(batch, expX, expY, 5, 1)
+	pred, err := CEC(batch, slab(expX), expY, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +231,8 @@ func TestExpBufferCapacity(t *testing.T) {
 	}
 	// Newest points survive: last stored value should be 3.
 	bx, by := b.Experience()
-	if bx[len(bx)-1][0] != 3 || by[len(by)-1] != 0 {
-		t.Errorf("unexpected tail: %v %v", bx[len(bx)-1], by[len(by)-1])
+	if bx.Row(bx.Rows - 1)[0] != 3 || by[len(by)-1] != 0 {
+		t.Errorf("unexpected tail: %v %v", bx.Row(bx.Rows-1), by[len(by)-1])
 	}
 }
 
@@ -277,21 +290,19 @@ func TestExpBufferEvictsInPlace(t *testing.T) {
 		}
 		expire()
 		bx, by := b.Experience()
-		if len(bx) != len(model) || len(by) != len(model) || b.Len() != len(model) {
-			t.Fatalf("step %d: %d points, want %d", step, len(bx), len(model))
+		if bx.Rows != len(model) || len(by) != len(model) || b.Len() != len(model) {
+			t.Fatalf("step %d: %d points, want %d", step, bx.Rows, len(model))
 		}
 		for i, p := range model {
-			if bx[i][0] != float64(p.v) || by[i] != p.v%3 {
-				t.Fatalf("step %d: point %d = (%v, %d), want (%d, %d)", step, i, bx[i], by[i], p.v, p.v%3)
+			if bx.Row(i)[0] != float64(p.v) || by[i] != p.v%3 {
+				t.Fatalf("step %d: point %d = (%v, %d), want (%d, %d)", step, i, bx.Row(i), by[i], p.v, p.v%3)
 			}
 		}
 		if st := b.Export(); len(st.Birth) != len(model) || (len(model) > 0 && st.Birth[0] != model[0].birth) || st.Now != now {
 			t.Fatalf("step %d: exported births %v at %d, want first %v at %d", step, st.Birth, st.Now, model, now)
 		}
-		for _, row := range bx[len(bx):cap(bx)] {
-			if row != nil {
-				t.Fatalf("step %d: an evicted row is still referenced behind the buffer's length", step)
-			}
+		if len(bx.Data) != bx.Rows*bx.Cols || cap(bx.Data) != len(bx.Data) {
+			t.Fatalf("step %d: the experience view reaches %d values past its %d points", step, cap(bx.Data)-bx.Rows*bx.Cols, bx.Rows)
 		}
 	}
 
@@ -331,7 +342,7 @@ func TestExpBufferValidation(t *testing.T) {
 		if err := b.Import(s); err == nil {
 			t.Errorf("import of %+v should error", s)
 		}
-		if x, y := b.Experience(); len(y) != 1 || y[0] != 1 || x[0][0] != 1 {
+		if x, y := b.Experience(); len(y) != 1 || y[0] != 1 || x.Row(0)[0] != 1 {
 			t.Fatalf("after a refused import the buffer holds %v %v, want [[1]] [1]", x, y)
 		}
 	}

@@ -16,10 +16,11 @@ type ExpBuffer struct {
 	maxAge   int // in batches; 0 disables expiration
 
 	// slab is the buffer's own copy of the points, capacity rows as wide as
-	// the first point, oldest first; rows views its rows, of which the points
-	// held are the first len(y).
+	// the first point, oldest first, of which the points held are the first
+	// len(y); view is Experience's window on them.
 	slab  linalg.Tensor
-	rows  [][]float64
+	view  linalg.Tensor
+	loose linalg.Tensor // AddBatch's rows, staged
 	y     []int
 	birth []int // batch index at which each point was added
 	now   int
@@ -37,41 +38,55 @@ func NewExpBuffer(capacity, maxAge int) (*ExpBuffer, error) {
 	return &ExpBuffer{capacity: capacity, maxAge: maxAge}, nil
 }
 
-// AddBatch copies a labeled batch in (advancing the buffer clock by one
-// batch), evicting expired then oldest points to stay within capacity. The
-// caller may reuse x and y once it returns.
-func (b *ExpBuffer) AddBatch(x [][]float64, y []int) error {
-	if len(x) != len(y) {
+// Add copies a labeled batch, rows × width, in (advancing the buffer clock
+// by one batch), evicting expired then oldest points to stay within capacity:
+// one contiguous copy of the rows that stay. The caller may reuse x and y once
+// it returns.
+func (b *ExpBuffer) Add(x *linalg.Tensor, y []int) error {
+	if x.Rows != len(y) {
 		return errors.New("cluster: ExpBuffer batch size mismatch")
 	}
 	// Of a batch larger than the buffer only the newest capacity rows would
 	// outlive the eviction: the others are not copied in the first place.
-	if over := len(x) - b.capacity; over > 0 {
-		x, y = x[over:], y[over:]
-	}
-	if err := b.reserve(x); err != nil {
-		return err
+	over := max(x.Rows-b.capacity, 0)
+	if x.Rows > 0 {
+		if err := b.reserve(x.Cols); err != nil {
+			return err
+		}
 	}
 	b.now++
-	b.evict(len(x))
-	for i, row := range x {
-		copy(b.rows[len(b.y)+i], row)
+	b.evict(x.Rows - over)
+	copy(b.slab.Data[len(b.y)*b.slab.Cols:], x.Data[over*x.Cols:])
+	for range x.Rows - over {
 		b.birth = append(b.birth, b.now)
 	}
-	b.y = append(b.y, y...)
+	b.y = append(b.y, y[over:]...)
 	return nil
 }
 
-// reserve checks that every row of x is as wide as the slab's, which takes
-// the width of x while the buffer holds no point.
-func (b *ExpBuffer) reserve(x [][]float64) error {
-	if len(x) > 0 && len(b.y) == 0 && (b.rows == nil || len(x[0]) != b.slab.Cols) {
-		b.rows = linalg.EnsureTensor(&b.slab, b.capacity, len(x[0])).RowViews(b.rows)
+// AddBatch is Add for a batch held as loose rows, all as wide as the first.
+func (b *ExpBuffer) AddBatch(x [][]float64, y []int) error {
+	cols := 0
+	if len(x) > 0 {
+		cols = len(x[0])
 	}
 	for _, row := range x {
-		if len(row) != b.slab.Cols {
-			return fmt.Errorf("cluster: ExpBuffer row width %d, want %d", len(row), b.slab.Cols)
+		if len(row) != cols {
+			return fmt.Errorf("cluster: ExpBuffer row width %d, want %d", len(row), cols)
 		}
+	}
+	b.loose.FromRows(x, cols)
+	return b.Add(&b.loose, y)
+}
+
+// reserve checks that incoming rows are as wide as the slab's, which takes
+// their width while the buffer holds no point.
+func (b *ExpBuffer) reserve(cols int) error {
+	if len(b.y) == 0 && (b.slab.Data == nil || cols != b.slab.Cols) {
+		linalg.EnsureTensor(&b.slab, b.capacity, cols)
+	}
+	if cols != b.slab.Cols {
+		return fmt.Errorf("cluster: ExpBuffer row width %d, want %d", cols, b.slab.Cols)
 	}
 	return nil
 }
@@ -100,11 +115,14 @@ func (b *ExpBuffer) evict(incoming int) {
 // Len returns the number of stored points.
 func (b *ExpBuffer) Len() int { return len(b.y) }
 
-// Experience returns the stored labeled points, oldest first. The slices
-// are the buffer's own: callers must not mutate them, and they are valid only
-// until the next AddBatch or Tick, which moves the survivors down in place.
-func (b *ExpBuffer) Experience() ([][]float64, []int) {
-	return b.rows[:len(b.y):len(b.y)], b.y
+// Experience returns the stored labeled points, oldest first: a view of the
+// buffer's slab, one row per label. Both are the buffer's own: callers must
+// not mutate them, and they are valid only until the next Add or Tick, which
+// moves the survivors down in place.
+func (b *ExpBuffer) Experience() (*linalg.Tensor, []int) {
+	n := len(b.y)
+	b.view = linalg.Tensor{Rows: n, Cols: b.slab.Cols, Data: b.slab.Data[: n*b.slab.Cols : n*b.slab.Cols]}
+	return &b.view, b.y
 }
 
 // Tick advances the buffer clock without adding points (an unlabeled batch
@@ -126,8 +144,8 @@ type ExpBufferState struct {
 func (b *ExpBuffer) Export() ExpBufferState {
 	s := ExpBufferState{Now: b.now}
 	s.X = make([][]float64, len(b.y))
-	for i, row := range b.rows[:len(b.y)] {
-		s.X[i] = append([]float64(nil), row...)
+	for i := range s.X {
+		s.X[i] = append([]float64(nil), b.slab.Row(i)...)
 	}
 	s.Y = append([]int(nil), b.y...)
 	s.Birth = append([]int(nil), b.birth...)
@@ -155,11 +173,13 @@ func (b *ExpBuffer) Import(s ExpBufferState) error {
 	}
 	x, over := s.X, max(len(s.X)-b.capacity, 0)
 	b.y, b.birth = b.y[:0], b.birth[:0]
-	if err := b.reserve(x[over:]); err != nil {
-		return err
+	if len(x) > over {
+		if err := b.reserve(len(x[0])); err != nil {
+			return err
+		}
 	}
 	for i, row := range x[over:] {
-		copy(b.rows[i], row)
+		copy(b.slab.Row(i), row)
 	}
 	b.y, b.birth = append(b.y, s.Y[over:]...), append(b.birth, s.Birth[over:]...)
 	b.now = s.Now

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+
+	"freewayml/internal/linalg"
 )
 
 // KMeansResult holds a fitted clustering.
@@ -22,34 +24,30 @@ type KMeansResult struct {
 // clusterings CEC runs converge in a handful of iterations.
 const maxKMeansIterations = 50
 
-// KMeans clusters the points into k clusters using k-means++ initialization
-// followed by Lloyd iterations, deterministic for a given seed. It returns
-// an error when the input is empty, ragged, or has fewer points than k.
-func KMeans(points [][]float64, k int, seed int64) (*KMeansResult, error) {
-	if len(points) == 0 {
+// KMeans clusters the rows of points into k clusters using k-means++
+// initialization followed by Lloyd iterations, deterministic for a given
+// seed. It returns an error when there are no points or fewer than k.
+func KMeans(points *linalg.Tensor, k int, seed int64) (*KMeansResult, error) {
+	if points == nil || points.Rows == 0 {
 		return nil, errors.New("cluster: no points")
 	}
+	n := points.Rows
 	if k < 1 {
 		return nil, errors.New("cluster: k must be >= 1")
 	}
-	if len(points) < k {
+	if n < k {
 		return nil, errors.New("cluster: fewer points than clusters")
-	}
-	dim := len(points[0])
-	for _, p := range points {
-		if len(p) != dim {
-			return nil, errors.New("cluster: ragged points")
-		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	centroids := seedPlusPlus(points, k, rng)
-	assign := make([]int, len(points))
+	assign := make([]int, n)
 	counts := make([]int, k)
 
 	iters := 0
 	for ; iters < maxKMeansIterations; iters++ {
 		changed := false
-		for i, p := range points {
+		for i := range n {
+			p := points.Row(i)
 			best, bestD := 0, math.Inf(1)
 			for c, cen := range centroids {
 				if d := sqDist(p, cen); d < bestD {
@@ -66,22 +64,20 @@ func KMeans(points [][]float64, k int, seed int64) (*KMeansResult, error) {
 		}
 		// Recompute centroids.
 		for c := range centroids {
-			for j := range centroids[c] {
-				centroids[c][j] = 0
-			}
+			clear(centroids[c])
 			counts[c] = 0
 		}
-		for i, p := range points {
+		for i := range n {
 			c := assign[i]
 			counts[c]++
-			for j, v := range p {
+			for j, v := range points.Row(i) {
 				centroids[c][j] += v
 			}
 		}
 		for c := range centroids {
 			if counts[c] == 0 {
 				// Re-seed an empty cluster at a random point.
-				copy(centroids[c], points[rng.Intn(len(points))])
+				copy(centroids[c], points.Row(rng.Intn(n)))
 				continue
 			}
 			inv := 1 / float64(counts[c])
@@ -93,17 +89,20 @@ func KMeans(points [][]float64, k int, seed int64) (*KMeansResult, error) {
 	return &KMeansResult{Centroids: centroids, Assignment: assign, Iterations: iters}, nil
 }
 
-// seedPlusPlus picks k initial centroids with the k-means++ D² weighting.
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
-	dim := len(points[0])
-	centroids := make([][]float64, 0, k)
-	first := points[rng.Intn(len(points))]
-	centroids = append(centroids, cloneRow(first, dim))
+// seedPlusPlus picks k initial centroids with the k-means++ D² weighting: the
+// rows of one k × dim slab.
+func seedPlusPlus(points *linalg.Tensor, k int, rng *rand.Rand) [][]float64 {
+	n := points.Rows
+	all := linalg.NewTensor(k, points.Cols).RowViews(nil)
+	centroids := all[:0]
+	centroids = append(centroids, all[0])
+	copy(all[0], points.Row(rng.Intn(n)))
 
-	d2 := make([]float64, len(points))
+	d2 := make([]float64, n)
 	for len(centroids) < k {
 		var total float64
-		for i, p := range points {
+		for i := range n {
+			p := points.Row(i)
 			best := math.Inf(1)
 			for _, c := range centroids {
 				if d := sqDist(p, c); d < best {
@@ -113,30 +112,25 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 			d2[i] = best
 			total += best
 		}
-		var next []float64
+		next := n - 1
 		if total == 0 {
-			next = points[rng.Intn(len(points))]
+			next = rng.Intn(n)
 		} else {
 			target := rng.Float64() * total
 			acc := 0.0
-			next = points[len(points)-1]
 			for i, w := range d2 {
 				acc += w
 				if acc >= target {
-					next = points[i]
+					next = i
 					break
 				}
 			}
 		}
-		centroids = append(centroids, cloneRow(next, dim))
+		c := all[len(centroids)]
+		copy(c, points.Row(next))
+		centroids = append(centroids, c)
 	}
 	return centroids
-}
-
-func cloneRow(row []float64, dim int) []float64 {
-	out := make([]float64, dim)
-	copy(out, row)
-	return out
 }
 
 func sqDist(a, b []float64) float64 {
@@ -150,10 +144,10 @@ func sqDist(a, b []float64) float64 {
 
 // Inertia returns the within-cluster sum of squared distances of a result
 // over the points it was fitted on.
-func (r *KMeansResult) Inertia(points [][]float64) float64 {
+func (r *KMeansResult) Inertia(points *linalg.Tensor) float64 {
 	var s float64
-	for i, p := range points {
-		s += sqDist(p, r.Centroids[r.Assignment[i]])
+	for i, c := range r.Assignment {
+		s += sqDist(points.Row(i), r.Centroids[c])
 	}
 	return s
 }

@@ -21,7 +21,7 @@ func TestKMeansInvariantsProperty(t *testing.T) {
 		for i := range x {
 			x[i] = []float64{rng.NormFloat64() * 5, rng.NormFloat64() * 5}
 		}
-		res, err := KMeans(x, k, seed)
+		res, err := KMeans(slab(x), k, seed)
 		if err != nil {
 			return false
 		}
@@ -33,11 +33,11 @@ func TestKMeansInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		single, err := KMeans(x, 1, seed)
+		single, err := KMeans(slab(x), 1, seed)
 		if err != nil {
 			return false
 		}
-		return res.Inertia(x) <= single.Inertia(x)+1e-9
+		return res.Inertia(slab(x)) <= single.Inertia(slab(x))+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -55,7 +55,7 @@ func TestCECValidLabelsProperty(t *testing.T) {
 		}
 		expX, expY := blobs(rng, centers, 5, 0.5)
 		batch, _ := blobs(rng, centers, 20, 0.5)
-		pred, err := CEC(batch, expX, expY, classes, seed)
+		pred, err := CEC(batch, slab(expX), expY, classes, seed)
 		if err != nil {
 			return false
 		}

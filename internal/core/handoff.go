@@ -4,7 +4,9 @@ import (
 	"math"
 	"sync"
 
+	"freewayml/internal/linalg"
 	"freewayml/internal/nn"
+	"freewayml/internal/stream"
 )
 
 // handoff is an Infer's workspace left for the Process call that follows it:
@@ -43,14 +45,15 @@ func (h *handoff) release() {
 	handoffs.Put(h)
 }
 
-// batchWorkspace returns the workspace the Process call reads its batch x
-// from, with x staged. It takes whatever the slot holds: a hit, when that
+// batchWorkspace returns the workspace the Process call reads its batch b
+// from, with b staged. It takes whatever the slot holds: a hit, when that
 // Infer read the latest publication and staged exactly these rows — which it
-// found finite — is handed over with its forwards; anything else is released
-// and a fresh workspace comes from the pool.
-func (l *Learner) batchWorkspace(x [][]float64) (ws *nn.Workspace, hit bool) {
+// found finite — is handed over with its forwards and its batch mean;
+// anything else is released and a fresh workspace comes from the pool, into
+// which b is staged: a slab with one copy.
+func (l *Learner) batchWorkspace(b stream.Batch) (ws *nn.Workspace, hit bool) {
 	if h := l.parked.Swap(nil); h != nil {
-		if h.seq == l.snapSeq && sameRows(h.ws, x) {
+		if h.seq == l.snapSeq && sameRows(h.ws.Staged(), b) {
 			ws = h.ws
 			h.ws = nil
 			handoffs.Put(h)
@@ -59,26 +62,36 @@ func (l *Learner) batchWorkspace(x [][]float64) (ws *nn.Workspace, hit bool) {
 		h.release()
 	}
 	ws = nn.GetWorkspace()
-	ws.Stage(x, l.dim)
+	if b.Slab != nil {
+		ws.StageSlab(b.Slab)
+	} else {
+		ws.Stage(b.X, l.dim)
+	}
 	return ws, false
 }
 
-// sameRows reports whether ws staged exactly the rows of x, bit for bit (−0
-// is not +0, and a NaN matches only its own bits).
-func sameRows(ws *nn.Workspace, x [][]float64) bool {
-	t := ws.Staged()
-	if t == nil || t.Rows != len(x) {
+// sameRows reports whether t holds exactly the rows of b, bit for bit (−0 is
+// not +0, and a NaN matches only its own bits).
+func sameRows(t *linalg.Tensor, b stream.Batch) bool {
+	if t == nil || t.Rows != b.Len() || t.Cols != b.Width() {
 		return false
 	}
-	for i, row := range x {
-		staged := t.Row(i)
-		if len(row) != len(staged) {
+	if b.Slab != nil {
+		return sameBits(t.Data, b.Slab.Data)
+	}
+	for i, row := range b.X {
+		if !sameBits(t.Row(i), row) {
 			return false
 		}
-		for j, v := range row {
-			if math.Float64bits(v) != math.Float64bits(staged[j]) {
-				return false
-			}
+	}
+	return true
+}
+
+// sameBits reports whether a and b, of one length, hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	for i, v := range b[:len(a)] {
+		if math.Float64bits(a[i]) != math.Float64bits(v) {
+			return false
 		}
 	}
 	return true

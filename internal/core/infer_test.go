@@ -198,7 +198,7 @@ func TestInferDuringCloseAndShutdown(t *testing.T) {
 		}
 		members := l.ModelSnapshot().Members
 		_, long := l.DebugModels()
-		long.Net().ProbaInto(&live, probe)
+		long.Net().ProbaInto(&live, &probeT)
 		ws.Reset()
 		published := members[len(members)-1].Model.ProbaInto(&ws, &probeT)
 		if published.Rows != live.Rows || published.Cols != live.Cols {

@@ -87,13 +87,6 @@ type Learner struct {
 	// rows (handoff.go). Readers park, Process takes.
 	parked atomic.Pointer[handoff]
 
-	// rows are the row headers over the staged slab of the batch in flight,
-	// the batch every mechanism reads, and mean is its column mean, handed
-	// to the shift detector. Both are scratch reused by every Process call;
-	// what a mechanism keeps of the batch it copies.
-	rows [][]float64
-	mean linalg.Vector
-
 	// health holds the fault-tolerance counters behind their own mutex:
 	// Process records while a stats handler may read them.
 	health struct {
@@ -166,7 +159,6 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 		exp:     exp,
 		kdg:     kdg,
 		guard:   guard.New(cfg.Guard, dim),
-		mean:    linalg.NewVector(dim),
 		cec:     strategy.NewCEC(exp, cfg.Seed),
 		knw:     strategy.NewKnowledgeReuse(kdg, reuse, cfg.Beta),
 	}
@@ -248,11 +240,11 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 	// were, by the Infer that parked ws after finding every value finite —
 	// and from the guard on everything reads that slab, the learner's own
 	// copy: the guard checks (and may repair) it, the detector averages it,
-	// the members forward it, and the mechanisms read it through rows and
-	// copy what they keep. The caller's rows are never written or kept
-	// (DESIGN.md, "One read of the batch per batch").
+	// the members forward it, the mechanisms read it, the experience buffer
+	// copies it and the window takes it whole. The caller's rows are never
+	// written or kept (DESIGN.md, "One read of the batch per batch").
 	tPred := bo.StageStart()
-	ws, hit := l.batchWorkspace(b.X)
+	ws, hit := l.batchWorkspace(b)
 	defer ws.Release()
 	x := ws.Staged()
 	// Input guardrails: no NaN or Inf feature reaches the detector or any
@@ -275,12 +267,10 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 		l.health.mu.Unlock()
 		bo.sanitized(rep.Total())
 	}
-	l.rows = x.RowViews(l.rows)
-	b.X = l.rows
 	bo.StageDone(strategy.StageGuard, tGuard)
 	tDet := bo.StageStart()
-	x.MeanRowsInto(l.mean)
-	obs, err := l.det.ObserveMean(x, l.mean)
+	// The mean a hit's Infer projected, or one taken now of the checked rows.
+	obs, err := l.det.ObserveMean(x, ws.Mean())
 	if err != nil {
 		return Result{}, err
 	}
@@ -301,7 +291,7 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 	l.ens.BeginBatch(ws)
 	defer l.ens.EndBatch()
 	bo.handoff(hit)
-	if err := l.infer(b, obs, &res, bo); err != nil {
+	if err := l.infer(x, obs, &res, bo); err != nil {
 		return Result{}, err
 	}
 	bo.StageDone(strategy.StagePredict, tPred)
@@ -309,27 +299,27 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 	if b.Labeled() {
 		if acc, err := metrics.Accuracy(res.Pred, b.Y); err == nil {
 			res.Accuracy = acc
-			l.preq.Record(acc, b.Truth, len(b.X))
+			l.preq.Record(acc, b.Truth, x.Rows)
 		}
 		// Train every mechanism: CEC's experience buffer, then the
 		// ensemble's granularity models, window and knowledge preservation
 		// (knowledge reuse trains nothing per batch).
-		if err := l.exp.AddBatch(b.X, b.Y); err != nil {
+		if err := l.exp.Add(x, b.Y); err != nil {
 			return Result{}, err
 		}
-		if err := l.ens.Train(ctx, b, obs, bo); err != nil {
+		if err := l.ens.Train(ctx, b.Y, obs, bo); err != nil {
 			return Result{}, err
 		}
 	}
-	bo.finish(l, &res, len(b.X))
+	bo.finish(l, &res, x.Rows)
 	l.batch++
 	l.publishSnapshot()
 	return res, nil
 }
 
-// infer serves the batch with the one mechanism the dispatch table chooses
+// infer serves the batch x with the one mechanism the dispatch table chooses
 // (dispatch.go, paper Fig. 8), consulting first the mechanism it asks for.
-func (l *Learner) infer(b stream.Batch, obs shift.Observation, res *Result, bo *batchObs) error {
+func (l *Learner) infer(x *linalg.Tensor, obs shift.Observation, res *Result, bo *batchObs) error {
 	var (
 		ev  evidence
 		p   strategy.Prediction
@@ -340,7 +330,7 @@ func (l *Learner) infer(b stream.Batch, obs shift.Observation, res *Result, bo *
 		switch c.strategy {
 		case StrategyCEC:
 			var cec strategy.CECEvidence
-			cec, err = l.cec.Infer(b, l.ens.ShortModel(), l.batch, bo)
+			cec, err = l.cec.Infer(x, l.ens.ShortModel(), l.batch, bo)
 			bo.cec(cec.Stats) // zero, and so nothing, without experience
 			ev.cec = &cec
 		default:
@@ -362,7 +352,7 @@ func (l *Learner) infer(b stream.Batch, obs shift.Observation, res *Result, bo *
 	case StrategyCEC:
 		p = strategy.Prediction{Pred: ev.cec.Pred}
 	case StrategyKnowledge:
-		if err = l.knw.Restore(ev.match, b.X); err == nil {
+		if err = l.knw.Restore(ev.match, x); err == nil {
 			p, err = l.ens.Infer(obs.YBar, ev.match, bo)
 		}
 		if err == nil && c.adopt {

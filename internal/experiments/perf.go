@@ -363,7 +363,7 @@ func Table4(opt Options) (*Table4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sizes[family] = len(m.AppendSnapshot(nil))
+		sizes[family] = len(m.Net().AppendSnapshot(nil))
 	}
 	res := &Table4Result{}
 	for _, k := range []int{1, 5, 10, 40, 100} {

@@ -35,15 +35,16 @@ type Model interface {
 	// came after the Freeze — and nothing was done: call FitTensor.
 	FitFrom(fw *nn.Forward, y []int) (loss float64, ok bool, err error)
 	// Snapshot returns the parameter image (nn.Network.AppendSnapshot) in a
-	// fresh slice; AppendSnapshot appends it to dst, for a caller that reuses
-	// one buffer (the divergence watchdog). Restore loads an image back, or
-	// refuses it whole, and resets the optimizer state.
+	// fresh slice. Restore loads an image back, or refuses it whole, and
+	// resets the optimizer state.
 	Snapshot() ([]byte, error)
-	AppendSnapshot(dst []byte) []byte
 	Restore(snapshot []byte) error
 	// Freeze returns the model's read-only view as of now: the member type of
-	// a published inference snapshot.
+	// a published inference snapshot. RestoreFrozen loads such a view's
+	// parameters back, as Restore loads an image, and resets the optimizer
+	// state.
 	Freeze() *nn.Frozen
+	RestoreFrozen(f *nn.Frozen) error
 	// InDim and NumClasses describe the model's shape.
 	InDim() int
 	NumClasses() int
@@ -118,8 +119,7 @@ func (m *netModel) FitFrom(fw *nn.Forward, y []int) (float64, bool, error) {
 	return m.net.TrainFrom(fw, y, m.opt)
 }
 
-func (m *netModel) Snapshot() ([]byte, error)        { return m.net.Snapshot() }
-func (m *netModel) AppendSnapshot(dst []byte) []byte { return m.net.AppendSnapshot(dst) }
+func (m *netModel) Snapshot() ([]byte, error) { return m.net.Snapshot() }
 
 func (m *netModel) Restore(snapshot []byte) error {
 	if err := m.net.Restore(snapshot); err != nil {
@@ -127,6 +127,14 @@ func (m *netModel) Restore(snapshot []byte) error {
 	}
 	// Stale momentum from the previous regime must not contaminate the
 	// restored model.
+	m.opt.Reset()
+	return nil
+}
+
+func (m *netModel) RestoreFrozen(f *nn.Frozen) error {
+	if err := m.net.RestoreFrozen(f); err != nil {
+		return err
+	}
 	m.opt.Reset()
 	return nil
 }

@@ -97,7 +97,7 @@ func TestAppendSnapshotMatchesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := bytes.Repeat([]byte{0xAA}, 4096) // a reused buffer that held something else
-	img := b.AppendSnapshot(stale[:0])
+	img := b.Net().AppendSnapshot(stale[:0])
 	if !bytes.Equal(img, snap) {
 		t.Fatal("AppendSnapshot differs from Snapshot")
 	}

@@ -1,6 +1,10 @@
 package nn
 
-import "freewayml/internal/linalg"
+import (
+	"errors"
+
+	"freewayml/internal/linalg"
+)
 
 // Frozen is a network's forward pass at one instant: its architecture and one
 // copy of its parameter values — no gradients, no optimizer, no scratch.
@@ -18,6 +22,25 @@ type Frozen struct {
 // returns the network's forward pass over them.
 func (n *Network) Freeze() *Frozen {
 	return &Frozen{net: n, layers: n.layers, w: n.AppendFlatParams(make([]float64, 0, n.NumParams())), ver: n.ver}
+}
+
+// Freezes reports whether f is a freeze of n's parameters as they stand: n's
+// own, with no parameter write since (false for a nil f). Only the goroutine
+// that trains n may call it.
+func (f *Frozen) Freezes(n *Network) bool { return f != nil && f.net == n && f.Current() }
+
+// RestoreFrozen writes the parameter values f holds back into n, the network
+// f was frozen from: what Restore does with a parameter image.
+func (n *Network) RestoreFrozen(f *Frozen) error {
+	if f.net != n {
+		return errors.New("nn: restore: a frozen view of another network")
+	}
+	w := f.w
+	for _, p := range n.params {
+		w = w[copy(p.W, w):]
+	}
+	n.InvalidateForward()
+	return nil
 }
 
 // Current reports whether no parameter of the network has been written since

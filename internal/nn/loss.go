@@ -44,7 +44,7 @@ func crossEntropyT(p *linalg.Tensor, labels []int, logp []float64) (float64, err
 	}
 	logp = logp[:rows]
 	for i, y := range labels {
-		logp[i] = math.Max(p.Data[y*rows+i], crossEntropyEps)
+		logp[i] = floorProb(p.Data[y*rows+i])
 	}
 	linalg.LogInto(logp, logp)
 	var loss float64
@@ -57,4 +57,15 @@ func crossEntropyT(p *linalg.Tensor, labels []int, logp []float64) (float64, err
 		p.Data[y*rows+i] -= 1 / n
 	}
 	return loss / n, nil
+}
+
+// floorProb is math.Max(v, crossEntropyEps) bit for bit without math.Max's
+// call: the builtin max agrees with it everywhere but on a NaN, whose payload
+// it keeps where math.Max returns the canonical NaN. (The floor is positive,
+// so the ±0 ordering that math.Max also handles never decides.)
+func floorProb(v float64) float64 {
+	if v != v {
+		return math.NaN()
+	}
+	return max(v, crossEntropyEps)
 }

@@ -128,8 +128,11 @@ func (n *Network) forwardT(x *linalg.Tensor) *linalg.Tensor {
 func (n *Network) InvalidateForward() { n.ver++ }
 
 // Predict returns the argmax class for each sample (the first on ties).
-func (n *Network) Predict(x [][]float64) []int {
-	logits := n.forwardT(n.stage(x))
+func (n *Network) Predict(x [][]float64) []int { return n.PredictTensor(n.stage(x)) }
+
+// PredictTensor is Predict on the rows of x, read where they lie.
+func (n *Network) PredictTensor(x *linalg.Tensor) []int {
+	logits := n.forwardT(x)
 	out := make([]int, logits.Cols)
 	linalg.ArgmaxCols(out, logits)
 	return out
@@ -139,16 +142,16 @@ func (n *Network) Predict(x [][]float64) []int {
 // one fresh len(x) × NumClasses slab, transposed from the class-major
 // probabilities.
 func (n *Network) PredictProba(x [][]float64) [][]float64 {
-	n.ProbaInto(&n.gradBuf, x)
+	n.ProbaInto(&n.gradBuf, n.stage(x))
 	return n.gradBuf.TransposeToRows()
 }
 
-// ProbaInto is the softmax distribution of every sample written into dst,
-// reshaped to NumClasses × len(x), class-major (its buffer is reused when
-// large enough). dst is the caller's: unlike the logits it is softmaxed from,
-// it outlives the network's later passes.
-func (n *Network) ProbaInto(dst *linalg.Tensor, x [][]float64) {
-	logits := n.forwardT(n.stage(x))
+// ProbaInto is the softmax distribution of every row of x, read where it
+// lies, written into dst, reshaped to NumClasses × x.Rows, class-major (its
+// buffer is reused when large enough). dst is the caller's: unlike the logits
+// it is softmaxed from, it outlives the network's later passes.
+func (n *Network) ProbaInto(dst *linalg.Tensor, x *linalg.Tensor) {
+	logits := n.forwardT(x)
 	linalg.EnsureTensor(dst, logits.Rows, logits.Cols)
 	linalg.SoftmaxCols(dst, logits)
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"slices"
 	"sync"
 
 	"freewayml/internal/linalg"
@@ -21,13 +22,17 @@ type Workspace struct {
 	next int
 
 	x    *linalg.Tensor // the staged batch; nil until Stage
+	xi   int            // x's position in t
 	fwd  []*Forward     // the records of the frozen forwards, fwd[:nfwd] this use's
 	nfwd int
+
+	mean    linalg.Vector // the staged batch's column mean, once Mean computed it
+	hasMean bool
 }
 
 // Reset makes every tensor available again; their contents become scratch,
-// and the staged batch and the forward records are gone.
-func (w *Workspace) Reset() { w.next, w.x, w.nfwd = 0, nil, 0 }
+// and the staged batch, its mean and the forward records are gone.
+func (w *Workspace) Reset() { w.next, w.x, w.nfwd, w.hasMean = 0, nil, 0, false }
 
 // Tensor hands out the next tensor, shaped rows×cols.
 func (w *Workspace) Tensor(rows, cols int) *linalg.Tensor {
@@ -43,13 +48,49 @@ func (w *Workspace) Tensor(rows, cols int) *linalg.Tensor {
 // Stage copies the rows, each dim wide, into a tensor of the workspace and
 // keeps it as the batch: Staged returns it, and Forward runs over it.
 func (w *Workspace) Stage(x [][]float64, dim int) *linalg.Tensor {
-	w.x = w.Tensor(len(x), dim)
-	w.x.FromRows(x, dim)
+	w.stage(len(x), dim).FromRows(x, dim)
+	return w.x
+}
+
+// StageSlab is Stage for a batch that is already one row-major slab: one
+// contiguous copy of x.
+func (w *Workspace) StageSlab(x *linalg.Tensor) *linalg.Tensor {
+	copy(w.stage(x.Rows, x.Cols).Data, x.Data)
+	return w.x
+}
+
+// stage takes the tensor the batch is staged in.
+func (w *Workspace) stage(rows, cols int) *linalg.Tensor {
+	w.xi, w.hasMean = w.next, false
+	w.x = w.Tensor(rows, cols)
 	return w.x
 }
 
 // Staged returns the batch Stage staged (nil before).
 func (w *Workspace) Staged() *linalg.Tensor { return w.x }
+
+// Mean returns the staged batch's column mean (MeanRowsInto's bits),
+// computing it on the first call after the staging: a Process that takes an
+// Infer's workspace takes the mean that Infer's projection read. It is the
+// workspace's own storage, valid until the next Stage or Reset; whoever writes
+// the staged rows after a Mean must not read that Mean again.
+func (w *Workspace) Mean() linalg.Vector {
+	if !w.hasMean {
+		w.mean = slices.Grow(w.mean[:0], w.x.Cols)[:w.x.Cols]
+		w.x.MeanRowsInto(w.mean)
+		w.hasMean = true
+	}
+	return w.mean
+}
+
+// Exchange gives up the staged batch's tensor to a keeper that takes it
+// whole (the adaptive window) and takes spare (nil for none) into its place
+// among the tensors the workspace hands out: the keeper's recycled storage,
+// instead of a copy of the batch. The batch stays staged — Staged, Mean and
+// the recorded forwards still read it — until the next Stage or Reset, so its
+// new owner must not write it before then. Exchange of the staged tensor
+// itself changes nothing.
+func (w *Workspace) Exchange(spare *linalg.Tensor) { w.t[w.xi] = spare }
 
 // Forward returns f's forward pass over the staged batch: the one already run
 // in w, when there is one, else one run now. Either way f runs at most once

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"freewayml/internal/core"
+	"freewayml/internal/stream"
 )
 
 func testServerOpts(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
@@ -94,7 +95,7 @@ func TestDirtyBatchRejectedWithoutPoisoningState(t *testing.T) {
 	// through the library path — exercise the decoded-request seam directly.
 	dirty := batchReq(rng, 8, true)
 	dirty.X[3][1] = math.NaN()
-	_, status, err := s.process(context.Background(), DefaultStream, "", dirty.X, dirty.Y)
+	_, status, err := s.process(context.Background(), DefaultStream, stream.Batch{X: dirty.X, Y: dirty.Y})
 	if err == nil || status != http.StatusUnprocessableEntity {
 		t.Errorf("NaN batch: status %d (err %v), want 422", status, err)
 	}

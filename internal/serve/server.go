@@ -433,7 +433,9 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request, id string
 		return
 	}
 	rec := s.beginSpan(id, proto, r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
-	out, status, err := s.process(r.Context(), id, rec.traceID(), f.X, f.Y)
+	// A decoded frame's rows travel as its slab; encoding/json's as rows.
+	b := stream.Batch{X: f.X, Slab: f.Tensor(), Y: f.Y, TraceID: rec.traceID()}
+	out, status, err := s.process(r.Context(), id, b)
 	s.respond(w, rec, out, status, err)
 }
 
@@ -529,8 +531,8 @@ func (s *Server) errStatus(err error) int {
 // process runs one decoded batch through the stream's session and maps
 // failures via errStatus. The learner copies what it keeps, so the frame's
 // storage goes back to the pool with it.
-func (s *Server) process(ctx context.Context, id, traceID string, x [][]float64, y []int) (ProcessResponse, int, error) {
-	res, err := s.mgr.ProcessBatch(ctx, id, stream.Batch{X: x, Y: y, TraceID: traceID})
+func (s *Server) process(ctx context.Context, id string, b stream.Batch) (ProcessResponse, int, error) {
+	res, err := s.mgr.ProcessBatch(ctx, id, b)
 	if err != nil {
 		return ProcessResponse{}, s.errStatus(err), err
 	}

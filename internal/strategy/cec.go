@@ -5,9 +5,9 @@ import (
 	"sort"
 
 	"freewayml/internal/cluster"
+	"freewayml/internal/linalg"
 	"freewayml/internal/metrics"
 	"freewayml/internal/model"
-	"freewayml/internal/stream"
 )
 
 // CEC is the Pattern-B mechanism: coherent experience clustering. When a
@@ -18,6 +18,11 @@ import (
 type CEC struct {
 	exp  *cluster.ExpBuffer
 	seed int64
+
+	// Infer's scratch: the joint slab (the batch, then the experience nearest
+	// it) and the experience's labels.
+	joint  linalg.Tensor
+	jointY []int
 }
 
 // NewCEC builds the mechanism over the shared experience buffer.
@@ -34,14 +39,14 @@ type CECEvidence struct {
 	Stats cluster.CECStats
 }
 
-// Infer clusters the batch with its nearest labeled experience, seeding
+// Infer clusters the batch x with its nearest labeled experience, seeding
 // k-means with the mechanism's seed plus batch (the stream position), and
 // scores deployed, the model CEC would displace, on the same experience
 // points.
-func (c *CEC) Infer(b stream.Batch, deployed model.Model, batch int, tr Trace) (CECEvidence, error) {
+func (c *CEC) Infer(x *linalg.Tensor, deployed model.Model, batch int, tr Trace) (CECEvidence, error) {
 	tr = ensureTrace(tr)
 	expX, expY := c.exp.Experience()
-	if len(expX) == 0 {
+	if expX.Rows == 0 {
 		return CECEvidence{}, nil
 	}
 	// Per the paper, CEC uses "a small subset of labeled data that is
@@ -50,13 +55,13 @@ func (c *CEC) Infer(b stream.Batch, deployed model.Model, batch int, tr Trace) (
 	// and proximity selection finds exactly those points. Distant (pre-
 	// shift) experience would pull the joint clustering apart by regime
 	// instead of by class.
-	expX, expY = nearestExperience(b.X, expX, expY, max(len(b.X)/4, 1))
+	c.jointY = c.nearestExperience(x, expX, expY, max(x.Rows/4, 1))
 	classes := deployed.NumClasses()
 	// Over-cluster (k = 2c): imbalanced or non-spherical classes occupy
 	// several clusters each; the majority vote still maps every cluster to
 	// a label.
 	tCEC := tr.StageStart()
-	pred, st, err := cluster.CECKWithStats(b.X, expX, expY, 2*classes, classes, c.seed+int64(batch))
+	pred, st, err := cluster.CECJoint(&c.joint, x.Rows, c.jointY, 2*classes, classes, c.seed+int64(batch))
 	tr.StageDone(StageCluster, tCEC)
 	if err != nil {
 		return CECEvidence{}, fmt.Errorf("strategy: CEC: %w", err)
@@ -66,46 +71,52 @@ func (c *CEC) Infer(b stream.Batch, deployed model.Model, batch int, tr Trace) (
 	// CEC's cluster/label alignment and whether the deployed model is
 	// actually unsuitable (the failure mode of paper Sec. VI-F is CEC losing
 	// that comparison).
-	if st.DeployedAgreement, err = metrics.Accuracy(deployed.Predict(expX), expY); err != nil {
+	near := linalg.Tensor{Rows: len(c.jointY), Cols: x.Cols, Data: c.joint.Data[x.Rows*x.Cols:]}
+	if st.DeployedAgreement, err = metrics.Accuracy(deployed.Net().PredictTensor(&near), c.jointY); err != nil {
 		return CECEvidence{}, err
 	}
 	return CECEvidence{Pred: pred, Stats: st}, nil
 }
 
-// nearestExperience returns the m labeled experience points closest to the
-// batch's centroid.
-func nearestExperience(batch [][]float64, expX [][]float64, expY []int, m int) ([][]float64, []int) {
-	if m >= len(expX) {
-		return expX, expY
+// nearestExperience stages the joint slab: the batch's rows, then the m
+// labeled experience points closest to the batch's centroid (all of them, in
+// their order, when m covers them), whose labels it returns in jointY's
+// storage.
+func (c *CEC) nearestExperience(batch, exp *linalg.Tensor, expY []int, m int) []int {
+	cols := batch.Cols
+	linalg.EnsureTensor(&c.joint, batch.Rows+min(m, exp.Rows), cols)
+	near := c.joint.Data[copy(c.joint.Data, batch.Data):]
+	if m >= exp.Rows {
+		copy(near, exp.Data)
+		return append(c.jointY[:0], expY...)
 	}
-	centroid := make([]float64, len(batch[0]))
-	for _, row := range batch {
-		for j, v := range row {
+	centroid := make([]float64, cols)
+	for i := range batch.Rows {
+		for j, v := range batch.Row(i) {
 			centroid[j] += v
 		}
 	}
 	for j := range centroid {
-		centroid[j] /= float64(len(batch))
+		centroid[j] /= float64(batch.Rows)
 	}
 	type scored struct {
 		idx  int
 		dist float64
 	}
-	scores := make([]scored, len(expX))
-	for i, x := range expX {
+	scores := make([]scored, exp.Rows)
+	for i := range scores {
 		var d float64
-		for j := range x {
-			diff := x[j] - centroid[j]
+		for j, v := range exp.Row(i) {
+			diff := v - centroid[j]
 			d += diff * diff
 		}
 		scores[i] = scored{idx: i, dist: d}
 	}
 	sort.Slice(scores, func(a, b int) bool { return scores[a].dist < scores[b].dist })
-	outX := make([][]float64, m)
-	outY := make([]int, m)
-	for i := 0; i < m; i++ {
-		outX[i] = expX[scores[i].idx]
-		outY[i] = expY[scores[i].idx]
+	y := c.jointY[:0]
+	for i, sc := range scores[:m] {
+		copy(near[i*cols:(i+1)*cols], exp.Row(sc.idx))
+		y = append(y, expY[sc.idx])
 	}
-	return outX, outY
+	return y
 }

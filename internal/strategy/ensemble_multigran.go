@@ -9,7 +9,6 @@ import (
 	"freewayml/internal/model"
 	"freewayml/internal/nn"
 	"freewayml/internal/shift"
-	"freewayml/internal/stream"
 	"freewayml/internal/window"
 )
 
@@ -161,7 +160,7 @@ func (e *Ensemble) AdoptShort(snap []byte, centroid linalg.Vector) error {
 	g.ver++
 	// The adopted parameters are the state to return to: a rollback must not
 	// undo the adoption.
-	g.wd.Retain(g.Model)
+	g.wd.RetainImage(snap)
 	return nil
 }
 
@@ -192,13 +191,13 @@ func (e *Ensemble) BeginBatch(ws *nn.Workspace) { e.ws = ws }
 func (e *Ensemble) EndBatch() { e.ws = nil }
 
 // memberModel returns member i (the granularities in order, the long model at
-// len(grans)) with its version counter and training centroid.
-func (e *Ensemble) memberModel(i int) (model.Model, uint64, linalg.Vector) {
+// len(grans)) with its version counter, training centroid and watchdog.
+func (e *Ensemble) memberModel(i int) (model.Model, uint64, linalg.Vector, *Watchdog) {
 	if i < len(e.grans) {
 		g := e.grans[i]
-		return g.Model, g.ver, g.centroid
+		return g.Model, g.ver, g.centroid, g.wd
 	}
-	return e.long, e.longVer, e.longCentroid
+	return e.long, e.longVer, e.longCentroid, e.longWd
 }
 
 // publication returns member i as last published. A member never published,
@@ -212,10 +211,17 @@ func (e *Ensemble) publication(i int) *publication {
 	return p
 }
 
-// freeze publishes member i anew: its parameters frozen, its centroid copied.
+// freeze publishes member i anew: its parameters frozen — the view its
+// watchdog retained, while that is current — its centroid copied.
 func (e *Ensemble) freeze(i int) {
-	m, ver, centroid := e.memberModel(i)
-	p := publication{frozen: m.Freeze(), ver: ver}
+	m, ver, centroid, wd := e.memberModel(i)
+	var f *nn.Frozen
+	if wd != nil && wd.frozen.Freezes(m.Net()) {
+		f = wd.frozen
+	} else {
+		f = m.Freeze()
+	}
+	p := publication{frozen: f, ver: ver}
 	if centroid != nil {
 		p.centroid = centroid.Clone()
 	}
@@ -282,12 +288,17 @@ func (e *Ensemble) Infer(yBar linalg.Vector, match *KnowledgeMatch, tr Trace) (P
 
 // Train updates every granularity model per its schedule, maintains the
 // window, lands the window close in flight, and begins one when this batch
-// fills the window.
-func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observation, tr Trace) error {
+// fills the window. The batch is the begun one, its rows staged in the
+// workspace (BeginBatch) and y its labels. The window takes the staged
+// tensor itself and hands the workspace recycled storage in its place
+// (nn.Workspace.Exchange): nothing reads the staged rows after that until
+// the workspace is reset.
+func (e *Ensemble) Train(ctx context.Context, y []int, obs shift.Observation, tr Trace) error {
 	tr = ensureTrace(tr)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	x := e.ws.Staged()
 	// Fixed-frequency models. After every update the watchdog checks the
 	// model's health; a diverged model is rolled back to its last healthy
 	// snapshot and keeps its previous centroid (the rolled-back parameters
@@ -304,17 +315,15 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 			err  error
 		)
 		if g.pending < g.Every || g.buf.Rows > 0 {
-			for _, row := range b.X {
-				g.buf.Data = append(g.buf.Data, row...)
-			}
-			g.buf.Rows, g.buf.Cols = g.buf.Rows+len(b.X), len(b.X[0])
-			g.bufY = append(g.bufY, b.Y...)
+			g.buf.Data = append(g.buf.Data, x.Data...)
+			g.buf.Rows, g.buf.Cols = g.buf.Rows+x.Rows, x.Cols
+			g.bufY = append(g.bufY, y...)
 			if g.pending < g.Every {
 				continue
 			}
 			loss, err = g.Model.FitTensor(&g.buf, g.bufY)
 		} else {
-			loss, err = e.fitBatch(i, g.Model, b.Y)
+			loss, err = e.fitBatch(i, g.Model, y)
 		}
 		if err != nil {
 			return err
@@ -349,7 +358,8 @@ func (e *Ensemble) Train(ctx context.Context, b stream.Batch, obs shift.Observat
 		return nil
 	}
 	tWin := tr.StageStart()
-	full, err := e.asw.Push(b.X, b.Y, obs.YBar)
+	spare, full, err := e.asw.Take(x, y, obs.YBar)
+	e.ws.Exchange(spare)
 	if err != nil {
 		return err
 	}
@@ -415,7 +425,7 @@ func (e *Ensemble) beginClose(obs shift.Observation) {
 	if e.deps.Preserver != nil && c.distribution != nil {
 		c.keep = e.deps.Preserver.decide(disorder)
 		if c.keep.SaveShort && obs.YBar != nil {
-			c.shortSnap = e.grans[0].Model.AppendSnapshot(nil)
+			c.shortSnap = e.grans[0].Model.Net().AppendSnapshot(nil)
 		}
 	}
 	if c.distribution != nil {
@@ -474,7 +484,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 	members := make([]SnapshotMember, len(e.pub))
 	for i := range e.pub {
-		if _, ver, _ := e.memberModel(i); e.pub[i].frozen == nil || e.pub[i].ver != ver {
+		if _, ver, _, _ := e.memberModel(i); e.pub[i].frozen == nil || e.pub[i].ver != ver {
 			e.freeze(i)
 		}
 		members[i] = SnapshotMember{Model: e.pub[i].frozen, Centroid: e.pub[i].centroid}
@@ -498,9 +508,9 @@ type EnsembleState struct {
 
 // ExportState snapshots every member.
 func (e *Ensemble) ExportState() EnsembleState {
-	st := EnsembleState{LongSnapshot: e.long.AppendSnapshot(nil)}
+	st := EnsembleState{LongSnapshot: e.long.Net().AppendSnapshot(nil)}
 	for _, g := range e.grans {
-		st.GranSnapshots = append(st.GranSnapshots, g.Model.AppendSnapshot(nil))
+		st.GranSnapshots = append(st.GranSnapshots, g.Model.Net().AppendSnapshot(nil))
 		var c linalg.Vector
 		if g.centroid != nil {
 			c = g.centroid.Clone()
@@ -537,12 +547,12 @@ func (e *Ensemble) ImportState(st EnsembleState) error {
 		g.centroid = st.GranCentroids[i]
 		g.ver++
 		g.clearBuffer()
-		g.wd.Retain(g.Model)
+		g.wd.RetainImage(st.GranSnapshots[i])
 	}
 	if err := e.long.Restore(st.LongSnapshot); err != nil {
 		return fmt.Errorf("strategy: restore long model: %w", err)
 	}
-	e.longWd.Retain(e.long)
+	e.longWd.RetainImage(st.LongSnapshot)
 	e.longCentroid = st.LongCentroid
 	e.longVer++
 	e.asw.Reset()

@@ -58,7 +58,7 @@ func (k *KnowledgeReuse) Match(yBar linalg.Vector, tr Trace) (KnowledgeMatch, er
 
 // Restore loads m's model into the scratch model and sets m.Proba to its
 // distributions over the batch rows x.
-func (k *KnowledgeReuse) Restore(m *KnowledgeMatch, x [][]float64) error {
+func (k *KnowledgeReuse) Restore(m *KnowledgeMatch, x *linalg.Tensor) error {
 	if err := k.reuse.Restore(m.Snap); err != nil {
 		return fmt.Errorf("strategy: knowledge restore: %w", err)
 	}
@@ -81,7 +81,7 @@ func (k *KnowledgeReuse) decide(disorder float64) knowledge.Decision {
 // closing batch's centroid.
 func (k *KnowledgeReuse) PreserveAtWindowClose(keep knowledge.Decision, distribution linalg.Vector, long model.Model, shortSnap []byte, replaceRadius float64, obs shift.Observation) error {
 	if keep.SaveLong {
-		if err := k.store.PreserveOrReplace(distribution, long.AppendSnapshot(nil), "long", obs.Batch, replaceRadius); err != nil {
+		if err := k.store.PreserveOrReplace(distribution, long.Net().AppendSnapshot(nil), "long", obs.Batch, replaceRadius); err != nil {
 			return err
 		}
 	}

@@ -100,11 +100,12 @@ func TestKnowledgeReuseRestoreAndAdopt(t *testing.T) {
 
 	end := begin(e, b)
 	defer end()
-	if err := k.Restore(&m, b.X); err != nil {
+	var bx, want linalg.Tensor
+	bx.FromRows(b.X, reuseDim)
+	if err := k.Restore(&m, &bx); err != nil {
 		t.Fatal(err)
 	}
-	var want linalg.Tensor
-	preserved.Net().ProbaInto(&want, b.X)
+	preserved.Net().ProbaInto(&want, &bx)
 	for i := range want.Data {
 		if math.Float64bits(m.Proba.Data[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("restored member's distribution %d = %v, want the snapshot's %v", i, m.Proba.Data[i], want.Data[i])

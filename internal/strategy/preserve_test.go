@@ -111,7 +111,7 @@ func TestWindowCloseBetaPolicy(t *testing.T) {
 				b, _ := reuseBatch(rng)
 				obs := shift.Observation{Pattern: shift.PatternA, YBar: linalg.Vector{cen}, Batch: i}
 				end := begin(e, b)
-				err := e.Train(context.Background(), b, obs, nil)
+				err := e.Train(context.Background(), b.Y, obs, nil)
 				end()
 				if err != nil {
 					t.Fatal(err)
@@ -128,7 +128,7 @@ func TestWindowCloseBetaPolicy(t *testing.T) {
 			b, _ := reuseBatch(rng)
 			obs := shift.Observation{Pattern: shift.PatternA, YBar: linalg.Vector{-7}, Batch: len(c.centroids)}
 			end := begin(e, b)
-			err = e.Train(context.Background(), b, obs, nil)
+			err = e.Train(context.Background(), b.Y, obs, nil)
 			end()
 			if err != nil {
 				t.Fatal(err)

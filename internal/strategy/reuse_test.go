@@ -127,7 +127,7 @@ func step(t *testing.T, e *Ensemble, b stream.Batch, obs shift.Observation, dist
 	if disturb != nil {
 		disturb(t, e)
 	}
-	if err := e.Train(context.Background(), b, obs, nil); err != nil {
+	if err := e.Train(context.Background(), b.Y, obs, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.PublishSnapshot()

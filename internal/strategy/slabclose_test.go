@@ -113,7 +113,7 @@ func TestSlabCloseMatchesRowsClose(t *testing.T) {
 		obs := shift.Observation{Pattern: shift.PatternA, YBar: c, Batch: k}
 		wasOpen := e.closing.open
 		end := begin(e, b)
-		err := e.Train(context.Background(), b, obs, nil)
+		err := e.Train(context.Background(), b.Y, obs, nil)
 		end()
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +213,7 @@ func TestDivergedHalfNeverServed(t *testing.T) {
 			}
 		}
 		end := begin(e, b)
-		err := e.Train(context.Background(), b, obs, nil)
+		err := e.Train(context.Background(), b.Y, obs, nil)
 		end()
 		if err != nil {
 			t.Fatal(err)

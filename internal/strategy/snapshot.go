@@ -140,9 +140,9 @@ func (s *Snapshot) InferInto(ws *nn.Workspace) (InferOutput, error) {
 		members = append(members, member{proba: m.Model.ProbaInto(ws, xs)})
 	}
 	var ybar linalg.Vector // nil for an empty batch
-	if mean := meanOfRows(ws, xs); mean != nil {
+	if xs.Rows > 0 {
 		var err error
-		ybar, err = s.Proj.ProjectMean(mean)
+		ybar, err = s.Proj.ProjectMean(ws.Mean())
 		if err != nil {
 			return InferOutput{}, fmt.Errorf("strategy: infer projection: %w", err)
 		}
@@ -169,15 +169,4 @@ func (s *Snapshot) InferInto(ws *nn.Workspace) (InferOutput, error) {
 		Weights:       weights,
 		KnowledgeDist: kdist,
 	}, nil
-}
-
-// meanOfRows returns the column mean of the staged batch (nil for an empty
-// batch) in a vector taken from ws: linalg.Mean's bits (MeanRowsInto).
-func meanOfRows(ws *nn.Workspace, x *linalg.Tensor) linalg.Vector {
-	if x.Rows == 0 {
-		return nil
-	}
-	mean := linalg.Vector(ws.Tensor(1, x.Cols).Data)
-	x.MeanRowsInto(mean)
-	return mean
 }

@@ -249,7 +249,7 @@ func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 			end := begin(e, b)
 			_, err := e.Infer(obs.YBar, nil, nil)
 			if err == nil {
-				err = e.Train(ctx, b, obs, nil)
+				err = e.Train(ctx, b.Y, obs, nil)
 			}
 			end()
 			if err != nil {

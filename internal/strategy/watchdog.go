@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"freewayml/internal/model"
+	"freewayml/internal/nn"
 )
 
 // RecoveryEvent records one divergence the watchdog detected and what it
@@ -38,9 +39,13 @@ type WatchdogConfig struct {
 // cannot recover from on its own.
 type Watchdog struct {
 	name string
-	// The last healthy parameters as an image (model.AppendSnapshot), in a
-	// buffer reused across updates; nil until the first Retain.
-	img []byte
+	// The last healthy parameters: after a healthy update the model frozen
+	// (model.Freeze), which the ensemble also publishes while it is current;
+	// after a wholesale replacement the image it restored (RetainImage), in a
+	// buffer reused across replacements, with frozen nil. Both nil until the
+	// first.
+	frozen *nn.Frozen
+	img    []byte
 
 	meanLoss float64 // EMA of healthy batch losses
 	updates  int
@@ -60,23 +65,44 @@ const (
 // NewWatchdog builds a watchdog for the named model.
 func NewWatchdog(name string) *Watchdog { return &Watchdog{name: name} }
 
-// Retain makes m's current parameters the rollback target. Check calls it
-// after every healthy update; the ensemble calls it whenever it replaces a
-// model's parameters wholesale (checkpoint restore, knowledge adoption), so a
-// later rollback returns to those and not to what they replaced — or, in a
-// fresh process, to nothing. A nil watchdog (monitoring disabled) retains
-// nothing.
+// Retain makes m's current parameters the rollback target; Check calls it
+// after every healthy update. The copy is a Freeze, taken only when the
+// parameters moved since the last one: the ensemble publishes that same view
+// while it is current, so a healthy update pays for one copy of its
+// parameters. A nil watchdog (monitoring disabled) retains nothing.
 func (w *Watchdog) Retain(m model.Model) {
 	if w == nil {
 		return
 	}
-	w.img = m.AppendSnapshot(w.img[:0])
+	if !w.frozen.Freezes(m.Net()) {
+		w.frozen = m.Freeze()
+	}
 }
 
-// rollback restores the retained image (Restore resets the optimizer too) and
-// reports whether it could.
+// RetainImage makes img, the parameter image just restored into the model,
+// the rollback target. The ensemble calls it whenever it replaces a model's
+// parameters wholesale (checkpoint restore, knowledge adoption), so a later
+// rollback returns to those and not to what they replaced — or, in a fresh
+// process, to nothing. The image is copied into a buffer reused across
+// replacements: an adoption, whose batch then trains the model and freezes
+// it, pays for no freeze of its own. A nil watchdog retains nothing.
+func (w *Watchdog) RetainImage(img []byte) {
+	if w == nil {
+		return
+	}
+	w.frozen, w.img = nil, append(w.img[:0], img...)
+}
+
+// rollback restores the retained parameters (RestoreFrozen and Restore reset
+// the optimizer too) and reports whether it could.
 func (w *Watchdog) rollback(m model.Model) bool {
-	return w.img != nil && m.Restore(w.img) == nil
+	switch {
+	case w.frozen != nil:
+		return m.RestoreFrozen(w.frozen) == nil
+	case w.img != nil:
+		return m.Restore(w.img) == nil
+	}
+	return false
 }
 
 // Check inspects the model right after an update. loss is the update's

@@ -7,6 +7,7 @@ import (
 
 	"freewayml/internal/linalg"
 	"freewayml/internal/model"
+	"freewayml/internal/nn"
 )
 
 func trainedMLP(t *testing.T, seed int64, steps int) model.Model {
@@ -93,4 +94,41 @@ func TestAdoptShortBecomesRollbackTarget(t *testing.T) {
 		t.Fatalf("event = %+v, want a rollback", ev)
 	}
 	sameWeights(t, "short model after the rollback vs the adopted snapshot", g.Model, preserved)
+}
+
+// TestHealthyUpdatePublishesTheRetainedFreeze: a healthy update pays for one
+// copy of its parameters. The watchdog's rollback target is the member
+// frozen, and the publication after the update is that same view, not a
+// second copy; an update the watchdog rolls back publishes the restored
+// parameters, frozen anew.
+func TestHealthyUpdatePublishesTheRetainedFreeze(t *testing.T) {
+	e := reuseEnsemble(t, []int{1, 2}, func(m model.Model) model.Model { return m })
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 6; k++ {
+		b, obs := reuseBatch(rng)
+		step(t, e, b, obs, nil)
+		members := e.PublishSnapshot()
+		for i, g := range e.grans {
+			if (k+1)%g.Every != 0 {
+				continue // nothing pending trained this batch
+			}
+			if g.wd.frozen == nil || members[i].Model != g.wd.frozen {
+				t.Fatalf("batch %d: member %d published a freeze other than its watchdog's rollback target", k, i)
+			}
+		}
+	}
+	g := e.grans[0]
+	retained := g.wd.frozen
+	poison(g.Model)
+	if ev := g.wd.Check(g.Model, 0.5, 99); ev == nil || !ev.RolledBack {
+		t.Fatalf("event = %+v, want a rollback", ev)
+	}
+	g.ver++
+	if g.wd.frozen != retained {
+		t.Fatal("a rollback replaced the rollback target")
+	}
+	published := e.PublishSnapshot()[0].Model.(*nn.Frozen)
+	if published == retained || !published.Freezes(g.Model.Net()) {
+		t.Fatal("the rolled-back member was not frozen anew")
+	}
 }

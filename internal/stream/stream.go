@@ -7,6 +7,8 @@ package stream
 import (
 	"errors"
 	"fmt"
+
+	"freewayml/internal/linalg"
 )
 
 // DriftKind is the ground-truth drift type a dataset generator injected
@@ -47,8 +49,12 @@ func (k DriftKind) String() string {
 // batches; in the paper's prequential protocol every batch is first used
 // for inference and then (with its labels) for training.
 type Batch struct {
-	Seq   int
+	Seq int
+	// X holds the rows, unless Slab does: a batch that is already one
+	// row-major slab — a decoded wire frame's — travels as that slab, which
+	// the learner then stages with one copy, and X is not read.
 	X     [][]float64
+	Slab  *linalg.Tensor
 	Y     []int
 	Truth DriftKind
 	// TraceID joins the batch to the request-scoped trace that carried it
@@ -56,22 +62,36 @@ type Batch struct {
 	TraceID string
 }
 
+// Len returns the number of rows.
+func (b Batch) Len() int {
+	if b.Slab != nil {
+		return b.Slab.Rows
+	}
+	return len(b.X)
+}
+
 // Labeled reports whether the batch carries labels.
-func (b Batch) Labeled() bool { return len(b.Y) == len(b.X) && len(b.Y) > 0 }
+func (b Batch) Labeled() bool { return len(b.Y) == b.Len() && len(b.Y) > 0 }
 
 // Validate checks internal consistency: a non-empty rectangular feature
 // matrix and, when labels are present, one non-negative label per row.
 func (b Batch) Validate() error {
-	if len(b.X) == 0 {
+	if b.Len() == 0 {
 		return errors.New("stream: empty batch")
 	}
-	if b.Y != nil && len(b.Y) != len(b.X) {
+	if b.Y != nil && len(b.Y) != b.Len() {
 		return errors.New("stream: label count mismatch")
 	}
-	w := len(b.X[0])
-	for _, row := range b.X {
-		if len(row) != w {
-			return errors.New("stream: ragged batch")
+	if b.Slab != nil {
+		if len(b.Slab.Data) != b.Slab.Rows*b.Slab.Cols {
+			return errors.New("stream: slab shape mismatch")
+		}
+	} else {
+		w := len(b.X[0])
+		for _, row := range b.X {
+			if len(row) != w {
+				return errors.New("stream: ragged batch")
+			}
 		}
 	}
 	for _, y := range b.Y {
@@ -80,6 +100,17 @@ func (b Batch) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Width returns the row width (0 for an empty batch).
+func (b Batch) Width() int {
+	switch {
+	case b.Slab != nil:
+		return b.Slab.Cols
+	case len(b.X) > 0:
+		return len(b.X[0])
+	}
+	return 0
 }
 
 // ValidateShape checks the batch against a stream's declared shape: every
@@ -91,8 +122,8 @@ func (b Batch) ValidateShape(dim, classes int) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	if len(b.X[0]) != dim {
-		return fmt.Errorf("stream: row width %d, want %d", len(b.X[0]), dim)
+	if w := b.Width(); w != dim {
+		return fmt.Errorf("stream: row width %d, want %d", w, dim)
 	}
 	for _, y := range b.Y {
 		if y >= classes {

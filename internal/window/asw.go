@@ -56,14 +56,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Entry is one batch held by the window: its rows, labels and centroid are
-// the window's own copies.
+// Entry is one batch held by the window: its rows are the tensor the window
+// took (Take), its labels and centroid the window's own copies.
 type Entry struct {
-	X        linalg.Tensor // the rows, back to back
-	Y        []int         // one label per row
-	Centroid linalg.Vector // the batch's distribution representation (ȳ)
-	Weight   float64       // decay weight in (0, 1]
-	Seq      int           // arrival sequence number
+	X        *linalg.Tensor // the rows, back to back
+	Y        []int          // one label per row
+	Centroid linalg.Vector  // the batch's distribution representation (ȳ)
+	Weight   float64        // decay weight in (0, 1]
+	Seq      int            // arrival sequence number
 }
 
 // ASW is the adaptive streaming window. Not safe for concurrent use.
@@ -75,11 +75,13 @@ type ASW struct {
 	disorder  float64 // normalized disorder from the last Push
 	evictions int     // cumulative batches evicted by weight decay
 
-	// Push's scratch, reused across pushes, and the storage of the entries
-	// evicted or reset since, which the next pushes copy their batches into.
+	// Take's scratch, reused across pushes, and the storage of the entries
+	// evicted or reset since, which the next pushes hand back in exchange for
+	// their batches and copy their labels and centroids into.
 	rs          []ranked
 	rankOf, tau []int
 	free        []Entry
+	spare       *linalg.Tensor // what the last Push got back, for the next Push's rows
 }
 
 // ranked is one stored batch with its distance to the incoming batch.
@@ -120,20 +122,40 @@ func (w *ASW) Full() bool {
 	return len(w.entries) >= w.cfg.MaxBatches || w.items >= w.cfg.MaxItems
 }
 
-// Push ingests a batch with its distribution centroid, decaying existing
+// Push is Take for a batch held as loose rows, all as wide as the first:
+// they are copied into storage the window recycles, so the caller may reuse
+// x, y and centroid once Push returns. Returns whether the window is full.
+func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error) {
+	if len(x) == 0 {
+		return false, errEmptyBatch
+	}
+	t := linalg.EnsureTensor(w.spare, len(x), len(x[0]))
+	t.FromRows(x, len(x[0]))
+	spare, full, err := w.Take(t, y, centroid)
+	w.spare = spare
+	return full, err
+}
+
+var errEmptyBatch = errors.New("window: batch must be non-empty with matching labels")
+
+// Take ingests a batch with its distribution centroid, decaying existing
 // entries per Algorithm 1: rank the stored batches by shift distance to the
 // new batch, compute the ranking's disorder, then decay each batch by a
-// rate that grows with its distance rank and with the disorder. The window
-// stores a copy of the batch, so the caller may reuse x, y and centroid once
-// Push returns. Returns whether the window is full after the push.
-func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return false, errors.New("window: batch must be non-empty with matching labels")
+// rate that grows with its distance rank and with the disorder.
+//
+// The window keeps x itself, rows × width, with copies of y and centroid: x
+// is the window's from now on, and nobody may write it again. In exchange the
+// caller gets spare, the rows tensor of an entry the window no longer holds
+// (nil when it has none), to use in x's place — so a window fed the batches a
+// caller stages copies none of their rows. A refused batch is not kept: spare
+// is x then. full reports whether the window is full after the push.
+func (w *ASW) Take(x *linalg.Tensor, y []int, centroid linalg.Vector) (spare *linalg.Tensor, full bool, err error) {
+	if x.Rows == 0 || x.Rows != len(y) {
+		return x, false, errEmptyBatch
 	}
 	if centroid == nil {
-		return false, errors.New("window: nil centroid")
+		return x, false, errors.New("window: nil centroid")
 	}
-
 	if n := len(w.entries); n > 0 {
 		// Rank stored batches by distance to the incoming batch.
 		rs := w.rs[:0]
@@ -199,14 +221,14 @@ func (w *ASW) Push(x [][]float64, y []int, centroid linalg.Vector) (bool, error)
 	if n := len(w.free); n > 0 {
 		e, w.free = w.free[n-1], w.free[:n-1]
 	}
-	e.X.FromRows(x, len(x[0]))
+	spare, e.X = e.X, x
 	e.Y = append(e.Y[:0], y...)
 	e.Centroid = append(e.Centroid[:0], centroid...)
 	e.Weight, e.Seq = 1, w.seq
 	w.entries = append(w.entries, e)
 	w.seq++
-	w.items += len(x)
-	return w.Full(), nil
+	w.items += x.Rows
+	return spare, w.Full(), nil
 }
 
 // Entries returns the stored batches, oldest first. The slice is shared;

@@ -442,7 +442,7 @@ func TestResetReleasesBatches(t *testing.T) {
 		t.Fatalf("after Reset: %d entries, array of %d", w.Len(), len(all))
 	}
 	for i, e := range all {
-		if e.X.Data != nil || e.Y != nil || e.Centroid != nil {
+		if e.X != nil || e.Y != nil || e.Centroid != nil {
 			t.Fatalf("entry %d still holds its batch after Reset", i)
 		}
 	}

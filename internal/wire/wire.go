@@ -113,9 +113,15 @@ type Frame struct {
 	y []int          // label storage (Y aliases it when labeled)
 }
 
-// Tensor returns the row-major slab behind X (nil before the first decode).
-// The tensor is frame-owned; it is valid until the next DecodeInto.
-func (f *Frame) Tensor() *linalg.Tensor { return f.t }
+// Tensor returns the row-major slab behind X: nil before the first decode,
+// and nil when X no longer views it (a caller set X to rows of its own). The
+// tensor is frame-owned; it is valid until the next decode.
+func (f *Frame) Tensor() *linalg.Tensor {
+	if f.t == nil || len(f.X) == 0 || len(f.X) != f.t.Rows || len(f.X[0]) == 0 || len(f.t.Data) == 0 || &f.X[0][0] != &f.t.Data[0] {
+		return nil
+	}
+	return f.t
+}
 
 // reserve sizes the slab and the row views for a rows×cols batch, reusing
 // what the frame holds and flagging Grew when it had to allocate. It returns
