@@ -71,7 +71,12 @@ golden:
 # each other and run beside the trainer, and park their workspaces in the
 # learner's hand-off slot for it, which Process swaps out before its guard
 # runs (TestForwardHandoffConcurrentReaders: a reader of non-finite rows is
-# refused there and parks nothing).
+# refused there and parks nothing). The trainer refills the storage of the
+# parameter copies it published once no reader counts on them: every answer
+# readers get while it trains equals a serial replay's at the publication
+# they report, distributions bit for bit, and the race detector sees each
+# refill ordered after the last read of that storage
+# (TestReadersMatchSerialReplay).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/dist
@@ -89,14 +94,15 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 
-# Every benchmark body of the kernel, network, window, cluster and session
-# packages, once, and the learn_drift profile's (BenchmarkLearnDrift): the
+# Every benchmark body of the kernel, network, window, cluster, session and
+# shift packages, once (BenchmarkObserveMean: the detector at a full
+# 512-centroid history), and the learn_drift profile's (BenchmarkLearnDrift): the
 # before/after tables of a kernel change are these benchmarks (BenchmarkGemmForward
 # runs the class head's products as the layers issue them), and the profile a
 # change to the training plane is sized on is BenchmarkLearnDrift's, so a body
 # that no longer builds or panics fails here, not in the next change that needs it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn ./internal/window ./internal/cluster ./internal/session
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn ./internal/window ./internal/cluster ./internal/session ./internal/shift
 	$(GO) test -run '^$$' -bench LearnDrift -benchtime 1x ./internal/core
 
 # The GEMM kernels are bounds-checked Go wrappers around assembly bodies (and

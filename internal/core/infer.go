@@ -31,23 +31,45 @@ type InferResult struct {
 	KnowledgeDist float64
 }
 
-// ModelSnapshot returns the currently published inference snapshot. Safe
-// from any goroutine, lock-free, never nil after NewLearner.
-func (l *Learner) ModelSnapshot() *strategy.Snapshot { return l.snap.Load() }
+// ModelSnapshot returns the currently published inference snapshot, pinned:
+// the caller may read it for as long as it likes, and its members' parameter
+// copies are never recycled. Safe from any goroutine, lock-free, never nil
+// after NewLearner.
+func (l *Learner) ModelSnapshot() *strategy.Snapshot {
+	s := l.readSnapshot()
+	s.Pin()
+	return s
+}
+
+// readSnapshot loads the published snapshot and counts a read of it (see
+// strategy.Snapshot.AddReader): its members' parameter copies stay as they
+// are until the matching DoneReading.
+func (l *Learner) readSnapshot() *strategy.Snapshot {
+	for {
+		s := l.snap.Load()
+		s.AddReader()
+		if l.snap.Load() == s {
+			return s
+		}
+		s.DoneReading()
+	}
+}
 
 // publishSnapshot rebuilds and atomically publishes the inference view.
 // Called on the training goroutine: at construction, after every
 // successful Process, and after a checkpoint restore. Every model update of
 // a batch, each half of a window close included, finishes before its publish,
 // so the inference plane is at most one training batch behind: the batch in
-// flight.
+// flight. The snapshot it replaces is retired (strategy.Ensemble.Retire):
+// once no read holds it, its members' parameter copies that nothing else
+// holds are recycled (DESIGN.md, "Who holds a parameter copy").
 func (l *Learner) publishSnapshot() {
 	var proj *pca.Model
 	if l.det.Ready() {
 		proj = l.det.PCA()
 	}
 	l.snapSeq++
-	l.snap.Store(&strategy.Snapshot{
+	old := l.snap.Swap(&strategy.Snapshot{
 		Members:     l.ens.PublishSnapshot(),
 		Sigma:       l.cfg.Sigma,
 		Proj:        proj,
@@ -58,6 +80,9 @@ func (l *Learner) publishSnapshot() {
 		Dim:         l.dim,
 		Classes:     l.classes,
 	})
+	if old != nil {
+		l.ens.Retire(old)
+	}
 }
 
 // Infer predicts one batch of label-less rows from the published snapshot.
@@ -86,7 +111,6 @@ func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error)
 		}
 	}
 	start := time.Now()
-	snap := l.snap.Load()
 	ws := nn.GetWorkspace()
 	// The training plane's guard repairs or rejects non-finite features
 	// statefully (running feature means, health counters); the read path must
@@ -96,7 +120,11 @@ func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error)
 		ws.Release()
 		return InferResult{}, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
 	}
+	// The read holds the snapshot's parameter copies while the forwards run;
+	// what it parks afterwards are activations, in the workspace.
+	snap := l.readSnapshot()
 	out, err := snap.InferInto(ws)
+	snap.DoneReading()
 	if err != nil {
 		ws.Release()
 		return InferResult{}, fmt.Errorf("core: %w", err)

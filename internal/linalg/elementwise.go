@@ -42,8 +42,16 @@ func byGroups(dst, src []float64, body groupKernel, f func(float64) float64) {
 	}
 }
 
-// DivScalar divides every element of dst by s.
+// DivScalar divides every element of dst by s. Where s is a normal power of
+// two, of either sign, it multiplies by 1/s instead: 1/s is then exact, so
+// x/s and x·(1/s) are one real number and round to the same bits — ±0,
+// subnormals, infinities and NaN payloads included — and a multiply costs a
+// fraction of a divide.
 func DivScalar(dst []float64, s float64) {
+	if e := math.Float64bits(s) >> 52 & 0x7ff; math.Float64bits(s)<<12 == 0 && e != 0 && e != 0x7ff {
+		mulScalar(dst, 1/s)
+		return
+	}
 	j := simdCols(len(dst))
 	if j > 0 {
 		divScalarAVX2(dst[:j], s)
@@ -51,6 +59,38 @@ func DivScalar(dst []float64, s float64) {
 	for i := j; i < len(dst); i++ {
 		dst[i] /= s
 	}
+}
+
+// mulScalar multiplies every element of dst by s.
+func mulScalar(dst []float64, s float64) {
+	j := simdCols(len(dst))
+	if j > 0 {
+		mulScalarAVX2(dst[:j], s)
+	}
+	for i := j; i < len(dst); i++ {
+		dst[i] *= s
+	}
+}
+
+// CopyFinite copies src into dst, of the same length, and reports whether
+// every value was finite: one pass over src, where a copy and a separate scan
+// would be two.
+func CopyFinite(dst, src []float64) bool {
+	mustSameLen(dst, src)
+	finite := true
+	j := simdCols(len(src))
+	if j > 0 {
+		finite = copyFiniteAVX2(dst[:j], src[:j])
+	}
+	for i := j; i < len(src); i++ {
+		v := src[i]
+		dst[i] = v
+		// A non-finite float is the only value for which v-v != 0.
+		if v-v != 0 {
+			finite = false
+		}
+	}
+	return finite
 }
 
 // groupKernel is an assembly body of ExpInto or LogInto: it writes dst from

@@ -354,6 +354,79 @@ func TestDivScalarMatchesGoLoop(t *testing.T) {
 	}
 }
 
+// TestDivScalarKernelByPowersOfTwo: for every divisor n from 1 to 1024 —
+// powers of two, which DivScalar multiplies by their reciprocal, and the rest,
+// which it divides by — and for a few powers of two at the ends of the
+// exponent range, DivScalar gives the scalar divide's bits on both paths, over
+// the specials, normals, and values whose quotients are subnormal, tie
+// between two subnormals or overflow. For a power of two the multiply by 1/n
+// itself gives the divide's bits too, element by element.
+func TestDivScalarKernelByPowersOfTwo(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	xs := append(normals(rng, 37), specials...)
+	for k := 1; k < 12; k++ {
+		// k·2⁻¹⁰⁷⁴ and its neighbours: halved, quartered, … they round to even.
+		xs = append(xs, float64(k)*5e-324, -float64(2*k+1)*5e-324, math.Ldexp(float64(k)+0.5, -1060))
+	}
+	xs = append(xs, math.MaxFloat64, -math.MaxFloat64, 1.5, 3, 0.1, -7.25e-300)
+	divisors := []float64{math.Ldexp(1, -1022), math.Ldexp(-1, -1000), math.Ldexp(1, 1023), -0.5, 0.25, -1024}
+	for n := 1; n <= 1024; n++ {
+		divisors = append(divisors, float64(n))
+	}
+	for _, s := range divisors {
+		want := make([]float64, len(xs))
+		for i, x := range xs {
+			want[i] = x / s
+		}
+		if frac, _ := math.Frexp(s); math.Abs(frac) == 0.5 {
+			r := 1 / s
+			for i, x := range xs {
+				if math.Float64bits(x*r) != math.Float64bits(want[i]) {
+					t.Fatalf("%v·(1/%v) = %#x, %v/%v = %#x", x, s, math.Float64bits(x*r), x, s, math.Float64bits(want[i]))
+				}
+			}
+		}
+		eachPath(func(path string) {
+			what := fmt.Sprintf("DivScalar s=%v path=%s", s, path)
+			got, frame := guarded(xs)
+			DivScalar(got, s)
+			sameBits(t, what, got, want)
+			checkGuards(t, what, frame)
+		})
+	}
+}
+
+// TestCopyFiniteKernelMatchesGoLoop: CopyFinite copies every bit, NaN
+// payloads and signs included, and reports a non-finite value in any lane or
+// the tail — alone or beside others — over lengths 0–33 at odd offsets, on
+// both paths, framed by guards.
+func TestCopyFiniteKernelMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for n := 0; n <= 33; n++ {
+		for at := -1; at < n; at++ {
+			for _, bad := range specials {
+				x := offset(normals(rng, n), 1)
+				if at >= 0 {
+					x[at] = bad
+				}
+				wantFinite := at < 0 || !(math.IsNaN(bad) || math.IsInf(bad, 0))
+				eachPath(func(path string) {
+					what := fmt.Sprintf("CopyFinite n=%d at=%d bad=%v path=%s", n, at, bad, path)
+					dst, frame := guarded(make([]float64, n))
+					if got := CopyFinite(dst, x); got != wantFinite {
+						t.Fatalf("%s: reports finite = %v, want %v", what, got, wantFinite)
+					}
+					sameBits(t, what, dst, x)
+					checkGuards(t, what, frame)
+				})
+				if at < 0 {
+					break
+				}
+			}
+		}
+	}
+}
+
 // headShapes are the class-major slabs the head tests sweep: sample counts
 // around one and several groups of four and the 256-row batch, class counts
 // 1–9 and 17.

@@ -50,6 +50,12 @@ func logAVX2(dst, src []float64) int
 func divScalarAVX2(dst []float64, s float64)
 
 //go:noescape
+func mulScalarAVX2(dst []float64, s float64)
+
+//go:noescape
+func copyFiniteAVX2(dst, src []float64) bool
+
+//go:noescape
 func softmaxShiftAVX2(dst, src []float64, ld, cols, classes int)
 
 //go:noescape

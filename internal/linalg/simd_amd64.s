@@ -1066,6 +1066,54 @@ divsdone:
 	VZEROUPPER
 	RET
 
+// func mulScalarAVX2(dst []float64, s float64)
+// dst[j] *= s for j < len(dst), a multiple of 4: the scalar MULSD four times
+// over.
+TEXT ·mulScalarAVX2(SB), NOSPLIT, $0-32
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	VBROADCASTSD s+24(FP), Y1
+	SHLQ         $3, CX
+	XORQ         AX, AX
+mulsloop:
+	CMPQ    AX, CX
+	JGE     mulsdone
+	VMOVUPD (DI)(AX*1), Y0
+	VMULPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     mulsloop
+mulsdone:
+	VZEROUPPER
+	RET
+
+// func copyFiniteAVX2(dst, src []float64) bool
+// dst[j] = src[j] for j < len(src), a multiple of 4 (dst at least as long),
+// and reports whether every src[j] was finite: src[j] − src[j] is +0, no bit
+// set, for a finite value and a NaN for any other, and the differences are
+// ORed together.
+TEXT ·copyFiniteAVX2(SB), NOSPLIT, $0-49
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   src_base+24(FP), SI
+	MOVQ   src_len+32(FP), CX
+	SHLQ   $3, CX
+	XORQ   AX, AX
+	VXORPD Y2, Y2, Y2
+cfloop:
+	CMPQ    AX, CX
+	JGE     cfdone
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	VSUBPD  Y0, Y0, Y1
+	VORPD   Y1, Y2, Y2
+	ADDQ    $32, AX
+	JMP     cfloop
+cfdone:
+	VPTEST Y2, Y2
+	SETEQ  ret+48(FP)
+	VZEROUPPER
+	RET
+
 // The class-major column kernels (DESIGN.md, "The class head"). x is a
 // classes × ld slab, a column of it one sample's classes; cols, a positive
 // multiple of 4, is how many leading columns the kernel takes, four to a

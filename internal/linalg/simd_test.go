@@ -883,6 +883,8 @@ func TestWarmKernelsDoNotAllocate(t *testing.T) {
 			"ExpInto":      func() { ExpInto(c.Data, x) },
 			"LogInto":      func() { LogInto(c.Data, c.Data) },
 			"DivScalar":    func() { DivScalar(c.Data, 3) },
+			"DivScalar 2ᵏ": func() { DivScalar(c.Data, 256) },
+			"CopyFinite":   func() { CopyFinite(c.Data, x[:len(c.Data)]) },
 			"SoftmaxCols":  func() { SoftmaxCols(ct, ct) },
 			"ArgmaxCols":   func() { ArgmaxCols(labels, ct) },
 		} {

@@ -104,7 +104,7 @@ func sameProba(t *testing.T, what string, got *linalg.Tensor, want [][]float64) 
 func TestFrozenMatchesLiveModel(t *testing.T) {
 	rows := edgeRows()
 	for family, m := range frozenFamilies(t) {
-		frozen, want := m.Freeze(), m.PredictProba(rows)
+		frozen, want := m.Freeze(nil), m.PredictProba(rows)
 		rng := rand.New(rand.NewSource(7))
 		fitFrozenBatch(t, m, rng)
 		fitFrozenBatch(t, m, rng)
@@ -130,7 +130,7 @@ func TestFrozenIgnoresStaleWorkspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stale nn.Workspace
-	wide.Freeze().ProbaInto(&stale, linalg.NewTensor(300, 40))
+	wide.Freeze(nil).ProbaInto(&stale, linalg.NewTensor(300, 40))
 	poison := func() {
 		stale.Reset()
 		for k := 0; k < 16; k++ {
@@ -144,7 +144,7 @@ func TestFrozenIgnoresStaleWorkspace(t *testing.T) {
 	rows := edgeRows()[20:] // the ordinary rows: no NaN of the batch's own making
 	x := stageRows(rows)
 	for family, m := range frozenFamilies(t) {
-		frozen := m.Freeze()
+		frozen := m.Freeze(nil)
 		var fresh nn.Workspace
 		want := frozen.ProbaInto(&fresh, x)
 		for i, v := range want.Data {

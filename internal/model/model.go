@@ -39,11 +39,12 @@ type Model interface {
 	// resets the optimizer state.
 	Snapshot() ([]byte, error)
 	Restore(snapshot []byte) error
-	// Freeze returns the model's read-only view as of now: the member type of
-	// a published inference snapshot. RestoreFrozen loads such a view's
-	// parameters back, as Restore loads an image, and resets the optimizer
-	// state.
-	Freeze() *nn.Frozen
+	// Freeze returns the model's read-only view as of now, its parameters
+	// copied into buf (nn.Network.Freeze: nil, or storage too small,
+	// allocates): the member type of a published inference snapshot.
+	// RestoreFrozen loads such a view's parameters back, as Restore loads an
+	// image, and resets the optimizer state.
+	Freeze(buf []float64) *nn.Frozen
 	RestoreFrozen(f *nn.Frozen) error
 	// InDim and NumClasses describe the model's shape.
 	InDim() int
@@ -109,7 +110,7 @@ func (m *netModel) InDim() int                             { return m.net.InDim(
 func (m *netModel) NumClasses() int                        { return m.net.NumClasses() }
 func (m *netModel) Net() *nn.Network                       { return m.net }
 
-func (m *netModel) Freeze() *nn.Frozen                          { return m.net.Freeze() }
+func (m *netModel) Freeze(buf []float64) *nn.Frozen             { return m.net.Freeze(buf) }
 func (m *netModel) Fit(x [][]float64, y []int) (float64, error) { return m.net.TrainBatch(x, y, m.opt) }
 func (m *netModel) FitTensor(x *linalg.Tensor, y []int) (float64, error) {
 	return m.net.TrainTensor(x, y, m.opt)

@@ -41,7 +41,7 @@ func TestFitFromMatchesFit(t *testing.T) {
 			forward := func(x [][]float64) *nn.Forward {
 				ws.Reset()
 				ws.Stage(x, dim)
-				return ws.Forward(reuse.Freeze())
+				return ws.Forward(reuse.Freeze(nil))
 			}
 			for step := 0; step < 4; step++ {
 				x, y := separableBatch(rng, 33, dim, classes)

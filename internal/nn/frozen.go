@@ -10,18 +10,46 @@ import (
 // copy of its parameter values — no gradients, no optimizer, no scratch.
 // Nothing writes it after Freeze, so any number of goroutines may run it at
 // once, each in a Workspace of its own, while the network it came from keeps
-// training.
+// training — until the one who froze it retires it (Retire).
 type Frozen struct {
 	net    *Network
 	layers []Layer   // the network's own: infer reads their shapes, nothing else
 	w      []float64 // every parameter value, in Params order
 	ver    uint64    // the network's parameter version at Freeze
+	finite bool      // every value in w is finite
 }
 
-// Freeze copies the parameter values (one allocation of NumParams floats) and
-// returns the network's forward pass over them.
-func (n *Network) Freeze() *Frozen {
-	return &Frozen{net: n, layers: n.layers, w: n.AppendFlatParams(make([]float64, 0, n.NumParams())), ver: n.ver}
+// Freeze copies the parameter values into buf's storage — or into a new
+// allocation of NumParams floats when buf cannot hold them, nil included —
+// and returns the network's forward pass over them. The copy scans what it
+// copies: Finite reports whether every value was finite. Every Freeze is a new
+// Frozen, whatever storage it fills: forward records match on the Frozen
+// itself (Workspace.Forward, TrainFrom), so none can match a later freeze into
+// reused storage.
+func (n *Network) Freeze(buf []float64) *Frozen {
+	size := n.NumParams()
+	if cap(buf) < size {
+		buf = make([]float64, size)
+	}
+	w, finite := buf[:size], true
+	for _, p := range n.params {
+		finite = linalg.CopyFinite(w[:len(p.W)], p.W) && finite
+		w = w[len(p.W):]
+	}
+	return &Frozen{net: n, layers: n.layers, w: buf[:size], ver: n.ver, finite: finite}
+}
+
+// Finite reports whether every parameter value f holds is finite.
+func (f *Frozen) Finite() bool { return f.finite }
+
+// Retire gives up f's parameter storage, for a later Freeze to fill, and
+// leaves f empty: a forward over it panics. Only the one who froze f may call
+// it, once nothing can reach f any more — no reader, no publication, no
+// rollback target.
+func (f *Frozen) Retire() []float64 {
+	w := f.w
+	f.w = nil
+	return w
 }
 
 // Freezes reports whether f is a freeze of n's parameters as they stand: n's

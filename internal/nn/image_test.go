@@ -112,7 +112,7 @@ func TestRestoreIsAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := paramBits(conv)
-	frozen := conv.Freeze()
+	frozen := conv.Freeze(nil)
 	if err := conv.Restore(img); err == nil {
 		t.Fatal("an image of another layout was restored")
 	}
@@ -123,7 +123,7 @@ func TestRestoreIsAllOrNothing(t *testing.T) {
 
 	donor := imageNet(5)
 	before = paramBits(donor)
-	frozen = donor.Freeze()
+	frozen = donor.Freeze(nil)
 	for n := 0; n < len(img); n++ {
 		if err := donor.Restore(img[:n]); err == nil {
 			t.Fatalf("an image truncated to %d of %d bytes was restored", n, len(img))

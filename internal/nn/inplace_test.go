@@ -110,7 +110,7 @@ func TestNetworkForwardLeavesCallerRowsAlone(t *testing.T) {
 	x := [][]float64{{-1, 2, -3}, {4, -5, 6}}
 	flat := linalg.TensorView([]float64{-1, 2, -3, 4, -5, 6}, 2, 3)
 	net.PredictProba(x)
-	net.Freeze().ProbaInto(new(Workspace), flat)
+	net.Freeze(nil).ProbaInto(new(Workspace), flat)
 	if x[0][0] != -1 || x[1][1] != -5 || flat.Data[0] != -1 || flat.Data[4] != -5 {
 		t.Fatalf("forward pass rectified the caller's data: %v %v", x, flat.Data)
 	}

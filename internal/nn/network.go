@@ -267,10 +267,11 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// ParamsFinite reports whether every learnable weight is finite. The
-// divergence watchdog calls it after each update: a single NaN or Inf
-// weight makes every subsequent prediction garbage, and catching it at the
-// update that introduced it is what makes rollback possible.
+// ParamsFinite reports whether every learnable weight is finite: a single NaN
+// or Inf weight makes every subsequent prediction garbage, and catching it at
+// the update that introduced it is what makes rollback possible. A freeze
+// reports the same of its copy (Frozen.Finite), which is how the divergence
+// watchdog checks an update; this scan serves where nothing is copied.
 func (n *Network) ParamsFinite() bool {
 	for _, p := range n.Params() {
 		for _, w := range p.W {

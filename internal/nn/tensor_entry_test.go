@@ -40,7 +40,7 @@ func TestTensorEntryMatchesRows(t *testing.T) {
 	wantProba := net.PredictProba(x)
 	before := append([]float64(nil), fused.Data...)
 	var ws Workspace
-	gotProba := net.Freeze().ProbaInto(&ws, fused)
+	gotProba := net.Freeze(nil).ProbaInto(&ws, fused)
 	if gotProba.Rows != 3 || gotProba.Cols != rows {
 		t.Fatalf("frozen proba shape %dx%d, want class-major 3x%d", gotProba.Rows, gotProba.Cols, rows)
 	}
@@ -70,7 +70,7 @@ func TestFrozenIsACopy(t *testing.T) {
 	x, fused := tensorEntryBatch(rng, 7, 4)
 	before := append([]float64(nil), fused.Data...)
 	want := net.PredictProba(x)
-	frozen := net.Freeze()
+	frozen := net.Freeze(nil)
 	opt := NewSGD(0.5, 0.9, 0)
 	for k := 0; k < 3; k++ {
 		if _, err := net.TrainBatch(x, []int{0, 1, 2, 0, 1, 2, 0}, opt); err != nil {
@@ -104,7 +104,7 @@ func TestTensorEntryRejects(t *testing.T) {
 			t.Fatal("a frozen pass accepted a batch of the wrong width")
 		}
 	}()
-	net.Freeze().ProbaInto(new(Workspace), linalg.NewTensor(2, 5))
+	net.Freeze(nil).ProbaInto(new(Workspace), linalg.NewTensor(2, 5))
 }
 
 // TestPredictTensorIntoWarmAllocs: predicting from a flat tensor over frozen
@@ -118,7 +118,7 @@ func TestPredictTensorIntoWarmAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, x := tensorEntryBatch(rng, 16, 6)
-	frozen := net.Freeze()
+	frozen := net.Freeze(nil)
 	var ws Workspace
 	frozen.ProbaInto(&ws, x)
 	net.Predict(rows)

@@ -48,7 +48,7 @@ func sameMomentum(t *testing.T, a, b *nn.Network, optA, optB *nn.SGD) {
 func frozenForward(n *nn.Network, ws *nn.Workspace, x [][]float64) *nn.Forward {
 	ws.Reset()
 	ws.Stage(x, n.InDim())
-	return ws.Forward(n.Freeze())
+	return ws.Forward(n.Freeze(nil))
 }
 
 // TestTrainFromMatchesTrainTensor is the contract of training from a frozen
@@ -194,18 +194,72 @@ func TestWorkspaceForwardRunsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x, _ := elisionBatch(rng, 8, dim, classes)
 	n := familyNet(t, "mlp", dim, classes)
-	f := n.Freeze()
+	f := n.Freeze(nil)
 	var ws nn.Workspace
 	ws.Stage(x, dim)
 	a := ws.Forward(f)
 	if b := ws.Forward(f); b != a {
 		t.Fatal("a second Forward of the same frozen pass ran it again")
 	}
-	if g := ws.Forward(n.Freeze()); g == a {
+	if g := ws.Forward(n.Freeze(nil)); g == a {
 		t.Fatal("another freeze shares the first one's record")
 	}
 	want := n.PredictProba(x)
 	for i, row := range a.Proba().TransposeToRows() {
 		sameBits(t, "recorded distributions", row, want[i])
+	}
+}
+
+// TestFreezeIntoRecycledStorage: a freeze into storage an earlier freeze gave
+// up (Retire) copies the parameters as a freeze into fresh memory does, bit
+// for bit, and reports their finiteness — a NaN or Inf anywhere, first or last
+// tensor, makes it false. It is a new Frozen, so a forward recorded over the
+// retired one is never taken for its own, and a trainer declines that stale
+// forward; storage too small is not used.
+func TestFreezeIntoRecycledStorage(t *testing.T) {
+	const dim, classes = 6, 3
+	rng := rand.New(rand.NewSource(7))
+	x, y := elisionBatch(rng, 8, dim, classes)
+	n := familyNet(t, "mlp", dim, classes)
+	opt := nn.NewSGD(0.05, 0.9, 1e-4)
+	var ws nn.Workspace
+	ws.Stage(x, dim)
+	old := n.Freeze(nil)
+	stale := ws.Forward(old)
+	if !old.Finite() {
+		t.Fatal("a freeze of finite weights reports a non-finite value")
+	}
+	if _, err := n.TrainTensor(ws.Staged(), y, opt); err != nil {
+		t.Fatal(err)
+	}
+	buf := old.Retire()
+	f := n.Freeze(buf)
+	if ws.Forward(f) == stale {
+		t.Fatal("a freeze into recycled storage took the retired freeze's record")
+	}
+	if _, ok, _ := n.TrainFrom(stale, y, opt); ok {
+		t.Fatal("TrainFrom trained from a forward of retired parameters")
+	}
+	got := f.Retire()
+	if &got[0] != &buf[0] {
+		t.Fatal("a freeze into storage of the right size allocated")
+	}
+	sameBits(t, "a freeze into recycled storage", got, n.AppendFlatParams(nil))
+	if small := n.Freeze(make([]float64, 3)); len(small.Retire()) != n.NumParams() {
+		t.Fatal("a freeze into storage too small copied a partial image")
+	}
+	params := n.Params()
+	for _, p := range []*nn.Param{params[0], params[len(params)-1]} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			keep := p.W[len(p.W)-1]
+			p.W[len(p.W)-1] = bad
+			if n.Freeze(buf).Finite() {
+				t.Errorf("a freeze of weights holding %v reports every value finite", bad)
+			}
+			p.W[len(p.W)-1] = keep
+		}
+	}
+	if !n.Freeze(buf).Finite() {
+		t.Error("a freeze of finite weights reports a non-finite value")
 	}
 }

@@ -138,7 +138,8 @@ type Detector struct {
 	distances *stats.SlidingWindow
 	weights   []float64
 
-	centroids []centroid // ring buffer of past ȳ, oldest first
+	centroids []centroid // ring buffer of past ȳ: oldest first from head, wrapping
+	head      int        // the oldest centroid's index
 	batch     int
 
 	// Per-batch scratch: Observe's batch mean and staged points, and the
@@ -285,27 +286,51 @@ func (d *Detector) ObserveMean(x *linalg.Tensor, mean linalg.Vector) (Observatio
 }
 
 // nearestHistory returns the distance to — and the batch index of — the
-// nearest retained centroid, excluding the cfg.RecentExclusion most recent
-// ones (the current neighborhood, which would make every severe shift look
-// reoccurring).
+// nearest retained centroid, oldest first, excluding the cfg.RecentExclusion
+// most recent ones (the current neighborhood, which would make every severe
+// shift look reoccurring). A centroid wins on the strict < of its rooted
+// distance, the first of equals; it is rooted only if its squared distance is
+// below the best one's square, since a square at or above that cannot root
+// to less (a correctly rounded square root is monotone).
 func (d *Detector) nearestHistory(y linalg.Vector) (float64, int) {
+	best, bestSq, bestIdx := math.Inf(1), math.Inf(1), -1
 	eligible := len(d.centroids) - d.cfg.RecentExclusion
-	best := math.Inf(1)
-	bestIdx := -1
-	for i := 0; i < eligible; i++ {
-		if dist := y.Distance(d.centroids[i].y); dist < best {
-			best = dist
-			bestIdx = d.centroids[i].batch
+	for _, seg := range [2][]centroid{d.centroids[d.head:], d.centroids[:d.head]} {
+		seg = seg[:max(0, min(eligible, len(seg)))]
+		eligible -= len(seg)
+		for i := range seg {
+			// linalg.Vector.Distance's sum, before its root: every retained
+			// centroid is y's width.
+			var sq float64
+			for j, v := range seg[i].y[:len(y)] {
+				d := y[j] - v
+				sq += d * d
+			}
+			if sq < bestSq {
+				if dist := math.Sqrt(sq); dist < best {
+					best, bestSq, bestIdx = dist, sq, seg[i].batch
+				}
+			}
 		}
 	}
 	return best, bestIdx
 }
 
+// pushCentroid retains a copy of y as the newest centroid. Once the history
+// is full it takes the oldest one's place and reuses its vector.
 func (d *Detector) pushCentroid(y linalg.Vector) {
-	d.centroids = append(d.centroids, centroid{y: y.Clone(), batch: d.batch})
-	if len(d.centroids) > d.cfg.CentroidHistory {
-		d.centroids = d.centroids[1:]
+	if len(d.centroids) < d.cfg.CentroidHistory {
+		d.centroids = append(d.centroids, centroid{y: y.Clone(), batch: d.batch})
+		return
 	}
+	c := &d.centroids[d.head]
+	c.y, c.batch = append(c.y[:0], y...), d.batch
+	d.head = (d.head + 1) % len(d.centroids)
+}
+
+// history returns the retained centroids, oldest first.
+func (d *Detector) history() []centroid {
+	return append(d.centroids[d.head:len(d.centroids):len(d.centroids)], d.centroids[:d.head]...)
 }
 
 // HistoryDistances returns a copy of the recent shift distances, newest

@@ -43,7 +43,7 @@ func (d *Detector) State() State {
 	}
 	s.Distances = d.distances.OldestFirst()
 	s.Centroids = make([]CentroidState, len(d.centroids))
-	for i, c := range d.centroids {
+	for i, c := range d.history() {
 		s.Centroids[i] = CentroidState{Y: c.y.Clone(), Batch: c.batch}
 	}
 	return s
@@ -74,7 +74,7 @@ func (d *Detector) RestoreState(s State) error {
 		d.prev = nil
 		d.warmup = linalg.Tensor{}
 		d.distances.Reset()
-		d.centroids = nil
+		d.centroids, d.head = nil, 0
 		return nil
 	}
 	m, err := pca.FromState(s.PCA)
@@ -92,7 +92,7 @@ func (d *Detector) RestoreState(s State) error {
 	for _, dist := range s.Distances {
 		d.distances.Push(dist)
 	}
-	d.centroids = make([]centroid, len(s.Centroids))
+	d.centroids, d.head = make([]centroid, len(s.Centroids)), 0
 	for i, c := range s.Centroids {
 		d.centroids[i] = centroid{y: c.Y.Clone(), batch: c.Batch}
 	}

@@ -118,6 +118,13 @@ type Ensemble struct {
 	// member is frozen again only when its version moved since; the frozen
 	// views themselves are immutable.
 	pub []publication
+
+	// copies tracks who holds each frozen view — pub, the watchdogs, the
+	// snapshots not yet released — and recycles a view's storage once
+	// nothing does. retired holds the superseded snapshots a read still held
+	// at the last Retire.
+	copies  copyPool
+	retired []*Snapshot
 }
 
 // publication is one member as the ensemble last published it.
@@ -130,7 +137,7 @@ type publication struct {
 // NewEnsemble assembles the mechanism from its pre-built parts. longWd may
 // be nil to disable long-model divergence monitoring.
 func NewEnsemble(cfg EnsembleConfig, grans []*Granularity, long model.Model, longWd *Watchdog, asw *window.ASW, deps EnsembleDeps) *Ensemble {
-	return &Ensemble{
+	e := &Ensemble{
 		cfg:    cfg,
 		deps:   deps,
 		grans:  grans,
@@ -139,6 +146,12 @@ func NewEnsemble(cfg EnsembleConfig, grans []*Granularity, long model.Model, lon
 		longWd: longWd,
 		pub:    make([]publication, len(grans)+1),
 	}
+	for i := range e.pub {
+		if _, _, _, wd := e.memberModel(i); wd != nil {
+			wd.pool = &e.copies
+		}
+	}
+	return e
 }
 
 // Granularities exposes the fixed-frequency members (checkpointing and
@@ -212,19 +225,22 @@ func (e *Ensemble) publication(i int) *publication {
 }
 
 // freeze publishes member i anew: its parameters frozen — the view its
-// watchdog retained, while that is current — its centroid copied.
+// watchdog retained, while that is current — its centroid copied. The view it
+// replaces loses the publication as a holder.
 func (e *Ensemble) freeze(i int) {
 	m, ver, centroid, wd := e.memberModel(i)
 	var f *nn.Frozen
 	if wd != nil && wd.frozen.Freezes(m.Net()) {
 		f = wd.frozen
 	} else {
-		f = m.Freeze()
+		f = e.copies.freeze(m)
 	}
 	p := publication{frozen: f, ver: ver}
 	if centroid != nil {
 		p.centroid = centroid.Clone()
 	}
+	e.copies.hold(f)
+	e.copies.drop(e.pub[i].frozen)
 	e.pub[i] = p
 }
 
@@ -479,7 +495,9 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // version counter has not moved since the previous publication reuse the
 // cached view, so steady-state publication cost is one copy of the parameter
 // values of the models that actually trained this batch (usually just the
-// short model). Must be called from the training goroutine, between Train
+// short model), into storage recycled from views nothing holds any more. The
+// members hold their views until their snapshot is retired (Retire) and no
+// read holds it. Must be called from the training goroutine, between Train
 // calls.
 func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 	members := make([]SnapshotMember, len(e.pub))
@@ -487,9 +505,39 @@ func (e *Ensemble) PublishSnapshot() []SnapshotMember {
 		if _, ver, _, _ := e.memberModel(i); e.pub[i].frozen == nil || e.pub[i].ver != ver {
 			e.freeze(i)
 		}
+		e.copies.hold(e.pub[i].frozen)
 		members[i] = SnapshotMember{Model: e.pub[i].frozen, Centroid: e.pub[i].centroid}
 	}
 	return members
+}
+
+// Retire takes s, a snapshot of this ensemble's members that a newer
+// publication has just replaced, out of service, and sweeps every retired
+// snapshot: one no read holds any more drops its members' holds on their
+// frozen views, and a view left with no holder has its storage recycled; a
+// pinned one gives up the recycling of its views for good, whatever else holds
+// them; one a read holds waits for the next sweep. Training goroutine only,
+// after the newer snapshot is published (Snapshot.AddReader).
+func (e *Ensemble) Retire(old *Snapshot) {
+	e.retired = append(e.retired, old)
+	kept := e.retired[:0]
+	for _, s := range e.retired {
+		pinned := s.Pinned()
+		if !pinned && s.InUse() {
+			kept = append(kept, s)
+			continue
+		}
+		for _, m := range s.Members {
+			f, _ := m.Model.(*nn.Frozen) // nil, which the pool ignores, for a test's fake
+			if pinned {
+				e.copies.forget(f)
+			} else {
+				e.copies.drop(f)
+			}
+		}
+	}
+	clear(e.retired[len(kept):])
+	e.retired = kept
 }
 
 // DebugModels exposes the short and long granularity models for diagnostic

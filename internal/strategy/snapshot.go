@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"freewayml/internal/knowledge"
@@ -31,10 +32,13 @@ type SnapshotMember struct {
 // into shift space — plus the lock-free knowledge-match index, read for
 // observability.
 //
-// A Snapshot must never be mutated after publication. The infer plane loads
-// the current pointer atomically and may keep using a superseded snapshot
-// for the duration of one request; the staleness bound is one training
-// batch (see DESIGN.md).
+// A Snapshot must never be mutated after publication, but for its reader
+// count. The infer plane loads the current pointer atomically and may keep
+// using a superseded snapshot for the duration of one request; the staleness
+// bound is one training batch (see DESIGN.md). Each such read is counted
+// (AddReader, DoneReading): the publisher recycles the parameter storage of
+// a superseded snapshot's members only once no read is in flight, and never
+// the storage of a pinned one (Pin).
 type Snapshot struct {
 	Members []SnapshotMember // granularities in order, long-term model last
 	Sigma   float64
@@ -52,7 +56,32 @@ type Snapshot struct {
 	PublishedAt time.Time
 	Dim         int
 	Classes     int
+
+	readers atomic.Int64 // reads in flight
+	pinned  atomic.Bool  // handed out for keeps
 }
+
+// AddReader counts one more read of s in flight. A reader that loaded s from
+// the publisher's pointer must load that pointer again afterwards and read s
+// only if s is still the one published; otherwise it calls DoneReading and
+// starts over. Go's atomics are sequentially consistent, so either the
+// publisher, which checks a snapshot's count only after it has published
+// the next one, sees this read, or the reader sees the next snapshot.
+func (s *Snapshot) AddReader() { s.readers.Add(1) }
+
+// DoneReading ends a read AddReader counted: s's members are not read again
+// by it.
+func (s *Snapshot) DoneReading() { s.readers.Add(-1) }
+
+// Pin marks s as handed out for keeps, after an AddReader that is never
+// ended: its members' storage is never recycled.
+func (s *Snapshot) Pin() { s.pinned.Store(true) }
+
+// InUse reports whether a read of s is in flight, or s is pinned.
+func (s *Snapshot) InUse() bool { return s.readers.Load() != 0 }
+
+// Pinned reports whether s was handed out for keeps.
+func (s *Snapshot) Pinned() bool { return s.pinned.Load() }
 
 // InferOutput is the pure inference result for one batch of rows.
 type InferOutput struct {

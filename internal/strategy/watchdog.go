@@ -46,6 +46,10 @@ type Watchdog struct {
 	// first.
 	frozen *nn.Frozen
 	img    []byte
+	// pool is the ensemble's: the watchdog's copies come from its free list,
+	// and the rollback target is one of a copy's holders. Nil for a watchdog
+	// of no ensemble, which allocates every copy.
+	pool *copyPool
 
 	meanLoss float64 // EMA of healthy batch losses
 	updates  int
@@ -65,18 +69,26 @@ const (
 // NewWatchdog builds a watchdog for the named model.
 func NewWatchdog(name string) *Watchdog { return &Watchdog{name: name} }
 
-// Retain makes m's current parameters the rollback target; Check calls it
-// after every healthy update. The copy is a Freeze, taken only when the
-// parameters moved since the last one: the ensemble publishes that same view
-// while it is current, so a healthy update pays for one copy of its
-// parameters. A nil watchdog (monitoring disabled) retains nothing.
+// Retain makes m's current parameters the rollback target. The copy is a
+// Freeze, taken only when the parameters moved since the last one: the
+// ensemble publishes that same view while it is current, so a healthy update
+// pays for one copy of its parameters. A nil watchdog (monitoring disabled)
+// retains nothing.
 func (w *Watchdog) Retain(m model.Model) {
 	if w == nil {
 		return
 	}
 	if !w.frozen.Freezes(m.Net()) {
-		w.frozen = m.Freeze()
+		w.retain(w.pool.freeze(m))
 	}
+}
+
+// retain makes f the rollback target, holding it in the pool in place of the
+// target it replaces.
+func (w *Watchdog) retain(f *nn.Frozen) {
+	w.pool.hold(f)
+	w.pool.drop(w.frozen)
+	w.frozen = f
 }
 
 // RetainImage makes img, the parameter image just restored into the model,
@@ -85,11 +97,13 @@ func (w *Watchdog) Retain(m model.Model) {
 // rollback returns to those and not to what they replaced — or, in a fresh
 // process, to nothing. The image is copied into a buffer reused across
 // replacements: an adoption, whose batch then trains the model and freezes
-// it, pays for no freeze of its own. A nil watchdog retains nothing.
+// it, pays for no freeze of its own. The frozen target it replaces loses the
+// watchdog as a holder. A nil watchdog retains nothing.
 func (w *Watchdog) RetainImage(img []byte) {
 	if w == nil {
 		return
 	}
+	w.pool.drop(w.frozen)
 	w.frozen, w.img = nil, append(w.img[:0], img...)
 }
 
@@ -105,20 +119,38 @@ func (w *Watchdog) rollback(m model.Model) bool {
 	return false
 }
 
+// current returns a copy of m's parameters as they stand and whether every
+// value is finite. While they have not moved since the rollback target was
+// frozen that is the target, and they are scanned where they lie; otherwise
+// they are frozen into a copy from the pool, which scans as it copies.
+func (w *Watchdog) current(m model.Model) (*nn.Frozen, bool) {
+	if w.frozen.Freezes(m.Net()) {
+		return w.frozen, m.Net().ParamsFinite()
+	}
+	f := w.pool.freeze(m)
+	return f, f.Finite()
+}
+
 // Check inspects the model right after an update. loss is the update's
 // batch loss, or negative when the update produced none (a window close
 // with no training rows); weight checks still apply then. A nil return
-// means healthy; otherwise the returned event describes the divergence and
-// whether the model was rolled back.
+// means healthy, and the parameters, frozen by the same pass that checked
+// them, become the rollback target; otherwise the returned event describes the
+// divergence and whether the model was rolled back, and the copy goes back to
+// the pool.
 func (w *Watchdog) Check(m model.Model, loss float64, batch int) *RecoveryEvent {
 	reason := ""
-	switch {
-	case math.IsNaN(loss) || math.IsInf(loss, 0):
+	var f *nn.Frozen
+	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		reason = "non-finite loss"
-	case !m.Net().ParamsFinite():
-		reason = "non-finite weights"
-	case loss >= 0 && w.updates >= watchdogWarmup && loss > watchdogExplosionRatio*(w.meanLoss+1e-6):
-		reason = "loss explosion"
+	} else {
+		var finite bool
+		switch f, finite = w.current(m); {
+		case !finite:
+			reason = "non-finite weights"
+		case loss >= 0 && w.updates >= watchdogWarmup && loss > watchdogExplosionRatio*(w.meanLoss+1e-6):
+			reason = "loss explosion"
+		}
 	}
 	if reason == "" {
 		w.updates++
@@ -129,8 +161,11 @@ func (w *Watchdog) Check(m model.Model, loss float64, batch int) *RecoveryEvent 
 				w.meanLoss = watchdogLossEMA*w.meanLoss + (1-watchdogLossEMA)*loss
 			}
 		}
-		w.Retain(m)
+		w.retain(f)
 		return nil
+	}
+	if f != w.frozen {
+		w.pool.drop(f)
 	}
 	return &RecoveryEvent{Batch: batch, Model: w.name, Reason: reason, RolledBack: w.rollback(m)}
 }
