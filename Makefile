@@ -34,8 +34,8 @@ fmt:
 # The golden decision-bits test, the golden decision trace (every batch's
 # TraceEvent on the six Table I streams, byte for byte against
 # internal/core/testdata/decision_trace) and the kernels' differential tests
-# (the GEMM forms, the row sum, the SGD step, and NaN signs and payloads
-# through every store epilogue) at three GOMAXPROCS values, with and without the assembly
+# (the GEMM forms, the row sum, the SGD step, the packed bit compare, and NaN
+# signs and payloads through every store epilogue) at three GOMAXPROCS values, with and without the assembly
 # bodies: the GEMM fan-out partition depends on it and must never change a
 # bit — nor may the choice between the assembly bodies and the Go loops. Then
 # ExpInto, LogInto and the softmax against math with math.Exp's
@@ -48,14 +48,17 @@ fmt:
 # Process fed an Infer's forwards to one that runs its own
 # (TestForwardHandoffTwins) — also under each guard policy, where the Process
 # takes the Infer's checked slab as its guard's scan and its detector's mean
-# (TestGuardedHandoffTwins) — and the twin learners that hold a caller reusing
+# (TestGuardedHandoffTwins), and on the six Table I streams answers — labels,
+# distributions and trace weights — with the fusion its Infer computed
+# (TestAnswerHandoffTwins; TestTraceEventOwnsItsWeights: a trace event keeps its
+# own copy of those weights) — and the twin learners that hold a caller reusing
 # one row and label buffer for every batch to one handing fresh rows
 # (TestReusedBufferTwins: what the learner keeps, it copies). The window close,
 # split across two Train calls, is held bit for bit to the inline row close,
 # chunk losses and weights, by the strategy package's Close tests.
 golden:
-	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|ReusedBufferTwins|SlabAndMeanHandoffTwins' ./internal/core
-	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|ReusedBufferTwins|SlabAndMeanHandoffTwins' ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|AnswerHandoffTwins|TraceEventOwns|ReusedBufferTwins|SlabAndMeanHandoffTwins' ./internal/core
+	$(GO) test -tags purego -cpu 1,2,4 -run 'Golden|LandsInline|ForwardHandoffTwins|GuardedHandoffTwins|AnswerHandoffTwins|TraceEventOwns|ReusedBufferTwins|SlabAndMeanHandoffTwins' ./internal/core
 	$(GO) test -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -tags purego -cpu 1,2,4 -run Close ./internal/strategy
 	$(GO) test -cpu 1,2,4 -run Example .

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"freewayml/internal/linalg"
@@ -10,11 +9,12 @@ import (
 )
 
 // handoff is an Infer's workspace left for the Process call that follows it:
-// the rows staged — and found finite — and each member's forward over them,
-// from the publication numbered seq. A Process of the same rows on the same
-// publication takes that slab as checked and trains from those forwards
-// instead of running them again (DESIGN.md, "One read of the batch per
-// batch").
+// the rows staged — and found finite — each member's forward over them and
+// the answer fused from those forwards, from the publication numbered seq. A
+// Process of the same rows on the same publication takes that slab as
+// checked, answers with that fusion when its detector weighs the members at
+// the same ȳ, and trains from those forwards instead of running them again
+// (DESIGN.md, "One read of the batch per batch").
 type handoff struct {
 	ws  *nn.Workspace
 	seq uint64
@@ -48,9 +48,10 @@ func (h *handoff) release() {
 // batchWorkspace returns the workspace the Process call reads its batch b
 // from, with b staged. It takes whatever the slot holds: a hit, when that
 // Infer read the latest publication and staged exactly these rows — which it
-// found finite — is handed over with its forwards and its batch mean;
-// anything else is released and a fresh workspace comes from the pool, into
-// which b is staged: a slab with one copy.
+// found finite — is handed over with its forwards, its fused answer and its
+// batch mean; anything else is released and a fresh workspace comes from the
+// pool, into which b is staged, every value checked as it is copied
+// (nn.Workspace.Finite): a slab with one copy.
 func (l *Learner) batchWorkspace(b stream.Batch) (ws *nn.Workspace, hit bool) {
 	if h := l.parked.Swap(nil); h != nil {
 		if h.seq == l.snapSeq && sameRows(h.ws.Staged(), b) {
@@ -71,28 +72,14 @@ func (l *Learner) batchWorkspace(b stream.Batch) (ws *nn.Workspace, hit bool) {
 }
 
 // sameRows reports whether t holds exactly the rows of b, bit for bit (−0 is
-// not +0, and a NaN matches only its own bits).
+// not +0, and a NaN matches only its own bits): one packed compare of the
+// slab, or one walk of the rows that checks each width as it compares.
 func sameRows(t *linalg.Tensor, b stream.Batch) bool {
 	if t == nil || t.Rows != b.Len() || t.Cols != b.Width() {
 		return false
 	}
 	if b.Slab != nil {
-		return sameBits(t.Data, b.Slab.Data)
+		return linalg.SameBits(t.Data, b.Slab.Data)
 	}
-	for i, row := range b.X {
-		if !sameBits(t.Row(i), row) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameBits reports whether a and b, of one length, hold the same float64 bits.
-func sameBits(a, b []float64) bool {
-	for i, v := range b[:len(a)] {
-		if math.Float64bits(a[i]) != math.Float64bits(v) {
-			return false
-		}
-	}
-	return true
+	return t.SameRows(b.X)
 }

@@ -156,6 +156,116 @@ func TestForwardHandoffTwins(t *testing.T) {
 	}
 }
 
+// sameBitsOf requires got to equal want, bit for bit.
+func sameBitsOf(t *testing.T, k int, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("batch %d: %d %ss, want %d", k, len(got), what, len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("batch %d: %s %d is %v, want %v", k, what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestAnswerHandoffTwins runs the six Table I streams through two learners:
+// one calls Infer and then Process on every batch, the other Process alone.
+// Every Process answers alike — labels, strategy, the fused distributions
+// behind the labels and the fusion weights its trace event records, bit for
+// bit — and leaves the same weights. On every stream some of the first
+// learner's Process calls took the answer their Infer fused instead of fusing
+// again (Ensemble.Answered), the second learner's never.
+func TestAnswerHandoffTwins(t *testing.T) {
+	for i, name := range datasets.Benchmark6() {
+		src, err := datasets.Build(name, 256, 1000+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := handoffLearner(t, DefaultConfig(), src), handoffLearner(t, DefaultConfig(), src)
+		ensemble := 0
+		for k, bt := range stream.Collect(src, 0) {
+			infer(t, a, bt.X)
+			ra, rb := process(t, a, bt), process(t, b, bt)
+			sameLearners(t, k, a, b, ra, rb)
+			if ra.Strategy != rb.Strategy {
+				t.Fatalf("%s batch %d: strategy %v, the twin %v", name, k, ra.Strategy, rb.Strategy)
+			}
+			if (ra.proba == nil) != (rb.proba == nil) {
+				t.Fatalf("%s batch %d: distributions %v, the twin's %v", name, k, ra.proba, rb.proba)
+			}
+			if ra.proba != nil {
+				if ra.proba.Rows != rb.proba.Rows || ra.proba.Cols != rb.proba.Cols {
+					t.Fatalf("%s batch %d: %d×%d distributions, the twin %d×%d", name, k, ra.proba.Rows, ra.proba.Cols, rb.proba.Rows, rb.proba.Cols)
+				}
+				sameBitsOf(t, k, "probability", ra.proba.Data, rb.proba.Data)
+			}
+			ea, eb := a.obs.Trace().Last(1)[0], b.obs.Trace().Last(1)[0]
+			sameBitsOf(t, k, "fusion weight", ea.EnsembleWeights, eb.EnsembleWeights)
+			if ra.Strategy == StrategyEnsemble {
+				ensemble++
+			}
+		}
+		taken := a.ens.Answered()
+		if taken == 0 || taken > ensemble {
+			t.Errorf("%s: %d Process calls took their Infer's answer, over %d ensemble batches", name, taken, ensemble)
+		}
+		if n := b.ens.Answered(); n != 0 {
+			t.Errorf("%s: Process alone took %d answers it never fused", name, n)
+		}
+		t.Logf("%s: %d of %d ensemble batches answered with the Infer's fusion", name, taken, ensemble)
+	}
+}
+
+// TestTraceEventOwnsItsWeights: a batch's trace event keeps its own copy of
+// the fusion weights. One event comes from a Process that took its Infer's
+// answer, whose weights live in the pooled workspace, one from a Process that
+// fused itself, into the ensemble's scratch; both still hold their batch's
+// weights after sixteen more Infer/Process pairs have reused that storage.
+func TestTraceEventOwnsItsWeights(t *testing.T) {
+	src, err := datasets.Build("NSL-KDD", 256, 1002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := stream.Collect(src, 0)
+	a := handoffLearner(t, DefaultConfig(), src)
+	type kept struct {
+		k    int
+		ev   obs.TraceEvent
+		want []float64
+	}
+	var answered, fused *kept
+	last := len(batches)
+	for k := 0; k < last; k++ {
+		before := a.ens.Answered()
+		if k%2 == 0 { // every other batch without an Infer: a Process that fuses
+			infer(t, a, batches[k].X)
+		}
+		res := process(t, a, batches[k])
+		ev := a.obs.Trace().Last(1)[0]
+		switch {
+		case answered == nil && a.ens.Answered() > before:
+			answered = &kept{k, ev, slices.Clone(ev.EnsembleWeights)}
+		case fused == nil && a.ens.Answered() == before && res.Strategy == StrategyEnsemble:
+			fused = &kept{k, ev, slices.Clone(ev.EnsembleWeights)}
+		default:
+			continue
+		}
+		if answered != nil && fused != nil {
+			last = min(k+17, len(batches))
+		}
+	}
+	if answered == nil || fused == nil || last-max(answered.k, fused.k) < 17 {
+		t.Fatalf("no batch took its Infer's answer (%v) or fused itself (%v) early enough", answered != nil, fused != nil)
+	}
+	for _, c := range []*kept{answered, fused} {
+		if len(c.want) == 0 {
+			t.Fatalf("batch %d's trace event records no weights", c.k)
+		}
+		sameBitsOf(t, c.k, "kept fusion weight", c.ev.EnsembleWeights, c.want)
+	}
+}
+
 // TestForwardHandoffMisses: each way a parked forward stops matching the
 // Process call that follows — rows that differ in one bit, another Process in
 // between, a checkpoint restore in between, rows the guard repaired — sends

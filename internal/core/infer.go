@@ -114,9 +114,9 @@ func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error)
 	ws := nn.GetWorkspace()
 	// The training plane's guard repairs or rejects non-finite features
 	// statefully (running feature means, health counters); the read path must
-	// stay pure, so it only rejects — after one scan of the slab the rows are
-	// staged in, which a Process of the same rows then takes as checked.
-	if !guard.Finite(ws.Stage(x, l.dim).Data) {
+	// stay pure, so it only rejects — on what the staging found as it copied
+	// the rows, which a Process of the same rows then takes as checked.
+	if ws.Stage(x, l.dim); !ws.Finite() {
 		ws.Release()
 		return InferResult{}, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
 	}

@@ -248,11 +248,11 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 	defer ws.Release()
 	x := ws.Staged()
 	// Input guardrails: no NaN or Inf feature reaches the detector or any
-	// model. A hit holds exactly the rows the Infer checked, so nothing is
-	// scanned again; a rejected batch leaves every piece of learner state
-	// untouched.
+	// model. The staging checked every value as it copied it — a hit's, in
+	// the Infer — so a finite batch is not scanned again; a rejected batch
+	// leaves every piece of learner state untouched.
 	tGuard := bo.StageStart()
-	rep, err := l.guard.Sanitize(x, hit)
+	rep, err := l.guard.Sanitize(x, ws.Finite())
 	if err != nil {
 		l.health.mu.Lock()
 		l.health.rejectedBatches++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"freewayml/internal/cluster"
@@ -284,12 +285,13 @@ func (bo *batchObs) sanitized(n int) {
 
 // Weights records the fusion weights (first member = knowledge-restored
 // model under knowledge reuse, else the short model; last = long model for
-// the plain ensemble).
+// the plain ensemble). The event keeps its own copy: ws is scratch that the
+// next batch, or the next reader of a workspace, overwrites.
 func (bo *batchObs) Weights(ws []float64) {
 	if bo == nil {
 		return
 	}
-	bo.ev.EnsembleWeights = ws
+	bo.ev.EnsembleWeights = slices.Clone(ws)
 }
 
 // cec records the clustering evidence behind a CEC consultation.

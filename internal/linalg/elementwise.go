@@ -74,23 +74,66 @@ func mulScalar(dst []float64, s float64) {
 
 // CopyFinite copies src into dst, of the same length, and reports whether
 // every value was finite: one pass over src, where a copy and a separate scan
-// would be two.
+// would be two. It is the row kernel's copy of src as one row.
 func CopyFinite(dst, src []float64) bool {
 	mustSameLen(dst, src)
-	finite := true
-	j := simdCols(len(src))
-	if j > 0 {
-		finite = copyFiniteAVX2(dst[:j], src[:j])
+	finite, _ := copyRows(dst, [][]float64{src}, len(src))
+	return finite
+}
+
+// SameBits reports whether a and b hold the same float64s bit for bit: one
+// length, and at every index the same 64 bits, so −0 is not +0 and a NaN
+// matches only a NaN of its own sign and payload. It is the row kernel's
+// compare of b as one row.
+func SameBits(a, b []float64) bool {
+	return len(a) == len(b) && sameRows(a, [][]float64{b}, len(b))
+}
+
+// copyRows copies rows, each cols wide, back to back into dst, at least
+// len(rows)·cols long, and reports whether every value was finite; ok is
+// false, and the copy stopped, at the first row that is not cols wide. With
+// AVX2 the assembly body walks the rows (copyRowsAVX2), else the Go loop.
+func copyRows(dst []float64, rows [][]float64, cols int) (finite, ok bool) {
+	dst = dst[:len(rows)*cols]
+	if useAVX2 {
+		return copyRowsAVX2(dst, rows, cols)
 	}
-	for i := j; i < len(src); i++ {
-		v := src[i]
-		dst[i] = v
-		// A non-finite float is the only value for which v-v != 0.
-		if v-v != 0 {
-			finite = false
+	finite = true
+	for i, row := range rows {
+		if len(row) != cols {
+			return finite, false
+		}
+		d := dst[i*cols : (i+1)*cols]
+		for j, v := range row {
+			d[j] = v
+			// A non-finite float is the only value for which v-v != 0.
+			if v-v != 0 {
+				finite = false
+			}
 		}
 	}
-	return finite
+	return finite, true
+}
+
+// sameRows reports whether every one of rows is cols wide and t, at least
+// len(rows)·cols long, holds them back to back, bit for bit (SameBits). With
+// AVX2 the assembly body walks the rows (sameRowsAVX2), else the Go loop.
+func sameRows(t []float64, rows [][]float64, cols int) bool {
+	t = t[:len(rows)*cols]
+	if useAVX2 {
+		return sameRowsAVX2(t, rows, cols)
+	}
+	for i, row := range rows {
+		if len(row) != cols {
+			return false
+		}
+		for j, v := range row {
+			if math.Float64bits(t[i*cols+j]) != math.Float64bits(v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // groupKernel is an assembly body of ExpInto or LogInto: it writes dst from

@@ -427,6 +427,175 @@ func TestCopyFiniteKernelMatchesGoLoop(t *testing.T) {
 	}
 }
 
+// TestSameBitsKernelMatchesGoLoop holds SameBits, the row compare over one
+// row, to a word-by-word compare of Float64bits over lengths 0–9, 16–17, 32–33
+// and 63–65, on both paths: equal slices, special values included, and slices
+// that differ in one element at every index — +0 against −0, NaNs that differ
+// only in payload or sign, +Inf against −Inf, neighbouring floats. The
+// operands sit inside guard bands of two different NaNs, so a read past
+// either end would tell equal slices apart.
+func TestSameBitsKernelMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	bGuard := math.Float64frombits(0x7ff8beef0000dead)
+	differ := [][2]float64{
+		{0, math.Copysign(0, -1)},
+		{math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)},
+		{math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000001)},
+		{math.Float64frombits(0x7ff0000000000123), math.Float64frombits(0x7ff8000000000123)},
+		{math.Inf(1), math.Inf(-1)},
+		{1, math.Nextafter(1, 2)},
+	}
+	oracle := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 32, 33, 63, 64, 65} {
+		x := normals(rng, n)
+		for i := 0; i < n; i += 3 {
+			x[i] = specials[(i/3)%len(specials)]
+		}
+		a, aFrame := guarded(x)
+		bFrame := make([]float64, n+2*guardBand)
+		for i := range bFrame {
+			bFrame[i] = bGuard
+		}
+		b := bFrame[guardBand : guardBand+n : guardBand+n]
+		check := func(what string, want bool) {
+			t.Helper()
+			if oracle(a, b) != want {
+				t.Fatalf("%s: the oracle says %v", what, !want)
+			}
+			eachPath(func(path string) {
+				if got := SameBits(a, b); got != want {
+					t.Fatalf("%s path=%s: SameBits = %v, want %v", what, path, got, want)
+				}
+			})
+			checkGuards(t, what, aFrame)
+		}
+		copy(b, a)
+		check(fmt.Sprintf("n=%d equal", n), true)
+		for at := 0; at < n; at++ {
+			for _, d := range differ {
+				copy(b, a)
+				a[at], b[at] = d[0], d[1]
+				check(fmt.Sprintf("n=%d at=%d %#x vs %#x", n, at, math.Float64bits(d[0]), math.Float64bits(d[1])), false)
+				b[at] = d[0]
+				check(fmt.Sprintf("n=%d at=%d %#x twice", n, at, math.Float64bits(d[0])), true)
+			}
+			a[at] = x[at]
+		}
+		if n > 0 {
+			eachPath(func(path string) {
+				if SameBits(a, b[:n-1]) || SameBits(a[:n-1], b) {
+					t.Fatalf("n=%d path=%s: slices of different lengths compare the same", n, path)
+				}
+			})
+		}
+	}
+}
+
+// TestRowKernelsMatchGoLoop holds the row kernels to word-by-word oracles on
+// both paths, over 0–3 and 5 rows, each 0–9, 16, 17 or 63–65 wide, special
+// values among the normals: Tensor.FromRows copies every bit into a slab
+// framed by guard bands and reports a NaN or ±Inf at any row and column, and
+// panics on a row of another width wherever it stands; Tensor.SameRows finds
+// the slab equal to its rows, different where one word of one row differs (−0
+// for +0, another NaN payload), and different where one row is a word short
+// or long. Each row is its own allocation, framed by guard bands of another
+// NaN, so a read past a row or the slab would show.
+func TestRowKernelsMatchGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	rowGuard := math.Float64frombits(0x7ff8beef0000dead)
+	for _, n := range []int{0, 1, 2, 3, 5} {
+		for _, cols := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 63, 64, 65} {
+			what := fmt.Sprintf("%d rows × %d", n, cols)
+			rows := make([][]float64, n)
+			frames := make([][]float64, n)
+			for r := range rows {
+				frames[r] = make([]float64, cols+2*guardBand)
+				for i := range frames[r] {
+					frames[r][i] = rowGuard
+				}
+				rows[r] = frames[r][guardBand : guardBand+cols : guardBand+cols]
+				copy(rows[r], normals(rng, cols))
+				if cols > 0 {
+					rows[r][rng.Intn(cols)] = specials[rng.Intn(2)] // ±0: finite
+				}
+			}
+			eachPath(func(path string) {
+				what := what + " path=" + path
+				data, frame := guarded(make([]float64, n*cols))
+				slab := &Tensor{Data: data}
+				if !slab.FromRows(rows, cols) || slab.Rows != n || slab.Cols != cols {
+					t.Fatalf("%s: FromRows reports non-finite values or reshaped to %d×%d", what, slab.Rows, slab.Cols)
+				}
+				for r, row := range rows {
+					sameBits(t, what, slab.Row(r), row)
+				}
+				checkGuards(t, what, frame)
+				if !slab.SameRows(rows) {
+					t.Fatalf("%s: SameRows finds the slab different from the rows it was copied from", what)
+				}
+				for r := range rows {
+					for j := 0; j < cols; j++ {
+						v := rows[r][j]
+						for _, d := range [][2]float64{{0, math.Copysign(0, -1)}, {math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)}} {
+							slab.Row(r)[j], rows[r][j] = d[0], d[1]
+							if slab.SameRows(rows) {
+								t.Fatalf("%s: SameRows misses %#x against %#x at row %d, word %d", what, math.Float64bits(d[0]), math.Float64bits(d[1]), r, j)
+							}
+						}
+						for _, bad := range specials[2:8] { // ±Inf, NaNs
+							rows[r][j] = bad
+							if slab.FromRows(rows, cols) {
+								t.Fatalf("%s: FromRows misses %v at row %d, word %d", what, bad, r, j)
+							}
+							sameBits(t, what, slab.Row(r), rows[r])
+							if !slab.SameRows(rows) {
+								t.Fatalf("%s: SameRows finds %#x different from itself at row %d, word %d", what, math.Float64bits(bad), r, j)
+							}
+						}
+						rows[r][j] = v
+						slab.FromRows(rows, cols)
+					}
+					checkGuards(t, what, frame)
+					full := rows[r]
+					for _, w := range []int{cols - 1, cols + 1} {
+						if w < 0 {
+							continue
+						}
+						rows[r] = frames[r][guardBand : guardBand+w]
+						if slab.SameRows(rows) {
+							t.Fatalf("%s: SameRows takes a row %d wide at row %d", what, w, r)
+						}
+						func() {
+							defer func() {
+								if recover() == nil {
+									t.Fatalf("%s: FromRows takes a row %d wide at row %d", what, w, r)
+								}
+							}()
+							var other Tensor
+							other.FromRows(rows, cols)
+						}()
+					}
+					rows[r] = full
+				}
+				for r, f := range frames {
+					for i, v := range f {
+						if inside := i >= guardBand && i < guardBand+cols; !inside && math.Float64bits(v) != math.Float64bits(rowGuard) {
+							t.Fatalf("%s: row %d's guard element %d overwritten with %v", what, r, i-guardBand, v)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // headShapes are the class-major slabs the head tests sweep: sample counts
 // around one and several groups of four and the 256-row batch, class counts
 // 1–9 and 17.

@@ -53,7 +53,10 @@ func divScalarAVX2(dst []float64, s float64)
 func mulScalarAVX2(dst []float64, s float64)
 
 //go:noescape
-func copyFiniteAVX2(dst, src []float64) bool
+func copyRowsAVX2(dst []float64, rows [][]float64, cols int) (finite, ok bool)
+
+//go:noescape
+func sameRowsAVX2(t []float64, rows [][]float64, cols int) bool
 
 //go:noescape
 func softmaxShiftAVX2(dst, src []float64, ld, cols, classes int)

@@ -1087,30 +1087,139 @@ mulsdone:
 	VZEROUPPER
 	RET
 
-// func copyFiniteAVX2(dst, src []float64) bool
-// dst[j] = src[j] for j < len(src), a multiple of 4 (dst at least as long),
-// and reports whether every src[j] was finite: src[j] − src[j] is +0, no bit
-// set, for a finite value and a NaN for any other, and the differences are
-// ORed together.
-TEXT ·copyFiniteAVX2(SB), NOSPLIT, $0-49
-	MOVQ   dst_base+0(FP), DI
-	MOVQ   src_base+24(FP), SI
-	MOVQ   src_len+32(FP), CX
-	SHLQ   $3, CX
-	XORQ   AX, AX
+// The row kernels walk a batch held as rows, [][]float64, beside a slab that
+// holds or receives the same rows back to back: each row header's base and
+// length are read in turn, a row's words go four at a time, then two, then
+// one, and a row that is not cols long ends the walk. cols may be any count,
+// zero included; so may the number of rows. Rows of a streamed batch are
+// short (6 to 12 features in the learn_drift streams), so the walk, not a
+// call per row, is the kernel.
+
+// func copyRowsAVX2(dst []float64, rows [][]float64, cols int) (finite, ok bool)
+// dst[r·cols + j] = rows[r][j] for every row r and j < cols (dst at least
+// len(rows)·cols long), and finite reports whether every value copied was
+// finite: x − x is +0, no bit set, for a finite x and a NaN for any other, and
+// the differences are ORed together. ok is false, and the copy stops, at the
+// first row that is not cols long.
+TEXT ·copyRowsAVX2(SB), NOSPLIT, $0-58
+	MOVQ   dst_base+0(FP), SI
+	MOVQ   rows_base+24(FP), R8
+	MOVQ   rows_len+32(FP), R9
+	MOVQ   cols+48(FP), CX
+	MOVQ   CX, BX
+	SHLQ   $3, BX
+	MOVQ   BX, DX
+	ANDQ   $-32, DX
 	VXORPD Y2, Y2, Y2
-cfloop:
-	CMPQ    AX, CX
-	JGE     cfdone
-	VMOVUPD (SI)(AX*1), Y0
-	VMOVUPD Y0, (DI)(AX*1)
+crrow:
+	TESTQ R9, R9
+	JEQ   crdone
+	CMPQ  8(R8), CX
+	JNE   crshort
+	MOVQ  (R8), DI
+	XORQ  AX, AX
+cr4:
+	CMPQ    AX, DX
+	JGE     crtail
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD Y0, (SI)(AX*1)
 	VSUBPD  Y0, Y0, Y1
 	VORPD   Y1, Y2, Y2
 	ADDQ    $32, AX
-	JMP     cfloop
-cfdone:
+	JMP     cr4
+crtail:
+	LEAQ    16(AX), R10
+	CMPQ    R10, BX
+	JGT     cr1
+	VMOVUPD (DI)(AX*1), X0
+	VMOVUPD X0, (SI)(AX*1)
+	VSUBPD  X0, X0, X1
+	VORPD   Y1, Y2, Y2
+	MOVQ    R10, AX
+cr1:
+	CMPQ   AX, BX
+	JGE    crnext
+	VMOVSD (DI)(AX*1), X0
+	VMOVSD X0, (SI)(AX*1)
+	VSUBSD X0, X0, X1
+	VORPD  Y1, Y2, Y2
+	ADDQ   $8, AX
+	JMP    cr1
+crnext:
+	ADDQ BX, SI
+	ADDQ $24, R8
+	DECQ R9
+	JMP  crrow
+crshort:
+	MOVB $0, ok+57(FP)
+	JMP  crflag
+crdone:
+	MOVB $1, ok+57(FP)
+crflag:
 	VPTEST Y2, Y2
-	SETEQ  ret+48(FP)
+	SETEQ  finite+56(FP)
+	VZEROUPPER
+	RET
+
+// func sameRowsAVX2(t []float64, rows [][]float64, cols int) bool
+// Reports whether every row is cols long and t[r·cols + j] and rows[r][j] hold
+// the same 64 bits for every row r and j < cols (t at least len(rows)·cols
+// long): the words are XORed, which leaves no bit set exactly where they are
+// equal, and the walk stops at the first group that differs. A float compare
+// would take −0 for +0 and no NaN for equal.
+TEXT ·sameRowsAVX2(SB), NOSPLIT, $0-57
+	MOVQ t_base+0(FP), SI
+	MOVQ rows_base+24(FP), R8
+	MOVQ rows_len+32(FP), R9
+	MOVQ cols+48(FP), CX
+	MOVQ CX, BX
+	SHLQ $3, BX
+	MOVQ BX, DX
+	ANDQ $-32, DX
+srrow:
+	TESTQ R9, R9
+	JEQ   srsame
+	CMPQ  8(R8), CX
+	JNE   srdiffer
+	MOVQ  (R8), DI
+	XORQ  AX, AX
+sr4:
+	CMPQ    AX, DX
+	JGE     srtail
+	VMOVDQU (SI)(AX*1), Y0
+	VPXOR   (DI)(AX*1), Y0, Y0
+	VPTEST  Y0, Y0
+	JNE     srdiffer
+	ADDQ    $32, AX
+	JMP     sr4
+srtail:
+	LEAQ    16(AX), R10
+	CMPQ    R10, BX
+	JGT     sr1
+	VMOVDQU (SI)(AX*1), X0
+	VPXOR   (DI)(AX*1), X0, X0
+	VPTEST  X0, X0
+	JNE     srdiffer
+	MOVQ    R10, AX
+sr1:
+	CMPQ AX, BX
+	JGE  srnext
+	MOVQ (SI)(AX*1), R10
+	CMPQ R10, (DI)(AX*1)
+	JNE  srdiffer
+	ADDQ $8, AX
+	JMP  sr1
+srnext:
+	ADDQ BX, SI
+	ADDQ $24, R8
+	DECQ R9
+	JMP  srrow
+srsame:
+	MOVB $1, ret+56(FP)
+	VZEROUPPER
+	RET
+srdiffer:
+	MOVB $0, ret+56(FP)
 	VZEROUPPER
 	RET
 

@@ -25,7 +25,10 @@ func expFMA(dst, src []float64) int          { panic("linalg: no AVX2") }
 func logAVX2(dst, src []float64) int         { panic("linalg: no AVX2") }
 func divScalarAVX2(dst []float64, s float64) { panic("linalg: no AVX2") }
 func mulScalarAVX2(dst []float64, s float64) { panic("linalg: no AVX2") }
-func copyFiniteAVX2(dst, src []float64) bool { panic("linalg: no AVX2") }
+func copyRowsAVX2(dst []float64, rows [][]float64, cols int) (finite, ok bool) {
+	panic("linalg: no AVX2")
+}
+func sameRowsAVX2(t []float64, rows [][]float64, cols int) bool { panic("linalg: no AVX2") }
 func softmaxShiftAVX2(dst, src []float64, ld, cols, classes int) {
 	panic("linalg: no AVX2")
 }

@@ -857,6 +857,7 @@ func TestWarmKernelsDoNotAllocate(t *testing.T) {
 	b, bt := randTensor(rng, k, n), randTensor(rng, n, k)
 	c, ct, v, x := NewTensor(m, n), NewTensor(n, m), normals(rng, n), normals(rng, m*n)
 	labels := make([]int, m)
+	rows := randTensor(rng, m, n).RowViews(nil)
 	// The class head's shapes: 5 classes, hidden width 64 (the short-k panel,
 	// a band and a wide 1-row band, the class-major groups) and 2 classes (the
 	// band pairs).
@@ -885,6 +886,9 @@ func TestWarmKernelsDoNotAllocate(t *testing.T) {
 			"DivScalar":    func() { DivScalar(c.Data, 3) },
 			"DivScalar 2ᵏ": func() { DivScalar(c.Data, 256) },
 			"CopyFinite":   func() { CopyFinite(c.Data, x[:len(c.Data)]) },
+			"SameBits":     func() { SameBits(c.Data, c.Data) },
+			"FromRows":     func() { c.FromRows(rows, c.Cols) },
+			"SameRows":     func() { c.SameRows(rows) },
 			"SoftmaxCols":  func() { SoftmaxCols(ct, ct) },
 			"ArgmaxCols":   func() { ArgmaxCols(labels, ct) },
 		} {

@@ -72,15 +72,28 @@ func (t *Tensor) Zero() {
 }
 
 // FromRows reshapes t to len(rows)×cols and copies the rows in. All rows must
-// have length cols. cols disambiguates the width of an empty batch.
-func (t *Tensor) FromRows(rows [][]float64, cols int) {
+// have length cols. cols disambiguates the width of an empty batch. It reports
+// whether every value was finite — no NaN, no ±Inf: one walk of the rows
+// copies and checks them, where a copy and a scan of t would read the batch
+// twice.
+func (t *Tensor) FromRows(rows [][]float64, cols int) (finite bool) {
 	*t = *EnsureTensor(t, len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("linalg: FromRows row %d has %d elements, want %d", i, len(r), cols))
+	finite, ok := copyRows(t.Data, rows, cols)
+	if !ok {
+		for i, r := range rows {
+			if len(r) != cols {
+				panic(fmt.Sprintf("linalg: FromRows row %d has %d elements, want %d", i, len(r), cols))
+			}
 		}
-		copy(t.Row(i), r)
 	}
+	return finite
+}
+
+// SameRows reports whether t holds exactly rows, bit for bit: as many rows,
+// each t.Cols wide, and at every element the same 64 bits (SameBits). One walk
+// of the rows checks each width and compares its words.
+func (t *Tensor) SameRows(rows [][]float64) bool {
+	return t.Rows == len(rows) && sameRows(t.Data, rows, t.Cols)
 }
 
 // TransposeToRows returns the columns of t as fresh rows: one t.Cols × t.Rows

@@ -28,11 +28,29 @@ type Workspace struct {
 
 	mean    linalg.Vector // the staged batch's column mean, once Mean computed it
 	hasMean bool
+	finite  bool // every value staged was finite
+
+	// The answer a reader fused over the staged batch (KeepAnswer): nil
+	// until then.
+	ans   *linalg.Tensor
+	ansW  []float64
+	ansAt linalg.Vector
 }
 
 // Reset makes every tensor available again; their contents become scratch,
-// and the staged batch, its mean and the forward records are gone.
-func (w *Workspace) Reset() { w.next, w.x, w.nfwd, w.hasMean = 0, nil, 0, false }
+// and the staged batch, its mean, the forward records and the kept answer are
+// gone.
+func (w *Workspace) Reset() {
+	w.next, w.x, w.nfwd = 0, nil, 0
+	w.forget()
+}
+
+// forget drops what was derived from the staged batch: its mean and the kept
+// answer.
+func (w *Workspace) forget() {
+	w.hasMean = false
+	w.ans, w.ansW, w.ansAt = nil, nil, nil
+}
 
 // Tensor hands out the next tensor, shaped rows×cols.
 func (w *Workspace) Tensor(rows, cols int) *linalg.Tensor {
@@ -46,25 +64,33 @@ func (w *Workspace) Tensor(rows, cols int) *linalg.Tensor {
 }
 
 // Stage copies the rows, each dim wide, into a tensor of the workspace and
-// keeps it as the batch: Staged returns it, and Forward runs over it.
+// keeps it as the batch: Staged returns it, and Forward runs over it. The copy
+// checks every value as it goes (Finite).
 func (w *Workspace) Stage(x [][]float64, dim int) *linalg.Tensor {
-	w.stage(len(x), dim).FromRows(x, dim)
-	return w.x
+	t := w.stage(len(x), dim)
+	w.finite = t.FromRows(x, dim)
+	return t
 }
 
 // StageSlab is Stage for a batch that is already one row-major slab: one
 // contiguous copy of x.
 func (w *Workspace) StageSlab(x *linalg.Tensor) *linalg.Tensor {
-	copy(w.stage(x.Rows, x.Cols).Data, x.Data)
-	return w.x
+	t := w.stage(x.Rows, x.Cols)
+	w.finite = linalg.CopyFinite(t.Data, x.Data)
+	return t
 }
 
 // stage takes the tensor the batch is staged in.
 func (w *Workspace) stage(rows, cols int) *linalg.Tensor {
-	w.xi, w.hasMean = w.next, false
+	w.forget()
+	w.xi = w.next
 	w.x = w.Tensor(rows, cols)
 	return w.x
 }
+
+// Finite reports whether every value of the batch was finite — no NaN, no
+// ±Inf — as it was staged.
+func (w *Workspace) Finite() bool { return w.finite }
 
 // Staged returns the batch Stage staged (nil before).
 func (w *Workspace) Staged() *linalg.Tensor { return w.x }
@@ -81,6 +107,21 @@ func (w *Workspace) Mean() linalg.Vector {
 		w.hasMean = true
 	}
 	return w.mean
+}
+
+// KeepAnswer records the answer a reader fused over the staged batch: the
+// distributions proba, a tensor of w; the weights the members received; and
+// at, the point they were weighed at. w keeps all three as given (no copy),
+// and Answer returns them until the next Stage or Reset: a Process that takes
+// the workspace over (a hand-off) takes the answer with it.
+func (w *Workspace) KeepAnswer(proba *linalg.Tensor, weights []float64, at linalg.Vector) {
+	w.ans, w.ansW, w.ansAt = proba, weights, at
+}
+
+// Answer returns what KeepAnswer recorded over the staged batch; proba is nil
+// when nothing was.
+func (w *Workspace) Answer() (proba *linalg.Tensor, weights []float64, at linalg.Vector) {
+	return w.ans, w.ansW, w.ansAt
 }
 
 // Exchange gives up the staged batch's tensor to a keeper that takes it

@@ -106,10 +106,14 @@ type Ensemble struct {
 
 	closing windowClose // the window close in flight, while closing.open
 
-	// Infer's scratch: the member list and the fused distributions, which
-	// Infer's Prediction views until the next Infer.
+	// Infer's scratch: the member list, the fused distributions, which
+	// Infer's Prediction views until the next Infer, and the weights.
 	members []member
 	fused   linalg.Tensor
+	weights []float64
+
+	// answered counts the batches Infer answered with a reader's fusion.
+	answered int
 
 	// The batch in flight's workspace (BeginBatch), or nil between batches.
 	ws *nn.Workspace
@@ -192,12 +196,15 @@ func (e *Ensemble) WindowEvictions() int { return e.asw.Evictions() }
 
 // BeginBatch hands the ensemble the workspace of the batch in flight: ws
 // holds that batch staged (nn.Workspace.Stage) and whatever forwards of the
-// published members already ran over it (an Infer's, handed to the Process
-// call that follows). Infer, InferWarmup and Train read the batch there, and
-// only there: each runs between a BeginBatch and its EndBatch. The members
-// forward ws each at most once, and Train trains a member from its forward
-// when the member's parameters are still the forward's. ws stays the
-// caller's: it is read until EndBatch, and released by the caller after that.
+// published members already ran over it — with the answer fused from them,
+// when a reader of the latest publication fused one (an Infer's, handed to the
+// Process call that follows). Infer, InferWarmup and Train read the batch
+// there, and only there: each runs between a BeginBatch and its EndBatch. The
+// members forward ws each at most once, Infer answers with the fused answer
+// when it fuses the same members at the same ȳ, and Train trains a member from
+// its forward when the member's parameters are still the forward's. ws stays
+// the caller's: it is read until EndBatch, and released by the caller after
+// that.
 func (e *Ensemble) BeginBatch(ws *nn.Workspace) { e.ws = ws }
 
 // EndBatch ends the batch BeginBatch began: the ensemble keeps nothing of ws.
@@ -261,46 +268,60 @@ func (e *Ensemble) InferWarmup() Prediction {
 }
 
 // Infer answers the begun batch with the Gaussian-kernel distance weighting
-// of Eq. 12-14 at the live distribution yBar: the granularity models in
-// order, then the long model — or, for knowledge reuse, the match restored
-// (KnowledgeReuse.Restore) at its distance, then the granularity models. The long model stays out of the latter: it smooths
-// over the departed regime, while the restored model's small distance lets it
-// dominate unless the live models are still competitive. Its Proba is the
-// ensemble's fused scratch, valid until the next Infer.
+// of Eq. 12-14 at the live distribution yBar (fuseAt): the granularity models
+// in order, then the long model — or, for knowledge reuse, the match restored
+// (KnowledgeReuse.Restore) at its distance, then the granularity models. The
+// long model stays out of the latter: it smooths over the departed regime,
+// while the restored model's small distance lets it dominate unless the live
+// models are still competitive. Its Proba is the ensemble's fused scratch,
+// valid until the next Infer.
+//
+// Without a match, the members are those of the latest publication, so when
+// the begun workspace holds the answer a reader fused over it (the workspace
+// is then a hand-off of the same rows on that publication) at yBar's very
+// bits, that answer is this one: Infer copies it instead of fusing again.
 func (e *Ensemble) Infer(yBar linalg.Vector, match *KnowledgeMatch, tr Trace) (Prediction, error) {
 	tr = ensureTrace(tr)
+	if match == nil {
+		if p, weights, at := e.ws.Answer(); p != nil && at != nil && linalg.SameBits(at, yBar) {
+			copy(linalg.EnsureTensor(&e.fused, p.Rows, p.Cols).Data, p.Data)
+			e.answered++
+			tr.Weights(weights)
+			return prediction(&e.fused), nil
+		}
+	}
 	members := e.members[:0]
 	if match != nil {
-		members = append(members, member{proba: match.Proba, distance: match.Dist})
+		members = append(members, member{proba: match.Proba, distance: match.Dist, measured: true})
 	}
 	// Short and mid-granularity models: distance to their last training
 	// distribution (D_short of Eq. 12 equals obs.Distance for the per-batch
 	// model, since its centroid is the previous batch's ȳ).
 	for i, g := range e.grans {
-		members = append(members, member{proba: e.memberProba(i), distance: centroidDistance(yBar, g.centroid)})
+		members = append(members, member{proba: e.memberProba(i), centroid: g.centroid})
 	}
 	if match == nil {
-		members = append(members, member{proba: e.memberProba(len(e.grans)), distance: centroidDistance(yBar, e.longCentroid)})
+		members = append(members, member{proba: e.memberProba(len(e.grans)), centroid: e.longCentroid})
 	}
 	e.members = members
-
-	// Normalize distances by their mean so the kernel width Sigma is
-	// scale-free: the projected space's units vary per dataset, and Eq. 14
-	// only cares about the models' relative match to the live data.
-	normalizeDistances(members)
 
 	// Insight A emerges from the distances themselves: under a directional
 	// shift (A1) the previous batch — the short model's distribution — is
 	// the nearest thing to the live data, while under localized fluctuation
 	// (A2) the window's weighted centroid sits at the center of the noise
 	// and the long model wins the kernel weighting.
-	weights, err := fuse(&e.fused, members, e.cfg.Sigma)
+	p, weights, err := fuseAt(&e.fused, e.weights, members, yBar, e.cfg.Sigma)
 	if err != nil {
 		return Prediction{}, fmt.Errorf("strategy: ensemble: %w", err)
 	}
+	e.weights = weights
 	tr.Weights(weights)
-	return prediction(&e.fused), nil
+	return p, nil
 }
+
+// Answered counts the batches Infer answered with the fusion a reader left in
+// the begun workspace instead of fusing again (observability and tests).
+func (e *Ensemble) Answered() int { return e.answered }
 
 // Train updates every granularity model per its schedule, maintains the
 // window, lands the window close in flight, and begins one when this batch

@@ -46,19 +46,19 @@ func TestKernelPanicsOnBadSigma(t *testing.T) {
 
 func TestFuseErrors(t *testing.T) {
 	var out linalg.Tensor
-	if _, err := fuse(&out, nil, 1); err == nil {
+	if _, err := fuse(&out, nil, nil, 1); err == nil {
 		t.Error("no members should error")
 	}
 	m := member{proba: probaOf(2, []float64{0.5, 0.5}), distance: 0}
-	if _, err := fuse(&out, []member{m}, 0); err == nil {
+	if _, err := fuse(&out, nil, []member{m}, 0); err == nil {
 		t.Error("sigma 0 should error")
 	}
 	bad := member{proba: probaOf(2, []float64{1, 0}, []float64{0, 1}), distance: 0}
-	if _, err := fuse(&out, []member{m, bad}, 1); err == nil {
+	if _, err := fuse(&out, nil, []member{m, bad}, 1); err == nil {
 		t.Error("sample count mismatch should error")
 	}
 	badClasses := member{proba: probaOf(3, []float64{1, 0, 0}), distance: 0}
-	if _, err := fuse(&out, []member{m, badClasses}, 1); err == nil {
+	if _, err := fuse(&out, nil, []member{m, badClasses}, 1); err == nil {
 		t.Error("class count mismatch should error")
 	}
 }
@@ -69,7 +69,7 @@ func TestFuseEqualDistancesAverages(t *testing.T) {
 	a := member{proba: probaOf(2, []float64{1, 0}), distance: 1}
 	b := member{proba: probaOf(2, []float64{0, 1}), distance: 1}
 	var out linalg.Tensor
-	if _, err := fuse(&out, []member{a, b}, 1); err != nil {
+	if _, err := fuse(&out, nil, []member{a, b}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(out.At(0, 0)-0.5) > 1e-12 || math.Abs(out.At(0, 1)-0.5) > 1e-12 {
@@ -84,7 +84,7 @@ func TestFuseCloserModelDominates(t *testing.T) {
 	near := member{proba: probaOf(2, []float64{1, 0}), distance: 0.1}
 	far := member{proba: probaOf(2, []float64{0, 1}), distance: 5}
 	var out linalg.Tensor
-	ws, err := fuse(&out, []member{near, far}, 1)
+	ws, err := fuse(&out, nil, []member{near, far}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFuseAllWeightsUnderflowFallsBackUniform(t *testing.T) {
 	a := member{proba: probaOf(2, []float64{1, 0}), distance: 1e9}
 	b := member{proba: probaOf(2, []float64{0, 1}), distance: 1e9}
 	var out linalg.Tensor
-	ws, err := fuse(&out, []member{a, b}, 1)
+	ws, err := fuse(&out, nil, []member{a, b}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFuseAllWeightsUnderflowFallsBackUniform(t *testing.T) {
 func TestFuseEmptyBatch(t *testing.T) {
 	m := member{proba: probaOf(2), distance: 0}
 	var out linalg.Tensor
-	if _, err := fuse(&out, []member{m}, 1); err != nil {
+	if _, err := fuse(&out, nil, []member{m}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if out.Rows != 0 || len(out.Data) != 0 {
@@ -154,7 +154,7 @@ func TestFusePreservesDistributionProperty(t *testing.T) {
 		a := member{proba: probaOf(3, norm(p1raw)), distance: clampD(d1raw)}
 		b := member{proba: probaOf(3, norm(p2raw)), distance: clampD(d2raw)}
 		var out linalg.Tensor
-		if _, err := fuse(&out, []member{a, b}, 1); err != nil {
+		if _, err := fuse(&out, nil, []member{a, b}, 1); err != nil {
 			return false
 		}
 		var sum float64

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -91,8 +92,8 @@ type InferOutput struct {
 	Proba *linalg.Tensor
 	// Warmup reports that only the short model answered (no projection yet).
 	Warmup bool
-	// Weights are the normalized fusion weights the members received
-	// (nil during warm-up).
+	// Weights are the normalized fusion weights the members received (nil
+	// during warm-up), in the workspace like Proba; InferBatch copies them.
 	Weights []float64
 	// KnowledgeDist is the distance to the nearest stored concept centroid
 	// (observability only; -1 when no index or no projection).
@@ -118,7 +119,7 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 	defer ws.Release()
 	ws.Stage(x, s.Dim)
 	out, err := s.InferInto(ws)
-	out.Proba = nil // ws's, which the next reader overwrites
+	out.Proba, out.Weights = nil, slices.Clone(out.Weights) // ws's, which the next reader overwrites
 	return out, err
 }
 
@@ -137,12 +138,13 @@ func (s *Snapshot) usable() error {
 // (nn.Workspace.Stage, Dim wide): one forward pass per member, then the
 // Gaussian-kernel fusion of Eq. 12-14 — each member weighted by K(Dᵢ,σ)/ΣK,
 // Dᵢ the distance from the batch's projected mean to the member's training
-// centroid. Until the projection exists the paper trains and serves the
-// short model alone. Every byte of forward scratch, the fused distributions
-// included, is taken from ws, whose only user the caller must be: Proba stays
-// valid until ws is reset or released. ws keeps the rows staged and each
-// member's forward over them, which the training plane may train from (see
-// Ensemble.BeginBatch).
+// centroid (fuseAt). Until the projection exists the paper trains and serves
+// the short model alone. Every byte of forward scratch, the fused
+// distributions and the weights included, is taken from ws, whose only user
+// the caller must be: Proba and Weights stay valid until ws is reset or
+// released. ws keeps the rows staged, each member's forward over them, which
+// the training plane may train from, and the fused answer with the ȳ it was
+// weighed at, which it may answer with (see Ensemble.BeginBatch).
 func (s *Snapshot) InferInto(ws *nn.Workspace) (InferOutput, error) {
 	if err := s.usable(); err != nil {
 		return InferOutput{}, err
@@ -166,7 +168,7 @@ func (s *Snapshot) InferInto(ws *nn.Workspace) (InferOutput, error) {
 	var buf [4]member // the usual member count, on the stack
 	members := buf[:0]
 	for _, m := range s.Members {
-		members = append(members, member{proba: m.Model.ProbaInto(ws, xs)})
+		members = append(members, member{proba: m.Model.ProbaInto(ws, xs), centroid: m.Centroid})
 	}
 	var ybar linalg.Vector // nil for an empty batch
 	if xs.Rows > 0 {
@@ -176,22 +178,19 @@ func (s *Snapshot) InferInto(ws *nn.Workspace) (InferOutput, error) {
 			return InferOutput{}, fmt.Errorf("strategy: infer projection: %w", err)
 		}
 	}
-	for i, m := range s.Members {
-		members[i].distance = centroidDistance(ybar, m.Centroid)
-	}
-	normalizeDistances(members)
-	fused := ws.Tensor(0, 0)
-	weights, err := fuse(fused, members, s.Sigma)
+	p, weights, err := fuseAt(ws.Tensor(0, 0), ws.Tensor(1, len(members)).Data, members, ybar, s.Sigma)
 	if err != nil {
 		return InferOutput{}, fmt.Errorf("strategy: infer fusion: %w", err)
 	}
+	// The answer stays with the batch: a Process of it on this publication
+	// answers with it (Ensemble.Infer).
+	ws.KeepAnswer(p.Proba, weights, ybar)
 	kdist := -1.0
 	if s.Knowledge != nil && ybar != nil {
 		if d := s.Knowledge.NearestDistance(ybar); !math.IsInf(d, 0) && !math.IsNaN(d) {
 			kdist = d
 		}
 	}
-	p := prediction(fused)
 	return InferOutput{
 		Pred:          p.Pred,
 		Proba:         p.Proba,

@@ -287,6 +287,7 @@ func TestInferBatchConcurrentReadersMatchSerial(t *testing.T) {
 					return
 				}
 				proba := append([]float64(nil), out.Proba.Data...)
+				out.Weights = slices.Clone(out.Weights) // the workspace's, like Proba
 				ws.Release()
 				out.Proba = nil
 				answers[r] = append(answers[r], answer{snap, x, out, proba})

@@ -57,7 +57,9 @@ type Trace interface {
 	StageStart() time.Time
 	// StageDone closes a stage opened with StageStart.
 	StageDone(stage string, t0 time.Time)
-	// Weights records the fusion weights the ensemble members received.
+	// Weights records the fusion weights the ensemble members received. ws
+	// is the caller's scratch, valid only during the call: an implementation
+	// that keeps the weights keeps a copy.
 	Weights(ws []float64)
 	// WindowClosed marks that this batch's push closed the window.
 	WindowClosed()

@@ -7,6 +7,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"freewayml/internal/linalg"
 )
@@ -76,30 +77,43 @@ func (b Batch) Labeled() bool { return len(b.Y) == b.Len() && len(b.Y) > 0 }
 // Validate checks internal consistency: a non-empty rectangular feature
 // matrix and, when labels are present, one non-negative label per row.
 func (b Batch) Validate() error {
+	err, _ := b.validate(math.MaxInt)
+	return err
+}
+
+// validate is Validate, and finds on the same walk of the labels the first one
+// at or above classes: over, which ValidateShape reports after the width.
+func (b Batch) validate(classes int) (err, over error) {
 	if b.Len() == 0 {
-		return errors.New("stream: empty batch")
+		return errors.New("stream: empty batch"), nil
 	}
 	if b.Y != nil && len(b.Y) != b.Len() {
-		return errors.New("stream: label count mismatch")
+		return errors.New("stream: label count mismatch"), nil
 	}
 	if b.Slab != nil {
 		if len(b.Slab.Data) != b.Slab.Rows*b.Slab.Cols {
-			return errors.New("stream: slab shape mismatch")
+			return errors.New("stream: slab shape mismatch"), nil
 		}
 	} else {
 		w := len(b.X[0])
 		for _, row := range b.X {
 			if len(row) != w {
-				return errors.New("stream: ragged batch")
+				return errors.New("stream: ragged batch"), nil
 			}
 		}
 	}
 	for _, y := range b.Y {
+		if y >= 0 && y < classes {
+			continue
+		}
 		if y < 0 {
-			return fmt.Errorf("stream: negative label %d", y)
+			return fmt.Errorf("stream: negative label %d", y), nil
+		}
+		if over == nil {
+			over = fmt.Errorf("stream: label %d outside [0,%d)", y, classes)
 		}
 	}
-	return nil
+	return nil, over
 }
 
 // Width returns the row width (0 for an empty batch).
@@ -119,18 +133,14 @@ func (b Batch) Width() int {
 // learner, the HTTP server) should use it instead of Validate so malformed
 // input is refused before it can touch model state.
 func (b Batch) ValidateShape(dim, classes int) error {
-	if err := b.Validate(); err != nil {
+	err, over := b.validate(classes)
+	if err != nil {
 		return err
 	}
 	if w := b.Width(); w != dim {
 		return fmt.Errorf("stream: row width %d, want %d", w, dim)
 	}
-	for _, y := range b.Y {
-		if y >= classes {
-			return fmt.Errorf("stream: label %d outside [0,%d)", y, classes)
-		}
-	}
-	return nil
+	return over
 }
 
 // Source produces a finite or infinite sequence of batches.
