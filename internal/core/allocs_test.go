@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"freewayml/internal/datasets"
+	"freewayml/internal/obs"
 	"freewayml/internal/stream"
 )
 
@@ -159,5 +160,58 @@ func TestWindowCloseAllocs(t *testing.T) {
 	}
 	if perLanding > 20.7 {
 		t.Errorf("a warm Process that lands a window close allocates %.1f times, want at most 20.7", perLanding)
+	}
+}
+
+// TestObservedProcessAllocs: once warm, an observed Process allocates no more
+// than an unobserved one. The batch's record is written into a carrier the
+// learner reuses and copied into a trace of plain records whose weights
+// arena was sized when the observer was attached. At 8c545f9 an observed
+// batch allocated three times more than an unobserved one (13 against 10):
+// its collector, its stage list and its weights copy, the ring keeping the
+// last two.
+func TestObservedProcessAllocs(t *testing.T) {
+	const traceCap = 16
+	measure := func(observe bool) float64 {
+		l, _, next := warmNSLKDD(t)
+		if observe {
+			l.SetObserver(NewObserver(obs.NewRegistry(), traceCap))
+		}
+		for i := 0; i < 2*traceCap; i++ { // past a full trace
+			next()
+		}
+		return testing.AllocsPerRun(64, next)
+	}
+	plain, observed := measure(false), measure(true)
+	t.Logf("a warm Process allocates %.2f times per call, %.2f observed", plain, observed)
+	if observed > plain {
+		t.Errorf("a warm observed Process allocates %.2f times per call, an unobserved one %.2f", observed, plain)
+	}
+}
+
+// TestMissHeavyCycleAllocs pins the garbage of serve_ingest's request cycle,
+// P P P P I on one stream: four Process calls, of which only the first takes
+// the hand-off of the Infer before it, then an Infer of the next batch. This
+// tree and 8c545f9 measure 46 allocations per cycle, and so does the same
+// tree with the fusion weights of Snapshot.InferInto in storage the workspace
+// keeps instead of a one-row workspace tensor: that tensor allocates nothing
+// once the workspace is warm. The bound is that plus a tenth.
+func TestMissHeavyCycleAllocs(t *testing.T) {
+	l, batches, next := warmNSLKDD(t)
+	k := 48 // the batch next processes
+	cycle := func() {
+		for j := 0; j < 4; j++ {
+			next()
+			k++
+		}
+		if _, err := l.Infer(context.Background(), batches[k%len(batches)].X); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	allocs := testing.AllocsPerRun(64, cycle)
+	t.Logf("a warm P P P P I cycle allocates %.2f times", allocs)
+	if allocs > 50 {
+		t.Errorf("a warm P P P P I cycle allocates %.0f times, want at most 50", allocs)
 	}
 }

@@ -66,7 +66,7 @@ func (l *Learner) batchWorkspace(b stream.Batch) (ws *nn.Workspace, hit bool) {
 	if b.Slab != nil {
 		ws.StageSlab(b.Slab)
 	} else {
-		ws.Stage(b.X, l.dim)
+		_ = ws.Stage(b.X, l.dim) // every width passed ValidateShape
 	}
 	return ws, false
 }

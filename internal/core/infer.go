@@ -105,18 +105,18 @@ func (l *Learner) Infer(ctx context.Context, x [][]float64) (InferResult, error)
 	if len(x) == 0 {
 		return InferResult{}, errors.New("core: infer: empty batch")
 	}
-	for _, row := range x {
-		if len(row) != l.dim {
-			return InferResult{}, fmt.Errorf("core: infer: row has %d features, want %d", len(row), l.dim)
-		}
-	}
 	start := time.Now()
 	ws := nn.GetWorkspace()
+	// The staging checks each row's width as it copies it.
+	if err := ws.Stage(x, l.dim); err != nil {
+		ws.Release()
+		return InferResult{}, fmt.Errorf("core: infer: %w", err)
+	}
 	// The training plane's guard repairs or rejects non-finite features
 	// statefully (running feature means, health counters); the read path must
 	// stay pure, so it only rejects — on what the staging found as it copied
 	// the rows, which a Process of the same rows then takes as checked.
-	if ws.Stage(x, l.dim); !ws.Finite() {
+	if !ws.Finite() {
 		ws.Release()
 		return InferResult{}, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
 	}

@@ -45,6 +45,11 @@ func TestInferRejectsBadInput(t *testing.T) {
 	if _, err := l.Infer(context.Background(), [][]float64{{1, 2}}); err == nil {
 		t.Error("ragged row accepted")
 	}
+	// The staging names the first row of another width, before any value.
+	const want = "core: infer: row has 2 features, want 3"
+	if _, err := l.Infer(context.Background(), [][]float64{{1, math.NaN(), 0}, {1, 2}, {1}}); err == nil || err.Error() != want {
+		t.Errorf("ragged second row: err = %v, want %q", err, want)
+	}
 	if _, err := l.Infer(context.Background(), nil); err == nil {
 		t.Error("empty batch accepted")
 	}

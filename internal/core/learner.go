@@ -69,8 +69,10 @@ type Learner struct {
 	guard *guard.Guard
 
 	// obs is the optional observability layer (nil disables all
-	// instrumentation; every hook is nil-safe).
+	// instrumentation; every hook is nil-safe), and bo the carrier of the
+	// batch it is observing, reused by every Process call.
 	obs *Observer
+	bo  batchObs
 
 	preq   metrics.Prequential
 	batch  int
@@ -188,8 +190,15 @@ func NewLearner(cfg Config, dim, classes int) (*Learner, error) {
 }
 
 // SetObserver attaches the observability layer (nil disables it). Attach
-// before the first Process call; the observer is read without locking.
-func (l *Learner) SetObserver(o *Observer) { l.obs = o }
+// before the first Process call; the observer is read without locking. It
+// sizes the trace's weight arena for the fusion's members: the ModelNum-1
+// granularity models with either the long model or a restored match.
+func (l *Learner) SetObserver(o *Observer) {
+	l.obs = o
+	if o != nil {
+		o.trace.reserve(l.cfg.ModelNum)
+	}
+}
 
 // Observer returns the attached observability layer (nil when disabled).
 func (l *Learner) Observer() *Observer { return l.obs }
@@ -257,7 +266,7 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 		l.health.mu.Lock()
 		l.health.rejectedBatches++
 		l.health.mu.Unlock()
-		bo.finishRejected(l)
+		bo.finishRejected()
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
 	if rep.Total() > 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"freewayml/internal/cluster"
@@ -13,24 +12,25 @@ import (
 )
 
 // Observer instruments a Learner: it maintains Prometheus-style series in an
-// obs.Registry and records one structured TraceEvent per processed batch in
-// a bounded ring. Every series handle is resolved once at construction so
-// the per-batch cost is atomic increments, not registry lookups. A nil
-// *Observer is valid and disables all instrumentation.
+// obs.Registry and records one decision record per processed batch in a
+// bounded trace (DecisionTrace), which renders them as obs.TraceEvents. Every
+// series handle is resolved once at construction so the per-batch cost is
+// atomic increments, not registry lookups. A nil *Observer is valid and
+// disables all instrumentation.
 //
 // An observer may carry base labels (e.g. stream="orders") appended to every
 // series it registers, so many learners can share one registry — the
 // multi-stream session layer labels each session's observer with its stream
 // id.
 type Observer struct {
-	reg  *obs.Registry
-	ring *obs.Ring[obs.TraceEvent]
-	base []string // base label key/value pairs appended to every series
+	reg   *obs.Registry
+	trace *DecisionTrace
+	base  []string // base label key/value pairs appended to every series
 
 	batches    *obs.Counter
 	samples    *obs.Counter
 	processSec *obs.Histogram
-	stage      map[string]*obs.Histogram
+	stage      []*obs.Histogram // by index in strategy.StageNames
 	pattern    map[string]*obs.Counter
 	strategy   map[string]*obs.Counter
 
@@ -80,7 +80,7 @@ type Observer struct {
 }
 
 // NewObserver builds an observer registering into reg (nil selects
-// obs.Default) with a trace ring of traceCap events (<=0 selects 1024).
+// obs.Default) with a decision trace of traceCap records (<=0 selects 1024).
 func NewObserver(reg *obs.Registry, traceCap int) *Observer {
 	return NewObserverLabeled(reg, traceCap)
 }
@@ -96,14 +96,13 @@ func NewObserverLabeled(reg *obs.Registry, traceCap int, baseLabels ...string) *
 		traceCap = 1024
 	}
 	o := &Observer{
-		reg:  reg,
-		ring: obs.NewRing[obs.TraceEvent](traceCap),
-		base: baseLabels,
+		reg:   reg,
+		trace: newDecisionTrace(traceCap),
+		base:  baseLabels,
 	}
 	o.batches = reg.Counter("freeway_batches_total", "Batches processed by the learner.", o.lbl()...)
 	o.samples = reg.Counter("freeway_samples_total", "Samples processed by the learner.", o.lbl()...)
 	o.processSec = reg.Histogram("freeway_process_seconds", "End-to-end Process latency per batch.", nil, o.lbl()...)
-	o.stage = map[string]*obs.Histogram{}
 	o.pattern = map[string]*obs.Counter{}
 	o.strategy = map[string]*obs.Counter{}
 
@@ -143,7 +142,7 @@ func NewObserverLabeled(reg *obs.Registry, traceCap int, baseLabels ...string) *
 	o.gWeight = map[string]*obs.Gauge{}
 
 	for _, s := range strategy.StageNames {
-		o.stage[s] = reg.Histogram("freeway_stage_seconds", "Per-stage latency within Process.", nil, o.lbl("stage", s)...)
+		o.stage = append(o.stage, reg.Histogram("freeway_stage_seconds", "Per-stage latency within Process.", nil, o.lbl("stage", s)...))
 	}
 	for _, p := range []shift.Pattern{shift.PatternWarmup, shift.PatternA, shift.PatternA1, shift.PatternA2, shift.PatternB, shift.PatternC} {
 		o.pattern[p.Label()] = reg.Counter("freeway_pattern_total", "Batches per detected shift pattern (A1/A2 slight, B sudden, C reoccurring).", o.lbl("pattern", p.Label())...)
@@ -168,8 +167,8 @@ func (o *Observer) lbl(kv ...string) []string {
 	return append(out, o.base...)
 }
 
-// Trace returns the bounded decision-trace ring.
-func (o *Observer) Trace() *obs.Ring[obs.TraceEvent] { return o.ring }
+// Trace returns the bounded decision trace.
+func (o *Observer) Trace() *DecisionTrace { return o.trace }
 
 // InferObserved records one inference-plane request: the rows served, the
 // request latency, and the age/batch of the snapshot that answered. Called
@@ -200,8 +199,9 @@ func (o *Observer) recordDivergence(rolledBack bool) {
 	}
 }
 
-// begin opens the per-batch collector. Returns nil (disabling every
-// downstream hook) when the observer itself is nil.
+// begin opens the batch's record in the learner's carrier, l.bo, which
+// every batch reuses. Returns nil (disabling every downstream hook) when the
+// observer itself is nil.
 func (o *Observer) begin(l *Learner) *batchObs {
 	if o == nil {
 		return nil
@@ -209,27 +209,25 @@ func (o *Observer) begin(l *Learner) *batchObs {
 	l.health.mu.Lock()
 	div := l.health.divergences
 	l.health.mu.Unlock()
-	return &batchObs{
-		o:     o,
-		start: time.Now(),
-		ev: obs.TraceEvent{
-			Batch:             l.batch,
-			NearestHistory:    -1,
-			KnowledgeDistance: -1,
-			Accuracy:          -1,
-			Stages:            make([]obs.StageTiming, 0, len(strategy.StageNames)),
-		},
-		divergences0: div,
-	}
+	bo := &l.bo
+	bo.o, bo.start, bo.divergences0 = o, time.Now(), div
+	bo.rec = newTraceRecord(l.batch)
+	bo.weights, bo.traceID = bo.weights[:0], ""
+	return bo
 }
 
-// batchObs accumulates one batch's decision trace. Every method is nil-safe
-// so the learner's hot path needs no explicit guards; a nil *batchObs also
+// batchObs carries one batch's decision record while Process runs: the
+// hooks write into it and finish copies it into the trace, so observing a
+// batch allocates nothing. A learner owns one and reuses it for every batch
+// (Process runs on one goroutine at a time). Every method is nil-safe so the
+// learner's hot path needs no explicit guards; a nil *batchObs also
 // satisfies strategy.Trace, so the mechanisms call hooks unconditionally.
 type batchObs struct {
 	o            *Observer
 	start        time.Time
-	ev           obs.TraceEvent
+	rec          traceRecord
+	weights      []float64 // the fusion weights, storage reused batch to batch
+	traceID      string
 	divergences0 int
 }
 
@@ -246,25 +244,22 @@ func (bo *batchObs) StageStart() time.Time {
 }
 
 // StageDone closes a stage opened with StageStart: it appends the timing to
-// the event and observes the stage histogram.
+// the record and observes the stage histogram.
 func (bo *batchObs) StageDone(name string, t0 time.Time) {
 	if bo == nil {
 		return
 	}
 	d := time.Since(t0)
-	bo.ev.Stages = append(bo.ev.Stages, obs.StageTiming{Stage: name, Micros: float64(d) / float64(time.Microsecond)})
-	if h := bo.o.stage[name]; h != nil {
-		h.Observe(d.Seconds())
-	}
+	bo.o.stage[bo.rec.addStage(name, d)].Observe(d.Seconds())
 }
 
-// trace joins the batch's request-scoped trace context to the event, so
+// trace joins the batch's request-scoped trace context to the record, so
 // one trace id links router span → worker span → this decision record.
 func (bo *batchObs) trace(id string) {
 	if bo == nil {
 		return
 	}
-	bo.ev.TraceID = id
+	bo.traceID = id
 }
 
 // handoff records whether the Process call took a parked Infer's forwards.
@@ -272,7 +267,9 @@ func (bo *batchObs) handoff(hit bool) {
 	if bo == nil {
 		return
 	}
-	bo.ev.ForwardHandoff = hit
+	if hit {
+		bo.rec.flags |= flagForwardHandoff
+	}
 }
 
 // sanitized records repaired feature values.
@@ -280,18 +277,18 @@ func (bo *batchObs) sanitized(n int) {
 	if bo == nil {
 		return
 	}
-	bo.ev.GuardSanitized = n
+	bo.rec.guardSanitized = n
 }
 
 // Weights records the fusion weights (first member = knowledge-restored
 // model under knowledge reuse, else the short model; last = long model for
-// the plain ensemble). The event keeps its own copy: ws is scratch that the
+// the plain ensemble). The carrier keeps its own copy: ws is scratch that the
 // next batch, or the next reader of a workspace, overwrites.
 func (bo *batchObs) Weights(ws []float64) {
 	if bo == nil {
 		return
 	}
-	bo.ev.EnsembleWeights = slices.Clone(ws)
+	bo.weights = append(bo.weights[:0], ws...)
 }
 
 // cec records the clustering evidence behind a CEC consultation.
@@ -299,11 +296,11 @@ func (bo *batchObs) cec(st cluster.CECStats) {
 	if bo == nil {
 		return
 	}
-	bo.ev.CECClusters = st.K
-	bo.ev.CECIterations = st.Iterations
-	bo.ev.CECExperience = st.ExperiencePoints
-	bo.ev.CECAgreement = st.Agreement
-	bo.ev.CECDeployedAgreement = st.DeployedAgreement
+	bo.rec.cecClusters = st.K
+	bo.rec.cecIterations = st.Iterations
+	bo.rec.cecExperience = st.ExperiencePoints
+	bo.rec.cecAgreement = st.Agreement
+	bo.rec.cecDeployedAgreement = st.DeployedAgreement
 }
 
 // knowledge records a knowledge-store lookup: hit means the dispatch table
@@ -313,10 +310,12 @@ func (bo *batchObs) knowledge(hit bool, dist float64) {
 	if bo == nil {
 		return
 	}
-	bo.ev.KnowledgeChecked = true
-	bo.ev.KnowledgeHit = hit
+	bo.rec.flags |= flagKnowledgeChecked
+	if hit {
+		bo.rec.flags |= flagKnowledgeHit
+	}
 	if !math.IsInf(dist, 0) && !math.IsNaN(dist) {
-		bo.ev.KnowledgeDistance = dist
+		bo.rec.knowledgeDistance = dist
 	}
 }
 
@@ -325,26 +324,34 @@ func (bo *batchObs) WindowClosed() {
 	if bo == nil {
 		return
 	}
-	bo.ev.WindowClosed = true
+	bo.rec.flags |= flagWindowClosed
 }
 
-// finishRejected emits the trace for a guard-rejected batch: nothing ran,
-// so the event carries only the verdict.
-func (bo *batchObs) finishRejected(l *Learner) {
+// finishRejected records a guard-rejected batch: nothing ran, so the record
+// carries only the verdict.
+func (bo *batchObs) finishRejected() {
 	if bo == nil {
 		return
 	}
 	bo.o.guardRejected.Inc()
-	bo.ev.Pattern = "rejected"
-	bo.ev.GuardRejected = true
+	bo.rec.flags |= flagGuardRejected
 	bo.StageDone(strategy.StageGuard, bo.start)
-	bo.o.ring.Add(bo.ev)
+	bo.record()
+}
+
+// record copies the carrier into the trace.
+func (bo *batchObs) record() {
+	id := bo.traceID
+	if bo.rec.setTraceID(id) {
+		id = ""
+	}
+	bo.o.trace.add(&bo.rec, bo.weights, id)
 	bo.o.mirrorDropped()
 }
 
-// finish completes the batch: fills the event from the result, updates
-// every counter and gauge, and appends the event to the trace ring. Runs on
-// the Process goroutine.
+// finish completes the batch: fills the record from the result, updates
+// every counter and gauge, and adds the record to the trace. Runs on the
+// Process goroutine.
 func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	if bo == nil {
 		return
@@ -352,24 +359,21 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	o := bo.o
 	ob := res.Observation
 
-	bo.ev.Pattern = ob.Pattern.String()
-	if res.SubPattern != ob.Pattern {
-		bo.ev.SubPattern = res.SubPattern.String()
-	}
-	bo.ev.Strategy = res.Strategy.String()
-	bo.ev.ShiftDistance = ob.Distance
-	bo.ev.Severity = ob.Severity
-	bo.ev.HistoryMean = ob.HistoryMean
+	r := &bo.rec
+	r.pattern, r.subPattern, r.strategy = uint8(ob.Pattern), uint8(res.SubPattern), uint8(res.Strategy)
+	r.shiftDistance = ob.Distance
+	r.severity = ob.Severity
+	r.historyMean = ob.HistoryMean
 	if !math.IsInf(ob.NearestHistory, 0) && !math.IsNaN(ob.NearestHistory) {
-		bo.ev.NearestHistory = ob.NearestHistory
+		r.nearestHistory = ob.NearestHistory
 	}
-	bo.ev.Disorder = l.ens.Disorder()
-	bo.ev.WindowBatches = l.ens.WindowLen()
-	bo.ev.WindowItems = l.ens.WindowItems()
-	bo.ev.Accuracy = res.Accuracy
+	r.disorder = l.ens.Disorder()
+	r.windowBatches = l.ens.WindowLen()
+	r.windowItems = l.ens.WindowItems()
+	r.accuracy = res.Accuracy
 
 	l.health.mu.Lock()
-	bo.ev.Divergences = l.health.divergences - bo.divergences0
+	r.divergences = l.health.divergences - bo.divergences0
 	l.health.mu.Unlock()
 
 	// Counters.
@@ -381,26 +385,27 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	} else {
 		o.reg.Counter("freeway_pattern_total", "", o.lbl("pattern", label)...).Inc()
 	}
-	if c := o.strategy[bo.ev.Strategy]; c != nil {
+	st := res.Strategy.String()
+	if c := o.strategy[st]; c != nil {
 		c.Inc()
 	} else {
-		o.reg.Counter("freeway_strategy_total", "", o.lbl("strategy", bo.ev.Strategy)...).Inc()
+		o.reg.Counter("freeway_strategy_total", "", o.lbl("strategy", st)...).Inc()
 	}
-	if bo.ev.GuardSanitized > 0 {
-		o.guardValues.Add(int64(bo.ev.GuardSanitized))
+	if r.guardSanitized > 0 {
+		o.guardValues.Add(int64(r.guardSanitized))
 		o.guardBatches.Inc()
 	}
-	if bo.ev.KnowledgeChecked {
-		if bo.ev.KnowledgeHit {
+	if r.flags&flagKnowledgeChecked != 0 {
+		if r.flags&flagKnowledgeHit != 0 {
 			o.kHits.Inc()
 		} else {
 			o.kMisses.Inc()
 		}
 	}
-	if bo.ev.WindowClosed {
+	if r.flags&flagWindowClosed != 0 {
 		o.winCloses.Inc()
 	}
-	if bo.ev.ForwardHandoff {
+	if r.flags&flagForwardHandoff != 0 {
 		o.handoffHit.Inc()
 	} else {
 		o.handoffMiss.Inc()
@@ -422,16 +427,16 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	}
 
 	// Gauges.
-	o.gWinBatches.Set(float64(bo.ev.WindowBatches))
-	o.gWinItems.Set(float64(bo.ev.WindowItems))
-	o.gDisorder.Set(bo.ev.Disorder)
+	o.gWinBatches.Set(float64(r.windowBatches))
+	o.gWinItems.Set(float64(r.windowItems))
+	o.gDisorder.Set(r.disorder)
 	o.gKEntries.Set(float64(l.kdg.Len()))
 	o.gKBytes.Set(float64(l.kdg.MemoryBytes()))
 	o.gKSpilled.Set(float64(l.kdg.SpilledCount()))
 	if res.Accuracy >= 0 {
 		o.gAccuracy.Set(res.Accuracy)
 	}
-	if ws := bo.ev.EnsembleWeights; len(ws) > 0 {
+	if ws := bo.weights; len(ws) > 0 {
 		switch res.Strategy {
 		case StrategyKnowledge:
 			o.gWeight["knowledge"].Set(ws[0])
@@ -446,15 +451,14 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	}
 
 	o.processSec.Observe(time.Since(bo.start).Seconds())
-	o.ring.Add(bo.ev)
-	o.mirrorDropped()
+	bo.record()
 }
 
-// mirrorDropped exports the trace ring's eviction count as a monotone
+// mirrorDropped exports the trace's eviction count as a monotone
 // counter (delta-mirrored like the mechanism-package counters above, and
 // likewise only touched from the Process goroutine).
 func (o *Observer) mirrorDropped() {
-	if d := o.ring.Dropped(); d > o.lastDropped {
+	if d := o.trace.Dropped(); d > o.lastDropped {
 		o.traceDropped.Add(d - o.lastDropped)
 		o.lastDropped = d
 	}

@@ -72,21 +72,35 @@ func (t *Tensor) Zero() {
 }
 
 // FromRows reshapes t to len(rows)×cols and copies the rows in. All rows must
-// have length cols. cols disambiguates the width of an empty batch. It reports
+// have length cols; a row of another length panics (CopyRows reports it
+// instead). cols disambiguates the width of an empty batch. It reports
 // whether every value was finite — no NaN, no ±Inf: one walk of the rows
 // copies and checks them, where a copy and a scan of t would read the batch
 // twice.
 func (t *Tensor) FromRows(rows [][]float64, cols int) (finite bool) {
-	*t = *EnsureTensor(t, len(rows), cols)
-	finite, ok := copyRows(t.Data, rows, cols)
-	if !ok {
-		for i, r := range rows {
-			if len(r) != cols {
-				panic(fmt.Sprintf("linalg: FromRows row %d has %d elements, want %d", i, len(r), cols))
-			}
-		}
+	finite, bad := t.CopyRows(rows, cols)
+	if bad >= 0 {
+		panic(fmt.Sprintf("linalg: FromRows row %d has %d elements, want %d", bad, len(rows[bad]), cols))
 	}
 	return finite
+}
+
+// CopyRows is FromRows for rows whose widths nobody checked: the same walk
+// checks each width as it copies, and bad is the index of the first row that
+// is not cols long (-1 when none is), after which t's contents are
+// unspecified.
+func (t *Tensor) CopyRows(rows [][]float64, cols int) (finite bool, bad int) {
+	*t = *EnsureTensor(t, len(rows), cols)
+	finite, ok := copyRows(t.Data, rows, cols)
+	if ok {
+		return finite, -1
+	}
+	for i, r := range rows {
+		if len(r) != cols {
+			return false, i
+		}
+	}
+	panic("linalg: copyRows refused rows of the right widths")
 }
 
 // SameRows reports whether t holds exactly rows, bit for bit: as many rows,

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -65,11 +66,16 @@ func (w *Workspace) Tensor(rows, cols int) *linalg.Tensor {
 
 // Stage copies the rows, each dim wide, into a tensor of the workspace and
 // keeps it as the batch: Staged returns it, and Forward runs over it. The copy
-// checks every value as it goes (Finite).
-func (w *Workspace) Stage(x [][]float64, dim int) *linalg.Tensor {
-	t := w.stage(len(x), dim)
-	w.finite = t.FromRows(x, dim)
-	return t
+// checks every value as it goes (Finite), and every width: a row of another
+// width is an error, and the workspace then holds no batch.
+func (w *Workspace) Stage(x [][]float64, dim int) error {
+	finite, bad := w.stage(len(x), dim).CopyRows(x, dim)
+	if bad >= 0 {
+		w.x = nil
+		return fmt.Errorf("row has %d features, want %d", len(x[bad]), dim)
+	}
+	w.finite = finite
+	return nil
 }
 
 // StageSlab is Stage for a batch that is already one row-major slab: one

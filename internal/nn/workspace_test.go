@@ -17,7 +17,10 @@ func TestWorkspaceStagingAndExchange(t *testing.T) {
 	var slab linalg.Tensor
 	slab.FromRows(rows, 2)
 	var a, b Workspace
-	xa, xb := a.Stage(rows, 2), b.StageSlab(&slab)
+	if err := a.Stage(rows, 2); err != nil {
+		t.Fatal(err)
+	}
+	xa, xb := a.Staged(), b.StageSlab(&slab)
 	for i := range xa.Data {
 		if math.Float64bits(xa.Data[i]) != math.Float64bits(xb.Data[i]) {
 			t.Fatalf("value %d: Stage %v, StageSlab %v", i, xa.Data[i], xb.Data[i])

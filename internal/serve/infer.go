@@ -7,12 +7,8 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math"
 	"net/http"
 
-	"freewayml/internal/guard"
 	"freewayml/internal/obs"
 )
 
@@ -45,8 +41,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, id string) 
 		s.writeError(w, http.StatusBadRequest, "infer is label-less: submit labeled batches to /process")
 		return
 	}
-	if err := validateInferRows(f.X, s.dim, s.classes); err != nil {
-		s.writeError(w, inferValidationStatus(err), err.Error())
+	// A malformed shape is a 400 here; a non-finite value is refused by the
+	// learner's staging, which checks every value as it copies it, with
+	// guard.ErrRejected: a 422 (errStatus).
+	if err := validateRows(f.X, nil, s.dim, s.classes); err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rec := s.beginInferSpan(id, proto, r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
@@ -78,32 +77,4 @@ func (s *Server) beginInferSpan(streamID, proto, headerTP, frameTP string, rows 
 	rec := s.beginSpan(streamID, proto, headerTP, frameTP, rows)
 	rec.span.Name = "worker.infer"
 	return rec
-}
-
-// validateInferRows applies the shared shape contract plus the inference
-// plane's purity requirement: non-finite features are rejected outright
-// (the training plane's guard can repair them statefully; the lock-free
-// read path cannot).
-func validateInferRows(x [][]float64, dim, classes int) error {
-	if err := validateRows(x, nil, dim, classes); err != nil {
-		return err
-	}
-	for _, row := range x {
-		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("non-finite feature value: %w", guard.ErrRejected)
-			}
-		}
-	}
-	return nil
-}
-
-// inferValidationStatus maps a validation failure to its HTTP status:
-// guard-rejected input is 422 (well-formed but unprocessable), anything
-// else is a plain 400.
-func inferValidationStatus(err error) int {
-	if errors.Is(err, guard.ErrRejected) {
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusBadRequest
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -357,5 +358,62 @@ func TestDriftScheduleObservability(t *testing.T) {
 		if !families[f] {
 			t.Errorf("trace never shows a %s-family pattern (saw %v)", f, families)
 		}
+	}
+}
+
+// TestTraceReadersBesideProcess: /v1/trace readers render a stream's trace
+// while its batches are processed and its ring wraps; under -race every
+// render is ordered against every add.
+func TestTraceReadersBesideProcess(t *testing.T) {
+	_, ts := testServerOpts(t, WithTraceCap(8))
+	rng := rand.New(rand.NewSource(11))
+	bodies := make([][]byte, 40)
+	for i := range bodies {
+		b, err := json.Marshal(batchReq(rng, 32, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = b
+	}
+	done := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/v1/trace")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				var ev obs.TraceEvent
+				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil || ev.Strategy == "" || len(ev.TraceID) != 32 {
+					t.Errorf("trace line %s (%v)", sc.Bytes(), err)
+				}
+			}
+			resp.Body.Close()
+		}
+	}()
+	for _, b := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/process", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("process status %d", resp.StatusCode)
+		}
+	}
+	close(done)
+	<-read
+	if lines := traceLines(t, ts.URL); len(lines) != 8 {
+		t.Errorf("trace holds %d events, want 8", len(lines))
 	}
 }

@@ -110,14 +110,11 @@ func (s *Snapshot) InferBatch(x [][]float64) (InferOutput, error) {
 	if err := s.usable(); err != nil {
 		return InferOutput{}, err
 	}
-	for _, row := range x {
-		if len(row) != s.Dim {
-			return InferOutput{}, fmt.Errorf("strategy: row has %d features, want %d", len(row), s.Dim)
-		}
-	}
 	ws := nn.GetWorkspace()
 	defer ws.Release()
-	ws.Stage(x, s.Dim)
+	if err := ws.Stage(x, s.Dim); err != nil {
+		return InferOutput{}, fmt.Errorf("strategy: %w", err)
+	}
 	out, err := s.InferInto(ws)
 	out.Proba, out.Weights = nil, slices.Clone(out.Weights) // ws's, which the next reader overwrites
 	return out, err
