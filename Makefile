@@ -97,16 +97,18 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeJSON -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 
-# Every benchmark body of the kernel, network, window, cluster, session and
-# shift packages, once (BenchmarkObserveMean: the detector at a full
-# 512-centroid history), and the learn_drift profile's (BenchmarkLearnDrift): the
-# before/after tables of a kernel change are these benchmarks (BenchmarkGemmForward
-# runs the class head's products as the layers issue them), and the profile a
-# change to the training plane is sized on is BenchmarkLearnDrift's, so a body
-# that no longer builds or panics fails here, not in the next change that needs it.
+# Every benchmark body of the kernel, network, window, cluster, session, shift,
+# wire, model and baselines packages, once (BenchmarkObserveMean: the detector at
+# a full 512-centroid history), the learn_drift profile's (BenchmarkLearnDrift)
+# and the observer's cost pair (BenchmarkLearner{Un,}Instrumented, DESIGN.md's
+# "Instrumentation cost"): the before/after tables of a kernel or decoder change
+# are these benchmarks (BenchmarkGemmForward runs the class head's products as
+# the layers issue them), and the profile a change to the training plane is sized
+# on is BenchmarkLearnDrift's, so a body that no longer builds or panics fails
+# here, not in the next change that needs it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn ./internal/window ./internal/cluster ./internal/session ./internal/shift
-	$(GO) test -run '^$$' -bench LearnDrift -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn ./internal/window ./internal/cluster ./internal/session ./internal/shift ./internal/wire ./internal/model ./internal/baselines
+	$(GO) test -run '^$$' -bench 'LearnDrift|Learner(Uni|I)nstrumented' -benchtime 1x ./internal/core
 
 # The GEMM kernels are bounds-checked Go wrappers around assembly bodies (and
 # the Go loops that are their tail and fallback) whose bitwise contract is

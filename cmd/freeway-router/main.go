@@ -16,9 +16,8 @@
 // The router exposes /v1/healthz and /v1/readyz (ready = at least one
 // healthy worker), /v1/metrics with its own series (retries, ejections,
 // rejoins, migrations, per-worker breaker state and latency), /v1/cluster
-// with the topology, and a merged /v1/streams listing. Every stream route
-// (/v1/streams/{id}/* and the legacy single-stream aliases) is forwarded to
-// the owning worker.
+// with the topology, and a merged /v1/streams listing. Every stream route,
+// /v1/streams/{id}/*, is forwarded to the worker owning {id}.
 //
 // Tracing: every request carries a W3C traceparent (accepted from the client
 // or minted here), each forward attempt records a span, and the response

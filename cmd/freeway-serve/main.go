@@ -8,32 +8,29 @@
 //	curl -s localhost:8080/v1/streams/orders/stats
 //	curl -s localhost:8080/v1/streams
 //
-// The single-stream endpoints (/v1/process, /v1/stats, /v1/trace) remain as
-// aliases for the stream named "default". Sessions are created on first
-// use, bounded by -max-sessions (LRU eviction), and expired by
-// -session-ttl; -checkpoint-dir persists one snapshot per stream, restored
-// when its id reappears.
+// Sessions are created on first use, bounded by -max-sessions (LRU
+// eviction), and expired by -session-ttl. -checkpoint-dir persists one
+// crash-safe snapshot per stream, every -checkpoint-every batches and on
+// eviction and shutdown, and restores it when the id reappears — after a
+// restart too, on the stream's first request.
 //
 // The server is hardened for long-lived deployments: request bodies are
-// capped, read/write timeouts bound slow clients, SIGINT/SIGTERM drain
-// in-flight requests before exit, and -checkpoint enables crash-safe
-// periodic snapshots of the default stream that are restored automatically
-// on restart.
+// capped, read/write timeouts bound slow clients, and SIGINT/SIGTERM drain
+// in-flight requests and write the final checkpoints before exit.
 //
 // High-throughput ingest: POSTing with Content-Type
 // application/x-freeway-batch to the process and infer endpoints sends the
 // binary frame format (internal/wire) instead of JSON.
 //
-// Observability: /v1/metrics serves Prometheus text exposition, /v1/trace
-// serves the per-batch decision trace as JSONL (ring capacity set by
-// -trace-cap), and -pprof mounts net/http/pprof under /debug/pprof/. The
-// actual bound address is printed on startup, so -addr 127.0.0.1:0 works
-// for harnesses that need an ephemeral port.
+// Observability: /v1/metrics serves Prometheus text exposition,
+// /v1/streams/{id}/trace serves a stream's per-batch decision trace as JSONL
+// (ring capacity set by -trace-cap), and -pprof mounts net/http/pprof under
+// /debug/pprof/. The actual bound address is printed on startup, so -addr
+// 127.0.0.1:0 works for harnesses that need an ephemeral port.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -58,18 +55,17 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		guardPol  = flag.String("guard", "reject", "non-finite input policy: reject | clamp | impute")
 		maxBody   = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "request body cap in bytes")
-		ckptPath  = flag.String("checkpoint", "", "default-stream checkpoint file path (enables crash-safe snapshots)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-stream checkpoints (one <id>.ckpt per stream, restored on reappearance)")
 		ckptEvery = flag.Int("checkpoint-every", 64, "batches between periodic checkpoints")
 		maxSess   = flag.Int("max-sessions", 0, "resident stream bound; exceeding it evicts the least-recently-used (0 keeps the default of 64)")
 		sessTTL   = flag.Duration("session-ttl", 0, "evict streams idle longer than this (0 disables TTL eviction)")
 		warmup    = flag.Int("warmup", 0, "override the shift detector's warmup points (0 keeps the default)")
-		traceCap  = flag.Int("trace-cap", 0, "decision-trace ring capacity for /v1/trace (0 keeps the default of 1024)")
+		traceCap  = flag.Int("trace-cap", 0, "per-stream decision-trace ring capacity (0 keeps the default of 1024)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
 	opts := serveOptions{
-		maxBody: *maxBody, ckptPath: *ckptPath, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
+		maxBody: *maxBody, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 		maxSessions: *maxSess, sessionTTL: *sessTTL,
 		warmup: *warmup, traceCap: *traceCap, pprof: *pprofOn,
 	}
@@ -81,7 +77,6 @@ func main() {
 // serveOptions bundles the serving knobs main parses from flags.
 type serveOptions struct {
 	maxBody     int64
-	ckptPath    string
 	ckptDir     string
 	ckptEvery   int
 	maxSessions int
@@ -113,29 +108,12 @@ func run(addr string, dim, classes int, family string, seed int64, guardPol stri
 	if o.pprof {
 		opts = append(opts, serve.WithPprof())
 	}
-	if o.ckptPath != "" {
-		opts = append(opts, serve.WithCheckpoint(o.ckptPath, o.ckptEvery))
-	}
 	if o.ckptDir != "" {
 		opts = append(opts, serve.WithCheckpointDir(o.ckptDir, o.ckptEvery))
 	}
 	srv, err := serve.New(cfg, dim, classes, opts...)
 	if err != nil {
 		return err
-	}
-
-	if o.ckptPath != "" {
-		switch err := srv.LoadCheckpointFile(o.ckptPath); {
-		case err == nil:
-			fmt.Printf("freeway-serve: resumed from checkpoint %s\n", o.ckptPath)
-		case errors.Is(err, os.ErrNotExist):
-			// First run: nothing to resume.
-		default:
-			// A corrupt or mismatched checkpoint must not silently start a
-			// cold model that will overwrite it at the next snapshot.
-			srv.Close()
-			return fmt.Errorf("resume from %s: %w", o.ckptPath, err)
-		}
 	}
 
 	httpSrv := &http.Server{

@@ -1,9 +1,12 @@
 package core
 
-// recordRecovery folds one watchdog event into the health counters and the
-// bounded event log.
+// recordRecovery folds one watchdog event into the health counters, the
+// bounded event log and the observed batch's record. The watchdog checks
+// inside Train, so it runs on the Process goroutine between the record's
+// begin and finish.
 func (l *Learner) recordRecovery(ev RecoveryEvent) {
 	l.obs.recordDivergence(ev.RolledBack)
+	l.bo.rec.divergences++
 	l.health.mu.Lock()
 	defer l.health.mu.Unlock()
 	l.health.divergences++

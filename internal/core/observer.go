@@ -130,7 +130,7 @@ func NewObserverLabeled(reg *obs.Registry, traceCap int, baseLabels ...string) *
 
 	o.winCloses = reg.Counter("freeway_window_closes_total", "Adaptive-window closes (long-model update triggers).", o.lbl()...)
 	o.winEvictions = reg.Counter("freeway_window_evictions_total", "Window batches evicted by decay-weight expiry.", o.lbl()...)
-	o.traceDropped = reg.Counter("freeway_trace_dropped_total", "Decision-trace events evicted from the bounded /v1/trace ring.", o.lbl()...)
+	o.traceDropped = reg.Counter("freeway_trace_dropped_total", "Decision-trace events evicted from the bounded trace ring.", o.lbl()...)
 
 	o.gWinBatches = reg.Gauge("freeway_window_batches", "Batches currently held by the adaptive streaming window.", o.lbl()...)
 	o.gWinItems = reg.Gauge("freeway_window_items", "Samples currently held by the adaptive streaming window.", o.lbl()...)
@@ -206,11 +206,8 @@ func (o *Observer) begin(l *Learner) *batchObs {
 	if o == nil {
 		return nil
 	}
-	l.health.mu.Lock()
-	div := l.health.divergences
-	l.health.mu.Unlock()
 	bo := &l.bo
-	bo.o, bo.start, bo.divergences0 = o, time.Now(), div
+	bo.o, bo.start = o, time.Now()
 	bo.rec = newTraceRecord(l.batch)
 	bo.weights, bo.traceID = bo.weights[:0], ""
 	return bo
@@ -223,12 +220,11 @@ func (o *Observer) begin(l *Learner) *batchObs {
 // learner's hot path needs no explicit guards; a nil *batchObs also
 // satisfies strategy.Trace, so the mechanisms call hooks unconditionally.
 type batchObs struct {
-	o            *Observer
-	start        time.Time
-	rec          traceRecord
-	weights      []float64 // the fusion weights, storage reused batch to batch
-	traceID      string
-	divergences0 int
+	o       *Observer
+	start   time.Time
+	rec     traceRecord
+	weights []float64 // the fusion weights, storage reused batch to batch
+	traceID string
 }
 
 // compile-time check: the per-batch collector is the strategies' trace.
@@ -371,10 +367,6 @@ func (bo *batchObs) finish(l *Learner, res *Result, samples int) {
 	r.windowBatches = l.ens.WindowLen()
 	r.windowItems = l.ens.WindowItems()
 	r.accuracy = res.Accuracy
-
-	l.health.mu.Lock()
-	r.divergences = l.health.divergences - bo.divergences0
-	l.health.mu.Unlock()
 
 	// Counters.
 	o.batches.Inc()

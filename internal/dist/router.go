@@ -298,12 +298,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		id, _, _ := strings.Cut(rest, "/")
 		rt.forward(w, r, id)
 	})
-	// Legacy single-stream aliases route to the worker owning "default".
-	for _, p := range []string{"/v1/process", "/v1/stats", "/v1/trace"} {
-		rt.mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
-			rt.forward(w, r, "default")
-		})
-	}
 	return rt, nil
 }
 

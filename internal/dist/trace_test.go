@@ -308,10 +308,10 @@ func TestForwardUntracedWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestRingEndpointsRejectBadN: the two ring endpoints (a worker's /v1/trace
-// and /v1/spans) read ?n= through one parser. A negative or non-numeric n is
-// a 400 with the JSON error envelope, counted in http_rejects; a valid n is
-// served.
+// TestRingEndpointsRejectBadN: the two ring endpoints (a worker's
+// /v1/streams/{id}/trace and /v1/spans) read ?n= through one parser. A
+// negative or non-numeric n is a 400 with the JSON error envelope, counted in
+// http_rejects; a valid n is served.
 func TestRingEndpointsRejectBadN(t *testing.T) {
 	w := newTestWorker(t, t.TempDir())
 	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
@@ -319,14 +319,19 @@ func TestRingEndpointsRejectBadN(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		return rec
 	}
+	seed := httptest.NewRecorder()
+	w.srv.ServeHTTP(seed, httptest.NewRequest(http.MethodPost, "/v1/streams/s0/process", strings.NewReader(`{"x":[[0,0,0]],"y":[0]}`)))
+	if seed.Code != http.StatusOK {
+		t.Fatalf("seed batch: status %d: %s", seed.Code, seed.Body.String())
+	}
 	workerRejects := func() int64 {
 		var st serve.StatsResponse
-		if err := json.Unmarshal(get(w.srv, "/v1/stats").Body.Bytes(), &st); err != nil {
+		if err := json.Unmarshal(get(w.srv, "/v1/streams/s0/stats").Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}
 		return st.HTTPRejects
 	}
-	for _, path := range []string{"/v1/trace", "/v1/spans"} {
+	for _, path := range []string{"/v1/streams/s0/trace", "/v1/spans"} {
 		for _, n := range []string{"-1", "x", "1.5"} {
 			before := workerRejects()
 			rec := get(w.srv, path+"?n="+n)

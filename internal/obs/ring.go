@@ -74,8 +74,8 @@ func (r *Ring[T]) Last(n int) []T {
 	return out
 }
 
-// WriteJSONL encodes vs as one JSON object per line — the /v1/trace and
-// `freeway -trace` format. A record that fails to encode is skipped and the
+// WriteJSONL encodes vs as one JSON object per line — the
+// /v1/streams/{id}/trace and `freeway -trace` format. A record that fails to encode is skipped and the
 // first such error returned.
 func WriteJSONL[T any](w io.Writer, vs []T) error {
 	enc := json.NewEncoder(w)

@@ -25,10 +25,11 @@ func binFrame(t *testing.T, id string, dtype byte, req ProcessRequest) []byte {
 	return b
 }
 
-// postBinary POSTs a binary frame to /v1/process and decodes the response.
+// postBinary POSTs a binary frame to the default stream's process endpoint
+// and decodes the response.
 func postBinary(t *testing.T, url string, frame []byte) (*http.Response, ProcessResponse) {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/process", BinaryContentType, bytes.NewReader(frame))
+	resp, err := http.Post(url+defaultRoute+"/process", BinaryContentType, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestBinaryFrameAddressing(t *testing.T) {
 	_, ts := testServer(t)
 	rng := rand.New(rand.NewSource(12))
 	req := batchReq(rng, 4, true)
-	resp, _ := postBinary(t, ts.URL, binFrame(t, DefaultStream, wire.Float64, req))
+	resp, _ := postBinary(t, ts.URL, binFrame(t, "default", wire.Float64, req))
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("matching embedded id: status %d", resp.StatusCode)
 	}
@@ -139,7 +140,7 @@ func TestBinaryMalformedFrames(t *testing.T) {
 		"trailing garbage":  append(append([]byte(nil), good...), 1, 2, 3),
 	}
 	for name, body := range cases {
-		resp, err := http.Post(ts.URL+"/v1/process", BinaryContentType, bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+defaultRoute+"/process", BinaryContentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -190,7 +191,7 @@ func quantizeF32(req ProcessRequest) ProcessRequest {
 // randomly minted per-request trace ids.
 func traceLines(t *testing.T, url string) []map[string]any {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/trace")
+	resp, err := http.Get(url + defaultRoute + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func traceLines(t *testing.T, url string) []map[string]any {
 
 func rawStats(t *testing.T, url string) []byte {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/stats")
+	resp, err := http.Get(url + defaultRoute + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,19 +45,6 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-func TestHealthAliasAndLiveness(t *testing.T) {
-	_, ts := optServer(t)
-	for _, path := range []string{"/v1/healthz", "/v1/health"} {
-		var body map[string]string
-		if code := getJSON(t, ts.URL+path, &body); code != http.StatusOK {
-			t.Errorf("%s = %d, want 200", path, code)
-		}
-		if body["status"] != "ok" {
-			t.Errorf("%s body = %v", path, body)
-		}
-	}
-}
-
 func TestReadyzChecks(t *testing.T) {
 	t.Run("ready", func(t *testing.T) {
 		_, ts := optServer(t, WithCheckpointDir(t.TempDir(), 4))
@@ -71,8 +58,14 @@ func TestReadyzChecks(t *testing.T) {
 	})
 
 	t.Run("sessions at cap", func(t *testing.T) {
-		// Limit 1: the eagerly-created "default" stream fills the cap.
+		// Limit 1: the first stream fills the cap.
 		_, ts := optServer(t, WithSessionLimits(1, 0))
+		if code := getJSON(t, ts.URL+"/v1/readyz", nil); code != http.StatusOK {
+			t.Fatalf("readyz = %d below the session cap, want 200", code)
+		}
+		if resp, _ := postProcess(t, ts.URL, batchReq(rand.New(rand.NewSource(1)), 4, true)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("first batch: status %d", resp.StatusCode)
+		}
 		var body ReadyResponse
 		if code := getJSON(t, ts.URL+"/v1/readyz", &body); code != http.StatusServiceUnavailable {
 			t.Fatalf("readyz = %d, want 503 at the session cap", code)
@@ -117,7 +110,7 @@ func TestCancelledRequestCounts499(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is gone before the batch starts
-	hr := httptest.NewRequest(http.MethodPost, "/v1/process", bytes.NewReader(body)).WithContext(ctx)
+	hr := httptest.NewRequest(http.MethodPost, defaultRoute+"/process", bytes.NewReader(body)).WithContext(ctx)
 	hr.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, hr)
@@ -126,7 +119,7 @@ func TestCancelledRequestCounts499(t *testing.T) {
 	}
 
 	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+defaultRoute+"/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats = %d", code)
 	}
 	if stats.CancelledRequests != 1 {
@@ -134,7 +127,7 @@ func TestCancelledRequestCounts499(t *testing.T) {
 	}
 	// A normal request afterwards still works: cancellation must not
 	// poison the session.
-	resp, err := http.Post(ts.URL+"/v1/process", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+defaultRoute+"/process", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,14 @@ func testServerOpts(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 
 func getStats(t *testing.T, url string) StatsResponse {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/stats")
+	resp, err := http.Get(url + defaultRoute + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: status %d", resp.StatusCode)
+	}
 	var stats StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -58,7 +61,11 @@ func TestOversizeBodyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, path := range []string{"/v1/process", "/v1/streams/s1/infer"} {
+	// The stream the counters are read from exists before the first refusal.
+	if resp, _ := postProcess(t, ts.URL, batchReq(rng, 4, true)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed batch: status %d", resp.StatusCode)
+	}
+	for i, path := range []string{defaultRoute + "/process", "/v1/streams/s1/infer"} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(big))
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +102,7 @@ func TestDirtyBatchRejectedWithoutPoisoningState(t *testing.T) {
 	// through the library path — exercise the decoded-request seam directly.
 	dirty := batchReq(rng, 8, true)
 	dirty.X[3][1] = math.NaN()
-	_, status, err := s.process(context.Background(), DefaultStream, stream.Batch{X: dirty.X, Y: dirty.Y})
+	_, status, err := s.process(context.Background(), "default", stream.Batch{X: dirty.X, Y: dirty.Y})
 	if err == nil || status != http.StatusUnprocessableEntity {
 		t.Errorf("NaN batch: status %d (err %v), want 422", status, err)
 	}
@@ -119,8 +126,9 @@ func TestDirtyBatchRejectedWithoutPoisoningState(t *testing.T) {
 }
 
 func TestPeriodicCheckpointAndResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "serve.ckpt")
-	s, ts := testServerOpts(t, WithCheckpoint(path, 2))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "default.ckpt")
+	s, ts := testServerOpts(t, WithCheckpointDir(dir, 2))
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 6; i++ {
 		resp, _ := postProcess(t, ts.URL, batchReq(rng, 32, true))
@@ -131,7 +139,7 @@ func TestPeriodicCheckpointAndResume(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
-	sess, ok := s.Sessions().Get(DefaultStream)
+	sess, ok := s.Sessions().Get("default")
 	if !ok {
 		t.Fatal("default session missing")
 	}
@@ -144,24 +152,13 @@ func TestPeriodicCheckpointAndResume(t *testing.T) {
 		t.Errorf("stats checkpoints = %d saves / %d errors", stats.CheckpointSaves, stats.CheckpointErrors)
 	}
 
-	// A fresh server restores the snapshot and picks up where it left off.
-	cfg := core.DefaultConfig()
-	cfg.Shift.WarmupPoints = 64
-	s2, err := New(cfg, 3, 2)
-	if err != nil {
+	// Restart: a fresh server on the same directory restores the stream on
+	// its first request and picks up where it left off.
+	ts.Close()
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if err := s2.LoadCheckpointFile(path); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	ts2 := httptest.NewServer(s2)
-	defer ts2.Close()
-	stats2 := getStats(t, ts2.URL)
-	if stats2.Batches != stats.Batches || stats2.Samples != stats.Samples {
-		t.Errorf("restored metrics = %d batches / %d samples, want %d / %d",
-			stats2.Batches, stats2.Samples, stats.Batches, stats.Samples)
-	}
+	_, ts2 := testServerOpts(t, WithCheckpointDir(dir, 2))
 	var out ProcessResponse
 	for i := 0; i < 3; i++ {
 		var resp *http.Response
@@ -170,17 +167,23 @@ func TestPeriodicCheckpointAndResume(t *testing.T) {
 			t.Fatalf("post-resume batch %d: status %d", i, resp.StatusCode)
 		}
 	}
+	stats2 := getStats(t, ts2.URL)
+	if !stats2.Restored || stats2.Batches != stats.Batches+3 || stats2.Samples != stats.Samples+3*32 {
+		t.Errorf("after 3 post-restart batches: restored=%v, %d batches / %d samples, want true, %d / %d",
+			stats2.Restored, stats2.Batches, stats2.Samples, stats.Batches+3, stats.Samples+3*32)
+	}
 	if out.Accuracy < 0.8 {
 		t.Errorf("post-resume accuracy = %v (restored model should be warm)", out.Accuracy)
 	}
 }
 
 func TestCloseWritesFinalCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "final.ckpt")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "default.ckpt")
 	cfg := core.DefaultConfig()
 	cfg.Shift.WarmupPoints = 64
 	// every=1000 never triggers mid-run; only Close should write the file.
-	s, err := New(cfg, 3, 2, WithCheckpoint(path, 1000))
+	s, err := New(cfg, 3, 2, WithCheckpointDir(dir, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestCloseWritesFinalCheckpoint(t *testing.T) {
 func TestUnknownFieldsRejected(t *testing.T) {
 	_, ts := testServerOpts(t)
 	body := []byte(`{"x": [[1,2,3]], "bogus": true}`)
-	resp, err := http.Post(ts.URL+"/v1/process", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+defaultRoute+"/process", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

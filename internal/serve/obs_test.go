@@ -67,7 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`freeway_batches_total{stream="default"}`,
 		`freeway_process_seconds_count{stream="default"}`,
 		`freeway_stage_seconds_count{stage="shift_detect",stream="default"}`,
-		`freeway_http_requests_total{path="/v1/process"}`,
+		`freeway_http_requests_total{path="/v1/streams/:id/process"}`,
 		"freeway_sessions_active",
 	} {
 		if !series[want] {
@@ -83,7 +83,7 @@ func TestTraceEndpoint(t *testing.T) {
 		postProcess(t, ts.URL, batchReq(rng, 32, true))
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/trace?n=5")
+	resp, err := http.Get(ts.URL + defaultRoute + "/trace?n=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	// Bad n is rejected with the JSON envelope.
-	resp2, err := http.Get(ts.URL + "/v1/trace?n=-1")
+	resp2, err := http.Get(ts.URL + defaultRoute + "/trace?n=-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,10 @@ func TestErrorEnvelopeOnAllEndpoints(t *testing.T) {
 		method, path string
 		code         int
 	}{
-		{http.MethodGet, "/v1/process", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/stats", http.StatusMethodNotAllowed},
+		{http.MethodGet, defaultRoute + "/process", http.StatusMethodNotAllowed},
+		{http.MethodPost, defaultRoute + "/stats", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/v1/metrics", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/trace", http.StatusMethodNotAllowed},
+		{http.MethodPost, defaultRoute + "/trace", http.StatusMethodNotAllowed},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
 		if err != nil {
@@ -172,13 +172,13 @@ func TestHTTPCountersInStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	postProcess(t, ts.URL, batchReq(rng, 8, true))
 	// One reject: wrong method.
-	resp, err := http.Get(ts.URL + "/v1/process")
+	resp, err := http.Get(ts.URL + defaultRoute + "/process")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
+	statsResp, err := http.Get(ts.URL + defaultRoute + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,16 +276,16 @@ func TestDriftScheduleObservability(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 30; i++ {
-		send("/v1/process", obsDriftBatch(rng, 64, 0, 0))
+		send(defaultRoute+"/process", obsDriftBatch(rng, 64, 0, 0))
 	}
 	blended, away := obsDriftBatch(rng, 64, 0, 0), obsDriftBatch(rng, 64, 50, 40)
 	copy(blended.X[44:], away.X[44:])
 	copy(blended.Y[44:], away.Y[44:])
-	send("/v1/process", blended)
+	send(defaultRoute+"/process", blended)
 	for i := 0; i < 12; i++ {
-		send("/v1/process", obsDriftBatch(rng, 64, 50, 40))
+		send(defaultRoute+"/process", obsDriftBatch(rng, 64, 50, 40))
 	}
-	send("/v1/process", obsDriftBatch(rng, 64, 0, 0))
+	send(defaultRoute+"/process", obsDriftBatch(rng, 64, 0, 0))
 	for i := 0; i < 6; i++ {
 		send("/v1/streams/alt/process", obsDriftBatch(rng, 64, 0, 0))
 	}
@@ -328,7 +328,7 @@ func TestDriftScheduleObservability(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/trace")
+	resp, err = http.Get(ts.URL + defaultRoute + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestDriftScheduleObservability(t *testing.T) {
 	}
 }
 
-// TestTraceReadersBesideProcess: /v1/trace readers render a stream's trace
+// TestTraceReadersBesideProcess: trace readers render a stream's trace
 // while its batches are processed and its ring wraps; under -race every
 // render is ordered against every add.
 func TestTraceReadersBesideProcess(t *testing.T) {
@@ -375,6 +375,20 @@ func TestTraceReadersBesideProcess(t *testing.T) {
 		}
 		bodies[i] = b
 	}
+	post := func(b []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+defaultRoute+"/process", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("process status %d", resp.StatusCode)
+		}
+	}
+	// The first batch creates the stream, so every read finds its trace.
+	post(bodies[0])
 	done := make(chan struct{})
 	read := make(chan struct{})
 	go func() {
@@ -385,7 +399,7 @@ func TestTraceReadersBesideProcess(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := http.Get(ts.URL + "/v1/trace")
+			resp, err := http.Get(ts.URL + defaultRoute + "/trace")
 			if err != nil {
 				t.Error(err)
 				return
@@ -400,16 +414,8 @@ func TestTraceReadersBesideProcess(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	for _, b := range bodies {
-		resp, err := http.Post(ts.URL+"/v1/process", "application/json", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("process status %d", resp.StatusCode)
-		}
+	for _, b := range bodies[1:] {
+		post(b)
 	}
 	close(done)
 	<-read

@@ -10,15 +10,14 @@
 //	GET  /v1/streams                resident streams + aggregate counters
 //
 // Requests to one stream are serialized (streaming learning is stateful and
-// order-dependent); different streams process concurrently. The pre-session
-// endpoints (/v1/process, /v1/stats, /v1/trace) remain as aliases for the
-// stream named "default", so existing clients keep working unchanged.
+// order-dependent); different streams process concurrently. A stream exists
+// once its first batch arrives: every id, "default" included, is an ordinary
+// name under /v1/streams/.
 //
 // The server is hardened for unconstrained input: request bodies are capped
 // (413 on overflow), every batch passes the learner's input guardrails, and
 // checkpointing is a session concern — WithCheckpointDir persists one
-// crash-safe envelope per stream (restored when the id reappears), while
-// the legacy WithCheckpoint keeps the single-file behaviour for "default".
+// crash-safe envelope per stream, restored when the id reappears.
 //
 // Observability: /v1/metrics serves the Prometheus text exposition of every
 // stream's series (each labelled stream=<id>) plus the session-lifecycle
@@ -62,15 +61,12 @@ const StatusClientClosedRequest = 499
 const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // TraceContentType is the newline-delimited JSON content type served by
-// /v1/trace.
+// /v1/streams/{id}/trace.
 const TraceContentType = "application/x-ndjson"
 
 // DefaultMaxBodyBytes caps process request bodies (8 MiB ≈ a 1024-row
 // batch of 1000 features with labels, with JSON overhead to spare).
 const DefaultMaxBodyBytes = 8 << 20
-
-// DefaultStream is the stream id the legacy single-stream endpoints serve.
-const DefaultStream = session.DefaultStream
 
 // ProcessRequest is one mini-batch submitted to the service. Y may be
 // omitted for pure-inference batches.
@@ -174,24 +170,11 @@ func WithMaxBodyBytes(n int64) Option {
 	}
 }
 
-// WithCheckpoint enables periodic crash-safe snapshots of the "default"
-// stream to a single file — the pre-session behaviour: after every `every`
-// processed batches the learner is atomically checkpointed to path, plus a
-// final save on Close. Restoring stays an explicit LoadCheckpointFile call.
-// A save failure is counted and logged, never fatal to serving. Prefer
-// WithCheckpointDir for multi-stream deployments.
-func WithCheckpoint(path string, every int) Option {
-	return func(s *Server) {
-		if path != "" && every > 0 {
-			s.scfg.DefaultCheckpointPath = path
-			s.scfg.CheckpointEvery = every
-		}
-	}
-}
-
 // WithCheckpointDir persists one checkpoint envelope per stream under dir
 // (<dir>/<id>.ckpt): written every `every` batches (0 = only on eviction
-// and shutdown) and restored automatically when a stream id reappears.
+// and shutdown) and restored automatically when a stream id reappears. A
+// save failure is counted and logged, never fatal to serving; a file that
+// fails to load is counted and the stream starts fresh.
 func WithCheckpointDir(dir string, every int) Option {
 	return func(s *Server) {
 		if dir != "" {
@@ -267,8 +250,7 @@ type Server struct {
 }
 
 // New builds a server hosting streams of the given shape, each served by a
-// fresh learner built from cfg. The "default" stream is created eagerly so
-// legacy single-stream clients and scrapers see its series immediately.
+// fresh learner built from cfg when its first batch arrives.
 func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	s := &Server{
 		dim:     dim,
@@ -290,17 +272,11 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	s.mgr = mgr
-	if _, err := mgr.Ensure(DefaultStream); err != nil {
-		mgr.Close()
-		return nil, err
-	}
 	s.routeCounters = map[string]*obs.Counter{}
 	for _, route := range []string{
-		"/v1/process", "/v1/stats", "/v1/trace", "/v1/healthz", "/v1/health",
-		"/v1/readyz", "/v1/metrics", "/v1/streams",
+		"/v1/healthz", "/v1/readyz", "/v1/metrics", "/v1/streams", "/v1/spans",
 		"/v1/streams/:id/process", "/v1/streams/:id/stats", "/v1/streams/:id/trace",
-		"/v1/streams/:id/evict", "/v1/streams/:id/infer", "/v1/streams/:id/other",
-		"/v1/spans",
+		"/v1/streams/:id/evict", "/v1/streams/:id/infer", unknownRoute,
 	} {
 		s.routeCounters[route] = mgr.Registry().Counter("freeway_http_requests_total", "HTTP requests by route.", "path", route)
 	}
@@ -308,16 +284,14 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	s.cBinFrames = mgr.Registry().Counter("freeway_binary_frames_total", "Binary batch frames decoded.")
 	s.cBinGrew = mgr.Registry().Counter("freeway_binary_decode_allocs_total", "Binary frame decodes that had to grow storage (cold frame, or a batch larger than any before it on that slot).")
 
-	s.handle("/v1/process", func(w http.ResponseWriter, r *http.Request) { s.handleProcess(w, r, DefaultStream) })
-	s.handle("/v1/stats", func(w http.ResponseWriter, r *http.Request) { s.handleStats(w, r, DefaultStream) })
-	s.handle("/v1/trace", func(w http.ResponseWriter, r *http.Request) { s.handleTrace(w, r, DefaultStream) })
 	s.handle("/v1/healthz", s.handleHealth)
-	s.handle("/v1/health", s.handleHealth) // pre-split alias for the liveness probe
 	s.handle("/v1/readyz", s.handleReady)
 	s.handle("/v1/metrics", s.handleMetrics)
 	s.handle("/v1/streams", s.handleStreams)
 	s.handle("/v1/spans", s.handleSpans)
 	s.mux.HandleFunc("/v1/streams/", s.handleStreamRoute)
+	s.mux.HandleFunc("/v1/", s.handleUnknown)
+	s.mux.HandleFunc("/v1", s.handleUnknown)
 	if s.pprofOn {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -332,6 +306,9 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 // in tests).
 func (s *Server) Sessions() *session.Manager { return s.mgr }
 
+// unknownRoute is the route label of every /v1 path that names no endpoint.
+const unknownRoute = "/v1/*"
+
 // handle registers h at an exact path with request counting.
 func (s *Server) handle(path string, h http.HandlerFunc) {
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
@@ -341,39 +318,40 @@ func (s *Server) handle(path string, h http.HandlerFunc) {
 	})
 }
 
-// handleStreamRoute dispatches /v1/streams/:id/{process|stats|trace|evict|infer}.
-// Anything else under the prefix gets the JSON 404 envelope (the mux's
-// plain-text NotFound would break clients expecting the envelope contract).
-func (s *Server) handleStreamRoute(w http.ResponseWriter, r *http.Request) {
+// handleUnknown answers a /v1 path that names no endpoint with the JSON 404
+// envelope (the mux's plain-text NotFound would break clients expecting the
+// envelope contract).
+func (s *Server) handleUnknown(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Add(1)
+	s.routeCounters[unknownRoute].Inc()
+	s.writeError(w, http.StatusNotFound, fmt.Sprintf("unknown endpoint %q", r.URL.Path))
+}
+
+// handleStreamRoute dispatches /v1/streams/:id/{process|stats|trace|evict|infer};
+// anything else under the prefix is an unknown endpoint.
+func (s *Server) handleStreamRoute(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/streams/")
-	id, action, ok := strings.Cut(rest, "/")
-	if ok {
-		switch action {
-		case "process":
-			s.routeCounters["/v1/streams/:id/process"].Inc()
-			s.handleProcess(w, r, id)
-			return
-		case "stats":
-			s.routeCounters["/v1/streams/:id/stats"].Inc()
-			s.handleStats(w, r, id)
-			return
-		case "trace":
-			s.routeCounters["/v1/streams/:id/trace"].Inc()
-			s.handleTrace(w, r, id)
-			return
-		case "evict":
-			s.routeCounters["/v1/streams/:id/evict"].Inc()
-			s.handleEvict(w, r, id)
-			return
-		case "infer":
-			s.routeCounters["/v1/streams/:id/infer"].Inc()
-			s.handleInfer(w, r, id)
-			return
-		}
+	id, action, _ := strings.Cut(rest, "/")
+	var h func(http.ResponseWriter, *http.Request, string)
+	switch action {
+	case "process":
+		h = s.handleProcess
+	case "stats":
+		h = s.handleStats
+	case "trace":
+		h = s.handleTrace
+	case "evict":
+		h = s.handleEvict
+	case "infer":
+		h = s.handleInfer
 	}
-	s.routeCounters["/v1/streams/:id/other"].Inc()
-	s.writeError(w, http.StatusNotFound, fmt.Sprintf("unknown stream endpoint %q", r.URL.Path))
+	if h == nil {
+		s.handleUnknown(w, r)
+		return
+	}
+	s.reqs.Add(1)
+	s.routeCounters["/v1/streams/:id/"+action].Inc()
+	h(w, r, id)
 }
 
 // ServeHTTP implements http.Handler.
@@ -388,17 +366,6 @@ func (s *Server) Close() error {
 	err := s.closeErr
 	s.closeErr = nil
 	return err
-}
-
-// LoadCheckpointFile restores the "default" stream from a checkpoint file
-// (core.Learner.SaveCheckpointFile) — the explicit resume path after a
-// restart.
-func (s *Server) LoadCheckpointFile(path string) error {
-	sess, err := s.mgr.Ensure(DefaultStream)
-	if err != nil {
-		return err
-	}
-	return sess.LoadCheckpointFile(path)
 }
 
 // readBody slurps the request body, capped at maxBody, into a pooled buffer
@@ -551,10 +518,8 @@ func (s *Server) process(ctx context.Context, id string, b stream.Batch) (Proces
 	}, http.StatusOK, nil
 }
 
-// session resolves a stream id for the read-only endpoints: resident
-// sessions are returned as-is; an id with no session is only created when
-// it is valid (so typos 404 instead of spawning learners — GETs must not
-// leak sessions, except the eager default).
+// session resolves a stream id for the read-only endpoints: only a resident
+// session answers, so a GET never spawns a learner and an unknown id 404s.
 func (s *Server) session(id string) (*session.Session, int, error) {
 	if sess, ok := s.mgr.Get(id); ok {
 		return sess, http.StatusOK, nil
@@ -724,17 +689,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves a stream's decision trace as JSONL, oldest retained
-// event first. ?n=K limits the output to the newest K events; ?stream=<id>
-// selects another stream's ring — so /v1/trace?stream=orders works without
-// the /v1/streams/orders/trace path form (handy for dashboards that only
-// template query parameters).
+// event first. ?n=K limits the output to the newest K events.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, id string) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
-	}
-	if q := r.URL.Query().Get("stream"); q != "" {
-		id = q
 	}
 	n, err := obs.ParseLastN(r.URL.Query().Get("n"))
 	if err != nil {

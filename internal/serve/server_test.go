@@ -14,6 +14,10 @@ import (
 	"freewayml/internal/core"
 )
 
+// defaultRoute is the stream the single-stream tests drive: an ordinary id,
+// created by its first batch like any other.
+const defaultRoute = "/v1/streams/default"
+
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := core.DefaultConfig()
@@ -38,7 +42,7 @@ func postProcess(t *testing.T, url string, req ProcessRequest) (*http.Response, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/process", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+defaultRoute+"/process", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestProcessAndStatsEndToEnd(t *testing.T) {
 		t.Error("missing pattern/strategy")
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(ts.URL + defaultRoute + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +119,7 @@ func TestUnlabeledBatchInfersOnly(t *testing.T) {
 	if out.Accuracy != -1 {
 		t.Errorf("unlabeled accuracy = %v", out.Accuracy)
 	}
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
+	statsResp, err := http.Get(ts.URL + defaultRoute + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +148,7 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/v1/process", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(ts.URL+defaultRoute+"/process", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,22 +160,44 @@ func TestBadRequests(t *testing.T) {
 
 func TestMethodsEnforced(t *testing.T) {
 	_, ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/v1/process")
+	resp, err := http.Get(ts.URL + defaultRoute + "/process")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/process: %d", resp.StatusCode)
+		t.Errorf("GET process: %d", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/stats", "application/json", nil)
+	resp, err = http.Post(ts.URL+defaultRoute+"/stats", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/stats: %d", resp.StatusCode)
+		t.Errorf("POST stats: %d", resp.StatusCode)
 	}
+}
+
+// unknownCount reads the request counter of the catch-all route.
+func unknownCount(t *testing.T, url string) string {
+	t.Helper()
+	const series = `freeway_http_requests_total{path="/v1/*"} `
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			return v
+		}
+	}
+	t.Fatalf("exposition has no %s series", series)
+	return ""
 }
 
 // TestStreamRouteUnknownEndpoint404: anything under /v1/streams/ that names
@@ -180,26 +206,6 @@ func TestMethodsEnforced(t *testing.T) {
 // session for the id it names.
 func TestStreamRouteUnknownEndpoint404(t *testing.T) {
 	s, ts := testServer(t)
-	const series = `freeway_http_requests_total{path="/v1/streams/:id/other"} `
-	other := func() string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(body), "\n") {
-			if v, ok := strings.CutPrefix(line, series); ok {
-				return v
-			}
-		}
-		t.Fatalf("exposition has no %s series", series)
-		return ""
-	}
 	for i, path := range []string{"/v1/streams/s/graph", "/v1/streams/s/bogus", "/v1/streams/s"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -210,8 +216,8 @@ func TestStreamRouteUnknownEndpoint404(t *testing.T) {
 		}
 		assertErrorEnvelope(t, resp, http.StatusNotFound)
 		resp.Body.Close()
-		if got, want := other(), strconv.Itoa(i+1); got != want {
-			t.Errorf("after GET %s: %s= %s, want %s", path, series, got, want)
+		if got, want := unknownCount(t, ts.URL), strconv.Itoa(i+1); got != want {
+			t.Errorf("after GET %s: catch-all count %s, want %s", path, got, want)
 		}
 		if _, ok := s.Sessions().Get("s"); ok {
 			t.Fatalf("GET %s created a session for stream s", path)
@@ -219,15 +225,51 @@ func TestStreamRouteUnknownEndpoint404(t *testing.T) {
 	}
 }
 
-func TestHealthz(t *testing.T) {
-	_, ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/v1/healthz")
+// TestUnknownV1PathsAnswer404Envelope: a /v1 path that names no endpoint —
+// a made-up one, the bare prefix, or one of the removed single-stream
+// aliases — answers 404 with the JSON envelope, whatever the method, and
+// counts under the catch-all route. The removed aliases create no stream.
+func TestUnknownV1PathsAnswer404Envelope(t *testing.T) {
+	s, ts := testServer(t)
+	body, err := json.Marshal(ProcessRequest{X: [][]float64{{0, 0, 0}}, Y: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz: %d", resp.StatusCode)
+	n := 0
+	for _, path := range []string{"/v1/nope", "/v1", "/v1/process", "/v1/stats", "/v1/trace", "/v1/health"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404", method, path, resp.StatusCode)
+			}
+			assertErrorEnvelope(t, resp, http.StatusNotFound)
+			resp.Body.Close()
+			n++
+		}
+	}
+	if got, want := unknownCount(t, ts.URL), strconv.Itoa(n); got != want {
+		t.Errorf("catch-all count %s, want %s", got, want)
+	}
+	if ids := s.Sessions().List(); len(ids) != 0 {
+		t.Errorf("unknown paths created streams %v", ids)
+	}
+}
+
+func TestHealthz(t *testing.T) {
+	_, ts := testServer(t)
+	var body map[string]string
+	if code := getJSON(t, ts.URL+"/v1/healthz", &body); code != http.StatusOK {
+		t.Errorf("healthz: %d", code)
+	}
+	if body["status"] != "ok" {
+		t.Errorf("healthz body = %v", body)
 	}
 }
 

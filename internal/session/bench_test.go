@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"freewayml/internal/core"
+	"freewayml/internal/stream"
 )
 
 // benchCfg is a deliberately small learner so the benchmark weighs the
@@ -154,7 +155,7 @@ func benchParallelProcess(b *testing.B, shards int, churn bool) {
 					// Errors tolerated: under the single-lock baseline a
 					// starved arrival can exhaust its eviction retries;
 					// that failure mode is part of what the stripes fix.
-					_, _ = m.Process(context.Background(), id, coldBatch[0][0].x, coldBatch[0][0].y)
+					_, _ = m.ProcessBatch(context.Background(), id, stream.Batch{X: coldBatch[0][0].x, Y: coldBatch[0][0].y})
 				}
 			}(c)
 		}
@@ -167,7 +168,7 @@ func benchParallelProcess(b *testing.B, shards int, churn bool) {
 		w := int(seq.Add(1)-1) % hot
 		for i := 0; pb.Next(); i++ {
 			bt := batches[w][i%variants]
-			if _, err := m.Process(context.Background(), ids[w], bt.x, bt.y); err != nil {
+			if _, err := m.ProcessBatch(context.Background(), ids[w], stream.Batch{X: bt.x, Y: bt.y}); err != nil {
 				hotErrs.Add(1)
 			}
 		}

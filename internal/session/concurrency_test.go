@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"freewayml/internal/stream"
 )
 
 // TestConcurrentMixedOpsMatchSerialBaseline races 32+ goroutines across 16
@@ -49,7 +51,7 @@ func TestConcurrentMixedOpsMatchSerialBaseline(t *testing.T) {
 	serial := testManager(t, func(c *Config) { c.Shards = 1 })
 	for s := range load {
 		for b := 0; b < batches; b++ {
-			if _, err := serial.Process(context.Background(), load[s].id, load[s].x[b], load[s].y[b]); err != nil {
+			if _, err := serial.ProcessBatch(context.Background(), load[s].id, stream.Batch{X: load[s].x[b], Y: load[s].y[b]}); err != nil {
 				t.Fatalf("serial %s batch %d: %v", load[s].id, b, err)
 			}
 		}
@@ -77,7 +79,7 @@ func TestConcurrentMixedOpsMatchSerialBaseline(t *testing.T) {
 		go func(ld streamLoad) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
-				if _, err := m.Process(context.Background(), ld.id, ld.x[b], ld.y[b]); err != nil {
+				if _, err := m.ProcessBatch(context.Background(), ld.id, stream.Batch{X: ld.x[b], Y: ld.y[b]}); err != nil {
 					t.Errorf("%s batch %d: %v", ld.id, b, err)
 					return
 				}
@@ -92,7 +94,7 @@ func TestConcurrentMixedOpsMatchSerialBaseline(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(900 + c)))
 			for b := 0; b < batches; b++ {
 				x, y := batchXY(rng, 16, 0)
-				if _, err := m.Process(context.Background(), id, x, y); err != nil {
+				if _, err := m.ProcessBatch(context.Background(), id, stream.Batch{X: x, Y: y}); err != nil {
 					t.Errorf("%s batch %d: %v", id, b, err)
 					return
 				}
@@ -202,7 +204,7 @@ func TestProcessSurvivesEvictionStorm(t *testing.T) {
 		}()
 		runtime.Gosched()
 		x, y := batchXY(rng, 8, 0)
-		if _, err := m.Process(context.Background(), id, x, y); err != nil {
+		if _, err := m.ProcessBatch(context.Background(), id, stream.Batch{X: x, Y: y}); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
@@ -252,7 +254,7 @@ func TestEnsureFastPathSkipsWriteLock(t *testing.T) {
 			default:
 			}
 			x, y := batchXY(rng, 4, 0)
-			_, _ = m.Process(context.Background(), fmt.Sprintf("new-%d", i), x, y)
+			_, _ = m.ProcessBatch(context.Background(), fmt.Sprintf("new-%d", i), stream.Batch{X: x, Y: y})
 		}
 	}()
 	for i := 0; i < 50; i++ {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"freewayml/internal/stream"
 )
 
 // TestInferConcurrentWithTrainAndEvict races the lock-free read path
@@ -42,7 +44,7 @@ func TestInferConcurrentWithTrainAndEvict(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := m.Process(context.Background(), id, batches[b], labels[b]); err != nil {
+			if _, err := m.ProcessBatch(context.Background(), id, stream.Batch{X: batches[b], Y: labels[b]}); err != nil {
 				t.Errorf("train: %v", err)
 				return
 			}
@@ -102,7 +104,7 @@ func TestInferIgnoresSessionMutex(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(43))
 	x, y := batchXY(rng, 16, 0)
-	if _, err := m.Process(context.Background(), "pinned", x, y); err != nil {
+	if _, err := m.ProcessBatch(context.Background(), "pinned", stream.Batch{X: x, Y: y}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -43,9 +43,6 @@ import (
 // DefaultMaxSessions bounds resident sessions when Config.MaxSessions is 0.
 const DefaultMaxSessions = 64
 
-// DefaultStream is the stream id legacy single-stream endpoints map to.
-const DefaultStream = "default"
-
 // maxShards caps the shard count: past this, shard iteration cost (List,
 // sweep, LRU scan) outweighs any contention win.
 const maxShards = 256
@@ -96,11 +93,6 @@ type Config struct {
 	// CheckpointEvery additionally snapshots a live session every N
 	// processed batches (0 = only on eviction/shutdown).
 	CheckpointEvery int
-	// DefaultCheckpointPath (single-stream compatibility) overrides the
-	// checkpoint file for the "default" session. Unlike CheckpointDir it is
-	// save-only: restoring stays an explicit caller step, exactly as the
-	// pre-session server behaved.
-	DefaultCheckpointPath string
 
 	// Registry receives every session's metrics, each series labelled with
 	// stream=<id> (nil builds a private registry).
@@ -245,23 +237,11 @@ func (m *Manager) shard(id string) *shard {
 	return &m.shards[h&m.mask]
 }
 
-// ckptPath maps a stream id to the checkpoint file its saves go to (""
-// when persistence is off). Ids are pre-validated against idPattern, so the
-// join cannot escape the directory.
+// ckptPath maps a stream id to its checkpoint file — the one its saves go to
+// and a fresh session is rehydrated from ("" when persistence is off). Ids
+// are pre-validated against idPattern, so the join cannot escape the
+// directory.
 func (m *Manager) ckptPath(id string) string {
-	if id == DefaultStream && m.cfg.DefaultCheckpointPath != "" {
-		return m.cfg.DefaultCheckpointPath
-	}
-	if m.cfg.CheckpointDir == "" {
-		return ""
-	}
-	return filepath.Join(m.cfg.CheckpointDir, id+".ckpt")
-}
-
-// restorePath maps a stream id to the checkpoint file a fresh session is
-// rehydrated from: only CheckpointDir-managed files auto-restore; the
-// legacy DefaultCheckpointPath is save-only.
-func (m *Manager) restorePath(id string) string {
 	if m.cfg.CheckpointDir == "" {
 		return ""
 	}
@@ -339,7 +319,7 @@ func (m *Manager) newSession(id string) (*Session, error) {
 	l.SetObserver(o)
 	s := &Session{id: id, mgr: m, learner: l, observer: o}
 	s.touch()
-	if path := m.restorePath(id); path != "" {
+	if path := m.ckptPath(id); path != "" {
 		switch err := l.LoadCheckpointFile(path); {
 		case err == nil:
 			s.restored = true
@@ -446,12 +426,6 @@ func (m *Manager) evictLRU() bool {
 		return true
 	}
 	return false
-}
-
-// Process routes one batch to the session for id, creating it on first
-// use. It is ProcessBatch for callers holding loose rows.
-func (m *Manager) Process(ctx context.Context, id string, x [][]float64, y []int) (core.Result, error) {
-	return m.ProcessBatch(ctx, id, stream.Batch{X: x, Y: y})
 }
 
 // ProcessBatch routes one batch to the session for id, creating it on first

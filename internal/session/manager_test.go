@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"freewayml/internal/core"
+	"freewayml/internal/stream"
 )
 
 // testCfg returns a learner config tuned for small, fast test streams.
@@ -60,7 +61,7 @@ func feed(t *testing.T, m *Manager, id string, rng *rand.Rand, batches int) {
 	t.Helper()
 	for i := 0; i < batches; i++ {
 		x, y := batchXY(rng, 32, 0)
-		if _, err := m.Process(context.Background(), id, x, y); err != nil {
+		if _, err := m.ProcessBatch(context.Background(), id, stream.Batch{X: x, Y: y}); err != nil {
 			t.Fatalf("stream %s batch %d: %v", id, i, err)
 		}
 	}
@@ -178,7 +179,7 @@ func TestManagerCloseIdempotent(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	x, y := batchXY(rng, 16, 0)
-	if _, err := m.Process(context.Background(), "s", x, y); err != nil {
+	if _, err := m.ProcessBatch(context.Background(), "s", stream.Batch{X: x, Y: y}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -187,7 +188,7 @@ func TestManagerCloseIdempotent(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
 	}
-	if _, err := m.Process(context.Background(), "s", x, y); err == nil {
+	if _, err := m.ProcessBatch(context.Background(), "s", stream.Batch{X: x, Y: y}); err == nil {
 		t.Error("Process after Close succeeded")
 	}
 }
@@ -250,7 +251,7 @@ func TestConcurrentSessions(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				id := fmt.Sprintf("s%d", rng.Intn(streams))
 				x, y := batchXY(rng, 16, 0)
-				if _, err := m.Process(context.Background(), id, x, y); err != nil {
+				if _, err := m.ProcessBatch(context.Background(), id, stream.Batch{X: x, Y: y}); err != nil {
 					t.Errorf("worker %d stream %s: %v", w, id, err)
 					return
 				}

@@ -124,24 +124,6 @@ func (s *Session) teardown(checkpoint bool) error {
 	return s.learner.Close()
 }
 
-// LoadCheckpointFile restores the session's learner from a checkpoint — the
-// explicit resume path for deployments not using CheckpointDir.
-func (s *Session) LoadCheckpointFile(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errSessionClosed
-	}
-	if err := s.learner.LoadCheckpointFile(path); err != nil {
-		return err
-	}
-	s.restored = true
-	if n := s.learner.Metrics().Batches(); n > s.seq {
-		s.seq = n
-	}
-	return nil
-}
-
 // Stats is one session's point-in-time summary.
 type Stats struct {
 	ID       string `json:"id"`
