@@ -98,8 +98,10 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzParseNumber -fuzztime 20s
 
 # Every benchmark body of the kernel, network, window, cluster, session, shift,
-# wire, model and baselines packages, once (BenchmarkObserveMean: the detector at
-# a full 512-centroid history), the learn_drift profile's (BenchmarkLearnDrift)
+# wire, model, baselines and dist packages, once (BenchmarkObserveMean: the
+# detector at a full 512-centroid history; BenchmarkResidentStream: the heap a
+# resident stream retains; BenchmarkRouterHop{,Un}Traced: the router's hop),
+# the learn_drift profile's (BenchmarkLearnDrift)
 # and the observer's cost pair (BenchmarkLearner{Un,}Instrumented, DESIGN.md's
 # "Instrumentation cost"): the before/after tables of a kernel or decoder change
 # are these benchmarks (BenchmarkGemmForward runs the class head's products as
@@ -107,7 +109,7 @@ fuzz:
 # on is BenchmarkLearnDrift's, so a body that no longer builds or panics fails
 # here, not in the next change that needs it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn ./internal/window ./internal/cluster ./internal/session ./internal/shift ./internal/wire ./internal/model ./internal/baselines
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/linalg ./internal/nn ./internal/window ./internal/cluster ./internal/session ./internal/shift ./internal/wire ./internal/model ./internal/baselines ./internal/dist
 	$(GO) test -run '^$$' -bench 'LearnDrift|Learner(Uni|I)nstrumented' -benchtime 1x ./internal/core
 
 # The GEMM kernels are bounds-checked Go wrappers around assembly bodies (and

@@ -145,7 +145,7 @@ func ExampleLearner_Save() {
 		final.Batches, 100*final.GAcc, final.KnowledgeEntries)
 	// Output:
 	// before checkpoint: 60 batches, G_acc 87.19%, 3 knowledge entries
-	// checkpoint written: 78664 bytes
+	// checkpoint written: 78201 bytes
 	// resumed from checkpoint; continuing the stream
 	// batch  90: reoccurring regime served by pre-checkpoint knowledge (acc 65.6%)
 	// batch  91: reoccurring regime served by pre-checkpoint knowledge (acc 88.3%)

@@ -24,7 +24,11 @@
 //	}
 //
 // The package also ships the paper's dataset simulators (OpenDataset) and
-// the prequential metrics (Stats) used throughout its evaluation.
+// the prequential metrics (Stats) used throughout its evaluation. A learner
+// keeps those metrics as a fixed-size summary — counts, G_acc's running sum
+// and SI's running variance — so its memory and its checkpoint do not grow
+// with the stream's age; each batch's own accuracy is in its Result, for a
+// caller that wants the series.
 package freewayml
 
 import (
@@ -235,9 +239,6 @@ func (l *Learner) Stats() Stats {
 		SpillFailures:    h.SpillFailures + h.SpillLoadFailures,
 	}
 }
-
-// AccuracySeries returns the per-batch real-time accuracies recorded so far.
-func (l *Learner) AccuracySeries() []float64 { return l.inner.Metrics().Series() }
 
 // Close ends the stream: later ProcessBatch calls fail. Every update ran
 // inside the ProcessBatch call that triggered it, so there is nothing to

@@ -51,7 +51,7 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	}
 	defer learner.Close()
 
-	seen := 0
+	seen, accSum := 0, 0.0
 	for seen < 60 {
 		b, ok := src.Next()
 		if !ok {
@@ -67,6 +67,7 @@ func TestEndToEndPublicAPI(t *testing.T) {
 		if res.Pattern == "" || res.Strategy == "" {
 			t.Fatal("empty pattern/strategy strings")
 		}
+		accSum += res.Accuracy
 		seen++
 	}
 	st := learner.Stats()
@@ -79,8 +80,9 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	if st.SI <= 0 || st.SI > 1 {
 		t.Errorf("SI = %v out of range", st.SI)
 	}
-	if got := len(learner.AccuracySeries()); got != st.Batches {
-		t.Errorf("series length %d != batches %d", got, st.Batches)
+	// Eq. 15 over the batches' own accuracies, summed in order.
+	if st.Batches != seen || st.GAcc != accSum/float64(seen) {
+		t.Errorf("batches %d, G_acc %v; the results give %d, %v", st.Batches, st.GAcc, seen, accSum/float64(seen))
 	}
 }
 

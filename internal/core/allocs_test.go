@@ -126,28 +126,35 @@ func TestWarmInferProcessBytes(t *testing.T) {
 // 030f688 measured 89 (1435b93: 84.6). Split across two calls, e663437 measured
 // 17.1 for the closing call and 21.8 for the call after it, which lands the
 // close: it freezes the long model once more and gives the store its
-// snapshots; 3e77e71 measured 15.1 and 19.8. This tree measures 14.1 and 18.8
+// snapshots; 3e77e71 measured 15.1 and 19.8. 16ea90b measured 14.1 and 18.8
 // (at most 14.6 and 19.2 over 400 runs at -cpu 1,2,4), and each bound is
-// that plus a tenth.
+// that plus a tenth. The bytes are pinned too: at 16ea90b the closing call
+// allocated 48,264 bytes and the landing call 28,738, since both model images
+// the store is given were rendered into fresh buffers. Rendered into buffers
+// the ensemble reuses, the calls allocate 13.4 and 17.6 times and 42,336 and
+// 19,138 bytes (at most 42,348 and 19,155 at -cpu 1,2,4); each byte bound is
+// the most plus a tenth.
 func TestWindowCloseAllocs(t *testing.T) {
 	l, _, next := warmNSLKDD(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
-	var closes, allocs, landing uint64
+	var closes, allocs, landing, closeBytes, landingBytes uint64
 	closed := false
 	for i := 0; (closes < 8 || closed) && i < 1000; i++ {
 		open := l.ens.WindowLen()
 		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
+		before, beforeBytes := ms.Mallocs, ms.TotalAlloc
 		next()
 		runtime.ReadMemStats(&ms)
 		if closed {
 			landing += ms.Mallocs - before
+			landingBytes += ms.TotalAlloc - beforeBytes
 		}
 		closed = open > 0 && l.ens.WindowLen() == 0
 		if closed {
 			closes++
 			allocs += ms.Mallocs - before
+			closeBytes += ms.TotalAlloc - beforeBytes
 		}
 	}
 	if closes < 8 {
@@ -155,11 +162,19 @@ func TestWindowCloseAllocs(t *testing.T) {
 	}
 	perClose, perLanding := float64(allocs)/float64(closes), float64(landing)/float64(closes)
 	t.Logf("a closing Process allocates %.1f times, the Process that lands the close %.1f", perClose, perLanding)
+	bytesClose, bytesLanding := closeBytes/closes, landingBytes/closes
+	t.Logf("a closing Process allocates %d bytes, the Process that lands the close %d", bytesClose, bytesLanding)
 	if perClose > 15.5 {
 		t.Errorf("a warm Process that closes the window allocates %.1f times, want at most 15.5 (before the slab close: 111)", perClose)
 	}
 	if perLanding > 20.7 {
 		t.Errorf("a warm Process that lands a window close allocates %.1f times, want at most 20.7", perLanding)
+	}
+	if bytesClose > 46_600 {
+		t.Errorf("a warm Process that closes the window allocates %d bytes, want at most 46,600 (16ea90b: 48,264)", bytesClose)
+	}
+	if bytesLanding > 21_100 {
+		t.Errorf("a warm Process that lands a window close allocates %d bytes, want at most 21,100 (16ea90b: 28,738)", bytesLanding)
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // checkpoint is the gob-serialized durable state of a Learner: everything
 // needed to stop a deployed stream and resume it later with identical
 // behaviour — model parameters, the shift detector (whose PCA space anchors
-// every stored distribution), the knowledge store, the coherent
-// experience, and the prequential metrics. The ASW contents, pending
+// every stored distribution), the knowledge store, the coherent experience,
+// and the prequential metrics' fixed-size summary. The ASW contents, pending
 // fixed-frequency buffers and a window close in flight are intentionally NOT
 // serialized: they hold at most a few batches of transient training data that
 // the resumed stream replaces within one window; a checkpoint stays small, the
@@ -37,12 +37,14 @@ type checkpoint struct {
 	Detector     shift.State
 	Knowledge    []knowledge.EntrySnapshot
 	Experience   cluster.ExpBufferState
-	Metrics      metrics.PrequentialState
+	Metrics      metrics.SummaryState
 }
 
 // checkpointVersion guards the on-disk format. Since version 2 each model
-// is its parameter image (nn.Network.AppendSnapshot).
-const checkpointVersion = 2
+// is its parameter image (nn.Network.AppendSnapshot); since version 3 the
+// metrics are the fixed-size metrics.SummaryState, not every batch's
+// accuracy. An older version is refused, not converted.
+const checkpointVersion = 3
 
 // Checkpoint envelope: every checkpoint is framed as
 //

@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"freewayml/internal/cluster"
+	"freewayml/internal/knowledge"
+	"freewayml/internal/shift"
+	"freewayml/internal/strategy"
 	"freewayml/internal/stream"
 )
 
@@ -160,6 +165,107 @@ func TestLoadCheckpointRejectsMismatches(t *testing.T) {
 	v1 := reframe(t, buf.Bytes(), func(cp *checkpoint) { cp.Version = 1 })
 	if err := l.LoadCheckpoint(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Errorf("version 1 checkpoint: err = %v, want the version error", err)
+	}
+
+	// A version 2 checkpoint, whose metrics were every batch's accuracy, is
+	// refused, not converted.
+	v2 := reframeV2(t, buf.Bytes(), []float64{0.5, 0.75})
+	if err := l.LoadCheckpoint(bytes.NewReader(v2)); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("version 2 checkpoint: err = %v, want the version error", err)
+	}
+}
+
+// reframeV2 rewrites a checkpoint in the version 2 layout: the same sections,
+// with the metrics as Prequential's per-batch record of the accuracies accs.
+func reframeV2(t *testing.T, data []byte, accs []float64) []byte {
+	t.Helper()
+	payload, err := readEnvelope(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	type prequentialState struct {
+		Accs    []float64
+		ByKind  map[stream.DriftKind][]float64
+		Samples int
+	}
+	v2 := struct {
+		Version      int
+		ModelFamily  string
+		Dim, Classes int
+		Batch        int
+		Models       strategy.EnsembleState
+		Detector     shift.State
+		Knowledge    []knowledge.EntrySnapshot
+		Experience   cluster.ExpBufferState
+		Metrics      prequentialState
+	}{2, cp.ModelFamily, cp.Dim, cp.Classes, cp.Batch, cp.Models, cp.Detector, cp.Knowledge, cp.Experience,
+		prequentialState{Accs: accs, ByKind: map[stream.DriftKind][]float64{stream.KindNone: accs}, Samples: len(accs)}}
+	var reenc, framed bytes.Buffer
+	if err := gob.NewEncoder(&reenc).Encode(v2); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeEnvelope(&framed, reenc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return framed.Bytes()
+}
+
+// TestCheckpointSizeIndependentOfAge: a learner's checkpoint does not grow
+// with the number of batches it has seen, because its metrics are the
+// fixed-size summary behind Eq. 15 and 16, not every batch's accuracy. Two
+// checkpoints, after 1,000 and after 5,000 labelled batches, are compared at
+// the same knowledge-store length: without a spill directory the store drops
+// half its entries whenever it fills, so its length cycles, and each entry is
+// a whole model image.
+func TestCheckpointSizeIndependentOfAge(t *testing.T) {
+	l, err := NewLearner(testConfig(), 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// Four regimes of 40 batches each, pre-drawn and replayed in turn.
+	rng := rand.New(rand.NewSource(71))
+	var batches []stream.Batch
+	for r := 0; r < 4; r++ {
+		for i := 0; i < 40; i++ {
+			batches = append(batches, driftBatch(rng, 0, 16, float64(4*(r%2)), float64(4*(r/2)), stream.KindNone))
+		}
+	}
+	n := 0
+	process := func() {
+		if _, err := l.Process(context.Background(), batches[n%len(batches)]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	save := func() int {
+		var buf bytes.Buffer
+		if err := l.SaveCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	for n < 1000 {
+		process()
+	}
+	young, entries := save(), l.KnowledgeStore().Len()
+	for n < 5000 || l.KnowledgeStore().Len() != entries {
+		if n > 7000 {
+			t.Fatalf("the knowledge store never came back to %d entries after batch 5,000", entries)
+		}
+		process()
+	}
+	old := save()
+	if got := l.Metrics().Batches(); got != n {
+		t.Fatalf("%d labelled batches recorded, want %d", got, n)
+	}
+	t.Logf("checkpoint after 1,000 batches: %d bytes; after %d: %d bytes (%d knowledge entries)", young, n, old, entries)
+	if diff := math.Abs(float64(old-young)) / float64(young); diff >= 0.01 {
+		t.Errorf("checkpoint grew from %d bytes at 1,000 batches to %d at %d (%.1f %%), want under 1 %%", young, old, n, 100*diff)
 	}
 }
 

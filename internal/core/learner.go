@@ -74,7 +74,7 @@ type Learner struct {
 	obs *Observer
 	bo  batchObs
 
-	preq   metrics.Prequential
+	preq   metrics.Summary
 	batch  int
 	closed atomic.Bool
 
@@ -203,8 +203,13 @@ func (l *Learner) SetObserver(o *Observer) {
 // Observer returns the attached observability layer (nil when disabled).
 func (l *Learner) Observer() *Observer { return l.obs }
 
-// Metrics returns the learner's accumulated prequential metrics.
-func (l *Learner) Metrics() *metrics.Prequential { return &l.preq }
+// Metrics returns the learner's prequential metrics: the fixed-size summary
+// behind G_acc and SI, which does not grow with the stream's age.
+func (l *Learner) Metrics() *metrics.Summary { return &l.preq }
+
+// Seq returns the number of batches Process has completed, labelled or not:
+// the sequence number of the next batch. A checkpoint carries it.
+func (l *Learner) Seq() int { return l.batch }
 
 // KnowledgeStore exposes the historical knowledge store (for the Table IV
 // space measurements).
@@ -308,7 +313,7 @@ func (l *Learner) Process(ctx context.Context, b stream.Batch) (Result, error) {
 	if b.Labeled() {
 		if acc, err := metrics.Accuracy(res.Pred, b.Y); err == nil {
 			res.Accuracy = acc
-			l.preq.Record(acc, b.Truth, x.Rows)
+			l.preq.Record(acc, x.Rows)
 		}
 		// Train every mechanism: CEC's experience buffer, then the
 		// ensemble's granularity models, window and knowledge preservation

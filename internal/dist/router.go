@@ -298,7 +298,15 @@ func NewRouter(cfg Config) (*Router, error) {
 		id, _, _ := strings.Cut(rest, "/")
 		rt.forward(w, r, id)
 	})
+	rt.mux.HandleFunc("/v1/", rt.handleUnknown)
+	rt.mux.HandleFunc("/v1", rt.handleUnknown)
 	return rt, nil
+}
+
+// handleUnknown answers a /v1 path that names no endpoint with the JSON 404
+// envelope, as the serve tier does, instead of the mux's plain-text NotFound.
+func (r *Router) handleUnknown(w http.ResponseWriter, req *http.Request) {
+	r.writeError(w, http.StatusNotFound, fmt.Sprintf("unknown endpoint %q", req.URL.Path))
 }
 
 // Registry returns the router's metrics registry.

@@ -114,6 +114,39 @@ func counterValue(rt *Router, name string, labels ...string) int64 {
 	return rt.Registry().Counter(name, "", labels...).Value()
 }
 
+// TestRouterUnknownV1PathsAnswer404Envelope: a /v1 path the router does not
+// route — a made-up one, the bare prefix, or a removed single-stream alias —
+// answers 404 with the JSON envelope the serve tier uses, whatever the
+// method, and reaches no worker.
+func TestRouterUnknownV1PathsAnswer404Envelope(t *testing.T) {
+	fw := newFakeWorker(t)
+	rt := testRouter(t, nil, fw)
+	for _, path := range []string{"/v1/nope", "/v1", "/v1/process", "/v1/stats", "/v1/trace"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			rec := httptest.NewRecorder()
+			rt.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(`{"x":[[0,0,0]],"y":[0]}`)))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404", method, path, rec.Code)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("%s %s: Content-Type %q, want application/json", method, path, ct)
+			}
+			var env struct {
+				Error struct {
+					Code    int    `json:"code"`
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != http.StatusNotFound || env.Error.Message == "" {
+				t.Errorf("%s %s: body %q is not the 404 envelope (%v)", method, path, rec.Body, err)
+			}
+		}
+	}
+	if got := counterValue(rt, "freeway_router_worker_forwards_total", "worker", fw.addr()); got != 0 {
+		t.Errorf("unknown paths sent %d forwards to the worker, want 0", got)
+	}
+}
+
 func TestRouterRetriesTransientConnectionDrops(t *testing.T) {
 	fw := newFakeWorker(t)
 	chaos := faults.NewChaosTransport(newHopTransport(nil))

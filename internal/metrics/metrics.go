@@ -95,42 +95,6 @@ func (p *Prequential) SI() float64 {
 	return math.Exp(-sigma / mu)
 }
 
-// PrequentialState is the serializable snapshot of a Prequential, used by
-// the learner checkpoint so metric continuity survives a restart.
-type PrequentialState struct {
-	Accs    []float64
-	ByKind  map[stream.DriftKind][]float64
-	Samples int
-}
-
-// Export snapshots the accumulated metrics.
-func (p *Prequential) Export() PrequentialState {
-	st := PrequentialState{
-		Accs:    append([]float64(nil), p.accs...),
-		Samples: p.samples,
-	}
-	if len(p.byKind) > 0 {
-		st.ByKind = make(map[stream.DriftKind][]float64, len(p.byKind))
-		for k, v := range p.byKind {
-			st.ByKind[k] = append([]float64(nil), v...)
-		}
-	}
-	return st
-}
-
-// Import replaces the accumulated metrics with a snapshot from Export.
-func (p *Prequential) Import(st PrequentialState) {
-	p.accs = append([]float64(nil), st.Accs...)
-	p.samples = st.Samples
-	p.byKind = nil
-	if len(st.ByKind) > 0 {
-		p.byKind = make(map[stream.DriftKind][]float64, len(st.ByKind))
-		for k, v := range st.ByKind {
-			p.byKind[k] = append([]float64(nil), v...)
-		}
-	}
-}
-
 // KindAcc returns the mean accuracy over batches of the given drift kind
 // and the count of such batches.
 func (p *Prequential) KindAcc(kind stream.DriftKind) (float64, int) {
@@ -144,6 +108,70 @@ func (p *Prequential) KindAcc(kind stream.DriftKind) (float64, int) {
 	}
 	return s / float64(len(accs)), len(accs)
 }
+
+// Summary is the fixed-size form of a Prequential for a long-lived stream: it
+// keeps the batch and sample counts, the running sum of the per-batch
+// accuracies and Welford's running mean and sum of squared deviations, so its
+// size does not grow with the stream's age. GAcc sums in record order exactly
+// as Prequential.GAcc does, so the two agree bit for bit; SI takes σ from the
+// running M2 instead of a second pass, so it may differ in its last bits. It
+// keeps no series and no per-kind breakdown: those stay with Prequential. The
+// zero value is ready to use.
+type Summary struct {
+	st SummaryState
+}
+
+// SummaryState is the serializable state of a Summary, used by the learner
+// checkpoint so metric continuity survives a restart.
+type SummaryState struct {
+	Batches, Samples int
+	// Sum is the accuracies' sum in record order (Eq. 15's numerator); Mean
+	// and M2 are Welford's running mean and sum of squared deviations.
+	Sum, Mean, M2 float64
+}
+
+// Record adds one batch's real-time accuracy.
+func (s *Summary) Record(acc float64, batchSize int) {
+	st := &s.st
+	st.Batches++
+	st.Samples += batchSize
+	st.Sum += acc
+	d := acc - st.Mean
+	st.Mean += d / float64(st.Batches)
+	st.M2 += d * (acc - st.Mean)
+}
+
+// Batches returns the number of recorded batches.
+func (s *Summary) Batches() int { return s.st.Batches }
+
+// Samples returns the total number of evaluated samples.
+func (s *Summary) Samples() int { return s.st.Samples }
+
+// GAcc implements Eq. 15: the mean of per-batch accuracies. Returns 0 when
+// nothing is recorded.
+func (s *Summary) GAcc() float64 {
+	if s.st.Batches == 0 {
+		return 0
+	}
+	return s.st.Sum / float64(s.st.Batches)
+}
+
+// SI implements Eq. 16 as Prequential.SI does, with σ from the running M2.
+// Returns 0 when nothing is recorded or the mean accuracy is 0.
+func (s *Summary) SI() float64 {
+	mu := s.GAcc()
+	if mu == 0 {
+		return 0
+	}
+	sigma := math.Sqrt(s.st.M2 / float64(s.st.Batches))
+	return math.Exp(-sigma / mu)
+}
+
+// Export returns the summary's state.
+func (s *Summary) Export() SummaryState { return s.st }
+
+// Import replaces the summary's state with one from Export.
+func (s *Summary) Import(st SummaryState) { s.st = st }
 
 // LatencyTracker accumulates per-operation durations, reporting the mean in
 // microseconds (the unit of Tables III and VI) plus tail percentiles from

@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -128,30 +131,112 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestPrequentialExportImportRoundTrip(t *testing.T) {
-	var p Prequential
-	p.Record(0.9, stream.KindNone, 32)
-	p.Record(0.7, stream.KindSudden, 32)
-	p.Record(0.8, stream.KindNone, 16)
-
-	st := p.Export()
-	var q Prequential
-	q.Import(st)
-
-	if q.Batches() != p.Batches() || q.Samples() != p.Samples() {
-		t.Fatalf("restored counts = %d/%d, want %d/%d", q.Batches(), q.Samples(), p.Batches(), p.Samples())
+// summarySequences are the accuracy sequences the Summary is held to
+// Prequential on: seeded random accuracies of a few lengths, a constant
+// sequence and a 0/1 alternation.
+func summarySequences() map[string][]float64 {
+	seqs := map[string][]float64{
+		"constant":    make([]float64, 1000),
+		"alternating": make([]float64, 1001),
 	}
-	if q.GAcc() != p.GAcc() || q.SI() != p.SI() {
-		t.Errorf("restored GAcc/SI = %v/%v, want %v/%v", q.GAcc(), q.SI(), p.GAcc(), p.SI())
+	for i := range seqs["constant"] {
+		seqs["constant"][i] = 0.7
 	}
-	if acc, n := q.KindAcc(stream.KindSudden); n != 1 || acc != 0.7 {
-		t.Errorf("restored KindAcc = %v/%d", acc, n)
+	for i := range seqs["alternating"] {
+		seqs["alternating"][i] = float64(i % 2)
 	}
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		accs := make([]float64, 1+rng.Intn(20000))
+		for i := range accs {
+			accs[i] = rng.Float64()
+		}
+		seqs[fmt.Sprintf("random/seed=%d", seed)] = accs
+	}
+	return seqs
+}
 
-	// The snapshot is a deep copy: mutating the source must not leak.
-	p.Record(0.1, stream.KindNone, 8)
-	if q.Batches() != 3 {
-		t.Error("import aliases exporter's storage")
+// TestSummaryGAccMatchesPrequential: Eq. 15 from the running sum is
+// Prequential.GAcc bit for bit, since both sum in record order; the counts
+// agree too.
+func TestSummaryGAccMatchesPrequential(t *testing.T) {
+	for name, accs := range summarySequences() {
+		var p Prequential
+		var s Summary
+		for i, a := range accs {
+			p.Record(a, stream.KindNone, 1+i%7)
+			s.Record(a, 1+i%7)
+		}
+		if s.GAcc() != p.GAcc() {
+			t.Errorf("%s: GAcc %v, Prequential %v", name, s.GAcc(), p.GAcc())
+		}
+		if s.Batches() != p.Batches() || s.Samples() != p.Samples() {
+			t.Errorf("%s: batches/samples %d/%d, Prequential %d/%d", name, s.Batches(), s.Samples(), p.Batches(), p.Samples())
+		}
+	}
+}
+
+// TestSummarySIMatchesPrequential: Eq. 16 with σ from Welford's running M2
+// is within 1e-12 relative of Prequential's two-pass σ.
+func TestSummarySIMatchesPrequential(t *testing.T) {
+	for name, accs := range summarySequences() {
+		var p Prequential
+		var s Summary
+		for _, a := range accs {
+			p.Record(a, stream.KindNone, 1)
+			s.Record(a, 1)
+		}
+		got, want := s.SI(), p.SI()
+		if math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%s: SI %v, Prequential %v", name, got, want)
+		}
+	}
+	var s Summary
+	if s.GAcc() != 0 || s.SI() != 0 {
+		t.Error("empty Summary should report zeros")
+	}
+	s.Record(0, 1)
+	if s.SI() != 0 {
+		t.Errorf("zero-mean SI = %v, want 0", s.SI())
+	}
+}
+
+// TestSummaryHoldsNoPointers: a Summary is a few fixed fields, so a stream's
+// metrics take the same memory at any age.
+func TestSummaryHoldsNoPointers(t *testing.T) {
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Summary{}), "Summary")
+}
+
+// TestSummaryExportImportRoundTrip: a summary restored from its state reports
+// the same figures and goes on recording as the original does.
+func TestSummaryExportImportRoundTrip(t *testing.T) {
+	var s Summary
+	s.Record(0.9, 32)
+	s.Record(0.7, 32)
+	s.Record(0.8, 16)
+	var r Summary
+	r.Import(s.Export())
+	s.Record(0.6, 8)
+	r.Record(0.6, 8)
+	if r != s {
+		t.Errorf("restored summary %+v, original %+v", r.Export(), s.Export())
+	}
+	if r.Batches() != 4 || r.Samples() != 88 {
+		t.Errorf("restored batches/samples %d/%d, want 4/88", r.Batches(), r.Samples())
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"freewayml/internal/core"
+	"freewayml/internal/datasets"
 	"freewayml/internal/stream"
 )
 
@@ -179,4 +181,50 @@ func benchParallelProcess(b *testing.B, shards int, churn bool) {
 	ok := float64(b.N - int(hotErrs.Load()))
 	b.ReportMetric(ok/b.Elapsed().Seconds(), "batches/s")
 	b.ReportMetric(float64(hotErrs.Load()), "errors")
+}
+
+// BenchmarkResidentStream reports what a resident stream holds in memory: it
+// trains 8 NSL-KDD streams with the library's default learner (what
+// freeway-serve -model mlp builds) for 2,000 labelled batches of 128 rows
+// each, then reports the heap the manager retains, per stream. Two collections
+// before each reading empty the sync.Pool caches, which belong to no stream.
+// The streams share one pre-drawn batch list, read from offsets of their own;
+// the learners copy what they keep, so the list is outside the figure.
+func BenchmarkResidentStream(b *testing.B) {
+	const streams, batches = 8, 2000
+	src, err := datasets.Build("NSL-KDD", 128, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := stream.Collect(src, 0)
+	cfg := Config{Learner: core.DefaultConfig(), Dim: src.Dim(), Classes: src.Classes(), MaxSessions: streams}
+	ids := make([]string, streams)
+	for s := range ids {
+		ids[s] = fmt.Sprintf("s%d", s)
+	}
+	var ms runtime.MemStats
+	retained := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < b.N; i++ {
+		base := retained()
+		m, err := NewManager(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < batches; k++ {
+			for s, id := range ids {
+				if _, err := m.ProcessBatch(context.Background(), id, data[(k+s*len(data)/streams)%len(data)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(retained()-base)/streams, "retained-B/stream")
+		if err := m.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -323,7 +323,6 @@ func (m *Manager) newSession(id string) (*Session, error) {
 		switch err := l.LoadCheckpointFile(path); {
 		case err == nil:
 			s.restored = true
-			s.seq = l.Metrics().Batches()
 			m.cRestored.Inc()
 		case errors.Is(err, fs.ErrNotExist):
 			// First use of this id: nothing to restore.

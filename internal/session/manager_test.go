@@ -152,6 +152,39 @@ func TestTTLEvictionCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoredSeqCountsUnlabelledBatches: a stream's sequence counts every
+// batch its learner completed, unlabelled ones included, and a stream restored
+// from its checkpoint continues it: 3 labelled and 2 unlabelled batches leave
+// Seq at 5 before an eviction and after the restore, while Batches counts the
+// 3 labelled ones. The periodic checkpoint's cadence reads the same count.
+func TestRestoredSeqCountsUnlabelledBatches(t *testing.T) {
+	dir := t.TempDir()
+	m := testManager(t, func(c *Config) { c.CheckpointDir = dir })
+	rng := rand.New(rand.NewSource(5))
+	feed(t, m, "s1", rng, 3)
+	for i := 0; i < 2; i++ {
+		x, _ := batchXY(rng, 32, 0)
+		if _, err := m.ProcessBatch(context.Background(), "s1", stream.Batch{X: x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _ := m.Get("s1")
+	before := s.Snapshot()
+	if before.Seq != 5 || before.Batches != 3 {
+		t.Fatalf("before eviction: seq %d, batches %d; want 5, 3", before.Seq, before.Batches)
+	}
+	if ok, err := m.Evict("s1"); !ok || err != nil {
+		t.Fatalf("Evict = %v, %v", ok, err)
+	}
+	s, err := m.Ensure("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Snapshot(); !got.Restored || got.Seq != 5 || got.Batches != 3 {
+		t.Errorf("after restore: restored %v, seq %d, batches %d; want true, 5, 3", got.Restored, got.Seq, got.Batches)
+	}
+}
+
 func TestLRUSpillAtMaxSessions(t *testing.T) {
 	m := testManager(t, func(c *Config) { c.MaxSessions = 3 })
 	rng := rand.New(rand.NewSource(3))

@@ -18,7 +18,9 @@ import (
 var errSessionClosed = errors.New("session: closed")
 
 // Session is one named stream: a learner plus its labelled observer and the
-// per-stream bookkeeping (batch sequence, idle clock, checkpoint counters).
+// per-stream bookkeeping (idle clock, checkpoint counters). The stream's batch
+// sequence is the learner's own count of completed batches (core.Learner.Seq),
+// which its checkpoint carries, so a restored stream continues it.
 // Sessions are created by the Manager and torn down by eviction or
 // Manager.Close; they are never handed out for direct mutation.
 type Session struct {
@@ -34,7 +36,6 @@ type Session struct {
 	mu       sync.Mutex
 	learner  *core.Learner
 	observer *core.Observer
-	seq      int
 	closed   bool
 	restored bool
 
@@ -57,9 +58,10 @@ func (s *Session) Restored() bool { return s.restored }
 func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 
 // process runs one batch through the session's learner, overwriting the
-// batch's Seq with the per-stream sequence number. The caller's batch is
-// handed to the learner as-is — no row copies — so the binary ingest path
-// can pass decoded storage straight through.
+// batch's Seq with the per-stream sequence number: the count of batches the
+// learner has completed, so a batch it refuses takes no number. The caller's
+// batch is handed to the learner as-is — no row copies — so the binary ingest
+// path can pass decoded storage straight through.
 // Returns errSessionClosed when the session was evicted before the lock was
 // acquired.
 func (s *Session) process(ctx context.Context, b stream.Batch) (core.Result, error) {
@@ -69,10 +71,9 @@ func (s *Session) process(ctx context.Context, b stream.Batch) (core.Result, err
 		return core.Result{}, errSessionClosed
 	}
 	s.touch()
-	b.Seq = s.seq
-	s.seq++
+	b.Seq = s.learner.Seq()
 	res, err := s.learner.Process(ctx, b)
-	if err == nil && s.mgr.ckptEvery > 0 && s.mgr.ckptPath(s.id) != "" && s.seq%s.mgr.ckptEvery == 0 {
+	if err == nil && s.mgr.ckptEvery > 0 && s.mgr.ckptPath(s.id) != "" && s.learner.Seq()%s.mgr.ckptEvery == 0 {
 		s.checkpointLocked()
 	}
 	return res, err
@@ -118,7 +119,7 @@ func (s *Session) teardown(checkpoint bool) error {
 		return nil
 	}
 	s.closed = true
-	if checkpoint && s.seq > 0 {
+	if checkpoint && s.learner.Seq() > 0 {
 		s.checkpointLocked()
 	}
 	return s.learner.Close()
@@ -154,7 +155,7 @@ func (s *Session) Snapshot() Stats {
 		ID:       s.id,
 		Batches:  m.Batches(),
 		Samples:  m.Samples(),
-		Seq:      s.seq,
+		Seq:      s.learner.Seq(),
 		Restored: s.restored,
 
 		GAcc:             m.GAcc(),

@@ -102,6 +102,10 @@ type Ensemble struct {
 	slab, chunk linalg.Tensor // the close's training set, gathered from the window, and a chunk's rows
 	slabY       []int         // the slab's labels
 
+	// The model images a window close gives the knowledge store, rendered
+	// into storage reused from close to close: the store copies what it keeps.
+	shortImg, longImg []byte
+
 	longVer uint64 // bumped on every long-model mutation
 
 	closing windowClose // the window close in flight, while closing.open
@@ -440,7 +444,7 @@ type windowClose struct {
 	lastLoss      float64 // the last chunk's loss; negative before any
 	distribution  linalg.Vector
 	keep          knowledge.Decision
-	shortSnap     []byte // the short model as the close began, when keep.SaveShort
+	saveShort     bool // shortImg holds the short model as the close began
 	replaceRadius float64
 	obs           shift.Observation // the closing batch's
 }
@@ -462,7 +466,8 @@ func (e *Ensemble) beginClose(obs shift.Observation) {
 	if e.deps.Preserver != nil && c.distribution != nil {
 		c.keep = e.deps.Preserver.decide(disorder)
 		if c.keep.SaveShort && obs.YBar != nil {
-			c.shortSnap = e.grans[0].Model.Net().AppendSnapshot(nil)
+			e.shortImg = e.grans[0].Model.Net().AppendSnapshot(e.shortImg[:0])
+			c.saveShort = true
 		}
 	}
 	if c.distribution != nil {
@@ -505,7 +510,15 @@ func (e *Ensemble) advanceClose() error {
 	if e.deps.Preserver == nil {
 		return nil
 	}
-	return e.deps.Preserver.PreserveAtWindowClose(c.keep, c.distribution, e.long, c.shortSnap, c.replaceRadius, c.obs)
+	var longImg, shortImg []byte
+	if c.keep.SaveLong {
+		e.longImg = e.long.Net().AppendSnapshot(e.longImg[:0])
+		longImg = e.longImg
+	}
+	if c.saveShort {
+		shortImg = e.shortImg
+	}
+	return e.deps.Preserver.PreserveAtWindowClose(c.distribution, longImg, shortImg, c.replaceRadius, c.obs)
 }
 
 // ceilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.

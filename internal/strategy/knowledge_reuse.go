@@ -73,20 +73,20 @@ func (k *KnowledgeReuse) decide(disorder float64) knowledge.Decision {
 	return knowledge.Policy{Beta: k.beta}.Decide(disorder)
 }
 
-// PreserveAtWindowClose stores what decide kept when a window close began (the
-// zero Decision for a window without a distribution). The ensemble calls it on
-// the training goroutine as the close lands: long is the long model as the
-// close left it, stored at the window's distribution; shortSnap is the short
-// model's image as the close began (nil unless keep.SaveShort), stored at the
-// closing batch's centroid.
-func (k *KnowledgeReuse) PreserveAtWindowClose(keep knowledge.Decision, distribution linalg.Vector, long model.Model, shortSnap []byte, replaceRadius float64, obs shift.Observation) error {
-	if keep.SaveLong {
-		if err := k.store.PreserveOrReplace(distribution, long.Net().AppendSnapshot(nil), "long", obs.Batch, replaceRadius); err != nil {
+// PreserveAtWindowClose stores the images of what decide kept when a window
+// close began. The ensemble calls it on the training goroutine as the close
+// lands: longImg is the long model as the close left it (nil unless the
+// decision kept it), stored at the window's distribution; shortImg is the
+// short model as the close began (nil unless kept), stored at the closing
+// batch's centroid. The store copies both, so the caller may reuse them.
+func (k *KnowledgeReuse) PreserveAtWindowClose(distribution linalg.Vector, longImg, shortImg []byte, replaceRadius float64, obs shift.Observation) error {
+	if longImg != nil {
+		if err := k.store.PreserveOrReplace(distribution, longImg, "long", obs.Batch, replaceRadius); err != nil {
 			return err
 		}
 	}
-	if shortSnap != nil {
-		return k.store.PreserveOrReplace(obs.YBar, shortSnap, "short", obs.Batch, replaceRadius)
+	if shortImg != nil {
+		return k.store.PreserveOrReplace(obs.YBar, shortImg, "short", obs.Batch, replaceRadius)
 	}
 	return nil
 }
